@@ -3,6 +3,8 @@
 //! cost. These quantify the "+6 %" query-execution overhead Table 3
 //! attributes to out-of-order execution.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use skipper_datagen::{tpch, GenConfig};
 use skipper_relational::join_graph::ProbePlan;
@@ -39,10 +41,19 @@ fn bench_rooted_probe(c: &mut Criterion) {
     let (tables, q12) = workload();
     let orders_indexes: Vec<SegmentIndex> = tables[0]
         .iter()
-        .map(|s| SegmentIndex::build(s, q12.filters[0].as_ref(), &q12.join_cols(0)))
+        .map(|s| {
+            SegmentIndex::build(
+                &Arc::new(s.clone()),
+                q12.filters[0].as_ref(),
+                &q12.join_cols(0),
+            )
+        })
         .collect();
-    let lineitem_index =
-        SegmentIndex::build(&tables[1][0], q12.filters[1].as_ref(), &q12.join_cols(1));
+    let lineitem_index = SegmentIndex::build(
+        &Arc::new(tables[1][0].clone()),
+        q12.filters[1].as_ref(),
+        &q12.join_cols(1),
+    );
     let plan = ProbePlan::plan_rooted(&q12, 1).unwrap();
     c.bench_function("join/rooted_probe_one_arrival", |b| {
         b.iter(|| {
@@ -63,10 +74,10 @@ fn bench_rooted_probe(c: &mut Criterion) {
 
 fn bench_segment_index_build(c: &mut Criterion) {
     let (tables, q12) = workload();
-    let seg = &tables[1][0]; // a lineitem segment
+    let seg = Arc::new(tables[1][0].clone()); // a lineitem segment
     let cols = q12.join_cols(1);
     c.bench_function("join/segment_index_build_lineitem", |b| {
-        b.iter(|| SegmentIndex::build(black_box(seg), q12.filters[1].as_ref(), &cols))
+        b.iter(|| SegmentIndex::build(black_box(&seg), q12.filters[1].as_ref(), &cols))
     });
 }
 

@@ -45,7 +45,7 @@ impl EvictionPolicy {
 
 /// A cached object: its hash indexes plus accounting size.
 pub struct CacheSlot {
-    /// Filtered rows + hash indexes of the segment.
+    /// Filter survivors + hash indexes, borrowed from the shared segment.
     pub index: SegmentIndex,
     /// Logical bytes charged against cache capacity.
     pub bytes: u64,
@@ -236,9 +236,11 @@ mod tests {
     use skipper_relational::row;
     use skipper_relational::schema::{DataType, Schema};
     use skipper_relational::segment::Segment;
+    use std::sync::Arc;
 
     fn slot(bytes: u64) -> CacheSlot {
-        let seg = Segment::new(Schema::of(&[("k", DataType::Int)]), vec![row![1i64]]).unwrap();
+        let seg =
+            Arc::new(Segment::new(Schema::of(&[("k", DataType::Int)]), vec![row![1i64]]).unwrap());
         CacheSlot {
             index: SegmentIndex::build(&seg, None, &[0]),
             bytes,
@@ -323,6 +325,44 @@ mod tests {
         let victims = cache.select_victims(&tracker, (0, 2), 3, &[]);
         assert_eq!(victims.len(), 2);
         assert!(victims.iter().all(|v| v.0 == 0));
+    }
+
+    #[test]
+    fn multi_victim_eviction_pins_identity_and_order() {
+        // Three rounds, each rescored against the cache minus the victims
+        // already chosen: executed combinations and the newcomer shift
+        // the executable counts between rounds.
+        let mut tracker = SubplanTracker::new(&[4, 3]);
+        for combo in [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2]] {
+            tracker.mark_executed(&combo);
+        }
+        // Victim identity *and* order are pinned: both feed the reissue
+        // sequence, and with it every virtual-time result.
+        let expected = [
+            (
+                EvictionPolicy::MaximalProgress,
+                vec![(0, 1), (0, 2), (1, 0)],
+                vec![(0, 2), (1, 0), (0, 0)],
+            ),
+            (
+                EvictionPolicy::MaxPendingSubplans,
+                vec![(0, 1), (0, 2), (0, 0)],
+                vec![(0, 2), (0, 0)],
+            ),
+        ];
+        for (policy, unpinned, with_pin) in expected {
+            let mut cache = BufferCache::new(7, policy);
+            cache.insert((0, 0), slot(2));
+            cache.insert((0, 1), slot(1));
+            cache.insert((0, 2), slot(1));
+            cache.insert((1, 0), slot(1));
+            cache.insert((1, 1), slot(1));
+            cache.insert((1, 2), slot(1));
+            let victims = cache.select_victims(&tracker, (0, 3), 3, &[]);
+            assert_eq!(victims, unpinned, "{policy:?}");
+            let victims = cache.select_victims(&tracker, (0, 3), 3, &[(0, 1)]);
+            assert_eq!(victims, with_pin, "{policy:?}, (0, 1) pinned");
+        }
     }
 
     #[test]

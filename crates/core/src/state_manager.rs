@@ -51,7 +51,11 @@ pub struct SkipperEngine {
     seg_bytes: Vec<u64>,
     /// Segment payload filters/join columns.
     join_cols: Vec<Vec<usize>>,
-    outstanding: Vec<ObjectId>,
+    /// `outstanding[seg_offsets[rel] + seg]` — a GET for the object is in
+    /// flight; `outstanding_count` of them are set.
+    outstanding: Vec<bool>,
+    outstanding_count: usize,
+    seg_offsets: Vec<usize>,
     prune_empty: bool,
     stats: EngineStats,
     finished: bool,
@@ -114,6 +118,15 @@ impl SkipperEngine {
             .collect();
         let agg = Aggregator::for_query(&spec);
         let tracker = SubplanTracker::new(&seg_counts);
+        let mut total_segs = 0usize;
+        let seg_offsets: Vec<usize> = seg_counts
+            .iter()
+            .map(|&count| {
+                let offset = total_segs;
+                total_segs += count as usize;
+                offset
+            })
+            .collect();
         SkipperEngine {
             proxy: ClientProxy::new(tenant, rel_tables.iter().map(|&t| t as u16).collect()),
             cache: BufferCache::new(cache_bytes, policy),
@@ -123,7 +136,9 @@ impl SkipperEngine {
             scales,
             seg_bytes,
             join_cols,
-            outstanding: Vec::new(),
+            outstanding: vec![false; total_segs],
+            outstanding_count: 0,
+            seg_offsets,
             prune_empty,
             stats: EngineStats::default(),
             finished: false,
@@ -142,7 +157,12 @@ impl SkipperEngine {
 
     fn issue(&mut self, objects: Vec<RelSeg>) -> Vec<ObjectId> {
         let ids = self.proxy.issue(&objects);
-        self.outstanding.extend(ids.iter().copied());
+        for &(rel, seg) in &objects {
+            let flag = &mut self.outstanding[self.seg_offsets[rel] + seg as usize];
+            assert!(!*flag, "object ({rel}, {seg}) requested while in flight");
+            *flag = true;
+        }
+        self.outstanding_count += objects.len();
         self.stats.gets_issued = self.proxy.gets_issued();
         self.stats.reissues = self.proxy.reissued();
         ids
@@ -218,19 +238,17 @@ impl QueryEngine for SkipperEngine {
 
     fn on_object(&mut self, object: ObjectId, payload: &Arc<Segment>) -> Reaction {
         let mut processing = SimDuration::ZERO;
-        let pos = self
-            .outstanding
-            .iter()
-            .position(|&o| o == object)
-            .unwrap_or_else(|| panic!("unexpected delivery {object}"));
-        self.outstanding.swap_remove(pos);
-        self.stats.objects_received += 1;
-
         let rel = self
             .proxy
             .rel_of(object)
-            .expect("delivery belongs to this query");
+            .filter(|&rel| object.segment < self.tracker.seg_count(rel))
+            .unwrap_or_else(|| panic!("unexpected delivery {object}"));
         let obj: RelSeg = (rel, object.segment);
+        let in_flight = &mut self.outstanding[self.seg_offsets[rel] + obj.1 as usize];
+        assert!(*in_flight, "unexpected delivery {object}");
+        *in_flight = false;
+        self.outstanding_count -= 1;
+        self.stats.objects_received += 1;
 
         // Admission. Objects that no longer participate in any pending
         // subplan (pruned or fully executed since the request went out)
@@ -301,7 +319,7 @@ impl QueryEngine for SkipperEngine {
         // degrade to targeting one pending subplan — the paper's O(S^R)
         // worst-case regime of one subplan per cycle at cache capacity R.
         let mut requests = Vec::new();
-        if !self.finished && self.outstanding.is_empty() {
+        if !self.finished && self.outstanding_count == 0 {
             let needed: Vec<RelSeg> = if self.cycle_executed == 0 && self.stats.cycles > 0 {
                 let combo = self
                     .tracker

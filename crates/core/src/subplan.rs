@@ -34,8 +34,8 @@ pub type RelSeg = (usize, u32);
 pub type SubplanKey = u128;
 
 /// Maximum relations per query (u128 packing limit; the paper's widest
-/// query, TPC-H Q5, has 6).
-pub const MAX_RELATIONS: usize = 8;
+/// query, TPC-H Q5, has 6) — the join kernel's scratch width.
+pub use skipper_relational::ops::nary::MAX_RELATIONS;
 
 /// Tracks pending/executed subplans over the segment cross product.
 pub struct SubplanTracker {
@@ -83,11 +83,10 @@ impl SubplanTracker {
         key
     }
 
-    /// Unpacks a key into a combination of `n` segment indices.
-    pub fn unpack(key: SubplanKey, n: usize) -> Vec<u32> {
-        (0..n)
-            .map(|r| ((key >> (16 * r)) & 0xFFFF) as u32)
-            .collect()
+    /// Relation `r`'s segment in a packed key.
+    #[inline]
+    pub fn segment_of(key: SubplanKey, r: usize) -> u32 {
+        ((key >> (16 * r)) & 0xFFFF) as u32
     }
 
     /// Number of relations.
@@ -184,30 +183,27 @@ impl SubplanTracker {
         self.alive_counts[rel] -= 1;
         // Drop executed combos containing the object so per-object counts
         // stay consistent with the shrunken live space.
-        let dead: Vec<SubplanKey> = self
-            .executed
-            .iter()
-            .copied()
-            .filter(|&k| ((k >> (16 * rel)) & 0xFFFF) as u32 == seg)
-            .collect();
-        for key in dead {
-            self.executed.remove(&key);
-            for (r, s) in Self::unpack(key, self.seg_counts.len()).iter().enumerate() {
-                let cnt = self
-                    .executed_per_object
-                    .get_mut(&(r, *s))
-                    .expect("executed object has a count");
-                *cnt -= 1;
+        let n = self.seg_counts.len();
+        let per_object = &mut self.executed_per_object;
+        self.executed.retain(|&key| {
+            if Self::segment_of(key, rel) != seg {
+                return true;
             }
-        }
+            for r in 0..n {
+                *per_object
+                    .get_mut(&(r, Self::segment_of(key, r)))
+                    .expect("executed object has a count") -= 1;
+            }
+            false
+        });
         eliminated
     }
 
     /// The **maximal-progress** scores of §4.2: for every cached object,
     /// how many new subplans become executable given the cache contents
     /// plus `incoming`. `cached[r]` lists relation `r`'s cached segments
-    /// (all alive); `incoming` is the arriving object (counted as present
-    /// but not scored).
+    /// (all alive, sorted ascending); `incoming` is the arriving object
+    /// (counted as present but not scored).
     ///
     /// Returned in the same object order as `candidates`.
     pub fn executable_counts(
@@ -216,46 +212,60 @@ impl SubplanTracker {
         incoming: Option<RelSeg>,
         candidates: &[RelSeg],
     ) -> Vec<u64> {
-        assert_eq!(cached.len(), self.seg_counts.len());
-        // Effective per-relation cache contents including the newcomer.
-        let mut present: Vec<Vec<u32>> = cached.to_vec();
+        let n = self.seg_counts.len();
+        assert_eq!(cached.len(), n);
+        debug_assert!(cached.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
+        // The effective cache is `cached` plus the newcomer.
+        let mut sizes = [0u64; MAX_RELATIONS];
+        for (size, segs) in sizes.iter_mut().zip(cached) {
+            *size = segs.len() as u64;
+        }
         if let Some((r, s)) = incoming {
-            if !present[r].contains(&s) {
-                present[r].push(s);
+            if cached[r].binary_search(&s).is_err() {
+                sizes[r] += 1;
             }
         }
-        let sizes: Vec<u64> = present.iter().map(|v| v.len() as u64).collect();
-        let membership: Vec<FxHashSet<u32>> = present
-            .iter()
-            .map(|v| v.iter().copied().collect())
-            .collect();
 
         // Executed combos fully inside the effective cache, counted per
-        // coordinate, in one pass over the executed set.
-        let mut executed_in_cache: FxHashMap<RelSeg, u64> = FxHashMap::default();
+        // cached coordinate (`offsets[r]` + position in `cached[r]`), in
+        // one pass over the executed set.
+        let mut offsets = [0usize; MAX_RELATIONS];
+        let mut total = 0;
+        for (offset, segs) in offsets.iter_mut().zip(cached) {
+            *offset = total;
+            total += segs.len();
+        }
+        let mut executed_in_cache = vec![0u64; total];
         'combos: for &key in &self.executed {
-            let combo = Self::unpack(key, self.seg_counts.len());
-            for (r, &s) in combo.iter().enumerate() {
-                if !membership[r].contains(&s) {
-                    continue 'combos;
+            // `hits[r]` — where the combo's coordinate sits in
+            // `executed_in_cache`, or `None` for the uncounted newcomer.
+            let mut hits = [None; MAX_RELATIONS];
+            for r in 0..n {
+                let s = Self::segment_of(key, r);
+                match cached[r].binary_search(&s) {
+                    Ok(at) => hits[r] = Some(offsets[r] + at),
+                    Err(_) if incoming == Some((r, s)) => {}
+                    Err(_) => continue 'combos,
                 }
             }
-            for (r, &s) in combo.iter().enumerate() {
-                *executed_in_cache.entry((r, s)).or_insert(0) += 1;
+            for at in hits[..n].iter().flatten() {
+                executed_in_cache[*at] += 1;
             }
         }
 
         candidates
             .iter()
             .map(|&(rel, seg)| {
-                debug_assert!(membership[rel].contains(&seg), "candidate not cached");
-                let others: u64 = sizes
+                let at = cached[rel]
+                    .binary_search(&seg)
+                    .unwrap_or_else(|_| panic!("candidate ({rel}, {seg}) not cached"));
+                let others: u64 = sizes[..n]
                     .iter()
                     .enumerate()
                     .filter(|&(r, _)| r != rel)
                     .map(|(_, &c)| c)
                     .product();
-                others - executed_in_cache.get(&(rel, seg)).copied().unwrap_or(0)
+                others - executed_in_cache[offsets[rel] + at]
             })
             .collect()
     }
@@ -430,6 +440,59 @@ mod tests {
         assert_eq!(counts, vec![1, 1, 2, 0]);
     }
 
+    /// `executable_counts` against its definition: the non-executed
+    /// combinations of the effective cache (cached ∪ incoming) that
+    /// contain the candidate — including executed combinations that
+    /// contain the newcomer, and a newcomer that is already cached.
+    #[test]
+    fn executable_counts_match_brute_force() {
+        use skipper_sim::rng::splitmix64;
+        let mut state = 0x5EED;
+        let mut draw = |n: u64| splitmix64(&mut state) % n;
+        for case in 0..200 {
+            let seg_counts: Vec<u32> = (0..1 + draw(3)).map(|_| 1 + draw(4) as u32).collect();
+            let n = seg_counts.len();
+            let mut t = SubplanTracker::new(&seg_counts);
+            let mut all: Vec<Vec<u32>> = vec![vec![]];
+            for &count in &seg_counts {
+                all = all
+                    .iter()
+                    .flat_map(|p| (0..count).map(move |s| [p.as_slice(), &[s]].concat()))
+                    .collect();
+            }
+            for combo in &all {
+                if draw(3) == 0 {
+                    t.mark_executed(combo);
+                }
+            }
+            let cached: Vec<Vec<u32>> = seg_counts
+                .iter()
+                .map(|&c| (0..c).filter(|_| draw(2) == 0).collect())
+                .collect();
+            let rel = draw(n as u64) as usize;
+            let incoming = (draw(4) != 0).then(|| (rel, draw(seg_counts[rel] as u64) as u32));
+            let candidates: Vec<RelSeg> = (0..n)
+                .flat_map(|r| cached[r].iter().map(move |&s| (r, s)))
+                .collect();
+
+            let present = |r: usize, s: u32| cached[r].contains(&s) || incoming == Some((r, s));
+            let expected: Vec<u64> = candidates
+                .iter()
+                .map(|&(rel, seg)| {
+                    all.iter()
+                        .filter(|c| c[rel] == seg && !t.is_executed(c))
+                        .filter(|c| c.iter().enumerate().all(|(r, &s)| present(r, s)))
+                        .count() as u64
+                })
+                .collect();
+            assert_eq!(
+                t.executable_counts(&cached, incoming, &candidates),
+                expected,
+                "case {case}: {seg_counts:?} cached {cached:?} incoming {incoming:?}"
+            );
+        }
+    }
+
     #[test]
     fn runnable_with_lists_new_combinations() {
         let mut t = table2_tracker();
@@ -494,10 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn pack_segment_of_roundtrip() {
         let combo = vec![95, 22, 7, 0, 1, 65_535];
         let key = SubplanTracker::pack(&combo);
-        assert_eq!(SubplanTracker::unpack(key, 6), combo);
+        let unpacked: Vec<u32> = (0..6).map(|r| SubplanTracker::segment_of(key, r)).collect();
+        assert_eq!(unpacked, combo);
     }
 
     #[test]

@@ -141,12 +141,7 @@ impl QueryEngine for VanillaEngine {
         } else {
             // All inputs resident: run the real blocking join for the
             // result and charge the emit cost.
-            let slices: Vec<Vec<Segment>> = self
-                .received
-                .iter()
-                .map(|segs| segs.iter().map(|s| Segment::clone(s)).collect())
-                .collect();
-            let refs: Vec<&[Segment]> = slices.iter().map(|v| v.as_slice()).collect();
+            let refs: Vec<&[Arc<Segment>]> = self.received.iter().map(Vec::as_slice).collect();
             let (agg, work) = binary::execute_left_deep(&self.spec, &refs);
             self.stats.emitted_rows += work.emitted as u64;
             processing += self.cost.scaled(

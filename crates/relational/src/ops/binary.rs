@@ -7,7 +7,10 @@
 //! every input must be fully available, in order, before results appear —
 //! precisely the assumption a shared CSD violates.
 
+use std::borrow::Borrow;
+
 use crate::hash::FxHashMap;
+use crate::ops::scan::surviving;
 use crate::query::{Aggregator, QuerySpec};
 use crate::segment::Segment;
 use crate::tuple::Row;
@@ -31,28 +34,32 @@ pub struct BinaryWork {
 }
 
 /// Executes `spec` with left-deep binary hash joins over fully
-/// materialized relations (`relations[i]` = all segments of table `i`),
-/// feeding the final rows into a fresh [`Aggregator`].
+/// materialized relations (`relations[i]` = all segments of table `i`,
+/// owned or shared: `Segment`, `Arc<Segment>`, `&Segment`), feeding the
+/// final rows into a fresh [`Aggregator`]. Rows are read in place.
 ///
 /// # Panics
 /// Panics if `plan_order` would require a cross product (no join edge
 /// between the next relation and the already-joined prefix) — the static
 /// workload plans never do.
-pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggregator, BinaryWork) {
+pub fn execute_left_deep<S: Borrow<Segment>>(
+    spec: &QuerySpec,
+    relations: &[&[S]],
+) -> (Aggregator, BinaryWork) {
     assert_eq!(relations.len(), spec.num_relations());
     let mut work = BinaryWork::default();
 
     // Scan + filter every relation up front (the baseline fetches whole
     // relations in plan order; filters apply at scan time).
-    let mut filtered: Vec<Vec<Row>> = Vec::with_capacity(relations.len());
+    let mut filtered: Vec<Vec<&Row>> = Vec::with_capacity(relations.len());
     for (rel, segs) in relations.iter().enumerate() {
         let mut rows = Vec::new();
         for seg in segs.iter() {
-            let (mut r, stats) = crate::ops::scan::scan_filter(seg, spec.filters[rel].as_ref());
-            work.scanned += stats.scanned;
-            work.kept += stats.kept;
-            rows.append(&mut r);
+            let seg: &Segment = seg.borrow();
+            work.scanned += seg.len();
+            rows.extend(surviving(seg, spec.filters[rel].as_ref()).map(|(_, row)| row));
         }
+        work.kept += rows.len();
         filtered.push(rows);
     }
 
@@ -105,7 +112,7 @@ pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggrega
             let mut null_key = false;
             for &(_, slot, other_col) in &edges {
                 let src_rel = bound[slot];
-                let row = &filtered[src_rel][tuple[slot] as usize];
+                let row = filtered[src_rel][tuple[slot] as usize];
                 let v = row.get(other_col);
                 if v.is_null() {
                     null_key = true;
@@ -134,10 +141,10 @@ pub fn execute_left_deep(spec: &QuerySpec, relations: &[&[Segment]]) -> (Aggrega
     let mut ordered: Vec<&Row> = Vec::with_capacity(spec.num_relations());
     for tuple in &inter {
         ordered.clear();
-        ordered.resize(spec.num_relations(), &filtered[0][0]); // placeholder; every slot overwritten below
+        ordered.resize(spec.num_relations(), filtered[0][0]); // placeholder; every slot overwritten below
         let mut slots_filled = 0usize;
         for (slot, &rel) in bound.iter().enumerate() {
-            ordered[rel] = &filtered[rel][tuple[slot] as usize];
+            ordered[rel] = filtered[rel][tuple[slot] as usize];
             slots_filled += 1;
         }
         debug_assert_eq!(slots_filled, spec.num_relations());

@@ -6,6 +6,8 @@
 //! gives three independent evaluation paths for every query; the test
 //! suite asserts all three agree.
 
+use std::sync::Arc;
+
 use crate::join_graph::ProbePlan;
 use crate::ops::index::SegmentIndex;
 use crate::ops::nary;
@@ -39,7 +41,7 @@ pub fn aggregate(spec: &QuerySpec, relations: &[&[Segment]]) -> Aggregator {
                 .map(|s| s.schema().clone())
                 .unwrap_or_else(|| Schema::new(vec![]));
             let all_rows: Vec<Row> = segs.iter().flat_map(|s| s.rows().iter().cloned()).collect();
-            let merged = Segment::new_unchecked(schema, all_rows);
+            let merged = Arc::new(Segment::new_unchecked(schema, all_rows));
             SegmentIndex::build(&merged, spec.filters[rel].as_ref(), &spec.join_cols(rel))
         })
         .collect();

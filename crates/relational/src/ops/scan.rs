@@ -18,24 +18,17 @@ pub struct ScanStats {
     pub kept: usize,
 }
 
-/// Scans `segment`, returning rows passing `filter` (all rows when
-/// `filter` is `None`) along with scan statistics.
-pub fn scan_filter(segment: &Segment, filter: Option<&Expr>) -> (Vec<Row>, ScanStats) {
-    let mut stats = ScanStats {
-        scanned: segment.len(),
-        kept: 0,
-    };
-    let rows: Vec<Row> = match filter {
-        None => segment.rows().to_vec(),
-        Some(pred) => segment
-            .rows()
-            .iter()
-            .filter(|r| pred.matches(r))
-            .cloned()
-            .collect(),
-    };
-    stats.kept = rows.len();
-    (rows, stats)
+/// Positions and rows of `segment` passing `filter` (every row when
+/// `filter` is `None`), in segment order. Rows are borrowed, never copied.
+pub fn surviving<'a>(
+    segment: &'a Segment,
+    filter: Option<&'a Expr>,
+) -> impl Iterator<Item = (usize, &'a Row)> + 'a {
+    segment
+        .rows()
+        .iter()
+        .enumerate()
+        .filter(move |(_, row)| filter.is_none_or(|pred| pred.matches(row)))
 }
 
 /// Counts rows passing `filter` without materializing them.
@@ -59,25 +52,21 @@ mod tests {
 
     #[test]
     fn unfiltered_scan_keeps_all() {
-        let (rows, stats) = scan_filter(&seg(), None);
-        assert_eq!(rows.len(), 10);
-        assert_eq!(
-            stats,
-            ScanStats {
-                scanned: 10,
-                kept: 10
-            }
-        );
+        let seg = seg();
+        let positions: Vec<usize> = surviving(&seg, None).map(|(pos, _)| pos).collect();
+        assert_eq!(positions, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn filtered_scan_applies_predicate() {
+        let seg = seg();
         let pred = Expr::col(0).ge(Expr::lit(7i64));
-        let (rows, stats) = scan_filter(&seg(), Some(&pred));
-        assert_eq!(rows.len(), 3);
-        assert_eq!(stats.kept, 3);
-        assert_eq!(stats.scanned, 10);
-        assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() >= 7));
+        let kept: Vec<(usize, &Row)> = surviving(&seg, Some(&pred)).collect();
+        assert_eq!(kept.len(), 3);
+        for (pos, row) in kept {
+            assert!(row.get(0).as_int().unwrap() >= 7);
+            assert!(std::ptr::eq(row, &seg.rows()[pos]), "rows are borrowed");
+        }
     }
 
     #[test]
@@ -90,8 +79,6 @@ mod tests {
     #[test]
     fn selective_to_empty() {
         let pred = Expr::col(0).gt(Expr::lit(100i64));
-        let (rows, stats) = scan_filter(&seg(), Some(&pred));
-        assert!(rows.is_empty());
-        assert_eq!(stats.kept, 0);
+        assert_eq!(surviving(&seg(), Some(&pred)).count(), 0);
     }
 }
