@@ -1,14 +1,11 @@
 //! Wall-clock perf harness for the simulator's per-event hot path.
 //!
-//! Drives a large synthetic closed-loop scenario across the queue axis
-//! (indexed `RequestQueue` vs the pre-index `NaiveQueue`), the core
-//! axis (the pre-rebuild `v1` loop vs the million-request `v2` loop:
-//! calendar-queue wake-ups, zero-allocation steady state, counters-mode
-//! observability), and — with `--workers` — the execution axis (the
-//! windowed-parallel `par` loop at each worker count vs its no-window
-//! sequential reference, every run asserted bit-identical), prints the
-//! throughput table, and writes `BENCH_perf.json` (schema
-//! `BENCH_perf/v4`).
+//! Drives a large synthetic closed-loop scenario through the
+//! million-request `v2` loop (calendar-queue wake-ups, zero-allocation
+//! steady state, counters-mode observability) across the queue axis
+//! (indexed `RequestQueue` vs the pre-index `NaiveQueue`, asserted
+//! observationally identical), prints the throughput table, and writes
+//! `BENCH_perf.json` (schema `BENCH_perf/v5`).
 //!
 //! ```text
 //! cargo run --release -p skipper-bench --bin perf
@@ -16,30 +13,24 @@
 //! cargo run --release -p skipper-bench --bin perf -- \
 //!     --tenants 64 --rounds 16 --objects 100 --groups 16 \
 //!     --shards 1,2,4,8 --policy ranking --streams 4 \
-//!     --workers 1,2,4 --think 200000 \
 //!     --arrival onoff:1,30,300 \
-//!     --out BENCH_perf.json [--skip-naive] [--skip-v1] \
+//!     --out BENCH_perf.json [--skip-naive] \
 //!     [--floor <min v2 events/sec>] [--alloc-ceiling <max allocs/event>]
 //! ```
 //!
-//! `--workers W1,W2,...` adds, for every planned sweep, a windowed
-//! (`par`-core) sweep over the same scenario; `--think <micros>` sets
-//! the client think time those sweeps run with (the parallel loop's
-//! lookahead — 0 keeps every window empty). `--arrival <spec>` adds an
-//! open-arrival (`open`-core) sweep: rounds are *released* at instants
-//! drawn from the given process (`poisson:MEAN`,
+//! `--arrival <spec>` adds, for every planned sweep, an open-arrival
+//! (`open`-core) sweep: rounds are *released* at instants drawn from
+//! the given process (`poisson:MEAN`,
 //! `onoff:ON_MEAN,ON_DUR,OFF_DUR`, or `diurnal:PEAK,PERIOD,TROUGH`;
 //! seconds, fixed seed) instead of on completion of the previous round,
 //! and each sample carries a p50/p95/p99/p999 response-time block from
 //! the streaming quantile sketch.
 //!
-//! With `--floor`, the binary exits non-zero when any production-core
-//! run on the indexed queue (`v2`, `open`, or `par` at any worker
-//! count) falls below the given events/sec; with `--alloc-ceiling`,
-//! when any v2 or open run allocates more than the given allocations
-//! per event over its drive loop — the CI perf-smoke regression gates.
-//! (The ceiling exempts `par` runs: the scoped worker pool allocates
-//! per window by design.)
+//! With `--floor`, the binary exits non-zero when any run on the
+//! indexed queue (`v2` or `open`) falls below the given events/sec;
+//! with `--alloc-ceiling`, when any of them allocates more than the
+//! given allocations per event over its drive loop — the CI perf-smoke
+//! regression gates.
 //!
 //! This binary installs a counting `#[global_allocator]` (the library
 //! crates forbid `unsafe`, so the probe lives here): every heap
@@ -50,8 +41,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use skipper_bench::experiments::perf::{
-    core_speedups, open_sweep, parallel_speedups, parallel_sweep, queue_speedups, table, to_json,
-    PerfScenario, Sweep, SweepOptions,
+    open_sweep, queue_speedups, table, to_json, PerfScenario, Sweep, SweepOptions,
 };
 use skipper_bench::scenarios::{parse_arrival, parse_policy};
 use skipper_core::runtime::ArrivalProcess;
@@ -99,7 +89,6 @@ fn main() {
     let mut floor: Option<f64> = None;
     let mut alloc_ceiling: Option<f64> = None;
     let mut with_million = false;
-    let mut worker_counts: Vec<usize> = Vec::new();
     let mut arrival: Option<ArrivalProcess> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -131,17 +120,9 @@ fn main() {
                     .collect()
             }
             "--with-million" => with_million = true,
-            "--workers" => {
-                worker_counts = value(&mut i)
-                    .split(',')
-                    .map(|s| s.parse().expect("--workers"))
-                    .collect()
-            }
-            "--think" => sc.think_micros = value(&mut i).parse().expect("--think"),
             "--arrival" => arrival = Some(parse_arrival(value(&mut i))),
             "--out" => out_path = value(&mut i).to_string(),
             "--skip-naive" => opts.skip_naive = true,
-            "--skip-v1" => opts.skip_v1 = true,
             "--floor" => floor = Some(value(&mut i).parse().expect("--floor")),
             "--alloc-ceiling" => {
                 alloc_ceiling = Some(value(&mut i).parse().expect("--alloc-ceiling"))
@@ -156,28 +137,23 @@ fn main() {
         "--shards needs at least one count"
     );
 
-    // Each plan: scenario, classic-sweep shard counts, options, and the
-    // shard counts its windowed (`par`) sweep runs on when --workers is
-    // given.
-    let mut plans: Vec<(PerfScenario, Vec<usize>, SweepOptions, Vec<usize>)> =
-        vec![(sc.clone(), shard_counts.clone(), opts, shard_counts)];
+    // Each plan: scenario, shard counts, options.
+    let mut plans: Vec<(PerfScenario, Vec<usize>, SweepOptions)> =
+        vec![(sc.clone(), shard_counts, opts)];
     if with_million {
         // The ≥1M-request drive rides along on multi-shard fleets; the
-        // naive queue is O(n²) at this depth and never runs here. Its
-        // parallel sweep sticks to the multi-shard configs — windows on
-        // a 1-shard fleet have nothing to overlap.
+        // naive queue is O(n²) at this depth and never runs here.
         let mut m = PerfScenario::million();
         m.policy = sc.policy;
-        m.think_micros = sc.think_micros;
         let mopts = SweepOptions {
             skip_naive: true,
             ..opts
         };
-        plans.push((m, vec![1, 4, 8], mopts, vec![4, 8]));
+        plans.push((m, vec![1, 4, 8], mopts));
     }
 
     let mut sweeps: Vec<Sweep> = Vec::new();
-    for (sc, shard_counts, opts, par_shards) in plans {
+    for (sc, shard_counts, opts) in plans {
         eprintln!(
             "driving {} requests ({} tenants x {} rounds x {} objects) on {:?} shard fleets...",
             sc.total_requests(),
@@ -189,35 +165,9 @@ fn main() {
         let sweep = Sweep::run(sc.clone(), &shard_counts, opts);
         println!("{}", table(&sweep.scenario, &sweep.samples));
         for (shards, x) in queue_speedups(&sweep.samples) {
-            println!(
-                "queue speedup @ {shards} shard(s): {x:.1}x (naive wall / indexed wall, v1 core)"
-            );
-        }
-        for (shards, x) in core_speedups(&sweep.samples) {
-            println!(
-                "core speedup @ {shards} shard(s): {x:.1}x (v1 wall / v2 wall, indexed queue)"
-            );
+            println!("queue speedup @ {shards} shard(s): {x:.1}x (naive wall / indexed wall)");
         }
         sweeps.push(sweep);
-        if !worker_counts.is_empty() {
-            eprintln!(
-                "windowed drive ({} us think) on {:?} shard fleets, workers {:?}...",
-                sc.think_micros, par_shards, worker_counts
-            );
-            let samples = parallel_sweep(&sc, &par_shards, &worker_counts, opts);
-            let sweep = Sweep {
-                scenario: sc.clone(),
-                samples,
-            };
-            println!("{}", table(&sweep.scenario, &sweep.samples));
-            for (shards, workers, x) in parallel_speedups(&sweep.samples) {
-                println!(
-                    "parallel speedup @ {shards} shard(s), {workers} worker(s): {x:.2}x \
-                     (sequential wall / parallel wall, par core)"
-                );
-            }
-            sweeps.push(sweep);
-        }
         if let Some(arrival) = &arrival {
             let osc = PerfScenario {
                 arrival: Some(arrival.clone()),
@@ -246,27 +196,26 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    let production_samples = || {
-        sweeps.iter().flat_map(|sw| sw.samples.iter()).filter(|s| {
-            (s.core == "v2" || s.core == "par" || s.core == "open") && s.queue == "indexed"
-        })
+    let indexed_samples = || {
+        sweeps
+            .iter()
+            .flat_map(|sw| sw.samples.iter())
+            .filter(|s| s.queue == "indexed")
     };
     if let Some(floor) = floor {
-        let worst = production_samples()
+        let worst = indexed_samples()
             .map(|s| s.events_per_sec)
             .fold(f64::INFINITY, f64::min);
         if worst < floor {
             eprintln!("PERF REGRESSION: events/sec {worst:.0} below floor {floor:.0}");
             std::process::exit(1);
         }
-        println!("perf floor ok: min production-core events/sec {worst:.0} >= {floor:.0}");
+        println!("perf floor ok: min indexed-queue events/sec {worst:.0} >= {floor:.0}");
     }
     if let Some(ceiling) = alloc_ceiling {
-        // The windowed core is exempt: its scoped worker pool allocates
-        // per window by design. The steady-state gauge is v2's — and the
-        // open core's, whose quantile sketch must stay O(1) per event.
-        let worst = production_samples()
-            .filter(|s| s.core == "v2" || s.core == "open")
+        // The open core is gated too: its quantile sketch must stay
+        // O(1) per event.
+        let worst = indexed_samples()
             .filter_map(|s| s.allocs_per_event)
             .fold(0.0f64, f64::max);
         if worst > ceiling {

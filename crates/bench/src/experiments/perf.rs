@@ -6,44 +6,24 @@
 //! many scenarios the suite can sweep. It drives a large synthetic
 //! closed-loop scenario (the default: 64 tenants × 12 rounds × 150
 //! objects = 115 200 requests; [`PerfScenario::million`]: 64 × 32 × 500
-//! = 1 024 000 requests, ~32 000 pending at any instant) across two
-//! axes:
+//! = 1 024 000 requests, ~32 000 pending at any instant) through one
+//! drive loop (`v2`: `TraceMode::Counters` + `LedgerMode::Counters`
+//! bounded-memory observability, `complete_into` with one reusable
+//! scratch buffer, a [`CalendarQueue`] of armed per-shard wake-ups with
+//! stale-event filtering, and re-kicks only for shards actually
+//! mutated) on two queues: `indexed` (the production [`RequestQueue`])
+//! vs `naive` (the pre-index [`NaiveQueue`] reference, O(n) rescans per
+//! decision).
 //!
-//! * **queue** — `indexed` (the production [`RequestQueue`]) vs `naive`
-//!   (the pre-index [`NaiveQueue`] reference, O(n) rescans per
-//!   decision).
-//! * **core** — `v1` (the pre-rebuild event core: full span/ledger
-//!   recording, a freshly allocated `Vec<Delivery>` per wake-up,
-//!   re-kick *every* shard after a resubmit, linear min-scan over the
-//!   per-shard wake-ups per event) vs `v2` (the million-request core:
-//!   `TraceMode::Counters` + `LedgerMode::Counters` bounded-memory
-//!   observability, `complete_into` with one reusable scratch buffer,
-//!   a [`CalendarQueue`] of armed per-shard wake-ups with stale-event
-//!   filtering, and re-kicks only for shards actually mutated).
-//!
-//! Every run must produce the identical delivery multiset (checked via
-//! an order-insensitive streaming fingerprint, so the check itself
+//! Both queues must produce the identical delivery multiset (checked
+//! via an order-insensitive streaming fingerprint, so the check itself
 //! costs no memory), the same makespan, and the same switch count. The
-//! reported events/sec quantify both wins; with an allocation probe
-//! installed (the `perf` binary's counting `#[global_allocator]`), the
-//! v2 samples also report *allocations per event* over the drive loop —
-//! the zero-allocation steady-state gauge.
+//! reported events/sec quantify the indexing win; with an allocation
+//! probe installed (the `perf` binary's counting `#[global_allocator]`),
+//! the indexed samples also report *allocations per event* over the
+//! drive loop — the zero-allocation steady-state gauge.
 //!
-//! A third axis rides on top of the v2 core: **execution** — the
-//! windowed-parallel drive loop (`par`), the bench-side twin of the
-//! runtime's `ExecutionMode::Parallel`. Tenant resubmits go through
-//! scheduled `Round` events (`think_micros` after the round-completing
-//! delivery — the client think time), which makes every cross-shard
-//! interaction instant known ahead of time: a [`HorizonTracker`] bounds
-//! the safe horizon, shard completion chains drain concurrently into
-//! [`WindowBuffer`] replay logs on a worker pool, and the calendar loop
-//! replays them — bit-identical to the same loop at `workers = 0` (no
-//! windows), which [`parallel_sweep`] asserts per configuration. With
-//! `think_micros = 0` the horizon collapses to the next wake-up and no
-//! window ever drains: parallel execution only pays off when clients
-//! think between rounds.
-//!
-//! A fourth drive loop leaves the closed-loop regime entirely: **open**
+//! A second drive loop leaves the closed-loop regime entirely: **open**
 //! ([`drive_open` via `open_sweep`]) releases every round at instants
 //! expanded up-front from a seeded [`ArrivalProcess`] (Poisson, bursty
 //! on/off, diurnal, trace replay), so load arrives whether or not the
@@ -55,7 +35,7 @@
 //! allocs/event gauge.
 //!
 //! `skipper-bench --bin perf` emits the results as `BENCH_perf.json`
-//! (schema `BENCH_perf/v4`) and the recorded baselines live in
+//! (schema `BENCH_perf/v5`) and the recorded baselines live in
 //! `EXPERIMENTS.md`.
 
 use std::time::Instant;
@@ -65,9 +45,6 @@ use skipper_csd::sched::{NaiveQueue, RequestIndex, RequestQueue};
 use skipper_csd::{
     CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LedgerMode, ObjectId, ObjectStore, QueryId,
     SchedPolicy, StreamModel,
-};
-use skipper_sim::parallel::{
-    drain_chain, drain_parallel, HorizonTracker, WindowBuffer, WindowDrain,
 };
 use skipper_sim::rng::splitmix64;
 use skipper_sim::{CalendarQueue, QuantileSketch, SimDuration, SimTime, TraceMode};
@@ -94,20 +71,13 @@ pub struct PerfScenario {
     /// multi-stream configuration exercises the earliest-of-K wake-up
     /// path and the armed-switch drain in the hot loop.
     pub streams: u32,
-    /// Client think time in microseconds: the delay between a tenant's
-    /// round-completing delivery and its next-round submission. Only
-    /// the windowed (`par`) drive loop honours it — the v1/v2 loops
-    /// resubmit inline — and it is the parallel loop's lookahead: safe
-    /// windows are at most `min-armed + think` wide, so 0 disables
-    /// draining entirely.
-    pub think_micros: u64,
     /// Open-arrival process for the `open` drive loop: round `r` of
     /// tenant `t` is *released* at the process's `r`-th event instead
     /// of on completion of round `r−1`, so load is applied regardless
     /// of whether the fleet keeps up (the internet-facing regime —
     /// queues grow past saturation and the latency sketch sees the
-    /// queueing delay). `None` keeps the closed loop; the v1/v2/par
-    /// drives ignore this field.
+    /// queueing delay). `None` keeps the closed loop; the closed-loop
+    /// drive ignores this field.
     pub arrival: Option<ArrivalProcess>,
 }
 
@@ -120,7 +90,6 @@ impl Default for PerfScenario {
             groups: 16,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         }
     }
@@ -130,8 +99,7 @@ impl PerfScenario {
     /// The million-request configuration: 64 tenants × 32 rounds × 500
     /// objects = 1 024 000 GETs with ~32 000 requests pending at any
     /// instant — the regime the ROADMAP's millions-of-users north star
-    /// lives in. Drive it with the v2 core (`Counters` observability);
-    /// the naive queue is O(n²) here and should be skipped.
+    /// lives in. The naive queue is O(n²) here and should be skipped.
     pub fn million() -> Self {
         PerfScenario {
             tenants: 64,
@@ -140,7 +108,6 @@ impl PerfScenario {
             groups: 16,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         }
     }
@@ -151,37 +118,11 @@ impl PerfScenario {
     }
 }
 
-/// Which drive loop + observability regime a sample ran under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoreVersion {
-    /// The pre-rebuild loop: full traces/ledgers, per-wake-up `Vec`
-    /// allocation, re-kick every shard on resubmit, linear min-scan.
-    V1,
-    /// The million-request loop: counters-mode observability, reusable
-    /// scratch delivery buffer, calendar-queue wake-ups, mutated-shard
-    /// re-kicks.
-    V2,
-}
-
-impl CoreVersion {
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoreVersion::V1 => "v1",
-            CoreVersion::V2 => "v2",
-        }
-    }
-}
-
 /// One timed run of the scenario on one (core, queue) combination.
 #[derive(Clone, Debug)]
 pub struct PerfSample {
-    /// Core label: `"v1"`, `"v2"`, or `"par"` (the windowed loop).
+    /// Drive-loop label: `"v2"` (closed loop) or `"open"`.
     pub core: &'static str,
-    /// Worker threads draining windows (`par` core only): `Some(0)` is
-    /// the no-window sequential reference every parallel run must match
-    /// bit-for-bit; `None` for the v1/v2 cores.
-    pub workers: Option<usize>,
     /// Queue implementation label: `"indexed"` or `"naive"`.
     pub queue: &'static str,
     /// Fleet size.
@@ -194,12 +135,12 @@ pub struct PerfSample {
     pub wall_secs: f64,
     /// Device events per wall-clock second — the headline throughput.
     pub events_per_sec: f64,
-    /// Virtual makespan of the run (identical across queues and cores).
+    /// Virtual makespan of the run (identical across queues).
     pub makespan_secs: f64,
-    /// Total paid group switches (identical across queues and cores).
+    /// Total paid group switches (identical across queues).
     pub switches: u64,
     /// Heap allocations per event over the drive loop, when an
-    /// allocation probe is installed (v2/open runs only — the
+    /// allocation probe is installed (indexed-queue runs only — the
     /// steady-state zero-allocation gauge).
     pub allocs_per_event: Option<f64>,
     /// Round response-time distribution (the `open` core only): the
@@ -272,16 +213,8 @@ fn mix_delivery(client: usize, query: QueryId, object: ObjectId) -> u64 {
 /// Builds the per-shard devices: tenant `t`'s `rounds × objects` GETs
 /// target objects `0..rounds*objects` in group `t % groups`, spread
 /// round-robin by segment over the shards.
-fn build_devices<Q: RequestIndex>(
-    sc: &PerfScenario,
-    shards: usize,
-    core: CoreVersion,
-) -> Vec<CsdDevice<(), Q>> {
+fn build_devices<Q: RequestIndex>(sc: &PerfScenario, shards: usize) -> Vec<CsdDevice<(), Q>> {
     let per_tenant = sc.rounds as u32 * sc.objects_per_round;
-    let (trace_mode, ledger_mode) = match core {
-        CoreVersion::V1 => (TraceMode::Full, LedgerMode::Full),
-        CoreVersion::V2 => (TraceMode::Counters, LedgerMode::Counters),
-    };
     (0..shards)
         .map(|shard| {
             let mut store = ObjectStore::new();
@@ -304,8 +237,8 @@ fn build_devices<Q: RequestIndex>(
                     initial_load_free: true,
                     parallel_streams: sc.streams,
                     stream_model: StreamModel::Pipeline,
-                    trace_mode,
-                    ledger_mode,
+                    trace_mode: TraceMode::Counters,
+                    ledger_mode: LedgerMode::Counters,
                 },
                 store,
                 sc.policy.build(),
@@ -315,7 +248,7 @@ fn build_devices<Q: RequestIndex>(
         .collect()
 }
 
-/// Per-tenant closed-loop state shared by both drive loops.
+/// Per-tenant closed-loop state of the `v2` drive loop.
 struct ClosedLoop {
     round: Vec<usize>,
     outstanding: Vec<u32>,
@@ -368,69 +301,6 @@ fn submit_round<Q: RequestIndex>(
     }
 }
 
-/// The pre-rebuild drive loop, preserved verbatim as the `v1` baseline:
-/// a `Vec<Delivery>` is allocated per wake-up, a resubmit re-kicks
-/// *every* shard, and the next wake-up is re-derived with a linear
-/// min-scan over the per-shard completion times on every event.
-fn drive_v1<Q: RequestIndex>(
-    sc: &PerfScenario,
-    shards: usize,
-    queue_label: &'static str,
-) -> (PerfSample, Fingerprint) {
-    let mut devices = build_devices::<Q>(sc, shards, CoreVersion::V1);
-    let mut loop_state = ClosedLoop::new(sc.tenants);
-    let mut events = 0u64;
-
-    let start = Instant::now();
-    for t in 0..sc.tenants {
-        submit_round(sc, &mut devices, SimTime::ZERO, t, 0);
-        loop_state.outstanding[t] = sc.objects_per_round;
-    }
-    let mut next: Vec<Option<SimTime>> = (0..shards)
-        .map(|s| devices[s].kick(SimTime::ZERO))
-        .collect();
-    let mut makespan = SimTime::ZERO;
-    while let Some((now, s)) = next
-        .iter()
-        .enumerate()
-        .filter_map(|(s, t)| t.map(|t| (t, s)))
-        .min()
-    {
-        makespan = now;
-        events += 1;
-        let mut resubmitted = false;
-        for d in devices[s].complete(now) {
-            if let Some(r) = loop_state.on_delivery(sc, &d) {
-                submit_round(sc, &mut devices, now, d.client, r);
-                resubmitted = true;
-            }
-        }
-        if resubmitted {
-            // A round spans every shard, and new work can move a busy
-            // shard's earliest completion *earlier* (idle pipeline
-            // slots fill): re-kick everything, re-arming on mutation.
-            for (o, slot) in next.iter_mut().enumerate() {
-                *slot = devices[o].kick(now);
-            }
-        } else {
-            next[s] = devices[s].kick(now);
-        }
-    }
-    let wall = start.elapsed().as_secs_f64();
-    finish(
-        sc,
-        devices,
-        loop_state.count,
-        loop_state.checksum,
-        events,
-        wall,
-        makespan,
-        CoreVersion::V1,
-        queue_label,
-        None,
-    )
-}
-
 /// The million-request drive loop (`v2`): armed per-shard wake-ups live
 /// in a [`CalendarQueue`] (stale superseded entries are filtered on
 /// pop), completions drain into one reusable scratch buffer, and only
@@ -445,7 +315,7 @@ fn drive_v2<Q: RequestIndex>(
         shards <= 64,
         "v2 drive loop tracks mutated shards in a u64 bitmask"
     );
-    let mut devices = build_devices::<Q>(sc, shards, CoreVersion::V2);
+    let mut devices = build_devices::<Q>(sc, shards);
     let mut loop_state = ClosedLoop::new(sc.tenants);
     let mut events = 0u64;
     let mut scratch: Vec<Delivery<()>> = Vec::new();
@@ -526,240 +396,10 @@ fn drive_v2<Q: RequestIndex>(
         events,
         wall,
         makespan,
-        CoreVersion::V2,
+        "v2",
         queue_label,
         allocs_per_event,
     )
-}
-
-/// Event payloads of the windowed (`par`) drive loop.
-#[derive(Clone, Copy, Debug)]
-enum DriveEvent {
-    /// Shard's armed wake-up fires.
-    Wake(usize),
-    /// Tenant submits a round, `think_micros` after the delivery that
-    /// completed its previous one. Every `Round` is noted in the
-    /// horizon tracker: rounds are the loop's only cross-shard
-    /// interactions, so their instants bound the safe window.
-    Round(usize, usize),
-}
-
-/// One shard of the windowed drive loop: the device plus the replay
-/// machinery of the conservative-window protocol — the bench-side twin
-/// of the runtime's `DevicePump`.
-struct ParShard<Q: RequestIndex> {
-    device: CsdDevice<(), Q>,
-    /// The armed wake-up instant (the sequential protocol invariant).
-    armed: Option<SimTime>,
-    replay: WindowBuffer<Delivery<()>>,
-    stage: Vec<Delivery<()>>,
-}
-
-impl<Q: RequestIndex> WindowDrain for ParShard<Q> {
-    fn drain_window(&mut self, horizon: SimTime) {
-        let device = &mut self.device;
-        drain_chain(
-            &mut self.armed,
-            horizon,
-            &mut self.replay,
-            &mut self.stage,
-            |at, out| {
-                device.complete_into(at, out);
-                device.kick(at)
-            },
-        );
-    }
-}
-
-fn submit_round_par<Q: RequestIndex>(
-    sc: &PerfScenario,
-    fleet: &mut [ParShard<Q>],
-    now: SimTime,
-    t: usize,
-    r: usize,
-) {
-    let shards = fleet.len();
-    let query = QueryId::new(t as u16, r as u32);
-    let base = r as u32 * sc.objects_per_round;
-    for seg in base..base + sc.objects_per_round {
-        let shard = &mut fleet[seg as usize % shards];
-        debug_assert!(
-            shard.replay.is_empty(),
-            "submit landed inside a drained window (unsound horizon)"
-        );
-        shard
-            .device
-            .submit(now, t, query, &[ObjectId::new(t as u16, 0, seg)]);
-    }
-}
-
-/// The windowed-parallel drive loop (`par` core, v2 observability).
-///
-/// Differs from `drive_v2` in exactly one workload respect: a tenant's
-/// next round is a scheduled `Round` event `think_micros` after the
-/// completing delivery instead of an inline resubmit (with think 0 the
-/// round still fires at the same instant, but after the completed
-/// shard's kick — so `par` outcomes are compared within the `par`
-/// family, not against v2 fingerprints). That deferral is what makes
-/// parallelism sound: every future submit instant is known, so between
-/// `now` and `min(pending rounds, min-armed + think)` each shard's
-/// chain is private and can be drained concurrently into replay logs.
-///
-/// `workers = 0` disables windows entirely — the pure sequential
-/// reference; every `workers >= 1` run must match it bit-for-bit.
-fn drive_par<Q: RequestIndex + Send>(
-    sc: &PerfScenario,
-    shards: usize,
-    workers: usize,
-    queue_label: &'static str,
-    alloc_counter: Option<fn() -> u64>,
-) -> (PerfSample, Fingerprint) {
-    let think = SimDuration::from_micros(sc.think_micros);
-    let mut fleet: Vec<ParShard<Q>> = build_devices::<Q>(sc, shards, CoreVersion::V2)
-        .into_iter()
-        .map(|device| ParShard {
-            device,
-            armed: None,
-            replay: WindowBuffer::new(),
-            stage: Vec::new(),
-        })
-        .collect();
-    let mut loop_state = ClosedLoop::new(sc.tenants);
-    let mut events = 0u64;
-    let mut scratch: Vec<Delivery<()>> = Vec::new();
-    let mut wakeups: CalendarQueue<DriveEvent> = CalendarQueue::new();
-    let mut tracker = HorizonTracker::new();
-
-    let start = Instant::now();
-    for t in 0..sc.tenants {
-        submit_round_par(sc, &mut fleet, SimTime::ZERO, t, 0);
-        loop_state.outstanding[t] = sc.objects_per_round;
-    }
-    for (s, shard) in fleet.iter_mut().enumerate() {
-        if let Some(at) = shard.device.kick(SimTime::ZERO) {
-            shard.armed = Some(at);
-            wakeups.schedule(at, DriveEvent::Wake(s));
-        }
-    }
-    let allocs_before = alloc_counter.map(|f| f());
-    let mut makespan = SimTime::ZERO;
-    let mut window_end = SimTime::ZERO;
-    while let Some((now, ev)) = wakeups.pop() {
-        if workers > 0 && now >= window_end {
-            // Window barrier: pending rounds bound the horizon
-            // directly; beyond them, the earliest completion can breed
-            // a round no sooner than `min-armed + think`.
-            let mut horizon = tracker.horizon();
-            let min_armed = fleet
-                .iter()
-                .filter_map(|s| s.armed)
-                .min()
-                .unwrap_or(SimTime::MAX);
-            if min_armed != SimTime::MAX {
-                horizon = horizon.min(min_armed + think);
-            }
-            debug_assert!(horizon >= now, "interaction missed by the horizon tracker");
-            if horizon > now {
-                drain_parallel(&mut fleet, horizon, workers);
-            }
-            window_end = horizon;
-        }
-        match ev {
-            DriveEvent::Wake(s) => {
-                let shard = &mut fleet[s];
-                scratch.clear();
-                // `Some(rearm)` when answered from the replay log (the
-                // recorded re-arm schedules the next wake); `None` when
-                // the device ran live and must be kicked afterwards.
-                let replayed = if !shard.replay.is_empty() {
-                    if shard.replay.next_at() != Some(now) {
-                        continue; // stale superseded wake-up (drained)
-                    }
-                    Some(shard.replay.consume_into(now, &mut scratch))
-                } else {
-                    if shard.armed != Some(now) {
-                        continue; // stale superseded wake-up
-                    }
-                    shard.armed = None;
-                    shard.device.complete_into(now, &mut scratch);
-                    None
-                };
-                makespan = now;
-                events += 1;
-                for d in &scratch {
-                    if let Some(r) = loop_state.on_delivery(sc, d) {
-                        let at = now + think;
-                        tracker.note(at);
-                        wakeups.schedule(at, DriveEvent::Round(d.client, r));
-                    }
-                }
-                let shard = &mut fleet[s];
-                match replayed {
-                    Some(Some(at)) => wakeups.schedule(at, DriveEvent::Wake(s)),
-                    Some(None) => {}
-                    None => {
-                        if let Some(at) = shard.device.kick(now) {
-                            shard.armed = Some(at);
-                            wakeups.schedule(at, DriveEvent::Wake(s));
-                        }
-                    }
-                }
-            }
-            DriveEvent::Round(t, r) => {
-                tracker.consume(now);
-                submit_round_par(sc, &mut fleet, now, t, r);
-                let all = sc.objects_per_round as usize >= shards;
-                let base = r as u32 * sc.objects_per_round;
-                for (s2, shard) in fleet.iter_mut().enumerate() {
-                    let touched = all
-                        || (base..base + sc.objects_per_round)
-                            .any(|seg| seg as usize % shards == s2);
-                    if !touched {
-                        continue;
-                    }
-                    match shard.device.kick(now) {
-                        Some(at) if shard.armed == Some(at) => {}
-                        Some(at) => {
-                            shard.armed = Some(at);
-                            wakeups.schedule(at, DriveEvent::Wake(s2));
-                        }
-                        None => shard.armed = None,
-                    }
-                }
-            }
-        }
-    }
-    let allocs_after = alloc_counter.map(|f| f());
-    let wall = start.elapsed().as_secs_f64();
-    let allocs_per_event = allocs_before.zip(allocs_after).map(|(before, after)| {
-        if events > 0 {
-            (after - before) as f64 / events as f64
-        } else {
-            0.0
-        }
-    });
-    let devices: Vec<CsdDevice<(), Q>> = fleet
-        .into_iter()
-        .map(|s| {
-            assert!(s.replay.is_empty(), "run ended with unconsumed replay");
-            s.device
-        })
-        .collect();
-    let (mut sample, fp) = finish(
-        sc,
-        devices,
-        loop_state.count,
-        loop_state.checksum,
-        events,
-        wall,
-        makespan,
-        CoreVersion::V2,
-        queue_label,
-        allocs_per_event,
-    );
-    sample.core = "par";
-    sample.workers = Some(workers);
-    (sample, fp)
 }
 
 /// Event payloads of the open-arrival (`open`) drive loop.
@@ -799,7 +439,7 @@ fn drive_open<Q: RequestIndex>(
         .arrival
         .as_ref()
         .expect("the open drive loop needs an arrival process");
-    let mut devices = build_devices::<Q>(sc, shards, CoreVersion::V2);
+    let mut devices = build_devices::<Q>(sc, shards);
     let mut events = 0u64;
     let mut scratch: Vec<Delivery<()>> = Vec::new();
 
@@ -915,11 +555,10 @@ fn drive_open<Q: RequestIndex>(
         events,
         wall,
         makespan,
-        CoreVersion::V2,
+        "open",
         queue_label,
         allocs_per_event,
     );
-    sample.core = "open";
     sample.latency = LatencySample::from_sketch(&sketch, sum_secs, max_secs);
     (sample, fp)
 }
@@ -933,7 +572,7 @@ fn finish<Q: RequestIndex>(
     events: u64,
     wall: f64,
     makespan: SimTime,
-    core: CoreVersion,
+    core: &'static str,
     queue_label: &'static str,
     allocs_per_event: Option<f64>,
 ) -> (PerfSample, Fingerprint) {
@@ -945,8 +584,7 @@ fn finish<Q: RequestIndex>(
     assert_eq!(count, sc.total_requests(), "lost deliveries");
     (
         PerfSample {
-            core: core.label(),
-            workers: None,
+            core,
             queue: queue_label,
             shards: devices.len(),
             requests: count,
@@ -977,11 +615,9 @@ pub struct SweepOptions {
     /// Skip the naive-queue baseline (mandatory for million-scale runs:
     /// the naive queue is O(n²) in pending depth).
     pub skip_naive: bool,
-    /// Skip the v1-core baseline (CI smoke mode).
-    pub skip_v1: bool,
     /// Allocation probe: a function reading a process-wide allocation
     /// counter (the perf binary installs a counting
-    /// `#[global_allocator]`). When set, v2 samples report
+    /// `#[global_allocator]`). When set, indexed-queue samples report
     /// allocations/event.
     pub alloc_counter: Option<fn() -> u64>,
     /// Timed repetitions per configuration; the fastest wall time is
@@ -991,12 +627,11 @@ pub struct SweepOptions {
     pub repeats: usize,
 }
 
-/// Runs the scenario on every requested shard count: the v2 core on the
-/// indexed queue (the production configuration), plus — unless skipped —
-/// the v1 core on the indexed queue (core baseline) and the v1 core on
-/// the naive queue (queue baseline). All runs of a shard count must be
+/// Runs the scenario on every requested shard count on the indexed
+/// queue (the production configuration), plus — unless skipped — on the
+/// naive queue (queue baseline). Both runs of a shard count must be
 /// observationally identical (delivery multiset fingerprint, makespan,
-/// switches); samples arrive v2 first per shard count.
+/// switches); samples arrive indexed first per shard count.
 pub fn perf_sweep(
     sc: &PerfScenario,
     shard_counts: &[usize],
@@ -1013,7 +648,6 @@ pub fn perf_sweep(
         };
         let shards = shard_counts.first().copied().unwrap_or(1);
         drive_v2::<RequestQueue>(&warmup, shards, "indexed", None);
-        drive_v1::<RequestQueue>(&warmup, shards, "indexed");
     }
     let repeats = opts.repeats.max(1);
     let best = |mut run: Box<dyn FnMut() -> (PerfSample, Fingerprint)>| {
@@ -1029,74 +663,19 @@ pub fn perf_sweep(
     };
     for &shards in shard_counts {
         let alloc = opts.alloc_counter;
-        let (v2, fp_v2) = best(Box::new(move || {
+        let (indexed, fp_indexed) = best(Box::new(move || {
             drive_v2::<RequestQueue>(sc, shards, "indexed", alloc)
         }));
-        samples.push(v2);
-        if !opts.skip_v1 {
-            let (v1, fp_v1) = best(Box::new(move || {
-                drive_v1::<RequestQueue>(sc, shards, "indexed")
-            }));
-            assert_eq!(fp_v2, fp_v1, "v1/v2 cores diverged at {shards} shards");
-            samples.push(v1);
-        }
+        samples.push(indexed);
         if !opts.skip_naive {
             let (naive, fp_naive) = best(Box::new(move || {
-                drive_v1::<NaiveQueue>(sc, shards, "naive")
+                drive_v2::<NaiveQueue>(sc, shards, "naive", None)
             }));
             assert_eq!(
-                fp_v2, fp_naive,
+                fp_indexed, fp_naive,
                 "queue implementations diverged at {shards} shards"
             );
             samples.push(naive);
-        }
-    }
-    samples
-}
-
-/// Runs the windowed (`par`) drive on every requested shard count: the
-/// no-window sequential reference (`workers = 0`) first, then every
-/// requested worker count — asserting each parallel run's fingerprint
-/// matches the reference exactly (the bench-side differential sweep).
-pub fn parallel_sweep(
-    sc: &PerfScenario,
-    shard_counts: &[usize],
-    workers: &[usize],
-    opts: SweepOptions,
-) -> Vec<PerfSample> {
-    let mut samples = Vec::new();
-    if sc.rounds > 1 {
-        let warmup = PerfScenario {
-            rounds: 1,
-            ..sc.clone()
-        };
-        let shards = shard_counts.first().copied().unwrap_or(1);
-        drive_par::<RequestQueue>(&warmup, shards, 0, "indexed", None);
-    }
-    let repeats = opts.repeats.max(1);
-    for &shards in shard_counts {
-        let best = |w: usize| {
-            let (mut sample, fp) =
-                drive_par::<RequestQueue>(sc, shards, w, "indexed", opts.alloc_counter);
-            for _ in 1..repeats {
-                let (s2, f2) =
-                    drive_par::<RequestQueue>(sc, shards, w, "indexed", opts.alloc_counter);
-                assert_eq!(fp, f2, "repeat run diverged");
-                if s2.wall_secs < sample.wall_secs {
-                    sample = s2;
-                }
-            }
-            (sample, fp)
-        };
-        let (seq, fp_seq) = best(0);
-        samples.push(seq);
-        for &w in workers.iter().filter(|&&w| w > 0) {
-            let (par, fp_par) = best(w);
-            assert_eq!(
-                fp_seq, fp_par,
-                "parallel run diverged from sequential at {shards} shards, {w} workers"
-            );
-            samples.push(par);
         }
     }
     samples
@@ -1152,52 +731,20 @@ pub fn open_sweep(
     samples
 }
 
-/// The per-(shards, workers) `sequential wall / parallel wall` speedups
-/// of the windowed drive (both on the `par` core, so the event
-/// mechanics are identical and the ratio isolates the worker pool).
-pub fn parallel_speedups(samples: &[PerfSample]) -> Vec<(usize, usize, f64)> {
-    let mut out = Vec::new();
-    for s in samples
-        .iter()
-        .filter(|s| s.core == "par" && s.workers.is_some_and(|w| w > 0))
-    {
-        if let Some(reference) = samples
-            .iter()
-            .find(|r| r.core == "par" && r.workers == Some(0) && r.shards == s.shards)
-        {
-            if s.wall_secs > 0.0 {
-                out.push((
-                    s.shards,
-                    s.workers.unwrap(),
-                    reference.wall_secs / s.wall_secs,
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// The per-shard-count `naive wall / indexed wall` speedups (both on
-/// the v1 core: the PR-3 queue-indexing win).
+/// The per-shard-count `naive wall / indexed wall` speedups (the PR-3
+/// queue-indexing win).
 pub fn queue_speedups(samples: &[PerfSample]) -> Vec<(usize, f64)> {
-    ratio(samples, ("v1", "naive"), ("v1", "indexed"))
-}
-
-/// The per-shard-count `v1 wall / v2 wall` speedups (both on the
-/// indexed queue: the event-core rebuild win).
-pub fn core_speedups(samples: &[PerfSample]) -> Vec<(usize, f64)> {
-    ratio(samples, ("v1", "indexed"), ("v2", "indexed"))
-}
-
-fn ratio(samples: &[PerfSample], num: (&str, &str), den: (&str, &str)) -> Vec<(usize, f64)> {
     let mut out = Vec::new();
-    for d in samples.iter().filter(|s| (s.core, s.queue) == den) {
-        if let Some(n) = samples
+    for indexed in samples
+        .iter()
+        .filter(|s| (s.core, s.queue) == ("v2", "indexed"))
+    {
+        if let Some(naive) = samples
             .iter()
-            .find(|s| (s.core, s.queue) == num && s.shards == d.shards)
+            .find(|s| (s.core, s.queue) == ("v2", "naive") && s.shards == indexed.shards)
         {
-            if d.wall_secs > 0.0 {
-                out.push((d.shards, n.wall_secs / d.wall_secs));
+            if indexed.wall_secs > 0.0 {
+                out.push((indexed.shards, naive.wall_secs / indexed.wall_secs));
             }
         }
     }
@@ -1220,7 +767,6 @@ pub fn table(sc: &PerfScenario, samples: &[PerfSample]) -> Table {
         &[
             "shards",
             "core",
-            "workers",
             "queue",
             "wall(s)",
             "events",
@@ -1235,7 +781,6 @@ pub fn table(sc: &PerfScenario, samples: &[PerfSample]) -> Table {
         t.push_row(vec![
             s.shards.to_string(),
             s.core.into(),
-            s.workers.map_or_else(|| "-".into(), |w| w.to_string()),
             s.queue.into(),
             format!("{:.3}", s.wall_secs),
             s.events.to_string(),
@@ -1256,7 +801,7 @@ pub fn table(sc: &PerfScenario, samples: &[PerfSample]) -> Table {
 pub struct Sweep {
     /// The driven scenario.
     pub scenario: PerfScenario,
-    /// Samples, v2 first per shard count.
+    /// Samples, indexed first per shard count.
     pub samples: Vec<PerfSample>,
 }
 
@@ -1309,7 +854,7 @@ fn arrival_json(arrival: Option<&ArrivalProcess>) -> String {
     format!("\"{tag}\"")
 }
 
-/// The per-sample tail block (`null` for the closed-loop cores).
+/// The per-sample tail block (`null` for the closed-loop drive).
 fn latency_json(latency: Option<&LatencySample>) -> String {
     match latency {
         None => "null".into(),
@@ -1321,16 +866,13 @@ fn latency_json(latency: Option<&LatencySample>) -> String {
 }
 
 /// Serializes one or more sweeps as the `BENCH_perf.json` document
-/// (schema `BENCH_perf/v4`: adds the open-arrival axis — `arrival` per
-/// scenario, a `latency` tail block per sample — on top of v3's worker
-/// axis: `think_micros` per scenario, `workers` per sample, a
-/// `parallel_speedup` section); hand-rolled JSON, no serde in this
-/// workspace. The committed artifact carries the classic 115k-request
-/// grid (apples-to-apples with the v1 history), the million-request
-/// multi-shard drive, the windowed-parallel sweeps, and the
-/// bursty-arrival tail-latency sweep.
+/// (schema `BENCH_perf/v5`: `arrival` per scenario, a `latency` tail
+/// block per sample, a `queue_speedup` section per sweep); hand-rolled
+/// JSON, no serde in this workspace. The committed artifact carries the
+/// classic 115k-request grid, the million-request multi-shard drive,
+/// and the bursty-arrival tail-latency sweeps.
 pub fn to_json(sweeps: &[Sweep]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"BENCH_perf/v4\",\n  \"sweeps\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"BENCH_perf/v5\",\n  \"sweeps\": [\n");
     let blocks: Vec<String> = sweeps.iter().map(sweep_json).collect();
     out.push_str(&blocks.join(",\n"));
     out.push_str("\n  ]\n}\n");
@@ -1342,7 +884,7 @@ fn sweep_json(sweep: &Sweep) -> String {
     let samples = &sweep.samples;
     let mut out = String::from("    {\n");
     out.push_str(&format!(
-        "      \"scenario\": {{\"tenants\": {}, \"rounds\": {}, \"objects_per_round\": {}, \"groups\": {}, \"requests\": {}, \"policy\": \"{}\", \"streams\": {}, \"think_micros\": {}, \"arrival\": {}}},\n",
+        "      \"scenario\": {{\"tenants\": {}, \"rounds\": {}, \"objects_per_round\": {}, \"groups\": {}, \"requests\": {}, \"policy\": \"{}\", \"streams\": {}, \"arrival\": {}}},\n",
         sc.tenants,
         sc.rounds,
         sc.objects_per_round,
@@ -1350,7 +892,6 @@ fn sweep_json(sweep: &Sweep) -> String {
         sc.total_requests(),
         sc.policy.label(),
         sc.streams,
-        sc.think_micros,
         arrival_json(sc.arrival.as_ref()),
     ));
     out.push_str("      \"samples\": [\n");
@@ -1358,9 +899,8 @@ fn sweep_json(sweep: &Sweep) -> String {
         .iter()
         .map(|s| {
             format!(
-                "        {{\"core\": \"{}\", \"workers\": {}, \"queue\": \"{}\", \"shards\": {}, \"requests\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"allocs_per_event\": {}, \"makespan_secs\": {:.3}, \"switches\": {}, \"latency\": {}}}",
+                "        {{\"core\": \"{}\", \"queue\": \"{}\", \"shards\": {}, \"requests\": {}, \"events\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \"allocs_per_event\": {}, \"makespan_secs\": {:.3}, \"switches\": {}, \"latency\": {}}}",
                 s.core,
-                s.workers.map_or_else(|| "null".into(), |w| w.to_string()),
                 s.queue,
                 s.shards,
                 s.requests,
@@ -1377,26 +917,13 @@ fn sweep_json(sweep: &Sweep) -> String {
         .collect();
     out.push_str(&rows.join(",\n"));
     out.push_str("\n      ],\n");
-    let section = |name: &str, rows: Vec<(usize, f64)>| {
-        let body: Vec<String> = rows
-            .into_iter()
-            .map(|(shards, x)| format!("        {{\"shards\": {shards}, \"speedup\": {x:.2}}}"))
-            .collect();
-        format!("      \"{name}\": [\n{}\n      ]", body.join(",\n"))
-    };
-    out.push_str(&section("queue_speedup", queue_speedups(samples)));
-    out.push_str(",\n");
-    out.push_str(&section("core_speedup", core_speedups(samples)));
-    out.push_str(",\n");
-    let par_body: Vec<String> = parallel_speedups(samples)
+    let speedups: Vec<String> = queue_speedups(samples)
         .into_iter()
-        .map(|(shards, workers, x)| {
-            format!("        {{\"shards\": {shards}, \"workers\": {workers}, \"speedup\": {x:.2}}}")
-        })
+        .map(|(shards, x)| format!("        {{\"shards\": {shards}, \"speedup\": {x:.2}}}"))
         .collect();
     out.push_str(&format!(
-        "      \"parallel_speedup\": [\n{}\n      ]",
-        par_body.join(",\n")
+        "      \"queue_speedup\": [\n{}\n      ]",
+        speedups.join(",\n")
     ));
     out.push_str("\n    }");
     out
@@ -1415,20 +942,19 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         };
         let samples = perf_sweep(&sc, &[1, 2], SweepOptions::default());
-        assert_eq!(samples.len(), 6); // (v2, v1, naive) × 2 shard counts
-                                      // Virtual outcomes are queue- and core-independent.
-        for trio in samples.chunks(3) {
-            assert_eq!(trio[0].core, "v2");
-            assert_eq!(trio[1].core, "v1");
-            assert_eq!(trio[2].queue, "naive");
-            for s in trio {
-                assert_eq!(s.makespan_secs, trio[0].makespan_secs);
-                assert_eq!(s.switches, trio[0].switches);
-                assert_eq!(s.events, trio[0].events);
+        // (indexed, naive) × 2 shard counts; virtual outcomes are
+        // queue-independent.
+        assert_eq!(samples.len(), 4);
+        for pair in samples.chunks(2) {
+            assert_eq!((pair[0].core, pair[0].queue), ("v2", "indexed"));
+            assert_eq!((pair[1].core, pair[1].queue), ("v2", "naive"));
+            for s in pair {
+                assert_eq!(s.makespan_secs, pair[0].makespan_secs);
+                assert_eq!(s.switches, pair[0].switches);
+                assert_eq!(s.events, pair[0].events);
                 assert_eq!(s.requests, sc.total_requests());
             }
         }
@@ -1436,22 +962,22 @@ mod tests {
             scenario: sc.clone(),
             samples: samples.clone(),
         }]);
-        assert!(json.contains("\"schema\": \"BENCH_perf/v4\""));
+        assert!(json.contains("\"schema\": \"BENCH_perf/v5\""));
         assert!(json.contains("\"queue\": \"naive\""));
         assert!(json.contains("\"core\": \"v2\""));
         assert!(json.contains("\"allocs_per_event\": null"));
         assert!(json.contains("\"arrival\": null"));
         assert!(json.contains("\"latency\": null"));
         assert_eq!(queue_speedups(&samples).len(), 2);
-        assert_eq!(core_speedups(&samples).len(), 2);
-        assert_eq!(table(&sc, &samples).rows.len(), 6);
+        assert_eq!(table(&sc, &samples).rows.len(), 4);
     }
 
     #[test]
-    fn multi_stream_cores_agree() {
-        // The earliest-of-K wake-up path: with streams > 1 the v2
-        // calendar loop sees superseded (stale) wake-ups and must still
-        // reproduce the v1 schedule exactly.
+    fn multi_stream_queues_agree() {
+        // The earliest-of-K wake-up path: with streams > 1 the calendar
+        // loop sees superseded (stale) wake-ups, and the indexed queue
+        // must still reproduce the naive queue's schedule exactly
+        // (perf_sweep asserts the fingerprints).
         let sc = PerfScenario {
             tenants: 4,
             rounds: 3,
@@ -1459,22 +985,14 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::RankBased,
             streams: 4,
-            think_micros: 0,
             arrival: None,
         };
-        let samples = perf_sweep(
-            &sc,
-            &[1, 2],
-            SweepOptions {
-                skip_naive: true,
-                ..Default::default()
-            },
-        );
+        let samples = perf_sweep(&sc, &[1, 2], SweepOptions::default());
         assert_eq!(samples.len(), 4);
     }
 
     #[test]
-    fn skip_flags_run_v2_only() {
+    fn skip_naive_runs_indexed_only() {
         let sc = PerfScenario {
             tenants: 2,
             rounds: 1,
@@ -1482,7 +1000,6 @@ mod tests {
             groups: 2,
             policy: SchedPolicy::MaxQueries,
             streams: 1,
-            think_micros: 0,
             arrival: None,
         };
         let samples = perf_sweep(
@@ -1490,14 +1007,12 @@ mod tests {
             &[1],
             SweepOptions {
                 skip_naive: true,
-                skip_v1: true,
                 ..Default::default()
             },
         );
         assert_eq!(samples.len(), 1);
         assert_eq!((samples[0].core, samples[0].queue), ("v2", "indexed"));
         assert!(queue_speedups(&samples).is_empty());
-        assert!(core_speedups(&samples).is_empty());
     }
 
     #[test]
@@ -1506,68 +1021,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_drive_matches_sequential_reference() {
-        // The bench-side differential sweep: with think time (so
-        // windows actually drain) every worker count must reproduce
-        // the no-window reference bit-for-bit. parallel_sweep asserts
-        // the fingerprints internally; this pins the sample metadata
-        // and the virtual outcomes on top.
-        let sc = PerfScenario {
-            tenants: 6,
-            rounds: 3,
-            objects_per_round: 8,
-            groups: 3,
-            policy: SchedPolicy::RankBased,
-            streams: 2,
-            think_micros: 500_000,
-            arrival: None,
-        };
-        let samples = parallel_sweep(&sc, &[1, 4], &[1, 2, 4], SweepOptions::default());
-        assert_eq!(samples.len(), 8); // (seq ref + 3 worker counts) × 2
-        for quad in samples.chunks(4) {
-            assert_eq!(quad[0].workers, Some(0));
-            for s in quad {
-                assert_eq!(s.core, "par");
-                assert_eq!(s.makespan_secs, quad[0].makespan_secs);
-                assert_eq!(s.switches, quad[0].switches);
-                assert_eq!(s.events, quad[0].events);
-                assert_eq!(s.requests, sc.total_requests());
-            }
-        }
-        assert_eq!(parallel_speedups(&samples).len(), 6);
-        let json = to_json(&[Sweep {
-            scenario: sc.clone(),
-            samples,
-        }]);
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"think_micros\": 500000"));
-        assert!(json.contains("\"parallel_speedup\""));
-    }
-
-    #[test]
-    fn parallel_drive_policies_agree_without_think_time() {
-        // think 0 collapses every window to nothing — the parallel
-        // runs degrade to the sequential event loop and must still
-        // agree for every policy.
-        for policy in SchedPolicy::all() {
-            let sc = PerfScenario {
-                tenants: 4,
-                rounds: 2,
-                objects_per_round: 6,
-                groups: 2,
-                policy,
-                streams: 1,
-                think_micros: 0,
-                arrival: None,
-            };
-            parallel_sweep(&sc, &[2], &[2], SweepOptions::default());
-        }
-    }
-
-    #[test]
-    fn fcfs_policies_agree_across_cores() {
+    fn fcfs_policies_agree_across_queues() {
         // The window/oldest-query scopes exercise the slab iteration
-        // paths; pin v1 ≡ v2 ≡ naive on them too.
+        // paths; pin indexed ≡ naive on them too.
         for policy in [SchedPolicy::FcfsObject, SchedPolicy::FcfsSlack(4)] {
             let sc = PerfScenario {
                 tenants: 3,
@@ -1576,7 +1032,6 @@ mod tests {
                 groups: 3,
                 policy,
                 streams: 1,
-                think_micros: 0,
                 arrival: None,
             };
             perf_sweep(&sc, &[1, 2], SweepOptions::default());
@@ -1594,7 +1049,6 @@ mod tests {
             groups: 3,
             policy: SchedPolicy::RankBased,
             streams: 2,
-            think_micros: 0,
             arrival: Some(ArrivalProcess::OnOff {
                 on_mean: SimDuration::from_secs(1),
                 on_duration: SimDuration::from_secs(5),
@@ -1664,7 +1118,6 @@ mod tests {
             groups: 4,
             policy: SchedPolicy::RankBased,
             streams: 1,
-            think_micros: 0,
             arrival: Some(ArrivalProcess::Poisson {
                 mean: SimDuration::from_millis(100),
                 seed: 7,

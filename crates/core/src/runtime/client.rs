@@ -51,13 +51,6 @@ pub struct ClientState {
     /// Requests + finished flag from the in-flight `on_object`, applied
     /// when processing completes.
     pub pending_after: Option<(Vec<ObjectId>, bool)>,
-    /// Instant of the in-flight `ClientReady` (windowed execution:
-    /// where a late-arriving delivery must promote it to an
-    /// interaction).
-    pub ready_at: SimTime,
-    /// Whether the in-flight `ClientReady` is registered as a
-    /// cross-shard interaction in the safe-horizon tracker.
-    pub ready_noted: bool,
     /// Measurement draft for the current query.
     pub draft: RecordDraft,
     /// Finished records awaiting stall attribution.
@@ -95,8 +88,6 @@ impl ClientState {
             inbox: VecDeque::new(),
             busy: false,
             pending_after: None,
-            ready_at: SimTime::ZERO,
-            ready_noted: false,
             draft: RecordDraft::default(),
             records: Vec::new(),
             slo: None,

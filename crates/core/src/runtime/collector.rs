@@ -636,8 +636,8 @@ impl LatencyAccumulator {
 /// Everything measured by one scenario run.
 ///
 /// `PartialEq`/`Debug` cover every field, so a whole run can be
-/// compared byte-for-byte — the determinism tests assert parallel
-/// runs at different worker counts produce equal `RunResult`s.
+/// compared byte-for-byte — the determinism tests assert repeated
+/// runs of one scenario produce equal `RunResult`s.
 #[derive(Debug, PartialEq)]
 pub struct RunResult {
     /// Per-client query records, in execution order.

@@ -30,7 +30,7 @@ use skipper_csd::{Delivery, ObjectId, PowerModel, QueryId};
 use skipper_relational::segment::Segment;
 use skipper_sim::rng::derive_seed;
 use skipper_sim::trace::Span;
-use skipper_sim::{CalendarQueue, HorizonTracker, MergedTimeline, SimDuration, SimTime};
+use skipper_sim::{CalendarQueue, MergedTimeline, SimDuration, SimTime};
 
 use crate::config::CostModel;
 
@@ -96,30 +96,6 @@ struct HedgeState {
     hedged: Vec<(ObjectId, usize)>,
 }
 
-/// How the event loop executes a run.
-///
-/// Both modes produce **bit-identical** results — same deliveries,
-/// same timestamps, same metrics, same traces — because the parallel
-/// mode only *pre-executes* each shard's private completion chain up
-/// to a conservative safe horizon and replays it through the unchanged
-/// global loop (see the module docs). Sequential stays the reference
-/// implementation; the differential sweep in the runtime tests pins
-/// the equivalence across every policy, placement, and worker count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// The reference single-thread discrete-event loop.
-    #[default]
-    Sequential,
-    /// Windowed-parallel execution: shard completion chains are
-    /// drained concurrently up to the safe horizon between
-    /// cross-shard interactions.
-    Parallel {
-        /// Worker threads draining shard windows; the event-loop
-        /// thread counts as one of them. Clamped to at least 1.
-        workers: usize,
-    },
-}
-
 /// The assembled multi-tenant runtime; consumed by [`Runtime::run`].
 pub struct Runtime {
     fleet: DeviceFleet,
@@ -128,24 +104,12 @@ pub struct Runtime {
     cost: CostModel,
     /// Reusable delivery scratch for multi-stream wake-up batches.
     scratch: Vec<Delivery<Arc<Segment>>>,
-    execution: ExecutionMode,
-    /// Pending cross-shard interaction instants (parallel mode): every
-    /// scheduled event that may submit GETs bounds the safe horizon.
-    interactions: HorizonTracker,
-    /// End of the currently drained window (parallel mode): events
-    /// before it are answered from shard replay logs; reaching it
-    /// re-opens the window at the tracker's new minimum.
-    window_end: SimTime,
-    /// Streaming tail-latency sketches, fed in completion order (the
-    /// order is bit-identical across execution modes, so the summary
-    /// is too).
+    /// Streaming tail-latency sketches, fed in completion order.
     latency: LatencyAccumulator,
     /// Whether finished records are retained for the result.
     record_mode: RecordMode,
     /// The expanded fault schedule, in firing order (empty without a
-    /// fault plan). Every action becomes a calendar event up front, so
-    /// both execution modes see identical fault timings and each fault
-    /// instant bounds the safe horizon.
+    /// fault plan). Every action becomes a calendar event up front.
     faults: Vec<TimedFault>,
     /// MAID electrical model for the end-of-run energy estimate.
     power: PowerModel,
@@ -168,8 +132,7 @@ pub struct Runtime {
     hedges: Vec<HedgeEntry>,
     /// Per-client hedging ledgers (empty vectors when unused).
     hedge_state: Vec<HedgeState>,
-    /// True when any client hedges: gates the per-delivery ledger work
-    /// and the extra safe-horizon bound.
+    /// True when any client hedges: gates the per-delivery ledger work.
     any_hedge: bool,
     /// Whether consumed deliveries are logged (hedged full-record runs).
     log_consumed: bool,
@@ -186,7 +149,7 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Wires the parts together (sequential execution).
+    /// Wires the parts together.
     pub fn new(fleet: DeviceFleet, clients: Vec<ClientState>, cost: CostModel) -> Self {
         let targets: Vec<_> = clients.iter().map(|c| (c.slo, c.ideal)).collect();
         let n = clients.len();
@@ -196,9 +159,6 @@ impl Runtime {
             events: CalendarQueue::new(),
             cost,
             scratch: Vec::new(),
-            execution: ExecutionMode::default(),
-            interactions: HorizonTracker::new(),
-            window_end: SimTime::ZERO,
             latency: LatencyAccumulator::new(&targets),
             record_mode: RecordMode::default(),
             faults: Vec::new(),
@@ -226,12 +186,6 @@ impl Runtime {
     pub fn with_economics(mut self, power: PowerModel, pricing: FleetPricing) -> Self {
         self.power = power;
         self.pricing = pricing;
-        self
-    }
-
-    /// Selects the execution mode (builder style).
-    pub fn with_execution(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
         self
     }
 
@@ -285,11 +239,6 @@ impl Runtime {
         self
     }
 
-    /// True when running windowed-parallel.
-    fn windowed(&self) -> bool {
-        self.execution != ExecutionMode::Sequential
-    }
-
     /// Executes to completion, returning all measurements.
     ///
     /// # Panics
@@ -302,53 +251,26 @@ impl Runtime {
         // closed-loop queries with no release instant start immediately.
         // Starting a client never schedules events, so arming all
         // releases first preserves the historical event order.
-        let windowed = self.windowed();
         self.log_consumed = self.any_hedge && self.record_mode == RecordMode::Full;
         for (c, client) in self.clients.iter().enumerate() {
             self.protection_summary.per_tenant[c].offered = client.plan.len() as u64;
         }
         // Fault actions are armed first: at equal instants a crash (or
-        // recovery) applies before a release routes its query. Every
-        // fault instant is a noted interaction — faults re-route work
-        // across shards, so no window may drain past one.
+        // recovery) applies before a release routes its query.
         for (i, f) in self.faults.iter().enumerate() {
             self.events.schedule(f.at, Event::Fault(i));
-            if windowed {
-                self.interactions.note(f.at);
-            }
         }
         for (c, client) in self.clients.iter().enumerate() {
             for at in client.plan.iter().filter_map(|p| p.release) {
                 self.events.schedule(at, Event::Release(c));
-                if windowed {
-                    self.interactions.note(at);
-                }
             }
         }
         for c in 0..self.clients.len() {
             self.try_start(c, now);
         }
         self.poke_fleet(now);
-        let workers = match self.execution {
-            ExecutionMode::Sequential => 0,
-            ExecutionMode::Parallel { workers } => workers.max(1),
-        };
 
         while let Some((t, ev)) = self.events.pop() {
-            if workers > 0 && t >= self.window_end {
-                // Window barrier: every replay from the previous
-                // window is consumed (each drained wake-up had its
-                // calendar event before `window_end`), so re-open at
-                // the new safe horizon and pre-drain every shard's
-                // private chain up to it — in parallel, since shards
-                // share no state below the horizon.
-                let horizon = self.safe_horizon();
-                debug_assert!(horizon >= t, "interaction missed by the horizon tracker");
-                if horizon > t {
-                    self.fleet.drain_window_parallel(horizon, workers);
-                }
-                self.window_end = horizon;
-            }
             if !matches!(ev, Event::Deadline(..) | Event::Hedge(_) | Event::Retry(_)) {
                 self.last_activity = t;
             }
@@ -373,16 +295,10 @@ impl Runtime {
                 }
                 Event::ClientReady(c) => self.client_ready(c, t),
                 Event::Release(c) => {
-                    if windowed {
-                        self.interactions.consume(t);
-                    }
                     self.try_start(c, t);
                     self.poke_fleet(t);
                 }
                 Event::Fault(i) => {
-                    if windowed {
-                        self.interactions.consume(t);
-                    }
                     let fault = self.faults[i];
                     let mut batch = std::mem::take(&mut self.scratch);
                     batch.clear();
@@ -409,21 +325,12 @@ impl Runtime {
                     self.poke_fleet(t);
                 }
                 Event::Deadline(c, qseq) => {
-                    if windowed {
-                        self.interactions.consume(t);
-                    }
                     self.deadline_fired(c, qseq, t);
                 }
                 Event::Hedge(i) => {
-                    if windowed {
-                        self.interactions.consume(t);
-                    }
                     self.hedge_fired(i, t);
                 }
                 Event::Retry(i) => {
-                    if windowed {
-                        self.interactions.consume(t);
-                    }
                     self.retry_fired(i, t);
                 }
             }
@@ -555,67 +462,6 @@ impl Runtime {
         }
     }
 
-    /// The conservative safe horizon at a window-open instant: no
-    /// `fleet.submit` can occur strictly before it.
-    ///
-    /// Three bounds, each closing one submit path:
-    /// * **tracked interactions** — scheduled events known to submit:
-    ///   query releases and ClientReadys whose reaction issues
-    ///   follow-up GETs or finishes (finish submits the next query's
-    ///   upfront batch);
-    /// * **inert busy clients** — a pending ClientReady with nothing
-    ///   to submit cannot itself touch a device, but whatever it does
-    ///   *next* (process a queued delivery, go back to waiting)
-    ///   happens at or after `ready_at`, so the window must not drain
-    ///   past it;
-    /// * **idle live clients** — a client waiting on deliveries turns
-    ///   the very next one into processing whose completion may
-    ///   submit, so the window must not drain past the fleet's
-    ///   earliest armed completion.
-    ///
-    /// Together these imply *no client-state transition at all* occurs
-    /// strictly inside a window: in-window deliveries only fill busy
-    /// clients' inboxes. That is what makes pre-drained device chains
-    /// safe — and it is also the profitability limit: windows are wide
-    /// exactly while every live client is charged with processing
-    /// (batch-issuing engines crunching upfront data), and collapse to
-    /// single events while any client sits idle between round-trips
-    /// (pull-based engines).
-    fn safe_horizon(&self) -> SimTime {
-        let mut horizon = self.interactions.horizon();
-        let mut idle_live = false;
-        for client in &self.clients {
-            if client.engine.is_none() {
-                continue; // between queries: bounded by its Release, if any
-            }
-            if client.busy {
-                if !client.ready_noted {
-                    horizon = horizon.min(client.ready_at);
-                }
-            } else {
-                idle_live = true;
-            }
-        }
-        if idle_live {
-            horizon = horizon.min(self.fleet.min_armed());
-        }
-        // Hedging adds a delivery-time device mutation: consuming the
-        // winning copy cancels the loser's queued copy on another
-        // shard. While any hedge-enabled client has a query in flight,
-        // no window may drain past the fleet's earliest completion —
-        // the cancel must never land inside a pre-drained chain.
-        if self.any_hedge
-            && self
-                .clients
-                .iter()
-                .zip(&self.protection)
-                .any(|(cl, p)| p.hedge.is_some() && cl.engine.is_some())
-        {
-            horizon = horizon.min(self.fleet.min_armed());
-        }
-        horizon
-    }
-
     /// Starts client `c`'s next query if its release has come and the
     /// client is idle, after the protection gates: queries whose
     /// deadline already lapsed while queued are abandoned, and
@@ -664,9 +510,6 @@ impl Runtime {
                                 .expect("can_start saw a front query")
                                 .release = Some(at);
                             self.events.schedule(at, Event::Release(c));
-                            if self.windowed() {
-                                self.interactions.note(at);
-                            }
                             self.protection_summary.backpressure_deferrals += 1;
                             return;
                         }
@@ -684,9 +527,6 @@ impl Runtime {
             let anchor = self.clients[c].draft.release.unwrap_or(now);
             let at = anchor + d;
             self.events.schedule(at, Event::Deadline(c, qid.seq));
-            if self.windowed() {
-                self.interactions.note(at);
-            }
         }
         self.protected_submit(now, c, qid, &requests);
     }
@@ -764,20 +604,6 @@ impl Runtime {
         client.charge(reaction.processing);
         client.busy = true;
         let at = now + reaction.processing;
-        if self.execution != ExecutionMode::Sequential {
-            // Safe-horizon classification: this ClientReady touches a
-            // device iff the reaction submits follow-up GETs or
-            // finishes (finish starts the next query's upfront batch).
-            // Inert ClientReadys are not tracked — they bound the
-            // horizon through their `ready_at` at window-open time
-            // instead (see `safe_horizon`).
-            let interactive = !reaction.requests.is_empty() || reaction.finished;
-            client.ready_at = at;
-            client.ready_noted = interactive;
-            if interactive {
-                self.interactions.note(at);
-            }
-        }
         client.pending_after = Some((reaction.requests, reaction.finished));
         self.events.schedule(at, Event::ClientReady(c));
     }
@@ -790,10 +616,6 @@ impl Runtime {
             .take()
             .expect("client_ready without reaction");
         self.clients[c].busy = false;
-        if self.execution != ExecutionMode::Sequential && self.clients[c].ready_noted {
-            self.clients[c].ready_noted = false;
-            self.interactions.consume(now);
-        }
         if self.clients[c].cancelled {
             // The query this processing belonged to was cancelled while
             // charged: discard the reaction. A successor query may
@@ -868,9 +690,6 @@ impl Runtime {
                 let idx = self.hedges.len();
                 self.hedges.push(entry);
                 self.events.schedule(at, Event::Hedge(idx));
-                if self.windowed() {
-                    self.interactions.note(at);
-                }
             }
         }
         self.fleet.submit(now, c, qid, objects);
@@ -921,9 +740,6 @@ impl Runtime {
                     attempt,
                 });
                 self.events.schedule(at, Event::Retry(idx));
-                if self.windowed() {
-                    self.interactions.note(at);
-                }
             }
             None => {
                 // Out of attempts: the query can never receive this
@@ -1031,9 +847,6 @@ impl Runtime {
                     release: Some(at),
                 });
                 self.events.schedule(at, Event::Release(c));
-                if self.windowed() {
-                    self.interactions.note(at);
-                }
             }
             None => {
                 if self.protection[c].retry.enabled() {

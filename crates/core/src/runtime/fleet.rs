@@ -37,7 +37,6 @@ use std::sync::Arc;
 use skipper_csd::sched::PendingRequest;
 use skipper_csd::{CsdDevice, Delivery, ObjectId, QueryId};
 use skipper_relational::segment::Segment;
-use skipper_sim::parallel::drain_parallel;
 use skipper_sim::{SimDuration, SimTime};
 
 use super::collector::ShardFaultStats;
@@ -521,29 +520,6 @@ impl DeviceFleet {
         out: &mut Vec<Delivery<Arc<Segment>>>,
     ) {
         self.pumps[shard].on_wakeup_into(now, out);
-    }
-
-    /// The earliest armed wake-up across the fleet ([`SimTime::MAX`]
-    /// when no shard has one): the soonest any delivery can reach any
-    /// client — device completions and watchdog redeliveries alike —
-    /// used by the safe-horizon computation.
-    pub fn min_armed(&self) -> SimTime {
-        self.pumps
-            .iter()
-            .filter_map(|p| p.next_wakeup())
-            .min()
-            .unwrap_or(SimTime::MAX)
-    }
-
-    /// Drains every shard's private completion chain strictly below
-    /// `horizon` into its replay log, on `workers` scoped threads (the
-    /// windowed-parallel execution barrier). Shards drain
-    /// independently — per-shard output is identical for every worker
-    /// count, so parallelism never changes the run. Fault-affected
-    /// shards skip pre-execution and take the live path (see
-    /// [`DevicePump`]'s fault-plane docs).
-    pub fn drain_window_parallel(&mut self, horizon: SimTime, workers: usize) {
-        drain_parallel(&mut self.pumps, horizon, workers);
     }
 
     /// Read access to every pump, in shard order.

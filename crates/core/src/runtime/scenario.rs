@@ -35,7 +35,7 @@ use crate::config::CostModel;
 
 use super::client::{ClientState, PlannedQuery};
 use super::collector::{RecordMode, RunResult};
-use super::driver::{ExecutionMode, Runtime};
+use super::driver::Runtime;
 use super::engines::{factory_for, EngineKind};
 use super::fault::{self, FaultPlan};
 use super::fleet::DeviceFleet;
@@ -79,7 +79,6 @@ pub struct Scenario {
     trace_mode: TraceMode,
     ledger_mode: LedgerMode,
     record_mode: RecordMode,
-    execution: ExecutionMode,
     slo: Option<SimDuration>,
     faults: FaultPlan,
     shard_cache: CacheConfig,
@@ -127,7 +126,6 @@ impl Scenario {
             trace_mode: TraceMode::Full,
             ledger_mode: LedgerMode::Full,
             record_mode: RecordMode::Full,
-            execution: ExecutionMode::Sequential,
             slo: None,
             faults: FaultPlan::new(),
             shard_cache: CacheConfig::disabled(),
@@ -313,11 +311,6 @@ impl Scenario {
         self
     }
 
-    /// Legacy alias for [`Scenario::streams`].
-    pub fn parallel_streams(self, n: u32) -> Self {
-        self.streams(n)
-    }
-
     /// How streams > 1 are modelled (default: the true service
     /// pipeline; [`StreamModel::BandwidthMultiplier`] is the historical
     /// compat model kept for A/B comparison in the bench).
@@ -416,22 +409,6 @@ impl Scenario {
         self
     }
 
-    /// Execution mode of the event loop (default:
-    /// [`ExecutionMode::Sequential`], the reference implementation).
-    /// [`ExecutionMode::Parallel`] drains the fleet's per-shard
-    /// completion chains on a worker pool inside conservative safe
-    /// windows — the run is **bit-identical** to sequential for every
-    /// worker count (the differential sweep in the runtime tests pins
-    /// this), so the only observable difference is wall-clock time.
-    /// Parallelism pays off when windows are wide relative to shard
-    /// count: batch-issuing engines (Skipper) with many shards gain
-    /// the most, while pull-based engines (Vanilla) interact every
-    /// round-trip and degrade gracefully to near-sequential behaviour.
-    pub fn execution(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
-
     /// Staggers client start times: client `i` submits its first query at
     /// `i × delay` (default: everyone at t = 0). This is the arrival-gap
     /// setup of the §4.4 `K` derivation, where query sets arrive `s`
@@ -466,8 +443,7 @@ impl Scenario {
     /// faults, every run byte-identical to before the fault plane
     /// existed). The plan expands at assembly time into timestamped
     /// episodes — seeded stochastic streams and all — and the driver
-    /// schedules each as a first-class calendar event, so Sequential
-    /// and Parallel execution see identical fault timings. Note that
+    /// schedules each as a first-class calendar event. Note that
     /// recovery events keep the simulation alive: a plan whose
     /// episodes outlast the natural drain extends the makespan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
@@ -700,7 +676,6 @@ impl Scenario {
         }
 
         Runtime::new(fleet, clients, self.cost)
-            .with_execution(self.execution)
             .with_record_mode(self.record_mode)
             .with_faults(fault::timed_actions(&episodes))
             .with_economics(self.power, self.pricing)

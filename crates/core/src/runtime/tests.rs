@@ -622,127 +622,6 @@ fn staggered_workload_offsets_shift_first_submissions() {
 }
 
 // ---------------------------------------------------------------------
-// Windowed-parallel execution: the differential sweep pinning
-// `ExecutionMode::Parallel` bit-identical to the sequential reference.
-// Whole `RunResult`s are compared with `==`: delivery ledgers, switch
-// counts, makespans, per-shard metrics, spans, and every query record.
-
-/// One scenario per (policy, placement, streams) cell, multi-shard and
-/// staggered so Release events, fleet fan-out, and same-instant ties
-/// are all exercised.
-fn sweep_scenario(policy: SchedPolicy, placement: PlacementPolicy, streams: u32) -> Scenario {
-    let ds = mini_dataset();
-    let q = tpch::q12(&ds);
-    Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
-        .scheduler(policy)
-        .shards(4)
-        .placement(placement)
-        .streams(streams)
-        .stagger(SimDuration::from_secs(30))
-        .repeat_query(q, 2)
-}
-
-#[test]
-fn parallel_matches_sequential_across_policies() {
-    for policy in SchedPolicy::all() {
-        for placement in [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::HashObject,
-            PlacementPolicy::TableAffinity,
-        ] {
-            for streams in [1, 4] {
-                let reference = sweep_scenario(policy, placement, streams).run();
-                for workers in [1, 2, 4] {
-                    let parallel = sweep_scenario(policy, placement, streams)
-                        .execution(ExecutionMode::Parallel { workers })
-                        .run();
-                    assert_eq!(
-                        parallel, reference,
-                        "parallel(workers={workers}) diverged from sequential \
-                         for {policy:?}/{placement:?}/streams={streams}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_identical_across_worker_counts() {
-    // Determinism: the same scenario at different worker counts must
-    // produce byte-identical results — parallelism is structural
-    // (shards never share state inside a window), so the thread
-    // interleaving cannot be observed.
-    let runs: Vec<RunResult> = [1usize, 2, 4]
-        .iter()
-        .map(|&workers| {
-            sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 4)
-                .execution(ExecutionMode::Parallel { workers })
-                .run()
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[1], runs[2]);
-}
-
-#[test]
-fn parallel_matches_sequential_for_mixed_engines() {
-    // A pull-based Vanilla tenant makes every round-trip an
-    // interaction (degenerate windows), while the Skipper tenant's
-    // upfront batches leave wide ones — the mix exercises both the
-    // replay path and the inert-ClientReady promotion rule.
-    let ds = std::sync::Arc::new(mini_dataset());
-    let q = tpch::q12(&ds);
-    let build = || {
-        Scenario::from_workloads(vec![
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 2)
-                .engine(SkipperFactory::default().cache_bytes(gib(10))),
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 1)
-                .engine(VanillaFactory),
-            Workload::new(std::sync::Arc::clone(&ds))
-                .repeat_query(q.clone(), 1)
-                .engine(SkipperFactory::default().cache_bytes(gib(10)))
-                .start_at(SimDuration::from_secs(200)),
-        ])
-        .shards(2)
-        .placement(PlacementPolicy::RoundRobin)
-        .streams(2)
-    };
-    let reference = build().run();
-    for workers in [1, 2, 4] {
-        let parallel = build().execution(ExecutionMode::Parallel { workers }).run();
-        assert_eq!(
-            parallel, reference,
-            "mixed-engine parallel(workers={workers}) diverged from sequential"
-        );
-    }
-}
-
-#[test]
-fn parallel_single_shard_replays_single_device_schedule() {
-    // The 1-shard fleet is the seed's single-device runtime; windowed
-    // execution must preserve it exactly too.
-    let build = || {
-        let ds = mini_dataset();
-        let q = tpch::q12(&ds);
-        Scenario::new(ds)
-            .clients(2)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q, 1)
-    };
-    let reference = build().run();
-    let parallel = build()
-        .execution(ExecutionMode::Parallel { workers: 4 })
-        .run();
-    assert_eq!(parallel, reference);
-}
-
-// ---------------------------------------------------------------------
 // Open-arrival latency: queue-wait in response time, the internet-scale
 // traffic shapes, and the streaming tail-latency summary.
 
@@ -793,11 +672,11 @@ fn queued_release_makes_response_time_exceed_duration() {
     assert!((res.latency.fleet.mean_secs - expect_mean).abs() < 1e-12);
 }
 
-/// Every new arrival shape × {Sequential, Parallel} must produce
-/// byte-equal `RunResult`s — the differential battery extended over the
-/// traffic vocabulary (the latency summary is part of the equality).
+/// Every arrival shape must produce byte-equal `RunResult`s across
+/// repeated runs — the determinism battery extended over the traffic
+/// vocabulary (the latency summary is part of the equality).
 #[test]
-fn arrival_shapes_are_execution_mode_invariant() {
+fn arrival_shapes_are_repeat_deterministic() {
     let shapes: Vec<(&str, ArrivalProcess)> = vec![
         (
             "poisson",
@@ -854,15 +733,8 @@ fn arrival_shapes_are_execution_mode_invariant() {
             .streams(2)
         };
         let reference = build(arrival.clone()).run();
-        for workers in [2, 4] {
-            let parallel = build(arrival.clone())
-                .execution(ExecutionMode::Parallel { workers })
-                .run();
-            assert_eq!(
-                parallel, reference,
-                "{label} arrivals diverged under Parallel {{ workers: {workers} }}"
-            );
-        }
+        let repeat = build(arrival).run();
+        assert_eq!(repeat, reference, "{label} arrivals diverged on repeat");
     }
 }
 
@@ -939,8 +811,8 @@ fn latency_summary_quantiles_match_exact_records() {
 // ---------------------------------------------------------------------
 // Fault plane: seeded failures, k-replica failover, degraded serving.
 // The chaos battery pins (1) delivery-multiset conservation through
-// every failover path, (2) byte-equal determinism across repeated runs
-// and execution modes, (3) the empty plan leaving runs untouched.
+// every failover path, (2) byte-equal determinism across repeated
+// runs, (3) the empty plan leaving runs untouched.
 
 /// The chaos cell: 3 staggered Skipper tenants over 4 shards, with a
 /// configurable placement and fault plan.
@@ -1015,13 +887,11 @@ fn mid_run_crash_fails_over_with_multiset_conserved() {
 }
 
 #[test]
-fn chaos_grid_is_deterministic_and_execution_mode_invariant() {
-    // The differential battery's fault cells: explicit crash + seeded
-    // crash stream + brown-out + dropped wake-up, all in one plan,
-    // across Sequential and Parallel at several worker counts, plus a
-    // repeated-run determinism check. Whole RunResults compare with
-    // `==` — availability summary and per-shard fault counters
-    // included.
+fn chaos_grid_is_repeat_deterministic() {
+    // The determinism battery's fault cells: explicit crash + seeded
+    // crash stream + brown-out + dropped wake-up, all in one plan, run
+    // twice. Whole RunResults compare with `==` — availability summary
+    // and per-shard fault counters included.
     let plan = || {
         FaultPlan::new()
             .shard_down(2, t(20), t(300))
@@ -1038,15 +908,6 @@ fn chaos_grid_is_deterministic_and_execution_mode_invariant() {
     let reference = chaos_scenario(replicated_rr(2), plan()).run();
     let repeat = chaos_scenario(replicated_rr(2), plan()).run();
     assert_eq!(repeat, reference, "same seeded plan, different run");
-    for workers in [1, 2, 4] {
-        let parallel = chaos_scenario(replicated_rr(2), plan())
-            .execution(ExecutionMode::Parallel { workers })
-            .run();
-        assert_eq!(
-            parallel, reference,
-            "chaos run diverged under Parallel {{ workers: {workers} }}"
-        );
-    }
     // The plan really did something.
     assert!(reference.availability.fault_events >= 4);
     // And conserved the work anyway.
@@ -1201,46 +1062,13 @@ fn scenario_slo_target_feeds_attainment_counters() {
     assert!(res.latency.fleet.stretch.is_some());
 }
 
-#[test]
-fn parallel_matches_sequential_with_shard_caches() {
-    // The cache extends the differential battery: hit completions are
-    // pump-local wake-ups that never enter the replay log, so the
-    // windowed drive must reproduce the sequential schedule exactly in
-    // every cache configuration — DRAM-only, two-tier, every policy.
-    use skipper_csd::cache::{CacheConfig, CachePolicy};
-    let configs = [
-        CacheConfig::dram_only(2 << 30),
-        CacheConfig::dram_only(6 << 30).with_policy(CachePolicy::Clock),
-        CacheConfig::two_tier(2 << 30, 4 << 30).with_policy(CachePolicy::GroupAware),
-    ];
-    for config in configs {
-        let reference = sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 2)
-            .shard_cache(config)
-            .run();
-        assert!(
-            reference.cache.hits() > 0,
-            "{config:?}: repeat rounds never hit the cache"
-        );
-        for workers in [1, 2, 4] {
-            let parallel = sweep_scenario(SchedPolicy::RankBased, PlacementPolicy::RoundRobin, 2)
-                .shard_cache(config)
-                .execution(ExecutionMode::Parallel { workers })
-                .run();
-            assert_eq!(
-                parallel, reference,
-                "cached parallel(workers={workers}) diverged for {config:?}"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Protection plane: deadlines, seeded retry/backoff, hedged requests,
 // admission control. The battery pins (1) the disabled configuration
 // reproducing the unprotected machine byte-exactly, (2) each mechanism's
 // behavior and accounting, (3) conservation under hedging (at-most-once
-// *consumption*), and (4) bit-identity across execution modes and
-// repeats for every protection feature.
+// *consumption*), and (4) bit-identity across repeats for every
+// protection feature.
 
 fn backoff(base_s: u64, cap_s: u64, max_attempts: u32) -> RetryPolicy {
     RetryPolicy::Backoff {
@@ -1498,11 +1326,11 @@ fn breaker_routes_reads_around_a_browned_out_shard() {
 }
 
 #[test]
-fn protection_grid_is_deterministic_and_execution_mode_invariant() {
-    // The differential battery extended over the protection plane: each
+fn protection_grid_is_repeat_deterministic() {
+    // The determinism battery extended over the protection plane: each
     // cell runs the full feature set it names, and whole RunResults —
     // protection counters and consumption log included — must be
-    // byte-equal across repeats and execution modes.
+    // byte-equal across repeats.
     type Cell = (&'static str, Box<dyn Fn() -> Scenario>);
     let cells: Vec<Cell> = vec![
         (
@@ -1560,13 +1388,6 @@ fn protection_grid_is_deterministic_and_execution_mode_invariant() {
         let reference = build().run();
         let repeat = build().run();
         assert_eq!(repeat, reference, "{name}: same config, different run");
-        for workers in [1, 2, 4] {
-            let parallel = build().execution(ExecutionMode::Parallel { workers }).run();
-            assert_eq!(
-                parallel, reference,
-                "{name}: diverged under Parallel {{ workers: {workers} }}"
-            );
-        }
     }
 }
 

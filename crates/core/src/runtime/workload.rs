@@ -22,9 +22,7 @@
 //!
 //! All randomness is sampled at scenario-assembly time from a seed
 //! (expansion happens in [`ArrivalProcess::release_times`] before the
-//! event loop starts), so runs stay bit-for-bit reproducible and the
-//! sequential/parallel differential battery extends over every shape
-//! unchanged.
+//! event loop starts), so runs stay bit-for-bit reproducible.
 
 use std::sync::Arc;
 
@@ -40,7 +38,7 @@ use super::protect::RetryPolicy;
 ///
 /// Every stochastic shape expands deterministically from a seeded
 /// SplitMix64 stream at assembly time: a fixed seed fixes the release
-/// instants forever, independent of execution mode or shard layout.
+/// instants forever, independent of shard layout.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ArrivalProcess {
     /// Closed loop: each query starts when the previous finishes (the

@@ -344,8 +344,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// Scales the per-stream bandwidth by `factor` (a fault-plane
     /// brown-out; `1.0` restores nominal service). Only transfers
     /// dispatched from now on see the new rate — in-flight completion
-    /// instants are already committed, which keeps the change
-    /// deterministic under windowed execution.
+    /// instants are already committed.
     ///
     /// # Panics
     /// Panics unless `0 < factor <= 1`.
