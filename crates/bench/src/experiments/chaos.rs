@@ -18,61 +18,38 @@
 //!    not O(requests) — the request count here is large enough that an
 //!    O(events) regression dominates.)
 //!
-//! Any violation exits non-zero — the CI chaos-smoke regression gate.
-//! `--out PATH` additionally writes the smoke cells (deliveries,
-//! availability, failovers, parked requests, allocations/delivery per
-//! scheduling policy) as `BENCH_chaos.json` (schema `BENCH_chaos/v1`).
+//! Any violation exits non-zero — the CI regression gate. `--out PATH`
+//! writes the smoke cells (deliveries, availability, failovers, parked
+//! requests, allocations/delivery per scheduling policy) as
+//! `BENCH_chaos.json` (schema `BENCH_chaos/v1`).
 //!
 //! `--sweep` instead prints the EXPERIMENTS.md degraded-mode table:
 //! open-arrival tenants (Poisson vs equal-rate bursty) under a ~10%
 //! outage, k = 1 vs k = 2, p99/p999 + SLO attainment per policy.
 //!
 //! ```text
-//! cargo run --release -p skipper-bench --bin chaos -- \
-//!     --alloc-ceiling 300 --out BENCH_chaos.json
-//! cargo run --release -p skipper-bench --bin chaos -- --sweep
+//! cargo run --release -p skipper-bench -- chaos \
+//!     --alloc-ceiling 100 --out BENCH_chaos.json
+//! cargo run --release -p skipper-bench -- chaos --sweep
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use skipper_bench::scenarios::{mixed_fleet, secs};
 use skipper_core::runtime::{
-    ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy, RunResult, Scenario, SkipperFactory,
-    Workload,
+    ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy, Scenario, SkipperFactory, Workload,
 };
 use skipper_csd::SchedPolicy;
-use skipper_datagen::{tpch, Dataset, GenConfig};
+use skipper_datagen::{tpch, Dataset};
 use skipper_sim::SimDuration;
 
-/// Counts every allocation (alloc + realloc) on top of the system
-/// allocator, as in the perf harness: the gauge is allocator traffic,
-/// not net memory.
-struct CountingAlloc;
+use crate::cli::{
+    allocs_per_delivery, count_allocs, gauge_label, write_artifact, AllocProbe, Flags, Gates,
+    UsageError,
+};
+use crate::scenarios::{mixed_fleet, secs, smoke_dataset};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`, which upholds the GlobalAlloc
-// contract; the counter bump has no effect on allocation semantics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+/// The flags [`command`] accepts.
+pub const FLAGS: &str = "[--alloc-ceiling C] [--out PATH] [--sweep]";
 
 /// Every episode kind in one plan: crash + recovery on shard 2, a
 /// half-bandwidth brown-out on shard 0, a dropped wake-up on shard 1,
@@ -89,15 +66,6 @@ fn chaos_plan() -> FaultPlan {
             secs(1200),
             7,
         )
-}
-
-/// The smoke scenario: [`mixed_fleet`] from the shared bench builders.
-fn fleet(ds: &Arc<Dataset>, sched: SchedPolicy) -> Scenario {
-    mixed_fleet(ds, sched)
-}
-
-fn deliveries(res: &RunResult) -> u64 {
-    res.device.objects_served
 }
 
 /// `--sweep`: the degraded-mode serving table for EXPERIMENTS.md.
@@ -186,111 +154,106 @@ fn outage() -> FaultPlan {
     FaultPlan::new().shard_down(2, secs(100), secs(860))
 }
 
-fn main() {
-    let mut alloc_ceiling: Option<f64> = None;
-    let mut sweep = false;
-    let mut out_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--alloc-ceiling" => {
-                i += 1;
-                let v = args.get(i).expect("missing value for --alloc-ceiling");
-                alloc_ceiling = Some(v.parse().expect("--alloc-ceiling"));
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).expect("missing value for --out").to_string());
-            }
-            "--sweep" => sweep = true,
-            other => panic!("unknown flag {other:?}"),
-        }
-        i += 1;
-    }
-
-    let ds = Arc::new(tpch::dataset(
-        &GenConfig::new(21, 4).with_phys_divisor(100_000),
-    ));
-    if sweep {
-        degraded_sweep(&ds);
-        return;
-    }
-    let mut failures = 0u32;
-    let mut check = |ok: bool, label: &str| {
-        if ok {
-            println!("ok   {label}");
-        } else {
-            eprintln!("FAIL {label}");
-            failures += 1;
-        }
-    };
-
+/// Runs the smoke cells and their gates; returns the gates and the
+/// `BENCH_chaos.json` document.
+pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, String) {
+    let ds = smoke_dataset();
+    let mut gates = Gates::default();
     let mut json_rows: Vec<String> = Vec::new();
     for sched in [SchedPolicy::RankBased, SchedPolicy::FcfsObject] {
-        let clean = fleet(&ds, sched).run();
+        let clean = mixed_fleet(&ds, sched).run();
+        let (faulted, allocs) =
+            count_allocs(probe, || mixed_fleet(&ds, sched).faults(chaos_plan()).run());
+        let deliveries = faulted.device.objects_served;
+        let per_delivery = allocs_per_delivery(allocs, deliveries);
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let faulted = fleet(&ds, sched).faults(chaos_plan()).run();
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        let per_delivery = allocs as f64 / deliveries(&faulted).max(1) as f64;
-
-        check(
+        gates.check(
             faulted.delivery_multiset() == clean.delivery_multiset(),
             &format!("{sched:?}: faulted multiset == clean multiset"),
         );
-        check(
+        gates.check(
             faulted.shards[2].fault.downs >= 1 && faulted.availability.availability < 1.0,
             &format!("{sched:?}: outage observed in availability counters"),
         );
 
-        let repeat = fleet(&ds, sched).faults(chaos_plan()).run();
-        check(
+        let repeat = mixed_fleet(&ds, sched).faults(chaos_plan()).run();
+        gates.check(
             repeat == faulted,
             &format!("{sched:?}: repeated faulted run is bit-identical"),
         );
 
         println!(
-            "     {sched:?}: {} deliveries, availability {:.4}, {} failovers, \
-             {:.1} allocations/delivery",
-            deliveries(&faulted),
+            "     {sched:?}: {deliveries} deliveries, availability {:.4}, {} failovers, \
+             {} allocations/delivery",
             faulted.availability.availability,
             faulted.availability.failovers,
-            per_delivery
+            gauge_label(per_delivery, 1),
         );
         if let Some(ceiling) = alloc_ceiling {
-            check(
-                per_delivery <= ceiling,
-                &format!("{sched:?}: allocations/delivery {per_delivery:.1} <= {ceiling:.1}"),
+            gates.check(
+                per_delivery.is_some_and(|a| a <= ceiling),
+                &format!(
+                    "{sched:?}: allocations/delivery {} <= {ceiling:.1}",
+                    gauge_label(per_delivery, 1)
+                ),
             );
         }
         json_rows.push(format!(
-            "    {{\"scheduler\": \"{sched:?}\", \"deliveries\": {}, \
+            "    {{\"scheduler\": \"{sched:?}\", \"deliveries\": {deliveries}, \
              \"availability\": {:.6}, \"downtime_micros\": {}, \"failovers\": {}, \
              \"parked_requests\": {}, \"evacuated_requests\": {}, \
-             \"fault_events\": {}, \"allocs_per_delivery\": {per_delivery:.4}}}",
-            deliveries(&faulted),
+             \"fault_events\": {}, \"allocs_per_delivery\": {}}}",
             faulted.availability.availability,
             faulted.availability.downtime_micros,
             faulted.availability.failovers,
             faulted.availability.parked_requests,
             faulted.availability.evacuated_requests,
             faulted.availability.fault_events,
+            gauge_label(per_delivery, 4),
         ));
     }
+    let json = format!(
+        "{{\n  \"schema\": \"BENCH_chaos/v1\",\n  \"cells\": [\n{}\n  ]\n}}\n",
+        json_rows.join(",\n")
+    );
+    (gates, json)
+}
 
-    if let Some(path) = out_path {
-        let json = format!(
-            "{{\n  \"schema\": \"BENCH_chaos/v1\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
-        );
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
+/// The `chaos` subcommand; returns the number of violated gates.
+pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
+    let mut alloc_ceiling: Option<f64> = None;
+    let mut sweep = false;
+    let mut out: Option<String> = None;
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
+            "--out" => out = Some(flags.value(&flag)?),
+            "--sweep" => sweep = true,
+            _ => return Err(flags.unknown(&flag)),
+        }
     }
+    if sweep {
+        degraded_sweep(&smoke_dataset());
+        return Ok(0);
+    }
+    let (gates, json) = smoke(alloc_ceiling, probe);
+    if let Some(path) = out {
+        write_artifact(&path, &json)?;
+    }
+    Ok(gates.finish(
+        "CHAOS",
+        "chaos smoke clean: conservation and determinism hold",
+    ))
+}
 
-    if failures > 0 {
-        eprintln!("CHAOS REGRESSION: {failures} invariant(s) violated");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gates_hold_and_reproduce_the_committed_artifact() {
+        let (gates, json) = smoke(None, None);
+        assert_eq!(gates.failures, 0);
+        crate::cli::assert_matches_committed(&json, include_str!("../../../../BENCH_chaos.json"));
     }
-    println!("chaos smoke clean: conservation and determinism hold");
 }

@@ -3,11 +3,12 @@
 pub mod ablations;
 pub mod baseline;
 pub mod cache_exp;
+pub mod chaos;
 pub mod costs;
 pub mod layout_exp;
 pub mod mixed;
 pub mod outlook;
-pub mod perf;
+pub mod overload;
 pub mod power_exp;
 pub mod sched_exp;
 pub mod sharding;

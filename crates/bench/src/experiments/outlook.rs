@@ -11,10 +11,8 @@
 //! [`Scenario::streams`] opens parallel service-pipeline slots per
 //! device, modelling concurrent request servicing against the spun-up
 //! disk group faithfully (transfers overlap; each stream still runs at
-//! the per-stream rate). The historical bandwidth-multiplier model this
-//! experiment used before the pipeline landed survives as
-//! `StreamModel::BandwidthMultiplier`; the `streams` experiment A/Bs
-//! the two.
+//! the per-stream rate). The `streams` experiment A/Bs the pipeline
+//! against one serial stream at a multiplied bandwidth.
 
 use skipper_core::driver::{EngineKind, Scenario};
 use skipper_datagen::tpch;

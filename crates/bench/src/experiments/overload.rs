@@ -1,7 +1,8 @@
 //! Overload/outage protection sweep + CI smoke gate.
 //!
-//! Drives two fleets through the protection-plane grid and writes
-//! `BENCH_overload.json` (schema `BENCH_overload/v1`):
+//! Drives two fleets through the protection-plane grid; `--out PATH`
+//! writes the cells as `BENCH_overload.json` (schema
+//! `BENCH_overload/v1`):
 //!
 //! * **Burst** — four open-arrival tenants whose synchronized on/off
 //!   bursts saturate a 2-shard fleet (one tenant runs at elevated
@@ -16,13 +17,13 @@
 //!   the slow shard's reads to the healthy replica and cuts the
 //!   brown-out response p99.
 //!
-//! The smoke gates (any violation exits non-zero — the CI
-//! overload-smoke regression gate):
+//! The smoke gates (any violation exits non-zero — the CI regression
+//! gate):
 //!
 //! 1. **Disabled ⇒ byte-exact** — the burst fleet with every knob at
 //!    its default, but a non-default scenario seed and an explicit
 //!    `RetryPolicy::None`, reproduces the knob-free `RunResult` bit
-//!    for bit, and its [`ProtectionSummary`] is quiet.
+//!    for bit, and its `ProtectionSummary` is quiet.
 //! 2. **Consumption conservation** — the hedged brown-out run consumes
 //!    exactly the clean (fault-free, hedge-free) run's delivery
 //!    multiset: duplicate hedge copies are cancelled or discarded,
@@ -36,50 +37,28 @@
 //!    re-introduce per-event heap traffic.
 //!
 //! ```text
-//! cargo run --release -p skipper-bench --bin overload -- \
-//!     --alloc-ceiling 300 --out BENCH_overload.json
+//! cargo run --release -p skipper-bench -- overload \
+//!     --alloc-ceiling 100 --out BENCH_overload.json
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use skipper_bench::scenarios::secs;
 use skipper_core::runtime::{
     AdmissionPolicy, AdmissionResponse, ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy,
     RetryPolicy, RunResult, Scenario, SkipperFactory, Workload,
 };
 use skipper_csd::SchedPolicy;
-use skipper_datagen::{tpch, Dataset, GenConfig};
+use skipper_datagen::{tpch, Dataset};
 use skipper_sim::SimDuration;
 
-/// Counts every allocation (alloc + realloc) on top of the system
-/// allocator, as in the perf harness: the gauge is allocator traffic,
-/// not net memory.
-struct CountingAlloc;
+use crate::cli::{
+    allocs_per_delivery, count_allocs, gauge_label, write_artifact, AllocProbe, Flags, Gates,
+    UsageError,
+};
+use crate::scenarios::{secs, smoke_dataset};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`, which upholds the GlobalAlloc
-// contract; the counter bump has no effect on allocation semantics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+/// The flags [`command`] accepts.
+pub const FLAGS: &str = "[--alloc-ceiling C] [--out PATH]";
 
 /// The saturating burst fleet: four tenants firing synchronized on/off
 /// bursts (2 s between releases for 30 s, then 150 s quiet) at a
@@ -201,40 +180,11 @@ fn json_row(experiment: &str, label: &str, res: &RunResult) -> String {
     )
 }
 
-fn main() {
-    let mut out_path = String::from("BENCH_overload.json");
-    let mut alloc_ceiling: Option<f64> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = args.get(i).expect("missing value for --out").to_string();
-            }
-            "--alloc-ceiling" => {
-                i += 1;
-                let v = args.get(i).expect("missing value for --alloc-ceiling");
-                alloc_ceiling = Some(v.parse().expect("--alloc-ceiling"));
-            }
-            other => panic!("unknown flag {other:?}"),
-        }
-        i += 1;
-    }
-
-    let ds = Arc::new(tpch::dataset(
-        &GenConfig::new(21, 4).with_phys_divisor(100_000),
-    ));
-
-    let mut failures = 0u32;
-    let mut check = |ok: bool, label: &str| {
-        if ok {
-            println!("ok   {label}");
-        } else {
-            eprintln!("FAIL {label}");
-            failures += 1;
-        }
-    };
+/// Runs both grids and their gates; returns the gates and the
+/// `BENCH_overload.json` document.
+pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, String) {
+    let ds = smoke_dataset();
+    let mut gates = Gates::default();
 
     // ---- burst sweep -------------------------------------------------
     eprintln!("running burst grid...");
@@ -279,51 +229,49 @@ fn main() {
         p99(&unhedged),
         p99(&hedged),
     );
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("wrote {out_path}");
 
     // Gate 1: every knob disabled — but a non-default seed and an
     // explicit RetryPolicy::None — is byte-for-byte today's machine.
     let explicit = burst_scenario(&ds).seed(7).retry(RetryPolicy::None).run();
-    check(
+    gates.check(
         explicit == unprotected,
         "disabled protection plane is byte-identical (seed + explicit RetryPolicy::None)",
     );
-    check(
+    gates.check(
         unprotected.protection.is_quiet(),
         "unprotected run's protection summary is quiet",
     );
 
     // Gate 2: hedge duplicates are consumed at most once — the hedged
     // brown-out run consumes exactly the clean run's delivery multiset.
-    check(hedged.protection.hedges_fired > 0, "brown-out fires hedges");
-    check(
+    gates.check(hedged.protection.hedges_fired > 0, "brown-out fires hedges");
+    gates.check(
         hedged.consumed_multiset() == clean.delivery_multiset(),
         "hedged consumption multiset == clean delivery multiset (conservation)",
     );
 
     // Gate 3: determinism on the protected cells.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let repeat_hedged = outage_scenario(&ds, true)
-        .hedge_after(SimDuration::from_secs(8))
-        .run();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let per_delivery = allocs as f64 / repeat_hedged.device.objects_served.max(1) as f64;
-    check(
+    let (repeat_hedged, allocs) = count_allocs(probe, || {
+        outage_scenario(&ds, true)
+            .hedge_after(SimDuration::from_secs(8))
+            .run()
+    });
+    let per_delivery = allocs_per_delivery(allocs, repeat_hedged.device.objects_served);
+    gates.check(
         repeat_hedged == hedged,
         "repeated hedged run is bit-identical",
     );
     let repeat_shed = burst_scenario(&ds)
         .admission(admission(AdmissionResponse::Shed))
         .run();
-    check(repeat_shed == shed, "repeated shed run is bit-identical");
+    gates.check(repeat_shed == shed, "repeated shed run is bit-identical");
 
     // Gate 4: the headline directions the JSON records.
-    check(
+    gates.check(
         shed.protection.sheds > 0,
         "saturating burst triggers shedding",
     );
-    check(
+    gates.check(
         p99(&shed) < p99(&unprotected),
         &format!(
             "admission shedding holds p99: {:.1}s < unprotected {:.1}s",
@@ -331,7 +279,7 @@ fn main() {
             p99(&unprotected)
         ),
     );
-    check(
+    gates.check(
         p99(&hedged) < p99(&unhedged),
         &format!(
             "hedging (k = 2) cuts the brown-out p99: {:.1}s < unhedged {:.1}s",
@@ -352,26 +300,58 @@ fn main() {
     );
     println!(
         "     outage p99: clean {:.1}s, unhedged {:.1}s, hedged {:.1}s \
-         ({} hedges, {} wins); {:.1} allocations/delivery on the hedged run",
+         ({} hedges, {} wins); {} allocations/delivery on the hedged run",
         p99(&clean),
         p99(&unhedged),
         p99(&hedged),
         hedged.protection.hedges_fired,
         hedged.protection.hedge_wins,
-        per_delivery,
+        gauge_label(per_delivery, 1),
     );
     if let Some(ceiling) = alloc_ceiling {
-        check(
-            per_delivery <= ceiling,
-            &format!("allocations/delivery {per_delivery:.1} <= {ceiling:.1}"),
+        gates.check(
+            per_delivery.is_some_and(|a| a <= ceiling),
+            &format!(
+                "allocations/delivery {} <= {ceiling:.1}",
+                gauge_label(per_delivery, 1)
+            ),
         );
     }
+    (gates, json)
+}
 
-    if failures > 0 {
-        eprintln!("OVERLOAD REGRESSION: {failures} gate(s) violated");
-        std::process::exit(1);
+/// The `overload` subcommand; returns the number of violated gates.
+pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
+    let mut alloc_ceiling: Option<f64> = None;
+    let mut out: Option<String> = None;
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
+            "--out" => out = Some(flags.value(&flag)?),
+            _ => return Err(flags.unknown(&flag)),
+        }
     }
-    println!(
-        "overload smoke clean: byte-identity, conservation, determinism, headline gates all hold"
-    );
+    let (gates, json) = smoke(alloc_ceiling, probe);
+    if let Some(path) = out {
+        write_artifact(&path, &json)?;
+    }
+    Ok(gates.finish(
+        "OVERLOAD",
+        "overload smoke clean: byte-identity, conservation, determinism, headline gates all hold",
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gates_hold_and_reproduce_the_committed_artifact() {
+        let (gates, json) = smoke(None, None);
+        assert_eq!(gates.failures, 0);
+        crate::cli::assert_matches_committed(
+            &json,
+            include_str!("../../../../BENCH_overload.json"),
+        );
+    }
 }

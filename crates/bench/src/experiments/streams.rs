@@ -13,16 +13,17 @@
 //! wall approaches `stream_secs / streams` and the makespan approaches
 //! the *switch-limited bound* (switch wall + residual serial work).
 //!
-//! The historical `StreamModel::BandwidthMultiplier` — which modelled
-//! the same improvement as a flat bandwidth constant — rides along as
-//! an A/B column at each stream count: it reaches similar makespans on
-//! saturated queues but reports no overlap (it *is* serial), which is
-//! exactly why it was demoted to a compat mode.
+//! Modelling the same improvement as a flat bandwidth constant — one
+//! serial stream at `n ×` the per-stream rate — rides along as the
+//! `"multiplier"` A/B rows at each stream count: it reaches similar
+//! makespans on saturated queues but reports no overlap (it *is*
+//! serial), which is why the device models concurrency instead.
 
 use std::sync::Arc;
 
 use skipper_core::driver::Scenario;
-use skipper_core::runtime::{SkipperFactory, StreamModel, VanillaFactory, Workload};
+use skipper_core::runtime::{RunResult, SkipperFactory, VanillaFactory, Workload};
+use skipper_csd::CsdConfig;
 
 use crate::ctx::Ctx;
 use crate::experiments::mixed;
@@ -36,7 +37,8 @@ pub struct StreamsRow {
     pub streams: u32,
     /// Fleet size.
     pub shards: usize,
-    /// `"pipeline"` or `"multiplier"` (the compat A/B).
+    /// `"pipeline"`, `"multiplier"` (the serial `n ×` bandwidth A/B) or
+    /// `"pull-ctrl"`.
     pub model: &'static str,
     /// Virtual makespan of the whole fleet run.
     pub makespan_secs: f64,
@@ -55,12 +57,32 @@ pub struct StreamsRow {
     pub total_switches: u64,
 }
 
+impl StreamsRow {
+    fn measure(streams: u32, shards: usize, model: &'static str, res: &RunResult) -> Self {
+        let rollup = res.stream_rollup();
+        StreamsRow {
+            streams,
+            shards,
+            model,
+            makespan_secs: res.makespan.as_secs_f64(),
+            mean_query_secs: res.mean_query_secs(),
+            transfer_wall_secs: rollup.transfer_wall_secs,
+            transfer_stream_secs: rollup.transfer_stream_secs,
+            overlap: rollup.overlap(),
+            switching_secs: rollup.switching_secs,
+            total_switches: res.device.group_switches,
+        }
+    }
+}
+
 /// Runs the mixed-tenant fleet (the four Figure 8 benchmark tenants,
 /// all on Skipper) at one configuration. All-Skipper is the §5.2.1
 /// setting: Skipper issues its working set upfront, so the middleware
 /// is what serializes servicing — a pull-based tenant serializes at
 /// the *client* protocol and no amount of device streams can help it
-/// (see [`vanilla_pull_cells`] for that control).
+/// (see [`vanilla_pull_cells`] for that control). `multiplier` runs the
+/// A/B instead of the pipeline: one serial stream at `streams ×` the
+/// default bandwidth.
 fn run_cell(
     tenants: &[(
         &'static str,
@@ -70,7 +92,7 @@ fn run_cell(
     reps: usize,
     streams: u32,
     shards: usize,
-    model: StreamModel,
+    multiplier: bool,
 ) -> StreamsRow {
     let workloads: Vec<Workload> = tenants
         .iter()
@@ -80,27 +102,16 @@ fn run_cell(
                 .engine(SkipperFactory::default().cache_bytes(30 * GIB))
         })
         .collect();
-    let res = Scenario::from_workloads(workloads)
-        .shards(shards)
-        .streams(streams)
-        .stream_model(model)
-        .run();
-    let rollup = res.stream_rollup();
-    StreamsRow {
-        streams,
-        shards,
-        model: match model {
-            StreamModel::Pipeline => "pipeline",
-            StreamModel::BandwidthMultiplier => "multiplier",
-        },
-        makespan_secs: res.makespan.as_secs_f64(),
-        mean_query_secs: res.mean_query_secs(),
-        transfer_wall_secs: rollup.transfer_wall_secs,
-        transfer_stream_secs: rollup.transfer_stream_secs,
-        overlap: rollup.overlap(),
-        switching_secs: rollup.switching_secs,
-        total_switches: res.device.group_switches,
+    let scenario = Scenario::from_workloads(workloads).shards(shards);
+    let res = if multiplier {
+        let per_stream = CsdConfig::default().bandwidth_bytes_per_sec;
+        scenario.streams(1).bandwidth(streams as f64 * per_stream)
+    } else {
+        scenario.streams(streams)
     }
+    .run();
+    let model = if multiplier { "multiplier" } else { "pipeline" };
+    StreamsRow::measure(streams, shards, model, &res)
 }
 
 /// Control cells: the same tenants pull-based (Vanilla). The client
@@ -127,19 +138,7 @@ fn vanilla_pull_cells(
                 })
                 .collect();
             let res = Scenario::from_workloads(workloads).streams(streams).run();
-            let rollup = res.stream_rollup();
-            StreamsRow {
-                streams,
-                shards: 1,
-                model: "pull-ctrl",
-                makespan_secs: res.makespan.as_secs_f64(),
-                mean_query_secs: res.mean_query_secs(),
-                transfer_wall_secs: rollup.transfer_wall_secs,
-                transfer_stream_secs: rollup.transfer_stream_secs,
-                overlap: rollup.overlap(),
-                switching_secs: rollup.switching_secs,
-                total_switches: res.device.group_switches,
-            }
+            StreamsRow::measure(streams, 1, "pull-ctrl", &res)
         })
         .collect()
 }
@@ -152,31 +151,21 @@ pub fn streams_rows(ctx: &mut Ctx, reps: usize) -> Vec<StreamsRow> {
     let mut rows = Vec::new();
     for shards in [1usize, 2, 4] {
         for streams in [1u32, 2, 4, 8] {
-            rows.push(run_cell(
-                &tenants,
-                reps,
-                streams,
-                shards,
-                StreamModel::Pipeline,
-            ));
+            rows.push(run_cell(&tenants, reps, streams, shards, false));
         }
     }
     for streams in [2u32, 4, 8] {
-        rows.push(run_cell(
-            &tenants,
-            reps,
-            streams,
-            1,
-            StreamModel::BandwidthMultiplier,
-        ));
+        rows.push(run_cell(&tenants, reps, streams, 1, true));
     }
     rows.extend(vanilla_pull_cells(&tenants, reps));
     rows
 }
 
-/// The stream sweep as a printable table.
-pub fn streams(ctx: &mut Ctx) -> Table {
-    table(&streams_rows(ctx, 5))
+/// The `streams` subcommand: the sweep at 5 runs per tenant as a
+/// printable table plus its `BENCH_streams.json` document.
+pub fn streams(ctx: &mut Ctx) -> (Table, String) {
+    let rows = streams_rows(ctx, 5);
+    (table(&rows), to_json(&rows))
 }
 
 /// Renders already-computed sweep rows.
@@ -211,13 +200,6 @@ pub fn table(rows: &[StreamsRow]) -> Table {
         ]);
     }
     t
-}
-
-/// One-call variant for the `streams` binary: sweep once, return both
-/// the table and the rows for the JSON dump.
-pub fn streams_with_rows(ctx: &mut Ctx, reps: usize) -> (Table, Vec<StreamsRow>) {
-    let rows = streams_rows(ctx, reps);
-    (table(&rows), rows)
 }
 
 /// Serializes the sweep as the `BENCH_streams.json` document (schema

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use skipper_core::subplan::SubplanTracker;
 use skipper_csd::{
-    CsdConfig, CsdDevice, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy, StreamModel,
+    CsdConfig, CsdDevice, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy,
 };
 use skipper_sim::{SimDuration, SimTime};
 
@@ -41,7 +41,6 @@ fn device() -> CsdDevice<&'static str> {
             bandwidth_bytes_per_sec: 0.0, // latency-free transfers: count switches only
             initial_load_free: true,
             parallel_streams: 1,
-            stream_model: StreamModel::Pipeline,
             ..CsdConfig::default()
         },
         store,

@@ -12,12 +12,48 @@
 //! only caches touch-once cold traffic and the dollars are wasted —
 //! the same cost-vs-performance argument the paper makes for the cold
 //! tier itself (§2.1), one level up the hierarchy.
+//!
+//! The `tiering` subcommand prints the sweep table with its Pareto
+//! frontier, writes `BENCH_tiering.json` (schema `BENCH_tiering/v1`)
+//! under `--out PATH`, and runs the smoke gates (any violation exits
+//! non-zero):
+//!
+//! 1. **Zero-size equivalence** — `cache_size(0)` reproduces the
+//!    uncached `RunResult` bit for bit: the cache plane is invisible
+//!    until switched on.
+//! 2. **Conservation** — the cached run delivers exactly the uncached
+//!    run's `(client, query, object)` multiset, hits and misses
+//!    together: the cache changes *when* bytes arrive, never *which*.
+//! 3. **Determinism** — repeating the gated cached run reproduces it
+//!    bit for bit.
+//! 4. **`--hit-floor F`** — hit rate at the gated config (DRAM = 10 %
+//!    of the working set) stays ≥ `F`.
+//! 5. **`--speedup-floor X`** — uncached/cached makespan ratio at the
+//!    gated config stays ≥ `X`.
+//! 6. **`--alloc-ceiling C`** — allocations per delivered object on the
+//!    gated cached run stay ≤ `C`: the hit fast path must not
+//!    re-introduce per-event heap traffic.
+//!
+//! ```text
+//! cargo run --release -p skipper-bench -- tiering
+//! cargo run --release -p skipper-bench -- tiering \
+//!     --hit-floor 0.5 --speedup-floor 2.0 --alloc-ceiling 100 \
+//!     --out BENCH_tiering.json
+//! ```
 
 use skipper_core::runtime::RunResult;
-use skipper_csd::cache::{CacheConfig, CachePolicy};
+use skipper_csd::cache::{CacheConfig, CachePolicy, TierConfig};
 
+use crate::cli::{
+    allocs_per_delivery, count_allocs, gauge_label, write_artifact, AllocProbe, Flags, Gates,
+    UsageError,
+};
 use crate::report::Table;
-use crate::scenarios::SkewedFleet;
+use crate::scenarios::{SkewedFleet, SkewedSpec};
+
+/// The flags [`command`] accepts.
+pub const FLAGS: &str = "[--hit-floor F] [--speedup-floor X] [--alloc-ceiling C] [--out PATH] \
+                         [--hot-tenants N] [--hot-rounds N] [--cold-tenants N] [--shards N]";
 
 /// One point of the sweep grid: a labelled cache configuration.
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +101,8 @@ pub struct TieringSample {
     pub total_run_dollars: f64,
     /// Dollars per completed query.
     pub dollars_per_query: f64,
-    /// Allocations per delivered object over the drive, when a counting
-    /// allocator is installed (binary-side probe).
+    /// Allocations per delivered object over the drive, when the
+    /// binary's allocation probe is installed.
     pub allocs_per_delivery: Option<f64>,
 }
 
@@ -120,31 +156,31 @@ pub fn sweep_grid(working_set_bytes: u64) -> Vec<TieringConfig> {
 /// speedup floor) are checked against: DRAM at 10 % of the working set.
 pub const GATED_LABEL: &str = "dram-10%";
 
-/// Runs one grid point on `fleet` and extracts a sample. The per-shard
-/// cache gets `1/shards` of the grid's fleet-total capacity (placement
-/// spreads every tenant's objects round-robin, so capacity follows the
-/// data). `alloc_counter` is the binary's allocation probe, sampled
-/// around the run.
+/// A grid point's fleet-total capacities split evenly over the shards
+/// (placement spreads every tenant's objects round-robin, so capacity
+/// follows the data).
+fn per_shard(cache: CacheConfig, shards: u64) -> CacheConfig {
+    let split = |tier: TierConfig| TierConfig {
+        capacity_bytes: tier.capacity_bytes / shards,
+        ..tier
+    };
+    CacheConfig {
+        dram: split(cache.dram),
+        ssd: split(cache.ssd),
+        policy: cache.policy,
+    }
+}
+
+/// Runs one grid point on `fleet` and extracts a sample; `probe`
+/// counts the run's allocations.
 pub fn run_config(
     fleet: &SkewedFleet,
     cfg: &TieringConfig,
-    alloc_counter: Option<fn() -> u64>,
+    probe: Option<AllocProbe>,
 ) -> TieringSample {
     let shards = fleet.spec.shards as u64;
-    let per_shard = CacheConfig {
-        dram: skipper_csd::cache::TierConfig {
-            capacity_bytes: cfg.cache.dram.capacity_bytes / shards,
-            ..cfg.cache.dram
-        },
-        ssd: skipper_csd::cache::TierConfig {
-            capacity_bytes: cfg.cache.ssd.capacity_bytes / shards,
-            ..cfg.cache.ssd
-        },
-        policy: cfg.cache.policy,
-    };
-    let before = alloc_counter.map(|f| f());
-    let res = fleet.scenario().shard_cache(per_shard).run();
-    let allocs = alloc_counter.map(|f| f() - before.unwrap());
+    let per_shard = per_shard(cfg.cache, shards);
+    let (res, allocs) = count_allocs(probe, || fleet.scenario().shard_cache(per_shard).run());
     sample_from(cfg, per_shard, shards, &res, allocs)
 }
 
@@ -187,7 +223,7 @@ fn sample_from(
         energy_wh: res.energy.maid_wh,
         total_run_dollars: res.economics.total_run_dollars,
         dollars_per_query: res.economics.dollars_per_query,
-        allocs_per_delivery: allocs.map(|a| a as f64 / delivered.max(1) as f64),
+        allocs_per_delivery: allocs_per_delivery(allocs, delivered),
     }
 }
 
@@ -285,8 +321,7 @@ pub fn to_json(fleet: &SkewedFleet, samples: &[TieringSample]) -> String {
                 s.energy_wh,
                 s.total_run_dollars,
                 s.dollars_per_query,
-                s.allocs_per_delivery
-                    .map_or_else(|| "null".into(), |a| format!("{a:.4}")),
+                gauge_label(s.allocs_per_delivery, 4),
             )
         })
         .collect();
@@ -298,6 +333,134 @@ pub fn to_json(fleet: &SkewedFleet, samples: &[TieringSample]) -> String {
         .collect();
     out.push_str(&format!("  \"pareto\": [{}]\n}}\n", frontier.join(", ")));
     out
+}
+
+/// Runs the sweep grid on `fleet` and the smoke gates; returns the
+/// gates and the `BENCH_tiering.json` document.
+pub fn smoke(
+    fleet: &SkewedFleet,
+    hit_floor: Option<f64>,
+    speedup_floor: Option<f64>,
+    alloc_ceiling: Option<f64>,
+    probe: Option<AllocProbe>,
+) -> (Gates, String) {
+    let grid = sweep_grid(fleet.working_set_bytes());
+    let samples: Vec<_> = grid
+        .iter()
+        .map(|cfg| {
+            eprintln!("running {}...", cfg.label);
+            run_config(fleet, cfg, probe)
+        })
+        .collect();
+    println!("{}", table(fleet, &samples).to_tsv());
+    let json = to_json(fleet, &samples);
+
+    let mut gates = Gates::default();
+
+    // Gate 1: a zero-capacity cache is byte-for-byte the uncached
+    // machine.
+    let uncached = fleet.scenario().run();
+    let zero = fleet.scenario().cache_size(0).run();
+    gates.check(zero == uncached, "cache_size(0) == uncached, bit for bit");
+
+    // Gates 2-6 run against the gated grid point (DRAM at 10% of the
+    // working set).
+    let at = |label: &str| {
+        grid.iter()
+            .position(|c| c.label == label)
+            .expect("label in grid")
+    };
+    let (gated_sample, uncached_sample) = (&samples[at(GATED_LABEL)], &samples[at("uncached")]);
+
+    let gated_cache = per_shard(grid[at(GATED_LABEL)].cache, fleet.spec.shards as u64);
+    let cached = fleet.scenario().shard_cache(gated_cache).run();
+    gates.check(
+        cached.delivery_multiset() == uncached.delivery_multiset(),
+        "cached multiset == uncached multiset (conservation)",
+    );
+    let repeat = fleet.scenario().shard_cache(gated_cache).run();
+    gates.check(repeat == cached, "repeated cached run is bit-identical");
+
+    let speedup = uncached_sample.makespan_secs / gated_sample.makespan_secs;
+    let per_delivery = gauge_label(gated_sample.allocs_per_delivery, 1);
+    println!(
+        "     {GATED_LABEL}: hit rate {:.1}%, makespan {:.1}s vs uncached {:.1}s ({speedup:.2}x), \
+         {per_delivery} allocations/delivery",
+        gated_sample.hit_rate * 100.0,
+        gated_sample.makespan_secs,
+        uncached_sample.makespan_secs,
+    );
+    if let Some(floor) = hit_floor {
+        gates.check(
+            gated_sample.hit_rate >= floor,
+            &format!("hit rate {:.3} >= floor {floor:.3}", gated_sample.hit_rate),
+        );
+    }
+    if let Some(floor) = speedup_floor {
+        gates.check(
+            speedup >= floor,
+            &format!("makespan speedup {speedup:.2}x >= floor {floor:.2}x"),
+        );
+    }
+    if let Some(ceiling) = alloc_ceiling {
+        gates.check(
+            gated_sample
+                .allocs_per_delivery
+                .is_some_and(|a| a <= ceiling),
+            &format!("allocations/delivery {per_delivery} <= {ceiling:.1}"),
+        );
+    }
+
+    // The frontier must contain a cached configuration: if the uncached
+    // point dominates everything, the tiers are economically dead.
+    let frontier = pareto_frontier(&samples);
+    gates.check(
+        frontier.iter().any(|&i| samples[i].label != "uncached"),
+        "pareto frontier contains a cached configuration",
+    );
+    (gates, json)
+}
+
+/// The `tiering` subcommand; returns the number of violated gates.
+pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
+    let mut out: Option<String> = None;
+    let mut hit_floor: Option<f64> = None;
+    let mut speedup_floor: Option<f64> = None;
+    let mut alloc_ceiling: Option<f64> = None;
+    let mut spec = SkewedSpec::default();
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--out" => out = Some(flags.value(&flag)?),
+            "--hit-floor" => hit_floor = Some(flags.value(&flag)?),
+            "--speedup-floor" => speedup_floor = Some(flags.value(&flag)?),
+            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
+            "--hot-tenants" => spec.hot_tenants = flags.value(&flag)?,
+            "--hot-rounds" => spec.hot_rounds = flags.value(&flag)?,
+            "--cold-tenants" => spec.cold_tenants = flags.value(&flag)?,
+            "--shards" => spec.shards = flags.value(&flag)?,
+            _ => return Err(flags.unknown(&flag)),
+        }
+    }
+
+    let fleet = SkewedFleet::new(spec);
+    eprintln!(
+        "skewed fleet: {} hot x {} rounds + {} cold scans on {} shards, \
+         working set {} GiB (hot head {} GiB)",
+        spec.hot_tenants,
+        spec.hot_rounds,
+        spec.cold_tenants,
+        spec.shards,
+        fleet.working_set_bytes() >> 30,
+        fleet.hot_set_bytes() >> 30,
+    );
+    let (gates, json) = smoke(&fleet, hit_floor, speedup_floor, alloc_ceiling, probe);
+    if let Some(path) = out {
+        write_artifact(&path, &json)?;
+    }
+    Ok(gates.finish(
+        "TIERING",
+        "tiering smoke clean: equivalence, conservation, determinism, economics all hold",
+    ))
 }
 
 #[cfg(test)]
@@ -348,5 +511,13 @@ mod tests {
         assert!(grid.iter().any(|c| !c.cache.enabled()));
         let gated = grid.iter().find(|c| c.label == GATED_LABEL).unwrap();
         assert_eq!(gated.cache.dram.capacity_bytes, (64u64 << 30) / 10);
+    }
+
+    #[test]
+    fn gates_hold_and_reproduce_the_committed_artifact() {
+        let fleet = SkewedFleet::new(SkewedSpec::default());
+        let (gates, json) = smoke(&fleet, Some(0.5), Some(2.0), None, None);
+        assert_eq!(gates.failures, 0);
+        crate::cli::assert_matches_committed(&json, include_str!("../../../../BENCH_tiering.json"));
     }
 }

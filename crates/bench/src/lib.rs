@@ -1,36 +1,23 @@
 //! # skipper-bench — the experiment harness
 //!
 //! One runner per table and figure of the paper's evaluation (§2-§5),
-//! each returning structured rows and a printable [`report::Table`].
-//! The `src/bin/` binaries are thin wrappers (`cargo run --release -p
-//! skipper-bench --bin fig7`); `--bin all` regenerates every experiment
-//! in sequence, producing the data recorded in `EXPERIMENTS.md`.
+//! each returning structured rows and a printable [`report::Table`],
+//! plus the three plane gate runs (`chaos`, `overload`, `tiering`).
+//! One binary fronts them all, driven by the [`registry`]:
 //!
-//! | Binary   | Paper artifact | Scenario |
-//! |----------|----------------|----------|
-//! | `table1` | Table 1        | device pricing + tier fractions |
-//! | `fig2`   | Figure 2       | 100 TB DB cost, 7 configurations |
-//! | `fig3`   | Figure 3       | CSD-as-cold-tier savings at 3 price points |
-//! | `fig4`   | Figure 4       | vanilla on CSD vs HDD, 1-5 clients |
-//! | `fig5`   | Figure 5       | vanilla sensitivity to switch latency |
-//! | `table2` | Table 2        | layout → subplan enumeration example |
-//! | `fig7`   | Figure 7       | Skipper vs vanilla vs ideal, 1-5 clients |
-//! | `fig8`   | Figure 8       | mixed workload (TPC-H, MR-bench, NREF, SSB) |
-//! | `fig9`   | Figure 9       | execution-time breakdown, 5 clients |
-//! | `table3` | Table 3        | component overheads (exec / FUSE / network) |
-//! | `fig10`  | Figure 10      | Skipper vs vanilla across switch latencies |
-//! | `fig11a` | Figure 11a     | layout sensitivity, 4 clients |
-//! | `fig11b` | Figure 11b     | cache sweep, TPC-H SF-50 Q5 (+ GET counts) |
-//! | `fig11c` | Figure 11c     | cache sweep, TPC-H SF-100 Q5 (+ GET counts) |
-//! | `fig12`  | Figure 12      | scheduler fairness vs efficiency |
-//! | `sharding` | beyond the paper | mixed-tenant fleet on 1-8 CSD shards |
-//! | `ablations` | §4.2/§4.4/§5.2.4 design choices | eviction / ordering / pruning A-Bs |
+//! ```text
+//! cargo run --release -p skipper-bench -- list        # every subcommand
+//! cargo run --release -p skipper-bench -- fig7
+//! cargo run --release -p skipper-bench -- all         # the data recorded in EXPERIMENTS.md
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod ctx;
 pub mod experiments;
+pub mod registry;
 pub mod report;
 pub mod scenarios;
 

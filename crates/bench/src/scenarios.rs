@@ -1,18 +1,11 @@
-//! Shared scenario construction for the bench binaries.
-//!
-//! The `perf`, `chaos`, and `tiering` bins each drive purpose-built
-//! fleets from the command line; the flag parsing and fleet builders
-//! they share live here so a scenario tweak lands in one place. The
-//! binaries keep only what is genuinely theirs (the perf sweep matrix,
-//! the chaos fault plans, the tiering cache grid — and their counting
-//! allocators, which need `unsafe` and therefore cannot live in this
-//! `forbid(unsafe_code)` crate).
+//! Scenario builders shared by the gate runs: the reduced mixed fleet
+//! the `chaos` gates fault, and the skewed hot/cold fleet the `tiering`
+//! grid sweeps.
 
 use std::sync::Arc;
 
 use skipper_core::runtime::{
-    ArrivalProcess, BasePlacement, PlacementPolicy, Scenario, SkipperFactory, VanillaFactory,
-    Workload,
+    BasePlacement, PlacementPolicy, Scenario, SkipperFactory, VanillaFactory, Workload,
 };
 use skipper_csd::SchedPolicy;
 use skipper_datagen::{tpch, Dataset, GenConfig};
@@ -24,51 +17,11 @@ pub fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// Parses an `--arrival` spec: `poisson:MEAN` |
-/// `onoff:ON_MEAN,ON_DUR,OFF_DUR` | `diurnal:PEAK_MEAN,PERIOD,TROUGH` —
-/// all durations in (fractional) seconds, with a fixed seed so CI runs
-/// are reproducible.
-pub fn parse_arrival(s: &str) -> ArrivalProcess {
-    const SEED: u64 = 42;
-    let secs = |v: &str| -> SimDuration {
-        SimDuration::from_secs_f64(v.parse().unwrap_or_else(|_| panic!("bad duration {v:?}")))
-    };
-    let (kind, rest) = s.split_once(':').unwrap_or((s, ""));
-    let parts: Vec<&str> = rest.split(',').filter(|p| !p.is_empty()).collect();
-    match (kind, parts.as_slice()) {
-        ("poisson", [mean]) => ArrivalProcess::Poisson {
-            mean: secs(mean),
-            seed: SEED,
-        },
-        ("onoff", [on_mean, on, off]) => ArrivalProcess::OnOff {
-            on_mean: secs(on_mean),
-            on_duration: secs(on),
-            off_duration: secs(off),
-            seed: SEED,
-        },
-        ("diurnal", [peak, period, trough]) => ArrivalProcess::Diurnal {
-            peak_mean: secs(peak),
-            period: secs(period),
-            trough: trough.parse().expect("--arrival diurnal trough"),
-            seed: SEED,
-        },
-        _ => panic!(
-            "unknown arrival spec {s:?} (poisson:MEAN | onoff:ON_MEAN,ON_DUR,OFF_DUR | \
-             diurnal:PEAK_MEAN,PERIOD,TROUGH; seconds)"
-        ),
-    }
-}
-
-/// Parses a `--policy` label (as in Figure 12) into a [`SchedPolicy`].
-pub fn parse_policy(s: &str) -> SchedPolicy {
-    match s {
-        "fcfs-object" => SchedPolicy::FcfsObject,
-        "fcfs-slack" => SchedPolicy::FcfsSlack(4),
-        "fairness" => SchedPolicy::FcfsQuery,
-        "maxquery" => SchedPolicy::MaxQueries,
-        "ranking" => SchedPolicy::RankBased,
-        other => panic!("unknown policy {other:?} (labels as in Figure 12)"),
-    }
+/// The SF-4 TPC-H dataset the `chaos` and `overload` fleets query.
+pub fn smoke_dataset() -> Arc<Dataset> {
+    Arc::new(tpch::dataset(
+        &GenConfig::new(21, 4).with_phys_divisor(100_000),
+    ))
 }
 
 /// Reduced mixed fleet (the chaos smoke scenario): three staggered
@@ -216,22 +169,5 @@ mod tests {
         // tiering experiment's premise (a small DRAM tier absorbs the
         // repeats) is void.
         assert!(fleet.hot_set_bytes() * 10 <= fleet.working_set_bytes() * 11 / 10);
-    }
-
-    #[test]
-    fn parse_policy_round_trips_the_figure12_labels() {
-        assert_eq!(parse_policy("ranking"), SchedPolicy::RankBased);
-        assert_eq!(parse_policy("fcfs-object"), SchedPolicy::FcfsObject);
-        assert_eq!(parse_policy("fairness"), SchedPolicy::FcfsQuery);
-    }
-
-    #[test]
-    fn parse_arrival_poisson() {
-        match parse_arrival("poisson:15") {
-            ArrivalProcess::Poisson { mean, .. } => {
-                assert_eq!(mean, SimDuration::from_secs(15));
-            }
-            other => panic!("wrong arrival {other:?}"),
-        }
     }
 }

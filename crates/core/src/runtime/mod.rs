@@ -184,8 +184,8 @@
 //!
 //! [`RunResult::protection`] rolls up misses, sheds, deferrals,
 //! retries, hedge outcomes, breaker trips, and the per-tenant
-//! offered/completed/missed/shed ledger; `skipper-bench --bin
-//! overload` sweeps a saturating burst across protection configs into
+//! offered/completed/missed/shed ledger; `skipper-bench -- overload`
+//! sweeps a saturating burst across protection configs into
 //! `BENCH_overload.json` (`EXPERIMENTS.md`).
 //!
 //! # Shard cache tiers
@@ -239,7 +239,7 @@
 //!   survive a power cycle); failover re-serves from replicas.
 //!
 //! The cost model prices the tiers ([`skipper_cost`]) and the power
-//! model charges their draw, so `skipper-bench --bin tiering` can sweep
+//! model charges their draw, so `skipper-bench -- tiering` can sweep
 //! capacity × policy into a cost-vs-makespan Pareto frontier
 //! (`EXPERIMENTS.md`).
 //!
@@ -253,10 +253,10 @@
 //! `DeviceFleet::on_wakeup_into` into one scratch buffer owned by the
 //! `Runtime`, devices pool their request nodes in a seq-addressed slab
 //! and reuse transfer slots in place, and per-shard dirty flags keep
-//! untouched pumps O(1) per event — after warm-up the hot loop runs
-//! allocation-free (`skipper-bench --bin perf` counts ~0.01
-//! allocations/event with its `#[global_allocator]` probe, flat in
-//! shard count; the CI perf-smoke gates on a ceiling at 8 shards).
+//! untouched pumps O(1) per event — after warm-up the hot loop stays
+//! off the allocator (the full-stack benchmark under `benchmark/`
+//! counts `runtime.allocs_per_request` ≈ 0.08 on its 1 024 000-GET
+//! `batch_closed` workload; CI gates a ceiling on it).
 //! Scheduler decisions stay off the allocator too: policies fold over
 //! the queue's borrowed [`skipper_csd::sched::GroupLens`] aggregates
 //! instead of materializing per-group vectors, and the lazy-deletion
@@ -334,12 +334,11 @@
 //! snapshots are O(log n) in queue depth, and scheduler decisions read
 //! maintained per-group aggregates instead of rescanning the queue —
 //! so a run costs O(events · log depth), not O(events · depth). The
-//! contract is pinned three ways: the differential suite
+//! contract is pinned two ways: the differential suite
 //! (`crates/csd/tests/equivalence.rs`) diffs the indexed queue against
 //! the preserved full-rescan `NaiveQueue` reference across every
-//! policy × intra order × shard count, the goldens stay
-//! microsecond-exact, and `skipper-bench --bin perf` records the
-//! wall-clock ratio (`EXPERIMENTS.md`). End-of-run result assembly
+//! policy × intra order × shard count, and the goldens stay
+//! microsecond-exact. End-of-run result assembly
 //! moves spans, ledgers, and counters out of the devices (`Runtime::run`
 //! consumes the fleet) instead of cloning them.
 //!
@@ -397,7 +396,7 @@ pub use protect::{
 };
 pub use scenario::Scenario;
 pub use skipper_csd::cache::{CacheConfig, CachePolicy, CacheStats, TierConfig};
-pub use skipper_csd::{BasePlacement, LedgerMode, PlacementPolicy, StreamModel};
+pub use skipper_csd::{BasePlacement, LedgerMode, PlacementPolicy};
 pub use skipper_sim::TraceMode;
 pub use workload::{ArrivalProcess, Workload};
 

@@ -23,7 +23,7 @@ use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheConfig;
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectStore,
-    PlacementPolicy, PowerModel, SchedPolicy, StreamModel,
+    PlacementPolicy, PowerModel, SchedPolicy,
 };
 use skipper_datagen::Dataset;
 use skipper_relational::query::QuerySpec;
@@ -71,7 +71,6 @@ pub struct Scenario {
     cost: CostModel,
     prune_empty: bool,
     parallel_streams: u32,
-    stream_model: StreamModel,
     stagger: SimDuration,
     shards: usize,
     placement: PlacementPolicy,
@@ -118,7 +117,6 @@ impl Scenario {
             cost: CostModel::paper_calibrated(),
             prune_empty: false,
             parallel_streams: 1,
-            stream_model: StreamModel::Pipeline,
             stagger: SimDuration::ZERO,
             shards: 1,
             placement: PlacementPolicy::RoundRobin,
@@ -308,14 +306,6 @@ impl Scenario {
              use streams(1) for the paper's serialized middleware"
         );
         self.parallel_streams = n;
-        self
-    }
-
-    /// How streams > 1 are modelled (default: the true service
-    /// pipeline; [`StreamModel::BandwidthMultiplier`] is the historical
-    /// compat model kept for A/B comparison in the bench).
-    pub fn stream_model(mut self, model: StreamModel) -> Self {
-        self.stream_model = model;
         self
     }
 
@@ -599,7 +589,6 @@ impl Scenario {
                         bandwidth_bytes_per_sec: ov.bandwidth.unwrap_or(self.bandwidth),
                         initial_load_free: true,
                         parallel_streams: ov.streams.unwrap_or(self.parallel_streams),
-                        stream_model: self.stream_model,
                         trace_mode: self.trace_mode,
                         ledger_mode: self.ledger_mode,
                     },

@@ -9,7 +9,7 @@ use super::pump::DevicePump;
 use super::*;
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, LayoutPolicy, ObjectId, ObjectStore, QueryId,
-    SchedPolicy, StreamModel,
+    SchedPolicy,
 };
 use skipper_datagen::{tpch, Dataset, GenConfig};
 use skipper_relational::ops::reference;
@@ -282,7 +282,6 @@ fn mini_pump_same_group(streams: u32) -> DevicePump {
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
             initial_load_free: true,
             parallel_streams: streams,
-            stream_model: StreamModel::Pipeline,
             ..CsdConfig::default()
         },
         store,
@@ -305,7 +304,6 @@ fn mini_pump_equal_group(streams: u32) -> DevicePump {
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
             initial_load_free: true,
             parallel_streams: streams,
-            stream_model: StreamModel::Pipeline,
             ..CsdConfig::default()
         },
         store,
@@ -326,7 +324,6 @@ fn mini_pump_with_streams(streams: u32) -> DevicePump {
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
             initial_load_free: true,
             parallel_streams: streams,
-            stream_model: StreamModel::Pipeline,
             ..CsdConfig::default()
         },
         store,
@@ -499,7 +496,6 @@ fn fleet_routes_submissions_by_shard_map_and_interleaves() {
                 bandwidth_bytes_per_sec: (1u64 << 30) as f64,
                 initial_load_free: true,
                 parallel_streams: 1,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,
@@ -1410,7 +1406,6 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
                 bandwidth_bytes_per_sec: (1u64 << 30) as f64,
                 initial_load_free: true,
                 parallel_streams: 1,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,

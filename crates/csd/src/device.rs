@@ -57,7 +57,7 @@
 //! [`RequestIndex`] and defaults to the incrementally-indexed
 //! [`RequestQueue`] (O(log n) per decision). The full-rescan
 //! [`NaiveQueue`](crate::sched::NaiveQueue) plugs into the same slot for
-//! differential testing and as the `skipper-bench --bin perf` baseline.
+//! differential testing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,23 +71,6 @@ use crate::sched::{
 };
 use crate::store::{transfer_time, ObjectStore};
 use skipper_sim::trace::Span;
-
-/// How `parallel_streams > 1` is modelled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StreamModel {
-    /// The service pipeline (default): `parallel_streams` transfer
-    /// slots, each serving one request at the per-stream bandwidth,
-    /// overlapping in time. This is the §5.2.1 improvement modelled
-    /// faithfully: concurrency, not a rate constant.
-    #[default]
-    Pipeline,
-    /// The historical compat model kept for A/B comparison in
-    /// `skipper-bench`: servicing stays strictly serial (one slot) and
-    /// `parallel_streams` merely multiplies the transfer bandwidth.
-    /// Equivalent to the pipeline only when the queue never runs dry
-    /// mid-residency; use [`StreamModel::Pipeline`] for new work.
-    BandwidthMultiplier,
-}
 
 /// How the device keeps its per-transfer delivery ledger.
 ///
@@ -127,8 +110,6 @@ pub struct CsdConfig {
     /// zero-stream device could never serve anything, so the
     /// constructor rejects it loudly instead of clamping.
     pub parallel_streams: u32,
-    /// How streams > 1 are modelled (default: the true pipeline).
-    pub stream_model: StreamModel,
     /// Span-log regime of the per-slot activity traces (default: keep
     /// every span). [`TraceMode::Counters`] bounds memory for huge runs
     /// at the cost of post-hoc stall attribution.
@@ -147,7 +128,6 @@ impl Default for CsdConfig {
             bandwidth_bytes_per_sec: 110.0 * 1024.0 * 1024.0,
             initial_load_free: true,
             parallel_streams: 1,
-            stream_model: StreamModel::Pipeline,
             trace_mode: TraceMode::Full,
             ledger_mode: LedgerMode::Full,
         }
@@ -254,8 +234,7 @@ pub struct CsdDevice<P, Q: RequestIndex = RequestQueue> {
     scheduler: Box<dyn GroupScheduler>,
     queue: Q,
     active_group: Option<GroupId>,
-    /// The transfer slots; `None` = idle. Length is the stream count
-    /// (one under [`StreamModel::BandwidthMultiplier`]).
+    /// The transfer slots; `None` = idle. Length is the stream count.
     slots: Vec<Option<TransferSlot>>,
     /// Occupied-slot count (= number of `Some` entries in `slots`).
     in_flight: usize,
@@ -303,10 +282,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
             "CsdConfig::parallel_streams must be >= 1 (got 0); \
              use 1 for the paper's serialized middleware"
         );
-        let slot_count = match config.stream_model {
-            StreamModel::Pipeline => config.parallel_streams as usize,
-            StreamModel::BandwidthMultiplier => 1,
-        };
+        let slot_count = config.parallel_streams as usize;
         CsdDevice {
             config,
             store,
@@ -332,13 +308,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// The effective per-stream service bandwidth (scaled by any active
     /// brown-out factor).
     fn stream_bandwidth(&self) -> f64 {
-        let nominal = match self.config.stream_model {
-            StreamModel::Pipeline => self.config.bandwidth_bytes_per_sec,
-            StreamModel::BandwidthMultiplier => {
-                self.config.bandwidth_bytes_per_sec * self.config.parallel_streams as f64
-            }
-        };
-        nominal * self.bandwidth_factor
+        self.config.bandwidth_bytes_per_sec * self.bandwidth_factor
     }
 
     /// Scales the per-stream bandwidth by `factor` (a fault-plane
@@ -674,8 +644,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
         self.in_flight
     }
 
-    /// Number of transfer slots (1 under
-    /// [`StreamModel::BandwidthMultiplier`]).
+    /// Number of transfer slots.
     pub fn stream_count(&self) -> usize {
         self.slots.len()
     }
@@ -772,7 +741,6 @@ mod tests {
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
                 initial_load_free: true,
                 parallel_streams: streams,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,
@@ -963,7 +931,6 @@ mod tests {
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
                 initial_load_free: true,
                 parallel_streams: 2,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,
@@ -1049,47 +1016,10 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_multiplier_compat_mode_stays_serial() {
-        // The legacy model: one slot, bandwidth × streams.
-        let mut store = ObjectStore::new();
-        for s in 0..4u32 {
-            store.put(ObjectId::new(0, 0, s), 100 * MB, 0, "seg");
-        }
-        let mut dev: CsdDevice<&'static str> = CsdDevice::new(
-            CsdConfig {
-                switch_latency: SimDuration::from_secs(10),
-                bandwidth_bytes_per_sec: (100 * MB) as f64,
-                initial_load_free: true,
-                parallel_streams: 4,
-                stream_model: StreamModel::BandwidthMultiplier,
-                ..CsdConfig::default()
-            },
-            store,
-            SchedPolicy::RankBased.build(),
-            IntraGroupOrder::SemanticRoundRobin,
-        );
-        assert_eq!(dev.stream_count(), 1);
-        let objs: Vec<ObjectId> = (0..4).map(|s| ObjectId::new(0, 0, s)).collect();
-        dev.submit(t(0), 0, QueryId::new(0, 0), &objs);
-        let mut now = t(0);
-        let mut completions = 0;
-        while let Some(until) = dev.kick(now) {
-            now = until;
-            completions += dev.complete(now).len();
-            assert!(dev.in_flight() <= 1, "multiplier mode must stay serial");
-        }
-        // 4 objects × 0.25 s each at 4× service bandwidth = 1 s total,
-        // delivered one at a time.
-        assert_eq!(now, t(1));
-        assert_eq!(completions, 4);
-        assert_eq!(dev.metrics().objects_served, 4);
-        assert_eq!(dev.metrics().peak_concurrent_streams, 1);
-    }
-
-    #[test]
     fn pipeline_matches_multiplier_makespan_on_saturated_queue() {
-        // With the queue saturated the two models agree on total
-        // intra-group service time: 4 × 1 s over 4 streams = 1 s.
+        // With the queue saturated the pipeline's total intra-group
+        // service time equals a 4× bandwidth multiplier's: 4 × 1 s over
+        // 4 streams = 1 s.
         let mut store = ObjectStore::new();
         for s in 0..4u32 {
             store.put(ObjectId::new(0, 0, s), 100 * MB, 0, "seg");
@@ -1100,7 +1030,6 @@ mod tests {
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
                 initial_load_free: true,
                 parallel_streams: 4,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,

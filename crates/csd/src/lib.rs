@@ -26,7 +26,7 @@
 //!   the incrementally-indexed request queue
 //!   ([`sched::queue::RequestQueue`], O(log n) per submit/serve; the
 //!   pre-index full-rescan [`sched::naive::NaiveQueue`] survives as the
-//!   differential-test reference and perf baseline).
+//!   differential-test reference).
 //! * [`device`] — the device state machine: request queue → pick group →
 //!   switch (latency S) → serve every pending request on the group
 //!   (no preemption) → repeat; with semantically-smart intra-group
@@ -52,7 +52,7 @@ pub mod sched;
 pub mod store;
 
 pub use cache::{CacheConfig, CachePolicy, CacheStats, ShardCache, TierConfig};
-pub use device::{CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LedgerMode, StreamModel};
+pub use device::{CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LedgerMode};
 pub use layout::{BasePlacement, Layout, LayoutPolicy, PlacementPolicy};
 pub use object::{GroupId, ObjectId, ObjectMeta, QueryId};
 pub use power::{EnergyReport, PowerModel};

@@ -28,8 +28,7 @@
 //! the production [`RequestQueue`](queue::RequestQueue) in O(log n) per
 //! submit/serve. The pre-indexing full-rescan semantics survive as
 //! [`NaiveQueue`](naive::NaiveQueue), the reference implementation the
-//! differential tests and the `skipper-bench --bin perf` baseline run
-//! against.
+//! differential tests run against.
 //!
 //! Instead of returning request indices, a policy describes *which*
 //! requests may be served during the current residency as a declarative

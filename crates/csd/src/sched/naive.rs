@@ -8,18 +8,13 @@
 //! whole scope. That made a run O(n²) in queue depth.
 //!
 //! [`NaiveQueue`] preserves those scans verbatim behind the same
-//! [`QueueView`]/[`RequestIndex`] interface, for two jobs:
-//!
-//! 1. **Differential testing** — the equivalence suite drives identical
-//!    devices over both queues and asserts identical decision sequences
-//!    and delivery orders (`crates/csd/tests/equivalence.rs`).
-//! 2. **The perf baseline** — `skipper-bench --bin perf` times both
-//!    queues on the same large scenario; the recorded speedup in
-//!    `BENCH_perf.json` / `EXPERIMENTS.md` is measured against this
-//!    implementation.
+//! [`QueueView`]/[`RequestIndex`] interface as the differential
+//! reference: the equivalence suite drives identical devices over both
+//! queues and asserts identical decision sequences and delivery orders
+//! (`crates/csd/tests/equivalence.rs`).
 //!
 //! Do not "optimize" this module: its value is being a faithful record
-//! of the pre-index semantics and cost model.
+//! of the pre-index semantics.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -170,11 +165,10 @@ impl QueueView for NaiveQueue {
     }
 
     fn for_each_group(&self, visit: &mut dyn FnMut(GroupId, &GroupLens<'_>)) {
-        // The historical `group_stats` loop, including its linear
-        // distinct-query membership scan — this is the pre-index cost
-        // model the perf harness baselines against. The rescan builds a
-        // full aggregate map per call (allocating, by design) and only
-        // then visits.
+        // The pre-index `group_stats` loop, including its linear
+        // distinct-query membership scan. The rescan builds a full
+        // aggregate map per call (allocating, by design) and only then
+        // visits.
         let mut map: BTreeMap<GroupId, GroupStats> = BTreeMap::new();
         for r in &self.pending {
             let stats = map.entry(r.group).or_default();

@@ -10,8 +10,7 @@
 //!   indexed directly by the device's dense, monotone sequence numbers:
 //!   insert/remove/lookup and "globally oldest" are all O(1), and a
 //!   node's storage is recycled in place instead of churning allocator
-//!   nodes per request (the zero-allocation steady-state contract of
-//!   the million-request perf harness);
+//!   nodes per request (zero allocations per request in steady state);
 //! * **per-group sub-queues** ordered by the device's intra-group
 //!   service key as *lazy-deletion min-heaps*, split into the *resident*
 //!   snapshot (the §4.4 non-preemption scope) and *fresh* post-snapshot
@@ -77,8 +76,8 @@ trait Recycle: Default {
 /// every time a group or query drained, its entry — heap allocations
 /// and all — was dropped, and the next round's insert re-allocated it
 /// from scratch. That churn scales with tenants × rounds × *shards*
-/// (each shard keeps its own queue over the same tenant set), which is
-/// exactly the allocs/event growth the 8-shard perf sweep exposed.
+/// (each shard keeps its own queue over the same tenant set), so
+/// allocations per event grew with the shard count.
 ///
 /// Here the key array is one contiguous sorted `Vec` — binary-search
 /// lookups, cache-resident iteration for the aggregate scans even on
@@ -390,7 +389,7 @@ impl Recycle for QueryEntry {
 ///
 /// Implemented by [`RequestQueue`] (indexed, production) and
 /// [`NaiveQueue`](super::naive::NaiveQueue) (full rescans, the pre-index
-/// reference kept for differential tests and the perf baseline).
+/// reference kept for differential tests).
 pub trait RequestIndex: QueueView {
     /// An empty queue resolving intra-group ties with `intra`.
     fn new(intra: IntraGroupOrder) -> Self

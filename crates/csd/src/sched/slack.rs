@@ -147,7 +147,7 @@ mod tests {
 
     #[test]
     fn fewer_switches_than_strict_fcfs_on_interleaved_arrivals() {
-        use crate::device::{CsdConfig, CsdDevice, IntraGroupOrder, StreamModel};
+        use crate::device::{CsdConfig, CsdDevice, IntraGroupOrder};
         use crate::object::{ObjectId, QueryId};
         use crate::sched::GroupScheduler;
         use crate::store::ObjectStore;
@@ -166,7 +166,6 @@ mod tests {
                     bandwidth_bytes_per_sec: (1 << 20) as f64,
                     initial_load_free: true,
                     parallel_streams: 1,
-                    stream_model: StreamModel::Pipeline,
                     ..CsdConfig::default()
                 },
                 store,

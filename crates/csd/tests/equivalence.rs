@@ -9,7 +9,10 @@
 //! covers every `SchedPolicy` × `IntraGroupOrder` × {1, 2, 4} shards ×
 //! {1, 2, 4} parallel streams, with mid-run arrivals racing active
 //! residencies and (at streams > 1) armed switches draining multi-slot
-//! pipelines.
+//! pipelines. Each workload runs open (the schedule alone) and, for
+//! policies × {1, 4} streams, closed-loop: a query's last delivery
+//! submits its next round, so the queue's decisions feed back into what
+//! it is offered next.
 //!
 //! Shard counts enter through a miniature fleet driver (round-robin
 //! object → shard placement, one independent device per shard), which
@@ -17,12 +20,14 @@
 //! every stream count delivers the same `(client, query, object)`
 //! multiset.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skipper_csd::sched::{NaiveQueue, RequestIndex, RequestQueue};
 use skipper_csd::{
-    CsdConfig, CsdDevice, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy, StreamModel,
+    CsdConfig, CsdDevice, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy,
 };
 use skipper_sim::{SimDuration, SimTime};
 
@@ -36,6 +41,10 @@ struct Workload {
     groups: u32,
     /// `(time, client, query, objects)` sorted by time.
     schedule: Vec<(SimTime, usize, QueryId, Vec<ObjectId>)>,
+    /// Closed-loop feedback: the delivery that completes a scheduled
+    /// query resubmits its objects as a follow-up query, this many
+    /// times over (0 = the schedule alone).
+    followup_rounds: u32,
 }
 
 fn workload(seed: u64) -> Workload {
@@ -63,6 +72,7 @@ fn workload(seed: u64) -> Workload {
         segs_per_tenant,
         groups,
         schedule,
+        followup_rounds: 0,
     }
 }
 
@@ -125,7 +135,6 @@ fn run_fleet<Q: RequestIndex>(
                     bandwidth_bytes_per_sec: (100 * MB) as f64,
                     initial_load_free: true,
                     parallel_streams: streams,
-                    stream_model: StreamModel::Pipeline,
                     ..CsdConfig::default()
                 },
                 store,
@@ -138,6 +147,17 @@ fn run_fleet<Q: RequestIndex>(
     let mut next: Vec<Option<SimTime>> = vec![None; shards];
     let mut events: Vec<Vec<ShardEvent>> = vec![Vec::new(); shards];
     let mut si = 0;
+    // Per query in flight: its schedule entry and the deliveries it is
+    // still owed. Each follow-up round steps the query seq by the
+    // schedule length, which keeps ids unique and `seq / batches` the
+    // round number.
+    let mut live: BTreeMap<QueryId, (usize, usize)> = w
+        .schedule
+        .iter()
+        .enumerate()
+        .map(|(entry, e)| (e.2, (entry, e.3.len())))
+        .collect();
+    let batches = w.schedule.len() as u32;
     loop {
         let due = next
             .iter()
@@ -159,10 +179,29 @@ fn run_fleet<Q: RequestIndex>(
             if batch.is_empty() {
                 events[s].push((t, None)); // switch completion
             }
+            let mut resubmitted = false;
             for d in batch {
                 events[s].push((t, Some((d.client, d.query, d.object))));
+                let (entry, owed) = live.get_mut(&d.query).expect("query in flight");
+                *owed -= 1;
+                if *owed == 0 && d.query.seq / batches < w.followup_rounds {
+                    let entry = *entry;
+                    let objects = &w.schedule[entry].3;
+                    let query = QueryId::new(d.query.tenant, d.query.seq + batches);
+                    for &obj in objects {
+                        devices[obj.segment as usize % shards].submit(t, d.client, query, &[obj]);
+                    }
+                    live.insert(query, (entry, objects.len()));
+                    resubmitted = true;
+                }
             }
-            next[s] = devices[s].kick(t);
+            if resubmitted {
+                for (s, slot) in next.iter_mut().enumerate() {
+                    *slot = devices[s].kick(t);
+                }
+            } else {
+                next[s] = devices[s].kick(t);
+            }
         } else {
             let st = upcoming.expect("submission due");
             while si < w.schedule.len() && w.schedule[si].0 == st {
@@ -220,6 +259,21 @@ fn indexed_queue_matches_naive_reference() {
                     "seed {seed} {policy:?}/{intra:?}: sharding or streaming broke work conservation"
                 );
             }
+            let closed = Workload {
+                followup_rounds: 3,
+                ..workload(seed)
+            };
+            let deliveries: usize = closed.schedule.iter().map(|e| 4 * e.3.len()).sum();
+            for streams in [1u32, 4] {
+                let intra = IntraGroupOrder::SemanticRoundRobin;
+                let indexed = run_fleet::<RequestQueue>(&closed, policy, intra, 2, streams);
+                let naive = run_fleet::<NaiveQueue>(&closed, policy, intra, 2, streams);
+                assert_eq!(
+                    indexed, naive,
+                    "seed {seed} {policy:?}/{streams}st: queue implementations diverged closed-loop"
+                );
+                assert_eq!(indexed.delivery_multiset().len(), deliveries);
+            }
         }
     }
 }
@@ -248,6 +302,7 @@ fn indexed_queue_matches_naive_on_deep_queues() {
         segs_per_tenant: segs,
         groups: 3,
         schedule,
+        followup_rounds: 0,
     };
     for policy in SchedPolicy::all() {
         for streams in [1u32, 4] {

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, ObjectId, ObjectStore, QueryId,
-    SchedPolicy, StreamModel,
+    SchedPolicy,
 };
 use skipper_sim::{SimDuration, SimTime};
 
@@ -104,7 +104,6 @@ fn device_serves_every_request_once() {
                 bandwidth_bytes_per_sec: (1 << 20) as f64,
                 initial_load_free: true,
                 parallel_streams: 1,
-                stream_model: StreamModel::Pipeline,
                 ..CsdConfig::default()
             },
             store,
@@ -173,7 +172,6 @@ fn single_group_never_switches() {
                         bandwidth_bytes_per_sec: (1 << 20) as f64,
                         initial_load_free: true,
                         parallel_streams: 1,
-                        stream_model: StreamModel::Pipeline,
                         ..CsdConfig::default()
                     },
                     store,

@@ -18,7 +18,8 @@
 
 use std::sync::Arc;
 
-use skipper::core::runtime::{Scenario, SkipperFactory, StreamModel, VanillaFactory, Workload};
+use skipper::core::runtime::{Scenario, SkipperFactory, VanillaFactory, Workload};
+use skipper::csd::CsdConfig;
 use skipper::datagen::{tpch, GenConfig};
 
 fn main() {
@@ -66,13 +67,12 @@ fn main() {
         }
     }
 
-    // The compat A/B: the old bandwidth-multiplier model reaches a
-    // similar makespan on this saturated fleet but is still serial —
-    // no overlap, just shorter transfers. This is why it was demoted
-    // to StreamModel::BandwidthMultiplier.
+    // The A/B: one serial stream at 4× the bandwidth reaches a similar
+    // makespan on this saturated fleet but is still serial — no
+    // overlap, just shorter transfers.
     let multiplier = Scenario::from_workloads(fleet())
-        .streams(4)
-        .stream_model(StreamModel::BandwidthMultiplier)
+        .streams(1)
+        .bandwidth(4.0 * CsdConfig::default().bandwidth_bytes_per_sec)
         .run();
     let roll = multiplier.stream_rollup();
     println!(

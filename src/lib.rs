@@ -92,7 +92,7 @@
 //! assert_eq!(result.scheduler, "ranking"); // query-aware device scheduling
 //! ```
 //!
-//! Run `cargo run --release -p skipper-bench --bin all` to regenerate
+//! Run `cargo run --release -p skipper-bench -- all` to regenerate
 //! every table and figure of the paper; see `EXPERIMENTS.md` for the
 //! recorded paper-vs-measured comparison.
 

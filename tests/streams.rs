@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use skipper::core::runtime::{
-    RunResult, Scenario, SkipperFactory, StreamModel, VanillaFactory, Workload,
-};
+use skipper::core::runtime::{RunResult, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::SchedPolicy;
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::sim::SimDuration;
@@ -117,65 +115,20 @@ fn streams_conserve_work_and_makespans_never_degrade() {
     }
 }
 
-/// `streams(1)` — and the bandwidth-multiplier compat model at any
-/// stream count = 1 — reproduce the default scenario exactly: same
+/// `streams(1)` reproduces the default scenario exactly: same
 /// makespan, same spans, same per-query windows, same multiset.
 #[test]
 fn one_stream_is_exactly_the_serial_run() {
     let ds = dataset();
     let implicit = fleet_scenario(&ds, SchedPolicy::RankBased).run();
-    for (label, explicit) in [
-        (
-            "pipeline",
-            fleet_scenario(&ds, SchedPolicy::RankBased).streams(1).run(),
-        ),
-        (
-            "multiplier",
-            fleet_scenario(&ds, SchedPolicy::RankBased)
-                .streams(1)
-                .stream_model(StreamModel::BandwidthMultiplier)
-                .run(),
-        ),
-    ] {
-        assert_eq!(explicit.makespan, implicit.makespan, "{label}");
-        assert_eq!(explicit.device_spans(), implicit.device_spans(), "{label}");
-        assert_eq!(
-            explicit.delivery_multiset(),
-            implicit.delivery_multiset(),
-            "{label}"
-        );
-        assert!(explicit.shards[0].extra_stream_spans.is_empty(), "{label}");
-        let a: Vec<_> = implicit.records().map(|r| (r.start, r.end)).collect();
-        let b: Vec<_> = explicit.records().map(|r| (r.start, r.end)).collect();
-        assert_eq!(a, b, "{label} drifted from the default run");
-    }
-}
-
-/// The A/B the bench sweeps: the honest pipeline vs the historical
-/// bandwidth-multiplier model at the same stream count. Both conserve
-/// the multiset and beat serial; they differ in *how* (overlap vs
-/// shorter serial transfers), which the rollup makes visible.
-#[test]
-fn pipeline_and_multiplier_models_both_conserve_work() {
-    let ds = dataset();
-    let serial = fleet_scenario(&ds, SchedPolicy::RankBased).run();
-    let pipeline = fleet_scenario(&ds, SchedPolicy::RankBased).streams(4).run();
-    let multiplier = fleet_scenario(&ds, SchedPolicy::RankBased)
-        .streams(4)
-        .stream_model(StreamModel::BandwidthMultiplier)
-        .run();
-    assert_eq!(pipeline.delivery_multiset(), serial.delivery_multiset());
-    assert_eq!(multiplier.delivery_multiset(), serial.delivery_multiset());
-    assert!(pipeline.makespan <= serial.makespan);
-    assert!(multiplier.makespan <= serial.makespan);
-    // The pipeline reports real overlap; the multiplier stays serial
-    // (overlap 1.0) and instead shortens each transfer.
-    assert!(pipeline.stream_rollup().overlap() > 1.0 + 1e-9);
-    // Serial by construction (up to float rounding: stream-seconds come
-    // from the device's integer-microsecond accounting, the wall from
-    // span arithmetic).
-    assert!((multiplier.stream_rollup().overlap() - 1.0).abs() < 1e-9);
-    assert_eq!(multiplier.stream_rollup().streams, 1);
+    let explicit = fleet_scenario(&ds, SchedPolicy::RankBased).streams(1).run();
+    assert_eq!(explicit.makespan, implicit.makespan);
+    assert_eq!(explicit.device_spans(), implicit.device_spans());
+    assert_eq!(explicit.delivery_multiset(), implicit.delivery_multiset());
+    assert!(explicit.shards[0].extra_stream_spans.is_empty());
+    let a: Vec<_> = implicit.records().map(|r| (r.start, r.end)).collect();
+    let b: Vec<_> = explicit.records().map(|r| (r.start, r.end)).collect();
+    assert_eq!(a, b, "streams(1) drifted from the default run");
 }
 
 /// The overlap/utilization rollup actually measures the §5.2.1 win:
