@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use skipper_csd::sched::PendingRequest;
-use skipper_csd::{CsdDevice, Delivery, ObjectId, QueryId};
+use skipper_csd::{CsdDevice, Delivery, FastBuild, ObjectId, QueryId};
 use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, SimTime};
 
@@ -46,12 +46,13 @@ use super::pump::DevicePump;
 /// N device pumps + the object → shard map.
 pub struct DeviceFleet {
     pumps: Vec<DevicePump>,
-    /// Preferred (primary) shard per object — the k = 1 routing map.
-    shard_of: HashMap<ObjectId, usize>,
+    /// Preferred (primary) shard per object — the k = 1 routing map,
+    /// probed once per GET.
+    shard_of: HashMap<ObjectId, usize, FastBuild>,
     /// Full replica lists (preferred first) when the placement
     /// replicates; empty for single-replica fleets, which route
     /// through `shard_of` alone.
-    replicas_of: HashMap<ObjectId, Vec<usize>>,
+    replicas_of: HashMap<ObjectId, Vec<usize>, FastBuild>,
     /// Reusable per-shard fan-out buffers for `submit` — pooled so a
     /// multi-shard batch costs no allocation once warm, matching the
     /// 1-shard path (the 8-shard allocs/event regression fix).
@@ -99,7 +100,19 @@ impl DeviceFleet {
     /// # Panics
     /// Panics on an empty fleet or a map entry pointing outside it.
     pub fn new(devices: Vec<CsdDevice<Arc<Segment>>>, shard_of: HashMap<ObjectId, usize>) -> Self {
+        Self::from_routes(devices, shard_of)
+    }
+
+    /// [`DeviceFleet::new`] over any `(object, shard)` listing: the
+    /// routing map is built exactly once, straight onto the
+    /// simulator's cheap deterministic hasher (it is probed once per
+    /// GET), so a caller that never had a `HashMap` need not build one.
+    pub(crate) fn from_routes(
+        devices: Vec<CsdDevice<Arc<Segment>>>,
+        shard_of: impl IntoIterator<Item = (ObjectId, usize)>,
+    ) -> Self {
         assert!(!devices.is_empty(), "a fleet needs at least one device");
+        let shard_of: HashMap<ObjectId, usize, FastBuild> = shard_of.into_iter().collect();
         assert!(
             shard_of.values().all(|&s| s < devices.len()),
             "placement map points outside the fleet"
@@ -108,7 +121,7 @@ impl DeviceFleet {
         DeviceFleet {
             pumps: devices.into_iter().map(DevicePump::new).collect(),
             shard_of,
-            replicas_of: HashMap::new(),
+            replicas_of: HashMap::default(),
             fanout: vec![Vec::new(); n],
             down: vec![false; n],
             down_since: vec![None; n],
@@ -145,9 +158,9 @@ impl DeviceFleet {
                 .all(|r| !r.is_empty() && r.iter().all(|&s| s < devices.len())),
             "replica list empty or pointing outside the fleet"
         );
-        let shard_of = replicas_of.iter().map(|(&o, r)| (o, r[0])).collect();
-        let mut fleet = DeviceFleet::new(devices, shard_of);
-        fleet.replicas_of = replicas_of;
+        let primaries = replicas_of.iter().map(|(&o, r)| (o, r[0]));
+        let mut fleet = DeviceFleet::from_routes(devices, primaries);
+        fleet.replicas_of = replicas_of.into_iter().collect();
         fleet
     }
 

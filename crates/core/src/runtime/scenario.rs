@@ -636,8 +636,9 @@ impl Scenario {
         // fleet path (byte-identical to before replication existed);
         // replicated placements carry the full lists for failover.
         let mut fleet = if self.placement.replicas() == 1 {
-            let shard_of = replicas_of.iter().map(|(&o, r)| (o, r[0])).collect();
-            DeviceFleet::new(devices, shard_of)
+            // The replica lists are consumed as they are read, so the
+            // routing map is the only placement table left standing.
+            DeviceFleet::from_routes(devices, replicas_of.into_iter().map(|(o, r)| (o, r[0])))
         } else {
             DeviceFleet::with_replicas(devices, replicas_of)
         };

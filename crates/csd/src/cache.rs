@@ -35,14 +35,11 @@
 //!   and every future GET against it skips the switch entirely.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 
 use skipper_sim::SimTime;
 
 use crate::object::{GroupId, ObjectId};
-use crate::store::{transfer_time, FastHasher};
-
-type FastBuild = BuildHasherDefault<FastHasher>;
+use crate::store::{transfer_time, FastBuild};
 
 /// Default DRAM tier read bandwidth (one service pipe): 4 GiB/s.
 pub const DRAM_BANDWIDTH_BYTES_PER_SEC: f64 = 4.0 * (1u64 << 30) as f64;

@@ -60,4 +60,4 @@ pub use sched::{
     FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, MaxQueries, NaiveQueue,
     QueueView, RankBased, RequestIndex, RequestQueue, SchedPolicy, ServeScope,
 };
-pub use store::ObjectStore;
+pub use store::{FastBuild, ObjectStore};

@@ -10,7 +10,7 @@
 //! indefinitely, which is exactly what the rank-based policy fixes.
 
 use crate::object::GroupId;
-use crate::sched::{Decision, GroupScheduler, InFlight, QueueView};
+use crate::sched::{takes_lead, Decision, GroupScheduler, InFlight, QueueView};
 
 /// Most-pending-queries-first group selection.
 #[derive(Debug, Default)]
@@ -25,26 +25,17 @@ impl MaxQueries {
     fn best_group(queue: &dyn QueueView) -> Option<GroupId> {
         // Max query count over the per-group aggregates (maintained
         // incrementally by the queue, visited in ascending group id);
-        // ties broken by oldest request (smaller seq wins), then lower
-        // group id. A single allocation-free fold over the group
-        // lenses — this runs once per drained-residency decision.
-        let mut best: Option<(GroupId, usize, u64)> = None;
+        // ties broken by oldest request (smaller seq wins). A single
+        // allocation-free fold over the group lenses — this runs once
+        // per drained-residency decision.
+        let mut best: Option<(GroupId, usize)> = None;
         queue.for_each_group(&mut |g, lens| {
-            let wins = match best {
-                None => true,
-                Some((bg, bcount, bseq)) => {
-                    bcount
-                        .cmp(&lens.query_count)
-                        .then_with(|| lens.oldest_seq.cmp(&bseq))
-                        .then_with(|| g.cmp(&bg))
-                        == std::cmp::Ordering::Less
-                }
-            };
-            if wins {
-                best = Some((g, lens.query_count, lens.oldest_seq));
+            let count = lens.queries.len();
+            if best.is_none_or(|(bg, bcount)| takes_lead(queue, g, bg, count.cmp(&bcount))) {
+                best = Some((g, count));
             }
         });
-        best.map(|(g, _, _)| g)
+        best.map(|(g, _)| g)
     }
 }
 

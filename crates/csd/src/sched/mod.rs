@@ -49,6 +49,7 @@ pub use queue::{RequestIndex, RequestQueue};
 pub use rank::RankBased;
 pub use slack::FcfsSlack;
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use skipper_sim::SimTime;
@@ -202,6 +203,13 @@ pub trait QueueView {
     /// True when query `q` has at least one pending request on `g`.
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool;
 
+    /// The smallest arrival sequence number pending on `g` (`None` when
+    /// nothing is). The group-centric policies' deterministic
+    /// tie-break: asked only for groups whose scores actually tie, so
+    /// it is a lookup of its own instead of a per-group aggregate every
+    /// decision would pay for.
+    fn oldest_seq_on(&self, g: GroupId) -> Option<u64>;
+
     /// Number of requests of the current residency snapshot still
     /// pending on `g`. Only meaningful for the group the snapshot was
     /// armed on (the active group).
@@ -209,10 +217,10 @@ pub trait QueueView {
 
     /// Visits every group with pending requests in ascending group id,
     /// handing each a borrowed [`GroupLens`]. This is the hot decision
-    /// path: the indexed queue implements it without touching the heap
-    /// (the lens borrows the incrementally-maintained aggregates in
-    /// place), which is what keeps scheduler decisions allocation-free
-    /// no matter how often the fleet re-decides.
+    /// path: the indexed queue implements it without touching the
+    /// allocator (the lens borrows the incrementally-maintained
+    /// aggregates in place), which is what keeps scheduler decisions
+    /// allocation-free no matter how often the fleet re-decides.
     fn for_each_group(&self, visit: &mut dyn FnMut(GroupId, &GroupLens<'_>));
 
     /// Visits the `k` oldest pending requests by arrival sequence,
@@ -228,21 +236,28 @@ pub trait QueueView {
     /// Per-group aggregates, sorted by group id; groups with no pending
     /// requests are absent. Allocating convenience form of
     /// [`QueueView::for_each_group`] for tests and external callers —
-    /// the canned policies never call it.
+    /// the canned policies never call it. No policy reads arrival
+    /// times, so `oldest_arrival` is not an index either queue keeps:
+    /// it is folded here from one scan over the pending requests.
     fn group_aggregates(&self) -> Vec<(GroupId, GroupStats)> {
         let mut out = Vec::new();
         self.for_each_group(&mut |g, lens| {
-            let mut queries = Vec::with_capacity(lens.query_count);
-            lens.for_each_query(&mut |q| queries.push(q));
             out.push((
                 g,
                 GroupStats {
-                    queries,
+                    queries: lens.queries.to_vec(),
                     requests: lens.requests,
-                    oldest_arrival: lens.oldest_arrival,
-                    oldest_seq: lens.oldest_seq,
+                    oldest_arrival: None,
+                    oldest_seq: self.oldest_seq_on(g).unwrap_or(0),
                 },
             ));
+        });
+        self.for_each_window(usize::MAX, &mut |r| {
+            let at = out
+                .binary_search_by_key(&r.group, |&(g, _)| g)
+                .expect("pending request on a group with no aggregate");
+            let oldest = &mut out[at].1.oldest_arrival;
+            *oldest = Some(oldest.map_or(r.arrival, |t| t.min(r.arrival)));
         });
         out
     }
@@ -267,42 +282,37 @@ pub trait QueueView {
     }
 }
 
-/// The borrowed query-visit closure a [`GroupLens`] carries: calling it
-/// visits the group's distinct queries in ascending query id.
-pub type QueryWalk<'a> = &'a dyn Fn(&mut dyn FnMut(QueryId));
-
 /// One group's aggregates as borrowed during
-/// [`QueueView::for_each_group`]: the scalar stats plus an inline walk
-/// over the distinct queries with pending data on the group (ascending
-/// query id). Nothing is copied out of the queue — the walk re-borrows
-/// the queue's own per-group index — so a policy folding over every
-/// group (rank, max-queries) costs zero heap traffic per decision.
+/// [`QueueView::for_each_group`]. Nothing is copied out of the queue —
+/// the query list is the queue's own per-group key array — so a policy
+/// folding over every group (rank, max-queries) costs zero heap traffic
+/// and no indirect call per query.
 pub struct GroupLens<'a> {
-    /// Distinct queries with pending data on this group.
-    pub query_count: usize,
+    /// Distinct queries with pending data on this group, ascending.
+    pub queries: &'a [QueryId],
     /// Pending request count.
     pub requests: usize,
-    /// Earliest request arrival on this group.
-    pub oldest_arrival: Option<SimTime>,
-    /// Smallest arrival sequence number (deterministic tie-break).
-    pub oldest_seq: u64,
-    /// The query walk, borrowed from the queue.
-    pub queries: QueryWalk<'a>,
 }
 
-impl GroupLens<'_> {
-    /// Visits the group's distinct queries in ascending query id.
-    pub fn for_each_query(&self, f: &mut dyn FnMut(QueryId)) {
-        (self.queries)(f)
-    }
+/// One step of the group-centric policies' "best group" fold: does
+/// group `g`, whose score compares to the incumbent's as `vs_best`,
+/// take the lead from `best`? The higher score wins and equal scores go
+/// to the group holding the older request ([`QueueView::oldest_seq_on`],
+/// consulted only here). Sequence numbers are unique across groups, so
+/// no further tie-break is reachable.
+fn takes_lead(queue: &dyn QueueView, g: GroupId, best: GroupId, vs_best: Ordering) -> bool {
+    vs_best.then_with(|| queue.oldest_seq_on(best).cmp(&queue.oldest_seq_on(g)))
+        == Ordering::Greater
 }
 
 /// A group-switch scheduling policy.
 ///
-/// `Send` is a supertrait so a boxed policy — and with it the whole
-/// device — can be drained on a worker thread by the shard-parallel
-/// window execution; policies are plain state machines, so the bound
-/// costs nothing.
+/// `Send` is a supertrait so a boxed policy — and with it a whole
+/// device — may be handed to another thread. The runtime is one
+/// single-threaded event loop, so nothing in the tree relies on the
+/// bound today; it stays because policies are plain state machines (it
+/// costs them nothing) and re-adding it later would break every policy
+/// written outside this crate.
 pub trait GroupScheduler: Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;

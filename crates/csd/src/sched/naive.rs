@@ -157,6 +157,14 @@ impl QueueView for NaiveQueue {
         self.pending.iter().any(|r| r.group == g && r.query == q)
     }
 
+    fn oldest_seq_on(&self, g: GroupId) -> Option<u64> {
+        self.pending
+            .iter()
+            .filter(|r| r.group == g)
+            .map(|r| r.seq)
+            .min()
+    }
+
     fn resident_len(&self, g: GroupId) -> usize {
         self.pending
             .iter()
@@ -190,19 +198,11 @@ impl QueueView for NaiveQueue {
             stats.queries.sort_unstable();
         }
         for (&g, stats) in &map {
-            let walk = |f: &mut dyn FnMut(QueryId)| {
-                for &q in &stats.queries {
-                    f(q);
-                }
-            };
             visit(
                 g,
                 &GroupLens {
-                    query_count: stats.queries.len(),
+                    queries: &stats.queries,
                     requests: stats.requests,
-                    oldest_arrival: stats.oldest_arrival,
-                    oldest_seq: stats.oldest_seq,
-                    queries: &walk,
                 },
             );
         }

@@ -10,7 +10,7 @@
 //!   indexed directly by the device's dense, monotone sequence numbers:
 //!   insert/remove/lookup and "globally oldest" are all O(1), and a
 //!   node's storage is recycled in place instead of churning allocator
-//!   nodes per request (zero allocations per request in steady state);
+//!   nodes per request;
 //! * **per-group sub-queues** ordered by the device's intra-group
 //!   service key as *lazy-deletion min-heaps*, split into the *resident*
 //!   snapshot (the §4.4 non-preemption scope) and *fresh* post-snapshot
@@ -20,14 +20,23 @@
 //!   a smaller seq than anything arriving later), making `arm_residency`
 //!   a counter update plus one heap meld instead of a per-request set
 //!   move;
-//! * **per-group aggregates** (distinct-query counts, request counts)
-//!   kept exact on every mutation, plus lazy oldest-seq /
-//!   oldest-arrival heaps — a push per insert, with stale entries
-//!   skipped (and compacted, amortized O(1)) only when a switch
-//!   decision actually reads the aggregate;
+//! * **per-group aggregates** (the sorted distinct-query list, request
+//!   counts) kept exact on every mutation, plus a lazy oldest-seq heap —
+//!   a push per insert, with stale entries skipped (and compacted,
+//!   amortized O(1)) only when a switch decision actually needs the
+//!   tie-break. No arrival-time aggregate is maintained: no policy reads
+//!   one, so [`QueueView::group_aggregates`] derives it from a scan;
 //! * a **per-query index** answering "this query's oldest request" and
 //!   "which queries are present" for query-FCFS and the rank policy's
 //!   waiting-time bookkeeping, with the same lazy-heap trick.
+//!
+//! Both keyed indexes are [`PooledMap`]s: a sorted key array over a
+//! *handle-addressed payload arena*. A group (or query) that appears
+//! and drains — once per GET under a pull-based client — moves one key
+//! and one 4-byte handle; its heaps stay where they are and go back on
+//! a free list with their capacity intact. Together with the slab this
+//! is what makes the steady state allocate nothing per request
+//! (`crates/csd/tests/alloc_steady.rs` pins it at zero).
 //!
 //! Lazy deletion trades the old BTree-set removals (three ordered-set
 //! operations per served request) for heap pushes and amortized stale
@@ -44,8 +53,6 @@
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-use skipper_sim::SimTime;
 
 use crate::device::IntraGroupOrder;
 use crate::object::{GroupId, ObjectId, QueryId};
@@ -70,103 +77,128 @@ trait Recycle: Default {
     fn recycle(&mut self);
 }
 
-/// A sorted-vec map with an arena of recycled payloads.
+/// A sorted-key map over a handle-addressed arena of recycled payloads.
 ///
-/// The per-group / per-query sub-indexes used to live in `BTreeMap`s:
-/// every time a group or query drained, its entry — heap allocations
-/// and all — was dropped, and the next round's insert re-allocated it
-/// from scratch. That churn scales with tenants × rounds × *shards*
-/// (each shard keeps its own queue over the same tenant set), so
-/// allocations per event grew with the shard count.
+/// `keys` is the live key set in ascending order and `handles[i]` names
+/// the arena slot holding `keys[i]`'s payload, so a lookup is a binary
+/// search over a dense key array and an insert or remove shifts keys
+/// and 4-byte handles only. Payloads — a few hundred bytes of heap
+/// headers each — never move: a drained entry's slot is reset in place
+/// ([`Recycle`], every backing allocation kept) and its handle parked
+/// on `free` for the next insert. Every arena slot is therefore named
+/// by exactly one entry of `handles` or exactly one entry of `free`.
 ///
-/// Here the key array is one contiguous sorted `Vec` — binary-search
-/// lookups, cache-resident iteration for the aggregate scans even on
-/// ≥32k-deep fleets — and removed payloads park in a free list with
-/// their heap capacities intact ([`Recycle`]), so the steady state
-/// allocates nothing no matter how often groups drain and refill.
-/// Inserts and removes memmove the (small, dense) entry vector; the
-/// maps hold one entry per *distinct pending* group or query, which
-/// the workloads keep far below the pending-request count.
+/// The maps hold one entry per *distinct pending* group or query. A
+/// pull-based client creates and drains such an entry once per GET, on
+/// shards that can convoy dozens of one-request groups deep, which is
+/// why neither step may touch the allocator or move a payload.
 #[derive(Debug)]
 struct PooledMap<K: Ord + Copy, V: Recycle> {
-    entries: Vec<(K, V)>,
-    free: Vec<V>,
+    keys: Vec<K>,
+    handles: Vec<u32>,
+    arena: Vec<V>,
+    free: Vec<u32>,
 }
 
 impl<K: Ord + Copy, V: Recycle> Default for PooledMap<K, V> {
     fn default() -> Self {
         PooledMap {
-            entries: Vec::new(),
+            keys: Vec::new(),
+            handles: Vec::new(),
+            arena: Vec::new(),
             free: Vec::new(),
         }
     }
 }
 
 impl<K: Ord + Copy, V: Recycle> PooledMap<K, V> {
-    fn idx(&self, key: &K) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    /// The position of `key` in key order, if present. Positions stay
+    /// valid until the next insert or remove.
+    fn position(&self, key: &K) -> Option<usize> {
+        self.keys.binary_search(key).ok()
+    }
+
+    fn at(&self, pos: usize) -> &V {
+        &self.arena[self.handles[pos] as usize]
+    }
+
+    fn at_mut(&mut self, pos: usize) -> &mut V {
+        &mut self.arena[self.handles[pos] as usize]
     }
 
     fn get(&self, key: &K) -> Option<&V> {
-        self.idx(key).ok().map(|i| &self.entries[i].1)
+        self.position(key).map(|pos| self.at(pos))
     }
 
     fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self.idx(key) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        self.idx(key).is_ok()
+        self.position(key).map(|pos| self.at_mut(pos))
     }
 
     /// The entry for `key`, inserting an empty (pool-recycled) payload
     /// if absent.
     fn entry_or_default(&mut self, key: K) -> &mut V {
-        let i = match self.idx(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                let payload = self.free.pop().unwrap_or_default();
-                self.entries.insert(i, (key, payload));
-                i
+        let pos = match self.keys.binary_search(&key) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let handle = self.free.pop().unwrap_or_else(|| {
+                    self.arena.push(V::default());
+                    u32::try_from(self.arena.len() - 1).expect("arena outgrew its u32 handles")
+                });
+                self.keys.insert(pos, key);
+                self.handles.insert(pos, handle);
+                pos
             }
         };
-        &mut self.entries[i].1
+        self.at_mut(pos)
     }
 
-    /// Removes `key`, recycling its payload into the pool.
-    fn remove(&mut self, key: &K) {
-        if let Ok(i) = self.idx(key) {
-            let (_, mut payload) = self.entries.remove(i);
-            payload.recycle();
-            self.free.push(payload);
-        }
+    /// Removes the entry at `pos`, recycling its payload into the pool.
+    fn remove_at(&mut self, pos: usize) {
+        self.keys.remove(pos);
+        let handle = self.handles.remove(pos);
+        self.arena[handle as usize].recycle();
+        self.free.push(handle);
     }
 
     /// Recycles every entry into the pool (used when a whole map is
     /// itself pooled inside an outer payload).
     fn recycle_all(&mut self) {
-        for (_, mut payload) in self.entries.drain(..) {
-            payload.recycle();
-            self.free.push(payload);
+        self.keys.clear();
+        for handle in self.handles.drain(..) {
+            self.arena[handle as usize].recycle();
+            self.free.push(handle);
         }
     }
 
     /// Entries in key order.
-    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        self.keys
+            .iter()
+            .zip(&self.handles)
+            .map(|(&k, &h)| (k, &self.arena[h as usize]))
     }
 
-    /// Number of live entries.
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// Live keys, ascending.
+    fn keys(&self) -> &[K] {
+        &self.keys
     }
 
-    /// Keys in order.
-    fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+    /// Test self-check: keys strictly ascending, one handle per key,
+    /// and every arena slot named exactly once across `handles` and
+    /// `free`.
+    #[cfg(test)]
+    fn check_handles(&self) {
+        assert!(self.keys.windows(2).all(|w| w[0] < w[1]), "keys unsorted");
+        assert_eq!(self.keys.len(), self.handles.len());
+        let mut named: Vec<u32> = self.handles.iter().chain(&self.free).copied().collect();
+        named.sort_unstable();
+        assert!(
+            named.iter().copied().eq(0..self.arena.len() as u32),
+            "arena slots leaked or double-booked: live {:?} free {:?} of {}",
+            self.handles,
+            self.free,
+            self.arena.len()
+        );
     }
 }
 
@@ -334,10 +366,9 @@ struct GroupQueue {
     count: usize,
     /// Lazy oldest-seq aggregate.
     min_seq: LazyMinHeap<u64>,
-    /// Lazy oldest-arrival aggregate (arrival, seq).
-    min_arrival: LazyMinHeap<(SimTime, u64)>,
     /// Per-query presence count and intra-order heap (distinct-query
-    /// aggregates and the query-FCFS serve scope).
+    /// aggregates and the query-FCFS serve scope); its key array is the
+    /// sorted distinct-query list a [`GroupLens`] borrows.
     by_query: PooledMap<QueryId, QueryHeap>,
 }
 
@@ -349,7 +380,6 @@ impl Recycle for GroupQueue {
         self.resident_count = 0;
         self.count = 0;
         self.min_seq.clear();
-        self.min_arrival.clear();
         self.by_query.recycle_all();
     }
 }
@@ -476,6 +506,58 @@ impl RequestQueue {
     fn key(&self, r: &PendingRequest) -> OrderKey {
         self.intra.key(r)
     }
+
+    /// Test self-check: rebuilds every maintained count — total,
+    /// per-group pending and resident, per-(group, query) and per-query
+    /// — from a slab scan, asserts the indexes agree, and checks the
+    /// handle bookkeeping of every arena (pooled payloads included:
+    /// they must have been reset).
+    #[cfg(test)]
+    pub(crate) fn recount(&self) {
+        use std::collections::BTreeMap;
+        #[derive(Default)]
+        struct Group {
+            count: usize,
+            resident: usize,
+            by_query: BTreeMap<QueryId, usize>,
+        }
+        let mut groups: BTreeMap<GroupId, Group> = BTreeMap::new();
+        let mut queries: BTreeMap<QueryId, usize> = BTreeMap::new();
+        for r in self.slab.iter() {
+            let boundary = self.groups.get(&r.group).map_or(0, |gq| gq.boundary);
+            let g = groups.entry(r.group).or_default();
+            g.count += 1;
+            g.resident += usize::from(r.seq < boundary);
+            *g.by_query.entry(r.query).or_default() += 1;
+            *queries.entry(r.query).or_default() += 1;
+        }
+        assert_eq!(self.slab.len(), self.slab.iter().count());
+        assert!(self.groups.keys().iter().eq(groups.keys()), "group keys");
+        for ((g, gq), want) in self.groups.iter().zip(groups.values()) {
+            assert_eq!(gq.count, want.count, "count of group {g}");
+            assert_eq!(gq.resident_count, want.resident, "residents of group {g}");
+            assert!(
+                gq.by_query.keys().iter().eq(want.by_query.keys()),
+                "query keys of group {g}"
+            );
+            for ((q, per_query), &n) in gq.by_query.iter().zip(want.by_query.values()) {
+                assert_eq!(per_query.count, n, "count of {q} on group {g}");
+            }
+        }
+        assert!(self.queries.keys().iter().eq(queries.keys()), "query keys");
+        for ((q, entry), &n) in self.queries.iter().zip(queries.values()) {
+            assert_eq!(entry.count, n, "count of {q}");
+        }
+        self.groups.check_handles();
+        self.queries.check_handles();
+        for gq in &self.groups.arena {
+            gq.by_query.check_handles();
+            assert!(
+                gq.count > 0 || gq.by_query.keys().is_empty(),
+                "pooled group not reset"
+            );
+        }
+    }
 }
 
 impl RequestIndex for RequestQueue {
@@ -504,7 +586,6 @@ impl RequestIndex for RequestQueue {
         group.fresh.push(key);
         group.count += 1;
         group.min_seq.push(request.seq);
-        group.min_arrival.push((request.arrival, request.seq));
         let per_query = group.by_query.entry_or_default(request.query);
         per_query.count += 1;
         per_query.heap.push(key);
@@ -515,32 +596,34 @@ impl RequestIndex for RequestQueue {
 
     fn remove(&mut self, seq: u64) -> PendingRequest {
         let request = self.slab.remove(seq);
-        let group = self
+        // Liveness for the amortized stale-entry cleanup is slab
+        // presence (sequence numbers are never reused).
+        let slab = &self.slab;
+        let gpos = self
             .groups
-            .get_mut(&request.group)
+            .position(&request.group)
             .expect("group index out of sync");
+        let group = self.groups.at_mut(gpos);
         group.count -= 1;
         if seq < group.boundary {
             group.resident_count -= 1;
         }
-        let drop_query_heap = {
-            let per_query = group
-                .by_query
-                .get_mut(&request.query)
-                .expect("per-query index out of sync");
-            per_query.count -= 1;
-            per_query.count == 0
-        };
-        if drop_query_heap {
-            group.by_query.remove(&request.query);
-        }
         if group.count == 0 {
-            self.groups.remove(&request.group);
+            self.groups.remove_at(gpos);
         } else {
-            // Amortized stale-entry cleanup; liveness is slab presence
-            // (sequence numbers are never reused).
-            let slab = &self.slab;
-            let group = self.groups.get_mut(&request.group).expect("still present");
+            let qpos = group
+                .by_query
+                .position(&request.query)
+                .expect("per-query index out of sync");
+            let per_query = group.by_query.at_mut(qpos);
+            per_query.count -= 1;
+            if per_query.count == 0 {
+                group.by_query.remove_at(qpos);
+            } else {
+                per_query
+                    .heap
+                    .maybe_compact(per_query.count, |k| slab.contains(seq_of(&k)));
+            }
             let fresh_live = group.count - group.resident_count;
             group
                 .resident
@@ -551,24 +634,16 @@ impl RequestIndex for RequestQueue {
             group
                 .min_seq
                 .maybe_compact(group.count, |s| slab.contains(s));
-            group
-                .min_arrival
-                .maybe_compact(group.count, |(_, s)| slab.contains(s));
-            if let Some(per_query) = group.by_query.get_mut(&request.query) {
-                per_query
-                    .heap
-                    .maybe_compact(per_query.count, |k| slab.contains(seq_of(&k)));
-            }
         }
-        let query = self
+        let qpos = self
             .queries
-            .get_mut(&request.query)
+            .position(&request.query)
             .expect("query index out of sync");
+        let query = self.queries.at_mut(qpos);
         query.count -= 1;
         if query.count == 0 {
-            self.queries.remove(&request.query);
+            self.queries.remove_at(qpos);
         } else {
-            let slab = &self.slab;
             query
                 .min_seq
                 .maybe_compact(query.count, |s| slab.contains(s));
@@ -644,7 +719,14 @@ impl QueueView for RequestQueue {
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool {
         self.groups
             .get(&g)
-            .is_some_and(|gq| gq.by_query.contains_key(&q))
+            .is_some_and(|gq| gq.by_query.position(&q).is_some())
+    }
+
+    fn oldest_seq_on(&self, g: GroupId) -> Option<u64> {
+        self.groups
+            .get(&g)?
+            .min_seq
+            .min_live(|s| self.slab.contains(s))
     }
 
     fn resident_len(&self, g: GroupId) -> usize {
@@ -652,27 +734,16 @@ impl QueueView for RequestQueue {
     }
 
     fn for_each_group(&self, visit: &mut dyn FnMut(GroupId, &GroupLens<'_>)) {
-        // The decision hot path: every field of the lens borrows the
-        // incrementally-maintained per-group index in place — no Vec is
-        // materialized per group or per call, so policies folding over
-        // the whole fleet's groups stay allocation-free.
-        for (&g, gq) in self.groups.iter() {
-            let walk = |f: &mut dyn FnMut(QueryId)| {
-                for (&q, _) in gq.by_query.iter() {
-                    f(q);
-                }
-            };
+        // The decision hot path: the lens borrows the group's sorted
+        // query keys in place — no Vec is materialized per group or
+        // per call, so policies folding over the whole fleet's groups
+        // stay allocation-free.
+        for (g, gq) in self.groups.iter() {
             visit(
                 g,
                 &GroupLens {
-                    query_count: gq.by_query.len(),
+                    queries: gq.by_query.keys(),
                     requests: gq.count,
-                    oldest_arrival: gq
-                        .min_arrival
-                        .min_live(|(_, s)| self.slab.contains(s))
-                        .map(|(t, _)| t),
-                    oldest_seq: gq.min_seq.min_live(|s| self.slab.contains(s)).unwrap_or(0),
-                    queries: &walk,
                 },
             );
         }
@@ -685,14 +756,24 @@ impl QueueView for RequestQueue {
     }
 
     fn for_each_query_presence(&self, on: GroupId, visit: &mut dyn FnMut(QueryId, bool)) {
+        // `on` is resolved once; its query keys and the global query
+        // keys are both ascending, so presence is one merge walk.
+        let mut on_group = self
+            .groups
+            .get(&on)
+            .map_or(&[][..], |gq| gq.by_query.keys())
+            .iter()
+            .peekable();
         for &q in self.queries.keys() {
-            visit(q, self.group_has_query(on, q));
+            visit(q, on_group.next_if_eq(&&q).is_some());
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use skipper_sim::SimTime;
+
     use super::*;
     use crate::sched::testutil::req;
 
@@ -817,6 +898,7 @@ mod tests {
         for wave in 0..50u64 {
             for _ in 0..8 {
                 q.insert(req(1, 0, 0, next_seq as u32, wave, next_seq));
+                q.recount();
                 live.push(next_seq);
                 next_seq += 1;
             }
@@ -825,6 +907,7 @@ mod tests {
             for _ in 0..7 {
                 let victim = live.remove(live.len() / 2);
                 q.remove(victim);
+                q.recount();
             }
             let agg = q.group_aggregates();
             assert_eq!(agg.len(), 1);
@@ -847,19 +930,80 @@ mod tests {
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         for seq in 0..40u64 {
             q.insert(req(1, 0, 0, seq as u32, seq, seq));
+            q.recount();
         }
         q.arm_residency(1);
+        q.recount();
         assert_eq!(q.resident_len(1), 40);
         // Remove every other resident, newest first.
         for seq in (0..40u64).rev().step_by(2) {
             q.remove(seq);
+            q.recount();
         }
         assert_eq!(q.resident_len(1), 20);
         assert_eq!(q.select(ServeScope::Residency, 1), Some(0));
         // Post-arm arrivals stay fresh.
         q.insert(req(1, 0, 0, 99, 99, 99));
+        q.recount();
         assert_eq!(q.resident_len(1), 20);
         assert_eq!(q.select(ServeScope::Residency, 1), Some(0));
+    }
+
+    #[test]
+    fn many_groups_create_drain_and_recycle() {
+        // The pull-convoy shape: 48 groups, a few tenants each, most
+        // holding one request; every round arms a residency on one
+        // group, drains it, and refills groups that drained earlier, so
+        // group, (group, query) and query entries are created, recycled
+        // and re-created in the middle of deep key arrays. The indexes
+        // must match a recount after every single mutation.
+        let mut q = RequestQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, []);
+        let (groups, tenants) = (48u32, 7u16);
+        let mut next_seq = 0u64;
+        let mut live: Vec<PendingRequest> = Vec::new();
+        let mut submit = |q: &mut RequestQueue, live: &mut Vec<PendingRequest>, group: u32| {
+            let tenant = (next_seq % tenants as u64) as u16;
+            let r = req(
+                group,
+                tenant,
+                group % 3,
+                next_seq as u32,
+                next_seq,
+                next_seq,
+            );
+            next_seq += 1;
+            q.insert(r);
+            q.recount();
+            live.push(r);
+        };
+        for g in 0..groups {
+            submit(&mut q, &mut live, g);
+        }
+        for round in 0..200u32 {
+            // Visit groups in a stride coprime to the count so drains
+            // hit the front, middle and back of the sorted key array.
+            let g = (round * 29) % groups;
+            q.arm_residency(g);
+            q.recount();
+            while let Some(seq) = q.select(ServeScope::Residency, g) {
+                let r = q.remove(seq);
+                q.recount();
+                live.retain(|l| l.seq != r.seq);
+                assert_eq!(r.group, g);
+            }
+            assert_eq!(q.resident_len(g), 0);
+            assert!(live.iter().all(|r| r.group != g), "group {g} not drained");
+            // Refill: the drained group and two others get new work.
+            for target in [g, (g + 5) % groups, (g + 31) % groups] {
+                submit(&mut q, &mut live, target);
+            }
+            assert_eq!(q.len(), live.len());
+            assert_eq!(q.oldest().map(|r| r.seq), live.iter().map(|r| r.seq).min());
+        }
+        // The arenas stopped growing once every key had been seen:
+        // payloads recycle through the free list instead.
+        assert!(q.groups.arena.len() <= groups as usize);
+        assert_eq!(q.group_aggregates(), crate::sched::group_stats(&live));
     }
 
     #[test]

@@ -26,8 +26,10 @@ use std::collections::HashMap;
 
 use crate::object::{GroupId, QueryId};
 use crate::sched::{
-    group_stats, Decision, GroupScheduler, GroupStats, InFlight, PendingRequest, QueueView,
+    group_stats, takes_lead, Decision, GroupScheduler, GroupStats, InFlight, PendingRequest,
+    QueueView,
 };
+use crate::store::FastBuild;
 
 /// Rank-based group selection balancing efficiency and fairness.
 #[derive(Debug)]
@@ -40,8 +42,9 @@ pub struct RankBased {
     /// departed queries with an in-place `retain` instead of rebuilding
     /// a presence map per switch — the map reaches the steady
     /// query-population size once and never touches the allocator
-    /// again.
-    waiting: HashMap<QueryId, (u64, u64)>,
+    /// again. Probed once per (group, query) per decision and once per
+    /// query per switch, hence the cheap deterministic hasher.
+    waiting: HashMap<QueryId, (u64, u64), FastBuild>,
     /// Current switch generation (bumped once per completed switch).
     generation: u64,
 }
@@ -63,7 +66,7 @@ impl RankBased {
     pub fn with_k(k: f64) -> Self {
         RankBased {
             k,
-            waiting: HashMap::new(),
+            waiting: HashMap::default(),
             generation: 0,
         }
     }
@@ -92,31 +95,19 @@ impl RankBased {
     }
 
     fn best_group(&self, queue: &dyn QueueView) -> Option<GroupId> {
-        // Highest rank; ties broken by oldest pending request, then lowest
-        // group id — all deterministic. One allocation-free fold over
-        // the queue's group lenses (this runs on every decision where
-        // the active residency is drained, so it must not touch the
-        // heap).
-        let mut best: Option<(GroupId, f64, u64)> = None;
+        // Highest rank; ties broken by oldest pending request — all
+        // deterministic. One allocation-free fold over the queue's
+        // group lenses (this runs on every decision where the active
+        // residency is drained, so it must not touch the heap).
+        let mut best: Option<(GroupId, f64)> = None;
         queue.for_each_group(&mut |g, lens| {
-            let mut w = 0u64;
-            lens.for_each_query(&mut |q| w += self.waiting_of(q));
-            let rank = lens.query_count as f64 + self.k * w as f64;
-            let wins = match best {
-                None => true,
-                Some((bg, brank, bseq)) => {
-                    brank
-                        .total_cmp(&rank)
-                        .then_with(|| lens.oldest_seq.cmp(&bseq))
-                        .then_with(|| g.cmp(&bg))
-                        == std::cmp::Ordering::Less
-                }
-            };
-            if wins {
-                best = Some((g, rank, lens.oldest_seq));
+            let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
+            let rank = lens.queries.len() as f64 + self.k * w as f64;
+            if best.is_none_or(|(bg, brank)| takes_lead(queue, g, bg, rank.total_cmp(&brank))) {
+                best = Some((g, rank));
             }
         });
-        best.map(|(g, _, _)| g)
+        best.map(|(g, _)| g)
     }
 }
 

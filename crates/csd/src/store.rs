@@ -13,15 +13,18 @@ use skipper_sim::SimDuration;
 use crate::layout::Layout;
 use crate::object::{GroupId, ObjectId, ObjectMeta};
 
-/// A fast, deterministic hasher for the store's small fixed-width keys.
+/// A fast, deterministic hasher for small fixed-width simulator keys
+/// ([`ObjectId`], `QueryId`, `GroupId`).
 ///
-/// The store is probed two to three times per simulated event (submit
-/// metadata, completion payload); SipHash's per-lookup cost is
-/// measurable at million-request scale and buys nothing here — keys are
-/// trusted `ObjectId`s, not attacker-controlled strings. FNV-1a over
-/// the written words, finished with a SplitMix64 mix, hashes an
-/// `ObjectId` in a few cycles and is identical across runs (the seed
-/// path stays deterministic).
+/// Every map probed per simulated GET — the store (submit metadata,
+/// completion payload), the shard caches, the rank policy's waiting
+/// table, the fleet's routing maps — is built on it through
+/// [`FastBuild`]. SipHash's per-lookup cost is measurable at
+/// million-request scale and buys nothing here: keys are trusted ids
+/// minted by the simulator, not attacker-controlled strings. FNV-1a
+/// over the written words, finished with a SplitMix64 mix, hashes an
+/// id in a few cycles and is identical across runs, so table growth —
+/// and with it the allocation count of a run — repeats exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastHasher(u64);
 
@@ -55,7 +58,9 @@ impl Hasher for FastHasher {
     }
 }
 
-type FastBuild = BuildHasherDefault<FastHasher>;
+/// The [`std::hash::BuildHasher`] of every per-GET map in the
+/// simulator: `HashMap<K, V, FastBuild>` (see [`FastHasher`]).
+pub type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// An object store mapping [`ObjectId`]s to `(metadata, payload)`.
 #[derive(Clone, Debug, Default)]

@@ -12,7 +12,9 @@
 //! pipelines. Each workload runs open (the schedule alone) and, for
 //! policies × {1, 4} streams, closed-loop: a query's last delivery
 //! submits its next round, so the queue's decisions feed back into what
-//! it is offered next.
+//! it is offered next. A separate pull-convoy case drives dozens of
+//! one-tenant groups with one GET outstanding per tenant, so group and
+//! query index entries are created, drained and recycled once per GET.
 //!
 //! Shard counts enter through a miniature fleet driver (round-robin
 //! object → shard placement, one independent device per shard), which
@@ -325,6 +327,119 @@ fn indexed_queue_matches_naive_on_deep_queues() {
                 "{policy:?}/{streams} streams diverged on a deep queue"
             );
             assert!(indexed.served.iter().sum::<u64>() > 100);
+        }
+    }
+}
+
+/// The pull-based baseline of §3.2 at convoy depth: `tenants`
+/// one-tenant groups, one GET outstanding per tenant, every delivery
+/// submitting the tenant's next segment under the same query id.
+/// Segment `s` lives on shard `s % shards`, so every tenant starts on
+/// shard 0 and the whole convoy queues there one group deep each. Each
+/// GET creates a group entry and (once the tenant has moved on) drains
+/// it again — the create-drain-recycle path of the indexed queue.
+fn run_pull_convoy<Q: RequestIndex>(
+    policy: SchedPolicy,
+    tenants: u16,
+    rounds: u32,
+    shards: usize,
+    streams: u32,
+) -> Outcome {
+    let mut devices: Vec<CsdDevice<(), Q>> = (0..shards)
+        .map(|shard| {
+            let mut store = ObjectStore::new();
+            for tenant in 0..tenants {
+                for seg in (0..rounds).filter(|&seg| seg as usize % shards == shard) {
+                    // Sizes differ per tenant so transfers retire at
+                    // distinct instants and the convoy spreads out.
+                    let bytes = (90 + tenant as u64 % 20) * MB;
+                    store.put(ObjectId::new(tenant, 0, seg), bytes, tenant as u32, ());
+                }
+            }
+            CsdDevice::new(
+                CsdConfig {
+                    switch_latency: SimDuration::from_secs(10),
+                    bandwidth_bytes_per_sec: (100 * MB) as f64,
+                    parallel_streams: streams,
+                    ..CsdConfig::default()
+                },
+                store,
+                policy.build(),
+                IntraGroupOrder::SemanticRoundRobin,
+            )
+        })
+        .collect();
+    let mut events: Vec<Vec<ShardEvent>> = vec![Vec::new(); shards];
+    for tenant in 0..tenants {
+        let first = ObjectId::new(tenant, 0, 0);
+        devices[0].submit(
+            SimTime::ZERO,
+            tenant as usize,
+            QueryId::new(tenant, 0),
+            &[first],
+        );
+    }
+    let mut next: Vec<Option<SimTime>> =
+        devices.iter_mut().map(|d| d.kick(SimTime::ZERO)).collect();
+    while let Some((t, s)) = next
+        .iter()
+        .enumerate()
+        .filter_map(|(s, t)| t.map(|t| (t, s)))
+        .min()
+    {
+        let batch = devices[s].complete(t);
+        if batch.is_empty() {
+            events[s].push((t, None)); // switch completion
+        }
+        for d in batch {
+            events[s].push((t, Some((d.client, d.query, d.object))));
+            let seg = d.object.segment + 1;
+            if seg < rounds {
+                let object = ObjectId::new(d.object.tenant, 0, seg);
+                devices[seg as usize % shards].submit(t, d.client, d.query, &[object]);
+            }
+        }
+        for (s, slot) in next.iter_mut().enumerate() {
+            *slot = devices[s].kick(t);
+        }
+    }
+    Outcome {
+        switches: devices.iter().map(|d| d.metrics().group_switches).collect(),
+        served: devices.iter().map(|d| d.metrics().objects_served).collect(),
+        events,
+    }
+}
+
+/// Pull convoy: 48 one-tenant groups × 24 closed-loop rounds, every
+/// policy × {1, 4} streams × {1, 4} shards. Far past the 8 tenants × 3
+/// groups of the sweeps above, this is the regime where a group lives
+/// for exactly one GET; decisions, completion instants, delivery order
+/// and counters must still match the naive reference exactly.
+#[test]
+fn indexed_queue_matches_naive_on_a_pull_convoy() {
+    let (tenants, rounds) = (48u16, 24u32);
+    for policy in SchedPolicy::all() {
+        for shards in [1usize, 4] {
+            for streams in [1u32, 4] {
+                let indexed =
+                    run_pull_convoy::<RequestQueue>(policy, tenants, rounds, shards, streams);
+                let naive = run_pull_convoy::<NaiveQueue>(policy, tenants, rounds, shards, streams);
+                assert_eq!(
+                    indexed, naive,
+                    "{policy:?}/{shards}sh/{streams}st diverged on the pull convoy"
+                );
+                assert_eq!(
+                    indexed.served.iter().sum::<u64>(),
+                    tenants as u64 * rounds as u64
+                );
+                // One-tenant groups, one GET outstanding: no residency
+                // ever holds a second request, so every object after a
+                // shard's (free) first load pays its own group switch —
+                // the pull-based baseline of §3.2, under every policy.
+                for (switches, served) in indexed.switches.iter().zip(&indexed.served) {
+                    assert_eq!(switches + 1, *served, "{policy:?}/{shards}sh/{streams}st");
+                }
+            }
         }
     }
 }
