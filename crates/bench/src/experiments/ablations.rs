@@ -10,8 +10,10 @@
 //! 3. **Subplan pruning** (§5.2.4): on a clustered-selectivity workload
 //!    where most orders segments contain no qualifying tuples.
 
+use std::sync::Arc;
+
 use skipper_core::cache::EvictionPolicy;
-use skipper_core::driver::{EngineKind, Scenario};
+use skipper_core::runtime::{Scenario, SkipperFactory, Workload};
 use skipper_csd::IntraGroupOrder;
 use skipper_datagen::{tpch, Dataset};
 use skipper_relational::expr::Expr;
@@ -36,6 +38,19 @@ pub struct AblationRow {
     pub subplans_per_client: u64,
 }
 
+/// `n` Skipper clients configured by `engine`, each running `q` once.
+fn skipper_clients(
+    ds: &Arc<Dataset>,
+    q: &QuerySpec,
+    n: usize,
+    engine: SkipperFactory,
+) -> Vec<Workload> {
+    let client = Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), 1)
+        .engine(engine);
+    vec![client; n]
+}
+
 /// Eviction-policy A/B: Q5, 5 clients, swept over cache pressure (the
 /// paper's §4.2 argument concerns *low* cache capacities).
 pub fn eviction_rows(ctx: &mut Ctx) -> Vec<AblationRow> {
@@ -47,13 +62,10 @@ pub fn eviction_rows(ctx: &mut Ctx) -> Vec<AblationRow> {
             EvictionPolicy::MaximalProgress,
             EvictionPolicy::MaxPendingSubplans,
         ] {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
+            let engine = SkipperFactory::default()
                 .cache_bytes(cache_gib * GIB)
-                .eviction(policy)
-                .repeat_query(q5.clone(), 1)
-                .run();
+                .eviction(policy);
+            let res = Scenario::from_workloads(skipper_clients(&ds, &q5, 5, engine)).run();
             out.push(AblationRow {
                 dimension: "eviction",
                 variant: format!("{} @{}GB", policy.label(), cache_gib),
@@ -83,12 +95,9 @@ pub fn ordering_rows(ctx: &mut Ctx) -> Vec<AblationRow> {
             IntraGroupOrder::SemanticRoundRobin,
             IntraGroupOrder::TableOrder,
         ] {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(cache_gib * GIB)
+            let engine = SkipperFactory::default().cache_bytes(cache_gib * GIB);
+            let res = Scenario::from_workloads(skipper_clients(&ds, &q5, 5, engine))
                 .intra_order(order)
-                .repeat_query(q5.clone(), 1)
                 .run();
             out.push(AblationRow {
                 dimension: "intra-group order",
@@ -126,13 +135,10 @@ pub fn pruning_rows(ctx: &mut Ctx) -> Vec<AblationRow> {
     [false, true]
         .iter()
         .map(|&prune| {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
+            let engine = SkipperFactory::default()
                 .cache_bytes(4 * GIB)
-                .prune_empty_objects(prune)
-                .repeat_query(spec.clone(), 1)
-                .run();
+                .prune_empty(prune);
+            let res = Scenario::from_workloads(skipper_clients(&ds, &spec, 5, engine)).run();
             AblationRow {
                 dimension: "subplan pruning",
                 variant: if prune { "enabled" } else { "disabled" }.to_string(),
@@ -185,17 +191,14 @@ mod tests {
         let ds = ctx.tpch(8, 400_000);
         let spec = clustered_q12(&ds);
         let run = |prune: bool| {
-            Scenario::new((*ds).clone())
-                .clients(2)
-                .engine(EngineKind::Skipper)
+            let engine = SkipperFactory::default()
                 .cache_bytes(3 * GIB)
-                .prune_empty_objects(prune)
-                .repeat_query(spec.clone(), 1)
-                .run()
+                .prune_empty(prune);
+            Scenario::from_workloads(skipper_clients(&ds, &spec, 2, engine)).run()
         };
         let without = run(false);
         let with = run(true);
-        let sub = |res: &skipper_core::driver::RunResult| {
+        let sub = |res: &skipper_core::runtime::RunResult| {
             res.records()
                 .map(|r| r.stats.subplans_executed)
                 .sum::<u64>()
@@ -221,12 +224,9 @@ mod tests {
         let ds = ctx.tpch(8, 400_000);
         let q5 = tpch::q5(&ds);
         let run = |order| {
-            Scenario::new((*ds).clone())
-                .clients(1)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(7 * GIB)
+            let engine = SkipperFactory::default().cache_bytes(7 * GIB);
+            Scenario::from_workloads(skipper_clients(&ds, &q5, 1, engine))
                 .intra_order(order)
-                .repeat_query(q5.clone(), 1)
                 .run()
         };
         let smart = run(IntraGroupOrder::SemanticRoundRobin);

@@ -5,9 +5,12 @@
 //! so execution time grows like `S × C × D` and is hypersensitive to the
 //! switch latency.
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{Scenario, VanillaFactory, Workload};
 use skipper_csd::LayoutPolicy;
-use skipper_datagen::tpch;
+use skipper_datagen::{tpch, Dataset};
+use skipper_relational::query::QuerySpec;
 use skipper_sim::SimDuration;
 
 use crate::ctx::Ctx;
@@ -19,16 +22,19 @@ use crate::report::{secs, Table};
 /// array's 1.2 GB/s aggregate is not bandwidth-bound at five streams),
 /// which is why the paper's ideal line in Figure 4 stays flat as clients
 /// are added. Modelled as an uncontended single-client run.
-pub fn ideal_hdd_secs(
-    ds: &skipper_datagen::Dataset,
-    q: &skipper_relational::query::QuerySpec,
-) -> f64 {
-    Scenario::new(ds.clone())
-        .engine(EngineKind::Vanilla)
+pub fn ideal_hdd_secs(ds: &Arc<Dataset>, q: &QuerySpec) -> f64 {
+    Scenario::from_workloads(vanilla_clients(ds, q, 1))
         .layout(LayoutPolicy::AllInOne)
-        .repeat_query(q.clone(), 1)
         .run()
         .mean_query_secs()
+}
+
+/// `n` vanilla PostgreSQL clients, each running `q` once.
+fn vanilla_clients(ds: &Arc<Dataset>, q: &QuerySpec, n: usize) -> Vec<Workload> {
+    let client = Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), 1)
+        .engine(VanillaFactory);
+    vec![client; n]
 }
 
 /// One Figure 4 point.
@@ -49,11 +55,8 @@ pub fn fig4_rows(ctx: &mut Ctx) -> Vec<Fig4Row> {
     let ideal = ideal_hdd_secs(&ds, &q12);
     (1..=5)
         .map(|clients| {
-            let on_csd = Scenario::new((*ds).clone())
-                .clients(clients)
-                .engine(EngineKind::Vanilla)
+            let on_csd = Scenario::from_workloads(vanilla_clients(&ds, &q12, clients))
                 .layout(LayoutPolicy::OneClientPerGroup)
-                .repeat_query(q12.clone(), 1)
                 .run();
             Fig4Row {
                 clients,
@@ -96,11 +99,8 @@ pub fn fig5_rows(ctx: &mut Ctx) -> Vec<Fig5Row> {
     [0u64, 5, 10, 15, 20]
         .iter()
         .map(|&s| {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Vanilla)
+            let res = Scenario::from_workloads(vanilla_clients(&ds, &q12, 5))
                 .switch_latency(SimDuration::from_secs(s))
-                .repeat_query(q12.clone(), 1)
                 .run();
             Fig5Row {
                 switch_secs: s,
@@ -135,11 +135,7 @@ mod tests {
         let ideal = ideal_hdd_secs(&ds, &q12);
         (1..=3)
             .map(|clients| {
-                let on_csd = Scenario::new((*ds).clone())
-                    .clients(clients)
-                    .engine(EngineKind::Vanilla)
-                    .repeat_query(q12.clone(), 1)
-                    .run();
+                let on_csd = Scenario::from_workloads(vanilla_clients(&ds, &q12, clients)).run();
                 Fig4Row {
                     clients,
                     on_csd_secs: on_csd.mean_query_secs(),
@@ -168,11 +164,8 @@ mod tests {
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
         let run = |s: u64| {
-            Scenario::new((*ds).clone())
-                .clients(3)
-                .engine(EngineKind::Vanilla)
+            Scenario::from_workloads(vanilla_clients(&ds, &q12, 3))
                 .switch_latency(SimDuration::from_secs(s))
-                .repeat_query(q12.clone(), 1)
                 .run()
                 .mean_query_secs()
         };

@@ -7,7 +7,9 @@
 //! ~20 % of the dataset size. Figure 11c repeats the sweep at SF-100
 //! (127 objects, 14 630 subplans).
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_datagen::tpch;
 
 use crate::ctx::Ctx;
@@ -31,12 +33,10 @@ fn sweep(ctx: &mut Ctx, sf: u32, divisor: u64, cache_gib: &[u64], clients: usize
     cache_gib
         .iter()
         .map(|&gib| {
-            let res = Scenario::new((*ds).clone())
-                .clients(clients)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(gib * GIB)
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q5.clone(), 1)
-                .run();
+                .engine(SkipperFactory::default().cache_bytes(gib * GIB));
+            let res = Scenario::from_workloads(vec![client; clients]).run();
             CacheRow {
                 cache_gib: gib,
                 exec_secs: res.mean_query_secs(),
@@ -57,10 +57,8 @@ pub fn fig11b_rows(ctx: &mut Ctx) -> Vec<CacheRow> {
 pub fn fig11b_vanilla_reference(ctx: &mut Ctx) -> f64 {
     let ds = ctx.tpch(SF_MAIN, DIVISOR_MAIN);
     let q5 = tpch::q5(&ds);
-    Scenario::new((*ds).clone())
-        .clients(5)
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q5, 1)
+    let client = Workload::new(ds).repeat_query(q5, 1).engine(VanillaFactory);
+    Scenario::from_workloads(vec![client; 5])
         .run()
         .mean_query_secs()
 }
@@ -121,12 +119,10 @@ mod tests {
         let q5 = tpch::q5(&ds);
         let objects = ds.objects_for_query(&q5) as u64;
         let run = |gib: u64| {
-            let res = Scenario::new((*ds).clone())
-                .clients(2)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(gib * GIB)
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q5.clone(), 1)
-                .run();
+                .engine(SkipperFactory::default().cache_bytes(gib * GIB));
+            let res = Scenario::from_workloads(vec![client; 2]).run();
             (res.mean_query_secs(), res.total_gets() / 2)
         };
         let (t_big, g_big) = run(objects); // everything fits

@@ -4,7 +4,9 @@
 //! (`Allin1`), two per group (`2perG`), one per group (`1perG`), and the
 //! `Increm.` split where each tenant's data straddles two groups.
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_csd::LayoutPolicy;
 use skipper_datagen::tpch;
 
@@ -38,20 +40,19 @@ pub fn fig11a_rows(ctx: &mut Ctx) -> Vec<Fig11aRow> {
     LAYOUTS
         .iter()
         .map(|&layout| {
-            let run = |engine| {
-                Scenario::new((*ds).clone())
-                    .clients(4)
-                    .engine(engine)
-                    .layout(layout)
-                    .cache_bytes(30 * GIB)
+            let run = |engine: Arc<dyn EngineFactory>| {
+                let client = Workload::new(Arc::clone(&ds))
                     .repeat_query(q12.clone(), 1)
+                    .engine_arc(engine);
+                Scenario::from_workloads(vec![client; 4])
+                    .layout(layout)
                     .run()
                     .mean_query_secs()
             };
             Fig11aRow {
                 layout: layout.label(),
-                vanilla_secs: run(EngineKind::Vanilla),
-                skipper_secs: run(EngineKind::Skipper),
+                vanilla_secs: run(Arc::new(VanillaFactory)),
+                skipper_secs: run(Arc::new(SkipperFactory::default().cache_bytes(30 * GIB))),
             }
         })
         .collect()
@@ -82,26 +83,29 @@ mod tests {
         let mut ctx = Ctx::new();
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
-        let run = |engine, layout| {
-            Scenario::new((*ds).clone())
-                .clients(4)
-                .engine(engine)
-                .layout(layout)
-                .cache_bytes(10 * GIB)
+        let run = |engine: Arc<dyn EngineFactory>, layout| {
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q12.clone(), 1)
+                .engine_arc(engine);
+            Scenario::from_workloads(vec![client; 4])
+                .layout(layout)
                 .run()
                 .mean_query_secs()
         };
+        let vanilla = || -> Arc<dyn EngineFactory> { Arc::new(VanillaFactory) };
+        let skipper = || -> Arc<dyn EngineFactory> {
+            Arc::new(SkipperFactory::default().cache_bytes(10 * GIB))
+        };
         // Vanilla degrades as data fans out across groups...
-        let v_allin1 = run(EngineKind::Vanilla, LayoutPolicy::AllInOne);
-        let v_2perg = run(EngineKind::Vanilla, LayoutPolicy::TwoClientsPerGroup);
-        let v_1perg = run(EngineKind::Vanilla, LayoutPolicy::OneClientPerGroup);
+        let v_allin1 = run(vanilla(), LayoutPolicy::AllInOne);
+        let v_2perg = run(vanilla(), LayoutPolicy::TwoClientsPerGroup);
+        let v_1perg = run(vanilla(), LayoutPolicy::OneClientPerGroup);
         assert!(v_allin1 < v_2perg);
         assert!(v_2perg < v_1perg);
         // ...while Skipper is insensitive between 2perG and 1perG (§5.2.3).
-        let s_allin1 = run(EngineKind::Skipper, LayoutPolicy::AllInOne);
-        let s_2perg = run(EngineKind::Skipper, LayoutPolicy::TwoClientsPerGroup);
-        let s_1perg = run(EngineKind::Skipper, LayoutPolicy::OneClientPerGroup);
+        let s_allin1 = run(skipper(), LayoutPolicy::AllInOne);
+        let s_2perg = run(skipper(), LayoutPolicy::TwoClientsPerGroup);
+        let s_1perg = run(skipper(), LayoutPolicy::OneClientPerGroup);
         let drift = (s_1perg - s_2perg).abs() / s_2perg;
         assert!(drift < 0.25, "skipper layout drift {drift:.2}");
         // With no switches both engines come close (paper: "similar

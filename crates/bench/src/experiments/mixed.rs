@@ -7,13 +7,13 @@
 //! TPC-H-specific. The paper compares two homogeneous fleets (all
 //! PostgreSQL vs all Skipper); [`mixed_fleet_rows`] additionally runs a
 //! *heterogeneous* fleet — Skipper and Vanilla tenants side by side in
-//! one scenario — which the seed's single-global-engine driver could not
-//! express.
+//! one scenario.
 
 use std::sync::Arc;
 
-use skipper_core::driver::{EngineKind, Scenario};
-use skipper_core::runtime::{SkipperFactory, VanillaFactory, Workload};
+use skipper_core::runtime::{
+    EngineFactory, RunResult, Scenario, SkipperFactory, VanillaFactory, Workload,
+};
 use skipper_datagen::{mrbench, nref, ssb, tpch, Dataset};
 use skipper_relational::query::QuerySpec;
 
@@ -53,28 +53,24 @@ pub fn tenants(ctx: &mut Ctx) -> Vec<(&'static str, Arc<Dataset>, QuerySpec)> {
 /// Runs Figure 8 with `reps` repetitions per tenant (paper: 5).
 pub fn fig8_rows(ctx: &mut Ctx, reps: usize) -> Vec<Fig8Row> {
     let tenants = tenants(ctx);
-    let run = |engine: EngineKind| {
+    let run = |engine: Arc<dyn EngineFactory>| {
         let workloads: Vec<Workload> = tenants
             .iter()
             .map(|(_, ds, q)| {
-                let w = Workload::new(Arc::clone(ds)).repeat_query(q.clone(), reps);
-                match engine {
-                    EngineKind::Skipper => {
-                        w.engine(SkipperFactory::default().cache_bytes(30 * GIB))
-                    }
-                    EngineKind::Vanilla => w.engine(VanillaFactory),
-                }
+                Workload::new(Arc::clone(ds))
+                    .repeat_query(q.clone(), reps)
+                    .engine_arc(Arc::clone(&engine))
             })
             .collect();
         Scenario::from_workloads(workloads).run()
     };
-    let vanilla = run(EngineKind::Vanilla);
-    let skipper = run(EngineKind::Skipper);
+    let vanilla = run(Arc::new(VanillaFactory));
+    let skipper = run(Arc::new(SkipperFactory::default().cache_bytes(30 * GIB)));
     tenants
         .iter()
         .enumerate()
         .map(|(c, (label, _, _))| {
-            let sum = |res: &skipper_core::driver::RunResult| {
+            let sum = |res: &RunResult| {
                 res.clients[c]
                     .iter()
                     .map(|r| r.duration().as_secs_f64())
@@ -180,19 +176,19 @@ mod tests {
         let mut ctx = Ctx::new();
         let tpch_ds = ctx.tpch(2, 200_000);
         let mr_ds = ctx.mrbench(2, 200_000);
-        let clients = vec![
-            (Arc::clone(&tpch_ds), vec![tpch::q12(&tpch_ds)]),
-            (Arc::clone(&mr_ds), vec![mrbench::join_task(&mr_ds)]),
-        ];
-        let run = |engine| {
-            Scenario::new((*tpch_ds).clone())
-                .custom_clients(clients.clone())
-                .engine(engine)
-                .cache_bytes(20 * GIB)
-                .run()
+        let run = |engine: Arc<dyn EngineFactory>| {
+            Scenario::from_workloads(vec![
+                Workload::new(Arc::clone(&tpch_ds))
+                    .repeat_query(tpch::q12(&tpch_ds), 1)
+                    .engine_arc(Arc::clone(&engine)),
+                Workload::new(Arc::clone(&mr_ds))
+                    .repeat_query(mrbench::join_task(&mr_ds), 1)
+                    .engine_arc(engine),
+            ])
+            .run()
         };
-        let v = run(EngineKind::Vanilla);
-        let s = run(EngineKind::Skipper);
+        let v = run(Arc::new(VanillaFactory));
+        let s = run(Arc::new(SkipperFactory::default().cache_bytes(20 * GIB)));
         assert_eq!(v.clients.len(), 2);
         assert!(s.cumulative_secs() < v.cumulative_secs());
         // Both engines agree on every tenant's result (the miniature

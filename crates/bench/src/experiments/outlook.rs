@@ -14,7 +14,9 @@
 //! the per-stream rate). The `streams` experiment A/Bs the pipeline
 //! against one serial stream at a multiplied bandwidth.
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_datagen::tpch;
 
 use crate::ctx::Ctx;
@@ -43,21 +45,21 @@ pub fn outlook_rows(ctx: &mut Ctx) -> Vec<OutlookRow> {
     let ideal = crate::experiments::baseline::ideal_hdd_secs(&ds, &q12);
     (1..=5)
         .map(|clients| {
-            let run = |engine, streams: u32| {
-                Scenario::new((*ds).clone())
-                    .clients(clients)
-                    .engine(engine)
-                    .cache_bytes(30 * GIB)
-                    .streams(streams)
+            let run = |engine: Arc<dyn EngineFactory>, streams: u32| {
+                let client = Workload::new(Arc::clone(&ds))
                     .repeat_query(q12.clone(), 1)
+                    .engine_arc(engine);
+                Scenario::from_workloads(vec![client; clients])
+                    .streams(streams)
                     .run()
                     .mean_query_secs()
             };
+            let skipper = Arc::new(SkipperFactory::default().cache_bytes(30 * GIB));
             OutlookRow {
                 clients,
-                vanilla_secs: run(EngineKind::Vanilla, 1),
-                skipper_1x_secs: run(EngineKind::Skipper, 1),
-                skipper_5x_secs: run(EngineKind::Skipper, 5),
+                vanilla_secs: run(Arc::new(VanillaFactory), 1),
+                skipper_1x_secs: run(skipper.clone(), 1),
+                skipper_5x_secs: run(skipper, 5),
                 ideal_secs: ideal,
             }
         })
@@ -98,12 +100,11 @@ mod tests {
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
         let run = |streams: u32| {
-            Scenario::new((*ds).clone())
-                .clients(4)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(10 << 30)
-                .streams(streams)
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q12.clone(), 1)
+                .engine(SkipperFactory::default().cache_bytes(10 << 30));
+            Scenario::from_workloads(vec![client; 4])
+                .streams(streams)
                 .run()
                 .mean_query_secs()
         };

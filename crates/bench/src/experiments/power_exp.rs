@@ -5,7 +5,9 @@
 //! batched group residencies save further energy over the pull-based
 //! baseline (fewer spin-up cycles, shorter makespans for the same work).
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_csd::PowerModel;
 use skipper_datagen::tpch;
 use skipper_sim::{SimDuration, SimTime};
@@ -34,15 +36,20 @@ pub fn power_rows(ctx: &mut Ctx) -> Vec<PowerRow> {
     let ds = ctx.tpch(SF_MAIN, DIVISOR_MAIN);
     let q12 = tpch::q12(&ds);
     let model = PowerModel::default();
-    [EngineKind::Vanilla, EngineKind::Skipper]
-        .iter()
-        .map(|&engine| {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(engine)
-                .cache_bytes(30 * GIB)
+    let engines: [(&'static str, Arc<dyn EngineFactory>); 2] = [
+        ("PostgreSQL", Arc::new(VanillaFactory)),
+        (
+            "Skipper",
+            Arc::new(SkipperFactory::default().cache_bytes(30 * GIB)),
+        ),
+    ];
+    engines
+        .into_iter()
+        .map(|(engine, factory)| {
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q12.clone(), 1)
-                .run();
+                .engine_arc(factory);
+            let res = Scenario::from_workloads(vec![client; 5]).run();
             let transfer = SimDuration::from_secs_f64(
                 res.device.logical_bytes_served as f64 / (110.0 * 1024.0 * 1024.0),
             );
@@ -52,10 +59,7 @@ pub fn power_rows(ctx: &mut Ctx) -> Vec<PowerRow> {
                 res.device.group_switches,
             );
             PowerRow {
-                engine: match engine {
-                    EngineKind::Vanilla => "PostgreSQL",
-                    EngineKind::Skipper => "Skipper",
-                },
+                engine,
                 switches: res.device.group_switches,
                 makespan_secs: res.makespan.as_secs_f64(),
                 maid_wh: report.maid_wh,
@@ -102,13 +106,11 @@ mod tests {
         let ds = ctx.tpch(4, 200_000);
         let q12 = tpch::q12(&ds);
         let model = PowerModel::default();
-        let energy = |engine| {
-            let res = Scenario::new((*ds).clone())
-                .clients(4)
-                .engine(engine)
-                .cache_bytes(10 * GIB)
+        let energy = |engine: Arc<dyn EngineFactory>| {
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q12.clone(), 1)
-                .run();
+                .engine_arc(engine);
+            let res = Scenario::from_workloads(vec![client; 4]).run();
             let transfer = SimDuration::from_secs_f64(
                 res.device.logical_bytes_served as f64 / (110.0 * 1024.0 * 1024.0),
             );
@@ -118,8 +120,8 @@ mod tests {
                 res.device.group_switches,
             )
         };
-        let v = energy(EngineKind::Vanilla);
-        let s = energy(EngineKind::Skipper);
+        let v = energy(Arc::new(VanillaFactory));
+        let s = energy(Arc::new(SkipperFactory::default().cache_bytes(10 * GIB)));
         assert!(s.maid_wh < v.maid_wh);
         assert!(v.savings() > 0.5 && s.savings() > 0.5);
     }

@@ -7,9 +7,12 @@
 //! ("maxquery"), and the paper's rank-based policy ("ranking") — on the
 //! L2-norm of stretch, maximum stretch, and cumulative workload time.
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{Scenario, SkipperFactory, Workload};
 use skipper_csd::{LayoutPolicy, SchedPolicy};
-use skipper_datagen::tpch;
+use skipper_datagen::{tpch, Dataset};
+use skipper_relational::query::QuerySpec;
 use skipper_sim::stats::{l2_norm, max_stretch};
 use skipper_sim::SimDuration;
 
@@ -37,14 +40,19 @@ pub const POLICIES: [SchedPolicy; 3] = [
     SchedPolicy::RankBased,
 ];
 
+/// One Skipper client with `cache` bytes of MJoin buffer running `q`
+/// `reps` times.
+fn skipper_client(ds: &Arc<Dataset>, q: &QuerySpec, reps: usize, cache: u64) -> Workload {
+    Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), reps)
+        .engine(SkipperFactory::default().cache_bytes(cache))
+}
+
 /// The per-query ideal: single-client execution time (no contention).
 pub fn ideal_secs(ctx: &mut Ctx) -> f64 {
     let ds = ctx.tpch(SF_MAIN, DIVISOR_MAIN);
     let q12 = tpch::q12(&ds);
-    Scenario::new((*ds).clone())
-        .engine(EngineKind::Skipper)
-        .cache_bytes(30 * GIB)
-        .repeat_query(q12, 1)
+    Scenario::from_workloads(vec![skipper_client(&ds, &q12, 1, 30 * GIB)])
         .run()
         .mean_query_secs()
 }
@@ -57,13 +65,9 @@ pub fn fig12_rows(ctx: &mut Ctx, reps: usize) -> Vec<Fig12Row> {
     POLICIES
         .iter()
         .map(|&policy| {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(30 * GIB)
+            let res = Scenario::from_workloads(vec![skipper_client(&ds, &q12, reps, 30 * GIB); 5])
                 .layout(LayoutPolicy::TwoClientsPerGroup)
                 .scheduler(policy)
-                .repeat_query(q12.clone(), reps)
                 .run();
             let stretches = res.stretches(ideal);
             Fig12Row {
@@ -108,21 +112,13 @@ mod tests {
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
         let ideal = {
-            let res = Scenario::new((*ds).clone())
-                .engine(EngineKind::Skipper)
-                .cache_bytes(10 * GIB)
-                .repeat_query(q12.clone(), 1)
-                .run();
+            let res = Scenario::from_workloads(vec![skipper_client(&ds, &q12, 1, 10 * GIB)]).run();
             SimDuration::from_secs_f64(res.mean_query_secs())
         };
         let run = |policy: SchedPolicy| {
-            let res = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(10 * GIB)
+            let res = Scenario::from_workloads(vec![skipper_client(&ds, &q12, 3, 10 * GIB); 5])
                 .layout(LayoutPolicy::TwoClientsPerGroup)
                 .scheduler(policy)
-                .repeat_query(q12.clone(), 3)
                 .run();
             let st = res.stretches(ideal);
             (max_stretch(&st), res.cumulative_secs())

@@ -12,8 +12,7 @@
 
 use std::sync::Arc;
 
-use skipper_core::driver::Scenario;
-use skipper_core::runtime::{SkipperFactory, VanillaFactory, Workload};
+use skipper_core::runtime::{Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_csd::PlacementPolicy;
 
 use crate::ctx::Ctx;

@@ -1,9 +1,14 @@
 //! Figures 7, 9, 10 and Table 3: the core Skipper-vs-vanilla results.
 
+use std::sync::Arc;
+
 use skipper_core::config::CostModel;
-use skipper_core::driver::{EngineKind, RunResult, Scenario};
+use skipper_core::runtime::{
+    EngineFactory, RunResult, Scenario, SkipperFactory, VanillaFactory, Workload,
+};
 use skipper_csd::LayoutPolicy;
-use skipper_datagen::tpch;
+use skipper_datagen::{tpch, Dataset};
+use skipper_relational::query::QuerySpec;
 use skipper_sim::SimDuration;
 
 use crate::ctx::Ctx;
@@ -13,6 +18,30 @@ use crate::report::{pct, secs, Table};
 /// The paper's default Skipper cache: 30 GB (half the Q12 working set's
 /// dataset class).
 pub const CACHE_BYTES: u64 = 30 * GIB;
+
+/// `n` vanilla PostgreSQL clients, each running `q` once.
+fn postgres(ds: &Arc<Dataset>, q: &QuerySpec, n: usize) -> Vec<Workload> {
+    clients(ds, q, n, Arc::new(VanillaFactory))
+}
+
+/// `n` Skipper clients with `cache` bytes of MJoin buffer each, each
+/// running `q` once.
+fn skipper(ds: &Arc<Dataset>, q: &QuerySpec, n: usize, cache: u64) -> Vec<Workload> {
+    let engine = SkipperFactory::default().cache_bytes(cache);
+    clients(ds, q, n, Arc::new(engine))
+}
+
+fn clients(
+    ds: &Arc<Dataset>,
+    q: &QuerySpec,
+    n: usize,
+    engine: Arc<dyn EngineFactory>,
+) -> Vec<Workload> {
+    let client = Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), 1)
+        .engine_arc(engine);
+    vec![client; n]
+}
 
 /// One Figure 7 point.
 #[derive(Clone, Copy, Debug)]
@@ -34,21 +63,12 @@ pub fn fig7_rows(ctx: &mut Ctx) -> Vec<Fig7Row> {
     let ideal = crate::experiments::baseline::ideal_hdd_secs(&ds, &q12);
     (1..=5)
         .map(|clients| {
-            let vanilla = Scenario::new((*ds).clone())
-                .clients(clients)
-                .engine(EngineKind::Vanilla)
-                .repeat_query(q12.clone(), 1)
-                .run();
-            let skipper = Scenario::new((*ds).clone())
-                .clients(clients)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(CACHE_BYTES)
-                .repeat_query(q12.clone(), 1)
-                .run();
+            let vanilla = Scenario::from_workloads(postgres(&ds, &q12, clients)).run();
+            let pushed = Scenario::from_workloads(skipper(&ds, &q12, clients, CACHE_BYTES)).run();
             Fig7Row {
                 clients,
                 vanilla_secs: vanilla.mean_query_secs(),
-                skipper_secs: skipper.mean_query_secs(),
+                skipper_secs: pushed.mean_query_secs(),
                 ideal_secs: ideal,
             }
         })
@@ -109,20 +129,11 @@ fn breakdown(res: &RunResult, engine: &'static str) -> Fig9Row {
 pub fn fig9_rows(ctx: &mut Ctx) -> Vec<Fig9Row> {
     let ds = ctx.tpch(SF_MAIN, DIVISOR_MAIN);
     let q12 = tpch::q12(&ds);
-    let vanilla = Scenario::new((*ds).clone())
-        .clients(5)
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q12.clone(), 1)
-        .run();
-    let skipper = Scenario::new((*ds).clone())
-        .clients(5)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(CACHE_BYTES)
-        .repeat_query(q12, 1)
-        .run();
+    let vanilla = Scenario::from_workloads(postgres(&ds, &q12, 5)).run();
+    let pushed = Scenario::from_workloads(skipper(&ds, &q12, 5, CACHE_BYTES)).run();
     vec![
         breakdown(&vanilla, "PostgreSQL"),
-        breakdown(&skipper, "Skipper"),
+        breakdown(&pushed, "Skipper"),
     ]
 }
 
@@ -168,23 +179,16 @@ pub fn fig10_rows(ctx: &mut Ctx) -> Vec<Fig10Row> {
     [10u64, 20, 30, 40]
         .iter()
         .map(|&s| {
-            let vanilla = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Vanilla)
+            let vanilla = Scenario::from_workloads(postgres(&ds, &q12, 5))
                 .switch_latency(SimDuration::from_secs(s))
-                .repeat_query(q12.clone(), 1)
                 .run();
-            let skipper = Scenario::new((*ds).clone())
-                .clients(5)
-                .engine(EngineKind::Skipper)
-                .cache_bytes(CACHE_BYTES)
+            let pushed = Scenario::from_workloads(skipper(&ds, &q12, 5, CACHE_BYTES))
                 .switch_latency(SimDuration::from_secs(s))
-                .repeat_query(q12.clone(), 1)
                 .run();
             Fig10Row {
                 switch_secs: s,
                 vanilla_secs: vanilla.mean_query_secs(),
-                skipper_secs: skipper.mean_query_secs(),
+                skipper_secs: pushed.mean_query_secs(),
             }
         })
         .collect()
@@ -224,44 +228,39 @@ pub struct Table3Row {
 pub fn table3_rows(ctx: &mut Ctx) -> Vec<Table3Row> {
     let ds = ctx.tpch(SF_MAIN, DIVISOR_MAIN);
     let q12 = tpch::q12(&ds);
-    let run = |engine: EngineKind, cost: CostModel, bandwidth: f64| {
-        Scenario::new((*ds).clone())
-            .engine(engine)
-            .cache_bytes(CACHE_BYTES)
+    let run = |client: &[Workload], cost: CostModel, bandwidth: f64| {
+        Scenario::from_workloads(client.to_vec())
             .layout(LayoutPolicy::AllInOne)
             .cost(cost)
             .bandwidth(bandwidth)
-            .repeat_query(q12.clone(), 1)
             .run()
             .mean_query_secs()
     };
     let default_bw = 110.0 * 1024.0 * 1024.0;
     let calibrated = CostModel::paper_calibrated();
 
-    let mut out = Vec::new();
-    for engine in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let local = run(engine, calibrated.without_fuse(), 0.0);
-        let with_fuse = if engine == EngineKind::Vanilla {
-            run(engine, calibrated, 0.0)
+    // PostgreSQL reads through FUSE; Skipper's client proxy bypasses it.
+    [
+        ("PostgreSQL", postgres(&ds, &q12, 1), true),
+        ("Skipper", skipper(&ds, &q12, 1, CACHE_BYTES), false),
+    ]
+    .into_iter()
+    .map(|(engine, client, through_fuse)| {
+        let local = run(&client, calibrated.without_fuse(), 0.0);
+        let (with_fuse, deployed) = if through_fuse {
+            (run(&client, calibrated, 0.0), calibrated)
         } else {
-            local // Skipper's client proxy bypasses FUSE
+            (local, calibrated.without_fuse())
         };
-        let remote = if engine == EngineKind::Vanilla {
-            run(engine, calibrated, default_bw)
-        } else {
-            run(engine, calibrated.without_fuse(), default_bw)
-        };
-        out.push(Table3Row {
-            engine: match engine {
-                EngineKind::Vanilla => "PostgreSQL",
-                EngineKind::Skipper => "Skipper",
-            },
+        let remote = run(&client, deployed, default_bw);
+        Table3Row {
+            engine,
             query_exec_secs: local,
             fuse_secs: with_fuse - local,
             network_secs: remote - with_fuse,
-        });
-    }
-    out
+        }
+    })
+    .collect()
 }
 
 /// Table 3 as a printable table.
@@ -298,22 +297,17 @@ mod tests {
     use super::*;
 
     /// Shared miniature runs (SF-4) exercising the same code paths.
-    fn mini(clients: usize, engine: EngineKind) -> RunResult {
+    fn mini(n: usize, engine: impl EngineFactory + 'static) -> RunResult {
         let mut ctx = Ctx::new();
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
-        Scenario::new((*ds).clone())
-            .clients(clients)
-            .engine(engine)
-            .cache_bytes(10 * GIB)
-            .repeat_query(q12, 1)
-            .run()
+        Scenario::from_workloads(clients(&ds, &q12, n, Arc::new(engine))).run()
     }
 
     #[test]
     fn skipper_scales_better_than_vanilla() {
-        let v = mini(4, EngineKind::Vanilla);
-        let s = mini(4, EngineKind::Skipper);
+        let v = mini(4, VanillaFactory);
+        let s = mini(4, SkipperFactory::default().cache_bytes(10 * GIB));
         assert!(s.mean_query_secs() < v.mean_query_secs());
         // Switch stalls dominate vanilla, not Skipper.
         let v_row = breakdown(&v, "v");
@@ -328,7 +322,7 @@ mod tests {
 
     #[test]
     fn breakdown_fractions_sum_to_one() {
-        let v = mini(3, EngineKind::Vanilla);
+        let v = mini(3, VanillaFactory);
         let r = breakdown(&v, "v");
         let sum = r.processing + r.switching + r.transfer + r.idle;
         assert!((sum - 1.0).abs() < 1e-6, "fractions sum to {sum}");
@@ -339,25 +333,23 @@ mod tests {
         let mut ctx = Ctx::new();
         let ds = ctx.tpch(4, 100_000);
         let q12 = tpch::q12(&ds);
-        let run = |engine, cost: CostModel, bw: f64| {
-            Scenario::new((*ds).clone())
-                .engine(engine)
-                .cache_bytes(10 * GIB)
+        let run = |client: Vec<Workload>, cost: CostModel, bw: f64| {
+            Scenario::from_workloads(client)
                 .layout(LayoutPolicy::AllInOne)
                 .cost(cost)
                 .bandwidth(bw)
-                .repeat_query(q12.clone(), 1)
                 .run()
                 .mean_query_secs()
         };
+        let vanilla = || postgres(&ds, &q12, 1);
         let c = CostModel::paper_calibrated();
-        let local = run(EngineKind::Vanilla, c.without_fuse(), 0.0);
-        let fuse = run(EngineKind::Vanilla, c, 0.0);
-        let remote = run(EngineKind::Vanilla, c, 110.0 * 1024.0 * 1024.0);
+        let local = run(vanilla(), c.without_fuse(), 0.0);
+        let fuse = run(vanilla(), c, 0.0);
+        let remote = run(vanilla(), c, 110.0 * 1024.0 * 1024.0);
         assert!(local < fuse && fuse < remote);
         // Skipper's out-of-order execution carries only marginal overhead
         // vs the blocking baseline (paper: +6%).
-        let skipper_local = run(EngineKind::Skipper, c.without_fuse(), 0.0);
+        let skipper_local = run(skipper(&ds, &q12, 1, 10 * GIB), c.without_fuse(), 0.0);
         let overhead = skipper_local / local;
         assert!(
             (0.95..1.35).contains(&overhead),

@@ -21,8 +21,7 @@
 
 use std::sync::Arc;
 
-use skipper_core::driver::Scenario;
-use skipper_core::runtime::{RunResult, SkipperFactory, VanillaFactory, Workload};
+use skipper_core::runtime::{RunResult, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_csd::CsdConfig;
 
 use crate::ctx::Ctx;

@@ -6,7 +6,9 @@
 //! advantage is a property of the access pattern, not of one query: every
 //! shape lands in the 2.5-3.5× band once group switches dominate.
 
-use skipper_core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper_core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper_datagen::tpch;
 use skipper_relational::query::{results_approx_eq, QuerySpec};
 
@@ -44,16 +46,14 @@ pub fn suite_rows(ctx: &mut Ctx) -> Vec<SuiteRow> {
     queries
         .into_iter()
         .map(|q| {
-            let run = |engine| {
-                Scenario::new((*ds).clone())
-                    .clients(5)
-                    .engine(engine)
-                    .cache_bytes(30 * GIB)
+            let run = |engine: Arc<dyn EngineFactory>| {
+                let client = Workload::new(Arc::clone(&ds))
                     .repeat_query(q.clone(), 1)
-                    .run()
+                    .engine_arc(engine);
+                Scenario::from_workloads(vec![client; 5]).run()
             };
-            let vanilla = run(EngineKind::Vanilla);
-            let skipper = run(EngineKind::Skipper);
+            let vanilla = run(Arc::new(VanillaFactory));
+            let skipper = run(Arc::new(SkipperFactory::default().cache_bytes(30 * GIB)));
             let v = &vanilla.clients[0][0];
             let s = &skipper.clients[0][0];
             assert!(
@@ -107,16 +107,14 @@ mod tests {
         let mut ctx = Ctx::new();
         let ds = ctx.tpch(4, 200_000);
         for q in [tpch::q1(&ds), tpch::q6(&ds), tpch::q10(&ds), tpch::q14(&ds)] {
-            let run = |engine| {
-                Scenario::new((*ds).clone())
-                    .clients(3)
-                    .engine(engine)
-                    .cache_bytes(10 * GIB)
+            let run = |engine: Arc<dyn EngineFactory>| {
+                let client = Workload::new(Arc::clone(&ds))
                     .repeat_query(q.clone(), 1)
-                    .run()
+                    .engine_arc(engine);
+                Scenario::from_workloads(vec![client; 3]).run()
             };
-            let vanilla = run(EngineKind::Vanilla);
-            let skipper = run(EngineKind::Skipper);
+            let vanilla = run(Arc::new(VanillaFactory));
+            let skipper = run(Arc::new(SkipperFactory::default().cache_bytes(10 * GIB)));
             assert!(
                 results_approx_eq(
                     &vanilla.clients[0][0].result,

@@ -1,7 +1,7 @@
 //! The shard-cache tiering sweep: cost vs performance across cache
 //! sizes, tier mixes, and policies.
 //!
-//! Runs the [`SkewedFleet`](crate::scenarios::SkewedFleet) — a head of
+//! Runs the [`SkewedFleet`] — a head of
 //! hot tenants whose Q12 rounds re-GET the same objects against a tail
 //! of cold one-shot scans — under a grid of shard-cache configurations,
 //! and reports for each the makespan, hit rate, per-query p99, and the
@@ -18,7 +18,7 @@
 //! under `--out PATH`, and runs the smoke gates (any violation exits
 //! non-zero):
 //!
-//! 1. **Zero-size equivalence** — `cache_size(0)` reproduces the
+//! 1. **Zero-size equivalence** — `CacheConfig::dram_only(0)` reproduces the
 //!    uncached `RunResult` bit for bit: the cache plane is invisible
 //!    until switched on.
 //! 2. **Conservation** — the cached run delivers exactly the uncached
@@ -360,8 +360,11 @@ pub fn smoke(
     // Gate 1: a zero-capacity cache is byte-for-byte the uncached
     // machine.
     let uncached = fleet.scenario().run();
-    let zero = fleet.scenario().cache_size(0).run();
-    gates.check(zero == uncached, "cache_size(0) == uncached, bit for bit");
+    let zero = fleet
+        .scenario()
+        .shard_cache(CacheConfig::dram_only(0))
+        .run();
+    gates.check(zero == uncached, "dram_only(0) == uncached, bit for bit");
 
     // Gates 2-6 run against the gated grid point (DRAM at 10% of the
     // working set).

@@ -32,27 +32,24 @@
 //!   layer** (client state machine, device pump, event loop, and
 //!   record collector) producing the per-query timings, stall
 //!   breakdowns, and GET counts behind every figure in §5.
-//! * [`driver`] — thin backward-compatible re-exports of the runtime's
-//!   public names for seed-era call sites.
 //!
-//! The typical entry point is [`runtime::Scenario`]. The one-knob path
-//! is unchanged from the seed:
+//! The entry point is [`runtime::Scenario`], built from one
+//! [`runtime::Workload`] per tenant. A fleet of identical tenants is a
+//! repeated workload:
 //!
 //! ```no_run
-//! use skipper_core::driver::{Scenario, EngineKind};
+//! use skipper_core::runtime::{Scenario, Workload};
 //! use skipper_datagen::{tpch, GenConfig};
 //!
 //! let data = tpch::dataset(&GenConfig::new(42, 50));
 //! let q12 = tpch::q12(&data);
-//! let result = Scenario::new(data)
-//!     .clients(5)
-//!     .engine(EngineKind::Skipper)
-//!     .repeat_query(q12, 1)
-//!     .run();
+//! // Five Skipper clients (the default engine), one query each.
+//! let tenant = Workload::new(data).repeat_query(q12, 1);
+//! let result = Scenario::from_workloads(vec![tenant; 5]).run();
 //! println!("mean exec time: {:.0}s", result.mean_query_secs());
 //! ```
 //!
-//! while the workload path composes heterogeneous fleets:
+//! and a heterogeneous fleet is one workload per tenant:
 //!
 //! ```no_run
 //! use skipper_core::runtime::{ArrivalProcess, Scenario, SkipperFactory, VanillaFactory, Workload};
@@ -85,7 +82,6 @@
 pub mod analysis;
 pub mod cache;
 pub mod config;
-pub mod driver;
 pub mod engine;
 pub mod proxy;
 pub mod runtime;
@@ -97,9 +93,8 @@ pub use analysis::{CacheAdvisor, ReissueModel};
 pub use cache::{BufferCache, EvictionPolicy};
 pub use config::CostModel;
 pub use runtime::{
-    ArrivalProcess, EngineFactory, EngineKind, LatencyScope, LatencySummary, Quantiles,
-    QueryRecord, RecordMode, RunResult, Scenario, SkipperFactory, SloReport, VanillaFactory,
-    Workload,
+    ArrivalProcess, EngineFactory, LatencyScope, LatencySummary, Quantiles, QueryRecord,
+    RecordMode, RunResult, Scenario, SkipperFactory, SloReport, VanillaFactory, Workload,
 };
 pub use state_manager::SkipperEngine;
 pub use subplan::SubplanTracker;

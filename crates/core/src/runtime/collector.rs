@@ -15,9 +15,7 @@ use skipper_csd::{EnergyReport, ObjectId, QueryId};
 use skipper_relational::tuple::Row;
 use skipper_relational::value::Value;
 use skipper_sim::trace::Span;
-use skipper_sim::{
-    ActivityTrace, Attribution, MergedTimeline, QuantileSketch, SimDuration, SimTime,
-};
+use skipper_sim::{Attribution, MergedTimeline, QuantileSketch, SimDuration, SimTime};
 
 use crate::engine::EngineStats;
 
@@ -138,34 +136,15 @@ pub struct PendingRecord {
     pub blocked_intervals: Vec<(SimTime, SimTime)>,
 }
 
-/// Attributes every blocked interval of `records` against the device
-/// trace and returns the finished records.
-pub fn attribute_stalls(trace: &ActivityTrace, records: Vec<PendingRecord>) -> Vec<QueryRecord> {
-    attribute_stalls_fleet(&[trace], records)
-}
-
-/// Fleet-aware stall attribution: blocked intervals are sliced against
-/// the *union* of every shard's activity trace (transfer beats switch
-/// beats idle at each instant), so the Figure 9 breakdown stays exact —
-/// `processing + stalls == duration` — on any shard count.
-///
-/// The shard span lists are flattened once into a
-/// [`MergedTimeline`] (a single k-way merge), so whole-run attribution
-/// costs O((spans + intervals)·log) total; the property suite pins the
-/// result equal to the per-interval `attribute_union` reference.
-pub fn attribute_stalls_fleet(
-    traces: &[&ActivityTrace],
-    records: Vec<PendingRecord>,
-) -> Vec<QueryRecord> {
-    let lists: Vec<&[Span]> = traces.iter().map(|tr| tr.spans()).collect();
-    let timeline = MergedTimeline::build(&lists);
-    attribute_stalls_merged(&timeline, records)
-}
-
-/// Attribution against a pre-built fleet timeline: the runtime builds
-/// the [`MergedTimeline`] once per run and reuses it for every
-/// client's records (building per client would repeat the k-way merge
-/// C times).
+/// Fleet-aware stall attribution against the run's [`MergedTimeline`]:
+/// blocked intervals are sliced against the *union* of every shard's
+/// activity trace (transfer beats switch beats idle at each instant),
+/// so the Figure 9 breakdown stays exact — `processing + stalls ==
+/// duration` — on any shard count. The runtime flattens the shard span
+/// lists once per run (a single k-way merge) and reuses the timeline
+/// for every client's records, so whole-run attribution costs
+/// O((spans + intervals)·log) total; the property suite pins the result
+/// equal to the per-interval `attribute_union` reference.
 pub fn attribute_stalls_merged(
     timeline: &MergedTimeline,
     records: Vec<PendingRecord>,
@@ -662,10 +641,10 @@ pub struct RunResult {
     /// uncached run).
     pub cache: CacheStats,
     /// MAID energy estimate for the run (watt-hours vs the always-on
-    /// baseline), from the scenario's `PowerModel`.
+    /// baseline), under the default `PowerModel`.
     pub energy: EnergyReport,
     /// Dollar breakdown of the run — amortized tier capex plus energy,
-    /// per completed query — from the scenario's `FleetPricing`.
+    /// per completed query — at the default `FleetPricing`.
     pub economics: CostReport,
     /// Protection-plane counters: deadline misses, sheds, retries,
     /// hedges, breaker trips, and per-tenant goodput vs offered load.
@@ -807,7 +786,7 @@ impl RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper_sim::Activity;
+    use skipper_sim::{Activity, ActivityTrace};
 
     #[test]
     fn draft_tracks_blocked_intervals() {
@@ -853,7 +832,8 @@ mod tests {
             },
             blocked_intervals: vec![(SimTime::ZERO, SimTime::from_secs(14))],
         };
-        let out = attribute_stalls(&trace, vec![rec]);
+        let timeline = MergedTimeline::build(&[trace.spans()]);
+        let out = attribute_stalls_merged(&timeline, vec![rec]);
         assert_eq!(out[0].stalls.switching, SimDuration::from_secs(10));
         assert_eq!(out[0].stalls.transfer, SimDuration::from_secs(4));
     }

@@ -111,10 +111,6 @@ pub struct Runtime {
     /// The expanded fault schedule, in firing order (empty without a
     /// fault plan). Every action becomes a calendar event up front.
     faults: Vec<TimedFault>,
-    /// MAID electrical model for the end-of-run energy estimate.
-    power: PowerModel,
-    /// $/GB and $/kWh inputs for the end-of-run cost report.
-    pricing: FleetPricing,
     /// Per-client protection knobs (deadline, retry, hedge, priority);
     /// one entry per client, all-disabled by default.
     protection: Vec<ClientProtection>,
@@ -162,8 +158,6 @@ impl Runtime {
             latency: LatencyAccumulator::new(&targets),
             record_mode: RecordMode::default(),
             faults: Vec::new(),
-            power: PowerModel::default(),
-            pricing: FleetPricing::default(),
             protection: vec![ClientProtection::default(); n],
             admission: None,
             protection_summary: ProtectionSummary::sized(n),
@@ -178,15 +172,6 @@ impl Runtime {
             unroutable_scratch: Vec::new(),
             last_activity: SimTime::ZERO,
         }
-    }
-
-    /// Installs the electrical model and pricing inputs used for the
-    /// end-of-run energy/cost report (builder style; defaults are the
-    /// paper's Pelican-style array and Table 1 prices).
-    pub fn with_economics(mut self, power: PowerModel, pricing: FleetPricing) -> Self {
-        self.power = power;
-        self.pricing = pricing;
-        self
     }
 
     /// Installs the expanded fault schedule (builder style; assembly
@@ -432,13 +417,13 @@ impl Runtime {
         // The energy estimate sees only the cold device's activity —
         // cache hits bypass it by design, which is exactly where the
         // MAID savings come from on a cached run.
-        let energy = self.power.estimate(
+        let energy = PowerModel::default().estimate(
             makespan.since(SimTime::ZERO),
             SimDuration::from_micros(device.transfer_busy_micros),
             device.group_switches,
         );
         let latency = self.latency.finish();
-        let economics = self.pricing.price_run(
+        let economics = FleetPricing::default().price_run(
             cold_bytes,
             dram_bytes,
             ssd_bytes,

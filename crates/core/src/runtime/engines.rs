@@ -1,13 +1,9 @@
 //! The engine layer: per-tenant query-engine construction.
 //!
-//! The old driver hard-wired one global [`EngineKind`] branch for every
-//! client. The runtime replaces that with an [`EngineFactory`] carried
-//! *per tenant*: a boxed builder producing a fresh [`QueryEngine`] for
-//! each query, so a single scenario can mix Skipper and Vanilla tenants
-//! — each with its own cache capacity, eviction policy, and pruning
-//! setting — against one shared device.
-
-use std::sync::Arc;
+//! Every tenant carries its own [`EngineFactory`]: a builder producing
+//! a fresh [`QueryEngine`] for each query, so a single scenario can mix
+//! Skipper and Vanilla tenants — each with its own cache capacity,
+//! eviction policy, and pruning setting — against one shared device.
 
 use skipper_csd::SchedPolicy;
 use skipper_datagen::Dataset;
@@ -18,27 +14,6 @@ use crate::config::CostModel;
 use crate::engine::QueryEngine;
 use crate::state_manager::SkipperEngine;
 use crate::vanilla::VanillaEngine;
-
-/// Which execution engine a tenant runs (kept for the knob-free common
-/// case and backward compatibility; [`EngineFactory`] is the general
-/// mechanism).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Pull-based baseline (vanilla PostgreSQL).
-    Vanilla,
-    /// Skipper's cache-aware MJoin.
-    Skipper,
-}
-
-impl EngineKind {
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Vanilla => "vanilla",
-            EngineKind::Skipper => "skipper",
-        }
-    }
-}
 
 /// Builds one [`QueryEngine`] per query for one tenant.
 ///
@@ -70,7 +45,7 @@ pub struct VanillaFactory;
 
 impl EngineFactory for VanillaFactory {
     fn label(&self) -> &'static str {
-        EngineKind::Vanilla.label()
+        "vanilla"
     }
 
     fn build(
@@ -134,7 +109,7 @@ impl SkipperFactory {
 
 impl EngineFactory for SkipperFactory {
     fn label(&self) -> &'static str {
-        EngineKind::Skipper.label()
+        "skipper"
     }
 
     fn build(
@@ -160,24 +135,6 @@ impl EngineFactory for SkipperFactory {
     }
 }
 
-/// Materializes the factory for an [`EngineKind`] with explicit knobs
-/// (the legacy global-engine path of [`crate::runtime::Scenario`]).
-pub fn factory_for(
-    kind: EngineKind,
-    cache_bytes: u64,
-    eviction: EvictionPolicy,
-    prune_empty: bool,
-) -> Arc<dyn EngineFactory> {
-    match kind {
-        EngineKind::Vanilla => Arc::new(VanillaFactory),
-        EngineKind::Skipper => Arc::new(SkipperFactory {
-            cache_bytes,
-            eviction,
-            prune_empty,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,23 +151,5 @@ mod tests {
         assert_eq!(s.preferred_scheduler(), SchedPolicy::RankBased);
         assert_eq!(s.cache_bytes, 1 << 30);
         assert!(s.prune_empty);
-    }
-
-    #[test]
-    fn factory_for_maps_kind_to_factory() {
-        let f = factory_for(
-            EngineKind::Skipper,
-            1,
-            EvictionPolicy::MaximalProgress,
-            false,
-        );
-        assert_eq!(f.label(), "skipper");
-        let f = factory_for(
-            EngineKind::Vanilla,
-            1,
-            EvictionPolicy::MaximalProgress,
-            false,
-        );
-        assert_eq!(f.label(), "vanilla");
     }
 }

@@ -9,17 +9,16 @@
 //!    fixed-seed Poisson, bursty on/off, diurnal, trace replay), plus
 //!    optional per-tenant SLO target and ideal-time anchors for the
 //!    latency summary.
-//! 2. **Engine layer** ([`engines`]) — the per-tenant [`EngineFactory`]
-//!    replacing the old global `EngineKind` branch: one scenario can
-//!    mix Skipper and Vanilla tenants with per-tenant cache/eviction
-//!    configuration.
+//! 2. **Engine layer** ([`engines`]) — the per-tenant
+//!    [`EngineFactory`]: one scenario can mix Skipper and Vanilla
+//!    tenants with per-tenant cache/eviction configuration.
 //! 3. **Driver layer** ([`client`], [`pump`], [`fleet`], [`driver`],
 //!    [`collector`]) — the client state machine, the device pump, the
 //!    sharded device fleet, the discrete-event loop, and the
 //!    record/metrics collector behind every figure in §5 of the paper.
 //!
-//! [`Scenario`] ([`scenario`]) remains the one-stop facade over all
-//! three layers and is fully backward compatible with the seed API.
+//! [`Scenario`] ([`scenario`]) is the one-stop facade over all three
+//! layers.
 //!
 //! # Fleet layering
 //!
@@ -228,7 +227,7 @@
 //!
 //! * **Conservation** — hits + misses partition the GET multiset
 //!   exactly; `cache.misses == device.objects_served`.
-//! * **Zero ⇒ byte-exact** — `cache_size(0)` / `CacheConfig::disabled`
+//! * **Zero ⇒ byte-exact** — `CacheConfig::dram_only(0)` / `CacheConfig::disabled`
 //!   reproduces the uncached [`RunResult`] bit for bit (the goldens
 //!   survive untouched).
 //! * **Determinism** — hit completions are ordinary pump events
@@ -387,7 +386,7 @@ pub use collector::{
     AvailabilitySummary, LatencyScope, LatencySummary, Quantiles, QueryRecord, RecordMode,
     RunResult, ShardFaultStats, ShardResult, SloReport, StreamRollup,
 };
-pub use engines::{EngineFactory, EngineKind, SkipperFactory, VanillaFactory};
+pub use engines::{EngineFactory, SkipperFactory, VanillaFactory};
 pub use fault::{FaultEpisode, FaultPlan, DEFAULT_REDELIVERY};
 pub use fleet::DeviceFleet;
 pub use protect::{

@@ -1,42 +1,36 @@
 //! The scenario facade: fluent experiment description + assembly.
 //!
-//! [`Scenario`] keeps the seed repository's one-stop builder API
-//! (global engine kind, shared queries, device knobs) and adds the
-//! multi-tenant workload path: [`Scenario::tenants`] accepts explicit
-//! [`Workload`]s so one run can mix Skipper and Vanilla tenants, each
-//! with its own cache configuration and arrival process. `run()`
-//! assembles the layers — sharding datasets across the device fleet,
-//! placing each shard's objects into disk groups, choosing schedulers,
-//! planning arrivals — and hands off to [`Runtime`].
+//! A [`Scenario`] is a list of per-tenant [`Workload`]s — each with its
+//! own dataset, queries, engine factory, and arrival process, so one
+//! run can mix Skipper and Vanilla tenants — plus the device-side
+//! knobs they share. `run()` assembles the layers — sharding datasets
+//! across the device fleet, placing each shard's objects into disk
+//! groups, choosing schedulers, planning arrivals — and hands off to
+//! [`Runtime`].
 //!
 //! The device layer scales out through [`Scenario::shards`] /
 //! [`Scenario::placement`]: N independently configured CSD shards
 //! behind one scenario, with optional per-shard overrides
-//! ([`Scenario::shard_scheduler`], [`Scenario::shard_bandwidth`],
-//! [`Scenario::shard_switch_latency`]). The default single shard
-//! reproduces the seed's exact microsecond-level outputs.
+//! ([`Scenario::shard_switch_latency`], [`Scenario::shard_streams`]).
+//! The default single shard reproduces the paper's one-device outputs
+//! microsecond-exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheConfig;
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectStore,
-    PlacementPolicy, PowerModel, SchedPolicy,
+    PlacementPolicy, SchedPolicy,
 };
-use skipper_datagen::Dataset;
-use skipper_relational::query::QuerySpec;
 use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, TraceMode};
 
-use crate::cache::EvictionPolicy;
 use crate::config::CostModel;
 
 use super::client::{ClientState, PlannedQuery};
 use super::collector::{RecordMode, RunResult};
 use super::driver::Runtime;
-use super::engines::{factory_for, EngineKind};
 use super::fault::{self, FaultPlan};
 use super::fleet::DeviceFleet;
 use super::protect::{AdmissionPolicy, ClientProtection, RetryPolicy};
@@ -45,33 +39,21 @@ use super::workload::Workload;
 /// Per-shard deviations from the scenario-wide device knobs.
 #[derive(Clone, Copy, Debug, Default)]
 struct ShardOverride {
-    sched: Option<SchedPolicy>,
-    bandwidth: Option<f64>,
     switch_latency: Option<SimDuration>,
     streams: Option<u32>,
-    cache: Option<CacheConfig>,
 }
 
 /// A complete experiment description; build with the fluent setters and
 /// [`Scenario::run`].
 pub struct Scenario {
-    base: Arc<Dataset>,
-    n_clients: usize,
-    shared_queries: Vec<QuerySpec>,
-    custom_clients: Option<Vec<(Arc<Dataset>, Vec<QuerySpec>)>>,
-    tenants: Option<Vec<Workload>>,
-    engine: EngineKind,
+    tenants: Vec<Workload>,
     sched: Option<SchedPolicy>,
     intra: IntraGroupOrder,
     layout: LayoutPolicy,
     switch_latency: SimDuration,
     bandwidth: f64,
-    cache_bytes: u64,
-    eviction: EvictionPolicy,
     cost: CostModel,
-    prune_empty: bool,
     parallel_streams: u32,
-    stagger: SimDuration,
     shards: usize,
     placement: PlacementPolicy,
     shard_overrides: BTreeMap<usize, ShardOverride>,
@@ -81,8 +63,6 @@ pub struct Scenario {
     slo: Option<SimDuration>,
     faults: FaultPlan,
     shard_cache: CacheConfig,
-    power: PowerModel,
-    pricing: FleetPricing,
     seed: u64,
     deadline: Option<SimDuration>,
     retry: RetryPolicy,
@@ -91,33 +71,22 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Starts a scenario over a shared dataset with paper-default knobs:
-    /// one client, Skipper engine, rank-based scheduling, semantic
-    /// intra-group ordering, one-group-per-client layout, 10 s switches,
-    /// ~110 MB/s transfers, 30 GiB cache, maximal-progress eviction.
-    pub fn new(dataset: Dataset) -> Self {
-        Self::with_base(Arc::new(dataset))
-    }
-
-    fn with_base(base: Arc<Dataset>) -> Self {
+    /// A scenario over per-tenant [`Workload`]s (engine and arrival
+    /// process are per workload) with paper-default device knobs:
+    /// fleet-appropriate scheduling, semantic intra-group ordering,
+    /// one-group-per-client layout, 10 s switches, ~110 MB/s transfers,
+    /// one shard, one transfer stream.
+    pub fn from_workloads(tenants: Vec<Workload>) -> Self {
+        assert!(!tenants.is_empty(), "at least one workload");
         Scenario {
-            base,
-            n_clients: 1,
-            shared_queries: Vec::new(),
-            custom_clients: None,
-            tenants: None,
-            engine: EngineKind::Skipper,
+            tenants,
             sched: None,
             intra: IntraGroupOrder::SemanticRoundRobin,
             layout: LayoutPolicy::OneClientPerGroup,
             switch_latency: SimDuration::from_secs(10),
             bandwidth: 110.0 * 1024.0 * 1024.0,
-            cache_bytes: 30 << 30,
-            eviction: EvictionPolicy::MaximalProgress,
             cost: CostModel::paper_calibrated(),
-            prune_empty: false,
             parallel_streams: 1,
-            stagger: SimDuration::ZERO,
             shards: 1,
             placement: PlacementPolicy::RoundRobin,
             shard_overrides: BTreeMap::new(),
@@ -127,74 +96,12 @@ impl Scenario {
             slo: None,
             faults: FaultPlan::new(),
             shard_cache: CacheConfig::disabled(),
-            power: PowerModel::default(),
-            pricing: FleetPricing::default(),
             seed: 42,
             deadline: None,
             retry: RetryPolicy::None,
             hedge: None,
             admission: None,
         }
-    }
-
-    /// A scenario built directly from per-tenant [`Workload`]s (the
-    /// multi-tenant runtime path; engine and arrival process are per
-    /// workload). Device knobs keep their paper defaults and remain
-    /// settable.
-    pub fn from_workloads(tenants: Vec<Workload>) -> Self {
-        assert!(!tenants.is_empty(), "at least one workload");
-        let mut s = Scenario::with_base(Arc::clone(&tenants[0].dataset));
-        s.tenants = Some(tenants);
-        s
-    }
-
-    /// Number of identical clients (each gets its own copy of the
-    /// dataset on the device, like the paper's per-VM databases).
-    pub fn clients(mut self, n: usize) -> Self {
-        assert!(n > 0, "at least one client");
-        self.n_clients = n;
-        self
-    }
-
-    /// Every client runs `query` `times` times, back to back.
-    pub fn repeat_query(mut self, query: QuerySpec, times: usize) -> Self {
-        self.shared_queries = std::iter::repeat_with(|| query.clone())
-            .take(times)
-            .collect();
-        self
-    }
-
-    /// Every client runs this query sequence.
-    pub fn queries(mut self, queries: Vec<QuerySpec>) -> Self {
-        self.shared_queries = queries;
-        self
-    }
-
-    /// Heterogeneous tenants: explicit `(dataset, query sequence)` per
-    /// client (the Figure 8 mixed workload), all running the global
-    /// engine. Overrides [`Scenario::clients`]/[`Scenario::queries`];
-    /// for per-tenant engines use [`Scenario::tenants`].
-    pub fn custom_clients(mut self, clients: Vec<(Arc<Dataset>, Vec<QuerySpec>)>) -> Self {
-        assert!(!clients.is_empty());
-        self.custom_clients = Some(clients);
-        self
-    }
-
-    /// Fully heterogeneous tenants, each with its own dataset, queries,
-    /// engine factory, and arrival process. Overrides every other
-    /// client-construction setter.
-    pub fn tenants(mut self, tenants: Vec<Workload>) -> Self {
-        assert!(!tenants.is_empty());
-        self.tenants = Some(tenants);
-        self
-    }
-
-    /// Execution engine for clients built via the legacy setters
-    /// (ignored by [`Scenario::tenants`] workloads, which carry their
-    /// own factories).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
-        self
     }
 
     /// CSD group-switch scheduling policy. When not set, the device
@@ -230,21 +137,10 @@ impl Scenario {
         self
     }
 
-    /// MJoin buffer-cache capacity in bytes (legacy global engine only).
-    pub fn cache_bytes(mut self, bytes: u64) -> Self {
-        self.cache_bytes = bytes;
-        self
-    }
-
-    /// MJoin cache-eviction policy (legacy global engine only).
-    pub fn eviction(mut self, p: EvictionPolicy) -> Self {
-        self.eviction = p;
-        self
-    }
-
     /// Shard-cache tiers installed on every shard: DRAM/SSD capacities,
     /// bandwidths, and the promotion/demotion policy. Distinct from
-    /// [`Scenario::cache_bytes`] (the legacy MJoin engine buffer): this
+    /// a tenant's MJoin buffer
+    /// ([`SkipperFactory`](super::engines::SkipperFactory)): this
     /// cache fronts the *device*, completing hot GETs at tier bandwidth
     /// without a queue or a group switch. A disabled config (the
     /// default) runs the uncached machine byte-exactly.
@@ -253,42 +149,9 @@ impl Scenario {
         self
     }
 
-    /// Convenience: a DRAM-only shard cache of `bytes` per shard under
-    /// LRU at the default DRAM bandwidth. `cache_size(0)` collapses to
-    /// the uncached machine byte-exactly.
-    pub fn cache_size(mut self, bytes: u64) -> Self {
-        self.shard_cache = CacheConfig::dram_only(bytes);
-        self
-    }
-
-    /// Overrides one shard's cache config (heterogeneous fleets).
-    pub fn shard_cache_config(mut self, shard: usize, config: CacheConfig) -> Self {
-        self.shard_overrides.entry(shard).or_default().cache = Some(config);
-        self
-    }
-
-    /// MAID electrical model for the end-of-run energy report.
-    pub fn power_model(mut self, model: PowerModel) -> Self {
-        self.power = model;
-        self
-    }
-
-    /// $/GB and $/kWh inputs for the end-of-run cost report.
-    pub fn pricing(mut self, pricing: FleetPricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
     /// CPU cost model.
     pub fn cost(mut self, c: CostModel) -> Self {
         self.cost = c;
-        self
-    }
-
-    /// Enables the §5.2.4 subplan-pruning optimization (legacy global
-    /// engine only).
-    pub fn prune_empty_objects(mut self, on: bool) -> Self {
-        self.prune_empty = on;
         self
     }
 
@@ -399,15 +262,6 @@ impl Scenario {
         self
     }
 
-    /// Staggers client start times: client `i` submits its first query at
-    /// `i × delay` (default: everyone at t = 0). This is the arrival-gap
-    /// setup of the §4.4 `K` derivation, where query sets arrive `s`
-    /// switches apart.
-    pub fn stagger(mut self, delay: SimDuration) -> Self {
-        self.stagger = delay;
-        self
-    }
-
     /// Number of CSD shards behind the scenario (default 1: the paper's
     /// single device, reproduced exactly). Each shard is a fully
     /// independent device — own disk groups, scheduler, bandwidth, and
@@ -441,19 +295,6 @@ impl Scenario {
         self
     }
 
-    /// Overrides the scheduling policy on one shard (heterogeneous
-    /// fleets: e.g. a stock FCFS shard next to rank-based shards).
-    pub fn shard_scheduler(mut self, shard: usize, p: SchedPolicy) -> Self {
-        self.shard_overrides.entry(shard).or_default().sched = Some(p);
-        self
-    }
-
-    /// Overrides the streaming bandwidth of one shard (bytes/s).
-    pub fn shard_bandwidth(mut self, shard: usize, bytes_per_sec: f64) -> Self {
-        self.shard_overrides.entry(shard).or_default().bandwidth = Some(bytes_per_sec);
-        self
-    }
-
     /// Overrides the group-switch latency of one shard.
     pub fn shard_switch_latency(mut self, shard: usize, s: SimDuration) -> Self {
         self.shard_overrides
@@ -475,41 +316,9 @@ impl Scenario {
         self
     }
 
-    /// Resolves the tenant list: explicit workloads win, then custom
-    /// clients, then `n_clients` copies of the shared sequence — legacy
-    /// paths materialize the global engine kind into per-tenant
-    /// factories.
-    fn resolve_workloads(&mut self) -> Vec<Workload> {
-        if let Some(tenants) = self.tenants.take() {
-            return tenants;
-        }
-        let factory = factory_for(
-            self.engine,
-            self.cache_bytes,
-            self.eviction,
-            self.prune_empty,
-        );
-        let clients: Vec<(Arc<Dataset>, Vec<QuerySpec>)> = match self.custom_clients.take() {
-            Some(c) => c,
-            None => (0..self.n_clients)
-                .map(|_| (Arc::clone(&self.base), self.shared_queries.clone()))
-                .collect(),
-        };
-        clients
-            .into_iter()
-            .enumerate()
-            .map(|(i, (dataset, queries))| {
-                Workload::new(dataset)
-                    .queries(queries)
-                    .engine_arc(Arc::clone(&factory))
-                    .start_at(self.stagger * i as u64)
-            })
-            .collect()
-    }
-
     /// Executes the scenario to completion, returning all measurements.
-    pub fn run(mut self) -> RunResult {
-        let workloads = self.resolve_workloads();
+    pub fn run(self) -> RunResult {
+        let workloads = self.tenants;
         assert!(
             workloads.iter().all(|w| !w.queries.is_empty()),
             "every tenant needs at least one query"
@@ -586,14 +395,14 @@ impl Scenario {
                 CsdDevice::new(
                     CsdConfig {
                         switch_latency: ov.switch_latency.unwrap_or(self.switch_latency),
-                        bandwidth_bytes_per_sec: ov.bandwidth.unwrap_or(self.bandwidth),
+                        bandwidth_bytes_per_sec: self.bandwidth,
                         initial_load_free: true,
                         parallel_streams: ov.streams.unwrap_or(self.parallel_streams),
                         trace_mode: self.trace_mode,
                         ledger_mode: self.ledger_mode,
                     },
                     store,
-                    ov.sched.unwrap_or(sched).build(),
+                    sched.build(),
                     self.intra,
                 )
             })
@@ -654,21 +463,15 @@ impl Scenario {
 
         // Install the shard-cache tiers (a disabled config installs
         // nothing, keeping the uncached machine byte-exact).
-        for shard in 0..self.shards {
-            let cfg = self
-                .shard_overrides
-                .get(&shard)
-                .and_then(|o| o.cache)
-                .unwrap_or(self.shard_cache);
-            if cfg.enabled() {
-                fleet.set_cache(shard, cfg);
+        if self.shard_cache.enabled() {
+            for shard in 0..self.shards {
+                fleet.set_cache(shard, self.shard_cache);
             }
         }
 
         Runtime::new(fleet, clients, self.cost)
             .with_record_mode(self.record_mode)
             .with_faults(fault::timed_actions(&episodes))
-            .with_economics(self.power, self.pricing)
             .with_protection(protection, self.admission, self.seed)
             .run()
     }

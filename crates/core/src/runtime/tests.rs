@@ -1,6 +1,6 @@
-//! Runtime unit tests (ported from the seed's `driver.rs` plus
-//! runtime-specific coverage: the pump wake-up protocol and the
-//! sharded device fleet).
+//! Runtime unit tests: the paper's switch-count and breakdown
+//! invariants plus runtime-specific coverage (the pump wake-up protocol
+//! and the sharded device fleet).
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use skipper_csd::{
 };
 use skipper_datagen::{tpch, Dataset, GenConfig};
 use skipper_relational::ops::reference;
-use skipper_relational::query::results_approx_eq;
+use skipper_relational::query::{results_approx_eq, QuerySpec};
 use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, SimTime};
 
@@ -26,15 +26,25 @@ fn gib(n: u64) -> u64 {
     n << 30
 }
 
+/// A Skipper tenant (10 GiB MJoin cache) running `q` `times` times.
+fn skipper(ds: &Arc<Dataset>, q: &QuerySpec, times: usize) -> Workload {
+    Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), times)
+        .engine(SkipperFactory::default().cache_bytes(gib(10)))
+}
+
+/// A pull-based tenant running `q` `times` times.
+fn vanilla(ds: &Arc<Dataset>, q: &QuerySpec, times: usize) -> Workload {
+    Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), times)
+        .engine(VanillaFactory)
+}
+
 #[test]
 fn single_skipper_client_no_switches() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .engine(EngineKind::Skipper)
-        .repeat_query(q, 1)
-        .cache_bytes(gib(10))
-        .run();
+    let res = Scenario::from_workloads(vec![skipper(&ds, &q, 1)]).run();
     assert_eq!(res.device.group_switches, 0);
     assert_eq!(res.clients.len(), 1);
     let rec = &res.clients[0][0];
@@ -45,25 +55,20 @@ fn single_skipper_client_no_switches() {
 
 #[test]
 fn results_match_reference_for_both_engines() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let tables = ds.materialize_query_tables(&q);
     let slices: Vec<&[skipper_relational::segment::Segment]> =
         tables.iter().map(|t| t.as_slice()).collect();
     let expected = reference::execute(&q, &slices);
 
-    for kind in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = Scenario::new(ds.clone())
-            .clients(2)
-            .engine(kind)
-            .repeat_query(q.clone(), 1)
-            .cache_bytes(gib(10))
-            .run();
+    for tenant in [vanilla(&ds, &q, 1), skipper(&ds, &q, 1)] {
+        let label = tenant.engine.label();
+        let res = Scenario::from_workloads(vec![tenant; 2]).run();
         for rec in res.records() {
             assert!(
                 results_approx_eq(&rec.result, &expected, 1e-9),
-                "{} produced a wrong result",
-                kind.label()
+                "{label} produced a wrong result"
             );
         }
     }
@@ -74,14 +79,10 @@ fn vanilla_switch_count_scales_with_clients_times_objects() {
     // §3.2: "two consecutive requests from any PostgreSQL client are
     // separated by five group switches" — with C clients on private
     // groups, vanilla forces ≈ C×D switches.
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let objects = ds.objects_for_query(&q) as u64; // 5
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q, 1)
-        .run();
+    let res = Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 3]).run();
     let switches = res.device.group_switches;
     // Ideal batching would need ~C switches; vanilla needs ~C×D.
     assert!(
@@ -92,14 +93,9 @@ fn vanilla_switch_count_scales_with_clients_times_objects() {
 
 #[test]
 fn skipper_switch_count_is_one_per_client_round() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
-        .repeat_query(q, 1)
-        .run();
+    let res = Scenario::from_workloads(vec![skipper(&ds, &q, 1); 3]).run();
     // All of a client's data is batched per residency: C-1 paid
     // switches for C clients (first load is free).
     assert_eq!(res.device.group_switches, 2);
@@ -107,49 +103,33 @@ fn skipper_switch_count_is_one_per_client_round() {
 
 #[test]
 fn skipper_beats_vanilla_with_multiple_clients() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let vanilla = Scenario::new(ds.clone())
-        .clients(3)
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q.clone(), 1)
-        .run();
-    let skipper = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
-        .repeat_query(q, 1)
-        .run();
+    let pulled = Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 3]).run();
+    let pushed = Scenario::from_workloads(vec![skipper(&ds, &q, 1); 3]).run();
     assert!(
-        skipper.mean_query_secs() < vanilla.mean_query_secs(),
+        pushed.mean_query_secs() < pulled.mean_query_secs(),
         "skipper {:.0}s !< vanilla {:.0}s",
-        skipper.mean_query_secs(),
-        vanilla.mean_query_secs()
+        pushed.mean_query_secs(),
+        pulled.mean_query_secs()
     );
 }
 
 #[test]
 fn all_in_one_layout_eliminates_switches() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Vanilla)
+    let res = Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 3])
         .layout(LayoutPolicy::AllInOne)
-        .repeat_query(q, 1)
         .run();
     assert_eq!(res.device.group_switches, 0);
 }
 
 #[test]
 fn breakdown_covers_execution_time() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(2)
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q, 1)
-        .run();
+    let res = Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 2]).run();
     for rec in res.records() {
         let total = rec.duration();
         let accounted = rec.processing + rec.stalls.total();
@@ -163,13 +143,9 @@ fn breakdown_covers_execution_time() {
 
 #[test]
 fn query_sequences_run_back_to_back() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
-        .repeat_query(q, 3)
-        .run();
+    let res = Scenario::from_workloads(vec![skipper(&ds, &q, 3)]).run();
     let recs = &res.clients[0];
     assert_eq!(recs.len(), 3);
     assert!(recs[0].end <= recs[1].start);
@@ -180,14 +156,9 @@ fn query_sequences_run_back_to_back() {
 #[test]
 fn deterministic_across_runs() {
     let build = || {
-        let ds = mini_dataset();
+        let ds = Arc::new(mini_dataset());
         let q = tpch::q12(&ds);
-        Scenario::new(ds)
-            .clients(3)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(gib(10))
-            .repeat_query(q, 1)
-            .run()
+        Scenario::from_workloads(vec![skipper(&ds, &q, 1); 3]).run()
     };
     let a = build();
     let b = build();
@@ -547,15 +518,11 @@ fn fleet_rejects_unplaced_objects() {
 
 #[test]
 fn sharded_scenario_reports_per_shard_breakdowns() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
+    let res = Scenario::from_workloads(vec![skipper(&ds, &q, 1); 3])
         .shards(2)
         .placement(PlacementPolicy::RoundRobin)
-        .repeat_query(q, 1)
         .run();
     assert_eq!(res.shards.len(), 2);
     // The roll-up equals the per-shard sum.
@@ -578,15 +545,10 @@ fn sharded_scenario_reports_per_shard_breakdowns() {
 
 #[test]
 fn heterogeneous_shard_overrides_change_only_their_shard() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let run = |slow_shard_1: bool| {
-        let mut s = Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(gib(10))
-            .shards(2)
-            .repeat_query(q.clone(), 1);
+        let mut s = Scenario::from_workloads(vec![skipper(&ds, &q, 1); 2]).shards(2);
         if slow_shard_1 {
             s = s.shard_switch_latency(1, SimDuration::from_secs(40));
         }
@@ -813,16 +775,14 @@ fn latency_summary_quantiles_match_exact_records() {
 /// The chaos cell: 3 staggered Skipper tenants over 4 shards, with a
 /// configurable placement and fault plan.
 fn chaos_scenario(placement: PlacementPolicy, plan: FaultPlan) -> Scenario {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(gib(10))
+    let tenants = (0..3)
+        .map(|i| skipper(&ds, &q, 2).start_at(SimDuration::from_secs(30) * i))
+        .collect();
+    Scenario::from_workloads(tenants)
         .shards(4)
         .placement(placement)
-        .stagger(SimDuration::from_secs(30))
-        .repeat_query(q, 2)
         .faults(plan)
 }
 
@@ -916,15 +876,10 @@ fn unreplicated_outage_parks_requests_until_recovery() {
     // k = 1 and the only shard down: nothing can serve, so requests
     // park at the fleet and re-submit at recovery — late, but exactly
     // once each.
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let build = |plan: FaultPlan| {
-        Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q.clone(), 1)
-            .faults(plan)
-    };
+    let build =
+        |plan: FaultPlan| Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 2]).faults(plan);
     let clean = build(FaultPlan::new()).run();
     let faulted = build(FaultPlan::new().shard_down(0, t(15), t(60))).run();
     assert_eq!(faulted.delivery_multiset(), clean.delivery_multiset());
@@ -949,15 +904,10 @@ fn crash_recovery_pays_the_reload_switch() {
     // `initial_load_free`, the first post-recovery load pays a full
     // switch, so the faulted run can never undercut the clean one's
     // switch count.
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let build = |plan: FaultPlan| {
-        Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q.clone(), 1)
-            .faults(plan)
-    };
+    let build =
+        |plan: FaultPlan| Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 2]).faults(plan);
     let clean = build(FaultPlan::new()).run();
     let faulted = build(FaultPlan::new().shard_down(0, t(15), t(60))).run();
     assert!(
@@ -970,16 +920,10 @@ fn crash_recovery_pays_the_reload_switch() {
 
 #[test]
 fn brownout_slows_transfers_but_conserves_deliveries() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let build = |plan: FaultPlan| {
-        Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(gib(10))
-            .repeat_query(q.clone(), 2)
-            .faults(plan)
-    };
+    let build =
+        |plan: FaultPlan| Scenario::from_workloads(vec![skipper(&ds, &q, 2); 2]).faults(plan);
     let clean = build(FaultPlan::new()).run();
     let slowed = build(FaultPlan::new().degraded(0, t(0), t(100_000), 0.25)).run();
     assert_eq!(slowed.delivery_multiset(), clean.delivery_multiset());
@@ -993,16 +937,10 @@ fn brownout_slows_transfers_but_conserves_deliveries() {
 
 #[test]
 fn dropped_wakeup_is_redelivered_by_the_watchdog() {
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let build = |plan: FaultPlan| {
-        Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(gib(10))
-            .repeat_query(q.clone(), 1)
-            .faults(plan)
-    };
+    let build =
+        |plan: FaultPlan| Scenario::from_workloads(vec![skipper(&ds, &q, 1); 2]).faults(plan);
     let clean = build(FaultPlan::new()).run();
     // Wake-up #5 carries client 0's last object (5 objects per Q12
     // client, one transfer stream): parking it makes the watchdog
@@ -1159,15 +1097,10 @@ fn retry_replaces_parking_during_outage() {
     // k = 1 and the only shard down: without retry the requests park at
     // the fleet; with backoff they re-submit on their own schedule and
     // complete after recovery — same deliveries, no parking.
-    let ds = mini_dataset();
+    let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let build = |plan: FaultPlan| {
-        Scenario::new(ds.clone())
-            .clients(2)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q.clone(), 1)
-            .faults(plan)
-    };
+    let build =
+        |plan: FaultPlan| Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 2]).faults(plan);
     let clean = build(FaultPlan::new()).run();
     let outage = || FaultPlan::new().shard_down(0, t(15), t(60));
     let parked = build(outage()).run();

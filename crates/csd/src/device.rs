@@ -152,7 +152,7 @@ impl IntraGroupOrder {
     /// The total service-order key of one request: the policy's sort
     /// components followed by the arrival sequence number, so keys are
     /// unique and ties always break FIFO. The indexed
-    /// [`RequestQueue`](crate::sched::RequestQueue) keeps its per-group
+    /// [`RequestQueue`] keeps its per-group
     /// sub-queues sorted by exactly this key.
     pub fn key(self, r: &PendingRequest) -> (u32, u32, u32, u64) {
         match self {

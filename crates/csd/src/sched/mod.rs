@@ -25,9 +25,9 @@
 //! [`QueueView`]: per-group aggregates ([`GroupStats`]), ordered lookups
 //! (globally-oldest request, a query's oldest request, the *k*-oldest
 //! window) and the residency snapshot — all maintained incrementally by
-//! the production [`RequestQueue`](queue::RequestQueue) in O(log n) per
+//! the production [`RequestQueue`] in O(log n) per
 //! submit/serve. The pre-indexing full-rescan semantics survive as
-//! [`NaiveQueue`](naive::NaiveQueue), the reference implementation the
+//! [`NaiveQueue`], the reference implementation the
 //! differential tests run against.
 //!
 //! Instead of returning request indices, a policy describes *which*
@@ -62,9 +62,9 @@ use crate::object::{GroupId, ObjectId, QueryId};
 /// applied to "the set of active requests", so a steady stream of new
 /// arrivals cannot pin the device to one group forever.
 ///
-/// The production [`RequestQueue`](queue::RequestQueue) tracks residency
+/// The production [`RequestQueue`] tracks residency
 /// as per-group membership sets updated O(log n) per request; this alias
-/// survives for the [`NaiveQueue`](naive::NaiveQueue) reference
+/// survives for the [`NaiveQueue`] reference
 /// implementation, which still probes a flat seq set per request.
 pub type Residency = HashSet<u64>;
 
@@ -182,8 +182,8 @@ pub enum ServeScope {
 /// the ordered lookups the policies decide over.
 ///
 /// Two implementations exist: the incrementally-indexed
-/// [`RequestQueue`](queue::RequestQueue) (production, O(log n) updates)
-/// and the full-rescan [`NaiveQueue`](naive::NaiveQueue) (the pre-index
+/// [`RequestQueue`] (production, O(log n) updates)
+/// and the full-rescan [`NaiveQueue`] (the pre-index
 /// reference the differential suite diffs against).
 pub trait QueueView {
     /// Number of pending requests.
@@ -362,7 +362,7 @@ pub struct GroupStats {
 /// Returned pairs are sorted by group id for determinism.
 ///
 /// This is a thin adapter over the indexed
-/// [`RequestQueue`](queue::RequestQueue) kept so external callers and
+/// [`RequestQueue`] kept so external callers and
 /// tests that hold a flat request slice stay source-compatible; the
 /// device itself maintains the aggregates incrementally and never calls
 /// this. Requests must carry distinct sequence numbers.

@@ -30,7 +30,7 @@
 //!   "which queries are present" for query-FCFS and the rank policy's
 //!   waiting-time bookkeeping, with the same lazy-heap trick.
 //!
-//! Both keyed indexes are [`PooledMap`]s: a sorted key array over a
+//! Both keyed indexes are `PooledMap`s: a sorted key array over a
 //! *handle-addressed payload arena*. A group (or query) that appears
 //! and drains — once per GET under a pull-based client — moves one key
 //! and one 4-byte handle; its heaps stay where they are and go back on

@@ -11,7 +11,7 @@
 //!
 //! * `kept` — positions (into `segment.rows()`) of the rows that passed
 //!   the filter, ascending. A row's index in `kept` is its *slot*.
-//! * per join column, one [`ChainTable`]: `heads[bucket]` is the first
+//! * per join column, one `ChainTable`: `heads[bucket]` is the first
 //!   slot of the bucket's chain and `links[slot]` holds the next slot of
 //!   the chain plus the low 32 bits of the slot's key hash. The bucket is
 //!   taken from the hash's *high* bits (the well-mixed end of Fx's

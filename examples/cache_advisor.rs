@@ -9,12 +9,16 @@
 //! cargo run --release --example cache_advisor
 //! ```
 
+use std::sync::Arc;
+
 use skipper::core::analysis::{CacheAdvisor, ReissueModel};
-use skipper::core::driver::{EngineKind, Scenario};
+use skipper::core::runtime::{Scenario, SkipperFactory, Workload};
 use skipper::datagen::{tpch, GenConfig};
 
 fn main() {
-    let ds = tpch::dataset(&GenConfig::new(2016, 16).with_phys_divisor(100_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(2016, 16).with_phys_divisor(100_000),
+    ));
     let q5 = tpch::q5(&ds);
 
     // The query's segment geometry drives the model.
@@ -35,11 +39,10 @@ fn main() {
 
     println!("cache(GB)  model GETs (upper bound)  measured GETs  measured exec(s)");
     for cache in [6u64, 8, 10, 14, 18, 22] {
-        let res = Scenario::new(ds.clone())
-            .engine(EngineKind::Skipper)
-            .cache_bytes(cache << 30)
+        let tenant = Workload::new(Arc::clone(&ds))
             .repeat_query(q5.clone(), 1)
-            .run();
+            .engine(SkipperFactory::default().cache_bytes(cache << 30));
+        let res = Scenario::from_workloads(vec![tenant]).run();
         let rec = &res.clients[0][0];
         println!(
             "{cache:>9}  {:>24.0}  {:>13}  {:>16.0}",

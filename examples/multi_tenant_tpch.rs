@@ -14,36 +14,38 @@
 
 use std::sync::Arc;
 
-use skipper::core::driver::{EngineKind, Scenario};
-use skipper::core::runtime::{SkipperFactory, VanillaFactory, Workload};
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::LayoutPolicy;
 use skipper::datagen::{tpch, GenConfig};
 
 fn main() {
     // SF-16 keeps the example fast while giving Q12 a 16+3-object
     // working set; the bench harness runs the full SF-50 versions.
-    let data = tpch::dataset(&GenConfig::new(7, 16).with_phys_divisor(100_000));
+    let data = Arc::new(tpch::dataset(
+        &GenConfig::new(7, 16).with_phys_divisor(100_000),
+    ));
     let q12 = tpch::q12(&data);
+    // `n` identical tenants, each running Q12 once on `engine`.
+    let fleet = |n: usize, engine: Arc<dyn EngineFactory>| {
+        let tenant = Workload::new(Arc::clone(&data))
+            .repeat_query(q12.clone(), 1)
+            .engine_arc(engine);
+        Scenario::from_workloads(vec![tenant; n])
+    };
+    let vanilla_engine: Arc<dyn EngineFactory> = Arc::new(VanillaFactory);
+    let skipper_engine: Arc<dyn EngineFactory> =
+        Arc::new(SkipperFactory::default().cache_bytes(12 << 30));
 
     println!("clients  vanilla(s)  skipper(s)  ideal(s)  vanilla/skipper");
-    let ideal = Scenario::new(data.clone())
-        .engine(EngineKind::Vanilla)
+    let ideal = fleet(1, Arc::clone(&vanilla_engine))
         .layout(LayoutPolicy::AllInOne)
-        .repeat_query(q12.clone(), 1)
         .run()
         .mean_query_secs();
     for clients in 1..=5 {
-        let vanilla = Scenario::new(data.clone())
-            .clients(clients)
-            .engine(EngineKind::Vanilla)
-            .repeat_query(q12.clone(), 1)
+        let vanilla = fleet(clients, Arc::clone(&vanilla_engine))
             .run()
             .mean_query_secs();
-        let skipper = Scenario::new(data.clone())
-            .clients(clients)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(12 << 30)
-            .repeat_query(q12.clone(), 1)
+        let skipper = fleet(clients, Arc::clone(&skipper_engine))
             .run()
             .mean_query_secs();
         println!(
@@ -54,13 +56,9 @@ fn main() {
 
     // The Figure 9 story at five clients: where does the time go?
     println!("\nstall anatomy at 5 clients:");
-    for kind in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = Scenario::new(data.clone())
-            .clients(5)
-            .engine(kind)
-            .cache_bytes(12 << 30)
-            .repeat_query(q12.clone(), 1)
-            .run();
+    for engine in [vanilla_engine, skipper_engine] {
+        let label = engine.label();
+        let res = fleet(5, engine).run();
         let (mut proc, mut sw, mut tr, mut total) = (0.0, 0.0, 0.0, 0.0);
         for r in res.records() {
             proc += r.processing.as_secs_f64();
@@ -70,7 +68,7 @@ fn main() {
         }
         println!(
             "  {:>8}: processing {:>4.1}%  switch {:>4.1}%  transfer {:>4.1}%",
-            kind.label(),
+            label,
             100.0 * proc / total,
             100.0 * sw / total,
             100.0 * tr / total
@@ -79,12 +77,11 @@ fn main() {
 
     // A half-migrated fleet: tenants 0/2/4 upgraded to Skipper, 1/3
     // still pull-based — one scenario, one shared device, per-tenant
-    // engines (impossible with the seed's single global EngineKind).
+    // engines.
     println!("\nmixed fleet (3 skipper + 2 vanilla tenants):");
-    let shared = Arc::new(data);
-    let fleet: Vec<Workload> = (0..5)
+    let mixed: Vec<Workload> = (0..5)
         .map(|i| {
-            let w = Workload::new(Arc::clone(&shared)).repeat_query(q12.clone(), 1);
+            let w = Workload::new(Arc::clone(&data)).repeat_query(q12.clone(), 1);
             if i % 2 == 0 {
                 w.engine(SkipperFactory::default().cache_bytes(12 << 30))
             } else {
@@ -92,7 +89,7 @@ fn main() {
             }
         })
         .collect();
-    let res = Scenario::from_workloads(fleet).run();
+    let res = Scenario::from_workloads(mixed).run();
     for (c, recs) in res.clients.iter().enumerate() {
         let r = &recs[0];
         println!(

@@ -9,12 +9,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use skipper::core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::datagen::{tpch, GenConfig};
 
 fn main() {
     // SF-8 TPC-H miniature: Q12 touches 8 lineitem + 2 orders segments.
-    let data = tpch::dataset(&GenConfig::new(42, 8).with_phys_divisor(50_000));
+    let data = Arc::new(tpch::dataset(
+        &GenConfig::new(42, 8).with_phys_divisor(50_000),
+    ));
     let q12 = tpch::q12(&data);
     println!(
         "dataset: {} ({} objects, {:.0} GB logical)\nquery:   {q12}\n",
@@ -23,16 +27,18 @@ fn main() {
         data.catalog.total_logical_bytes() as f64 / (1u64 << 30) as f64,
     );
 
-    for kind in [EngineKind::Vanilla, EngineKind::Skipper] {
+    let engines: [Arc<dyn EngineFactory>; 2] = [
+        Arc::new(VanillaFactory),
+        Arc::new(SkipperFactory::default().cache_bytes(6 << 30)),
+    ];
+    for engine in engines {
+        println!("=== {} ===", engine.label());
         // Three tenants contend for the device; each runs Q12 once.
-        let result = Scenario::new(data.clone())
-            .clients(3)
-            .engine(kind)
-            .cache_bytes(6 << 30)
+        let tenant = Workload::new(Arc::clone(&data))
             .repeat_query(q12.clone(), 1)
-            .run();
+            .engine_arc(engine);
+        let result = Scenario::from_workloads(vec![tenant; 3]).run();
 
-        println!("=== {} ===", kind.label());
         println!(
             "mean execution time: {:>8.1} s   (group switches: {})",
             result.mean_query_secs(),

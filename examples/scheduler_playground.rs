@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use skipper::core::driver::{EngineKind, Scenario};
-use skipper::core::runtime::{ArrivalProcess, SkipperFactory, Workload};
+use skipper::core::runtime::{ArrivalProcess, Scenario, SkipperFactory, Workload};
 use skipper::csd::sched::{GroupScheduler, RankBased};
 use skipper::csd::{LayoutPolicy, SchedPolicy};
 use skipper::datagen::{tpch, GenConfig};
@@ -22,14 +21,19 @@ use skipper::sim::stats::{l2_norm, max_stretch};
 use skipper::sim::SimDuration;
 
 fn main() {
-    let data = tpch::dataset(&GenConfig::new(3, 8).with_phys_divisor(100_000));
+    let data = Arc::new(tpch::dataset(
+        &GenConfig::new(3, 8).with_phys_divisor(100_000),
+    ));
     let q12 = tpch::q12(&data);
+    // One Skipper tenant (6 GiB MJoin cache) running Q12 `reps` times.
+    let tenant = |reps: usize| {
+        Workload::new(Arc::clone(&data))
+            .repeat_query(q12.clone(), reps)
+            .engine(SkipperFactory::default().cache_bytes(6 << 30))
+    };
 
     // Uncontended reference for stretch.
-    let ideal = Scenario::new(data.clone())
-        .engine(EngineKind::Skipper)
-        .cache_bytes(6 << 30)
-        .repeat_query(q12.clone(), 1)
+    let ideal = Scenario::from_workloads(vec![tenant(1)])
         .run()
         .mean_query_secs();
     println!("single-tenant ideal: {ideal:.0}s\n");
@@ -42,13 +46,9 @@ fn main() {
         SchedPolicy::MaxQueries,
         SchedPolicy::RankBased,
     ] {
-        let res = Scenario::new(data.clone())
-            .clients(5)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(6 << 30)
+        let res = Scenario::from_workloads(vec![tenant(3); 5])
             .layout(LayoutPolicy::TwoClientsPerGroup)
             .scheduler(policy)
-            .repeat_query(q12.clone(), 3)
             .run();
         let stretches = res.stretches(SimDuration::from_secs_f64(ideal));
         println!(
@@ -67,7 +67,6 @@ fn main() {
     // run reproducible.
     println!("\nopen (Poisson) arrivals, mean gap 400s, 3 queries/tenant:");
     println!("scheduler     L2-norm  max-stretch  makespan(s)  switches");
-    let shared = Arc::new(data.clone());
     for policy in [
         SchedPolicy::FcfsObject,
         SchedPolicy::MaxQueries,
@@ -75,13 +74,10 @@ fn main() {
     ] {
         let fleet: Vec<Workload> = (0..5)
             .map(|i| {
-                Workload::new(Arc::clone(&shared))
-                    .repeat_query(q12.clone(), 3)
-                    .engine(SkipperFactory::default().cache_bytes(6 << 30))
-                    .arrival(ArrivalProcess::Poisson {
-                        mean: SimDuration::from_secs(400),
-                        seed: 1000 + i,
-                    })
+                tenant(3).arrival(ArrivalProcess::Poisson {
+                    mean: SimDuration::from_secs(400),
+                    seed: 1000 + i,
+                })
             })
             .collect();
         let res = Scenario::from_workloads(fleet)

@@ -10,12 +10,16 @@
 //! cargo run --release --example tpch_suite
 //! ```
 
-use skipper::core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::datagen::{tpch, GenConfig};
 use skipper::relational::query::{results_approx_eq, QuerySpec};
 
 fn main() {
-    let data = tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(100_000));
+    let data = Arc::new(tpch::dataset(
+        &GenConfig::new(7, 8).with_phys_divisor(100_000),
+    ));
     let queries: Vec<QuerySpec> = vec![
         tpch::q1(&data),
         tpch::q3(&data),
@@ -33,16 +37,14 @@ fn main() {
     );
     println!("query      objects  vanilla(s)  skipper(s)  speedup  result rows");
     for q in queries {
-        let run = |engine| {
-            Scenario::new(data.clone())
-                .clients(3)
-                .engine(engine)
-                .cache_bytes(8 << 30)
+        let run = |engine: Arc<dyn EngineFactory>| {
+            let tenant = Workload::new(Arc::clone(&data))
                 .repeat_query(q.clone(), 1)
-                .run()
+                .engine_arc(engine);
+            Scenario::from_workloads(vec![tenant; 3]).run()
         };
-        let vanilla = run(EngineKind::Vanilla);
-        let skipper = run(EngineKind::Skipper);
+        let vanilla = run(Arc::new(VanillaFactory));
+        let skipper = run(Arc::new(SkipperFactory::default().cache_bytes(8 << 30)));
         let v_rec = &vanilla.clients[0][0];
         let s_rec = &skipper.clients[0][0];
         assert!(

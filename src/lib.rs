@@ -25,10 +25,10 @@
 //! ## Quickstart
 //!
 //! The classic homogeneous fleet (three Skipper tenants, one shared
-//! device):
+//! device) is one [`Workload`](core::runtime::Workload), repeated:
 //!
 //! ```
-//! use skipper::core::driver::{EngineKind, Scenario};
+//! use skipper::core::runtime::{Scenario, SkipperFactory, Workload};
 //! use skipper::datagen::{tpch, GenConfig};
 //!
 //! // A miniature TPC-H instance (SF-2) and its Q12.
@@ -36,12 +36,10 @@
 //! let q12 = tpch::q12(&data);
 //!
 //! // Three tenants sharing one CSD, each running Q12 through Skipper.
-//! let result = Scenario::new(data)
-//!     .clients(3)
-//!     .engine(EngineKind::Skipper)
-//!     .cache_bytes(10 << 30)
+//! let tenant = Workload::new(data)
 //!     .repeat_query(q12, 1)
-//!     .run();
+//!     .engine(SkipperFactory::default().cache_bytes(10 << 30));
+//! let result = Scenario::from_workloads(vec![tenant; 3]).run();
 //!
 //! assert_eq!(result.device.group_switches, 2); // one residency per tenant
 //! println!("mean query time: {:.0}s", result.mean_query_secs());
@@ -49,7 +47,7 @@
 //!
 //! ## Mixed-engine fleets and open arrivals
 //!
-//! The runtime's workload layer composes heterogeneous tenants — a
+//! One workload per tenant composes heterogeneous fleets — a
 //! half-migrated fleet where Skipper and pull-based PostgreSQL tenants
 //! share the device, with per-tenant caches and arrival processes:
 //!

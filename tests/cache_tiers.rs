@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use skipper::core::driver::{EngineKind, Scenario};
 use skipper::core::runtime::{
-    BasePlacement, FaultPlan, PlacementPolicy, RunResult, SkipperFactory, VanillaFactory, Workload,
+    BasePlacement, FaultPlan, PlacementPolicy, RunResult, Scenario, SkipperFactory, VanillaFactory,
+    Workload,
 };
 use skipper::csd::cache::{CacheConfig, CachePolicy};
 use skipper::datagen::{tpch, Dataset, GenConfig};
@@ -42,30 +42,30 @@ fn fleet_scenario(ds: &Arc<Dataset>) -> Scenario {
     ])
 }
 
-/// `cache_size(0)` reproduces the pinned single-device and 4-shard
+/// `CacheConfig::dram_only(0)` reproduces the pinned single-device and 4-shard
 /// goldens microsecond-exactly, and the whole `RunResult` matches an
 /// uncached run bit for bit.
 #[test]
 fn zero_size_cache_reproduces_the_goldens() {
-    let ds = tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(100_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(7, 8).with_phys_divisor(100_000),
+    ));
     let run = |cache: bool, shards: usize| {
-        let q12 = tpch::q12(&ds);
-        let mut sc = Scenario::new(ds.clone())
-            .clients(3)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(8 << 30)
+        let client = Workload::new(Arc::clone(&ds))
+            .repeat_query(tpch::q12(&ds), 1)
+            .engine(SkipperFactory::default().cache_bytes(8 << 30));
+        let mut sc = Scenario::from_workloads(vec![client; 3])
             .shards(shards)
-            .placement(PlacementPolicy::RoundRobin)
-            .repeat_query(q12, 1);
+            .placement(PlacementPolicy::RoundRobin);
         if cache {
-            sc = sc.cache_size(0);
+            sc = sc.shard_cache(CacheConfig::dram_only(0));
         }
         sc.run()
     };
     let zero = run(true, 1);
     assert_eq!(zero.makespan.as_micros(), 305_278_730);
     assert_eq!(zero.device.group_switches, 2);
-    assert_eq!(zero, run(false, 1), "cache_size(0) drifted on 1 shard");
+    assert_eq!(zero, run(false, 1), "dram_only(0) drifted on 1 shard");
     assert_eq!(
         zero.cache.lookups(),
         0,
@@ -74,7 +74,7 @@ fn zero_size_cache_reproduces_the_goldens() {
 
     let zero4 = run(true, 4);
     assert_eq!(zero4.makespan.as_micros(), 138_038_455);
-    assert_eq!(zero4, run(false, 4), "cache_size(0) drifted on 4 shards");
+    assert_eq!(zero4, run(false, 4), "dram_only(0) drifted on 4 shards");
 }
 
 const POLICIES: [CachePolicy; 3] = [

@@ -4,13 +4,22 @@
 
 use std::sync::Arc;
 
-use skipper::core::driver::{EngineKind, Scenario};
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::{IntraGroupOrder, LayoutPolicy};
 use skipper::datagen::{mrbench, nref, ssb, tpch, GenConfig};
 use skipper::relational::query::results_approx_eq;
 use skipper::relational::Segment;
 
 const GIB: u64 = 1 << 30;
+
+/// The two engines every both-engines cell here compares: pull-based
+/// PostgreSQL and Skipper with `cache_gib` GiB of MJoin buffer.
+fn both_engines(cache_gib: u64) -> [Arc<dyn EngineFactory>; 2] {
+    [
+        Arc::new(VanillaFactory),
+        Arc::new(SkipperFactory::default().cache_bytes(cache_gib * GIB)),
+    ]
+}
 
 #[test]
 fn mixed_tenants_complete_with_correct_results() {
@@ -20,7 +29,7 @@ fn mixed_tenants_complete_with_correct_results() {
     let ssb_ds = Arc::new(ssb::dataset(&cfg));
     let mr_ds = Arc::new(mrbench::dataset(&big));
     let nref_ds = Arc::new(nref::dataset(&big));
-    let clients = vec![
+    let clients = [
         (
             Arc::clone(&tpch_ds),
             vec![tpch::q12(&tpch_ds), tpch::q3(&tpch_ds)],
@@ -29,12 +38,16 @@ fn mixed_tenants_complete_with_correct_results() {
         (Arc::clone(&mr_ds), vec![mrbench::join_task(&mr_ds)]),
         (Arc::clone(&nref_ds), vec![nref::protein_count(&nref_ds)]),
     ];
-    for engine in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = Scenario::new((*tpch_ds).clone())
-            .custom_clients(clients.clone())
-            .engine(engine)
-            .cache_bytes(20 * GIB)
-            .run();
+    for engine in both_engines(20) {
+        let tenants = clients
+            .iter()
+            .map(|(ds, queries)| {
+                Workload::new(Arc::clone(ds))
+                    .queries(queries.clone())
+                    .engine_arc(Arc::clone(&engine))
+            })
+            .collect();
+        let res = Scenario::from_workloads(tenants).run();
         assert_eq!(res.clients[0].len(), 2, "tpch tenant ran two queries");
         for (c, (ds, queries)) in clients.iter().enumerate() {
             for (i, q) in queries.iter().enumerate() {
@@ -56,12 +69,10 @@ fn mixed_tenants_complete_with_correct_results() {
 fn repeated_queries_have_identical_results_and_disjoint_spans() {
     let ds = tpch::dataset(&GenConfig::new(4, 4).with_phys_divisor(200_000));
     let q12 = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(2)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(8 * GIB)
+    let client = Workload::new(ds)
         .repeat_query(q12, 3)
-        .run();
+        .engine(SkipperFactory::default().cache_bytes(8 * GIB));
+    let res = Scenario::from_workloads(vec![client; 2]).run();
     for client in &res.clients {
         assert_eq!(client.len(), 3);
         for pair in client.windows(2) {
@@ -76,13 +87,12 @@ fn whole_simulation_is_deterministic() {
     let run = || {
         let ds = tpch::dataset(&GenConfig::new(31, 4).with_phys_divisor(200_000));
         let q5 = tpch::q5(&ds);
-        let res = Scenario::new(ds)
-            .clients(3)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(7 * GIB)
+        let client = Workload::new(ds)
+            .repeat_query(q5, 2)
+            .engine(SkipperFactory::default().cache_bytes(7 * GIB));
+        let res = Scenario::from_workloads(vec![client; 3])
             .layout(LayoutPolicy::Incremental)
             .intra_order(IntraGroupOrder::SemanticRoundRobin)
-            .repeat_query(q5, 2)
             .run();
         let times: Vec<(u64, u64)> = res
             .records()
@@ -117,7 +127,9 @@ fn segments_round_trip_through_the_wire_format() {
 #[test]
 fn pruning_saves_gets_without_changing_results() {
     use skipper::relational::Expr;
-    let ds = tpch::dataset(&GenConfig::new(66, 8).with_phys_divisor(200_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(66, 8).with_phys_divisor(200_000),
+    ));
     let mut q = tpch::q12(&ds);
     // Orders keys are partition-ordered: restricting to the first
     // segment's key range makes every other orders object empty.
@@ -127,12 +139,13 @@ fn pruning_saves_gets_without_changing_results() {
     q.filters[0] = Some(Expr::col(orders_schema.col("o_orderkey")).le(Expr::lit(seg_rows)));
 
     let run = |prune| {
-        Scenario::new(ds.clone())
-            .engine(EngineKind::Skipper)
+        let engine = SkipperFactory::default()
             .cache_bytes(3 * GIB)
-            .prune_empty_objects(prune)
+            .prune_empty(prune);
+        Scenario::from_workloads(vec![Workload::new(Arc::clone(&ds))
             .repeat_query(q.clone(), 1)
-            .run()
+            .engine(engine)])
+        .run()
     };
     let with = run(true);
     let without = run(false);
@@ -147,15 +160,19 @@ fn pruning_saves_gets_without_changing_results() {
 #[test]
 fn staggered_starts_shift_client_timelines() {
     use skipper::sim::SimDuration;
-    let ds = tpch::dataset(&GenConfig::new(4, 4).with_phys_divisor(200_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(4, 4).with_phys_divisor(200_000),
+    ));
     let q12 = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(8 * GIB)
-        .stagger(SimDuration::from_secs(500))
-        .repeat_query(q12, 1)
-        .run();
+    let tenants = (0..3)
+        .map(|i| {
+            Workload::new(Arc::clone(&ds))
+                .repeat_query(q12.clone(), 1)
+                .engine(SkipperFactory::default().cache_bytes(8 * GIB))
+                .start_at(SimDuration::from_secs(500) * i)
+        })
+        .collect();
+    let res = Scenario::from_workloads(tenants).run();
     // Client i's query starts exactly at i × 500 s.
     for (c, recs) in res.clients.iter().enumerate() {
         assert_eq!(recs[0].start.as_micros(), (c as u64) * 500_000_000);
@@ -181,18 +198,18 @@ fn staggered_starts_shift_client_timelines() {
 #[test]
 fn maid_power_savings_hold_during_queries() {
     use skipper::csd::PowerModel;
-    let ds = tpch::dataset(&GenConfig::new(4, 8).with_phys_divisor(200_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(4, 8).with_phys_divisor(200_000),
+    ));
     let q12 = tpch::q12(&ds);
-    let run = |engine| {
-        Scenario::new(ds.clone())
-            .clients(4)
-            .engine(engine)
-            .cache_bytes(8 * GIB)
+    let run = |engine: Arc<dyn EngineFactory>| {
+        let client = Workload::new(Arc::clone(&ds))
             .repeat_query(q12.clone(), 1)
-            .run()
+            .engine_arc(engine);
+        Scenario::from_workloads(vec![client; 4]).run()
     };
     let power = PowerModel::default();
-    let energy = |res: &skipper::core::driver::RunResult| {
+    let energy = |res: &skipper::core::runtime::RunResult| {
         let transfer = skipper::sim::SimDuration::from_secs_f64(
             res.device.logical_bytes_served as f64 / (110.0 * 1024.0 * 1024.0),
         );
@@ -202,8 +219,7 @@ fn maid_power_savings_hold_during_queries() {
             res.device.group_switches,
         )
     };
-    let vanilla = run(EngineKind::Vanilla);
-    let skipper_run = run(EngineKind::Skipper);
+    let [vanilla, skipper_run] = both_engines(8).map(run);
     let ev = energy(&vanilla);
     let es = energy(&skipper_run);
     // MAID beats all-spinning in both, by the motivation-level ~4-5×.
@@ -224,7 +240,9 @@ fn skipper_handles_single_table_scan_queries() {
     // Scans are the degenerate MJoin case the paper mentions ("scans
     // could naturally be serviced in an out-of-order fashion").
     use skipper::relational::query::{AggFunc, AggSpec, JoinExpr, QuerySpec};
-    let ds = tpch::dataset(&GenConfig::new(2, 4).with_phys_divisor(200_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(2, 4).with_phys_divisor(200_000),
+    ));
     let lineitem = ds
         .catalog
         .table(ds.catalog.index_of("lineitem").unwrap())
@@ -245,12 +263,11 @@ fn skipper_handles_single_table_scan_queries() {
             "rows",
         )],
     };
-    for engine in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = Scenario::new(ds.clone())
-            .engine(engine)
-            .cache_bytes(2 * GIB)
+    for engine in both_engines(2) {
+        let res = Scenario::from_workloads(vec![Workload::new(Arc::clone(&ds))
             .repeat_query(scan.clone(), 1)
-            .run();
+            .engine_arc(engine)])
+        .run();
         let total_rows: i64 = ds
             .table_segments(ds.catalog.index_of("lineitem").unwrap())
             .iter()

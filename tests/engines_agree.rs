@@ -7,11 +7,13 @@
 //! offline workspace draws them from a seeded RNG instead, so every
 //! combination is deterministic and reproducible by case index.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skipper::core::cache::EvictionPolicy;
-use skipper::core::driver::{EngineKind, Scenario};
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::{IntraGroupOrder, LayoutPolicy, SchedPolicy};
 use skipper::datagen::dataset::{Dataset, DatasetBuilder, TableSpec};
 use skipper::datagen::{mrbench, nref, ssb, tpch, GenConfig};
@@ -128,14 +130,13 @@ fn skipper_matches_reference_under_randomized_conditions() {
 
         let (ds, q) = random_workload(seed, fact_segs, dim_segs, 25, key_range);
         let expected = reference_result(&ds, &q);
-        let res = Scenario::new(ds)
-            .clients(clients)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(cache_objects * GIB)
+        let client = Workload::new(ds)
+            .repeat_query(q, 1)
+            .engine(SkipperFactory::default().cache_bytes(cache_objects * GIB));
+        let res = Scenario::from_workloads(vec![client; clients])
             .layout(layout)
             .scheduler(sched)
             .intra_order(intra)
-            .repeat_query(q, 1)
             .run();
         for rec in res.records() {
             assert!(
@@ -162,12 +163,12 @@ fn eviction_policies_preserve_correctness() {
         let policy = policies[rng.gen_range(0..policies.len())];
         let (ds, q) = random_workload(seed, 4, 2, 25, 40);
         let expected = reference_result(&ds, &q);
-        let res = Scenario::new(ds)
-            .engine(EngineKind::Skipper)
+        let engine = SkipperFactory::default()
             .cache_bytes(cache_objects * GIB)
-            .eviction(policy)
-            .repeat_query(q, 1)
-            .run();
+            .eviction(policy);
+        let res =
+            Scenario::from_workloads(vec![Workload::new(ds).repeat_query(q, 1).engine(engine)])
+                .run();
         let rec = &res.clients[0][0];
         assert!(
             results_approx_eq(&rec.result, &expected, 1e-9),
@@ -189,13 +190,15 @@ fn pruning_preserves_results() {
         let (ds, mut q) = random_workload(seed, 4, 2, 25, 50);
         q.filters[2] = Some(Expr::col(2).lt(Expr::lit(30i64)));
         let expected = reference_result(&ds, &q);
+        let ds = Arc::new(ds);
         let run = |prune: bool| {
-            Scenario::new(ds.clone())
-                .engine(EngineKind::Skipper)
+            let engine = SkipperFactory::default()
                 .cache_bytes(cache_objects * GIB)
-                .prune_empty_objects(prune)
+                .prune_empty(prune);
+            Scenario::from_workloads(vec![Workload::new(Arc::clone(&ds))
                 .repeat_query(q.clone(), 1)
-                .run()
+                .engine(engine)])
+            .run()
         };
         let with = run(true);
         let without = run(false);
@@ -244,18 +247,21 @@ fn benchmark_workloads_agree_end_to_end() {
     ];
     for (ds, q) in cases {
         let expected = reference_result(&ds, &q);
-        for kind in [EngineKind::Vanilla, EngineKind::Skipper] {
-            let res = Scenario::new(ds.clone())
-                .clients(2)
-                .engine(kind)
-                .cache_bytes(16 * GIB)
+        let ds = Arc::new(ds);
+        let engines: [Arc<dyn EngineFactory>; 2] = [
+            Arc::new(VanillaFactory),
+            Arc::new(SkipperFactory::default().cache_bytes(16 * GIB)),
+        ];
+        for engine in engines {
+            let label = engine.label();
+            let client = Workload::new(Arc::clone(&ds))
                 .repeat_query(q.clone(), 1)
-                .run();
+                .engine_arc(engine);
+            let res = Scenario::from_workloads(vec![client; 2]).run();
             for rec in res.records() {
                 assert!(
                     results_approx_eq(&rec.result, &expected, 1e-9),
-                    "{} diverged on {}",
-                    kind.label(),
+                    "{label} diverged on {}",
                     q.name
                 );
             }

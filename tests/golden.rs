@@ -7,7 +7,7 @@
 //! change is *supposed* to alter these numbers, regenerate them and say
 //! so in the commit message.
 
-use skipper::core::driver::{EngineKind, RunResult, Scenario};
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::PlacementPolicy;
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::relational::row;
@@ -17,20 +17,21 @@ fn dataset() -> Dataset {
     tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(100_000))
 }
 
-fn run(engine: EngineKind, cache_gib: u64) -> RunResult {
+fn skipper(cache_gib: u64) -> SkipperFactory {
+    SkipperFactory::default().cache_bytes(cache_gib << 30)
+}
+
+/// Three clients, each running Q12 once on `engine`.
+fn fleet(engine: impl EngineFactory + 'static) -> Scenario {
     let ds = dataset();
     let q12 = tpch::q12(&ds);
-    Scenario::new(ds)
-        .clients(3)
-        .engine(engine)
-        .cache_bytes(cache_gib << 30)
-        .repeat_query(q12, 1)
-        .run()
+    let client = Workload::new(ds).repeat_query(q12, 1).engine(engine);
+    Scenario::from_workloads(vec![client; 3])
 }
 
 #[test]
 fn golden_vanilla_q12_three_clients() {
-    let res = run(EngineKind::Vanilla, 8);
+    let res = fleet(VanillaFactory).run();
     assert_eq!(res.makespan.as_micros(), 575_704_730);
     assert_eq!(res.device.group_switches, 29);
     assert_eq!(res.total_gets(), 30);
@@ -42,7 +43,7 @@ fn golden_vanilla_q12_three_clients() {
 
 #[test]
 fn golden_skipper_q12_three_clients() {
-    let res = run(EngineKind::Skipper, 8);
+    let res = fleet(skipper(8)).run();
     assert_eq!(res.makespan.as_micros(), 305_278_730);
     assert_eq!(res.device.group_switches, 2);
     assert_eq!(res.total_gets(), 30);
@@ -56,8 +57,8 @@ fn golden_skipper_tight_cache_same_outcome() {
     // Q12's working set degrades gracefully: at 3 GiB (orders stays
     // pinned, lineitem streams through) the maximal-progress policy still
     // avoids every reissue, so the run is identical to the roomy one.
-    let roomy = run(EngineKind::Skipper, 8);
-    let tight = run(EngineKind::Skipper, 3);
+    let roomy = fleet(skipper(8)).run();
+    let tight = fleet(skipper(3)).run();
     assert_eq!(tight.makespan, roomy.makespan);
     assert_eq!(tight.total_gets(), roomy.total_gets());
 }
@@ -73,10 +74,9 @@ fn golden_query_results() {
         (row!["MAIL"], vec![Value::Float(1.0), Value::Float(5.0)]),
         (row!["SHIP"], vec![Value::Float(1.0), Value::Float(1.0)]),
     ];
-    for engine in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = run(engine, 8);
+    for res in [fleet(VanillaFactory).run(), fleet(skipper(8)).run()] {
         for rec in res.records() {
-            assert_eq!(rec.result, expected, "{} result drifted", engine.label());
+            assert_eq!(rec.result, expected, "{} result drifted", rec.engine);
         }
     }
 }
@@ -87,7 +87,7 @@ fn golden_one_shard_facade_matches_unsharded_run_exactly() {
     // with no shard config — and one with an explicit 1-shard fleet
     // under any placement policy — reproduces the pinned single-device
     // goldens microsecond-exactly.
-    let implicit = run(EngineKind::Skipper, 8);
+    let implicit = fleet(skipper(8)).run();
     assert_eq!(implicit.makespan.as_micros(), 305_278_730);
     assert_eq!(implicit.shards.len(), 1);
     for placement in [
@@ -95,16 +95,7 @@ fn golden_one_shard_facade_matches_unsharded_run_exactly() {
         PlacementPolicy::HashObject,
         PlacementPolicy::TableAffinity,
     ] {
-        let ds = dataset();
-        let q12 = tpch::q12(&ds);
-        let explicit = Scenario::new(ds)
-            .clients(3)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(8 << 30)
-            .shards(1)
-            .placement(placement)
-            .repeat_query(q12, 1)
-            .run();
+        let explicit = fleet(skipper(8)).shards(1).placement(placement).run();
         assert_eq!(explicit.makespan, implicit.makespan, "{placement:?}");
         assert_eq!(
             explicit.device.group_switches,
@@ -129,15 +120,9 @@ fn golden_four_shard_round_robin() {
     // 2 switches (one per non-first tenant residency), and the makespan
     // drops from the 1-shard 305.3 s to 138.0 s. If a change is
     // *supposed* to alter these numbers, regenerate them and say so.
-    let ds = dataset();
-    let q12 = tpch::q12(&ds);
-    let res = Scenario::new(ds)
-        .clients(3)
-        .engine(EngineKind::Skipper)
-        .cache_bytes(8 << 30)
+    let res = fleet(skipper(8))
         .shards(4)
         .placement(PlacementPolicy::RoundRobin)
-        .repeat_query(q12, 1)
         .run();
     assert_eq!(res.makespan.as_micros(), 138_038_455);
     assert_eq!(res.device.group_switches, 8);
@@ -153,7 +138,7 @@ fn golden_four_shard_round_robin() {
     assert_eq!(rec.duration().as_micros(), 76_202_091);
     assert_eq!(rec.processing.as_micros(), 66_893_000);
     // The fleet conserves work: same delivery multiset as one device.
-    let single = run(EngineKind::Skipper, 8);
+    let single = fleet(skipper(8)).run();
     assert_eq!(res.delivery_multiset(), single.delivery_multiset());
 }
 

@@ -8,7 +8,9 @@
 //! `(C−1) × (D/B + S)` — one residency (bulk transfer + one switch) per
 //! other client.
 
-use skipper::core::driver::{EngineKind, Scenario};
+use std::sync::Arc;
+
+use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::relational::query::QuerySpec;
 use skipper::sim::SimDuration;
@@ -17,11 +19,29 @@ const GIB: u64 = 1 << 30;
 /// 110 MiB/s — the driver's default bandwidth.
 const BW: f64 = 110.0 * 1024.0 * 1024.0;
 
-fn workload() -> (Dataset, QuerySpec) {
+fn workload() -> (Arc<Dataset>, QuerySpec) {
     // SF-8: lineitem 8 + orders 2 = D = 10 objects.
     let ds = tpch::dataset(&GenConfig::new(5, 8).with_phys_divisor(400_000));
     let q12 = tpch::q12(&ds);
-    (ds, q12)
+    (Arc::new(ds), q12)
+}
+
+/// `n` clients, each running `q` once on `engine`.
+fn fleet(
+    ds: &Arc<Dataset>,
+    q: &QuerySpec,
+    n: usize,
+    engine: impl EngineFactory + 'static,
+) -> Scenario {
+    let client = Workload::new(Arc::clone(ds))
+        .repeat_query(q.clone(), 1)
+        .engine(engine);
+    Scenario::from_workloads(vec![client; n])
+}
+
+/// The 12 GiB MJoin cache every Skipper cell here runs with.
+fn skipper() -> SkipperFactory {
+    SkipperFactory::default().cache_bytes(12 * GIB)
 }
 
 #[test]
@@ -30,11 +50,8 @@ fn vanilla_follows_s_times_c_times_d() {
     let d = ds.objects_for_query(&q12) as f64;
     let transfer = GIB as f64 / BW;
     for clients in 2..=4 {
-        let res = Scenario::new(ds.clone())
-            .clients(clients)
-            .engine(EngineKind::Vanilla)
+        let res = fleet(&ds, &q12, clients, VanillaFactory)
             .switch_latency(SimDuration::from_secs(10))
-            .repeat_query(q12.clone(), 1)
             .run();
         let c = clients as f64;
         // The paper's model: S·C·D switching plus the serialized
@@ -64,12 +81,8 @@ fn skipper_waiting_follows_c_minus_one_residencies() {
     let d = ds.objects_for_query(&q12) as f64;
     let transfer = GIB as f64 / BW;
     for clients in 2..=4 {
-        let res = Scenario::new(ds.clone())
-            .clients(clients)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(12 * GIB)
+        let res = fleet(&ds, &q12, clients, skipper())
             .switch_latency(SimDuration::from_secs(10))
-            .repeat_query(q12.clone(), 1)
             .run();
         // §5.2.1: total waiting ≈ (C−1) × (D/B + S). The *mean* over
         // clients is half that (clients are served in residency order),
@@ -98,20 +111,16 @@ fn skipper_insensitive_to_switch_latency_when_transfer_dominates() {
     // §5.2.2: "if D/B >> S, Skipper will make the database clients
     // insensitive to access latency."
     let (ds, q12) = workload();
-    let run = |s: u64, engine| {
-        Scenario::new(ds.clone())
-            .clients(3)
-            .engine(engine)
-            .cache_bytes(12 * GIB)
+    let mean_secs = |fleet: Scenario, s: u64| {
+        fleet
             .switch_latency(SimDuration::from_secs(s))
-            .repeat_query(q12.clone(), 1)
             .run()
             .mean_query_secs()
     };
-    let skipper_10 = run(10, EngineKind::Skipper);
-    let skipper_40 = run(40, EngineKind::Skipper);
-    let vanilla_10 = run(10, EngineKind::Vanilla);
-    let vanilla_40 = run(40, EngineKind::Vanilla);
+    let skipper_10 = mean_secs(fleet(&ds, &q12, 3, skipper()), 10);
+    let skipper_40 = mean_secs(fleet(&ds, &q12, 3, skipper()), 40);
+    let vanilla_10 = mean_secs(fleet(&ds, &q12, 3, VanillaFactory), 10);
+    let vanilla_40 = mean_secs(fleet(&ds, &q12, 3, VanillaFactory), 40);
     let skipper_growth = skipper_40 / skipper_10;
     let vanilla_growth = vanilla_40 / vanilla_10;
     assert!(
@@ -130,12 +139,8 @@ fn skipper_switches_stay_constant_as_latency_grows() {
     // (vs vanilla's C×D), so its curve is flat in S.
     let (ds, q12) = workload();
     for s in [10u64, 20, 40] {
-        let res = Scenario::new(ds.clone())
-            .clients(5)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(12 * GIB)
+        let res = fleet(&ds, &q12, 5, skipper())
             .switch_latency(SimDuration::from_secs(s))
-            .repeat_query(q12.clone(), 1)
             .run();
         assert_eq!(res.device.group_switches, 4, "at S={s}");
     }
@@ -144,20 +149,17 @@ fn skipper_switches_stay_constant_as_latency_grows() {
 #[test]
 fn breakdown_accounts_for_all_time() {
     let (ds, q12) = workload();
-    for engine in [EngineKind::Vanilla, EngineKind::Skipper] {
-        let res = Scenario::new(ds.clone())
-            .clients(3)
-            .engine(engine)
-            .cache_bytes(12 * GIB)
-            .repeat_query(q12.clone(), 1)
-            .run();
+    for res in [
+        fleet(&ds, &q12, 3, VanillaFactory).run(),
+        fleet(&ds, &q12, 3, skipper()).run(),
+    ] {
         for rec in res.records() {
             let accounted = rec.processing + rec.stalls.total();
             assert_eq!(
                 accounted.as_micros(),
                 rec.duration().as_micros(),
                 "{} breakdown leak",
-                engine.label()
+                rec.engine
             );
         }
     }
@@ -168,14 +170,9 @@ fn single_client_parity_between_csd_and_ideal() {
     // Figure 4's first point: one client with a one-group layout sees no
     // switches, so CSD == HDD exactly.
     let (ds, q12) = workload();
-    let csd = Scenario::new(ds.clone())
-        .engine(EngineKind::Vanilla)
-        .repeat_query(q12.clone(), 1)
-        .run();
-    let ideal = Scenario::new(ds)
-        .engine(EngineKind::Vanilla)
+    let csd = fleet(&ds, &q12, 1, VanillaFactory).run();
+    let ideal = fleet(&ds, &q12, 1, VanillaFactory)
         .layout(skipper::csd::LayoutPolicy::AllInOne)
-        .repeat_query(q12, 1)
         .run();
     assert_eq!(csd.device.group_switches, 0);
     assert_eq!(

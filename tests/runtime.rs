@@ -247,3 +247,36 @@ fn heterogeneous_fleet_end_to_end() {
         assert_eq!(accounted.as_micros(), rec.duration().as_micros());
     }
 }
+
+/// A repeated workload is the whole description of a homogeneous fleet:
+/// `vec![w; 3]` (three clones sharing one factory `Arc`) and three
+/// separately built workloads, each with its own `SkipperFactory`,
+/// produce `==` `RunResult`s on 1 and 4 shards — and a `start_at`
+/// offset is the tenant's exact first start.
+#[test]
+fn repeated_workload_equals_separately_built_tenants() {
+    let ds = tpch_ds();
+    let q12 = tpch::q12(&ds);
+    let tenant = || {
+        Workload::new(Arc::clone(&ds))
+            .repeat_query(q12.clone(), 2)
+            .engine(SkipperFactory::default().cache_bytes(10 * GIB))
+    };
+    for shards in [1, 4] {
+        let repeated = Scenario::from_workloads(vec![tenant(); 3])
+            .shards(shards)
+            .run();
+        let separate = Scenario::from_workloads(vec![tenant(), tenant(), tenant()])
+            .shards(shards)
+            .run();
+        assert_eq!(repeated, separate, "{shards} shard(s)");
+    }
+
+    let staggered = (0..3)
+        .map(|i| tenant().start_at(SimDuration::from_secs(500) * i))
+        .collect();
+    let res = Scenario::from_workloads(staggered).run();
+    for (c, recs) in res.clients.iter().enumerate() {
+        assert_eq!(recs[0].start.as_micros(), c as u64 * 500_000_000);
+    }
+}

@@ -125,28 +125,30 @@ fn waiting_time_bookkeeping() {
 /// ranking in between on both axes.
 #[test]
 fn figure12_ordering_holds() {
-    use skipper::core::driver::{EngineKind, Scenario};
+    use std::sync::Arc;
+
+    use skipper::core::runtime::{Scenario, SkipperFactory, Workload};
     use skipper::csd::LayoutPolicy;
     use skipper::datagen::{tpch, GenConfig};
     use skipper::sim::stats::max_stretch;
     use skipper::sim::SimDuration;
 
-    let ds = tpch::dataset(&GenConfig::new(12, 8).with_phys_divisor(200_000));
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(12, 8).with_phys_divisor(200_000),
+    ));
     let q12 = tpch::q12(&ds);
-    let ideal = Scenario::new(ds.clone())
-        .engine(EngineKind::Skipper)
-        .cache_bytes(8 << 30)
-        .repeat_query(q12.clone(), 1)
+    let client = |reps: usize| {
+        Workload::new(Arc::clone(&ds))
+            .repeat_query(q12.clone(), reps)
+            .engine(SkipperFactory::default().cache_bytes(8 << 30))
+    };
+    let ideal = Scenario::from_workloads(vec![client(1)])
         .run()
         .mean_query_secs();
     let run = |policy| {
-        let res = Scenario::new(ds.clone())
-            .clients(5)
-            .engine(EngineKind::Skipper)
-            .cache_bytes(8 << 30)
+        let res = Scenario::from_workloads(vec![client(4); 5])
             .layout(LayoutPolicy::TwoClientsPerGroup)
             .scheduler(policy)
-            .repeat_query(q12.clone(), 4)
             .run();
         let stretches = res.stretches(SimDuration::from_secs_f64(ideal));
         (max_stretch(&stretches), res.cumulative_secs())
