@@ -64,8 +64,9 @@ pub const FLAGS: &str = "[--alloc-ceiling C] [--out PATH]";
 /// bursts (2 s between releases for 30 s, then 150 s quiet) at a
 /// 2-shard fleet whose per-query service time is ~50 s — each burst
 /// piles up far more work than the shards can drain before the next.
-/// Tenant 0 runs at priority 3; the rest at 0.
-fn burst_scenario(ds: &Arc<Dataset>) -> Scenario {
+/// Tenant 0 runs at priority 3; the rest at 0. `knobs` sets each
+/// tenant's protection knobs.
+fn burst_scenario(ds: &Arc<Dataset>, knobs: impl Fn(Workload) -> Workload) -> Scenario {
     let q12 = tpch::q12(ds);
     let workloads: Vec<Workload> = (0..4)
         .map(|i| {
@@ -80,6 +81,7 @@ fn burst_scenario(ds: &Arc<Dataset>) -> Scenario {
                 })
                 .priority(if i == 0 { 3 } else { 0 })
         })
+        .map(knobs)
         .collect();
     Scenario::from_workloads(workloads)
         .shards(2)
@@ -101,8 +103,13 @@ fn admission(response: AdmissionResponse) -> AdmissionPolicy {
 
 /// The outage fleet: three Poisson tenants on a 4-shard
 /// `Replicated { k: 2 }` fleet; the fault plan browns shard 0 out to
-/// 5 % bandwidth for the whole run.
-fn outage_scenario(ds: &Arc<Dataset>, faulted: bool) -> Scenario {
+/// 5 % bandwidth for the whole run. `knobs` sets each tenant's
+/// protection knobs.
+fn outage_scenario(
+    ds: &Arc<Dataset>,
+    faulted: bool,
+    knobs: impl Fn(Workload) -> Workload,
+) -> Scenario {
     let q12 = tpch::q12(ds);
     let workloads: Vec<Workload> = (0..3)
         .map(|_| {
@@ -114,6 +121,7 @@ fn outage_scenario(ds: &Arc<Dataset>, faulted: bool) -> Scenario {
                     seed: 42,
                 })
         })
+        .map(knobs)
         .collect();
     let s = Scenario::from_workloads(workloads)
         .shards(4)
@@ -188,14 +196,12 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
 
     // ---- burst sweep -------------------------------------------------
     eprintln!("running burst grid...");
-    let unprotected = burst_scenario(&ds).run();
-    let deadline_only = burst_scenario(&ds)
-        .deadline(SimDuration::from_secs(150))
-        .run();
-    let shed = burst_scenario(&ds)
+    let unprotected = burst_scenario(&ds, |w| w).run();
+    let deadline_only = burst_scenario(&ds, |w| w.deadline(SimDuration::from_secs(150))).run();
+    let shed = burst_scenario(&ds, |w| w)
         .admission(admission(AdmissionResponse::Shed))
         .run();
-    let backpressure = burst_scenario(&ds)
+    let backpressure = burst_scenario(&ds, |w| w)
         .admission(admission(AdmissionResponse::Backpressure(
             SimDuration::from_secs(45),
         )))
@@ -203,11 +209,10 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
 
     // ---- outage sweep ------------------------------------------------
     eprintln!("running outage grid...");
-    let clean = outage_scenario(&ds, false).run();
-    let unhedged = outage_scenario(&ds, true).run();
-    let hedged = outage_scenario(&ds, true)
-        .hedge_after(SimDuration::from_secs(8))
-        .run();
+    let hedge = |w: Workload| w.hedge_after(SimDuration::from_secs(8));
+    let clean = outage_scenario(&ds, false, |w| w).run();
+    let unhedged = outage_scenario(&ds, true, |w| w).run();
+    let hedged = outage_scenario(&ds, true, hedge).run();
 
     let rows = [
         json_row("burst", "unprotected", &unprotected),
@@ -232,7 +237,9 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
 
     // Gate 1: every knob disabled — but a non-default seed and an
     // explicit RetryPolicy::None — is byte-for-byte today's machine.
-    let explicit = burst_scenario(&ds).seed(7).retry(RetryPolicy::None).run();
+    let explicit = burst_scenario(&ds, |w| w.retry(RetryPolicy::None))
+        .seed(7)
+        .run();
     gates.check(
         explicit == unprotected,
         "disabled protection plane is byte-identical (seed + explicit RetryPolicy::None)",
@@ -251,17 +258,13 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
     );
 
     // Gate 3: determinism on the protected cells.
-    let (repeat_hedged, allocs) = count_allocs(probe, || {
-        outage_scenario(&ds, true)
-            .hedge_after(SimDuration::from_secs(8))
-            .run()
-    });
+    let (repeat_hedged, allocs) = count_allocs(probe, || outage_scenario(&ds, true, hedge).run());
     let per_delivery = allocs_per_delivery(allocs, repeat_hedged.device.objects_served);
     gates.check(
         repeat_hedged == hedged,
         "repeated hedged run is bit-identical",
     );
-    let repeat_shed = burst_scenario(&ds)
+    let repeat_shed = burst_scenario(&ds, |w| w)
         .admission(admission(AdmissionResponse::Shed))
         .run();
     gates.check(repeat_shed == shed, "repeated shed run is bit-identical");

@@ -55,11 +55,13 @@ fn device() -> CsdDevice<&'static str> {
 pub fn switches_for(batches: &[Vec<ObjectId>]) -> u64 {
     let mut dev = device();
     let mut now = SimTime::ZERO;
+    let mut done = Vec::new();
     for batch in batches {
         dev.submit(now, 0, QueryId::new(0, 0), batch);
         while let Some(t) = dev.kick(now) {
             now = t;
-            dev.complete(now);
+            done.clear();
+            dev.complete_into(now, &mut done);
         }
     }
     dev.metrics().group_switches

@@ -63,13 +63,6 @@ pub struct ClientState {
     /// processing was in flight — the pending `ClientReady` must
     /// discard its reaction instead of applying it.
     pub cancelled: bool,
-    /// Protection plane: keep a clone of each started query's spec so a
-    /// deadline-cancelled query can be re-planned for retry. Set at
-    /// assembly only for tenants with both a deadline and a retry
-    /// policy; the default (false) skips the per-start clone.
-    pub keep_spec: bool,
-    /// The running query's spec, saved when [`ClientState::keep_spec`].
-    pub current_spec: Option<QuerySpec>,
 }
 
 impl ClientState {
@@ -93,8 +86,6 @@ impl ClientState {
             slo: None,
             ideal: None,
             cancelled: false,
-            keep_spec: false,
-            current_spec: None,
         }
     }
 
@@ -119,9 +110,6 @@ impl ClientState {
         let planned = self.plan.pop_front().expect("start_next on empty plan");
         let query_name = planned.spec.name.clone();
         let release = planned.release;
-        if self.keep_spec {
-            self.current_spec = Some(planned.spec.clone());
-        }
         let mut engine = self
             .factory
             .build(tenant, &self.dataset, planned.spec, cost);

@@ -40,7 +40,7 @@ use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, SimTime};
 
 use super::collector::ShardFaultStats;
-use super::protect::BreakerPolicy;
+use super::protect::Breaker;
 use super::pump::DevicePump;
 
 /// N device pumps + the object → shard map.
@@ -73,24 +73,15 @@ pub struct DeviceFleet {
     displaced: Vec<PendingRequest>,
     /// Protection plane: clients whose no-live-replica requests are
     /// handed back to the driver for backoff retries instead of parking
-    /// (empty unless a retry policy is configured — the parked path
-    /// stays byte-identical).
-    retry_clients: Vec<bool>,
+    /// (installed at assembly, empty unless a retry policy is configured
+    /// — the parked path stays byte-identical).
+    pub(super) retry_clients: Vec<bool>,
     /// Requests from retry-enabled clients that found no live replica,
     /// awaiting a driver-scheduled re-submission.
     unroutable: Vec<(usize, QueryId, ObjectId)>,
-    /// Protection plane: the per-shard breaker policy, `None` (the
-    /// default) leaving routing byte-identical.
-    breaker: Option<BreakerPolicy>,
-    /// Breaker state: shard open due to repeated deadline timeouts
-    /// until this instant.
-    breaker_open_until: Vec<SimTime>,
-    /// Breaker state: shard open due to a deep brown-out.
-    breaker_brownout: Vec<bool>,
-    /// Deadline timeouts charged per shard since its last trip.
-    breaker_timeouts: Vec<u32>,
-    /// Breaker openings over the run (brown-out + timeout trips).
-    breaker_trips: u64,
+    /// Protection plane: the per-shard breaker, installed at assembly;
+    /// `None` (the default) leaves routing byte-identical.
+    pub(super) breaker: Option<Breaker>,
 }
 
 impl DeviceFleet {
@@ -132,10 +123,6 @@ impl DeviceFleet {
             retry_clients: Vec::new(),
             unroutable: Vec::new(),
             breaker: None,
-            breaker_open_until: vec![SimTime::ZERO; n],
-            breaker_brownout: vec![false; n],
-            breaker_timeouts: vec![0; n],
-            breaker_trips: 0,
         }
     }
 
@@ -184,14 +171,6 @@ impl DeviceFleet {
             .unwrap_or_else(|| panic!("object {object} was never placed on any shard"))
     }
 
-    /// Protection plane: true while `shard`'s breaker holds it out of
-    /// preferred routing (brown-out, or a recent timeout trip still in
-    /// cooldown). Always false without a [`BreakerPolicy`].
-    fn breaker_open(&self, shard: usize, now: SimTime) -> bool {
-        self.breaker.is_some()
-            && (self.breaker_brownout[shard] || self.breaker_open_until[shard] > now)
-    }
-
     /// The first live replica for `object`, counting a failover receipt
     /// on the serving shard when it is not the preferred one. With a
     /// breaker installed, replicas whose breaker is open are skipped
@@ -207,7 +186,9 @@ impl DeviceFleet {
             let choice = replicas
                 .iter()
                 .enumerate()
-                .find(|&(_, &s)| !self.down[s] && !self.breaker_open(s, now))
+                .find(|&(_, &s)| {
+                    !self.down[s] && !self.breaker.as_ref().is_some_and(|b| b.open(s, now))
+                })
                 .or_else(|| replicas.iter().enumerate().find(|&(_, &s)| !self.down[s]))
                 .map(|(i, &s)| (i, s));
             return match choice {
@@ -323,58 +304,14 @@ impl DeviceFleet {
     /// the shard's breaker until service is restored.
     pub fn set_bandwidth_factor(&mut self, shard: usize, factor: f64) {
         self.pumps[shard].set_bandwidth_factor(factor);
-        if let Some(policy) = self.breaker {
-            if factor < policy.brownout_below {
-                if !self.breaker_brownout[shard] {
-                    self.breaker_brownout[shard] = true;
-                    self.breaker_trips += 1;
-                }
-            } else {
-                self.breaker_brownout[shard] = false;
-            }
+        if let Some(b) = &mut self.breaker {
+            b.set_bandwidth_factor(shard, factor);
         }
     }
 
-    /// Installs the per-client retry flags (assembly time): requests of
-    /// flagged clients with no live replica go to the unroutable buffer
-    /// instead of parking.
-    pub(crate) fn set_retry_clients(&mut self, flags: Vec<bool>) {
-        self.retry_clients = flags;
-    }
-
-    /// Installs the breaker policy (assembly time).
-    pub(crate) fn set_breaker(&mut self, policy: BreakerPolicy) {
-        self.breaker = Some(policy);
-    }
-
-    /// Charges one deadline timeout against `shard`; at the policy's
-    /// `trip_timeouts` the shard's breaker opens for the cooldown and
-    /// the counter resets. No-op without a breaker.
-    pub(crate) fn record_timeout(&mut self, shard: usize, now: SimTime) {
-        let Some(policy) = self.breaker else { return };
-        self.breaker_timeouts[shard] += 1;
-        if self.breaker_timeouts[shard] >= policy.trip_timeouts {
-            self.breaker_timeouts[shard] = 0;
-            self.breaker_open_until[shard] = now + policy.cooldown;
-            self.breaker_trips += 1;
-        }
-    }
-
-    /// Breaker openings over the run (for the protection summary).
-    pub(crate) fn breaker_trips(&self) -> u64 {
-        self.breaker_trips
-    }
-
-    /// True when the unroutable buffer holds requests awaiting a
-    /// driver-scheduled retry (O(1); the driver polls after every
-    /// fleet call that can route).
-    pub(crate) fn has_unroutable(&self) -> bool {
-        !self.unroutable.is_empty()
-    }
-
-    /// Drains the unroutable buffer into `out` (preserving order).
-    pub(crate) fn take_unroutable(&mut self, out: &mut Vec<(usize, QueryId, ObjectId)>) {
-        out.append(&mut self.unroutable);
+    /// Drains the unroutable buffer (preserving order).
+    pub(crate) fn take_unroutable(&mut self) -> Vec<(usize, QueryId, ObjectId)> {
+        std::mem::take(&mut self.unroutable)
     }
 
     /// Protection plane: dequeues every still-queued request of `query`
@@ -393,7 +330,9 @@ impl DeviceFleet {
         for shard in 0..self.pumps.len() {
             let n = self.pumps[shard].cancel_query(query);
             if n > 0 && charge_timeout {
-                self.record_timeout(shard, now);
+                if let Some(b) = &mut self.breaker {
+                    b.record_timeout(shard, now);
+                }
             }
             total += n;
         }
@@ -492,11 +431,6 @@ impl DeviceFleet {
         self.parked_total
     }
 
-    /// Requests currently parked (non-zero only mid-outage).
-    pub fn parked_len(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Pokes every shard in shard order, invoking `armed` with
     /// `(shard, wake-up)` for each newly armed (or re-armed) wake-up —
     /// including watchdog redelivery wake-ups for dropped batches.
@@ -517,15 +451,10 @@ impl DeviceFleet {
         }
     }
 
-    /// Handles shard `shard`'s wake-up firing at `now`: every transfer
-    /// the shard retired at that instant (empty for switch completions
-    /// and stale, superseded wake-ups).
-    pub fn on_wakeup(&mut self, shard: usize, now: SimTime) -> Vec<Delivery<Arc<Segment>>> {
-        self.pumps[shard].on_wakeup(now)
-    }
-
-    /// Zero-allocation form of [`DeviceFleet::on_wakeup`]: retired
-    /// transfers are appended to the caller's reusable scratch buffer.
+    /// Handles shard `shard`'s wake-up firing at `now`, appending every
+    /// transfer the shard retired at that instant to the caller's
+    /// reusable scratch buffer (nothing for switch completions and
+    /// stale, superseded wake-ups).
     pub fn on_wakeup_into(
         &mut self,
         shard: usize,

@@ -41,12 +41,16 @@
 //!   │   │ reference) + one reusable Delivery scratch — the │     │
 //!   │   │ steady-state loop allocates nothing per event    │     │
 //!   │   └──────────────────────────────────────────────────┘     │
-//!   ├────────────────────────────────────────────────────────────┤
-//!   │ fault      FaultPlan → timestamped episodes (assembly)     │
-//!   │            ShardDown / Degraded / DropWakeup as calendar   │
-//!   │            events; crashes evacuate + fail over, k-replica │
-//!   │            placement serves from the first live replica    │
-//!   ├────────────────────────────────────────────────────────────┤
+//!   ├─────────────────────────────┬──────────────────────────────┤
+//!   │ fault                       │ protection (opt-in)          │
+//!   │  FaultPlan → timestamped    │  Option<Protection>: only    │
+//!   │  episodes (assembly);       │  with a deadline / retry /   │
+//!   │  ShardDown / Degraded /     │  hedge / admission knob;     │
+//!   │  DropWakeup as calendar     │  start gate, submit, deliver │
+//!   │  events; crashes evacuate + │  hooks + Event::Protect;     │
+//!   │  fail over to the first     │  Option<Breaker> on the      │
+//!   │  live replica               │  fleet's routing             │
+//!   ├─────────────────────────────┴──────────────────────────────┤
 //!   │ fleet      DeviceFleet: PlacementPolicy → replica lists    │
 //!   │   ┌──────────────────┬──────────────────┬────────┐         │
 //!   │   │ DevicePump 0     │ DevicePump 1     │   …    │ 1/shard │
@@ -122,12 +126,17 @@
 //! Cold storage serves *seconds*-scale accesses, so saturation and
 //! outages are tail-latency catastrophes by default: queues grow
 //! without bound under a sustained burst, and a k = 1 outage parks
-//! requests indefinitely. [`protect`] threads four deterministic
-//! defenses through scenario → client → driver → fleet:
+//! requests indefinitely. [`protect`] is the plane: four deterministic
+//! defenses, each set per tenant on its [`Workload`] (admission is
+//! fleet-wide, `Scenario::admission`). `Scenario::run` installs one
+//! optional `Protection` on the runtime — and a `Breaker` on the fleet
+//! — only when some knob is set; the kernel's hooks (start gate,
+//! submit, delivery, finish, the plane's own calendar events) are each
+//! one presence test, so an unprotected run executes no protection
+//! code:
 //!
-//! * **Deadlines** (`Scenario::deadline` / `Workload::deadline`) — a
-//!   per-tenant response bound anchored at release (queue wait
-//!   counts). A query that cannot meet it is *cancelled*: its queued
+//! * **Deadlines** (`Workload::deadline`) — a per-tenant response
+//!   bound anchored at release (queue wait counts). A query that cannot meet it is *cancelled*: its queued
 //!   requests are dequeued on every shard
 //!   (`CsdDevice::cancel_query`), its client drops the engine and
 //!   bumps the query seq so in-flight deliveries and late protection
@@ -143,9 +152,9 @@
 //!   tenants the fleet diverts would-park requests to the driver's
 //!   retry schedule; [`RetryPolicy::None`] tenants keep the
 //!   historical parking path byte-exactly.
-//! * **Hedged requests** (`hedge_after`) — under replicated placement,
-//!   reads still undelivered after the hedge delay are re-issued to
-//!   the next live replica; the first completion wins. Conservation is
+//! * **Hedged requests** (`Workload::hedge_after`) — under replicated
+//!   placement, reads still undelivered after the hedge delay are
+//!   re-issued to the next live replica; the first completion wins. Conservation is
 //!   redefined from at-most-once *delivery* to at-most-once
 //!   **consumption**: the winner is consumed, the loser's queued copy
 //!   is cancelled (`cancel_object`), a loser that was already in
@@ -165,11 +174,12 @@
 //! **Protection invariants** (pinned by the protection battery in the
 //! runtime tests and the overload bench gates):
 //!
-//! * **Disabled ⇒ byte-exact** — with every knob off the driver takes
-//!   only historical code paths: no protection events are scheduled,
-//!   the fleet routes and parks exactly as before, and the goldens
-//!   survive unregenerated ([`ProtectionSummary::is_quiet`] holds; the
-//!   per-tenant offered/completed ledger populates on every run but is
+//! * **No knob ⇒ no `Protection` installed** — byte-exactness by
+//!   construction: no protection code runs, no protection events are
+//!   scheduled, the fleet routes (no breaker) and parks exactly as
+//!   before, and the goldens survive unregenerated
+//!   ([`ProtectionSummary::is_quiet`] holds; the kernel's per-tenant
+//!   offered/completed ledger populates on every run but is
 //!   behavior-neutral).
 //! * **Determinism** — backoff jitter is the only stochastic input and
 //!   it pre-derives from labeled streams, so every protected run is

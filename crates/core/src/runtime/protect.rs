@@ -1,11 +1,12 @@
-//! The overload-and-outage protection plane: knob types and counters.
+//! The overload-and-outage protection plane.
 //!
 //! The paper serves analytics from devices with *seconds*-scale access
 //! latencies, so tail behavior under bursts and outages is the product:
 //! without protection, a k=1 outage parks requests indefinitely and a
 //! saturating open-arrival burst grows queues without bound. This
-//! module holds the configuration surface and the observability rollup
-//! for the four defenses the driver threads through the machine:
+//! module is the whole plane — its configuration surface, its state,
+//! every routine that acts on it, and its observability rollup — for
+//! four defenses:
 //!
 //! * **Deadlines** — a per-tenant response-time bound; a query that
 //!   cannot finish inside it is cancelled (dequeued if waiting, its
@@ -26,13 +27,21 @@
 //!   breaker ([`BreakerPolicy`]) that routes around shards in brown-out
 //!   or repeated-timeout state.
 //!
-//! Every knob defaults to *off*, and a fully-disabled configuration
-//! takes none of the new code paths — today's machine is reproduced
-//! byte-exactly (see the invariants section in
-//! [`runtime`](crate::runtime)).
+//! The plane is one optional `Protection` on the runtime (its kernel
+//! hooks are the `impl Runtime` block below) plus one optional
+//! `Breaker` on the fleet, installed only when some knob is set: with
+//! none, the kernel runs no protection code and today's machine is
+//! reproduced byte-exactly by construction (see the invariants section
+//! in [`runtime`](crate::runtime)).
 
-use skipper_sim::rng::uniform01;
-use skipper_sim::SimDuration;
+use skipper_csd::{ObjectId, QueryId};
+use skipper_relational::query::QuerySpec;
+use skipper_sim::rng::{derive_seed, uniform01};
+use skipper_sim::{SimDuration, SimTime};
+
+use super::client::PlannedQuery;
+use super::driver::{Event, Runtime};
+use super::fleet::DeviceFleet;
 
 /// Re-submission policy for cancelled queries and requests that find no
 /// live replica.
@@ -207,35 +216,16 @@ impl ProtectionSummary {
     /// True when no protection mechanism ever acted (trivially true for
     /// a disabled configuration).
     pub fn is_quiet(&self) -> bool {
-        let ProtectionSummary {
-            deadline_misses,
-            sheds,
-            backpressure_deferrals,
-            retries,
-            retry_exhausted,
-            hedges_fired,
-            hedge_wins,
-            hedge_losers_cancelled,
-            hedge_losers_discarded,
-            breaker_trips,
-            per_tenant: _,
-        } = self;
-        *deadline_misses == 0
-            && *sheds == 0
-            && *backpressure_deferrals == 0
-            && *retries == 0
-            && *retry_exhausted == 0
-            && *hedges_fired == 0
-            && *hedge_wins == 0
-            && *hedge_losers_cancelled == 0
-            && *hedge_losers_discarded == 0
-            && *breaker_trips == 0
+        let quiet = ProtectionSummary {
+            per_tenant: self.per_tenant.clone(),
+            ..ProtectionSummary::default()
+        };
+        *self == quiet
     }
 }
 
-/// One client's assembled protection knobs, resolved from its
-/// [`Workload`](crate::runtime::Workload) with scenario-wide defaults
-/// filled in (mirroring how SLO targets resolve).
+/// One client's protection knobs, copied from its
+/// [`Workload`](crate::runtime::Workload).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct ClientProtection {
     /// Response-time deadline (anchored at release, like SLO targets).
@@ -249,18 +239,485 @@ pub(crate) struct ClientProtection {
     pub priority: u32,
 }
 
-impl ClientProtection {
-    /// True when no knob is set — the client takes only historical code
-    /// paths.
-    pub fn disabled(&self) -> bool {
-        self.deadline.is_none() && !self.retry.enabled() && self.hedge.is_none()
+/// The per-shard breaker state the fleet consults when routing:
+/// installed only with a [`BreakerPolicy`], so an unprotected fleet
+/// routes without it.
+pub(crate) struct Breaker {
+    policy: BreakerPolicy,
+    /// Shard open due to repeated deadline timeouts until this instant.
+    open_until: Vec<SimTime>,
+    /// Shard open due to a deep brown-out.
+    brownout: Vec<bool>,
+    /// Deadline timeouts charged per shard since its last trip.
+    timeouts: Vec<u32>,
+    /// Breaker openings over the run (brown-out + timeout trips).
+    trips: u64,
+}
+
+impl Breaker {
+    /// A closed breaker over `shards` shards.
+    pub(crate) fn new(policy: BreakerPolicy, shards: usize) -> Self {
+        Breaker {
+            policy,
+            open_until: vec![SimTime::ZERO; shards],
+            brownout: vec![false; shards],
+            timeouts: vec![0; shards],
+            trips: 0,
+        }
+    }
+
+    /// True while `shard` is held out of preferred routing (brown-out,
+    /// or a recent timeout trip still in cooldown).
+    pub(crate) fn open(&self, shard: usize, now: SimTime) -> bool {
+        self.brownout[shard] || self.open_until[shard] > now
+    }
+
+    /// Charges one deadline timeout against `shard`; at the policy's
+    /// `trip_timeouts` the shard opens for the cooldown and the counter
+    /// resets.
+    pub(crate) fn record_timeout(&mut self, shard: usize, now: SimTime) {
+        self.timeouts[shard] += 1;
+        if self.timeouts[shard] >= self.policy.trip_timeouts {
+            self.timeouts[shard] = 0;
+            self.open_until[shard] = now + self.policy.cooldown;
+            self.trips += 1;
+        }
+    }
+
+    /// Follows a fault-plane bandwidth change on `shard`: a factor below
+    /// `brownout_below` opens the shard until service is restored.
+    pub(crate) fn set_bandwidth_factor(&mut self, shard: usize, factor: f64) {
+        if factor < self.policy.brownout_below {
+            if !self.brownout[shard] {
+                self.brownout[shard] = true;
+                self.trips += 1;
+            }
+        } else {
+            self.brownout[shard] = false;
+        }
+    }
+
+    /// Breaker openings over the run.
+    pub(crate) fn trips(&self) -> u64 {
+        self.trips
+    }
+}
+
+/// The plane's own calendar events, carried by the kernel's
+/// `Event::Protect`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ProtectEvent {
+    /// Client `c`'s query seq `q` hits its response deadline.
+    Deadline(usize, u32),
+    /// The `i`-th hedge check fires.
+    Hedge(usize),
+    /// The `i`-th retry fires.
+    Retry(usize),
+}
+
+/// Per-client hedging ledger for the current query. Cleared on finish
+/// and cancel; empty for tenants without a hedge delay.
+#[derive(Clone, Default)]
+struct HedgeState {
+    /// Every object submitted for the current query, in submit order.
+    requested: Vec<ObjectId>,
+    /// Objects already consumed (first copy delivered); later copies
+    /// are hedge losers and are discarded.
+    consumed: Vec<ObjectId>,
+    /// Objects with a hedge duplicate in flight, and the shard it was
+    /// sent to (to tell hedge wins from primary wins).
+    hedged: Vec<(ObjectId, usize)>,
+}
+
+/// Everything the protection plane keeps during a run.
+pub(crate) struct Protection {
+    /// Per-client knobs, one entry per client.
+    knobs: Vec<ClientProtection>,
+    /// Fleet-seam admission policy, if any.
+    admission: Option<AdmissionPolicy>,
+    /// Event counters and the per-tenant miss/shed tallies.
+    summary: ProtectionSummary,
+    /// Per-client seeded SplitMix streams for retry backoff jitter.
+    retry_rng: Vec<u64>,
+    /// Deadline-retry attempts already spent on each current query.
+    attempts: Vec<u32>,
+    /// Scheduled re-submissions of objects that found no live replica,
+    /// `(client, query, object, attempt)`, indexed by
+    /// [`ProtectEvent::Retry`].
+    retries: Vec<(usize, QueryId, ObjectId, u32)>,
+    /// Scheduled hedge checks, each covering one submitted batch
+    /// `(client, qseq, start, end)` — `start..end` indexes the client's
+    /// `HedgeState::requested` log — indexed by [`ProtectEvent::Hedge`].
+    hedges: Vec<(usize, u32, usize, usize)>,
+    /// Per-client hedging ledgers (empty vectors when unused).
+    hedge_state: Vec<HedgeState>,
+    /// The running query's spec of each deadline+retry tenant, kept so
+    /// a deadline-cancelled query can be re-planned.
+    specs: Vec<Option<QuerySpec>>,
+    /// At-most-once consumption log (see `RunResult::consumed`), kept
+    /// on hedged full-record runs only.
+    consumed: Option<Vec<(usize, QueryId, ObjectId)>>,
+}
+
+impl Protection {
+    /// The plane, or `None` when no knob is set (priorities act only
+    /// through admission). `seed` roots the per-client `"retry/{c}"`
+    /// backoff streams; `log_consumed` keeps the consumption log.
+    pub(crate) fn new(
+        knobs: Vec<ClientProtection>,
+        admission: Option<AdmissionPolicy>,
+        seed: u64,
+        log_consumed: bool,
+    ) -> Option<Self> {
+        let any_hedge = knobs.iter().any(|k| k.hedge.is_some());
+        let any_knob = any_hedge
+            || knobs
+                .iter()
+                .any(|k| k.deadline.is_some() || k.retry.enabled());
+        if !any_knob && admission.is_none() {
+            return None;
+        }
+        let n = knobs.len();
+        Some(Protection {
+            knobs,
+            admission,
+            summary: ProtectionSummary::sized(n),
+            retry_rng: (0..n)
+                .map(|c| derive_seed(seed, &format!("retry/{c}")))
+                .collect(),
+            attempts: vec![0; n],
+            retries: Vec::new(),
+            hedges: Vec::new(),
+            hedge_state: vec![HedgeState::default(); n],
+            specs: vec![None; n],
+            consumed: (any_hedge && log_consumed).then(Vec::new),
+        })
+    }
+
+    /// Client `c`'s current query is over (completed or cancelled): its
+    /// retry budget and hedge ledger start over.
+    pub(crate) fn reset(&mut self, c: usize) {
+        self.attempts[c] = 0;
+        let hs = &mut self.hedge_state[c];
+        hs.requested.clear();
+        hs.consumed.clear();
+        hs.hedged.clear();
+    }
+
+    /// Closes the plane into the run's summary (breaker trips read from
+    /// the fleet) and consumption log.
+    pub(crate) fn finish(
+        self,
+        fleet: &DeviceFleet,
+    ) -> (ProtectionSummary, Vec<(usize, QueryId, ObjectId)>) {
+        let mut summary = self.summary;
+        summary.breaker_trips = fleet.breaker.as_ref().map_or(0, Breaker::trips);
+        (summary, self.consumed.unwrap_or_default())
+    }
+}
+
+/// The installed plane (the kernel runs its hooks only then).
+fn plane(protection: &mut Option<Box<Protection>>) -> &mut Protection {
+    protection
+        .as_deref_mut()
+        .expect("protection hook ran without the plane installed")
+}
+
+impl Runtime {
+    /// The start gates of `try_start`: true when client `c`'s next
+    /// query, released and idle, may start at `now`. Queries whose
+    /// deadline already lapsed while queued are abandoned, admission
+    /// control sheds or defers the start when a live shard is over its
+    /// backlog ceiling, and an admitted query arms its deadline
+    /// (keeping its spec for a retry).
+    pub(super) fn admit(&mut self, c: usize, now: SimTime) -> bool {
+        let p = plane(&mut self.protection);
+        let knobs = p.knobs[c];
+        loop {
+            if !self.clients[c].can_start(now) {
+                return false;
+            }
+            // Lazy deadline check: an open-arrival query that queued
+            // past its whole deadline is a miss before it starts.
+            if let Some(d) = knobs.deadline {
+                let expired = self.clients[c]
+                    .plan
+                    .front()
+                    .and_then(|q| q.release)
+                    .is_some_and(|r| r + d <= now);
+                if expired {
+                    self.clients[c].plan.pop_front();
+                    p.summary.deadline_misses += 1;
+                    p.summary.per_tenant[c].deadline_misses += 1;
+                    p.attempts[c] = 0;
+                    continue;
+                }
+            }
+            if let Some(policy) = p.admission {
+                let (depth, bytes) = self.fleet.max_live_load();
+                if policy.over_limit(knobs.priority, depth, bytes) {
+                    match policy.response {
+                        AdmissionResponse::Shed => {
+                            self.clients[c].plan.pop_front();
+                            p.summary.sheds += 1;
+                            p.summary.per_tenant[c].shed += 1;
+                            p.attempts[c] = 0;
+                            continue;
+                        }
+                        AdmissionResponse::Backpressure(delay) => {
+                            let at = now + delay;
+                            self.clients[c]
+                                .plan
+                                .front_mut()
+                                .expect("can_start saw a front query")
+                                .release = Some(at);
+                            self.events.schedule(at, Event::Release(c));
+                            p.summary.backpressure_deferrals += 1;
+                            return false;
+                        }
+                    }
+                }
+            }
+            break;
+        }
+        if let Some(d) = knobs.deadline {
+            // The deadline anchors at release (queue wait counts), like
+            // the SLO attainment report.
+            let client = &self.clients[c];
+            let front = client.plan.front().expect("can_start saw a front query");
+            let event = Event::Protect(ProtectEvent::Deadline(c, client.qseq));
+            self.events
+                .schedule(front.release.unwrap_or(now) + d, event);
+            if knobs.retry.enabled() {
+                p.specs[c] = Some(front.spec.clone());
+            }
+        }
+        true
+    }
+
+    /// The delivery hook of `route_delivery`: true when client `c`
+    /// consumes `object`. For hedged tenants a duplicate copy of an
+    /// already-consumed object is a loser and is discarded
+    /// (at-most-once consumption; the winner's cancel may have raced
+    /// the loser's dispatch), and a first consumption cancels the
+    /// loser's still-queued copy.
+    pub(super) fn consume(
+        &mut self,
+        shard: usize,
+        c: usize,
+        query: QueryId,
+        object: ObjectId,
+    ) -> bool {
+        let p = plane(&mut self.protection);
+        if p.knobs[c].hedge.is_some() {
+            let hs = &mut p.hedge_state[c];
+            if hs.consumed.contains(&object) {
+                p.summary.hedge_losers_discarded += 1;
+                return false; // the other replica already won this object
+            }
+            hs.consumed.push(object);
+            if let Some(&(_, target)) = hs.hedged.iter().find(|&&(o, _)| o == object) {
+                if target == shard {
+                    p.summary.hedge_wins += 1;
+                }
+                // The winner's copy left its queue at dispatch, so a
+                // fleet-wide scan only finds the loser.
+                p.summary.hedge_losers_cancelled += self.fleet.cancel_object(query, object) as u64;
+            }
+        }
+        if let Some(log) = &mut p.consumed {
+            log.push((c, query, object));
+        }
+        true
+    }
+
+    /// The submit hook: records a hedge check for hedge-enabled tenants
+    /// under replication, routes through the fleet, and converts any
+    /// unroutable requests (retry tenants with no live replica) into
+    /// scheduled re-submissions.
+    pub(super) fn protected_submit(
+        &mut self,
+        now: SimTime,
+        c: usize,
+        qid: QueryId,
+        objects: &[ObjectId],
+    ) {
+        let p = plane(&mut self.protection);
+        if !objects.is_empty() && self.fleet.replicated() {
+            if let Some(delay) = p.knobs[c].hedge {
+                let hs = &mut p.hedge_state[c];
+                let start = hs.requested.len();
+                hs.requested.extend_from_slice(objects);
+                let idx = p.hedges.len();
+                let end = start + objects.len();
+                p.hedges.push((c, self.clients[c].qseq, start, end));
+                let event = Event::Protect(ProtectEvent::Hedge(idx));
+                self.events.schedule(now + delay, event);
+            }
+        }
+        self.fleet.submit(now, c, qid, objects);
+        self.drain_unroutable(now, 1);
+    }
+
+    /// Converts the fleet's pending unroutable requests into scheduled
+    /// retries at backoff instant `attempt` (a crash may also have
+    /// displaced a retry tenant's requests with no live replica left).
+    pub(super) fn drain_unroutable(&mut self, now: SimTime, attempt: u32) {
+        for (client, query, object) in self.fleet.take_unroutable() {
+            self.schedule_retry(now, client, query, object, attempt);
+        }
+    }
+
+    /// Schedules re-submission attempt `attempt` for one unroutable
+    /// object, or — when the backoff budget is exhausted — cancels the
+    /// whole query so the run still drains.
+    fn schedule_retry(
+        &mut self,
+        now: SimTime,
+        client: usize,
+        query: QueryId,
+        object: ObjectId,
+        attempt: u32,
+    ) {
+        if self.clients[client].engine.is_none() || self.clients[client].qseq != query.seq {
+            return; // the owning query was cancelled meanwhile
+        }
+        let p = plane(&mut self.protection);
+        match p.knobs[client]
+            .retry
+            .delay(attempt, &mut p.retry_rng[client])
+        {
+            Some(delay) => {
+                p.summary.retries += 1;
+                let idx = p.retries.len();
+                p.retries.push((client, query, object, attempt));
+                let event = Event::Protect(ProtectEvent::Retry(idx));
+                self.events.schedule(now + delay, event);
+            }
+            None => {
+                // Out of attempts: the query can never receive this
+                // object, so cancel it (no timeout charged — the shard
+                // is down, not slow).
+                p.summary.retry_exhausted += 1;
+                self.cancel_current(client, now, false);
+                if !self.clients[client].busy {
+                    self.try_start(client, now);
+                }
+            }
+        }
+    }
+
+    /// Dispatches one of the plane's own calendar events.
+    pub(super) fn protect_fired(&mut self, event: ProtectEvent, now: SimTime) {
+        match event {
+            ProtectEvent::Deadline(c, qseq) => self.deadline_fired(c, qseq, now),
+            ProtectEvent::Hedge(i) => self.hedge_fired(i, now),
+            ProtectEvent::Retry(i) => self.retry_fired(i, now),
+        }
+    }
+
+    /// A scheduled retry instant arrived: re-submit the object if its
+    /// query is still in flight; if the fleet still has no live replica
+    /// the request comes straight back and re-schedules at the next
+    /// backoff step.
+    fn retry_fired(&mut self, i: usize, now: SimTime) {
+        let (client, query, object, attempt) = plane(&mut self.protection).retries[i];
+        if self.clients[client].engine.is_none() || self.clients[client].qseq != query.seq {
+            return; // cancelled or finished while the retry waited
+        }
+        self.last_activity = now;
+        self.fleet.submit(now, client, query, &[object]);
+        self.drain_unroutable(now, attempt + 1);
+        self.poke_fleet(now);
+    }
+
+    /// A hedge delay elapsed: re-issue every still-undelivered object
+    /// of the covered batch to the next live replica.
+    fn hedge_fired(&mut self, i: usize, now: SimTime) {
+        let p = plane(&mut self.protection);
+        let (client, qseq, start, end) = p.hedges[i];
+        if self.clients[client].engine.is_none() || self.clients[client].qseq != qseq {
+            return; // the covered query already finished or cancelled
+        }
+        self.last_activity = now;
+        let qid = QueryId::new(client as u16, qseq);
+        let hs = &mut p.hedge_state[client];
+        let mut fired = false;
+        for idx in start..end {
+            let object = hs.requested[idx];
+            if hs.consumed.contains(&object) || hs.hedged.iter().any(|&(o, _)| o == object) {
+                continue;
+            }
+            let Some(target) = self.fleet.hedge_target(object) else {
+                continue; // no second live replica to hedge to
+            };
+            self.fleet.submit_to(target, now, client, qid, object);
+            hs.hedged.push((object, target));
+            p.summary.hedges_fired += 1;
+            fired = true;
+        }
+        if fired {
+            self.poke_fleet(now);
+        }
+    }
+
+    /// A deadline fired: if the query is still in flight, cancel it
+    /// everywhere (client, queues, ledgers), count the miss, and — for
+    /// retry tenants — re-plan it at the next backoff instant.
+    fn deadline_fired(&mut self, c: usize, qseq: u32, now: SimTime) {
+        let live = self.clients[c].engine.is_some() && self.clients[c].qseq == qseq;
+        if !live {
+            return; // the query beat its deadline
+        }
+        self.last_activity = now;
+        let p = plane(&mut self.protection);
+        p.summary.deadline_misses += 1;
+        p.summary.per_tenant[c].deadline_misses += 1;
+        let attempt = p.attempts[c] + 1;
+        let retry = p.knobs[c].retry;
+        let delay = retry.delay(attempt, &mut p.retry_rng[c]);
+        // The timeout is charged to the shards that still held queued
+        // work for the query — that is what trips a slow shard's
+        // breaker.
+        self.cancel_current(c, now, true);
+        let p = plane(&mut self.protection);
+        match delay {
+            Some(delay) => {
+                p.attempts[c] = attempt;
+                p.summary.retries += 1;
+                let spec = p.specs[c]
+                    .take()
+                    .expect("deadline+retry client keeps its running spec");
+                let at = now + delay;
+                self.clients[c].plan.push_front(PlannedQuery {
+                    spec,
+                    release: Some(at),
+                });
+                self.events.schedule(at, Event::Release(c));
+            }
+            None if retry.enabled() => p.summary.retry_exhausted += 1,
+            None => {}
+        }
+        if !self.clients[c].busy {
+            self.try_start(c, now);
+        }
+        self.poke_fleet(now);
+    }
+
+    /// Cancels client `c`'s current query end-to-end: fleet queues
+    /// (optionally charging the breaker's timeout counter), the client
+    /// state machine, and the plane's per-query state.
+    fn cancel_current(&mut self, c: usize, now: SimTime, charge_timeout: bool) {
+        let qid = QueryId::new(c as u16, self.clients[c].qseq);
+        self.fleet.cancel_query(qid, now, charge_timeout);
+        self.clients[c].cancel();
+        plane(&mut self.protection).reset(c);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper_sim::rng::derive_seed;
 
     #[test]
     fn backoff_delays_double_cap_and_jitter() {
@@ -316,7 +773,8 @@ mod tests {
 
     #[test]
     fn disabled_protection_is_quiet() {
-        assert!(ClientProtection::default().disabled());
+        let knobs = vec![ClientProtection::default(); 3];
+        assert!(Protection::new(knobs, None, 42, true).is_none());
         assert!(ProtectionSummary::default().is_quiet());
         let s = ProtectionSummary {
             sheds: 1,

@@ -1,7 +1,7 @@
 //! The device pump: tracks the device's earliest pending completion.
 //!
 //! The CSD model is passive — it must be `kick`ed whenever it might
-//! have work and `complete`d exactly at the earliest instant it
+//! have work and completed exactly at the earliest instant it
 //! reported. With the multi-stream service pipeline that instant is the
 //! *earliest of K completions*, and it can move **earlier** whenever new
 //! work fills an idle slot — so the historical "one armed wake-up, poke
@@ -13,10 +13,11 @@
 //!   the new time. The superseded wake-up event stays in the caller's
 //!   queue — events cannot be unscheduled — and is recognized as stale
 //!   when it fires.
-//! * [`DevicePump::on_wakeup`] fires a wake-up: a stale one (the armed
-//!   instant moved) is ignored and returns no deliveries; a live one
-//!   completes *everything* due at that instant and returns the batch.
-//!   Callers must poke again afterwards.
+//! * [`DevicePump::on_wakeup_into`] fires a wake-up: a stale one (the
+//!   armed instant moved) is ignored and appends no deliveries; a live
+//!   one completes *everything* due at that instant and appends the
+//!   batch to the caller's reusable buffer. Callers must poke again
+//!   afterwards.
 //!
 //! A pump only re-kicks when *its* device mutated since the last poke
 //! (a submit or a live wake-up — tracked by a dirty flag): the fleet
@@ -126,7 +127,7 @@ pub struct DevicePump {
     device: CsdDevice<Arc<Segment>>,
     /// The earliest pending completion a wake-up is armed for.
     /// Invariant: `Some(t)` ⇔ the device reported `t` as its earliest
-    /// completion and no `on_wakeup(t)` has consumed it yet.
+    /// completion and no `on_wakeup_into(t)` has consumed it yet.
     armed_at: Option<SimTime>,
     /// Set on every device mutation (submit / live wake-up), cleared
     /// by `poke`. Only a mutation can move the device's earliest
@@ -271,17 +272,6 @@ impl DevicePump {
                 None
             }
         }
-    }
-
-    /// Handles a wake-up firing at `now`: completes everything due and
-    /// returns the finished transfers (empty for a switch completion or
-    /// a stale, superseded wake-up). Callers must [`DevicePump::poke`]
-    /// again afterwards. Allocating convenience form of
-    /// [`DevicePump::on_wakeup_into`].
-    pub fn on_wakeup(&mut self, now: SimTime) -> Vec<Delivery<Arc<Segment>>> {
-        let mut out = Vec::new();
-        self.on_wakeup_into(now, &mut out);
-        out
     }
 
     /// Handles a wake-up firing at `now`, appending the finished
@@ -526,11 +516,6 @@ impl DevicePump {
     /// committed in-flight completion instants do not move.
     pub fn set_bandwidth_factor(&mut self, factor: f64) {
         self.device.set_bandwidth_factor(factor);
-    }
-
-    /// True while the shard is crashed.
-    pub fn is_down(&self) -> bool {
-        self.down
     }
 
     /// True when the device is idle with an empty queue and the fault

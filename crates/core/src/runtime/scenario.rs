@@ -33,7 +33,7 @@ use super::collector::{RecordMode, RunResult};
 use super::driver::Runtime;
 use super::fault::{self, FaultPlan};
 use super::fleet::DeviceFleet;
-use super::protect::{AdmissionPolicy, ClientProtection, RetryPolicy};
+use super::protect::{AdmissionPolicy, Breaker, ClientProtection, Protection};
 use super::workload::Workload;
 
 /// Per-shard deviations from the scenario-wide device knobs.
@@ -64,9 +64,6 @@ pub struct Scenario {
     faults: FaultPlan,
     shard_cache: CacheConfig,
     seed: u64,
-    deadline: Option<SimDuration>,
-    retry: RetryPolicy,
-    hedge: Option<SimDuration>,
     admission: Option<AdmissionPolicy>,
 }
 
@@ -97,9 +94,6 @@ impl Scenario {
             faults: FaultPlan::new(),
             shard_cache: CacheConfig::disabled(),
             seed: 42,
-            deadline: None,
-            retry: RetryPolicy::None,
-            hedge: None,
             admission: None,
         }
     }
@@ -220,36 +214,6 @@ impl Scenario {
     /// arrival processes keep their own per-tenant seeds).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Scenario-wide response-time deadline: a query that cannot finish
-    /// within it (measured from release, queue wait included) is
-    /// cancelled and counted as a miss. Per-workload
-    /// [`Workload::deadline`](super::workload::Workload::deadline)
-    /// wins; tenants without either knob are never cancelled.
-    pub fn deadline(mut self, d: SimDuration) -> Self {
-        self.deadline = Some(d);
-        self
-    }
-
-    /// Scenario-wide retry policy for deadline-cancelled queries and
-    /// requests with no live replica (default [`RetryPolicy::None`]:
-    /// cancelled queries drop, unroutable requests park until
-    /// recovery — the historical behavior byte-exactly). A workload's
-    /// own enabled policy wins.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Scenario-wide hedge delay under replicated placement: reads
-    /// still undelivered this long after submission are re-issued to
-    /// the next live replica; first completion wins. Per-workload
-    /// [`Workload::hedge_after`](super::workload::Workload::hedge_after)
-    /// wins.
-    pub fn hedge_after(mut self, delay: SimDuration) -> Self {
-        self.hedge = Some(delay);
         self
     }
 
@@ -408,21 +372,23 @@ impl Scenario {
             })
             .collect();
 
-        // Per-client protection knobs, resolved like SLO targets:
-        // workload-level settings win over scenario-wide defaults.
-        let protection: Vec<ClientProtection> = workloads
+        // The protection plane exists only when some knob is set.
+        let retry_clients: Vec<bool> = workloads.iter().map(|w| w.retry.enabled()).collect();
+        let knobs = workloads
             .iter()
             .map(|w| ClientProtection {
-                deadline: w.deadline.or(self.deadline),
-                retry: if w.retry.enabled() {
-                    w.retry
-                } else {
-                    self.retry
-                },
-                hedge: w.hedge.or(self.hedge),
+                deadline: w.deadline,
+                retry: w.retry,
+                hedge: w.hedge,
                 priority: w.priority,
             })
             .collect();
+        let protection = Protection::new(
+            knobs,
+            self.admission,
+            self.seed,
+            self.record_mode == RecordMode::Full,
+        );
 
         let clients = workloads
             .into_iter()
@@ -461,6 +427,16 @@ impl Scenario {
             fleet.plan_drop(shard, nth, redeliver_after);
         }
 
+        // Wire the fleet for the protection plane: retry tenants'
+        // replica-less requests come back for backoff instead of
+        // parking, and an admission breaker routes around bad shards.
+        if retry_clients.contains(&true) {
+            fleet.retry_clients = retry_clients;
+        }
+        if let Some(b) = self.admission.and_then(|a| a.breaker) {
+            fleet.breaker = Some(Breaker::new(b, self.shards));
+        }
+
         // Install the shard-cache tiers (a disabled config installs
         // nothing, keeping the uncached machine byte-exact).
         if self.shard_cache.enabled() {
@@ -472,7 +448,7 @@ impl Scenario {
         Runtime::new(fleet, clients, self.cost)
             .with_record_mode(self.record_mode)
             .with_faults(fault::timed_actions(&episodes))
-            .with_protection(protection, self.admission, self.seed)
+            .with_protection(protection)
             .run()
     }
 }

@@ -8,7 +8,7 @@ use super::fleet::DeviceFleet;
 use super::pump::DevicePump;
 use super::*;
 use skipper_csd::{
-    CsdConfig, CsdDevice, IntraGroupOrder, LayoutPolicy, ObjectId, ObjectStore, QueryId,
+    CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LayoutPolicy, ObjectId, ObjectStore, QueryId,
     SchedPolicy,
 };
 use skipper_datagen::{tpch, Dataset, GenConfig};
@@ -307,6 +307,13 @@ fn t(s: u64) -> SimTime {
     SimTime::from_secs(s)
 }
 
+/// Fires `pump`'s wake-up at `at` into a fresh local buffer.
+fn wake(pump: &mut DevicePump, at: SimTime) -> Vec<Delivery<Arc<Segment>>> {
+    let mut out = Vec::new();
+    pump.on_wakeup_into(at, &mut out);
+    out
+}
+
 #[test]
 fn pump_poke_with_quiescent_device_stays_unarmed() {
     let mut pump = mini_pump();
@@ -328,7 +335,7 @@ fn pump_double_poke_while_armed_is_a_no_op() {
     pump.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 1)]);
     assert_eq!(pump.poke(t(0)), None);
     // The armed wake-up still completes normally.
-    let d = pump.on_wakeup(t(1));
+    let d = wake(&mut pump, t(1));
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].object, ObjectId::new(0, 0, 0));
 }
@@ -344,14 +351,17 @@ fn pump_repoke_after_delivery_resumes_the_protocol() {
     );
     // Transfer of object 0 (group 0 loads free).
     assert_eq!(pump.poke(t(0)), Some(t(1)));
-    assert_eq!(pump.on_wakeup(t(1)).len(), 1);
+    assert_eq!(wake(&mut pump, t(1)).len(), 1);
     // Re-poke arms the paid switch to group 1; its wake-up completes the
     // switch and delivers nothing.
     assert_eq!(pump.poke(t(1)), Some(t(11)));
-    assert!(pump.on_wakeup(t(11)).is_empty(), "switch is not a delivery");
+    assert!(
+        wake(&mut pump, t(11)).is_empty(),
+        "switch is not a delivery"
+    );
     // Re-poke after the non-delivery wake-up arms the final transfer.
     assert_eq!(pump.poke(t(11)), Some(t(12)));
-    let d = pump.on_wakeup(t(12));
+    let d = wake(&mut pump, t(12));
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].object, ObjectId::new(0, 0, 1));
     // Drained: poke goes quiet again.
@@ -365,12 +375,12 @@ fn pump_wakeup_without_armed_operation_is_a_stale_no_op() {
     // longer matches the armed one is *stale* (superseded by a
     // re-arm): it must be ignored without touching the device.
     let mut pump = mini_pump();
-    assert!(pump.on_wakeup(t(0)).is_empty());
+    assert!(wake(&mut pump, t(0)).is_empty());
     pump.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 0)]);
     assert_eq!(pump.poke(t(0)), Some(t(1)));
     // A wake-up at the wrong instant is stale; the armed one still fires.
-    assert!(pump.on_wakeup(t(0)).is_empty());
-    assert_eq!(pump.on_wakeup(t(1)).len(), 1);
+    assert!(wake(&mut pump, t(0)).is_empty());
+    assert_eq!(wake(&mut pump, t(1)).len(), 1);
 }
 
 #[test]
@@ -393,13 +403,13 @@ fn pump_rearms_when_new_work_moves_the_earliest_completion() {
     );
     // Double-poke stays a no-op at the new instant.
     assert_eq!(pump.poke(t(0)), None);
-    let first = pump.on_wakeup(t(1));
+    let first = wake(&mut pump, t(1));
     assert_eq!(first.len(), 1);
     assert_eq!(first[0].object, ObjectId::new(0, 0, 0));
     // Re-poke re-arms at the still-pending t=2 completion, which the
     // superseded event (also at t=2) then legitimately consumes.
     assert_eq!(pump.poke(t(1)), Some(t(2)));
-    let second = pump.on_wakeup(t(2));
+    let second = wake(&mut pump, t(2));
     assert_eq!(second.len(), 1);
     assert_eq!(second[0].object, ObjectId::new(0, 0, 1));
     assert!(pump.device().is_quiescent());
@@ -418,7 +428,7 @@ fn pump_multi_stream_wakeup_retires_the_whole_batch() {
     );
     assert_eq!(pump.poke(t(0)), Some(t(1)));
     assert_eq!(pump.device().in_flight(), 1, "second object is off-group");
-    assert_eq!(pump.on_wakeup(t(1)).len(), 1);
+    assert_eq!(wake(&mut pump, t(1)).len(), 1);
     // Unequal same-group pair: both slots fill but retire separately.
     let mut pair = mini_pump_same_group(2);
     pair.submit(
@@ -429,10 +439,10 @@ fn pump_multi_stream_wakeup_retires_the_whole_batch() {
     );
     assert_eq!(pair.poke(t(0)), Some(t(1)), "earliest of the two transfers");
     assert_eq!(pair.device().in_flight(), 2);
-    let batch = pair.on_wakeup(t(1));
+    let batch = wake(&mut pair, t(1));
     assert_eq!(batch.len(), 1, "only the 1 GiB transfer is due at t=1");
     assert_eq!(pair.poke(t(1)), Some(t(2)));
-    assert_eq!(pair.on_wakeup(t(2)).len(), 1);
+    assert_eq!(wake(&mut pair, t(2)).len(), 1);
     assert!(pair.device().is_quiescent());
     // Equal same-group pair: one wake-up really does retire a batch of
     // two through the pump (the multi-delivery path the driver routes).
@@ -445,7 +455,7 @@ fn pump_multi_stream_wakeup_retires_the_whole_batch() {
     );
     assert_eq!(equal.poke(t(0)), Some(t(1)));
     assert_eq!(equal.device().in_flight(), 2);
-    let batch = equal.on_wakeup(t(1));
+    let batch = wake(&mut equal, t(1));
     assert_eq!(batch.len(), 2, "same-instant completions retire together");
     assert_eq!(batch[0].object, ObjectId::new(0, 0, 0));
     assert_eq!(batch[1].object, ObjectId::new(0, 0, 1));
@@ -492,8 +502,9 @@ fn fleet_routes_submissions_by_shard_map_and_interleaves() {
     let mut rearmed = Vec::new();
     fleet.poke_all(t(0), |s, at| rearmed.push((s, at)));
     assert!(rearmed.is_empty());
-    let d0 = fleet.on_wakeup(0, t(1));
-    let d1 = fleet.on_wakeup(1, t(1));
+    let (mut d0, mut d1) = (Vec::new(), Vec::new());
+    fleet.on_wakeup_into(0, t(1), &mut d0);
+    fleet.on_wakeup_into(1, t(1), &mut d1);
     assert_eq!(d0[0].object, a);
     assert_eq!(d1[0].object, b);
     assert!(fleet.is_quiescent());
@@ -775,10 +786,20 @@ fn latency_summary_quantiles_match_exact_records() {
 /// The chaos cell: 3 staggered Skipper tenants over 4 shards, with a
 /// configurable placement and fault plan.
 fn chaos_scenario(placement: PlacementPolicy, plan: FaultPlan) -> Scenario {
+    protected_chaos(placement, plan, |w| w)
+}
+
+/// [`chaos_scenario`] with `knobs` applied to every tenant (the
+/// protection plane's per-workload deadline / retry / hedge settings).
+fn protected_chaos(
+    placement: PlacementPolicy,
+    plan: FaultPlan,
+    knobs: impl Fn(Workload) -> Workload,
+) -> Scenario {
     let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let tenants = (0..3)
-        .map(|i| skipper(&ds, &q, 2).start_at(SimDuration::from_secs(30) * i))
+        .map(|i| knobs(skipper(&ds, &q, 2).start_at(SimDuration::from_secs(30) * i)))
         .collect();
     Scenario::from_workloads(tenants)
         .shards(4)
@@ -1021,9 +1042,10 @@ fn disabled_protection_plane_is_byte_identical() {
         .seed(7)
         .run();
     assert_eq!(reseeded, base);
-    let explicit = chaos_scenario(replicated_rr(2), FaultPlan::new())
-        .retry(RetryPolicy::None)
-        .run();
+    let explicit = protected_chaos(replicated_rr(2), FaultPlan::new(), |w| {
+        w.retry(RetryPolicy::None)
+    })
+    .run();
     assert_eq!(explicit, base);
     assert!(base.protection.is_quiet());
     // The per-tenant ledger populates on every run (behavior-neutral).
@@ -1039,9 +1061,10 @@ fn generous_deadline_leaves_the_run_byte_identical() {
     // Deadlines nobody misses schedule cancel events that all pop
     // stale: the run — makespan included — must not move.
     let base = chaos_scenario(replicated_rr(2), FaultPlan::new()).run();
-    let protected = chaos_scenario(replicated_rr(2), FaultPlan::new())
-        .deadline(SimDuration::from_secs(10_000))
-        .run();
+    let protected = protected_chaos(replicated_rr(2), FaultPlan::new(), |w| {
+        w.deadline(SimDuration::from_secs(10_000))
+    })
+    .run();
     assert_eq!(protected, base);
 }
 
@@ -1050,9 +1073,10 @@ fn tight_deadline_cancels_and_counts_misses() {
     // A 5 s deadline is unmeetable for ~53 s queries: every query is
     // cancelled (in flight or unstarted), nothing completes, and the
     // run still drains instead of deadlocking.
-    let res = chaos_scenario(replicated_rr(2), FaultPlan::new())
-        .deadline(SimDuration::from_secs(5))
-        .run();
+    let res = protected_chaos(replicated_rr(2), FaultPlan::new(), |w| {
+        w.deadline(SimDuration::from_secs(5))
+    })
+    .run();
     assert_eq!(res.protection.deadline_misses, 6, "2 queries × 3 tenants");
     assert_eq!(res.latency.fleet.count, 0);
     for t in &res.protection.per_tenant {
@@ -1073,10 +1097,11 @@ fn deadline_retry_replays_missed_queries_to_completion() {
     // 65 s sits between the solo and the contended response time: early
     // queries miss under contention, their retries re-run after the
     // fleet drains and beat the deadline. Everything completes.
-    let res = chaos_scenario(replicated_rr(2), FaultPlan::new())
-        .deadline(SimDuration::from_secs(65))
-        .retry(backoff(20, 60, 10))
-        .run();
+    let res = protected_chaos(replicated_rr(2), FaultPlan::new(), |w| {
+        w.deadline(SimDuration::from_secs(65))
+            .retry(backoff(20, 60, 10))
+    })
+    .run();
     assert!(res.protection.deadline_misses > 0, "nothing ever missed");
     assert!(res.protection.retries > 0);
     assert_eq!(res.protection.retry_exhausted, 0, "a retry budget ran dry");
@@ -1104,7 +1129,9 @@ fn retry_replaces_parking_during_outage() {
     let clean = build(FaultPlan::new()).run();
     let outage = || FaultPlan::new().shard_down(0, t(15), t(60));
     let parked = build(outage()).run();
-    let retried = build(outage()).retry(backoff(5, 20, 50)).run();
+    let retried = Scenario::from_workloads(vec![vanilla(&ds, &q, 1).retry(backoff(5, 20, 50)); 2])
+        .faults(outage())
+        .run();
     assert_eq!(retried.delivery_multiset(), clean.delivery_multiset());
     assert_eq!(
         retried.availability.parked_requests, 0,
@@ -1126,9 +1153,10 @@ fn hedged_requests_cut_brownout_tails_and_conserve_consumption() {
     let slow = || FaultPlan::new().degraded(0, t(0), t(2_000), 0.05);
     let clean = chaos_scenario(replicated_rr(2), FaultPlan::new()).run();
     let unhedged = chaos_scenario(replicated_rr(2), slow()).run();
-    let hedged = chaos_scenario(replicated_rr(2), slow())
-        .hedge_after(SimDuration::from_secs(5))
-        .run();
+    let hedged = protected_chaos(replicated_rr(2), slow(), |w| {
+        w.hedge_after(SimDuration::from_secs(5))
+    })
+    .run();
     assert!(hedged.protection.hedges_fired > 0, "no hedge ever fired");
     assert!(
         hedged.latency.fleet.max_secs < unhedged.latency.fleet.max_secs,
@@ -1265,22 +1293,24 @@ fn protection_grid_is_repeat_deterministic() {
         (
             "deadline+retry under crash",
             Box::new(|| {
-                chaos_scenario(
+                protected_chaos(
                     replicated_rr(2),
                     FaultPlan::new().shard_down(2, t(20), t(300)),
+                    |w| {
+                        w.deadline(SimDuration::from_secs(65))
+                            .retry(backoff(20, 60, 10))
+                    },
                 )
-                .deadline(SimDuration::from_secs(65))
-                .retry(backoff(20, 60, 10))
             }),
         ),
         (
             "hedge under brown-out",
             Box::new(|| {
-                chaos_scenario(
+                protected_chaos(
                     replicated_rr(2),
                     FaultPlan::new().degraded(0, t(0), t(2_000), 0.05),
+                    |w| w.hedge_after(SimDuration::from_secs(5)),
                 )
-                .hedge_after(SimDuration::from_secs(5))
             }),
         ),
         (
@@ -1305,11 +1335,11 @@ fn protection_grid_is_repeat_deterministic() {
         (
             "retry instead of parking",
             Box::new(|| {
-                chaos_scenario(
+                protected_chaos(
                     PlacementPolicy::RoundRobin,
                     FaultPlan::new().shard_down(1, t(10), t(120)),
+                    |w| w.retry(backoff(5, 30, 50)),
                 )
-                .retry(backoff(5, 30, 50))
             }),
         ),
     ];
@@ -1317,6 +1347,55 @@ fn protection_grid_is_repeat_deterministic() {
         let reference = build().run();
         let repeat = build().run();
         assert_eq!(repeat, reference, "{name}: same config, different run");
+    }
+}
+
+#[test]
+fn hedging_over_shard_caches_conserves_consumption_through_faults() {
+    // The plane combination no other cell runs: hedged tenants on a
+    // replicated, two-tier-cached fleet through a brown-out and a crash.
+    // Hedge copies may be cache hits, crashes invalidate a shard cache
+    // and fail its queue over — and every (client, query, object) must
+    // still be consumed exactly once.
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let build = |hedge: Option<SimDuration>, cache: CacheConfig, plan: FaultPlan| {
+        let tenants = (0..3)
+            .map(|i| {
+                let w = skipper(&ds, &q, 3).start_at(SimDuration::from_secs(30) * i);
+                match hedge {
+                    Some(h) => w.hedge_after(h),
+                    None => w,
+                }
+            })
+            .collect();
+        Scenario::from_workloads(tenants)
+            .shards(4)
+            .placement(replicated_rr(2))
+            .shard_cache(cache)
+            .faults(plan)
+    };
+    let faults = || {
+        FaultPlan::new()
+            .degraded(0, t(0), t(2_000), 0.05)
+            .shard_down(2, t(40), t(300))
+    };
+    let cached = || {
+        build(
+            Some(SimDuration::from_secs(5)),
+            CacheConfig::two_tier(gib(1), gib(4)),
+            faults(),
+        )
+    };
+    let clean = build(None, CacheConfig::disabled(), FaultPlan::new()).run();
+    let res = cached().run();
+    assert_eq!(res.consumed_multiset(), clean.delivery_multiset());
+    assert_eq!(cached().run(), res, "same config, different run");
+    assert!(res.cache.hits() > 0, "no cache hit");
+    assert!(res.protection.hedges_fired > 0, "no hedge fired");
+    assert!(res.availability.failovers > 0, "no failover");
+    for tp in &res.protection.per_tenant {
+        assert_eq!((tp.offered, tp.completed), (3, 3));
     }
 }
 
@@ -1386,6 +1465,7 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
     // Drain shard 0 and collect its service order.
     fn drain(fleet: &mut DeviceFleet, start: SimTime, served: &mut [Vec<(usize, ObjectId)>; 2]) {
         let mut now = start;
+        let mut batch = Vec::new();
         loop {
             let mut armed = Vec::new();
             fleet.poke_all(now, |s, at| armed.push((s, at)));
@@ -1393,7 +1473,8 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
                 break;
             }
             for (s, at) in armed {
-                for d in fleet.on_wakeup(s, at) {
+                fleet.on_wakeup_into(s, at, &mut batch);
+                for d in batch.drain(..) {
                     served[s].push((d.client, d.object));
                 }
                 now = now.max(at);

@@ -32,12 +32,13 @@
 //!    ▼
 //! earliest pending completion (min over the slot heap / switch stage)
 //!    │
-//! complete(now) ──► retire EVERYTHING due at now:
-//!                   Switch: activate group, notify scheduler, arm the
-//!                           residency snapshot
-//!                   Transfers: pop payloads, return Vec<Delivery>; if
-//!                           the pipe just drained and a switch is
-//!                           armed, the switch starts at now exactly
+//! complete_into(now) ──► retire EVERYTHING due at now:
+//!                        Switch: activate group, notify scheduler, arm
+//!                                the residency snapshot
+//!                        Transfers: pop payloads, append Deliveries to
+//!                                the caller's buffer; if the pipe just
+//!                                drained and a switch is armed, the
+//!                                switch starts at now exactly
 //! ```
 //!
 //! Serving never preempts: once a transfer starts it finishes; an armed
@@ -537,15 +538,6 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
         until
     }
 
-    /// Completes everything due at `now`, allocating a fresh batch; see
-    /// [`CsdDevice::complete_into`] for the zero-allocation form the
-    /// drivers use on the hot path.
-    pub fn complete(&mut self, now: SimTime) -> Vec<Delivery<P>> {
-        let mut deliveries = Vec::new();
-        self.complete_into(now, &mut deliveries);
-        deliveries
-    }
-
     /// Completes everything due at `now`: either the switch stage, or
     /// every transfer whose completion instant is exactly `now`
     /// (appended to `out` in slot order — `out` is a caller-owned
@@ -753,12 +745,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// Completes everything due at `now` into a fresh local buffer.
+    fn complete(dev: &mut CsdDevice<&'static str>, now: SimTime) -> Vec<Delivery<&'static str>> {
+        let mut out = Vec::new();
+        dev.complete_into(now, &mut out);
+        out
+    }
+
     /// Drives the device to quiescence, collecting `(time, delivery)`.
     fn drain(dev: &mut CsdDevice<&'static str>, mut now: SimTime) -> (SimTime, Vec<ObjectId>) {
         let mut served = Vec::new();
         while let Some(until) = dev.kick(now) {
             now = until;
-            for d in dev.complete(now) {
+            for d in complete(dev, now) {
                 served.push(d.object);
             }
         }
@@ -778,13 +777,13 @@ mod tests {
         // Initial load is free → first op is a 1 s transfer.
         let done = dev.kick(t(0)).unwrap();
         assert_eq!(done, t(1));
-        let d = dev.complete(t(1));
+        let d = complete(&mut dev, t(1));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].client, 0);
         assert_eq!(d[0].object.segment, 0); // semantic order: lowest segment first
         let done = dev.kick(t(1)).unwrap();
         assert_eq!(done, t(2));
-        let d = dev.complete(t(2));
+        let d = complete(&mut dev, t(2));
         assert_eq!(d[0].object.segment, 1);
         assert!(dev.kick(t(2)).is_none());
         assert!(dev.is_quiescent());
@@ -812,7 +811,7 @@ mod tests {
         let mut deliveries = Vec::new();
         while let Some(until) = dev.kick(now) {
             now = until;
-            deliveries.extend(dev.complete(now));
+            deliveries.extend(complete(&mut dev, now));
         }
         assert_eq!(deliveries.len(), 4);
         // Batched: both of client 0's objects, then a single switch, then
@@ -847,16 +846,16 @@ mod tests {
         // Free initial load lands on group 1 directly.
         let until = dev.kick(t(0)).unwrap();
         assert_eq!(until, t(1));
-        dev.complete(t(1));
+        complete(&mut dev, t(1));
         // New work on group 0 arrives: now a paid switch.
         dev.submit(t(1), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 0)]);
         let until = dev.kick(t(1)).unwrap();
         assert_eq!(until, t(11)); // 10 s switch
-        assert!(dev.complete(t(11)).is_empty());
+        assert!(complete(&mut dev, t(11)).is_empty());
         assert_eq!(dev.active_group(), Some(0));
         let until = dev.kick(t(11)).unwrap();
         assert_eq!(until, t(12));
-        assert_eq!(dev.complete(t(12)).len(), 1);
+        assert_eq!(complete(&mut dev, t(12)).len(), 1);
     }
 
     #[test]
@@ -908,7 +907,7 @@ mod tests {
     #[should_panic(expected = "no operation in flight")]
     fn complete_without_op_panics() {
         let mut dev = device(SchedPolicy::RankBased);
-        dev.complete(t(0));
+        complete(&mut dev, t(0));
     }
 
     #[test]
@@ -943,7 +942,7 @@ mod tests {
         assert_eq!(first, t(1));
         assert_eq!(dev.in_flight(), 2);
         // Both streams complete at t=1: one wake-up retires both.
-        let batch = dev.complete(t(1));
+        let batch = complete(&mut dev, t(1));
         assert_eq!(batch.len(), 2);
         let (now, _) = drain(&mut dev, t(1));
         assert_eq!(now, t(2), "two stream-pairs of 1 s each");
@@ -976,11 +975,11 @@ mod tests {
         let first = dev.kick(t(0)).unwrap();
         assert_eq!(first, t(1));
         assert_eq!(dev.in_flight(), 2);
-        let batch = dev.complete(t(1));
+        let batch = complete(&mut dev, t(1));
         assert_eq!(batch.len(), 2, "both group-0 transfers retire together");
         let until = dev.kick(t(1)).unwrap();
         assert_eq!(until, t(11), "switch spans [1, 11) with no idle gap");
-        assert!(dev.complete(t(11)).is_empty());
+        assert!(complete(&mut dev, t(11)).is_empty());
         assert_eq!(dev.active_group(), Some(1));
         let (now, _) = drain(&mut dev, t(11));
         assert_eq!(now, t(12));
@@ -1009,7 +1008,7 @@ mod tests {
         let first = dev.kick(t(0)).unwrap();
         assert_eq!(first, t(1));
         assert_eq!(dev.in_flight(), 1, "armed switch must stop dispatching");
-        dev.complete(t(1));
+        complete(&mut dev, t(1));
         // Switch to group 1 spans [1, 11).
         assert_eq!(dev.kick(t(1)), Some(t(11)));
         assert_eq!(dev.metrics().group_switches, 1);
@@ -1058,7 +1057,7 @@ mod tests {
         let mut order = Vec::new();
         let mut now = until;
         loop {
-            for d in dev.complete(now) {
+            for d in complete(&mut dev, now) {
                 order.push(d.query);
             }
             match dev.kick(now) {
@@ -1129,7 +1128,7 @@ mod tests {
             let mut now = t(0);
             while let Some(until) = dev.kick(now) {
                 now = until;
-                instants.push((now, dev.complete(now).len()));
+                instants.push((now, complete(&mut dev, now).len()));
             }
             let spans = dev.take_stream_spans();
             (instants, spans)

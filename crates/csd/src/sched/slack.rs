@@ -184,9 +184,11 @@ mod tests {
                     );
                 }
             }
+            let mut done = Vec::new();
             while let Some(until) = dev.kick(now) {
                 now = until;
-                dev.complete(now);
+                done.clear();
+                dev.complete_into(now, &mut done);
             }
             dev.metrics().group_switches
         };

@@ -177,7 +177,8 @@ fn run_fleet<Q: RequestIndex>(
         };
         if device_first {
             let (t, s) = due.expect("device event due");
-            let batch = devices[s].complete(t);
+            let mut batch = Vec::new();
+            devices[s].complete_into(t, &mut batch);
             if batch.is_empty() {
                 events[s].push((t, None)); // switch completion
             }
@@ -387,7 +388,8 @@ fn run_pull_convoy<Q: RequestIndex>(
         .filter_map(|(s, t)| t.map(|t| (t, s)))
         .min()
     {
-        let batch = devices[s].complete(t);
+        let mut batch = Vec::new();
+        devices[s].complete_into(t, &mut batch);
         if batch.is_empty() {
             events[s].push((t, None)); // switch completion
         }

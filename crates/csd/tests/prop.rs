@@ -124,13 +124,13 @@ fn device_serves_every_request_once() {
         }
         let mut served = Vec::new();
         let mut last = now;
+        let mut batch = Vec::new();
         while let Some(until) = dev.kick(now) {
             assert!(until >= last, "case {case}: time went backwards");
             last = until;
             now = until;
-            for d in dev.complete(now) {
-                served.push(d.object);
-            }
+            dev.complete_into(now, &mut batch);
+            served.extend(batch.drain(..).map(|d| d.object));
         }
         assert!(dev.is_quiescent());
         assert_eq!(served.len() as u64, expected, "case {case}");
@@ -182,9 +182,11 @@ fn single_group_never_switches() {
                 for (t, tenant) in objs.iter().enumerate() {
                     dev.submit(now, t, QueryId::new(t as u16, 0), tenant);
                 }
+                let mut done = Vec::new();
                 while let Some(until) = dev.kick(now) {
                     now = until;
-                    dev.complete(now);
+                    done.clear();
+                    dev.complete_into(now, &mut done);
                 }
                 assert_eq!(dev.metrics().group_switches, 0);
             }

@@ -17,10 +17,11 @@
 //!   bucket count to the observed event density, so it stays O(1) on
 //!   both microsecond-dense and multi-second-sparse schedules.
 //!
-//! Both implement [`EventSink`], the queue abstraction consumed by the
-//! drivers. Determinism contract: for any interleaving of `schedule`
-//! and `pop` calls, the two implementations produce identical pop
-//! sequences (pinned by the differential sweep in this module's tests).
+//! Both expose the same inherent `schedule`/`pop`/`len`/`now` surface;
+//! the runtime drives the calendar queue directly. Determinism contract:
+//! for any interleaving of `schedule` and `pop` calls, the two
+//! implementations produce identical pop sequences (pinned by the
+//! differential sweep in this module's tests).
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -55,36 +56,6 @@ impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
-}
-
-/// The future-event-list abstraction: schedule timestamped payloads,
-/// pop them in deterministic `(time, insertion)` order.
-///
-/// Implemented by [`EventQueue`] (binary heap, the differential-test
-/// reference) and [`CalendarQueue`] (bucketed timer wheel, O(1)
-/// amortized, the production queue).
-pub trait EventSink<E> {
-    /// Schedules `payload` to fire at instant `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` lies before the last popped event: a
-    /// discrete-event simulation must never schedule into its own past.
-    fn schedule(&mut self, at: SimTime, payload: E);
-
-    /// Removes and returns the earliest event (FIFO among simultaneous
-    /// events), or `None` when the simulation has run dry.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// True when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The current simulation time (timestamp of the last popped event).
-    fn now(&self) -> SimTime;
 }
 
 /// A deterministic priority queue of timestamped events.
@@ -171,21 +142,6 @@ impl<E> EventQueue<E> {
     /// The current simulation time (timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.last_popped
-    }
-}
-
-impl<E> EventSink<E> for EventQueue<E> {
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        EventQueue::schedule(self, at, payload);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
     }
 }
 
@@ -476,21 +432,6 @@ impl<E> CalendarQueue<E> {
     /// The current simulation time (timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.last_popped
-    }
-}
-
-impl<E> EventSink<E> for CalendarQueue<E> {
-    fn schedule(&mut self, at: SimTime, payload: E) {
-        CalendarQueue::schedule(self, at, payload);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-    fn len(&self) -> usize {
-        CalendarQueue::len(self)
-    }
-    fn now(&self) -> SimTime {
-        CalendarQueue::now(self)
     }
 }
 

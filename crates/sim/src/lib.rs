@@ -12,8 +12,7 @@
 //!   tie-breaking, so every experiment is exactly reproducible:
 //!   [`CalendarQueue`] (bucketed timer wheel, O(1) amortized, the
 //!   production queue) and [`EventQueue`] (binary heap, the
-//!   differential-test reference), both behind the [`EventSink`]
-//!   abstraction.
+//!   differential-test reference), with identical pop order.
 //! * [`trace`] — activity spans recorded by the device model, used to
 //!   attribute blocked client time to *switch* vs *transfer* stalls
 //!   (Figure 9 and Table 3 of the paper). [`TraceMode`] selects between
@@ -41,7 +40,7 @@ pub mod time;
 pub mod timeline;
 pub mod trace;
 
-pub use event::{CalendarQueue, EventQueue, EventSink};
+pub use event::{CalendarQueue, EventQueue};
 pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

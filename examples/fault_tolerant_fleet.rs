@@ -153,12 +153,12 @@ fn main() {
     // under a per-query deadline and the parked window turns into
     // counted misses instead of silently late answers.
     let deadline = SimDuration::from_secs_f64(span * 0.1);
-    let strict = Scenario::from_workloads(fleet())
-        .shards(4)
-        .placement(PlacementPolicy::RoundRobin)
-        .faults(FaultPlan::new().shard_down(2, down, up))
-        .deadline(deadline)
-        .run();
+    let strict =
+        Scenario::from_workloads(fleet().into_iter().map(|w| w.deadline(deadline)).collect())
+            .shards(4)
+            .placement(PlacementPolicy::RoundRobin)
+            .faults(FaultPlan::new().shard_down(2, down, up))
+            .run();
     println!(
         "\nsame outage at k = 1 under a {:.0}s per-query deadline (goodput view):",
         deadline.as_secs_f64()

@@ -113,12 +113,12 @@ fn main() {
                 Workload::new(Arc::clone(&data))
                     .repeat_query(q12.clone(), 2)
                     .engine(SkipperFactory::default().cache_bytes(12 << 30))
+                    .retry(retry)
             })
             .collect();
         Scenario::from_workloads(workloads)
             .shards(2)
             .faults(FaultPlan::new().shard_down(0, secs(15), secs(120)))
-            .retry(retry)
             .run()
     };
     let parked = crashy(RetryPolicy::None);
@@ -150,23 +150,24 @@ fn main() {
     let brownout = |hedge: Option<SimDuration>| {
         let workloads: Vec<Workload> = (0..3)
             .map(|i| {
-                Workload::new(Arc::clone(&data))
+                let w = Workload::new(Arc::clone(&data))
                     .repeat_query(q12.clone(), 4)
                     .engine(SkipperFactory::default().cache_bytes(12 << 30))
-                    .start_at(SimDuration::from_secs(20 * i as u64))
+                    .start_at(SimDuration::from_secs(20 * i as u64));
+                match hedge {
+                    Some(h) => w.hedge_after(h),
+                    None => w,
+                }
             })
             .collect();
-        let mut s = Scenario::from_workloads(workloads)
+        Scenario::from_workloads(workloads)
             .shards(4)
             .placement(PlacementPolicy::Replicated {
                 k: 2,
                 base: BasePlacement::RoundRobin,
             })
-            .faults(FaultPlan::new().degraded(0, secs(0), secs(4000), 0.05));
-        if let Some(h) = hedge {
-            s = s.hedge_after(h);
-        }
-        s.run()
+            .faults(FaultPlan::new().degraded(0, secs(0), secs(4000), 0.05))
+            .run()
     };
     let slow = brownout(None);
     let hedged = brownout(Some(SimDuration::from_secs(5)));
