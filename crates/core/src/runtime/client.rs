@@ -13,7 +13,6 @@ use std::sync::Arc;
 use skipper_csd::ObjectId;
 use skipper_datagen::Dataset;
 use skipper_relational::query::QuerySpec;
-use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, SimTime};
 
 use crate::config::CostModel;
@@ -44,8 +43,10 @@ pub struct ClientState {
     pub engine: Option<Box<dyn QueryEngine>>,
     /// Per-client query sequence number.
     pub qseq: u32,
-    /// Deliveries waiting for the CPU.
-    pub inbox: VecDeque<(ObjectId, Arc<Segment>)>,
+    /// Delivered objects waiting for the CPU. Ids only: the bytes live
+    /// in [`ClientState::dataset`], which the driver lends the engine
+    /// when it processes the delivery.
+    pub inbox: VecDeque<ObjectId>,
     /// True while charged processing is in flight.
     pub busy: bool,
     /// Requests + finished flag from the in-flight `on_object`, applied

@@ -8,6 +8,12 @@
 //! processing blocks them, follow-up GETs go back to the owning shard,
 //! and every transition is timestamped for the collector.
 //!
+//! Like the paper's testbed, which emulates the device by delaying
+//! Swift GETs, the fleet only decides *when* a GET completes: its
+//! devices carry `()` payloads, a delivery names its object, and the
+//! engine borrows the segment from its tenant's dataset when the
+//! client processes it — no per-delivery reference count is touched.
+//!
 //! Multi-shard wake-ups interleave deterministically: each shard keeps
 //! its own armed-wake-up protocol, the event queue breaks simultaneous
 //! events by insertion order, and shards are always poked in shard
@@ -27,13 +33,10 @@
 //! optional `Protection`, so a run with no knob set executes none of
 //! its code.
 
-use std::sync::Arc;
-
 use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheStats;
 use skipper_csd::metrics::DeviceMetrics;
 use skipper_csd::{Delivery, ObjectId, PowerModel, QueryId};
-use skipper_relational::segment::Segment;
 use skipper_sim::trace::Span;
 use skipper_sim::{CalendarQueue, MergedTimeline, SimDuration, SimTime};
 
@@ -65,12 +68,12 @@ pub(super) enum Event {
 
 /// The assembled multi-tenant runtime; consumed by [`Runtime::run`].
 pub struct Runtime {
-    pub(super) fleet: DeviceFleet,
+    pub(super) fleet: DeviceFleet<()>,
     pub(super) clients: Vec<ClientState>,
     pub(super) events: CalendarQueue<Event>,
     cost: CostModel,
     /// Reusable delivery scratch for multi-stream wake-up batches.
-    scratch: Vec<Delivery<Arc<Segment>>>,
+    scratch: Vec<Delivery<()>>,
     /// Streaming tail-latency sketches, fed in completion order.
     latency: LatencyAccumulator,
     /// Whether finished records are retained for the result.
@@ -91,7 +94,7 @@ pub struct Runtime {
 
 impl Runtime {
     /// Wires the parts together.
-    pub fn new(fleet: DeviceFleet, clients: Vec<ClientState>, cost: CostModel) -> Self {
+    pub fn new(fleet: DeviceFleet<()>, clients: Vec<ClientState>, cost: CostModel) -> Self {
         let targets: Vec<_> = clients.iter().map(|c| (c.slo, c.ideal)).collect();
         Runtime {
             fleet,
@@ -173,7 +176,7 @@ impl Runtime {
                     batch.clear();
                     self.fleet.on_wakeup_into(shard, t, &mut batch);
                     for d in batch.drain(..) {
-                        self.route_delivery(t, shard, d.client, d.query, d.object, d.payload);
+                        self.route_delivery(t, shard, d.client, d.query, d.object);
                     }
                     self.scratch = batch;
                     self.poke_fleet(t);
@@ -199,7 +202,7 @@ impl Runtime {
                     // transfers finished before the crash): route them
                     // like any retired batch.
                     for d in batch.drain(..) {
-                        self.route_delivery(t, fault.shard, d.client, d.query, d.object, d.payload);
+                        self.route_delivery(t, fault.shard, d.client, d.query, d.object);
                     }
                     self.scratch = batch;
                     // A crash may have displaced a retry tenant's
@@ -388,7 +391,6 @@ impl Runtime {
         c: usize,
         query: QueryId,
         object: ObjectId,
-        payload: Arc<Segment>,
     ) {
         if !self.clients[c].is_current(query.seq) {
             return; // stale delivery for a completed query
@@ -396,26 +398,36 @@ impl Runtime {
         if self.protection.is_some() && !self.consume(shard, c, query, object) {
             return;
         }
-        self.clients[c].inbox.push_back((object, payload));
+        self.clients[c].inbox.push_back(object);
         self.try_process(c, now);
     }
 
-    /// Feeds the next buffered delivery to the engine and charges its
+    /// Feeds the next buffered delivery to the engine — lending it the
+    /// segment from the client's own dataset — and charges its
     /// processing time.
+    ///
+    /// # Panics
+    /// Panics when the delivered object belongs to another tenant: an
+    /// engine may only GET its own tenant's objects.
     fn try_process(&mut self, c: usize, now: SimTime) {
         let client = &mut self.clients[c];
         if client.busy || client.engine.is_none() {
             return;
         }
-        let Some((object, payload)) = client.inbox.pop_front() else {
+        let Some(object) = client.inbox.pop_front() else {
             return;
         };
+        assert_eq!(
+            object.tenant as usize, c,
+            "cross-tenant GET: object {object} delivered to client {c}"
+        );
         client.draft.unblock(now);
+        let payload = &client.dataset.segments[object.table as usize][object.segment as usize];
         let reaction = client
             .engine
             .as_mut()
             .expect("engine present")
-            .on_object(object, &payload);
+            .on_object(object, payload);
         client.charge(reaction.processing);
         client.busy = true;
         let at = now + reaction.processing;

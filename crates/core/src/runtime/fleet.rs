@@ -44,8 +44,11 @@ use super::protect::Breaker;
 use super::pump::DevicePump;
 
 /// N device pumps + the object → shard map.
-pub struct DeviceFleet {
-    pumps: Vec<DevicePump>,
+///
+/// Generic over the payload `P` its devices deliver, like
+/// [`DevicePump`]: the runtime's fleet is `DeviceFleet<()>`.
+pub struct DeviceFleet<P = Arc<Segment>> {
+    pumps: Vec<DevicePump<P>>,
     /// Preferred (primary) shard per object — the k = 1 routing map,
     /// probed once per GET.
     shard_of: HashMap<ObjectId, usize, FastBuild>,
@@ -84,13 +87,13 @@ pub struct DeviceFleet {
     pub(super) breaker: Option<Breaker>,
 }
 
-impl DeviceFleet {
+impl<P: Clone> DeviceFleet<P> {
     /// Assembles a fleet from per-shard devices and the placement map
     /// (single-replica: each object lives on exactly one shard).
     ///
     /// # Panics
     /// Panics on an empty fleet or a map entry pointing outside it.
-    pub fn new(devices: Vec<CsdDevice<Arc<Segment>>>, shard_of: HashMap<ObjectId, usize>) -> Self {
+    pub fn new(devices: Vec<CsdDevice<P>>, shard_of: HashMap<ObjectId, usize>) -> Self {
         Self::from_routes(devices, shard_of)
     }
 
@@ -99,7 +102,7 @@ impl DeviceFleet {
     /// simulator's cheap deterministic hasher (it is probed once per
     /// GET), so a caller that never had a `HashMap` need not build one.
     pub(crate) fn from_routes(
-        devices: Vec<CsdDevice<Arc<Segment>>>,
+        devices: Vec<CsdDevice<P>>,
         shard_of: impl IntoIterator<Item = (ObjectId, usize)>,
     ) -> Self {
         assert!(!devices.is_empty(), "a fleet needs at least one device");
@@ -136,7 +139,7 @@ impl DeviceFleet {
     /// Panics on an empty fleet, an empty replica list, or a replica
     /// outside the fleet.
     pub fn with_replicas(
-        devices: Vec<CsdDevice<Arc<Segment>>>,
+        devices: Vec<CsdDevice<P>>,
         replicas_of: HashMap<ObjectId, Vec<usize>>,
     ) -> Self {
         assert!(
@@ -247,12 +250,7 @@ impl DeviceFleet {
     /// Transfers that completed but whose wake-up notification was
     /// dropped are flushed into `completed` — the driver routes them
     /// like any retired batch (the data already arrived).
-    pub fn fail_shard(
-        &mut self,
-        shard: usize,
-        now: SimTime,
-        completed: &mut Vec<Delivery<Arc<Segment>>>,
-    ) {
+    pub fn fail_shard(&mut self, shard: usize, now: SimTime, completed: &mut Vec<Delivery<P>>) {
         assert!(
             !self.down[shard],
             "shard {shard} crashed while already down"
@@ -455,23 +453,18 @@ impl DeviceFleet {
     /// transfer the shard retired at that instant to the caller's
     /// reusable scratch buffer (nothing for switch completions and
     /// stale, superseded wake-ups).
-    pub fn on_wakeup_into(
-        &mut self,
-        shard: usize,
-        now: SimTime,
-        out: &mut Vec<Delivery<Arc<Segment>>>,
-    ) {
+    pub fn on_wakeup_into(&mut self, shard: usize, now: SimTime, out: &mut Vec<Delivery<P>>) {
         self.pumps[shard].on_wakeup_into(now, out);
     }
 
     /// Read access to every pump, in shard order.
-    pub fn pumps(&self) -> &[DevicePump] {
+    pub fn pumps(&self) -> &[DevicePump<P>] {
         &self.pumps
     }
 
     /// Consumes the fleet into its pumps, in shard order (end-of-run
     /// result assembly).
-    pub fn into_pumps(self) -> Vec<DevicePump> {
+    pub fn into_pumps(self) -> Vec<DevicePump<P>> {
         self.pumps
     }
 

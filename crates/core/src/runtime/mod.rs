@@ -230,8 +230,9 @@
 //!
 //! Each tier is a serialized pipe with its own bandwidth: concurrent
 //! hits queue behind a `free_at` cursor, so a hot burst is fast but not
-//! free. Residency is metadata-only — payloads stay `Arc`-shared with
-//! the store, so a "cached byte" costs an index entry, not a copy.
+//! free. Residency is metadata-only — no shard stores a payload (each
+//! engine borrows its segments from its tenant's dataset), so a
+//! "cached byte" costs an index entry, not a copy.
 //! Invariants, pinned by `tests/cache_tiers.rs` and the tiering smoke
 //! gates:
 //!
@@ -262,7 +263,12 @@
 //! `DeviceFleet::on_wakeup_into` into one scratch buffer owned by the
 //! `Runtime`, devices pool their request nodes in a seq-addressed slab
 //! and reuse transfer slots in place, and per-shard dirty flags keep
-//! untouched pumps O(1) per event — after warm-up the hot loop stays
+//! untouched pumps O(1) per event. Deliveries carry no payload: the
+//! fleet is a `DeviceFleet<()>` over metadata-only stores, a client's
+//! inbox holds object ids, and the driver lends the engine the segment
+//! from the client's own dataset when it processes one — so no
+//! reference count is touched per GET, on a hit, a watchdog
+//! redelivery or a failover. After warm-up the hot loop stays
 //! off the allocator (the full-stack benchmark under `benchmark/`
 //! counts `runtime.allocs_per_request` ≈ 0.08 on its 1 024 000-GET
 //! `batch_closed` workload; CI gates a ceiling on it).

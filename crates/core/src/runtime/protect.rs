@@ -408,7 +408,7 @@ impl Protection {
     /// the fleet) and consumption log.
     pub(crate) fn finish(
         self,
-        fleet: &DeviceFleet,
+        fleet: &DeviceFleet<()>,
     ) -> (ProtectionSummary, Vec<(usize, QueryId, ObjectId)>) {
         let mut summary = self.summary;
         summary.breaker_trips = fleet.breaker.as_ref().map_or(0, Breaker::trips);

@@ -63,7 +63,9 @@
 //! aborted transfers and re-routed by the fleet — a dead shard can
 //! never serve a stale hit). No cache installed (or zero capacity)
 //! leaves every structure `None`: the machine is byte-exactly the
-//! uncached one.
+//! uncached one. Residency is metadata-only: a hit hands back the
+//! object id, and the engine reads the bytes from its tenant's
+//! dataset like any other delivery.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -123,8 +125,14 @@ struct CacheState {
 }
 
 /// Wrapper pairing the device with its armed-wake-up instant.
-pub struct DevicePump {
-    device: CsdDevice<Arc<Segment>>,
+///
+/// Generic over the device's payload `P`, like the [`CsdDevice`] it
+/// wraps. The runtime drives `P = ()`: the device only decides *when*
+/// a GET completes, and the engine borrows the bytes from its tenant's
+/// dataset. The default `Arc<Segment>` keeps callers that name the bare
+/// type (the benchmark's replay mirror) carrying the payload.
+pub struct DevicePump<P = Arc<Segment>> {
+    device: CsdDevice<P>,
     /// The earliest pending completion a wake-up is armed for.
     /// Invariant: `Some(t)` ⇔ the device reported `t` as its earliest
     /// completion and no `on_wakeup_into(t)` has consumed it yet.
@@ -143,7 +151,7 @@ pub struct DevicePump {
     /// Live wake-ups handled so far (drop-ordinal matching).
     wakeup_count: u64,
     /// Deliveries withheld by a dropped wake-up, awaiting the watchdog.
-    parked: Vec<Delivery<Arc<Segment>>>,
+    parked: Vec<Delivery<P>>,
     /// Watchdog redelivery instant for the parked batch.
     redeliver_at: Option<SimTime>,
     /// Whether the redelivery wake-up event has been scheduled.
@@ -153,9 +161,9 @@ pub struct DevicePump {
     cache: Option<Box<CacheState>>,
 }
 
-impl DevicePump {
+impl<P: Clone> DevicePump<P> {
     /// Wraps `device`.
-    pub fn new(device: CsdDevice<Arc<Segment>>) -> Self {
+    pub fn new(device: CsdDevice<P>) -> Self {
         DevicePump {
             device,
             armed_at: None,
@@ -280,7 +288,7 @@ impl DevicePump {
     /// nothing. Appends nothing for a switch completion or a stale,
     /// superseded wake-up. Callers must [`DevicePump::poke`] again
     /// afterwards.
-    pub fn on_wakeup_into(&mut self, now: SimTime, out: &mut Vec<Delivery<Arc<Segment>>>) {
+    pub fn on_wakeup_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
         // Cache completions fire first, ahead of same-instant device
         // deliveries.
         self.pop_cache_ready(now, out);
@@ -335,9 +343,10 @@ impl DevicePump {
 
     /// Delivers every pending cache hit due at `now` (no-op while the
     /// cache wake-up armed for this instant is absent or superseded).
-    /// Payloads clone out of the device store — an `Arc` bump, so the
-    /// hit path allocates nothing once the heap and ledger are warm.
-    fn pop_cache_ready(&mut self, now: SimTime, out: &mut Vec<Delivery<Arc<Segment>>>) {
+    /// Payloads clone out of the device store — `()` in the runtime,
+    /// whose engines borrow the bytes from the dataset — so the hit
+    /// path allocates nothing once the heap and ledger are warm.
+    fn pop_cache_ready(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
         let Some(state) = self.cache.as_deref_mut() else {
             return;
         };
@@ -367,7 +376,7 @@ impl DevicePump {
 
     /// Fills the cache tiers from the miss deliveries in `out[start..]`
     /// (no-op when uncached). Runs at delivery-consumption time.
-    fn fill_from(&mut self, now: SimTime, out: &[Delivery<Arc<Segment>>], start: usize) {
+    fn fill_from(&mut self, now: SimTime, out: &[Delivery<P>], start: usize) {
         let Some(state) = self.cache.as_deref_mut() else {
             return;
         };
@@ -435,7 +444,7 @@ impl DevicePump {
         &mut self,
         now: SimTime,
         displaced: &mut Vec<PendingRequest>,
-        completed: &mut Vec<Delivery<Arc<Segment>>>,
+        completed: &mut Vec<Delivery<P>>,
     ) -> usize {
         assert!(!self.down, "shard crashed while already down");
         self.down = true;
@@ -551,13 +560,13 @@ impl DevicePump {
     }
 
     /// Read access to the wrapped device (metrics, trace, scheduler).
-    pub fn device(&self) -> &CsdDevice<Arc<Segment>> {
+    pub fn device(&self) -> &CsdDevice<P> {
         &self.device
     }
 
     /// Unwraps the device (end-of-run result assembly: the runtime takes
     /// spans and ledgers by move instead of cloning).
-    pub fn into_device(self) -> CsdDevice<Arc<Segment>> {
+    pub fn into_device(self) -> CsdDevice<P> {
         self.device
     }
 }

@@ -16,14 +16,12 @@
 //! microsecond-exactly.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use skipper_csd::cache::CacheConfig;
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectStore,
     PlacementPolicy, SchedPolicy,
 };
-use skipper_relational::segment::Segment;
 use skipper_sim::{SimDuration, TraceMode};
 
 use crate::config::CostModel;
@@ -326,7 +324,9 @@ impl Scenario {
             }
         });
 
-        let devices: Vec<CsdDevice<Arc<Segment>>> = (0..self.shards)
+        // Metadata-only stores: engines borrow their segments from the
+        // tenant's dataset (see the `driver` module doc).
+        let devices: Vec<CsdDevice<()>> = (0..self.shards)
             .map(|shard| {
                 // This shard's slice of every tenant's storage order.
                 let shard_tenant_objects: Vec<Vec<ObjectId>> = tenant_objects
@@ -339,16 +339,11 @@ impl Scenario {
                     })
                     .collect();
                 let layout = Layout::build(self.layout, &shard_tenant_objects);
-                let mut store: ObjectStore<Arc<Segment>> = ObjectStore::new();
+                let mut store: ObjectStore<()> = ObjectStore::new();
                 for (tenant, w) in workloads.iter().enumerate() {
                     for &id in &shard_tenant_objects[tenant] {
-                        let table = id.table as usize;
-                        store.put_with_layout(
-                            id,
-                            w.dataset.catalog.table(table).logical_bytes_per_segment,
-                            &layout,
-                            Arc::clone(&w.dataset.segments[table][id.segment as usize]),
-                        );
+                        let table = w.dataset.catalog.table(id.table as usize);
+                        store.put_with_layout(id, table.logical_bytes_per_segment, &layout, ());
                     }
                 }
                 let ov = self

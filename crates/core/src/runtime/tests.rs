@@ -7,6 +7,8 @@ use std::sync::Arc;
 use super::fleet::DeviceFleet;
 use super::pump::DevicePump;
 use super::*;
+use crate::config::CostModel;
+use crate::engine::{EngineStats, QueryEngine, Reaction};
 use skipper_csd::{
     CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LayoutPolicy, ObjectId, ObjectStore, QueryId,
     SchedPolicy,
@@ -15,6 +17,8 @@ use skipper_datagen::{tpch, Dataset, GenConfig};
 use skipper_relational::ops::reference;
 use skipper_relational::query::{results_approx_eq, QuerySpec};
 use skipper_relational::segment::Segment;
+use skipper_relational::tuple::Row;
+use skipper_relational::value::Value;
 use skipper_sim::{SimDuration, SimTime};
 
 /// SF-4 TPC-H: lineitem 4 + orders 1 = 5 objects per Q12 client.
@@ -1498,4 +1502,208 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
         "shard 1 recovery re-submitted out of arrival order"
     );
     assert!(fleet.is_quiescent());
+}
+
+// ---------------------------------------------------------------------
+// Delivery by reference: the device path carries no payload, and the
+// engine borrows each segment from its own tenant's dataset.
+
+/// Requests its query's whole working set at start and retains no
+/// payload. Every delivery must be the dataset's own `Arc`, with the
+/// reference count read before the run: nothing on the device path —
+/// store, cache hit, watchdog park, failover, hedge copy — may hold a
+/// second reference.
+struct IdentityEngine {
+    dataset: Arc<Dataset>,
+    /// `Arc::strong_count` of every `segments[table][segment]`.
+    counts: Arc<Vec<Vec<usize>>>,
+    requests: Vec<ObjectId>,
+    received: usize,
+}
+
+impl QueryEngine for IdentityEngine {
+    fn name(&self) -> &'static str {
+        "identity"
+    }
+
+    fn start(&mut self) -> Vec<ObjectId> {
+        self.requests.clone()
+    }
+
+    fn on_object(&mut self, object: ObjectId, payload: &Arc<Segment>) -> Reaction {
+        let (table, segment) = (object.table as usize, object.segment as usize);
+        assert!(
+            Arc::ptr_eq(payload, &self.dataset.segments[table][segment]),
+            "{object}: payload is not the dataset's segment"
+        );
+        assert_eq!(
+            Arc::strong_count(payload),
+            self.counts[table][segment],
+            "{object}: the device path holds a reference to the payload"
+        );
+        self.received += 1;
+        Reaction {
+            processing: SimDuration::from_millis(500),
+            requests: Vec::new(),
+            finished: self.received == self.requests.len(),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        self.received == self.requests.len()
+    }
+
+    fn result(&self) -> Vec<(Row, Vec<Value>)> {
+        Vec::new()
+    }
+
+    fn stats(&self) -> EngineStats {
+        EngineStats {
+            objects_received: self.received as u64,
+            ..Default::default()
+        }
+    }
+}
+
+/// Builds [`IdentityEngine`]s over one shared dataset. `owner` maps the
+/// building tenant to the tenant whose objects it requests (the
+/// identity for every legal engine).
+struct IdentityFactory {
+    dataset: Arc<Dataset>,
+    counts: Arc<Vec<Vec<usize>>>,
+    owner: fn(u16) -> u16,
+}
+
+impl IdentityFactory {
+    /// Reads every segment's reference count now — call right before
+    /// `Scenario::run`, after every other clone of the dataset.
+    fn new(dataset: &Arc<Dataset>, owner: fn(u16) -> u16) -> Self {
+        let counts = dataset
+            .segments
+            .iter()
+            .map(|table| table.iter().map(Arc::strong_count).collect())
+            .collect();
+        IdentityFactory {
+            dataset: Arc::clone(dataset),
+            counts: Arc::new(counts),
+            owner,
+        }
+    }
+}
+
+impl EngineFactory for IdentityFactory {
+    fn label(&self) -> &'static str {
+        "identity"
+    }
+
+    fn build(
+        &self,
+        tenant: u16,
+        dataset: &Dataset,
+        spec: QuerySpec,
+        _cost: CostModel,
+    ) -> Box<dyn QueryEngine> {
+        let owner = (self.owner)(tenant);
+        let requests = dataset
+            .query_table_indexes(&spec)
+            .into_iter()
+            .flat_map(|t| {
+                (0..dataset.catalog.table(t).segment_count)
+                    .map(move |s| ObjectId::new(owner, t as u16, s))
+            })
+            .collect();
+        Box::new(IdentityEngine {
+            dataset: Arc::clone(&self.dataset),
+            counts: Arc::clone(&self.counts),
+            requests,
+            received: 0,
+        })
+    }
+
+    fn preferred_scheduler(&self) -> SchedPolicy {
+        SchedPolicy::RankBased
+    }
+}
+
+/// Runs `tenants`, each on an [`IdentityFactory`] engine whose
+/// reference counts are read last, on the fleet `shape` configures.
+fn run_identity(
+    ds: &Arc<Dataset>,
+    tenants: Vec<Workload>,
+    owner: fn(u16) -> u16,
+    shape: impl Fn(Scenario) -> Scenario,
+) -> RunResult {
+    let factory: Arc<dyn EngineFactory> = Arc::new(IdentityFactory::new(ds, owner));
+    let tenants = tenants
+        .into_iter()
+        .map(|w| w.engine_arc(Arc::clone(&factory)))
+        .collect();
+    shape(Scenario::from_workloads(tenants)).run()
+}
+
+/// Objects the identity engines consumed over the whole run.
+fn objects_consumed(res: &RunResult) -> u64 {
+    res.records().map(|r| r.stats.objects_received).sum()
+}
+
+#[test]
+fn delivered_payload_is_the_datasets_arc_with_no_device_path_reference() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let working_set = ds.objects_for_query(&q) as u64;
+    let tenants = |hedge: Option<SimDuration>| -> Vec<Workload> {
+        (0..3)
+            .map(|i| {
+                let w = Workload::new(Arc::clone(&ds))
+                    .repeat_query(q.clone(), 3)
+                    .start_at(SimDuration::from_secs(30) * i);
+                match hedge {
+                    Some(h) => w.hedge_after(h),
+                    None => w,
+                }
+            })
+            .collect()
+    };
+
+    // A plain 4-shard closed loop: every delivery is a device completion.
+    let plain = run_identity(&ds, tenants(None), |tenant| tenant, |s| s.shards(4));
+    assert_eq!(objects_consumed(&plain), 3 * 3 * working_set);
+
+    // The plane combination of
+    // `hedging_over_shard_caches_conserves_consumption_through_faults`
+    // plus a dropped wake-up: cache hits, watchdog redeliveries,
+    // failover re-routes and hedge duplicates all reach the engine.
+    let faults = || {
+        FaultPlan::new()
+            .degraded(0, t(0), t(2_000), 0.05)
+            .shard_down(2, t(40), t(300))
+    };
+    let planes = |plan: FaultPlan| {
+        move |s: Scenario| {
+            s.shards(4)
+                .placement(replicated_rr(2))
+                .shard_cache(CacheConfig::two_tier(gib(1), gib(4)))
+                .faults(plan.clone())
+        }
+    };
+    let hedged = || tenants(Some(SimDuration::from_secs(5)));
+    let dropped = faults().drop_wakeup_after(1, 2, SimDuration::from_secs(20));
+    let res = run_identity(&ds, hedged(), |tenant| tenant, planes(dropped));
+    let undropped = run_identity(&ds, hedged(), |tenant| tenant, planes(faults()));
+    assert_eq!(objects_consumed(&res), 3 * 3 * working_set);
+    assert!(res.cache.hits() > 0, "no cache hit");
+    assert!(res.protection.hedges_fired > 0, "no hedge fired");
+    assert!(res.availability.failovers > 0, "no failover");
+    assert_ne!(res, undropped, "the dropped wake-up never fired");
+    assert_eq!(res.consumed_multiset(), plain.delivery_multiset());
+}
+
+#[test]
+#[should_panic(expected = "cross-tenant GET: object c1/t")]
+fn cross_tenant_get_is_rejected_loudly() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let tenants = vec![Workload::new(Arc::clone(&ds)).repeat_query(q, 1); 2];
+    // Tenant 0's engine requests tenant 1's objects, and vice versa.
+    run_identity(&ds, tenants, |tenant| tenant ^ 1, |s| s);
 }

@@ -198,7 +198,9 @@ pub struct Delivery<P> {
     pub query: QueryId,
     /// The delivered object.
     pub object: ObjectId,
-    /// The object payload (cloned out of the store; `Arc` in practice).
+    /// The object payload, cloned out of the store. The core runtime's
+    /// devices carry `()`: the engine borrows the segment from its
+    /// tenant's dataset instead.
     pub payload: P,
 }
 

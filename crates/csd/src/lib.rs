@@ -18,8 +18,11 @@
 //!   one-client-per-group, incremental), plus the device-level
 //!   [`PlacementPolicy`] dividing objects across the shards of a
 //!   multi-CSD fleet.
-//! * [`store`] — the object store holding real segment payloads behind a
-//!   GET interface.
+//! * [`store`] — the object store: per-object size and group placement
+//!   behind a GET interface, generic over the payload. The runtime's
+//!   shards store `()` — the bytes stay in each tenant's dataset and the
+//!   device only decides *when* a GET completes, as the paper's testbed
+//!   does by delaying Swift GETs.
 //! * [`sched`] — group-switch scheduling policies: object-FCFS,
 //!   query-FCFS, Max-Queries, and the paper's rank-based algorithm
 //!   `R(g) = N_g + K·ΣW_q(g)` with `K = 1` (§4.4) — all deciding over

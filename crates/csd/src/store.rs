@@ -1,9 +1,12 @@
-//! The object store: payloads + placement + sizing.
+//! The object store: placement + sizing, plus an optional payload.
 //!
 //! Plays the role of OpenStack Swift in the paper's testbed: a flat
 //! key–value store of GB-sized blobs fronting the MAID array. The store
-//! is generic over the payload type so this crate stays domain-free — the
-//! driver stores `Arc<Segment>`s, tests store strings.
+//! is generic over the payload type so this crate stays domain-free.
+//! The core runtime stores `()`: its engines read the bytes from their
+//! tenant's dataset, and the store holds only what the device model
+//! needs (size and group). Tests store strings; the full-stack
+//! benchmark's replay mirror stores `Arc<Segment>`s.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,8 +20,8 @@ use crate::object::{GroupId, ObjectId, ObjectMeta};
 /// ([`ObjectId`], `QueryId`, `GroupId`).
 ///
 /// Every map probed per simulated GET — the store (submit metadata,
-/// completion payload), the shard caches, the rank policy's waiting
-/// table, the fleet's routing maps — is built on it through
+/// the completion's payload probe), the shard caches, the rank policy's
+/// waiting table, the fleet's routing maps — is built on it through
 /// [`FastBuild`]. SipHash's per-lookup cost is measurable at
 /// million-request scale and buys nothing here: keys are trusted ids
 /// minted by the simulator, not attacker-controlled strings. FNV-1a
