@@ -274,8 +274,9 @@
 //! `batch_closed` workload; CI gates a ceiling on it).
 //! Scheduler decisions stay off the allocator too: policies fold over
 //! the queue's borrowed [`skipper_csd::sched::GroupLens`] aggregates
-//! instead of materializing per-group vectors, and the lazy-deletion
-//! heaps compact in place.
+//! instead of materializing per-group vectors, and the queue's
+//! residency runs, seq FIFOs and heaps are recycled and compacted in
+//! place.
 //!
 //! The loop is single-threaded by design: a delivery may trigger a
 //! submit at almost every event, so there is no window of independent
@@ -345,8 +346,9 @@
 //! # Scheduling hot-path complexity
 //!
 //! Each device's pending queue is the incrementally-indexed
-//! `skipper_csd::sched::RequestQueue`: submits, serves, and residency
-//! snapshots are O(log n) in queue depth, and scheduler decisions read
+//! `skipper_csd::sched::RequestQueue`: a submit is O(log n) in queue
+//! depth, a serve O(1) amortized (a residency is one sorted run drained
+//! by a cursor, sorted once per snapshot), and scheduler decisions read
 //! maintained per-group aggregates instead of rescanning the queue —
 //! so a run costs O(events · log depth), not O(events · depth). The
 //! contract is pinned two ways: the differential suite

@@ -465,12 +465,18 @@ impl<P: Clone> DevicePump<P> {
             state.armed = None;
             while let Some(Reverse(p)) = state.pending.pop() {
                 aborted += 1;
+                let (slot, _) = self
+                    .device
+                    .store()
+                    .resolve(p.object)
+                    .expect("cache hit on an object the shard stores");
                 displaced.push(PendingRequest {
                     object: p.object,
                     query: p.query,
                     client: p.client,
                     group: p.group,
                     bytes: p.bytes,
+                    slot,
                     arrival: now,
                     seq: p.seq,
                 });

@@ -56,9 +56,16 @@
 //!
 //! The pending queue is pluggable: the device is generic over
 //! [`RequestIndex`] and defaults to the incrementally-indexed
-//! [`RequestQueue`] (O(log n) per decision). The full-rescan
+//! [`RequestQueue`], which serves a residency from one sorted run
+//! (O(1) amortized per served request; the order is paid for once per
+//! arm). The full-rescan
 //! [`NaiveQueue`](crate::sched::NaiveQueue) plugs into the same slot for
 //! differential testing.
+//!
+//! Every per-GET fact is resolved once, at [`CsdDevice::submit`]: the
+//! object's group, size and store slot travel with the
+//! [`PendingRequest`], so neither dispatch nor completion probes the
+//! store's hash index again.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -208,9 +215,6 @@ pub struct Delivery<P> {
 #[derive(Clone, Debug)]
 struct TransferSlot {
     request: PendingRequest,
-    /// Logical size, captured at dispatch so completion does not pay a
-    /// second store lookup.
-    bytes: u64,
     started: SimTime,
     until: SimTime,
 }
@@ -405,9 +409,9 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// a harness bug.
     pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
         for &object in objects {
-            let meta = self
+            let (slot, meta) = self
                 .store
-                .meta(object)
+                .resolve(object)
                 .unwrap_or_else(|| panic!("GET for unknown object {object}"));
             self.queue.insert(PendingRequest {
                 object,
@@ -415,6 +419,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                 client,
                 group: meta.group,
                 bytes: meta.logical_bytes,
+                slot,
                 arrival: now,
                 seq: self.next_seq,
             });
@@ -473,9 +478,8 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                     };
                     let request = self.queue.remove(seq);
                     debug_assert_eq!(request.group, active, "serving off-group request");
-                    let bytes = request.bytes;
-                    self.queued_bytes -= bytes;
-                    let until = now + transfer_time(bytes, self.stream_bandwidth());
+                    self.queued_bytes -= request.bytes;
+                    let until = now + transfer_time(request.bytes, self.stream_bandwidth());
                     self.traces[slot].record(
                         now,
                         until,
@@ -485,7 +489,6 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                     );
                     self.slots[slot] = Some(TransferSlot {
                         request,
-                        bytes,
                         started: now,
                         until,
                     });
@@ -573,7 +576,6 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
             self.completions.pop();
             let TransferSlot {
                 request,
-                bytes,
                 started,
                 until,
             } = self.slots[slot]
@@ -583,23 +585,18 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
             self.in_flight -= 1;
             retired += 1;
             self.metrics.objects_served += 1;
-            self.metrics.logical_bytes_served += bytes;
+            self.metrics.logical_bytes_served += request.bytes;
             self.metrics.transfer_busy_micros += until.since(started).as_micros();
             self.metrics.note_served(request.client);
             if self.config.ledger_mode == LedgerMode::Full {
                 self.served_log
                     .push((request.client, request.query, request.object));
             }
-            let payload = self
-                .store
-                .get(request.object)
-                .expect("object exists")
-                .clone();
             out.push(Delivery {
                 client: request.client,
                 query: request.query,
                 object: request.object,
-                payload,
+                payload: self.store.payload(request.slot).clone(),
             });
         }
         assert!(
@@ -879,6 +876,7 @@ mod tests {
             client: 0,
             group: 0,
             bytes: 0,
+            slot: 0,
             arrival: SimTime::ZERO,
             seq,
         };

@@ -27,7 +27,8 @@
 //!   query-FCFS, Max-Queries, and the paper's rank-based algorithm
 //!   `R(g) = N_g + K·ΣW_q(g)` with `K = 1` (§4.4) — all deciding over
 //!   the incrementally-indexed request queue
-//!   ([`sched::queue::RequestQueue`], O(log n) per submit/serve; the
+//!   ([`sched::queue::RequestQueue`], O(log n) per submit and O(1)
+//!   amortized per serve; the
 //!   pre-index full-rescan [`sched::naive::NaiveQueue`] survives as the
 //!   differential-test reference).
 //! * [`device`] — the device state machine: request queue → pick group →

@@ -25,8 +25,8 @@
 //! [`QueueView`]: per-group aggregates ([`GroupStats`]), ordered lookups
 //! (globally-oldest request, a query's oldest request, the *k*-oldest
 //! window) and the residency snapshot — all maintained incrementally by
-//! the production [`RequestQueue`] in O(log n) per
-//! submit/serve. The pre-indexing full-rescan semantics survive as
+//! the production [`RequestQueue`] at O(1) amortized per serve and
+//! O(log n) per submit. The pre-indexing full-rescan semantics survive as
 //! [`NaiveQueue`], the reference implementation the
 //! differential tests run against.
 //!
@@ -62,10 +62,11 @@ use crate::object::{GroupId, ObjectId, QueryId};
 /// applied to "the set of active requests", so a steady stream of new
 /// arrivals cannot pin the device to one group forever.
 ///
-/// The production [`RequestQueue`] tracks residency
-/// as per-group membership sets updated O(log n) per request; this alias
-/// survives for the [`NaiveQueue`] reference
-/// implementation, which still probes a flat seq set per request.
+/// The production [`RequestQueue`] keeps no such set: a request is
+/// resident iff its seq is below its group's arm-time boundary, and the
+/// snapshot is served from one sorted run. This alias survives for the
+/// [`NaiveQueue`] reference implementation, which still probes a flat
+/// seq set per request.
 pub type Residency = HashSet<u64>;
 
 /// One queued GET request as seen by the scheduler.
@@ -82,6 +83,13 @@ pub struct PendingRequest {
     /// Logical object size, captured from the store at submit so the
     /// dispatch path never re-probes the store per event.
     pub bytes: u64,
+    /// The object's slot in the device's
+    /// [`ObjectStore`](crate::store::ObjectStore), resolved at submit
+    /// alongside `group` and `bytes` so the completion reads the payload
+    /// by index instead of probing the store again. Valid only on the
+    /// device that resolved it: a request re-routed to another shard is
+    /// resubmitted by object id and resolved afresh there.
+    pub slot: u32,
     /// When the request arrived at the device.
     pub arrival: SimTime,
     /// Global arrival sequence number (FIFO tie-break).
@@ -162,7 +170,7 @@ impl Default for InFlight {
 /// current residency. Policies return a declarative scope; the request
 /// queue resolves it — together with the device's
 /// [`IntraGroupOrder`](crate::device::IntraGroupOrder) — to a single
-/// request in O(log n) instead of materializing index lists.
+/// request without materializing index lists.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeScope {
     /// Every request of the residency snapshot still pending on the
@@ -446,6 +454,7 @@ pub(crate) mod testutil {
             client: tenant as usize,
             group,
             bytes: 0,
+            slot: 0,
             arrival: SimTime::from_secs(arrival_s),
             seq,
         }

@@ -3,46 +3,56 @@
 //! The scheduling hot path used to re-derive every decision from flat
 //! `Vec<PendingRequest>` rescans — O(n) per served object, O(n²) per
 //! run. [`RequestQueue`] maintains every fact the policies consult as a
-//! persistent index updated in O(log n) (mostly O(1) amortized) per
-//! submit/serve:
+//! persistent index, resolved once per request at insert and updated in
+//! O(1) amortized per serve (plus one search and shift of a sorted key
+//! array when a serve drains a group or query entry):
 //!
 //! * a **request slab** (`slab`) — a pooled ring of request nodes
 //!   indexed directly by the device's dense, monotone sequence numbers:
 //!   insert/remove/lookup and "globally oldest" are all O(1), and a
 //!   node's storage is recycled in place instead of churning allocator
-//!   nodes per request;
-//! * **per-group sub-queues** ordered by the device's intra-group
-//!   service key as *lazy-deletion min-heaps*, split into the *resident*
-//!   snapshot (the §4.4 non-preemption scope) and *fresh* post-snapshot
-//!   arrivals. Residency membership is a sequence-number boundary
-//!   (`seq < boundary` ∧ pending ⟺ resident — sound because the device
-//!   assigns seqs monotonically, so everything pending at arm time has
-//!   a smaller seq than anything arriving later), making `arm_residency`
-//!   a counter update plus one heap meld instead of a per-request set
-//!   move;
+//!   nodes per request. Each node also carries the arena handles of its
+//!   group, (group, query) and query index entries, so a serve updates
+//!   them directly and searches a sorted key array only when an entry
+//!   drains;
+//! * **per-group sub-queues** keyed by the device's intra-group service
+//!   key, split into the *residency run* (the §4.4 non-preemption
+//!   scope) and the *fresh* post-snapshot arrivals. Residency membership
+//!   is a sequence-number boundary (`seq < boundary` ∧ pending ⟺
+//!   resident — sound because the device assigns seqs monotonically, so
+//!   everything pending at arm time has a smaller seq than anything
+//!   arriving later). An insert appends its key to `fresh`;
+//!   `arm_residency` moves the live leftovers and the fresh keys into
+//!   one sorted run, and the residency is then served front to back by
+//!   a cursor that steps past entries already served through another
+//!   scope or cancelled. This is the one-pass drain of a mounted
+//!   cartridge: the order is paid for once per arm (`sort_unstable`,
+//!   in place, near-linear on the mostly-sorted input), not per GET;
 //! * **per-group aggregates** (the sorted distinct-query list, request
-//!   counts) kept exact on every mutation, plus a lazy oldest-seq heap —
-//!   a push per insert, with stale entries skipped (and compacted,
-//!   amortized O(1)) only when a switch decision actually needs the
-//!   tie-break. No arrival-time aggregate is maintained: no policy reads
-//!   one, so [`QueueView::group_aggregates`] derives it from a scan;
-//! * a **per-query index** answering "this query's oldest request" and
-//!   "which queries are present" for query-FCFS and the rank policy's
-//!   waiting-time bookkeeping, with the same lazy-heap trick.
+//!   counts) kept exact on every mutation, plus an ascending seq FIFO
+//!   whose live front is the group's oldest request — the device's seqs
+//!   are monotone, so an insert is an append. No arrival-time aggregate
+//!   is maintained: no policy reads one, so
+//!   [`QueueView::group_aggregates`] derives it from a scan;
+//! * a **per-query index** answering "this query's oldest request"
+//!   (the same seq FIFO) and "which queries are present" for query-FCFS
+//!   and the rank policy's waiting-time bookkeeping. Each (group, query)
+//!   entry keeps a lazy-deletion min-heap of its keys for query-FCFS's
+//!   serve scope, the only heap left on the path.
 //!
 //! Both keyed indexes are `PooledMap`s: a sorted key array over a
 //! *handle-addressed payload arena*. A group (or query) that appears
 //! and drains — once per GET under a pull-based client — moves one key
-//! and one 4-byte handle; its heaps stay where they are and go back on
+//! and one 4-byte handle; its vectors stay where they are and go back on
 //! a free list with their capacity intact. Together with the slab this
 //! is what makes the steady state allocate nothing per request
 //! (`crates/csd/tests/alloc_steady.rs` pins it at zero).
 //!
-//! Lazy deletion trades the old BTree-set removals (three ordered-set
-//! operations per served request) for heap pushes and amortized stale
-//! skipping: every entry is pushed once and popped at most once, and a
-//! heap is compacted when stale entries outnumber live ones 4:1, so the
-//! per-event cost is O(1) amortized heap work plus the O(log) pushes.
+//! Dead entries (served or cancelled requests whose keys or seqs are
+//! still stored) are skipped when they reach a front, and a fresh list,
+//! seq FIFO or heap is compacted in place once stale entries outnumber
+//! live ones 4:1, so every entry is stored once and dropped at most
+//! once.
 //!
 //! Contract: the device assigns strictly increasing sequence numbers
 //! and non-decreasing arrival times (test adapters may pre-load
@@ -67,9 +77,15 @@ fn seq_of(key: &OrderKey) -> u64 {
     key.3
 }
 
-/// Lazy-deletion min-heap threshold: compact once the heap holds more
-/// than this many entries *and* is mostly stale.
-const HEAP_COMPACT_MIN: usize = 16;
+/// Stale-entry threshold: compact a fresh list, seq FIFO or heap once it
+/// holds more than this many entries *and* is mostly stale.
+const COMPACT_MIN: usize = 16;
+
+/// True when a store of `len` entries, `live` of them live, is due for
+/// compaction.
+fn mostly_stale(len: usize, live: usize) -> bool {
+    len > COMPACT_MIN && len > live.saturating_mul(4)
+}
 
 /// A recyclable index payload: reset to the empty state while keeping
 /// every backing allocation (heap arrays, nested pools) for reuse.
@@ -82,11 +98,13 @@ trait Recycle: Default {
 /// `keys` is the live key set in ascending order and `handles[i]` names
 /// the arena slot holding `keys[i]`'s payload, so a lookup is a binary
 /// search over a dense key array and an insert or remove shifts keys
-/// and 4-byte handles only. Payloads — a few hundred bytes of heap
-/// headers each — never move: a drained entry's slot is reset in place
-/// ([`Recycle`], every backing allocation kept) and its handle parked
-/// on `free` for the next insert. Every arena slot is therefore named
-/// by exactly one entry of `handles` or exactly one entry of `free`.
+/// and 4-byte handles only. Payloads never move, so a handle stays
+/// valid for as long as its entry is live: the request nodes store them
+/// and reach their entries without a search. A drained entry's slot is
+/// reset in place ([`Recycle`], every backing allocation kept) and its
+/// handle parked on `free` for the next insert. Every arena slot is
+/// therefore named by exactly one entry of `handles` or exactly one
+/// entry of `free`.
 ///
 /// The maps hold one entry per *distinct pending* group or query. A
 /// pull-based client creates and drains such an entry once per GET, on
@@ -112,33 +130,29 @@ impl<K: Ord + Copy, V: Recycle> Default for PooledMap<K, V> {
 }
 
 impl<K: Ord + Copy, V: Recycle> PooledMap<K, V> {
-    /// The position of `key` in key order, if present. Positions stay
-    /// valid until the next insert or remove.
-    fn position(&self, key: &K) -> Option<usize> {
-        self.keys.binary_search(key).ok()
+    /// The arena handle of `key`'s entry, if present.
+    fn handle(&self, key: &K) -> Option<u32> {
+        let pos = self.keys.binary_search(key).ok()?;
+        Some(self.handles[pos])
     }
 
-    fn at(&self, pos: usize) -> &V {
-        &self.arena[self.handles[pos] as usize]
+    fn by_handle(&self, handle: u32) -> &V {
+        &self.arena[handle as usize]
     }
 
-    fn at_mut(&mut self, pos: usize) -> &mut V {
-        &mut self.arena[self.handles[pos] as usize]
+    fn by_handle_mut(&mut self, handle: u32) -> &mut V {
+        &mut self.arena[handle as usize]
     }
 
     fn get(&self, key: &K) -> Option<&V> {
-        self.position(key).map(|pos| self.at(pos))
+        self.handle(key).map(|h| self.by_handle(h))
     }
 
-    fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.position(key).map(|pos| self.at_mut(pos))
-    }
-
-    /// The entry for `key`, inserting an empty (pool-recycled) payload
-    /// if absent.
-    fn entry_or_default(&mut self, key: K) -> &mut V {
-        let pos = match self.keys.binary_search(&key) {
-            Ok(pos) => pos,
+    /// The handle of `key`'s entry, inserting an empty (pool-recycled)
+    /// payload if absent.
+    fn handle_or_insert(&mut self, key: K) -> u32 {
+        match self.keys.binary_search(&key) {
+            Ok(pos) => self.handles[pos],
             Err(pos) => {
                 let handle = self.free.pop().unwrap_or_else(|| {
                     self.arena.push(V::default());
@@ -146,14 +160,17 @@ impl<K: Ord + Copy, V: Recycle> PooledMap<K, V> {
                 });
                 self.keys.insert(pos, key);
                 self.handles.insert(pos, handle);
-                pos
+                handle
             }
-        };
-        self.at_mut(pos)
+        }
     }
 
-    /// Removes the entry at `pos`, recycling its payload into the pool.
-    fn remove_at(&mut self, pos: usize) {
+    /// Removes `key`'s entry, recycling its payload into the pool.
+    fn remove(&mut self, key: &K) {
+        let pos = self
+            .keys
+            .binary_search(key)
+            .expect("index out of sync at drain");
         self.keys.remove(pos);
         let handle = self.handles.remove(pos);
         self.arena[handle as usize].recycle();
@@ -202,6 +219,19 @@ impl<K: Ord + Copy, V: Recycle> PooledMap<K, V> {
     }
 }
 
+/// One pending request plus the arena handles of the index entries it
+/// counts in, resolved at insert.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    request: PendingRequest,
+    /// Its entry in [`RequestQueue::groups`].
+    group: u32,
+    /// Its entry in that group's `by_query`.
+    group_query: u32,
+    /// Its entry in [`RequestQueue::queries`].
+    query: u32,
+}
+
 /// A pooled slab of pending-request nodes, indexed by sequence number.
 ///
 /// Device sequence numbers are dense and monotone, so `seq - base` maps
@@ -211,35 +241,37 @@ impl<K: Ord + Copy, V: Recycle> PooledMap<K, V> {
 /// front is kept trimmed so `front()` never scans.
 #[derive(Debug, Default)]
 struct Slab {
-    nodes: VecDeque<Option<PendingRequest>>,
+    nodes: VecDeque<Option<Node>>,
     /// Sequence number of `nodes[0]`.
     base: u64,
     live: usize,
 }
 
 impl Slab {
-    fn insert(&mut self, r: PendingRequest) {
+    fn insert(&mut self, node: Node) {
+        let seq = node.request.seq;
         if self.nodes.is_empty() {
-            self.base = r.seq;
-        } else if r.seq < self.base {
+            self.base = seq;
+        } else if seq < self.base {
             // Out-of-order low seq (test adapters); grow the front.
-            for _ in 0..(self.base - r.seq) {
+            for _ in 0..(self.base - seq) {
                 self.nodes.push_front(None);
             }
-            self.base = r.seq;
+            self.base = seq;
         }
-        let idx = (r.seq - self.base) as usize;
+        let idx = (seq - self.base) as usize;
         if idx >= self.nodes.len() {
             self.nodes.resize(idx + 1, None);
         }
-        let prev = self.nodes[idx].replace(r);
-        assert!(prev.is_none(), "duplicate request seq {}", r.seq);
+        let prev = self.nodes[idx].replace(node);
+        assert!(prev.is_none(), "duplicate request seq {seq}");
         self.live += 1;
     }
 
-    fn remove(&mut self, seq: u64) -> PendingRequest {
-        let r = self
-            .get_mut(seq)
+    fn remove(&mut self, seq: u64) -> Node {
+        let node = seq
+            .checked_sub(self.base)
+            .and_then(|idx| self.nodes.get_mut(idx as usize))
             .and_then(Option::take)
             .unwrap_or_else(|| panic!("removing unknown request seq {seq}"));
         self.live -= 1;
@@ -253,17 +285,12 @@ impl Slab {
                 self.base += 1;
             }
         }
-        r
-    }
-
-    fn get_mut(&mut self, seq: u64) -> Option<&mut Option<PendingRequest>> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        self.nodes.get_mut(idx)
+        node
     }
 
     fn get(&self, seq: u64) -> Option<&PendingRequest> {
         let idx = seq.checked_sub(self.base)? as usize;
-        self.nodes.get(idx)?.as_ref()
+        self.nodes.get(idx)?.as_ref().map(|n| &n.request)
     }
 
     fn contains(&self, seq: u64) -> bool {
@@ -280,13 +307,18 @@ impl Slab {
     /// trimmed on every remove).
     fn front(&self) -> Option<&PendingRequest> {
         debug_assert!(self.live == 0 || self.nodes.front().is_some_and(Option::is_some));
-        self.nodes.front()?.as_ref()
+        self.nodes.front()?.as_ref().map(|n| &n.request)
     }
 
-    /// Live requests in seq order (front-trimmed; interior holes are
+    /// Live nodes in seq order (front-trimmed; interior holes are
     /// skipped).
-    fn iter(&self) -> impl Iterator<Item = &PendingRequest> {
+    fn nodes(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter_map(Option::as_ref)
+    }
+
+    /// Live requests in seq order.
+    fn iter(&self) -> impl Iterator<Item = &PendingRequest> {
+        self.nodes().map(|n| &n.request)
     }
 
     fn len(&self) -> usize {
@@ -294,11 +326,49 @@ impl Slab {
     }
 }
 
+/// The ascending seqs of one index entry's requests, with served ones
+/// dropped lazily: the front is always live, so it is the entry's
+/// oldest request. Device seqs are monotone, so a push is an append;
+/// only out-of-order test preloads take the sorted insert.
+#[derive(Debug, Default)]
+struct SeqFifo(VecDeque<u64>);
+
+impl SeqFifo {
+    fn push(&mut self, seq: u64) {
+        if self.0.back().is_some_and(|&last| last > seq) {
+            let at = self.0.partition_point(|&s| s < seq);
+            self.0.insert(at, seq);
+        } else {
+            self.0.push_back(seq);
+        }
+    }
+
+    fn front(&self) -> Option<u64> {
+        self.0.front().copied()
+    }
+
+    /// Drops `seq`, which just left the queue (`live` no longer holds
+    /// for it), with `live_count` entries left: trims the front past
+    /// dead seqs, or compacts in place once dead ones dominate.
+    fn served(&mut self, seq: u64, live_count: usize, live: impl Fn(u64) -> bool) {
+        if self.front() == Some(seq) {
+            while self.front().is_some_and(|s| !live(s)) {
+                self.0.pop_front();
+            }
+        } else if mostly_stale(self.0.len(), live_count) {
+            self.0.retain(|&s| live(s));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// A lazy-deletion min-heap over keys whose liveness the owner checks
 /// at read time. Pushes are O(log n) with no matching remove cost;
 /// stale tops are popped (and the whole heap compacted when mostly
-/// stale) only when the minimum is actually read — which for the
-/// aggregates below happens at switch decision points, not per event.
+/// stale) only when the minimum is actually read.
 #[derive(Debug, Default)]
 struct LazyMinHeap<K: Ord + Copy> {
     heap: RefCell<BinaryHeap<Reverse<K>>>,
@@ -321,11 +391,6 @@ impl<K: Ord + Copy> LazyMinHeap<K> {
         None
     }
 
-    /// Melds `other`'s entries into this heap (the residency arm).
-    fn append(&mut self, other: &mut Self) {
-        self.heap.get_mut().append(other.heap.get_mut());
-    }
-
     /// Empties the heap, keeping its backing array for reuse.
     fn clear(&mut self) {
         self.heap.get_mut().clear();
@@ -340,7 +405,7 @@ impl<K: Ord + Copy> LazyMinHeap<K> {
     /// steady-state allocs/event churn the pooled maps exist to avoid.
     fn maybe_compact(&mut self, live_count: usize, live: impl Fn(K) -> bool) {
         let heap = self.heap.get_mut();
-        if heap.len() > HEAP_COMPACT_MIN && heap.len() > live_count.saturating_mul(4) {
+        if mostly_stale(heap.len(), live_count) {
             heap.retain(|&Reverse(k)| live(k));
         }
     }
@@ -349,13 +414,18 @@ impl<K: Ord + Copy> LazyMinHeap<K> {
 /// One disk group's sub-queue and aggregates.
 #[derive(Debug, Default)]
 struct GroupQueue {
-    /// Intra-order heap of the residency snapshot (plus lazily-skipped
-    /// served leftovers). Only the active group's heap is consulted;
-    /// other groups keep leftovers from an earlier residency, exactly
-    /// like the historical per-group snapshot sets.
-    resident: LazyMinHeap<OrderKey>,
-    /// Intra-order heap of post-snapshot arrivals.
-    fresh: LazyMinHeap<OrderKey>,
+    /// The residency run: the snapshot's keys in intra-group order,
+    /// served from `cursor`. Invariant: `run[cursor]` (when in range)
+    /// is live, so it is the next request of the residency. Only the
+    /// active group's run is consulted; other groups keep leftovers
+    /// from an earlier residency, exactly like the historical
+    /// per-group snapshot sets.
+    run: Vec<OrderKey>,
+    /// First entry of `run` not yet served.
+    cursor: usize,
+    /// Keys of post-snapshot arrivals, in arrival order (stale entries
+    /// dropped at arm or by compaction).
+    fresh: Vec<OrderKey>,
     /// Residency boundary: a pending request is resident iff its seq is
     /// below this (set to the slab's upper seq at arm time).
     boundary: u64,
@@ -364,22 +434,48 @@ struct GroupQueue {
     resident_count: usize,
     /// Pending request count on this group.
     count: usize,
-    /// Lazy oldest-seq aggregate.
-    min_seq: LazyMinHeap<u64>,
+    /// Oldest-seq aggregate.
+    seqs: SeqFifo,
     /// Per-query presence count and intra-order heap (distinct-query
     /// aggregates and the query-FCFS serve scope); its key array is the
     /// sorted distinct-query list a [`GroupLens`] borrows.
     by_query: PooledMap<QueryId, QueryHeap>,
 }
 
+impl GroupQueue {
+    /// Rebuilds the run from the live leftovers past the cursor plus
+    /// every live fresh arrival, sorted, with the cursor reset. Both
+    /// vectors keep their capacity and `sort_unstable` sorts in place,
+    /// so a warm re-arm never touches the allocator.
+    fn rebuild_run(&mut self, live: impl Fn(u64) -> bool) {
+        let served = self.cursor;
+        self.run.append(&mut self.fresh);
+        let mut at = 0;
+        self.run.retain(|k| {
+            at += 1;
+            at > served && live(seq_of(k))
+        });
+        self.run.sort_unstable();
+        self.cursor = 0;
+    }
+
+    /// Keeps `run[cursor]` live after a resident left the queue.
+    fn skip_served(&mut self, live: impl Fn(u64) -> bool) {
+        while self.run.get(self.cursor).is_some_and(|k| !live(seq_of(k))) {
+            self.cursor += 1;
+        }
+    }
+}
+
 impl Recycle for GroupQueue {
     fn recycle(&mut self) {
-        self.resident.clear();
+        self.run.clear();
+        self.cursor = 0;
         self.fresh.clear();
         self.boundary = 0;
         self.resident_count = 0;
         self.count = 0;
-        self.min_seq.clear();
+        self.seqs.clear();
         self.by_query.recycle_all();
     }
 }
@@ -403,14 +499,14 @@ impl Recycle for QueryHeap {
 struct QueryEntry {
     /// Pending request count for this query (across groups).
     count: usize,
-    /// Lazy oldest-seq aggregate for [`QueueView::oldest_of_query`].
-    min_seq: LazyMinHeap<u64>,
+    /// Oldest-seq aggregate for [`QueueView::oldest_of_query`].
+    seqs: SeqFifo,
 }
 
 impl Recycle for QueryEntry {
     fn recycle(&mut self) {
         self.count = 0;
-        self.min_seq.clear();
+        self.seqs.clear();
     }
 }
 
@@ -487,6 +583,10 @@ pub struct RequestQueue {
     groups: PooledMap<GroupId, GroupQueue>,
     /// Per-query presence (oldest-of-query, query iteration).
     queries: PooledMap<QueryId, QueryEntry>,
+    /// The group the last residency was armed on and its arena handle,
+    /// while that entry is live: `select` and `resident_len` on the
+    /// active group skip the group search.
+    armed: Option<(GroupId, u32)>,
 }
 
 impl RequestQueue {
@@ -507,10 +607,20 @@ impl RequestQueue {
         self.intra.key(r)
     }
 
+    /// Group `g`'s sub-queue, through the armed handle when `g` is the
+    /// armed group.
+    fn group(&self, g: GroupId) -> Option<&GroupQueue> {
+        match self.armed {
+            Some((armed, handle)) if armed == g => Some(self.groups.by_handle(handle)),
+            _ => self.groups.get(&g),
+        }
+    }
+
     /// Test self-check: rebuilds every maintained count — total,
     /// per-group pending and resident, per-(group, query) and per-query
-    /// — from a slab scan, asserts the indexes agree, and checks the
-    /// handle bookkeeping of every arena (pooled payloads included:
+    /// — from a slab scan, asserts the indexes agree (node handles,
+    /// residency runs, fresh lists and seq FIFOs included), and checks
+    /// the handle bookkeeping of every arena (pooled payloads included:
     /// they must have been reset).
     #[cfg(test)]
     pub(crate) fn recount(&self) {
@@ -520,22 +630,64 @@ impl RequestQueue {
             count: usize,
             resident: usize,
             by_query: BTreeMap<QueryId, usize>,
+            resident_keys: Vec<OrderKey>,
+            fresh_keys: Vec<OrderKey>,
+            seqs: Vec<u64>,
         }
         let mut groups: BTreeMap<GroupId, Group> = BTreeMap::new();
-        let mut queries: BTreeMap<QueryId, usize> = BTreeMap::new();
-        for r in self.slab.iter() {
-            let boundary = self.groups.get(&r.group).map_or(0, |gq| gq.boundary);
+        let mut queries: BTreeMap<QueryId, Vec<u64>> = BTreeMap::new();
+        for node in self.slab.nodes() {
+            let r = &node.request;
+            assert_eq!(
+                self.groups.handle(&r.group),
+                Some(node.group),
+                "group handle"
+            );
+            let gq = self.groups.by_handle(node.group);
+            assert_eq!(gq.by_query.handle(&r.query), Some(node.group_query));
+            assert_eq!(self.queries.handle(&r.query), Some(node.query));
             let g = groups.entry(r.group).or_default();
             g.count += 1;
-            g.resident += usize::from(r.seq < boundary);
+            if r.seq < gq.boundary {
+                g.resident += 1;
+                g.resident_keys.push(self.key(r));
+            } else {
+                g.fresh_keys.push(self.key(r));
+            }
+            g.seqs.push(r.seq);
             *g.by_query.entry(r.query).or_default() += 1;
-            *queries.entry(r.query).or_default() += 1;
+            queries.entry(r.query).or_default().push(r.seq);
         }
+        let live = |s: u64| self.slab.contains(s);
+        let live_seqs = |fifo: &SeqFifo| -> Vec<u64> {
+            assert!(fifo.0.iter().is_sorted(), "seq FIFO out of order");
+            assert!(fifo.front().is_none_or(live), "seq FIFO front is stale");
+            fifo.0.iter().copied().filter(|&s| live(s)).collect()
+        };
         assert_eq!(self.slab.len(), self.slab.iter().count());
         assert!(self.groups.keys().iter().eq(groups.keys()), "group keys");
-        for ((g, gq), want) in self.groups.iter().zip(groups.values()) {
+        for ((g, gq), want) in self.groups.iter().zip(groups.values_mut()) {
             assert_eq!(gq.count, want.count, "count of group {g}");
             assert_eq!(gq.resident_count, want.resident, "residents of group {g}");
+            let run = &gq.run[gq.cursor..];
+            assert!(run.is_sorted(), "run of group {g} unsorted");
+            assert!(
+                run.first().is_none_or(|k| live(seq_of(k))),
+                "run cursor of group {g} on a served entry"
+            );
+            let run_live: Vec<OrderKey> = run.iter().copied().filter(|k| live(seq_of(k))).collect();
+            want.resident_keys.sort_unstable();
+            assert_eq!(run_live, want.resident_keys, "run of group {g}");
+            let mut fresh_live: Vec<OrderKey> = gq
+                .fresh
+                .iter()
+                .copied()
+                .filter(|k| live(seq_of(k)))
+                .collect();
+            fresh_live.sort_unstable();
+            want.fresh_keys.sort_unstable();
+            assert_eq!(fresh_live, want.fresh_keys, "fresh keys of group {g}");
+            assert_eq!(live_seqs(&gq.seqs), want.seqs, "seqs of group {g}");
             assert!(
                 gq.by_query.keys().iter().eq(want.by_query.keys()),
                 "query keys of group {g}"
@@ -545,8 +697,12 @@ impl RequestQueue {
             }
         }
         assert!(self.queries.keys().iter().eq(queries.keys()), "query keys");
-        for ((q, entry), &n) in self.queries.iter().zip(queries.values()) {
-            assert_eq!(entry.count, n, "count of {q}");
+        for ((q, entry), seqs) in self.queries.iter().zip(queries.values()) {
+            assert_eq!(entry.count, seqs.len(), "count of {q}");
+            assert_eq!(&live_seqs(&entry.seqs), seqs, "seqs of {q}");
+        }
+        if let Some((g, handle)) = self.armed {
+            assert_eq!(self.groups.handle(&g), Some(handle), "stale armed handle");
         }
         self.groups.check_handles();
         self.queries.check_handles();
@@ -567,13 +723,14 @@ impl RequestIndex for RequestQueue {
             slab: Slab::default(),
             groups: PooledMap::default(),
             queries: PooledMap::default(),
+            armed: None,
         }
     }
 
     fn insert(&mut self, request: PendingRequest) {
         let key = self.key(&request);
-        self.slab.insert(request);
-        let group = self.groups.entry_or_default(request.group);
+        let group_handle = self.groups.handle_or_insert(request.group);
+        let group = self.groups.by_handle_mut(group_handle);
         // The boundary representation of residency needs post-arm
         // arrivals to carry newer seqs — the device's monotone
         // assignment guarantees it.
@@ -585,93 +742,86 @@ impl RequestIndex for RequestQueue {
         );
         group.fresh.push(key);
         group.count += 1;
-        group.min_seq.push(request.seq);
-        let per_query = group.by_query.entry_or_default(request.query);
+        group.seqs.push(request.seq);
+        let group_query = group.by_query.handle_or_insert(request.query);
+        let per_query = group.by_query.by_handle_mut(group_query);
         per_query.count += 1;
         per_query.heap.push(key);
-        let query = self.queries.entry_or_default(request.query);
+        let query_handle = self.queries.handle_or_insert(request.query);
+        let query = self.queries.by_handle_mut(query_handle);
         query.count += 1;
-        query.min_seq.push(request.seq);
+        query.seqs.push(request.seq);
+        self.slab.insert(Node {
+            request,
+            group: group_handle,
+            group_query,
+            query: query_handle,
+        });
     }
 
     fn remove(&mut self, seq: u64) -> PendingRequest {
-        let request = self.slab.remove(seq);
-        // Liveness for the amortized stale-entry cleanup is slab
-        // presence (sequence numbers are never reused).
+        let node = self.slab.remove(seq);
+        let request = node.request;
+        // Liveness for the stale-entry skips is slab presence
+        // (sequence numbers are never reused).
         let slab = &self.slab;
-        let gpos = self
-            .groups
-            .position(&request.group)
-            .expect("group index out of sync");
-        let group = self.groups.at_mut(gpos);
+        let live = |s: u64| slab.contains(s);
+        let group = self.groups.by_handle_mut(node.group);
         group.count -= 1;
-        if seq < group.boundary {
-            group.resident_count -= 1;
-        }
         if group.count == 0 {
-            self.groups.remove_at(gpos);
+            self.groups.remove(&request.group);
+            if self.armed.is_some_and(|(_, h)| h == node.group) {
+                self.armed = None;
+            }
         } else {
-            let qpos = group
-                .by_query
-                .position(&request.query)
-                .expect("per-query index out of sync");
-            let per_query = group.by_query.at_mut(qpos);
+            if seq < group.boundary {
+                group.resident_count -= 1;
+                group.skip_served(live);
+            } else if mostly_stale(group.fresh.len(), group.count - group.resident_count) {
+                group.fresh.retain(|k| live(seq_of(k)));
+            }
+            group.seqs.served(seq, group.count, live);
+            let per_query = group.by_query.by_handle_mut(node.group_query);
             per_query.count -= 1;
             if per_query.count == 0 {
-                group.by_query.remove_at(qpos);
+                group.by_query.remove(&request.query);
             } else {
                 per_query
                     .heap
-                    .maybe_compact(per_query.count, |k| slab.contains(seq_of(&k)));
+                    .maybe_compact(per_query.count, |k| live(seq_of(&k)));
             }
-            let fresh_live = group.count - group.resident_count;
-            group
-                .resident
-                .maybe_compact(group.resident_count, |k| slab.contains(seq_of(&k)));
-            group
-                .fresh
-                .maybe_compact(fresh_live, |k| slab.contains(seq_of(&k)));
-            group
-                .min_seq
-                .maybe_compact(group.count, |s| slab.contains(s));
         }
-        let qpos = self
-            .queries
-            .position(&request.query)
-            .expect("query index out of sync");
-        let query = self.queries.at_mut(qpos);
+        let query = self.queries.by_handle_mut(node.query);
         query.count -= 1;
         if query.count == 0 {
-            self.queries.remove_at(qpos);
+            self.queries.remove(&request.query);
         } else {
-            query
-                .min_seq
-                .maybe_compact(query.count, |s| slab.contains(s));
+            query.seqs.served(seq, query.count, live);
         }
         request
     }
 
     fn arm_residency(&mut self, group: GroupId) {
-        if let Some(g) = self.groups.get_mut(&group) {
-            // Everything currently pending becomes resident: the
-            // boundary moves past every assigned seq and the fresh heap
-            // melds into the resident heap (each entry melds at most
-            // once — fresh drains wholesale).
-            g.boundary = self.slab.upper_seq();
+        // Everything currently pending becomes resident: the boundary
+        // moves past every assigned seq and the fresh keys fold into a
+        // new sorted run (each key is folded in at most once — fresh
+        // drains wholesale).
+        self.armed = self.groups.handle(&group).map(|h| (group, h));
+        if let Some((_, handle)) = self.armed {
+            let slab = &self.slab;
+            let g = self.groups.by_handle_mut(handle);
+            g.boundary = slab.upper_seq();
             g.resident_count = g.count;
-            let mut fresh = std::mem::take(&mut g.fresh);
-            g.resident.append(&mut fresh);
-            g.fresh = fresh;
+            g.rebuild_run(|s| slab.contains(s));
+            debug_assert_eq!(g.run.len(), g.count, "residency run lost a request");
         }
     }
 
     fn select(&self, scope: ServeScope, active: GroupId) -> Option<u64> {
         match scope {
             ServeScope::Residency => {
-                let g = self.groups.get(&active)?;
-                g.resident
-                    .min_live(|k| self.slab.contains(seq_of(&k)))
-                    .map(|k| seq_of(&k))
+                let g = self.group(active)?;
+                g.run.get(g.cursor).map(seq_of)
             }
             ServeScope::OldestObject => {
                 let r = self.slab.front()?;
@@ -679,8 +829,7 @@ impl RequestIndex for RequestQueue {
             }
             ServeScope::OldestQuery => {
                 let oldest_query = self.slab.front()?.query;
-                self.groups
-                    .get(&active)?
+                self.group(active)?
                     .by_query
                     .get(&oldest_query)?
                     .heap
@@ -708,29 +857,22 @@ impl QueueView for RequestQueue {
     }
 
     fn oldest_of_query(&self, q: QueryId) -> Option<PendingRequest> {
-        let seq = self
-            .queries
-            .get(&q)?
-            .min_seq
-            .min_live(|s| self.slab.contains(s))?;
+        let seq = self.queries.get(&q)?.seqs.front()?;
         self.slab.get(seq).copied()
     }
 
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool {
         self.groups
             .get(&g)
-            .is_some_and(|gq| gq.by_query.position(&q).is_some())
+            .is_some_and(|gq| gq.by_query.handle(&q).is_some())
     }
 
     fn oldest_seq_on(&self, g: GroupId) -> Option<u64> {
-        self.groups
-            .get(&g)?
-            .min_seq
-            .min_live(|s| self.slab.contains(s))
+        self.groups.get(&g)?.seqs.front()
     }
 
     fn resident_len(&self, g: GroupId) -> usize {
-        self.groups.get(&g).map_or(0, |gq| gq.resident_count)
+        self.group(g).map_or(0, |gq| gq.resident_count)
     }
 
     fn for_each_group(&self, visit: &mut dyn FnMut(GroupId, &GroupLens<'_>)) {
@@ -890,8 +1032,8 @@ mod tests {
     #[test]
     fn lazy_aggregates_survive_churn() {
         // Drive enough insert/remove churn through one group that the
-        // lazy heaps go through several compactions, and check the
-        // aggregates stay exact throughout.
+        // seq FIFOs, fresh list and heaps go through several
+        // compactions, and check the aggregates stay exact throughout.
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         let mut live: Vec<u64> = Vec::new();
         let mut next_seq = 0u64;
@@ -926,7 +1068,7 @@ mod tests {
     fn residency_counter_tracks_out_of_order_serves() {
         // Serve residents from the middle of the snapshot (the slack /
         // oldest-query scopes do this) and check resident_len and
-        // select(Residency) stay exact past heap compactions.
+        // select(Residency) stay exact as the run's cursor skips them.
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         for seq in 0..40u64 {
             q.insert(req(1, 0, 0, seq as u32, seq, seq));
@@ -1053,6 +1195,106 @@ mod tests {
         assert_eq!(indexed.oldest_of_query(victim), None);
         assert!(indexed.oldest_of_query(QueryId::new(1, 0)).is_some());
         assert!(indexed.oldest_of_query(QueryId::new(0, 1)).is_some());
+    }
+
+    #[test]
+    fn random_serves_and_cancels_agree_with_naive() {
+        // A seeded op mix over four groups — inserts, arms, residency
+        // serves, serves through the other scopes, query and object
+        // cancels — applied to both queues. Every answer must agree and
+        // the indexes must match a recount after every op. Cancels are
+        // classified as they land, and the run must have cancelled
+        // residents of the armed group (the run's dead-entry skip),
+        // fresh arrivals on it (dropped at the next arm) and requests
+        // on other groups.
+        use crate::sched::naive::NaiveQueue;
+        use skipper_sim::rng::splitmix64;
+        let mut state = 0x5EED_u64;
+        let mut draw = |n: u64| splitmix64(&mut state) % n;
+        let intra = IntraGroupOrder::SemanticRoundRobin;
+        let mut indexed = queue(&[]);
+        let mut naive = NaiveQueue::from_requests(intra, []);
+        let (mut next_seq, mut armed, mut boundary) = (0u64, None, 0u64);
+        let mut cancelled = [0usize; 3]; // resident, fresh, other group
+        for _ in 0..4_000 {
+            match draw(10) {
+                0..=3 => {
+                    let r = req(
+                        draw(4) as u32,
+                        draw(3) as u16,
+                        draw(2) as u32,
+                        draw(6) as u32,
+                        next_seq,
+                        next_seq,
+                    );
+                    next_seq += 1;
+                    indexed.insert(r);
+                    naive.insert(r);
+                }
+                4 => {
+                    let g = draw(4) as u32;
+                    indexed.arm_residency(g);
+                    naive.arm_residency(g);
+                    (armed, boundary) = (Some(g), next_seq);
+                }
+                5 | 6 => {
+                    let scope = [
+                        ServeScope::Residency,
+                        ServeScope::Residency,
+                        ServeScope::OldestObject,
+                        ServeScope::OldestQuery,
+                        ServeScope::Window(3),
+                    ][draw(5) as usize];
+                    let g = armed.unwrap_or(0);
+                    let seq = indexed.select(scope, g);
+                    assert_eq!(seq, naive.select(scope, g), "{scope:?} on {g}");
+                    if let Some(seq) = seq {
+                        assert_eq!(indexed.remove(seq), naive.remove(seq));
+                    }
+                }
+                _ => {
+                    let q = QueryId::new(draw(3) as u16, draw(2) as u32);
+                    let mut removed = Vec::new();
+                    if draw(2) == 0 {
+                        let n = indexed.cancel_query(q, &mut |r| removed.push(*r));
+                        let mut want = Vec::new();
+                        assert_eq!(naive.cancel_query(q, &mut |r| want.push(*r)), n);
+                        assert_eq!(removed, want);
+                    } else {
+                        let object = ObjectId::new(q.tenant, 0, draw(6) as u32);
+                        removed.extend(indexed.cancel_object(q, object));
+                        assert_eq!(removed.first(), naive.cancel_object(q, object).as_ref());
+                    }
+                    for r in removed {
+                        let class = match armed {
+                            Some(g) if r.group == g && r.seq < boundary => 0,
+                            Some(g) if r.group == g => 1,
+                            _ => 2,
+                        };
+                        cancelled[class] += 1;
+                    }
+                }
+            }
+            indexed.recount();
+            assert_eq!(indexed.len(), naive.len());
+            assert_eq!(indexed.oldest(), naive.oldest());
+            assert_eq!(indexed.group_aggregates(), naive.group_aggregates());
+            if let Some(g) = armed {
+                assert_eq!(indexed.resident_len(g), naive.resident_len(g));
+                let scope = ServeScope::Residency;
+                assert_eq!(indexed.select(scope, g), naive.select(scope, g));
+            }
+            for tenant in 0..3 {
+                for qseq in 0..2 {
+                    let q = QueryId::new(tenant, qseq);
+                    assert_eq!(indexed.oldest_of_query(q), naive.oldest_of_query(q));
+                }
+            }
+        }
+        assert!(
+            cancelled.iter().all(|&n| n > 20),
+            "cancel coverage (resident, fresh, other group): {cancelled:?}"
+        );
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! it is offered next. A separate pull-convoy case drives dozens of
 //! one-tenant groups with one GET outstanding per tenant, so group and
 //! query index entries are created, drained and recycled once per GET.
+//! A cancellation sweep replays the same workloads with query and
+//! object cancels landing between kicks — on residents of an armed
+//! residency, on fresh arrivals not yet armed, and on other groups — the
+//! protection plane's deadline, retry and hedge-loser paths.
 //!
 //! Shard counts enter through a miniature fleet driver (round-robin
 //! object → shard placement, one independent device per shard), which
@@ -47,6 +51,18 @@ struct Workload {
     /// query resubmits its objects as a follow-up query, this many
     /// times over (0 = the schedule alone).
     followup_rounds: u32,
+    /// `(time, cancel)` sorted by time. A cancel runs after the
+    /// same-instant submissions and before the kick that follows them.
+    cancels: Vec<(SimTime, Cancel)>,
+}
+
+/// A protection-plane cancel, applied to every shard's device.
+#[derive(Clone, Copy, Debug)]
+enum Cancel {
+    /// `CsdDevice::cancel_query` (deadline miss, retry exhaustion).
+    Query(QueryId),
+    /// `CsdDevice::cancel_object` (hedge loser).
+    Object(QueryId, ObjectId),
 }
 
 fn workload(seed: u64) -> Workload {
@@ -75,7 +91,36 @@ fn workload(seed: u64) -> Workload {
         groups,
         schedule,
         followup_rounds: 0,
+        cancels: Vec::new(),
     }
+}
+
+/// `workload(seed)` plus cancels for about half of its queries. A
+/// cancel lands at its query's own submit instant (the requests are
+/// fresh arrivals: no arm runs before the next kick) or up to 30 s
+/// later (by then some are resident, some served, some on groups not
+/// yet loaded); half of them cancel the whole query, half one object.
+fn workload_with_cancels(seed: u64) -> Workload {
+    let mut w = workload(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xCA9CE1);
+    for (at, _, query, objects) in &w.schedule {
+        if rng.gen_range(0u32..2) == 0 {
+            continue;
+        }
+        let delay = match rng.gen_range(0u32..3) {
+            0 => 0,
+            _ => rng.gen_range(1u64..30),
+        };
+        let cancel = if rng.gen_range(0u32..2) == 0 {
+            Cancel::Query(*query)
+        } else {
+            Cancel::Object(*query, objects[rng.gen_range(0..objects.len())])
+        };
+        w.cancels
+            .push((*at + SimDuration::from_secs(delay), cancel));
+    }
+    w.cancels.sort_by_key(|&(at, _)| at);
+    w
 }
 
 /// One shard event: completion time plus the delivered triple (`None`
@@ -90,6 +135,7 @@ struct Outcome {
     events: Vec<Vec<ShardEvent>>,
     switches: Vec<u64>,
     served: Vec<u64>,
+    cancelled: Vec<u64>,
 }
 
 impl Outcome {
@@ -148,7 +194,7 @@ fn run_fleet<Q: RequestIndex>(
 
     let mut next: Vec<Option<SimTime>> = vec![None; shards];
     let mut events: Vec<Vec<ShardEvent>> = vec![Vec::new(); shards];
-    let mut si = 0;
+    let (mut si, mut ci) = (0, 0);
     // Per query in flight: its schedule entry and the deliveries it is
     // still owed. Each follow-up round steps the query seq by the
     // schedule length, which keeps ids unique and `seq / batches` the
@@ -166,7 +212,10 @@ fn run_fleet<Q: RequestIndex>(
             .enumerate()
             .filter_map(|(s, t)| t.map(|t| (t, s)))
             .min();
-        let upcoming = w.schedule.get(si).map(|e| e.0);
+        let upcoming = match (w.schedule.get(si), w.cancels.get(ci)) {
+            (Some(s), Some(c)) => Some(s.0.min(c.0)),
+            (s, c) => s.map(|s| s.0).or(c.map(|c| c.0)),
+        };
         // Device completions run before same-instant arrivals, like the
         // runtime's event queue (insertion order).
         let device_first = match (due, upcoming) {
@@ -215,6 +264,19 @@ fn run_fleet<Q: RequestIndex>(
                 }
                 si += 1;
             }
+            while ci < w.cancels.len() && w.cancels[ci].0 == st {
+                match w.cancels[ci].1 {
+                    Cancel::Query(q) => {
+                        for d in &mut devices {
+                            d.cancel_query(q);
+                        }
+                    }
+                    Cancel::Object(q, obj) => {
+                        devices[obj.segment as usize % shards].cancel_object(q, obj);
+                    }
+                }
+                ci += 1;
+            }
             // Re-arm on every mutation: a submission can open idle
             // pipeline slots, moving a shard's earliest completion
             // *earlier*, so every shard re-kicks unconditionally.
@@ -223,9 +285,17 @@ fn run_fleet<Q: RequestIndex>(
             }
         }
     }
+    outcome(&devices, events)
+}
+
+fn outcome<Q: RequestIndex>(devices: &[CsdDevice<(), Q>], events: Vec<Vec<ShardEvent>>) -> Outcome {
     Outcome {
         switches: devices.iter().map(|d| d.metrics().group_switches).collect(),
         served: devices.iter().map(|d| d.metrics().objects_served).collect(),
+        cancelled: devices
+            .iter()
+            .map(|d| d.metrics().requests_cancelled)
+            .collect(),
         events,
     }
 }
@@ -281,9 +351,42 @@ fn indexed_queue_matches_naive_reference() {
     }
 }
 
+/// The sweep again with cancels between kicks: every policy × intra
+/// order × shard count × stream count, each seed's workload with about
+/// half of its queries cancelled whole or by one object. The decision
+/// sequence, the delivery order and every counter — cancellations
+/// included — must match the naive reference. Which requests a cancel
+/// still finds queued depends on timing, so the delivered multiset is
+/// not compared across shard and stream counts here.
+#[test]
+fn indexed_queue_matches_naive_under_cancellation() {
+    let mut cancelled = 0;
+    for seed in 0..6u64 {
+        let w = workload_with_cancels(seed);
+        assert!(!w.cancels.is_empty(), "seed {seed} draws no cancel");
+        for policy in SchedPolicy::all() {
+            for intra in INTRA_ORDERS {
+                for shards in [1usize, 2, 4] {
+                    for streams in [1u32, 2, 4] {
+                        let indexed = run_fleet::<RequestQueue>(&w, policy, intra, shards, streams);
+                        let naive = run_fleet::<NaiveQueue>(&w, policy, intra, shards, streams);
+                        assert_eq!(
+                            indexed, naive,
+                            "seed {seed} {policy:?}/{intra:?}/{shards}sh/{streams}st: \
+                             queue implementations diverged under cancellation"
+                        );
+                        cancelled += indexed.cancelled.iter().sum::<u64>();
+                    }
+                }
+            }
+        }
+    }
+    assert!(cancelled > 1_000, "only {cancelled} requests cancelled");
+}
+
 /// Deep-queue stress: one heavily contended device, every request
-/// submitted upfront — the regime where the indexed queue's O(log n)
-/// path does all the work. Equivalence must hold at depth and at full
+/// submitted upfront — the regime where the indexed queue's residency
+/// runs do all the work. Equivalence must hold at depth and at full
 /// pipeline occupancy too.
 #[test]
 fn indexed_queue_matches_naive_on_deep_queues() {
@@ -306,6 +409,7 @@ fn indexed_queue_matches_naive_on_deep_queues() {
         groups: 3,
         schedule,
         followup_rounds: 0,
+        cancels: Vec::new(),
     };
     for policy in SchedPolicy::all() {
         for streams in [1u32, 4] {
@@ -405,11 +509,7 @@ fn run_pull_convoy<Q: RequestIndex>(
             *slot = devices[s].kick(t);
         }
     }
-    Outcome {
-        switches: devices.iter().map(|d| d.metrics().group_switches).collect(),
-        served: devices.iter().map(|d| d.metrics().objects_served).collect(),
-        events,
-    }
+    outcome(&devices, events)
 }
 
 /// Pull convoy: 48 one-tenant groups × 24 closed-loop rounds, every

@@ -106,6 +106,7 @@ fn main() {
         client: tenant as usize,
         group,
         bytes: 0,
+        slot: 0,
         arrival: SimTime::ZERO,
         seq,
     };

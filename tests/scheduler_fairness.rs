@@ -19,6 +19,7 @@ fn req(group: u32, tenant: u16, seq: u64) -> PendingRequest {
         client: tenant as usize,
         group,
         bytes: 0,
+        slot: 0,
         arrival: SimTime::ZERO,
         seq,
     }
