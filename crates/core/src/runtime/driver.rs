@@ -29,9 +29,10 @@
 //!
 //! The protection plane ([`protect`](super::protect)) hooks into the
 //! loop at the start gate, submit, delivery, finish, and its own
-//! `Event::Protect` events — each behind one presence test of the
-//! optional `Protection`, so a run with no knob set executes none of
-//! its code.
+//! `Event::Protect` events; the failure-injection plane at run start,
+//! its own calendar events and the end-of-run summary — each behind
+//! one presence test of an optional box, so a run that sets neither
+//! executes none of their code.
 
 use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheStats;
@@ -44,10 +45,8 @@ use crate::config::CostModel;
 
 use super::client::ClientState;
 use super::collector::{
-    attribute_stalls_merged, AvailabilitySummary, LatencyAccumulator, RecordMode, RunResult,
-    ShardResult,
+    attribute_stalls_merged, LatencyAccumulator, RecordMode, RunResult, ShardResult,
 };
-use super::fault::{FaultAction, TimedFault};
 use super::fleet::DeviceFleet;
 use super::protect::{ProtectEvent, Protection, ProtectionSummary};
 
@@ -60,7 +59,7 @@ pub(super) enum Event {
     ClientReady(usize),
     /// The arrival process releases client `c`'s next query.
     Release(usize),
-    /// The fault plan's `i`-th timed action fires.
+    /// The fleet's `i`-th timed crash, recovery or brown-out action.
     Fault(usize),
     /// One of the protection plane's own events.
     Protect(ProtectEvent),
@@ -78,17 +77,14 @@ pub struct Runtime {
     latency: LatencyAccumulator,
     /// Whether finished records are retained for the result.
     record_mode: RecordMode,
-    /// The expanded fault schedule, in firing order (empty without a
-    /// fault plan). Every action becomes a calendar event up front.
-    faults: Vec<TimedFault>,
     /// The protection plane, installed only when some knob is set;
     /// without it no protection code runs.
     pub(super) protection: Option<Box<Protection>>,
-    /// Instant of the last event that did anything. Protection events
-    /// for queries that already completed pop as stale no-ops and must
-    /// not stretch the makespan (a met deadline leaves its far-future
-    /// event behind); every other event advances this unconditionally,
-    /// so without protection it equals the historical `events.now()`.
+    /// Instant of the last event that did anything — the makespan.
+    /// Stale no-ops must not stretch it: a protection event for a query
+    /// that already completed (a met deadline leaves its far-future
+    /// event behind), or a shard wake-up that was superseded, or whose
+    /// batch a crash already flushed. Every other event advances it.
     pub(super) last_activity: SimTime,
 }
 
@@ -104,17 +100,9 @@ impl Runtime {
             scratch: Vec::new(),
             latency: LatencyAccumulator::new(&targets),
             record_mode: RecordMode::default(),
-            faults: Vec::new(),
             protection: None,
             last_activity: SimTime::ZERO,
         }
-    }
-
-    /// Installs the expanded fault schedule (builder style; assembly
-    /// passes the `FaultPlan`'s timed actions here).
-    pub(crate) fn with_faults(mut self, faults: Vec<TimedFault>) -> Self {
-        self.faults = faults;
-        self
     }
 
     /// Selects whether per-query records are retained (builder style).
@@ -143,11 +131,7 @@ impl Runtime {
         // closed-loop queries with no release instant start immediately.
         // Starting a client never schedules events, so arming all
         // releases first preserves the historical event order.
-        // Fault actions are armed first: at equal instants a crash (or
-        // recovery) applies before a release routes its query.
-        for (i, f) in self.faults.iter().enumerate() {
-            self.events.schedule(f.at, Event::Fault(i));
-        }
+        self.arm_faults();
         for (c, client) in self.clients.iter().enumerate() {
             for at in client.plan.iter().filter_map(|p| p.release) {
                 self.events.schedule(at, Event::Release(c));
@@ -159,7 +143,7 @@ impl Runtime {
         self.poke_fleet(now);
 
         while let Some((t, ev)) = self.events.pop() {
-            if !matches!(ev, Event::Protect(_)) {
+            if !matches!(ev, Event::Device(_) | Event::Protect(_)) {
                 self.last_activity = t;
             }
             match ev {
@@ -168,17 +152,11 @@ impl Runtime {
                     // at this instant: route the whole batch (device
                     // slot order — deterministic), then poke once.
                     // Stale superseded wake-ups leave the batch empty.
-                    // The scratch buffer is taken out of `self` for the
-                    // duration of the routing (route_delivery borrows
-                    // clients and fleet) and put back drained, so no
-                    // per-event allocation survives warm-up.
-                    let mut batch = std::mem::take(&mut self.scratch);
-                    batch.clear();
-                    self.fleet.on_wakeup_into(shard, t, &mut batch);
-                    for d in batch.drain(..) {
-                        self.route_delivery(t, shard, d.client, d.query, d.object);
+                    if self.route_batch(shard, t, |fleet, batch| {
+                        fleet.on_wakeup_into(shard, t, batch)
+                    }) {
+                        self.last_activity = t;
                     }
-                    self.scratch = batch;
                     self.poke_fleet(t);
                 }
                 Event::ClientReady(c) => self.client_ready(c, t),
@@ -186,49 +164,17 @@ impl Runtime {
                     self.try_start(c, t);
                     self.poke_fleet(t);
                 }
-                Event::Fault(i) => {
-                    let fault = self.faults[i];
-                    let mut batch = std::mem::take(&mut self.scratch);
-                    batch.clear();
-                    match fault.action {
-                        FaultAction::Down => self.fleet.fail_shard(fault.shard, t, &mut batch),
-                        FaultAction::Recover => self.fleet.recover_shard(fault.shard, t),
-                        FaultAction::Degrade(factor) => {
-                            self.fleet.set_bandwidth_factor(fault.shard, factor)
-                        }
-                        FaultAction::Restore => self.fleet.set_bandwidth_factor(fault.shard, 1.0),
-                    }
-                    // A crash flushes watchdog-parked deliveries (their
-                    // transfers finished before the crash): route them
-                    // like any retired batch.
-                    for d in batch.drain(..) {
-                        self.route_delivery(t, fault.shard, d.client, d.query, d.object);
-                    }
-                    self.scratch = batch;
-                    // A crash may have displaced a retry tenant's
-                    // in-flight requests with no live replica left.
-                    if self.protection.is_some() {
-                        self.drain_unroutable(t, 1);
-                    }
-                    self.poke_fleet(t);
-                }
+                Event::Fault(i) => self.fault_fired(i, t),
                 Event::Protect(e) => self.protect_fired(e, t),
             }
         }
 
         let makespan = self.last_activity;
-        self.fleet.close_downtime(makespan);
         let (mut protection, consumed) = match self.protection.take() {
             Some(p) => p.finish(&self.fleet),
             None => (ProtectionSummary::sized(self.clients.len()), Vec::new()),
         };
-        let fault_stats = self.fleet.fault_stats().to_vec();
-        let availability = AvailabilitySummary::from_shards(
-            &fault_stats,
-            self.faults.len() as u64,
-            self.fleet.parked_total(),
-            makespan,
-        );
+        let (fault_stats, availability) = self.fleet.fault_summary(makespan);
         for (idx, client) in self.clients.iter().enumerate() {
             assert!(
                 client.plan.is_empty() && client.engine.is_none(),
@@ -372,6 +318,27 @@ impl Runtime {
         } else {
             self.fleet.submit(now, c, qid, objects);
         }
+    }
+
+    /// Lets `fill` append a batch of shard `shard`'s deliveries to the
+    /// reusable scratch buffer, then routes the batch in order. The
+    /// buffer is taken out of `self` for the duration (routing borrows
+    /// clients and fleet) and put back drained, so no per-event
+    /// allocation survives warm-up.
+    pub(super) fn route_batch<R>(
+        &mut self,
+        shard: usize,
+        now: SimTime,
+        fill: impl FnOnce(&mut DeviceFleet<()>, &mut Vec<Delivery<()>>) -> R,
+    ) -> R {
+        let mut batch = std::mem::take(&mut self.scratch);
+        batch.clear();
+        let filled = fill(&mut self.fleet, &mut batch);
+        for d in batch.drain(..) {
+            self.route_delivery(now, shard, d.client, d.query, d.object);
+        }
+        self.scratch = batch;
+        filled
     }
 
     /// Arms wake-ups on every shard with pending work and none armed.

@@ -27,12 +27,43 @@
 //!   a watchdog redelivers them `redeliver_after` later.
 //!
 //! Intervals on the same shard must not overlap (loud assembly-time
-//! panic); an empty plan expands to nothing and leaves every run
-//! byte-identical to a fault-free scenario.
+//! panic).
+//!
+//! # The plane at run time
+//!
+//! This module also owns the plane's run-time state, in two optional
+//! boxes, and every routine that acts on it. `FleetFaults` on the
+//! [`DeviceFleet`] holds the timed schedule, the per-shard down flags
+//! and counters, and the parking lot; a `Watchdog` sits on each
+//! [`DevicePump`] with a planned drop. An empty plan installs neither,
+//! and every kernel hook is one null test.
+//!
+//! A crash ([`DeviceFleet::fail_shard`]) evacuates the shard: the
+//! pump's parked batch is flushed to its clients (those transfers
+//! finished before the crash), in-flight transfers abort and the queue
+//! drains (slot order, then oldest first), pending cache hits follow in
+//! ready order, and the empty pump is not kicked again until it
+//! recovers, cold. Each displaced request re-routes to the *first live
+//! replica* at the tail of its queue — failover is a requeue, not a
+//! splice — or, with no replica live, parks at the fleet until a
+//! recovery ([`DeviceFleet::recover_shard`]) re-submits it in arrival
+//! order. Aborted transfers log nothing, so every query object is
+//! served exactly once. A dropped wake-up parks its completed batch
+//! (only the notification is lost) until the watchdog releases it; a
+//! drop onto a parked batch joins it, and the batch leaves at the later
+//! of the two deadlines.
 
+use std::collections::VecDeque;
+
+use skipper_csd::sched::PendingRequest;
+use skipper_csd::{Delivery, ObjectId, QueryId};
 use skipper_sim::rng::derive_seed;
 use skipper_sim::{SimDuration, SimTime};
 
+use super::collector::{AvailabilitySummary, ShardFaultStats};
+use super::driver::{Event, Runtime};
+use super::fleet::DeviceFleet;
+use super::pump::DevicePump;
 use super::workload::exponential_gap;
 
 /// A concrete, timestamped fault episode — the expanded form a
@@ -177,7 +208,10 @@ impl FaultPlan {
     }
 
     /// Drops the shard's `nth` live wake-up (1-based), redelivered
-    /// `redeliver_after` later by the watchdog.
+    /// `redeliver_after` later by the watchdog. A drop that lands while
+    /// an earlier dropped batch is still parked joins that batch, which
+    /// is then released at the later of the two deadlines; a crash
+    /// releases a parked batch at once.
     pub fn drop_wakeup_after(
         mut self,
         shard: usize,
@@ -374,20 +408,357 @@ pub(crate) fn timed_actions(episodes: &[FaultEpisode]) -> Vec<TimedFault> {
     out
 }
 
-/// The drop-wakeup injections of an expanded plan, per shard in
-/// ordinal order: `(shard, nth, redeliver_after)`.
-pub(crate) fn drop_plans(episodes: &[FaultEpisode]) -> Vec<(usize, u64, SimDuration)> {
-    episodes
-        .iter()
-        .filter_map(|e| match *e {
-            FaultEpisode::DropWakeup {
+/// The fleet's fault-plane state (see the module docs).
+pub(crate) struct FleetFaults {
+    /// The timed crash/brown-out actions, in firing order:
+    /// `Event::Fault(i)` applies entry `i`.
+    schedule: Vec<TimedFault>,
+    /// Crash instant of each down shard, `None` while it is up — the
+    /// only record of which shards are down (and of their downtime).
+    down_since: Vec<Option<SimTime>>,
+    /// Per-shard fault counters for the run result.
+    stats: Vec<ShardFaultStats>,
+    /// Requests with no live replica, awaiting a recovery, in arrival
+    /// order: `(client, query, object)`.
+    parked: VecDeque<(usize, QueryId, ObjectId)>,
+    /// Requests ever parked (availability summary).
+    parked_total: u64,
+    /// Reusable evacuation scratch for `fail_shard`.
+    displaced: Vec<PendingRequest>,
+}
+
+impl FleetFaults {
+    /// Counts a request `shard` serves in place of its preferred
+    /// replica (down, or skipped by an open breaker).
+    pub(super) fn note_failover(&mut self, shard: usize) {
+        self.stats[shard].failover_receipts += 1;
+    }
+
+    /// Parks a request until a recovery gives it a live replica.
+    pub(super) fn park(&mut self, client: usize, query: QueryId, object: ObjectId) {
+        self.parked_total += 1;
+        self.parked.push_back((client, query, object));
+    }
+
+    /// Forgets every parked request of a cancelled `query`.
+    pub(super) fn cancel(&mut self, query: QueryId) {
+        self.parked.retain(|&(_, q, _)| q != query);
+    }
+
+    /// True when nothing is parked.
+    pub(super) fn is_idle(&self) -> bool {
+        self.parked.is_empty()
+    }
+}
+
+impl<P: Clone> DeviceFleet<P> {
+    /// Installs `plan` (assembly time): expands it — seeded streams and
+    /// all — into timestamped episodes, gives every shard with a
+    /// dropped wake-up its watchdog, and keeps the timed crash and
+    /// brown-out actions for the runtime to arm as calendar events. A
+    /// plan that expands to nothing installs nothing.
+    ///
+    /// # Panics
+    /// Panics on a malformed plan (see [`FaultPlan::expand`]).
+    pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
+        let episodes = plan.expand(self.pumps.len());
+        if episodes.is_empty() {
+            return;
+        }
+        for e in &episodes {
+            let FaultEpisode::DropWakeup {
                 shard,
                 nth,
                 redeliver_after,
-            } => Some((shard, nth, redeliver_after)),
-            _ => None,
+            } = *e
+            else {
+                continue;
+            };
+            let watchdog = self.pumps[shard].watchdog.get_or_insert_with(|| {
+                Box::new(Watchdog {
+                    drops: VecDeque::new(),
+                    wakeups: 0,
+                    parked: Vec::new(),
+                    release_at: None,
+                    armed: false,
+                })
+            });
+            assert!(
+                watchdog.drops.back().is_none_or(|&(last, _)| last < nth),
+                "DropWakeup ordinals on one shard must be distinct"
+            );
+            watchdog.drops.push_back((nth, redeliver_after));
+        }
+        self.faults_mut().schedule = timed_actions(&episodes);
+    }
+
+    /// The fault plane's state, installed on first use (a direct
+    /// `fail_shard`, or a breaker's first failover receipt).
+    pub(super) fn faults_mut(&mut self) -> &mut FleetFaults {
+        let shards = self.pumps.len();
+        self.faults.get_or_insert_with(|| {
+            Box::new(FleetFaults {
+                schedule: Vec::new(),
+                down_since: vec![None; shards],
+                stats: vec![ShardFaultStats::default(); shards],
+                parked: VecDeque::new(),
+                parked_total: 0,
+                displaced: Vec::new(),
+            })
         })
-        .collect()
+    }
+
+    /// True while `shard` is down.
+    pub(super) fn is_down(&self, shard: usize) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.down_since[shard].is_some())
+    }
+
+    /// Crashes shard `shard` (a `ShardDown` start): aborts its in-flight
+    /// transfers, evacuates its queue, and re-routes every displaced
+    /// request to the first live replica (or parks it). Transfers that
+    /// completed but whose wake-up notification was dropped are flushed
+    /// into `completed` — the driver routes them like any retired batch
+    /// (the data already arrived).
+    pub fn fail_shard(&mut self, shard: usize, now: SimTime, completed: &mut Vec<Delivery<P>>) {
+        let faults = self.faults_mut();
+        let since = faults.down_since[shard].replace(now);
+        assert!(since.is_none(), "shard {shard} crashed while already down");
+        faults.stats[shard].downs += 1;
+        let mut displaced = std::mem::take(&mut faults.displaced);
+        let aborted = self.pumps[shard].fail(now, &mut displaced, completed);
+        let stats = &mut self.faults_mut().stats[shard];
+        stats.aborted_transfers += aborted as u64;
+        stats.evacuated_requests += (displaced.len() - aborted) as u64;
+        // Re-route in evacuation order. Each re-submission is a fresh
+        // single-object batch — a requeue at the destination's tail.
+        for req in displaced.drain(..) {
+            match self.route(now, req.object) {
+                Some(live) => self.submit_to(live, now, req.client, req.query, req.object),
+                None => self.park_or_defer(req.client, req.query, req.object),
+            }
+        }
+        self.faults_mut().displaced = displaced;
+    }
+
+    /// Recovers shard `shard` (a `ShardDown` end): accrues its
+    /// downtime, reopens it for routing, and re-submits every parked
+    /// request that now has a live replica, in arrival order.
+    pub fn recover_shard(&mut self, shard: usize, now: SimTime) {
+        let faults = self.faults_mut();
+        let Some(since) = faults.down_since[shard].take() else {
+            panic!("shard {shard} recovered while up");
+        };
+        faults.stats[shard].downtime_micros += now.since(since).as_micros();
+        self.pumps[shard].recover();
+        for _ in 0..self.faults_mut().parked.len() {
+            let (client, query, obj) = self.faults_mut().parked.pop_front().expect("len checked");
+            match self.route(now, obj) {
+                Some(live) => self.submit_to(live, now, client, query, obj),
+                None => self.faults_mut().parked.push_back((client, query, obj)),
+            }
+        }
+    }
+
+    /// Requests that ever parked for lack of a live replica.
+    pub fn parked_total(&self) -> u64 {
+        self.faults.as_ref().map_or(0, |f| f.parked_total)
+    }
+
+    /// Applies one timed action at `now`; a crash's flushed watchdog
+    /// batch lands in `completed`.
+    fn apply(&mut self, fault: TimedFault, now: SimTime, completed: &mut Vec<Delivery<P>>) {
+        let shard = fault.shard;
+        let factor = match fault.action {
+            FaultAction::Down => return self.fail_shard(shard, now, completed),
+            FaultAction::Recover => return self.recover_shard(shard, now),
+            FaultAction::Degrade(factor) => factor,
+            FaultAction::Restore => 1.0,
+        };
+        // Only transfers dispatched from now on see the factor. With a
+        // breaker installed, a factor below its `brownout_below`
+        // threshold opens the shard's breaker until service returns.
+        self.pumps[shard].device.set_bandwidth_factor(factor);
+        if let Some(b) = &mut self.breaker {
+            b.set_bandwidth_factor(shard, factor);
+        }
+    }
+
+    /// Closes the run at `end`: per-shard fault counters, in shard
+    /// order (outages still open accrue downtime up to `end`), and the
+    /// fleet's availability summary.
+    pub(crate) fn fault_summary(
+        &self,
+        end: SimTime,
+    ) -> (Vec<ShardFaultStats>, AvailabilitySummary) {
+        let (stats, actions, parked) = match self.faults.as_deref() {
+            Some(f) => {
+                let mut stats = f.stats.clone();
+                for (stats, since) in stats.iter_mut().zip(&f.down_since) {
+                    if let Some(since) = *since {
+                        stats.downtime_micros += end.since(since).as_micros();
+                    }
+                }
+                (stats, f.schedule.len(), f.parked_total)
+            }
+            None => (vec![ShardFaultStats::default(); self.pumps.len()], 0, 0),
+        };
+        let summary = AvailabilitySummary::from_shards(&stats, actions as u64, parked, end);
+        (stats, summary)
+    }
+}
+
+/// A pump's dropped-wake-up watchdog (see the module docs).
+pub(crate) struct Watchdog<P> {
+    /// Remaining drop injections, in ordinal order:
+    /// `(nth live wake-up, redelivery delay)`.
+    drops: VecDeque<(u64, SimDuration)>,
+    /// Live wake-ups handled so far (drop-ordinal matching).
+    wakeups: u64,
+    /// Deliveries withheld by dropped wake-ups, awaiting release.
+    parked: Vec<Delivery<P>>,
+    /// Release instant of the parked batch.
+    release_at: Option<SimTime>,
+    /// Whether the wake-up for `release_at` has been handed out.
+    armed: bool,
+}
+
+impl<P> Watchdog<P> {
+    /// Releases the parked batch into `out` when `now` is its release
+    /// instant; false for a superseded or flushed watchdog event.
+    pub(super) fn release(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) -> bool {
+        if self.release_at != Some(now) {
+            return false;
+        }
+        self.flush(out);
+        true
+    }
+
+    /// Hands the parked batch to `out` at once; an armed release goes
+    /// stale.
+    fn flush(&mut self, out: &mut Vec<Delivery<P>>) {
+        self.release_at = None;
+        self.armed = false;
+        out.append(&mut self.parked);
+    }
+
+    /// Counts a live wake-up whose deliveries are `out[start..]` and,
+    /// when it is the next planned drop, parks them instead: the device
+    /// completed them on time, only the notification is lost. They fill
+    /// the cache when the watchdog *delivers* them. A drop onto a parked
+    /// batch joins it; the wake-up re-arms only when the release
+    /// instant moves.
+    pub(super) fn on_live_wakeup(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<Delivery<P>>,
+        start: usize,
+    ) {
+        self.wakeups += 1;
+        if self
+            .drops
+            .front()
+            .is_none_or(|&(nth, _)| nth != self.wakeups)
+        {
+            return;
+        }
+        let (_, delay) = self.drops.pop_front().expect("front checked");
+        self.parked.extend(out.drain(start..));
+        let at = self
+            .release_at
+            .map_or(now + delay, |at| at.max(now + delay));
+        if self.release_at != Some(at) {
+            self.release_at = Some(at);
+            self.armed = false;
+        }
+    }
+
+    /// The release instant to schedule, handed out once per move.
+    fn take_arm(&mut self) -> Option<SimTime> {
+        match self.release_at {
+            Some(at) if !self.armed => {
+                self.armed = true;
+                Some(at)
+            }
+            _ => None,
+        }
+    }
+
+    /// True when nothing is parked or awaiting release.
+    pub(super) fn is_idle(&self) -> bool {
+        self.parked.is_empty() && self.release_at.is_none()
+    }
+}
+
+impl<P: Clone> DevicePump<P> {
+    /// The watchdog release to schedule, handed out once per parked
+    /// batch (the fleet polls this on every poke pass, alongside the
+    /// device wake-up from [`DevicePump::poke`]).
+    pub fn take_redelivery_arm(&mut self) -> Option<SimTime> {
+        self.watchdog.as_deref_mut()?.take_arm()
+    }
+
+    /// Crashes the shard, in the order the module docs give: the
+    /// watchdog's parked batch goes to `completed`, the device's
+    /// aborted transfers and queue and then the pending cache hits go to
+    /// `displaced`. Returns how many of those were in flight (aborted
+    /// transfers and hits). Every armed wake-up goes stale, and the
+    /// empty pump stays clean — nothing kicks it — until
+    /// [`DevicePump::recover`].
+    pub fn fail(
+        &mut self,
+        now: SimTime,
+        displaced: &mut Vec<PendingRequest>,
+        completed: &mut Vec<Delivery<P>>,
+    ) -> usize {
+        self.armed_at = None;
+        self.dirty = false;
+        if let Some(watchdog) = self.watchdog.as_deref_mut() {
+            watchdog.flush(completed);
+        }
+        let mut aborted = self.device.fail(now, displaced);
+        if let Some(tiers) = self.cache.as_deref_mut() {
+            aborted += tiers.fail(now, displaced, self.device.store());
+        }
+        aborted
+    }
+
+    /// Recovers a crashed shard: the pump is kicked again (cold — see
+    /// [`DevicePump::fail`] on the lost group).
+    pub fn recover(&mut self) {
+        self.dirty = true;
+    }
+}
+
+impl Runtime {
+    /// Arms every timed fault action as a calendar event (run start,
+    /// ahead of the releases: at equal instants a crash or recovery
+    /// applies before a release routes its query).
+    pub(super) fn arm_faults(&mut self) {
+        let Some(faults) = self.fleet.faults.as_deref() else {
+            return;
+        };
+        for (i, f) in faults.schedule.iter().enumerate() {
+            self.events.schedule(f.at, Event::Fault(i));
+        }
+    }
+
+    /// The `i`-th timed fault action fires: apply it, route a crash's
+    /// flushed watchdog batch like any retired batch, and hand a retry
+    /// tenant's displaced requests with no live replica to the
+    /// protection plane.
+    pub(super) fn fault_fired(&mut self, i: usize, now: SimTime) {
+        let faults = self.fleet.faults.as_deref();
+        let fault = faults.expect("fault event without a fault plan").schedule[i];
+        self.route_batch(fault.shard, now, |fleet, completed| {
+            fleet.apply(fault, now, completed)
+        });
+        if self.protection.is_some() {
+            self.drain_unroutable(now, 1);
+        }
+        self.poke_fleet(now);
+    }
 }
 
 fn validate(episodes: &[FaultEpisode], shards: usize) {
@@ -613,10 +984,17 @@ mod tests {
             (actions[2].at, actions[2].action),
             (secs(20), FaultAction::Degrade(0.5))
         );
-        // DropWakeups flatten separately.
+        // DropWakeups flatten separately (into their shard's watchdog).
         let dropped = FaultPlan::new().drop_wakeup(1, 2).expand(2);
         assert!(timed_actions(&dropped).is_empty());
-        assert_eq!(drop_plans(&dropped), vec![(1, 2, DEFAULT_REDELIVERY)]);
+        assert_eq!(
+            dropped,
+            vec![FaultEpisode::DropWakeup {
+                shard: 1,
+                nth: 2,
+                redeliver_after: DEFAULT_REDELIVERY
+            }]
+        );
     }
 
     #[test]

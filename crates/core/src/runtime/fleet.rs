@@ -14,32 +14,22 @@
 //! whole batch goes to pump 0 in submission order and the event
 //! schedule is unchanged.
 //!
-//! ## Replication and failover
-//!
 //! Under `PlacementPolicy::Replicated { k, .. }` every object carries a
 //! replica list (preferred shard first; see
 //! [`DeviceFleet::with_replicas`]) and each request routes to the
-//! *first live replica*. With every replica down — or on a k = 1 fleet
-//! whose only shard is down — the request parks at the fleet and is
-//! re-submitted, in arrival order, when a replica recovers. A crash
-//! ([`DeviceFleet::fail_shard`]) evacuates the dead shard's queue and
-//! aborts its in-flight transfers; every displaced request re-routes
-//! through the same first-live-replica rule immediately, so the
-//! delivery multiset is conserved through every failover path: aborted
-//! transfers log nothing, and each query object is served exactly once
-//! by whichever replica completes it. Re-routed and un-parked requests
-//! re-enter the destination queue at the tail with a fresh arrival
-//! stamp — failover is a requeue, not a splice.
+//! *first live replica*. Which shards are live is the fault plane's
+//! record — one optional box on the fleet, owned by
+//! [`fault`](super::fault) with the crash, recovery and parking rules —
+//! so a fleet that never crashes routes with one null test per replica.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use skipper_csd::sched::PendingRequest;
 use skipper_csd::{CsdDevice, Delivery, FastBuild, ObjectId, QueryId};
 use skipper_relational::segment::Segment;
-use skipper_sim::{SimDuration, SimTime};
+use skipper_sim::SimTime;
 
-use super::collector::ShardFaultStats;
+use super::fault::FleetFaults;
 use super::protect::Breaker;
 use super::pump::DevicePump;
 
@@ -48,7 +38,7 @@ use super::pump::DevicePump;
 /// Generic over the payload `P` its devices deliver, like
 /// [`DevicePump`]: the runtime's fleet is `DeviceFleet<()>`.
 pub struct DeviceFleet<P = Arc<Segment>> {
-    pumps: Vec<DevicePump<P>>,
+    pub(super) pumps: Vec<DevicePump<P>>,
     /// Preferred (primary) shard per object — the k = 1 routing map,
     /// probed once per GET.
     shard_of: HashMap<ObjectId, usize, FastBuild>,
@@ -60,20 +50,6 @@ pub struct DeviceFleet<P = Arc<Segment>> {
     /// multi-shard batch costs no allocation once warm, matching the
     /// 1-shard path (the 8-shard allocs/event regression fix).
     fanout: Vec<Vec<ObjectId>>,
-    /// Fault plane: per-shard down flags (`true` between `fail_shard`
-    /// and `recover_shard`).
-    down: Vec<bool>,
-    /// Crash instant of each currently-down shard (downtime accrual).
-    down_since: Vec<Option<SimTime>>,
-    /// Per-shard fault counters for the run result.
-    stats: Vec<ShardFaultStats>,
-    /// Requests with no live replica, awaiting a recovery, in arrival
-    /// order: `(client, query, object)`.
-    parked: VecDeque<(usize, QueryId, ObjectId)>,
-    /// Requests ever parked (availability summary).
-    parked_total: u64,
-    /// Reusable evacuation scratch for `fail_shard`.
-    displaced: Vec<PendingRequest>,
     /// Protection plane: clients whose no-live-replica requests are
     /// handed back to the driver for backoff retries instead of parking
     /// (installed at assembly, empty unless a retry policy is configured
@@ -85,6 +61,9 @@ pub struct DeviceFleet<P = Arc<Segment>> {
     /// Protection plane: the per-shard breaker, installed at assembly;
     /// `None` (the default) leaves routing byte-identical.
     pub(super) breaker: Option<Breaker>,
+    /// The fault plane's state, installed with a fault plan (or on
+    /// first use); `None` means every shard is up.
+    pub(super) faults: Option<Box<FleetFaults>>,
 }
 
 impl<P: Clone> DeviceFleet<P> {
@@ -117,15 +96,10 @@ impl<P: Clone> DeviceFleet<P> {
             shard_of,
             replicas_of: HashMap::default(),
             fanout: vec![Vec::new(); n],
-            down: vec![false; n],
-            down_since: vec![None; n],
-            stats: vec![ShardFaultStats::default(); n],
-            parked: VecDeque::new(),
-            parked_total: 0,
-            displaced: Vec::new(),
             retry_clients: Vec::new(),
             unroutable: Vec::new(),
             breaker: None,
+            faults: None,
         }
     }
 
@@ -180,32 +154,32 @@ impl<P: Clone> DeviceFleet<P> {
     /// when a closed live replica exists (and used anyway when not —
     /// the breaker degrades preference, never availability). `None`
     /// when every replica is down (the caller parks the request).
-    fn route(&mut self, now: SimTime, object: ObjectId) -> Option<usize> {
-        if !self.replicas_of.is_empty() {
-            let replicas = self
-                .replicas_of
-                .get(&object)
-                .unwrap_or_else(|| panic!("object {object} was never placed on any shard"));
-            let choice = replicas
-                .iter()
-                .enumerate()
-                .find(|&(_, &s)| {
-                    !self.down[s] && !self.breaker.as_ref().is_some_and(|b| b.open(s, now))
-                })
-                .or_else(|| replicas.iter().enumerate().find(|&(_, &s)| !self.down[s]))
-                .map(|(i, &s)| (i, s));
-            return match choice {
-                Some((ordinal, shard)) => {
-                    if ordinal > 0 {
-                        self.stats[shard].failover_receipts += 1;
-                    }
-                    Some(shard)
-                }
-                None => None,
-            };
+    pub(super) fn route(&mut self, now: SimTime, object: ObjectId) -> Option<usize> {
+        if self.replicas_of.is_empty() {
+            let shard = self.shard_for(object);
+            return (!self.is_down(shard)).then_some(shard);
         }
-        let shard = self.shard_for(object);
-        (!self.down[shard]).then_some(shard)
+        let replicas = self
+            .replicas_of
+            .get(&object)
+            .unwrap_or_else(|| panic!("object {object} was never placed on any shard"));
+        let (ordinal, shard) = replicas
+            .iter()
+            .enumerate()
+            .find(|&(_, &s)| {
+                !self.is_down(s) && !self.breaker.as_ref().is_some_and(|b| b.open(s, now))
+            })
+            .or_else(|| {
+                replicas
+                    .iter()
+                    .enumerate()
+                    .find(|&(_, &s)| !self.is_down(s))
+            })
+            .map(|(i, &s)| (i, s))?;
+        if ordinal > 0 {
+            self.faults_mut().note_failover(shard);
+        }
+        Some(shard)
     }
 
     /// Fans GET requests out to the owning shards (first live replica
@@ -214,7 +188,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// for determinism. Requests with no live replica park until a
     /// recovery.
     pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
-        if self.pumps.len() == 1 && !self.down[0] {
+        if self.pumps.len() == 1 && !self.is_down(0) {
             self.pumps[0].submit(now, client, query, objects);
             return;
         }
@@ -235,75 +209,11 @@ impl<P: Clone> DeviceFleet<P> {
     /// A request with no live replica either parks (the historical
     /// path) or, for retry-enabled clients, lands in the unroutable
     /// buffer for the driver to schedule a backoff re-submission.
-    fn park_or_defer(&mut self, client: usize, query: QueryId, obj: ObjectId) {
+    pub(super) fn park_or_defer(&mut self, client: usize, query: QueryId, obj: ObjectId) {
         if self.retry_clients.get(client).copied().unwrap_or(false) {
             self.unroutable.push((client, query, obj));
         } else {
-            self.parked_total += 1;
-            self.parked.push_back((client, query, obj));
-        }
-    }
-
-    /// Crashes shard `shard` (a fault-plane `ShardDown` start): aborts
-    /// its in-flight transfers, evacuates its queue, and re-routes
-    /// every displaced request to the first live replica (or parks it).
-    /// Transfers that completed but whose wake-up notification was
-    /// dropped are flushed into `completed` — the driver routes them
-    /// like any retired batch (the data already arrived).
-    pub fn fail_shard(&mut self, shard: usize, now: SimTime, completed: &mut Vec<Delivery<P>>) {
-        assert!(
-            !self.down[shard],
-            "shard {shard} crashed while already down"
-        );
-        self.down[shard] = true;
-        self.down_since[shard] = Some(now);
-        self.stats[shard].downs += 1;
-        let mut displaced = std::mem::take(&mut self.displaced);
-        displaced.clear();
-        let aborted = self.pumps[shard].fail(now, &mut displaced, completed);
-        self.stats[shard].aborted_transfers += aborted as u64;
-        self.stats[shard].evacuated_requests += (displaced.len() - aborted) as u64;
-        // Re-route in evacuation order: aborted in-flight requests
-        // first (slot order), then the queue (arrival order). Each
-        // re-submission is a fresh single-object batch — a requeue at
-        // the destination's tail.
-        for req in displaced.drain(..) {
-            match self.route(now, req.object) {
-                Some(live) => self.pumps[live].submit(now, req.client, req.query, &[req.object]),
-                None => self.park_or_defer(req.client, req.query, req.object),
-            }
-        }
-        self.displaced = displaced;
-    }
-
-    /// Recovers shard `shard` (a fault-plane `ShardDown` end): accrues
-    /// its downtime, reopens it for routing, and re-submits every
-    /// parked request that now has a live replica, in arrival order.
-    pub fn recover_shard(&mut self, shard: usize, now: SimTime) {
-        assert!(self.down[shard], "shard {shard} recovered while up");
-        self.down[shard] = false;
-        let since = self.down_since[shard]
-            .take()
-            .expect("down shard has a crash instant");
-        self.stats[shard].downtime_micros += now.since(since).as_micros();
-        self.pumps[shard].recover(now);
-        for _ in 0..self.parked.len() {
-            let (client, query, obj) = self.parked.pop_front().expect("len checked");
-            match self.route(now, obj) {
-                Some(live) => self.pumps[live].submit(now, client, query, &[obj]),
-                None => self.parked.push_back((client, query, obj)),
-            }
-        }
-    }
-
-    /// Scales shard `shard`'s effective per-stream bandwidth (a
-    /// fault-plane brown-out; `1.0` restores nominal). With a breaker
-    /// installed, a factor below its `brownout_below` threshold opens
-    /// the shard's breaker until service is restored.
-    pub fn set_bandwidth_factor(&mut self, shard: usize, factor: f64) {
-        self.pumps[shard].set_bandwidth_factor(factor);
-        if let Some(b) = &mut self.breaker {
-            b.set_bandwidth_factor(shard, factor);
+            self.faults_mut().park(client, query, obj);
         }
     }
 
@@ -334,7 +244,9 @@ impl<P: Clone> DeviceFleet<P> {
             }
             total += n;
         }
-        self.parked.retain(|&(_, q, _)| q != query);
+        if let Some(faults) = self.faults.as_deref_mut() {
+            faults.cancel(query);
+        }
         self.unroutable.retain(|&(_, q, _)| q != query);
         total
     }
@@ -358,13 +270,17 @@ impl<P: Clone> DeviceFleet<P> {
     /// live replica exists (single-replica placements never hedge).
     pub(crate) fn hedge_target(&self, object: ObjectId) -> Option<usize> {
         let replicas = self.replicas_of.get(&object)?;
-        let mut live = replicas.iter().filter(|&&s| !self.down[s]);
+        let mut live = replicas.iter().filter(|&&s| !self.is_down(s));
         let _primary = live.next()?;
         live.next().copied()
     }
 
     /// Submits one request directly to `shard`, bypassing routing (the
-    /// hedge duplicate — the caller picked the target).
+    /// caller picked a live target: a hedge duplicate or a failover).
+    ///
+    /// # Panics
+    /// Panics when `shard` is down (a fleet routing bug): `route` alone
+    /// never picks a crashed shard.
     pub(crate) fn submit_to(
         &mut self,
         shard: usize,
@@ -373,7 +289,10 @@ impl<P: Clone> DeviceFleet<P> {
         query: QueryId,
         object: ObjectId,
     ) {
-        debug_assert!(!self.down[shard], "hedge duplicate sent to a down shard");
+        assert!(
+            !self.is_down(shard),
+            "submit landed on a crashed shard (fleet routing bug)"
+        );
         self.pumps[shard].submit(now, client, query, &[object]);
     }
 
@@ -384,7 +303,7 @@ impl<P: Clone> DeviceFleet<P> {
     pub(crate) fn max_live_load(&self) -> (usize, u64) {
         let (mut depth, mut bytes) = (0usize, 0u64);
         for (shard, pump) in self.pumps.iter().enumerate() {
-            if self.down[shard] {
+            if self.is_down(shard) {
                 continue;
             }
             depth = depth.max(pump.device().pending_len());
@@ -398,43 +317,12 @@ impl<P: Clone> DeviceFleet<P> {
         !self.replicas_of.is_empty()
     }
 
-    /// Installs shard `shard`'s cache tiers (assembly time; a disabled
-    /// config installs nothing — see [`DevicePump::set_cache`]).
-    pub fn set_cache(&mut self, shard: usize, config: skipper_csd::cache::CacheConfig) {
-        self.pumps[shard].set_cache(config);
-    }
-
-    /// Installs a drop-wakeup injection on shard `shard` (assembly
-    /// time; see [`DevicePump::plan_drop`]).
-    pub fn plan_drop(&mut self, shard: usize, nth: u64, redeliver_after: SimDuration) {
-        self.pumps[shard].plan_drop(nth, redeliver_after);
-    }
-
-    /// Accrues downtime for shards still down when the run ends.
-    pub fn close_downtime(&mut self, end: SimTime) {
-        for shard in 0..self.pumps.len() {
-            if let Some(since) = self.down_since[shard].take() {
-                self.stats[shard].downtime_micros += end.since(since).as_micros();
-            }
-        }
-    }
-
-    /// Per-shard fault counters, in shard order.
-    pub fn fault_stats(&self) -> &[ShardFaultStats] {
-        &self.stats
-    }
-
-    /// Requests that ever parked for lack of a live replica.
-    pub fn parked_total(&self) -> u64 {
-        self.parked_total
-    }
-
     /// Pokes every shard in shard order, invoking `armed` with
-    /// `(shard, wake-up)` for each newly armed (or re-armed) wake-up —
-    /// including watchdog redelivery wake-ups for dropped batches.
-    /// Allocation-free: this runs once per event on the loop's hot
-    /// path. A re-arm supersedes the shard's previous wake-up, which
-    /// then fires as a stale no-op.
+    /// `(shard, wake-up)` for each newly armed (or re-armed) wake-up:
+    /// per shard, the watchdog's release, then the cache's next hit,
+    /// then the device. Allocation-free: this runs once per event on
+    /// the loop's hot path. A re-arm supersedes the shard's previous
+    /// wake-up, which then fires as a stale no-op.
     pub fn poke_all(&mut self, now: SimTime, mut armed: impl FnMut(usize, SimTime)) {
         for (shard, pump) in self.pumps.iter_mut().enumerate() {
             if let Some(at) = pump.take_redelivery_arm() {
@@ -452,9 +340,15 @@ impl<P: Clone> DeviceFleet<P> {
     /// Handles shard `shard`'s wake-up firing at `now`, appending every
     /// transfer the shard retired at that instant to the caller's
     /// reusable scratch buffer (nothing for switch completions and
-    /// stale, superseded wake-ups).
-    pub fn on_wakeup_into(&mut self, shard: usize, now: SimTime, out: &mut Vec<Delivery<P>>) {
-        self.pumps[shard].on_wakeup_into(now, out);
+    /// stale, superseded wake-ups). Returns whether the wake-up did
+    /// anything (see [`DevicePump::on_wakeup_into`]).
+    pub fn on_wakeup_into(
+        &mut self,
+        shard: usize,
+        now: SimTime,
+        out: &mut Vec<Delivery<P>>,
+    ) -> bool {
+        self.pumps[shard].on_wakeup_into(now, out)
     }
 
     /// Read access to every pump, in shard order.
@@ -473,7 +367,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// unroutable request awaits a retry.
     pub fn is_quiescent(&self) -> bool {
         self.pumps.iter().all(|p| p.is_quiescent())
-            && self.parked.is_empty()
+            && self.faults.as_ref().is_none_or(|f| f.is_idle())
             && self.unroutable.is_empty()
     }
 }

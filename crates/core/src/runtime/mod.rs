@@ -16,6 +16,9 @@
 //!    [`collector`]) — the client state machine, the device pump, the
 //!    sharded device fleet, the discrete-event loop, and the
 //!    record/metrics collector behind every figure in §5 of the paper.
+//!    Three optional planes hook into it, each owned by one module:
+//!    injected failures ([`fault`]), shard-cache tiers (`tiers`) and
+//!    overload protection ([`protect`]).
 //!
 //! [`Scenario`] ([`scenario`]) is the one-stop facade over all three
 //! layers.
@@ -42,14 +45,14 @@
 //!   │   │ steady-state loop allocates nothing per event    │     │
 //!   │   └──────────────────────────────────────────────────┘     │
 //!   ├─────────────────────────────┬──────────────────────────────┤
-//!   │ fault                       │ protection (opt-in)          │
+//!   │ fault (opt-in)              │ protection (opt-in)          │
 //!   │  FaultPlan → timestamped    │  Option<Protection>: only    │
-//!   │  episodes (assembly);       │  with a deadline / retry /   │
-//!   │  ShardDown / Degraded /     │  hedge / admission knob;     │
-//!   │  DropWakeup as calendar     │  start gate, submit, deliver │
-//!   │  events; crashes evacuate + │  hooks + Event::Protect;     │
-//!   │  fail over to the first     │  Option<Breaker> on the      │
-//!   │  live replica               │  fleet's routing             │
+//!   │  episodes; only a non-empty │  with a deadline / retry /   │
+//!   │  plan installs the fleet's  │  hedge / admission knob;     │
+//!   │  Option<FleetFaults> (down  │  start gate, submit, deliver │
+//!   │  flags, parking lot, timed  │  hooks + Event::Protect;     │
+//!   │  Event::Fault schedule) and │  Option<Breaker> on the      │
+//!   │  a Watchdog per DropWakeup  │  fleet's routing             │
 //!   ├─────────────────────────────┴──────────────────────────────┤
 //!   │ fleet      DeviceFleet: PlacementPolicy → replica lists    │
 //!   │   ┌──────────────────┬──────────────────┬────────┐         │
@@ -100,6 +103,15 @@
 //! with none live they park at the fleet until a recovery re-submits
 //! them in arrival order.
 //!
+//! Like the protection plane, this one is optional boxes owned by its
+//! module: `Scenario::run` installs the fleet's fault state (down
+//! flags, counters, parking lot, timed schedule) only for a plan that
+//! expands to some episode, and a watchdog only on a pump with a
+//! dropped wake-up. The kernel's hooks — routing's liveness test, run
+//! start, `Event::Fault` and the end-of-run summary — are each one
+//! presence test, so an empty plan installs nothing and runs no fault
+//! code.
+//!
 //! **Failover invariants** (pinned by the chaos grid in
 //! `tests/sharding.rs` and the fault cells of the differential
 //! battery):
@@ -111,9 +123,14 @@
 //!   A faulted run's multiset equals the fault-free run's.
 //! * **Determinism** — a seeded `FaultPlan` yields byte-equal
 //!   [`RunResult`]s across repeated runs.
-//! * **Empty plan ⇒ exact goldens** — a default `FaultPlan` leaves
-//!   every run microsecond-identical to a build without the fault
-//!   plane.
+//! * **Empty plan ⇒ exact goldens** — by construction: a default
+//!   `FaultPlan` installs no fault state, so every run is
+//!   microsecond-identical to a build without the fault plane.
+//! * **Crash truthfulness** — a crash cuts the aborted transfer or
+//!   switch span at the crash instant, so no span crosses an outage and
+//!   a short outage's reload cannot overlap it; a crash flushes a
+//!   parked watchdog batch at once, and the flushed batch's watchdog
+//!   event fires stale without stretching the makespan.
 //!
 //! What faults *do* change: makespans (recovery events keep the run
 //! alive), per-shard counters, and latency tails — failover is a
@@ -233,14 +250,23 @@
 //! free. Residency is metadata-only — no shard stores a payload (each
 //! engine borrows its segments from its tenant's dataset), so a
 //! "cached byte" costs an index entry, not a copy.
+//!
+//! The plane is one optional box per pump, owned by the `tiers` module
+//! with every routine that acts on it (the submit partition, hit
+//! delivery, fill-on-consume, the wake-up arm, crash displacement):
+//! `DeviceFleet::install_cache` installs the same tiers on every shard,
+//! and only for a config with some capacity. The pump's hooks are each
+//! one presence test.
 //! Invariants, pinned by `tests/cache_tiers.rs` and the tiering smoke
 //! gates:
 //!
 //! * **Conservation** — hits + misses partition the GET multiset
 //!   exactly; `cache.misses == device.objects_served`.
-//! * **Zero ⇒ byte-exact** — `CacheConfig::dram_only(0)` / `CacheConfig::disabled`
-//!   reproduces the uncached [`RunResult`] bit for bit (the goldens
-//!   survive untouched).
+//! * **Zero ⇒ byte-exact** — by construction:
+//!   `CacheConfig::dram_only(0)` / `CacheConfig::disabled` installs
+//!   nothing, so the pump runs no cache code and reproduces the
+//!   uncached [`RunResult`] bit for bit (the goldens survive
+//!   untouched).
 //! * **Determinism** — hit completions are ordinary pump events
 //!   ordered by `(ready instant, per-shard issue sequence)`, so cached
 //!   runs are bit-identical across repeats.
@@ -398,6 +424,7 @@ pub mod fleet;
 pub mod protect;
 pub mod pump;
 pub mod scenario;
+mod tiers;
 pub mod workload;
 
 pub use collector::{

@@ -29,7 +29,7 @@ use crate::config::CostModel;
 use super::client::{ClientState, PlannedQuery};
 use super::collector::{RecordMode, RunResult};
 use super::driver::Runtime;
-use super::fault::{self, FaultPlan};
+use super::fault::FaultPlan;
 use super::fleet::DeviceFleet;
 use super::protect::{AdmissionPolicy, Breaker, ClientProtection, Protection};
 use super::workload::Workload;
@@ -413,14 +413,10 @@ impl Scenario {
             DeviceFleet::with_replicas(devices, replicas_of)
         };
 
-        // Expand the fault plan (stochastic streams and all) into
-        // timestamped episodes, install drop-wakeup injections on
-        // their pumps, and hand the timed crash/brown-out actions to
-        // the driver as calendar events.
-        let episodes = self.faults.expand(self.shards);
-        for (shard, nth, redeliver_after) in fault::drop_plans(&episodes) {
-            fleet.plan_drop(shard, nth, redeliver_after);
-        }
+        // The fault plan and the shard-cache tiers each install only
+        // when they inject or hold something.
+        fleet.install_faults(&self.faults);
+        fleet.install_cache(self.shard_cache);
 
         // Wire the fleet for the protection plane: retry tenants'
         // replica-less requests come back for backoff instead of
@@ -432,17 +428,8 @@ impl Scenario {
             fleet.breaker = Some(Breaker::new(b, self.shards));
         }
 
-        // Install the shard-cache tiers (a disabled config installs
-        // nothing, keeping the uncached machine byte-exact).
-        if self.shard_cache.enabled() {
-            for shard in 0..self.shards {
-                fleet.set_cache(shard, self.shard_cache);
-            }
-        }
-
         Runtime::new(fleet, clients, self.cost)
             .with_record_mode(self.record_mode)
-            .with_faults(fault::timed_actions(&episodes))
             .with_protection(protection)
             .run()
     }

@@ -1504,6 +1504,179 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
     assert!(fleet.is_quiescent());
 }
 
+#[test]
+fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
+    let ds = mini_dataset();
+    let payload: Arc<Segment> = Arc::clone(&ds.segments[0][0]);
+    let obj = |table: u16, seg: u32| ObjectId::new(0, table, seg);
+    let (a0, a1, b0, b1) = (obj(0, 0), obj(0, 1), obj(1, 0), obj(1, 1));
+    let (c0, c1, c2, d0) = (obj(2, 0), obj(2, 1), obj(2, 2), obj(3, 0));
+    let mut store: ObjectStore<Arc<Segment>> = ObjectStore::new();
+    for (object, group) in [
+        (a0, 0),
+        (a1, 0),
+        (b0, 0),
+        (b1, 0),
+        (c0, 0),
+        (c1, 0),
+        (c2, 0),
+        (d0, 1),
+    ] {
+        store.put(object, gib(1), group, Arc::clone(&payload));
+    }
+    let device = CsdDevice::new(
+        CsdConfig {
+            switch_latency: SimDuration::from_secs(10),
+            bandwidth_bytes_per_sec: gib(1) as f64,
+            initial_load_free: true,
+            parallel_streams: 2,
+            ..CsdConfig::default()
+        },
+        store,
+        SchedPolicy::RankBased.build(),
+        IntraGroupOrder::SemanticRoundRobin,
+    );
+    // The planes install through the fleet; the test drives its pump.
+    let mut fleet = DeviceFleet::new(vec![device], Default::default());
+    // A slow one-object DRAM tier over a fast SSD tier, so a later SSD
+    // hit is ready before an earlier DRAM hit.
+    fleet.install_cache(CacheConfig {
+        dram: TierConfig::new(gib(1), gib(1) as f64 / 4.0),
+        ssd: TierConfig::new(gib(4), gib(2) as f64),
+        policy: CachePolicy::Lru,
+    });
+    fleet.install_faults(&FaultPlan::new().drop_wakeup_after(0, 2, SimDuration::from_secs(100)));
+    let pump = &mut fleet.pumps[0];
+    let (q0, q1) = (QueryId::new(0, 0), QueryId::new(1, 0));
+    // Live wake-up 1 fills the tiers: a1 in DRAM, a0 demoted to SSD.
+    pump.submit(t(0), 0, q0, &[a0, a1]);
+    assert_eq!(pump.poke(t(0)), Some(t(1)));
+    assert_eq!(wake(pump, t(1)).len(), 2);
+    // Live wake-up 2 is dropped: its batch parks for the watchdog.
+    pump.submit(t(1), 1, q1, &[b0, b1]);
+    assert_eq!(pump.poke(t(1)), Some(t(2)));
+    assert!(wake(pump, t(2)).is_empty());
+    // Two transfers in flight, two requests queued, two pending hits.
+    let q = QueryId::new(0, 1);
+    pump.submit(t(2), 0, q, &[c0, c1, c2, d0, a1, a0]);
+    assert_eq!(pump.take_redelivery_arm(), Some(t(102)));
+    assert_eq!(
+        pump.take_cache_arm(),
+        Some(t(2) + SimDuration::from_millis(500))
+    );
+    assert_eq!(pump.poke(t(2)), Some(t(3)));
+    let (mut displaced, mut completed) = (Vec::new(), Vec::new());
+    assert_eq!(pump.fail(t(2), &mut displaced, &mut completed), 4);
+    assert!(displaced
+        .iter()
+        .all(|r| (r.client, r.query, r.arrival) == (0, q, t(2))));
+    let displaced: Vec<_> = displaced.iter().map(|r| (r.object, r.seq)).collect();
+    assert_eq!(
+        displaced,
+        vec![(c0, 4), (c1, 5), (c2, 6), (d0, 7), (a0, 2), (a1, 1)],
+        "aborted slots, then the queue oldest first, then hits in ready order"
+    );
+    let completed: Vec<_> = completed
+        .iter()
+        .map(|d| (d.client, d.query, d.object))
+        .collect();
+    assert_eq!(completed, vec![(1, q1, b0), (1, q1, b1)]);
+    // Down: nothing to kick, nothing armed, nothing held back, and the
+    // flushed batch's watchdog fires stale.
+    assert_eq!(pump.poke(t(2)), None);
+    assert_eq!(pump.take_redelivery_arm(), None);
+    assert_eq!(pump.take_cache_arm(), None);
+    assert!(pump.is_quiescent());
+    assert!(wake(pump, t(102)).is_empty());
+    assert_eq!(pump.cache_stats().invalidations, 1);
+    pump.recover();
+    pump.submit(t(130), 0, QueryId::new(0, 2), &[c0]);
+    assert_eq!(pump.poke(t(130)), Some(t(140)), "the reload pays a switch");
+    assert_eq!(pump.device().metrics().group_switches, 1);
+}
+
+/// The two-tenant Q12 cell of the fault bug fixes over `plan`.
+fn two_skippers(ds: &Arc<Dataset>, q: &QuerySpec, plan: FaultPlan) -> Scenario {
+    Scenario::from_workloads(vec![skipper(ds, q, 1); 2]).faults(plan)
+}
+
+/// The latest query end of a run.
+fn last_end(res: &RunResult) -> SimTime {
+    res.records()
+        .map(|r| r.end)
+        .max()
+        .expect("a finished query")
+}
+
+#[test]
+fn short_outage_cuts_aborted_spans_at_the_crash() {
+    // The 5 s outage is shorter than the transfer it aborts: the
+    // aborted span must end at the crash, not at its planned end, or
+    // the reload switch after recovery overlaps it.
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
+    let crash = || FaultPlan::new().shard_down(0, t(20), t(25));
+    let res = two_skippers(&ds, &q, crash()).run();
+    assert_eq!(res.delivery_multiset(), clean.delivery_multiset());
+    assert_eq!(two_skippers(&ds, &q, crash()).run(), res);
+    assert_eq!(res.availability.aborted_transfers, 1);
+    let shard = &res.shards[0];
+    for s in shard
+        .spans
+        .iter()
+        .chain(shard.extra_stream_spans.iter().flatten())
+    {
+        assert!(
+            s.end <= t(20) || s.start >= t(25),
+            "{s:?} crosses the outage"
+        );
+    }
+    let lean = two_skippers(&ds, &q, crash())
+        .trace_mode(TraceMode::Counters)
+        .run();
+    assert_eq!(lean.makespan, res.makespan);
+    assert_eq!(lean.delivery_multiset(), res.delivery_multiset());
+}
+
+#[test]
+fn a_drop_on_a_parked_batch_joins_it_until_the_later_deadline() {
+    // Wake-up 3 is dropped while wake-up 2's batch waits out its
+    // hour-long watchdog: it joins that batch, which is released at the
+    // later deadline, and the makespan is the last query's end.
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let hour = SimDuration::from_secs(3600);
+    let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
+    let plan = FaultPlan::new()
+        .drop_wakeup_after(0, 2, hour)
+        .drop_wakeup(0, 3);
+    let res = two_skippers(&ds, &q, plan).run();
+    assert_eq!(res.delivery_multiset(), clean.delivery_multiset());
+    assert!(
+        res.clients[0][0].end > SimTime::ZERO + hour,
+        "the joined batch left early"
+    );
+    assert_eq!(res.makespan, last_end(&res));
+}
+
+#[test]
+fn a_crash_flushes_a_parked_batch_and_its_watchdog_leaves_no_trace() {
+    // The crash flushes the batch parked behind an hour-long watchdog;
+    // the watchdog's event then fires stale and must not stretch the
+    // makespan past the last query's end.
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
+    let plan = FaultPlan::new()
+        .drop_wakeup_after(0, 2, SimDuration::from_secs(3600))
+        .shard_down(0, t(20), t(25));
+    let res = two_skippers(&ds, &q, plan).run();
+    assert_eq!(res.delivery_multiset(), clean.delivery_multiset());
+    assert_eq!(res.makespan, last_end(&res));
+    assert!(res.makespan < t(3600));
+}
+
 // ---------------------------------------------------------------------
 // Delivery by reference: the device path carries no payload, and the
 // engine borrows each segment from its own tenant's dataset.

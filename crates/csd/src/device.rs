@@ -346,11 +346,14 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// replicas or parks them until recovery; their re-submission gets
     /// fresh sequence numbers and arrival times.
     ///
-    /// Spans already recorded for aborted transfers are left in the
-    /// trace: the device genuinely spun its platters until the crash,
-    /// and stall attribution covers every interval regardless of span
-    /// content.
-    pub fn fail(&mut self, _now: SimTime, displaced: &mut Vec<PendingRequest>) -> usize {
+    /// Every slot trace ends at `now`: an aborted transfer's span, or
+    /// an aborted switch's, is cut at the crash instead of running to
+    /// its planned end — the platters spun until the crash and no
+    /// longer — so the reload after a short outage cannot overlap it.
+    pub fn fail(&mut self, now: SimTime, displaced: &mut Vec<PendingRequest>) -> usize {
+        for trace in &mut self.traces {
+            trace.cut(now);
+        }
         let mut aborted = 0usize;
         for slot in &mut self.slots {
             if let Some(TransferSlot { request, .. }) = slot.take() {
@@ -720,6 +723,14 @@ mod tests {
     }
 
     fn device_with_streams(policy: SchedPolicy, streams: u32) -> CsdDevice<&'static str> {
+        device_traced(policy, streams, TraceMode::Full)
+    }
+
+    fn device_traced(
+        policy: SchedPolicy,
+        streams: u32,
+        trace_mode: TraceMode,
+    ) -> CsdDevice<&'static str> {
         let mut store = ObjectStore::new();
         for t in 0..2u16 {
             for s in 0..2u32 {
@@ -732,6 +743,7 @@ mod tests {
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
                 initial_load_free: true,
                 parallel_streams: streams,
+                trace_mode,
                 ..CsdConfig::default()
             },
             store,
@@ -1103,6 +1115,53 @@ mod tests {
                 (0, QueryId::new(0, 0), ObjectId::new(0, 0, 1)),
             ]
         );
+    }
+
+    #[test]
+    fn crash_cuts_aborted_transfer_and_switch_spans() {
+        let at = |ms: u64| t(0) + SimDuration::from_millis(ms);
+        let obj = ObjectId::new(0, 0, 0);
+        let q = QueryId::new(0, 0);
+        for mode in [TraceMode::Full, TraceMode::Counters] {
+            let mut dev = device_traced(SchedPolicy::RankBased, 1, mode);
+            let mut displaced = Vec::new();
+            // Mid-transfer: the 1 s transfer dies at 0.4 s.
+            dev.submit(t(0), 0, q, &[obj]);
+            assert_eq!(dev.kick(t(0)), Some(t(1)));
+            assert_eq!(dev.fail(at(400), &mut displaced), 1);
+            assert_eq!(dev.trace().totals().transfer, at(400).since(t(0)));
+            // Mid-switch: the paid reload dies at 5 s.
+            dev.submit(at(500), 0, q, &[obj]);
+            assert_eq!(dev.kick(at(500)), Some(at(10_500)));
+            assert_eq!(dev.fail(t(5), &mut displaced), 0);
+            assert_eq!(dev.trace().total_switching(), t(5).since(at(500)));
+            // The next reload records after the cut without overlap.
+            dev.submit(t(6), 0, q, &[obj]);
+            assert_eq!(dev.kick(t(6)), Some(t(16)));
+            assert_eq!(dev.trace().switch_count(), 2, "{mode:?}");
+            assert_eq!(dev.metrics().group_switches, 2);
+            let expected = match mode {
+                TraceMode::Full => vec![
+                    Span {
+                        start: t(0),
+                        end: at(400),
+                        activity: Activity::Transferring { client: 0 },
+                    },
+                    Span {
+                        start: at(500),
+                        end: t(5),
+                        activity: Activity::Switching,
+                    },
+                    Span {
+                        start: t(6),
+                        end: t(16),
+                        activity: Activity::Switching,
+                    },
+                ],
+                TraceMode::Counters => Vec::new(),
+            };
+            assert_eq!(dev.trace().spans(), expected.as_slice());
+        }
     }
 
     #[test]

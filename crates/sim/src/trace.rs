@@ -108,6 +108,8 @@ pub struct ActivityTrace {
     totals: Attribution,
     /// Number of (coalesced) switching spans.
     switch_spans: usize,
+    /// Start of the last recorded (coalesced) span.
+    last_start: SimTime,
     /// End of the last recorded span (also the overlap guard when the
     /// span log itself is not kept).
     last_end: SimTime,
@@ -170,8 +172,11 @@ impl ActivityTrace {
         // small over long experiments (and the switch count equal to the
         // number of *distinct* switch episodes).
         let continues = start == self.last_end && self.last_activity == Some(activity);
-        if !continues && activity == Activity::Switching {
-            self.switch_spans += 1;
+        if !continues {
+            self.last_start = start;
+            if activity == Activity::Switching {
+                self.switch_spans += 1;
+            }
         }
         self.last_end = end;
         self.last_activity = Some(activity);
@@ -186,6 +191,46 @@ impl ActivityTrace {
                     activity,
                 });
             }
+        }
+    }
+
+    /// Ends the trace at `at`: a last span still running past `at` — a
+    /// transfer or switch a crash aborted — is cut there, and the
+    /// running totals with it, in both [`TraceMode`]s. A span that
+    /// starts at `at` is dropped whole (with its switch episode). No-op
+    /// when every span ended by `at`.
+    ///
+    /// # Panics
+    /// Panics when the last span starts after `at`: only the span in
+    /// progress at `at` can be cut.
+    pub fn cut(&mut self, at: SimTime) {
+        if self.last_end <= at {
+            return;
+        }
+        assert!(
+            self.last_start <= at,
+            "cut at {at:?} inside a span starting {:?}",
+            self.last_start
+        );
+        let activity = self.last_activity.expect("a span runs past the cut");
+        let dropped = self.last_end.since(at);
+        match activity {
+            Activity::Switching => self.totals.switching -= dropped,
+            Activity::Transferring { .. } => self.totals.transfer -= dropped,
+            Activity::Idle => self.totals.idle -= dropped,
+        }
+        self.last_end = at;
+        let full = self.mode == TraceMode::Full;
+        if self.last_start == at {
+            if activity == Activity::Switching {
+                self.switch_spans -= 1;
+            }
+            self.last_activity = None;
+            if full {
+                self.spans.pop();
+            }
+        } else if full {
+            self.spans.last_mut().expect("a span runs past the cut").end = at;
         }
     }
 
@@ -615,6 +660,58 @@ mod tests {
         let mut lean = ActivityTrace::with_mode(TraceMode::Counters);
         lean.record(t(0), t(5), Activity::Idle);
         lean.record(t(4), t(6), Activity::Idle);
+    }
+
+    #[test]
+    fn cut_ends_the_running_span_in_both_modes() {
+        for mode in [TraceMode::Full, TraceMode::Counters] {
+            let mut tr = ActivityTrace::with_mode(mode);
+            tr.record(t(0), t(10), Activity::Switching);
+            tr.record(t(10), t(20), Activity::Transferring { client: 0 });
+            tr.cut(t(14));
+            tr.cut(t(30)); // nothing runs past it
+            assert_eq!(tr.totals().transfer, d(4), "{mode:?}");
+            assert_eq!(tr.total_switching(), d(10), "{mode:?}");
+            // The overlap guard moved back to the cut.
+            tr.record(t(14), t(16), Activity::Switching);
+            assert_eq!(tr.switch_count(), 2, "{mode:?}");
+            // A span starting at the cut vanishes with its episode.
+            tr.cut(t(14));
+            assert_eq!(tr.switch_count(), 1, "{mode:?}");
+            let totals = Attribution {
+                switching: d(10),
+                transfer: d(4),
+                idle: SimDuration::ZERO,
+            };
+            assert_eq!(tr.totals(), totals, "{mode:?}");
+            if mode == TraceMode::Full {
+                assert_eq!(
+                    tr.spans(),
+                    &[
+                        Span {
+                            start: t(0),
+                            end: t(10),
+                            activity: Activity::Switching
+                        },
+                        Span {
+                            start: t(10),
+                            end: t(14),
+                            activity: Activity::Transferring { client: 0 }
+                        },
+                    ]
+                );
+            } else {
+                assert!(tr.spans().is_empty());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a span")]
+    fn cut_before_the_running_span_started_is_rejected() {
+        let mut tr = ActivityTrace::new();
+        tr.record(t(10), t(20), Activity::Switching);
+        tr.cut(t(5));
     }
 
     #[test]
