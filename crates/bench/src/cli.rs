@@ -1,8 +1,6 @@
 //! What every subcommand shares: the flag cursor, the gate
 //! accumulator, the allocation probe and the artifact writer.
 
-use std::str::FromStr;
-
 /// A command-line mistake. The binary prints it and exits with
 /// status 2.
 #[derive(Debug, PartialEq, Eq)]
@@ -30,14 +28,24 @@ impl Flags {
         self.args.next()
     }
 
-    /// The value following `flag`, parsed as `T`.
-    pub fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, UsageError> {
-        let raw = self
-            .args
+    /// The value following `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, UsageError> {
+        self.args
             .next()
-            .ok_or_else(|| self.error(&format!("missing value for {flag}")))?;
-        raw.parse()
-            .map_err(|_| self.error(&format!("bad value {raw:?} for {flag}")))
+            .ok_or_else(|| self.error(&format!("missing value for {flag}")))
+    }
+
+    /// Reads a command line that may hold only `--out PATH`; returns
+    /// the path.
+    pub fn out(&mut self) -> Result<Option<String>, UsageError> {
+        let mut out = None;
+        while let Some(flag) = self.next_flag() {
+            match flag.as_str() {
+                "--out" => out = Some(self.value(&flag)?),
+                _ => return Err(self.unknown(&flag)),
+            }
+        }
+        Ok(out)
     }
 
     /// The error for a flag this subcommand does not accept.
@@ -74,6 +82,28 @@ impl Gates {
         } else {
             eprintln!("FAIL {label}");
             self.failures += 1;
+        }
+    }
+
+    /// Records one gate over an oracle's violations
+    /// (`skipper_core::runtime::oracle`): it holds when there are none,
+    /// and each violation is printed under its `FAIL` line.
+    pub fn violations(&mut self, violations: Vec<String>, label: &str) {
+        self.check(violations.is_empty(), label);
+        for v in violations {
+            eprintln!("     {v}");
+        }
+    }
+
+    /// Records the allocation gate when the binary's probe counted a
+    /// `gauge`: allocations per delivery must stay at or under
+    /// `ceiling`. `prefix` leads the label.
+    pub fn alloc_ceiling(&mut self, gauge: Option<f64>, ceiling: f64, prefix: &str) {
+        if let Some(a) = gauge {
+            self.check(
+                a <= ceiling,
+                &format!("{prefix}allocations/delivery {a:.1} <= {ceiling:.1}"),
+            );
         }
     }
 
@@ -154,7 +184,11 @@ mod tests {
         let mut g = Gates::default();
         g.check(true, "holds");
         g.check(false, "broken");
-        assert_eq!(g.failures, 1);
-        assert_eq!(g.finish("DEMO", "clean"), 1);
+        g.violations(Vec::new(), "sound");
+        g.violations(vec!["a ledger drifted".into()], "unsound");
+        g.alloc_ceiling(None, 1.0, "no probe: ");
+        g.alloc_ceiling(Some(1.5), 1.0, "over: ");
+        assert_eq!(g.failures, 3);
+        assert_eq!(g.finish("DEMO", "clean"), 3);
     }
 }

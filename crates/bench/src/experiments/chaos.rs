@@ -6,16 +6,20 @@
 //! 4-shard `Replicated { k: 2 }` fleet, and gates the invariants the
 //! fault plane guarantees:
 //!
-//! 1. **Conservation** — the faulted run delivers exactly the
-//!    fault-free run's `(client, query, object)` multiset: failover
-//!    re-serves displaced work, losing and duplicating nothing.
-//! 2. **Determinism** — repeating the faulted run reproduces the
+//! 1. **Soundness** — the clean and the faulted run both pass
+//!    [`check_run`]: roll-ups, ledger, and the Figure 9 breakdown.
+//! 2. **Conservation** — the faulted run delivers exactly the
+//!    fault-free run's `(client, query, object)` multiset
+//!    ([`check_same_work`]): failover re-serves displaced work, losing
+//!    and duplicating nothing.
+//! 3. **Determinism** — repeating the faulted run reproduces the
 //!    `RunResult` bit for bit.
-//! 3. **Allocation ceiling** — allocations per delivered object across
-//!    a faulted run stay under `--alloc-ceiling`: a fault-plane change
-//!    that re-introduces per-event heap traffic on the drive loop
-//!    trips it. (The gauge includes scenario assembly, which is O(data)
-//!    not O(requests) — the request count here is large enough that an
+//! 4. **Allocation ceiling** — when the binary's allocation probe is
+//!    installed, allocations per delivered object across a faulted run
+//!    stay under [`ALLOC_CEILING`]: a fault-plane change that
+//!    re-introduces per-event heap traffic on the drive loop trips it.
+//!    (The gauge includes scenario assembly, which is O(data) not
+//!    O(requests) — the request count here is large enough that an
 //!    O(events) regression dominates.)
 //!
 //! Any violation exits non-zero — the CI regression gate. `--out PATH`
@@ -28,13 +32,13 @@
 //! outage, k = 1 vs k = 2, p99/p999 + SLO attainment per policy.
 //!
 //! ```text
-//! cargo run --release -p skipper-bench -- chaos \
-//!     --alloc-ceiling 100 --out BENCH_chaos.json
+//! cargo run --release -p skipper-bench -- chaos --out BENCH_chaos.json
 //! cargo run --release -p skipper-bench -- chaos --sweep
 //! ```
 
 use std::sync::Arc;
 
+use skipper_core::runtime::oracle::{check_run, check_same_work};
 use skipper_core::runtime::{
     ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy, Scenario, SkipperFactory, Workload,
 };
@@ -49,7 +53,11 @@ use crate::cli::{
 use crate::scenarios::{mixed_fleet, secs, smoke_dataset};
 
 /// The flags [`command`] accepts.
-pub const FLAGS: &str = "[--alloc-ceiling C] [--out PATH] [--sweep]";
+pub const FLAGS: &str = "[--out PATH] [--sweep]";
+
+/// Allocations per delivered object a faulted run may make: the
+/// committed measurement (37.4) + 10 %.
+pub const ALLOC_CEILING: f64 = 41.2;
 
 /// Every episode kind in one plan: crash + recovery on shard 2, a
 /// half-bandwidth brown-out on shard 0, a dropped wake-up on shard 1,
@@ -156,7 +164,7 @@ fn outage() -> FaultPlan {
 
 /// Runs the smoke cells and their gates; returns the gates and the
 /// `BENCH_chaos.json` document.
-pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, String) {
+pub fn smoke(probe: Option<AllocProbe>) -> (Gates, String) {
     let ds = smoke_dataset();
     let mut gates = Gates::default();
     let mut json_rows: Vec<String> = Vec::new();
@@ -167,9 +175,10 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
         let deliveries = faulted.device.objects_served;
         let per_delivery = allocs_per_delivery(allocs, deliveries);
 
-        gates.check(
-            faulted.delivery_multiset() == clean.delivery_multiset(),
-            &format!("{sched:?}: faulted multiset == clean multiset"),
+        gates.violations(check_run(&clean), &format!("{sched:?}: clean run is sound"));
+        gates.violations(
+            [check_run(&faulted), check_same_work(&faulted, &clean)].concat(),
+            &format!("{sched:?}: faulted run is sound, multiset == clean multiset"),
         );
         gates.check(
             faulted.shards[2].fault.downs >= 1 && faulted.availability.availability < 1.0,
@@ -189,15 +198,7 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
             faulted.availability.failovers,
             gauge_label(per_delivery, 1),
         );
-        if let Some(ceiling) = alloc_ceiling {
-            gates.check(
-                per_delivery.is_some_and(|a| a <= ceiling),
-                &format!(
-                    "{sched:?}: allocations/delivery {} <= {ceiling:.1}",
-                    gauge_label(per_delivery, 1)
-                ),
-            );
-        }
+        gates.alloc_ceiling(per_delivery, ALLOC_CEILING, &format!("{sched:?}: "));
         json_rows.push(format!(
             "    {{\"scheduler\": \"{sched:?}\", \"deliveries\": {deliveries}, \
              \"availability\": {:.6}, \"downtime_micros\": {}, \"failovers\": {}, \
@@ -221,12 +222,10 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
 
 /// The `chaos` subcommand; returns the number of violated gates.
 pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
-    let mut alloc_ceiling: Option<f64> = None;
     let mut sweep = false;
     let mut out: Option<String> = None;
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
             "--out" => out = Some(flags.value(&flag)?),
             "--sweep" => sweep = true,
             _ => return Err(flags.unknown(&flag)),
@@ -236,7 +235,7 @@ pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, Usag
         degraded_sweep(&smoke_dataset());
         return Ok(0);
     }
-    let (gates, json) = smoke(alloc_ceiling, probe);
+    let (gates, json) = smoke(probe);
     if let Some(path) = out {
         write_artifact(&path, &json)?;
     }
@@ -252,7 +251,7 @@ mod tests {
 
     #[test]
     fn gates_hold_and_reproduce_the_committed_artifact() {
-        let (gates, json) = smoke(None, None);
+        let (gates, json) = smoke(None);
         assert_eq!(gates.failures, 0);
         crate::cli::assert_matches_committed(&json, include_str!("../../../../BENCH_chaos.json"));
     }

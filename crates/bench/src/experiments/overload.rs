@@ -20,29 +20,32 @@
 //! The smoke gates (any violation exits non-zero — the CI regression
 //! gate):
 //!
+//! 0. **Soundness** — every cell passes [`check_run`]: roll-ups,
+//!    ledger, the Figure 9 breakdown, and at-most-once consumption.
 //! 1. **Disabled ⇒ byte-exact** — the burst fleet with every knob at
 //!    its default, but a non-default scenario seed and an explicit
 //!    `RetryPolicy::None`, reproduces the knob-free `RunResult` bit
 //!    for bit, and its `ProtectionSummary` is quiet.
 //! 2. **Consumption conservation** — the hedged brown-out run consumes
 //!    exactly the clean (fault-free, hedge-free) run's delivery
-//!    multiset: duplicate hedge copies are cancelled or discarded,
-//!    never double-processed.
+//!    multiset ([`check_same_work`]): duplicate hedge copies are
+//!    cancelled or discarded, never double-processed.
 //! 3. **Determinism** — repeating the hedged run and the shed run
 //!    reproduces them bit for bit.
 //! 4. **Headline direction** — shed p99 < unprotected p99 under the
 //!    burst, hedged p99 < unhedged p99 under the brown-out.
-//! 5. **`--alloc-ceiling C`** — allocations per delivered object on
-//!    the hedged run stay ≤ `C`: the protection hot path must not
+//! 5. **Allocation ceiling** — when the binary's allocation probe is
+//!    installed, allocations per delivered object on the hedged run
+//!    stay ≤ [`ALLOC_CEILING`]: the protection hot path must not
 //!    re-introduce per-event heap traffic.
 //!
 //! ```text
-//! cargo run --release -p skipper-bench -- overload \
-//!     --alloc-ceiling 100 --out BENCH_overload.json
+//! cargo run --release -p skipper-bench -- overload --out BENCH_overload.json
 //! ```
 
 use std::sync::Arc;
 
+use skipper_core::runtime::oracle::{check_run, check_same_work};
 use skipper_core::runtime::{
     AdmissionPolicy, AdmissionResponse, ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy,
     RetryPolicy, RunResult, Scenario, SkipperFactory, Workload,
@@ -58,7 +61,11 @@ use crate::cli::{
 use crate::scenarios::{secs, smoke_dataset};
 
 /// The flags [`command`] accepts.
-pub const FLAGS: &str = "[--alloc-ceiling C] [--out PATH]";
+pub const FLAGS: &str = "[--out PATH]";
+
+/// Allocations per delivered object the hedged run may make: the
+/// committed measurement (29.6) + 10 %.
+pub const ALLOC_CEILING: f64 = 32.6;
 
 /// The saturating burst fleet: four tenants firing synchronized on/off
 /// bursts (2 s between releases for 30 s, then 150 s quiet) at a
@@ -190,7 +197,7 @@ fn json_row(experiment: &str, label: &str, res: &RunResult) -> String {
 
 /// Runs both grids and their gates; returns the gates and the
 /// `BENCH_overload.json` document.
-pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, String) {
+pub fn smoke(probe: Option<AllocProbe>) -> (Gates, String) {
     let ds = smoke_dataset();
     let mut gates = Gates::default();
 
@@ -214,15 +221,19 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
     let unhedged = outage_scenario(&ds, true, |w| w).run();
     let hedged = outage_scenario(&ds, true, hedge).run();
 
-    let rows = [
-        json_row("burst", "unprotected", &unprotected),
-        json_row("burst", "deadline-150s", &deadline_only),
-        json_row("burst", "admission-shed", &shed),
-        json_row("burst", "admission-backpressure", &backpressure),
-        json_row("outage", "clean", &clean),
-        json_row("outage", "unhedged", &unhedged),
-        json_row("outage", "hedged-8s", &hedged),
+    let cells = [
+        ("burst", "unprotected", &unprotected),
+        ("burst", "deadline-150s", &deadline_only),
+        ("burst", "admission-shed", &shed),
+        ("burst", "admission-backpressure", &backpressure),
+        ("outage", "clean", &clean),
+        ("outage", "unhedged", &unhedged),
+        ("outage", "hedged-8s", &hedged),
     ];
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|&(experiment, label, res)| json_row(experiment, label, res))
+        .collect();
     let json = format!(
         "{{\n  \"schema\": \"BENCH_overload/v1\",\n  \"samples\": [\n{}\n  ],\n  \
          \"headline\": {{\"unprotected_burst_p99_secs\": {:.6}, \
@@ -233,6 +244,17 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
         p99(&shed),
         p99(&unhedged),
         p99(&hedged),
+    );
+
+    // Gate 0: every cell is sound.
+    let unsound = cells.iter().flat_map(|&(_, label, res)| {
+        check_run(res)
+            .into_iter()
+            .map(move |v| format!("{label}: {v}"))
+    });
+    gates.violations(
+        unsound.collect(),
+        "every cell is sound (roll-ups, ledger, breakdown, consumption)",
     );
 
     // Gate 1: every knob disabled — but a non-default seed and an
@@ -252,8 +274,8 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
     // Gate 2: hedge duplicates are consumed at most once — the hedged
     // brown-out run consumes exactly the clean run's delivery multiset.
     gates.check(hedged.protection.hedges_fired > 0, "brown-out fires hedges");
-    gates.check(
-        hedged.consumed_multiset() == clean.delivery_multiset(),
+    gates.violations(
+        check_same_work(&hedged, &clean),
         "hedged consumption multiset == clean delivery multiset (conservation)",
     );
 
@@ -311,30 +333,14 @@ pub fn smoke(alloc_ceiling: Option<f64>, probe: Option<AllocProbe>) -> (Gates, S
         hedged.protection.hedge_wins,
         gauge_label(per_delivery, 1),
     );
-    if let Some(ceiling) = alloc_ceiling {
-        gates.check(
-            per_delivery.is_some_and(|a| a <= ceiling),
-            &format!(
-                "allocations/delivery {} <= {ceiling:.1}",
-                gauge_label(per_delivery, 1)
-            ),
-        );
-    }
+    gates.alloc_ceiling(per_delivery, ALLOC_CEILING, "");
     (gates, json)
 }
 
 /// The `overload` subcommand; returns the number of violated gates.
 pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
-    let mut alloc_ceiling: Option<f64> = None;
-    let mut out: Option<String> = None;
-    while let Some(flag) = flags.next_flag() {
-        match flag.as_str() {
-            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
-            "--out" => out = Some(flags.value(&flag)?),
-            _ => return Err(flags.unknown(&flag)),
-        }
-    }
-    let (gates, json) = smoke(alloc_ceiling, probe);
+    let out = flags.out()?;
+    let (gates, json) = smoke(probe);
     if let Some(path) = out {
         write_artifact(&path, &json)?;
     }
@@ -350,7 +356,7 @@ mod tests {
 
     #[test]
     fn gates_hold_and_reproduce_the_committed_artifact() {
-        let (gates, json) = smoke(None, None);
+        let (gates, json) = smoke(None);
         assert_eq!(gates.failures, 0);
         crate::cli::assert_matches_committed(
             &json,

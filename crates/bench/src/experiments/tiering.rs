@@ -13,34 +13,35 @@
 //! the same cost-vs-performance argument the paper makes for the cold
 //! tier itself (§2.1), one level up the hierarchy.
 //!
-//! The `tiering` subcommand prints the sweep table with its Pareto
-//! frontier, writes `BENCH_tiering.json` (schema `BENCH_tiering/v1`)
-//! under `--out PATH`, and runs the smoke gates (any violation exits
-//! non-zero):
+//! The `tiering` subcommand runs the [`SkewedFleet`],
+//! prints the sweep table with its Pareto frontier, writes
+//! `BENCH_tiering.json` (schema `BENCH_tiering/v1`) under `--out PATH`,
+//! and runs the smoke gates (any violation exits non-zero):
 //!
-//! 1. **Zero-size equivalence** — `CacheConfig::dram_only(0)` reproduces the
+//! 1. **Soundness** — every grid cell passes [`check_run`]: roll-ups,
+//!    ledger, and the Figure 9 breakdown.
+//! 2. **Zero-size equivalence** — `CacheConfig::dram_only(0)` reproduces the
 //!    uncached `RunResult` bit for bit: the cache plane is invisible
 //!    until switched on.
-//! 2. **Conservation** — the cached run delivers exactly the uncached
+//! 3. **Conservation** — the cached run delivers exactly the uncached
 //!    run's `(client, query, object)` multiset, hits and misses
 //!    together: the cache changes *when* bytes arrive, never *which*.
-//! 3. **Determinism** — repeating the gated cached run reproduces it
+//! 4. **Determinism** — repeating the gated cached run reproduces it
 //!    bit for bit.
-//! 4. **`--hit-floor F`** — hit rate at the gated config (DRAM = 10 %
-//!    of the working set) stays ≥ `F`.
-//! 5. **`--speedup-floor X`** — uncached/cached makespan ratio at the
-//!    gated config stays ≥ `X`.
-//! 6. **`--alloc-ceiling C`** — allocations per delivered object on the
-//!    gated cached run stay ≤ `C`: the hit fast path must not
+//! 5. **Hit floor** — hit rate at the gated config (DRAM = 10 % of the
+//!    working set) stays ≥ [`HIT_FLOOR`].
+//! 6. **Speedup floor** — uncached/cached makespan ratio at the gated
+//!    config stays ≥ [`SPEEDUP_FLOOR`].
+//! 7. **Allocation ceiling** — when the binary's allocation probe is
+//!    installed, allocations per delivered object on the gated cached
+//!    run stay ≤ [`ALLOC_CEILING`]: the hit fast path must not
 //!    re-introduce per-event heap traffic.
 //!
 //! ```text
-//! cargo run --release -p skipper-bench -- tiering
-//! cargo run --release -p skipper-bench -- tiering \
-//!     --hit-floor 0.5 --speedup-floor 2.0 --alloc-ceiling 100 \
-//!     --out BENCH_tiering.json
+//! cargo run --release -p skipper-bench -- tiering --out BENCH_tiering.json
 //! ```
 
+use skipper_core::runtime::oracle::{check_run, check_same_work};
 use skipper_core::runtime::RunResult;
 use skipper_csd::cache::{CacheConfig, CachePolicy, TierConfig};
 
@@ -49,11 +50,21 @@ use crate::cli::{
     UsageError,
 };
 use crate::report::Table;
-use crate::scenarios::{SkewedFleet, SkewedSpec};
+use crate::scenarios::{SkewedFleet, COLD_TENANTS, HOT_ROUNDS, HOT_TENANTS, SHARDS};
 
 /// The flags [`command`] accepts.
-pub const FLAGS: &str = "[--hit-floor F] [--speedup-floor X] [--alloc-ceiling C] [--out PATH] \
-                         [--hot-tenants N] [--hot-rounds N] [--cold-tenants N] [--shards N]";
+pub const FLAGS: &str = "[--out PATH]";
+
+/// The gated config's hit rate may not fall below this (measured 0.71).
+pub const HIT_FLOOR: f64 = 0.5;
+
+/// The gated config's uncached/cached makespan ratio may not fall below
+/// this (measured 2.78).
+pub const SPEEDUP_FLOOR: f64 = 2.0;
+
+/// Allocations per delivered object the gated cached run may make:
+/// the committed measurement (56.0) + 10 %.
+pub const ALLOC_CEILING: f64 = 61.6;
 
 /// One point of the sweep grid: a labelled cache configuration.
 #[derive(Clone, Copy, Debug)]
@@ -171,17 +182,24 @@ fn per_shard(cache: CacheConfig, shards: u64) -> CacheConfig {
     }
 }
 
-/// Runs one grid point on `fleet` and extracts a sample; `probe`
-/// counts the run's allocations.
+/// Runs one grid point on `fleet`; returns its sample and the run's
+/// [`check_run`] violations. `probe` counts the run's allocations.
 pub fn run_config(
     fleet: &SkewedFleet,
     cfg: &TieringConfig,
     probe: Option<AllocProbe>,
-) -> TieringSample {
-    let shards = fleet.spec.shards as u64;
+) -> (TieringSample, Vec<String>) {
+    let shards = SHARDS as u64;
     let per_shard = per_shard(cfg.cache, shards);
     let (res, allocs) = count_allocs(probe, || fleet.scenario().shard_cache(per_shard).run());
-    sample_from(cfg, per_shard, shards, &res, allocs)
+    let violations = check_run(&res)
+        .into_iter()
+        .map(|v| format!("{}: {v}", cfg.label))
+        .collect();
+    (
+        sample_from(cfg, per_shard, shards, &res, allocs),
+        violations,
+    )
 }
 
 fn sample_from(
@@ -251,10 +269,10 @@ pub fn table(fleet: &SkewedFleet, samples: &[TieringSample]) -> Table {
         &format!(
             "Shard-cache tiering sweep ({} hot x {} rounds + {} cold scans, {} shards, \
              working set {} GiB)",
-            fleet.spec.hot_tenants,
-            fleet.spec.hot_rounds,
-            fleet.spec.cold_tenants,
-            fleet.spec.shards,
+            HOT_TENANTS,
+            HOT_ROUNDS,
+            COLD_TENANTS,
+            SHARDS,
             fleet.working_set_bytes() >> 30,
         ),
         &[
@@ -286,10 +304,10 @@ pub fn to_json(fleet: &SkewedFleet, samples: &[TieringSample]) -> String {
     out.push_str(&format!(
         "  \"fleet\": {{\"hot_tenants\": {}, \"hot_rounds\": {}, \"cold_tenants\": {}, \
          \"shards\": {}, \"working_set_bytes\": {}, \"hot_set_bytes\": {}}},\n",
-        fleet.spec.hot_tenants,
-        fleet.spec.hot_rounds,
-        fleet.spec.cold_tenants,
-        fleet.spec.shards,
+        HOT_TENANTS,
+        HOT_ROUNDS,
+        COLD_TENANTS,
+        SHARDS,
         fleet.working_set_bytes(),
         fleet.hot_set_bytes(),
     ));
@@ -335,30 +353,41 @@ pub fn to_json(fleet: &SkewedFleet, samples: &[TieringSample]) -> String {
     out
 }
 
-/// Runs the sweep grid on `fleet` and the smoke gates; returns the
-/// gates and the `BENCH_tiering.json` document.
-pub fn smoke(
-    fleet: &SkewedFleet,
-    hit_floor: Option<f64>,
-    speedup_floor: Option<f64>,
-    alloc_ceiling: Option<f64>,
-    probe: Option<AllocProbe>,
-) -> (Gates, String) {
+/// Runs the sweep grid on the default skewed fleet and the smoke
+/// gates; returns the gates and the `BENCH_tiering.json` document.
+pub fn smoke(probe: Option<AllocProbe>) -> (Gates, String) {
+    let fleet = &SkewedFleet::default();
+    eprintln!(
+        "skewed fleet: {} hot x {} rounds + {} cold scans on {} shards, \
+         working set {} GiB (hot head {} GiB)",
+        HOT_TENANTS,
+        HOT_ROUNDS,
+        COLD_TENANTS,
+        SHARDS,
+        fleet.working_set_bytes() >> 30,
+        fleet.hot_set_bytes() >> 30,
+    );
     let grid = sweep_grid(fleet.working_set_bytes());
+    let mut unsound = Vec::new();
     let samples: Vec<_> = grid
         .iter()
         .map(|cfg| {
             eprintln!("running {}...", cfg.label);
-            run_config(fleet, cfg, probe)
+            let (sample, violations) = run_config(fleet, cfg, probe);
+            unsound.extend(violations);
+            sample
         })
         .collect();
     println!("{}", table(fleet, &samples).to_tsv());
     let json = to_json(fleet, &samples);
 
     let mut gates = Gates::default();
+    gates.violations(
+        unsound,
+        "every grid cell is sound (roll-ups, ledger, breakdown)",
+    );
 
-    // Gate 1: a zero-capacity cache is byte-for-byte the uncached
-    // machine.
+    // A zero-capacity cache is byte-for-byte the uncached machine.
     let uncached = fleet.scenario().run();
     let zero = fleet
         .scenario()
@@ -366,7 +395,7 @@ pub fn smoke(
         .run();
     gates.check(zero == uncached, "dram_only(0) == uncached, bit for bit");
 
-    // Gates 2-6 run against the gated grid point (DRAM at 10% of the
+    // The rest run against the gated grid point (DRAM at 10% of the
     // working set).
     let at = |label: &str| {
         grid.iter()
@@ -375,10 +404,10 @@ pub fn smoke(
     };
     let (gated_sample, uncached_sample) = (&samples[at(GATED_LABEL)], &samples[at("uncached")]);
 
-    let gated_cache = per_shard(grid[at(GATED_LABEL)].cache, fleet.spec.shards as u64);
+    let gated_cache = per_shard(grid[at(GATED_LABEL)].cache, SHARDS as u64);
     let cached = fleet.scenario().shard_cache(gated_cache).run();
-    gates.check(
-        cached.delivery_multiset() == uncached.delivery_multiset(),
+    gates.violations(
+        check_same_work(&cached, &uncached),
         "cached multiset == uncached multiset (conservation)",
     );
     let repeat = fleet.scenario().shard_cache(gated_cache).run();
@@ -393,26 +422,18 @@ pub fn smoke(
         gated_sample.makespan_secs,
         uncached_sample.makespan_secs,
     );
-    if let Some(floor) = hit_floor {
-        gates.check(
-            gated_sample.hit_rate >= floor,
-            &format!("hit rate {:.3} >= floor {floor:.3}", gated_sample.hit_rate),
-        );
-    }
-    if let Some(floor) = speedup_floor {
-        gates.check(
-            speedup >= floor,
-            &format!("makespan speedup {speedup:.2}x >= floor {floor:.2}x"),
-        );
-    }
-    if let Some(ceiling) = alloc_ceiling {
-        gates.check(
-            gated_sample
-                .allocs_per_delivery
-                .is_some_and(|a| a <= ceiling),
-            &format!("allocations/delivery {per_delivery} <= {ceiling:.1}"),
-        );
-    }
+    gates.check(
+        gated_sample.hit_rate >= HIT_FLOOR,
+        &format!(
+            "hit rate {:.3} >= floor {HIT_FLOOR:.3}",
+            gated_sample.hit_rate
+        ),
+    );
+    gates.check(
+        speedup >= SPEEDUP_FLOOR,
+        &format!("makespan speedup {speedup:.2}x >= floor {SPEEDUP_FLOOR:.2}x"),
+    );
+    gates.alloc_ceiling(gated_sample.allocs_per_delivery, ALLOC_CEILING, "");
 
     // The frontier must contain a cached configuration: if the uncached
     // point dominates everything, the tiers are economically dead.
@@ -426,37 +447,8 @@ pub fn smoke(
 
 /// The `tiering` subcommand; returns the number of violated gates.
 pub fn command(flags: &mut Flags, probe: Option<AllocProbe>) -> Result<u32, UsageError> {
-    let mut out: Option<String> = None;
-    let mut hit_floor: Option<f64> = None;
-    let mut speedup_floor: Option<f64> = None;
-    let mut alloc_ceiling: Option<f64> = None;
-    let mut spec = SkewedSpec::default();
-    while let Some(flag) = flags.next_flag() {
-        match flag.as_str() {
-            "--out" => out = Some(flags.value(&flag)?),
-            "--hit-floor" => hit_floor = Some(flags.value(&flag)?),
-            "--speedup-floor" => speedup_floor = Some(flags.value(&flag)?),
-            "--alloc-ceiling" => alloc_ceiling = Some(flags.value(&flag)?),
-            "--hot-tenants" => spec.hot_tenants = flags.value(&flag)?,
-            "--hot-rounds" => spec.hot_rounds = flags.value(&flag)?,
-            "--cold-tenants" => spec.cold_tenants = flags.value(&flag)?,
-            "--shards" => spec.shards = flags.value(&flag)?,
-            _ => return Err(flags.unknown(&flag)),
-        }
-    }
-
-    let fleet = SkewedFleet::new(spec);
-    eprintln!(
-        "skewed fleet: {} hot x {} rounds + {} cold scans on {} shards, \
-         working set {} GiB (hot head {} GiB)",
-        spec.hot_tenants,
-        spec.hot_rounds,
-        spec.cold_tenants,
-        spec.shards,
-        fleet.working_set_bytes() >> 30,
-        fleet.hot_set_bytes() >> 30,
-    );
-    let (gates, json) = smoke(&fleet, hit_floor, speedup_floor, alloc_ceiling, probe);
+    let out = flags.out()?;
+    let (gates, json) = smoke(probe);
     if let Some(path) = out {
         write_artifact(&path, &json)?;
     }
@@ -518,8 +510,7 @@ mod tests {
 
     #[test]
     fn gates_hold_and_reproduce_the_committed_artifact() {
-        let fleet = SkewedFleet::new(SkewedSpec::default());
-        let (gates, json) = smoke(&fleet, Some(0.5), Some(2.0), None, None);
+        let (gates, json) = smoke(None);
         assert_eq!(gates.failures, 0);
         crate::cli::assert_matches_committed(&json, include_str!("../../../../BENCH_tiering.json"));
     }

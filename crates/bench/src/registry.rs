@@ -166,13 +166,7 @@ pub fn run(args: Vec<String>, probe: Option<AllocProbe>) -> Result<u32, UsageErr
             println!("{}", f(&mut Ctx::new()));
         }
         (_, Some(Run::TableJson(f))) => {
-            let mut out: Option<String> = None;
-            while let Some(flag) = flags.next_flag() {
-                match flag.as_str() {
-                    "--out" => out = Some(flags.value(&flag)?),
-                    _ => return Err(flags.unknown(&flag)),
-                }
-            }
+            let out = flags.out()?;
             let (table, json) = f(&mut Ctx::new());
             println!("{table}");
             if let Some(path) = out {
@@ -245,17 +239,14 @@ mod tests {
         assert!(missing.0.contains("usage: skipper-bench"), "{}", missing.0);
 
         // Rejected before anything runs: sections take no flags, gate
-        // runs only their own, and values must parse.
+        // runs only their own, and a flag's value must be present.
         for (line, offender) in [
             ("table1 --fast", "\"--fast\""),
             ("all --fast", "\"--fast\""),
             ("streams --json x", "\"--json\""),
             ("chaos --floor 3", "\"--floor\""),
-            (
-                "overload --alloc-ceiling",
-                "missing value for --alloc-ceiling",
-            ),
-            ("tiering --shards four", "\"four\""),
+            ("overload --out", "missing value for --out"),
+            ("tiering --shards 4", "\"--shards\""),
         ] {
             let err = run(args(line), None).unwrap_err();
             assert!(err.0.contains(offender), "{line}: {}", err.0);

@@ -52,32 +52,18 @@ pub fn mixed_fleet(ds: &Arc<Dataset>, sched: SchedPolicy) -> Scenario {
         .scheduler(sched)
 }
 
-/// Shape of the [`SkewedFleet`] multi-tenant workload.
-#[derive(Clone, Copy, Debug)]
-pub struct SkewedSpec {
-    /// Hot tenants: small working set, many closed-loop repeat rounds.
-    pub hot_tenants: usize,
-    /// Q12 rounds per hot tenant (every round re-GETs the same objects).
-    pub hot_rounds: usize,
-    /// Cold tenants: large working set, one scan each, never repeated.
-    pub cold_tenants: usize,
-    /// CSD shards behind the fleet (round-robin placement).
-    pub shards: usize,
-    /// Dataset generator seed.
-    pub seed: u64,
-}
-
-impl Default for SkewedSpec {
-    fn default() -> Self {
-        SkewedSpec {
-            hot_tenants: 4,
-            hot_rounds: 16,
-            cold_tenants: 6,
-            shards: 4,
-            seed: 21,
-        }
-    }
-}
+/// [`SkewedFleet`] hot tenants: small working set, many closed-loop
+/// repeat rounds.
+pub const HOT_TENANTS: usize = 4;
+/// Q12 rounds per hot tenant (every round re-GETs the same objects).
+pub const HOT_ROUNDS: usize = 16;
+/// [`SkewedFleet`] cold tenants: large working set, one scan each,
+/// never repeated.
+pub const COLD_TENANTS: usize = 6;
+/// CSD shards behind the [`SkewedFleet`] (round-robin placement).
+pub const SHARDS: usize = 4;
+/// The [`SkewedFleet`] datasets' generator seed.
+const SEED: u64 = 21;
 
 /// A skew-heavy multi-tenant fleet for the cache-tier experiments:
 /// a head of hot tenants re-running Q12 over small private datasets
@@ -89,40 +75,40 @@ impl Default for SkewedSpec {
 /// [`SkewedFleet::scenario`] call, so a sweep re-running the same fleet
 /// under many cache configurations pays generation once.
 pub struct SkewedFleet {
-    /// The fleet shape.
-    pub spec: SkewedSpec,
     /// Hot tenants' small dataset (SF-2).
     pub hot: Arc<Dataset>,
     /// Cold tenants' large dataset (SF-8).
     pub cold: Arc<Dataset>,
 }
 
-impl SkewedFleet {
-    /// Generates the two datasets for `spec` (miniaturized physical
-    /// rows, full logical geometry — like every other bench fleet).
-    pub fn new(spec: SkewedSpec) -> Self {
+impl Default for SkewedFleet {
+    /// Generates the two datasets (miniaturized physical rows, full
+    /// logical geometry — like every other bench fleet).
+    fn default() -> Self {
         let hot = Arc::new(tpch::dataset(
-            &GenConfig::new(spec.seed, 2).with_phys_divisor(100_000),
+            &GenConfig::new(SEED, 2).with_phys_divisor(100_000),
         ));
         let cold = Arc::new(tpch::dataset(
-            &GenConfig::new(spec.seed, 8).with_phys_divisor(100_000),
+            &GenConfig::new(SEED, 8).with_phys_divisor(100_000),
         ));
-        SkewedFleet { spec, hot, cold }
+        SkewedFleet { hot, cold }
     }
+}
 
+impl SkewedFleet {
     /// Total logical bytes stored on the fleet (every tenant's whole
     /// dataset — the denominator for "DRAM at X% of the working set").
     pub fn working_set_bytes(&self) -> u64 {
         let per_hot = self.hot.total_objects() as u64 * GIB;
         let per_cold = self.cold.total_objects() as u64 * GIB;
-        self.spec.hot_tenants as u64 * per_hot + self.spec.cold_tenants as u64 * per_cold
+        HOT_TENANTS as u64 * per_hot + COLD_TENANTS as u64 * per_cold
     }
 
     /// Logical bytes the hot tenants re-touch every round (the cache's
     /// target residency: Q12's orders + lineitem objects per tenant).
     pub fn hot_set_bytes(&self) -> u64 {
         let q12 = tpch::q12(&self.hot);
-        self.spec.hot_tenants as u64 * self.hot.objects_for_query(&q12) as u64 * GIB
+        HOT_TENANTS as u64 * self.hot.objects_for_query(&q12) as u64 * GIB
     }
 
     /// Builds the scenario: hot tenants staggered 5 s apart so their
@@ -131,15 +117,15 @@ impl SkewedFleet {
     pub fn scenario(&self) -> Scenario {
         let q12 = tpch::q12(&self.hot);
         let q1 = tpch::q1(&self.cold);
-        let mut workloads: Vec<Workload> = (0..self.spec.hot_tenants)
+        let mut workloads: Vec<Workload> = (0..HOT_TENANTS)
             .map(|i| {
                 Workload::new(Arc::clone(&self.hot))
-                    .repeat_query(q12.clone(), self.spec.hot_rounds)
+                    .repeat_query(q12.clone(), HOT_ROUNDS)
                     .engine(SkipperFactory::default().cache_bytes(30 << 30))
                     .start_at(SimDuration::from_secs(5 * i as u64))
             })
             .collect();
-        for _ in 0..self.spec.cold_tenants {
+        for _ in 0..COLD_TENANTS {
             workloads.push(
                 Workload::new(Arc::clone(&self.cold))
                     .repeat_query(q1.clone(), 1)
@@ -147,7 +133,7 @@ impl SkewedFleet {
             );
         }
         Scenario::from_workloads(workloads)
-            .shards(self.spec.shards)
+            .shards(SHARDS)
             .placement(PlacementPolicy::RoundRobin)
     }
 }
@@ -158,7 +144,7 @@ mod tests {
 
     #[test]
     fn skewed_fleet_geometry() {
-        let fleet = SkewedFleet::new(SkewedSpec::default());
+        let fleet = SkewedFleet::default();
         // SF-2: 9 objects; SF-8: 16 objects (the golden fingerprint).
         assert_eq!(fleet.hot.total_objects(), 9);
         assert_eq!(fleet.cold.total_objects(), 16);

@@ -21,7 +21,8 @@
 //!    overload protection ([`protect`]).
 //!
 //! [`Scenario`] ([`scenario`]) is the one-stop facade over all three
-//! layers.
+//! layers. [`oracle`] states the invariants every run must keep once,
+//! for the tests, bench gates and examples to call.
 //!
 //! # Fleet layering
 //!
@@ -120,7 +121,9 @@
 //!   object)` request is served exactly once, by whichever replica
 //!   completes it: aborted transfers log nothing and are re-served;
 //!   stale deliveries for completed queries are dropped at routing.
-//!   A faulted run's multiset equals the fault-free run's.
+//!   A faulted run's multiset equals the fault-free run's
+//!   ([`oracle::check_same_work`]), and every evacuated or aborted
+//!   request is accounted for ([`oracle::check_run`]).
 //! * **Determinism** — a seeded `FaultPlan` yields byte-equal
 //!   [`RunResult`]s across repeated runs.
 //! * **Empty plan ⇒ exact goldens** — by construction: a default
@@ -197,7 +200,8 @@
 //!   before, and the goldens survive unregenerated
 //!   ([`ProtectionSummary::is_quiet`] holds; the kernel's per-tenant
 //!   offered/completed ledger populates on every run but is
-//!   behavior-neutral).
+//!   behavior-neutral). Only this plane cancels device requests: a
+//!   quiet run cancels none ([`oracle::check_run`]).
 //! * **Determinism** — backoff jitter is the only stochastic input and
 //!   it pre-derives from labeled streams, so every protected run is
 //!   byte-equal across repeats.
@@ -206,7 +210,11 @@
 //!   met deadline leaves a far-future cancel event behind).
 //! * **Consumption conservation** — hedged runs consume every
 //!   requested `(client, query, object)` exactly once; duplicates are
-//!   cancelled or discarded, never double-processed.
+//!   cancelled or discarded, never double-processed
+//!   ([`oracle::check_run`] finds no double consumption,
+//!   [`oracle::check_same_work`] compares the consumed multiset with
+//!   the clean run's deliveries). Hedging needs a replicated placement:
+//!   `Scenario::run` rejects `hedge_after` on a single-replica fleet.
 //!
 //! [`RunResult::protection`] rolls up misses, sheds, deferrals,
 //! retries, hedge outcomes, breaker trips, and the per-tenant
@@ -261,7 +269,10 @@
 //! gates:
 //!
 //! * **Conservation** — hits + misses partition the GET multiset
-//!   exactly; `cache.misses == device.objects_served`.
+//!   exactly ([`oracle::check_same_work`]): every miss is one device
+//!   request, so `cache.misses == device.objects_served` on a run that
+//!   cancels, evacuates and aborts nothing, and the ledger holds one
+//!   entry per served object or hit ([`oracle::check_run`]).
 //! * **Zero ⇒ byte-exact** — by construction:
 //!   `CacheConfig::dram_only(0)` / `CacheConfig::disabled` installs
 //!   nothing, so the pump runs no cache code and reproduces the
@@ -421,6 +432,7 @@ pub mod driver;
 pub mod engines;
 pub mod fault;
 pub mod fleet;
+pub mod oracle;
 pub mod protect;
 pub mod pump;
 pub mod scenario;

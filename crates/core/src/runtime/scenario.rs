@@ -290,6 +290,11 @@ impl Scenario {
             "shard override index outside the fleet (shards = {})",
             self.shards
         );
+        assert!(
+            self.placement.replicas() >= 2 || workloads.iter().all(|w| w.hedge.is_none()),
+            "hedge_after needs a replicated placement (Replicated {{ k >= 2 }}), got {:?}",
+            self.placement
+        );
 
         // Shard every tenant's dataset across the fleet at layout time,
         // then build each shard's group layout over the objects it owns.

@@ -134,15 +134,7 @@ fn breakdown_covers_execution_time() {
     let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let res = Scenario::from_workloads(vec![vanilla(&ds, &q, 1); 2]).run();
-    for rec in res.records() {
-        let total = rec.duration();
-        let accounted = rec.processing + rec.stalls.total();
-        let diff = total.as_secs_f64() - accounted.as_secs_f64();
-        assert!(
-            diff.abs() < 1e-3,
-            "breakdown mismatch: total {total}, accounted {accounted}"
-        );
-    }
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
 }
 
 #[test]
@@ -540,10 +532,9 @@ fn sharded_scenario_reports_per_shard_breakdowns() {
         .placement(PlacementPolicy::RoundRobin)
         .run();
     assert_eq!(res.shards.len(), 2);
-    // The roll-up equals the per-shard sum.
-    let total: u64 = res.shards.iter().map(|s| s.metrics.objects_served).sum();
-    assert_eq!(res.device.objects_served, total);
-    assert!(total > 0);
+    // The roll-ups equal the per-shard sums, and per-query breakdowns
+    // stay exact on a fleet.
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
     // Every shard actually served something under round-robin.
     for s in &res.shards {
         assert!(s.metrics.objects_served > 0, "shard {} idle", s.shard);
@@ -551,11 +542,6 @@ fn sharded_scenario_reports_per_shard_breakdowns() {
     }
     // device_spans mirrors shard 0.
     assert_eq!(res.device_spans().to_vec(), res.shards[0].spans);
-    // Per-query breakdowns stay exact on a fleet.
-    for rec in res.records() {
-        let accounted = rec.processing + rec.stalls.total();
-        assert_eq!(accounted.as_micros(), rec.duration().as_micros());
-    }
 }
 
 #[test]
@@ -1170,7 +1156,11 @@ fn hedged_requests_cut_brownout_tails_and_conserve_consumption() {
     );
     // At-most-once consumption: the consumed multiset equals the clean
     // run's delivery multiset — duplicates were discarded, not eaten.
-    assert_eq!(hedged.consumed_multiset(), clean.delivery_multiset());
+    assert_eq!(oracle::check_run(&hedged), Vec::<String>::new());
+    assert_eq!(
+        oracle::check_same_work(&hedged, &clean),
+        Vec::<String>::new()
+    );
     // Every hedged object consumes exactly one copy; the other copy is
     // the loser — cancelled in-queue, discarded at delivery, or (for
     // the last objects of a query) dropped as stale when it lands
@@ -1187,6 +1177,129 @@ fn hedged_requests_cut_brownout_tails_and_conserve_consumption() {
     assert!(hedged.protection.hedge_wins <= hedged.protection.hedges_fired);
     for t in &hedged.protection.per_tenant {
         assert_eq!((t.offered, t.completed), (2, 2));
+    }
+}
+
+#[test]
+#[should_panic(expected = "hedge_after needs a replicated placement")]
+fn hedging_a_single_replica_placement_is_rejected_loudly() {
+    // With one replica there is no other shard to hedge to: the knob
+    // would be silently inert, so assembly refuses it.
+    protected_chaos(replicated_rr(1), FaultPlan::new(), |w| {
+        w.hedge_after(SimDuration::from_secs(5))
+    })
+    .run();
+}
+
+/// The oracle passes a clean, a cached and a hedged run, and a
+/// `RunResult` broken on purpose trips exactly the check it breaks.
+#[test]
+fn oracle_reports_exactly_the_broken_invariant() {
+    let clean = || chaos_scenario(PlacementPolicy::RoundRobin, FaultPlan::new()).run();
+    let cached = || {
+        chaos_scenario(PlacementPolicy::RoundRobin, FaultPlan::new())
+            .shard_cache(CacheConfig::dram_only(gib(2)))
+            .run()
+    };
+    let hedged = || {
+        let slow = FaultPlan::new().degraded(0, t(0), t(2_000), 0.05);
+        protected_chaos(replicated_rr(2), slow, |w| {
+            w.hedge_after(SimDuration::from_secs(5))
+        })
+        .run()
+    };
+    let reference = clean();
+    let sound = [clean(), cached(), hedged()];
+    assert!(sound[1].cache.hits() > 0 && sound[2].protection.hedges_fired > 0);
+    // A hedged run is judged on what it consumed, not on what the
+    // losing replica also delivered.
+    assert_ne!(sound[2].delivery_multiset(), reference.delivery_multiset());
+    for run in &sound {
+        assert_eq!(oracle::check_run(run), Vec::<String>::new());
+        assert_eq!(
+            oracle::check_same_work(run, &reference),
+            Vec::<String>::new()
+        );
+    }
+    type Break = (fn() -> RunResult, fn(&mut RunResult), &'static str);
+    let breaks: [Break; 10] = [
+        (
+            clean,
+            |r| r.shards[1].metrics.objects_served += 1,
+            "device counters",
+        ),
+        (
+            cached,
+            |r| r.shards[0].cache.evictions += 1,
+            "cache counters",
+        ),
+        (
+            clean,
+            |r| {
+                r.device.requests_submitted += 1;
+                r.shards[0].metrics.requests_submitted += 1;
+            },
+            "device requests but",
+        ),
+        (
+            cached,
+            |r| {
+                r.cache.misses += 1;
+                r.shards[0].cache.misses += 1;
+            },
+            "cache misses",
+        ),
+        (
+            cached,
+            |r| {
+                r.device.objects_served -= 1;
+                r.device.requests_cancelled += 1;
+                r.shards[0].metrics.objects_served -= 1;
+                r.shards[0].metrics.requests_cancelled += 1;
+                r.shards[0].deliveries.pop();
+            },
+            "protection plane quiet",
+        ),
+        (
+            clean,
+            |r| {
+                let ledger = &mut r.shards[0].deliveries;
+                ledger.push(ledger[0]);
+            },
+            "delivery ledger",
+        ),
+        (
+            clean,
+            |r| r.clients[2][1].end += SimDuration::from_micros(1),
+            "client 2 query 1",
+        ),
+        (hedged, |r| r.consumed.push(r.consumed[3]), "twice"),
+        (
+            clean,
+            |r| {
+                r.shards[1].deliveries.pop();
+            },
+            "delivered multiset",
+        ),
+        (
+            hedged,
+            |r| r.consumed.push(r.consumed[0]),
+            "consumed multiset",
+        ),
+    ];
+    for (run, break_it, what) in breaks {
+        let mut broken = run();
+        break_it(&mut broken);
+        // The last two break the work, not the run's own ledgers.
+        let found = if what.ends_with("multiset") {
+            oracle::check_same_work(&broken, &reference)
+        } else {
+            oracle::check_run(&broken)
+        };
+        assert!(
+            found.len() == 1 && found[0].contains(what),
+            "{what}: {found:?}"
+        );
     }
 }
 
@@ -1393,7 +1506,8 @@ fn hedging_over_shard_caches_conserves_consumption_through_faults() {
     };
     let clean = build(None, CacheConfig::disabled(), FaultPlan::new()).run();
     let res = cached().run();
-    assert_eq!(res.consumed_multiset(), clean.delivery_multiset());
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
+    assert_eq!(oracle::check_same_work(&res, &clean), Vec::<String>::new());
     assert_eq!(cached().run(), res, "same config, different run");
     assert!(res.cache.hits() > 0, "no cache hit");
     assert!(res.protection.hedges_fired > 0, "no hedge fired");
@@ -1868,7 +1982,8 @@ fn delivered_payload_is_the_datasets_arc_with_no_device_path_reference() {
     assert!(res.protection.hedges_fired > 0, "no hedge fired");
     assert!(res.availability.failovers > 0, "no failover");
     assert_ne!(res, undropped, "the dropped wake-up never fired");
-    assert_eq!(res.consumed_multiset(), plain.delivery_multiset());
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
+    assert_eq!(oracle::check_same_work(&res, &plain), Vec::<String>::new());
 }
 
 #[test]

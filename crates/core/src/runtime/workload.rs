@@ -334,7 +334,9 @@ impl Workload {
     }
 
     /// Sets the hedge delay: this long after submission, undelivered
-    /// reads are re-issued to the next live replica.
+    /// reads are re-issued to the next live replica. Needs a
+    /// `PlacementPolicy::Replicated { k >= 2 }` fleet: `Scenario::run`
+    /// rejects a hedge on a single-replica placement.
     pub fn hedge_after(mut self, delay: SimDuration) -> Self {
         self.hedge = Some(delay);
         self

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use skipper::core::runtime::oracle::{check_run, check_same_work};
 use skipper::core::runtime::{
     BasePlacement, FaultPlan, PlacementPolicy, RunResult, Scenario, SkipperFactory, Workload,
 };
@@ -90,9 +91,10 @@ fn main() {
         .run();
 
     // The crash costs latency, never work: demonstrated live.
+    assert_eq!(check_run(&faulted), Vec::<String>::new());
     assert_eq!(
-        faulted.delivery_multiset(),
-        clean.delivery_multiset(),
+        check_same_work(&faulted, &clean),
+        Vec::<String>::new(),
         "failover must conserve the delivery multiset"
     );
     assert!(faulted.records().count() == clean.records().count());

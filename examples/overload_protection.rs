@@ -27,6 +27,7 @@
 
 use std::sync::Arc;
 
+use skipper::core::runtime::oracle::{check_run, check_same_work};
 use skipper::core::runtime::{
     AdmissionPolicy, AdmissionResponse, ArrivalProcess, BasePlacement, FaultPlan, PlacementPolicy,
     RetryPolicy, Scenario, SkipperFactory, Workload,
@@ -127,9 +128,10 @@ fn main() {
         cap: SimDuration::from_secs(20),
         max_attempts: 50,
     });
+    assert_eq!(check_run(&retried), Vec::<String>::new());
     assert_eq!(
-        retried.delivery_multiset(),
-        parked.delivery_multiset(),
+        check_same_work(&retried, &parked),
+        Vec::<String>::new(),
         "retry must conserve the delivery multiset"
     );
     println!("\n2. seeded retry through a 105s crash window:");

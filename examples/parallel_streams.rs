@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use skipper::core::runtime::oracle::{check_run, check_same_work};
 use skipper::core::runtime::{Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::CsdConfig;
 use skipper::datagen::{tpch, GenConfig};
@@ -43,7 +44,7 @@ fn main() {
     };
 
     println!("streams  makespan(s)  transfer wall(s)  stream secs  overlap  switch wall(s)");
-    let mut baseline_deliveries = None;
+    let mut serial = None;
     for streams in [1u32, 2, 4, 8] {
         let res = Scenario::from_workloads(fleet()).streams(streams).run();
         let roll = res.stream_rollup();
@@ -57,11 +58,12 @@ fn main() {
         );
         // Work conservation, demonstrated live: parallelism changes
         // *when* transfers happen, never *what* gets delivered.
-        let multiset = res.delivery_multiset();
-        match &baseline_deliveries {
-            None => baseline_deliveries = Some(multiset),
+        assert_eq!(check_run(&res), Vec::<String>::new());
+        match &serial {
+            None => serial = Some(res),
             Some(base) => assert_eq!(
-                &multiset, base,
+                check_same_work(&res, base),
+                Vec::<String>::new(),
                 "streams must deliver exactly the serial multiset"
             ),
         }

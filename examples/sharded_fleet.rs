@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use skipper::core::runtime::oracle::{check_run, check_same_work};
 use skipper::core::runtime::{PlacementPolicy, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::datagen::{tpch, GenConfig};
 
@@ -38,7 +39,7 @@ fn main() {
     };
 
     println!("shards  makespan(s)  mean query(s)  switches  per-shard objects");
-    let mut baseline_deliveries = None;
+    let mut single = None;
     for shards in [1usize, 2, 4] {
         let res = Scenario::from_workloads(fleet())
             .shards(shards)
@@ -57,11 +58,12 @@ fn main() {
             objects.join("/")
         );
         // Work conservation, demonstrated live.
-        let multiset = res.delivery_multiset();
-        match &baseline_deliveries {
-            None => baseline_deliveries = Some(multiset),
+        assert_eq!(check_run(&res), Vec::<String>::new());
+        match &single {
+            None => single = Some(res),
             Some(base) => assert_eq!(
-                &multiset, base,
+                check_same_work(&res, base),
+                Vec::<String>::new(),
                 "sharding must deliver exactly the single-device multiset"
             ),
         }

@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use skipper::core::runtime::oracle::{check_run, check_same_work};
 use skipper::core::runtime::{RunResult, Scenario, SkipperFactory, Workload};
 use skipper::csd::cache::{CacheConfig, CachePolicy};
 use skipper::datagen::{tpch, GenConfig};
@@ -71,7 +72,8 @@ fn main() {
         .run();
 
     // The cache changes when bytes arrive, never which.
-    assert_eq!(cached.delivery_multiset(), uncached.delivery_multiset());
+    assert_eq!(check_run(&cached), Vec::<String>::new());
+    assert_eq!(check_same_work(&cached, &uncached), Vec::<String>::new());
 
     println!(
         "{TENANTS} tenants, {stored_gib} GiB stored, DRAM tier {} GiB ({}% of working set)\n",

@@ -8,21 +8,17 @@
 
 use std::sync::Arc;
 
+mod common;
+
+use common::{assert_sound, dataset};
 use skipper::core::runtime::{
-    BasePlacement, FaultPlan, PlacementPolicy, RunResult, Scenario, SkipperFactory, VanillaFactory,
-    Workload,
+    BasePlacement, FaultPlan, PlacementPolicy, Scenario, SkipperFactory, VanillaFactory, Workload,
 };
 use skipper::csd::cache::{CacheConfig, CachePolicy};
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::sim::{SimDuration, SimTime};
 
 const GIB: u64 = 1 << 30;
-
-fn dataset() -> Arc<Dataset> {
-    Arc::new(tpch::dataset(
-        &GenConfig::new(31, 4).with_phys_divisor(100_000),
-    ))
-}
 
 /// Two repeat-round Skipper tenants (their second rounds re-GET the
 /// same objects — cache food) plus one pull-based Vanilla tenant.
@@ -89,27 +85,6 @@ const PLACEMENTS: [PlacementPolicy; 3] = [
     PlacementPolicy::TableAffinity,
 ];
 
-fn check_accounting(res: &RunResult, baseline: &RunResult, label: &str) {
-    // Every GET is either a tier hit or a device delivery — nothing
-    // lost, nothing double-served.
-    assert_eq!(
-        res.delivery_multiset(),
-        baseline.delivery_multiset(),
-        "{label}: the cache changed which bytes were delivered"
-    );
-    assert_eq!(
-        res.cache.lookups(),
-        baseline.delivery_multiset().len() as u64,
-        "{label}: lookups != total GETs"
-    );
-    assert_eq!(
-        res.cache.misses, res.device.objects_served,
-        "{label}: every miss must be served by the device exactly once"
-    );
-    let shard_hits: u64 = res.shards.iter().map(|s| s.cache.hits()).sum();
-    assert_eq!(res.cache.hits(), shard_hits, "{label}: roll-up drifted");
-}
-
 /// The battery: policy × placement × cache-size grid. Every cached run
 /// delivers the uncached multiset, the hit/miss ledger partitions the
 /// GETs exactly, and hits never slow the run down.
@@ -132,7 +107,20 @@ fn cached_runs_conserve_the_delivery_multiset() {
                     .placement(placement)
                     .shard_cache(config.with_policy(policy))
                     .run();
-                check_accounting(&res, &baseline, &label);
+                // Every GET is a tier hit or one device delivery, and
+                // the cache changed when bytes arrived, never which.
+                assert_sound(&res, &baseline, &label);
+                // Fault- and hedge-free, the partition is exact: one
+                // lookup per GET, one device delivery per miss.
+                assert_eq!(
+                    res.cache.lookups(),
+                    baseline.delivery_multiset().len() as u64,
+                    "{label}: lookups != total GETs"
+                );
+                assert_eq!(
+                    res.cache.misses, res.device.objects_served,
+                    "{label}: every miss must be served by the device exactly once"
+                );
                 assert!(res.cache.hits() > 0, "{label}: repeat rounds never hit");
                 assert!(
                     res.makespan <= baseline.makespan,
@@ -181,11 +169,7 @@ fn crash_invalidates_the_dead_shards_cache() {
     let clean = scenario().run();
     assert!(clean.cache.hits() > 0, "cache never warmed");
     let faulted = scenario().faults(plan()).run();
-    assert_eq!(
-        faulted.delivery_multiset(),
-        clean.delivery_multiset(),
-        "crash + invalidation lost or duplicated work"
-    );
+    assert_sound(&faulted, &clean, "crash + invalidation");
     assert!(
         faulted.shards[1].cache.invalidations >= 1,
         "the dead shard kept its cache across the crash"

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use skipper::core::runtime::{
-    LedgerMode, RunResult, Scenario, SkipperFactory, TraceMode, VanillaFactory, Workload,
+    oracle, LedgerMode, RunResult, Scenario, SkipperFactory, TraceMode, VanillaFactory, Workload,
 };
 use skipper::csd::SchedPolicy;
 use skipper::datagen::{tpch, Dataset, GenConfig};
@@ -160,10 +160,7 @@ fn counters_modes_reproduce_schedule_with_bounded_memory() {
             assert!(lean.delivery_multiset().is_empty(), "{label}");
             // Attribution degrades to idle (documented), but the totals
             // identity still holds: stalls.total() == blocked time.
-            for rec in lean.records() {
-                let accounted = rec.processing + rec.stalls.total();
-                assert_eq!(accounted.as_micros(), rec.duration().as_micros(), "{label}");
-            }
+            assert_eq!(oracle::check_run(&lean), Vec::<String>::new(), "{label}");
         }
     }
 }

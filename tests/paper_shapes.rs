@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
+use skipper::core::runtime::{
+    oracle, EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload,
+};
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::relational::query::QuerySpec;
 use skipper::sim::SimDuration;
@@ -153,15 +155,7 @@ fn breakdown_accounts_for_all_time() {
         fleet(&ds, &q12, 3, VanillaFactory).run(),
         fleet(&ds, &q12, 3, skipper()).run(),
     ] {
-        for rec in res.records() {
-            let accounted = rec.processing + rec.stalls.total();
-            assert_eq!(
-                accounted.as_micros(),
-                rec.duration().as_micros(),
-                "{} breakdown leak",
-                rec.engine
-            );
-        }
+        assert_eq!(oracle::check_run(&res), Vec::<String>::new());
     }
 }
 

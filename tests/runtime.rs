@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use skipper::core::runtime::{
-    ArrivalProcess, PlacementPolicy, RunResult, Scenario, SkipperFactory, VanillaFactory, Workload,
+    oracle, ArrivalProcess, PlacementPolicy, RunResult, Scenario, SkipperFactory, VanillaFactory,
+    Workload,
 };
 use skipper::datagen::{mrbench, tpch, Dataset, GenConfig};
 use skipper::relational::ops::reference;
@@ -242,10 +243,7 @@ fn heterogeneous_fleet_end_to_end() {
     // would ever allow at t = 0.
     assert!(res.clients[2][0].start.as_micros() > 0);
     // Every tenant's breakdown accounts for its full duration.
-    for rec in res.records() {
-        let accounted = rec.processing + rec.stalls.total();
-        assert_eq!(accounted.as_micros(), rec.duration().as_micros());
-    }
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
 }
 
 /// A repeated workload is the whole description of a homogeneous fleet:

@@ -8,78 +8,19 @@
 //! run — and every tenant must still produce the reference query
 //! result with an exact stall breakdown.
 
-use std::sync::Arc;
+mod common;
 
-use skipper::core::runtime::{
-    BasePlacement, FaultPlan, PlacementPolicy, RunResult, Scenario, SkipperFactory, VanillaFactory,
-    Workload,
-};
+use common::{assert_sound, dataset, fleet_scenario, SCHEDULERS};
+use skipper::core::runtime::oracle::check_run;
+use skipper::core::runtime::{BasePlacement, FaultPlan, PlacementPolicy};
 use skipper::csd::SchedPolicy;
-use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::sim::{SimDuration, SimTime};
-
-const GIB: u64 = 1 << 30;
-
-fn dataset() -> Arc<Dataset> {
-    Arc::new(tpch::dataset(
-        &GenConfig::new(31, 4).with_phys_divisor(100_000),
-    ))
-}
-
-/// Three tenants — two Skipper (roomy caches: no reissues, so the GET
-/// multiset is exactly the working sets), one pull-based Vanilla, one
-/// staggered — the fleet workhorse of the sweep.
-fn fleet_scenario(ds: &Arc<Dataset>, sched: SchedPolicy) -> Scenario {
-    let q12 = tpch::q12(ds);
-    Scenario::from_workloads(vec![
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12.clone(), 2)
-            .engine(SkipperFactory::default().cache_bytes(30 * GIB)),
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12.clone(), 1)
-            .engine(VanillaFactory),
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12, 1)
-            .engine(SkipperFactory::default().cache_bytes(30 * GIB))
-            .start_at(SimDuration::from_secs(120)),
-    ])
-    .scheduler(sched)
-}
-
-const SCHEDULERS: [SchedPolicy; 5] = [
-    SchedPolicy::FcfsObject,
-    SchedPolicy::FcfsSlack(4),
-    SchedPolicy::FcfsQuery,
-    SchedPolicy::MaxQueries,
-    SchedPolicy::RankBased,
-];
 
 const PLACEMENTS: [PlacementPolicy; 3] = [
     PlacementPolicy::RoundRobin,
     PlacementPolicy::HashObject,
     PlacementPolicy::TableAffinity,
 ];
-
-fn check_invariants(res: &RunResult, label: &str) {
-    // No loss, no duplication, shard-local ledgers consistent.
-    let served: u64 = res.shards.iter().map(|s| s.metrics.objects_served).sum();
-    assert_eq!(
-        res.device.objects_served, served,
-        "{label}: roll-up drifted"
-    );
-    assert_eq!(res.delivery_multiset().len() as u64, served, "{label}");
-    // Every query's breakdown stays exact under union attribution.
-    for rec in res.records() {
-        let accounted = rec.processing + rec.stalls.total();
-        assert_eq!(
-            accounted.as_micros(),
-            rec.duration().as_micros(),
-            "{label}: breakdown mismatch for client {} seq {}",
-            rec.client,
-            rec.seq
-        );
-    }
-}
 
 /// The sweep: every scheduler × placement × shard count delivers the
 /// 1-shard multiset, exactly.
@@ -92,21 +33,16 @@ fn sharded_runs_conserve_the_delivery_multiset() {
                 .shards(1)
                 .placement(placement)
                 .run();
-            check_invariants(&baseline, &format!("{sched:?}/{placement:?}/1"));
-            let expected = baseline.delivery_multiset();
-            assert!(!expected.is_empty());
+            let label = format!("{sched:?}/{placement:?}/1");
+            assert_eq!(check_run(&baseline), Vec::<String>::new(), "{label}");
+            assert!(!baseline.delivery_multiset().is_empty());
             for shards in [2, 4] {
                 let label = format!("{sched:?}/{placement:?}/{shards}");
                 let res = fleet_scenario(&ds, sched)
                     .shards(shards)
                     .placement(placement)
                     .run();
-                check_invariants(&res, &label);
-                assert_eq!(
-                    res.delivery_multiset(),
-                    expected,
-                    "{label}: sharding lost or duplicated work"
-                );
+                assert_sound(&res, &baseline, &label);
                 assert_eq!(res.shards.len(), shards, "{label}");
             }
         }
@@ -144,12 +80,7 @@ fn faulted_runs_conserve_the_delivery_multiset() {
                 .placement(placement)
                 .faults(plan())
                 .run();
-            check_invariants(&faulted, &label);
-            assert_eq!(
-                faulted.delivery_multiset(),
-                clean.delivery_multiset(),
-                "{label}: the crash lost or duplicated work"
-            );
+            assert_sound(&faulted, &clean, &label);
             assert_eq!(faulted.shards[1].fault.downs, 1, "{label}");
             assert!(
                 faulted.availability.availability < 1.0,

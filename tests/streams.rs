@@ -11,69 +11,11 @@
 //! serial device, and the overlap rollup must actually report the
 //! §5.2.1 parallelism the pipeline claims.
 
-use std::sync::Arc;
+mod common;
 
-use skipper::core::runtime::{RunResult, Scenario, SkipperFactory, VanillaFactory, Workload};
+use common::{assert_sound, dataset, fleet_scenario, SCHEDULERS};
+use skipper::core::runtime::oracle::check_run;
 use skipper::csd::SchedPolicy;
-use skipper::datagen::{tpch, Dataset, GenConfig};
-use skipper::sim::SimDuration;
-
-const GIB: u64 = 1 << 30;
-
-fn dataset() -> Arc<Dataset> {
-    Arc::new(tpch::dataset(
-        &GenConfig::new(31, 4).with_phys_divisor(100_000),
-    ))
-}
-
-/// The `tests/sharding.rs` mixed-tenant fleet: two Skipper tenants
-/// (roomy caches: no reissues, so the GET multiset is exactly the
-/// working sets), one pull-based Vanilla, one staggered.
-fn fleet_scenario(ds: &Arc<Dataset>, sched: SchedPolicy) -> Scenario {
-    let q12 = tpch::q12(ds);
-    Scenario::from_workloads(vec![
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12.clone(), 2)
-            .engine(SkipperFactory::default().cache_bytes(30 * GIB)),
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12.clone(), 1)
-            .engine(VanillaFactory),
-        Workload::new(Arc::clone(ds))
-            .repeat_query(q12, 1)
-            .engine(SkipperFactory::default().cache_bytes(30 * GIB))
-            .start_at(SimDuration::from_secs(120)),
-    ])
-    .scheduler(sched)
-}
-
-const SCHEDULERS: [SchedPolicy; 5] = [
-    SchedPolicy::FcfsObject,
-    SchedPolicy::FcfsSlack(4),
-    SchedPolicy::FcfsQuery,
-    SchedPolicy::MaxQueries,
-    SchedPolicy::RankBased,
-];
-
-fn check_invariants(res: &RunResult, label: &str) {
-    let served: u64 = res.shards.iter().map(|s| s.metrics.objects_served).sum();
-    assert_eq!(
-        res.device.objects_served, served,
-        "{label}: roll-up drifted"
-    );
-    assert_eq!(res.delivery_multiset().len() as u64, served, "{label}");
-    // The Figure 9 breakdown stays exact under union attribution even
-    // with overlapping per-stream spans.
-    for rec in res.records() {
-        let accounted = rec.processing + rec.stalls.total();
-        assert_eq!(
-            accounted.as_micros(),
-            rec.duration().as_micros(),
-            "{label}: breakdown mismatch for client {} seq {}",
-            rec.client,
-            rec.seq
-        );
-    }
-}
 
 /// The sweep: every scheduler × stream count delivers the serial
 /// multiset, and the makespan never degrades as streams are added.
@@ -90,19 +32,13 @@ fn streams_conserve_work_and_makespans_never_degrade() {
     let ds = dataset();
     for sched in SCHEDULERS {
         let serial = fleet_scenario(&ds, sched).streams(1).run();
-        check_invariants(&serial, &format!("{sched:?}/1"));
-        let expected = serial.delivery_multiset();
-        assert!(!expected.is_empty());
+        assert_eq!(check_run(&serial), Vec::<String>::new(), "{sched:?}/1");
+        assert!(!serial.delivery_multiset().is_empty());
         let mut last_makespan = serial.makespan;
         for streams in [2u32, 4, 8] {
             let label = format!("{sched:?}/{streams}");
             let res = fleet_scenario(&ds, sched).streams(streams).run();
-            check_invariants(&res, &label);
-            assert_eq!(
-                res.delivery_multiset(),
-                expected,
-                "{label}: streaming lost or duplicated work"
-            );
+            assert_sound(&res, &serial, &label);
             assert!(
                 res.makespan <= last_makespan,
                 "{label}: {} streams regressed the makespan ({} > {})",
