@@ -21,11 +21,13 @@
 //! replays the single-device event schedule unchanged.
 //!
 //! The hot loop is engineered for million-request runs: the future
-//! event list is the O(1)-amortized [`CalendarQueue`] (pop order
-//! identical to the reference `EventQueue` — pinned by the differential
-//! sweep in `skipper-sim`), and delivery batches flow through one
-//! reusable scratch buffer (`DeviceFleet::on_wakeup_into`), so the
-//! steady state of the loop allocates nothing per event.
+//! event list is the [`CalendarQueue`], which sorts everything `run`
+//! arms before its first pop (fault actions, planned releases, the
+//! t = 0 wake-ups and deadlines) into one run popped in O(1) and keeps
+//! the few events scheduled later in a binary heap; delivery batches
+//! flow through one reusable scratch buffer
+//! (`DeviceFleet::on_wakeup_into`), so the steady state of the loop
+//! allocates nothing per event.
 //!
 //! The protection plane ([`protect`](super::protect)) hooks into the
 //! loop at the start gate, submit, delivery, finish, and its own

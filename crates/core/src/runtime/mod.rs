@@ -40,10 +40,11 @@
 //!   │ driver     Runtime: event loop + ClientState machines      │
 //!   │            deliveries ⇢ processing ⇢ follow-up GETs        │
 //!   │   ┌──────────────────────────────────────────────────┐     │
-//!   │   │ event core  CalendarQueue (timer wheel, O(1)     │     │
-//!   │   │ amortized; (time, seq) pop order ≡ the BinaryHeap│     │
-//!   │   │ reference) + one reusable Delivery scratch — the │     │
-//!   │   │ steady-state loop allocates nothing per event    │     │
+//!   │   │ event core  CalendarQueue: a BinaryHeap plus one │     │
+//!   │   │ sorted run of the events armed before the first  │     │
+//!   │   │ pop, popped in (time, seq) order + one reusable  │     │
+//!   │   │ Delivery scratch — the steady-state loop         │     │
+//!   │   │ allocates nothing per event                      │     │
 //!   │   └──────────────────────────────────────────────────┘     │
 //!   ├─────────────────────────────┬──────────────────────────────┤
 //!   │ fault (opt-in)              │ protection (opt-in)          │
@@ -293,10 +294,15 @@
 //! # Million-request event core
 //!
 //! The future event list is the [`skipper_sim::CalendarQueue`]: a
-//! bucketed timer wheel with O(1) amortized schedule/pop whose pop
-//! order is identical to the reference `EventQueue` binary heap
-//! (pinned by the differential sweep in `skipper-sim`), so the goldens
-//! survive microsecond-exactly. Wake-up delivery batches drain through
+//! binary heap plus one sorted run, popping in `(time, seq)` order
+//! (pinned against a sorted-list model by the differential sweep in
+//! `skipper-sim`). Everything `Runtime::run` arms before its first pop
+//! — the fault actions, every planned release (58 240 on the
+//! benchmark's open-arrival workloads), the t = 0 wake-ups and
+//! deadlines — is sorted
+//! once into the run and popped off its end in O(1); the few events
+//! scheduled while the loop runs (about one per client, up to three per
+//! shard) go through the heap. Wake-up delivery batches drain through
 //! `DeviceFleet::on_wakeup_into` into one scratch buffer owned by the
 //! `Runtime`, devices pool their request nodes in a seq-addressed slab
 //! and reuse transfer slots in place, and per-shard dirty flags keep

@@ -8,11 +8,10 @@
 //! time base that replaces those injected `sleep()`s:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
-//! * [`event`] — deterministic future-event lists with stable
+//! * [`event`] — the deterministic future-event list with stable
 //!   tie-breaking, so every experiment is exactly reproducible:
-//!   [`CalendarQueue`] (bucketed timer wheel, O(1) amortized, the
-//!   production queue) and [`EventQueue`] (binary heap, the
-//!   differential-test reference), with identical pop order.
+//!   [`CalendarQueue`], a binary heap plus one sorted run of the events
+//!   scheduled before the first pop.
 //! * [`trace`] — activity spans recorded by the device model, used to
 //!   attribute blocked client time to *switch* vs *transfer* stalls
 //!   (Figure 9 and Table 3 of the paper). [`TraceMode`] selects between
@@ -40,7 +39,7 @@ pub mod time;
 pub mod timeline;
 pub mod trace;
 
-pub use event::{CalendarQueue, EventQueue};
+pub use event::CalendarQueue;
 pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
