@@ -328,7 +328,7 @@
 //! Observability streams instead of accumulating:
 //! `Scenario::trace_mode(TraceMode::Counters)` and
 //! `Scenario::ledger_mode(LedgerMode::Counters)` bound memory for
-//! multi-million-request runs (running totals only — no span log, no
+//! multi-million-request runs (device counters only — no span log, no
 //! delivery ledger), and whole-run stall attribution flattens every
 //! shard's span lists into one [`skipper_sim::MergedTimeline`] via a
 //! k-way merge — O((spans + intervals)·log k) total instead of a

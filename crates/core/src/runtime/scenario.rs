@@ -167,7 +167,7 @@ impl Scenario {
     /// Span-log regime of the fleet's activity traces (default:
     /// [`TraceMode::Full`] — every span kept, stall attribution and
     /// timelines exact). [`TraceMode::Counters`] bounds memory for very
-    /// large runs: devices keep only per-activity totals, span lists in
+    /// large runs: devices keep only their counters, span lists in
     /// the [`ShardResult`](super::collector::ShardResult)s come back
     /// empty, and blocked time attributes as idle.
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {

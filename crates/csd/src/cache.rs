@@ -728,11 +728,6 @@ impl ShardCache {
     pub fn resident(&self) -> (usize, usize) {
         (self.dram.len(), self.ssd.len())
     }
-
-    /// Resident bytes per tier `(dram, ssd)`.
-    pub fn resident_bytes(&self) -> (u64, u64) {
-        (self.dram.used, self.ssd.used)
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Device-side counters.
 
 /// Counters accumulated by a [`CsdDevice`](crate::device::CsdDevice) over
-/// a run. GET counts per client feed Figures 11b/11c (request-reissue
-/// curves); switch counts validate the closed-form models of §3.2/§5.2.1.
+/// a run. GET counts feed Figures 11b/11c (request-reissue curves);
+/// switch counts validate the closed-form models of §3.2/§5.2.1.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeviceMetrics {
     /// Paid group switches (spin-down + spin-up cycles).
@@ -38,29 +38,9 @@ pub struct DeviceMetrics {
     /// whose winning replica delivered first. Cancelled requests leave
     /// no served-ledger entry — they were never transferred.
     pub requests_cancelled: u64,
-    /// Objects served per client, indexed by client id (clients the
-    /// device never served may be absent; read through
-    /// [`DeviceMetrics::served_to`]). A flat vector instead of a hash
-    /// map: this counter bumps once per delivery on the per-event hot
-    /// path.
-    pub served_per_client: Vec<u64>,
 }
 
 impl DeviceMetrics {
-    /// Objects served to `client`.
-    pub fn served_to(&self, client: usize) -> u64 {
-        self.served_per_client.get(client).copied().unwrap_or(0)
-    }
-
-    /// Bumps the per-client served counter, growing the table on first
-    /// contact with a client.
-    pub fn note_served(&mut self, client: usize) {
-        if self.served_per_client.len() <= client {
-            self.served_per_client.resize(client + 1, 0);
-        }
-        self.served_per_client[client] += 1;
-    }
-
     /// Adds another device's counters into this one (the fleet roll-up:
     /// per-shard metrics sum into one device-layer aggregate).
     pub fn absorb(&mut self, other: &DeviceMetrics) {
@@ -76,13 +56,6 @@ impl DeviceMetrics {
         self.transfers_aborted += other.transfers_aborted;
         self.requests_evacuated += other.requests_evacuated;
         self.requests_cancelled += other.requests_cancelled;
-        if self.served_per_client.len() < other.served_per_client.len() {
-            self.served_per_client
-                .resize(other.served_per_client.len(), 0);
-        }
-        for (client, &n) in other.served_per_client.iter().enumerate() {
-            self.served_per_client[client] += n;
-        }
     }
 
     /// Rolls up per-shard metrics into one aggregate.
@@ -100,23 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn served_to_defaults_to_zero() {
-        let m = DeviceMetrics::default();
-        assert_eq!(m.served_to(3), 0);
-    }
-
-    #[test]
-    fn served_per_client_tracks() {
-        let mut m = DeviceMetrics::default();
-        m.note_served(1);
-        m.note_served(1);
-        assert_eq!(m.served_to(1), 2);
-        assert_eq!(m.served_to(0), 0);
-    }
-
-    #[test]
     fn roll_up_sums_counters_and_client_tables() {
-        let mut a = DeviceMetrics {
+        let a = DeviceMetrics {
             group_switches: 2,
             initial_loads: 1,
             requests_submitted: 5,
@@ -124,23 +82,16 @@ mod tests {
             logical_bytes_served: 500,
             ..Default::default()
         };
-        for _ in 0..3 {
-            a.note_served(0);
-        }
-        let mut b = DeviceMetrics {
+        let b = DeviceMetrics {
             group_switches: 1,
             objects_served: 2,
             ..Default::default()
         };
-        b.note_served(0);
-        b.note_served(1);
         let total = DeviceMetrics::rolled_up([&a, &b]);
         assert_eq!(total.group_switches, 3);
         assert_eq!(total.initial_loads, 1);
         assert_eq!(total.objects_served, 7);
         assert_eq!(total.logical_bytes_served, 500);
-        assert_eq!(total.served_to(0), 4);
-        assert_eq!(total.served_to(1), 1);
         // Rolling up one shard reproduces it exactly.
         assert_eq!(DeviceMetrics::rolled_up([&a]), a);
     }

@@ -15,7 +15,7 @@
 //! * [`trace`] — activity spans recorded by the device model, used to
 //!   attribute blocked client time to *switch* vs *transfer* stalls
 //!   (Figure 9 and Table 3 of the paper). [`TraceMode`] selects between
-//!   the full span log and bounded-memory running counters;
+//!   the full span log and no span log (bounded memory);
 //!   [`MergedTimeline`] flattens a fleet's span lists once for
 //!   O(log n)-per-interval whole-run attribution.
 //! * [`stats`] — scheduling metrics: stretch, L2-norm of stretch

@@ -11,10 +11,11 @@
 //! * [`TraceMode::Full`] (default) — every span is kept, enabling
 //!   post-hoc stall attribution and timeline rendering. Memory is
 //!   O(state changes) over the run.
-//! * [`TraceMode::Counters`] — only the running totals (per-activity
-//!   time, switch count) are kept; the span log stays empty. This is
-//!   the bounded-memory mode for multi-million-request runs, where an
-//!   O(events) span log would dwarf the simulation state itself.
+//! * [`TraceMode::Counters`] — the span log stays empty; the device's
+//!   own counters (`DeviceMetrics`) still count switches and transfer
+//!   time. This is the bounded-memory mode for multi-million-request
+//!   runs, where an O(events) span log would dwarf the simulation state
+//!   itself.
 //!   Attribution over a counters-only trace sees no spans and charges
 //!   the whole interval as idle — callers that need attribution must
 //!   run [`TraceMode::Full`].
@@ -88,26 +89,21 @@ pub enum TraceMode {
     /// Keep every span (attribution + timelines work; O(spans) memory).
     #[default]
     Full,
-    /// Keep only running totals and the switch count; the span log
-    /// stays empty (bounded memory for very large runs).
+    /// Keep no spans (bounded memory for very large runs); only the
+    /// overlap guard runs.
     Counters,
 }
 
 /// An append-only log of device activity spans, ordered by time.
 ///
-/// The device appends one span per state change; spans never overlap.
-/// Attribution queries binary-search the log, so post-hoc analysis of a
-/// whole experiment is `O(clients · log spans)`. Running totals
-/// (per-activity time, switch count) are maintained incrementally in
-/// both [`TraceMode`]s, so [`ActivityTrace::total_switching`] and
-/// [`ActivityTrace::switch_count`] are O(1).
+/// The device appends one span per state change; spans never overlap
+/// (checked in both [`TraceMode`]s). Attribution queries binary-search
+/// the log, so post-hoc analysis of a whole experiment is
+/// `O(clients · log spans)`.
 #[derive(Default)]
 pub struct ActivityTrace {
     spans: Vec<Span>,
     mode: TraceMode,
-    totals: Attribution,
-    /// Number of (coalesced) switching spans.
-    switch_spans: usize,
     /// Start of the last recorded (coalesced) span.
     last_start: SimTime,
     /// End of the last recorded span (also the overlap guard when the
@@ -129,11 +125,6 @@ impl ActivityTrace {
             mode,
             ..Self::default()
         }
-    }
-
-    /// The trace's storage mode.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
     }
 
     /// Rebuilds a trace from previously exported spans (see
@@ -162,21 +153,11 @@ impl ActivityTrace {
             "span at {start:?} overlaps previous span ending {:?}",
             self.last_end
         );
-        let dur = end.since(start);
-        match activity {
-            Activity::Switching => self.totals.switching += dur,
-            Activity::Transferring { .. } => self.totals.transfer += dur,
-            Activity::Idle => self.totals.idle += dur,
-        }
         // Coalesce adjacent spans with identical activity to keep the log
-        // small over long experiments (and the switch count equal to the
-        // number of *distinct* switch episodes).
+        // small over long experiments (one span per switch episode).
         let continues = start == self.last_end && self.last_activity == Some(activity);
         if !continues {
             self.last_start = start;
-            if activity == Activity::Switching {
-                self.switch_spans += 1;
-            }
         }
         self.last_end = end;
         self.last_activity = Some(activity);
@@ -196,9 +177,9 @@ impl ActivityTrace {
 
     /// Ends the trace at `at`: a last span still running past `at` — a
     /// transfer or switch a crash aborted — is cut there, and the
-    /// running totals with it, in both [`TraceMode`]s. A span that
-    /// starts at `at` is dropped whole (with its switch episode). No-op
-    /// when every span ended by `at`.
+    /// overlap guard moves back to `at`, in both [`TraceMode`]s. A span
+    /// that starts at `at` is dropped whole. No-op when every span ended
+    /// by `at`.
     ///
     /// # Panics
     /// Panics when the last span starts after `at`: only the span in
@@ -212,19 +193,9 @@ impl ActivityTrace {
             "cut at {at:?} inside a span starting {:?}",
             self.last_start
         );
-        let activity = self.last_activity.expect("a span runs past the cut");
-        let dropped = self.last_end.since(at);
-        match activity {
-            Activity::Switching => self.totals.switching -= dropped,
-            Activity::Transferring { .. } => self.totals.transfer -= dropped,
-            Activity::Idle => self.totals.idle -= dropped,
-        }
         self.last_end = at;
         let full = self.mode == TraceMode::Full;
         if self.last_start == at {
-            if activity == Activity::Switching {
-                self.switch_spans -= 1;
-            }
             self.last_activity = None;
             if full {
                 self.spans.pop();
@@ -252,22 +223,6 @@ impl ActivityTrace {
     /// down).
     pub fn attribute(&self, from: SimTime, to: SimTime) -> Attribution {
         attribute_spans(&self.spans, from, to)
-    }
-
-    /// Running per-activity totals over the whole trace (exact in both
-    /// modes).
-    pub fn totals(&self) -> Attribution {
-        self.totals
-    }
-
-    /// Total time spent in [`Activity::Switching`] over the whole trace.
-    pub fn total_switching(&self) -> SimDuration {
-        self.totals.switching
-    }
-
-    /// Number of distinct switching spans (= number of group switches).
-    pub fn switch_count(&self) -> usize {
-        self.switch_spans
     }
 }
 
@@ -596,8 +551,6 @@ mod tests {
         tr.record(t(0), t(5), Activity::Switching);
         tr.record(t(5), t(9), Activity::Switching);
         assert_eq!(tr.spans().len(), 1);
-        assert_eq!(tr.total_switching(), d(9));
-        assert_eq!(tr.switch_count(), 1);
     }
 
     #[test]
@@ -625,9 +578,15 @@ mod tests {
 
     #[test]
     fn switch_counting() {
+        // One span per switch episode.
         let tr = sample_trace();
-        assert_eq!(tr.switch_count(), 2);
-        assert_eq!(tr.total_switching(), d(20));
+        let switches: Vec<_> = tr
+            .spans()
+            .iter()
+            .filter(|s| s.activity == Activity::Switching)
+            .collect();
+        assert_eq!(switches.len(), 2);
+        assert_eq!(tr.attribute(t(0), t(32)).switching, d(20));
     }
 
     #[test]
@@ -638,20 +597,6 @@ mod tests {
             lean.record(s.start, s.end, s.activity);
         }
         assert!(lean.spans().is_empty(), "counters mode keeps no spans");
-        assert_eq!(lean.totals(), full.totals());
-        assert_eq!(lean.total_switching(), full.total_switching());
-        assert_eq!(lean.switch_count(), full.switch_count());
-    }
-
-    #[test]
-    fn counters_mode_coalesces_switch_count_like_full() {
-        let mut lean = ActivityTrace::with_mode(TraceMode::Counters);
-        lean.record(t(0), t(5), Activity::Switching);
-        lean.record(t(5), t(9), Activity::Switching); // continuation
-        lean.record(t(9), t(10), Activity::Idle);
-        lean.record(t(10), t(12), Activity::Switching); // new episode
-        assert_eq!(lean.switch_count(), 2);
-        assert_eq!(lean.total_switching(), d(9) + d(2));
     }
 
     #[test]
@@ -670,20 +615,10 @@ mod tests {
             tr.record(t(10), t(20), Activity::Transferring { client: 0 });
             tr.cut(t(14));
             tr.cut(t(30)); // nothing runs past it
-            assert_eq!(tr.totals().transfer, d(4), "{mode:?}");
-            assert_eq!(tr.total_switching(), d(10), "{mode:?}");
-            // The overlap guard moved back to the cut.
+                           // The overlap guard moved back to the cut.
             tr.record(t(14), t(16), Activity::Switching);
-            assert_eq!(tr.switch_count(), 2, "{mode:?}");
-            // A span starting at the cut vanishes with its episode.
+            // A span starting at the cut vanishes whole.
             tr.cut(t(14));
-            assert_eq!(tr.switch_count(), 1, "{mode:?}");
-            let totals = Attribution {
-                switching: d(10),
-                transfer: d(4),
-                idle: SimDuration::ZERO,
-            };
-            assert_eq!(tr.totals(), totals, "{mode:?}");
             if mode == TraceMode::Full {
                 assert_eq!(
                     tr.spans(),
