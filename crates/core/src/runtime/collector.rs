@@ -514,18 +514,26 @@ impl ScopeAcc {
         }
     }
 
-    fn observe(&mut self, response: SimDuration) {
+    /// Folds in one query of a tenant with SLO target `slo` and ideal
+    /// time `ideal` (the tenant's own scope passes its fields, the
+    /// fleet scope the tenant's).
+    fn observe(
+        &mut self,
+        response: SimDuration,
+        slo: Option<SimDuration>,
+        ideal: Option<SimDuration>,
+    ) {
         let secs = response.as_secs_f64();
         self.response.push(secs);
         self.sum_secs += secs;
         self.max_secs = self.max_secs.max(secs);
-        if let Some(target) = self.slo {
+        if let Some(target) = slo {
             self.slo_total += 1;
             if response <= target {
                 self.slo_met += 1;
             }
         }
-        if let (Some(sketch), Some(ideal)) = (&mut self.stretch, self.ideal) {
+        if let (Some(sketch), Some(ideal)) = (&mut self.stretch, ideal) {
             sketch.push(skipper_sim::stats::stretch(response, ideal));
         }
     }
@@ -586,20 +594,9 @@ impl LatencyAccumulator {
     /// completion) for `tenant`.
     pub fn observe(&mut self, tenant: usize, response: SimDuration) {
         let scope = &mut self.tenants[tenant];
-        scope.observe(response);
-        let secs = response.as_secs_f64();
-        self.fleet.response.push(secs);
-        self.fleet.sum_secs += secs;
-        self.fleet.max_secs = self.fleet.max_secs.max(secs);
-        if let Some(target) = scope.slo {
-            self.fleet.slo_total += 1;
-            if response <= target {
-                self.fleet.slo_met += 1;
-            }
-        }
-        if let (Some(sketch), Some(ideal)) = (&mut self.fleet.stretch, scope.ideal) {
-            sketch.push(skipper_sim::stats::stretch(response, ideal));
-        }
+        let (slo, ideal) = (scope.slo, scope.ideal);
+        scope.observe(response, slo, ideal);
+        self.fleet.observe(response, slo, ideal);
     }
 
     /// Closes the accumulator into the run's summary.

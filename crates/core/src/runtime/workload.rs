@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use skipper_datagen::Dataset;
 use skipper_relational::query::QuerySpec;
-use skipper_sim::rng::{derive_seed, splitmix64};
+use skipper_sim::rng::{derive_seed, uniform01};
 use skipper_sim::{SimDuration, SimTime};
 
 use super::engines::{EngineFactory, SkipperFactory};
@@ -180,7 +180,7 @@ impl ArrivalProcess {
                             let t = at.saturating_since(origin).as_secs_f64();
                             let phase = 2.0 * std::f64::consts::PI * (t / period_secs);
                             let accept = trough + (1.0 - trough) * 0.5 * (1.0 + phase.cos());
-                            if uniform_unit(&mut state) < accept {
+                            if uniform01(&mut state) < accept {
                                 return Some(at);
                             }
                         }
@@ -367,16 +367,9 @@ impl Workload {
 /// clock's resolution is the microsecond, so 1 µs is the smallest
 /// representable strictly-positive gap).
 pub(crate) fn exponential_gap(state: &mut u64, mean: SimDuration) -> SimDuration {
-    // 53 uniform mantissa bits in [0, 1).
-    let u = (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let u = uniform01(state);
     SimDuration::from_secs_f64(-mean.as_secs_f64() * (1.0 - u).ln())
         .max(SimDuration::from_micros(1))
-}
-
-/// One uniform draw in [0, 1) from a SplitMix64 stream (53 mantissa
-/// bits) — the acceptance coin of the diurnal thinning sampler.
-fn uniform_unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

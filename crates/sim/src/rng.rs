@@ -40,7 +40,8 @@ pub fn stream_rng(root: u64, label: &str) -> StdRng {
 
 /// One uniform draw in `[0, 1)` from a SplitMix stream, using the top
 /// 53 bits so the mantissa is fully random (the shared primitive behind
-/// arrival-gap sampling and the protection plane's backoff jitter).
+/// arrival-gap sampling, diurnal thinning and the protection plane's
+/// backoff jitter).
 #[inline]
 pub fn uniform01(state: &mut u64) -> f64 {
     (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
