@@ -514,9 +514,9 @@ impl ScopeAcc {
         }
     }
 
-    /// Folds in one query of a tenant with SLO target `slo` and ideal
-    /// time `ideal` (the tenant's own scope passes its fields, the
-    /// fleet scope the tenant's).
+    /// Folds in one query of a tenant whose SLO target is `slo` and
+    /// ideal time `ideal`. Both the tenant's scope and the fleet scope
+    /// are fed the tenant's values (the fleet's own are unset).
     fn observe(
         &mut self,
         response: SimDuration,

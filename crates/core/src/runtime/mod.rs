@@ -299,27 +299,25 @@
 //! `skipper-sim`). Everything `Runtime::run` arms before its first pop
 //! — the fault actions, every planned release (58 240 on the
 //! benchmark's open-arrival workloads), the t = 0 wake-ups and
-//! deadlines — is sorted
-//! once into the run and popped off its end in O(1); the few events
-//! scheduled while the loop runs (about one per client, up to three per
-//! shard) go through the heap. Wake-up delivery batches drain through
-//! `DeviceFleet::on_wakeup_into` into one scratch buffer owned by the
-//! `Runtime`, devices pool their request nodes in a seq-addressed slab
-//! and reuse transfer slots in place, and per-shard dirty flags keep
-//! untouched pumps O(1) per event. Deliveries carry no payload: the
-//! fleet is a `DeviceFleet<()>` over metadata-only stores, a client's
-//! inbox holds object ids, and the driver lends the engine the segment
-//! from the client's own dataset when it processes one — so no
-//! reference count is touched per GET, on a hit, a watchdog
-//! redelivery or a failover. After warm-up the hot loop stays
-//! off the allocator (the full-stack benchmark under `benchmark/`
-//! counts `runtime.allocs_per_request` ≈ 0.08 on its 1 024 000-GET
-//! `batch_closed` workload; CI gates a ceiling on it).
-//! Scheduler decisions stay off the allocator too: policies fold over
-//! the queue's borrowed [`skipper_csd::sched::GroupLens`] aggregates
-//! instead of materializing per-group vectors, and the queue's
-//! residency runs, seq FIFOs and heaps are recycled and compacted in
-//! place.
+//! deadlines — is sorted once into the run and popped off its end in
+//! O(1); the few events scheduled while the loop runs (about one per
+//! client, up to three per shard) go through the heap. Wake-up delivery
+//! batches drain through `DeviceFleet::on_wakeup_into` into one scratch
+//! buffer owned by the `Runtime`, devices pool their request nodes in a
+//! seq-addressed slab and reuse transfer slots in place, and per-shard
+//! dirty flags keep untouched pumps O(1) per event. Deliveries carry no
+//! payload: the fleet is a `DeviceFleet<()>` over metadata-only stores,
+//! a client's inbox holds object ids, and the driver lends the engine
+//! the segment from the client's own dataset when it processes one — so
+//! no reference count is touched per GET, on a hit, a watchdog
+//! redelivery or a failover. After warm-up the hot loop stays off the
+//! allocator (the full-stack benchmark under `benchmark/` counts
+//! `runtime.allocs_per_request` ≈ 0.08 on its 1 024 000-GET
+//! `batch_closed` workload; CI gates a ceiling on it). Scheduler
+//! decisions stay off the allocator too: policies fold over the queue's
+//! borrowed [`skipper_csd::sched::GroupLens`] aggregates instead of
+//! materializing per-group vectors, and the queue's residency runs, seq
+//! FIFOs and heaps are recycled and compacted in place.
 //!
 //! The loop is single-threaded by design: a delivery may trigger a
 //! submit at almost every event, so there is no window of independent
