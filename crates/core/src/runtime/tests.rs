@@ -697,6 +697,114 @@ fn arrival_shapes_are_repeat_deterministic() {
     }
 }
 
+/// The seeded streams that feed every open-loop and chaos run, pinned
+/// to recorded microseconds: a refactor of `release_times` or
+/// `FaultPlan::expand` that shifts a draw fails here, not as moved
+/// latencies downstream.
+#[test]
+fn seeded_streams_match_recorded_values() {
+    let releases = |arrival: ArrivalProcess, tenant: usize| -> Vec<u64> {
+        arrival
+            .release_times(8, tenant, SimDuration::ZERO)
+            .into_iter()
+            .map(|t| t.expect("open arrivals release every query").as_micros())
+            .collect()
+    };
+    let poisson = ArrivalProcess::Poisson {
+        mean: SimDuration::from_secs(100),
+        seed: 7,
+    };
+    let onoff = ArrivalProcess::OnOff {
+        on_mean: SimDuration::from_secs(10),
+        on_duration: SimDuration::from_secs(120),
+        off_duration: SimDuration::from_secs(1200),
+        seed: 11,
+    };
+    assert_eq!(
+        releases(poisson.clone(), 0),
+        [
+            59_845_719,
+            151_525_614,
+            174_215_951,
+            239_511_179,
+            239_954_808,
+            291_231_113,
+            593_423_035,
+            761_795_844
+        ]
+    );
+    assert_eq!(
+        releases(poisson, 1),
+        [
+            23_963_752,
+            78_538_792,
+            80_670_327,
+            219_111_552,
+            541_958_747,
+            673_305_939,
+            728_083_261,
+            822_786_990
+        ]
+    );
+    assert_eq!(
+        releases(onoff.clone(), 0),
+        [
+            106_362_334,
+            129_154_099,
+            130_237_606,
+            131_610_458,
+            159_646_291,
+            172_307_346,
+            181_126_011,
+            222_454_134
+        ]
+    );
+    assert_eq!(
+        releases(onoff, 1),
+        [
+            13_900_089, 17_345_761, 23_388_497, 28_581_245, 33_925_099, 35_231_390, 44_078_974,
+            47_709_877
+        ]
+    );
+
+    let crashes: Vec<(u64, u64)> = FaultPlan::new()
+        .seeded_crashes(
+            1,
+            SimDuration::from_secs(100),
+            SimDuration::from_secs(10),
+            t(1000),
+            7,
+        )
+        .expand(2)
+        .into_iter()
+        .map(|e| match e {
+            FaultEpisode::ShardDown {
+                shard: 1,
+                at,
+                until,
+            } => (at.as_micros(), until.as_micros()),
+            other => panic!("crash stream produced {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        crashes,
+        [
+            (37_945_779, 58_910_099),
+            (131_694_106, 150_527_302),
+            (155_141_019, 165_191_979),
+            (320_358_350, 343_254_495),
+            (450_704_327, 454_585_084),
+            (458_665_959, 468_554_992),
+            (688_668_097, 702_846_095),
+            (774_444_019, 788_230_249),
+            (807_397_293, 815_701_343),
+            (864_154_462, 898_081_193),
+            (904_036_985, 924_028_920),
+            (994_635_681, 999_329_584)
+        ]
+    );
+}
+
 /// `RecordMode::Counters` drops every per-query record yet reports the
 /// identical streaming latency summary — tail latency stays observable
 /// with bounded memory.
