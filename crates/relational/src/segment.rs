@@ -118,19 +118,6 @@ impl Segment {
         }
         Segment::new(schema.clone(), rows)
     }
-
-    /// Approximate in-memory physical size in bytes (used for sanity
-    /// checks; virtual-time accounting uses catalog logical sizes instead).
-    pub fn physical_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .flat_map(|r| r.values())
-            .map(|v| match v {
-                Value::Str(s) => 24 + s.len(),
-                _ => 16,
-            })
-            .sum()
-    }
 }
 
 fn encode_value(buf: &mut BytesMut, v: &Value) {
@@ -306,10 +293,5 @@ mod tests {
         let s = Schema::of(&[("k", DataType::Int)]);
         assert!(Segment::new(s.clone(), vec![row!["oops"]]).is_err());
         assert!(Segment::new(s, vec![row![1i64]]).is_ok());
-    }
-
-    #[test]
-    fn physical_bytes_is_positive() {
-        assert!(sample_segment().physical_bytes() > 0);
     }
 }

@@ -19,7 +19,7 @@
 //!   [`MergedTimeline`] flattens a fleet's span lists once for
 //!   O(log n)-per-interval whole-run attribution.
 //! * [`stats`] — scheduling metrics: stretch, L2-norm of stretch
-//!   (Figure 12), and small online-statistics helpers.
+//!   (Figure 12), and the streaming quantile sketch.
 //! * [`timeline`] — ASCII Gantt rendering of device activity for
 //!   debugging and the examples.
 //! * [`rng`] — seed-splitting helpers so independent generators never share

@@ -4,7 +4,7 @@
 //! *stretch* of a query — observed execution time divided by its ideal
 //! (single-tenant) execution time — aggregated over a workload with the
 //! L2-norm, plus the maximum stretch. Both are provided here, together
-//! with a Welford-style online accumulator used throughout the harness.
+//! with the streaming quantile sketch behind the latency summaries.
 
 use crate::time::SimDuration;
 
@@ -33,77 +33,6 @@ pub fn l2_norm(stretches: &[f64]) -> f64 {
 /// The maximum stretch across a workload (worst-served query).
 pub fn max_stretch(stretches: &[f64]) -> f64 {
     stretches.iter().copied().fold(0.0, f64::max)
-}
-
-/// Numerically stable online mean/variance accumulator (Welford).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
 }
 
 /// One entry of the Greenwald–Khanna summary: a stored value `v`, the
@@ -296,31 +225,6 @@ mod tests {
     fn max_stretch_finds_worst() {
         assert_eq!(max_stretch(&[1.5, 9.0, 2.0]), 9.0);
         assert_eq!(max_stretch(&[]), 0.0);
-    }
-
-    #[test]
-    fn online_stats_match_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut st = OnlineStats::new();
-        for &x in &xs {
-            st.push(x);
-        }
-        assert_eq!(st.count(), 8);
-        assert!((st.mean() - 5.0).abs() < 1e-12);
-        assert!((st.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(st.min(), Some(2.0));
-        assert_eq!(st.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_empty_and_single() {
-        let mut st = OnlineStats::new();
-        assert_eq!(st.mean(), 0.0);
-        assert_eq!(st.variance(), 0.0);
-        assert_eq!(st.min(), None);
-        st.push(42.0);
-        assert_eq!(st.mean(), 42.0);
-        assert_eq!(st.variance(), 0.0);
     }
 
     /// Exact rank of `x` in `sorted` as the range [lo, hi] (1-based),

@@ -80,16 +80,6 @@ fn dominant_client(spans: &[Span], from: SimTime, to: SimTime) -> Option<usize> 
     best.map(|(c, _)| c)
 }
 
-/// Renders a labelled, legend-carrying timeline block (multi-line).
-pub fn render_block(trace: &ActivityTrace, from: SimTime, to: SimTime, width: usize) -> String {
-    format!(
-        "[{} .. {}] S=switch digit=transfer .=idle\n{}",
-        from,
-        to,
-        render(trace, from, to, width)
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,13 +135,6 @@ mod tests {
         let mut tr = ActivityTrace::new();
         tr.record(t(0), t(10), Activity::Transferring { client: 12 });
         assert_eq!(render(&tr, t(0), t(10), 2), "##");
-    }
-
-    #[test]
-    fn block_contains_legend() {
-        let block = render_block(&sample(), t(0), t(40), 4);
-        assert!(block.contains("S=switch"));
-        assert!(block.ends_with("S01."));
     }
 
     #[test]
