@@ -39,7 +39,6 @@ fn device() -> CsdDevice<&'static str> {
         CsdConfig {
             switch_latency: SimDuration::from_secs(8),
             bandwidth_bytes_per_sec: 0.0, // latency-free transfers: count switches only
-            initial_load_free: true,
             parallel_streams: 1,
             ..CsdConfig::default()
         },

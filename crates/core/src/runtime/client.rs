@@ -56,10 +56,6 @@ pub struct ClientState {
     pub draft: RecordDraft,
     /// Finished records awaiting stall attribution.
     pub records: Vec<PendingRecord>,
-    /// Response-time SLO target (feeds the run's latency summary).
-    pub slo: Option<SimDuration>,
-    /// Ideal single-tenant time (enables streaming stretch quantiles).
-    pub ideal: Option<SimDuration>,
     /// Protection plane: the current query was cancelled while charged
     /// processing was in flight — the pending `ClientReady` must
     /// discard its reaction instead of applying it.
@@ -84,8 +80,6 @@ impl ClientState {
             pending_after: None,
             draft: RecordDraft::default(),
             records: Vec::new(),
-            slo: None,
-            ideal: None,
             cancelled: false,
         }
     }

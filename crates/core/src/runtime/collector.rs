@@ -412,15 +412,14 @@ impl Quantiles {
 }
 
 /// SLO attainment for one scope: how many queries finished within the
-/// declared response-time target.
+/// scenario's response-time target.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SloReport {
-    /// The target in seconds. `None` on the fleet scope when tenants
-    /// declare different targets (the counters still aggregate).
-    pub target_secs: Option<f64>,
-    /// Queries that met their target.
+    /// The target in seconds.
+    pub target_secs: f64,
+    /// Queries that met the target.
     pub met: u64,
-    /// Queries measured against a target.
+    /// Queries measured against the target.
     pub total: u64,
 }
 
@@ -439,9 +438,7 @@ impl SloReport {
 /// Latency digest of one scope (one tenant, or the whole fleet).
 ///
 /// Response time is release → completion (queue-wait included; equals
-/// execution time for closed-loop queries). Stretch is response time
-/// over the declared ideal, present only when the scope declared one
-/// via [`Workload::ideal_time`](super::workload::Workload::ideal_time).
+/// execution time for closed-loop queries).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LatencyScope {
     /// Queries observed.
@@ -452,15 +449,13 @@ pub struct LatencyScope {
     pub max_secs: f64,
     /// Response-time percentiles (`None` when the scope saw nothing).
     pub response: Option<Quantiles>,
-    /// Stretch percentiles (`None` without a declared ideal).
-    pub stretch: Option<Quantiles>,
-    /// SLO attainment (`None` without a declared target anywhere in
-    /// the scope).
+    /// SLO attainment (`None` without a scenario target, or when the
+    /// scope saw nothing).
     pub slo: Option<SloReport>,
 }
 
-/// Streaming tail-latency report of a run: response-time and stretch
-/// percentiles plus SLO attainment, fleet-wide and per tenant.
+/// Streaming tail-latency report of a run: response-time percentiles
+/// plus SLO attainment, fleet-wide and per tenant.
 ///
 /// Built from [`QuantileSketch`]es fed as queries finish, so it is
 /// O(1) memory per tenant in the observation count and fully populated
@@ -482,7 +477,7 @@ impl LatencySummary {
     pub fn empty() -> LatencySummary {
         LatencySummary {
             epsilon: QuantileSketch::DEFAULT_EPSILON,
-            fleet: ScopeAcc::new(None, None).finish(),
+            fleet: ScopeAcc::new(None).finish(),
             tenants: Vec::new(),
         }
     }
@@ -491,50 +486,31 @@ impl LatencySummary {
 /// One scope's streaming state inside [`LatencyAccumulator`].
 struct ScopeAcc {
     slo: Option<SimDuration>,
-    ideal: Option<SimDuration>,
     response: QuantileSketch,
-    stretch: Option<QuantileSketch>,
     sum_secs: f64,
     max_secs: f64,
     slo_met: u64,
-    slo_total: u64,
 }
 
 impl ScopeAcc {
-    fn new(slo: Option<SimDuration>, ideal: Option<SimDuration>) -> ScopeAcc {
+    fn new(slo: Option<SimDuration>) -> ScopeAcc {
         ScopeAcc {
             slo,
-            ideal,
             response: QuantileSketch::default_epsilon(),
-            stretch: ideal.map(|_| QuantileSketch::default_epsilon()),
             sum_secs: 0.0,
             max_secs: 0.0,
             slo_met: 0,
-            slo_total: 0,
         }
     }
 
-    /// Folds in one query of a tenant whose SLO target is `slo` and
-    /// ideal time `ideal`. Both the tenant's scope and the fleet scope
-    /// are fed the tenant's values (the fleet's own are unset).
-    fn observe(
-        &mut self,
-        response: SimDuration,
-        slo: Option<SimDuration>,
-        ideal: Option<SimDuration>,
-    ) {
+    /// Folds in one query's response time.
+    fn observe(&mut self, response: SimDuration) {
         let secs = response.as_secs_f64();
         self.response.push(secs);
         self.sum_secs += secs;
         self.max_secs = self.max_secs.max(secs);
-        if let Some(target) = slo {
-            self.slo_total += 1;
-            if response <= target {
-                self.slo_met += 1;
-            }
-        }
-        if let (Some(sketch), Some(ideal)) = (&mut self.stretch, ideal) {
-            sketch.push(skipper_sim::stats::stretch(response, ideal));
+        if self.slo.is_some_and(|target| response <= target) {
+            self.slo_met += 1;
         }
     }
 
@@ -549,18 +525,17 @@ impl ScopeAcc {
             },
             max_secs: self.max_secs,
             response: Quantiles::from_sketch(&self.response),
-            stretch: self.stretch.as_ref().and_then(Quantiles::from_sketch),
-            slo: (self.slo_total > 0).then_some(SloReport {
-                target_secs: self.slo.map(|t| t.as_secs_f64()),
+            slo: self.slo.filter(|_| count > 0).map(|target| SloReport {
+                target_secs: target.as_secs_f64(),
                 met: self.slo_met,
-                total: self.slo_total,
+                total: count,
             }),
         }
     }
 }
 
-/// Streaming builder of a [`LatencySummary`]: one sketch pair per
-/// tenant plus one fleet-wide pair, fed by the driver as each query
+/// Streaming builder of a [`LatencySummary`]: one sketch per tenant
+/// plus one fleet-wide sketch, fed by the driver as each query
 /// completes. Memory is bounded by the sketch (O((1/ε)·log(εn)) per
 /// scope), independent of how many queries the run retires — this is
 /// what keeps tail latency observable on million-request counter-mode
@@ -571,32 +546,20 @@ pub struct LatencyAccumulator {
 }
 
 impl LatencyAccumulator {
-    /// One scope per tenant, each with its optional SLO target and
-    /// ideal time (for stretch). The fleet scope aggregates SLO
-    /// counters across every tenant that declared a target and tracks
-    /// stretch when at least one tenant declared an ideal.
-    pub fn new(tenants: &[(Option<SimDuration>, Option<SimDuration>)]) -> LatencyAccumulator {
-        let any_ideal = tenants.iter().any(|(_, ideal)| ideal.is_some());
-        let mut fleet = ScopeAcc::new(None, None);
-        if any_ideal {
-            fleet.stretch = Some(QuantileSketch::default_epsilon());
-        }
+    /// One scope per tenant plus the fleet scope, every one measured
+    /// against the scenario's SLO target `slo`.
+    pub fn new(tenants: usize, slo: Option<SimDuration>) -> LatencyAccumulator {
         LatencyAccumulator {
-            fleet,
-            tenants: tenants
-                .iter()
-                .map(|&(slo, ideal)| ScopeAcc::new(slo, ideal))
-                .collect(),
+            fleet: ScopeAcc::new(slo),
+            tenants: (0..tenants).map(|_| ScopeAcc::new(slo)).collect(),
         }
     }
 
     /// Records one finished query's response time (release →
     /// completion) for `tenant`.
     pub fn observe(&mut self, tenant: usize, response: SimDuration) {
-        let scope = &mut self.tenants[tenant];
-        let (slo, ideal) = (scope.slo, scope.ideal);
-        scope.observe(response, slo, ideal);
-        self.fleet.observe(response, slo, ideal);
+        self.tenants[tenant].observe(response);
+        self.fleet.observe(response);
     }
 
     /// Closes the accumulator into the run's summary.
@@ -627,8 +590,8 @@ pub struct RunResult {
     pub makespan: SimTime,
     /// Scheduler label used (shard 0's scheduler for a fleet).
     pub scheduler: &'static str,
-    /// Streaming tail-latency report: response-time / stretch
-    /// percentiles and SLO attainment, fleet-wide and per tenant.
+    /// Streaming tail-latency report: response-time percentiles and
+    /// SLO attainment, fleet-wide and per tenant.
     /// Populated in every [`RecordMode`] (the sketches stream).
     pub latency: LatencySummary,
     /// Fault-plane summary: downtime, evacuations, failovers, and the
@@ -696,19 +659,12 @@ impl RunResult {
     }
 
     /// Per-query stretches against one uniform ideal (single-tenant)
-    /// time. Only meaningful for homogeneous query mixes — for
-    /// heterogeneous mixes a single divisor mis-ranks queries, so use
-    /// [`RunResult::stretches_with`] with per-query ideals instead.
+    /// time, the Figure 12 metric. Only meaningful for homogeneous
+    /// query mixes: for heterogeneous mixes a single divisor mis-ranks
+    /// queries.
     pub fn stretches(&self, ideal: SimDuration) -> Vec<f64> {
-        self.stretches_with(|_| ideal)
-    }
-
-    /// Per-query stretches with a per-record ideal: `ideal(record)`
-    /// returns the single-tenant execution time the record is measured
-    /// against (typically keyed on `record.query` or `record.client`).
-    pub fn stretches_with(&self, ideal: impl Fn(&QueryRecord) -> SimDuration) -> Vec<f64> {
         self.records()
-            .map(|r| skipper_sim::stats::stretch(r.duration(), ideal(r)))
+            .map(|r| skipper_sim::stats::stretch(r.duration(), ideal))
             .collect()
     }
 
@@ -867,33 +823,27 @@ mod tests {
 
     #[test]
     fn latency_accumulator_scopes_and_slo() {
-        // Tenant 0: SLO 20s, ideal 10s. Tenant 1: neither.
-        let mut acc = LatencyAccumulator::new(&[
-            (
-                Some(SimDuration::from_secs(20)),
-                Some(SimDuration::from_secs(10)),
-            ),
-            (None, None),
-        ]);
-        acc.observe(0, SimDuration::from_secs(10)); // met, stretch 1.0
-        acc.observe(0, SimDuration::from_secs(30)); // missed, stretch 3.0
-        acc.observe(1, SimDuration::from_secs(50));
+        // One 20 s target for both tenants and the fleet; tenant 2
+        // sees nothing.
+        let mut acc = LatencyAccumulator::new(3, Some(SimDuration::from_secs(20)));
+        acc.observe(0, SimDuration::from_secs(10)); // met
+        acc.observe(0, SimDuration::from_secs(30)); // missed
+        acc.observe(1, SimDuration::from_secs(50)); // missed
         let summary = acc.finish();
         assert_eq!(summary.fleet.count, 3);
         assert_eq!(summary.tenants[0].count, 2);
         let slo0 = summary.tenants[0].slo.unwrap();
         assert_eq!((slo0.met, slo0.total), (1, 2));
-        assert_eq!(slo0.target_secs, Some(20.0));
+        assert_eq!(slo0.target_secs, 20.0);
         assert_eq!(slo0.attainment(), 0.5);
-        // Fleet aggregates only the two queries that had a target.
+        let slo1 = summary.tenants[1].slo.unwrap();
+        assert_eq!((slo1.met, slo1.total), (0, 1));
+        // An empty scope reports no attainment.
+        assert!(summary.tenants[2].slo.is_none());
+        // The fleet counts every query and states the one target.
         let fleet_slo = summary.fleet.slo.unwrap();
-        assert_eq!((fleet_slo.met, fleet_slo.total), (1, 2));
-        assert_eq!(fleet_slo.target_secs, None);
-        // Stretch only where an ideal was declared.
-        let st = summary.tenants[0].stretch.unwrap();
-        assert_eq!((st.p50, st.p999), (1.0, 3.0));
-        assert!(summary.tenants[1].stretch.is_none());
-        assert!(summary.fleet.stretch.is_some());
+        assert_eq!((fleet_slo.met, fleet_slo.total), (1, 3));
+        assert_eq!(fleet_slo.target_secs, 20.0);
         // Small scopes answer exactly.
         let resp = summary.fleet.response.unwrap();
         assert_eq!((resp.p50, resp.p999), (30.0, 50.0));
@@ -903,7 +853,7 @@ mod tests {
 
     #[test]
     fn empty_scopes_report_nothing() {
-        let acc = LatencyAccumulator::new(&[(None, None)]);
+        let acc = LatencyAccumulator::new(1, None);
         let summary = acc.finish();
         assert_eq!(summary.fleet.count, 0);
         assert!(summary.fleet.response.is_none());

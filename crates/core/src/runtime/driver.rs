@@ -91,16 +91,21 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Wires the parts together.
-    pub fn new(fleet: DeviceFleet<()>, clients: Vec<ClientState>, cost: CostModel) -> Self {
-        let targets: Vec<_> = clients.iter().map(|c| (c.slo, c.ideal)).collect();
+    /// Wires the parts together; every query's response time is
+    /// measured against the one SLO target `slo`, if any.
+    pub fn new(
+        fleet: DeviceFleet<()>,
+        clients: Vec<ClientState>,
+        cost: CostModel,
+        slo: Option<SimDuration>,
+    ) -> Self {
         Runtime {
+            latency: LatencyAccumulator::new(clients.len(), slo),
             fleet,
             clients,
             events: CalendarQueue::new(),
             cost,
             scratch: Vec::new(),
-            latency: LatencyAccumulator::new(&targets),
             record_mode: RecordMode::default(),
             protection: None,
             last_activity: SimTime::ZERO,

@@ -3,7 +3,7 @@
 //!
 //! A production cold-storage fleet loses devices. [`FaultPlan`] is the
 //! `Scenario`-level description of *when and how*: explicit episodes
-//! plus seeded stochastic outage streams, expanded **at assembly time**
+//! plus seeded crash/repair streams, expanded **at assembly time**
 //! — exactly like [`ArrivalProcess`](super::ArrivalProcess) — into a
 //! sorted list of concrete, timestamped [`FaultEpisode`]s. Nothing is
 //! drawn during the run: the driver schedules every fault instant as a
@@ -16,7 +16,8 @@
 //!   recovers at `until`: its queue is evacuated (re-routed to
 //!   surviving replicas or parked), in-flight transfers are aborted
 //!   and retried, and the spun-up group is lost (the first load after
-//!   recovery pays a full switch even under `initial_load_free`).
+//!   recovery pays a full switch, though an array's very first load is
+//!   free).
 //! * [`FaultEpisode::Degraded`] — a brown-out: transfers *dispatched*
 //!   inside `[at, until)` run at `bandwidth_factor` × the configured
 //!   per-stream bandwidth (in-flight completion instants are already
@@ -125,41 +126,27 @@ impl FaultEpisode {
     }
 }
 
-/// A seeded stochastic outage stream, expanded at assembly time from a
-/// labeled SplitMix64 stream (one label per shard, so adding a stream
-/// never perturbs another's draws).
+/// A seeded crash/repair stream: exponential up-times (mean `mtbf`) and
+/// exponential repair times (mean `mttr`) over `[0, horizon)`, expanded
+/// at assembly time from a labeled SplitMix64 stream (one label per
+/// shard, so adding a stream never perturbs another's draws).
 #[derive(Clone, Debug, PartialEq)]
-enum FaultProcess {
-    /// Crash/repair cycles: exponential up-times (mean `mtbf`) and
-    /// exponential repair times (mean `mttr`) over `[0, horizon)`.
-    Crashes {
-        shard: usize,
-        mtbf: SimDuration,
-        mttr: SimDuration,
-        horizon: SimTime,
-        seed: u64,
-    },
-    /// Brown-out cycles: exponential healthy periods (mean `mtbf`) and
-    /// exponential degraded periods (mean `duration`) at
-    /// `bandwidth_factor` over `[0, horizon)`.
-    Brownouts {
-        shard: usize,
-        mtbf: SimDuration,
-        duration: SimDuration,
-        bandwidth_factor: f64,
-        horizon: SimTime,
-        seed: u64,
-    },
+struct CrashStream {
+    shard: usize,
+    mtbf: SimDuration,
+    mttr: SimDuration,
+    horizon: SimTime,
+    seed: u64,
 }
 
 /// The `Scenario`-level fault schedule: explicit episodes plus seeded
-/// stochastic outage streams. See the module docs for semantics.
+/// crash streams. See the module docs for semantics.
 ///
 /// The default plan is empty and injects nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     episodes: Vec<FaultEpisode>,
-    random: Vec<FaultProcess>,
+    crashes: Vec<CrashStream>,
 }
 
 /// Default watchdog redelivery delay for [`FaultPlan::drop_wakeup`].
@@ -173,7 +160,7 @@ impl FaultPlan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty() && self.random.is_empty()
+        self.episodes.is_empty() && self.crashes.is_empty()
     }
 
     /// Adds an explicit outage: `shard` is down over `[at, until)`.
@@ -238,34 +225,10 @@ impl FaultPlan {
         horizon: SimTime,
         seed: u64,
     ) -> Self {
-        self.random.push(FaultProcess::Crashes {
+        self.crashes.push(CrashStream {
             shard,
             mtbf,
             mttr,
-            horizon,
-            seed,
-        });
-        self
-    }
-
-    /// Adds a seeded brown-out stream on `shard`: exponential healthy
-    /// periods (mean `mtbf`) alternating with exponential degraded
-    /// episodes (mean `duration`, at `bandwidth_factor`), drawn from
-    /// the labeled stream `fault-brownouts/{shard}` until `horizon`.
-    pub fn seeded_brownouts(
-        mut self,
-        shard: usize,
-        mtbf: SimDuration,
-        duration: SimDuration,
-        bandwidth_factor: f64,
-        horizon: SimTime,
-        seed: u64,
-    ) -> Self {
-        self.random.push(FaultProcess::Brownouts {
-            shard,
-            mtbf,
-            duration,
-            bandwidth_factor,
             horizon,
             seed,
         });
@@ -282,44 +245,20 @@ impl FaultPlan {
     /// Panics with a descriptive message on any malformed episode.
     pub fn expand(&self, shards: usize) -> Vec<FaultEpisode> {
         let mut out = self.episodes.clone();
-        for process in &self.random {
-            match *process {
-                FaultProcess::Crashes {
-                    shard,
-                    mtbf,
-                    mttr,
-                    horizon,
-                    seed,
-                } => {
-                    let mut state = derive_seed(seed, &format!("fault-crashes/{shard}"));
-                    let mut at = SimTime::ZERO + exponential_gap(&mut state, mtbf);
-                    while at < horizon {
-                        let until = at + exponential_gap(&mut state, mttr);
-                        out.push(FaultEpisode::ShardDown { shard, at, until });
-                        at = until + exponential_gap(&mut state, mtbf);
-                    }
-                }
-                FaultProcess::Brownouts {
-                    shard,
-                    mtbf,
-                    duration,
-                    bandwidth_factor,
-                    horizon,
-                    seed,
-                } => {
-                    let mut state = derive_seed(seed, &format!("fault-brownouts/{shard}"));
-                    let mut at = SimTime::ZERO + exponential_gap(&mut state, mtbf);
-                    while at < horizon {
-                        let until = at + exponential_gap(&mut state, duration);
-                        out.push(FaultEpisode::Degraded {
-                            shard,
-                            at,
-                            until,
-                            bandwidth_factor,
-                        });
-                        at = until + exponential_gap(&mut state, mtbf);
-                    }
-                }
+        for &CrashStream {
+            shard,
+            mtbf,
+            mttr,
+            horizon,
+            seed,
+        } in &self.crashes
+        {
+            let mut state = derive_seed(seed, &format!("fault-crashes/{shard}"));
+            let mut at = SimTime::ZERO + exponential_gap(&mut state, mtbf);
+            while at < horizon {
+                let until = at + exponential_gap(&mut state, mttr);
+                out.push(FaultEpisode::ShardDown { shard, at, until });
+                at = until + exponential_gap(&mut state, mtbf);
             }
         }
         // Deterministic order: start instant, then shard, then a stable
@@ -889,30 +828,6 @@ mod tests {
             )
             .expand(2);
         assert_ne!(a, other);
-    }
-
-    #[test]
-    fn seeded_brownouts_carry_the_factor() {
-        let episodes = FaultPlan::new()
-            .seeded_brownouts(
-                0,
-                SimDuration::from_secs(200),
-                SimDuration::from_secs(20),
-                0.25,
-                secs(2000),
-                9,
-            )
-            .expand(1);
-        assert!(!episodes.is_empty());
-        for e in &episodes {
-            let FaultEpisode::Degraded {
-                bandwidth_factor, ..
-            } = *e
-            else {
-                panic!("brownout stream produced {e:?}");
-            };
-            assert_eq!(bandwidth_factor, 0.25);
-        }
     }
 
     #[test]

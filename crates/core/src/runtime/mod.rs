@@ -6,9 +6,7 @@
 //! 1. **Workload layer** ([`workload`]) — [`Workload`] describes one
 //!    tenant: dataset, query mix, engine choice, and arrival process
 //!    (closed-loop, staggered starts, and the open-arrival vocabulary:
-//!    fixed-seed Poisson, bursty on/off, diurnal, trace replay), plus
-//!    optional per-tenant SLO target and ideal-time anchors for the
-//!    latency summary.
+//!    fixed-seed Poisson and bursty on/off).
 //! 2. **Engine layer** ([`engines`]) — the per-tenant
 //!    [`EngineFactory`]: one scenario can mix Skipper and Vanilla
 //!    tenants with per-tenant cache/eviction configuration.
@@ -84,7 +82,7 @@
 //! queue (insertion order breaks ties, shards are poked in shard
 //! order). A 1-shard fleet replays the seed's single-device schedule
 //! microsecond-exactly; `Scenario::shards(n)` scales the device layer
-//! out with per-shard config overrides and per-shard result
+//! out to `n` identically configured shards with per-shard result
 //! breakdowns ([`collector::ShardResult`]).
 //!
 //! # Deterministic fault plane
@@ -335,16 +333,13 @@
 //!
 //! # Internet-scale traffic & tail latency
 //!
-//! [`ArrivalProcess`] is the traffic vocabulary of the workload layer.
-//! Beyond the closed loop and the fixed-seed Poisson stream, it speaks
-//! the shapes internet-facing storage actually sees: `OnOff` (a
-//! two-phase Markov-modulated Poisson process — exponential ON bursts
-//! of exponential-gap releases separated by exponential silences),
-//! `Diurnal` (a raised-cosine rate cycle sampled by Lewis–Shedler
-//! thinning, peak-to-trough ratio set by `trough`), and `TraceReplay`
-//! (externally captured instants, sorted and offset). Every shape is
-//! expanded to concrete release instants at assembly time from labeled
-//! SplitMix64 streams, so schedules are bit-reproducible.
+//! [`ArrivalProcess`] is the traffic vocabulary of the workload layer:
+//! the closed loop, the fixed-seed Poisson stream, and `OnOff` bursts
+//! (a two-phase Markov-modulated Poisson process — exponential ON
+//! bursts of exponential-gap releases separated by exponential
+//! silences). Every shape is expanded to concrete release instants at
+//! assembly time from labeled SplitMix64 streams, so schedules are
+//! bit-reproducible.
 //!
 //! An open-arrival query's clock starts at its *release*, not when a
 //! client slot frees up: [`QueryRecord::response_time`] = release →
@@ -355,9 +350,11 @@
 //! ([`skipper_sim::stats::QuantileSketch`], default rank
 //! error ε = 5·10⁻⁴) held per tenant and fleet-wide, surfacing in
 //! [`RunResult::latency`] as a [`LatencySummary`]: p50/p95/p99/p999
-//! response time and stretch ([`Quantiles`]), exact mean/max, and SLO
-//! attainment ([`SloReport`]) against `Workload::slo_target` /
-//! `Scenario::slo_target` anchors. The summary costs O(sketch) memory
+//! response time ([`Quantiles`]), exact mean/max, and SLO attainment
+//! ([`SloReport`]) against the one `Scenario::slo_target`, which every
+//! tenant scope and the fleet scope share. Stretch, Figure 12's
+//! fairness metric, is computed after the run from the records
+//! ([`RunResult::stretches`]). The summary costs O(sketch) memory
 //! regardless of query count, so
 //! `Scenario::record_mode(RecordMode::Counters)` can drop the
 //! per-query [`QueryRecord`]s entirely — million-query runs keep full
@@ -368,9 +365,8 @@
 //! # Multi-stream servicing (§5.2.1)
 //!
 //! Each device is a *service pipeline*: `Scenario::streams(n)` opens
-//! `n` transfer slots per shard (per-shard override:
-//! `Scenario::shard_streams`), so intra-group requests overlap in time
-//! while a group is loaded, and a group switch decided mid-drain is
+//! `n` transfer slots on every shard, so intra-group requests overlap
+//! in time while a group is loaded, and a group switch decided mid-drain is
 //! *armed* — it begins the instant the last old-group transfer
 //! completes. The pump's wake-up protocol is therefore
 //! "earliest of K completions": dispatching new work can move a

@@ -9,13 +9,13 @@
 //! [`Runtime`].
 //!
 //! The device layer scales out through [`Scenario::shards`] /
-//! [`Scenario::placement`]: N independently configured CSD shards
-//! behind one scenario, with optional per-shard overrides
-//! ([`Scenario::shard_switch_latency`], [`Scenario::shard_streams`]).
-//! The default single shard reproduces the paper's one-device outputs
-//! microsecond-exactly.
-
-use std::collections::BTreeMap;
+//! [`Scenario::placement`]: N identically configured CSD shards behind
+//! one scenario, each with the scenario's switch latency, bandwidth and
+//! stream count. The default single shard reproduces the paper's
+//! one-device outputs microsecond-exactly.
+//!
+//! One response-time SLO target ([`Scenario::slo_target`]) applies to
+//! every tenant and to the fleet.
 
 use skipper_csd::cache::CacheConfig;
 use skipper_csd::{
@@ -34,13 +34,6 @@ use super::fleet::DeviceFleet;
 use super::protect::{AdmissionPolicy, Breaker, ClientProtection, Protection};
 use super::workload::Workload;
 
-/// Per-shard deviations from the scenario-wide device knobs.
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardOverride {
-    switch_latency: Option<SimDuration>,
-    streams: Option<u32>,
-}
-
 /// A complete experiment description; build with the fluent setters and
 /// [`Scenario::run`].
 pub struct Scenario {
@@ -54,7 +47,6 @@ pub struct Scenario {
     parallel_streams: u32,
     shards: usize,
     placement: PlacementPolicy,
-    shard_overrides: BTreeMap<usize, ShardOverride>,
     trace_mode: TraceMode,
     ledger_mode: LedgerMode,
     record_mode: RecordMode,
@@ -84,7 +76,6 @@ impl Scenario {
             parallel_streams: 1,
             shards: 1,
             placement: PlacementPolicy::RoundRobin,
-            shard_overrides: BTreeMap::new(),
             trace_mode: TraceMode::Full,
             ledger_mode: LedgerMode::Full,
             record_mode: RecordMode::Full,
@@ -197,11 +188,9 @@ impl Scenario {
         self
     }
 
-    /// Scenario-wide response-time SLO target: applied to every tenant
-    /// that does not declare its own
-    /// ([`Workload::slo_target`](super::workload::Workload::slo_target)
-    /// wins). Feeds the per-tenant attainment counters of the run's
-    /// latency summary.
+    /// Response-time SLO target (release → completion, queue-wait
+    /// included) for every query of the run. Feeds the per-tenant and
+    /// fleet attainment counters of the run's latency summary.
     pub fn slo_target(mut self, target: SimDuration) -> Self {
         self.slo = Some(target);
         self
@@ -257,38 +246,12 @@ impl Scenario {
         self
     }
 
-    /// Overrides the group-switch latency of one shard.
-    pub fn shard_switch_latency(mut self, shard: usize, s: SimDuration) -> Self {
-        self.shard_overrides
-            .entry(shard)
-            .or_default()
-            .switch_latency = Some(s);
-        self
-    }
-
-    /// Overrides the transfer stream count of one shard (heterogeneous
-    /// fleets: e.g. one upgraded multi-stream shard next to serialized
-    /// ones). Validated like [`Scenario::streams`].
-    pub fn shard_streams(mut self, shard: usize, n: u32) -> Self {
-        assert!(
-            n >= 1,
-            "Scenario::shard_streams needs at least 1 transfer stream (got 0 for shard {shard})"
-        );
-        self.shard_overrides.entry(shard).or_default().streams = Some(n);
-        self
-    }
-
     /// Executes the scenario to completion, returning all measurements.
     pub fn run(self) -> RunResult {
         let workloads = self.tenants;
         assert!(
             workloads.iter().all(|w| !w.queries.is_empty()),
             "every tenant needs at least one query"
-        );
-        assert!(
-            self.shard_overrides.keys().all(|&s| s < self.shards),
-            "shard override index outside the fleet (shards = {})",
-            self.shards
         );
         assert!(
             self.placement.replicas() >= 2 || workloads.iter().all(|w| w.hedge.is_none()),
@@ -351,17 +314,11 @@ impl Scenario {
                         store.put_with_layout(id, table.logical_bytes_per_segment, &layout, ());
                     }
                 }
-                let ov = self
-                    .shard_overrides
-                    .get(&shard)
-                    .copied()
-                    .unwrap_or_default();
                 CsdDevice::new(
                     CsdConfig {
-                        switch_latency: ov.switch_latency.unwrap_or(self.switch_latency),
+                        switch_latency: self.switch_latency,
                         bandwidth_bytes_per_sec: self.bandwidth,
-                        initial_load_free: true,
-                        parallel_streams: ov.streams.unwrap_or(self.parallel_streams),
+                        parallel_streams: self.parallel_streams,
                         trace_mode: self.trace_mode,
                         ledger_mode: self.ledger_mode,
                     },
@@ -401,10 +358,7 @@ impl Scenario {
                     .zip(releases)
                     .map(|(spec, release)| PlannedQuery { spec, release })
                     .collect();
-                let mut client = ClientState::new(w.dataset, w.engine, plan);
-                client.slo = w.slo.or(self.slo);
-                client.ideal = w.ideal;
-                client
+                ClientState::new(w.dataset, w.engine, plan)
             })
             .collect();
         // Single-replica placements keep the historical primary-map
@@ -433,7 +387,7 @@ impl Scenario {
             fleet.breaker = Some(Breaker::new(b, self.shards));
         }
 
-        Runtime::new(fleet, clients, self.cost)
+        Runtime::new(fleet, clients, self.cost, self.slo)
             .with_record_mode(self.record_mode)
             .with_protection(protection)
             .run()

@@ -247,7 +247,6 @@ fn mini_pump_same_group(streams: u32) -> DevicePump {
         CsdConfig {
             switch_latency: SimDuration::from_secs(10),
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
-            initial_load_free: true,
             parallel_streams: streams,
             ..CsdConfig::default()
         },
@@ -269,7 +268,6 @@ fn mini_pump_equal_group(streams: u32) -> DevicePump {
         CsdConfig {
             switch_latency: SimDuration::from_secs(10),
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
-            initial_load_free: true,
             parallel_streams: streams,
             ..CsdConfig::default()
         },
@@ -289,7 +287,6 @@ fn mini_pump_with_streams(streams: u32) -> DevicePump {
         CsdConfig {
             switch_latency: SimDuration::from_secs(10),
             bandwidth_bytes_per_sec: (1u64 << 30) as f64,
-            initial_load_free: true,
             parallel_streams: streams,
             ..CsdConfig::default()
         },
@@ -471,7 +468,6 @@ fn fleet_routes_submissions_by_shard_map_and_interleaves() {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(10),
                 bandwidth_bytes_per_sec: (1u64 << 30) as f64,
-                initial_load_free: true,
                 parallel_streams: 1,
                 ..CsdConfig::default()
             },
@@ -542,26 +538,6 @@ fn sharded_scenario_reports_per_shard_breakdowns() {
     }
     // device_spans mirrors shard 0.
     assert_eq!(res.device_spans().to_vec(), res.shards[0].spans);
-}
-
-#[test]
-fn heterogeneous_shard_overrides_change_only_their_shard() {
-    let ds = Arc::new(mini_dataset());
-    let q = tpch::q12(&ds);
-    let run = |slow_shard_1: bool| {
-        let mut s = Scenario::from_workloads(vec![skipper(&ds, &q, 1); 2]).shards(2);
-        if slow_shard_1 {
-            s = s.shard_switch_latency(1, SimDuration::from_secs(40));
-        }
-        s.run()
-    };
-    let base = run(false);
-    let slow = run(true);
-    // Slowing shard 1's switches cannot speed the run up.
-    assert!(slow.makespan >= base.makespan);
-    // Both shards ran their own scheduler instance.
-    assert_eq!(base.shards.len(), 2);
-    assert_eq!(base.shards[0].scheduler, base.shards[1].scheduler);
 }
 
 #[test]
@@ -653,24 +629,6 @@ fn arrival_shapes_are_repeat_deterministic() {
                 seed: 9,
             },
         ),
-        (
-            "diurnal",
-            ArrivalProcess::Diurnal {
-                peak_mean: SimDuration::from_secs(20),
-                period: SimDuration::from_secs(3600),
-                trough: 0.2,
-                seed: 9,
-            },
-        ),
-        (
-            "trace",
-            ArrivalProcess::TraceReplay(vec![
-                SimTime::from_secs(700),
-                SimTime::from_secs(1),
-                SimTime::from_secs(30),
-                SimTime::from_secs(30),
-            ]),
-        ),
     ];
     let ds = std::sync::Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
@@ -680,13 +638,12 @@ fn arrival_shapes_are_repeat_deterministic() {
                 Workload::new(std::sync::Arc::clone(&ds))
                     .repeat_query(q.clone(), 4)
                     .engine(SkipperFactory::default().cache_bytes(gib(10)))
-                    .arrival(arrival)
-                    .slo_target(SimDuration::from_secs(600))
-                    .ideal_time(SimDuration::from_secs(60)),
+                    .arrival(arrival),
                 Workload::new(std::sync::Arc::clone(&ds))
                     .repeat_query(q.clone(), 2)
                     .engine(VanillaFactory),
             ])
+            .slo_target(SimDuration::from_secs(600))
             .shards(2)
             .placement(PlacementPolicy::RoundRobin)
             .streams(2)
@@ -821,8 +778,8 @@ fn counters_record_mode_keeps_the_latency_summary() {
                 on_duration: SimDuration::from_secs(120),
                 off_duration: SimDuration::from_secs(300),
                 seed: 5,
-            })
-            .slo_target(SimDuration::from_secs(400))])
+            })])
+        .slo_target(SimDuration::from_secs(400))
     };
     let full = build().run();
     let lean = build().record_mode(RecordMode::Counters).run();
@@ -1019,10 +976,9 @@ fn unreplicated_outage_parks_requests_until_recovery() {
 
 #[test]
 fn crash_recovery_pays_the_reload_switch() {
-    // The spun-up group is lost with the crash: even under
-    // `initial_load_free`, the first post-recovery load pays a full
-    // switch, so the faulted run can never undercut the clean one's
-    // switch count.
+    // The spun-up group is lost with the crash: unlike the array's very
+    // first load, the first post-recovery load pays a full switch, so
+    // the faulted run can never undercut the clean one's switch count.
     let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let build =
@@ -1080,39 +1036,37 @@ fn dropped_wakeup_is_redelivered_by_the_watchdog() {
     }
 }
 
-/// SLO attainment and stretch flow through the scenario facade:
-/// scenario-wide targets apply to tenants without their own.
+/// SLO attainment flows through the scenario facade: the one target
+/// applies to every tenant, and the fleet scope states it.
 #[test]
 fn scenario_slo_target_feeds_attainment_counters() {
     let ds = std::sync::Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
-    let res = Scenario::from_workloads(vec![
-        Workload::new(std::sync::Arc::clone(&ds))
-            .repeat_query(q.clone(), 2)
-            .engine(SkipperFactory::default().cache_bytes(gib(10)))
-            .ideal_time(SimDuration::from_secs(30)),
-        Workload::new(std::sync::Arc::clone(&ds))
-            .repeat_query(q.clone(), 2)
-            .engine(VanillaFactory)
-            .slo_target(SimDuration::from_micros(1)), // unmeetable
-    ])
-    .slo_target(SimDuration::from_secs(100_000)) // generous default
-    .run();
-    // Tenant 0 inherits the generous scenario target: all met.
-    let t0 = res.latency.tenants[0].slo.unwrap();
-    assert_eq!((t0.met, t0.total), (2, 2));
-    assert_eq!(t0.attainment(), 1.0);
-    // Tenant 1's own 1 µs target wins over the default: none met.
-    let t1 = res.latency.tenants[1].slo.unwrap();
+    let run = |target: SimDuration| {
+        Scenario::from_workloads(vec![skipper(&ds, &q, 2), vanilla(&ds, &q, 2)])
+            .slo_target(target)
+            .run()
+    };
+    let generous = run(SimDuration::from_secs(100_000));
+    for tenant in &generous.latency.tenants {
+        let slo = tenant.slo.unwrap();
+        assert_eq!((slo.met, slo.total), (2, 2));
+        assert_eq!(slo.attainment(), 1.0);
+    }
+    let fleet = generous.latency.fleet.slo.unwrap();
+    assert_eq!((fleet.met, fleet.total), (4, 4));
+    assert_eq!(fleet.target_secs, 100_000.0);
+    // An unmeetable 1 µs target: every scope counts, none met.
+    let strict = run(SimDuration::from_micros(1));
+    let t1 = strict.latency.tenants[1].slo.unwrap();
     assert_eq!((t1.met, t1.total), (0, 2));
-    // Fleet counters aggregate both tenants, target left unstated.
-    let fleet = res.latency.fleet.slo.unwrap();
-    assert_eq!((fleet.met, fleet.total), (2, 4));
-    assert_eq!(fleet.target_secs, None);
-    // Stretch only where an ideal was declared.
-    assert!(res.latency.tenants[0].stretch.is_some());
-    assert!(res.latency.tenants[1].stretch.is_none());
-    assert!(res.latency.fleet.stretch.is_some());
+    let fleet = strict.latency.fleet.slo.unwrap();
+    assert_eq!((fleet.met, fleet.total), (0, 4));
+    assert_eq!(fleet.target_secs, 1e-6);
+    // Without a target no scope reports attainment.
+    let none = Scenario::from_workloads(vec![skipper(&ds, &q, 1)]).run();
+    assert!(none.latency.fleet.slo.is_none());
+    assert!(none.latency.tenants[0].slo.is_none());
 }
 
 // ---------------------------------------------------------------------
@@ -1642,7 +1596,6 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(1),
                 bandwidth_bytes_per_sec: (1u64 << 30) as f64,
-                initial_load_free: true,
                 parallel_streams: 1,
                 ..CsdConfig::default()
             },
@@ -1750,7 +1703,6 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
         CsdConfig {
             switch_latency: SimDuration::from_secs(10),
             bandwidth_bytes_per_sec: gib(1) as f64,
-            initial_load_free: true,
             parallel_streams: 2,
             ..CsdConfig::default()
         },

@@ -15,14 +15,14 @@
 //! * [`ArrivalProcess::OnOff`] — bursty MMPP-style traffic: Poisson
 //!   arrivals during exponentially-distributed ON phases, silence
 //!   during OFF phases (flash crowds, batch submission fronts).
-//! * [`ArrivalProcess::Diurnal`] — a sinusoidal rate modulation over a
-//!   Poisson base via Lewis–Shedler thinning (day/night cycles).
-//! * [`ArrivalProcess::TraceReplay`] — explicit release instants
-//!   replayed from a recorded trace.
 //!
 //! All randomness is sampled at scenario-assembly time from a seed
 //! (expansion happens in [`ArrivalProcess::release_times`] before the
 //! event loop starts), so runs stay bit-for-bit reproducible.
+//!
+//! The protection knobs (deadline, retry, hedge, priority) are per
+//! workload; the response-time SLO target is one per scenario
+//! ([`Scenario::slo_target`](super::Scenario::slo_target)).
 
 use std::sync::Arc;
 
@@ -70,28 +70,6 @@ pub enum ArrivalProcess {
         /// Stream seed for gaps and phase boundaries alike.
         seed: u64,
     },
-    /// Diurnal traffic: a non-homogeneous Poisson process whose rate
-    /// follows a raised cosine over `period` — peak rate `1/peak_mean`
-    /// at the start of each period, dipping to `trough` × peak at
-    /// half-period. Sampled by Lewis–Shedler thinning of a homogeneous
-    /// peak-rate process, so the expansion stays a pure function of
-    /// `seed`.
-    Diurnal {
-        /// Mean inter-arrival gap at the peak of the cycle (1/λ_max).
-        peak_mean: SimDuration,
-        /// Length of one full day/night cycle.
-        period: SimDuration,
-        /// Trough rate as a fraction of peak, in [0, 1]. 1.0 collapses
-        /// to plain Poisson; 0.0 goes fully silent at half-period.
-        trough: f64,
-        /// Stream seed.
-        seed: u64,
-    },
-    /// Replays explicit release instants from a recorded trace. Each
-    /// instant is offset by the workload's start; instants are sorted
-    /// before use. The trace must contain at least as many instants as
-    /// the workload has queries (checked at expansion time).
-    TraceReplay(Vec<SimTime>),
 }
 
 impl ArrivalProcess {
@@ -154,54 +132,6 @@ impl ArrivalProcess {
                     })
                     .collect()
             }
-            ArrivalProcess::Diurnal {
-                peak_mean,
-                period,
-                trough,
-                seed,
-            } => {
-                assert!(!period.is_zero(), "Diurnal arrivals need a non-zero period");
-                assert!(
-                    (0.0..=1.0).contains(trough),
-                    "Diurnal trough must be in [0, 1] (got {trough})"
-                );
-                let mut state = derive_seed(*seed, &format!("diurnal-arrivals/{tenant}"));
-                let origin = SimTime::ZERO + start;
-                let mut at = origin;
-                let period_secs = period.as_secs_f64();
-                (0..queries)
-                    .map(|_| {
-                        // Lewis–Shedler: candidate events at the peak
-                        // rate, accepted with probability λ(t)/λ_max.
-                        // λ(t)/λ_max = trough + (1−trough)·½(1+cos(2πt/T)):
-                        // 1 at t = 0, `trough` at t = T/2.
-                        loop {
-                            at += exponential_gap(&mut state, *peak_mean);
-                            let t = at.saturating_since(origin).as_secs_f64();
-                            let phase = 2.0 * std::f64::consts::PI * (t / period_secs);
-                            let accept = trough + (1.0 - trough) * 0.5 * (1.0 + phase.cos());
-                            if uniform01(&mut state) < accept {
-                                return Some(at);
-                            }
-                        }
-                    })
-                    .collect()
-            }
-            ArrivalProcess::TraceReplay(instants) => {
-                assert!(
-                    instants.len() >= queries,
-                    "TraceReplay has {} instants for {} queries",
-                    instants.len(),
-                    queries
-                );
-                let mut sorted = instants.clone();
-                sorted.sort();
-                sorted
-                    .into_iter()
-                    .take(queries)
-                    .map(|t| Some(t + start))
-                    .collect()
-            }
         }
     }
 }
@@ -219,14 +149,6 @@ pub struct Workload {
     pub arrival: ArrivalProcess,
     /// Offset of the tenant's first release (staggered starts).
     pub start: SimDuration,
-    /// Response-time SLO target for this tenant's queries, if any;
-    /// feeds the per-tenant attainment counters in the run's
-    /// [`LatencySummary`](super::collector::LatencySummary).
-    pub slo: Option<SimDuration>,
-    /// Ideal (single-tenant) execution time of this tenant's queries,
-    /// if known; enables streaming stretch quantiles in the run's
-    /// latency summary.
-    pub ideal: Option<SimDuration>,
     /// Response-time deadline: a query not finished this long after its
     /// release (queue-wait included) is cancelled and counted as a
     /// miss. `None` (default) disables cancellation for this tenant.
@@ -257,8 +179,6 @@ impl Workload {
             engine: Arc::new(SkipperFactory::default()),
             arrival: ArrivalProcess::Closed,
             start: SimDuration::ZERO,
-            slo: None,
-            ideal: None,
             deadline: None,
             retry: RetryPolicy::None,
             hedge: None,
@@ -302,20 +222,6 @@ impl Workload {
     /// Sets the first-release offset (staggered starts).
     pub fn start_at(mut self, offset: SimDuration) -> Self {
         self.start = offset;
-        self
-    }
-
-    /// Declares a response-time SLO target for this tenant (release →
-    /// completion, queue-wait included).
-    pub fn slo_target(mut self, target: SimDuration) -> Self {
-        self.slo = Some(target);
-        self
-    }
-
-    /// Declares the ideal (single-tenant) execution time of this
-    /// tenant's queries, enabling streaming stretch quantiles.
-    pub fn ideal_time(mut self, ideal: SimDuration) -> Self {
-        self.ideal = Some(ideal);
         self
     }
 
@@ -481,77 +387,5 @@ mod tests {
             max > 10.0 * median,
             "no burst structure: median gap {median}s, max gap {max}s"
         );
-    }
-
-    #[test]
-    fn diurnal_rate_tracks_the_cycle() {
-        let d = ds();
-        let q = tpch::q12(&d);
-        let period = SimDuration::from_secs(86_400);
-        let arrival = ArrivalProcess::Diurnal {
-            peak_mean: SimDuration::from_secs(60),
-            period,
-            trough: 0.1,
-            seed: 3,
-        };
-        // ~790 accepted arrivals per simulated day at these settings:
-        // 1600 queries span two full cycles, so peak and trough windows
-        // are sampled evenly.
-        let w = Workload::new(d).repeat_query(q, 1600).arrival(arrival);
-        let a = w.release_times(0);
-        assert_eq!(a, w.release_times(0), "fixed seed must fix releases");
-        let times: Vec<SimTime> = a.iter().map(|t| t.unwrap()).collect();
-        assert!(times.windows(2).all(|p| p[0] < p[1]), "non-monotone");
-        // Count arrivals near the peak (first/last quarter of each
-        // cycle) vs near the trough (middle half): the raised cosine
-        // with trough 0.1 concentrates mass near the peak (expected
-        // rate ratio ≈ 3.2× between the equal-width windows).
-        let (mut near_peak, mut near_trough) = (0u32, 0u32);
-        for t in &times {
-            let frac = (t.as_secs_f64() % 86_400.0) / 86_400.0;
-            if (0.25..0.75).contains(&frac) {
-                near_trough += 1;
-            } else {
-                near_peak += 1;
-            }
-        }
-        assert!(
-            near_peak > 2 * near_trough,
-            "no diurnal shape: {near_peak} near peak vs {near_trough} near trough"
-        );
-    }
-
-    #[test]
-    fn trace_replay_sorts_offsets_and_checks_length() {
-        let d = ds();
-        let q = tpch::q12(&d);
-        let trace = vec![
-            SimTime::from_secs(30),
-            SimTime::from_secs(10),
-            SimTime::from_secs(20),
-        ];
-        let w = Workload::new(d)
-            .repeat_query(q, 3)
-            .arrival(ArrivalProcess::TraceReplay(trace))
-            .start_at(SimDuration::from_secs(5));
-        assert_eq!(
-            w.release_times(0),
-            vec![
-                Some(SimTime::from_secs(15)),
-                Some(SimTime::from_secs(25)),
-                Some(SimTime::from_secs(35)),
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "TraceReplay has 1 instants for 2 queries")]
-    fn trace_replay_panics_when_short() {
-        let d = ds();
-        let q = tpch::q12(&d);
-        Workload::new(d)
-            .repeat_query(q, 2)
-            .arrival(ArrivalProcess::TraceReplay(vec![SimTime::from_secs(1)]))
-            .release_times(0);
     }
 }

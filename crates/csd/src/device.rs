@@ -22,7 +22,8 @@
 //!    │              │          the queue, dequeue the request, start a
 //!    │              │          transfer in the slot: done at now+bytes/BW
 //!    │         SwitchTo(g) ──► pipe empty: start Switch, done at now+S
-//!    │              │          (first load of an idle array is free);
+//!    │              │          (first load of an idle array is free
+//!    │              │          unless a crash spun it down);
 //!    │              │          pipe draining: ARM the switch — no new
 //!    │              │          transfers; it begins the instant the
 //!    │              │          last old-group transfer completes
@@ -107,10 +108,6 @@ pub struct CsdConfig {
     /// non-finite means transfers are free (used by the "local disk"
     /// configuration of the Table 3 component breakdown).
     pub bandwidth_bytes_per_sec: f64,
-    /// Whether the very first group load costs nothing (the array always
-    /// has *some* group spinning; matching the paper where a lone client
-    /// with a one-group layout sees zero switches).
-    pub initial_load_free: bool,
     /// Concurrent transfer streams while a group is loaded. The paper's
     /// prototype middleware serialized request servicing (streams = 1);
     /// values > 1 open that many pipeline slots (§5.2.1 "parallelize
@@ -134,7 +131,6 @@ impl Default for CsdConfig {
             // the paper's Table 3 (57 GB transferred in ~550 s through the
             // serializing Swift middleware).
             bandwidth_bytes_per_sec: 110.0 * 1024.0 * 1024.0,
-            initial_load_free: true,
             parallel_streams: 1,
             trace_mode: TraceMode::Full,
             ledger_mode: LedgerMode::Full,
@@ -262,8 +258,8 @@ pub struct CsdDevice<P, Q: RequestIndex = RequestQueue> {
     /// committed completion instants never move).
     bandwidth_factor: f64,
     /// Set by [`CsdDevice::fail`]: the crash spun the array down, so
-    /// the first group load after recovery pays a full switch even
-    /// under `initial_load_free`.
+    /// the first group load after recovery pays a full switch instead
+    /// of being free.
     paid_reload: bool,
     /// Logical bytes of the queued (not yet dispatched) requests,
     /// maintained at every queue mutation so the admission-control
@@ -336,8 +332,8 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// Power-fails the device: every in-flight transfer is aborted
     /// (nothing is counted as served — the bytes never arrived), any
     /// armed or in-progress switch is cancelled, the spun-up group is
-    /// lost (the first load after recovery pays a full switch even
-    /// under `initial_load_free`), and the pending queue is evacuated.
+    /// lost (the first load after recovery pays a full switch), and the
+    /// pending queue is evacuated.
     ///
     /// Displaced requests are appended to `displaced`: aborted
     /// in-flight transfers first (slot order), then the queued requests
@@ -454,7 +450,6 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
             };
             let pipe = InFlight {
                 transfers: self.in_flight,
-                slots: self.slots.len(),
             };
             match self.scheduler.decide(&self.queue, self.active_group, pipe) {
                 Decision::Idle => break,
@@ -515,12 +510,10 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                         self.switch = SwitchStage::Armed(target);
                         break;
                     }
-                    if self.active_group.is_none()
-                        && self.config.initial_load_free
-                        && !self.paid_reload
-                    {
-                        // The array always has some group spinning; treat
-                        // the first load as free and re-decide.
+                    if self.active_group.is_none() && !self.paid_reload {
+                        // The array always has some group spinning (a
+                        // lone client on a one-group layout sees zero
+                        // switches): the first load is free; re-decide.
                         self.active_group = Some(target);
                         self.metrics.initial_loads += 1;
                         self.scheduler.on_switch_complete(&self.queue, target);
@@ -735,7 +728,6 @@ mod tests {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(10),
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
-                initial_load_free: true,
                 parallel_streams: streams,
                 trace_mode,
                 ..CsdConfig::default()
@@ -934,7 +926,6 @@ mod tests {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(10),
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
-                initial_load_free: true,
                 parallel_streams: 2,
                 ..CsdConfig::default()
             },
@@ -1033,7 +1024,6 @@ mod tests {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(10),
                 bandwidth_bytes_per_sec: (100 * MB) as f64,
-                initial_load_free: true,
                 parallel_streams: 4,
                 ..CsdConfig::default()
             },

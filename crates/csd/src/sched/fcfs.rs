@@ -180,10 +180,7 @@ mod tests {
         // could invalidate. With the pipe empty it switches as before.
         let mut p = FcfsQuery::new();
         let q = queue_of(&[req(2, 0, 0, 0, 0, 4)]);
-        let draining = InFlight {
-            transfers: 1,
-            slots: 2,
-        };
+        let draining = InFlight { transfers: 1 };
         assert_eq!(p.decide(&q, Some(1), draining), Decision::Idle);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));
     }

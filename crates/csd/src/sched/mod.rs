@@ -18,6 +18,8 @@
 //! The scheduler is a pure decision function over the pending-request
 //! queue plus whatever internal fairness state it keeps (the rank-based
 //! policy tracks per-query waiting times, measured in group switches).
+//! Its one other input is [`InFlight`]: how many transfers are still
+//! draining on the active group.
 //!
 //! # The queue view
 //!
@@ -138,20 +140,12 @@ pub struct InFlight {
     /// Transfers currently occupying pipeline slots (all of them on the
     /// active group).
     pub transfers: usize,
-    /// Total transfer slots (the device's `streams`). Currently
-    /// informational — no canned policy consults capacity yet, but
-    /// occupancy-vs-capacity is the natural input for future
-    /// utilization-aware policies.
-    pub slots: usize,
 }
 
 impl InFlight {
-    /// The serial baseline: nothing in flight, one slot. Every decision
-    /// of the historical one-op device was made in this state.
-    pub const NONE: InFlight = InFlight {
-        transfers: 0,
-        slots: 1,
-    };
+    /// The serial baseline: nothing in flight. Every decision of the
+    /// historical one-op device was made in this state.
+    pub const NONE: InFlight = InFlight { transfers: 0 };
 
     /// True while old-group transfers are still draining out of the
     /// pipeline.
@@ -529,11 +523,7 @@ mod tests {
         let pipe = InFlight::default();
         assert_eq!(pipe, InFlight::NONE);
         assert!(!pipe.draining());
-        assert!(InFlight {
-            transfers: 2,
-            slots: 4
-        }
-        .draining());
+        assert!(InFlight { transfers: 2 }.draining());
     }
 
     #[test]

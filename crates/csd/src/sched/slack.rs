@@ -137,10 +137,7 @@ mod tests {
         // the pipe is empty.
         let mut p = FcfsSlack::new(2);
         let q = queue_of(&[req(2, 0, 0, 0, 0, 3), req(2, 1, 0, 1, 0, 4)]);
-        let draining = InFlight {
-            transfers: 1,
-            slots: 2,
-        };
+        let draining = InFlight { transfers: 1 };
         assert_eq!(p.decide(&q, Some(1), draining), Decision::Idle);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));
     }
@@ -164,7 +161,6 @@ mod tests {
                 CsdConfig {
                     switch_latency: SimDuration::from_secs(10),
                     bandwidth_bytes_per_sec: (1 << 20) as f64,
-                    initial_load_free: true,
                     parallel_streams: 1,
                     ..CsdConfig::default()
                 },

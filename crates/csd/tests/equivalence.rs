@@ -181,7 +181,6 @@ fn run_fleet<Q: RequestIndex>(
                 CsdConfig {
                     switch_latency: SimDuration::from_secs(10),
                     bandwidth_bytes_per_sec: (100 * MB) as f64,
-                    initial_load_free: true,
                     parallel_streams: streams,
                     ..CsdConfig::default()
                 },

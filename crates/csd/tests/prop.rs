@@ -102,7 +102,6 @@ fn device_serves_every_request_once() {
             CsdConfig {
                 switch_latency: SimDuration::from_secs(switch_secs),
                 bandwidth_bytes_per_sec: (1 << 20) as f64,
-                initial_load_free: true,
                 parallel_streams: 1,
                 ..CsdConfig::default()
             },
@@ -170,7 +169,6 @@ fn single_group_never_switches() {
                     CsdConfig {
                         switch_latency: SimDuration::from_secs(10),
                         bandwidth_bytes_per_sec: (1 << 20) as f64,
-                        initial_load_free: true,
                         parallel_streams: 1,
                         ..CsdConfig::default()
                     },

@@ -82,26 +82,4 @@ fn main() {
         multiplier.makespan.as_secs_f64(),
         roll.overlap()
     );
-
-    // Heterogeneous fleets: upgrade only shard 1 to 4 streams.
-    let hybrid = Scenario::from_workloads(fleet())
-        .shards(2)
-        .shard_streams(1, 4)
-        .run();
-    println!("\n2-shard fleet, shard 1 upgraded to 4 streams:");
-    for s in &hybrid.shards {
-        let r = s.stream_rollup();
-        println!(
-            "  shard {}: {} stream(s), {:>3} objects, overlap {:.2}, peak {} concurrent",
-            s.shard,
-            r.streams,
-            s.metrics.objects_served,
-            r.overlap(),
-            r.peak_streams,
-        );
-    }
-    println!(
-        "  fleet makespan {:.0}s (switch-limited once transfers overlap)",
-        hybrid.makespan.as_secs_f64()
-    );
 }

@@ -94,34 +94,9 @@ fn stream_rollup_reports_real_overlap() {
     assert!(p.transfer_wall_secs < s.transfer_wall_secs / 1.5);
 }
 
-/// Per-shard stream overrides only upgrade their shard; the rest of the
-/// fleet stays serial, and work is still conserved.
-#[test]
-fn shard_stream_overrides_are_local() {
-    let ds = dataset();
-    let base = fleet_scenario(&ds, SchedPolicy::RankBased).shards(2).run();
-    let upgraded = fleet_scenario(&ds, SchedPolicy::RankBased)
-        .shards(2)
-        .shard_streams(1, 4)
-        .run();
-    assert_eq!(upgraded.delivery_multiset(), base.delivery_multiset());
-    assert!(upgraded.makespan <= base.makespan);
-    assert_eq!(upgraded.shards[0].extra_stream_spans.len(), 0);
-    assert_eq!(upgraded.shards[1].extra_stream_spans.len(), 3);
-    assert_eq!(upgraded.shards[0].stream_rollup().streams, 1);
-    assert_eq!(upgraded.shards[1].stream_rollup().streams, 4);
-}
-
 #[test]
 #[should_panic(expected = "at least 1 transfer stream")]
 fn zero_streams_rejected_at_build_time() {
     let ds = dataset();
     fleet_scenario(&ds, SchedPolicy::RankBased).streams(0);
-}
-
-#[test]
-#[should_panic(expected = "at least 1 transfer stream")]
-fn zero_shard_streams_rejected_at_build_time() {
-    let ds = dataset();
-    fleet_scenario(&ds, SchedPolicy::RankBased).shard_streams(0, 0);
 }
