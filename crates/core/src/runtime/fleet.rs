@@ -2,29 +2,32 @@
 //!
 //! One cold storage device tops out at a rack; the production path is a
 //! *fleet* of CSD shards behind a single scenario. [`DeviceFleet`] owns
-//! one [`DevicePump`] per shard plus the object → shard map fixed at
-//! layout time by a
+//! one [`DevicePump`] per shard plus the object → primary shard map
+//! fixed at layout time by a
 //! [`PlacementPolicy`](skipper_csd::PlacementPolicy): `submit` fans a
 //! GET batch out to the owning shards (preserving relative order within
 //! each shard), and each shard keeps its own wake-up protocol, so the
 //! event loop interleaves devices deterministically — shard index breaks
 //! every tie.
 //!
-//! A 1-shard fleet is byte-for-byte the old single-device runtime: the
-//! whole batch goes to pump 0 in submission order and the event
-//! schedule is unchanged.
+//! A 1-shard fleet takes the same path: every request routes to shard
+//! 0, so the whole batch reaches pump 0 in submission order and the
+//! event schedule is the single-device runtime's.
 //!
-//! Under `PlacementPolicy::Replicated { k, .. }` every object carries a
-//! replica list (preferred shard first; see
-//! [`DeviceFleet::with_replicas`]) and each request routes to the
-//! *first live replica*. Which shards are live is the fault plane's
-//! record — one optional box on the fleet, owned by
-//! [`fault`](super::fault) with the crash, recovery and parking rules —
-//! so a fleet that never crashes routes with one null test per replica.
+//! Every fleet has a replica count `k` (1 unless the placement is
+//! `PlacementPolicy::Replicated { k, .. }`), and object `o` lives on
+//! the [`replica_run`] of its primary: `k` consecutive shards,
+//! preferred first. Each request routes to the *first live replica*
+//! whose breaker is closed, through one body for every `k`. Which
+//! shards are live is the fault plane's record — one optional box on
+//! the fleet, owned by [`fault`](super::fault) with the crash, recovery
+//! and parking rules — so a fleet that never crashes routes a request
+//! with one map probe and two null tests.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use skipper_csd::layout::replica_run;
 use skipper_csd::{CsdDevice, Delivery, FastBuild, ObjectId, QueryId};
 use skipper_relational::segment::Segment;
 use skipper_sim::SimTime;
@@ -33,22 +36,19 @@ use super::fault::FleetFaults;
 use super::protect::Breaker;
 use super::pump::DevicePump;
 
-/// N device pumps + the object → shard map.
+/// N device pumps + the object → primary shard map.
 ///
 /// Generic over the payload `P` its devices deliver, like
 /// [`DevicePump`]: the runtime's fleet is `DeviceFleet<()>`.
 pub struct DeviceFleet<P = Arc<Segment>> {
     pub(super) pumps: Vec<DevicePump<P>>,
-    /// Preferred (primary) shard per object — the k = 1 routing map,
-    /// probed once per GET.
+    /// Preferred (primary) shard per object, probed once per GET.
     shard_of: HashMap<ObjectId, usize, FastBuild>,
-    /// Full replica lists (preferred first) when the placement
-    /// replicates; empty for single-replica fleets, which route
-    /// through `shard_of` alone.
-    replicas_of: HashMap<ObjectId, Vec<usize>, FastBuild>,
+    /// Replica count `k`: object `o` lives on
+    /// `replica_run(shard_of[o], k, shards)`.
+    replicas: usize,
     /// Reusable per-shard fan-out buffers for `submit` — pooled so a
-    /// multi-shard batch costs no allocation once warm, matching the
-    /// 1-shard path (the 8-shard allocs/event regression fix).
+    /// batch costs no allocation once warm.
     fanout: Vec<Vec<ObjectId>>,
     /// Protection plane: clients whose no-live-replica requests are
     /// handed back to the driver for backoff retries instead of parking
@@ -67,34 +67,63 @@ pub struct DeviceFleet<P = Arc<Segment>> {
 }
 
 impl<P: Clone> DeviceFleet<P> {
-    /// Assembles a fleet from per-shard devices and the placement map
-    /// (single-replica: each object lives on exactly one shard).
+    /// Assembles a single-replica fleet (`k = 1`) from per-shard
+    /// devices and the placement map: each object lives on exactly one
+    /// shard.
     ///
     /// # Panics
     /// Panics on an empty fleet or a map entry pointing outside it.
     pub fn new(devices: Vec<CsdDevice<P>>, shard_of: HashMap<ObjectId, usize>) -> Self {
-        Self::from_routes(devices, shard_of)
+        Self::from_primaries(devices, shard_of, 1)
     }
 
-    /// [`DeviceFleet::new`] over any `(object, shard)` listing: the
-    /// routing map is built exactly once, straight onto the
-    /// simulator's cheap deterministic hasher (it is probed once per
-    /// GET), so a caller that never had a `HashMap` need not build one.
-    pub(crate) fn from_routes(
+    /// Assembles a replicated fleet from every object's replica list,
+    /// preferred shard first (the `PlacementPolicy::assign_replicas`
+    /// output). The fleet keeps only each list's head and the common
+    /// length `k`. A fault-free run routes every request to the
+    /// preferred replica, byte-identical to the equivalent
+    /// single-replica fleet.
+    ///
+    /// # Panics
+    /// Panics on an empty fleet, or when a list is not the
+    /// [`replica_run`] of its head at one common length `k`, with `k`
+    /// at most the shard count.
+    pub fn with_replicas(
+        devices: Vec<CsdDevice<P>>,
+        replicas_of: HashMap<ObjectId, Vec<usize>>,
+    ) -> Self {
+        let shards = devices.len();
+        let k = replicas_of.values().next().map_or(1, Vec::len);
+        assert!(
+            replicas_of.values().all(|r| r.len() == k
+                && r.first().is_some_and(|&primary| primary < shards
+                    && r.iter().copied().eq(replica_run(primary, k, shards)))),
+            "replica lists must be consecutive runs of one length inside the fleet"
+        );
+        let primaries = replicas_of.into_iter().map(|(o, r)| (o, r[0]));
+        Self::from_primaries(devices, primaries, k)
+    }
+
+    /// The one constructor: each object's primary shard, built once
+    /// straight onto the simulator's cheap deterministic hasher (it is
+    /// probed once per GET), and the replica count `k`. Object `o`
+    /// lives on `replica_run(shard_of[o], k, shards)`.
+    pub(super) fn from_primaries(
         devices: Vec<CsdDevice<P>>,
         shard_of: impl IntoIterator<Item = (ObjectId, usize)>,
+        replicas: usize,
     ) -> Self {
-        assert!(!devices.is_empty(), "a fleet needs at least one device");
+        let n = devices.len();
+        assert!(n > 0, "a fleet needs at least one device");
         let shard_of: HashMap<ObjectId, usize, FastBuild> = shard_of.into_iter().collect();
         assert!(
-            shard_of.values().all(|&s| s < devices.len()),
+            shard_of.values().all(|&s| s < n),
             "placement map points outside the fleet"
         );
-        let n = devices.len();
         DeviceFleet {
             pumps: devices.into_iter().map(DevicePump::new).collect(),
             shard_of,
-            replicas_of: HashMap::default(),
+            replicas,
             fanout: vec![Vec::new(); n],
             retry_clients: Vec::new(),
             unroutable: Vec::new(),
@@ -103,45 +132,16 @@ impl<P: Clone> DeviceFleet<P> {
         }
     }
 
-    /// Assembles a replicated fleet: every object carries its full
-    /// replica list, preferred shard first (the
-    /// `PlacementPolicy::assign_replicas` output). A fault-free run
-    /// routes every request to the preferred replica, byte-identical
-    /// to the equivalent single-replica fleet.
-    ///
-    /// # Panics
-    /// Panics on an empty fleet, an empty replica list, or a replica
-    /// outside the fleet.
-    pub fn with_replicas(
-        devices: Vec<CsdDevice<P>>,
-        replicas_of: HashMap<ObjectId, Vec<usize>>,
-    ) -> Self {
-        assert!(
-            replicas_of
-                .values()
-                .all(|r| !r.is_empty() && r.iter().all(|&s| s < devices.len())),
-            "replica list empty or pointing outside the fleet"
-        );
-        let primaries = replicas_of.iter().map(|(&o, r)| (o, r[0]));
-        let mut fleet = DeviceFleet::from_routes(devices, primaries);
-        fleet.replicas_of = replicas_of.into_iter().collect();
-        fleet
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.pumps.len()
     }
 
-    /// The preferred shard storing `object` (shard 0 when the fleet
-    /// has one device and no explicit map).
+    /// The preferred (primary) shard storing `object`.
     ///
     /// # Panics
-    /// Panics for objects never placed on a multi-shard fleet.
+    /// Panics for objects never placed on the fleet.
     pub fn shard_for(&self, object: ObjectId) -> usize {
-        if self.pumps.len() == 1 {
-            return 0;
-        }
         *self
             .shard_of
             .get(&object)
@@ -155,28 +155,17 @@ impl<P: Clone> DeviceFleet<P> {
     /// the breaker degrades preference, never availability). `None`
     /// when every replica is down (the caller parks the request).
     pub(super) fn route(&mut self, now: SimTime, object: ObjectId) -> Option<usize> {
-        if self.replicas_of.is_empty() {
-            let shard = self.shard_for(object);
-            return (!self.is_down(shard)).then_some(shard);
+        let primary = self.shard_for(object);
+        let usable =
+            |s: usize| !self.is_down(s) && !self.breaker.as_ref().is_some_and(|b| b.open(s, now));
+        if usable(primary) {
+            return Some(primary);
         }
-        let replicas = self
-            .replicas_of
-            .get(&object)
-            .unwrap_or_else(|| panic!("object {object} was never placed on any shard"));
-        let (ordinal, shard) = replicas
-            .iter()
-            .enumerate()
-            .find(|&(_, &s)| {
-                !self.is_down(s) && !self.breaker.as_ref().is_some_and(|b| b.open(s, now))
-            })
-            .or_else(|| {
-                replicas
-                    .iter()
-                    .enumerate()
-                    .find(|&(_, &s)| !self.is_down(s))
-            })
-            .map(|(i, &s)| (i, s))?;
-        if ordinal > 0 {
+        let run = || replica_run(primary, self.replicas, self.pumps.len());
+        let shard = run()
+            .find(|&s| usable(s))
+            .or_else(|| run().find(|&s| !self.is_down(s)))?;
+        if shard != primary {
             self.faults_mut().note_failover(shard);
         }
         Some(shard)
@@ -188,10 +177,6 @@ impl<P: Clone> DeviceFleet<P> {
     /// for determinism. Requests with no live replica park until a
     /// recovery.
     pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
-        if self.pumps.len() == 1 && !self.is_down(0) {
-            self.pumps[0].submit(now, client, query, objects);
-            return;
-        }
         for &obj in objects {
             match self.route(now, obj) {
                 Some(shard) => self.fanout[shard].push(obj),
@@ -265,14 +250,14 @@ impl<P: Clone> DeviceFleet<P> {
         n
     }
 
-    /// The hedge target for `object`: the first live replica *after*
-    /// the one routing currently prefers, or `None` when no distinct
-    /// live replica exists (single-replica placements never hedge).
+    /// The hedge target for `object`: the second live replica of its
+    /// run, or `None` when no second live replica exists (always, on a
+    /// single-replica fleet).
     pub(crate) fn hedge_target(&self, object: ObjectId) -> Option<usize> {
-        let replicas = self.replicas_of.get(&object)?;
-        let mut live = replicas.iter().filter(|&&s| !self.is_down(s));
-        let _primary = live.next()?;
-        live.next().copied()
+        let run = replica_run(self.shard_for(object), self.replicas, self.pumps.len());
+        let mut live = run.filter(|&s| !self.is_down(s));
+        let _first = live.next()?;
+        live.next()
     }
 
     /// Submits one request directly to `shard`, bypassing routing (the
@@ -310,11 +295,6 @@ impl<P: Clone> DeviceFleet<P> {
             bytes = bytes.max(pump.device().queued_bytes());
         }
         (depth, bytes)
-    }
-
-    /// True under replicated placement (hedging needs a second copy).
-    pub(crate) fn replicated(&self) -> bool {
-        !self.replicas_of.is_empty()
     }
 
     /// Pokes every shard in shard order, invoking `armed` with

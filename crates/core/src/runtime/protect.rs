@@ -532,9 +532,9 @@ impl Runtime {
     }
 
     /// The submit hook: records a hedge check for hedge-enabled tenants
-    /// under replication, routes through the fleet, and converts any
-    /// unroutable requests (retry tenants with no live replica) into
-    /// scheduled re-submissions.
+    /// (assembly admits a hedge only on a replicated placement), routes
+    /// through the fleet, and converts any unroutable requests (retry
+    /// tenants with no live replica) into scheduled re-submissions.
     pub(super) fn protected_submit(
         &mut self,
         now: SimTime,
@@ -543,7 +543,7 @@ impl Runtime {
         objects: &[ObjectId],
     ) {
         let p = plane(&mut self.protection);
-        if !objects.is_empty() && self.fleet.replicated() {
+        if !objects.is_empty() {
             if let Some(delay) = p.knobs[c].hedge {
                 let hs = &mut p.hedge_state[c];
                 let start = hs.requested.len();

@@ -18,6 +18,7 @@
 //! every tenant and to the fleet.
 
 use skipper_csd::cache::CacheConfig;
+use skipper_csd::layout::replica_run;
 use skipper_csd::{
     CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectStore,
     PlacementPolicy, SchedPolicy,
@@ -259,24 +260,26 @@ impl Scenario {
             self.placement
         );
 
-        // Shard every tenant's dataset across the fleet at layout time,
-        // then build each shard's group layout over the objects it owns.
-        let tenant_objects: Vec<Vec<ObjectId>> = workloads
-            .iter()
-            .enumerate()
-            .map(|(tenant, w)| {
-                (0..w.dataset.catalog.len())
-                    .flat_map(|t| {
-                        (0..w.dataset.catalog.table(t).segment_count)
-                            .map(move |s| ObjectId::new(tenant as u16, t as u16, s))
-                    })
-                    .collect()
-            })
-            .collect();
-        // Replica lists per object, preferred shard first (length 1 for
-        // plain placements, `k` under `PlacementPolicy::Replicated`):
-        // each shard stores every object whose list contains it.
-        let replicas_of = self.placement.assign_replicas(&tenant_objects, self.shards);
+        // Place every object once, in each tenant's storage order: its
+        // primary routes GETs, and each shard of its replica run stores
+        // it. Each shard's slice of a tenant thus keeps storage order.
+        let k = self.placement.replicas();
+        let mut primaries = Vec::new();
+        let mut shard_objects = vec![vec![Vec::new(); workloads.len()]; self.shards];
+        for (tenant, w) in workloads.iter().enumerate() {
+            let catalog = &w.dataset.catalog;
+            let objects = (0..catalog.len()).flat_map(|t| {
+                (0..catalog.table(t).segment_count)
+                    .map(move |s| ObjectId::new(tenant as u16, t as u16, s))
+            });
+            for (ordinal, id) in objects.enumerate() {
+                let primary = self.placement.shard_of(id, ordinal, self.shards);
+                primaries.push((id, primary));
+                for shard in replica_run(primary, k, self.shards) {
+                    shard_objects[shard][tenant].push(id);
+                }
+            }
+        }
 
         // Fleet-appropriate default scheduler: stock CSDs run
         // object-FCFS; one Skipper tenant is enough to deploy the
@@ -294,18 +297,9 @@ impl Scenario {
 
         // Metadata-only stores: engines borrow their segments from the
         // tenant's dataset (see the `driver` module doc).
-        let devices: Vec<CsdDevice<()>> = (0..self.shards)
-            .map(|shard| {
-                // This shard's slice of every tenant's storage order.
-                let shard_tenant_objects: Vec<Vec<ObjectId>> = tenant_objects
-                    .iter()
-                    .map(|objs| {
-                        objs.iter()
-                            .filter(|o| replicas_of[o].contains(&shard))
-                            .copied()
-                            .collect()
-                    })
-                    .collect();
+        let devices: Vec<CsdDevice<()>> = shard_objects
+            .into_iter()
+            .map(|shard_tenant_objects| {
                 let layout = Layout::build(self.layout, &shard_tenant_objects);
                 let mut store: ObjectStore<()> = ObjectStore::new();
                 for (tenant, w) in workloads.iter().enumerate() {
@@ -361,16 +355,7 @@ impl Scenario {
                 ClientState::new(w.dataset, w.engine, plan)
             })
             .collect();
-        // Single-replica placements keep the historical primary-map
-        // fleet path (byte-identical to before replication existed);
-        // replicated placements carry the full lists for failover.
-        let mut fleet = if self.placement.replicas() == 1 {
-            // The replica lists are consumed as they are read, so the
-            // routing map is the only placement table left standing.
-            DeviceFleet::from_routes(devices, replicas_of.into_iter().map(|(o, r)| (o, r[0])))
-        } else {
-            DeviceFleet::with_replicas(devices, replicas_of)
-        };
+        let mut fleet = DeviceFleet::from_primaries(devices, primaries, k);
 
         // The fault plan and the shard-cache tiers each install only
         // when they inject or hold something.

@@ -519,6 +519,95 @@ fn fleet_rejects_unplaced_objects() {
     fleet.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 0)]);
 }
 
+/// A 4-shard `Replicated { k: 3 }` fleet over one object whose primary
+/// is shard 3, so its replica run wraps around: 3, 0, 1.
+fn wrapped_k3_fleet() -> (DeviceFleet<()>, ObjectId) {
+    let obj = ObjectId::new(0, 0, 0);
+    let devices = (0..4)
+        .map(|shard| {
+            let mut store: ObjectStore<()> = ObjectStore::new();
+            if shard != 2 {
+                store.put(obj, 1 << 20, 0, ());
+            }
+            CsdDevice::new(
+                CsdConfig::default(),
+                store,
+                SchedPolicy::FcfsObject.build(),
+                IntraGroupOrder::SemanticRoundRobin,
+            )
+        })
+        .collect();
+    let placement = PlacementPolicy::Replicated {
+        k: 3,
+        base: skipper_csd::BasePlacement::RoundRobin,
+    };
+    let run: Vec<usize> = placement.replica_shards(obj, 3, 4).collect();
+    assert_eq!(run, vec![3, 0, 1]);
+    let fleet = DeviceFleet::with_replicas(devices, [(obj, run)].into_iter().collect());
+    (fleet, obj)
+}
+
+#[test]
+fn three_replica_routing_wraps_around_the_fleet() {
+    let (mut fleet, obj) = wrapped_k3_fleet();
+    let mut flushed = Vec::new();
+    assert_eq!(fleet.route(t(0), obj), Some(3), "a live primary serves");
+    fleet.fail_shard(3, t(1), &mut flushed);
+    assert_eq!(fleet.route(t(2), obj), Some(0), "the run wraps to shard 0");
+    assert_eq!(fleet.hedge_target(obj), Some(1));
+    // An open breaker on 0 sends the read one replica further.
+    let mut breaker = super::protect::Breaker::new(
+        BreakerPolicy {
+            brownout_below: 0.5,
+            trip_timeouts: u32::MAX,
+            cooldown: SimDuration::from_secs(60),
+        },
+        4,
+    );
+    breaker.set_bandwidth_factor(0, 0.1);
+    fleet.breaker = Some(breaker);
+    assert_eq!(fleet.route(t(3), obj), Some(1));
+    fleet.breaker = None;
+    fleet.fail_shard(0, t(4), &mut flushed);
+    assert_eq!(fleet.route(t(5), obj), Some(1));
+    // With the whole run down the request parks.
+    fleet.fail_shard(1, t(6), &mut flushed);
+    fleet.submit(t(7), 0, QueryId::new(0, 0), &[obj]);
+    assert_eq!(fleet.parked_total(), 1);
+    assert!(flushed.is_empty());
+    let (stats, _) = fleet.fault_summary(t(8));
+    let receipts: Vec<u64> = stats.iter().map(|s| s.failover_receipts).collect();
+    assert_eq!(receipts, vec![1, 2, 0, 0]);
+}
+
+fn empty_devices(n: usize) -> Vec<CsdDevice<()>> {
+    (0..n)
+        .map(|_| {
+            CsdDevice::new(
+                CsdConfig::default(),
+                ObjectStore::new(),
+                SchedPolicy::FcfsObject.build(),
+                IntraGroupOrder::SemanticRoundRobin,
+            )
+        })
+        .collect()
+}
+
+#[test]
+#[should_panic(expected = "consecutive runs of one length")]
+fn with_replicas_rejects_ragged_lists() {
+    let (a, b) = (ObjectId::new(0, 0, 0), ObjectId::new(0, 0, 1));
+    let lists = [(a, vec![0, 1]), (b, vec![2])];
+    DeviceFleet::with_replicas(empty_devices(3), lists.into_iter().collect());
+}
+
+#[test]
+#[should_panic(expected = "consecutive runs of one length")]
+fn with_replicas_rejects_non_consecutive_lists() {
+    let obj = ObjectId::new(0, 0, 0);
+    DeviceFleet::with_replicas(empty_devices(3), [(obj, vec![0, 2])].into_iter().collect());
+}
+
 #[test]
 fn sharded_scenario_reports_per_shard_breakdowns() {
     let ds = Arc::new(mini_dataset());

@@ -69,9 +69,10 @@ pub enum PlacementPolicy {
     TableAffinity,
     /// `k`-way replication: `base` places the *primary* shard and the
     /// remaining `k - 1` replicas land on the consecutively following
-    /// shards (`(primary + r) mod shards` for `r` in `1..k`). The
-    /// primary is the preferred replica; the fleet fails reads over to
-    /// the next live replica in this order when the primary is down.
+    /// shards — the [`replica_run`] of the primary. The primary is the
+    /// preferred replica; the fleet fails reads over to the next live
+    /// replica in this order when the primary is down. Only the primary
+    /// is stored per object: every layer derives the rest from it.
     Replicated {
         /// Replica count (`1 ≤ k ≤ shards`; `k = 1` collapses to
         /// `base` exactly).
@@ -91,6 +92,21 @@ pub enum BasePlacement {
     HashObject,
     /// See [`PlacementPolicy::TableAffinity`].
     TableAffinity,
+}
+
+/// The replica run of an object whose primary is `primary`: the `k`
+/// shards `(primary + r) mod shards` for `r` in `0..k`, preferred
+/// replica first. The one statement of the replication rule; placement,
+/// assembly and routing all ask it.
+///
+/// # Panics
+/// Panics when the fleet has fewer than `k` shards.
+pub fn replica_run(primary: usize, k: usize, shards: usize) -> impl Iterator<Item = usize> {
+    assert!(
+        k <= shards,
+        "Replicated placement wants {k} replicas but the fleet has {shards} shard(s)"
+    );
+    (0..k).map(move |r| (primary + r) % shards)
 }
 
 impl BasePlacement {
@@ -172,21 +188,19 @@ impl PlacementPolicy {
     }
 
     /// The full replica set storing `obj`, preferred (primary) replica
-    /// first: the primary from [`PlacementPolicy::shard_of`] followed
-    /// by the `k - 1` consecutively next shards. Plain policies return
-    /// a single shard.
+    /// first: the [`replica_run`] of [`PlacementPolicy::shard_of`].
+    /// Plain policies yield a single shard.
     ///
     /// # Panics
     /// Panics when `shards` is zero or a replicated placement asks for
     /// more replicas than the fleet has shards.
-    pub fn replica_shards(self, obj: ObjectId, ordinal: usize, shards: usize) -> Vec<usize> {
-        let k = self.replicas();
-        assert!(
-            k <= shards,
-            "Replicated placement wants {k} replicas but the fleet has {shards} shard(s)"
-        );
-        let primary = self.shard_of(obj, ordinal, shards);
-        (0..k).map(|r| (primary + r) % shards).collect()
+    pub fn replica_shards(
+        self,
+        obj: ObjectId,
+        ordinal: usize,
+        shards: usize,
+    ) -> impl Iterator<Item = usize> {
+        replica_run(self.shard_of(obj, ordinal, shards), self.replicas(), shards)
     }
 
     /// Builds the full object → shard map for `tenant_objects` (indexed
@@ -209,9 +223,10 @@ impl PlacementPolicy {
             .collect()
     }
 
-    /// Builds the full object → replica-set map for `tenant_objects`,
-    /// each set ordered preferred replica first (see
-    /// [`PlacementPolicy::replica_shards`]).
+    /// Builds the full object → replica-set map for `tenant_objects`
+    /// (indexed as in [`Layout::build`]: `tenant_objects[t]` lists
+    /// tenant `t`'s objects in storage order), each set ordered
+    /// preferred replica first (see [`PlacementPolicy::replica_shards`]).
     pub fn assign_replicas(
         self,
         tenant_objects: &[Vec<ObjectId>],
@@ -222,7 +237,7 @@ impl PlacementPolicy {
             .flat_map(|objs| {
                 objs.iter()
                     .enumerate()
-                    .map(move |(i, &obj)| (obj, self.replica_shards(obj, i, shards)))
+                    .map(move |(i, &obj)| (obj, self.replica_shards(obj, i, shards).collect()))
             })
             .collect()
     }
@@ -529,13 +544,16 @@ mod tests {
     fn plain_policies_are_single_replica() {
         let o = ObjectId::new(0, 0, 0);
         assert_eq!(PlacementPolicy::RoundRobin.replicas(), 1);
-        assert_eq!(PlacementPolicy::RoundRobin.replica_shards(o, 3, 2), vec![1]);
+        let run: Vec<usize> = PlacementPolicy::RoundRobin
+            .replica_shards(o, 3, 2)
+            .collect();
+        assert_eq!(run, vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "wants 3 replicas")]
     fn over_replication_rejected() {
-        PlacementPolicy::Replicated {
+        let _ = PlacementPolicy::Replicated {
             k: 3,
             base: BasePlacement::RoundRobin,
         }
