@@ -289,7 +289,6 @@ impl ShardResult {
                     skipper_sim::Activity::Switching => {
                         rollup.switching_secs += span.end.since(span.start).as_secs_f64();
                     }
-                    skipper_sim::Activity::Idle => {}
                 }
             }
         }

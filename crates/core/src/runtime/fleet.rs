@@ -132,11 +132,6 @@ impl<P: Clone> DeviceFleet<P> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.pumps.len()
-    }
-
     /// The preferred (primary) shard storing `object`.
     ///
     /// # Panics

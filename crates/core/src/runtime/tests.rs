@@ -482,7 +482,7 @@ fn fleet_routes_submissions_by_shard_map_and_interleaves() {
         vec![mk_dev(a), mk_dev(b)],
         [(a, 0), (b, 1)].into_iter().collect(),
     );
-    assert_eq!(fleet.shard_count(), 2);
+    assert_eq!(fleet.pumps().len(), 2);
     assert_eq!(fleet.shard_for(a), 0);
     assert_eq!(fleet.shard_for(b), 1);
     fleet.submit(t(0), 0, QueryId::new(0, 0), &[b, a]);

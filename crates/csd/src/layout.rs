@@ -203,26 +203,6 @@ impl PlacementPolicy {
         replica_run(self.shard_of(obj, ordinal, shards), self.replicas(), shards)
     }
 
-    /// Builds the full object → shard map for `tenant_objects` (indexed
-    /// as in [`Layout::build`]: `tenant_objects[t]` lists tenant `t`'s
-    /// objects in storage order). Replicated placements report their
-    /// *primary* shard here; see [`PlacementPolicy::assign_replicas`]
-    /// for the full replica sets.
-    pub fn assign(
-        self,
-        tenant_objects: &[Vec<ObjectId>],
-        shards: usize,
-    ) -> HashMap<ObjectId, usize> {
-        tenant_objects
-            .iter()
-            .flat_map(|objs| {
-                objs.iter()
-                    .enumerate()
-                    .map(move |(i, &obj)| (obj, self.shard_of(obj, i, shards)))
-            })
-            .collect()
-    }
-
     /// Builds the full object → replica-set map for `tenant_objects`
     /// (indexed as in [`Layout::build`]: `tenant_objects[t]` lists
     /// tenant `t`'s objects in storage order), each set ordered
@@ -348,6 +328,16 @@ mod tests {
             .collect()
     }
 
+    /// The primary shard of every object of `objs`.
+    fn primaries(
+        policy: PlacementPolicy,
+        objs: &[Vec<ObjectId>],
+        shards: usize,
+    ) -> HashMap<ObjectId, usize> {
+        let sets = policy.assign_replicas(objs, shards);
+        sets.into_iter().map(|(o, r)| (o, r[0])).collect()
+    }
+
     #[test]
     fn all_in_one_uses_single_group() {
         let layout = Layout::build(LayoutPolicy::AllInOne, &tenant_objects(4, 4));
@@ -428,7 +418,7 @@ mod tests {
             PlacementPolicy::TableAffinity,
         ] {
             for shards in 1..=5 {
-                let map = policy.assign(&objs, shards);
+                let map = primaries(policy, &objs, shards);
                 assert_eq!(map.len(), 12, "{policy:?} lost objects");
                 assert!(
                     map.values().all(|&s| s < shards),
@@ -446,14 +436,14 @@ mod tests {
             PlacementPolicy::HashObject,
             PlacementPolicy::TableAffinity,
         ] {
-            assert!(policy.assign(&objs, 1).values().all(|&s| s == 0));
+            assert!(primaries(policy, &objs, 1).values().all(|&s| s == 0));
         }
     }
 
     #[test]
     fn round_robin_alternates_within_each_tenant() {
         let objs = tenant_objects(2, 4);
-        let map = PlacementPolicy::RoundRobin.assign(&objs, 2);
+        let map = primaries(PlacementPolicy::RoundRobin, &objs, 2);
         for tenant_objs in &objs {
             for (i, obj) in tenant_objs.iter().enumerate() {
                 assert_eq!(map[obj], i % 2);
@@ -464,7 +454,7 @@ mod tests {
     #[test]
     fn table_affinity_keeps_tables_whole() {
         let objs = tenant_objects(4, 4);
-        let map = PlacementPolicy::TableAffinity.assign(&objs, 3);
+        let map = primaries(PlacementPolicy::TableAffinity, &objs, 3);
         for tenant_objs in &objs {
             for pair in tenant_objs.windows(2) {
                 if pair[0].table == pair[1].table {
@@ -477,8 +467,8 @@ mod tests {
     #[test]
     fn hash_placement_is_deterministic_and_ordinal_free() {
         let objs = tenant_objects(3, 4);
-        let a = PlacementPolicy::HashObject.assign(&objs, 4);
-        let b = PlacementPolicy::HashObject.assign(&objs, 4);
+        let a = primaries(PlacementPolicy::HashObject, &objs, 4);
+        let b = primaries(PlacementPolicy::HashObject, &objs, 4);
         assert_eq!(a, b);
         // Ordinal is irrelevant for hashing: shard_of agrees regardless.
         let o = ObjectId::new(1, 0, 1);
@@ -528,15 +518,15 @@ mod tests {
             k: 2,
             base: BasePlacement::HashObject,
         };
-        let primaries = replicated.assign(&objs, 4);
-        assert_eq!(primaries, PlacementPolicy::HashObject.assign(&objs, 4));
+        let primary = primaries(replicated, &objs, 4);
+        assert_eq!(primary, primaries(PlacementPolicy::HashObject, &objs, 4));
         // k = 1 collapses to the base policy's single-shard map.
         let single = PlacementPolicy::Replicated {
             k: 1,
             base: BasePlacement::HashObject,
         };
         for (obj, replicas) in single.assign_replicas(&objs, 4) {
-            assert_eq!(replicas, vec![primaries[&obj]]);
+            assert_eq!(replicas, vec![primary[&obj]]);
         }
     }
 

@@ -95,7 +95,7 @@ mod tests {
         tr.record(t(0), t(10), Activity::Switching);
         tr.record(t(10), t(20), Activity::Transferring { client: 0 });
         tr.record(t(20), t(30), Activity::Transferring { client: 1 });
-        tr.record(t(30), t(40), Activity::Idle);
+        // [30, 40) is a gap: idle.
         tr
     }
 

@@ -33,6 +33,8 @@ use std::collections::BinaryHeap;
 use crate::time::{SimDuration, SimTime};
 
 /// What the storage device is doing during a span of virtual time.
+/// A device records no span while it has no pending work: time no span
+/// covers is idle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Spinning a disk group down/up (the paper's "group switch").
@@ -42,8 +44,6 @@ pub enum Activity {
         /// Client receiving the object.
         client: usize,
     },
-    /// No pending work.
-    Idle,
 }
 
 /// A half-open span `[start, end)` tagged with a device activity.
@@ -254,7 +254,6 @@ pub fn attribute_spans(spans: &[Span], from: SimTime, to: SimTime) -> Attributio
         match span.activity {
             Activity::Switching => out.switching += dur,
             Activity::Transferring { .. } => out.transfer += dur,
-            Activity::Idle => out.idle += dur,
         }
     }
     out.idle += to.since(from).saturating_sub(covered);
@@ -326,7 +325,6 @@ pub fn attribute_union(traces: &[&ActivityTrace], from: SimTime, to: SimTime) ->
                 Some(s) if s.start < hi => match s.activity {
                     Activity::Transferring { .. } => any_transfer = true,
                     Activity::Switching => any_switch = true,
-                    Activity::Idle => {}
                 },
                 _ => {}
             }
@@ -427,7 +425,6 @@ impl MergedTimeline {
                     Activity::Switching => {
                         active_switch = active_switch.checked_add_signed(delta).unwrap();
                     }
-                    Activity::Idle => {}
                 }
                 let next = Cursor { list, pos: pos + 1 };
                 if let Some(nt) = edge_time(lists, next) {
@@ -506,13 +503,13 @@ mod tests {
         tr.record(t(10), t(15), Activity::Transferring { client: 0 });
         tr.record(t(15), t(25), Activity::Switching);
         tr.record(t(25), t(30), Activity::Transferring { client: 1 });
-        tr.record(t(30), t(32), Activity::Idle);
         tr
     }
 
     #[test]
     fn attributes_full_interval() {
         let tr = sample_trace();
+        // [30, 32) is a gap: idle.
         let a = tr.attribute(t(0), t(32));
         assert_eq!(a.switching, d(20));
         assert_eq!(a.transfer, d(10));
@@ -534,7 +531,7 @@ mod tests {
     fn uncovered_time_counts_as_idle() {
         let tr = sample_trace();
         let a = tr.attribute(t(30), t(40));
-        assert_eq!(a.idle, d(10)); // 2 s recorded idle + 8 s uncovered
+        assert_eq!(a.idle, d(10));
         assert_eq!(a.switching, SimDuration::ZERO);
     }
 
@@ -564,7 +561,7 @@ mod tests {
     #[test]
     fn zero_length_spans_dropped() {
         let mut tr = ActivityTrace::new();
-        tr.record(t(3), t(3), Activity::Idle);
+        tr.record(t(3), t(3), Activity::Switching);
         assert!(tr.spans().is_empty());
     }
 
@@ -572,8 +569,8 @@ mod tests {
     #[should_panic(expected = "overlaps")]
     fn overlapping_spans_rejected() {
         let mut tr = ActivityTrace::new();
-        tr.record(t(0), t(5), Activity::Idle);
-        tr.record(t(4), t(6), Activity::Idle);
+        tr.record(t(0), t(5), Activity::Switching);
+        tr.record(t(4), t(6), Activity::Switching);
     }
 
     #[test]
@@ -603,8 +600,8 @@ mod tests {
     #[should_panic(expected = "overlaps")]
     fn counters_mode_still_rejects_overlap() {
         let mut lean = ActivityTrace::with_mode(TraceMode::Counters);
-        lean.record(t(0), t(5), Activity::Idle);
-        lean.record(t(4), t(6), Activity::Idle);
+        lean.record(t(0), t(5), Activity::Switching);
+        lean.record(t(4), t(6), Activity::Switching);
     }
 
     #[test]
@@ -714,7 +711,6 @@ mod tests {
         let mut a = ActivityTrace::new();
         a.record(t(0), t(10), Activity::Switching);
         a.record(t(10), t(14), Activity::Transferring { client: 0 });
-        a.record(t(20), t(25), Activity::Idle);
         let mut b = ActivityTrace::new();
         b.record(t(4), t(8), Activity::Transferring { client: 1 });
         b.record(t(8), t(18), Activity::Switching);
@@ -755,14 +751,17 @@ mod tests {
                 for _ in 0..(splitmix64(&mut state) % 12) {
                     let gap = splitmix64(&mut state) % 4;
                     let len = 1 + splitmix64(&mut state) % 7;
+                    // One draw in three leaves an idle gap.
                     let act = match splitmix64(&mut state) % 3 {
-                        0 => Activity::Switching,
-                        1 => Activity::Transferring {
+                        0 => Some(Activity::Switching),
+                        1 => Some(Activity::Transferring {
                             client: (splitmix64(&mut state) % 3) as usize,
-                        },
-                        _ => Activity::Idle,
+                        }),
+                        _ => None,
                     };
-                    tr.record(t(at + gap), t(at + gap + len), act);
+                    if let Some(act) = act {
+                        tr.record(t(at + gap), t(at + gap + len), act);
+                    }
                     at += gap + len;
                 }
                 traces.push(tr);

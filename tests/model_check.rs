@@ -239,12 +239,15 @@ fn trace_attribution_conserves_time() {
         let mut t = 0u64;
         for _ in 0..n_spans {
             let len = rng.gen_range(1u64..50);
+            // One draw in three leaves an idle gap.
             let activity = match rng.gen_range(0usize..3) {
-                0 => Activity::Switching,
-                1 => Activity::Transferring { client: 0 },
-                _ => Activity::Idle,
+                0 => Some(Activity::Switching),
+                1 => Some(Activity::Transferring { client: 0 }),
+                _ => None,
             };
-            trace.record(SimTime::from_secs(t), SimTime::from_secs(t + len), activity);
+            if let Some(activity) = activity {
+                trace.record(SimTime::from_secs(t), SimTime::from_secs(t + len), activity);
+            }
             t += len;
         }
         let from = rng.gen_range(0u64..500);
