@@ -94,10 +94,9 @@ impl<P: Clone> DeviceFleet<P> {
     ) -> Self {
         let shards = devices.len();
         let k = replicas_of.values().next().map_or(1, Vec::len);
+        let is_run = |r: &Vec<usize>| r.iter().copied().eq(replica_run(r[0], k, shards));
         assert!(
-            replicas_of.values().all(|r| r.len() == k
-                && r.first().is_some_and(|&primary| primary < shards
-                    && r.iter().copied().eq(replica_run(primary, k, shards)))),
+            k > 0 && replicas_of.values().all(|r| r.len() == k && is_run(r)),
             "replica lists must be consecutive runs of one length inside the fleet"
         );
         let primaries = replicas_of.into_iter().map(|(o, r)| (o, r[0]));
