@@ -178,7 +178,8 @@ pub struct ShardFaultStats {
     /// bytes never arrived; the requests were re-served elsewhere).
     pub aborted_transfers: u64,
     /// Requests this shard served *as a failover target* — routed here
-    /// because the preferred replica was down.
+    /// instead of the preferred (primary) replica, either because that
+    /// replica was down or because an open breaker skipped it.
     pub failover_receipts: u64,
 }
 

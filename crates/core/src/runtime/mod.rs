@@ -54,7 +54,7 @@
 //!   │  Event::Fault schedule) and │  Option<Breaker> on the      │
 //!   │  a Watchdog per DropWakeup  │  fleet's routing             │
 //!   ├─────────────────────────────┴──────────────────────────────┤
-//!   │ fleet      DeviceFleet: PlacementPolicy → replica lists    │
+//!   │ fleet      DeviceFleet: primary shard per object + k       │
 //!   │   ┌──────────────────┬──────────────────┬────────┐         │
 //!   │   │ DevicePump 0     │ DevicePump 1     │   …    │ 1/shard │
 //!   │   │  earliest-of-K   │  earliest-of-K   │        │         │
@@ -99,9 +99,13 @@
 //! transfer bandwidth; dropped wake-ups ([`FaultEpisode::DropWakeup`])
 //! park one completed batch until a watchdog redelivers it.
 //! `PlacementPolicy::Replicated { k, .. }` stores each object on `k`
-//! consecutive shards; requests route to the first live replica, and
-//! with none live they park at the fleet until a recovery re-submits
-//! them in arrival order.
+//! consecutive shards, the `skipper_csd::layout::replica_run` of its
+//! primary. The fleet keeps only the primary and `k`, and every fleet,
+//! `k = 1` included, routes through one body: a request goes to the
+//! first live replica whose breaker is closed, else to the first live
+//! one, and a shard that serves in place of the primary counts a
+//! failover receipt. With no replica live a request parks at the fleet
+//! until a recovery re-submits it in arrival order.
 //!
 //! Like the protection plane, this one is optional boxes owned by its
 //! module: `Scenario::run` installs the fleet's fault state (down
@@ -173,7 +177,9 @@
 //!   historical parking path byte-exactly.
 //! * **Hedged requests** (`Workload::hedge_after`) — under replicated
 //!   placement, reads still undelivered after the hedge delay are
-//!   re-issued to the next live replica; the first completion wins. Conservation is
+//!   re-issued to the second live replica of the object's run (the
+//!   hedge target does not consult the breaker); the first completion
+//!   wins. Conservation is
 //!   redefined from at-most-once *delivery* to at-most-once
 //!   **consumption**: the winner is consumed, the loser's queued copy
 //!   is cancelled (`cancel_object`), a loser that was already in
@@ -213,7 +219,9 @@
 //!   ([`oracle::check_run`] finds no double consumption,
 //!   [`oracle::check_same_work`] compares the consumed multiset with
 //!   the clean run's deliveries). Hedging needs a replicated placement:
-//!   `Scenario::run` rejects `hedge_after` on a single-replica fleet.
+//!   `Scenario::run` rejects `hedge_after` on a single-replica fleet,
+//!   so the submit hook arms a hedge for every hedging tenant without
+//!   asking the fleet again.
 //!
 //! [`RunResult::protection`] rolls up misses, sheds, deferrals,
 //! retries, hedge outcomes, breaker trips, and the per-tenant

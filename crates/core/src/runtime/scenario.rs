@@ -227,9 +227,12 @@ impl Scenario {
 
     /// Object → shard placement policy (default round-robin; irrelevant
     /// with one shard). `PlacementPolicy::Replicated` stores every
-    /// object on `k` consecutive shards and serves each request from
-    /// the first live replica (see the fault plane,
-    /// [`Scenario::faults`]).
+    /// object on `k` consecutive shards, the replica run of its
+    /// primary, and serves each request from the first live replica
+    /// (see the fault plane, [`Scenario::faults`]). Placement is
+    /// decided once, at assembly: each object is placed in its tenant's
+    /// storage order, so every shard's slice of a tenant keeps that
+    /// order.
     pub fn placement(mut self, p: PlacementPolicy) -> Self {
         self.placement = p;
         self
