@@ -249,9 +249,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// single-replica fleet).
     pub(crate) fn hedge_target(&self, object: ObjectId) -> Option<usize> {
         let run = replica_run(self.shard_for(object), self.replicas, self.pumps.len());
-        let mut live = run.filter(|&s| !self.is_down(s));
-        let _first = live.next()?;
-        live.next()
+        run.filter(|&s| !self.is_down(s)).nth(1)
     }
 
     /// Submits one request directly to `shard`, bypassing routing (the

@@ -71,8 +71,8 @@ pub enum PlacementPolicy {
     /// remaining `k - 1` replicas land on the consecutively following
     /// shards — the [`replica_run`] of the primary. The primary is the
     /// preferred replica; the fleet fails reads over to the next live
-    /// replica in this order when the primary is down. Only the primary
-    /// is stored per object: every layer derives the rest from it.
+    /// replica in this order when the primary is down. A layer that
+    /// needs the replicas keeps only the primary and derives the rest.
     Replicated {
         /// Replica count (`1 ≤ k ≤ shards`; `k = 1` collapses to
         /// `base` exactly).
