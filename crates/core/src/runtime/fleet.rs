@@ -22,13 +22,13 @@
 //! shards are live is the fault plane's record — one optional box on
 //! the fleet, owned by [`fault`](super::fault) with the crash, recovery
 //! and parking rules — so a fleet that never crashes routes a request
-//! with one map probe and two null tests.
+//! with one dense index lookup and two null tests.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use skipper_csd::layout::replica_run;
-use skipper_csd::{CsdDevice, Delivery, FastBuild, ObjectId, QueryId};
+use skipper_csd::{CsdDevice, Delivery, ObjectId, ObjectIndex, QueryId};
 use skipper_relational::segment::Segment;
 use skipper_sim::SimTime;
 
@@ -42,8 +42,8 @@ use super::pump::DevicePump;
 /// [`DevicePump`]: the runtime's fleet is `DeviceFleet<()>`.
 pub struct DeviceFleet<P = Arc<Segment>> {
     pub(super) pumps: Vec<DevicePump<P>>,
-    /// Preferred (primary) shard per object, probed once per GET.
-    shard_of: HashMap<ObjectId, usize, FastBuild>,
+    /// Preferred (primary) shard per object, looked up once per GET.
+    shard_of: ObjectIndex,
     /// Replica count `k`: object `o` lives on
     /// `replica_run(shard_of[o], k, shards)`.
     replicas: usize,
@@ -74,6 +74,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// # Panics
     /// Panics on an empty fleet or a map entry pointing outside it.
     pub fn new(devices: Vec<CsdDevice<P>>, shard_of: HashMap<ObjectId, usize>) -> Self {
+        let shard_of = primary_index(shard_of, devices.len());
         Self::from_primaries(devices, shard_of, 1)
     }
 
@@ -99,26 +100,21 @@ impl<P: Clone> DeviceFleet<P> {
             k > 0 && replicas_of.values().all(|r| r.len() == k && is_run(r)),
             "replica lists must be consecutive runs of one length inside the fleet"
         );
-        let primaries = replicas_of.into_iter().map(|(o, r)| (o, r[0]));
+        let primaries = primary_index(replicas_of.into_iter().map(|(o, r)| (o, r[0])), shards);
         Self::from_primaries(devices, primaries, k)
     }
 
-    /// The one constructor: each object's primary shard, built once
-    /// straight onto the simulator's cheap deterministic hasher (it is
-    /// probed once per GET), and the replica count `k`. Object `o`
-    /// lives on `replica_run(shard_of[o], k, shards)`.
+    /// The one constructor: each object's primary shard, a dense index
+    /// looked up once per GET, and the replica count `k`. Object `o`
+    /// lives on `replica_run(shard_of[o], k, shards)`; every primary
+    /// must lie inside the fleet.
     pub(super) fn from_primaries(
         devices: Vec<CsdDevice<P>>,
-        shard_of: impl IntoIterator<Item = (ObjectId, usize)>,
+        shard_of: ObjectIndex,
         replicas: usize,
     ) -> Self {
         let n = devices.len();
         assert!(n > 0, "a fleet needs at least one device");
-        let shard_of: HashMap<ObjectId, usize, FastBuild> = shard_of.into_iter().collect();
-        assert!(
-            shard_of.values().all(|&s| s < n),
-            "placement map points outside the fleet"
-        );
         DeviceFleet {
             pumps: devices.into_iter().map(DevicePump::new).collect(),
             shard_of,
@@ -136,10 +132,10 @@ impl<P: Clone> DeviceFleet<P> {
     /// # Panics
     /// Panics for objects never placed on the fleet.
     pub fn shard_for(&self, object: ObjectId) -> usize {
-        *self
-            .shard_of
-            .get(&object)
+        self.shard_of
+            .get(object)
             .unwrap_or_else(|| panic!("object {object} was never placed on any shard"))
+            as usize
     }
 
     /// The first live replica for `object`, counting a failover receipt
@@ -231,17 +227,15 @@ impl<P: Clone> DeviceFleet<P> {
     }
 
     /// Protection plane: dequeues every still-queued copy of
-    /// `(query, object)` across the fleet (hedge losers — the winning
-    /// replica already delivered, so at most the loser copies remain
-    /// queued). Returns the number of copies removed.
+    /// `(query, object)` (hedge losers — the winning replica already
+    /// delivered, so at most the loser copies remain queued). Routing,
+    /// hedges, retries and evacuations only ever place a copy on the
+    /// object's replica run, so only the run's shards are visited.
+    /// Returns the number of copies removed.
     pub(crate) fn cancel_object(&mut self, query: QueryId, object: ObjectId) -> usize {
-        let mut n = 0;
-        for pump in &mut self.pumps {
-            if pump.cancel_object(query, object) {
-                n += 1;
-            }
-        }
-        n
+        let run = replica_run(self.shard_for(object), self.replicas, self.pumps.len());
+        run.filter(|&shard| self.pumps[shard].cancel_object(query, object))
+            .count()
     }
 
     /// The hedge target for `object`: the second live replica of its
@@ -342,4 +336,21 @@ impl<P: Clone> DeviceFleet<P> {
             && self.faults.as_ref().is_none_or(|f| f.is_idle())
             && self.unroutable.is_empty()
     }
+}
+
+/// The primary-shard index of a placement map's `(object, shard)`
+/// pairs.
+///
+/// # Panics
+/// Panics on a shard outside a fleet of `shards`.
+fn primary_index(
+    shard_of: impl IntoIterator<Item = (ObjectId, usize)>,
+    shards: usize,
+) -> ObjectIndex {
+    let mut index = ObjectIndex::default();
+    for (object, shard) in shard_of {
+        assert!(shard < shards, "placement map points outside the fleet");
+        index.insert(object, shard as u32);
+    }
+    index
 }

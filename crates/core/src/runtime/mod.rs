@@ -182,8 +182,9 @@
 //!   wins. Conservation is
 //!   redefined from at-most-once *delivery* to at-most-once
 //!   **consumption**: the winner is consumed, the loser's queued copy
-//!   is cancelled (`cancel_object`), a loser that was already in
-//!   flight delivers and is discarded at routing, and
+//!   is cancelled (`cancel_object`, which visits only the object's
+//!   replica run, the one place a copy can be), a loser that was
+//!   already in flight delivers and is discarded at routing, and
 //!   [`RunResult::consumed`] logs the consumed multiset so the bench
 //!   can assert it equals the clean run's delivery multiset.
 //! * **Admission control + breaker** ([`AdmissionPolicy`]) — before a
@@ -316,14 +317,19 @@
 //! a client's inbox holds object ids, and the driver lends the engine
 //! the segment from the client's own dataset when it processes one — so
 //! no reference count is touched per GET, on a hit, a watchdog
-//! redelivery or a failover. After warm-up the hot loop stays off the
-//! allocator (the full-stack benchmark under `benchmark/` counts
-//! `runtime.allocs_per_request` ≈ 0.08 on its 1 024 000-GET
-//! `batch_closed` workload; CI gates a ceiling on it). Scheduler
-//! decisions stay off the allocator too: policies fold over the queue's
-//! borrowed [`skipper_csd::sched::GroupLens`] aggregates instead of
-//! materializing per-group vectors, and the queue's residency runs, seq
-//! FIFOs and heaps are recycled and compacted in place.
+//! redelivery or a failover. No GET hashes its object either: the
+//! fleet's primary shard, the store slot and the cache residency are
+//! each one [`skipper_csd::ObjectIndex`] lookup — bounds-checked
+//! arithmetic from `(tenant, table)` bases plus the segment, then three
+//! loads — and `Scenario::run` lays out every such index once from the
+//! catalogs, so none grows during the run. After warm-up the hot loop
+//! stays off the allocator (the full-stack benchmark under
+//! `benchmark/` counts `runtime.allocs_per_request` ≈ 0.045 on its
+//! 1 024 000-GET `batch_closed` workload; CI gates a ceiling on it).
+//! Scheduler decisions stay off the allocator too: policies fold over
+//! the queue's borrowed [`skipper_csd::sched::GroupLens`] aggregates
+//! instead of materializing per-group vectors, and the queue's residency
+//! runs, seq FIFOs and heaps are recycled and compacted in place.
 //!
 //! The loop is single-threaded by design: a delivery may trigger a
 //! submit at almost every event, so there is no window of independent

@@ -20,8 +20,8 @@
 use skipper_csd::cache::CacheConfig;
 use skipper_csd::layout::replica_run;
 use skipper_csd::{
-    CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectStore,
-    PlacementPolicy, SchedPolicy,
+    CsdConfig, CsdDevice, IntraGroupOrder, Layout, LayoutPolicy, LedgerMode, ObjectId, ObjectIndex,
+    ObjectStore, PlacementPolicy, SchedPolicy,
 };
 use skipper_sim::{SimDuration, TraceMode};
 
@@ -266,18 +266,27 @@ impl Scenario {
         // Place every object once, in each tenant's storage order: its
         // primary routes GETs, and each shard of its replica run stores
         // it. Each shard's slice of a tenant thus keeps storage order.
+        // The fleet's and the stores' object indexes are laid out once
+        // from the catalogs' segment counts.
         let k = self.placement.replicas();
-        let mut primaries = Vec::new();
+        let extents: Vec<Vec<u32>> = workloads
+            .iter()
+            .map(|w| {
+                let catalog = &w.dataset.catalog;
+                (0..catalog.len())
+                    .map(|t| catalog.table(t).segment_count)
+                    .collect()
+            })
+            .collect();
+        let mut primaries = ObjectIndex::with_extents(&extents);
         let mut shard_objects = vec![vec![Vec::new(); workloads.len()]; self.shards];
-        for (tenant, w) in workloads.iter().enumerate() {
-            let catalog = &w.dataset.catalog;
-            let objects = (0..catalog.len()).flat_map(|t| {
-                (0..catalog.table(t).segment_count)
-                    .map(move |s| ObjectId::new(tenant as u16, t as u16, s))
+        for (tenant, segments) in extents.iter().enumerate() {
+            let objects = segments.iter().enumerate().flat_map(|(t, &count)| {
+                (0..count).map(move |s| ObjectId::new(tenant as u16, t as u16, s))
             });
             for (ordinal, id) in objects.enumerate() {
                 let primary = self.placement.shard_of(id, ordinal, self.shards);
-                primaries.push((id, primary));
+                primaries.insert(id, primary as u32);
                 for shard in replica_run(primary, k, self.shards) {
                     shard_objects[shard][tenant].push(id);
                 }
@@ -304,7 +313,8 @@ impl Scenario {
             .into_iter()
             .map(|shard_tenant_objects| {
                 let layout = Layout::build(self.layout, &shard_tenant_objects);
-                let mut store: ObjectStore<()> = ObjectStore::new();
+                let objects = shard_tenant_objects.iter().map(Vec::len).sum();
+                let mut store: ObjectStore<()> = ObjectStore::with_extents(&extents, objects);
                 for (tenant, w) in workloads.iter().enumerate() {
                     for &id in &shard_tenant_objects[tenant] {
                         let table = w.dataset.catalog.table(id.table as usize);

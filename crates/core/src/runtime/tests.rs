@@ -520,15 +520,15 @@ fn fleet_rejects_unplaced_objects() {
 }
 
 /// A 4-shard `Replicated { k: 3 }` fleet over one object whose primary
-/// is shard 3, so its replica run wraps around: 3, 0, 1.
+/// is shard 3, so its replica run wraps around: 3, 0, 1. Shard 2, off
+/// the run, stores only [`OFF_RUN`].
 fn wrapped_k3_fleet() -> (DeviceFleet<()>, ObjectId) {
     let obj = ObjectId::new(0, 0, 0);
     let devices = (0..4)
         .map(|shard| {
             let mut store: ObjectStore<()> = ObjectStore::new();
-            if shard != 2 {
-                store.put(obj, 1 << 20, 0, ());
-            }
+            let stored = if shard == 2 { OFF_RUN } else { obj };
+            store.put(stored, 1 << 20, 0, ());
             CsdDevice::new(
                 CsdConfig::default(),
                 store,
@@ -545,6 +545,28 @@ fn wrapped_k3_fleet() -> (DeviceFleet<()>, ObjectId) {
     assert_eq!(run, vec![3, 0, 1]);
     let fleet = DeviceFleet::with_replicas(devices, [(obj, run)].into_iter().collect());
     (fleet, obj)
+}
+
+/// The object [`wrapped_k3_fleet`] stores on shard 2 only.
+const OFF_RUN: ObjectId = ObjectId::new(0, 0, 1);
+
+#[test]
+fn hedge_losers_are_cancelled_along_the_wrapped_run() {
+    let (mut fleet, obj) = wrapped_k3_fleet();
+    let q = QueryId::new(0, 0);
+    // Losers queued on both wrapped replicas, and a same-query copy of
+    // another object off the run.
+    fleet.submit_to(0, t(0), 0, q, obj);
+    fleet.submit_to(1, t(0), 0, q, obj);
+    fleet.submit_to(2, t(0), 0, q, OFF_RUN);
+    assert_eq!(fleet.cancel_object(q, obj), 2);
+    let queued: Vec<usize> = fleet
+        .pumps()
+        .iter()
+        .map(|p| p.device().pending_len())
+        .collect();
+    assert_eq!(queued, vec![0, 0, 1, 0]);
+    assert_eq!(fleet.cancel_object(q, obj), 0, "nothing is left to cancel");
 }
 
 #[test]

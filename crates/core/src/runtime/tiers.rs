@@ -243,7 +243,7 @@ impl<P: Clone> DeviceFleet<P> {
     pub(crate) fn install_cache(&mut self, config: CacheConfig) {
         for pump in &mut self.pumps {
             let ledger = pump.device.ledger_mode() == LedgerMode::Full;
-            pump.cache = ShardCache::new(config).map(|cache| {
+            pump.cache = ShardCache::new(config, pump.device.store()).map(|cache| {
                 Box::new(CacheState {
                     cache,
                     config,

@@ -38,8 +38,8 @@ use std::collections::HashMap;
 
 use skipper_sim::SimTime;
 
-use crate::object::{GroupId, ObjectId};
-use crate::store::{transfer_time, FastBuild};
+use crate::object::{GroupId, ObjectId, ObjectIndex};
+use crate::store::{transfer_time, FastBuild, ObjectStore};
 
 /// Default DRAM tier read bandwidth (one service pipe): 4 GiB/s.
 pub const DRAM_BANDWIDTH_BYTES_PER_SEC: f64 = 4.0 * (1u64 << 30) as f64;
@@ -255,8 +255,9 @@ struct GroupLinks {
 
 /// One cache tier: a capacity-bounded residency set over a slab of
 /// intrusively linked nodes, plus the serialized bandwidth pipe.
-/// All operations are allocation-free once the slab and index have
-/// grown to their peak population.
+/// All operations are allocation-free once the slab and the group
+/// links have grown to their peak population: the residency index is
+/// laid out at construction for every object the shard stores.
 struct Tier {
     capacity: u64,
     bandwidth: f64,
@@ -266,7 +267,8 @@ struct Tier {
     free_at: SimTime,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    index: HashMap<ObjectId, u32, FastBuild>,
+    /// Resident object → slab slot.
+    index: ObjectIndex,
     /// Global recency list (MRU first).
     head: u32,
     tail: u32,
@@ -277,7 +279,7 @@ struct Tier {
 }
 
 impl Tier {
-    fn new(config: TierConfig, policy: CachePolicy) -> Tier {
+    fn new(config: TierConfig, policy: CachePolicy, index: ObjectIndex) -> Tier {
         Tier {
             capacity: config.capacity_bytes,
             bandwidth: config.bandwidth_bytes_per_sec,
@@ -286,7 +288,7 @@ impl Tier {
             free_at: SimTime::ZERO,
             nodes: Vec::new(),
             free: Vec::new(),
-            index: HashMap::default(),
+            index,
             head: NIL,
             tail: NIL,
             groups: HashMap::default(),
@@ -458,7 +460,7 @@ impl Tier {
     /// Records a hit on `id` (recency update per policy); returns the
     /// resident byte size, or `None` when absent.
     fn touch(&mut self, id: ObjectId) -> Option<u64> {
-        let slot = *self.index.get(&id)?;
+        let slot = self.index.get(id)?;
         match self.policy {
             CachePolicy::Lru => {
                 self.unlink(slot);
@@ -512,7 +514,7 @@ impl Tier {
             self.group_unlink_node(slot);
         }
         let n = self.nodes[slot as usize];
-        self.index.remove(&n.id);
+        self.index.remove(n.id);
         self.used -= n.bytes;
         self.free.push(slot);
         (n.id, n.bytes, n.group)
@@ -520,8 +522,8 @@ impl Tier {
 
     /// Removes `id` if resident (promotion exclusivity).
     fn remove(&mut self, id: ObjectId) -> bool {
-        match self.index.get(&id) {
-            Some(&slot) => {
+        match self.index.get(id) {
+            Some(slot) => {
                 self.remove_slot(slot);
                 true
             }
@@ -543,7 +545,7 @@ impl Tier {
         if bytes > self.capacity {
             return false;
         }
-        if self.index.contains_key(&id) {
+        if self.index.get(id).is_some() {
             self.touch(id);
             return true;
         }
@@ -621,16 +623,23 @@ pub struct ShardCache {
 }
 
 impl ShardCache {
-    /// Builds the cache, or `None` for a disabled config — the caller
-    /// keeps `None` on the hot path so zero capacity is byte-exactly
-    /// the uncached machine.
-    pub fn new(config: CacheConfig) -> Option<ShardCache> {
+    /// Builds the cache in front of `store`, or `None` for a disabled
+    /// config — the caller keeps `None` on the hot path so zero
+    /// capacity is byte-exactly the uncached machine. Each tier's
+    /// residency index takes the layout of the store's, so filling the
+    /// tiers with the store's objects never grows it.
+    pub fn new<P>(config: CacheConfig, store: &ObjectStore<P>) -> Option<ShardCache> {
         if !config.enabled() {
             return None;
         }
+        let index = || {
+            let mut index = store.slots.clone();
+            index.clear();
+            index
+        };
         Some(ShardCache {
-            dram: Tier::new(config.dram, config.policy),
-            ssd: Tier::new(config.ssd, config.policy),
+            dram: Tier::new(config.dram, config.policy, index()),
+            ssd: Tier::new(config.ssd, config.policy, index()),
             stats: CacheStats::default(),
             evict_scratch: Vec::new(),
             drop_scratch: Vec::new(),
@@ -738,8 +747,13 @@ mod tests {
         ObjectId::new(0, 0, seg)
     }
 
+    /// A cache in front of an empty store: its index grows as it fills.
+    fn cache(config: CacheConfig) -> Option<ShardCache> {
+        ShardCache::new(config, &ObjectStore::<()>::new())
+    }
+
     fn dram_cache(capacity: u64, policy: CachePolicy) -> ShardCache {
-        ShardCache::new(CacheConfig {
+        cache(CacheConfig {
             dram: TierConfig::new(capacity, 100.0), // 100 B/s: easy math
             ssd: TierConfig::disabled(),
             policy,
@@ -749,9 +763,9 @@ mod tests {
 
     #[test]
     fn disabled_config_builds_no_cache() {
-        assert!(ShardCache::new(CacheConfig::disabled()).is_none());
-        assert!(ShardCache::new(CacheConfig::dram_only(0)).is_none());
-        assert!(ShardCache::new(CacheConfig::dram_only(1)).is_some());
+        assert!(cache(CacheConfig::disabled()).is_none());
+        assert!(cache(CacheConfig::dram_only(0)).is_none());
+        assert!(cache(CacheConfig::dram_only(1)).is_some());
     }
 
     #[test]
@@ -821,7 +835,7 @@ mod tests {
 
     #[test]
     fn dram_evictions_demote_and_charge_the_ssd_pipe() {
-        let mut c = ShardCache::new(CacheConfig {
+        let mut c = cache(CacheConfig {
             dram: TierConfig::new(100, 100.0),
             ssd: TierConfig::new(200, 100.0),
             policy: CachePolicy::Lru,

@@ -65,8 +65,8 @@
 //!
 //! Every per-GET fact is resolved once, at [`CsdDevice::submit`]: the
 //! object's group, size and store slot travel with the
-//! [`PendingRequest`], so neither dispatch nor completion probes the
-//! store's hash index again.
+//! [`PendingRequest`], so neither dispatch nor completion looks the
+//! object up in the store's index again.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -899,6 +899,43 @@ mod tests {
     fn unknown_object_rejected() {
         let mut dev = device(SchedPolicy::RankBased);
         dev.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(9, 9, 9)]);
+    }
+
+    /// A strided shard's share of tenant 0's one table: segments 1, 3
+    /// and 5 of 6, in a store laid out for the whole table.
+    fn strided_device() -> CsdDevice<&'static str> {
+        let mut store = ObjectStore::with_extents(&[vec![6]], 3);
+        for s in [1, 3, 5] {
+            store.put(ObjectId::new(0, 0, s), 100 * MB, 0, "seg");
+        }
+        CsdDevice::new(
+            CsdConfig::default(),
+            store,
+            SchedPolicy::RankBased.build(),
+            IntraGroupOrder::SemanticRoundRobin,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "GET for unknown object c0/t0.2")]
+    fn get_in_a_hole_of_a_strided_store_panics() {
+        let mut dev = strided_device();
+        dev.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 3)]);
+        dev.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "GET for unknown object c0/t0.6")]
+    fn get_past_the_table_extent_panics() {
+        let mut dev = strided_device();
+        dev.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(0, 0, 6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "GET for unknown object c1/t0.1")]
+    fn get_for_an_unknown_tenant_panics() {
+        let mut dev = strided_device();
+        dev.submit(t(0), 1, QueryId::new(1, 0), &[ObjectId::new(1, 0, 1)]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod store;
 pub use cache::{CacheConfig, CachePolicy, CacheStats, ShardCache, TierConfig};
 pub use device::{CsdConfig, CsdDevice, Delivery, IntraGroupOrder, LedgerMode};
 pub use layout::{BasePlacement, Layout, LayoutPolicy, PlacementPolicy};
-pub use object::{GroupId, ObjectId, ObjectMeta, QueryId};
+pub use object::{GroupId, ObjectId, ObjectIndex, ObjectMeta, QueryId};
 pub use power::{EnergyReport, PowerModel};
 pub use sched::{
     FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, MaxQueries, NaiveQueue,

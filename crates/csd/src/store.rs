@@ -8,32 +8,32 @@
 //! needs (size and group). Tests store strings; the full-stack
 //! benchmark's replay mirror stores `Arc<Segment>`s.
 //!
-//! Entries sit in a dense `Vec` behind one `ObjectId → slot` hash index.
-//! The device resolves each GET once, at submit ([`ObjectStore::resolve`]),
-//! and carries the slot with the request, so the completion reads the
-//! payload by index ([`ObjectStore::payload`]) instead of probing again.
+//! Entries sit in a dense `Vec` behind one [`ObjectIndex`]
+//! (`ObjectId → slot`). The device resolves each GET once, at submit
+//! ([`ObjectStore::resolve`]), and carries the slot with the request, so
+//! the completion reads the payload by index ([`ObjectStore::payload`])
+//! instead of looking it up again.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use skipper_sim::SimDuration;
 
 use crate::layout::Layout;
-use crate::object::{GroupId, ObjectId, ObjectMeta};
+use crate::object::{GroupId, ObjectId, ObjectIndex, ObjectMeta};
 
 /// A fast, deterministic hasher for small fixed-width simulator keys
-/// ([`ObjectId`], `QueryId`, `GroupId`).
+/// (`QueryId`, `GroupId`).
 ///
-/// Every map probed per simulated GET — the store's id index (one probe
-/// per submit), the shard caches, the rank policy's
-/// waiting table, the fleet's routing maps — is built on it through
-/// [`FastBuild`]. SipHash's per-lookup cost is measurable at
-/// million-request scale and buys nothing here: keys are trusted ids
-/// minted by the simulator, not attacker-controlled strings. FNV-1a
-/// over the written words, finished with a SplitMix64 mix, hashes an
-/// id in a few cycles and is identical across runs, so table growth —
-/// and with it the allocation count of a run — repeats exactly.
+/// The hashed maps left on the per-GET path — the rank policy's
+/// waiting table and the shard caches' per-group links — are built on
+/// it through [`FastBuild`]; object-keyed tables are dense
+/// [`ObjectIndex`]es and hash nothing. SipHash's per-lookup cost is
+/// measurable at million-request scale and buys nothing here: keys are
+/// trusted ids minted by the simulator, not attacker-controlled
+/// strings. FNV-1a over the written words, finished with a SplitMix64
+/// mix, hashes an id in a few cycles and is identical across runs, so
+/// table growth — and with it the allocation count of a run — repeats
+/// exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastHasher(u64);
 
@@ -67,7 +67,7 @@ impl Hasher for FastHasher {
     }
 }
 
-/// The [`std::hash::BuildHasher`] of every per-GET map in the
+/// The [`std::hash::BuildHasher`] of every hashed per-GET map in the
 /// simulator: `HashMap<K, V, FastBuild>` (see [`FastHasher`]).
 pub type FastBuild = BuildHasherDefault<FastHasher>;
 
@@ -79,7 +79,8 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 #[derive(Clone, Debug, Default)]
 pub struct ObjectStore<P> {
     entries: Vec<(ObjectMeta, P)>,
-    slots: HashMap<ObjectId, u32, FastBuild>,
+    /// `ObjectId → slot`; the shard caches copy its layout.
+    pub(crate) slots: ObjectIndex,
 }
 
 impl<P> ObjectStore<P> {
@@ -87,7 +88,17 @@ impl<P> ObjectStore<P> {
     pub fn new() -> Self {
         ObjectStore {
             entries: Vec::new(),
-            slots: HashMap::default(),
+            slots: ObjectIndex::default(),
+        }
+    }
+
+    /// Creates an empty store laid out for `objects` objects inside
+    /// `extents[tenant][table]` segments (see
+    /// [`ObjectIndex::with_extents`]): storing them allocates nothing.
+    pub fn with_extents(extents: &[Vec<u32>], objects: usize) -> Self {
+        ObjectStore {
+            entries: Vec::with_capacity(objects),
+            slots: ObjectIndex::with_extents(extents),
         }
     }
 
@@ -102,10 +113,11 @@ impl<P> ObjectStore<P> {
             logical_bytes,
             group,
         };
-        match self.slots.entry(id) {
-            Entry::Occupied(slot) => self.entries[*slot.get() as usize] = (meta, payload),
-            Entry::Vacant(slot) => {
-                slot.insert(u32::try_from(self.entries.len()).expect("store outgrew u32 slots"));
+        match self.slots.get(id) {
+            Some(slot) => self.entries[slot as usize] = (meta, payload),
+            None => {
+                let slot = u32::try_from(self.entries.len()).expect("store outgrew u32 slots");
+                self.slots.insert(id, slot);
                 self.entries.push((meta, payload));
             }
         }
@@ -125,10 +137,10 @@ impl<P> ObjectStore<P> {
         self.put(id, logical_bytes, layout.group_of(id), payload);
     }
 
-    /// The slot and metadata of `id`, if stored: the one hash probe a
+    /// The slot and metadata of `id`, if stored: the one index lookup a
     /// GET pays. Later reads go through [`ObjectStore::payload`].
     pub fn resolve(&self, id: ObjectId) -> Option<(u32, &ObjectMeta)> {
-        let slot = *self.slots.get(&id)?;
+        let slot = self.slots.get(id)?;
         Some((slot, &self.entries[slot as usize].0))
     }
 
@@ -254,6 +266,27 @@ mod tests {
         assert_eq!(store.payload(slot), &"new");
         assert_eq!(store.get(b), Some(&"other"));
         assert_eq!(store.total_logical_bytes(), 3 * GIB);
+    }
+
+    #[test]
+    fn sized_store_takes_ids_inside_and_beyond_its_extents() {
+        let mut store: ObjectStore<u32> = ObjectStore::with_extents(&[vec![4], vec![2, 3]], 5);
+        let inside = [(1, 1, 2), (0, 0, 3), (1, 0, 0), (0, 0, 0), (1, 1, 0)];
+        let beyond = [(0, 0, 9), (2, 0, 0), (1, 4, 1)];
+        for (i, &(tenant, table, seg)) in inside.iter().chain(&beyond).enumerate() {
+            store.put(ObjectId::new(tenant, table, seg), GIB, 0, i as u32);
+        }
+        assert_eq!(store.len(), 8);
+        for (i, &(tenant, table, seg)) in inside.iter().chain(&beyond).enumerate() {
+            let (slot, meta) = store.resolve(ObjectId::new(tenant, table, seg)).unwrap();
+            assert_eq!(
+                (slot, meta.id),
+                (i as u32, ObjectId::new(tenant, table, seg))
+            );
+        }
+        for (tenant, table, seg) in [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0), (3, 0, 0)] {
+            assert!(store.resolve(ObjectId::new(tenant, table, seg)).is_none());
+        }
     }
 
     #[test]
