@@ -13,12 +13,12 @@ use std::sync::Arc;
 use skipper_csd::ObjectId;
 use skipper_datagen::Dataset;
 use skipper_relational::query::QuerySpec;
-use skipper_sim::{SimDuration, SimTime};
+use skipper_sim::{MergedTimeline, SimDuration, SimTime};
 
 use crate::config::CostModel;
 use crate::engine::QueryEngine;
 
-use super::collector::{PendingRecord, QueryRecord, RecordDraft};
+use super::collector::{BlockedLog, QueryRecord, RecordDraft};
 use super::engines::EngineFactory;
 
 /// A query waiting in a client's plan: its spec plus the instant the
@@ -54,8 +54,14 @@ pub struct ClientState {
     pub pending_after: Option<(Vec<ObjectId>, bool)>,
     /// Measurement draft for the current query.
     pub draft: RecordDraft,
-    /// Finished records awaiting stall attribution.
-    pub records: Vec<PendingRecord>,
+    /// Finished records, in completion order. Their `stalls` stay zero
+    /// until [`ClientState::take_records`] attributes them at run end.
+    pub records: Vec<QueryRecord>,
+    /// The blocked intervals of the kept records; `None` when records
+    /// are dropped as they finish (`RecordMode::Counters`).
+    blocked: Option<BlockedLog>,
+    /// One shared name per distinct query name the tenant has run.
+    names: Vec<Arc<str>>,
     /// Protection plane: the current query was cancelled while charged
     /// processing was in flight — the pending `ClientReady` must
     /// discard its reaction instead of applying it.
@@ -80,8 +86,16 @@ impl ClientState {
             pending_after: None,
             draft: RecordDraft::default(),
             records: Vec::new(),
+            blocked: Some(BlockedLog::default()),
+            names: Vec::new(),
             cancelled: false,
         }
+    }
+
+    /// Whether finished records are kept (the default) or dropped as
+    /// they finish, with no blocked interval recorded.
+    pub fn keep_records(&mut self, keep: bool) {
+        self.blocked = keep.then(BlockedLog::default);
     }
 
     /// True when the next planned query may start at `now`: the client
@@ -103,7 +117,14 @@ impl ClientState {
     pub fn start_next(&mut self, tenant: u16, cost: CostModel, now: SimTime) -> Vec<ObjectId> {
         assert!(self.engine.is_none(), "query started while one is running");
         let planned = self.plan.pop_front().expect("start_next on empty plan");
-        let query_name = planned.spec.name.clone();
+        let query_name = match self.names.iter().find(|n| ***n == planned.spec.name) {
+            Some(name) => Arc::clone(name),
+            None => {
+                let name: Arc<str> = planned.spec.name.as_str().into();
+                self.names.push(Arc::clone(&name));
+                name
+            }
+        };
         let release = planned.release;
         let mut engine = self
             .factory
@@ -127,6 +148,9 @@ impl ClientState {
         self.engine = None;
         self.inbox.clear();
         self.draft = RecordDraft::default();
+        if let Some(log) = &mut self.blocked {
+            log.discard();
+        }
         self.qseq += 1;
         if self.busy {
             self.cancelled = true;
@@ -141,29 +165,52 @@ impl ClientState {
             .unwrap_or(false)
     }
 
-    /// Finishes the current query at `now`, recording its measurements.
-    pub fn finish(&mut self, client_idx: usize, now: SimTime) {
+    /// Finishes the current query at `now`, recording its measurements
+    /// (kept only when the client keeps records), and returns its
+    /// response time.
+    pub fn finish(&mut self, client_idx: usize, now: SimTime) -> SimDuration {
         let engine = self.engine.take().expect("finishing without engine");
         let draft = std::mem::take(&mut self.draft);
-        self.records.push(PendingRecord {
-            record: QueryRecord {
-                query: draft.query_name.clone(),
-                client: client_idx,
-                seq: self.qseq,
-                engine: self.factory.label(),
-                release: draft.release,
-                start: draft.start,
-                end: now,
-                processing: draft.processing,
-                upfront_gets: draft.upfront_gets,
-                stalls: Default::default(),
-                stats: engine.stats(),
-                result: engine.result(),
-            },
-            blocked_intervals: draft.blocked,
-        });
+        let record = QueryRecord {
+            query: draft.query_name,
+            client: client_idx,
+            seq: self.qseq,
+            engine: self.factory.label(),
+            release: draft.release,
+            start: draft.start,
+            end: now,
+            processing: draft.processing,
+            upfront_gets: draft.upfront_gets,
+            stalls: Default::default(),
+            stats: engine.stats(),
+            result: engine.result(),
+        };
+        let response = record.response_time();
+        if let Some(log) = &mut self.blocked {
+            log.close();
+            self.records.push(record);
+        }
         self.inbox.clear();
         self.qseq += 1;
+        response
+    }
+
+    /// Closes the current blocked interval (a delivery arrived) into
+    /// the blocked log, when records are kept.
+    pub fn unblock(&mut self, now: SimTime) {
+        if let (Some(interval), Some(log)) = (self.draft.unblock(now), &mut self.blocked) {
+            log.push(interval);
+        }
+    }
+
+    /// Takes the finished records out, with their `stalls` attributed
+    /// against the run's fleet `timeline` and the blocked log released
+    /// (end-of-run assembly).
+    pub fn take_records(&mut self, timeline: &MergedTimeline) -> Vec<QueryRecord> {
+        if let Some(log) = self.blocked.take() {
+            log.attribute(timeline, &mut self.records);
+        }
+        std::mem::take(&mut self.records)
     }
 
     /// Marks the client blocked-or-working after processing completed:

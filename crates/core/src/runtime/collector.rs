@@ -2,16 +2,20 @@
 //! records, and the [`RunResult`] returned by every scenario.
 //!
 //! During the run each client accumulates a [`RecordDraft`] (start time,
-//! charged processing, blocked intervals); when a query finishes the
-//! draft becomes a [`PendingRecord`]. Stall attribution is post-hoc:
+//! charged processing) and appends its blocked intervals to one
+//! per-client blocked log; when a query finishes the draft becomes
+//! its [`QueryRecord`], written once. Stall attribution is post-hoc:
 //! once the run is over, every blocked interval is matched against the
-//! device's activity trace to split waiting into switch vs transfer vs
-//! idle stalls (the Figure 9 breakdown).
+//! fleet's activity timeline to split waiting into switch vs transfer
+//! vs idle stalls (the Figure 9 breakdown), written into each record in
+//! place.
+
+use std::sync::Arc;
 
 use skipper_cost::CostReport;
 use skipper_csd::cache::CacheStats;
 use skipper_csd::metrics::DeviceMetrics;
-use skipper_csd::{EnergyReport, ObjectId, QueryId};
+use skipper_csd::{EnergyReport, LedgerEntry, ObjectId, QueryId};
 use skipper_relational::tuple::Row;
 use skipper_relational::value::Value;
 use skipper_sim::trace::Span;
@@ -24,8 +28,9 @@ use super::protect::ProtectionSummary;
 /// One query's measurements.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryRecord {
-    /// Query name.
-    pub query: String,
+    /// Query name, shared by every record of the tenant's query of
+    /// that name.
+    pub query: Arc<str>,
     /// Client index.
     pub client: usize,
     /// Per-client query sequence number.
@@ -86,7 +91,7 @@ impl QueryRecord {
 #[derive(Default)]
 pub struct RecordDraft {
     /// Query name.
-    pub query_name: String,
+    pub query_name: Arc<str>,
     /// Release instant, for open-arrival queries.
     pub release: Option<SimTime>,
     /// Submission instant.
@@ -97,8 +102,6 @@ pub struct RecordDraft {
     pub upfront_gets: u64,
     /// Start of the current blocked interval, if blocked.
     pub blocked_from: Option<SimTime>,
-    /// Completed blocked intervals.
-    pub blocked: Vec<(SimTime, SimTime)>,
 }
 
 impl RecordDraft {
@@ -106,7 +109,7 @@ impl RecordDraft {
     /// instant for open-arrival queries (`None` for closed-loop), which
     /// the finished record keeps so queue-wait survives into
     /// [`QueryRecord::response_time`].
-    pub fn begin(query_name: String, release: Option<SimTime>, now: SimTime) -> Self {
+    pub fn begin(query_name: Arc<str>, release: Option<SimTime>, now: SimTime) -> Self {
         RecordDraft {
             query_name,
             release,
@@ -114,52 +117,73 @@ impl RecordDraft {
             processing: SimDuration::ZERO,
             upfront_gets: 0,
             blocked_from: Some(now),
-            blocked: Vec::new(),
         }
     }
 
-    /// Closes the current blocked interval (delivery arrived).
-    pub fn unblock(&mut self, now: SimTime) {
-        if let Some(from) = self.blocked_from.take() {
-            if now > from {
-                self.blocked.push((from, now));
-            }
-        }
+    /// Closes the current blocked interval (delivery arrived) and
+    /// returns it, unless it is empty.
+    pub fn unblock(&mut self, now: SimTime) -> Option<(SimTime, SimTime)> {
+        let from = self.blocked_from.take()?;
+        (now > from).then_some((from, now))
     }
 }
 
-/// A finished record awaiting post-hoc stall attribution.
-pub struct PendingRecord {
-    /// The record (with `stalls` still zeroed).
-    pub record: QueryRecord,
-    /// The raw blocked intervals to attribute.
-    pub blocked_intervals: Vec<(SimTime, SimTime)>,
+/// One client's blocked intervals, for the records it keeps: a single
+/// buffer in record order plus each record's interval count. The
+/// intervals of the query in flight sit past the last closed record.
+#[derive(Debug, Default)]
+pub(crate) struct BlockedLog {
+    intervals: Vec<(SimTime, SimTime)>,
+    /// Interval count of each closed record, in record order.
+    counts: Vec<u32>,
+    /// Intervals that belong to closed records.
+    closed: usize,
 }
 
-/// Fleet-aware stall attribution against the run's [`MergedTimeline`]:
-/// blocked intervals are sliced against the *union* of every shard's
-/// activity trace (transfer beats switch beats idle at each instant),
-/// so the Figure 9 breakdown stays exact — `processing + stalls ==
-/// duration` — on any shard count. The runtime flattens the shard span
-/// lists once per run (a single k-way merge) and reuses the timeline
-/// for every client's records, so whole-run attribution costs
-/// O((spans + intervals)·log) total; the property suite pins the result
-/// equal to the per-interval `attribute_union` reference.
-pub fn attribute_stalls_merged(
-    timeline: &MergedTimeline,
-    records: Vec<PendingRecord>,
-) -> Vec<QueryRecord> {
-    records
-        .into_iter()
-        .map(|mut rec| {
-            let mut attr = Attribution::default();
-            for &(a, b) in &rec.blocked_intervals {
-                attr.merge(timeline.attribute(a, b));
+impl BlockedLog {
+    /// Appends a blocked interval of the query in flight.
+    pub(crate) fn push(&mut self, interval: (SimTime, SimTime)) {
+        self.intervals.push(interval);
+    }
+
+    /// The query in flight finished: its intervals become the next
+    /// record's.
+    pub(crate) fn close(&mut self) {
+        let count = self.intervals.len() - self.closed;
+        self.counts
+            .push(u32::try_from(count).expect("blocked intervals per query fit a u32"));
+        self.closed = self.intervals.len();
+    }
+
+    /// The query in flight was abandoned: its intervals are dropped.
+    pub(crate) fn discard(&mut self) {
+        self.intervals.truncate(self.closed);
+    }
+
+    /// Fleet-aware stall attribution against the run's
+    /// [`MergedTimeline`], written into `records` (the closed records,
+    /// in order) in place. Blocked intervals are sliced against the
+    /// *union* of every shard's activity trace (transfer beats switch
+    /// beats idle at each instant), so the Figure 9 breakdown stays
+    /// exact — `processing + stalls == duration` — on any shard count.
+    /// The runtime flattens the shard span lists once per run (a single
+    /// k-way merge) and reuses the timeline for every client, so
+    /// whole-run attribution costs O((spans + intervals)·log) total;
+    /// the property suite pins the result equal to the per-interval
+    /// `attribute_union` reference.
+    pub(crate) fn attribute(&self, timeline: &MergedTimeline, records: &mut [QueryRecord]) {
+        assert_eq!(
+            records.len(),
+            self.counts.len(),
+            "one interval count per record"
+        );
+        let mut intervals = self.intervals[..self.closed].iter();
+        for (record, &count) in records.iter_mut().zip(&self.counts) {
+            for &(from, to) in intervals.by_ref().take(count as usize) {
+                record.stalls.merge(timeline.attribute(from, to));
             }
-            rec.record.stalls = attr;
-            rec.record
-        })
-        .collect()
+        }
+    }
 }
 
 /// Per-shard fault-plane counters: what the deterministic fault
@@ -253,13 +277,14 @@ pub struct ShardResult {
     pub extra_stream_spans: Vec<Vec<Span>>,
     /// Scheduler deployed on this shard.
     pub scheduler: &'static str,
-    /// Completed transfers in service order: `(client, query, object)`.
-    pub deliveries: Vec<(usize, QueryId, ObjectId)>,
+    /// Completed transfers in service order, one [`LedgerEntry`] (a
+    /// `(client, query, object)` triple) each.
+    pub deliveries: Vec<LedgerEntry>,
     /// Shard-cache counters (all-zero when the shard runs uncached).
     pub cache: CacheStats,
     /// GETs served from the cache tiers, in service order (recorded
     /// under `LedgerMode::Full`, like [`ShardResult::deliveries`]).
-    pub cache_deliveries: Vec<(usize, QueryId, ObjectId)>,
+    pub cache_deliveries: Vec<LedgerEntry>,
 }
 
 impl ShardResult {
@@ -611,12 +636,12 @@ pub struct RunResult {
     /// All-zero (`ProtectionSummary::is_quiet`) when every protection
     /// knob is disabled.
     pub protection: ProtectionSummary,
-    /// Consumed-delivery ledger under hedging: one `(client, query,
-    /// object)` entry per delivery a client actually consumed
-    /// (duplicates from the losing replica are excluded at routing).
-    /// Recorded only when hedging is enabled and records are
+    /// Consumed-delivery ledger under hedging: one [`LedgerEntry`] (a
+    /// `(client, query, object)` triple) per delivery a client actually
+    /// consumed (duplicates from the losing replica are excluded at
+    /// routing). Recorded only when hedging is enabled and records are
     /// [`RecordMode::Full`]; empty otherwise.
-    pub consumed: Vec<(usize, QueryId, ObjectId)>,
+    pub consumed: Vec<LedgerEntry>,
 }
 
 impl RunResult {
@@ -712,12 +737,8 @@ impl RunResult {
         let mut all: Vec<(usize, QueryId, ObjectId)> = self
             .shards
             .iter()
-            .flat_map(|s| {
-                s.deliveries
-                    .iter()
-                    .chain(s.cache_deliveries.iter())
-                    .copied()
-            })
+            .flat_map(|s| s.deliveries.iter().chain(&s.cache_deliveries))
+            .map(|e| e.triple())
             .collect();
         all.sort_unstable();
         all
@@ -730,7 +751,7 @@ impl RunResult {
     /// the unhedged run's delivery multiset. Empty unless hedging was
     /// enabled with [`RecordMode::Full`].
     pub fn consumed_multiset(&self) -> Vec<(usize, QueryId, ObjectId)> {
-        let mut all = self.consumed.clone();
+        let mut all: Vec<_> = self.consumed.iter().map(|e| e.triple()).collect();
         all.sort_unstable();
         all
     }
@@ -745,18 +766,37 @@ mod tests {
     fn draft_tracks_blocked_intervals() {
         let mut d = RecordDraft::begin("q".into(), None, SimTime::from_secs(5));
         assert_eq!(d.start, SimTime::from_secs(5));
-        d.unblock(SimTime::from_secs(8));
         assert_eq!(
-            d.blocked,
-            vec![(SimTime::from_secs(5), SimTime::from_secs(8))]
+            d.unblock(SimTime::from_secs(8)),
+            Some((SimTime::from_secs(5), SimTime::from_secs(8)))
         );
         // Zero-length blocks are dropped.
         d.blocked_from = Some(SimTime::from_secs(9));
-        d.unblock(SimTime::from_secs(9));
-        assert_eq!(d.blocked.len(), 1);
+        assert_eq!(d.unblock(SimTime::from_secs(9)), None);
         // Unblocking while not blocked is a no-op.
-        d.unblock(SimTime::from_secs(10));
-        assert_eq!(d.blocked.len(), 1);
+        assert_eq!(d.unblock(SimTime::from_secs(10)), None);
+    }
+
+    #[test]
+    fn blocked_log_counts_intervals_per_record_and_drops_abandoned_ones() {
+        let iv = |a: u64, b: u64| (SimTime::from_secs(a), SimTime::from_secs(b));
+        let mut log = BlockedLog::default();
+        log.push(iv(0, 1));
+        log.push(iv(2, 3));
+        log.close();
+        log.push(iv(4, 5));
+        log.discard(); // an abandoned query leaves nothing behind
+        log.close(); // a record blocked for no time
+        log.push(iv(6, 8));
+        log.close();
+        assert_eq!(log.intervals, vec![iv(0, 1), iv(2, 3), iv(6, 8)]);
+        assert_eq!(log.counts, vec![2, 0, 1]);
+        // Against an all-idle timeline each record's stalls total its
+        // own intervals.
+        let mut records = vec![record_with_release(None, 0, 0); 3];
+        log.attribute(&MergedTimeline::build(&[]), &mut records);
+        let idle: Vec<u64> = records.iter().map(|r| r.stalls.idle.as_micros()).collect();
+        assert_eq!(idle, vec![2_000_000, 0, 2_000_000]);
     }
 
     #[test]
@@ -768,27 +808,14 @@ mod tests {
             SimTime::from_secs(14),
             Activity::Transferring { client: 0 },
         );
-        let rec = PendingRecord {
-            record: QueryRecord {
-                query: "q".into(),
-                client: 0,
-                seq: 0,
-                engine: "skipper",
-                release: None,
-                start: SimTime::ZERO,
-                end: SimTime::from_secs(14),
-                processing: SimDuration::ZERO,
-                upfront_gets: 1,
-                stalls: Attribution::default(),
-                stats: EngineStats::default(),
-                result: Vec::new(),
-            },
-            blocked_intervals: vec![(SimTime::ZERO, SimTime::from_secs(14))],
-        };
+        let mut records = vec![record_with_release(None, 0, 14)];
+        let mut log = BlockedLog::default();
+        log.push((SimTime::ZERO, SimTime::from_secs(14)));
+        log.close();
         let timeline = MergedTimeline::build(&[trace.spans()]);
-        let out = attribute_stalls_merged(&timeline, vec![rec]);
-        assert_eq!(out[0].stalls.switching, SimDuration::from_secs(10));
-        assert_eq!(out[0].stalls.transfer, SimDuration::from_secs(4));
+        log.attribute(&timeline, &mut records);
+        assert_eq!(records[0].stalls.switching, SimDuration::from_secs(10));
+        assert_eq!(records[0].stalls.transfer, SimDuration::from_secs(4));
     }
 
     fn record_with_release(release: Option<SimTime>, start: u64, end: u64) -> QueryRecord {

@@ -46,9 +46,7 @@ use skipper_sim::{CalendarQueue, MergedTimeline, SimDuration, SimTime};
 use crate::config::CostModel;
 
 use super::client::ClientState;
-use super::collector::{
-    attribute_stalls_merged, LatencyAccumulator, RecordMode, RunResult, ShardResult,
-};
+use super::collector::{LatencyAccumulator, RecordMode, RunResult, ShardResult};
 use super::fleet::DeviceFleet;
 use super::protect::{ProtectEvent, Protection, ProtectionSummary};
 
@@ -77,8 +75,6 @@ pub struct Runtime {
     scratch: Vec<Delivery<()>>,
     /// Streaming tail-latency sketches, fed in completion order.
     latency: LatencyAccumulator,
-    /// Whether finished records are retained for the result.
-    record_mode: RecordMode,
     /// The protection plane, installed only when some knob is set;
     /// without it no protection code runs.
     pub(super) protection: Option<Box<Protection>>,
@@ -106,7 +102,6 @@ impl Runtime {
             events: CalendarQueue::new(),
             cost,
             scratch: Vec::new(),
-            record_mode: RecordMode::default(),
             protection: None,
             last_activity: SimTime::ZERO,
         }
@@ -114,7 +109,9 @@ impl Runtime {
 
     /// Selects whether per-query records are retained (builder style).
     pub fn with_record_mode(mut self, mode: RecordMode) -> Self {
-        self.record_mode = mode;
+        for client in &mut self.clients {
+            client.keep_records(mode == RecordMode::Full);
+        }
         self
     }
 
@@ -196,7 +193,8 @@ impl Runtime {
         // trace of every shard: a client blocked while *any* stream is
         // transferring anywhere in the fleet counts as a transfer stall.
         // The fleet timeline is flattened exactly once (one k-way merge
-        // over all span lists) and shared by every client's records.
+        // over all span lists) and shared by every client's records,
+        // whose stalls are written in place.
         let clients_out = {
             let lists: Vec<&[Span]> = self
                 .fleet
@@ -208,9 +206,7 @@ impl Runtime {
             let timeline = MergedTimeline::build(&lists);
             self.clients
                 .iter_mut()
-                .map(|client| {
-                    attribute_stalls_merged(&timeline, client.records.drain(..).collect())
-                })
+                .map(|client| client.take_records(&timeline))
                 .collect()
         };
         // Tier capacities and resident cold bytes feed the cost report;
@@ -378,11 +374,8 @@ impl Runtime {
 
     /// Feeds the next buffered delivery to the engine — lending it the
     /// segment from the client's own dataset — and charges its
-    /// processing time.
-    ///
-    /// # Panics
-    /// Panics when the delivered object belongs to another tenant: an
-    /// engine may only GET its own tenant's objects.
+    /// processing time. The object is the client's own tenant's: the
+    /// device and the cache tiers reject a cross-tenant GET at submit.
     fn try_process(&mut self, c: usize, now: SimTime) {
         let client = &mut self.clients[c];
         if client.busy || client.engine.is_none() {
@@ -391,11 +384,7 @@ impl Runtime {
         let Some(object) = client.inbox.pop_front() else {
             return;
         };
-        assert_eq!(
-            object.tenant as usize, c,
-            "cross-tenant GET: object {object} delivered to client {c}"
-        );
-        client.draft.unblock(now);
+        client.unblock(now);
         let payload = &client.dataset.segments[object.table as usize][object.segment as usize];
         let reaction = client
             .engine
@@ -444,22 +433,11 @@ impl Runtime {
             // Engines never finish with follow-up GETs in flight, so the
             // next query's upfront batch and the (empty) follow-up set
             // share one poke below instead of the historical two.
-            self.clients[c].finish(c, now);
+            let response = self.clients[c].finish(c, now);
             if let Some(p) = &mut self.protection {
                 p.reset(c);
             }
-            let response = self.clients[c]
-                .records
-                .last()
-                .expect("finish pushed a record")
-                .record
-                .response_time();
             self.latency.observe(c, response);
-            if self.record_mode == RecordMode::Counters {
-                // Counters mode: the sketches above are the only
-                // survivors; drop the record before it accumulates.
-                self.clients[c].records.pop();
-            }
             self.try_start(c, now);
         }
         if submitted || finished {

@@ -339,7 +339,9 @@
 //! `Scenario::trace_mode(TraceMode::Counters)` and
 //! `Scenario::ledger_mode(LedgerMode::Counters)` bound memory for
 //! multi-million-request runs (device counters only — no span log, no
-//! delivery ledger), and whole-run stall attribution flattens every
+//! delivery ledger; in Full mode a GET costs at most one 24-byte span
+//! and one 12-byte [`LedgerEntry`](skipper_csd::LedgerEntry) per log
+//! it appears in), and whole-run stall attribution flattens every
 //! shard's span lists into one [`skipper_sim::MergedTimeline`] via a
 //! k-way merge — O((spans + intervals)·log k) total instead of a
 //! per-interval union scan, pinned equal to `attribute_union` by the

@@ -34,7 +34,7 @@
 //! reproduced byte-exactly by construction (see the invariants section
 //! in [`runtime`](crate::runtime)).
 
-use skipper_csd::{ObjectId, QueryId};
+use skipper_csd::{LedgerEntry, ObjectId, QueryId};
 use skipper_relational::query::QuerySpec;
 use skipper_sim::rng::{derive_seed, uniform01};
 use skipper_sim::{SimDuration, SimTime};
@@ -356,7 +356,7 @@ pub(crate) struct Protection {
     specs: Vec<Option<QuerySpec>>,
     /// At-most-once consumption log (see `RunResult::consumed`), kept
     /// on hedged full-record runs only.
-    consumed: Option<Vec<(usize, QueryId, ObjectId)>>,
+    consumed: Option<Vec<LedgerEntry>>,
 }
 
 impl Protection {
@@ -406,10 +406,7 @@ impl Protection {
 
     /// Closes the plane into the run's summary (breaker trips read from
     /// the fleet) and consumption log.
-    pub(crate) fn finish(
-        self,
-        fleet: &DeviceFleet<()>,
-    ) -> (ProtectionSummary, Vec<(usize, QueryId, ObjectId)>) {
+    pub(crate) fn finish(self, fleet: &DeviceFleet<()>) -> (ProtectionSummary, Vec<LedgerEntry>) {
         let mut summary = self.summary;
         summary.breaker_trips = fleet.breaker.as_ref().map_or(0, Breaker::trips);
         (summary, self.consumed.unwrap_or_default())
@@ -526,7 +523,7 @@ impl Runtime {
             }
         }
         if let Some(log) = &mut p.consumed {
-            log.push((c, query, object));
+            log.push(LedgerEntry::new(c, query, object));
         }
         true
     }

@@ -1715,9 +1715,18 @@ fn overlapping_outages_resubmit_parked_requests_in_arrival_order() {
             IntraGroupOrder::SemanticRoundRobin,
         )
     };
-    // Shard 0 owns a0..a2, shard 1 owns b0..b2.
-    let a: Vec<ObjectId> = (0..3).map(|s| ObjectId::new(0, 0, s)).collect();
-    let b: Vec<ObjectId> = (0..3).map(|s| ObjectId::new(0, 1, s)).collect();
+    // Shard 0 owns a0..a2, shard 1 owns b0..b2. Each object belongs to
+    // the tenant of the client that requests it below.
+    let a: Vec<ObjectId> = [0, 2, 1]
+        .into_iter()
+        .zip(0..3)
+        .map(|(tenant, s)| ObjectId::new(tenant, 0, s))
+        .collect();
+    let b: Vec<ObjectId> = [1, 0, 2]
+        .into_iter()
+        .zip(0..3)
+        .map(|(tenant, s)| ObjectId::new(tenant, 1, s))
+        .collect();
     let mut map = std::collections::HashMap::new();
     for &o in &a {
         map.insert(o, 0);
@@ -1795,7 +1804,9 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
     let ds = mini_dataset();
     let payload: Arc<Segment> = Arc::clone(&ds.segments[0][0]);
     let obj = |table: u16, seg: u32| ObjectId::new(0, table, seg);
-    let (a0, a1, b0, b1) = (obj(0, 0), obj(0, 1), obj(1, 0), obj(1, 1));
+    // Client 1 requests b0 and b1, so they are its tenant's objects.
+    let (a0, a1) = (obj(0, 0), obj(0, 1));
+    let (b0, b1) = (ObjectId::new(1, 1, 0), ObjectId::new(1, 1, 1));
     let (c0, c1, c2, d0) = (obj(2, 0), obj(2, 1), obj(2, 2), obj(3, 0));
     let mut store: ObjectStore<Arc<Segment>> = ObjectStore::new();
     for (object, group) in [

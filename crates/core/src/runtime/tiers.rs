@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 
 use skipper_csd::cache::{CacheConfig, CacheStats, ShardCache};
 use skipper_csd::sched::PendingRequest;
-use skipper_csd::{Delivery, GroupId, LedgerMode, ObjectId, ObjectStore, QueryId};
+use skipper_csd::{Delivery, GroupId, LedgerEntry, LedgerMode, ObjectId, ObjectStore, QueryId};
 use skipper_sim::SimTime;
 
 use super::fleet::DeviceFleet;
@@ -60,9 +60,10 @@ pub(super) struct CacheState {
     armed: Option<SimTime>,
     /// Reusable submit-partition scratch (the miss batch).
     misses: Vec<ObjectId>,
-    /// Cache-served deliveries `(client, query, object)`, recorded
-    /// only under `LedgerMode::Full` (mirrors the device ledger).
-    served_log: Vec<(usize, QueryId, ObjectId)>,
+    /// Cache-served deliveries, one [`LedgerEntry`] (a `(client, query,
+    /// object)` triple) each, recorded only under `LedgerMode::Full`
+    /// (mirrors the device ledger).
+    served_log: Vec<LedgerEntry>,
     ledger: bool,
 }
 
@@ -70,6 +71,10 @@ impl CacheState {
     /// Partitions a submitted batch: hits are scheduled as cache
     /// completions at tier bandwidth, and the misses — the device's
     /// share, in submission order — come back.
+    ///
+    /// # Panics
+    /// Panics on a cross-tenant hit, as the device does on a
+    /// cross-tenant miss.
     pub(super) fn partition<P>(
         &mut self,
         now: SimTime,
@@ -86,6 +91,9 @@ impl CacheState {
             let (bytes, group) = (meta.logical_bytes, meta.group);
             match self.cache.lookup(now, object, bytes, group) {
                 Some(ready) => {
+                    // A hit never reaches the device, whose submit
+                    // rejects a cross-tenant GET: reject it here.
+                    LedgerEntry::new(client, query, object);
                     self.seq += 1;
                     self.pending.push(Reverse(CachePending {
                         ready,
@@ -126,7 +134,8 @@ impl CacheState {
                 .expect("cache-resident object lives in the shard store")
                 .clone();
             if self.ledger {
-                self.served_log.push((p.client, p.query, p.object));
+                self.served_log
+                    .push(LedgerEntry::new(p.client, p.query, p.object));
             }
             out.push(Delivery {
                 client: p.client,
@@ -228,7 +237,7 @@ impl<P: Clone> DevicePump<P> {
 
     /// Takes the cache-served delivery ledger (end-of-run assembly;
     /// empty when uncached or under `LedgerMode::Counters`).
-    pub fn take_cache_served_log(&mut self) -> Vec<(usize, QueryId, ObjectId)> {
+    pub fn take_cache_served_log(&mut self) -> Vec<LedgerEntry> {
         self.cache
             .as_deref_mut()
             .map(|s| std::mem::take(&mut s.served_log))

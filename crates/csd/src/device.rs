@@ -74,7 +74,7 @@ use std::collections::BinaryHeap;
 use skipper_sim::{Activity, ActivityTrace, SimDuration, SimTime, TraceMode};
 
 use crate::metrics::DeviceMetrics;
-use crate::object::{GroupId, ObjectId, QueryId};
+use crate::object::{GroupId, LedgerEntry, ObjectId, QueryId};
 use crate::sched::{
     Decision, GroupScheduler, InFlight, PendingRequest, RequestIndex, RequestQueue,
 };
@@ -83,10 +83,11 @@ use skipper_sim::trace::Span;
 
 /// How the device keeps its per-transfer delivery ledger.
 ///
-/// The ledger (`served_log`) records every completed transfer as a
-/// `(client, query, object)` triple — the work-conservation multiset the
-/// sharding and equivalence suites compare. It grows O(requests), which
-/// a multi-million-request run cannot afford; [`LedgerMode::Counters`]
+/// The ledger (`served_log`) records every completed transfer as one
+/// 12-byte [`LedgerEntry`], which reads back as the `(client, query,
+/// object)` triple — the work-conservation multiset the sharding and
+/// equivalence suites compare. It grows O(requests), which a
+/// multi-million-request run cannot afford; [`LedgerMode::Counters`]
 /// keeps only the [`DeviceMetrics`] counters and leaves the ledger
 /// empty.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -252,7 +253,7 @@ pub struct CsdDevice<P, Q: RequestIndex = RequestQueue> {
     /// (a switch only runs with the pipe empty, so they never overlap).
     traces: Vec<ActivityTrace>,
     metrics: DeviceMetrics,
-    served_log: Vec<(usize, QueryId, ObjectId)>,
+    served_log: Vec<LedgerEntry>,
     /// Fault-plane brown-out multiplier on the per-stream bandwidth,
     /// applied to transfers *dispatched* while it is below 1.0 (already
     /// committed completion instants never move).
@@ -405,13 +406,15 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     ///
     /// # Panics
     /// Panics if an object is not stored — requesting unknown objects is
-    /// a harness bug.
+    /// a harness bug — or belongs to another tenant than `client` and
+    /// `query` (checked in both [`LedgerMode`]s).
     pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
         for &object in objects {
             let (slot, meta) = self
                 .store
                 .resolve(object)
                 .unwrap_or_else(|| panic!("GET for unknown object {object}"));
+            LedgerEntry::new(client, query, object);
             self.queue.insert(PendingRequest {
                 object,
                 query,
@@ -482,7 +485,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                         now,
                         until,
                         Activity::Transferring {
-                            client: request.client,
+                            client: request.client as u32,
                         },
                     );
                     self.slots[slot] = Some(TransferSlot {
@@ -584,8 +587,11 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
             self.metrics.logical_bytes_served += request.bytes;
             self.metrics.transfer_busy_micros += until.since(started).as_micros();
             if self.config.ledger_mode == LedgerMode::Full {
-                self.served_log
-                    .push((request.client, request.query, request.object));
+                self.served_log.push(LedgerEntry::new(
+                    request.client,
+                    request.query,
+                    request.object,
+                ));
             }
             out.push(Delivery {
                 client: request.client,
@@ -645,16 +651,16 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
         std::mem::take(&mut self.metrics)
     }
 
-    /// Every completed transfer in service order: `(client, query,
-    /// object)`. The multiset of entries is the device's work-conservation
-    /// ledger — sharded fleets must deliver exactly the same multiset as
-    /// a single device would.
-    pub fn served_log(&self) -> &[(usize, QueryId, ObjectId)] {
+    /// Every completed transfer in service order, one [`LedgerEntry`]
+    /// (a `(client, query, object)` triple) each. The multiset of entries
+    /// is the device's work-conservation ledger — sharded fleets must
+    /// deliver exactly the same multiset as a single device would.
+    pub fn served_log(&self) -> &[LedgerEntry] {
         &self.served_log
     }
 
     /// Takes the delivery ledger out of the device (end-of-run assembly).
-    pub fn take_served_log(&mut self) -> Vec<(usize, QueryId, ObjectId)> {
+    pub fn take_served_log(&mut self) -> Vec<LedgerEntry> {
         std::mem::take(&mut self.served_log)
     }
 
@@ -1128,13 +1134,22 @@ mod tests {
             &[ObjectId::new(0, 0, 0), ObjectId::new(0, 0, 1)],
         );
         drain(&mut dev, t(0));
+        let log: Vec<_> = dev.served_log().iter().map(|e| e.triple()).collect();
         assert_eq!(
-            dev.served_log(),
+            log,
             &[
                 (0, QueryId::new(0, 0), ObjectId::new(0, 0, 0)),
                 (0, QueryId::new(0, 0), ObjectId::new(0, 0, 1)),
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-tenant GET: object c1/t0.0")]
+    fn cross_tenant_submit_is_rejected_without_a_ledger() {
+        let mut dev = device(SchedPolicy::RankBased);
+        dev.config.ledger_mode = LedgerMode::Counters;
+        dev.submit(t(0), 0, QueryId::new(0, 0), &[ObjectId::new(1, 0, 0)]);
     }
 
     #[test]

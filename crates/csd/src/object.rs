@@ -66,6 +66,52 @@ impl fmt::Display for QueryId {
     }
 }
 
+/// One delivery-ledger entry in 12 bytes: the query a GET served and
+/// the object it delivered.
+///
+/// A GET's client, its query's tenant and its object's tenant are one
+/// tenant — an engine requests only its own tenant's objects — so the
+/// entry stores the tenant once, inside the object. [`LedgerEntry::new`]
+/// is the one statement of that rule, and [`LedgerEntry::triple`] gives
+/// back the `(client, query, object)` triple.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LedgerEntry {
+    /// The query's per-tenant sequence number.
+    seq: u32,
+    /// The delivered object; its tenant is the client and the query's.
+    object: ObjectId,
+}
+
+impl LedgerEntry {
+    /// The entry of `client`'s GET of `object` for `query`.
+    ///
+    /// # Panics
+    /// Panics on a cross-tenant GET: when `client`, `query.tenant` and
+    /// `object.tenant` are not one tenant.
+    #[inline]
+    pub fn new(client: usize, query: QueryId, object: ObjectId) -> LedgerEntry {
+        assert!(
+            client == object.tenant as usize && query.tenant == object.tenant,
+            "cross-tenant GET: object {object} requested by client {client} for {query}"
+        );
+        LedgerEntry {
+            seq: query.seq,
+            object,
+        }
+    }
+
+    /// The delivered object.
+    pub fn object(self) -> ObjectId {
+        self.object
+    }
+
+    /// The entry as its `(client, query, object)` triple.
+    pub fn triple(self) -> (usize, QueryId, ObjectId) {
+        let tenant = self.object.tenant;
+        (tenant as usize, QueryId::new(tenant, self.seq), self.object)
+    }
+}
+
 /// A dense `ObjectId → u32` index: the one lookup structure of every
 /// per-GET object table (the store's slots, the fleet's primary shards,
 /// the shard caches' residency).
@@ -251,6 +297,27 @@ mod tests {
     fn display_formats() {
         assert_eq!(ObjectId::new(2, 1, 7).to_string(), "c2/t1.7");
         assert_eq!(QueryId::new(3, 4).to_string(), "q3-4");
+    }
+
+    #[test]
+    fn ledger_entry_is_12_bytes_and_round_trips() {
+        assert_eq!(std::mem::size_of::<LedgerEntry>(), 12);
+        let (query, object) = (QueryId::new(3, 70_000), ObjectId::new(3, 2, 9));
+        let entry = LedgerEntry::new(3, query, object);
+        assert_eq!(entry.triple(), (3, query, object));
+        assert_eq!(entry.object(), object);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-tenant GET: object c1/t0.0")]
+    fn ledger_entry_rejects_a_foreign_object() {
+        LedgerEntry::new(0, QueryId::new(0, 0), ObjectId::new(1, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-tenant GET: object c2/t0.0")]
+    fn ledger_entry_rejects_a_foreign_query() {
+        LedgerEntry::new(2, QueryId::new(1, 0), ObjectId::new(2, 0, 0));
     }
 
     #[test]

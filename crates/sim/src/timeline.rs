@@ -73,7 +73,7 @@ fn dominant_client(spans: &[Span], from: SimTime, to: SimTime) -> Option<usize> 
             let hi = span.end.min(to);
             let dur = hi.since(lo).as_micros();
             if best.is_none_or(|(_, d)| dur > d) {
-                best = Some((client, dur));
+                best = Some((client as usize, dur));
             }
         }
     }

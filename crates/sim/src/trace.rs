@@ -10,7 +10,9 @@
 //!
 //! * [`TraceMode::Full`] (default) — every span is kept, enabling
 //!   post-hoc stall attribution and timeline rendering. Memory is
-//!   O(state changes) over the run.
+//!   O(state changes) over the run: one 24-byte [`Span`] per switch
+//!   episode and per transfer, adjacent spans of one activity
+//!   coalesced.
 //! * [`TraceMode::Counters`] — the span log stays empty; the device's
 //!   own counters (`DeviceMetrics`) still count switches and transfer
 //!   time. This is the bounded-memory mode for multi-million-request
@@ -41,8 +43,9 @@ pub enum Activity {
     Switching,
     /// Streaming an object to the given client.
     Transferring {
-        /// Client receiving the object.
-        client: usize,
+        /// Client receiving the object (a `u32` keeps a [`Span`] at 24
+        /// bytes).
+        client: u32,
     },
 }
 
@@ -543,6 +546,11 @@ mod tests {
     }
 
     #[test]
+    fn span_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 24);
+    }
+
+    #[test]
     fn coalesces_adjacent_same_activity() {
         let mut tr = ActivityTrace::new();
         tr.record(t(0), t(5), Activity::Switching);
@@ -755,7 +763,7 @@ mod tests {
                     let act = match splitmix64(&mut state) % 3 {
                         0 => Some(Activity::Switching),
                         1 => Some(Activity::Transferring {
-                            client: (splitmix64(&mut state) % 3) as usize,
+                            client: (splitmix64(&mut state) % 3) as u32,
                         }),
                         _ => None,
                     };

@@ -122,7 +122,7 @@ fn shard_ledgers_partition_the_object_space() {
     // must never appear on two different shards.
     let mut owner: std::collections::HashMap<_, usize> = std::collections::HashMap::new();
     for s in &res.shards {
-        for &(_, _, obj) in &s.deliveries {
+        for obj in s.deliveries.iter().map(|e| e.object()) {
             let prev = owner.insert(obj, s.shard);
             assert!(
                 prev.is_none() || prev == Some(s.shard),
