@@ -1863,9 +1863,7 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
     assert_eq!(pump.poke(t(2)), Some(t(3)));
     let (mut displaced, mut completed) = (Vec::new(), Vec::new());
     assert_eq!(pump.fail(t(2), &mut displaced, &mut completed), 4);
-    assert!(displaced
-        .iter()
-        .all(|r| (r.client, r.query, r.arrival) == (0, q, t(2))));
+    assert!(displaced.iter().all(|r| (r.client, r.query) == (0, q)));
     let displaced: Vec<_> = displaced.iter().map(|r| (r.object, r.seq)).collect();
     assert_eq!(
         displaced,

@@ -183,7 +183,6 @@ impl CacheState {
     /// served). Returns the number of hits displaced.
     pub(super) fn fail<P>(
         &mut self,
-        now: SimTime,
         displaced: &mut Vec<PendingRequest>,
         store: &ObjectStore<P>,
     ) -> usize {
@@ -200,7 +199,6 @@ impl CacheState {
                 group: p.group,
                 bytes: p.bytes,
                 slot,
-                arrival: now,
                 seq: p.seq,
             });
         }

@@ -66,7 +66,9 @@
 //! Every per-GET fact is resolved once, at [`CsdDevice::submit`]: the
 //! object's group, size and store slot travel with the
 //! [`PendingRequest`], so neither dispatch nor completion looks the
-//! object up in the store's index again.
+//! object up in the store's index again. The request carries no arrival
+//! time: its sequence number is its place in arrival order, and the
+//! intra-group key ([`IntraGroupOrder::key`]) ends with it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -156,9 +158,9 @@ pub enum IntraGroupOrder {
 impl IntraGroupOrder {
     /// The total service-order key of one request: the policy's sort
     /// components followed by the arrival sequence number, so keys are
-    /// unique and ties always break FIFO. The indexed
-    /// [`RequestQueue`] keeps its per-group
-    /// sub-queues sorted by exactly this key.
+    /// unique and ties always break FIFO. Every scope serves its least
+    /// key next; the indexed [`RequestQueue`] keeps its residency runs
+    /// sorted by exactly this key.
     pub fn key(self, r: &PendingRequest) -> (u32, u32, u32, u64) {
         match self {
             // Segment-major: (seg, table) walks A.1,B.1,C.1,A.2,...
@@ -177,19 +179,6 @@ impl IntraGroupOrder {
             ),
             IntraGroupOrder::ArrivalOrder => (0, 0, 0, r.seq),
         }
-    }
-
-    /// Picks which of the in-scope pending requests to serve next.
-    ///
-    /// # Panics
-    /// Panics if `scope` is empty — the device only asks when the
-    /// scheduler granted a non-empty scope.
-    pub fn select(self, pending: &[PendingRequest], scope: &[usize]) -> usize {
-        assert!(!scope.is_empty(), "intra-group selection over empty scope");
-        *scope
-            .iter()
-            .min_by_key(|&&i| self.key(&pending[i]))
-            .expect("non-empty scope")
     }
 }
 
@@ -341,7 +330,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// oldest first. The return value is the aborted-transfer count
     /// (the prefix length). The caller re-routes them to surviving
     /// replicas or parks them until recovery; their re-submission gets
-    /// fresh sequence numbers and arrival times.
+    /// fresh sequence numbers.
     ///
     /// Every slot trace ends at `now`: an aborted transfer's span, or
     /// an aborted switch's, is cut at the crash instead of running to
@@ -404,11 +393,14 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// Enqueues GET requests from `client` tagged with `query`. Call
     /// [`CsdDevice::kick`] afterwards to (re)start the device.
     ///
+    /// The submission instant is not stored: a request's place in the
+    /// queue is its sequence number, and no policy reads an arrival time.
+    ///
     /// # Panics
     /// Panics if an object is not stored — requesting unknown objects is
     /// a harness bug — or belongs to another tenant than `client` and
     /// `query` (checked in both [`LedgerMode`]s).
-    pub fn submit(&mut self, now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
+    pub fn submit(&mut self, _now: SimTime, client: usize, query: QueryId, objects: &[ObjectId]) {
         for &object in objects {
             let (slot, meta) = self
                 .store
@@ -422,7 +414,6 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                 group: meta.group,
                 bytes: meta.logical_bytes,
                 slot,
-                arrival: now,
                 seq: self.next_seq,
             });
             self.next_seq += 1;
@@ -881,23 +872,26 @@ mod tests {
             group: 0,
             bytes: 0,
             slot: 0,
-            arrival: SimTime::ZERO,
             seq,
         };
-        let pending = vec![mk(0, 0, 0), mk(0, 1, 1), mk(1, 0, 2), mk(1, 1, 3)];
-        let scope = vec![0, 1, 2, 3];
+        let pending = [mk(0, 0, 0), mk(0, 1, 1), mk(1, 0, 2), mk(1, 1, 3)];
+        // The request a scope serves next: its least key.
+        let next = |order: IntraGroupOrder, scope: &[usize]| {
+            let least = scope.iter().min_by_key(|&&i| order.key(&pending[i]));
+            pending[*least.unwrap()].object
+        };
         // Semantic: A.0 then B.0 (segment-major).
-        let first = IntraGroupOrder::SemanticRoundRobin.select(&pending, &scope);
-        assert_eq!(pending[first].object, ObjectId::new(0, 0, 0));
-        let scope_rest = vec![1, 2, 3];
-        let second = IntraGroupOrder::SemanticRoundRobin.select(&pending, &scope_rest);
-        assert_eq!(pending[second].object, ObjectId::new(0, 1, 0));
+        let semantic = IntraGroupOrder::SemanticRoundRobin;
+        assert_eq!(next(semantic, &[0, 1, 2, 3]), ObjectId::new(0, 0, 0));
+        assert_eq!(next(semantic, &[1, 2, 3]), ObjectId::new(0, 1, 0));
         // TableOrder: A.0 then A.1 (table-major).
-        let second_naive = IntraGroupOrder::TableOrder.select(&pending, &scope_rest);
-        assert_eq!(pending[second_naive].object, ObjectId::new(0, 0, 1));
+        let table = IntraGroupOrder::TableOrder;
+        assert_eq!(next(table, &[1, 2, 3]), ObjectId::new(0, 0, 1));
         // Arrival order follows seq.
-        let arr = IntraGroupOrder::ArrivalOrder.select(&pending, &[3, 2]);
-        assert_eq!(pending[arr].object, ObjectId::new(0, 1, 0));
+        assert_eq!(
+            next(IntraGroupOrder::ArrivalOrder, &[3, 2]),
+            ObjectId::new(0, 1, 0)
+        );
     }
 
     #[test]

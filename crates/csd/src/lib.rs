@@ -24,11 +24,11 @@
 //!   device only decides *when* a GET completes, as the paper's testbed
 //!   does by delaying Swift GETs.
 //! * [`sched`] — group-switch scheduling policies: object-FCFS,
-//!   query-FCFS, Max-Queries, and the paper's rank-based algorithm
+//!   slack FCFS, query-FCFS, Max-Queries, and the paper's rank-based algorithm
 //!   `R(g) = N_g + K·ΣW_q(g)` with `K = 1` (§4.4) — all deciding over
 //!   the incrementally-indexed request queue
-//!   ([`sched::queue::RequestQueue`], O(log n) per submit and O(1)
-//!   amortized per serve; the
+//!   ([`sched::queue::RequestQueue`], O(1) amortized per submit and
+//!   per serve; the
 //!   pre-index full-rescan [`sched::naive::NaiveQueue`] survives as the
 //!   differential-test reference).
 //! * [`device`] — the device state machine: request queue → pick group →

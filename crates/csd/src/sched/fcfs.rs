@@ -77,20 +77,11 @@ impl GroupScheduler for FcfsQuery {
         let Some(oldest) = queue.oldest() else {
             return Decision::Idle;
         };
-        let q = oldest.query;
         // Serve the oldest query's requests; prefer its data on the
         // active group to avoid gratuitous switches, otherwise go to the
-        // group holding its oldest request.
-        if let Some(g) = active {
-            if queue.group_has_query(g, q) {
-                return Decision::ServeActive;
-            }
-        }
-        let target = queue
-            .oldest_of_query(q)
-            .expect("oldest query has requests")
-            .group;
-        if Some(target) == active {
+        // group holding its oldest request — which, the query being the
+        // oldest, is the globally oldest request.
+        if active.is_some_and(|g| queue.group_has_query(g, oldest.query)) {
             Decision::ServeActive
         } else if pipe.draining() {
             // Unlike object-FCFS, this decision is NOT fixed by arrival
@@ -101,7 +92,7 @@ impl GroupScheduler for FcfsQuery {
             // the device re-asks the instant the pipe drains.
             Decision::Idle
         } else {
-            Decision::SwitchTo(target)
+            Decision::SwitchTo(oldest.group)
         }
     }
 
@@ -121,7 +112,7 @@ mod tests {
     #[test]
     fn object_fcfs_follows_arrival_order() {
         let mut p = FcfsObject::new();
-        let q = queue_of(&[req(2, 0, 0, 0, 0, 5), req(1, 1, 0, 0, 0, 2)]);
+        let q = queue_of(&[req(2, 0, 0, 0, 5), req(1, 1, 0, 0, 2)]);
         // Oldest (seq 2) is on group 1.
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::ServeActive);
@@ -136,7 +127,7 @@ mod tests {
         // Active group 1 still has a request (seq 7), but the oldest
         // pending (seq 3) is on group 2: strict FCFS must switch.
         let mut p = FcfsObject::new();
-        let q = queue_of(&[req(1, 0, 0, 0, 0, 7), req(2, 1, 0, 0, 0, 3)]);
+        let q = queue_of(&[req(1, 0, 0, 0, 7), req(2, 1, 0, 0, 3)]);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));
     }
 
@@ -145,16 +136,12 @@ mod tests {
         let mut p = FcfsQuery::new();
         // Query (0,0) arrived first, spanning groups 1 and 2; query (1,0)
         // is younger on group 1.
-        let q = queue_of(&[
-            req(1, 0, 0, 0, 0, 0),
-            req(2, 0, 0, 1, 0, 1),
-            req(1, 1, 0, 0, 0, 2),
-        ]);
+        let q = queue_of(&[req(1, 0, 0, 0, 0), req(2, 0, 0, 1, 1), req(1, 1, 0, 0, 2)]);
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
         // On group 1 only query (0,0)'s request is in scope, not (1,0)'s.
         assert_eq!(q.select(p.serve_scope(), 1), Some(0));
         // After group 1 is done for query 0, its remaining data is on 2.
-        let rest = queue_of(&[req(2, 0, 0, 1, 0, 1), req(1, 1, 0, 0, 0, 2)]);
+        let rest = queue_of(&[req(2, 0, 0, 1, 1), req(1, 1, 0, 0, 2)]);
         assert_eq!(
             p.decide(&rest, Some(1), InFlight::NONE),
             Decision::SwitchTo(2)
@@ -167,7 +154,7 @@ mod tests {
         // Oldest query has data on groups 1 and 2; active is 2 → serve 2
         // first (no gratuitous switch), even though its oldest request is
         // on group 1.
-        let q = queue_of(&[req(1, 0, 0, 0, 0, 0), req(2, 0, 0, 1, 0, 1)]);
+        let q = queue_of(&[req(1, 0, 0, 0, 0), req(2, 0, 0, 1, 1)]);
         assert_eq!(p.decide(&q, Some(2), InFlight::NONE), Decision::ServeActive);
         assert_eq!(q.select(p.serve_scope(), 2), Some(1));
     }
@@ -179,7 +166,7 @@ mod tests {
         // rather than arm a switch that a mid-drain refill on group 1
         // could invalidate. With the pipe empty it switches as before.
         let mut p = FcfsQuery::new();
-        let q = queue_of(&[req(2, 0, 0, 0, 0, 4)]);
+        let q = queue_of(&[req(2, 0, 0, 0, 4)]);
         let draining = InFlight { transfers: 1 };
         assert_eq!(p.decide(&q, Some(1), draining), Decision::Idle);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));

@@ -83,11 +83,11 @@ mod tests {
         let mut p = MaxQueries::new();
         // Group 1: two queries; group 2: one query with three requests.
         let q = queue_of(&[
-            req(1, 0, 0, 0, 0, 0),
-            req(1, 1, 0, 0, 0, 1),
-            req(2, 2, 0, 0, 0, 2),
-            req(2, 2, 0, 1, 0, 3),
-            req(2, 2, 0, 2, 0, 4),
+            req(1, 0, 0, 0, 0),
+            req(1, 1, 0, 0, 1),
+            req(2, 2, 0, 0, 2),
+            req(2, 2, 0, 1, 3),
+            req(2, 2, 0, 2, 4),
         ]);
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
     }
@@ -98,11 +98,11 @@ mod tests {
         // Queries, not requests, drive the choice (a single query's many
         // objects count once).
         let q = queue_of(&[
-            req(5, 0, 0, 0, 0, 0),
-            req(5, 0, 0, 1, 0, 1),
-            req(5, 0, 0, 2, 0, 2),
-            req(6, 1, 0, 0, 0, 3),
-            req(6, 2, 0, 0, 0, 4),
+            req(5, 0, 0, 0, 0),
+            req(5, 0, 0, 1, 1),
+            req(5, 0, 0, 2, 2),
+            req(6, 1, 0, 0, 3),
+            req(6, 2, 0, 0, 4),
         ]);
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(6));
     }
@@ -114,11 +114,7 @@ mod tests {
         // residency that still holds work: finish it first (the "when to
         // switch" rule of §4.4).
         let mut q = armed_queue(
-            &[
-                req(1, 0, 0, 0, 0, 0),
-                req(2, 1, 0, 0, 0, 1),
-                req(2, 2, 0, 0, 0, 2),
-            ],
+            &[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(2, 2, 0, 0, 2)],
             1,
         );
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::ServeActive);
@@ -130,7 +126,7 @@ mod tests {
     #[test]
     fn tie_broken_by_oldest_request() {
         let mut p = MaxQueries::new();
-        let q = queue_of(&[req(3, 0, 0, 0, 9, 9), req(2, 1, 0, 0, 1, 1)]);
+        let q = queue_of(&[req(3, 0, 0, 0, 9), req(2, 1, 0, 0, 1)]);
         // Both groups have one query; group 2's request is older.
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(2));
     }
@@ -147,11 +143,7 @@ mod tests {
     fn whole_residency_in_scope() {
         let p = MaxQueries::new();
         let mut q = armed_queue(
-            &[
-                req(1, 0, 0, 0, 0, 0),
-                req(1, 1, 0, 0, 0, 1),
-                req(2, 2, 0, 0, 0, 2),
-            ],
+            &[req(1, 0, 0, 0, 0), req(1, 1, 0, 0, 1), req(2, 2, 0, 0, 2)],
             1,
         );
         assert_eq!(p.serve_scope(), ServeScope::Residency);

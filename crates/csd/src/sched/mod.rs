@@ -5,7 +5,7 @@
 //! groups. The scheduler answers the three questions of §4.4:
 //!
 //! 1. **Which group to switch to?** — policy-specific ([`FcfsObject`],
-//!    [`FcfsQuery`], [`MaxQueries`], [`RankBased`]).
+//!    [`FcfsSlack`], [`FcfsQuery`], [`MaxQueries`], [`RankBased`]).
 //! 2. **When to switch?** — no preemption: the group-centric policies
 //!    serve every pending request on the loaded group before switching
 //!    (shown optimal for tertiary storage by Prabhakar et al.); the FCFS
@@ -24,12 +24,20 @@
 //! # The queue view
 //!
 //! Policies do not scan the raw request list. They consume a
-//! [`QueueView`]: per-group aggregates ([`GroupStats`]), ordered lookups
-//! (globally-oldest request, a query's oldest request, the *k*-oldest
-//! window) and the residency snapshot — all maintained incrementally by
-//! the production [`RequestQueue`] at O(1) amortized per serve and
-//! O(log n) per submit. The pre-indexing full-rescan semantics survive as
-//! [`NaiveQueue`], the reference implementation the
+//! [`QueueView`], which holds only what the five policies read:
+//! - the globally-oldest request (object- and query-FCFS's target);
+//! - whether a group holds a query (query-FCFS stays on the active group);
+//! - each group's distinct queries and request count, borrowed as a
+//!   [`GroupLens`] (max-queries' `N_g` and the rank `R(g)`), with the
+//!   oldest seq on a group as the tie-break ([`QueueView::oldest_seq_on`]);
+//! - the *k*-oldest window (slack FCFS);
+//! - every pending query and whether it is on the loaded group (the rank
+//!   policy's waiting times);
+//! - the residency snapshot's size on the active group.
+//!
+//! The production [`RequestQueue`] maintains all of it incrementally at
+//! O(1) amortized per insert and serve. The pre-indexing full-rescan
+//! semantics survive as [`NaiveQueue`], the reference implementation the
 //! differential tests run against.
 //!
 //! Instead of returning request indices, a policy describes *which*
@@ -52,24 +60,8 @@ pub use rank::RankBased;
 pub use slack::FcfsSlack;
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
-
-use skipper_sim::SimTime;
 
 use crate::object::{GroupId, ObjectId, QueryId};
-
-/// The set of request sequence numbers captured when the active group was
-/// loaded (or re-picked). Group-centric policies serve exactly this
-/// *residency snapshot* before re-deciding — the §4.4 non-preemption rule
-/// applied to "the set of active requests", so a steady stream of new
-/// arrivals cannot pin the device to one group forever.
-///
-/// The production [`RequestQueue`] keeps no such set: a request is
-/// resident iff its seq is below its group's arm-time boundary, and the
-/// snapshot is served from one sorted run. This alias survives for the
-/// [`NaiveQueue`] reference implementation, which still probes a flat
-/// seq set per request.
-pub type Residency = HashSet<u64>;
 
 /// One queued GET request as seen by the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,9 +84,8 @@ pub struct PendingRequest {
     /// device that resolved it: a request re-routed to another shard is
     /// resubmitted by object id and resolved afresh there.
     pub slot: u32,
-    /// When the request arrived at the device.
-    pub arrival: SimTime,
-    /// Global arrival sequence number (FIFO tie-break).
+    /// Device arrival sequence number: arrival order, and the FIFO
+    /// tie-break. No policy reads an arrival *time*, so none is kept.
     pub seq: u64,
 }
 
@@ -184,7 +175,7 @@ pub enum ServeScope {
 /// the ordered lookups the policies decide over.
 ///
 /// Two implementations exist: the incrementally-indexed
-/// [`RequestQueue`] (production, O(log n) updates)
+/// [`RequestQueue`] (production, O(1) amortized updates)
 /// and the full-rescan [`NaiveQueue`] (the pre-index
 /// reference the differential suite diffs against).
 pub trait QueueView {
@@ -198,9 +189,6 @@ pub trait QueueView {
 
     /// The pending request with the smallest arrival sequence number.
     fn oldest(&self) -> Option<PendingRequest>;
-
-    /// Query `q`'s pending request with the smallest sequence number.
-    fn oldest_of_query(&self, q: QueryId) -> Option<PendingRequest>;
 
     /// True when query `q` has at least one pending request on `g`.
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool;
@@ -234,54 +222,6 @@ pub trait QueueView {
     /// whether it has data on group `on`. Visit order is unspecified
     /// (the indexed queue visits in ascending query id).
     fn for_each_query_presence(&self, on: GroupId, visit: &mut dyn FnMut(QueryId, bool));
-
-    /// Per-group aggregates, sorted by group id; groups with no pending
-    /// requests are absent. Allocating convenience form of
-    /// [`QueueView::for_each_group`] for tests and external callers —
-    /// the canned policies never call it. No policy reads arrival
-    /// times, so `oldest_arrival` is not an index either queue keeps:
-    /// it is folded here from one scan over the pending requests.
-    fn group_aggregates(&self) -> Vec<(GroupId, GroupStats)> {
-        let mut out = Vec::new();
-        self.for_each_group(&mut |g, lens| {
-            out.push((
-                g,
-                GroupStats {
-                    queries: lens.queries.to_vec(),
-                    requests: lens.requests,
-                    oldest_arrival: None,
-                    oldest_seq: self.oldest_seq_on(g).unwrap_or(0),
-                },
-            ));
-        });
-        self.for_each_window(usize::MAX, &mut |r| {
-            let at = out
-                .binary_search_by_key(&r.group, |&(g, _)| g)
-                .expect("pending request on a group with no aggregate");
-            let oldest = &mut out[at].1.oldest_arrival;
-            *oldest = Some(oldest.map_or(r.arrival, |t| t.min(r.arrival)));
-        });
-        out
-    }
-
-    /// The `k` oldest pending requests by arrival sequence, oldest
-    /// first. Allocating convenience form of
-    /// [`QueueView::for_each_window`].
-    fn window(&self, k: usize) -> Vec<PendingRequest> {
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        self.for_each_window(k, &mut |r| out.push(*r));
-        out
-    }
-
-    /// Every distinct query with pending data, each flagged with
-    /// whether it has data on group `on`. Order is unspecified.
-    /// Allocating convenience form of
-    /// [`QueueView::for_each_query_presence`].
-    fn queries_with_presence(&self, on: GroupId) -> Vec<(QueryId, bool)> {
-        let mut out = Vec::new();
-        self.for_each_query_presence(on, &mut |q, p| out.push((q, p)));
-        out
-    }
 }
 
 /// One group's aggregates as borrowed during
@@ -346,37 +286,6 @@ pub trait GroupScheduler: Send {
     fn on_switch_complete(&mut self, _queue: &dyn QueueView, _loaded: GroupId) {}
 }
 
-/// Per-group aggregate view used by the group-centric policies.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupStats {
-    /// Distinct queries with pending data on this group, sorted by
-    /// query id.
-    pub queries: Vec<QueryId>,
-    /// Pending request count.
-    pub requests: usize,
-    /// Earliest request arrival on this group.
-    pub oldest_arrival: Option<SimTime>,
-    /// Smallest arrival sequence number (deterministic tie-break).
-    pub oldest_seq: u64,
-}
-
-/// Groups the pending queue by disk group, collecting per-group stats.
-/// Returned pairs are sorted by group id for determinism.
-///
-/// This is a thin adapter over the indexed
-/// [`RequestQueue`] kept so external callers and
-/// tests that hold a flat request slice stay source-compatible; the
-/// device itself maintains the aggregates incrementally and never calls
-/// this. Requests must carry distinct sequence numbers.
-pub fn group_stats(pending: &[PendingRequest]) -> Vec<(GroupId, GroupStats)> {
-    use crate::device::IntraGroupOrder;
-    let mut queue = queue::RequestQueue::new(IntraGroupOrder::ArrivalOrder);
-    for &r in pending {
-        queue.insert(r);
-    }
-    queue.group_aggregates()
-}
-
 /// The canned policies, for configuration plumbing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedPolicy {
@@ -434,14 +343,7 @@ pub(crate) mod testutil {
     use crate::device::IntraGroupOrder;
 
     /// Builds a pending request with compact syntax for scheduler tests.
-    pub fn req(
-        group: GroupId,
-        tenant: u16,
-        qseq: u32,
-        seg: u32,
-        arrival_s: u64,
-        seq: u64,
-    ) -> PendingRequest {
+    pub fn req(group: GroupId, tenant: u16, qseq: u32, seg: u32, seq: u64) -> PendingRequest {
         PendingRequest {
             object: ObjectId::new(tenant, 0, seg),
             query: QueryId::new(tenant, qseq),
@@ -449,7 +351,6 @@ pub(crate) mod testutil {
             group,
             bytes: 0,
             slot: 0,
-            arrival: SimTime::from_secs(arrival_s),
             seq,
         }
     }
@@ -476,32 +377,65 @@ pub(crate) mod testutil {
         q.arm_residency(group);
         q
     }
+
+    /// One group's aggregates as the differential tests compare them:
+    /// group, distinct queries (ascending), request count, oldest seq.
+    pub type Aggregate = (GroupId, Vec<QueryId>, usize, Option<u64>);
+
+    /// Every group's [`Aggregate`], in ascending group id.
+    pub fn aggregates(view: &dyn QueueView) -> Vec<Aggregate> {
+        let mut out = Vec::new();
+        view.for_each_group(&mut |g, lens| {
+            out.push((
+                g,
+                lens.queries.to_vec(),
+                lens.requests,
+                view.oldest_seq_on(g),
+            ));
+        });
+        out
+    }
+
+    /// The `k` oldest pending requests, oldest first.
+    pub fn window(view: &dyn QueueView, k: usize) -> Vec<PendingRequest> {
+        let mut out = Vec::new();
+        view.for_each_window(k, &mut |r| out.push(*r));
+        out
+    }
+
+    /// Query `q`'s oldest pending request.
+    pub fn oldest_of_query(view: &dyn QueueView, q: QueryId) -> Option<PendingRequest> {
+        window(view, usize::MAX).into_iter().find(|r| r.query == q)
+    }
+
+    /// Every query with pending data and whether it has data on `on`,
+    /// in ascending query id.
+    pub fn presence(view: &dyn QueueView, on: GroupId) -> Vec<(QueryId, bool)> {
+        let mut out = Vec::new();
+        view.for_each_query_presence(on, &mut |q, p| out.push((q, p)));
+        out.sort_unstable();
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::req;
+    use super::testutil::{self, req};
     use super::*;
 
     #[test]
     fn group_stats_aggregates() {
-        let pending = vec![
-            req(1, 0, 0, 0, 10, 3),
-            req(1, 0, 0, 1, 5, 1),
-            req(2, 1, 0, 0, 7, 2),
-            req(1, 2, 0, 0, 20, 4),
-        ];
-        let stats = group_stats(&pending);
-        assert_eq!(stats.len(), 2);
-        let (g1, s1) = &stats[0];
-        assert_eq!(*g1, 1);
-        assert_eq!(s1.requests, 3);
-        assert_eq!(s1.queries.len(), 2); // tenants 0 and 2
-        assert_eq!(s1.oldest_arrival, Some(SimTime::from_secs(5)));
-        assert_eq!(s1.oldest_seq, 1);
-        let (g2, s2) = &stats[1];
-        assert_eq!(*g2, 2);
-        assert_eq!(s2.requests, 1);
+        let queue = testutil::queue_of(&[
+            req(1, 0, 0, 0, 3),
+            req(1, 0, 0, 1, 1),
+            req(2, 1, 0, 0, 2),
+            req(1, 2, 0, 0, 4),
+        ]);
+        let (q0, q1, q2) = (QueryId::new(0, 0), QueryId::new(1, 0), QueryId::new(2, 0));
+        assert_eq!(
+            testutil::aggregates(&queue),
+            vec![(1, vec![q0, q2], 3, Some(1)), (2, vec![q1], 1, Some(2))]
+        );
     }
 
     #[test]

@@ -4,25 +4,37 @@
 //! landed, the device kept a flat `Vec<PendingRequest>` and every
 //! scheduling decision re-derived its facts with O(n) scans: per-group
 //! aggregates rebuilt request by request, residency as a `HashSet<u64>`
-//! probed per request, intra-group selection as a `min_by_key` over the
-//! whole scope. That made a run O(n²) in queue depth.
+//! probed per request, intra-group selection as a `min_by_key` of the
+//! intra-group key over the whole scope. That made a run O(n²) in queue
+//! depth.
 //!
-//! [`NaiveQueue`] preserves those scans verbatim behind the same
+//! [`NaiveQueue`] preserves those scans behind the same
 //! [`QueueView`]/[`RequestIndex`] interface as the differential
 //! reference: the equivalence suite drives identical devices over both
 //! queues and asserts identical decision sequences and delivery orders
-//! (`crates/csd/tests/equivalence.rs`).
+//! (`crates/csd/tests/equivalence.rs`). It states each scope by its
+//! definition — query-FCFS's scope, for one, is every request of the
+//! oldest query on the active group — so the indexed queue's shortcuts
+//! are checked against the rule they implement.
 //!
 //! Do not "optimize" this module: its value is being a faithful record
 //! of the pre-index semantics.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::device::IntraGroupOrder;
 use crate::object::{GroupId, QueryId};
 use crate::sched::queue::RequestIndex;
-use crate::sched::{GroupLens, GroupStats, PendingRequest, QueueView, Residency, ServeScope};
+use crate::sched::{GroupLens, PendingRequest, QueueView, ServeScope};
+
+/// The set of request sequence numbers captured when the active group
+/// was loaded (or re-picked). Group-centric policies serve exactly this
+/// *residency snapshot* before re-deciding — the §4.4 non-preemption
+/// rule applied to "the set of active requests", so a steady stream of
+/// new arrivals cannot pin the device to one group forever. (The
+/// indexed queue keeps no such set: a request is resident iff its seq
+/// is below its group's arm-time boundary.)
+type Residency = HashSet<u64>;
 
 /// Flat-`Vec` pending queue with full-rescan lookups (see module docs).
 #[derive(Debug)]
@@ -128,11 +140,25 @@ impl RequestIndex for NaiveQueue {
                     .collect()
             }
         };
-        if scope_indices.is_empty() {
-            return None;
+        scope_indices
+            .into_iter()
+            .map(|i| &self.pending[i])
+            .min_by_key(|r| self.intra.key(r))
+            .map(|r| r.seq)
+    }
+
+    fn cancel_query(&mut self, q: QueryId, on_removed: &mut dyn FnMut(&PendingRequest)) -> usize {
+        let mut seqs: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|r| r.query == q)
+            .map(|r| r.seq)
+            .collect();
+        seqs.sort_unstable();
+        for &seq in &seqs {
+            on_removed(&self.remove(seq));
         }
-        let idx = self.intra.select(&self.pending, &scope_indices);
-        Some(self.pending[idx].seq)
+        seqs.len()
     }
 }
 
@@ -143,14 +169,6 @@ impl QueueView for NaiveQueue {
 
     fn oldest(&self) -> Option<PendingRequest> {
         self.pending.iter().min_by_key(|r| r.seq).copied()
-    }
-
-    fn oldest_of_query(&self, q: QueryId) -> Option<PendingRequest> {
-        self.pending
-            .iter()
-            .filter(|r| r.query == q)
-            .min_by_key(|r| r.seq)
-            .copied()
     }
 
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool {
@@ -173,36 +191,26 @@ impl QueueView for NaiveQueue {
     }
 
     fn for_each_group(&self, visit: &mut dyn FnMut(GroupId, &GroupLens<'_>)) {
-        // The pre-index `group_stats` loop, including its linear
+        // The pre-index per-group loop, including its linear
         // distinct-query membership scan. The rescan builds a full
         // aggregate map per call (allocating, by design) and only then
         // visits.
-        let mut map: BTreeMap<GroupId, GroupStats> = BTreeMap::new();
+        let mut map: BTreeMap<GroupId, (Vec<QueryId>, usize)> = BTreeMap::new();
         for r in &self.pending {
-            let stats = map.entry(r.group).or_default();
-            if !stats.queries.contains(&r.query) {
-                stats.queries.push(r.query);
+            let (queries, requests) = map.entry(r.group).or_default();
+            if !queries.contains(&r.query) {
+                queries.push(r.query);
             }
-            stats.requests += 1;
-            stats.oldest_arrival = Some(match stats.oldest_arrival {
-                None => r.arrival,
-                Some(t) => t.min(r.arrival),
-            });
-            if stats.requests == 1 || r.seq < stats.oldest_seq {
-                stats.oldest_seq = r.seq;
-            }
+            *requests += 1;
         }
-        // Sort query lists so aggregates compare equal to the indexed
-        // queue's; no policy depends on the order.
-        for stats in map.values_mut() {
-            stats.queries.sort_unstable();
-        }
-        for (&g, stats) in &map {
+        for (&g, (queries, requests)) in &mut map {
+            // The lens promises ascending queries.
+            queries.sort_unstable();
             visit(
                 g,
                 &GroupLens {
-                    queries: &stats.queries,
-                    requests: stats.requests,
+                    queries,
+                    requests: *requests,
                 },
             );
         }
@@ -229,23 +237,19 @@ impl QueueView for NaiveQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::testutil::req;
+    use crate::sched::testutil::{aggregates, req, window};
 
     #[test]
     fn mirrors_the_indexed_queue() {
-        let pending = [
-            req(1, 0, 0, 0, 0, 0),
-            req(2, 1, 0, 0, 0, 1),
-            req(1, 1, 0, 1, 0, 2),
-        ];
+        let pending = [req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(1, 1, 0, 1, 2)];
         let mut naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
         let mut indexed = crate::sched::queue::RequestQueue::from_requests(
             IntraGroupOrder::SemanticRoundRobin,
             pending,
         );
-        assert_eq!(naive.group_aggregates(), indexed.group_aggregates());
+        assert_eq!(aggregates(&naive), aggregates(&indexed));
         assert_eq!(naive.oldest(), indexed.oldest());
-        assert_eq!(naive.window(2), indexed.window(2));
+        assert_eq!(window(&naive, 2), window(&indexed, 2));
         naive.arm_residency(1);
         indexed.arm_residency(1);
         assert_eq!(naive.resident_len(1), indexed.resident_len(1));

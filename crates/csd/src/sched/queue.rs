@@ -2,10 +2,10 @@
 //!
 //! The scheduling hot path used to re-derive every decision from flat
 //! `Vec<PendingRequest>` rescans — O(n) per served object, O(n²) per
-//! run. [`RequestQueue`] maintains every fact the policies consult as a
+//! run. [`RequestQueue`] keeps exactly the facts the policies read as a
 //! persistent index, resolved once per request at insert and updated in
-//! O(1) amortized per serve (plus one search and shift of a sorted key
-//! array when a serve drains a group or query entry):
+//! O(1) amortized per insert and serve (plus one search and shift of a
+//! sorted key array when a group or query entry appears or drains):
 //!
 //! * a **request slab** (`slab`) — a pooled ring of request nodes
 //!   indexed directly by the device's dense, monotone sequence numbers:
@@ -28,17 +28,19 @@
 //!   scope or cancelled. This is the one-pass drain of a mounted
 //!   cartridge: the order is paid for once per arm (`sort_unstable`,
 //!   in place, near-linear on the mostly-sorted input), not per GET;
-//! * **per-group aggregates** (the sorted distinct-query list, request
-//!   counts) kept exact on every mutation, plus an ascending seq FIFO
-//!   whose live front is the group's oldest request — the device's seqs
-//!   are monotone, so an insert is an append. No arrival-time aggregate
-//!   is maintained: no policy reads one, so
-//!   [`QueueView::group_aggregates`] derives it from a scan;
-//! * a **per-query index** answering "this query's oldest request"
-//!   (the same seq FIFO) and "which queries are present" for query-FCFS
-//!   and the rank policy's waiting-time bookkeeping. Each (group, query)
-//!   entry keeps a lazy-deletion min-heap of its keys for query-FCFS's
-//!   serve scope, the only heap left on the path.
+//! * **per-group aggregates** (the sorted distinct-query list with a
+//!   request count per query, the group's request count) kept exact on
+//!   every mutation, plus an ascending seq FIFO whose live front is the
+//!   group's oldest request — the device's seqs are monotone, so an
+//!   insert is an append;
+//! * a **per-query count** answering "which queries are present" for
+//!   the rank policy's waiting-time bookkeeping.
+//!
+//! Query-FCFS needs no index of its own. Its target is the globally
+//! oldest request's group (the oldest query's oldest request *is* the
+//! globally oldest request), and its serve scope resolves to the least
+//! live key of that query among the active group's residency run and
+//! fresh list.
 //!
 //! Both keyed indexes are `PooledMap`s: a sorted key array over a
 //! *handle-addressed payload arena*. A group (or query) that appears
@@ -49,20 +51,16 @@
 //! (`crates/csd/tests/alloc_steady.rs` pins it at zero).
 //!
 //! Dead entries (served or cancelled requests whose keys or seqs are
-//! still stored) are skipped when they reach a front, and a fresh list,
-//! seq FIFO or heap is compacted in place once stale entries outnumber
-//! live ones 4:1, so every entry is stored once and dropped at most
-//! once.
+//! still stored) are skipped when they reach a front, and a fresh list
+//! or seq FIFO is compacted in place once stale entries outnumber live
+//! ones 4:1, so every entry is stored once and dropped at most once.
 //!
 //! Contract: the device assigns strictly increasing sequence numbers
-//! and non-decreasing arrival times (test adapters may pre-load
-//! out-of-order seqs *before* arming a residency; the boundary
-//! representation requires post-arm inserts to carry newer seqs, which
-//! the device guarantees by construction).
+//! (test adapters may pre-load out-of-order seqs *before* arming a
+//! residency; the boundary representation requires post-arm inserts to
+//! carry newer seqs, which the device guarantees by construction).
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::device::IntraGroupOrder;
 use crate::object::{GroupId, ObjectId, QueryId};
@@ -77,7 +75,7 @@ fn seq_of(key: &OrderKey) -> u64 {
     key.3
 }
 
-/// Stale-entry threshold: compact a fresh list, seq FIFO or heap once it
+/// Stale-entry threshold: compact a fresh list or seq FIFO once it
 /// holds more than this many entries *and* is mostly stale.
 const COMPACT_MIN: usize = 16;
 
@@ -88,9 +86,16 @@ fn mostly_stale(len: usize, live: usize) -> bool {
 }
 
 /// A recyclable index payload: reset to the empty state while keeping
-/// every backing allocation (heap arrays, nested pools) for reuse.
+/// every backing allocation (arrays, nested pools) for reuse.
 trait Recycle: Default {
     fn recycle(&mut self);
+}
+
+/// A request count: the payload of the per-query entries.
+impl Recycle for usize {
+    fn recycle(&mut self) {
+        *self = 0;
+    }
 }
 
 /// A sorted-key map over a handle-addressed arena of recycled payloads.
@@ -365,52 +370,6 @@ impl SeqFifo {
     }
 }
 
-/// A lazy-deletion min-heap over keys whose liveness the owner checks
-/// at read time. Pushes are O(log n) with no matching remove cost;
-/// stale tops are popped (and the whole heap compacted when mostly
-/// stale) only when the minimum is actually read.
-#[derive(Debug, Default)]
-struct LazyMinHeap<K: Ord + Copy> {
-    heap: RefCell<BinaryHeap<Reverse<K>>>,
-}
-
-impl<K: Ord + Copy> LazyMinHeap<K> {
-    fn push(&mut self, key: K) {
-        self.heap.get_mut().push(Reverse(key));
-    }
-
-    /// The smallest key for which `live` holds, discarding stale tops.
-    fn min_live(&self, live: impl Fn(K) -> bool) -> Option<K> {
-        let mut heap = self.heap.borrow_mut();
-        while let Some(&Reverse(k)) = heap.peek() {
-            if live(k) {
-                return Some(k);
-            }
-            heap.pop();
-        }
-        None
-    }
-
-    /// Empties the heap, keeping its backing array for reuse.
-    fn clear(&mut self) {
-        self.heap.get_mut().clear();
-    }
-
-    /// Drops stale entries once they dominate the heap (amortized O(1)
-    /// per push; call on the mutation path with the live count).
-    /// Compacts *in place* (`BinaryHeap::retain`): collecting into a
-    /// fresh heap would reset the backing capacity to the live count,
-    /// and the regrowth back to the stale watermark would hit the
-    /// allocator again on every compaction cycle — the exact
-    /// steady-state allocs/event churn the pooled maps exist to avoid.
-    fn maybe_compact(&mut self, live_count: usize, live: impl Fn(K) -> bool) {
-        let heap = self.heap.get_mut();
-        if mostly_stale(heap.len(), live_count) {
-            heap.retain(|&Reverse(k)| live(k));
-        }
-    }
-}
-
 /// One disk group's sub-queue and aggregates.
 #[derive(Debug, Default)]
 struct GroupQueue {
@@ -436,10 +395,9 @@ struct GroupQueue {
     count: usize,
     /// Oldest-seq aggregate.
     seqs: SeqFifo,
-    /// Per-query presence count and intra-order heap (distinct-query
-    /// aggregates and the query-FCFS serve scope); its key array is the
+    /// Per-query request count on this group; its key array is the
     /// sorted distinct-query list a [`GroupLens`] borrows.
-    by_query: PooledMap<QueryId, QueryHeap>,
+    by_query: PooledMap<QueryId, usize>,
 }
 
 impl GroupQueue {
@@ -465,6 +423,12 @@ impl GroupQueue {
             self.cursor += 1;
         }
     }
+
+    /// Every key that may still be live: the unserved residency run,
+    /// then the fresh arrivals.
+    fn keys(&self) -> impl Iterator<Item = &OrderKey> {
+        self.run[self.cursor..].iter().chain(&self.fresh)
+    }
 }
 
 impl Recycle for GroupQueue {
@@ -477,36 +441,6 @@ impl Recycle for GroupQueue {
         self.count = 0;
         self.seqs.clear();
         self.by_query.recycle_all();
-    }
-}
-
-/// One (group, query) sub-index.
-#[derive(Debug, Default)]
-struct QueryHeap {
-    count: usize,
-    heap: LazyMinHeap<OrderKey>,
-}
-
-impl Recycle for QueryHeap {
-    fn recycle(&mut self) {
-        self.count = 0;
-        self.heap.clear();
-    }
-}
-
-/// One query's global presence index.
-#[derive(Debug, Default)]
-struct QueryEntry {
-    /// Pending request count for this query (across groups).
-    count: usize,
-    /// Oldest-seq aggregate for [`QueueView::oldest_of_query`].
-    seqs: SeqFifo,
-}
-
-impl Recycle for QueryEntry {
-    fn recycle(&mut self) {
-        self.count = 0;
-        self.seqs.clear();
     }
 }
 
@@ -544,17 +478,8 @@ pub trait RequestIndex: QueueView {
     /// Dequeues every pending request of query `q`, oldest first,
     /// handing each removed request to `on_removed`; returns the number
     /// dequeued. The protection plane's cancel path (deadline misses,
-    /// retry exhaustion): the default drains via the per-query index so
-    /// both queue implementations keep their aggregates exact.
-    fn cancel_query(&mut self, q: QueryId, on_removed: &mut dyn FnMut(&PendingRequest)) -> usize {
-        let mut removed = 0;
-        while let Some(r) = self.oldest_of_query(q) {
-            let r = self.remove(r.seq);
-            on_removed(&r);
-            removed += 1;
-        }
-        removed
-    }
+    /// retry exhaustion).
+    fn cancel_query(&mut self, q: QueryId, on_removed: &mut dyn FnMut(&PendingRequest)) -> usize;
 
     /// Dequeues query `q`'s oldest pending request for `object`, if one
     /// is queued — the hedge-loser cancel: once the winning replica's
@@ -581,8 +506,8 @@ pub struct RequestQueue {
     /// Per-group sub-queues, sorted by group id (pooled sorted-vec:
     /// contiguous for the aggregate scans, recycled on drain).
     groups: PooledMap<GroupId, GroupQueue>,
-    /// Per-query presence (oldest-of-query, query iteration).
-    queries: PooledMap<QueryId, QueryEntry>,
+    /// Per-query request counts (query iteration).
+    queries: PooledMap<QueryId, usize>,
     /// The group the last residency was armed on and its arena handle,
     /// while that entry is live: `select` and `resident_len` on the
     /// active group skip the group search.
@@ -635,7 +560,7 @@ impl RequestQueue {
             seqs: Vec<u64>,
         }
         let mut groups: BTreeMap<GroupId, Group> = BTreeMap::new();
-        let mut queries: BTreeMap<QueryId, Vec<u64>> = BTreeMap::new();
+        let mut queries: BTreeMap<QueryId, usize> = BTreeMap::new();
         for node in self.slab.nodes() {
             let r = &node.request;
             assert_eq!(
@@ -656,7 +581,7 @@ impl RequestQueue {
             }
             g.seqs.push(r.seq);
             *g.by_query.entry(r.query).or_default() += 1;
-            queries.entry(r.query).or_default().push(r.seq);
+            *queries.entry(r.query).or_default() += 1;
         }
         let live = |s: u64| self.slab.contains(s);
         let live_seqs = |fifo: &SeqFifo| -> Vec<u64> {
@@ -692,15 +617,14 @@ impl RequestQueue {
                 gq.by_query.keys().iter().eq(want.by_query.keys()),
                 "query keys of group {g}"
             );
-            for ((q, per_query), &n) in gq.by_query.iter().zip(want.by_query.values()) {
-                assert_eq!(per_query.count, n, "count of {q} on group {g}");
-            }
+            let want_counts = want.by_query.iter().map(|(&q, n)| (q, n));
+            assert!(
+                gq.by_query.iter().eq(want_counts),
+                "query counts of group {g}"
+            );
         }
-        assert!(self.queries.keys().iter().eq(queries.keys()), "query keys");
-        for ((q, entry), seqs) in self.queries.iter().zip(queries.values()) {
-            assert_eq!(entry.count, seqs.len(), "count of {q}");
-            assert_eq!(&live_seqs(&entry.seqs), seqs, "seqs of {q}");
-        }
+        let want_counts = queries.iter().map(|(&q, n)| (q, n));
+        assert!(self.queries.iter().eq(want_counts), "query counts");
         if let Some((g, handle)) = self.armed {
             assert_eq!(self.groups.handle(&g), Some(handle), "stale armed handle");
         }
@@ -744,13 +668,9 @@ impl RequestIndex for RequestQueue {
         group.count += 1;
         group.seqs.push(request.seq);
         let group_query = group.by_query.handle_or_insert(request.query);
-        let per_query = group.by_query.by_handle_mut(group_query);
-        per_query.count += 1;
-        per_query.heap.push(key);
+        *group.by_query.by_handle_mut(group_query) += 1;
         let query_handle = self.queries.handle_or_insert(request.query);
-        let query = self.queries.by_handle_mut(query_handle);
-        query.count += 1;
-        query.seqs.push(request.seq);
+        *self.queries.by_handle_mut(query_handle) += 1;
         self.slab.insert(Node {
             request,
             group: group_handle,
@@ -782,21 +702,15 @@ impl RequestIndex for RequestQueue {
             }
             group.seqs.served(seq, group.count, live);
             let per_query = group.by_query.by_handle_mut(node.group_query);
-            per_query.count -= 1;
-            if per_query.count == 0 {
+            *per_query -= 1;
+            if *per_query == 0 {
                 group.by_query.remove(&request.query);
-            } else {
-                per_query
-                    .heap
-                    .maybe_compact(per_query.count, |k| live(seq_of(&k)));
             }
         }
         let query = self.queries.by_handle_mut(node.query);
-        query.count -= 1;
-        if query.count == 0 {
+        *query -= 1;
+        if *query == 0 {
             self.queries.remove(&request.query);
-        } else {
-            query.seqs.served(seq, query.count, live);
         }
         request
     }
@@ -830,11 +744,14 @@ impl RequestIndex for RequestQueue {
             ServeScope::OldestQuery => {
                 let oldest_query = self.slab.front()?.query;
                 self.group(active)?
-                    .by_query
-                    .get(&oldest_query)?
-                    .heap
-                    .min_live(|k| self.slab.contains(seq_of(&k)))
-                    .map(|k| seq_of(&k))
+                    .keys()
+                    .filter(|k| {
+                        self.slab
+                            .get(seq_of(k))
+                            .is_some_and(|r| r.query == oldest_query)
+                    })
+                    .min()
+                    .map(seq_of)
             }
             ServeScope::Window(k) => self
                 .slab
@@ -845,6 +762,20 @@ impl RequestIndex for RequestQueue {
                 .map(|r| r.seq),
         }
     }
+
+    fn cancel_query(&mut self, q: QueryId, on_removed: &mut dyn FnMut(&PendingRequest)) -> usize {
+        // One walk up the slab from the oldest request, ending at the
+        // query's youngest one.
+        let total = self.queries.get(&q).copied().unwrap_or(0);
+        let mut seq = self.slab.base;
+        for _ in 0..total {
+            while self.slab.get(seq).is_none_or(|r| r.query != q) {
+                seq += 1;
+            }
+            on_removed(&self.remove(seq));
+        }
+        total
+    }
 }
 
 impl QueueView for RequestQueue {
@@ -854,11 +785,6 @@ impl QueueView for RequestQueue {
 
     fn oldest(&self) -> Option<PendingRequest> {
         self.slab.front().copied()
-    }
-
-    fn oldest_of_query(&self, q: QueryId) -> Option<PendingRequest> {
-        let seq = self.queries.get(&q)?.seqs.front()?;
-        self.slab.get(seq).copied()
     }
 
     fn group_has_query(&self, g: GroupId, q: QueryId) -> bool {
@@ -914,10 +840,9 @@ impl QueueView for RequestQueue {
 
 #[cfg(test)]
 mod tests {
-    use skipper_sim::SimTime;
-
     use super::*;
-    use crate::sched::testutil::req;
+    use crate::sched::naive::NaiveQueue;
+    use crate::sched::testutil::{aggregates, oldest_of_query, presence, req, window};
 
     fn queue(pending: &[PendingRequest]) -> RequestQueue {
         RequestQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending.iter().copied())
@@ -925,14 +850,10 @@ mod tests {
 
     #[test]
     fn indexes_track_insert_and_remove() {
-        let mut q = queue(&[
-            req(1, 0, 0, 2, 0, 0),
-            req(1, 1, 0, 1, 1, 1),
-            req(2, 2, 0, 0, 2, 2),
-        ]);
+        let mut q = queue(&[req(1, 0, 0, 2, 0), req(1, 1, 0, 1, 1), req(2, 2, 0, 0, 2)]);
         assert_eq!(q.len(), 3);
         assert_eq!(q.oldest().unwrap().seq, 0);
-        assert_eq!(q.oldest_of_query(QueryId::new(1, 0)).unwrap().seq, 1);
+        assert_eq!(oldest_of_query(&q, QueryId::new(1, 0)).unwrap().seq, 1);
         assert!(q.group_has_query(1, QueryId::new(0, 0)));
         assert!(!q.group_has_query(2, QueryId::new(0, 0)));
         let r = q.remove(0);
@@ -942,18 +863,18 @@ mod tests {
         assert!(!q.group_has_query(1, QueryId::new(0, 0)));
         q.remove(1);
         // Group 1 fully drained: no aggregate entry remains.
-        assert_eq!(q.group_aggregates().len(), 1);
-        assert_eq!(q.group_aggregates()[0].0, 2);
+        assert_eq!(aggregates(&q).len(), 1);
+        assert_eq!(aggregates(&q)[0].0, 2);
     }
 
     #[test]
     fn residency_splits_snapshot_from_fresh_arrivals() {
-        let mut q = queue(&[req(1, 0, 0, 0, 0, 0), req(1, 0, 0, 1, 0, 1)]);
+        let mut q = queue(&[req(1, 0, 0, 0, 0), req(1, 0, 0, 1, 1)]);
         assert_eq!(q.resident_len(1), 0);
         q.arm_residency(1);
         assert_eq!(q.resident_len(1), 2);
         // A post-snapshot arrival is not resident...
-        q.insert(req(1, 0, 0, 2, 1, 2));
+        q.insert(req(1, 0, 0, 2, 2));
         assert_eq!(q.resident_len(1), 2);
         assert_eq!(q.len(), 3);
         // ...and select(Residency) never returns it.
@@ -973,8 +894,8 @@ mod tests {
         let mut q = RequestQueue::from_requests(
             IntraGroupOrder::SemanticRoundRobin,
             [
-                req(1, 0, 0, 1, 0, 0), // table 0 seg 1
-                req(1, 0, 0, 0, 0, 1), // table 0 seg 0
+                req(1, 0, 0, 1, 0), // table 0 seg 1
+                req(1, 0, 0, 0, 1), // table 0 seg 0
             ],
         );
         q.arm_residency(1);
@@ -984,10 +905,10 @@ mod tests {
     #[test]
     fn scope_lookups_match_their_definitions() {
         let q = queue(&[
-            req(1, 0, 0, 0, 0, 0),
-            req(2, 1, 0, 0, 0, 1),
-            req(1, 1, 0, 1, 0, 2),
-            req(1, 0, 0, 1, 0, 3),
+            req(1, 0, 0, 0, 0),
+            req(2, 1, 0, 0, 1),
+            req(1, 1, 0, 1, 2),
+            req(1, 0, 0, 1, 3),
         ]);
         // Oldest object (seq 0) is on group 1 only.
         assert_eq!(q.select(ServeScope::OldestObject, 1), Some(0));
@@ -999,32 +920,28 @@ mod tests {
         // A window of 2 only sees seqs {0, 1}.
         assert_eq!(q.select(ServeScope::Window(2), 1), Some(0));
         assert_eq!(q.select(ServeScope::Window(2), 2), Some(1));
-        assert_eq!(q.window(2).len(), 2);
+        assert_eq!(window(&q, 2).len(), 2);
     }
 
     #[test]
     fn aggregates_match_slice_grouping() {
-        let pending = vec![
-            req(1, 0, 0, 0, 10, 3),
-            req(1, 0, 0, 1, 5, 1),
-            req(2, 1, 0, 0, 7, 2),
-            req(1, 2, 0, 0, 20, 4),
+        let pending = [
+            req(1, 0, 0, 0, 3),
+            req(1, 0, 0, 1, 1),
+            req(2, 1, 0, 0, 2),
+            req(1, 2, 0, 0, 4),
         ];
-        let q = queue(&pending);
-        let agg = q.group_aggregates();
-        assert_eq!(agg, crate::sched::group_stats(&pending));
-        assert_eq!(agg[0].1.requests, 3);
-        assert_eq!(agg[0].1.oldest_seq, 1);
-        assert_eq!(agg[0].1.oldest_arrival, Some(SimTime::from_secs(5)));
+        let agg = aggregates(&queue(&pending));
+        let naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
+        assert_eq!(agg, aggregates(&naive));
+        assert_eq!((agg[0].2, agg[0].3), (3, Some(1)));
     }
 
     #[test]
     fn queries_with_presence_flags_loaded_group() {
-        let q = queue(&[req(1, 0, 0, 0, 0, 0), req(2, 1, 0, 0, 0, 1)]);
-        let mut present = q.queries_with_presence(1);
-        present.sort_unstable();
+        let q = queue(&[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1)]);
         assert_eq!(
-            present,
+            presence(&q, 1),
             vec![(QueryId::new(0, 0), true), (QueryId::new(1, 0), false)]
         );
     }
@@ -1032,35 +949,32 @@ mod tests {
     #[test]
     fn lazy_aggregates_survive_churn() {
         // Drive enough insert/remove churn through one group that the
-        // seq FIFOs, fresh list and heaps go through several
-        // compactions, and check the aggregates stay exact throughout.
+        // seq FIFO and fresh list go through several compactions, and
+        // check the aggregates stay exact throughout.
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         let mut live: Vec<u64> = Vec::new();
         let mut next_seq = 0u64;
-        for wave in 0..50u64 {
+        for _ in 0..50 {
             for _ in 0..8 {
-                q.insert(req(1, 0, 0, next_seq as u32, wave, next_seq));
+                q.insert(req(1, 0, 0, next_seq as u32, next_seq));
                 q.recount();
                 live.push(next_seq);
                 next_seq += 1;
             }
-            // Remove from the middle/newest end so stale heap entries
-            // accumulate at the top.
+            // Remove from the middle/newest end so stale entries
+            // accumulate behind the live ones.
             for _ in 0..7 {
                 let victim = live.remove(live.len() / 2);
                 q.remove(victim);
                 q.recount();
             }
-            let agg = q.group_aggregates();
-            assert_eq!(agg.len(), 1);
-            let (_, stats) = &agg[0];
-            assert_eq!(stats.requests, live.len());
-            assert_eq!(stats.oldest_seq, *live.iter().min().unwrap());
-            assert_eq!(q.oldest().unwrap().seq, *live.iter().min().unwrap());
+            let oldest = live.iter().min().copied();
             assert_eq!(
-                q.oldest_of_query(QueryId::new(0, 0)).unwrap().seq,
-                *live.iter().min().unwrap()
+                aggregates(&q),
+                [(1, vec![QueryId::new(0, 0)], live.len(), oldest)]
             );
+            assert_eq!(q.oldest().map(|r| r.seq), oldest);
+            assert_eq!(q.select(ServeScope::OldestQuery, 1), oldest);
         }
     }
 
@@ -1071,7 +985,7 @@ mod tests {
         // select(Residency) stay exact as the run's cursor skips them.
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         for seq in 0..40u64 {
-            q.insert(req(1, 0, 0, seq as u32, seq, seq));
+            q.insert(req(1, 0, 0, seq as u32, seq));
             q.recount();
         }
         q.arm_residency(1);
@@ -1085,7 +999,7 @@ mod tests {
         assert_eq!(q.resident_len(1), 20);
         assert_eq!(q.select(ServeScope::Residency, 1), Some(0));
         // Post-arm arrivals stay fresh.
-        q.insert(req(1, 0, 0, 99, 99, 99));
+        q.insert(req(1, 0, 0, 99, 99));
         q.recount();
         assert_eq!(q.resident_len(1), 20);
         assert_eq!(q.select(ServeScope::Residency, 1), Some(0));
@@ -1105,14 +1019,7 @@ mod tests {
         let mut live: Vec<PendingRequest> = Vec::new();
         let mut submit = |q: &mut RequestQueue, live: &mut Vec<PendingRequest>, group: u32| {
             let tenant = (next_seq % tenants as u64) as u16;
-            let r = req(
-                group,
-                tenant,
-                group % 3,
-                next_seq as u32,
-                next_seq,
-                next_seq,
-            );
+            let r = req(group, tenant, group % 3, next_seq as u32, next_seq);
             next_seq += 1;
             q.insert(r);
             q.recount();
@@ -1145,7 +1052,8 @@ mod tests {
         // The arenas stopped growing once every key had been seen:
         // payloads recycle through the free list instead.
         assert!(q.groups.arena.len() <= groups as usize);
-        assert_eq!(q.group_aggregates(), crate::sched::group_stats(&live));
+        let naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, live);
+        assert_eq!(aggregates(&q), aggregates(&naive));
     }
 
     #[test]
@@ -1154,10 +1062,10 @@ mod tests {
         // front and still answers oldest()/window() correctly.
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
         for seq in [5u64, 2, 9, 0, 7] {
-            q.insert(req(1, 0, 0, seq as u32, seq, seq));
+            q.insert(req(1, 0, 0, seq as u32, seq));
         }
         assert_eq!(q.oldest().unwrap().seq, 0);
-        let w: Vec<u64> = q.window(3).iter().map(|r| r.seq).collect();
+        let w: Vec<u64> = window(&q, 3).iter().map(|r| r.seq).collect();
         assert_eq!(w, vec![0, 2, 5]);
         q.remove(0);
         assert_eq!(q.oldest().unwrap().seq, 2);
@@ -1165,12 +1073,11 @@ mod tests {
 
     #[test]
     fn cancel_query_and_object_agree_with_naive() {
-        use crate::sched::naive::NaiveQueue;
         let pending = [
-            req(1, 0, 0, 0, 0, 0),
-            req(2, 0, 0, 1, 0, 1),
-            req(1, 1, 0, 0, 0, 2),
-            req(1, 0, 1, 2, 0, 3),
+            req(1, 0, 0, 0, 0),
+            req(2, 0, 0, 1, 1),
+            req(1, 1, 0, 0, 2),
+            req(1, 0, 1, 2, 3),
         ];
         let mut indexed = queue(&pending);
         let mut naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
@@ -1192,9 +1099,9 @@ mod tests {
         );
         assert_eq!(naive_seqs, seqs);
         assert_eq!(indexed.len(), 2);
-        assert_eq!(indexed.oldest_of_query(victim), None);
-        assert!(indexed.oldest_of_query(QueryId::new(1, 0)).is_some());
-        assert!(indexed.oldest_of_query(QueryId::new(0, 1)).is_some());
+        assert_eq!(oldest_of_query(&indexed, victim), None);
+        assert!(oldest_of_query(&indexed, QueryId::new(1, 0)).is_some());
+        assert!(oldest_of_query(&indexed, QueryId::new(0, 1)).is_some());
     }
 
     #[test]
@@ -1207,7 +1114,6 @@ mod tests {
         // residents of the armed group (the run's dead-entry skip),
         // fresh arrivals on it (dropped at the next arm) and requests
         // on other groups.
-        use crate::sched::naive::NaiveQueue;
         use skipper_sim::rng::splitmix64;
         let mut state = 0x5EED_u64;
         let mut draw = |n: u64| splitmix64(&mut state) % n;
@@ -1224,7 +1130,6 @@ mod tests {
                         draw(3) as u16,
                         draw(2) as u32,
                         draw(6) as u32,
-                        next_seq,
                         next_seq,
                     );
                     next_seq += 1;
@@ -1278,16 +1183,22 @@ mod tests {
             indexed.recount();
             assert_eq!(indexed.len(), naive.len());
             assert_eq!(indexed.oldest(), naive.oldest());
-            assert_eq!(indexed.group_aggregates(), naive.group_aggregates());
+            assert_eq!(aggregates(&indexed), aggregates(&naive));
+            assert_eq!(window(&indexed, usize::MAX), window(&naive, usize::MAX));
             if let Some(g) = armed {
                 assert_eq!(indexed.resident_len(g), naive.resident_len(g));
-                let scope = ServeScope::Residency;
-                assert_eq!(indexed.select(scope, g), naive.select(scope, g));
-            }
-            for tenant in 0..3 {
-                for qseq in 0..2 {
-                    let q = QueryId::new(tenant, qseq);
-                    assert_eq!(indexed.oldest_of_query(q), naive.oldest_of_query(q));
+                assert_eq!(presence(&indexed, g), presence(&naive, g));
+                for scope in [
+                    ServeScope::Residency,
+                    ServeScope::OldestObject,
+                    ServeScope::OldestQuery,
+                    ServeScope::Window(3),
+                ] {
+                    assert_eq!(
+                        indexed.select(scope, g),
+                        naive.select(scope, g),
+                        "{scope:?}"
+                    );
                 }
             }
         }
@@ -1301,8 +1212,8 @@ mod tests {
     #[should_panic(expected = "duplicate request seq")]
     fn duplicate_seq_rejected() {
         let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
-        q.insert(req(1, 0, 0, 0, 0, 7));
-        q.insert(req(2, 1, 0, 1, 1, 7));
+        q.insert(req(1, 0, 0, 0, 7));
+        q.insert(req(2, 1, 0, 1, 7));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! here for the ablation benchmarks.
 //!
 //! Rank maintenance is incremental: `N_g` and the per-group query sets
-//! come from the queue's aggregates (updated O(log n) per request), and
+//! come from the queue's aggregates (updated O(1) amortized per
+//! request), and
 //! the waiting counters update once per *switch* — O(distinct pending
 //! queries) at each switch point instead of a full queue rescan per
 //! decision.
@@ -25,10 +26,7 @@
 use std::collections::HashMap;
 
 use crate::object::{GroupId, QueryId};
-use crate::sched::{
-    group_stats, takes_lead, Decision, GroupScheduler, GroupStats, InFlight, PendingRequest,
-    QueueView,
-};
+use crate::sched::{takes_lead, Decision, GroupLens, GroupScheduler, InFlight, QueueView};
 use crate::store::FastBuild;
 
 /// Rank-based group selection balancing efficiency and fairness.
@@ -77,21 +75,19 @@ impl RankBased {
         self.waiting.get(&q).map_or(0, |&(w, _)| w)
     }
 
-    /// `R(g) = N_g + K·ΣW_q(g)` for one group's aggregates.
-    fn rank_of(&self, stats: &GroupStats) -> f64 {
-        let n = stats.queries.len() as f64;
-        let w: u64 = stats.queries.iter().map(|&q| self.waiting_of(q)).sum();
-        n + self.k * w as f64
+    /// `R(g) = N_g + K·ΣW_q(g)` over one group's lens.
+    fn rank(&self, lens: &GroupLens<'_>) -> f64 {
+        let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
+        lens.queries.len() as f64 + self.k * w as f64
     }
 
-    /// The rank `R(g)` of each group with pending data, sorted by group
-    /// id. Exposed for tests and the scheduling example binaries; takes
-    /// a flat request slice for convenience.
-    pub fn ranks(&self, pending: &[PendingRequest]) -> Vec<(GroupId, f64)> {
-        group_stats(pending)
-            .into_iter()
-            .map(|(g, stats)| (g, self.rank_of(&stats)))
-            .collect()
+    /// The rank `R(g)` of each group with pending data, in ascending
+    /// group id. For tests and the scheduling example; the policy
+    /// itself folds the ranks without collecting them.
+    pub fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, f64)> {
+        let mut out = Vec::new();
+        queue.for_each_group(&mut |g, lens| out.push((g, self.rank(lens))));
+        out
     }
 
     fn best_group(&self, queue: &dyn QueueView) -> Option<GroupId> {
@@ -101,8 +97,7 @@ impl RankBased {
         // residency is drained, so it must not touch the heap).
         let mut best: Option<(GroupId, f64)> = None;
         queue.for_each_group(&mut |g, lens| {
-            let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
-            let rank = lens.queries.len() as f64 + self.k * w as f64;
+            let rank = self.rank(lens);
             if best.is_none_or(|(bg, brank)| takes_lead(queue, g, bg, rank.total_cmp(&brank))) {
                 best = Some((g, rank));
             }
@@ -172,11 +167,7 @@ mod tests {
     #[test]
     fn k_zero_degenerates_to_max_queries() {
         let mut p = RankBased::with_k(0.0);
-        let q = queue_of(&[
-            req(1, 0, 0, 0, 0, 0),
-            req(1, 1, 0, 0, 0, 1),
-            req(2, 2, 0, 0, 0, 2),
-        ]);
+        let q = queue_of(&[req(1, 0, 0, 0, 0), req(1, 1, 0, 0, 1), req(2, 2, 0, 0, 2)]);
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
         // Age group 2 arbitrarily: with K=0 waiting cannot help it.
         for _ in 0..100 {
@@ -192,11 +183,11 @@ mod tests {
         // switch to 1 or 2 ages the lone query; after two switches away
         // from it, R(3) = 1 + 2 = 3 > 2 and group 3 outranks the rest.
         let pending = vec![
-            req(1, 0, 0, 0, 0, 0),
-            req(1, 1, 0, 0, 0, 1),
-            req(2, 2, 0, 0, 0, 2),
-            req(2, 3, 0, 0, 0, 3),
-            req(3, 4, 0, 0, 0, 4),
+            req(1, 0, 0, 0, 0),
+            req(1, 1, 0, 0, 1),
+            req(2, 2, 0, 0, 2),
+            req(2, 3, 0, 0, 3),
+            req(3, 4, 0, 0, 4),
         ];
         let mut p = RankBased::new();
         let q = queue_of(&pending);
@@ -223,21 +214,17 @@ mod tests {
 
     #[test]
     fn rank_formula_matches_paper() {
-        let pending = vec![
-            req(1, 0, 0, 0, 0, 0),
-            req(1, 1, 0, 0, 0, 1),
-            req(2, 2, 0, 0, 0, 2),
-        ];
+        let pending = vec![req(1, 0, 0, 0, 0), req(1, 1, 0, 0, 1), req(2, 2, 0, 0, 2)];
         let mut p = RankBased::new();
         let q = queue_of(&pending);
         // Before any switch: R = N_g.
-        assert_eq!(p.ranks(&pending), vec![(1, 2.0), (2, 1.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 1.0)]);
         p.on_switch_complete(&q, 1);
         // Queries on group 1 reset to 0; query on group 2 aged to 1:
         // R(1) = 2, R(2) = 1 + 1 = 2.
-        assert_eq!(p.ranks(&pending), vec![(1, 2.0), (2, 2.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 2.0)]);
         p.on_switch_complete(&q, 1);
-        assert_eq!(p.ranks(&pending), vec![(1, 2.0), (2, 3.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 3.0)]);
     }
 
     #[test]
@@ -247,8 +234,8 @@ mod tests {
         // group gets served after at most N switches.
         let n_other = 7u16;
         let mut p = RankBased::new();
-        let mut pending: Vec<_> = (0..n_other).map(|t| req(1, t, 0, 0, 0, t as u64)).collect();
-        pending.push(req(2, 99, 0, 0, 0, 99));
+        let mut pending: Vec<_> = (0..n_other).map(|t| req(1, t, 0, 0, t as u64)).collect();
+        pending.push(req(2, 99, 0, 0, 99));
         let q = queue_of(&pending);
         let mut switches = 0;
         loop {
@@ -274,11 +261,7 @@ mod tests {
         use crate::sched::testutil::armed_queue;
         let mut p = RankBased::new();
         let q = armed_queue(
-            &[
-                req(1, 0, 0, 0, 0, 0),
-                req(2, 1, 0, 0, 0, 1),
-                req(2, 2, 0, 0, 0, 2),
-            ],
+            &[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(2, 2, 0, 0, 2)],
             1,
         );
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::ServeActive);
@@ -288,11 +271,11 @@ mod tests {
     fn gc_forgets_departed_queries() {
         use crate::object::QueryId;
         let mut p = RankBased::new();
-        let q = queue_of(&[req(1, 0, 0, 0, 0, 0), req(2, 1, 0, 0, 0, 1)]);
+        let q = queue_of(&[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1)]);
         p.on_switch_complete(&q, 1);
         assert_eq!(p.waiting_of(QueryId::new(1, 0)), 1);
         // Query (1,0) completes and disappears.
-        let rest = queue_of(&[req(1, 0, 0, 0, 0, 0)]);
+        let rest = queue_of(&[req(1, 0, 0, 0, 0)]);
         p.on_switch_complete(&rest, 1);
         assert_eq!(p.waiting_of(QueryId::new(1, 0)), 0); // forgotten
     }

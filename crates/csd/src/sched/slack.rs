@@ -90,7 +90,7 @@ mod tests {
         let mut p = FcfsSlack::new(1);
         // Oldest (seq 3) on group 2; active group 1 has pending work at
         // seq 7, but the window of one only sees seq 3.
-        let q = queue_of(&[req(1, 0, 0, 0, 0, 7), req(2, 1, 0, 0, 0, 3)]);
+        let q = queue_of(&[req(1, 0, 0, 0, 7), req(2, 1, 0, 0, 3)]);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));
     }
 
@@ -101,10 +101,10 @@ mod tests {
         // g2→g1→g2; with slack 4 and g2 loaded, the window's g2 requests
         // are served first (in arrival order here).
         let mut q = queue_of(&[
-            req(2, 0, 0, 0, 0, 0),
-            req(1, 1, 0, 0, 0, 1),
-            req(2, 2, 0, 1, 0, 2),
-            req(2, 3, 0, 2, 0, 3),
+            req(2, 0, 0, 0, 0),
+            req(1, 1, 0, 0, 1),
+            req(2, 2, 0, 1, 2),
+            req(2, 3, 0, 2, 3),
         ]);
         assert_eq!(p.decide(&q, Some(2), InFlight::NONE), Decision::ServeActive);
         for expect in [0u64, 2, 3] {
@@ -120,11 +120,7 @@ mod tests {
         let mut p = FcfsSlack::new(2);
         // Window = seqs {0, 1} (groups 1, 2); a later request on the
         // active group 3 (seq 5) is outside the window and must wait.
-        let q = queue_of(&[
-            req(1, 0, 0, 0, 0, 0),
-            req(2, 1, 0, 0, 0, 1),
-            req(3, 2, 0, 0, 0, 5),
-        ]);
+        let q = queue_of(&[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(3, 2, 0, 0, 5)]);
         assert_eq!(p.decide(&q, Some(3), InFlight::NONE), Decision::SwitchTo(1));
         assert_eq!(q.select(p.serve_scope(), 3), None);
     }
@@ -136,7 +132,7 @@ mod tests {
         // would re-enter the window's grouping scope), then switch once
         // the pipe is empty.
         let mut p = FcfsSlack::new(2);
-        let q = queue_of(&[req(2, 0, 0, 0, 0, 3), req(2, 1, 0, 1, 0, 4)]);
+        let q = queue_of(&[req(2, 0, 0, 0, 3), req(2, 1, 0, 1, 4)]);
         let draining = InFlight { transfers: 1 };
         assert_eq!(p.decide(&q, Some(1), draining), Decision::Idle);
         assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));

@@ -2,13 +2,15 @@
 //!
 //! `sched/queue.rs` promises that a warmed-up device allocates nothing
 //! per request: request nodes, group and query index payloads, their
-//! residency runs, fresh lists, seq FIFOs and heaps are all recycled in
-//! place. The full-stack benchmark cannot see that — its pull engine
-//! allocates one `Vec` per delivery on its own side — so the claim is
-//! pinned here, at the layer that makes it, with this test binary's own
-//! counting allocator. Two shapes are pinned: the pull convoy (a group
-//! created and drained per GET) and the deep batch queue (64 groups of
-//! ≈ 60-request queries, residencies re-armed over and over).
+//! residency runs, fresh lists and seq FIFOs are all recycled in place.
+//! The full-stack benchmark cannot see that — its pull engine allocates
+//! one `Vec` per delivery on its own side — so the claim is pinned here,
+//! at the layer that makes it, with this test binary's own counting
+//! allocator. Two shapes are pinned: the pull convoy (a group created
+//! and drained per GET) and the deep batch queue (64 groups of
+//! ≈ 60-request queries, residencies re-armed over and over), each
+//! under the rank-based policy and under query-FCFS, whose serve scope
+//! resolves through the same runs and fresh lists.
 //!
 //! The counter is per thread, so the two tests may run side by side on
 //! the harness's threads without counting each other.
@@ -63,6 +65,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const TENANTS: u16 = 64;
+
+/// The policies each shape runs under.
+const POLICIES: [SchedPolicy; 2] = [SchedPolicy::RankBased, SchedPolicy::FcfsQuery];
 const SEGMENTS: u32 = 32;
 
 /// Serves `gets` GETs in the pull pattern: every delivery submits its
@@ -83,6 +88,12 @@ fn pull(dev: &mut CsdDevice<()>, now: &mut SimTime, out: &mut Vec<Delivery<()>>,
 
 #[test]
 fn pull_convoy_allocates_nothing_once_warm() {
+    for policy in POLICIES {
+        pull_convoy(policy);
+    }
+}
+
+fn pull_convoy(policy: SchedPolicy) {
     let mut store = ObjectStore::new();
     for tenant in 0..TENANTS {
         for seg in 0..SEGMENTS {
@@ -98,7 +109,7 @@ fn pull_convoy_allocates_nothing_once_warm() {
             ..CsdConfig::default()
         },
         store,
-        SchedPolicy::RankBased.build(),
+        policy.build(),
         IntraGroupOrder::SemanticRoundRobin,
     );
     let mut now = SimTime::ZERO;
@@ -115,7 +126,7 @@ fn pull_convoy_allocates_nothing_once_warm() {
     let allocated = allocations() - before;
     assert_eq!(
         allocated, 0,
-        "{allocated} allocations over 10 000 steady-state GETs"
+        "{policy:?}: {allocated} allocations over 10 000 steady-state GETs"
     );
     assert_eq!(dev.metrics().objects_served, TENANTS as u64 + 10_000);
 }
@@ -180,6 +191,12 @@ impl Batches {
 
 #[test]
 fn deep_batch_queue_allocates_nothing_once_warm() {
+    for policy in POLICIES {
+        deep_batch_queue(policy);
+    }
+}
+
+fn deep_batch_queue(policy: SchedPolicy) {
     let mut store = ObjectStore::new();
     for tenant in 0..BATCH_TENANTS {
         for seg in 0..batch_len(tenant) {
@@ -195,7 +212,7 @@ fn deep_batch_queue_allocates_nothing_once_warm() {
             ..CsdConfig::default()
         },
         store,
-        SchedPolicy::RankBased.build(),
+        policy.build(),
         IntraGroupOrder::SemanticRoundRobin,
     );
     let mut batches = Batches {
@@ -220,7 +237,7 @@ fn deep_batch_queue_allocates_nothing_once_warm() {
     assert_eq!(
         allocated,
         0,
-        "{allocated} allocations over {} steady-state GETs",
+        "{policy:?}: {allocated} allocations over {} steady-state GETs",
         3 * round
     );
     // The measured stretch re-armed deep residencies on every group.

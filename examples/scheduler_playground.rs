@@ -96,10 +96,12 @@ fn main() {
     }
 
     // The §4.4 rank walk-through: R(g) = N_g + K·ΣW_q(g) with K = 1.
+    // Each step loads the group the policy's own `decide` picks (ties go
+    // to the group holding the oldest request), then ages the waiting
+    // queries through `on_switch_complete`.
     println!("\nrank evolution (groups: g0 holds 2 queries, g1 holds 2, g2 holds 1):");
-    use skipper::csd::sched::PendingRequest;
-    use skipper::csd::{ObjectId, QueryId};
-    use skipper::sim::SimTime;
+    use skipper::csd::sched::{Decision, InFlight, PendingRequest, RequestQueue};
+    use skipper::csd::{IntraGroupOrder, ObjectId, QueryId};
     let mk = |group, tenant: u16, seq| PendingRequest {
         object: ObjectId::new(tenant, 0, 0),
         query: QueryId::new(tenant, 0),
@@ -107,10 +109,9 @@ fn main() {
         group,
         bytes: 0,
         slot: 0,
-        arrival: SimTime::ZERO,
         seq,
     };
-    let pending = vec![
+    let pending = [
         mk(0, 0, 0),
         mk(0, 1, 1),
         mk(1, 2, 2),
@@ -119,19 +120,18 @@ fn main() {
     ];
     // The scheduler consumes a QueueView; build the indexed queue the
     // device would maintain incrementally.
-    use skipper::csd::sched::RequestQueue;
-    use skipper::csd::IntraGroupOrder;
-    let queue = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, pending.clone());
+    let queue = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, pending);
     let mut rank = RankBased::new();
+    let mut loaded = None;
     for step in 0..5 {
-        let ranks = rank.ranks(&pending);
-        let served = ranks
-            .iter()
-            .cloned()
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-            .unwrap()
-            .0;
-        println!("  step {step}: ranks {ranks:?} -> load group {served}");
-        rank.on_switch_complete(&queue, served);
+        let ranks = rank.ranks(&queue);
+        let group = match rank.decide(&queue, loaded, InFlight::NONE) {
+            Decision::SwitchTo(g) => g,
+            Decision::ServeActive => loaded.expect("serving needs a loaded group"),
+            Decision::Idle => unreachable!("the queue is never empty"),
+        };
+        println!("  step {step}: ranks {ranks:?} -> load group {group}");
+        rank.on_switch_complete(&queue, group);
+        loaded = Some(group);
     }
 }

@@ -10,7 +10,6 @@ use skipper::csd::sched::{
     Decision, GroupScheduler, InFlight, PendingRequest, RankBased, RequestQueue,
 };
 use skipper::csd::{IntraGroupOrder, ObjectId, QueryId, SchedPolicy};
-use skipper::sim::SimTime;
 
 fn req(group: u32, tenant: u16, seq: u64) -> PendingRequest {
     PendingRequest {
@@ -20,7 +19,6 @@ fn req(group: u32, tenant: u16, seq: u64) -> PendingRequest {
         group,
         bytes: 0,
         slot: 0,
-        arrival: SimTime::ZERO,
         seq,
     }
 }
