@@ -423,12 +423,6 @@ impl GroupQueue {
             self.cursor += 1;
         }
     }
-
-    /// Every key that may still be live: the unserved residency run,
-    /// then the fresh arrivals.
-    fn keys(&self) -> impl Iterator<Item = &OrderKey> {
-        self.run[self.cursor..].iter().chain(&self.fresh)
-    }
 }
 
 impl Recycle for GroupQueue {
@@ -742,9 +736,13 @@ impl RequestIndex for RequestQueue {
                 (r.group == active).then_some(r.seq)
             }
             ServeScope::OldestQuery => {
+                // Every live key of the group sits in the unserved run
+                // or in the fresh arrivals.
                 let oldest_query = self.slab.front()?.query;
-                self.group(active)?
-                    .keys()
+                let g = self.group(active)?;
+                g.run[g.cursor..]
+                    .iter()
+                    .chain(&g.fresh)
                     .filter(|k| {
                         self.slab
                             .get(seq_of(k))
