@@ -741,6 +741,8 @@ impl ShardCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
 
     fn oid(seg: u32) -> ObjectId {
@@ -900,5 +902,238 @@ mod tests {
         assert_eq!(c.stats().fills, 0);
         assert_eq!(c.resident(), (0, 0));
         assert!(c.lookup(t, oid(0), 1000, 0).is_none());
+    }
+
+    /// Bytes of the differential test's object `key`: keys 13 and 29
+    /// exceed its DRAM tier but fit its SSD tier, key 37 exceeds both.
+    fn naive_bytes(key: u32) -> u64 {
+        match key {
+            13 | 29 => 500,
+            37 => 900,
+            _ => [60, 90, 150, 220][key as usize % 4],
+        }
+    }
+
+    fn naive_group(key: u32) -> GroupId {
+        key % 5
+    }
+
+    /// The reference tier: each recency order is a `VecDeque`, most
+    /// recent first, searched linearly. A group's members are its keys
+    /// in `order`, in that order; `groups` is the group order.
+    #[derive(Default)]
+    struct NaiveTier {
+        capacity: u64,
+        bandwidth: f64,
+        policy: CachePolicy,
+        free_at: SimTime,
+        order: VecDeque<(u32, bool)>,
+        groups: VecDeque<GroupId>,
+    }
+
+    impl NaiveTier {
+        fn reserve(&mut self, now: SimTime, bytes: u64) -> SimTime {
+            self.free_at = now.max(self.free_at) + transfer_time(bytes, self.bandwidth);
+            self.free_at
+        }
+
+        fn touch(&mut self, key: u32) -> bool {
+            let Some(i) = self.order.iter().position(|e| e.0 == key) else {
+                return false;
+            };
+            if self.policy == CachePolicy::Clock {
+                self.order[i].1 = true;
+            } else {
+                self.order.remove(i);
+                self.order.push_front((key, false));
+                self.groups.retain(|&g| g != naive_group(key));
+                self.groups.push_front(naive_group(key));
+            }
+            true
+        }
+
+        fn victim(&mut self) -> u32 {
+            let coldest = self.groups.back().copied();
+            loop {
+                let (key, referenced) = *self.order.back().expect("non-empty tier");
+                match self.policy {
+                    CachePolicy::GroupAware => {
+                        let mut members = self.order.iter().rev().map(|e| e.0);
+                        return members
+                            .find(|&k| Some(naive_group(k)) == coldest)
+                            .expect("member");
+                    }
+                    CachePolicy::Clock if referenced => {
+                        self.order.pop_back();
+                        self.order.push_front((key, false));
+                    }
+                    _ => return key,
+                }
+            }
+        }
+
+        fn remove(&mut self, key: u32) {
+            self.order.retain(|e| e.0 != key);
+            let group = naive_group(key);
+            if !self.order.iter().any(|e| naive_group(e.0) == group) {
+                self.groups.retain(|&g| g != group);
+            }
+        }
+
+        /// Inserts `key` (touching it when resident) and returns its
+        /// victims, or `None` when `key` exceeds the tier.
+        fn insert(&mut self, key: u32) -> Option<Vec<u32>> {
+            let bytes = naive_bytes(key);
+            let mut victims = Vec::new();
+            if bytes > self.capacity || self.touch(key) {
+                return (bytes <= self.capacity).then_some(victims);
+            }
+            while self.order.iter().map(|e| naive_bytes(e.0)).sum::<u64>() + bytes > self.capacity {
+                victims.push(self.victim());
+                self.remove(victims[victims.len() - 1]);
+            }
+            self.order.push_front((key, false));
+            self.groups.retain(|&g| g != naive_group(key));
+            self.groups.push_front(naive_group(key));
+            Some(victims)
+        }
+    }
+
+    /// The reference shard cache over two [`NaiveTier`]s.
+    struct Naive {
+        dram: NaiveTier,
+        ssd: NaiveTier,
+        stats: CacheStats,
+    }
+
+    impl Naive {
+        fn lookup(&mut self, now: SimTime, key: u32) -> Option<SimTime> {
+            let bytes = naive_bytes(key);
+            if self.dram.touch(key) {
+                self.stats.dram_hits += 1;
+                self.stats.hit_bytes += bytes;
+                return Some(self.dram.reserve(now, bytes));
+            }
+            if self.ssd.touch(key) {
+                self.stats.ssd_hits += 1;
+                self.stats.hit_bytes += bytes;
+                let ready = self.ssd.reserve(now, bytes);
+                if bytes <= self.dram.capacity {
+                    self.ssd.remove(key);
+                    self.stats.promotions += 1;
+                    self.insert_dram(now, key);
+                }
+                return Some(ready);
+            }
+            self.stats.misses += 1;
+            None
+        }
+
+        fn fill(&mut self, now: SimTime, key: u32) {
+            let filled = if self.dram.capacity > 0 {
+                self.insert_dram(now, key)
+            } else {
+                let dropped = self.ssd.insert(key);
+                self.stats.evictions += dropped.as_ref().map_or(0, Vec::len) as u64;
+                dropped.is_some()
+            };
+            self.stats.fills += filled as u64;
+        }
+
+        fn insert_dram(&mut self, now: SimTime, key: u32) -> bool {
+            let Some(evicted) = self.dram.insert(key) else {
+                return false;
+            };
+            for victim in evicted {
+                match self.ssd.insert(victim) {
+                    Some(dropped) => {
+                        self.ssd.reserve(now, naive_bytes(victim));
+                        self.stats.demotions += 1;
+                        self.stats.writeback_bytes += naive_bytes(victim);
+                        self.stats.evictions += dropped.len() as u64;
+                    }
+                    None => self.stats.evictions += 1,
+                }
+            }
+            true
+        }
+
+        fn invalidate_all(&mut self) {
+            for tier in [&mut self.dram, &mut self.ssd] {
+                (tier.free_at, tier.order, tier.groups) = Default::default();
+            }
+            self.stats.invalidations += 1;
+        }
+    }
+
+    #[test]
+    fn agrees_with_a_naive_model_on_random_sequences() {
+        // 40 objects of `naive_bytes` over 5 groups.
+        let mut store = ObjectStore::<()>::new();
+        let ids: Vec<ObjectId> = (0..40).map(|k| ObjectId::new(k as u16 % 3, 0, k)).collect();
+        for (key, &id) in (0..).zip(&ids) {
+            store.put(id, naive_bytes(key), naive_group(key), ());
+        }
+        let name = |key: u32| ids[key as usize];
+        let tiers = [
+            (TierConfig::new(400, 100.0), TierConfig::disabled()),
+            (TierConfig::disabled(), TierConfig::new(700, 50.0)),
+            (TierConfig::new(400, 100.0), TierConfig::new(700, 50.0)),
+        ];
+        for policy in [
+            CachePolicy::Lru,
+            CachePolicy::Clock,
+            CachePolicy::GroupAware,
+        ] {
+            for (dram, ssd) in tiers {
+                for seed in 0..4u64 {
+                    let config = CacheConfig { dram, ssd, policy };
+                    let mut cache = ShardCache::new(config, &store).expect("enabled");
+                    let tier = |c: TierConfig| NaiveTier {
+                        capacity: c.capacity_bytes,
+                        bandwidth: c.bandwidth_bytes_per_sec,
+                        policy,
+                        ..NaiveTier::default()
+                    };
+                    let mut model = Naive {
+                        dram: tier(dram),
+                        ssd: tier(ssd),
+                        stats: CacheStats::default(),
+                    };
+                    let mut state = seed;
+                    let mut now = SimTime::ZERO;
+                    for step in 0..1500 {
+                        let r = skipper_sim::rng::splitmix64(&mut state);
+                        now = SimTime::from_micros(now.as_micros() + (r >> 40) % 3_000_000);
+                        let key = (r >> 8) as u32 % 40;
+                        let (bytes, group) = (naive_bytes(key), naive_group(key));
+                        let at = format!("{policy:?} {dram:?}/{ssd:?} seed {seed} step {step}");
+                        match r % 100 {
+                            // A lookup, filled on a miss like a delivery.
+                            0..=54 => {
+                                let got = cache.lookup(now, name(key), bytes, group);
+                                assert_eq!(got, model.lookup(now, key), "{at}");
+                                if got.is_none() {
+                                    cache.fill(now, name(key), bytes, group);
+                                    model.fill(now, key);
+                                }
+                            }
+                            // A fill without a lookup: often a refill.
+                            55..=97 => {
+                                cache.fill(now, name(key), bytes, group);
+                                model.fill(now, key);
+                            }
+                            _ => {
+                                cache.invalidate_all();
+                                model.invalidate_all();
+                            }
+                        }
+                        let resident = (model.dram.order.len(), model.ssd.order.len());
+                        assert_eq!(cache.stats(), model.stats, "{at}");
+                        assert_eq!(cache.resident(), resident, "{at}");
+                    }
+                }
+            }
+        }
     }
 }
