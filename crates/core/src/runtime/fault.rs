@@ -658,7 +658,7 @@ impl<P: Clone> DevicePump<P> {
         }
         let mut aborted = self.device.fail(now, displaced);
         if let Some(tiers) = self.cache.as_deref_mut() {
-            aborted += tiers.fail(displaced, self.device.store());
+            aborted += tiers.fail(displaced);
         }
         aborted
     }

@@ -318,11 +318,12 @@
 //! the segment from the client's own dataset when it processes one — so
 //! no reference count is touched per GET, on a hit, a watchdog
 //! redelivery or a failover. No GET hashes its object either: the
-//! fleet's primary shard, the store slot and the cache residency are
-//! each one [`skipper_csd::ObjectIndex`] lookup — bounds-checked
-//! arithmetic from `(tenant, table)` bases plus the segment, then three
-//! loads — and `Scenario::run` lays out every such index once from the
-//! catalogs, so none grows during the run. After warm-up the hot loop
+//! fleet's primary shard and the store slot are each one
+//! [`skipper_csd::ObjectIndex`] lookup — bounds-checked arithmetic from
+//! `(tenant, table)` bases plus the segment, then three loads — and the
+//! cache tiers key residency by that store slot, one vector entry per
+//! stored object. `Scenario::run` lays out every such table once, so
+//! none grows during the run. After warm-up the hot loop
 //! stays off the allocator (the full-stack benchmark under
 //! `benchmark/` counts `runtime.allocs_per_request` ≈ 0.045 on its
 //! 1 024 000-GET `batch_closed` workload; CI gates a ceiling on it).

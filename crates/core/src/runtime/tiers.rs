@@ -17,8 +17,10 @@
 //! pays one null test per hook and runs none of this module's code.
 //! Residency is metadata-only — a hit hands back the object id, and the
 //! engine reads the bytes from its tenant's dataset like any other
-//! delivery — so every routine here reads the shard's [`ObjectStore`]
-//! through the argument its pump passes in.
+//! delivery. The tiers name an object by its slot in the shard's
+//! [`ObjectStore`]: a submit resolves each GET once, the pending hit
+//! carries the slot to its delivery and to a crash's displaced request,
+//! and a miss delivery resolves it again to fill.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -43,6 +45,8 @@ struct CachePending {
     client: usize,
     query: QueryId,
     object: ObjectId,
+    /// The object's slot in the shard's store.
+    slot: u32,
     group: GroupId,
     bytes: u64,
 }
@@ -85,11 +89,11 @@ impl CacheState {
     ) -> &[ObjectId] {
         self.misses.clear();
         for &object in objects {
-            let meta = store
-                .meta(object)
+            let (slot, meta) = store
+                .resolve(object)
                 .unwrap_or_else(|| panic!("unknown object {object} submitted to shard cache"));
             let (bytes, group) = (meta.logical_bytes, meta.group);
-            match self.cache.lookup(now, object, bytes, group) {
+            match self.cache.lookup(now, slot, bytes, group) {
                 Some(ready) => {
                     // A hit never reaches the device, whose submit
                     // rejects a cross-tenant GET: reject it here.
@@ -101,6 +105,7 @@ impl CacheState {
                         client,
                         query,
                         object,
+                        slot,
                         group,
                         bytes,
                     }));
@@ -129,10 +134,7 @@ impl CacheState {
         self.armed = None;
         while self.pending.peek().is_some_and(|p| p.0.ready == now) {
             let Reverse(p) = self.pending.pop().expect("peeked entry");
-            let payload = store
-                .get(p.object)
-                .expect("cache-resident object lives in the shard store")
-                .clone();
+            let payload = store.payload(p.slot).clone();
             if self.ledger {
                 self.served_log
                     .push(LedgerEntry::new(p.client, p.query, p.object));
@@ -155,11 +157,10 @@ impl CacheState {
         store: &ObjectStore<P>,
     ) {
         for d in delivered {
-            let meta = store
-                .meta(d.object)
+            let (slot, meta) = store
+                .resolve(d.object)
                 .expect("delivered object has store metadata");
-            self.cache
-                .fill(now, d.object, meta.logical_bytes, meta.group);
+            self.cache.fill(now, slot, meta.logical_bytes, meta.group);
         }
     }
 
@@ -181,24 +182,17 @@ impl CacheState {
     /// evacuation — for the fleet to re-route, and the tiers are wiped
     /// (nothing survives a power cycle, so no stale hit is ever
     /// served). Returns the number of hits displaced.
-    pub(super) fn fail<P>(
-        &mut self,
-        displaced: &mut Vec<PendingRequest>,
-        store: &ObjectStore<P>,
-    ) -> usize {
+    pub(super) fn fail(&mut self, displaced: &mut Vec<PendingRequest>) -> usize {
         self.armed = None;
         let hits = self.pending.len();
         while let Some(Reverse(p)) = self.pending.pop() {
-            let (slot, _) = store
-                .resolve(p.object)
-                .expect("cache hit on an object the shard stores");
             displaced.push(PendingRequest {
                 object: p.object,
                 query: p.query,
                 client: p.client,
                 group: p.group,
                 bytes: p.bytes,
-                slot,
+                slot: p.slot,
                 seq: p.seq,
             });
         }

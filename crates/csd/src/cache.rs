@@ -33,13 +33,19 @@
 //!   the victim is the least-recently-*used group's* coldest object,
 //!   so a group whose objects keep getting hit stays fully resident
 //!   and every future GET against it skips the switch entirely.
-
-use std::collections::HashMap;
+//!
+//! ## Residency
+//!
+//! A tier names an object by its slot in the shard's store
+//! ([`ObjectStore::resolve`]) and maps slots to resident nodes through
+//! one vector laid out for every stored object. Every recency order is
+//! one instance of one index-linked list type: the node order (LRU,
+//! CLOCK), each group's member list and the group order (group-aware).
 
 use skipper_sim::SimTime;
 
-use crate::object::{GroupId, ObjectId, ObjectIndex};
-use crate::store::{transfer_time, FastBuild, ObjectStore};
+use crate::object::GroupId;
+use crate::store::{transfer_time, ObjectStore};
 
 /// Default DRAM tier read bandwidth (one service pipe): 4 GiB/s.
 pub const DRAM_BANDWIDTH_BYTES_PER_SEC: f64 = 4.0 * (1u64 << 30) as f64;
@@ -224,40 +230,113 @@ impl CacheStats {
     }
 }
 
-/// Slab slot sentinel for the intrusive lists.
+/// The end of a [`List`], or a store slot with no resident node.
 const NIL: u32 = u32::MAX;
 
-/// One resident object: slab node carrying both the global recency
-/// links and the per-group links (group-aware policy only).
+/// One entry's neighbours in the [`List`] it is on.
 #[derive(Clone, Copy, Debug)]
-struct Node {
-    id: ObjectId,
-    bytes: u64,
-    group: GroupId,
-    /// Global recency list (MRU at head).
+struct Links {
     prev: u32,
     next: u32,
-    /// Per-group recency list (MRU at head; group-aware policy).
-    gprev: u32,
-    gnext: u32,
+}
+
+/// A doubly linked recency order over the entries of a slab, most
+/// recent first. The links live in the entries themselves ([`AsMut`]),
+/// so a list is just its two ends: the recency order and each group's
+/// members over a tier's nodes, the group order over its groups.
+#[derive(Clone, Copy, Debug)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn unlink<T: AsMut<Links>>(&mut self, slab: &mut [T], at: u32) {
+        let Links { prev, next } = *slab[at as usize].as_mut();
+        match prev {
+            NIL => self.head = next,
+            prev => slab[prev as usize].as_mut().next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => slab[next as usize].as_mut().prev = prev,
+        }
+    }
+
+    fn push_front<T: AsMut<Links>>(&mut self, slab: &mut [T], at: u32) {
+        *slab[at as usize].as_mut() = Links {
+            prev: NIL,
+            next: self.head,
+        };
+        match self.head {
+            NIL => self.tail = at,
+            head => slab[head as usize].as_mut().prev = at,
+        }
+        self.head = at;
+    }
+
+    fn move_to_front<T: AsMut<Links>>(&mut self, slab: &mut [T], at: u32) {
+        if self.head != at {
+            self.unlink(slab, at);
+            self.push_front(slab, at);
+        }
+    }
+}
+
+/// One resident object. Its links place it on the tier's recency order
+/// (LRU, CLOCK) or on its group's member list (group-aware): a policy
+/// keeps each node on exactly one of the two.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// The object's store slot.
+    slot: u32,
+    bytes: u64,
+    group: GroupId,
+    links: Links,
     /// CLOCK reference bit.
     referenced: bool,
 }
 
-/// Per-group list head/tail plus the group-recency chain links.
+impl AsMut<Links> for Node {
+    fn as_mut(&mut self) -> &mut Links {
+        &mut self.links
+    }
+}
+
+/// One disk group of a group-aware tier: its resident members, and its
+/// place in the group order while it has any.
 #[derive(Clone, Copy, Debug)]
-struct GroupLinks {
-    head: u32,
-    tail: u32,
-    prev: Option<GroupId>,
-    next: Option<GroupId>,
+struct Group {
+    members: List,
+    order: Links,
+}
+
+impl Group {
+    const EMPTY: Group = Group {
+        members: List::EMPTY,
+        order: Links {
+            prev: NIL,
+            next: NIL,
+        },
+    };
+}
+
+impl AsMut<Links> for Group {
+    fn as_mut(&mut self) -> &mut Links {
+        &mut self.order
+    }
 }
 
 /// One cache tier: a capacity-bounded residency set over a slab of
-/// intrusively linked nodes, plus the serialized bandwidth pipe.
-/// All operations are allocation-free once the slab and the group
-/// links have grown to their peak population: the residency index is
-/// laid out at construction for every object the shard stores.
+/// nodes, plus the serialized bandwidth pipe. Residency is keyed by
+/// store slot through an index laid out once for every object the
+/// shard stores, and each recency order is one [`List`]. All operations
+/// are allocation-free once the slab has grown to its peak population.
 struct Tier {
     capacity: u64,
     bandwidth: f64,
@@ -267,19 +346,25 @@ struct Tier {
     free_at: SimTime,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    /// Resident object → slab slot.
-    index: ObjectIndex,
-    /// Global recency list (MRU first).
-    head: u32,
-    tail: u32,
-    /// Group recency chain (group-aware policy; MRU first).
-    groups: HashMap<GroupId, GroupLinks, FastBuild>,
-    gmru: Option<GroupId>,
-    glru: Option<GroupId>,
+    /// Store slot → resident node, [`NIL`] when absent.
+    index: Vec<u32>,
+    /// Node recency order (LRU and CLOCK).
+    recency: List,
+    /// Per [`GroupId`] (group-aware policy; empty otherwise).
+    groups: Vec<Group>,
+    /// Order of the groups with a resident member (group-aware policy).
+    group_order: List,
 }
 
 impl Tier {
-    fn new(config: TierConfig, policy: CachePolicy, index: ObjectIndex) -> Tier {
+    /// A tier in front of a store of `objects` objects in `groups`
+    /// groups.
+    fn new(config: TierConfig, policy: CachePolicy, objects: usize, groups: usize) -> Tier {
+        let groups = if policy == CachePolicy::GroupAware {
+            groups
+        } else {
+            0
+        };
         Tier {
             capacity: config.capacity_bytes,
             bandwidth: config.bandwidth_bytes_per_sec,
@@ -288,12 +373,10 @@ impl Tier {
             free_at: SimTime::ZERO,
             nodes: Vec::new(),
             free: Vec::new(),
-            index,
-            head: NIL,
-            tail: NIL,
-            groups: HashMap::default(),
-            gmru: None,
-            glru: None,
+            index: vec![NIL; objects],
+            recency: List::EMPTY,
+            groups: vec![Group::EMPTY; groups],
+            group_order: List::EMPTY,
         }
     }
 
@@ -302,7 +385,7 @@ impl Tier {
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// Reserves the serialized pipe for `bytes`: service starts when
@@ -315,278 +398,127 @@ impl Tier {
         done
     }
 
-    // ---- global recency list ----
-
-    fn unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[slot as usize];
-            (n.prev, n.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
+    /// Records a hit on store slot `slot` (recency update per policy);
+    /// returns the resident byte size, or `None` when absent.
+    fn touch(&mut self, slot: u32) -> Option<u64> {
+        let node = self.index[slot as usize];
+        if node == NIL {
+            return None;
         }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        let old = self.head;
-        {
-            let n = &mut self.nodes[slot as usize];
-            n.prev = NIL;
-            n.next = old;
-        }
-        if old != NIL {
-            self.nodes[old as usize].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    // ---- per-group lists (group-aware policy) ----
-
-    fn group_unlink_node(&mut self, slot: u32) {
-        let (group, gprev, gnext) = {
-            let n = &self.nodes[slot as usize];
-            (n.group, n.gprev, n.gnext)
-        };
-        let links = self.groups.get_mut(&group).expect("resident node's group");
-        if gprev == NIL {
-            links.head = gnext;
-        } else {
-            self.nodes[gprev as usize].gnext = gnext;
-        }
-        if gnext == NIL {
-            links.tail = gprev;
-        } else {
-            self.nodes[gnext as usize].gprev = gprev;
-        }
-        let links = self.groups[&group];
-        if links.head == NIL {
-            // Last resident object of the group: drop it from the
-            // group-recency chain.
-            match links.prev {
-                Some(p) => self.groups.get_mut(&p).expect("chained group").next = links.next,
-                None => self.gmru = links.next,
-            }
-            match links.next {
-                Some(nx) => self.groups.get_mut(&nx).expect("chained group").prev = links.prev,
-                None => self.glru = links.prev,
-            }
-            self.groups.remove(&group);
-        }
-    }
-
-    fn group_push_node(&mut self, slot: u32) {
-        let group = self.nodes[slot as usize].group;
-        match self.groups.get_mut(&group) {
-            Some(links) => {
-                let old = links.head;
-                links.head = slot;
-                {
-                    let n = &mut self.nodes[slot as usize];
-                    n.gprev = NIL;
-                    n.gnext = old;
-                }
-                if old != NIL {
-                    self.nodes[old as usize].gprev = slot;
-                }
-            }
-            None => {
-                {
-                    let n = &mut self.nodes[slot as usize];
-                    n.gprev = NIL;
-                    n.gnext = NIL;
-                }
-                self.groups.insert(
-                    group,
-                    GroupLinks {
-                        head: slot,
-                        tail: slot,
-                        prev: None,
-                        next: None,
-                    },
-                );
-                // Splice at MRU below (group_touch), starting unlinked.
-                let links = self.groups.get_mut(&group).expect("just inserted");
-                links.next = self.gmru;
-                match self.gmru {
-                    Some(m) => self.groups.get_mut(&m).expect("chained group").prev = Some(group),
-                    None => self.glru = Some(group),
-                }
-                self.gmru = Some(group);
-                return;
-            }
-        }
-        self.group_touch(group);
-    }
-
-    /// Moves `group` to the MRU end of the group-recency chain.
-    fn group_touch(&mut self, group: GroupId) {
-        if self.gmru == Some(group) {
-            return;
-        }
-        let links = self.groups[&group];
-        match links.prev {
-            Some(p) => self.groups.get_mut(&p).expect("chained group").next = links.next,
-            None => self.gmru = links.next,
-        }
-        match links.next {
-            Some(nx) => self.groups.get_mut(&nx).expect("chained group").prev = links.prev,
-            None => self.glru = links.prev,
-        }
-        let old_mru = self.gmru;
-        {
-            let links = self.groups.get_mut(&group).expect("chained group");
-            links.prev = None;
-            links.next = old_mru;
-        }
-        match old_mru {
-            Some(m) => self.groups.get_mut(&m).expect("chained group").prev = Some(group),
-            None => self.glru = Some(group),
-        }
-        self.gmru = Some(group);
-    }
-
-    // ---- residency operations ----
-
-    /// Records a hit on `id` (recency update per policy); returns the
-    /// resident byte size, or `None` when absent.
-    fn touch(&mut self, id: ObjectId) -> Option<u64> {
-        let slot = self.index.get(id)?;
         match self.policy {
-            CachePolicy::Lru => {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-            CachePolicy::Clock => {
-                self.nodes[slot as usize].referenced = true;
-            }
+            CachePolicy::Lru => self.recency.move_to_front(&mut self.nodes, node),
+            CachePolicy::Clock => self.nodes[node as usize].referenced = true,
             CachePolicy::GroupAware => {
-                self.unlink(slot);
-                self.push_front(slot);
-                self.group_unlink_node(slot);
-                self.group_push_node(slot);
+                let group = self.nodes[node as usize].group;
+                self.groups[group as usize]
+                    .members
+                    .move_to_front(&mut self.nodes, node);
+                self.group_order.move_to_front(&mut self.groups, group);
             }
         }
-        Some(self.nodes[slot as usize].bytes)
+        Some(self.nodes[node as usize].bytes)
     }
 
-    /// Picks the victim slot per policy. Caller guarantees the tier is
+    /// Picks the victim node per policy. Caller guarantees the tier is
     /// non-empty.
     fn victim(&mut self) -> u32 {
         match self.policy {
-            CachePolicy::Lru => self.tail,
-            CachePolicy::Clock => {
+            CachePolicy::Lru => self.recency.tail,
+            CachePolicy::Clock => loop {
                 // Second chance: rotate referenced tail entries back to
                 // the front with the bit cleared. Each pass clears one
                 // bit, so this terminates within one lap.
-                loop {
-                    let t = self.tail;
-                    debug_assert!(t != NIL, "victim() on an empty tier");
-                    if self.nodes[t as usize].referenced {
-                        self.nodes[t as usize].referenced = false;
-                        self.unlink(t);
-                        self.push_front(t);
-                    } else {
-                        return t;
-                    }
+                let tail = self.recency.tail;
+                debug_assert!(tail != NIL, "victim() on an empty tier");
+                let node = &mut self.nodes[tail as usize];
+                if !node.referenced {
+                    return tail;
                 }
-            }
-            CachePolicy::GroupAware => {
-                let coldest = self.glru.expect("non-empty tier has a coldest group");
-                self.groups[&coldest].tail
-            }
+                node.referenced = false;
+                self.recency.move_to_front(&mut self.nodes, tail);
+            },
+            CachePolicy::GroupAware => self.groups[self.group_order.tail as usize].members.tail,
         }
     }
 
-    /// Removes `slot` from every structure and returns its metadata.
-    fn remove_slot(&mut self, slot: u32) -> (ObjectId, u64, GroupId) {
-        self.unlink(slot);
+    /// Takes `node` off its policy's order(s) and out of the tier, and
+    /// returns its `(slot, bytes, group)`.
+    fn remove_node(&mut self, node: u32) -> (u32, u64, GroupId) {
+        let n = self.nodes[node as usize];
         if self.policy == CachePolicy::GroupAware {
-            self.group_unlink_node(slot);
-        }
-        let n = self.nodes[slot as usize];
-        self.index.remove(n.id);
-        self.used -= n.bytes;
-        self.free.push(slot);
-        (n.id, n.bytes, n.group)
-    }
-
-    /// Removes `id` if resident (promotion exclusivity).
-    fn remove(&mut self, id: ObjectId) -> bool {
-        match self.index.get(id) {
-            Some(slot) => {
-                self.remove_slot(slot);
-                true
+            let members = &mut self.groups[n.group as usize].members;
+            members.unlink(&mut self.nodes, node);
+            if members.head == NIL {
+                self.group_order.unlink(&mut self.groups, n.group);
             }
-            None => false,
+        } else {
+            self.recency.unlink(&mut self.nodes, node);
         }
+        self.index[n.slot as usize] = NIL;
+        self.used -= n.bytes;
+        self.free.push(node);
+        (n.slot, n.bytes, n.group)
     }
 
-    /// Inserts `id` at the MRU position, evicting per policy until it
+    /// Removes the resident object at `slot` (promotion exclusivity).
+    fn remove(&mut self, slot: u32) {
+        self.remove_node(self.index[slot as usize]);
+    }
+
+    /// Inserts `slot` at the MRU position, evicting per policy until it
     /// fits; evicted objects are appended to `evicted`. Returns `false`
     /// (inserting nothing, evicting nothing) when `bytes` exceeds the
     /// whole tier, and `true` (a pure touch) when already resident.
     fn insert(
         &mut self,
-        id: ObjectId,
+        slot: u32,
         bytes: u64,
         group: GroupId,
-        evicted: &mut Vec<(ObjectId, u64, GroupId)>,
+        evicted: &mut Vec<(u32, u64, GroupId)>,
     ) -> bool {
         if bytes > self.capacity {
             return false;
         }
-        if self.index.get(id).is_some() {
-            self.touch(id);
+        if self.touch(slot).is_some() {
             return true;
         }
         while self.used + bytes > self.capacity {
-            let v = self.victim();
-            evicted.push(self.remove_slot(v));
+            let victim = self.victim();
+            evicted.push(self.remove_node(victim));
         }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize] = Node {
-                    id,
-                    bytes,
-                    group,
-                    prev: NIL,
-                    next: NIL,
-                    gprev: NIL,
-                    gnext: NIL,
-                    referenced: false,
-                };
-                s
+        let n = Node {
+            slot,
+            bytes,
+            group,
+            links: Links {
+                prev: NIL,
+                next: NIL,
+            },
+            referenced: false,
+        };
+        let node = match self.free.pop() {
+            Some(node) => {
+                self.nodes[node as usize] = n;
+                node
             }
             None => {
-                let s = u32::try_from(self.nodes.len()).expect("cache slab fits u32");
-                self.nodes.push(Node {
-                    id,
-                    bytes,
-                    group,
-                    prev: NIL,
-                    next: NIL,
-                    gprev: NIL,
-                    gnext: NIL,
-                    referenced: false,
-                });
-                s
+                self.nodes.push(n);
+                u32::try_from(self.nodes.len() - 1).expect("cache slab fits u32")
             }
         };
-        self.index.insert(id, slot);
+        self.index[slot as usize] = node;
         self.used += bytes;
-        self.push_front(slot);
         if self.policy == CachePolicy::GroupAware {
-            self.group_push_node(slot);
+            let members = &mut self.groups[group as usize].members;
+            let first = members.head == NIL;
+            members.push_front(&mut self.nodes, node);
+            if first {
+                self.group_order.push_front(&mut self.groups, group);
+            } else {
+                self.group_order.move_to_front(&mut self.groups, group);
+            }
+        } else {
+            self.recency.push_front(&mut self.nodes, node);
         }
         true
     }
@@ -598,12 +530,10 @@ impl Tier {
         self.free_at = SimTime::ZERO;
         self.nodes.clear();
         self.free.clear();
-        self.index.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.groups.clear();
-        self.gmru = None;
-        self.glru = None;
+        self.index.fill(NIL);
+        self.recency = List::EMPTY;
+        self.groups.fill(Group::EMPTY);
+        self.group_order = List::EMPTY;
     }
 }
 
@@ -611,65 +541,64 @@ impl Tier {
 /// with hits reserving tier bandwidth, SSD hits promoting, DRAM
 /// evictions demoting (write-backs on the SSD pipe), and full
 /// hit/miss/fill accounting. Pure state — the runtime's pump owns
-/// delivery scheduling and crash wiring.
+/// delivery scheduling and crash wiring. Objects are named by their
+/// slot in the shard's store ([`ObjectStore::resolve`]).
 pub struct ShardCache {
     dram: Tier,
     ssd: Tier,
     stats: CacheStats,
     /// Reusable eviction scratch (DRAM evictions per insert).
-    evict_scratch: Vec<(ObjectId, u64, GroupId)>,
+    evict_scratch: Vec<(u32, u64, GroupId)>,
     /// Reusable eviction scratch (SSD evictions per demotion).
-    drop_scratch: Vec<(ObjectId, u64, GroupId)>,
+    drop_scratch: Vec<(u32, u64, GroupId)>,
 }
 
 impl ShardCache {
     /// Builds the cache in front of `store`, or `None` for a disabled
     /// config — the caller keeps `None` on the hot path so zero
-    /// capacity is byte-exactly the uncached machine. Each tier's
-    /// residency index takes the layout of the store's, so filling the
-    /// tiers with the store's objects never grows it.
+    /// capacity is byte-exactly the uncached machine. Each tier indexes
+    /// residency by store slot, one entry per stored object, so filling
+    /// the tiers never grows it.
     pub fn new<P>(config: CacheConfig, store: &ObjectStore<P>) -> Option<ShardCache> {
         if !config.enabled() {
             return None;
         }
-        let index = || {
-            let mut index = store.slots.clone();
-            index.clear();
-            index
-        };
+        let groups = store.iter_meta().map(|m| m.group as usize + 1).max();
+        let tier = |c| Tier::new(c, config.policy, store.len(), groups.unwrap_or(0));
         Some(ShardCache {
-            dram: Tier::new(config.dram, config.policy, index()),
-            ssd: Tier::new(config.ssd, config.policy, index()),
+            dram: tier(config.dram),
+            ssd: tier(config.ssd),
             stats: CacheStats::default(),
             evict_scratch: Vec::new(),
             drop_scratch: Vec::new(),
         })
     }
 
-    /// Consults the tiers for `id`: on a hit, reserves the serving
-    /// tier's pipe and returns the delivery-ready instant (an SSD hit
-    /// also promotes the object to DRAM); on a miss returns `None` and
-    /// the caller forwards the GET to the CSD.
+    /// Consults the tiers for the object at store slot `slot`: on a
+    /// hit, reserves the serving tier's pipe and returns the
+    /// delivery-ready instant (an SSD hit also promotes the object to
+    /// DRAM); on a miss returns `None` and the caller forwards the GET
+    /// to the CSD.
     pub fn lookup(
         &mut self,
         now: SimTime,
-        id: ObjectId,
+        slot: u32,
         bytes: u64,
         group: GroupId,
     ) -> Option<SimTime> {
-        if self.dram.enabled() && self.dram.touch(id).is_some() {
+        if self.dram.touch(slot).is_some() {
             self.stats.dram_hits += 1;
             self.stats.hit_bytes += bytes;
             return Some(self.dram.reserve(now, bytes));
         }
-        if self.ssd.enabled() && self.ssd.touch(id).is_some() {
+        if self.ssd.touch(slot).is_some() {
             self.stats.ssd_hits += 1;
             self.stats.hit_bytes += bytes;
             let ready = self.ssd.reserve(now, bytes);
             if self.dram.enabled() && bytes <= self.dram.capacity {
-                self.ssd.remove(id);
+                self.ssd.remove(slot);
                 self.stats.promotions += 1;
-                self.insert_dram(now, id, bytes, group);
+                self.insert_dram(now, slot, bytes, group);
             }
             return Some(ready);
         }
@@ -677,17 +606,18 @@ impl ShardCache {
         None
     }
 
-    /// Fills the hierarchy after a miss delivery: the object enters the
-    /// top enabled tier; DRAM evictions demote into SSD as write-backs
-    /// on the SSD pipe; SSD evictions leave the hierarchy.
-    pub fn fill(&mut self, now: SimTime, id: ObjectId, bytes: u64, group: GroupId) {
+    /// Fills the hierarchy with the object at store slot `slot` after a
+    /// miss delivery: the object enters the top enabled tier; DRAM
+    /// evictions demote into SSD as write-backs on the SSD pipe; SSD
+    /// evictions leave the hierarchy.
+    pub fn fill(&mut self, now: SimTime, slot: u32, bytes: u64, group: GroupId) {
         if self.dram.enabled() {
-            if self.insert_dram(now, id, bytes, group) {
+            if self.insert_dram(now, slot, bytes, group) {
                 self.stats.fills += 1;
             }
         } else if self.ssd.enabled() {
             self.drop_scratch.clear();
-            if self.ssd.insert(id, bytes, group, &mut self.drop_scratch) {
+            if self.ssd.insert(slot, bytes, group, &mut self.drop_scratch) {
                 self.stats.fills += 1;
             }
             self.stats.evictions += self.drop_scratch.len() as u64;
@@ -696,14 +626,19 @@ impl ShardCache {
 
     /// Inserts into DRAM, demoting evictions into SSD. Returns whether
     /// the object is resident afterwards.
-    fn insert_dram(&mut self, now: SimTime, id: ObjectId, bytes: u64, group: GroupId) -> bool {
+    fn insert_dram(&mut self, now: SimTime, slot: u32, bytes: u64, group: GroupId) -> bool {
         self.evict_scratch.clear();
-        let inserted = self.dram.insert(id, bytes, group, &mut self.evict_scratch);
+        let inserted = self
+            .dram
+            .insert(slot, bytes, group, &mut self.evict_scratch);
         for i in 0..self.evict_scratch.len() {
-            let (eid, ebytes, egroup) = self.evict_scratch[i];
+            let (eslot, ebytes, egroup) = self.evict_scratch[i];
             if self.ssd.enabled() {
                 self.drop_scratch.clear();
-                if self.ssd.insert(eid, ebytes, egroup, &mut self.drop_scratch) {
+                if self
+                    .ssd
+                    .insert(eslot, ebytes, egroup, &mut self.drop_scratch)
+                {
                     // The write-back occupies the SSD pipe like any
                     // read: demotions compete with foreground hits.
                     self.ssd.reserve(now, ebytes);
@@ -744,14 +679,21 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
+    use crate::object::ObjectId;
 
-    fn oid(seg: u32) -> ObjectId {
-        ObjectId::new(0, 0, seg)
+    /// The store slot of the unit tests' object `seg` (see [`cache`]).
+    fn slot(seg: u32) -> u32 {
+        seg
     }
 
-    /// A cache in front of an empty store: its index grows as it fills.
+    /// A cache in front of a store of the 16 objects the unit tests
+    /// use, `seg` at slot `seg`, over the groups 0..3 they pass.
     fn cache(config: CacheConfig) -> Option<ShardCache> {
-        ShardCache::new(config, &ObjectStore::<()>::new())
+        let mut store = ObjectStore::<()>::new();
+        for seg in 0..16 {
+            store.put(ObjectId::new(0, 0, seg), 100, seg % 3, ());
+        }
+        ShardCache::new(config, &store)
     }
 
     fn dram_cache(capacity: u64, policy: CachePolicy) -> ShardCache {
@@ -775,14 +717,14 @@ mod tests {
         let mut c = dram_cache(300, CachePolicy::Lru);
         let t = SimTime::ZERO;
         for seg in 0..3 {
-            c.fill(t, oid(seg), 100, 0);
+            c.fill(t, slot(seg), 100, 0);
         }
         // Touch 0 so 1 becomes the LRU victim.
-        assert!(c.lookup(t, oid(0), 100, 0).is_some());
-        c.fill(t, oid(3), 100, 0);
-        assert!(c.lookup(t, oid(1), 100, 0).is_none(), "LRU victim evicted");
-        assert!(c.lookup(t, oid(0), 100, 0).is_some());
-        assert!(c.lookup(t, oid(3), 100, 0).is_some());
+        assert!(c.lookup(t, slot(0), 100, 0).is_some());
+        c.fill(t, slot(3), 100, 0);
+        assert!(c.lookup(t, slot(1), 100, 0).is_none(), "LRU victim evicted");
+        assert!(c.lookup(t, slot(0), 100, 0).is_some());
+        assert!(c.lookup(t, slot(3), 100, 0).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -791,14 +733,17 @@ mod tests {
         let mut c = dram_cache(300, CachePolicy::Clock);
         let t = SimTime::ZERO;
         for seg in 0..3 {
-            c.fill(t, oid(seg), 100, 0);
+            c.fill(t, slot(seg), 100, 0);
         }
         // Reference 0 (the would-be victim): CLOCK must skip it.
-        assert!(c.lookup(t, oid(0), 100, 0).is_some());
-        c.fill(t, oid(3), 100, 0);
-        assert!(c.lookup(t, oid(0), 100, 0).is_some(), "referenced survives");
+        assert!(c.lookup(t, slot(0), 100, 0).is_some());
+        c.fill(t, slot(3), 100, 0);
         assert!(
-            c.lookup(t, oid(1), 100, 0).is_none(),
+            c.lookup(t, slot(0), 100, 0).is_some(),
+            "referenced survives"
+        );
+        assert!(
+            c.lookup(t, slot(1), 100, 0).is_none(),
             "unreferenced evicted"
         );
     }
@@ -808,29 +753,29 @@ mod tests {
         let mut c = dram_cache(400, CachePolicy::GroupAware);
         let t = SimTime::ZERO;
         // Group 0: objects 0,1 — filled first; group 1: objects 10,11.
-        c.fill(t, oid(0), 100, 0);
-        c.fill(t, oid(1), 100, 0);
-        c.fill(t, oid(10), 100, 1);
-        c.fill(t, oid(11), 100, 1);
+        c.fill(t, slot(0), 100, 0);
+        c.fill(t, slot(1), 100, 0);
+        c.fill(t, slot(10), 100, 1);
+        c.fill(t, slot(11), 100, 1);
         // Touch ONE object of group 0: under plain LRU object 1 (group
         // 0) would be the victim; group-aware recency protects the
         // whole group and evicts from group 1 instead.
-        assert!(c.lookup(t, oid(0), 100, 0).is_some());
-        c.fill(t, oid(2), 100, 0);
-        assert!(c.lookup(t, oid(1), 100, 0).is_some(), "whole group stays");
-        assert!(c.lookup(t, oid(10), 100, 1).is_none(), "cold group pays");
+        assert!(c.lookup(t, slot(0), 100, 0).is_some());
+        c.fill(t, slot(2), 100, 0);
+        assert!(c.lookup(t, slot(1), 100, 0).is_some(), "whole group stays");
+        assert!(c.lookup(t, slot(10), 100, 1).is_none(), "cold group pays");
     }
 
     #[test]
     fn hits_serialize_on_the_tier_pipe() {
         let mut c = dram_cache(300, CachePolicy::Lru);
         let t = SimTime::ZERO;
-        c.fill(t, oid(0), 100, 0);
-        c.fill(t, oid(1), 100, 0);
+        c.fill(t, slot(0), 100, 0);
+        c.fill(t, slot(1), 100, 0);
         // 100 bytes at 100 B/s = 1 s each; the second hit queues behind
         // the first on the single pipe.
-        let first = c.lookup(t, oid(0), 100, 0).expect("hit");
-        let second = c.lookup(t, oid(1), 100, 0).expect("hit");
+        let first = c.lookup(t, slot(0), 100, 0).expect("hit");
+        let second = c.lookup(t, slot(1), 100, 0).expect("hit");
         assert_eq!(first, SimTime::from_secs(1));
         assert_eq!(second, SimTime::from_secs(2));
     }
@@ -844,12 +789,12 @@ mod tests {
         })
         .expect("enabled");
         let t = SimTime::ZERO;
-        c.fill(t, oid(0), 100, 0);
-        c.fill(t, oid(1), 100, 0); // evicts 0 from DRAM → demotes to SSD
+        c.fill(t, slot(0), 100, 0);
+        c.fill(t, slot(1), 100, 0); // evicts 0 from DRAM → demotes to SSD
         assert_eq!(c.stats().demotions, 1);
         assert_eq!(c.stats().writeback_bytes, 100);
         // The SSD hit must queue behind the 1 s write-back.
-        let ready = c.lookup(t, oid(0), 100, 0).expect("SSD hit");
+        let ready = c.lookup(t, slot(0), 100, 0).expect("SSD hit");
         assert_eq!(ready, SimTime::from_secs(2));
         assert_eq!(c.stats().ssd_hits, 1);
         // The hit promoted 0 back to DRAM, displacing 1 down.
@@ -867,8 +812,8 @@ mod tests {
             let segs = if round == 0 { 0..8u32 } else { 4..8u32 };
             for seg in segs {
                 lookups += 1;
-                if c.lookup(t, oid(seg), 100, seg % 2).is_none() {
-                    c.fill(t, oid(seg), 100, seg % 2);
+                if c.lookup(t, slot(seg), 100, seg % 2).is_none() {
+                    c.fill(t, slot(seg), 100, seg % 2);
                 }
             }
         }
@@ -884,13 +829,13 @@ mod tests {
         let mut c = dram_cache(500, CachePolicy::GroupAware);
         let t = SimTime::ZERO;
         for seg in 0..5 {
-            c.fill(t, oid(seg), 100, seg % 3);
+            c.fill(t, slot(seg), 100, seg % 3);
         }
         c.invalidate_all();
         assert_eq!(c.resident(), (0, 0));
         assert_eq!(c.stats().invalidations, 1);
         for seg in 0..5 {
-            assert!(c.lookup(t, oid(seg), 100, seg % 3).is_none());
+            assert!(c.lookup(t, slot(seg), 100, seg % 3).is_none());
         }
     }
 
@@ -898,10 +843,10 @@ mod tests {
     fn oversized_objects_bypass_the_tier() {
         let mut c = dram_cache(100, CachePolicy::Lru);
         let t = SimTime::ZERO;
-        c.fill(t, oid(0), 1000, 0);
+        c.fill(t, slot(0), 1000, 0);
         assert_eq!(c.stats().fills, 0);
         assert_eq!(c.resident(), (0, 0));
-        assert!(c.lookup(t, oid(0), 1000, 0).is_none());
+        assert!(c.lookup(t, slot(0), 1000, 0).is_none());
     }
 
     /// Bytes of the differential test's object `key`: keys 13 and 29
@@ -1074,7 +1019,7 @@ mod tests {
         for (key, &id) in (0..).zip(&ids) {
             store.put(id, naive_bytes(key), naive_group(key), ());
         }
-        let name = |key: u32| ids[key as usize];
+        let name = |key: u32| store.resolve(ids[key as usize]).expect("stored").0;
         let tiers = [
             (TierConfig::new(400, 100.0), TierConfig::disabled()),
             (TierConfig::disabled(), TierConfig::new(700, 50.0)),

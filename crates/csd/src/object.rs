@@ -113,8 +113,9 @@ impl LedgerEntry {
 }
 
 /// A dense `ObjectId → u32` index: the one lookup structure of every
-/// per-GET object table (the store's slots, the fleet's primary shards,
-/// the shard caches' residency).
+/// per-GET object table (the store's slots and the fleet's primary
+/// shards). It is laid out once and then only inserted into and read:
+/// [`ObjectIndex::insert`] and [`ObjectIndex::get`].
 ///
 /// A tenant's objects are `(table, segment)` pairs whose segments count
 /// densely from 0, so the index is three flat arrays: each tenant's run
@@ -134,8 +135,6 @@ pub struct ObjectIndex {
     tables: Vec<Span>,
     /// One value per covered segment; [`ABSENT`] marks a hole.
     values: Vec<u32>,
-    /// Number of present values.
-    len: usize,
 }
 
 /// A run `base..base + len` of one of an [`ObjectIndex`]'s arrays.
@@ -145,7 +144,7 @@ struct Span {
     len: u32,
 }
 
-/// The value of an id that was never inserted (or was removed).
+/// The value of an id that was never inserted.
 const ABSENT: u32 = u32::MAX;
 
 /// `n` as an array position of an [`ObjectIndex`].
@@ -206,7 +205,6 @@ impl ObjectIndex {
             tenants,
             tables,
             values: vec![ABSENT; values],
-            len: 0,
         }
     }
 
@@ -232,40 +230,7 @@ impl ObjectIndex {
         let table = self.tenants[tenant].cover(id.table as u32, &mut self.tables, Span::default());
         let at = self.tables[table].cover(id.segment, &mut self.values, ABSENT);
         let old = std::mem::replace(&mut self.values[at], value);
-        if old == ABSENT {
-            self.len += 1;
-            None
-        } else {
-            Some(old)
-        }
-    }
-
-    /// Removes `id`, returning its value.
-    pub fn remove(&mut self, id: ObjectId) -> Option<u32> {
-        let tenant = *self.tenants.get(id.tenant as usize)?;
-        let table = self.tables[tenant.at(id.table as u32)?];
-        let value = std::mem::replace(&mut self.values[table.at(id.segment)?], ABSENT);
-        (value != ABSENT).then(|| {
-            self.len -= 1;
-            value
-        })
-    }
-
-    /// Number of present ids.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no id is present.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes every id but keeps the layout: re-inserting ids it
-    /// covered allocates nothing.
-    pub fn clear(&mut self) {
-        self.values.fill(ABSENT);
-        self.len = 0;
+        (old != ABSENT).then_some(old)
     }
 }
 
@@ -321,27 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn index_inserts_replaces_and_removes() {
+    fn index_inserts_and_replaces() {
         let mut index = ObjectIndex::default();
         let (a, b) = (ObjectId::new(0, 0, 0), ObjectId::new(2, 1, 7));
         assert_eq!(index.insert(a, 5), None);
         assert_eq!(index.insert(b, 9), None);
-        assert_eq!(
-            (index.get(a), index.get(b), index.len()),
-            (Some(5), Some(9), 2)
-        );
+        assert_eq!((index.get(a), index.get(b)), (Some(5), Some(9)));
         assert_eq!(
             index.insert(a, 6),
             Some(5),
             "a replace returns the old value"
         );
-        assert_eq!((index.get(a), index.len()), (Some(6), 2));
-        assert_eq!(index.remove(a), Some(6));
-        assert_eq!(index.remove(a), None);
-        assert_eq!(
-            (index.get(a), index.get(b), index.len()),
-            (None, Some(9), 1)
-        );
+        assert_eq!((index.get(a), index.get(b)), (Some(6), Some(9)));
     }
 
     #[test]
@@ -351,7 +307,6 @@ mod tests {
             for s in [1, 3, 5] {
                 index.insert(ObjectId::new(0, 0, s), s);
             }
-            assert_eq!(index.len(), 3);
             for s in [1, 3, 5] {
                 assert_eq!(index.get(ObjectId::new(0, 0, s)), Some(s));
             }
@@ -368,9 +323,7 @@ mod tests {
             ];
             for id in absent {
                 assert_eq!(index.get(id), None, "{id}");
-                assert_eq!(index.remove(id), None, "{id}");
             }
-            assert_eq!(index.len(), 3);
         }
     }
 
@@ -396,26 +349,6 @@ mod tests {
             Some(0),
             "a moved span keeps its values"
         );
-        assert_eq!(index.len(), 7);
-    }
-
-    #[test]
-    fn index_clear_keeps_the_layout() {
-        let mut index = ObjectIndex::with_extents(&vec![vec![4]; 3]);
-        let ids: Vec<ObjectId> = (0..3)
-            .flat_map(|t| (0..4).map(move |s| ObjectId::new(t, 0, s)))
-            .collect();
-        for (v, &id) in ids.iter().enumerate() {
-            index.insert(id, v as u32);
-        }
-        assert_eq!(index.len(), 12);
-        let capacity = index.values.capacity();
-        index.clear();
-        assert!(index.is_empty());
-        assert!(ids.iter().all(|&id| index.get(id).is_none()));
-        index.insert(ids[5], 1);
-        assert_eq!((index.get(ids[5]), index.len()), (Some(1), 1));
-        assert_eq!(index.values.capacity(), capacity);
     }
 
     #[test]
@@ -427,13 +360,8 @@ mod tests {
         for v in 0..4_000u32 {
             let r = skipper_sim::rng::splitmix64(&mut state);
             let id = ObjectId::new((r % 6) as u16, (r >> 8) as u16 % 5, (r >> 16) as u32 % 400);
-            if r >> 60 == 0 {
-                assert_eq!(index.remove(id), model.remove(&id));
-            } else {
-                assert_eq!(index.insert(id, v), model.insert(id, v));
-            }
+            assert_eq!(index.insert(id, v), model.insert(id, v));
         }
-        assert_eq!(index.len(), model.len());
         for (&id, &v) in &model {
             assert_eq!(index.get(id), Some(v));
         }

@@ -12,7 +12,8 @@
 //! (`ObjectId → slot`). The device resolves each GET once, at submit
 //! ([`ObjectStore::resolve`]), and carries the slot with the request, so
 //! the completion reads the payload by index ([`ObjectStore::payload`])
-//! instead of looking it up again.
+//! instead of looking it up again. The shard caches name residents by
+//! the same slot.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -24,10 +25,10 @@ use crate::object::{GroupId, ObjectId, ObjectIndex, ObjectMeta};
 /// A fast, deterministic hasher for small fixed-width simulator keys
 /// (`QueryId`, `GroupId`).
 ///
-/// The hashed maps left on the per-GET path — the rank policy's
-/// waiting table and the shard caches' per-group links — are built on
-/// it through [`FastBuild`]; object-keyed tables are dense
-/// [`ObjectIndex`]es and hash nothing. SipHash's per-lookup cost is
+/// The hashed map left on the per-GET path — the rank policy's waiting
+/// table — is built on it through [`FastBuild`]; object-keyed tables
+/// are dense [`ObjectIndex`]es or slot-indexed vectors and hash
+/// nothing. SipHash's per-lookup cost is
 /// measurable at million-request scale and buys nothing here: keys are
 /// trusted ids minted by the simulator, not attacker-controlled
 /// strings. FNV-1a over the written words, finished with a SplitMix64
@@ -79,8 +80,8 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 #[derive(Clone, Debug, Default)]
 pub struct ObjectStore<P> {
     entries: Vec<(ObjectMeta, P)>,
-    /// `ObjectId → slot`; the shard caches copy its layout.
-    pub(crate) slots: ObjectIndex,
+    /// `ObjectId → slot`.
+    slots: ObjectIndex,
 }
 
 impl<P> ObjectStore<P> {
