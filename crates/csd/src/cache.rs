@@ -849,6 +849,17 @@ mod tests {
         assert!(c.lookup(t, slot(0), 1000, 0).is_none());
     }
 
+    #[test]
+    fn tier_index_is_sized_to_the_store_not_its_layout() {
+        // Laid out for 64 tenants x 4 tables x 500 segments, holding 3.
+        let mut store = ObjectStore::<()>::with_extents(&vec![vec![500; 4]; 64], 3);
+        for seg in 0..3 {
+            store.put(ObjectId::new(7, 2, 100 * seg), 100, seg, ());
+        }
+        let c = ShardCache::new(CacheConfig::two_tier(1000, 1000), &store).expect("enabled");
+        assert_eq!((c.dram.index.len(), c.ssd.index.len()), (3, 3));
+    }
+
     /// Bytes of the differential test's object `key`: keys 13 and 29
     /// exceed its DRAM tier but fit its SSD tier, key 37 exceeds both.
     fn naive_bytes(key: u32) -> u64 {
