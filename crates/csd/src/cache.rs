@@ -179,7 +179,8 @@ pub struct CacheStats {
     pub ssd_hits: u64,
     /// GETs that fell through to the CSD.
     pub misses: u64,
-    /// Objects inserted on miss delivery.
+    /// Objects inserted on miss delivery (a refill of a resident object
+    /// touches it and is not one).
     pub fills: u64,
     /// SSD→DRAM promotions on SSD hits.
     pub promotions: u64,
@@ -465,10 +466,10 @@ impl Tier {
         self.remove_node(self.index[slot as usize]);
     }
 
-    /// Inserts `slot` at the MRU position, evicting per policy until it
-    /// fits; evicted objects are appended to `evicted`. Returns `false`
-    /// (inserting nothing, evicting nothing) when `bytes` exceeds the
-    /// whole tier, and `true` (a pure touch) when already resident.
+    /// Inserts `slot`, which the tier does not hold, at the MRU position,
+    /// evicting per policy until it fits; evicted objects are appended
+    /// to `evicted`. Returns `false` (inserting nothing, evicting
+    /// nothing) when `bytes` exceeds the whole tier.
     fn insert(
         &mut self,
         slot: u32,
@@ -476,11 +477,12 @@ impl Tier {
         group: GroupId,
         evicted: &mut Vec<(u32, u64, GroupId)>,
     ) -> bool {
+        debug_assert_eq!(
+            self.index[slot as usize], NIL,
+            "insert of a resident object"
+        );
         if bytes > self.capacity {
             return false;
-        }
-        if self.touch(slot).is_some() {
-            return true;
         }
         while self.used + bytes > self.capacity {
             let victim = self.victim();
@@ -611,21 +613,21 @@ impl ShardCache {
     /// evictions demote into SSD as write-backs on the SSD pipe; SSD
     /// evictions leave the hierarchy.
     pub fn fill(&mut self, now: SimTime, slot: u32, bytes: u64, group: GroupId) {
-        if self.dram.enabled() {
-            if self.insert_dram(now, slot, bytes, group) {
-                self.stats.fills += 1;
-            }
-        } else if self.ssd.enabled() {
+        // A refill of an object the top tier holds only touches it.
+        let inserted = if self.dram.enabled() {
+            self.dram.touch(slot).is_none() && self.insert_dram(now, slot, bytes, group)
+        } else {
             self.drop_scratch.clear();
-            if self.ssd.insert(slot, bytes, group, &mut self.drop_scratch) {
-                self.stats.fills += 1;
-            }
+            let inserted = self.ssd.touch(slot).is_none()
+                && self.ssd.insert(slot, bytes, group, &mut self.drop_scratch);
             self.stats.evictions += self.drop_scratch.len() as u64;
-        }
+            inserted
+        };
+        self.stats.fills += inserted as u64;
     }
 
-    /// Inserts into DRAM, demoting evictions into SSD. Returns whether
-    /// the object is resident afterwards.
+    /// Inserts an object DRAM does not hold, demoting evictions into
+    /// SSD. Returns whether it was inserted.
     fn insert_dram(&mut self, now: SimTime, slot: u32, bytes: u64, group: GroupId) -> bool {
         self.evict_scratch.clear();
         let inserted = self
@@ -635,9 +637,11 @@ impl ShardCache {
             let (eslot, ebytes, egroup) = self.evict_scratch[i];
             if self.ssd.enabled() {
                 self.drop_scratch.clear();
-                if self
-                    .ssd
-                    .insert(eslot, ebytes, egroup, &mut self.drop_scratch)
+                // An object SSD already holds is touched there instead.
+                if self.ssd.touch(eslot).is_some()
+                    || self
+                        .ssd
+                        .insert(eslot, ebytes, egroup, &mut self.drop_scratch)
                 {
                     // The write-back occupies the SSD pipe like any
                     // read: demotions compete with foreground hits.
@@ -817,6 +821,14 @@ mod tests {
                 }
             }
         }
+        // Two GETs of one object miss before either delivery fills it:
+        // the second fill is a refill, not an insertion.
+        for _ in 0..2 {
+            lookups += 1;
+            assert!(c.lookup(t, slot(9), 100, 1).is_none());
+        }
+        c.fill(t, slot(9), 100, 1);
+        c.fill(t, slot(9), 100, 1);
         let s = c.stats();
         assert_eq!(s.lookups(), lookups);
         assert_eq!(s.hits() + s.misses, lookups);
@@ -986,6 +998,12 @@ mod tests {
         }
 
         fn fill(&mut self, now: SimTime, key: u32) {
+            let top = if self.dram.capacity > 0 {
+                &self.dram
+            } else {
+                &self.ssd
+            };
+            let refill = top.order.iter().any(|e| e.0 == key);
             let filled = if self.dram.capacity > 0 {
                 self.insert_dram(now, key)
             } else {
@@ -993,7 +1011,7 @@ mod tests {
                 self.stats.evictions += dropped.as_ref().map_or(0, Vec::len) as u64;
                 dropped.is_some()
             };
-            self.stats.fills += filled as u64;
+            self.stats.fills += (filled && !refill) as u64;
         }
 
         fn insert_dram(&mut self, now: SimTime, key: u32) -> bool {
