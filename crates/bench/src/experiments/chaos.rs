@@ -66,7 +66,7 @@ fn chaos_plan() -> FaultPlan {
     FaultPlan::new()
         .shard_down(2, secs(60), secs(600))
         .degraded(0, secs(30), secs(300), 0.5)
-        .drop_wakeup(1, 3)
+        .drop_wakeup_after(1, 3, SimDuration::from_secs(1))
         .seeded_crashes(
             3,
             SimDuration::from_secs(400),

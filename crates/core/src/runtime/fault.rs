@@ -149,9 +149,6 @@ pub struct FaultPlan {
     crashes: Vec<CrashStream>,
 }
 
-/// Default watchdog redelivery delay for [`FaultPlan::drop_wakeup`].
-pub const DEFAULT_REDELIVERY: SimDuration = SimDuration::from_secs(1);
-
 impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn new() -> Self {
@@ -186,12 +183,6 @@ impl FaultPlan {
             bandwidth_factor,
         });
         self
-    }
-
-    /// Drops the shard's `nth` live wake-up (1-based), redelivered
-    /// after [`DEFAULT_REDELIVERY`].
-    pub fn drop_wakeup(self, shard: usize, nth: u64) -> Self {
-        self.drop_wakeup_after(shard, nth, DEFAULT_REDELIVERY)
     }
 
     /// Drops the shard's `nth` live wake-up (1-based), redelivered
@@ -770,7 +761,7 @@ mod tests {
         let plan = FaultPlan::new()
             .degraded(1, secs(50), secs(60), 0.5)
             .shard_down(0, secs(10), secs(20))
-            .drop_wakeup(2, 3);
+            .drop_wakeup_after(2, 3, SimDuration::from_secs(1));
         let episodes = plan.expand(4);
         assert_eq!(
             episodes,
@@ -778,7 +769,7 @@ mod tests {
                 FaultEpisode::DropWakeup {
                     shard: 2,
                     nth: 3,
-                    redeliver_after: DEFAULT_REDELIVERY,
+                    redeliver_after: SimDuration::from_secs(1),
                 },
                 FaultEpisode::ShardDown {
                     shard: 0,
@@ -900,14 +891,16 @@ mod tests {
             (secs(20), FaultAction::Degrade(0.5))
         );
         // DropWakeups flatten separately (into their shard's watchdog).
-        let dropped = FaultPlan::new().drop_wakeup(1, 2).expand(2);
+        let dropped = FaultPlan::new()
+            .drop_wakeup_after(1, 2, SimDuration::from_secs(1))
+            .expand(2);
         assert!(timed_actions(&dropped).is_empty());
         assert_eq!(
             dropped,
             vec![FaultEpisode::DropWakeup {
                 shard: 1,
                 nth: 2,
-                redeliver_after: DEFAULT_REDELIVERY
+                redeliver_after: SimDuration::from_secs(1)
             }]
         );
     }

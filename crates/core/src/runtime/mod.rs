@@ -461,7 +461,7 @@ pub use collector::{
     RunResult, ShardFaultStats, ShardResult, SloReport, StreamRollup,
 };
 pub use engines::{EngineFactory, SkipperFactory, VanillaFactory};
-pub use fault::{FaultEpisode, FaultPlan, DEFAULT_REDELIVERY};
+pub use fault::{FaultEpisode, FaultPlan};
 pub use fleet::DeviceFleet;
 pub use protect::{
     AdmissionPolicy, AdmissionResponse, BreakerPolicy, ProtectionSummary, RetryPolicy,

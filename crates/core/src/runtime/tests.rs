@@ -1039,7 +1039,7 @@ fn chaos_grid_is_repeat_deterministic() {
         FaultPlan::new()
             .shard_down(2, t(20), t(300))
             .degraded(0, t(40), t(200), 0.5)
-            .drop_wakeup(1, 2)
+            .drop_wakeup_after(1, 2, SimDuration::from_secs(1))
             .seeded_crashes(
                 3,
                 SimDuration::from_secs(120),
@@ -1132,12 +1132,12 @@ fn dropped_wakeup_is_redelivered_by_the_watchdog() {
     // client, one transfer stream): parking it makes the watchdog
     // delay visible in the query's end time instead of being absorbed
     // by pipeline slack.
-    let dropped = build(FaultPlan::new().drop_wakeup(0, 5)).run();
+    let dropped = build(FaultPlan::new().drop_wakeup_after(0, 5, SimDuration::from_secs(1))).run();
     // The lost notification delays its batch by the watchdog interval
     // but loses nothing.
     assert_eq!(dropped.delivery_multiset(), clean.delivery_multiset());
     assert!(
-        dropped.clients[0][0].end >= clean.clients[0][0].end + DEFAULT_REDELIVERY,
+        dropped.clients[0][0].end >= clean.clients[0][0].end + SimDuration::from_secs(1),
         "redelivered batch arrived on time ({:?} vs {:?})",
         dropped.clients[0][0].end,
         clean.clients[0][0].end
@@ -1944,7 +1944,7 @@ fn a_drop_on_a_parked_batch_joins_it_until_the_later_deadline() {
     let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
     let plan = FaultPlan::new()
         .drop_wakeup_after(0, 2, hour)
-        .drop_wakeup(0, 3);
+        .drop_wakeup_after(0, 3, SimDuration::from_secs(1));
     let res = two_skippers(&ds, &q, plan).run();
     assert_eq!(res.delivery_multiset(), clean.delivery_multiset());
     assert!(
