@@ -351,7 +351,7 @@ struct Tier {
     index: Vec<u32>,
     /// Node recency order (LRU and CLOCK).
     recency: List,
-    /// Per [`GroupId`] (group-aware policy; empty otherwise).
+    /// Per [`GroupId`] (group-aware policy).
     groups: Vec<Group>,
     /// Order of the groups with a resident member (group-aware policy).
     group_order: List,
@@ -361,11 +361,6 @@ impl Tier {
     /// A tier in front of a store of `objects` objects in `groups`
     /// groups.
     fn new(config: TierConfig, policy: CachePolicy, objects: usize, groups: usize) -> Tier {
-        let groups = if policy == CachePolicy::GroupAware {
-            groups
-        } else {
-            0
-        };
         Tier {
             capacity: config.capacity_bytes,
             bandwidth: config.bandwidth_bytes_per_sec,
@@ -400,11 +395,11 @@ impl Tier {
     }
 
     /// Records a hit on store slot `slot` (recency update per policy);
-    /// returns the resident byte size, or `None` when absent.
-    fn touch(&mut self, slot: u32) -> Option<u64> {
+    /// returns whether the object is resident.
+    fn touch(&mut self, slot: u32) -> bool {
         let node = self.index[slot as usize];
         if node == NIL {
-            return None;
+            return false;
         }
         match self.policy {
             CachePolicy::Lru => self.recency.move_to_front(&mut self.nodes, node),
@@ -417,7 +412,7 @@ impl Tier {
                 self.group_order.move_to_front(&mut self.groups, group);
             }
         }
-        Some(self.nodes[node as usize].bytes)
+        true
     }
 
     /// Picks the victim node per policy. Caller guarantees the tier is
@@ -588,12 +583,12 @@ impl ShardCache {
         bytes: u64,
         group: GroupId,
     ) -> Option<SimTime> {
-        if self.dram.touch(slot).is_some() {
+        if self.dram.touch(slot) {
             self.stats.dram_hits += 1;
             self.stats.hit_bytes += bytes;
             return Some(self.dram.reserve(now, bytes));
         }
-        if self.ssd.touch(slot).is_some() {
+        if self.ssd.touch(slot) {
             self.stats.ssd_hits += 1;
             self.stats.hit_bytes += bytes;
             let ready = self.ssd.reserve(now, bytes);
@@ -615,10 +610,10 @@ impl ShardCache {
     pub fn fill(&mut self, now: SimTime, slot: u32, bytes: u64, group: GroupId) {
         // A refill of an object the top tier holds only touches it.
         let inserted = if self.dram.enabled() {
-            self.dram.touch(slot).is_none() && self.insert_dram(now, slot, bytes, group)
+            !self.dram.touch(slot) && self.insert_dram(now, slot, bytes, group)
         } else {
             self.drop_scratch.clear();
-            let inserted = self.ssd.touch(slot).is_none()
+            let inserted = !self.ssd.touch(slot)
                 && self.ssd.insert(slot, bytes, group, &mut self.drop_scratch);
             self.stats.evictions += self.drop_scratch.len() as u64;
             inserted
@@ -638,7 +633,7 @@ impl ShardCache {
             if self.ssd.enabled() {
                 self.drop_scratch.clear();
                 // An object SSD already holds is touched there instead.
-                if self.ssd.touch(eslot).is_some()
+                if self.ssd.touch(eslot)
                     || self
                         .ssd
                         .insert(eslot, ebytes, egroup, &mut self.drop_scratch)
