@@ -23,18 +23,17 @@ use crate::layout::Layout;
 use crate::object::{GroupId, ObjectId, ObjectIndex, ObjectMeta};
 
 /// A fast, deterministic hasher for small fixed-width simulator keys
-/// (`QueryId`, `GroupId`).
+/// such as `QueryId`.
 ///
 /// The hashed map left on the per-GET path — the rank policy's waiting
 /// table — is built on it through [`FastBuild`]; object-keyed tables
 /// are dense [`ObjectIndex`]es or slot-indexed vectors and hash
-/// nothing. SipHash's per-lookup cost is
-/// measurable at million-request scale and buys nothing here: keys are
-/// trusted ids minted by the simulator, not attacker-controlled
-/// strings. FNV-1a over the written words, finished with a SplitMix64
-/// mix, hashes an id in a few cycles and is identical across runs, so
-/// table growth — and with it the allocation count of a run — repeats
-/// exactly.
+/// nothing. SipHash's per-lookup cost is measurable at million-request
+/// scale and buys nothing here: keys are trusted ids minted by the
+/// simulator, not attacker-controlled strings. FNV-1a over the written
+/// words, finished with a SplitMix64 mix, hashes an id in a few cycles
+/// and is identical across runs, so table growth — and with it the
+/// allocation count of a run — repeats exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastHasher(u64);
 
