@@ -24,8 +24,9 @@
 //!   device only decides *when* a GET completes, as the paper's testbed
 //!   does by delaying Swift GETs.
 //! * [`sched`] — group-switch scheduling policies: object-FCFS,
-//!   slack FCFS, query-FCFS, Max-Queries, and the paper's rank-based algorithm
-//!   `R(g) = N_g + K·ΣW_q(g)` with `K = 1` (§4.4) — all deciding over
+//!   slack FCFS, query-FCFS, and the paper's rank-based algorithm
+//!   `R(g) = N_g + K·ΣW_q(g)` with `K = 1` (§4.4), whose `K = 0` case is
+//!   Max-Queries — all deciding over
 //!   the incrementally-indexed request queue
 //!   ([`sched::queue::RequestQueue`], O(1) amortized per submit and
 //!   per serve; the
@@ -61,7 +62,7 @@ pub use layout::{BasePlacement, Layout, LayoutPolicy, PlacementPolicy};
 pub use object::{GroupId, LedgerEntry, ObjectId, ObjectIndex, ObjectMeta, QueryId};
 pub use power::{EnergyReport, PowerModel};
 pub use sched::{
-    FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, MaxQueries, NaiveQueue,
-    QueueView, RankBased, RequestIndex, RequestQueue, SchedPolicy, ServeScope,
+    FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, NaiveQueue, QueueView,
+    RankBased, RequestIndex, RequestQueue, SchedPolicy, ServeScope,
 };
-pub use store::{FastBuild, ObjectStore};
+pub use store::ObjectStore;

@@ -4,8 +4,9 @@
 //! query identifiers by the Skipper client proxy, spread across disk
 //! groups. The scheduler answers the three questions of §4.4:
 //!
-//! 1. **Which group to switch to?** — policy-specific ([`FcfsObject`],
-//!    [`FcfsSlack`], [`FcfsQuery`], [`MaxQueries`], [`RankBased`]).
+//! 1. **Which group to switch to?** — policy-specific: [`FcfsObject`],
+//!    [`FcfsSlack`], [`FcfsQuery`], and [`RankBased`], whose `K = 0`
+//!    case ([`RankBased::max_queries`]) is Max-Queries.
 //! 2. **When to switch?** — no preemption: the group-centric policies
 //!    serve every pending request on the loaded group before switching
 //!    (shown optimal for tertiary storage by Prabhakar et al.); the FCFS
@@ -24,15 +25,15 @@
 //! # The queue view
 //!
 //! Policies do not scan the raw request list. They consume a
-//! [`QueueView`], which holds only what the five policies read:
+//! [`QueueView`], which holds only what the policies read:
 //! - the globally-oldest request (object- and query-FCFS's target);
 //! - whether a group holds a query (query-FCFS stays on the active group);
 //! - each group's distinct queries and request count, borrowed as a
-//!   [`GroupLens`] (max-queries' `N_g` and the rank `R(g)`), with the
+//!   [`GroupLens`] (the rank `R(g)` and its `N_g`), with the
 //!   oldest seq on a group as the tie-break ([`QueueView::oldest_seq_on`]);
 //! - the *k*-oldest window (slack FCFS);
-//! - every pending query and whether it is on the loaded group (the rank
-//!   policy's waiting times);
+//! - every pending query in ascending id and whether it is on the loaded
+//!   group (the rank policy's waiting times);
 //! - the residency snapshot's size on the active group.
 //!
 //! The production [`RequestQueue`] maintains all of it incrementally at
@@ -46,14 +47,12 @@
 //! intra-group order to a concrete request without rescanning.
 
 mod fcfs;
-mod max_queries;
 pub mod naive;
 pub mod queue;
 mod rank;
 mod slack;
 
 pub use fcfs::{FcfsObject, FcfsQuery};
-pub use max_queries::MaxQueries;
 pub use naive::NaiveQueue;
 pub use queue::{RequestIndex, RequestQueue};
 pub use rank::RankBased;
@@ -218,16 +217,16 @@ pub trait QueueView {
     /// on the indexed queue).
     fn for_each_window(&self, k: usize, visit: &mut dyn FnMut(&PendingRequest));
 
-    /// Visits every distinct query with pending data, each flagged with
-    /// whether it has data on group `on`. Visit order is unspecified
-    /// (the indexed queue visits in ascending query id).
+    /// Visits every distinct query with pending data in ascending query
+    /// id, each flagged with whether it has data on group `on`. The rank
+    /// policy merges its sorted waiting column against this order.
     fn for_each_query_presence(&self, on: GroupId, visit: &mut dyn FnMut(QueryId, bool));
 }
 
 /// One group's aggregates as borrowed during
 /// [`QueueView::for_each_group`]. Nothing is copied out of the queue —
 /// the query list is the queue's own per-group key array — so a policy
-/// folding over every group (rank, max-queries) costs zero heap traffic
+/// folding over every group (the rank) costs zero heap traffic
 /// and no indirect call per query.
 pub struct GroupLens<'a> {
     /// Distinct queries with pending data on this group, ascending.
@@ -296,7 +295,8 @@ pub enum SchedPolicy {
     FcfsSlack(usize),
     /// Query-level FCFS ("fairness" in Figure 12).
     FcfsQuery,
-    /// Most-pending-queries-first ("maxquery" in Figure 12).
+    /// Most-pending-queries-first ("maxquery" in Figure 12): the rank
+    /// with `K = 0`.
     MaxQueries,
     /// The paper's rank-based policy ("ranking" in Figure 12).
     RankBased,
@@ -309,7 +309,7 @@ impl SchedPolicy {
             SchedPolicy::FcfsObject => Box::new(FcfsObject::new()),
             SchedPolicy::FcfsSlack(window) => Box::new(FcfsSlack::new(window)),
             SchedPolicy::FcfsQuery => Box::new(FcfsQuery::new()),
-            SchedPolicy::MaxQueries => Box::new(MaxQueries::new()),
+            SchedPolicy::MaxQueries => Box::new(RankBased::max_queries()),
             SchedPolicy::RankBased => Box::new(RankBased::new()),
         }
     }
@@ -409,11 +409,14 @@ pub(crate) mod testutil {
     }
 
     /// Every query with pending data and whether it has data on `on`,
-    /// in ascending query id.
+    /// in visit order, which must be ascending query id.
     pub fn presence(view: &dyn QueueView, on: GroupId) -> Vec<(QueryId, bool)> {
         let mut out = Vec::new();
         view.for_each_query_presence(on, &mut |q, p| out.push((q, p)));
-        out.sort_unstable();
+        assert!(
+            out.is_sorted_by(|a, b| a.0 < b.0),
+            "query presence out of order"
+        );
         out
     }
 }
@@ -466,5 +469,6 @@ mod tests {
         assert_eq!(SchedPolicy::MaxQueries.label(), "maxquery");
         assert_eq!(SchedPolicy::RankBased.label(), "ranking");
         assert_eq!(SchedPolicy::RankBased.build().name(), "ranking");
+        assert_eq!(SchedPolicy::MaxQueries.build().name(), "maxquery");
     }
 }

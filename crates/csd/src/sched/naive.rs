@@ -20,7 +20,7 @@
 //! Do not "optimize" this module: its value is being a faithful record
 //! of the pre-index semantics.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use crate::device::IntraGroupOrder;
 use crate::object::{GroupId, QueryId};
@@ -223,7 +223,7 @@ impl QueueView for NaiveQueue {
     }
 
     fn for_each_query_presence(&self, on: GroupId, visit: &mut dyn FnMut(QueryId, bool)) {
-        let mut present: HashMap<QueryId, bool> = HashMap::new();
+        let mut present: BTreeMap<QueryId, bool> = BTreeMap::new();
         for r in &self.pending {
             let on_loaded = present.entry(r.query).or_insert(false);
             *on_loaded |= r.group == on;

@@ -1,4 +1,5 @@
-//! The paper's rank-based, query-aware scheduling algorithm (§4.4).
+//! The paper's rank-based, query-aware scheduling algorithm (§4.4),
+//! and Max-Queries as its `K = 0` case.
 //!
 //! Every group `g` gets a rank
 //!
@@ -9,42 +10,45 @@
 //! where `N_g` is the number of distinct queries with pending data on
 //! `g`, and `W_q` is the *waiting time* of query `q`: the number of group
 //! switches since `q` was last serviced (0 for queries serviced by the
-//! loaded group). The first term alone is Max-Queries (pure efficiency);
-//! the second term grows the rank of neglected groups so no tenant
-//! starves. The paper derives `K = 1` as the choice that maximizes
-//! fairness while preserving the efficiency tipping point (`K < 1/s`
-//! favours efficiency as the arrival gap `s → ∞`); `K` is configurable
-//! here for the ablation benchmarks.
+//! loaded group).
+//!
+//! The first term alone is Max-Queries, pure efficiency. Prabhakar et
+//! al. showed that, for tertiary storage, always loading the medium
+//! with the most pending requests performs within 2 % of the optimal
+//! switch-minimizing schedule; the paper's "maxquery" yardstick
+//! (Figure 12) is its query-granularity version. Its failure mode is
+//! starvation: a steady stream of requests to popular groups can
+//! postpone a lone query on another group indefinitely. The second term
+//! fixes that by growing the rank of neglected groups. The paper
+//! derives `K = 1` as the choice that maximizes fairness while
+//! preserving the efficiency tipping point (`K < 1/s` favours
+//! efficiency as the arrival gap `s → ∞`). [`RankBased::new`] is that
+//! policy and [`RankBased::max_queries`] the `K = 0` one; no other `K`
+//! is built.
 //!
 //! Rank maintenance is incremental: `N_g` and the per-group query sets
 //! come from the queue's aggregates (updated O(1) amortized per
-//! request), and
-//! the waiting counters update once per *switch* — O(distinct pending
-//! queries) at each switch point instead of a full queue rescan per
-//! decision.
-
-use std::collections::HashMap;
+//! request), and the waiting times are one column sorted by query id,
+//! rebuilt once per *switch* by a merge with the queue's ascending
+//! query presence — O(distinct pending queries) per switch instead of
+//! a full queue rescan per decision.
 
 use crate::object::{GroupId, QueryId};
 use crate::sched::{takes_lead, Decision, GroupLens, GroupScheduler, InFlight, QueueView};
-use crate::store::FastBuild;
 
 /// Rank-based group selection balancing efficiency and fairness.
 #[derive(Debug)]
 pub struct RankBased {
-    /// The fairness weight `K`; the paper sets 1.
-    k: f64,
-    /// Waiting time per query, in group switches since last serviced,
-    /// stamped with the switch generation that last saw the query
-    /// pending. The stamp lets `on_switch_complete` garbage-collect
-    /// departed queries with an in-place `retain` instead of rebuilding
-    /// a presence map per switch — the map reaches the steady
-    /// query-population size once and never touches the allocator
-    /// again. Probed once per (group, query) per decision and once per
-    /// query per switch, hence the cheap deterministic hasher.
-    waiting: HashMap<QueryId, (u64, u64), FastBuild>,
-    /// Current switch generation (bumped once per completed switch).
-    generation: u64,
+    /// The fairness weight `K`: 1 for the paper's policy, 0 for
+    /// Max-Queries.
+    k: u64,
+    /// Waiting time of each pending query, in group switches since it
+    /// was last serviced, in ascending query id. A query missing from
+    /// it has waited for no switch yet. Empty when `K = 0`.
+    waiting: Vec<(QueryId, u64)>,
+    /// The buffer the next switch rebuilds `waiting` into. The two swap
+    /// after every switch, so a warm table never touches the allocator.
+    spare: Vec<(QueryId, u64)>,
 }
 
 impl Default for RankBased {
@@ -56,35 +60,40 @@ impl Default for RankBased {
 impl RankBased {
     /// Creates the policy with the paper's `K = 1`.
     pub fn new() -> Self {
-        Self::with_k(1.0)
+        RankBased {
+            k: 1,
+            waiting: Vec::new(),
+            spare: Vec::new(),
+        }
     }
 
-    /// Creates the policy with a custom fairness weight (for ablations;
-    /// `K = 0` degenerates to Max-Queries).
-    pub fn with_k(k: f64) -> Self {
+    /// Creates Max-Queries: the rank with `K = 0`, most pending queries
+    /// first. It keeps no waiting times.
+    pub fn max_queries() -> Self {
         RankBased {
-            k,
-            waiting: HashMap::default(),
-            generation: 0,
+            k: 0,
+            ..Self::new()
         }
     }
 
     /// Current waiting time of `q` (0 if unknown — new queries have not
     /// waited for any switch yet).
     pub fn waiting_of(&self, q: QueryId) -> u64 {
-        self.waiting.get(&q).map_or(0, |&(w, _)| w)
+        self.waiting
+            .binary_search_by_key(&q, |&(q, _)| q)
+            .map_or(0, |at| self.waiting[at].1)
     }
 
     /// `R(g) = N_g + K·ΣW_q(g)` over one group's lens.
-    fn rank(&self, lens: &GroupLens<'_>) -> f64 {
+    fn rank(&self, lens: &GroupLens<'_>) -> u64 {
         let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
-        lens.queries.len() as f64 + self.k * w as f64
+        lens.queries.len() as u64 + self.k * w
     }
 
     /// The rank `R(g)` of each group with pending data, in ascending
     /// group id. For tests and the scheduling example; the policy
     /// itself folds the ranks without collecting them.
-    pub fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, f64)> {
+    pub fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, u64)> {
         let mut out = Vec::new();
         queue.for_each_group(&mut |g, lens| out.push((g, self.rank(lens))));
         out
@@ -95,10 +104,10 @@ impl RankBased {
         // deterministic. One allocation-free fold over the queue's
         // group lenses (this runs on every decision where the active
         // residency is drained, so it must not touch the heap).
-        let mut best: Option<(GroupId, f64)> = None;
+        let mut best: Option<(GroupId, u64)> = None;
         queue.for_each_group(&mut |g, lens| {
             let rank = self.rank(lens);
-            if best.is_none_or(|(bg, brank)| takes_lead(queue, g, bg, rank.total_cmp(&brank))) {
+            if best.is_none_or(|(bg, brank)| takes_lead(queue, g, bg, rank.cmp(&brank))) {
                 best = Some((g, rank));
             }
         });
@@ -108,7 +117,11 @@ impl RankBased {
 
 impl GroupScheduler for RankBased {
     fn name(&self) -> &'static str {
-        "ranking"
+        if self.k == 0 {
+            "maxquery"
+        } else {
+            "ranking"
+        }
     }
 
     fn decide(
@@ -117,7 +130,8 @@ impl GroupScheduler for RankBased {
         active: Option<GroupId>,
         pipe: InFlight,
     ) -> Decision {
-        // Non-preemptive: drain the residency snapshot first.
+        // Non-preemptive: drain the residency snapshot first (new
+        // arrivals wait for the next decision point).
         if let Some(g) = active {
             if queue.resident_len(g) > 0 {
                 return Decision::ServeActive;
@@ -139,23 +153,22 @@ impl GroupScheduler for RankBased {
     }
 
     fn on_switch_complete(&mut self, queue: &dyn QueueView, loaded: GroupId) {
+        if self.k == 0 {
+            return;
+        }
         // Queries serviced by the loaded group reset to 0; every other
-        // waiting query ages by one switch. Queries that disappeared
-        // from the pending queue are garbage-collected: every visited
-        // entry gets the new generation stamp, and the retain sweeps
-        // whatever kept the old one. One pass over the distinct pending
-        // queries per switch — not over the requests — with no presence
-        // map materialized.
-        self.generation += 1;
-        let generation = self.generation;
-        let waiting = &mut self.waiting;
+        // pending query ages by one switch. One merge of the old column
+        // with the queue's ascending presence walk: queries that left
+        // the queue are skipped, so they drop out of the new column.
+        let mut old = self.waiting.iter().peekable();
+        let next = &mut self.spare;
+        next.clear();
         queue.for_each_query_presence(loaded, &mut |q, on_loaded| {
-            let e = waiting.entry(q).or_insert((0, generation));
-            e.1 = generation;
-            e.0 = if on_loaded { 0 } else { e.0 + 1 };
+            while old.next_if(|&&(o, _)| o < q).is_some() {}
+            let waited = old.next_if(|&&(o, _)| o == q).map_or(0, |&(_, w)| w);
+            next.push((q, if on_loaded { 0 } else { waited + 1 }));
         });
-        self.waiting
-            .retain(|_, &mut (_, stamp)| stamp == generation);
+        std::mem::swap(&mut self.waiting, &mut self.spare);
     }
 }
 
@@ -166,7 +179,7 @@ mod tests {
 
     #[test]
     fn k_zero_degenerates_to_max_queries() {
-        let mut p = RankBased::with_k(0.0);
+        let mut p = RankBased::max_queries();
         let q = queue_of(&[req(1, 0, 0, 0, 0), req(1, 1, 0, 0, 1), req(2, 2, 0, 0, 2)]);
         assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
         // Age group 2 arbitrarily: with K=0 waiting cannot help it.
@@ -218,13 +231,13 @@ mod tests {
         let mut p = RankBased::new();
         let q = queue_of(&pending);
         // Before any switch: R = N_g.
-        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 1.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2), (2, 1)]);
         p.on_switch_complete(&q, 1);
         // Queries on group 1 reset to 0; query on group 2 aged to 1:
         // R(1) = 2, R(2) = 1 + 1 = 2.
-        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 2.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2), (2, 2)]);
         p.on_switch_complete(&q, 1);
-        assert_eq!(p.ranks(&q), vec![(1, 2.0), (2, 3.0)]);
+        assert_eq!(p.ranks(&q), vec![(1, 2), (2, 3)]);
     }
 
     #[test]
@@ -286,5 +299,88 @@ mod tests {
             RankBased::new().decide(&queue_of(&[]), None, InFlight::NONE),
             Decision::Idle
         );
+    }
+
+    /// Max-Queries: the rank with `K = 0`.
+    mod max_queries {
+        use super::*;
+        use crate::sched::testutil::armed_queue;
+        use crate::sched::{RequestIndex, ServeScope};
+
+        #[test]
+        fn picks_group_with_most_queries() {
+            let mut p = RankBased::max_queries();
+            // Group 1: two queries; group 2: one query with three requests.
+            let q = queue_of(&[
+                req(1, 0, 0, 0, 0),
+                req(1, 1, 0, 0, 1),
+                req(2, 2, 0, 0, 2),
+                req(2, 2, 0, 1, 3),
+                req(2, 2, 0, 2, 4),
+            ]);
+            assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(1));
+        }
+
+        #[test]
+        fn request_count_does_not_trump_query_count() {
+            let mut p = RankBased::max_queries();
+            // Queries, not requests, drive the choice (a single query's many
+            // objects count once).
+            let q = queue_of(&[
+                req(5, 0, 0, 0, 0),
+                req(5, 0, 0, 1, 1),
+                req(5, 0, 0, 2, 2),
+                req(6, 1, 0, 0, 3),
+                req(6, 2, 0, 0, 4),
+            ]);
+            assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(6));
+        }
+
+        #[test]
+        fn non_preemptive_drains_active_group() {
+            let mut p = RankBased::max_queries();
+            // Group 2 has more queries, but group 1 is loaded with an armed
+            // residency that still holds work: finish it first (the "when to
+            // switch" rule of §4.4).
+            let mut q = armed_queue(
+                &[req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(2, 2, 0, 0, 2)],
+                1,
+            );
+            assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::ServeActive);
+            // Once group 1 drains, switch.
+            q.remove(0);
+            assert_eq!(p.decide(&q, Some(1), InFlight::NONE), Decision::SwitchTo(2));
+        }
+
+        #[test]
+        fn tie_broken_by_oldest_request() {
+            let mut p = RankBased::max_queries();
+            let q = queue_of(&[req(3, 0, 0, 0, 9), req(2, 1, 0, 0, 1)]);
+            // Both groups have one query; group 2's request is older.
+            assert_eq!(p.decide(&q, None, InFlight::NONE), Decision::SwitchTo(2));
+        }
+
+        #[test]
+        fn idle_when_empty() {
+            assert_eq!(
+                RankBased::max_queries().decide(&queue_of(&[]), Some(3), InFlight::NONE),
+                Decision::Idle
+            );
+        }
+
+        #[test]
+        fn whole_residency_in_scope() {
+            let p = RankBased::max_queries();
+            let mut q = armed_queue(
+                &[req(1, 0, 0, 0, 0), req(1, 1, 0, 0, 1), req(2, 2, 0, 0, 2)],
+                1,
+            );
+            assert_eq!(p.serve_scope(), ServeScope::Residency);
+            assert_eq!(q.select(p.serve_scope(), 1), Some(0));
+            q.remove(0);
+            assert_eq!(q.select(p.serve_scope(), 1), Some(1));
+            q.remove(1);
+            assert_eq!(q.select(p.serve_scope(), 1), None);
+        }
     }
 }

@@ -13,63 +13,14 @@
 //! ([`ObjectStore::resolve`]), and carries the slot with the request, so
 //! the completion reads the payload by index ([`ObjectStore::payload`])
 //! instead of looking it up again. The shard caches name residents by
-//! the same slot.
-
-use std::hash::{BuildHasherDefault, Hasher};
+//! the same slot. No table on a GET's path through the device hashes:
+//! object-keyed ones are dense [`ObjectIndex`]es or slot-indexed
+//! vectors, and the rest are sorted columns searched by key.
 
 use skipper_sim::SimDuration;
 
 use crate::layout::Layout;
 use crate::object::{GroupId, ObjectId, ObjectIndex, ObjectMeta};
-
-/// A fast, deterministic hasher for small fixed-width simulator keys
-/// such as `QueryId`.
-///
-/// The hashed map left on the per-GET path — the rank policy's waiting
-/// table — is built on it through [`FastBuild`]; object-keyed tables
-/// are dense [`ObjectIndex`]es or slot-indexed vectors and hash
-/// nothing. SipHash's per-lookup cost is measurable at million-request
-/// scale and buys nothing here: keys are trusted ids minted by the
-/// simulator, not attacker-controlled strings. FNV-1a over the written
-/// words, finished with a SplitMix64 mix, hashes an id in a few cycles
-/// and is identical across runs, so table growth — and with it the
-/// allocation count of a run — repeats exactly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastHasher(u64);
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut state = self.0;
-        skipper_sim::rng::splitmix64(&mut state)
-    }
-}
-
-/// The [`std::hash::BuildHasher`] of every hashed per-GET map in the
-/// simulator: `HashMap<K, V, FastBuild>` (see [`FastHasher`]).
-pub type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// An object store mapping [`ObjectId`]s to `(metadata, payload)`.
 ///

@@ -41,11 +41,11 @@ impl StampedWaiting {
     }
 
     /// `R(g) = N_g + ΣW_q(g)` per group, ascending group id.
-    fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, f64)> {
+    fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, u64)> {
         let mut out = Vec::new();
         queue.for_each_group(&mut |g, lens| {
             let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
-            out.push((g, (lens.queries.len() as u64 + w) as f64));
+            out.push((g, lens.queries.len() as u64 + w));
         });
         out
     }

@@ -74,24 +74,6 @@ fn rank_based_serves_lone_group_within_bound() {
     }
 }
 
-/// With K = 0 the rank degenerates to Max-Queries: the same group is
-/// picked every time regardless of waiting.
-#[test]
-fn rank_with_zero_k_matches_max_queries() {
-    let queue = queue_of(&[req(0, 0, 0), req(0, 1, 1), req(1, 2, 2)]);
-    let mut rank0 = RankBased::with_k(0.0);
-    let mut maxq = SchedPolicy::MaxQueries.build();
-    for _ in 0..20 {
-        let a = rank0.decide(&queue, None, InFlight::NONE);
-        let b = maxq.decide(&queue, None, InFlight::NONE);
-        assert_eq!(a, b);
-        if let Decision::SwitchTo(g) = a {
-            rank0.on_switch_complete(&queue, g);
-            maxq.on_switch_complete(&queue, g);
-        }
-    }
-}
-
 /// Waiting times reset exactly for the queries on the loaded group
 /// and grow by one elsewhere (the W_q definition).
 #[test]
