@@ -24,7 +24,10 @@ use super::RunResult;
 ///   all empty is taken for a `LedgerMode::Counters` run);
 /// * `processing + stalls == duration` for every query record;
 /// * no `(client, query, object)` is consumed twice, when the
-///   consumption log is present.
+///   consumption log is present. This assumes every query requests
+///   each object once: an engine that re-requests an object it already
+///   consumed (a Skipper reissue under a small MJoin cache) consumes it
+///   again, and this rule reports it.
 pub fn check_run(run: &RunResult) -> Vec<String> {
     let mut bad = Vec::new();
     if run.device != DeviceMetrics::rolled_up(run.shards.iter().map(|s| &s.metrics)) {

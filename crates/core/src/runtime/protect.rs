@@ -543,6 +543,11 @@ impl Runtime {
         if !objects.is_empty() {
             if let Some(delay) = p.knobs[c].hedge {
                 let hs = &mut p.hedge_state[c];
+                // An engine may re-request an object it already
+                // consumed in this query (an MJoin reissue): that copy
+                // is new work, not a hedge loser.
+                hs.consumed.retain(|o| !objects.contains(o));
+                hs.hedged.retain(|(o, _)| !objects.contains(o));
                 let start = hs.requested.len();
                 hs.requested.extend_from_slice(objects);
                 let idx = p.hedges.len();

@@ -1354,6 +1354,47 @@ fn hedged_requests_cut_brownout_tails_and_conserve_consumption() {
 }
 
 #[test]
+fn hedged_tenant_may_re_request_a_consumed_object() {
+    // Skipper tenants whose MJoin cache is too small for Q5 reissue
+    // objects they already consumed in the same query. A reissue is new
+    // work, not a hedge loser: with a hedge delay no request reaches,
+    // the hedged run must finish and equal the unhedged one.
+    let ds = Arc::new(tpch::dataset(
+        &GenConfig::new(2016, 16).with_phys_divisor(400_000),
+    ));
+    let q5 = tpch::q5(&ds);
+    let fleet = |hedge: Option<SimDuration>| {
+        let tenants = (0..3)
+            .map(|_| {
+                let w = Workload::new(Arc::clone(&ds))
+                    .repeat_query(q5.clone(), 1)
+                    .engine(SkipperFactory::default().cache_bytes(gib(8)));
+                match hedge {
+                    Some(delay) => w.hedge_after(delay),
+                    None => w,
+                }
+            })
+            .collect();
+        Scenario::from_workloads(tenants)
+            .shards(2)
+            .placement(replicated_rr(2))
+            .run()
+    };
+    let unhedged = fleet(None);
+    let working_sets: u64 = unhedged.records().map(|r| r.upfront_gets).sum();
+    assert!(unhedged.total_gets() > working_sets, "no object reissued");
+    let hedged = fleet(Some(SimDuration::from_secs(10_000_000)));
+    assert_eq!(hedged.protection.hedges_fired, 0);
+    assert_eq!(hedged.makespan, unhedged.makespan);
+    assert!(hedged.records().eq(unhedged.records()), "records differ");
+    assert_eq!(hedged.delivery_multiset(), unhedged.delivery_multiset());
+    assert_eq!(
+        oracle::check_same_work(&hedged, &unhedged),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
 #[should_panic(expected = "hedge_after needs a replicated placement")]
 fn hedging_a_single_replica_placement_is_rejected_loudly() {
     // With one replica there is no other shard to hedge to: the knob
