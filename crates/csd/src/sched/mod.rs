@@ -360,13 +360,10 @@ pub(crate) mod testutil {
         queue_with(IntraGroupOrder::ArrivalOrder, pending)
     }
 
-    /// An indexed queue over `pending` with the given intra order.
+    /// An indexed queue over `pending`, preloaded in seq order, with
+    /// the given intra order.
     pub fn queue_with(intra: IntraGroupOrder, pending: &[PendingRequest]) -> queue::RequestQueue {
-        let mut q = queue::RequestQueue::new(intra);
-        for &r in pending {
-            q.insert(r);
-        }
-        q
+        queue::RequestQueue::from_requests(intra, pending.iter().copied())
     }
 
     /// A queue whose current contents are all resident on `group` —

@@ -55,10 +55,10 @@
 //! or seq FIFO is compacted in place once stale entries outnumber live
 //! ones 4:1, so every entry is stored once and dropped at most once.
 //!
-//! Contract: the device assigns strictly increasing sequence numbers
-//! (test adapters may pre-load out-of-order seqs *before* arming a
-//! residency; the boundary representation requires post-arm inserts to
-//! carry newer seqs, which the device guarantees by construction).
+//! Contract: inserts carry strictly increasing sequence numbers. The
+//! device assigns them so, [`RequestQueue::from_requests`] sorts its
+//! preload by seq, and an insert whose seq is not above the last one
+//! panics.
 
 use std::collections::VecDeque;
 
@@ -257,19 +257,14 @@ impl Slab {
         let seq = node.request.seq;
         if self.nodes.is_empty() {
             self.base = seq;
-        } else if seq < self.base {
-            // Out-of-order low seq (test adapters); grow the front.
-            for _ in 0..(self.base - seq) {
-                self.nodes.push_front(None);
-            }
-            self.base = seq;
         }
-        let idx = (seq - self.base) as usize;
-        if idx >= self.nodes.len() {
-            self.nodes.resize(idx + 1, None);
-        }
-        let prev = self.nodes[idx].replace(node);
-        assert!(prev.is_none(), "duplicate request seq {seq}");
+        let upper = self.upper_seq();
+        assert!(
+            seq >= upper,
+            "duplicate request seq {seq}, or one out of order (next is {upper})"
+        );
+        self.nodes.resize((seq - self.base) as usize, None);
+        self.nodes.push_back(Some(node));
         self.live += 1;
     }
 
@@ -333,19 +328,13 @@ impl Slab {
 
 /// The ascending seqs of one index entry's requests, with served ones
 /// dropped lazily: the front is always live, so it is the entry's
-/// oldest request. Device seqs are monotone, so a push is an append;
-/// only out-of-order test preloads take the sorted insert.
+/// oldest request. Seqs ascend, so a push is an append.
 #[derive(Debug, Default)]
 struct SeqFifo(VecDeque<u64>);
 
 impl SeqFifo {
     fn push(&mut self, seq: u64) {
-        if self.0.back().is_some_and(|&last| last > seq) {
-            let at = self.0.partition_point(|&s| s < seq);
-            self.0.insert(at, seq);
-        } else {
-            self.0.push_back(seq);
-        }
+        self.0.push_back(seq);
     }
 
     fn front(&self) -> Option<u64> {
@@ -450,8 +439,8 @@ pub trait RequestIndex: QueueView {
     where
         Self: Sized;
 
-    /// Enqueues a request. Sequence numbers must be distinct and
-    /// monotonically assigned by the device.
+    /// Enqueues a request. Sequence numbers must ascend, as the device
+    /// assigns them.
     fn insert(&mut self, request: PendingRequest);
 
     /// Dequeues the request with sequence number `seq`.
@@ -509,12 +498,14 @@ pub struct RequestQueue {
 }
 
 impl RequestQueue {
-    /// An indexed queue pre-loaded with `pending` (testing/adapters; the
-    /// device inserts incrementally).
+    /// An indexed queue pre-loaded with `pending`, inserted in seq
+    /// order (testing/adapters; the device inserts incrementally).
     pub fn from_requests(
         intra: IntraGroupOrder,
         pending: impl IntoIterator<Item = PendingRequest>,
     ) -> Self {
+        let mut pending: Vec<PendingRequest> = pending.into_iter().collect();
+        pending.sort_unstable_by_key(|r| r.seq);
         let mut q = <Self as RequestIndex>::new(intra);
         for r in pending {
             q.insert(r);
@@ -1052,21 +1043,6 @@ mod tests {
         assert!(q.groups.arena.len() <= groups as usize);
         let naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, live);
         assert_eq!(aggregates(&q), aggregates(&naive));
-    }
-
-    #[test]
-    fn slab_tolerates_out_of_order_preload() {
-        // Test adapters insert descending seqs; the slab grows its
-        // front and still answers oldest()/window() correctly.
-        let mut q = RequestQueue::from_requests(IntraGroupOrder::ArrivalOrder, []);
-        for seq in [5u64, 2, 9, 0, 7] {
-            q.insert(req(1, 0, 0, seq as u32, seq));
-        }
-        assert_eq!(q.oldest().unwrap().seq, 0);
-        let w: Vec<u64> = window(&q, 3).iter().map(|r| r.seq).collect();
-        assert_eq!(w, vec![0, 2, 5]);
-        q.remove(0);
-        assert_eq!(q.oldest().unwrap().seq, 2);
     }
 
     #[test]
