@@ -58,8 +58,6 @@ pub use queue::{RequestIndex, RequestQueue};
 pub use rank::RankBased;
 pub use slack::FcfsSlack;
 
-use std::cmp::Ordering;
-
 use crate::object::{GroupId, ObjectId, QueryId};
 
 /// One queued GET request as seen by the scheduler.
@@ -233,17 +231,6 @@ pub struct GroupLens<'a> {
     pub queries: &'a [QueryId],
     /// Pending request count.
     pub requests: usize,
-}
-
-/// One step of the group-centric policies' "best group" fold: does
-/// group `g`, whose score compares to the incumbent's as `vs_best`,
-/// take the lead from `best`? The higher score wins and equal scores go
-/// to the group holding the older request ([`QueueView::oldest_seq_on`],
-/// consulted only here). Sequence numbers are unique across groups, so
-/// no further tie-break is reachable.
-fn takes_lead(queue: &dyn QueueView, g: GroupId, best: GroupId, vs_best: Ordering) -> bool {
-    vs_best.then_with(|| queue.oldest_seq_on(best).cmp(&queue.oldest_seq_on(g)))
-        == Ordering::Greater
 }
 
 /// A group-switch scheduling policy.

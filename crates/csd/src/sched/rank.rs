@@ -10,21 +10,15 @@
 //! where `N_g` is the number of distinct queries with pending data on
 //! `g`, and `W_q` is the *waiting time* of query `q`: the number of group
 //! switches since `q` was last serviced (0 for queries serviced by the
-//! loaded group).
-//!
-//! The first term alone is Max-Queries, pure efficiency. Prabhakar et
-//! al. showed that, for tertiary storage, always loading the medium
-//! with the most pending requests performs within 2 % of the optimal
-//! switch-minimizing schedule; the paper's "maxquery" yardstick
-//! (Figure 12) is its query-granularity version. Its failure mode is
-//! starvation: a steady stream of requests to popular groups can
-//! postpone a lone query on another group indefinitely. The second term
-//! fixes that by growing the rank of neglected groups. The paper
-//! derives `K = 1` as the choice that maximizes fairness while
-//! preserving the efficiency tipping point (`K < 1/s` favours
-//! efficiency as the arrival gap `s → ∞`). [`RankBased::new`] is that
-//! policy and [`RankBased::max_queries`] the `K = 0` one; no other `K`
-//! is built.
+//! loaded group). The first term alone is Max-Queries, the paper's
+//! efficiency yardstick ("maxquery" in Figure 12): most pending queries
+//! first, within 2 % of the switch-optimal schedule on tertiary storage
+//! (Prabhakar et al.), but a steady stream to popular groups can starve
+//! a lone query elsewhere. The second term grows the rank of neglected
+//! groups so no tenant starves. The paper derives `K = 1` as the choice
+//! that maximizes fairness while preserving the efficiency tipping
+//! point (`K < 1/s` favours efficiency as the arrival gap `s → ∞`).
+//! [`RankBased::new`] builds `K = 1`, [`RankBased::max_queries`] `K = 0`.
 //!
 //! Rank maintenance is incremental: `N_g` and the per-group query sets
 //! come from the queue's aggregates (updated O(1) amortized per
@@ -34,7 +28,7 @@
 //! a full queue rescan per decision.
 
 use crate::object::{GroupId, QueryId};
-use crate::sched::{takes_lead, Decision, GroupLens, GroupScheduler, InFlight, QueueView};
+use crate::sched::{Decision, GroupLens, GroupScheduler, InFlight, QueueView};
 
 /// Rank-based group selection balancing efficiency and fairness.
 #[derive(Debug)]
@@ -100,14 +94,21 @@ impl RankBased {
     }
 
     fn best_group(&self, queue: &dyn QueueView) -> Option<GroupId> {
-        // Highest rank; ties broken by oldest pending request — all
-        // deterministic. One allocation-free fold over the queue's
-        // group lenses (this runs on every decision where the active
+        // Highest rank; equal ranks go to the group holding the older
+        // request ([`QueueView::oldest_seq_on`], consulted only on a
+        // tie). Seqs are unique across groups, so no further tie-break
+        // is reachable. One allocation-free fold over the queue's group
+        // lenses (this runs on every decision where the active
         // residency is drained, so it must not touch the heap).
         let mut best: Option<(GroupId, u64)> = None;
         queue.for_each_group(&mut |g, lens| {
             let rank = self.rank(lens);
-            if best.is_none_or(|(bg, brank)| takes_lead(queue, g, bg, rank.cmp(&brank))) {
+            let leads = best.is_none_or(|(bg, brank)| {
+                rank.cmp(&brank)
+                    .then_with(|| queue.oldest_seq_on(bg).cmp(&queue.oldest_seq_on(g)))
+                    .is_gt()
+            });
+            if leads {
                 best = Some((g, rank));
             }
         });
