@@ -745,6 +745,7 @@ fn validate(episodes: &[FaultEpisode], shards: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skipper_csd::{CsdConfig, CsdDevice, IntraGroupOrder, ObjectStore, SchedPolicy};
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -912,5 +913,282 @@ mod tests {
             .degraded(0, secs(20), secs(30), 0.5)
             .expand(1);
         assert_eq!(episodes.len(), 2);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential test: the plane's schedule and per-shard drop order
+    // against a model of the two-stage expansion — episodes drawn,
+    // sorted and validated, then flattened into flips and sorted again.
+
+    /// One `FaultPlan` builder call (times in seconds).
+    #[derive(Clone, Copy, Debug)]
+    enum Call {
+        Down(usize, u64, u64),
+        Degraded(usize, u64, u64, f64),
+        Drop(usize, u64, u64),
+        /// `(shard, horizon, seed)` at a 100 s MTBF and a 10 s MTTR.
+        Crashes(usize, u64, u64),
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Episode {
+        Down(usize, SimTime, SimTime),
+        Degraded(usize, SimTime, SimTime, f64),
+        Drop(usize, u64, SimDuration),
+    }
+
+    impl Episode {
+        fn shard(&self) -> usize {
+            match *self {
+                Episode::Down(s, ..) | Episode::Degraded(s, ..) | Episode::Drop(s, ..) => s,
+            }
+        }
+    }
+
+    /// What installing a plan leaves behind: the timed flips, each
+    /// shard's planned drops in order, and whether any state installed.
+    type Installed = (Vec<TimedFault>, Vec<Vec<(u64, SimDuration)>>, bool);
+
+    fn model_expand(calls: &[Call], shards: usize) -> Vec<Episode> {
+        let mut out = Vec::new();
+        let mut streams = Vec::new();
+        for &call in calls {
+            match call {
+                Call::Down(s, at, until) => out.push(Episode::Down(s, secs(at), secs(until))),
+                Call::Degraded(s, at, until, f) => {
+                    out.push(Episode::Degraded(s, secs(at), secs(until), f))
+                }
+                Call::Drop(s, nth, delay) => {
+                    out.push(Episode::Drop(s, nth, SimDuration::from_secs(delay)))
+                }
+                Call::Crashes(s, horizon, seed) => streams.push((s, secs(horizon), seed)),
+            }
+        }
+        let (mtbf, mttr) = (SimDuration::from_secs(100), SimDuration::from_secs(10));
+        for (shard, horizon, seed) in streams {
+            let mut state = derive_seed(seed, &format!("fault-crashes/{shard}"));
+            let mut at = SimTime::ZERO + exponential_gap(&mut state, mtbf);
+            while at < horizon {
+                let until = at + exponential_gap(&mut state, mttr);
+                out.push(Episode::Down(shard, at, until));
+                at = until + exponential_gap(&mut state, mtbf);
+            }
+        }
+        out.sort_by_key(|e| {
+            let (at, rank, tie) = match *e {
+                Episode::Down(_, at, _) => (at, 0u8, 0),
+                Episode::Degraded(_, at, ..) => (at, 1, 0),
+                Episode::Drop(_, nth, _) => (SimTime::ZERO, 2, nth),
+            };
+            (at, e.shard(), rank, tie)
+        });
+        let mut intervals = Vec::new();
+        for e in &out {
+            assert!(e.shard() < shards, "shard out of range");
+            match *e {
+                Episode::Down(s, at, until) => {
+                    assert!(until > at, "empty interval");
+                    intervals.push((s, at, until));
+                }
+                Episode::Degraded(s, at, until, f) => {
+                    assert!(until > at, "empty interval");
+                    assert!(f > 0.0 && f <= 1.0, "factor outside (0, 1]");
+                    intervals.push((s, at, until));
+                }
+                Episode::Drop(_, nth, _) => assert!(nth >= 1, "0th drop"),
+            }
+        }
+        intervals.sort_unstable();
+        for pair in intervals.windows(2) {
+            let ((s0, _, end0), (s1, start1, _)) = (pair[0], pair[1]);
+            assert!(s0 != s1 || start1 >= end0, "overlap");
+        }
+        out
+    }
+
+    fn model(calls: &[Call], shards: usize) -> Installed {
+        let episodes = model_expand(calls, shards);
+        let mut actions = Vec::new();
+        let mut drops = vec![Vec::new(); shards];
+        for &e in &episodes {
+            let (shard, at, until, start, end) = match e {
+                Episode::Down(s, at, until) => {
+                    (s, at, until, FaultAction::Down, FaultAction::Recover)
+                }
+                Episode::Degraded(s, at, until, f) => {
+                    (s, at, until, FaultAction::Degrade(f), FaultAction::Restore)
+                }
+                Episode::Drop(s, nth, delay) => {
+                    let last = drops[s].last().map_or(0, |&(last, _)| last);
+                    assert!(last < nth, "repeated drop ordinal");
+                    drops[s].push((nth, delay));
+                    continue;
+                }
+            };
+            actions.push(TimedFault {
+                at,
+                shard,
+                action: start,
+            });
+            actions.push(TimedFault {
+                at: until,
+                shard,
+                action: end,
+            });
+        }
+        actions.sort_by_key(|f| {
+            let starts = matches!(f.action, FaultAction::Down | FaultAction::Degrade(_));
+            (f.at, f.shard, starts)
+        });
+        (actions, drops, !episodes.is_empty())
+    }
+
+    fn plane(calls: &[Call], shards: usize) -> Installed {
+        let plan = calls
+            .iter()
+            .fold(FaultPlan::new(), |plan, &call| match call {
+                Call::Down(s, at, until) => plan.shard_down(s, secs(at), secs(until)),
+                Call::Degraded(s, at, until, f) => plan.degraded(s, secs(at), secs(until), f),
+                Call::Drop(s, nth, delay) => {
+                    plan.drop_wakeup_after(s, nth, SimDuration::from_secs(delay))
+                }
+                Call::Crashes(s, horizon, seed) => plan.seeded_crashes(
+                    s,
+                    SimDuration::from_secs(100),
+                    SimDuration::from_secs(10),
+                    secs(horizon),
+                    seed,
+                ),
+            });
+        let actions = timed_actions(&plan.expand(shards));
+        let devices = (0..shards)
+            .map(|_| {
+                CsdDevice::new(
+                    CsdConfig::default(),
+                    ObjectStore::<()>::new(),
+                    SchedPolicy::RankBased.build(),
+                    IntraGroupOrder::SemanticRoundRobin,
+                )
+            })
+            .collect();
+        let mut fleet = DeviceFleet::new(devices, Default::default());
+        fleet.install_faults(&plan);
+        if let Some(faults) = fleet.faults.as_deref() {
+            assert_eq!(faults.schedule, actions, "install kept another schedule");
+        }
+        let drops = fleet
+            .pumps
+            .iter()
+            .map(|p| {
+                p.watchdog
+                    .as_ref()
+                    .map_or(Vec::new(), |w| w.drops.iter().copied().collect())
+            })
+            .collect();
+        (actions, drops, fleet.faults.is_some())
+    }
+
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        skipper_sim::rng::splitmix64(state) % n
+    }
+
+    /// A random plan over 1–4 shards on a 10 s grid, so adjacent
+    /// intervals and equal instants on different shards are common;
+    /// builder calls are shuffled, and one plan in five gets one defect.
+    fn random_plan(state: &mut u64) -> (usize, Vec<Call>) {
+        let shards = 1 + draw(state, 4) as usize;
+        let mut calls = Vec::new();
+        for shard in 0..shards {
+            // A crash stream gets its shard to itself: its draws would
+            // overlap explicit intervals.
+            if draw(state, 4) == 0 {
+                calls.push(Call::Crashes(
+                    shard,
+                    100 + draw(state, 900),
+                    draw(state, 1 << 32),
+                ));
+            } else {
+                let mut cursor = 10 * draw(state, 3);
+                for _ in 0..draw(state, 4) {
+                    let until = cursor + 10 * (1 + draw(state, 3));
+                    calls.push(if draw(state, 2) == 0 {
+                        Call::Down(shard, cursor, until)
+                    } else {
+                        Call::Degraded(
+                            shard,
+                            cursor,
+                            until,
+                            [0.25, 0.5, 1.0][draw(state, 3) as usize],
+                        )
+                    });
+                    cursor = until + 10 * draw(state, 2);
+                }
+            }
+            let mut nth = 0;
+            for _ in 0..draw(state, 3) {
+                nth += 1 + draw(state, 3);
+                calls.push(Call::Drop(shard, nth, 1 + draw(state, 5)));
+            }
+        }
+        for i in (1..calls.len()).rev() {
+            calls.swap(i, draw(state, i as u64 + 1) as usize);
+        }
+        if draw(state, 5) == 0 {
+            let s = draw(state, shards as u64) as usize;
+            calls.extend(match draw(state, 8) {
+                0 => vec![Call::Down(shards, 0, 10)],
+                1 => vec![Call::Down(s, 30, 30)],
+                2 => vec![Call::Degraded(s, 50, 40, 0.5)],
+                3 => vec![Call::Degraded(
+                    s,
+                    0,
+                    10,
+                    [0.0, 1.5, -0.5, f64::NAN][draw(state, 4) as usize],
+                )],
+                4 => vec![Call::Down(s, 5, 5_000)],
+                5 => vec![Call::Drop(s, 0, 1)],
+                6 => vec![Call::Drop(s, 9, 1), Call::Drop(s, 9, 2)],
+                _ => vec![Call::Drop(shards, 1, 1)],
+            });
+        }
+        (shards, calls)
+    }
+
+    #[test]
+    fn schedule_matches_the_two_stage_expansion_model() {
+        let mut state = 40;
+        let (mut valid, mut malformed, mut adjacent, mut shared) = (0, 0, 0, 0);
+        for i in 0..400 {
+            let (shards, calls) = random_plan(&mut state);
+            let want = std::panic::catch_unwind(|| model(&calls, shards));
+            let got = std::panic::catch_unwind(|| plane(&calls, shards));
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got, want, "plan {i} on {shards} shards: {calls:?}");
+                    valid += 1;
+                    let flips = &got.0;
+                    let meets = |a: &TimedFault, b: &TimedFault| a.at == b.at && a.shard == b.shard;
+                    adjacent += flips.windows(2).any(|w| meets(&w[0], &w[1])) as u32;
+                    shared += flips
+                        .windows(2)
+                        .any(|w| w[0].at == w[1].at && w[0].shard != w[1].shard)
+                        as u32;
+                }
+                (Err(_), Err(_)) => malformed += 1,
+                (got, want) => panic!(
+                    "plan {i} on {shards} shards ({calls:?}): plane ok {}, model ok {}",
+                    got.is_ok(),
+                    want.is_ok()
+                ),
+            }
+        }
+        assert!(
+            valid >= 250 && malformed >= 40,
+            "{valid} valid, {malformed} malformed"
+        );
+        assert!(
+            adjacent >= 20 && shared >= 20,
+            "{adjacent} adjacent, {shared} shared"
+        );
     }
 }
