@@ -2,33 +2,32 @@
 //! and lost-wakeup injection.
 //!
 //! A production cold-storage fleet loses devices. [`FaultPlan`] is the
-//! `Scenario`-level description of *when and how*: explicit episodes
-//! plus seeded crash/repair streams, expanded **at assembly time**
-//! — exactly like [`ArrivalProcess`](super::ArrivalProcess) — into a
-//! sorted list of concrete, timestamped [`FaultEpisode`]s. Nothing is
-//! drawn during the run: the driver schedules every fault instant as a
-//! first-class calendar event up front, so repeated runs see identical
-//! fault timings.
+//! `Scenario`-level description of *when and how*, kept as its four
+//! builders were given it and turned **at assembly time** — exactly
+//! like [`ArrivalProcess`](super::ArrivalProcess) — into concrete
+//! instants. Nothing is drawn during the run: the driver schedules
+//! every fault instant as a first-class calendar event up front, so
+//! repeated runs see identical fault timings.
 //!
-//! Three episode kinds:
-//!
-//! * [`FaultEpisode::ShardDown`] — the shard crashes at `at` and
+//! * [`FaultPlan::shard_down`] — the shard crashes at `at` and
 //!   recovers at `until`: its queue is evacuated (re-routed to
 //!   surviving replicas or parked), in-flight transfers are aborted
 //!   and retried, and the spun-up group is lost (the first load after
 //!   recovery pays a full switch, though an array's very first load is
 //!   free).
-//! * [`FaultEpisode::Degraded`] — a brown-out: transfers *dispatched*
+//! * [`FaultPlan::seeded_crashes`] — a seeded stream of such outages.
+//! * [`FaultPlan::degraded`] — a brown-out: transfers *dispatched*
 //!   inside `[at, until)` run at `bandwidth_factor` × the configured
 //!   per-stream bandwidth (in-flight completion instants are already
 //!   committed), so schedulers see honest completion times.
-//! * [`FaultEpisode::DropWakeup`] — the shard's `nth` live wake-up
+//! * [`FaultPlan::drop_wakeup_after`] — the shard's `nth` live wake-up
 //!   notification is lost: the device's transfers still complete on
 //!   time internally, but their deliveries are parked in the pump until
 //!   a watchdog redelivers them `redeliver_after` later.
 //!
-//! Intervals on the same shard must not overlap (loud assembly-time
-//! panic).
+//! A malformed plan panics loudly at assembly: a shard out of range,
+//! an empty interval, a factor outside `(0, 1]`, intervals that overlap
+//! on one shard, or a 0th or repeated drop ordinal on one shard.
 //!
 //! # The plane at run time
 //!
@@ -52,7 +51,8 @@
 //! served exactly once. A dropped wake-up parks its completed batch
 //! (only the notification is lost) until the watchdog releases it; a
 //! drop onto a parked batch joins it, and the batch leaves at the later
-//! of the two deadlines.
+//! of the two deadlines. A dropped wake-up that retired nothing (a
+//! switch completion) has nothing to withhold: the drop is used up.
 
 use std::collections::VecDeque;
 
@@ -67,67 +67,8 @@ use super::fleet::DeviceFleet;
 use super::pump::DevicePump;
 use super::workload::exponential_gap;
 
-/// A concrete, timestamped fault episode — the expanded form a
-/// [`FaultPlan`] produces at assembly time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultEpisode {
-    /// Shard `shard` is down over `[at, until)`: queued requests are
-    /// evacuated to surviving replicas (or parked until recovery when
-    /// none is live), in-flight transfers are aborted and retried.
-    ShardDown {
-        /// Failing shard index.
-        shard: usize,
-        /// Crash instant.
-        at: SimTime,
-        /// Recovery instant (exclusive end of the outage).
-        until: SimTime,
-    },
-    /// Shard `shard` serves at `bandwidth_factor` × its configured
-    /// per-stream bandwidth over `[at, until)`.
-    Degraded {
-        /// Degraded shard index.
-        shard: usize,
-        /// Brown-out start.
-        at: SimTime,
-        /// Brown-out end.
-        until: SimTime,
-        /// Effective-bandwidth multiplier in `(0, 1]`.
-        bandwidth_factor: f64,
-    },
-    /// The shard's `nth` live wake-up notification (1-based, counted
-    /// from run start) is lost; its deliveries are redelivered by a
-    /// watchdog `redeliver_after` later.
-    DropWakeup {
-        /// Shard whose wake-up is dropped.
-        shard: usize,
-        /// 1-based ordinal of the live wake-up to drop.
-        nth: u64,
-        /// Watchdog redelivery delay.
-        redeliver_after: SimDuration,
-    },
-}
-
-impl FaultEpisode {
-    fn shard(&self) -> usize {
-        match *self {
-            FaultEpisode::ShardDown { shard, .. }
-            | FaultEpisode::Degraded { shard, .. }
-            | FaultEpisode::DropWakeup { shard, .. } => shard,
-        }
-    }
-
-    /// The episode's active interval, if it occupies one.
-    fn interval(&self) -> Option<(SimTime, SimTime)> {
-        match *self {
-            FaultEpisode::ShardDown { at, until, .. }
-            | FaultEpisode::Degraded { at, until, .. } => Some((at, until)),
-            FaultEpisode::DropWakeup { .. } => None,
-        }
-    }
-}
-
 /// A seeded crash/repair stream: exponential up-times (mean `mtbf`) and
-/// exponential repair times (mean `mttr`) over `[0, horizon)`, expanded
+/// exponential repair times (mean `mttr`) over `[0, horizon)`, drawn
 /// at assembly time from a labeled SplitMix64 stream (one label per
 /// shard, so adding a stream never perturbs another's draws).
 #[derive(Clone, Debug, PartialEq)]
@@ -139,13 +80,17 @@ struct CrashStream {
     seed: u64,
 }
 
-/// The `Scenario`-level fault schedule: explicit episodes plus seeded
-/// crash streams. See the module docs for semantics.
+/// The `Scenario`-level fault schedule, as its builders were given it.
+/// See the module docs for semantics.
 ///
 /// The default plan is empty and injects nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    episodes: Vec<FaultEpisode>,
+    /// Explicit intervals `(shard, at, until, start flip)`; the flip is
+    /// a `Down` or a `Degrade`.
+    intervals: Vec<(usize, SimTime, SimTime, FaultAction)>,
+    /// Dropped wake-ups `(shard, nth, redeliver_after)`.
+    drops: Vec<(usize, u64, SimDuration)>,
     crashes: Vec<CrashStream>,
 }
 
@@ -155,20 +100,14 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.episodes.is_empty() && self.crashes.is_empty()
-    }
-
     /// Adds an explicit outage: `shard` is down over `[at, until)`.
     pub fn shard_down(mut self, shard: usize, at: SimTime, until: SimTime) -> Self {
-        self.episodes
-            .push(FaultEpisode::ShardDown { shard, at, until });
+        self.intervals.push((shard, at, until, FaultAction::Down));
         self
     }
 
     /// Adds an explicit brown-out: `shard` serves at `bandwidth_factor`
-    /// × its configured bandwidth over `[at, until)`.
+    /// (in `(0, 1]`) × its configured bandwidth over `[at, until)`.
     pub fn degraded(
         mut self,
         shard: usize,
@@ -176,31 +115,25 @@ impl FaultPlan {
         until: SimTime,
         bandwidth_factor: f64,
     ) -> Self {
-        self.episodes.push(FaultEpisode::Degraded {
-            shard,
-            at,
-            until,
-            bandwidth_factor,
-        });
+        let start = FaultAction::Degrade(bandwidth_factor);
+        self.intervals.push((shard, at, until, start));
         self
     }
 
-    /// Drops the shard's `nth` live wake-up (1-based), redelivered
-    /// `redeliver_after` later by the watchdog. A drop that lands while
-    /// an earlier dropped batch is still parked joins that batch, which
-    /// is then released at the later of the two deadlines; a crash
-    /// releases a parked batch at once.
+    /// Drops the shard's `nth` live wake-up (1-based, counted from run
+    /// start), redelivered `redeliver_after` later by the watchdog. A
+    /// drop that lands while an earlier dropped batch is still parked
+    /// joins that batch, which is then released at the later of the two
+    /// deadlines; a crash releases a parked batch at once. A drop on a
+    /// wake-up that retired nothing (a switch completion) is used up
+    /// without a redelivery.
     pub fn drop_wakeup_after(
         mut self,
         shard: usize,
         nth: u64,
         redeliver_after: SimDuration,
     ) -> Self {
-        self.episodes.push(FaultEpisode::DropWakeup {
-            shard,
-            nth,
-            redeliver_after,
-        });
+        self.drops.push((shard, nth, redeliver_after));
         self
     }
 
@@ -226,16 +159,17 @@ impl FaultPlan {
         self
     }
 
-    /// Expands the plan into concrete episodes for a `shards`-wide
-    /// fleet, drawing every stochastic stream to completion. The result
-    /// is deterministically ordered (by start instant, then shard) and
-    /// validated: in-range shards, well-formed intervals, factors in
-    /// `(0, 1]`, and no overlapping intervals on the same shard.
+    /// The plan's timed flips on a `shards`-wide fleet: every crash
+    /// stream drawn to its horizon and every interval checked and
+    /// flattened into its start and end flip, ordered by `(instant,
+    /// shard, ends-before-starts)` — an interval ending at `t` applies
+    /// before an adjacent one starting at `t` on the same shard.
     ///
     /// # Panics
-    /// Panics with a descriptive message on any malformed episode.
-    pub fn expand(&self, shards: usize) -> Vec<FaultEpisode> {
-        let mut out = self.episodes.clone();
+    /// Panics on a shard out of range, an empty interval, a factor
+    /// outside `(0, 1]`, or intervals that overlap on one shard.
+    pub(crate) fn schedule(&self, shards: usize) -> Vec<TimedFault> {
+        let mut intervals = self.intervals.clone();
         for &CrashStream {
             shard,
             mtbf,
@@ -248,21 +182,52 @@ impl FaultPlan {
             let mut at = SimTime::ZERO + exponential_gap(&mut state, mtbf);
             while at < horizon {
                 let until = at + exponential_gap(&mut state, mttr);
-                out.push(FaultEpisode::ShardDown { shard, at, until });
+                intervals.push((shard, at, until, FaultAction::Down));
                 at = until + exponential_gap(&mut state, mtbf);
             }
         }
-        // Deterministic order: start instant, then shard, then a stable
-        // kind rank (DropWakeup episodes sort by ordinal at time zero).
-        out.sort_by_key(|e| {
-            let (at, rank, tie) = match *e {
-                FaultEpisode::ShardDown { at, .. } => (at, 0u8, 0),
-                FaultEpisode::Degraded { at, .. } => (at, 1, 0),
-                FaultEpisode::DropWakeup { nth, .. } => (SimTime::ZERO, 2, nth),
+        let mut out = Vec::with_capacity(2 * intervals.len());
+        for (shard, at, until, start) in intervals {
+            assert!(
+                shard < shards,
+                "fault interval targets shard {shard} but the fleet has {shards}"
+            );
+            assert!(until > at, "fault interval is empty ({at:?} >= {until:?})");
+            let end = match start {
+                FaultAction::Degrade(f) => {
+                    assert!(
+                        f > 0.0 && f <= 1.0,
+                        "brown-out bandwidth_factor {f} outside (0, 1]"
+                    );
+                    FaultAction::Restore
+                }
+                _ => FaultAction::Recover,
             };
-            (at, e.shard(), rank, tie)
-        });
-        validate(&out, shards);
+            out.push(TimedFault {
+                at,
+                shard,
+                action: start,
+            });
+            out.push(TimedFault {
+                at: until,
+                shard,
+                action: end,
+            });
+        }
+        out.sort_by_key(|f| (f.at, f.shard, f.action.starts()));
+        // A shard's down/degraded state is a toggle: its flips must
+        // alternate start, end, start, … or two intervals overlap.
+        let mut open = vec![false; shards];
+        for f in &out {
+            let starts = f.action.starts();
+            assert!(
+                open[f.shard] != starts,
+                "fault intervals overlap on shard {} at {:?}",
+                f.shard,
+                f.at
+            );
+            open[f.shard] = starts;
+        }
         out
     }
 }
@@ -280,62 +245,19 @@ pub(crate) enum FaultAction {
     Restore,
 }
 
+impl FaultAction {
+    /// True for an interval's start flip.
+    fn starts(self) -> bool {
+        matches!(self, FaultAction::Down | FaultAction::Degrade(_))
+    }
+}
+
 /// A concrete `(instant, shard, action)` triple ready for the calendar.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct TimedFault {
     pub at: SimTime,
     pub shard: usize,
     pub action: FaultAction,
-}
-
-/// Flattens expanded episodes into calendar-ready actions, ordered by
-/// `(instant, shard, ends-before-starts)` — an interval ending at `t`
-/// applies before an adjacent one starting at `t` on the same shard,
-/// matching the disjoint-interval validation.
-pub(crate) fn timed_actions(episodes: &[FaultEpisode]) -> Vec<TimedFault> {
-    let mut out = Vec::new();
-    for e in episodes {
-        match *e {
-            FaultEpisode::ShardDown { shard, at, until } => {
-                out.push(TimedFault {
-                    at,
-                    shard,
-                    action: FaultAction::Down,
-                });
-                out.push(TimedFault {
-                    at: until,
-                    shard,
-                    action: FaultAction::Recover,
-                });
-            }
-            FaultEpisode::Degraded {
-                shard,
-                at,
-                until,
-                bandwidth_factor,
-            } => {
-                out.push(TimedFault {
-                    at,
-                    shard,
-                    action: FaultAction::Degrade(bandwidth_factor),
-                });
-                out.push(TimedFault {
-                    at: until,
-                    shard,
-                    action: FaultAction::Restore,
-                });
-            }
-            FaultEpisode::DropWakeup { .. } => {}
-        }
-    }
-    out.sort_by_key(|f| {
-        let rank = match f.action {
-            FaultAction::Recover | FaultAction::Restore => 0u8,
-            FaultAction::Down | FaultAction::Degrade(_) => 1,
-        };
-        (f.at, f.shard, rank)
-    });
-    out
 }
 
 /// The fleet's fault-plane state (see the module docs).
@@ -382,28 +304,28 @@ impl FleetFaults {
 }
 
 impl<P: Clone> DeviceFleet<P> {
-    /// Installs `plan` (assembly time): expands it — seeded streams and
-    /// all — into timestamped episodes, gives every shard with a
-    /// dropped wake-up its watchdog, and keeps the timed crash and
-    /// brown-out actions for the runtime to arm as calendar events. A
-    /// plan that expands to nothing installs nothing.
+    /// Installs `plan` (assembly time): keeps its timed crash and
+    /// brown-out flips (`FaultPlan::schedule`) for the runtime to arm as
+    /// calendar events, and gives each dropped wake-up, in ordinal
+    /// order, to its shard's watchdog. A plan with neither installs
+    /// nothing.
     ///
     /// # Panics
-    /// Panics on a malformed plan (see [`FaultPlan::expand`]).
+    /// Panics on a malformed plan (see the module docs).
     pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
-        let episodes = plan.expand(self.pumps.len());
-        if episodes.is_empty() {
+        let shards = self.pumps.len();
+        let schedule = plan.schedule(shards);
+        if schedule.is_empty() && plan.drops.is_empty() {
             return;
         }
-        for e in &episodes {
-            let FaultEpisode::DropWakeup {
-                shard,
-                nth,
-                redeliver_after,
-            } = *e
-            else {
-                continue;
-            };
+        let mut drops = plan.drops.clone();
+        drops.sort_unstable_by_key(|&(shard, nth, _)| (shard, nth));
+        for (shard, nth, redeliver_after) in drops {
+            assert!(
+                shard < shards,
+                "dropped wake-up targets shard {shard} but the fleet has {shards}"
+            );
+            assert!(nth >= 1, "dropped wake-up ordinals are 1-based");
             let watchdog = self.pumps[shard].watchdog.get_or_insert_with(|| {
                 Box::new(Watchdog {
                     drops: VecDeque::new(),
@@ -415,11 +337,11 @@ impl<P: Clone> DeviceFleet<P> {
             });
             assert!(
                 watchdog.drops.back().is_none_or(|&(last, _)| last < nth),
-                "DropWakeup ordinals on one shard must be distinct"
+                "shard {shard} drops its live wake-up {nth} twice"
             );
             watchdog.drops.push_back((nth, redeliver_after));
         }
-        self.faults_mut().schedule = timed_actions(&episodes);
+        self.faults_mut().schedule = schedule;
     }
 
     /// The fault plane's state, installed on first use (a direct
@@ -691,57 +613,6 @@ impl Runtime {
     }
 }
 
-fn validate(episodes: &[FaultEpisode], shards: usize) {
-    let mut intervals: Vec<(usize, SimTime, SimTime)> = Vec::new();
-    for e in episodes {
-        assert!(
-            e.shard() < shards,
-            "fault episode targets shard {} but the fleet has {shards}",
-            e.shard()
-        );
-        match *e {
-            FaultEpisode::ShardDown { at, until, .. } => {
-                assert!(
-                    until > at,
-                    "ShardDown interval is empty ({at:?} >= {until:?})"
-                );
-            }
-            FaultEpisode::Degraded {
-                at,
-                until,
-                bandwidth_factor,
-                ..
-            } => {
-                assert!(
-                    until > at,
-                    "Degraded interval is empty ({at:?} >= {until:?})"
-                );
-                assert!(
-                    bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
-                    "Degraded bandwidth_factor {bandwidth_factor} outside (0, 1]"
-                );
-            }
-            FaultEpisode::DropWakeup { nth, .. } => {
-                assert!(nth >= 1, "DropWakeup ordinals are 1-based");
-            }
-        }
-        if let Some((at, until)) = e.interval() {
-            intervals.push((e.shard(), at, until));
-        }
-    }
-    // Intervals on the same shard must be pairwise disjoint: the
-    // fleet's down/degraded state machine is a simple toggle per shard.
-    intervals.sort_unstable();
-    for pair in intervals.windows(2) {
-        let (s0, _, end0) = pair[0];
-        let (s1, start1, _) = pair[1];
-        assert!(
-            s0 != s1 || start1 >= end0,
-            "fault episodes overlap on shard {s0} ({end0:?} > {start1:?})"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,8 +624,16 @@ mod tests {
 
     #[test]
     fn empty_plan_expands_to_nothing() {
-        assert!(FaultPlan::new().is_empty());
-        assert!(FaultPlan::new().expand(4).is_empty());
+        assert!(FaultPlan::new().schedule(4).is_empty());
+    }
+
+    /// A flip at `s` seconds.
+    fn flip(s: u64, shard: usize, action: FaultAction) -> TimedFault {
+        TimedFault {
+            at: secs(s),
+            shard,
+            action,
+        }
     }
 
     #[test]
@@ -763,75 +642,53 @@ mod tests {
             .degraded(1, secs(50), secs(60), 0.5)
             .shard_down(0, secs(10), secs(20))
             .drop_wakeup_after(2, 3, SimDuration::from_secs(1));
-        let episodes = plan.expand(4);
+        // Drops go to their shard's watchdog, not the schedule.
         assert_eq!(
-            episodes,
+            plan.schedule(4),
             vec![
-                FaultEpisode::DropWakeup {
-                    shard: 2,
-                    nth: 3,
-                    redeliver_after: SimDuration::from_secs(1),
-                },
-                FaultEpisode::ShardDown {
-                    shard: 0,
-                    at: secs(10),
-                    until: secs(20),
-                },
-                FaultEpisode::Degraded {
-                    shard: 1,
-                    at: secs(50),
-                    until: secs(60),
-                    bandwidth_factor: 0.5,
-                },
+                flip(10, 0, FaultAction::Down),
+                flip(20, 0, FaultAction::Recover),
+                flip(50, 1, FaultAction::Degrade(0.5)),
+                flip(60, 1, FaultAction::Restore),
             ]
         );
     }
 
     #[test]
     fn seeded_crashes_are_deterministic_and_alternating() {
-        let plan = FaultPlan::new().seeded_crashes(
-            1,
-            SimDuration::from_secs(100),
-            SimDuration::from_secs(10),
-            secs(1000),
-            7,
-        );
-        let a = plan.expand(2);
-        let b = plan.expand(2);
-        assert_eq!(a, b, "same seed, same episodes");
+        let crashes = |seed| {
+            FaultPlan::new()
+                .seeded_crashes(
+                    1,
+                    SimDuration::from_secs(100),
+                    SimDuration::from_secs(10),
+                    secs(1000),
+                    seed,
+                )
+                .schedule(2)
+        };
+        let a = crashes(7);
+        assert_eq!(a, crashes(7), "same seed, same flips");
         assert!(!a.is_empty(), "a 1000 s horizon at 100 s MTBF should crash");
-        let mut last_end = SimTime::ZERO;
-        for e in &a {
-            let FaultEpisode::ShardDown { shard, at, until } = *e else {
-                panic!("crash stream produced {e:?}");
-            };
-            assert_eq!(shard, 1);
-            assert!(at >= last_end && until > at);
-            last_end = until;
+        for (i, f) in a.iter().enumerate() {
+            let want = [FaultAction::Down, FaultAction::Recover][i % 2];
+            assert_eq!((f.shard, f.action), (1, want), "flip {i}");
         }
+        assert!(a.windows(2).all(|w| w[0].at < w[1].at));
         // A different seed draws a different schedule.
-        let other = FaultPlan::new()
-            .seeded_crashes(
-                1,
-                SimDuration::from_secs(100),
-                SimDuration::from_secs(10),
-                secs(1000),
-                8,
-            )
-            .expand(2);
-        assert_ne!(a, other);
+        assert_ne!(a, crashes(8));
     }
 
     #[test]
     #[should_panic(expected = "targets shard 3")]
     fn out_of_range_shard_rejected() {
-        FaultPlan::new().shard_down(3, secs(1), secs(2)).expand(2);
+        FaultPlan::new().shard_down(3, secs(1), secs(2)).schedule(2);
     }
 
     #[test]
     #[should_panic(expected = "interval is empty")]
     fn empty_interval_rejected() {
-        FaultPlan::new().shard_down(0, secs(5), secs(5)).expand(1);
+        FaultPlan::new().shard_down(0, secs(5), secs(5)).schedule(1);
     }
 
     #[test]
@@ -839,7 +696,7 @@ mod tests {
     fn bad_bandwidth_factor_rejected() {
         FaultPlan::new()
             .degraded(0, secs(1), secs(2), 1.5)
-            .expand(1);
+            .schedule(1);
     }
 
     #[test]
@@ -848,71 +705,53 @@ mod tests {
         FaultPlan::new()
             .shard_down(0, secs(10), secs(30))
             .degraded(0, secs(20), secs(40), 0.5)
-            .expand(1);
+            .schedule(1);
     }
 
     #[test]
     #[should_panic(expected = "overlap on shard 0")]
     fn overlapping_downtime_windows_on_one_shard_rejected() {
         // Two ShardDown windows on the same shard must not compose
-        // silently (a shard cannot crash while already down): validation
-        // rejects the plan loudly at assembly time, exactly like the
-        // down-vs-degraded overlap above.
+        // silently (a shard cannot crash while already down): the
+        // schedule rejects the plan loudly at assembly time, exactly
+        // like the down-vs-degraded overlap above.
         FaultPlan::new()
             .shard_down(0, secs(10), secs(100))
             .shard_down(0, secs(50), secs(150))
-            .expand(2);
+            .schedule(2);
     }
 
     #[test]
     fn overlapping_downtime_on_different_shards_composes() {
         // Overlap is only illegal per shard: concurrent outages on
         // different shards are a first-class chaos shape.
-        let episodes = FaultPlan::new()
+        let flips = FaultPlan::new()
             .shard_down(0, secs(10), secs(100))
             .shard_down(1, secs(50), secs(150))
-            .expand(2);
-        assert_eq!(episodes.len(), 2);
+            .schedule(2);
+        assert_eq!(flips.len(), 4);
     }
 
     #[test]
     fn timed_actions_order_recovery_before_adjacent_start() {
-        let episodes = FaultPlan::new()
-            .shard_down(0, secs(10), secs(20))
+        // Adjacent intervals on one shard are fine; the recovery at the
+        // shared instant applies first.
+        let flips = FaultPlan::new()
             .degraded(0, secs(20), secs(30), 0.5)
-            .expand(1);
-        let actions = timed_actions(&episodes);
-        assert_eq!(actions.len(), 4);
-        assert_eq!(
-            (actions[1].at, actions[1].action),
-            (secs(20), FaultAction::Recover)
-        );
-        assert_eq!(
-            (actions[2].at, actions[2].action),
-            (secs(20), FaultAction::Degrade(0.5))
-        );
-        // DropWakeups flatten separately (into their shard's watchdog).
-        let dropped = FaultPlan::new()
-            .drop_wakeup_after(1, 2, SimDuration::from_secs(1))
-            .expand(2);
-        assert!(timed_actions(&dropped).is_empty());
-        assert_eq!(
-            dropped,
-            vec![FaultEpisode::DropWakeup {
-                shard: 1,
-                nth: 2,
-                redeliver_after: SimDuration::from_secs(1)
-            }]
-        );
-    }
-
-    #[test]
-    fn adjacent_intervals_are_fine() {
-        let episodes = FaultPlan::new()
             .shard_down(0, secs(10), secs(20))
-            .degraded(0, secs(20), secs(30), 0.5)
-            .expand(1);
-        assert_eq!(episodes.len(), 2);
+            .schedule(1);
+        assert_eq!(
+            flips,
+            vec![
+                flip(10, 0, FaultAction::Down),
+                flip(20, 0, FaultAction::Recover),
+                flip(20, 0, FaultAction::Degrade(0.5)),
+                flip(30, 0, FaultAction::Restore),
+            ]
+        );
+        // Drops alone schedule nothing.
+        let dropped = FaultPlan::new().drop_wakeup_after(1, 2, SimDuration::from_secs(1));
+        assert!(dropped.schedule(2).is_empty());
     }
 
     // -----------------------------------------------------------------
@@ -1060,7 +899,7 @@ mod tests {
                     seed,
                 ),
             });
-        let actions = timed_actions(&plan.expand(shards));
+        let actions = plan.schedule(shards);
         let devices = (0..shards)
             .map(|_| {
                 CsdDevice::new(

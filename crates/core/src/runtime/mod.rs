@@ -88,16 +88,17 @@
 //! # Deterministic fault plane
 //!
 //! [`FaultPlan`] ([`fault`]) injects seeded device failures the same
-//! way [`ArrivalProcess`] injects traffic: everything is expanded at
-//! assembly time from labeled SplitMix64 streams into timestamped
-//! episodes, and the driver schedules each one as a first-class
-//! calendar event — nothing is drawn during the run, so repeated runs
-//! see identical fault timings.
-//! Crashes ([`FaultEpisode::ShardDown`]) abort the shard's in-flight
+//! way [`ArrivalProcess`] injects traffic: at assembly time its crash
+//! streams are drawn from labeled SplitMix64 streams and every interval
+//! is checked and flattened into timed start and end flips, and the
+//! driver schedules each flip as a first-class calendar event — nothing
+//! is drawn during the run, so repeated runs see identical fault
+//! timings. Crashes ([`FaultPlan::shard_down`],
+//! [`FaultPlan::seeded_crashes`]) abort the shard's in-flight
 //! transfers, evacuate its queue, and cost it its spun-up group;
-//! brown-outs ([`FaultEpisode::Degraded`]) scale newly dispatched
-//! transfer bandwidth; dropped wake-ups ([`FaultEpisode::DropWakeup`])
-//! park one completed batch until a watchdog redelivers it.
+//! brown-outs ([`FaultPlan::degraded`]) scale newly dispatched transfer
+//! bandwidth; dropped wake-ups ([`FaultPlan::drop_wakeup_after`]) park
+//! one completed batch until a watchdog redelivers it.
 //! `PlacementPolicy::Replicated { k, .. }` stores each object on `k`
 //! consecutive shards, the `skipper_csd::layout::replica_run` of its
 //! primary. The fleet keeps only the primary and `k`, and every fleet,
@@ -109,8 +110,8 @@
 //!
 //! Like the protection plane, this one is optional boxes owned by its
 //! module: `Scenario::run` installs the fleet's fault state (down
-//! flags, counters, parking lot, timed schedule) only for a plan that
-//! expands to some episode, and a watchdog only on a pump with a
+//! flags, counters, parking lot, timed schedule) only for a plan with
+//! some flip or drop, and a watchdog only on a pump with a
 //! dropped wake-up. The kernel's hooks — routing's liveness test, run
 //! start, `Event::Fault` and the end-of-run summary — are each one
 //! presence test, so an empty plan installs nothing and runs no fault
@@ -461,7 +462,7 @@ pub use collector::{
     RunResult, ShardFaultStats, ShardResult, SloReport, StreamRollup,
 };
 pub use engines::{EngineFactory, SkipperFactory, VanillaFactory};
-pub use fault::{FaultEpisode, FaultPlan};
+pub use fault::FaultPlan;
 pub use fleet::DeviceFleet;
 pub use protect::{
     AdmissionPolicy, AdmissionResponse, BreakerPolicy, ProtectionSummary, RetryPolicy,

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use super::fault::{FaultAction, TimedFault};
 use super::fleet::DeviceFleet;
 use super::pump::DevicePump;
 use super::*;
@@ -767,7 +768,7 @@ fn arrival_shapes_are_repeat_deterministic() {
 
 /// The seeded streams that feed every open-loop and chaos run, pinned
 /// to recorded microseconds: a refactor of `release_times` or
-/// `FaultPlan::expand` that shifts a draw fails here, not as moved
+/// `FaultPlan::schedule` that shifts a draw fails here, not as moved
 /// latencies downstream.
 #[test]
 fn seeded_streams_match_recorded_values() {
@@ -843,15 +844,19 @@ fn seeded_streams_match_recorded_values() {
             t(1000),
             7,
         )
-        .expand(2)
-        .into_iter()
-        .map(|e| match e {
-            FaultEpisode::ShardDown {
-                shard: 1,
+        .schedule(2)
+        .chunks(2)
+        .map(|pair| match *pair {
+            [TimedFault {
                 at,
-                until,
-            } => (at.as_micros(), until.as_micros()),
-            other => panic!("crash stream produced {other:?}"),
+                shard: 1,
+                action: FaultAction::Down,
+            }, TimedFault {
+                at: until,
+                shard: 1,
+                action: FaultAction::Recover,
+            }] => (at.as_micros(), until.as_micros()),
+            _ => panic!("crash stream produced {pair:?}"),
         })
         .collect();
     assert_eq!(
