@@ -500,7 +500,8 @@ impl<P> Watchdog<P> {
     /// completed them on time, only the notification is lost. They fill
     /// the cache when the watchdog *delivers* them. A drop onto a parked
     /// batch joins it; the wake-up re-arms only when the release
-    /// instant moves.
+    /// instant moves. A drop on a wake-up that retired nothing is used
+    /// up: it parks nothing and moves no release.
     pub(super) fn on_live_wakeup(
         &mut self,
         now: SimTime,
@@ -516,6 +517,9 @@ impl<P> Watchdog<P> {
             return;
         }
         let (_, delay) = self.drops.pop_front().expect("front checked");
+        if out.len() == start {
+            return;
+        }
         self.parked.extend(out.drain(start..));
         let at = self
             .release_at

@@ -2017,6 +2017,53 @@ fn a_crash_flushes_a_parked_batch_and_its_watchdog_leaves_no_trace() {
     assert!(res.makespan < t(3600));
 }
 
+#[test]
+fn a_drop_on_a_wakeup_that_retired_nothing_is_used_up() {
+    // Some of shard 0's live wake-ups are switch completions, which
+    // retire no transfer. Dropping one must neither park an empty batch
+    // whose hour-long redelivery outlasts every query nor postpone an
+    // already parked batch: for every ordinal the makespan is the last
+    // query's end and nothing is lost.
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
+    let hour = SimDuration::from_secs(3600);
+    for nth in 1..=12 {
+        let res = two_skippers(&ds, &q, FaultPlan::new().drop_wakeup_after(0, nth, hour)).run();
+        assert_eq!(res.makespan, last_end(&res), "drop of wake-up {nth}");
+        assert_eq!(res.delivery_multiset(), clean.delivery_multiset());
+    }
+}
+
+#[test]
+#[should_panic(expected = "dropped wake-up targets shard 1 but the fleet has 1")]
+fn a_drop_on_a_shard_out_of_range_fails_at_assembly() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let plan = FaultPlan::new().drop_wakeup_after(1, 1, SimDuration::from_secs(1));
+    two_skippers(&ds, &q, plan).run();
+}
+
+#[test]
+#[should_panic(expected = "dropped wake-up ordinals are 1-based")]
+fn a_zeroth_drop_fails_at_assembly() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let plan = FaultPlan::new().drop_wakeup_after(0, 0, SimDuration::from_secs(1));
+    two_skippers(&ds, &q, plan).run();
+}
+
+#[test]
+#[should_panic(expected = "shard 0 drops its live wake-up 3 twice")]
+fn a_repeated_drop_fails_at_assembly() {
+    let ds = Arc::new(mini_dataset());
+    let q = tpch::q12(&ds);
+    let plan = FaultPlan::new()
+        .drop_wakeup_after(0, 3, SimDuration::from_secs(1))
+        .drop_wakeup_after(0, 3, SimDuration::from_secs(2));
+    two_skippers(&ds, &q, plan).run();
+}
+
 // ---------------------------------------------------------------------
 // Delivery by reference: the device path carries no payload, and the
 // engine borrows each segment from its own tenant's dataset.
