@@ -43,10 +43,10 @@ impl GroupScheduler for FcfsObject {
         }
     }
 
-    /// Only the globally oldest request may be served — strict arrival
-    /// order, re-evaluated after every service.
+    /// Only the globally oldest request may be served — a window of
+    /// one: strict arrival order, re-evaluated after every service.
     fn serve_scope(&self) -> ServeScope {
-        ServeScope::OldestObject
+        ServeScope::Window(1)
     }
 }
 

@@ -158,13 +158,12 @@ pub enum ServeScope {
     /// Every request of the residency snapshot still pending on the
     /// active group (the default group-centric, non-preemptive scope).
     Residency,
-    /// Only the globally-oldest request — strict object-level FCFS.
-    OldestObject,
     /// The oldest query's requests on the active group — query-level
     /// FCFS, no merging across queries.
     OldestQuery,
     /// Requests on the active group among the `k` oldest pending
-    /// requests — FCFS with a reordering window.
+    /// requests — FCFS with a reordering window; `Window(1)` is strict
+    /// object-level FCFS.
     Window(usize),
 }
 

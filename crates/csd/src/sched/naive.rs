@@ -108,19 +108,6 @@ impl RequestIndex for NaiveQueue {
                 .filter(|(_, r)| r.group == active && self.residency.contains(&r.seq))
                 .map(|(i, _)| i)
                 .collect(),
-            ServeScope::OldestObject => {
-                let oldest_idx = self
-                    .pending
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.seq)
-                    .map(|(i, _)| i)?;
-                if self.pending[oldest_idx].group == active {
-                    vec![oldest_idx]
-                } else {
-                    Vec::new()
-                }
-            }
             ServeScope::OldestQuery => {
                 let q = self.pending.iter().min_by_key(|r| r.seq)?.query;
                 self.pending
@@ -255,7 +242,7 @@ mod tests {
         assert_eq!(naive.resident_len(1), indexed.resident_len(1));
         for scope in [
             ServeScope::Residency,
-            ServeScope::OldestObject,
+            ServeScope::Window(1),
             ServeScope::OldestQuery,
             ServeScope::Window(2),
         ] {

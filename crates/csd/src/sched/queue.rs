@@ -722,10 +722,6 @@ impl RequestIndex for RequestQueue {
                 let g = self.group(active)?;
                 g.run.get(g.cursor).map(seq_of)
             }
-            ServeScope::OldestObject => {
-                let r = self.slab.front()?;
-                (r.group == active).then_some(r.seq)
-            }
             ServeScope::OldestQuery => {
                 // Every live key of the group sits in the unserved run
                 // or in the fresh arrivals.
@@ -899,9 +895,9 @@ mod tests {
             req(1, 1, 0, 1, 2),
             req(1, 0, 0, 1, 3),
         ]);
-        // Oldest object (seq 0) is on group 1 only.
-        assert_eq!(q.select(ServeScope::OldestObject, 1), Some(0));
-        assert_eq!(q.select(ServeScope::OldestObject, 2), None);
+        // A window of one: the oldest request (seq 0) is on group 1 only.
+        assert_eq!(q.select(ServeScope::Window(1), 1), Some(0));
+        assert_eq!(q.select(ServeScope::Window(1), 2), None);
         // Oldest query is (0,0); on group 1 its semantically-first
         // request is seq 0 (segment 0).
         assert_eq!(q.select(ServeScope::OldestQuery, 1), Some(0));
@@ -1120,7 +1116,7 @@ mod tests {
                     let scope = [
                         ServeScope::Residency,
                         ServeScope::Residency,
-                        ServeScope::OldestObject,
+                        ServeScope::Window(1),
                         ServeScope::OldestQuery,
                         ServeScope::Window(3),
                     ][draw(5) as usize];
@@ -1164,7 +1160,7 @@ mod tests {
                 assert_eq!(presence(&indexed, g), presence(&naive, g));
                 for scope in [
                     ServeScope::Residency,
-                    ServeScope::OldestObject,
+                    ServeScope::Window(1),
                     ServeScope::OldestQuery,
                     ServeScope::Window(3),
                 ] {
