@@ -215,18 +215,21 @@ impl FaultPlan {
             });
         }
         out.sort_by_key(|f| (f.at, f.shard, f.action.starts()));
-        // A shard's down/degraded state is a toggle: its flips must
-        // alternate start, end, start, … or two intervals overlap.
-        let mut open = vec![false; shards];
+        // A shard's down/degraded state is a toggle: no interval may
+        // start on a shard while another one is open there.
+        let mut open = Vec::new();
         for f in &out {
-            let starts = f.action.starts();
-            assert!(
-                open[f.shard] != starts,
-                "fault intervals overlap on shard {} at {:?}",
-                f.shard,
-                f.at
-            );
-            open[f.shard] = starts;
+            if f.action.starts() {
+                assert!(
+                    !open.contains(&f.shard),
+                    "fault intervals overlap on shard {} at {:?}",
+                    f.shard,
+                    f.at
+                );
+                open.push(f.shard);
+            } else {
+                open.retain(|&s| s != f.shard);
+            }
         }
         out
     }
