@@ -2020,10 +2020,9 @@ fn a_crash_flushes_a_parked_batch_and_its_watchdog_leaves_no_trace() {
 #[test]
 fn a_drop_on_a_wakeup_that_retired_nothing_is_used_up() {
     // Some of shard 0's live wake-ups are switch completions, which
-    // retire no transfer. Dropping one must neither park an empty batch
-    // whose hour-long redelivery outlasts every query nor postpone an
-    // already parked batch: for every ordinal the makespan is the last
-    // query's end and nothing is lost.
+    // retire no transfer. Dropping one must not park an empty batch
+    // whose hour-long redelivery outlasts every query: for every
+    // ordinal the makespan is the last query's end and nothing is lost.
     let ds = Arc::new(mini_dataset());
     let q = tpch::q12(&ds);
     let clean = two_skippers(&ds, &q, FaultPlan::new()).run();
