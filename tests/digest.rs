@@ -58,6 +58,7 @@ const PULL_CLOSED: Pin = (
 const TPCH_MJOIN: Pin = ([2_828_545_659, 21, 249, 249, 8], 0xefbf_2f5f_c8d2_08ef);
 const OPEN_PLAIN: Pin = ([3_389_876_596, 140, 780, 780, 36], 0xcc65_6dda_749a_eb85);
 const OPEN_PLANES: Pin = ([3_363_158_717, 82, 468, 494, 14], 0x1456_e28d_cd4c_8e54);
+const CRASH_CUTS: Pin = ([2_703_406_385, 149, 360, 482, 18], 0xb32d_e3a0_f7cb_55ae);
 
 /// Asserts the run's aggregates, then its whole-run digest.
 fn pin(label: &str, run: &RunResult, (want, want_digest): Pin) {
@@ -213,6 +214,48 @@ fn open_planes_twin() {
     .run();
     assert!(run.availability.fault_events >= 4, "every fault kind fired");
     pin("open_planes", &run, OPEN_PLANES);
+}
+
+#[test]
+fn crash_cuts_on_a_three_stream_fleet() {
+    // Seeded crashes on both shards abort transfers and switches
+    // mid-span on a 3-stream fleet that keeps every record and span,
+    // so the pin covers the cut spans and the stalls around them.
+    let ds = dataset();
+    let q12 = tpch::q12(&ds);
+    let tenants = (0..6u64)
+        .map(|t| {
+            let w = if t % 3 == 2 {
+                vanilla(&ds)
+            } else {
+                skipper(&ds, 30)
+            };
+            w.repeat_query(q12.clone(), 3)
+                .start_at(SimDuration::from_secs(30 * t))
+        })
+        .collect();
+    let at = SimTime::from_secs;
+    let mut faults = FaultPlan::new();
+    for shard in 0..2 {
+        faults = faults.seeded_crashes(
+            shard,
+            SimDuration::from_secs(300),
+            SimDuration::from_secs(40),
+            at(2_000),
+            11 + shard as u64,
+        );
+    }
+    let run = Scenario::from_workloads(tenants)
+        .shards(2)
+        .streams(3)
+        .scheduler(SchedPolicy::RankBased)
+        .faults(faults.degraded(1, at(100), at(400), 0.5))
+        .run();
+    assert!(
+        run.availability.aborted_transfers > 0,
+        "no crash cut a transfer"
+    );
+    pin("crash_cuts", &run, CRASH_CUTS);
 }
 
 #[test]
