@@ -13,12 +13,12 @@ use std::sync::Arc;
 use skipper_csd::ObjectId;
 use skipper_datagen::Dataset;
 use skipper_relational::query::QuerySpec;
-use skipper_sim::{MergedTimeline, SimDuration, SimTime};
+use skipper_sim::{SimDuration, SimTime, StallClock};
 
 use crate::config::CostModel;
 use crate::engine::QueryEngine;
 
-use super::collector::{BlockedLog, QueryRecord, RecordDraft};
+use super::collector::{QueryRecord, RecordDraft};
 use super::engines::EngineFactory;
 
 /// A query waiting in a client's plan: its spec plus the instant the
@@ -54,12 +54,12 @@ pub struct ClientState {
     pub pending_after: Option<(Vec<ObjectId>, bool)>,
     /// Measurement draft for the current query.
     pub draft: RecordDraft,
-    /// Finished records, in completion order. Their `stalls` stay zero
-    /// until [`ClientState::take_records`] attributes them at run end.
+    /// Finished records, in completion order, each carrying the stalls
+    /// its draft split as the query ran.
     pub records: Vec<QueryRecord>,
-    /// The blocked intervals of the kept records; `None` when records
-    /// are dropped as they finish (`RecordMode::Counters`).
-    blocked: Option<BlockedLog>,
+    /// Whether finished records are kept; `false` drops them as they
+    /// finish (`RecordMode::Counters`).
+    keeps_records: bool,
     /// One shared name per distinct query name the tenant has run.
     names: Vec<Arc<str>>,
     /// Protection plane: the current query was cancelled while charged
@@ -86,16 +86,16 @@ impl ClientState {
             pending_after: None,
             draft: RecordDraft::default(),
             records: Vec::new(),
-            blocked: Some(BlockedLog::default()),
+            keeps_records: true,
             names: Vec::new(),
             cancelled: false,
         }
     }
 
     /// Whether finished records are kept (the default) or dropped as
-    /// they finish, with no blocked interval recorded.
+    /// they finish.
     pub fn keep_records(&mut self, keep: bool) {
-        self.blocked = keep.then(BlockedLog::default);
+        self.keeps_records = keep;
     }
 
     /// True when the next planned query may start at `now`: the client
@@ -109,12 +109,19 @@ impl ClientState {
     }
 
     /// Starts the next planned query: builds the engine, opens the
-    /// measurement draft, and returns the initial GET batch.
+    /// measurement draft — blocked from `now`, read off the fleet's
+    /// stall `clock` — and returns the initial GET batch.
     ///
     /// # Panics
     /// Panics if a query is already running — callers gate on
     /// [`ClientState::can_start`].
-    pub fn start_next(&mut self, tenant: u16, cost: CostModel, now: SimTime) -> Vec<ObjectId> {
+    pub fn start_next(
+        &mut self,
+        tenant: u16,
+        cost: CostModel,
+        now: SimTime,
+        clock: Option<&StallClock>,
+    ) -> Vec<ObjectId> {
         assert!(self.engine.is_none(), "query started while one is running");
         let planned = self.plan.pop_front().expect("start_next on empty plan");
         let query_name = match self.names.iter().find(|n| ***n == planned.spec.name) {
@@ -131,26 +138,23 @@ impl ClientState {
             .build(tenant, &self.dataset, planned.spec, cost);
         let requests = engine.start();
         self.engine = Some(engine);
-        self.draft = RecordDraft::begin(query_name, release, now);
+        self.draft = RecordDraft::begin(query_name, release, now, clock);
         requests
     }
 
     /// Abandons the current query without a record (a protection-plane
     /// cancel): drops the engine, discards buffered deliveries, resets
-    /// the measurement draft, and advances the query seq so in-flight
-    /// deliveries and stale protection events are recognized and
-    /// dropped at routing. If charged processing is in flight the
-    /// [`ClientState::cancelled`] flag stays up and the pending
-    /// `ClientReady` discards its reaction instead of applying it; the
-    /// driver must not start the next query until that fires.
+    /// the measurement draft (its stalls with it), and advances the
+    /// query seq so in-flight deliveries and stale protection events
+    /// are recognized and dropped at routing. If charged processing is
+    /// in flight the [`ClientState::cancelled`] flag stays up and the
+    /// pending `ClientReady` discards its reaction instead of applying
+    /// it; the driver must not start the next query until that fires.
     pub fn cancel(&mut self) {
         assert!(self.engine.is_some(), "cancel without a running query");
         self.engine = None;
         self.inbox.clear();
         self.draft = RecordDraft::default();
-        if let Some(log) = &mut self.blocked {
-            log.discard();
-        }
         self.qseq += 1;
         if self.busy {
             self.cancelled = true;
@@ -181,13 +185,12 @@ impl ClientState {
             end: now,
             processing: draft.processing,
             upfront_gets: draft.upfront_gets,
-            stalls: Default::default(),
+            stalls: draft.stalls,
             stats: engine.stats(),
             result: engine.result(),
         };
         let response = record.response_time();
-        if let Some(log) = &mut self.blocked {
-            log.close();
+        if self.keeps_records {
             self.records.push(record);
         }
         self.inbox.clear();
@@ -195,30 +198,23 @@ impl ClientState {
         response
     }
 
-    /// Closes the current blocked interval (a delivery arrived) into
-    /// the blocked log, when records are kept.
-    pub fn unblock(&mut self, now: SimTime) {
-        if let (Some(interval), Some(log)) = (self.draft.unblock(now), &mut self.blocked) {
-            log.push(interval);
-        }
+    /// Closes the current blocked interval (a delivery arrived),
+    /// splitting it against the fleet's stall `clock`.
+    pub fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
+        self.draft.unblock(now, clock);
     }
 
-    /// Takes the finished records out, with their `stalls` attributed
-    /// against the run's fleet `timeline` and the blocked log released
-    /// (end-of-run assembly).
-    pub fn take_records(&mut self, timeline: &MergedTimeline) -> Vec<QueryRecord> {
-        if let Some(log) = self.blocked.take() {
-            log.attribute(timeline, &mut self.records);
-        }
+    /// Takes the finished records out (end-of-run assembly).
+    pub fn take_records(&mut self) -> Vec<QueryRecord> {
         std::mem::take(&mut self.records)
     }
 
     /// Marks the client blocked-or-working after processing completed:
-    /// blocked if the inbox is dry, otherwise ready for the next
-    /// delivery.
-    pub fn note_waiting(&mut self, now: SimTime) {
+    /// blocked from `now` if the inbox is dry, otherwise ready for the
+    /// next delivery.
+    pub fn note_waiting(&mut self, now: SimTime, clock: Option<&StallClock>) {
         if self.inbox.is_empty() {
-            self.draft.blocked_from = Some(now);
+            self.draft.block(now, clock);
         }
     }
 

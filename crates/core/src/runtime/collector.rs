@@ -2,13 +2,13 @@
 //! records, and the [`RunResult`] returned by every scenario.
 //!
 //! During the run each client accumulates a [`RecordDraft`] (start time,
-//! charged processing) and appends its blocked intervals to one
-//! per-client blocked log; when a query finishes the draft becomes
-//! its [`QueryRecord`], written once. Stall attribution is post-hoc:
-//! once the run is over, every blocked interval is matched against the
-//! fleet's activity timeline to split waiting into switch vs transfer
-//! vs idle stalls (the Figure 9 breakdown), written into each record in
-//! place.
+//! charged processing, stalls); when a query finishes the draft becomes
+//! its [`QueryRecord`], written once. Stall attribution is online: the
+//! fleet's [`StallClock`] tracks how long the whole fleet has spent
+//! switching and transferring, the draft reads it when the query
+//! blocks and again when a delivery unblocks it, and the difference
+//! splits the wait into switch vs transfer vs idle stalls (the Figure 9
+//! breakdown). A cancelled query's stalls go with its draft.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use skipper_csd::{EnergyReport, LedgerEntry, ObjectId, QueryId};
 use skipper_relational::tuple::Row;
 use skipper_relational::value::Value;
 use skipper_sim::trace::Span;
-use skipper_sim::{Attribution, MergedTimeline, QuantileSketch, SimDuration, SimTime};
+use skipper_sim::{Attribution, QuantileSketch, SimDuration, SimTime, StallClock, StallReading};
 
 use crate::engine::EngineStats;
 
@@ -53,7 +53,7 @@ pub struct QueryRecord {
     /// working set for Skipper's issue-everything-upfront strategy, one
     /// for a pull-based engine.
     pub upfront_gets: u64,
-    /// Blocked time attributed against the device trace: switch stalls,
+    /// Blocked time split against the fleet's activity: switch stalls,
     /// transfer stalls, device-idle waits.
     pub stalls: Attribution,
     /// Engine work counters (GETs, reissues, tuples, subplans).
@@ -100,88 +100,46 @@ pub struct RecordDraft {
     pub processing: SimDuration,
     /// Size of the initial GET batch.
     pub upfront_gets: u64,
-    /// Start of the current blocked interval, if blocked.
-    pub blocked_from: Option<SimTime>,
+    /// Blocked time split so far.
+    pub stalls: Attribution,
+    /// Start of the current blocked interval and the stall clock's
+    /// reading then; `None` while working, or when no clock runs.
+    blocked: Option<(SimTime, StallReading)>,
 }
 
 impl RecordDraft {
-    /// Opens a draft at query submission. `release` is the arrival
-    /// instant for open-arrival queries (`None` for closed-loop), which
-    /// the finished record keeps so queue-wait survives into
-    /// [`QueryRecord::response_time`].
-    pub fn begin(query_name: Arc<str>, release: Option<SimTime>, now: SimTime) -> Self {
-        RecordDraft {
+    /// Opens a draft at query submission, blocked from `now` on. `release`
+    /// is the arrival instant for open-arrival queries (`None` for
+    /// closed-loop), which the finished record keeps so queue-wait
+    /// survives into [`QueryRecord::response_time`].
+    pub fn begin(
+        query_name: Arc<str>,
+        release: Option<SimTime>,
+        now: SimTime,
+        clock: Option<&StallClock>,
+    ) -> Self {
+        let mut draft = RecordDraft {
             query_name,
             release,
             start: now,
-            processing: SimDuration::ZERO,
-            upfront_gets: 0,
-            blocked_from: Some(now),
-        }
+            ..RecordDraft::default()
+        };
+        draft.block(now, clock);
+        draft
     }
 
-    /// Closes the current blocked interval (delivery arrived) and
-    /// returns it, unless it is empty.
-    pub fn unblock(&mut self, now: SimTime) -> Option<(SimTime, SimTime)> {
-        let from = self.blocked_from.take()?;
-        (now > from).then_some((from, now))
-    }
-}
-
-/// One client's blocked intervals, for the records it keeps: a single
-/// buffer in record order plus each record's interval count. The
-/// intervals of the query in flight sit past the last closed record.
-#[derive(Debug, Default)]
-pub(crate) struct BlockedLog {
-    intervals: Vec<(SimTime, SimTime)>,
-    /// Interval count of each closed record, in record order.
-    counts: Vec<u32>,
-    /// Intervals that belong to closed records.
-    closed: usize,
-}
-
-impl BlockedLog {
-    /// Appends a blocked interval of the query in flight.
-    pub(crate) fn push(&mut self, interval: (SimTime, SimTime)) {
-        self.intervals.push(interval);
+    /// Opens a blocked interval at `now`, reading the stall clock (no
+    /// interval without one: nothing is attributed then).
+    pub fn block(&mut self, now: SimTime, clock: Option<&StallClock>) {
+        self.blocked = clock.map(|clock| (now, clock.read(now)));
     }
 
-    /// The query in flight finished: its intervals become the next
-    /// record's.
-    pub(crate) fn close(&mut self) {
-        let count = self.intervals.len() - self.closed;
-        self.counts
-            .push(u32::try_from(count).expect("blocked intervals per query fit a u32"));
-        self.closed = self.intervals.len();
-    }
-
-    /// The query in flight was abandoned: its intervals are dropped.
-    pub(crate) fn discard(&mut self) {
-        self.intervals.truncate(self.closed);
-    }
-
-    /// Fleet-aware stall attribution against the run's
-    /// [`MergedTimeline`], written into `records` (the closed records,
-    /// in order) in place. Blocked intervals are sliced against the
-    /// *union* of every shard's activity trace (transfer beats switch
-    /// beats idle at each instant), so the Figure 9 breakdown stays
-    /// exact — `processing + stalls == duration` — on any shard count.
-    /// The runtime flattens the shard span lists once per run (a single
-    /// k-way merge) and reuses the timeline for every client, so
-    /// whole-run attribution costs O((spans + intervals)·log) total;
-    /// the property suite pins the result equal to the per-interval
-    /// `attribute_union` reference.
-    pub(crate) fn attribute(&self, timeline: &MergedTimeline, records: &mut [QueryRecord]) {
-        assert_eq!(
-            records.len(),
-            self.counts.len(),
-            "one interval count per record"
-        );
-        let mut intervals = self.intervals[..self.closed].iter();
-        for (record, &count) in records.iter_mut().zip(&self.counts) {
-            for &(from, to) in intervals.by_ref().take(count as usize) {
-                record.stalls.merge(timeline.attribute(from, to));
-            }
+    /// Closes the current blocked interval (a delivery arrived), adding
+    /// its split to the stalls. A no-op while not blocked.
+    pub fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
+        if let (Some((from, opened)), Some(clock)) = (self.blocked.take(), clock) {
+            self.stalls
+                .merge(clock.read(now).since(opened, now.since(from)));
         }
     }
 }
@@ -402,8 +360,8 @@ impl StreamRollup {
 /// `LedgerMode::Counters` for a fully bounded-memory drive).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordMode {
-    /// Keep every per-query record (the default; required by stall
-    /// attribution and the golden comparisons).
+    /// Keep every per-query record, stalls split online (the default;
+    /// required by the golden comparisons).
     #[default]
     Full,
     /// Drop records as they finish; [`RunResult::clients`] comes back
@@ -762,60 +720,106 @@ mod tests {
     use super::*;
     use skipper_sim::{Activity, ActivityTrace};
 
-    #[test]
-    fn draft_tracks_blocked_intervals() {
-        let mut d = RecordDraft::begin("q".into(), None, SimTime::from_secs(5));
-        assert_eq!(d.start, SimTime::from_secs(5));
-        assert_eq!(
-            d.unblock(SimTime::from_secs(8)),
-            Some((SimTime::from_secs(5), SimTime::from_secs(8)))
-        );
-        // Zero-length blocks are dropped.
-        d.blocked_from = Some(SimTime::from_secs(9));
-        assert_eq!(d.unblock(SimTime::from_secs(9)), None);
-        // Unblocking while not blocked is a no-op.
-        assert_eq!(d.unblock(SimTime::from_secs(10)), None);
+    fn t(s: u64) -> SimTime {
+        SimTime::from_secs(s)
     }
 
-    #[test]
-    fn blocked_log_counts_intervals_per_record_and_drops_abandoned_ones() {
-        let iv = |a: u64, b: u64| (SimTime::from_secs(a), SimTime::from_secs(b));
-        let mut log = BlockedLog::default();
-        log.push(iv(0, 1));
-        log.push(iv(2, 3));
-        log.close();
-        log.push(iv(4, 5));
-        log.discard(); // an abandoned query leaves nothing behind
-        log.close(); // a record blocked for no time
-        log.push(iv(6, 8));
-        log.close();
-        assert_eq!(log.intervals, vec![iv(0, 1), iv(2, 3), iv(6, 8)]);
-        assert_eq!(log.counts, vec![2, 0, 1]);
-        // Against an all-idle timeline each record's stalls total its
-        // own intervals.
-        let mut records = vec![record_with_release(None, 0, 0); 3];
-        log.attribute(&MergedTimeline::build(&[]), &mut records);
-        let idle: Vec<u64> = records.iter().map(|r| r.stalls.idle.as_micros()).collect();
-        assert_eq!(idle, vec![2_000_000, 0, 2_000_000]);
+    fn d(s: u64) -> SimDuration {
+        SimDuration::from_secs(s)
     }
 
-    #[test]
-    fn attribution_splits_by_trace() {
+    /// The stall clock at `now` over one stream that switches over
+    /// `[0, 10)` and transfers over `[10, 14)`, each span folded in at
+    /// the instant it starts.
+    fn clock_at(now: u64) -> StallClock {
         let mut trace = ActivityTrace::new();
-        trace.record(SimTime::ZERO, SimTime::from_secs(10), Activity::Switching);
-        trace.record(
-            SimTime::from_secs(10),
-            SimTime::from_secs(14),
-            Activity::Transferring { client: 0 },
-        );
-        let mut records = vec![record_with_release(None, 0, 14)];
-        let mut log = BlockedLog::default();
-        log.push((SimTime::ZERO, SimTime::from_secs(14)));
-        log.close();
-        let timeline = MergedTimeline::build(&[trace.spans()]);
-        log.attribute(&timeline, &mut records);
-        assert_eq!(records[0].stalls.switching, SimDuration::from_secs(10));
-        assert_eq!(records[0].stalls.transfer, SimDuration::from_secs(4));
+        let mut clock = StallClock::default();
+        let spans = [
+            (0, 10, Activity::Switching),
+            (10, 14, Activity::Transferring { client: 0 }),
+        ];
+        for (start, end, activity) in spans.into_iter().filter(|s| s.0 <= now) {
+            trace.record(t(start), t(end), activity);
+            clock.observe(t(start), std::slice::from_ref(&trace));
+        }
+        clock
+    }
+
+    /// Runs `f` at instant `now` with the clock as it stands then.
+    fn at<R>(now: u64, f: impl FnOnce(SimTime, Option<&StallClock>) -> R) -> R {
+        f(t(now), Some(&clock_at(now)))
+    }
+
+    #[test]
+    fn draft_splits_each_blocked_interval_as_it_closes() {
+        let mut draft = at(5, |now, clock| {
+            RecordDraft::begin("q".into(), None, now, clock)
+        });
+        assert_eq!(draft.start, t(5));
+        at(12, |now, clock| draft.unblock(now, clock));
+        at(13, |now, clock| draft.block(now, clock));
+        at(16, |now, clock| draft.unblock(now, clock));
+        // Unblocking while not blocked is a no-op.
+        at(17, |now, clock| draft.unblock(now, clock));
+        let want = Attribution {
+            switching: d(5),
+            transfer: d(3),
+            idle: d(2),
+        };
+        assert_eq!(draft.stalls, want);
+        // Without a clock (records not kept) nothing is attributed.
+        let mut lean = RecordDraft::begin("q".into(), None, t(5), None);
+        at(12, |now, clock| lean.unblock(now, clock));
+        assert_eq!(lean.stalls, Attribution::default());
+    }
+
+    #[test]
+    fn zero_length_blocked_interval_adds_nothing() {
+        let mut draft = at(3, |now, clock| {
+            RecordDraft::begin("q".into(), None, now, clock)
+        });
+        at(3, |now, clock| draft.unblock(now, clock));
+        at(11, |now, clock| draft.block(now, clock));
+        at(11, |now, clock| draft.unblock(now, clock));
+        assert_eq!(draft.stalls, Attribution::default());
+    }
+
+    #[test]
+    fn cancelled_query_stalls_never_reach_the_next_record() {
+        use super::super::client::{ClientState, PlannedQuery};
+        use super::super::engines::VanillaFactory;
+        use crate::config::CostModel;
+        use skipper_datagen::{tpch, GenConfig};
+
+        let ds = Arc::new(tpch::dataset(
+            &GenConfig::new(21, 4).with_phys_divisor(100_000),
+        ));
+        let plan = (0..2)
+            .map(|_| PlannedQuery {
+                spec: tpch::q12(&ds),
+                release: None,
+            })
+            .collect();
+        let mut client = ClientState::new(ds, Arc::new(VanillaFactory), plan);
+        let cost = CostModel::default();
+        // The first query blocks through 8 s of switching, then is
+        // cancelled.
+        at(0, |now, clock| client.start_next(0, cost, now, clock));
+        at(8, |now, clock| client.unblock(now, clock));
+        client.cancel();
+        // The next one blocks over [9, 15): 1 s switching, 4 s
+        // transfer, 1 s idle.
+        at(9, |now, clock| client.start_next(0, cost, now, clock));
+        at(15, |now, clock| client.unblock(now, clock));
+        client.finish(0, t(16));
+        let records = client.take_records();
+        assert_eq!(records.len(), 1);
+        let want = Attribution {
+            switching: d(1),
+            transfer: d(4),
+            idle: d(1),
+        };
+        assert_eq!(records[0].stalls, want);
     }
 
     fn record_with_release(release: Option<SimTime>, start: u64, end: u64) -> QueryRecord {

@@ -40,8 +40,7 @@ use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheStats;
 use skipper_csd::metrics::DeviceMetrics;
 use skipper_csd::{Delivery, ObjectId, PowerModel, QueryId};
-use skipper_sim::trace::Span;
-use skipper_sim::{CalendarQueue, MergedTimeline, SimDuration, SimTime};
+use skipper_sim::{CalendarQueue, SimDuration, SimTime, StallClock};
 
 use crate::config::CostModel;
 
@@ -105,13 +104,18 @@ impl Runtime {
             protection: None,
             last_activity: SimTime::ZERO,
         }
+        .with_record_mode(RecordMode::Full)
     }
 
     /// Selects whether per-query records are retained (builder style).
+    /// Kept records split their stalls online, so keeping them installs
+    /// the fleet's stall clock; dropping them removes it.
     pub fn with_record_mode(mut self, mode: RecordMode) -> Self {
+        let keep = mode == RecordMode::Full;
         for client in &mut self.clients {
-            client.keep_records(mode == RecordMode::Full);
+            client.keep_records(keep);
         }
+        self.fleet.stall_clock = keep.then(StallClock::default);
         self
     }
 
@@ -189,26 +193,11 @@ impl Runtime {
             self.fleet.is_quiescent(),
             "fleet still has queued work after the event queue drained"
         );
-        // Post-hoc stall attribution against the union of every stream
-        // trace of every shard: a client blocked while *any* stream is
-        // transferring anywhere in the fleet counts as a transfer stall.
-        // The fleet timeline is flattened exactly once (one k-way merge
-        // over all span lists) and shared by every client's records,
-        // whose stalls are written in place.
-        let clients_out = {
-            let lists: Vec<&[Span]> = self
-                .fleet
-                .pumps()
-                .iter()
-                .flat_map(|p| p.device().traces())
-                .map(|tr| tr.spans())
-                .collect();
-            let timeline = MergedTimeline::build(&lists);
-            self.clients
-                .iter_mut()
-                .map(|client| client.take_records(&timeline))
-                .collect()
-        };
+        let clients_out = self
+            .clients
+            .iter_mut()
+            .map(ClientState::take_records)
+            .collect();
         // Tier capacities and resident cold bytes feed the cost report;
         // captured before the pumps are consumed.
         let cold_bytes: u64 = self
@@ -307,7 +296,8 @@ impl Runtime {
         if !self.clients[c].can_start(now) || (self.protection.is_some() && !self.admit(c, now)) {
             return;
         }
-        let requests = self.clients[c].start_next(c as u16, self.cost, now);
+        let clock = self.fleet.stall_clock.as_ref();
+        let requests = self.clients[c].start_next(c as u16, self.cost, now, clock);
         self.clients[c].draft.upfront_gets = requests.len() as u64;
         let qid = QueryId::new(c as u16, self.clients[c].qseq);
         self.submit(now, c, qid, &requests);
@@ -384,7 +374,7 @@ impl Runtime {
         let Some(object) = client.inbox.pop_front() else {
             return;
         };
-        client.unblock(now);
+        client.unblock(now, self.fleet.stall_clock.as_ref());
         let payload = &client.dataset.segments[object.table as usize][object.segment as usize];
         let reaction = client
             .engine
@@ -444,7 +434,7 @@ impl Runtime {
             self.poke_fleet(now);
         }
         if !finished {
-            self.clients[c].note_waiting(now);
+            self.clients[c].note_waiting(now, self.fleet.stall_clock.as_ref());
             self.try_process(c, now);
         }
     }

@@ -383,6 +383,10 @@ impl<P: Clone> DeviceFleet<P> {
         faults.stats[shard].downs += 1;
         let mut displaced = std::mem::take(&mut faults.displaced);
         let aborted = self.pumps[shard].fail(now, &mut displaced, completed);
+        if let Some(clock) = &mut self.stall_clock {
+            // The crash cut the shard's running spans short.
+            clock.rederive(now, self.pumps.iter().flat_map(|p| p.device().traces()));
+        }
         let stats = &mut self.faults_mut().stats[shard];
         stats.aborted_transfers += aborted as u64;
         stats.evacuated_requests += (displaced.len() - aborted) as u64;

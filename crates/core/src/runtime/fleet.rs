@@ -30,7 +30,7 @@ use std::sync::Arc;
 use skipper_csd::layout::replica_run;
 use skipper_csd::{CsdDevice, Delivery, ObjectId, ObjectIndex, QueryId};
 use skipper_relational::segment::Segment;
-use skipper_sim::SimTime;
+use skipper_sim::{SimTime, StallClock};
 
 use super::fault::FleetFaults;
 use super::protect::Breaker;
@@ -64,6 +64,9 @@ pub struct DeviceFleet<P = Arc<Segment>> {
     /// The fault plane's state, installed with a fault plan (or on
     /// first use); `None` means every shard is up.
     pub(super) faults: Option<Box<FleetFaults>>,
+    /// The collector's stall clock, folded after every instant a shard
+    /// records at; installed only when the clients keep records.
+    pub(super) stall_clock: Option<StallClock>,
 }
 
 impl<P: Clone> DeviceFleet<P> {
@@ -124,6 +127,7 @@ impl<P: Clone> DeviceFleet<P> {
             unroutable: Vec::new(),
             breaker: None,
             faults: None,
+            stall_clock: None,
         }
     }
 
@@ -286,8 +290,9 @@ impl<P: Clone> DeviceFleet<P> {
     /// Pokes every shard in shard order, invoking `armed` with
     /// `(shard, wake-up)` for each newly armed (or re-armed) wake-up:
     /// per shard, the watchdog's release, then the cache's next hit,
-    /// then the device. Allocation-free: this runs once per event on
-    /// the loop's hot path. A re-arm supersedes the shard's previous
+    /// then the device. A shard that kicks folds its traces into the
+    /// stall clock, if any. Allocation-free: this runs once per event
+    /// on the loop's hot path. A re-arm supersedes the shard's previous
     /// wake-up, which then fires as a stale no-op.
     pub fn poke_all(&mut self, now: SimTime, mut armed: impl FnMut(usize, SimTime)) {
         for (shard, pump) in self.pumps.iter_mut().enumerate() {
@@ -297,8 +302,12 @@ impl<P: Clone> DeviceFleet<P> {
             if let Some(at) = pump.take_cache_arm() {
                 armed(shard, at);
             }
+            let kicks = pump.dirty;
             if let Some(at) = pump.poke(now) {
                 armed(shard, at);
+            }
+            if let (true, Some(clock)) = (kicks, &mut self.stall_clock) {
+                clock.observe(now, pump.device().traces());
             }
         }
     }
@@ -306,7 +315,9 @@ impl<P: Clone> DeviceFleet<P> {
     /// Handles shard `shard`'s wake-up firing at `now`, appending every
     /// transfer the shard retired at that instant to the caller's
     /// reusable scratch buffer (nothing for switch completions and
-    /// stale, superseded wake-ups). Returns whether the wake-up did
+    /// stale, superseded wake-ups). A live wake-up folds the shard's
+    /// traces into the stall clock, if any: a drained pipe may have
+    /// started an armed switch. Returns whether the wake-up did
     /// anything (see [`DevicePump::on_wakeup_into`]).
     pub fn on_wakeup_into(
         &mut self,
@@ -314,7 +325,11 @@ impl<P: Clone> DeviceFleet<P> {
         now: SimTime,
         out: &mut Vec<Delivery<P>>,
     ) -> bool {
-        self.pumps[shard].on_wakeup_into(now, out)
+        let live = self.pumps[shard].on_wakeup_into(now, out);
+        if let (true, Some(clock)) = (live, &mut self.stall_clock) {
+            clock.observe(now, self.pumps[shard].device().traces());
+        }
+        live
     }
 
     /// Read access to every pump, in shard order.

@@ -343,11 +343,13 @@
 //! multi-million-request runs (device counters only — no span log, no
 //! delivery ledger; in Full mode a GET costs at most one 24-byte span
 //! and one 12-byte [`LedgerEntry`](skipper_csd::LedgerEntry) per log
-//! it appears in), and whole-run stall attribution flattens every
-//! shard's span lists into one [`skipper_sim::MergedTimeline`] via a
-//! k-way merge — O((spans + intervals)·log k) total instead of a
-//! per-interval union scan, pinned equal to `attribute_union` by the
-//! `tests/observability.rs` property sweep.
+//! it appears in). Stall attribution keeps no spans at all: the fleet
+//! folds each shard's running spans into one
+//! [`skipper_sim::StallClock`] as they are recorded, and a query reads
+//! it when it blocks and when it unblocks — O(1) per blocked interval,
+//! the same split under either trace mode, and installed only while
+//! records are kept. The `skipper-sim` property test pins it equal to
+//! the offline `MergedTimeline` reference.
 //!
 //! # Internet-scale traffic & tail latency
 //!

@@ -52,8 +52,10 @@
 //!
 //! Each slot records its transfer spans in its own [`ActivityTrace`]
 //! (slot 0 also carries the switch spans), so traces stay sequential
-//! per-slot while transfers overlap across slots; stall attribution
-//! unions them.
+//! per-slot while transfers overlap across slots. Every span starts at
+//! the instant it is recorded, and only [`CsdDevice::fail`] ends one
+//! early; the runtime's stall clock (`skipper_sim::StallClock`) relies
+//! on both to union the slots online.
 //!
 //! The pending queue is pluggable: the device is generic over
 //! [`RequestIndex`] and defaults to the incrementally-indexed
@@ -120,7 +122,8 @@ pub struct CsdConfig {
     pub parallel_streams: u32,
     /// Span-log regime of the per-slot activity traces (default: keep
     /// every span). [`TraceMode::Counters`] bounds memory for huge runs
-    /// at the cost of post-hoc stall attribution.
+    /// at the cost of the span log (timelines, span-level queries);
+    /// stall attribution is online and works in both modes.
     pub trace_mode: TraceMode,
     /// Delivery-ledger regime (default: record every transfer).
     pub ledger_mode: LedgerMode,
@@ -662,8 +665,9 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     }
 
     /// Every slot's activity trace, in slot order. Spans are sequential
-    /// within a slot and overlap across slots; stall attribution unions
-    /// them (`skipper_sim::attribute_union`).
+    /// within a slot and overlap across slots; the runtime's stall
+    /// clock (`skipper_sim::StallClock`) unions them as they are
+    /// recorded.
     pub fn traces(&self) -> &[ActivityTrace] {
         &self.traces
     }

@@ -16,8 +16,9 @@
 //!   attribute blocked client time to *switch* vs *transfer* stalls
 //!   (Figure 9 and Table 3 of the paper). [`TraceMode`] selects between
 //!   the full span log and no span log (bounded memory);
-//!   [`MergedTimeline`] flattens a fleet's span lists once for
-//!   O(log n)-per-interval whole-run attribution.
+//!   [`StallClock`] splits a fleet's blocked time online, in O(1) per
+//!   interval, and [`MergedTimeline`] is its offline reference over the
+//!   kept span lists.
 //! * [`stats`] — scheduling metrics: stretch, L2-norm of stretch
 //!   (Figure 12), and the streaming quantile sketch.
 //! * [`timeline`] — ASCII Gantt rendering of device activity for
@@ -44,5 +45,5 @@ pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
     attribute_spans, attribute_union, Activity, ActivityTrace, Attribution, MergedTimeline,
-    TraceMode,
+    StallClock, StallReading, TraceMode,
 };

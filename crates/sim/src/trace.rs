@@ -3,13 +3,19 @@
 //! Figure 9 and Table 3 of the paper decompose end-to-end query time into
 //! *group-switch stalls*, *data-transfer stalls*, and *useful processing*.
 //! The CSD model records what it is doing at every instant as a sequence of
-//! [`Activity`] spans; when a client was blocked during `[a, b)`, the
-//! attribution query slices that interval across the recorded spans.
+//! [`Activity`] spans; the time a client spends blocked is split across
+//! the spans of every device it could be waiting on.
+//!
+//! The runtime splits it online: a fleet-wide [`StallClock`] folds in
+//! each trace's running span as it is recorded and keeps cumulative
+//! switching and transfer microseconds, so a blocked interval's split
+//! is the difference of two readings — O(1) per interval, whatever the
+//! span count.
 //!
 //! Two memory regimes ([`TraceMode`]):
 //!
-//! * [`TraceMode::Full`] (default) — every span is kept, enabling
-//!   post-hoc stall attribution and timeline rendering. Memory is
+//! * [`TraceMode::Full`] (default) — every span is kept, for timeline
+//!   rendering and the span-level queries below. Memory is
 //!   O(state changes) over the run: one 24-byte [`Span`] per switch
 //!   episode and per transfer, adjacent spans of one activity
 //!   coalesced.
@@ -17,17 +23,14 @@
 //!   own counters (`DeviceMetrics`) still count switches and transfer
 //!   time. This is the bounded-memory mode for multi-million-request
 //!   runs, where an O(events) span log would dwarf the simulation state
-//!   itself.
-//!   Attribution over a counters-only trace sees no spans and charges
-//!   the whole interval as idle — callers that need attribution must
-//!   run [`TraceMode::Full`].
+//!   itself. The stall clock works unchanged — a trace keeps its
+//!   running span in both modes — but the span-level queries see no
+//!   spans and charge the whole interval as idle.
 //!
-//! For sharded fleets, [`MergedTimeline`] flattens many span lists into
-//! one classified timeline with a single k-way merge, so whole-run
-//! stall attribution costs O((spans + intervals)·log k) *total* instead
-//! of a per-interval scan. [`attribute_union`] remains as the
-//! per-interval reference implementation the property tests diff
-//! against.
+//! The span-level queries are offline references with no runtime
+//! caller: [`attribute_union`] slices one interval across many traces,
+//! and [`MergedTimeline`] flattens a fleet's span lists with one k-way
+//! merge. The property tests diff the stall clock against them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -89,19 +92,21 @@ impl Attribution {
 /// How an [`ActivityTrace`] stores what it observes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
-    /// Keep every span (attribution + timelines work; O(spans) memory).
+    /// Keep every span (timelines and span-level queries work; O(spans)
+    /// memory).
     #[default]
     Full,
     /// Keep no spans (bounded memory for very large runs); only the
-    /// overlap guard runs.
+    /// running span is kept, for the overlap guard and the
+    /// [`StallClock`].
     Counters,
 }
 
 /// An append-only log of device activity spans, ordered by time.
 ///
 /// The device appends one span per state change; spans never overlap
-/// (checked in both [`TraceMode`]s). Attribution queries binary-search
-/// the log, so post-hoc analysis of a whole experiment is
+/// (checked in both [`TraceMode`]s). Span-level attribution queries
+/// binary-search the log, so offline analysis of a whole experiment is
 /// `O(clients · log spans)`.
 #[derive(Default)]
 pub struct ActivityTrace {
@@ -112,7 +117,8 @@ pub struct ActivityTrace {
     /// End of the last recorded span (also the overlap guard when the
     /// span log itself is not kept).
     last_end: SimTime,
-    /// Activity of the last recorded span (coalescing test).
+    /// Activity of the last recorded span (coalescing test; with
+    /// `last_end`, what a [`StallClock`] folds in).
     last_activity: Option<Activity>,
 }
 
@@ -263,6 +269,103 @@ pub fn attribute_spans(spans: &[Span], from: SimTime, to: SimTime) -> Attributio
     out
 }
 
+/// Cumulative fleet-wide stall time up to some instant, in
+/// microseconds: one [`StallClock`] reading.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StallReading {
+    /// Time some trace was switching and none was transferring.
+    pub switching: u64,
+    /// Time some trace was transferring.
+    pub transfer: u64,
+}
+
+impl StallReading {
+    /// The split of a blocked interval `len` long that opened at reading
+    /// `from` and closes at this one: the two counters' growth, the rest
+    /// idle.
+    pub fn since(self, from: StallReading, len: SimDuration) -> Attribution {
+        let switching = SimDuration::from_micros(self.switching - from.switching);
+        let transfer = SimDuration::from_micros(self.transfer - from.transfer);
+        Attribution {
+            switching,
+            transfer,
+            idle: len.saturating_sub(switching + transfer),
+        }
+    }
+}
+
+/// Online stall attribution over the union of many traces (a sharded,
+/// multi-stream fleet): transfer beats switching beats idle at every
+/// instant, as in [`attribute_union`], at O(1) per reading.
+///
+/// It relies on the device's recording discipline: every span starts at
+/// the instant it is recorded, and only [`ActivityTrace::cut`] ends one
+/// early. So from the last fold instant `at` onward, the union's
+/// coverage is two prefixes — transfer over `[at, transfer_until)` and
+/// switching over `[at, switch_until)` — and a reading at a later
+/// instant adds the transfer prefix, then the switching rest, and
+/// leaves the remainder idle. The owner folds a trace in after every
+/// instant it records at ([`StallClock::observe`]) and re-derives both
+/// ends after a cut ([`StallClock::rederive`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StallClock {
+    /// Instant the totals are folded up to.
+    at: SimTime,
+    /// Latest end of a running transfer span.
+    transfer_until: SimTime,
+    /// Latest end of a running switch span.
+    switch_until: SimTime,
+    /// Cumulative stalls over `[0, at)`.
+    totals: StallReading,
+}
+
+impl StallClock {
+    /// The cumulative stalls up to `now` (an instant no earlier than
+    /// the last fold).
+    pub fn read(&self, now: SimTime) -> StallReading {
+        let transfer_end = now.min(self.transfer_until).max(self.at);
+        let switch_end = now.min(self.switch_until).max(transfer_end);
+        StallReading {
+            switching: self.totals.switching + switch_end.since(transfer_end).as_micros(),
+            transfer: self.totals.transfer + transfer_end.since(self.at).as_micros(),
+        }
+    }
+
+    /// Advances the totals to `now`, then folds in the running spans of
+    /// `traces`, which may have recorded at `now`.
+    pub fn observe(&mut self, now: SimTime, traces: &[ActivityTrace]) {
+        self.advance(now);
+        traces.iter().for_each(|trace| self.fold(trace));
+    }
+
+    /// Advances the totals to `now`, then re-derives both ends from
+    /// every trace: a cut at `now` may have ended the latest span early.
+    pub fn rederive<'a>(
+        &mut self,
+        now: SimTime,
+        traces: impl IntoIterator<Item = &'a ActivityTrace>,
+    ) {
+        self.advance(now);
+        self.transfer_until = now;
+        self.switch_until = now;
+        traces.into_iter().for_each(|trace| self.fold(trace));
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        self.totals = self.read(now);
+        self.at = now;
+    }
+
+    fn fold(&mut self, trace: &ActivityTrace) {
+        let until = match trace.last_activity {
+            Some(Activity::Transferring { .. }) => &mut self.transfer_until,
+            Some(Activity::Switching) => &mut self.switch_until,
+            None => return,
+        };
+        *until = (*until).max(trace.last_end);
+    }
+}
+
 /// Attributes the interval `[from, to)` against the *union* of several
 /// device traces (a sharded fleet): at each instant the classification is
 /// the most-progressing activity any device shows — transfer beats
@@ -273,9 +376,9 @@ pub fn attribute_spans(spans: &[Span], from: SimTime, to: SimTime) -> Attributio
 /// [`ActivityTrace::attribute`]. The result always totals `to - from`.
 ///
 /// This is the per-interval reference: each call re-scans the
-/// overlapping spans of every trace. Whole-run attribution over many
-/// intervals should build a [`MergedTimeline`] once instead; the
-/// property suite pins the two implementations equal.
+/// overlapping spans of every trace. [`MergedTimeline`] answers the same
+/// queries after one merge, and [`StallClock`] online; the property
+/// suites pin all three equal.
 pub fn attribute_union(traces: &[&ActivityTrace], from: SimTime, to: SimTime) -> Attribution {
     if traces.len() == 1 {
         return traces[0].attribute(from, to);
@@ -345,14 +448,14 @@ pub fn attribute_union(traces: &[&ActivityTrace], from: SimTime, to: SimTime) ->
 
 /// A fleet's span lists flattened into one classified timeline.
 ///
-/// Built once per run with a k-way merge over the shard/stream span
-/// lists — O(total spans · log k) — the timeline answers
+/// Built with a k-way merge over the shard/stream span lists —
+/// O(total spans · log k) — the timeline answers
 /// [`MergedTimeline::attribute`] queries in O(log cuts) each, with
 /// *identical* results to [`attribute_union`] (transfer beats switching
-/// beats idle at every instant; uncovered time is idle). Whole-run
-/// stall attribution over `m` blocked intervals therefore costs
-/// O((spans + m)·log) total instead of re-scanning every trace per
-/// interval.
+/// beats idle at every instant; uncovered time is idle). It is an
+/// offline reference: the runtime attributes stalls with a
+/// [`StallClock`] as it runs, and the property tests and the
+/// benchmark's probe diff or time against this timeline.
 pub struct MergedTimeline {
     /// Cut instants `t_0 < t_1 < … < t_n`: every span boundary of every
     /// input list. Between consecutive cuts the fleet classification is
@@ -694,6 +797,109 @@ mod tests {
         assert_eq!(
             attribute_union(&[&tr, &tr], t(5), t(5)),
             Attribution::default()
+        );
+    }
+
+    // ---- StallClock ----
+
+    #[test]
+    fn stall_clock_splits_transfer_over_switching_over_idle() {
+        // Stream A switches [0,10); stream B transfers [4,8), recorded
+        // at 4.
+        let mut a = ActivityTrace::new();
+        let mut b = ActivityTrace::new();
+        let mut clock = StallClock::default();
+        a.record(t(0), t(10), Activity::Switching);
+        clock.observe(t(0), std::slice::from_ref(&a));
+        let at_start = clock.read(t(0));
+        b.record(t(4), t(8), Activity::Transferring { client: 1 });
+        clock.observe(t(4), std::slice::from_ref(&b));
+        let attr = clock.read(t(12)).since(at_start, d(12));
+        assert_eq!(
+            (attr.transfer, attr.switching, attr.idle),
+            (d(4), d(6), d(2))
+        );
+        // A cut at 9 ends the switch early: [9,12) reads idle.
+        a.cut(t(9));
+        clock.rederive(t(9), [&a, &b]);
+        let attr = clock.read(t(12)).since(at_start, d(12));
+        assert_eq!(
+            (attr.transfer, attr.switching, attr.idle),
+            (d(4), d(5), d(3))
+        );
+    }
+
+    /// Random span streams on K streams under the device's discipline:
+    /// every span starts at the instant it is recorded, adjacent spans
+    /// of one activity coalesce, and cuts land mid-span and at a span's
+    /// own start. The clock folds each stream in after it records and
+    /// re-derives after each cut; every pair of its readings must split
+    /// like the merged timeline of the final span lists.
+    #[test]
+    fn stall_clock_matches_merged_timeline_under_the_device_discipline() {
+        use crate::rng::splitmix64;
+        let (mut coalesced, mut mid_cuts, mut start_cuts) = (0u32, 0u32, 0u32);
+        for seed in 0..300u64 {
+            let mut state = seed;
+            let mut draw = |n: u64| splitmix64(&mut state) % n;
+            let k = 1 + draw(4) as usize;
+            let mut traces: Vec<ActivityTrace> = (0..k).map(|_| ActivityTrace::new()).collect();
+            let mut clock = StallClock::default();
+            let mut readings = Vec::new();
+            let mut now = t(0);
+            for _ in 0..60 {
+                now += d(draw(4));
+                if draw(2) == 0 {
+                    readings.push((now, clock.read(now)));
+                }
+                for trace in traces.iter_mut() {
+                    if trace.last_end > now || draw(3) == 0 {
+                        continue;
+                    }
+                    let activity = match draw(3) {
+                        0 => Activity::Switching,
+                        _ => Activity::Transferring {
+                            client: draw(2) as u32,
+                        },
+                    };
+                    let spans = trace.spans().len();
+                    trace.record(now, now + d(1 + draw(6)), activity);
+                    coalesced += u32::from(trace.spans().len() == spans);
+                    clock.observe(now, std::slice::from_ref(trace));
+                }
+                if draw(5) == 0 {
+                    let trace = &mut traces[draw(k as u64) as usize];
+                    if trace.last_end > now {
+                        if trace.last_start == now {
+                            start_cuts += 1;
+                        } else {
+                            mid_cuts += 1;
+                        }
+                    }
+                    trace.cut(now);
+                    clock.rederive(now, &traces);
+                }
+                if draw(2) == 0 {
+                    readings.push((now, clock.read(now)));
+                }
+            }
+            let end = now + d(10);
+            readings.push((end, clock.read(end)));
+            let lists: Vec<&[Span]> = traces.iter().map(|tr| tr.spans()).collect();
+            let timeline = MergedTimeline::build(&lists);
+            for (i, &(from, opened)) in readings.iter().enumerate() {
+                for &(to, closed) in &readings[i..] {
+                    assert_eq!(
+                        closed.since(opened, to.since(from)),
+                        timeline.attribute(from, to),
+                        "seed {seed}: [{from:?}, {to:?})"
+                    );
+                }
+            }
+        }
+        assert!(
+            coalesced >= 100 && mid_cuts >= 100 && start_cuts >= 100,
+            "{coalesced} coalesced, {mid_cuts} mid-span cuts, {start_cuts} start cuts"
         );
     }
 
