@@ -410,8 +410,8 @@
 //! so a run costs O(events · log depth), not O(events · depth). The
 //! contract is pinned two ways: the differential suite
 //! (`crates/csd/tests/equivalence.rs`) diffs the indexed queue against
-//! the preserved full-rescan `NaiveQueue` reference across every
-//! policy × intra order × shard count, and the goldens stay
+//! the full-rescan `NaiveQueue` reference (in `skipper-testkit`)
+//! across every policy × intra order × shard count, and the goldens stay
 //! microsecond-exact. End-of-run result assembly
 //! moves spans, ledgers, and counters out of the devices (`Runtime::run`
 //! consumes the fleet) instead of cloning them.

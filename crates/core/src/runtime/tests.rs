@@ -15,12 +15,12 @@ use skipper_csd::{
     SchedPolicy,
 };
 use skipper_datagen::{tpch, Dataset, GenConfig};
-use skipper_relational::ops::reference;
 use skipper_relational::query::{results_approx_eq, QuerySpec};
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
 use skipper_relational::value::Value;
 use skipper_sim::{SimDuration, SimTime};
+use skipper_testkit::ops::reference;
 
 /// SF-4 TPC-H: lineitem 4 + orders 1 = 5 objects per Q12 client.
 fn mini_dataset() -> Dataset {

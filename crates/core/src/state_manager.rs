@@ -393,8 +393,8 @@ mod tests {
     use super::*;
     use skipper_datagen::{tpch, GenConfig};
     use skipper_relational::catalog::GIB;
-    use skipper_relational::ops::reference;
     use skipper_relational::query::results_approx_eq;
+    use skipper_testkit::ops::reference;
 
     fn mini() -> (Dataset, QuerySpec) {
         // SF-4: lineitem 4 segments + orders 1 segment = 5 Q12 objects.

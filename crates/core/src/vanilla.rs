@@ -177,9 +177,9 @@ impl QueryEngine for VanillaEngine {
 mod tests {
     use super::*;
     use skipper_datagen::{tpch, GenConfig};
-    use skipper_relational::ops::reference;
     use skipper_relational::query::results_approx_eq;
     use skipper_sim::SimDuration;
+    use skipper_testkit::ops::reference;
 
     fn mini() -> (Dataset, QuerySpec) {
         let cfg = GenConfig::new(9, 4).with_phys_divisor(100_000);

@@ -61,9 +61,8 @@
 //! [`RequestIndex`] and defaults to the incrementally-indexed
 //! [`RequestQueue`], which serves a residency from one sorted run
 //! (O(1) amortized per served request; the order is paid for once per
-//! arm). The full-rescan
-//! [`NaiveQueue`](crate::sched::NaiveQueue) plugs into the same slot for
-//! differential testing.
+//! arm). The full-rescan `NaiveQueue` (in `skipper-testkit`) plugs into
+//! the same slot for differential testing.
 //!
 //! Every per-GET fact is resolved once, at [`CsdDevice::submit`]: the
 //! object's group, size and store slot travel with the

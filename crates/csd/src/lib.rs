@@ -30,8 +30,8 @@
 //!   the incrementally-indexed request queue
 //!   ([`sched::queue::RequestQueue`], O(1) amortized per submit and
 //!   per serve; the
-//!   pre-index full-rescan [`sched::naive::NaiveQueue`] survives as the
-//!   differential-test reference).
+//!   pre-index full-rescan `NaiveQueue` survives in `skipper-testkit` as
+//!   the differential-test reference).
 //! * [`device`] — the device state machine: request queue → pick group →
 //!   switch (latency S) → serve every pending request on the group
 //!   (no preemption) → repeat; with semantically-smart intra-group
@@ -62,7 +62,7 @@ pub use layout::{BasePlacement, Layout, LayoutPolicy, PlacementPolicy};
 pub use object::{GroupId, LedgerEntry, ObjectId, ObjectIndex, ObjectMeta, QueryId};
 pub use power::{EnergyReport, PowerModel};
 pub use sched::{
-    FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, NaiveQueue, QueueView,
-    RankBased, RequestIndex, RequestQueue, SchedPolicy, ServeScope,
+    FcfsObject, FcfsQuery, FcfsSlack, GroupLens, GroupScheduler, InFlight, QueueView, RankBased,
+    RequestIndex, RequestQueue, SchedPolicy, ServeScope,
 };
 pub use store::ObjectStore;

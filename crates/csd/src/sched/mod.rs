@@ -38,8 +38,8 @@
 //!
 //! The production [`RequestQueue`] maintains all of it incrementally at
 //! O(1) amortized per insert and serve. The pre-indexing full-rescan
-//! semantics survive as [`NaiveQueue`], the reference implementation the
-//! differential tests run against.
+//! semantics survive as `NaiveQueue` (in `skipper-testkit`), the
+//! reference implementation the differential tests run against.
 //!
 //! Instead of returning request indices, a policy describes *which*
 //! requests may be served during the current residency as a declarative
@@ -47,13 +47,11 @@
 //! intra-group order to a concrete request without rescanning.
 
 mod fcfs;
-pub mod naive;
 pub mod queue;
 mod rank;
 mod slack;
 
 pub use fcfs::{FcfsObject, FcfsQuery};
-pub use naive::NaiveQueue;
 pub use queue::{RequestIndex, RequestQueue};
 pub use rank::RankBased;
 pub use slack::FcfsSlack;
@@ -172,7 +170,7 @@ pub enum ServeScope {
 ///
 /// Two implementations exist: the incrementally-indexed
 /// [`RequestQueue`] (production, O(1) amortized updates)
-/// and the full-rescan [`NaiveQueue`] (the pre-index
+/// and the full-rescan `NaiveQueue` in `skipper-testkit` (the pre-index
 /// reference the differential suite diffs against).
 pub trait QueueView {
     /// Number of pending requests.

@@ -25,17 +25,25 @@
 //! also pins two work-conservation contracts: every shard count and
 //! every stream count delivers the same `(client, query, object)`
 //! multiset.
+//!
+//! The queue-level differentials at the end drive both queues op by op
+//! without a device: a fixed mirror, slice grouping, a drain-and-refill
+//! stride over 48 groups, cancels, and a seeded op mix. `NaiveQueue`
+//! comes from `skipper-testkit`, so these run here rather than as unit
+//! tests: a unit test would see a second copy of this crate's types.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use skipper_csd::sched::{NaiveQueue, RequestIndex, RequestQueue};
+use skipper_csd::sched::{PendingRequest, QueueView, RequestIndex, RequestQueue, ServeScope};
 use skipper_csd::{
-    CsdConfig, CsdDevice, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy,
+    CsdConfig, CsdDevice, GroupId, IntraGroupOrder, ObjectId, ObjectStore, QueryId, SchedPolicy,
 };
+use skipper_sim::rng::splitmix64;
 use skipper_sim::{SimDuration, SimTime};
+use skipper_testkit::sched::naive::NaiveQueue;
 
 const MB: u64 = 1 << 20;
 
@@ -543,4 +551,291 @@ fn indexed_queue_matches_naive_on_a_pull_convoy() {
             }
         }
     }
+}
+
+// ---- Queue-level differentials ----
+//
+// The indexed queue against the naive one op by op, without a device:
+// the checks that read the indexed queue's private state (its recount
+// and arena sizes) stay as unit tests beside it.
+
+/// A pending request with compact syntax (group, tenant, query seq,
+/// segment, arrival seq).
+fn req(group: GroupId, tenant: u16, qseq: u32, seg: u32, seq: u64) -> PendingRequest {
+    PendingRequest {
+        object: ObjectId::new(tenant, 0, seg),
+        query: QueryId::new(tenant, qseq),
+        client: tenant as usize,
+        group,
+        bytes: 0,
+        slot: 0,
+        seq,
+    }
+}
+
+/// An indexed queue over `pending`, semantic round-robin intra-group.
+fn queue(pending: &[PendingRequest]) -> RequestQueue {
+    RequestQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending.iter().copied())
+}
+
+/// One group's aggregates: group, distinct queries (ascending),
+/// request count, oldest seq.
+type Aggregate = (GroupId, Vec<QueryId>, usize, Option<u64>);
+
+/// Every group's [`Aggregate`], in ascending group id.
+fn aggregates(view: &dyn QueueView) -> Vec<Aggregate> {
+    let mut out = Vec::new();
+    view.for_each_group(&mut |g, lens| {
+        out.push((
+            g,
+            lens.queries.to_vec(),
+            lens.requests,
+            view.oldest_seq_on(g),
+        ));
+    });
+    out
+}
+
+/// The `k` oldest pending requests, oldest first.
+fn window(view: &dyn QueueView, k: usize) -> Vec<PendingRequest> {
+    let mut out = Vec::new();
+    view.for_each_window(k, &mut |r| out.push(*r));
+    out
+}
+
+/// Query `q`'s oldest pending request.
+fn oldest_of_query(view: &dyn QueueView, q: QueryId) -> Option<PendingRequest> {
+    window(view, usize::MAX).into_iter().find(|r| r.query == q)
+}
+
+/// Every query with pending data and whether it has data on `on`, in
+/// visit order, which must be ascending query id.
+fn presence(view: &dyn QueueView, on: GroupId) -> Vec<(QueryId, bool)> {
+    let mut out = Vec::new();
+    view.for_each_query_presence(on, &mut |q, p| out.push((q, p)));
+    assert!(
+        out.is_sorted_by(|a, b| a.0 < b.0),
+        "query presence out of order"
+    );
+    out
+}
+
+#[test]
+fn mirrors_the_indexed_queue() {
+    let pending = [req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(1, 1, 0, 1, 2)];
+    let mut naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
+    let mut indexed = RequestQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
+    assert_eq!(aggregates(&naive), aggregates(&indexed));
+    assert_eq!(naive.oldest(), indexed.oldest());
+    assert_eq!(window(&naive, 2), window(&indexed, 2));
+    naive.arm_residency(1);
+    indexed.arm_residency(1);
+    assert_eq!(naive.resident_len(1), indexed.resident_len(1));
+    for scope in [
+        ServeScope::Residency,
+        ServeScope::Window(1),
+        ServeScope::OldestQuery,
+        ServeScope::Window(2),
+    ] {
+        for active in [1, 2] {
+            assert_eq!(
+                naive.select(scope, active),
+                indexed.select(scope, active),
+                "{scope:?} on group {active}"
+            );
+        }
+    }
+    assert_eq!(naive.remove(1), indexed.remove(1));
+    assert_eq!(naive.len(), indexed.len());
+}
+
+#[test]
+fn aggregates_match_slice_grouping() {
+    let pending = [
+        req(1, 0, 0, 0, 3),
+        req(1, 0, 0, 1, 1),
+        req(2, 1, 0, 0, 2),
+        req(1, 2, 0, 0, 4),
+    ];
+    let agg = aggregates(&queue(&pending));
+    let naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
+    assert_eq!(agg, aggregates(&naive));
+    assert_eq!((agg[0].2, agg[0].3), (3, Some(1)));
+}
+
+/// The pull-convoy shape of the queue's unit test
+/// `many_groups_create_drain_and_recycle` (which recounts the indexes
+/// after every mutation): 48 groups, a few tenants each, drained and
+/// refilled in a stride. What is left at the end must aggregate as the
+/// naive reference does.
+#[test]
+fn many_groups_create_drain_and_recycle_agree_with_naive() {
+    let mut q = RequestQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, []);
+    let (groups, tenants) = (48u32, 7u16);
+    let mut next_seq = 0u64;
+    let mut live: Vec<PendingRequest> = Vec::new();
+    let mut submit = |q: &mut RequestQueue, live: &mut Vec<PendingRequest>, group: u32| {
+        let tenant = (next_seq % tenants as u64) as u16;
+        let r = req(group, tenant, group % 3, next_seq as u32, next_seq);
+        next_seq += 1;
+        q.insert(r);
+        live.push(r);
+    };
+    for g in 0..groups {
+        submit(&mut q, &mut live, g);
+    }
+    for round in 0..200u32 {
+        let g = (round * 29) % groups;
+        q.arm_residency(g);
+        while let Some(seq) = q.select(ServeScope::Residency, g) {
+            let r = q.remove(seq);
+            live.retain(|l| l.seq != r.seq);
+            assert_eq!(r.group, g);
+        }
+        assert_eq!(q.resident_len(g), 0);
+        assert!(live.iter().all(|r| r.group != g), "group {g} not drained");
+        for target in [g, (g + 5) % groups, (g + 31) % groups] {
+            submit(&mut q, &mut live, target);
+        }
+        assert_eq!(q.len(), live.len());
+        assert_eq!(q.oldest().map(|r| r.seq), live.iter().map(|r| r.seq).min());
+    }
+    let naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, live);
+    assert_eq!(aggregates(&q), aggregates(&naive));
+}
+
+#[test]
+fn cancel_query_and_object_agree_with_naive() {
+    let pending = [
+        req(1, 0, 0, 0, 0),
+        req(2, 0, 0, 1, 1),
+        req(1, 1, 0, 0, 2),
+        req(1, 0, 1, 2, 3),
+    ];
+    let mut indexed = queue(&pending);
+    let mut naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
+    // Object-level cancel removes exactly the (query, object) copy.
+    let victim = QueryId::new(0, 0);
+    let obj = pending[1].object;
+    assert_eq!(indexed.cancel_object(victim, obj).unwrap().seq, 1);
+    assert_eq!(naive.cancel_object(victim, obj).unwrap().seq, 1);
+    assert!(indexed.cancel_object(victim, obj).is_none());
+    // Query-level cancel drains the remaining requests of the query,
+    // oldest first, leaving other queries untouched.
+    let mut seqs = Vec::new();
+    let n = indexed.cancel_query(victim, &mut |r| seqs.push(r.seq));
+    assert_eq!((n, seqs.as_slice()), (1, &[0u64][..]));
+    let mut naive_seqs = Vec::new();
+    assert_eq!(
+        naive.cancel_query(victim, &mut |r| naive_seqs.push(r.seq)),
+        1
+    );
+    assert_eq!(naive_seqs, seqs);
+    assert_eq!(indexed.len(), 2);
+    assert_eq!(oldest_of_query(&indexed, victim), None);
+    assert!(oldest_of_query(&indexed, QueryId::new(1, 0)).is_some());
+    assert!(oldest_of_query(&indexed, QueryId::new(0, 1)).is_some());
+}
+
+#[test]
+fn random_serves_and_cancels_agree_with_naive() {
+    // A seeded op mix over four groups — inserts, arms, residency
+    // serves, serves through the other scopes, query and object
+    // cancels — applied to both queues. Every answer must agree.
+    // Cancels are classified as they land, and the run must have
+    // cancelled residents of the armed group (the run's dead-entry
+    // skip), fresh arrivals on it (dropped at the next arm) and
+    // requests on other groups. The queue's unit test
+    // `random_serves_and_cancels_keep_indexes_exact` runs the same mix
+    // with a recount after every op.
+    let mut state = 0x5EED_u64;
+    let mut draw = |n: u64| splitmix64(&mut state) % n;
+    let intra = IntraGroupOrder::SemanticRoundRobin;
+    let mut indexed = queue(&[]);
+    let mut naive = NaiveQueue::from_requests(intra, []);
+    let (mut next_seq, mut armed, mut boundary) = (0u64, None, 0u64);
+    let mut cancelled = [0usize; 3]; // resident, fresh, other group
+    for _ in 0..4_000 {
+        match draw(10) {
+            0..=3 => {
+                let r = req(
+                    draw(4) as u32,
+                    draw(3) as u16,
+                    draw(2) as u32,
+                    draw(6) as u32,
+                    next_seq,
+                );
+                next_seq += 1;
+                indexed.insert(r);
+                naive.insert(r);
+            }
+            4 => {
+                let g = draw(4) as u32;
+                indexed.arm_residency(g);
+                naive.arm_residency(g);
+                (armed, boundary) = (Some(g), next_seq);
+            }
+            5 | 6 => {
+                let scope = [
+                    ServeScope::Residency,
+                    ServeScope::Residency,
+                    ServeScope::Window(1),
+                    ServeScope::OldestQuery,
+                    ServeScope::Window(3),
+                ][draw(5) as usize];
+                let g = armed.unwrap_or(0);
+                let seq = indexed.select(scope, g);
+                assert_eq!(seq, naive.select(scope, g), "{scope:?} on {g}");
+                if let Some(seq) = seq {
+                    assert_eq!(indexed.remove(seq), naive.remove(seq));
+                }
+            }
+            _ => {
+                let q = QueryId::new(draw(3) as u16, draw(2) as u32);
+                let mut removed = Vec::new();
+                if draw(2) == 0 {
+                    let n = indexed.cancel_query(q, &mut |r| removed.push(*r));
+                    let mut want = Vec::new();
+                    assert_eq!(naive.cancel_query(q, &mut |r| want.push(*r)), n);
+                    assert_eq!(removed, want);
+                } else {
+                    let object = ObjectId::new(q.tenant, 0, draw(6) as u32);
+                    removed.extend(indexed.cancel_object(q, object));
+                    assert_eq!(removed.first(), naive.cancel_object(q, object).as_ref());
+                }
+                for r in removed {
+                    let class = match armed {
+                        Some(g) if r.group == g && r.seq < boundary => 0,
+                        Some(g) if r.group == g => 1,
+                        _ => 2,
+                    };
+                    cancelled[class] += 1;
+                }
+            }
+        }
+        assert_eq!(indexed.len(), naive.len());
+        assert_eq!(indexed.oldest(), naive.oldest());
+        assert_eq!(aggregates(&indexed), aggregates(&naive));
+        assert_eq!(window(&indexed, usize::MAX), window(&naive, usize::MAX));
+        if let Some(g) = armed {
+            assert_eq!(indexed.resident_len(g), naive.resident_len(g));
+            assert_eq!(presence(&indexed, g), presence(&naive, g));
+            for scope in [
+                ServeScope::Residency,
+                ServeScope::Window(1),
+                ServeScope::OldestQuery,
+                ServeScope::Window(3),
+            ] {
+                assert_eq!(
+                    indexed.select(scope, g),
+                    naive.select(scope, g),
+                    "{scope:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        cancelled.iter().all(|&n| n > 20),
+        "cancel coverage (resident, fresh, other group): {cancelled:?}"
+    );
 }

@@ -10,10 +10,11 @@
 use std::collections::HashMap;
 
 use skipper_csd::sched::{
-    GroupScheduler, NaiveQueue, PendingRequest, QueueView, RankBased, RequestIndex, RequestQueue,
+    GroupScheduler, PendingRequest, QueueView, RankBased, RequestIndex, RequestQueue,
 };
 use skipper_csd::{GroupId, IntraGroupOrder, ObjectId, QueryId};
 use skipper_sim::rng::splitmix64;
+use skipper_testkit::sched::naive::NaiveQueue;
 
 /// The stamped hash-map waiting table.
 #[derive(Default)]

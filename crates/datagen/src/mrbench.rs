@@ -157,7 +157,8 @@ fn schema(dataset: &Dataset, table: &str) -> Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper_relational::ops::{binary, reference};
+    use skipper_relational::ops::binary;
+    use skipper_testkit::ops::reference;
 
     #[test]
     fn default_scale_is_20gb() {

@@ -184,7 +184,8 @@ fn schema(dataset: &Dataset, table: &str) -> Schema {
 mod tests {
     use super::*;
     use crate::dates::year_start;
-    use skipper_relational::ops::{binary, reference};
+    use skipper_relational::ops::binary;
+    use skipper_testkit::ops::reference;
 
     fn cfg() -> GenConfig {
         GenConfig::new(11, 2).with_phys_divisor(20_000)

@@ -766,8 +766,9 @@ fn schema_of(dataset: &Dataset, table: &str) -> Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper_relational::ops::{binary, reference};
+    use skipper_relational::ops::binary;
     use skipper_relational::query::results_approx_eq;
+    use skipper_testkit::ops::reference;
 
     fn small_cfg() -> GenConfig {
         // SF-2 keeps generation fast while exercising multi-segment tables.

@@ -4,15 +4,13 @@
 //! * [`index`] — per-segment hash indexes (the building block of
 //!   symmetric n-ary joins).
 //! * [`nary`] — n-ary probe execution over one segment combination; used
-//!   by Skipper's MJoin for subplan execution and by the reference
-//!   executor.
+//!   by Skipper's MJoin for subplan execution and by the whole-query
+//!   reference executor that cross-checks both engines
+//!   (`skipper-testkit`'s `ops::reference`).
 //! * [`binary`] — classic blocking left-deep binary hash joins: the
 //!   vanilla-PostgreSQL-style baseline.
-//! * [`mod@reference`] — whole-query reference executor used to cross-check
-//!   both engines.
 
 pub mod binary;
 pub mod index;
 pub mod nary;
-pub mod reference;
 pub mod scan;

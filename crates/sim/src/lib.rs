@@ -44,6 +44,6 @@ pub use event::CalendarQueue;
 pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    attribute_spans, attribute_union, Activity, ActivityTrace, Attribution, MergedTimeline,
-    StallClock, StallReading, TraceMode,
+    attribute_spans, Activity, ActivityTrace, Attribution, MergedTimeline, StallClock,
+    StallReading, TraceMode,
 };

@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
-use crate::join_graph::ProbePlan;
-use crate::ops::index::SegmentIndex;
-use crate::ops::nary;
-use crate::query::{Aggregator, QuerySpec};
-use crate::schema::Schema;
-use crate::segment::Segment;
-use crate::tuple::Row;
+use skipper_relational::join_graph::ProbePlan;
+use skipper_relational::ops::index::SegmentIndex;
+use skipper_relational::ops::nary;
+use skipper_relational::query::{Aggregator, QuerySpec};
+use skipper_relational::schema::Schema;
+use skipper_relational::segment::Segment;
+use skipper_relational::tuple::Row;
 
 /// Executes `spec` over `relations[i]` = all segments of table `i`,
 /// returning the finished `(group key, aggregates)` rows sorted by key.
@@ -23,7 +23,7 @@ pub fn execute(spec: &QuerySpec, relations: &[&[Segment]]) -> Vec<(Row, Vec<Valu
     agg.finish()
 }
 
-use crate::value::Value;
+use skipper_relational::value::Value;
 
 /// Like [`execute`] but returns the raw [`Aggregator`] (exposing the join
 /// cardinality via [`Aggregator::rows_seen`]).
@@ -55,11 +55,11 @@ pub fn aggregate(spec: &QuerySpec, relations: &[&[Segment]]) -> Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
-    use crate::ops::binary;
-    use crate::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol};
-    use crate::row;
-    use crate::schema::DataType;
+    use skipper_relational::expr::Expr;
+    use skipper_relational::ops::binary;
+    use skipper_relational::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol};
+    use skipper_relational::row;
+    use skipper_relational::schema::DataType;
 
     fn seg(cols: &[(&str, DataType)], rows: Vec<Row>) -> Segment {
         Segment::new(Schema::of(cols), rows).unwrap()

@@ -1,6 +1,6 @@
 //! The full-rescan reference queue — the pre-index implementation.
 //!
-//! Before the indexed [`RequestQueue`](super::queue::RequestQueue)
+//! Before the indexed [`RequestQueue`](skipper_csd::sched::RequestQueue)
 //! landed, the device kept a flat `Vec<PendingRequest>` and every
 //! scheduling decision re-derived its facts with O(n) scans: per-group
 //! aggregates rebuilt request by request, residency as a `HashSet<u64>`
@@ -22,10 +22,8 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use crate::device::IntraGroupOrder;
-use crate::object::{GroupId, QueryId};
-use crate::sched::queue::RequestIndex;
-use crate::sched::{GroupLens, PendingRequest, QueueView, ServeScope};
+use skipper_csd::sched::{GroupLens, PendingRequest, QueueView, RequestIndex, ServeScope};
+use skipper_csd::{GroupId, IntraGroupOrder, QueryId};
 
 /// The set of request sequence numbers captured when the active group
 /// was loaded (or re-picked). Group-centric policies serve exactly this
@@ -218,43 +216,5 @@ impl QueueView for NaiveQueue {
         for (q, p) in present {
             visit(q, p);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sched::testutil::{aggregates, req, window};
-
-    #[test]
-    fn mirrors_the_indexed_queue() {
-        let pending = [req(1, 0, 0, 0, 0), req(2, 1, 0, 0, 1), req(1, 1, 0, 1, 2)];
-        let mut naive = NaiveQueue::from_requests(IntraGroupOrder::SemanticRoundRobin, pending);
-        let mut indexed = crate::sched::queue::RequestQueue::from_requests(
-            IntraGroupOrder::SemanticRoundRobin,
-            pending,
-        );
-        assert_eq!(aggregates(&naive), aggregates(&indexed));
-        assert_eq!(naive.oldest(), indexed.oldest());
-        assert_eq!(window(&naive, 2), window(&indexed, 2));
-        naive.arm_residency(1);
-        indexed.arm_residency(1);
-        assert_eq!(naive.resident_len(1), indexed.resident_len(1));
-        for scope in [
-            ServeScope::Residency,
-            ServeScope::Window(1),
-            ServeScope::OldestQuery,
-            ServeScope::Window(2),
-        ] {
-            for active in [1, 2] {
-                assert_eq!(
-                    naive.select(scope, active),
-                    indexed.select(scope, active),
-                    "{scope:?} on group {active}"
-                );
-            }
-        }
-        assert_eq!(naive.remove(1), indexed.remove(1));
-        assert_eq!(naive.len(), indexed.len());
     }
 }

@@ -41,37 +41,9 @@ pub fn fleet_scenario(ds: &Arc<Dataset>, sched: SchedPolicy) -> Scenario {
     .scheduler(sched)
 }
 
-/// Every scheduling policy the sweeps cover.
-pub const SCHEDULERS: [SchedPolicy; 5] = [
-    SchedPolicy::FcfsObject,
-    SchedPolicy::FcfsSlack(4),
-    SchedPolicy::FcfsQuery,
-    SchedPolicy::MaxQueries,
-    SchedPolicy::RankBased,
-];
-
 /// Asserts `run` is sound and did `reference`'s work (the oracle's
 /// `check_run` and `check_same_work`), printing the violations.
 pub fn assert_sound(run: &RunResult, reference: &RunResult, label: &str) {
     let violations = [check_run(run), check_same_work(run, reference)].concat();
     assert!(violations.is_empty(), "{label}: {violations:#?}");
-}
-
-/// FNV-1a over the `{:?}` rendering of `value`, streamed through a
-/// `fmt::Write` sink: no string is built and no per-field code is
-/// needed, so a field added to `RunResult` is covered the day it lands.
-/// Two runs with equal digests printed the same bytes.
-pub fn digest(value: &impl std::fmt::Debug) -> u64 {
-    struct Fnv(u64);
-    impl std::fmt::Write for Fnv {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for &b in s.as_bytes() {
-                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    let mut sink = Fnv(0xcbf2_9ce4_8422_2325);
-    std::fmt::write(&mut sink, format_args!("{value:?}")).expect("Debug output is infallible");
-    sink.0
 }

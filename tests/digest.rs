@@ -11,11 +11,8 @@
 //! counts as regenerating a golden: do it only in a change that says
 //! the model moved, and why.
 
-mod common;
-
 use std::sync::Arc;
 
-use common::digest;
 use skipper::core::runtime::{
     AdmissionPolicy, AdmissionResponse, ArrivalProcess, BreakerPolicy, CacheConfig, FaultPlan,
     LedgerMode, RecordMode, RetryPolicy, RunResult, Scenario, SkipperFactory, TraceMode,
@@ -24,6 +21,7 @@ use skipper::core::runtime::{
 use skipper::csd::{BasePlacement, LayoutPolicy, PlacementPolicy, SchedPolicy};
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::sim::{SimDuration, SimTime};
+use skipper_testkit::digest;
 
 const GIB: u64 = 1 << 30;
 

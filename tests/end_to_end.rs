@@ -53,7 +53,7 @@ fn mixed_tenants_complete_with_correct_results() {
             for (i, q) in queries.iter().enumerate() {
                 let tables = ds.materialize_query_tables(q);
                 let slices: Vec<&[Segment]> = tables.iter().map(|t| t.as_slice()).collect();
-                let expected = skipper::relational::ops::reference::execute(q, &slices);
+                let expected = skipper_testkit::ops::reference::execute(q, &slices);
                 assert!(
                     results_approx_eq(&res.clients[c][i].result, &expected, 1e-9),
                     "{} tenant {c} query {i} ({}) diverged",

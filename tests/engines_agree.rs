@@ -17,12 +17,12 @@ use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFac
 use skipper::csd::{IntraGroupOrder, LayoutPolicy, SchedPolicy};
 use skipper::datagen::dataset::{Dataset, DatasetBuilder, TableSpec};
 use skipper::datagen::{mrbench, nref, ssb, tpch, GenConfig};
-use skipper::relational::ops::reference;
 use skipper::relational::query::{
     results_approx_eq, AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol, QuerySpec,
 };
 use skipper::relational::schema::{DataType, Schema};
 use skipper::relational::{row, Segment};
+use skipper_testkit::ops::reference;
 
 const GIB: u64 = 1 << 30;
 

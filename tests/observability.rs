@@ -7,8 +7,8 @@
 //!    reference the runtime's online stall clock is diffed against
 //!    (`skipper-sim`'s property test), so on real runs, for every
 //!    scheduling policy × shard count, it must agree with the
-//!    per-interval `attribute_union` reference on every probe
-//!    interval.
+//!    per-interval `attribute_union` reference (`skipper-testkit`) on
+//!    every probe interval.
 //! 2. **Bounded-memory modes** — a `TraceMode::Counters` +
 //!    `LedgerMode::Counters` run must reproduce the Full run's
 //!    schedule exactly (makespan, per-query times, stalls, device
@@ -22,7 +22,8 @@ use skipper::core::runtime::{
 use skipper::csd::SchedPolicy;
 use skipper::datagen::{tpch, Dataset, GenConfig};
 use skipper::sim::trace::Span;
-use skipper::sim::{attribute_union, ActivityTrace, MergedTimeline, SimDuration, SimTime};
+use skipper::sim::{ActivityTrace, MergedTimeline, SimDuration, SimTime};
+use skipper_testkit::trace::attribute_union;
 
 const GIB: u64 = 1 << 30;
 
@@ -53,14 +54,6 @@ fn scenario(ds: &Arc<Dataset>, sched: SchedPolicy, shards: usize) -> Scenario {
     .streams(2)
 }
 
-const SCHEDULERS: [SchedPolicy; 5] = [
-    SchedPolicy::FcfsObject,
-    SchedPolicy::FcfsSlack(4),
-    SchedPolicy::FcfsQuery,
-    SchedPolicy::MaxQueries,
-    SchedPolicy::RankBased,
-];
-
 /// Every stream span list of every shard, as the attribution sees them.
 fn span_lists(res: &RunResult) -> Vec<&[Span]> {
     res.shards
@@ -75,7 +68,7 @@ fn span_lists(res: &RunResult) -> Vec<&[Span]> {
 #[test]
 fn merged_timeline_matches_attribute_union_everywhere() {
     let ds = dataset();
-    for &sched in &SCHEDULERS {
+    for sched in SchedPolicy::all() {
         for shards in [1usize, 2, 4] {
             let res = scenario(&ds, sched, shards).run();
             let lists = span_lists(&res);

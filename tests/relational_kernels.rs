@@ -12,9 +12,10 @@ use rand::{Rng, SeedableRng};
 use skipper::datagen::{tpch, GenConfig};
 use skipper::relational::join_graph::ProbePlan;
 use skipper::relational::ops::index::SegmentIndex;
-use skipper::relational::ops::{binary, nary, reference};
+use skipper::relational::ops::{binary, nary};
 use skipper::relational::query::{AggFunc, AggSpec, JoinExpr};
 use skipper::relational::{DataType, Expr, JoinCond, QuerySpec, Row, Schema, Segment, Value};
+use skipper_testkit::ops::reference;
 
 /// A value of `dtype` for key `k`, NULL with probability `null_p`.
 /// Small key ranges make duplicates the rule.

@@ -10,10 +10,10 @@ use skipper::core::runtime::{
     Workload,
 };
 use skipper::datagen::{mrbench, tpch, Dataset, GenConfig};
-use skipper::relational::ops::reference;
 use skipper::relational::query::results_approx_eq;
 use skipper::relational::Segment;
 use skipper::sim::SimDuration;
+use skipper_testkit::ops::reference;
 
 const GIB: u64 = 1 << 30;
 

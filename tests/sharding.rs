@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{assert_sound, dataset, fleet_scenario, SCHEDULERS};
+use common::{assert_sound, dataset, fleet_scenario};
 use skipper::core::runtime::oracle::check_run;
 use skipper::core::runtime::{BasePlacement, FaultPlan, PlacementPolicy};
 use skipper::csd::SchedPolicy;
@@ -27,7 +27,7 @@ const PLACEMENTS: [PlacementPolicy; 3] = [
 #[test]
 fn sharded_runs_conserve_the_delivery_multiset() {
     let ds = dataset();
-    for sched in SCHEDULERS {
+    for sched in SchedPolicy::all() {
         for placement in PLACEMENTS {
             let baseline = fleet_scenario(&ds, sched)
                 .shards(1)
@@ -63,7 +63,7 @@ fn faulted_runs_conserve_the_delivery_multiset() {
             .shard_down(1, secs(60), secs(900))
             .degraded(3, secs(30), secs(400), 0.5)
     };
-    for sched in SCHEDULERS {
+    for sched in SchedPolicy::all() {
         for base in [
             BasePlacement::RoundRobin,
             BasePlacement::HashObject,

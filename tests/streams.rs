@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{assert_sound, dataset, fleet_scenario, SCHEDULERS};
+use common::{assert_sound, dataset, fleet_scenario};
 use skipper::core::runtime::oracle::check_run;
 use skipper::csd::SchedPolicy;
 
@@ -30,7 +30,7 @@ use skipper::csd::SchedPolicy;
 #[test]
 fn streams_conserve_work_and_makespans_never_degrade() {
     let ds = dataset();
-    for sched in SCHEDULERS {
+    for sched in SchedPolicy::all() {
         let serial = fleet_scenario(&ds, sched).streams(1).run();
         assert_eq!(check_run(&serial), Vec::<String>::new(), "{sched:?}/1");
         assert!(!serial.delivery_multiset().is_empty());
