@@ -19,7 +19,7 @@ use skipper_relational::query::{results_approx_eq, QuerySpec};
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
 use skipper_relational::value::Value;
-use skipper_sim::{SimDuration, SimTime};
+use skipper_sim::{Activity, SimDuration, SimTime};
 use skipper_testkit::ops::reference;
 
 /// SF-4 TPC-H: lineitem 4 + orders 1 = 5 objects per Q12 client.
@@ -2266,4 +2266,222 @@ fn cross_tenant_get_is_rejected_loudly() {
     let tenants = vec![Workload::new(Arc::clone(&ds)).repeat_query(q, 1); 2];
     // Tenant 0's engine requests tenant 1's objects, and vice versa.
     run_identity(&ds, tenants, |tenant| tenant ^ 1, |s| s);
+}
+
+// ---------------------------------------------------------------------
+// Query lifecycle edges under protection: a deadline that lands while
+// the client is charged with processing, and hedge checks that outlive
+// the query they cover.
+
+/// Pulls a fixed object list one GET at a time, charging `processing`
+/// per delivery; the last delivery finishes the query.
+struct PullEngine {
+    objects: Vec<ObjectId>,
+    processing: SimDuration,
+    received: usize,
+}
+
+impl QueryEngine for PullEngine {
+    fn name(&self) -> &'static str {
+        "pull"
+    }
+
+    fn start(&mut self) -> Vec<ObjectId> {
+        vec![self.objects[0]]
+    }
+
+    fn on_object(&mut self, object: ObjectId, _payload: &Arc<Segment>) -> Reaction {
+        assert_eq!(object, self.objects[self.received], "out-of-order delivery");
+        self.received += 1;
+        Reaction {
+            processing: self.processing,
+            requests: self
+                .objects
+                .get(self.received)
+                .copied()
+                .into_iter()
+                .collect(),
+            finished: self.received == self.objects.len(),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        self.received == self.objects.len()
+    }
+
+    fn result(&self) -> Vec<(Row, Vec<Value>)> {
+        Vec::new()
+    }
+
+    fn stats(&self) -> EngineStats {
+        EngineStats {
+            objects_received: self.received as u64,
+            ..Default::default()
+        }
+    }
+}
+
+/// Builds a [`PullEngine`] per query from a script keyed by the
+/// query's name: the objects it pulls and its per-delivery processing.
+struct PullFactory(Vec<(&'static str, Vec<ObjectId>, SimDuration)>);
+
+impl EngineFactory for PullFactory {
+    fn label(&self) -> &'static str {
+        "pull"
+    }
+
+    fn build(
+        &self,
+        _tenant: u16,
+        _dataset: &Dataset,
+        spec: QuerySpec,
+        _cost: CostModel,
+    ) -> Box<dyn QueryEngine> {
+        let (_, objects, processing) = self
+            .0
+            .iter()
+            .find(|(name, _, _)| *name == spec.name)
+            .expect("query missing from the script");
+        Box::new(PullEngine {
+            objects: objects.clone(),
+            processing: *processing,
+            received: 0,
+        })
+    }
+
+    fn preferred_scheduler(&self) -> SchedPolicy {
+        SchedPolicy::FcfsObject
+    }
+}
+
+/// A query the [`PullFactory`] script knows by `name`.
+fn scripted(ds: &Dataset, name: &str) -> QuerySpec {
+    let mut spec = tpch::q12(ds);
+    spec.name = name.into();
+    spec
+}
+
+/// Tenant 0's objects in storage order — the order placement walks, so
+/// under round-robin the `i`-th lands on shard `i mod shards`.
+fn storage_order(ds: &Dataset) -> Vec<ObjectId> {
+    (0..ds.catalog.len())
+        .flat_map(|t| {
+            (0..ds.catalog.table(t).segment_count).map(move |s| ObjectId::new(0, t as u16, s))
+        })
+        .collect()
+}
+
+/// End of the first transfer on shard 0: the first delivery.
+fn first_delivery(res: &RunResult) -> SimTime {
+    res.shards[0]
+        .spans
+        .iter()
+        .find(|s| matches!(s.activity, Activity::Transferring { .. }))
+        .expect("a transfer ran")
+        .end
+}
+
+#[test]
+fn a_deadline_during_charged_processing_discards_the_reaction() {
+    // One tenant, two open-arrival queries over the same two objects.
+    // The first charges `slow` for its first delivery and its deadline
+    // fires inside that window; the follow-up GET its reaction carries
+    // must never be submitted, and it leaves no record.
+    let ds = Arc::new(mini_dataset());
+    let objects = storage_order(&ds)[..2].to_vec();
+    let arrival = ArrivalProcess::Poisson {
+        mean: SimDuration::from_secs(1_000),
+        seed: 1,
+    };
+    let releases = arrival.release_times(2, 0, SimDuration::ZERO);
+    let (r0, r1) = (releases[0].unwrap(), releases[1].unwrap());
+    let gap = r1.since(r0);
+    let run = |deadline: SimDuration, slow: SimDuration| {
+        let script = PullFactory(vec![
+            ("slow", objects.clone(), slow),
+            ("next", objects.clone(), SimDuration::from_secs(1)),
+        ]);
+        let tenant = Workload::new(Arc::clone(&ds))
+            .queries(vec![scripted(&ds, "slow"), scripted(&ds, "next")])
+            .arrival(arrival.clone())
+            .deadline(deadline)
+            .engine(script);
+        Scenario::from_workloads(vec![tenant]).run()
+    };
+    let check = |res: &RunResult| {
+        assert_eq!(res.protection.deadline_misses, 1);
+        assert_eq!(res.latency.fleet.count, 1, "the successor completes");
+        assert_eq!(res.clients[0].len(), 1, "a cancelled query left a record");
+        assert_eq!(&*res.clients[0][0].query, "next");
+        // One GET for the cancelled query, two for its successor.
+        assert_eq!(res.device.requests_submitted, 3);
+        assert_eq!(oracle::check_run(res), Vec::<String>::new());
+    };
+
+    // The successor is released inside the window, before the deadline:
+    // it queues behind the charged query and starts at the ClientReady.
+    let res = run(gap * 2, gap * 2);
+    let delivered = first_delivery(&res);
+    assert!(
+        gap > delivered.since(r0) * 8 + SimDuration::from_secs(8),
+        "releases {r0} and {r1} are too close for a first delivery at {delivered}"
+    );
+    check(&res);
+    assert_eq!(res.clients[0][0].start, delivered + gap * 2);
+
+    // Released after the deadline but still inside the window, the
+    // successor starts at its release: the charged processing holds the
+    // CPU, not the start gate. Its delivery waits for the ClientReady.
+    let res = run(gap * 3 / 4, gap * 3 / 2);
+    assert_eq!(first_delivery(&res), delivered);
+    check(&res);
+    let next = &res.clients[0][0];
+    assert_eq!(next.start, r1);
+    assert!(next.end > delivered + gap * 3 / 2);
+}
+
+#[test]
+fn stale_hedge_checks_of_a_cancelled_query_fire_as_no_ops() {
+    // Two shards, every object on both, shard 0 at 5 % bandwidth. The
+    // first query reads `fast` (primary shard 1), charges 60 s, then
+    // pulls `slow_a` (primary shard 0) — its hedge check for that GET
+    // is due 50 s later, after the 100 s deadline has cancelled the
+    // query. The successor starts at the cancel and pulls `slow_b`
+    // (primary shard 0); its own check fires 50 s in and the hedge copy
+    // on shard 1 wins. The stale check fires in between and must hedge
+    // nothing.
+    let ds = Arc::new(mini_dataset());
+    let order = storage_order(&ds);
+    let (fast, slow_a, slow_b) = (order[1], order[0], order[2]);
+    let script = PullFactory(vec![
+        ("first", vec![fast, slow_a], SimDuration::from_secs(60)),
+        ("second", vec![slow_b], SimDuration::from_secs(1)),
+    ]);
+    let tenant = Workload::new(Arc::clone(&ds))
+        .queries(vec![scripted(&ds, "first"), scripted(&ds, "second")])
+        .deadline(SimDuration::from_secs(100))
+        .hedge_after(SimDuration::from_secs(50))
+        .engine(script);
+    let res = Scenario::from_workloads(vec![tenant])
+        .shards(2)
+        .placement(replicated_rr(2))
+        .faults(FaultPlan::new().degraded(0, t(0), t(100_000), 0.05))
+        .run();
+    let p = &res.protection;
+    assert_eq!(p.per_tenant[0].deadline_misses, 1);
+    assert_eq!(p.per_tenant[0].completed, 1);
+    assert_eq!(p.hedges_fired, 1, "only the successor's check hedges");
+    assert_eq!(p.hedge_wins, 1);
+    assert_eq!(p.hedge_losers_cancelled, 1);
+    let consumed: Vec<_> = res.consumed.iter().map(|e| e.triple()).collect();
+    assert_eq!(
+        consumed,
+        vec![
+            (0, QueryId::new(0, 0), fast),
+            (0, QueryId::new(0, 1), slow_b)
+        ]
+    );
+    assert_eq!(res.clients[0].len(), 1);
+    assert_eq!(&*res.clients[0][0].query, "second");
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
 }
