@@ -77,7 +77,7 @@ use std::collections::BinaryHeap;
 use skipper_sim::{Activity, ActivityTrace, SimDuration, SimTime, TraceMode};
 
 use crate::metrics::DeviceMetrics;
-use crate::object::{GroupId, LedgerEntry, ObjectId, QueryId};
+use crate::object::{assert_own_tenant, GroupId, LedgerEntry, ObjectId, QueryId};
 use crate::sched::{
     Decision, GroupScheduler, InFlight, PendingRequest, RequestIndex, RequestQueue,
 };
@@ -408,7 +408,7 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
                 .store
                 .resolve(object)
                 .unwrap_or_else(|| panic!("GET for unknown object {object}"));
-            LedgerEntry::new(client, query, object);
+            assert_own_tenant(client, query, object);
             self.queue.insert(PendingRequest {
                 object,
                 query,

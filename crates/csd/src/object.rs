@@ -66,14 +66,28 @@ impl fmt::Display for QueryId {
     }
 }
 
+/// The one statement of the tenant rule: a GET's client, its query's
+/// tenant and its object's tenant are one tenant — an engine requests
+/// only its own tenant's objects. The device and the shard cache check
+/// it at submit, and every [`LedgerEntry`] relies on it.
+///
+/// # Panics
+/// Panics on a cross-tenant GET.
+#[inline]
+pub fn assert_own_tenant(client: usize, query: QueryId, object: ObjectId) {
+    assert!(
+        client == object.tenant as usize && query.tenant == object.tenant,
+        "cross-tenant GET: object {object} requested by client {client} for {query}"
+    );
+}
+
 /// One delivery-ledger entry in 12 bytes: the query a GET served and
 /// the object it delivered.
 ///
-/// A GET's client, its query's tenant and its object's tenant are one
-/// tenant — an engine requests only its own tenant's objects — so the
-/// entry stores the tenant once, inside the object. [`LedgerEntry::new`]
-/// is the one statement of that rule, and [`LedgerEntry::triple`] gives
-/// back the `(client, query, object)` triple.
+/// By [`assert_own_tenant`], a GET's client, its query's tenant and its
+/// object's tenant are one tenant, so the entry stores the tenant once,
+/// inside the object; [`LedgerEntry::triple`] gives back the
+/// `(client, query, object)` triple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LedgerEntry {
     /// The query's per-tenant sequence number.
@@ -90,10 +104,7 @@ impl LedgerEntry {
     /// `object.tenant` are not one tenant.
     #[inline]
     pub fn new(client: usize, query: QueryId, object: ObjectId) -> LedgerEntry {
-        assert!(
-            client == object.tenant as usize && query.tenant == object.tenant,
-            "cross-tenant GET: object {object} requested by client {client} for {query}"
-        );
+        assert_own_tenant(client, query, object);
         LedgerEntry {
             seq: query.seq,
             object,
