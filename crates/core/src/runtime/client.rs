@@ -1,11 +1,13 @@
 //! The client state machine: one tenant's database VM.
 //!
-//! Each client walks its planned query sequence (released by the
-//! workload's arrival process), runs one engine at a time, buffers
-//! deliveries that arrive while it is processing, and hands finished
-//! measurements to the collector. All timing decisions (when to fire
-//! `ClientReady`, when to pump the device) belong to the runtime driver;
-//! this module only owns per-tenant state and its legal transitions.
+//! Like the paper's tenants (§4.3), a client runs one query at a time
+//! and tags its GETs with the query's sequence number `qseq`. All a
+//! query owns is one [`RunningQuery`]: `start_next` creates it, and
+//! `finish` or `cancel` drops it and advances `qseq`. A delivery, a
+//! protection event or a charged reaction that names a `qseq` no
+//! longer [`runs`](ClientState::runs) belongs to a cancelled query and
+//! is discarded. All timing decisions belong to the runtime driver;
+//! this module owns per-tenant state and its legal transitions.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -16,7 +18,7 @@ use skipper_relational::query::QuerySpec;
 use skipper_sim::{SimDuration, SimTime, StallClock};
 
 use crate::config::CostModel;
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, Reaction};
 
 use super::collector::{QueryRecord, RecordDraft};
 use super::engines::EngineFactory;
@@ -29,6 +31,22 @@ pub struct PlannedQuery {
     pub spec: QuerySpec,
     /// Absolute release instant for open arrivals.
     pub release: Option<SimTime>,
+    /// Deadline retries already spent on the query: 0 as planned, `k`
+    /// when a deadline re-planned it for its `k`-th attempt.
+    pub attempt: u32,
+}
+
+/// The query a client is running.
+pub struct RunningQuery {
+    /// The engine executing the query.
+    pub engine: Box<dyn QueryEngine>,
+    /// Measurement draft, stalls included.
+    pub draft: RecordDraft,
+    /// Delivered objects waiting for the CPU. Ids only: the bytes live
+    /// in [`ClientState::dataset`], lent to the engine at processing.
+    pub inbox: VecDeque<ObjectId>,
+    /// Deadline retries spent on the query before this attempt.
+    pub attempt: u32,
 }
 
 /// One tenant's runtime state.
@@ -39,21 +57,13 @@ pub struct ClientState {
     pub factory: Arc<dyn EngineFactory>,
     /// Queries not yet started, in plan order.
     pub plan: VecDeque<PlannedQuery>,
-    /// The engine executing the current query, if any.
-    pub engine: Option<Box<dyn QueryEngine>>,
-    /// Per-client query sequence number.
+    /// The running query, if any.
+    pub running: Option<RunningQuery>,
+    /// Sequence number of the running query, or of the next to start.
     pub qseq: u32,
-    /// Delivered objects waiting for the CPU. Ids only: the bytes live
-    /// in [`ClientState::dataset`], which the driver lends the engine
-    /// when it processes the delivery.
-    pub inbox: VecDeque<ObjectId>,
-    /// True while charged processing is in flight.
-    pub busy: bool,
-    /// Requests + finished flag from the in-flight `on_object`, applied
-    /// when processing completes.
-    pub pending_after: Option<(Vec<ObjectId>, bool)>,
-    /// Measurement draft for the current query.
-    pub draft: RecordDraft,
+    /// Charged processing in flight: the reaction its `ClientReady`
+    /// applies, tagged with the `qseq` of the query it belongs to.
+    pub processing: Option<(u32, Reaction)>,
     /// Finished records, in completion order, each carrying the stalls
     /// its draft split as the query ran.
     pub records: Vec<QueryRecord>,
@@ -62,10 +72,9 @@ pub struct ClientState {
     keeps_records: bool,
     /// One shared name per distinct query name the tenant has run.
     names: Vec<Arc<str>>,
-    /// Protection plane: the current query was cancelled while charged
-    /// processing was in flight — the pending `ClientReady` must
-    /// discard its reaction instead of applying it.
-    pub cancelled: bool,
+    /// The last query's emptied inbox, reused by the next one so the
+    /// steady state allocates no buffer per query.
+    spare_inbox: VecDeque<ObjectId>,
 }
 
 impl ClientState {
@@ -79,16 +88,13 @@ impl ClientState {
             dataset,
             factory,
             plan: plan.into(),
-            engine: None,
+            running: None,
             qseq: 0,
-            inbox: VecDeque::new(),
-            busy: false,
-            pending_after: None,
-            draft: RecordDraft::default(),
+            processing: None,
             records: Vec::new(),
             keeps_records: true,
             names: Vec::new(),
-            cancelled: false,
+            spare_inbox: VecDeque::new(),
         }
     }
 
@@ -98,10 +104,20 @@ impl ClientState {
         self.keeps_records = keep;
     }
 
-    /// True when the next planned query may start at `now`: the client
-    /// is idle and the query's release instant (if any) has passed.
+    /// Whether query `qseq` is running.
+    pub fn runs(&self, qseq: u32) -> bool {
+        qseq == self.qseq && self.running.is_some()
+    }
+
+    /// Whether query `qseq` runs and its engine still wants deliveries.
+    pub fn accepts(&self, qseq: u32) -> bool {
+        matches!(&self.running, Some(run) if qseq == self.qseq && !run.engine.is_finished())
+    }
+
+    /// True when the next planned query may start at `now`: no query
+    /// runs and the query's release instant (if any) has passed.
     pub fn can_start(&self, now: SimTime) -> bool {
-        self.engine.is_none()
+        self.running.is_none()
             && self
                 .plan
                 .front()
@@ -122,7 +138,7 @@ impl ClientState {
         now: SimTime,
         clock: Option<&StallClock>,
     ) -> Vec<ObjectId> {
-        assert!(self.engine.is_none(), "query started while one is running");
+        assert!(self.running.is_none(), "query started while one is running");
         let planned = self.plan.pop_front().expect("start_next on empty plan");
         let query_name = match self.names.iter().find(|n| ***n == planned.spec.name) {
             Some(name) => Arc::clone(name),
@@ -137,71 +153,81 @@ impl ClientState {
             .factory
             .build(tenant, &self.dataset, planned.spec, cost);
         let requests = engine.start();
-        self.engine = Some(engine);
-        self.draft = RecordDraft::begin(query_name, release, now, clock);
+        let mut draft = RecordDraft::begin(query_name, release, now, clock);
+        draft.upfront_gets = requests.len() as u64;
+        self.running = Some(RunningQuery {
+            engine,
+            draft,
+            inbox: std::mem::take(&mut self.spare_inbox),
+            attempt: planned.attempt,
+        });
         requests
     }
 
-    /// Abandons the current query without a record (a protection-plane
-    /// cancel): drops the engine, discards buffered deliveries, resets
-    /// the measurement draft (its stalls with it), and advances the
-    /// query seq so in-flight deliveries and stale protection events
-    /// are recognized and dropped at routing. If charged processing is
-    /// in flight the [`ClientState::cancelled`] flag stays up and the
-    /// pending `ClientReady` discards its reaction instead of applying
-    /// it; the driver must not start the next query until that fires.
-    pub fn cancel(&mut self) {
-        assert!(self.engine.is_some(), "cancel without a running query");
-        self.engine = None;
-        self.inbox.clear();
-        self.draft = RecordDraft::default();
+    /// Takes the running query out — its buffered deliveries and its
+    /// draft, stalls included — and advances `qseq`. A protection-plane
+    /// cancel drops it; [`ClientState::finish`] records it. Charged
+    /// processing in flight stays, and its `ClientReady` discards it.
+    pub fn cancel(&mut self) -> RunningQuery {
+        let mut run = self.running.take().expect("no running query");
         self.qseq += 1;
-        if self.busy {
-            self.cancelled = true;
-        }
+        self.spare_inbox = std::mem::take(&mut run.inbox);
+        self.spare_inbox.clear();
+        run
     }
 
-    /// Whether `query_seq` refers to the query currently in flight.
-    pub fn is_current(&self, query_seq: u32) -> bool {
-        self.engine
-            .as_ref()
-            .map(|e| !e.is_finished() && query_seq == self.qseq)
-            .unwrap_or(false)
-    }
-
-    /// Finishes the current query at `now`, recording its measurements
-    /// (kept only when the client keeps records), and returns its
-    /// response time.
+    /// Finishes the running query at `now` and returns its response
+    /// time. The record — result rows included — is built only when the
+    /// client keeps records.
     pub fn finish(&mut self, client_idx: usize, now: SimTime) -> SimDuration {
-        let engine = self.engine.take().expect("finishing without engine");
-        let draft = std::mem::take(&mut self.draft);
-        let record = QueryRecord {
-            query: draft.query_name,
-            client: client_idx,
-            seq: self.qseq,
-            engine: self.factory.label(),
-            release: draft.release,
-            start: draft.start,
-            end: now,
-            processing: draft.processing,
-            upfront_gets: draft.upfront_gets,
-            stalls: draft.stalls,
-            stats: engine.stats(),
-            result: engine.result(),
-        };
-        let response = record.response_time();
+        let seq = self.qseq;
+        let RunningQuery { engine, draft, .. } = self.cancel();
+        let response = now.since(draft.release.unwrap_or(draft.start));
         if self.keeps_records {
-            self.records.push(record);
+            self.records.push(QueryRecord {
+                query: draft.query_name,
+                client: client_idx,
+                seq,
+                engine: self.factory.label(),
+                release: draft.release,
+                start: draft.start,
+                end: now,
+                processing: draft.processing,
+                upfront_gets: draft.upfront_gets,
+                stalls: draft.stalls,
+                stats: engine.stats(),
+                result: engine.result(),
+            });
         }
-        self.inbox.clear();
-        self.qseq += 1;
         response
     }
 
-    /// Closes the current blocked interval (a delivery arrived),
-    /// splitting it against the fleet's stall `clock`.
+    /// Closes the running query's blocked interval (a delivery
+    /// arrived), splitting it against the fleet's stall `clock`.
     pub fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
-        self.draft.unblock(now, clock);
+        if let Some(run) = &mut self.running {
+            run.draft.unblock(now, clock);
+        }
+    }
+
+    /// Feeds the next buffered delivery to the engine, lending it the
+    /// segment from the client's own dataset (the device and the cache
+    /// tiers reject a cross-tenant GET at submit), and returns the
+    /// processing it charged. `None` while the CPU is busy or nothing
+    /// is buffered.
+    pub fn process(&mut self, now: SimTime, clock: Option<&StallClock>) -> Option<SimDuration> {
+        if self.processing.is_some() {
+            return None;
+        }
+        let run = self.running.as_mut()?;
+        let object = run.inbox.pop_front()?;
+        run.draft.unblock(now, clock);
+        let payload = &self.dataset.segments[object.table as usize][object.segment as usize];
+        let reaction = run.engine.on_object(object, payload);
+        run.draft.processing += reaction.processing;
+        let charged = reaction.processing;
+        self.processing = Some((self.qseq, reaction));
+        Some(charged)
     }
 
     /// Takes the finished records out (end-of-run assembly).
@@ -209,17 +235,12 @@ impl ClientState {
         std::mem::take(&mut self.records)
     }
 
-    /// Marks the client blocked-or-working after processing completed:
-    /// blocked from `now` if the inbox is dry, otherwise ready for the
-    /// next delivery.
+    /// Marks the running query blocked-or-working after processing
+    /// completed: blocked from `now` if the inbox is dry, otherwise
+    /// ready for the next delivery.
     pub fn note_waiting(&mut self, now: SimTime, clock: Option<&StallClock>) {
-        if self.inbox.is_empty() {
-            self.draft.block(now, clock);
+        if let Some(run) = self.running.as_mut().filter(|run| run.inbox.is_empty()) {
+            run.draft.block(now, clock);
         }
-    }
-
-    /// Accumulates charged processing time.
-    pub fn charge(&mut self, d: SimDuration) {
-        self.draft.processing += d;
     }
 }

@@ -798,6 +798,7 @@ mod tests {
             .map(|_| PlannedQuery {
                 spec: tpch::q12(&ds),
                 release: None,
+                attempt: 0,
             })
             .collect();
         let mut client = ClientState::new(ds, Arc::new(VanillaFactory), plan);

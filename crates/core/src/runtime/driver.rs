@@ -30,11 +30,11 @@
 //! allocates nothing per event.
 //!
 //! The protection plane ([`protect`](super::protect)) hooks into the
-//! loop at the start gate, submit, delivery, finish, and its own
-//! `Event::Protect` events; the failure-injection plane at run start,
-//! its own calendar events and the end-of-run summary — each behind
-//! one presence test of an optional box, so a run that sets neither
-//! executes none of their code.
+//! loop at the start gate, submit, delivery, its own `Event::Protect`
+//! events and the end-of-run summary; the failure-injection plane at
+//! run start, its own calendar events and the end-of-run summary —
+//! each behind one presence test of an optional box, so a run that
+//! sets neither executes none of their code.
 
 use skipper_cost::FleetPricing;
 use skipper_csd::cache::CacheStats;
@@ -185,7 +185,7 @@ impl Runtime {
         let (fault_stats, availability) = self.fleet.fault_summary(makespan);
         for (idx, client) in self.clients.iter().enumerate() {
             assert!(
-                client.plan.is_empty() && client.engine.is_none(),
+                client.plan.is_empty() && client.running.is_none(),
                 "client {idx} did not finish its workload (simulation deadlock)"
             );
         }
@@ -298,7 +298,6 @@ impl Runtime {
         }
         let clock = self.fleet.stall_clock.as_ref();
         let requests = self.clients[c].start_next(c as u16, self.cost, now, clock);
-        self.clients[c].draft.upfront_gets = requests.len() as u64;
         let qid = QueryId::new(c as u16, self.clients[c].qseq);
         self.submit(now, c, qid, &requests);
     }
@@ -342,8 +341,9 @@ impl Runtime {
     }
 
     /// Routes a finished transfer to its client, dropping stale
-    /// deliveries for already-completed queries (reissue races) and
-    /// whatever the protection plane refuses (hedge losers).
+    /// deliveries (their query finished or was cancelled, or its engine
+    /// needs nothing more) and whatever the protection plane refuses
+    /// (hedge losers).
     fn route_delivery(
         &mut self,
         now: SimTime,
@@ -352,56 +352,37 @@ impl Runtime {
         query: QueryId,
         object: ObjectId,
     ) {
-        if !self.clients[c].is_current(query.seq) {
-            return; // stale delivery for a completed query
+        if !self.clients[c].accepts(query.seq) {
+            return;
         }
         if self.protection.is_some() && !self.consume(shard, c, query, object) {
             return;
         }
-        self.clients[c].inbox.push_back(object);
+        if let Some(run) = &mut self.clients[c].running {
+            run.inbox.push_back(object);
+        }
         self.try_process(c, now);
     }
 
-    /// Feeds the next buffered delivery to the engine — lending it the
-    /// segment from the client's own dataset — and charges its
-    /// processing time. The object is the client's own tenant's: the
-    /// device and the cache tiers reject a cross-tenant GET at submit.
+    /// Charges client `c`'s next buffered delivery, if its CPU is free,
+    /// and arms the `ClientReady` that applies the reaction.
     fn try_process(&mut self, c: usize, now: SimTime) {
-        let client = &mut self.clients[c];
-        if client.busy || client.engine.is_none() {
-            return;
+        let clock = self.fleet.stall_clock.as_ref();
+        if let Some(charged) = self.clients[c].process(now, clock) {
+            self.events.schedule(now + charged, Event::ClientReady(c));
         }
-        let Some(object) = client.inbox.pop_front() else {
-            return;
-        };
-        client.unblock(now, self.fleet.stall_clock.as_ref());
-        let payload = &client.dataset.segments[object.table as usize][object.segment as usize];
-        let reaction = client
-            .engine
-            .as_mut()
-            .expect("engine present")
-            .on_object(object, payload);
-        client.charge(reaction.processing);
-        client.busy = true;
-        let at = now + reaction.processing;
-        client.pending_after = Some((reaction.requests, reaction.finished));
-        self.events.schedule(at, Event::ClientReady(c));
     }
 
     /// Applies the reaction of the processing that just completed:
     /// submit follow-up GETs, finish the query, or go back to waiting.
     fn client_ready(&mut self, c: usize, now: SimTime) {
-        let (requests, finished) = self.clients[c]
-            .pending_after
-            .take()
-            .expect("client_ready without reaction");
-        self.clients[c].busy = false;
-        if self.clients[c].cancelled {
+        let (qseq, reaction) = self.clients[c].processing.take().expect("a reaction");
+        let (requests, finished) = (reaction.requests, reaction.finished);
+        if !self.clients[c].runs(qseq) {
             // The query this processing belonged to was cancelled while
             // charged: discard the reaction. A successor query may
             // already have started (a release fired during the busy
             // window), so drain its buffered deliveries too.
-            self.clients[c].cancelled = false;
             self.try_start(c, now);
             self.poke_fleet(now);
             self.try_process(c, now);
@@ -424,9 +405,6 @@ impl Runtime {
             // next query's upfront batch and the (empty) follow-up set
             // share one poke below instead of the historical two.
             let response = self.clients[c].finish(c, now);
-            if let Some(p) = &mut self.protection {
-                p.reset(c);
-            }
             self.latency.observe(c, response);
             self.try_start(c, now);
         }

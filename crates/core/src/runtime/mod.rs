@@ -46,13 +46,13 @@
 //!   │   └──────────────────────────────────────────────────┘     │
 //!   ├─────────────────────────────┬──────────────────────────────┤
 //!   │ fault (opt-in)              │ protection (opt-in)          │
-//!   │  FaultPlan → timestamped    │  Option<Protection>: only    │
-//!   │  episodes; only a non-empty │  with a deadline / retry /   │
-//!   │  plan installs the fleet's  │  hedge / admission knob;     │
+//!   │  FaultPlan → timed flips,   │  Option<Protection>: only    │
+//!   │  drawn and sorted once; only│  with a deadline / retry /   │
+//!   │  a non-empty plan installs  │  hedge / admission knob;     │
 //!   │  Option<FleetFaults> (down  │  start gate, submit, deliver │
 //!   │  flags, parking lot, timed  │  hooks + Event::Protect;     │
 //!   │  Event::Fault schedule) and │  Option<Breaker> on the      │
-//!   │  a Watchdog per DropWakeup  │  fleet's routing             │
+//!   │  per-pump drop Watchdogs    │  fleet's routing             │
 //!   ├─────────────────────────────┴──────────────────────────────┤
 //!   │ fleet      DeviceFleet: primary shard per object + k       │
 //!   │   ┌──────────────────┬──────────────────┬────────┐         │
@@ -155,19 +155,18 @@
 //! fleet-wide, `Scenario::admission`). `Scenario::run` installs one
 //! optional `Protection` on the runtime — and a `Breaker` on the fleet
 //! — only when some knob is set; the kernel's hooks (start gate,
-//! submit, delivery, finish, the plane's own calendar events) are each
-//! one presence test, so an unprotected run executes no protection
-//! code:
+//! submit, delivery, the plane's own calendar events, the run's
+//! summary) are each one presence test, so an unprotected run executes
+//! no protection code:
 //!
 //! * **Deadlines** (`Workload::deadline`) — a per-tenant response
-//!   bound anchored at release (queue wait counts). A query that cannot meet it is *cancelled*: its queued
-//!   requests are dequeued on every shard
-//!   (`CsdDevice::cancel_query`), its client drops the engine and
-//!   bumps the query seq so in-flight deliveries and late protection
-//!   events go stale, and queries whose deadline lapses while still
-//!   queued are abandoned unstarted. Cancel-while-busy is legal: the
-//!   pending `ClientReady` fires, sees the `cancelled` flag, and
-//!   discards its reaction instead of applying it.
+//!   bound anchored at release (queue wait counts). A query that
+//!   cannot meet it is *cancelled*: its queued requests are dequeued on
+//!   every shard (`CsdDevice::cancel_query`), and its client drops the
+//!   running query and bumps the query seq, so in-flight deliveries,
+//!   late protection events and the reaction of processing charged
+//!   before the cancel all go stale. Queries whose deadline lapses
+//!   while still queued are abandoned unstarted.
 //! * **Seeded retry with capped exponential backoff** —
 //!   [`RetryPolicy::Backoff`] re-plans a deadline-cancelled query (and
 //!   re-submits outage-unroutable requests) at instants drawn from the
@@ -212,8 +211,8 @@
 //! * **Determinism** — backoff jitter is the only stochastic input and
 //!   it pre-derives from labeled streams, so every protected run is
 //!   byte-equal across repeats.
-//! * **Makespan honesty** — protection events for queries that already
-//!   completed pop as stale no-ops and do not stretch the makespan (a
+//! * **Makespan honesty** — protection events for queries that no
+//!   longer run pop as stale no-ops and do not stretch the makespan (a
 //!   met deadline leaves a far-future cancel event behind).
 //! * **Consumption conservation** — hedged runs consume every
 //!   requested `(client, query, object)` exactly once; duplicates are

@@ -1,38 +1,27 @@
-//! The overload-and-outage protection plane.
-//!
-//! The paper serves analytics from devices with *seconds*-scale access
-//! latencies, so tail behavior under bursts and outages is the product:
-//! without protection, a k=1 outage parks requests indefinitely and a
-//! saturating open-arrival burst grows queues without bound. This
-//! module is the whole plane — its configuration surface, its state,
-//! every routine that acts on it, and its observability rollup — for
-//! four defenses:
-//!
-//! * **Deadlines** — a per-tenant response-time bound; a query that
-//!   cannot finish inside it is cancelled (dequeued if waiting, its
-//!   deliveries discarded if in flight) and counted as a miss.
-//! * **Retry with capped exponential backoff + jitter**
-//!   ([`RetryPolicy::Backoff`]) — cancelled queries and outage-parked
-//!   requests re-submit at instants computed from a labeled SplitMix
-//!   stream instead of parking forever. [`RetryPolicy::None`] preserves
-//!   the historical parking behavior byte-exactly.
-//! * **Hedged requests** — under replicated placement, a per-tenant
-//!   hedge delay after which still-undelivered reads are re-issued to
-//!   the next live replica; first completion wins, the loser's queued
-//!   copy is cancelled and its late delivery discarded (at-most-once
-//!   *consumption*).
-//! * **Admission control** ([`AdmissionPolicy`]) — per-shard backlog
-//!   thresholds that shed the lowest-priority arrivals (or push
-//!   backpressure into closed-loop think time), plus a per-shard
-//!   breaker ([`BreakerPolicy`]) that routes around shards in brown-out
-//!   or repeated-timeout state.
+//! The overload-and-outage protection plane: its configuration
+//! surface, its state, every routine that acts on it, and its
+//! observability rollup. The paper serves analytics from devices with
+//! *seconds*-scale access latencies, so tail behavior under bursts and
+//! outages is the product. The four defenses — deadlines, seeded retry
+//! with capped exponential backoff ([`RetryPolicy`]), hedged reads, and
+//! admission control with a per-shard breaker ([`AdmissionPolicy`]) —
+//! and their invariants are described in [`runtime`](crate::runtime).
 //!
 //! The plane is one optional `Protection` on the runtime (its kernel
 //! hooks are the `impl Runtime` block below) plus one optional
 //! `Breaker` on the fleet, installed only when some knob is set: with
-//! none, the kernel runs no protection code and today's machine is
-//! reproduced byte-exactly by construction (see the invariants section
-//! in [`runtime`](crate::runtime)).
+//! none, the kernel runs no protection code.
+//!
+//! Every event the plane schedules names one query: a deadline carries
+//! its `(client, qseq)`, a hedge check waits in its client's queue with
+//! the `qseq` it covers, a retry row keeps its `QueryId`. The dispatch
+//! drops an event whose query no longer runs — it finished or was
+//! cancelled — so a cancel never has to find what its query left
+//! queued. A deadline retry's attempt count travels with the query it
+//! re-plans, in its `PlannedQuery`.
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use skipper_csd::{LedgerEntry, ObjectId, QueryId};
 use skipper_relational::query::QuerySpec;
@@ -309,17 +298,23 @@ impl Breaker {
 pub(crate) enum ProtectEvent {
     /// Client `c`'s query seq `q` hits its response deadline.
     Deadline(usize, u32),
-    /// The `i`-th hedge check fires.
+    /// Client `c`'s oldest queued hedge check fires.
     Hedge(usize),
     /// The `i`-th retry fires.
     Retry(usize),
 }
 
-/// Per-client hedging ledger for the current query. Cleared on finish
-/// and cancel; empty for tenants without a hedge delay.
-#[derive(Clone, Default)]
-struct HedgeState {
-    /// Every object submitted for the current query, in submit order.
+/// One client's share of the plane. The three hedging ledgers cover
+/// the running query — cleared when a query starts, and empty for
+/// tenants without a hedge delay.
+#[derive(Default)]
+struct ClientPlane {
+    /// The client's knobs.
+    knobs: ClientProtection,
+    /// Seeded SplitMix stream for retry backoff jitter, seeded only for
+    /// a retry client: no other client draws from it.
+    retry_rng: u64,
+    /// Every object submitted for the running query, in submit order.
     requested: Vec<ObjectId>,
     /// Objects already consumed (first copy delivered); later copies
     /// are hedge losers and are discarded.
@@ -327,33 +322,31 @@ struct HedgeState {
     /// Objects with a hedge duplicate in flight, and the shard it was
     /// sent to (to tell hedge wins from primary wins).
     hedged: Vec<(ObjectId, usize)>,
+    /// Queued hedge checks, oldest first, each covering one submitted
+    /// batch `(qseq, start..end)` of `requested`. The hedge delay is
+    /// constant per client and the calendar breaks ties by insertion
+    /// order, so the checks fire in submit order and
+    /// [`ProtectEvent::Hedge`] pops the front.
+    checks: VecDeque<(u32, Range<usize>)>,
+    /// The running query's spec, for a deadline+retry client, kept so
+    /// a deadline-cancelled query can be re-planned.
+    spec: Option<QuerySpec>,
 }
 
 /// Everything the protection plane keeps during a run.
 pub(crate) struct Protection {
-    /// Per-client knobs, one entry per client.
-    knobs: Vec<ClientProtection>,
+    /// Per-client state, one entry per client.
+    clients: Vec<ClientPlane>,
     /// Fleet-seam admission policy, if any.
     admission: Option<AdmissionPolicy>,
     /// Event counters and the per-tenant miss/shed tallies.
     summary: ProtectionSummary,
-    /// Per-client seeded SplitMix streams for retry backoff jitter.
-    retry_rng: Vec<u64>,
-    /// Deadline-retry attempts already spent on each current query.
-    attempts: Vec<u32>,
     /// Scheduled re-submissions of objects that found no live replica,
     /// `(client, query, object, attempt)`, indexed by
-    /// [`ProtectEvent::Retry`].
+    /// [`ProtectEvent::Retry`]. A table for the whole run, not a
+    /// per-client FIFO: jittered backoff delays do not fire in the
+    /// order they were scheduled.
     retries: Vec<(usize, QueryId, ObjectId, u32)>,
-    /// Scheduled hedge checks, each covering one submitted batch
-    /// `(client, qseq, start, end)` — `start..end` indexes the client's
-    /// `HedgeState::requested` log — indexed by [`ProtectEvent::Hedge`].
-    hedges: Vec<(usize, u32, usize, usize)>,
-    /// Per-client hedging ledgers (empty vectors when unused).
-    hedge_state: Vec<HedgeState>,
-    /// The running query's spec of each deadline+retry tenant, kept so
-    /// a deadline-cancelled query can be re-planned.
-    specs: Vec<Option<QuerySpec>>,
     /// At-most-once consumption log (see `RunResult::consumed`), kept
     /// on hedged full-record runs only.
     consumed: Option<Vec<LedgerEntry>>,
@@ -378,35 +371,36 @@ impl Protection {
             return None;
         }
         let n = knobs.len();
+        let clients = knobs
+            .into_iter()
+            .enumerate()
+            .map(|(c, knobs)| ClientPlane {
+                retry_rng: if knobs.retry.enabled() {
+                    derive_seed(seed, &format!("retry/{c}"))
+                } else {
+                    0
+                },
+                knobs,
+                ..ClientPlane::default()
+            })
+            .collect();
         Some(Protection {
-            knobs,
+            clients,
             admission,
             summary: ProtectionSummary::sized(n),
-            retry_rng: (0..n)
-                .map(|c| derive_seed(seed, &format!("retry/{c}")))
-                .collect(),
-            attempts: vec![0; n],
             retries: Vec::new(),
-            hedges: Vec::new(),
-            hedge_state: vec![HedgeState::default(); n],
-            specs: vec![None; n],
             consumed: (any_hedge && log_consumed).then(Vec::new),
         })
     }
 
-    /// Client `c`'s current query is over (completed or cancelled): its
-    /// retry budget and hedge ledger start over.
-    pub(crate) fn reset(&mut self, c: usize) {
-        self.attempts[c] = 0;
-        let hs = &mut self.hedge_state[c];
-        hs.requested.clear();
-        hs.consumed.clear();
-        hs.hedged.clear();
-    }
-
     /// Closes the plane into the run's summary (breaker trips read from
-    /// the fleet) and consumption log.
+    /// the fleet) and consumption log. Every hedge check has fired by
+    /// then, so every client's check queue is empty.
     pub(crate) fn finish(self, fleet: &DeviceFleet<()>) -> (ProtectionSummary, Vec<LedgerEntry>) {
+        assert!(
+            self.clients.iter().all(|client| client.checks.is_empty()),
+            "hedge checks left after the run"
+        );
         let mut summary = self.summary;
         summary.breaker_trips = fleet.breaker.as_ref().map_or(0, Breaker::trips);
         (summary, self.consumed.unwrap_or_default())
@@ -425,11 +419,11 @@ impl Runtime {
     /// query, released and idle, may start at `now`. Queries whose
     /// deadline already lapsed while queued are abandoned, admission
     /// control sheds or defers the start when a live shard is over its
-    /// backlog ceiling, and an admitted query arms its deadline
-    /// (keeping its spec for a retry).
+    /// backlog ceiling, and an admitted query starts a fresh hedging
+    /// ledger and arms its deadline (keeping its spec for a retry).
     pub(super) fn admit(&mut self, c: usize, now: SimTime) -> bool {
         let p = plane(&mut self.protection);
-        let knobs = p.knobs[c];
+        let knobs = p.clients[c].knobs;
         loop {
             if !self.clients[c].can_start(now) {
                 return false;
@@ -446,7 +440,6 @@ impl Runtime {
                     self.clients[c].plan.pop_front();
                     p.summary.deadline_misses += 1;
                     p.summary.per_tenant[c].deadline_misses += 1;
-                    p.attempts[c] = 0;
                     continue;
                 }
             }
@@ -458,7 +451,6 @@ impl Runtime {
                             self.clients[c].plan.pop_front();
                             p.summary.sheds += 1;
                             p.summary.per_tenant[c].shed += 1;
-                            p.attempts[c] = 0;
                             continue;
                         }
                         AdmissionResponse::Backpressure(delay) => {
@@ -477,6 +469,10 @@ impl Runtime {
             }
             break;
         }
+        let own = &mut p.clients[c];
+        own.requested.clear();
+        own.consumed.clear();
+        own.hedged.clear();
         if let Some(d) = knobs.deadline {
             // The deadline anchors at release (queue wait counts), like
             // the SLO attainment report.
@@ -486,7 +482,7 @@ impl Runtime {
             self.events
                 .schedule(front.release.unwrap_or(now) + d, event);
             if knobs.retry.enabled() {
-                p.specs[c] = Some(front.spec.clone());
+                own.spec = Some(front.spec.clone());
             }
         }
         true
@@ -506,8 +502,8 @@ impl Runtime {
         object: ObjectId,
     ) -> bool {
         let p = plane(&mut self.protection);
-        if p.knobs[c].hedge.is_some() {
-            let hs = &mut p.hedge_state[c];
+        if p.clients[c].knobs.hedge.is_some() {
+            let hs = &mut p.clients[c];
             if hs.consumed.contains(&object) {
                 p.summary.hedge_losers_discarded += 1;
                 return false; // the other replica already won this object
@@ -539,21 +535,19 @@ impl Runtime {
         qid: QueryId,
         objects: &[ObjectId],
     ) {
-        let p = plane(&mut self.protection);
+        let client = &mut plane(&mut self.protection).clients[c];
         if !objects.is_empty() {
-            if let Some(delay) = p.knobs[c].hedge {
-                let hs = &mut p.hedge_state[c];
+            if let Some(delay) = client.knobs.hedge {
                 // An engine may re-request an object it already
                 // consumed in this query (an MJoin reissue): that copy
                 // is new work, not a hedge loser.
-                hs.consumed.retain(|o| !objects.contains(o));
-                hs.hedged.retain(|(o, _)| !objects.contains(o));
-                let start = hs.requested.len();
-                hs.requested.extend_from_slice(objects);
-                let idx = p.hedges.len();
-                let end = start + objects.len();
-                p.hedges.push((c, self.clients[c].qseq, start, end));
-                let event = Event::Protect(ProtectEvent::Hedge(idx));
+                client.consumed.retain(|o| !objects.contains(o));
+                client.hedged.retain(|(o, _)| !objects.contains(o));
+                let start = client.requested.len();
+                client.requested.extend_from_slice(objects);
+                let batch = start..client.requested.len();
+                client.checks.push_back((qid.seq, batch));
+                let event = Event::Protect(ProtectEvent::Hedge(c));
                 self.events.schedule(now + delay, event);
             }
         }
@@ -581,14 +575,12 @@ impl Runtime {
         object: ObjectId,
         attempt: u32,
     ) {
-        if self.clients[client].engine.is_none() || self.clients[client].qseq != query.seq {
+        if !self.clients[client].runs(query.seq) {
             return; // the owning query was cancelled meanwhile
         }
         let p = plane(&mut self.protection);
-        match p.knobs[client]
-            .retry
-            .delay(attempt, &mut p.retry_rng[client])
-        {
+        let own = &mut p.clients[client];
+        match own.knobs.retry.delay(attempt, &mut own.retry_rng) {
             Some(delay) => {
                 p.summary.retries += 1;
                 let idx = p.retries.len();
@@ -602,50 +594,54 @@ impl Runtime {
                 // is down, not slow).
                 p.summary.retry_exhausted += 1;
                 self.cancel_current(client, now, false);
-                if !self.clients[client].busy {
+                if self.clients[client].processing.is_none() {
                     self.try_start(client, now);
                 }
             }
         }
     }
 
-    /// Dispatches one of the plane's own calendar events.
+    /// Dispatches one of the plane's own calendar events. Each names a
+    /// query — a hedge check its queue entry, a retry its table row —
+    /// and an event whose query no longer runs (it finished, or was
+    /// cancelled) is dropped without counting as activity.
     pub(super) fn protect_fired(&mut self, event: ProtectEvent, now: SimTime) {
-        match event {
-            ProtectEvent::Deadline(c, qseq) => self.deadline_fired(c, qseq, now),
-            ProtectEvent::Hedge(i) => self.hedge_fired(i, now),
-            ProtectEvent::Retry(i) => self.retry_fired(i, now),
-        }
-    }
-
-    /// A scheduled retry instant arrived: re-submit the object if its
-    /// query is still in flight; if the fleet still has no live replica
-    /// the request comes straight back and re-schedules at the next
-    /// backoff step.
-    fn retry_fired(&mut self, i: usize, now: SimTime) {
-        let (client, query, object, attempt) = plane(&mut self.protection).retries[i];
-        if self.clients[client].engine.is_none() || self.clients[client].qseq != query.seq {
-            return; // cancelled or finished while the retry waited
-        }
-        self.last_activity = now;
-        self.fleet.submit(now, client, query, &[object]);
-        self.drain_unroutable(now, attempt + 1);
-        self.poke_fleet(now);
-    }
-
-    /// A hedge delay elapsed: re-issue every still-undelivered object
-    /// of the covered batch to the next live replica.
-    fn hedge_fired(&mut self, i: usize, now: SimTime) {
         let p = plane(&mut self.protection);
-        let (client, qseq, start, end) = p.hedges[i];
-        if self.clients[client].engine.is_none() || self.clients[client].qseq != qseq {
-            return; // the covered query already finished or cancelled
+        let (c, qseq, batch) = match event {
+            ProtectEvent::Deadline(c, qseq) => (c, qseq, 0..0),
+            ProtectEvent::Hedge(c) => {
+                let (qseq, batch) = p.clients[c].checks.pop_front().expect("a queued check");
+                (c, qseq, batch)
+            }
+            ProtectEvent::Retry(i) => (p.retries[i].0, p.retries[i].1.seq, 0..0),
+        };
+        if !self.clients[c].runs(qseq) {
+            return;
         }
         self.last_activity = now;
-        let qid = QueryId::new(client as u16, qseq);
-        let hs = &mut p.hedge_state[client];
+        match event {
+            ProtectEvent::Deadline(..) => self.deadline_fired(c, now),
+            ProtectEvent::Hedge(_) => self.hedge_fired(c, batch, now),
+            ProtectEvent::Retry(i) => {
+                // Re-submit; if the fleet still has no live replica the
+                // request comes straight back for the next backoff step.
+                let (_, query, object, attempt) = plane(&mut self.protection).retries[i];
+                self.fleet.submit(now, c, query, &[object]);
+                self.drain_unroutable(now, attempt + 1);
+                self.poke_fleet(now);
+            }
+        }
+    }
+
+    /// A hedge delay elapsed for client `c`'s running query: re-issue
+    /// every still-undelivered object of the covered `batch` to the
+    /// next live replica.
+    fn hedge_fired(&mut self, c: usize, batch: Range<usize>, now: SimTime) {
+        let p = plane(&mut self.protection);
+        let qid = QueryId::new(c as u16, self.clients[c].qseq);
+        let hs = &mut p.clients[c];
         let mut fired = false;
-        for idx in start..end {
+        for idx in batch {
             let object = hs.requested[idx];
             if hs.consumed.contains(&object) || hs.hedged.iter().any(|&(o, _)| o == object) {
                 continue;
@@ -653,7 +649,7 @@ impl Runtime {
             let Some(target) = self.fleet.hedge_target(object) else {
                 continue; // no second live replica to hedge to
             };
-            self.fleet.submit_to(target, now, client, qid, object);
+            self.fleet.submit_to(target, now, c, qid, object);
             hs.hedged.push((object, target));
             p.summary.hedges_fired += 1;
             fired = true;
@@ -663,21 +659,18 @@ impl Runtime {
         }
     }
 
-    /// A deadline fired: if the query is still in flight, cancel it
+    /// Client `c`'s running query missed its deadline: cancel it
     /// everywhere (client, queues, ledgers), count the miss, and — for
-    /// retry tenants — re-plan it at the next backoff instant.
-    fn deadline_fired(&mut self, c: usize, qseq: u32, now: SimTime) {
-        let live = self.clients[c].engine.is_some() && self.clients[c].qseq == qseq;
-        if !live {
-            return; // the query beat its deadline
-        }
-        self.last_activity = now;
+    /// retry tenants — re-plan it at the next backoff instant, carrying
+    /// its attempt count.
+    fn deadline_fired(&mut self, c: usize, now: SimTime) {
+        let attempt = self.clients[c].running.as_ref().expect("runs").attempt + 1;
         let p = plane(&mut self.protection);
         p.summary.deadline_misses += 1;
         p.summary.per_tenant[c].deadline_misses += 1;
-        let attempt = p.attempts[c] + 1;
-        let retry = p.knobs[c].retry;
-        let delay = retry.delay(attempt, &mut p.retry_rng[c]);
+        let client = &mut p.clients[c];
+        let retry = client.knobs.retry;
+        let delay = retry.delay(attempt, &mut client.retry_rng);
         // The timeout is charged to the shards that still held queued
         // work for the query — that is what trips a slow shard's
         // breaker.
@@ -685,35 +678,35 @@ impl Runtime {
         let p = plane(&mut self.protection);
         match delay {
             Some(delay) => {
-                p.attempts[c] = attempt;
                 p.summary.retries += 1;
-                let spec = p.specs[c]
+                let spec = p.clients[c]
+                    .spec
                     .take()
                     .expect("deadline+retry client keeps its running spec");
                 let at = now + delay;
                 self.clients[c].plan.push_front(PlannedQuery {
                     spec,
                     release: Some(at),
+                    attempt,
                 });
                 self.events.schedule(at, Event::Release(c));
             }
             None if retry.enabled() => p.summary.retry_exhausted += 1,
             None => {}
         }
-        if !self.clients[c].busy {
+        if self.clients[c].processing.is_none() {
             self.try_start(c, now);
         }
         self.poke_fleet(now);
     }
 
-    /// Cancels client `c`'s current query end-to-end: fleet queues
-    /// (optionally charging the breaker's timeout counter), the client
-    /// state machine, and the plane's per-query state.
+    /// Cancels client `c`'s running query end-to-end: fleet queues
+    /// (optionally charging the breaker's timeout counter) and the
+    /// client state machine.
     fn cancel_current(&mut self, c: usize, now: SimTime, charge_timeout: bool) {
         let qid = QueryId::new(c as u16, self.clients[c].qseq);
         self.fleet.cancel_query(qid, now, charge_timeout);
         self.clients[c].cancel();
-        plane(&mut self.protection).reset(c);
     }
 }
 

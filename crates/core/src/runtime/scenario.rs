@@ -157,11 +157,11 @@ impl Scenario {
     }
 
     /// Span-log regime of the fleet's activity traces (default:
-    /// [`TraceMode::Full`] — every span kept, stall attribution and
-    /// timelines exact). [`TraceMode::Counters`] bounds memory for very
-    /// large runs: devices keep only their counters, span lists in
-    /// the [`ShardResult`](super::collector::ShardResult)s come back
-    /// empty, and blocked time attributes as idle.
+    /// [`TraceMode::Full`] — every span kept, timelines exact).
+    /// [`TraceMode::Counters`] bounds memory for very large runs:
+    /// devices keep only their counters and the span lists in the
+    /// [`ShardResult`](super::collector::ShardResult)s come back empty.
+    /// Stall attribution reads running spans, so it is the same in both.
     pub fn trace_mode(mut self, mode: TraceMode) -> Self {
         self.trace_mode = mode;
         self
@@ -240,11 +240,11 @@ impl Scenario {
 
     /// Installs the deterministic fault plan (default: empty — no
     /// faults, every run byte-identical to before the fault plane
-    /// existed). The plan expands at assembly time into timestamped
-    /// episodes — seeded stochastic streams and all — and the driver
-    /// schedules each as a first-class calendar event. Note that
-    /// recovery events keep the simulation alive: a plan whose
-    /// episodes outlast the natural drain extends the makespan.
+    /// existed). At assembly the plan is drawn — seeded crash streams
+    /// and all — checked and flattened into timed flips, and the driver
+    /// schedules each as a calendar event. Recovery events keep the
+    /// simulation alive: outages that outlast the natural drain extend
+    /// the makespan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -363,7 +363,11 @@ impl Scenario {
                     .queries
                     .into_iter()
                     .zip(releases)
-                    .map(|(spec, release)| PlannedQuery { spec, release })
+                    .map(|(spec, release)| PlannedQuery {
+                        spec,
+                        release,
+                        attempt: 0,
+                    })
                     .collect();
                 ClientState::new(w.dataset, w.engine, plan)
             })
