@@ -97,7 +97,7 @@ impl CacheState {
                 Some(ready) => {
                     // A hit never reaches the device, whose submit
                     // rejects a cross-tenant GET: reject it here.
-                    skipper_csd::assert_own_tenant(client, query, object);
+                    skipper_csd::object::assert_own_tenant(client, query, object);
                     self.seq += 1;
                     self.pending.push(Reverse(CachePending {
                         ready,
