@@ -370,8 +370,7 @@ impl Protection {
         if !any_knob && admission.is_none() {
             return None;
         }
-        let n = knobs.len();
-        let clients = knobs
+        let clients: Vec<_> = knobs
             .into_iter()
             .enumerate()
             .map(|(c, knobs)| ClientPlane {
@@ -385,9 +384,9 @@ impl Protection {
             })
             .collect();
         Some(Protection {
+            summary: ProtectionSummary::sized(clients.len()),
             clients,
             admission,
-            summary: ProtectionSummary::sized(n),
             retries: Vec::new(),
             consumed: (any_hedge && log_consumed).then(Vec::new),
         })
