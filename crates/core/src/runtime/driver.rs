@@ -16,9 +16,9 @@
 //!
 //! Multi-shard wake-ups interleave deterministically: each shard keeps
 //! its own armed-wake-up protocol, the event queue breaks simultaneous
-//! events by insertion order, and shards are always poked in shard
-//! order — so a fleet run is exactly reproducible, and a 1-shard fleet
-//! replays the single-device event schedule unchanged.
+//! events by insertion order, and the shards an event touched are
+//! poked in shard order — so a fleet run is exactly reproducible, and a
+//! 1-shard fleet replays the single-device event schedule unchanged.
 //!
 //! The hot loop is engineered for million-request runs: the future
 //! event list is the [`CalendarQueue`], which sorts everything `run`
@@ -132,8 +132,14 @@ impl Runtime {
     /// Panics if any client fails to drain its plan (a simulation
     /// deadlock — always a harness bug).
     pub fn run(mut self) -> RunResult {
-        let now = SimTime::ZERO;
         let offered: Vec<u64> = self.clients.iter().map(|c| c.plan.len() as u64).collect();
+        self.drive();
+        self.finish(offered)
+    }
+
+    /// Runs the event loop until the calendar drains.
+    pub(super) fn drive(&mut self) {
+        let now = SimTime::ZERO;
         // Scheduled releases (staggered starts, Poisson arrivals) are
         // armed as events, in client order for deterministic ties;
         // closed-loop queries with no release instant start immediately.
@@ -176,7 +182,14 @@ impl Runtime {
                 Event::Protect(e) => self.protect_fired(e, t),
             }
         }
+    }
 
+    /// Assembles the measurements of a drained run; `offered` holds
+    /// each client's plan length at the start.
+    ///
+    /// # Panics
+    /// Panics if any client did not drain its plan.
+    fn finish(mut self, offered: Vec<u64>) -> RunResult {
         let makespan = self.last_activity;
         let (mut protection, consumed) = match self.protection.take() {
             Some(p) => p.finish(&self.fleet),
@@ -333,7 +346,9 @@ impl Runtime {
         filled
     }
 
-    /// Arms wake-ups on every shard with pending work and none armed.
+    /// Pokes the shards touched since the last poke, in shard order,
+    /// scheduling every wake-up they arm (see
+    /// [`DeviceFleet::poke_all`]).
     pub(super) fn poke_fleet(&mut self, now: SimTime) {
         let events = &mut self.events;
         self.fleet

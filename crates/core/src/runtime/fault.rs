@@ -329,7 +329,7 @@ impl<P: Clone> DeviceFleet<P> {
                 "dropped wake-up targets shard {shard} but the fleet has {shards}"
             );
             assert!(nth >= 1, "dropped wake-up ordinals are 1-based");
-            let watchdog = self.pumps[shard].watchdog.get_or_insert_with(|| {
+            let watchdog = self.pump_mut(shard).watchdog.get_or_insert_with(|| {
                 Box::new(Watchdog {
                     drops: VecDeque::new(),
                     wakeups: 0,
@@ -382,7 +382,7 @@ impl<P: Clone> DeviceFleet<P> {
         assert!(since.is_none(), "shard {shard} crashed while already down");
         faults.stats[shard].downs += 1;
         let mut displaced = std::mem::take(&mut faults.displaced);
-        let aborted = self.pumps[shard].fail(now, &mut displaced, completed);
+        let aborted = self.pump_mut(shard).fail(now, &mut displaced, completed);
         if let Some(clock) = &mut self.stall_clock {
             // The crash cut the shard's running spans short.
             clock.rederive(now, self.pumps.iter().flat_map(|p| p.device().traces()));
@@ -410,7 +410,7 @@ impl<P: Clone> DeviceFleet<P> {
             panic!("shard {shard} recovered while up");
         };
         faults.stats[shard].downtime_micros += now.since(since).as_micros();
-        self.pumps[shard].recover();
+        self.pump_mut(shard).recover();
         for _ in 0..self.faults_mut().parked.len() {
             let (client, query, obj) = self.faults_mut().parked.pop_front().expect("len checked");
             match self.route(now, obj) {
@@ -438,7 +438,7 @@ impl<P: Clone> DeviceFleet<P> {
         // Only transfers dispatched from now on see the factor. With a
         // breaker installed, a factor below its `brownout_below`
         // threshold opens the shard's breaker until service returns.
-        self.pumps[shard].device.set_bandwidth_factor(factor);
+        self.pump_mut(shard).device.set_bandwidth_factor(factor);
         if let Some(b) = &mut self.breaker {
             b.set_bandwidth_factor(shard, factor);
         }
@@ -548,6 +548,11 @@ impl<P> Watchdog<P> {
         }
     }
 
+    /// True when a release instant awaits [`take_arm`](Self::take_arm).
+    pub(super) fn arm_pending(&self) -> bool {
+        self.release_at.is_some() && !self.armed
+    }
+
     /// True when nothing is parked or awaiting release.
     pub(super) fn is_idle(&self) -> bool {
         self.parked.is_empty() && self.release_at.is_none()
@@ -556,8 +561,8 @@ impl<P> Watchdog<P> {
 
 impl<P: Clone> DevicePump<P> {
     /// The watchdog release to schedule, handed out once per parked
-    /// batch (the fleet polls this on every poke pass, alongside the
-    /// device wake-up from [`DevicePump::poke`]).
+    /// batch (the fleet polls this whenever it pokes the shard,
+    /// alongside the device wake-up from [`DevicePump::poke`]).
     pub fn take_redelivery_arm(&mut self) -> Option<SimTime> {
         self.watchdog.as_deref_mut()?.take_arm()
     }

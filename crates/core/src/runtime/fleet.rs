@@ -23,6 +23,15 @@
 //! the fleet, owned by [`fault`](super::fault) with the crash, recovery
 //! and parking rules — so a fleet that never crashes routes a request
 //! with one dense index lookup and two null tests.
+//!
+//! The fleet pokes only the shards an event touched. Every route that
+//! can change a pump or arm one of its wake-ups — submits, wake-ups,
+//! cancels, crashes, recoveries, brown-outs and plane installs — goes
+//! through one accessor that marks the pump's shard in a bitset, and
+//! [`DeviceFleet::poke_all`] visits the marked shards in shard order and
+//! clears the set. An unmarked pump has nothing to kick and nothing to
+//! arm, so the visits it is spared change no output; debug builds check
+//! that at every poke.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,6 +76,12 @@ pub struct DeviceFleet<P = Arc<Segment>> {
     /// The collector's stall clock, folded after every instant a shard
     /// records at; installed only when the clients keep records.
     pub(super) stall_clock: Option<StallClock>,
+    /// Shards touched since the last poke, one bit each (shard `s` is
+    /// bit `s % 64` of word `s / 64`); see the module docs. Sized at
+    /// assembly with every shard set, because pumps start dirty.
+    touched: Vec<u64>,
+    /// Pump visits `poke_all` has made over the fleet's life.
+    visits: u64,
 }
 
 impl<P: Clone> DeviceFleet<P> {
@@ -118,6 +133,10 @@ impl<P: Clone> DeviceFleet<P> {
     ) -> Self {
         let n = devices.len();
         assert!(n > 0, "a fleet needs at least one device");
+        let mut touched = vec![0; n.div_ceil(64)];
+        for shard in 0..n {
+            touched[shard / 64] |= 1 << (shard % 64);
+        }
         DeviceFleet {
             pumps: devices.into_iter().map(DevicePump::new).collect(),
             shard_of,
@@ -128,7 +147,27 @@ impl<P: Clone> DeviceFleet<P> {
             breaker: None,
             faults: None,
             stall_clock: None,
+            touched,
+            visits: 0,
         }
+    }
+
+    /// Shard `shard`'s pump, marked touched so that the next
+    /// [`poke_all`](Self::poke_all) visits it. Every route that may
+    /// change a pump or arm one of its wake-ups takes it here.
+    pub(super) fn pump_mut(&mut self, shard: usize) -> &mut DevicePump<P> {
+        self.touched[shard / 64] |= 1 << (shard % 64);
+        &mut self.pumps[shard]
+    }
+
+    fn is_touched(&self, shard: usize) -> bool {
+        self.touched[shard / 64] & (1 << (shard % 64)) != 0
+    }
+
+    /// Pump visits [`poke_all`](Self::poke_all) has made so far.
+    #[cfg(test)]
+    pub(crate) fn pump_visits(&self) -> u64 {
+        self.visits
     }
 
     /// The preferred (primary) shard storing `object`.
@@ -177,10 +216,14 @@ impl<P: Clone> DeviceFleet<P> {
                 None => self.park_or_defer(client, query, obj),
             }
         }
-        for (pump, batch) in self.pumps.iter_mut().zip(self.fanout.iter_mut()) {
-            if !batch.is_empty() {
-                pump.submit(now, client, query, batch);
+        for shard in 0..self.pumps.len() {
+            if !self.fanout[shard].is_empty() {
+                // Taken out for the submit and put back cleared: the
+                // pooled buffer keeps its capacity.
+                let mut batch = std::mem::take(&mut self.fanout[shard]);
+                self.pump_mut(shard).submit(now, client, query, &batch);
                 batch.clear();
+                self.fanout[shard] = batch;
             }
         }
     }
@@ -215,7 +258,7 @@ impl<P: Clone> DeviceFleet<P> {
     ) -> usize {
         let mut total = 0;
         for shard in 0..self.pumps.len() {
-            let n = self.pumps[shard].cancel_query(query);
+            let n = self.pump_mut(shard).cancel_query(query);
             if n > 0 && charge_timeout {
                 if let Some(b) = &mut self.breaker {
                     b.record_timeout(shard, now);
@@ -238,7 +281,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// Returns the number of copies removed.
     pub(crate) fn cancel_object(&mut self, query: QueryId, object: ObjectId) -> usize {
         let run = replica_run(self.shard_for(object), self.replicas, self.pumps.len());
-        run.filter(|&shard| self.pumps[shard].cancel_object(query, object))
+        run.filter(|&shard| self.pump_mut(shard).cancel_object(query, object))
             .count()
     }
 
@@ -268,7 +311,7 @@ impl<P: Clone> DeviceFleet<P> {
             !self.is_down(shard),
             "submit landed on a crashed shard (fleet routing bug)"
         );
-        self.pumps[shard].submit(now, client, query, &[object]);
+        self.pump_mut(shard).submit(now, client, query, &[object]);
     }
 
     /// The deepest backlog across live shards, as `(max queued
@@ -287,27 +330,41 @@ impl<P: Clone> DeviceFleet<P> {
         (depth, bytes)
     }
 
-    /// Pokes every shard in shard order, invoking `armed` with
-    /// `(shard, wake-up)` for each newly armed (or re-armed) wake-up:
-    /// per shard, the watchdog's release, then the cache's next hit,
-    /// then the device. A shard that kicks folds its traces into the
-    /// stall clock, if any. Allocation-free: this runs once per event
-    /// on the loop's hot path. A re-arm supersedes the shard's previous
-    /// wake-up, which then fires as a stale no-op.
+    /// Pokes every shard touched since the last poke, in shard order,
+    /// and clears the touched set, invoking `armed` with `(shard,
+    /// wake-up)` for each newly armed (or re-armed) wake-up: per shard,
+    /// the watchdog's release, then the cache's next hit, then the
+    /// device. A shard that kicks folds its traces into the stall
+    /// clock, if any. An untouched shard has nothing to kick or arm
+    /// (see the module docs), so it is not visited. Allocation-free:
+    /// this runs once per event on the loop's hot path. A re-arm
+    /// supersedes the shard's previous wake-up, which then fires as a
+    /// stale no-op.
     pub fn poke_all(&mut self, now: SimTime, mut armed: impl FnMut(usize, SimTime)) {
-        for (shard, pump) in self.pumps.iter_mut().enumerate() {
-            if let Some(at) = pump.take_redelivery_arm() {
-                armed(shard, at);
-            }
-            if let Some(at) = pump.take_cache_arm() {
-                armed(shard, at);
-            }
-            let kicks = pump.dirty;
-            if let Some(at) = pump.poke(now) {
-                armed(shard, at);
-            }
-            if let (true, Some(clock)) = (kicks, &mut self.stall_clock) {
-                clock.observe(now, pump.device().traces());
+        debug_assert!(
+            (0..self.pumps.len()).all(|s| self.is_touched(s) || !self.pumps[s].needs_poke()),
+            "a pump changed without marking its shard touched"
+        );
+        for word in 0..self.touched.len() {
+            let mut bits = std::mem::take(&mut self.touched[word]);
+            while bits != 0 {
+                let shard = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.visits += 1;
+                let pump = &mut self.pumps[shard];
+                if let Some(at) = pump.take_redelivery_arm() {
+                    armed(shard, at);
+                }
+                if let Some(at) = pump.take_cache_arm() {
+                    armed(shard, at);
+                }
+                let kicks = pump.dirty;
+                if let Some(at) = pump.poke(now) {
+                    armed(shard, at);
+                }
+                if let (true, Some(clock)) = (kicks, &mut self.stall_clock) {
+                    clock.observe(now, pump.device().traces());
+                }
             }
         }
     }
@@ -318,14 +375,16 @@ impl<P: Clone> DeviceFleet<P> {
     /// stale, superseded wake-ups). A live wake-up folds the shard's
     /// traces into the stall clock, if any: a drained pipe may have
     /// started an armed switch. Returns whether the wake-up did
-    /// anything (see [`DevicePump::on_wakeup_into`]).
+    /// anything (see [`DevicePump::on_wakeup_into`]). The shard is
+    /// marked touched even when the device wake-up is stale: a cache
+    /// pop or a watchdog release on it may leave a wake-up to arm.
     pub fn on_wakeup_into(
         &mut self,
         shard: usize,
         now: SimTime,
         out: &mut Vec<Delivery<P>>,
     ) -> bool {
-        let live = self.pumps[shard].on_wakeup_into(now, out);
+        let live = self.pump_mut(shard).on_wakeup_into(now, out);
         if let (true, Some(clock)) = (live, &mut self.stall_clock) {
             clock.observe(now, self.pumps[shard].device().traces());
         }

@@ -354,24 +354,25 @@ pub(crate) struct Protection {
 
 impl Protection {
     /// The plane, or `None` when no knob is set (priorities act only
-    /// through admission). `seed` roots the per-client `"retry/{c}"`
-    /// backoff streams; `log_consumed` keeps the consumption log.
+    /// through admission). `knobs` yields each client's knobs in client
+    /// order; clones of it test for a knob before it builds the plane.
+    /// `seed` roots the per-client `"retry/{c}"` backoff
+    /// streams; `log_consumed` keeps the consumption log.
     pub(crate) fn new(
-        knobs: Vec<ClientProtection>,
+        knobs: impl Iterator<Item = ClientProtection> + Clone,
         admission: Option<AdmissionPolicy>,
         seed: u64,
         log_consumed: bool,
     ) -> Option<Self> {
-        let any_hedge = knobs.iter().any(|k| k.hedge.is_some());
+        let any_hedge = knobs.clone().any(|k| k.hedge.is_some());
         let any_knob = any_hedge
             || knobs
-                .iter()
+                .clone()
                 .any(|k| k.deadline.is_some() || k.retry.enabled());
         if !any_knob && admission.is_none() {
             return None;
         }
         let clients: Vec<_> = knobs
-            .into_iter()
             .enumerate()
             .map(|(c, knobs)| ClientPlane {
                 retry_rng: if knobs.retry.enabled() {
@@ -767,7 +768,7 @@ mod tests {
 
     #[test]
     fn disabled_protection_is_quiet() {
-        let knobs = vec![ClientProtection::default(); 3];
+        let knobs = std::iter::repeat_n(ClientProtection::default(), 3);
         assert!(Protection::new(knobs, None, 42, true).is_none());
         assert!(ProtectionSummary::default().is_quiet());
         let s = ProtectionSummary {

@@ -20,10 +20,11 @@
 //!   afterwards.
 //!
 //! A pump only re-kicks when *its* device mutated since the last poke
-//! (a submit or a live wake-up — tracked by a dirty flag): the fleet
-//! pokes every shard after every event, and nothing can move an
-//! untouched shard's earliest completion, so clean shards stay O(1) on
-//! the hot path instead of re-running a scheduler decision.
+//! (a submit, a cancel or a live wake-up — tracked by a dirty flag):
+//! nothing else can move its earliest completion. The fleet pokes only
+//! the shards an event touched, and a touched pump that stayed clean (a
+//! stale wake-up) skips the kick instead of re-running a scheduler
+//! decision.
 //!
 //! With one stream the earliest completion never changes while armed
 //! (the single slot is busy), so no wake-up is ever superseded and the
@@ -60,11 +61,9 @@ pub struct DevicePump<P = Arc<Segment>> {
     /// Invariant: `Some(t)` ⇔ the device reported `t` as its earliest
     /// completion and no `on_wakeup_into(t)` has consumed it yet.
     pub(super) armed_at: Option<SimTime>,
-    /// Set on every device mutation (submit / live wake-up), cleared
-    /// by `poke`. Only a mutation can move the device's earliest
-    /// completion, so a clean pump skips the kick entirely — the fleet
-    /// pokes every shard after every event, and untouched shards must
-    /// stay O(1) on that hot path.
+    /// Set on every device mutation (submit / cancel / live wake-up),
+    /// cleared by `poke`. Only a mutation can move the device's earliest
+    /// completion, so a clean pump skips the kick entirely.
     pub(super) dirty: bool,
     /// The fault plane's watchdog, on shards with a planned drop only.
     pub(super) watchdog: Option<Box<Watchdog<P>>>,
@@ -203,6 +202,15 @@ impl<P: Clone> DevicePump<P> {
             self.dirty = true;
         }
         removed
+    }
+
+    /// True when a poke would do something: kick a mutated device, or
+    /// hand out a watchdog release or cache completion not yet armed.
+    /// The fleet's touched set must cover every such pump.
+    pub(super) fn needs_poke(&self) -> bool {
+        self.dirty
+            || self.watchdog.as_ref().is_some_and(|w| w.arm_pending())
+            || self.cache.as_ref().is_some_and(|c| c.arm_pending())
     }
 
     /// True when the device is idle with an empty queue and neither

@@ -252,6 +252,11 @@ impl Scenario {
 
     /// Executes the scenario to completion, returning all measurements.
     pub fn run(self) -> RunResult {
+        self.assemble().run()
+    }
+
+    /// Lays out, places and wires the scenario into a ready [`Runtime`].
+    pub(crate) fn assemble(self) -> Runtime {
         let workloads = self.tenants;
         assert!(
             workloads.iter().all(|w| !w.queries.is_empty()),
@@ -337,16 +342,16 @@ impl Scenario {
             .collect();
 
         // The protection plane exists only when some knob is set.
-        let retry_clients: Vec<bool> = workloads.iter().map(|w| w.retry.enabled()).collect();
-        let knobs = workloads
+        let retry_clients = workloads
             .iter()
-            .map(|w| ClientProtection {
-                deadline: w.deadline,
-                retry: w.retry,
-                hedge: w.hedge,
-                priority: w.priority,
-            })
-            .collect();
+            .any(|w| w.retry.enabled())
+            .then(|| workloads.iter().map(|w| w.retry.enabled()).collect());
+        let knobs = workloads.iter().map(|w| ClientProtection {
+            deadline: w.deadline,
+            retry: w.retry,
+            hedge: w.hedge,
+            priority: w.priority,
+        });
         let protection = Protection::new(
             knobs,
             self.admission,
@@ -382,7 +387,7 @@ impl Scenario {
         // Wire the fleet for the protection plane: retry tenants'
         // replica-less requests come back for backoff instead of
         // parking, and an admission breaker routes around bad shards.
-        if retry_clients.contains(&true) {
+        if let Some(retry_clients) = retry_clients {
             fleet.retry_clients = retry_clients;
         }
         if let Some(b) = self.admission.and_then(|a| a.breaker) {
@@ -392,6 +397,5 @@ impl Scenario {
         Runtime::new(fleet, clients, self.cost, self.slo)
             .with_record_mode(self.record_mode)
             .with_protection(protection)
-            .run()
     }
 }

@@ -1888,7 +1888,7 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
         policy: CachePolicy::Lru,
     });
     fleet.install_faults(&FaultPlan::new().drop_wakeup_after(0, 2, SimDuration::from_secs(100)));
-    let pump = &mut fleet.pumps[0];
+    let pump = fleet.pump_mut(0);
     let (q0, q1) = (QueryId::new(0, 0), QueryId::new(1, 0));
     // Live wake-up 1 fills the tiers: a1 in DRAM, a0 demoted to SSD.
     pump.submit(t(0), 0, q0, &[a0, a1]);
@@ -2322,7 +2322,8 @@ impl QueryEngine for PullEngine {
 }
 
 /// Builds a [`PullEngine`] per query from a script keyed by the
-/// query's name: the objects it pulls and its per-delivery processing.
+/// query's name: the objects it pulls (named as tenant 0's) and its
+/// per-delivery processing.
 struct PullFactory(Vec<(&'static str, Vec<ObjectId>, SimDuration)>);
 
 impl EngineFactory for PullFactory {
@@ -2332,7 +2333,7 @@ impl EngineFactory for PullFactory {
 
     fn build(
         &self,
-        _tenant: u16,
+        tenant: u16,
         _dataset: &Dataset,
         spec: QuerySpec,
         _cost: CostModel,
@@ -2343,7 +2344,12 @@ impl EngineFactory for PullFactory {
             .find(|(name, _, _)| *name == spec.name)
             .expect("query missing from the script");
         Box::new(PullEngine {
-            objects: objects.clone(),
+            // The script names tenant 0's objects; each tenant pulls
+            // its own copies.
+            objects: objects
+                .iter()
+                .map(|o| ObjectId::new(tenant, o.table, o.segment))
+                .collect(),
             processing: *processing,
             received: 0,
         })
@@ -2441,6 +2447,46 @@ fn a_deadline_during_charged_processing_discards_the_reaction() {
 }
 
 #[test]
+fn a_query_reaching_the_front_one_deadline_after_release_is_a_miss() {
+    // One tenant, deadline 5 s, three one-GET queries: `first` and
+    // `equal` released together at r, `later` at r + 1 us. `first`
+    // waits on its GET behind the 10 s group load, so its deadline
+    // cancels it at r + 5 s, when the client is idle and `equal`
+    // reaches the front exactly one deadline after its release: a miss
+    // that never starts. `later` still has 1 us left, so it starts and
+    // submits its GET; its own deadline cancels it 1 us on.
+    let ds = Arc::new(mini_dataset());
+    let object = storage_order(&ds)[..1].to_vec();
+    let deadline = SimDuration::from_secs(5);
+    let names = ["first", "equal", "later"];
+    let tenant = Workload::new(Arc::clone(&ds))
+        .queries(names.iter().map(|n| scripted(&ds, n)).collect())
+        .deadline(deadline)
+        .engine(PullFactory(
+            names
+                .iter()
+                .map(|&n| (n, object.clone(), SimDuration::from_secs(1)))
+                .collect(),
+        ));
+    let mut rt = Scenario::from_workloads(vec![tenant]).assemble();
+    let r = t(100);
+    for (planned, at) in rt.clients[0]
+        .plan
+        .iter_mut()
+        .zip([r, r, r + SimDuration::from_micros(1)])
+    {
+        planned.release = Some(at);
+    }
+    let res = rt.run();
+    let p = &res.protection;
+    assert_eq!(p.deadline_misses, 3);
+    assert_eq!(p.per_tenant[0].completed, 0);
+    // One GET each for `first` and `later`; `equal` never started.
+    assert_eq!(res.device.requests_submitted, 2);
+    assert_eq!(oracle::check_run(&res), Vec::<String>::new());
+}
+
+#[test]
 fn stale_hedge_checks_of_a_cancelled_query_fire_as_no_ops() {
     // Two shards, every object on both, shard 0 at 5 % bandwidth. The
     // first query reads `fast` (primary shard 1), charges 60 s, then
@@ -2484,4 +2530,67 @@ fn stale_hedge_checks_of_a_cancelled_query_fire_as_no_ops() {
     assert_eq!(res.clients[0].len(), 1);
     assert_eq!(&*res.clients[0][0].query, "second");
     assert_eq!(oracle::check_run(&res), Vec::<String>::new());
+}
+
+// ---------------------------------------------------------------------
+// Fleet work: the fleet pokes only the shards an event touched, so the
+// pump visits a pull GET costs do not grow with the shard count.
+
+/// `tenants` pull tenants, each pulling its whole storage order
+/// `rounds` times (one GET outstanding, 1 s of processing per
+/// delivery), on `shards` round-robin shards under the rank policy.
+/// Returns the pump visits, the GETs served and the group switches.
+fn pull_fleet_work(tenants: usize, shards: usize, rounds: usize) -> (u64, u64, u64) {
+    let ds = Arc::new(mini_dataset());
+    let objects = storage_order(&ds).repeat(rounds);
+    let workloads = (0..tenants)
+        .map(|_| {
+            Workload::new(Arc::clone(&ds))
+                .queries(vec![scripted(&ds, "pull")])
+                .engine(PullFactory(vec![(
+                    "pull",
+                    objects.clone(),
+                    SimDuration::from_secs(1),
+                )]))
+        })
+        .collect();
+    let mut rt = Scenario::from_workloads(workloads)
+        .shards(shards)
+        .scheduler(SchedPolicy::RankBased)
+        .assemble();
+    rt.drive();
+    let metrics = rt.fleet.pumps().iter().map(|p| p.device().metrics());
+    let (gets, switches) = metrics.fold((0, 0), |(g, s), m| {
+        (g + m.objects_served, s + m.group_switches)
+    });
+    (rt.fleet.pump_visits(), gets, switches)
+}
+
+#[test]
+fn one_pull_tenant_visits_as_many_pumps_on_eight_shards_as_on_one() {
+    // Storage order round-robins the tenant's GETs over every shard.
+    // Each event touches the one shard it fires on or submits to, so
+    // past the first poke, which visits every pump because all start
+    // dirty, both fleets visit the same pumps per event. The all-shard
+    // loop visited every pump at every poke: 8x as many on 8 shards.
+    let (one, gets, _) = pull_fleet_work(1, 1, 3);
+    let (eight, eight_gets, switches) = pull_fleet_work(1, 8, 3);
+    assert_eq!((gets, eight_gets, switches), (33, 33, 0));
+    assert_eq!(eight - 8, one - 1);
+    // Per GET: its transfer's wake-up and the submit of the next GET;
+    // the last reaction finishes the query and submits nothing.
+    assert_eq!(one, 1 + gets + (gets - 1));
+}
+
+#[test]
+fn a_pull_get_on_eight_shards_costs_three_pump_visits() {
+    // 16 pull tenants on 8 shards, one private group each: nearly every
+    // GET pays a switch. A GET's work is three events, each touching
+    // one shard: its submit, its switch and its transfer. That is three
+    // pump visits per GET; the all-shard loop made 8 per event, 24 per
+    // GET.
+    let (visits, gets, switches) = pull_fleet_work(16, 8, 3);
+    assert_eq!((gets, switches), (528, 520));
+    assert_eq!(visits, 8 + switches + gets + (gets - 16));
+    assert_eq!(visits, 1568, "2.97 visits per GET");
 }

@@ -200,6 +200,14 @@ impl CacheState {
         hits
     }
 
+    /// True when the earliest pending hit awaits
+    /// [`take_arm`](Self::take_arm).
+    pub(super) fn arm_pending(&self) -> bool {
+        self.pending
+            .peek()
+            .is_some_and(|p| self.armed != Some(p.0.ready))
+    }
+
     /// True when no hit awaits delivery.
     pub(super) fn is_idle(&self) -> bool {
         self.pending.is_empty()
@@ -208,8 +216,8 @@ impl CacheState {
 
 impl<P: Clone> DevicePump<P> {
     /// The cache wake-up to schedule, if a new hit became the earliest
-    /// pending one (the fleet polls this on every poke pass, alongside
-    /// the device and watchdog wake-ups).
+    /// pending one (the fleet polls this whenever it pokes the shard,
+    /// alongside the device and watchdog wake-ups).
     pub fn take_cache_arm(&mut self) -> Option<SimTime> {
         self.cache.as_deref_mut()?.take_arm()
     }
@@ -242,7 +250,8 @@ impl<P: Clone> DeviceFleet<P> {
     /// config without capacity installs nothing: the fleet stays the
     /// uncached machine by construction.
     pub(crate) fn install_cache(&mut self, config: CacheConfig) {
-        for pump in &mut self.pumps {
+        for shard in 0..self.pumps.len() {
+            let pump = self.pump_mut(shard);
             let ledger = pump.device.ledger_mode() == LedgerMode::Full;
             pump.cache = ShardCache::new(config, pump.device.store()).map(|cache| {
                 Box::new(CacheState {

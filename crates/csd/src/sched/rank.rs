@@ -26,9 +26,19 @@
 //! rebuilt once per *switch* by a merge with the queue's ascending
 //! query presence — O(distinct pending queries) per switch instead of
 //! a full queue rescan per decision.
+//!
+//! A decision reads that column with a forward cursor, not a search per
+//! query. The rank fold visits groups in ascending id and each group
+//! lists its queries in ascending id, so where groups and queries rise
+//! together (one group per tenant, say) every `W_q` is found a step or
+//! two past the previous one. A query that lies behind the cursor (an
+//! earlier group already walked past it) falls back to a binary search
+//! of the part the cursor has passed, and the cursor never moves back:
+//! one fold costs at most one walk of the column plus a search per
+//! out-of-order query.
 
 use crate::object::{GroupId, QueryId};
-use crate::sched::{Decision, GroupLens, GroupScheduler, InFlight, QueueView};
+use crate::sched::{Decision, GroupScheduler, InFlight, QueueView};
 
 /// Rank-based group selection balancing efficiency and fairness.
 #[derive(Debug)]
@@ -78,10 +88,40 @@ impl RankBased {
             .map_or(0, |at| self.waiting[at].1)
     }
 
-    /// `R(g) = N_g + K·ΣW_q(g)` over one group's lens.
-    fn rank(&self, lens: &GroupLens<'_>) -> u64 {
-        let w: u64 = lens.queries.iter().map(|&q| self.waiting_of(q)).sum();
-        lens.queries.len() as u64 + self.k * w
+    /// `W_q` through one fold's forward cursor `at` (see the module
+    /// docs): the column entries before `at` all have ids below the
+    /// furthest query looked up so far, and the entry at `at` does not.
+    fn waiting_from(&self, at: &mut usize, q: QueryId) -> u64 {
+        let column = &self.waiting;
+        if *at > 0 && column[*at - 1].0 >= q {
+            // Behind the cursor: search the passed part, stay put.
+            return column[..*at]
+                .binary_search_by_key(&q, |&(q, _)| q)
+                .map_or(0, |i| column[i].1);
+        }
+        while column.get(*at).is_some_and(|&(o, _)| o < q) {
+            *at += 1;
+        }
+        match column.get(*at) {
+            Some(&(o, w)) if o == q => w,
+            _ => 0,
+        }
+    }
+
+    /// Visits `(g, R(g))` for every group with pending data, in
+    /// ascending group id, with `R(g) = N_g + K·ΣW_q(g)`. The one
+    /// statement of the rank: [`RankBased::ranks`] collects it and the
+    /// policy folds it without collecting, so it must not allocate.
+    fn for_each_rank(&self, queue: &dyn QueueView, mut visit: impl FnMut(GroupId, u64)) {
+        let mut at = 0;
+        queue.for_each_group(&mut |g, lens| {
+            let w: u64 = lens
+                .queries
+                .iter()
+                .map(|&q| self.waiting_from(&mut at, q))
+                .sum();
+            visit(g, lens.queries.len() as u64 + self.k * w);
+        });
     }
 
     /// The rank `R(g)` of each group with pending data, in ascending
@@ -89,7 +129,7 @@ impl RankBased {
     /// itself folds the ranks without collecting them.
     pub fn ranks(&self, queue: &dyn QueueView) -> Vec<(GroupId, u64)> {
         let mut out = Vec::new();
-        queue.for_each_group(&mut |g, lens| out.push((g, self.rank(lens))));
+        self.for_each_rank(queue, |g, rank| out.push((g, rank)));
         out
     }
 
@@ -101,8 +141,7 @@ impl RankBased {
         // lenses (this runs on every decision where the active
         // residency is drained, so it must not touch the heap).
         let mut best: Option<(GroupId, u64)> = None;
-        queue.for_each_group(&mut |g, lens| {
-            let rank = self.rank(lens);
+        self.for_each_rank(queue, |g, rank| {
             let leads = best.is_none_or(|(bg, brank)| {
                 rank.cmp(&brank)
                     .then_with(|| queue.oldest_seq_on(bg).cmp(&queue.oldest_seq_on(g)))
