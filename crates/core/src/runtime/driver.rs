@@ -15,10 +15,11 @@
 //! client processes it — no per-delivery reference count is touched.
 //!
 //! Multi-shard wake-ups interleave deterministically: each shard keeps
-//! its own armed-wake-up protocol, the event queue breaks simultaneous
-//! events by insertion order, and the shards an event touched are
-//! poked in shard order — so a fleet run is exactly reproducible, and a
-//! 1-shard fleet replays the single-device event schedule unchanged.
+//! its own alarms (the timer rule of the [`pump`](super::pump) module
+//! docs), the event queue breaks simultaneous events by insertion
+//! order, and the shards an event touched are poked in shard order —
+//! so a fleet run is exactly reproducible, and a 1-shard fleet replays
+//! the single-device event schedule unchanged.
 //!
 //! The hot loop is engineered for million-request runs: the future
 //! event list is the [`CalendarQueue`], which sorts everything `run`
@@ -162,10 +163,10 @@ impl Runtime {
             }
             match ev {
                 Event::Device(shard) => {
-                    // A multi-stream wake-up retires every transfer due
-                    // at this instant: route the whole batch (device
-                    // slot order — deterministic), then poke once.
-                    // Stale superseded wake-ups leave the batch empty.
+                    // A wake-up retires every alarm due at this instant
+                    // (the pump's timer rule): route the whole batch
+                    // (device slot order — deterministic), then poke
+                    // once. A stale wake-up leaves the batch empty.
                     if self.route_batch(shard, t, |fleet, batch| {
                         fleet.on_wakeup_into(shard, t, batch)
                     }) {

@@ -335,7 +335,6 @@ impl<P: Clone> DeviceFleet<P> {
                     wakeups: 0,
                     parked: Vec::new(),
                     release_at: None,
-                    armed: false,
                 })
             });
             assert!(
@@ -477,28 +476,16 @@ pub(crate) struct Watchdog<P> {
     wakeups: u64,
     /// Deliveries withheld by dropped wake-ups, awaiting release.
     parked: Vec<Delivery<P>>,
-    /// Release instant of the parked batch.
-    release_at: Option<SimTime>,
-    /// Whether the wake-up for `release_at` has been handed out.
-    armed: bool,
+    /// Release instant of the parked batch, which the pump's release
+    /// alarm follows (see the [`pump`](super::pump) module docs).
+    pub(super) release_at: Option<SimTime>,
 }
 
 impl<P> Watchdog<P> {
-    /// Releases the parked batch into `out` when `now` is its release
-    /// instant; false for a superseded or flushed watchdog event.
-    pub(super) fn release(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) -> bool {
-        if self.release_at != Some(now) {
-            return false;
-        }
-        self.flush(out);
-        true
-    }
-
-    /// Hands the parked batch to `out` at once; an armed release goes
-    /// stale.
-    fn flush(&mut self, out: &mut Vec<Delivery<P>>) {
+    /// Hands the parked batch to `out`: at its release instant, when
+    /// the pump's release alarm fires, or at once on a crash.
+    pub(super) fn flush(&mut self, out: &mut Vec<Delivery<P>>) {
         self.release_at = None;
-        self.armed = false;
         out.append(&mut self.parked);
     }
 
@@ -506,9 +493,9 @@ impl<P> Watchdog<P> {
     /// when it is the next planned drop, parks them instead: the device
     /// completed them on time, only the notification is lost. They fill
     /// the cache when the watchdog *delivers* them. A drop onto a parked
-    /// batch joins it; the wake-up re-arms only when the release
-    /// instant moves. A drop on a wake-up that retired nothing is used
-    /// up: it parks nothing and moves no release.
+    /// batch joins it and may move the release to its own, later
+    /// deadline. A drop on a wake-up that retired nothing is used up: it
+    /// parks nothing and moves no release.
     pub(super) fn on_live_wakeup(
         &mut self,
         now: SimTime,
@@ -531,26 +518,7 @@ impl<P> Watchdog<P> {
         let at = self
             .release_at
             .map_or(now + delay, |at| at.max(now + delay));
-        if self.release_at != Some(at) {
-            self.release_at = Some(at);
-            self.armed = false;
-        }
-    }
-
-    /// The release instant to schedule, handed out once per move.
-    fn take_arm(&mut self) -> Option<SimTime> {
-        match self.release_at {
-            Some(at) if !self.armed => {
-                self.armed = true;
-                Some(at)
-            }
-            _ => None,
-        }
-    }
-
-    /// True when a release instant awaits [`take_arm`](Self::take_arm).
-    pub(super) fn arm_pending(&self) -> bool {
-        self.release_at.is_some() && !self.armed
+        self.release_at = Some(at);
     }
 
     /// True when nothing is parked or awaiting release.
@@ -560,27 +528,21 @@ impl<P> Watchdog<P> {
 }
 
 impl<P: Clone> DevicePump<P> {
-    /// The watchdog release to schedule, handed out once per parked
-    /// batch (the fleet polls this whenever it pokes the shard,
-    /// alongside the device wake-up from [`DevicePump::poke`]).
-    pub fn take_redelivery_arm(&mut self) -> Option<SimTime> {
-        self.watchdog.as_deref_mut()?.take_arm()
-    }
-
     /// Crashes the shard, in the order the module docs give: the
     /// watchdog's parked batch goes to `completed`, the device's
     /// aborted transfers and queue and then the pending cache hits go to
     /// `displaced`. Returns how many of those were in flight (aborted
-    /// transfers and hits). Every armed wake-up goes stale, and the
-    /// empty pump stays clean — nothing kicks it — until
-    /// [`DevicePump::recover`].
+    /// transfers and hits). All three alarms disarm in one place, so
+    /// every armed wake-up goes stale (see the [`pump`](super::pump)
+    /// module docs), and the empty pump stays clean — nothing kicks it —
+    /// until [`DevicePump::recover`].
     pub fn fail(
         &mut self,
         now: SimTime,
         displaced: &mut Vec<PendingRequest>,
         completed: &mut Vec<Delivery<P>>,
     ) -> usize {
-        self.armed_at = None;
+        self.disarm();
         self.dirty = false;
         if let Some(watchdog) = self.watchdog.as_deref_mut() {
             watchdog.flush(completed);

@@ -6,9 +6,9 @@
 //! fixed at layout time by a
 //! [`PlacementPolicy`](skipper_csd::PlacementPolicy): `submit` fans a
 //! GET batch out to the owning shards (preserving relative order within
-//! each shard), and each shard keeps its own wake-up protocol, so the
-//! event loop interleaves devices deterministically — shard index breaks
-//! every tie.
+//! each shard), and each shard keeps its own alarms (the timer rule of
+//! the [`pump`](super::pump) module docs), so the event loop interleaves
+//! devices deterministically — shard index breaks every tie.
 //!
 //! A 1-shard fleet takes the same path: every request routes to shard
 //! 0, so the whole batch reaches pump 0 in submission order and the
@@ -25,9 +25,9 @@
 //! with one dense index lookup and two null tests.
 //!
 //! The fleet pokes only the shards an event touched. Every route that
-//! can change a pump or arm one of its wake-ups — submits, wake-ups,
-//! cancels, crashes, recoveries, brown-outs and plane installs — goes
-//! through one accessor that marks the pump's shard in a bitset, and
+//! can change a pump or arm one of its wake-ups — submits, live
+//! wake-ups, cancels, crashes, recoveries, brown-outs and plane
+//! installs — marks the pump's shard in a bitset, and
 //! [`DeviceFleet::poke_all`] visits the marked shards in shard order and
 //! clears the set. An unmarked pump has nothing to kick and nothing to
 //! arm, so the visits it is spared change no output; debug builds check
@@ -154,10 +154,16 @@ impl<P: Clone> DeviceFleet<P> {
 
     /// Shard `shard`'s pump, marked touched so that the next
     /// [`poke_all`](Self::poke_all) visits it. Every route that may
-    /// change a pump or arm one of its wake-ups takes it here.
+    /// change a pump or arm one of its wake-ups takes it here, except
+    /// a wake-up, which marks its shard only when live.
     pub(super) fn pump_mut(&mut self, shard: usize) -> &mut DevicePump<P> {
-        self.touched[shard / 64] |= 1 << (shard % 64);
+        self.touch(shard);
         &mut self.pumps[shard]
+    }
+
+    /// Marks shard `shard` for the next [`poke_all`](Self::poke_all).
+    fn touch(&mut self, shard: usize) {
+        self.touched[shard / 64] |= 1 << (shard % 64);
     }
 
     fn is_touched(&self, shard: usize) -> bool {
@@ -332,14 +338,12 @@ impl<P: Clone> DeviceFleet<P> {
 
     /// Pokes every shard touched since the last poke, in shard order,
     /// and clears the touched set, invoking `armed` with `(shard,
-    /// wake-up)` for each newly armed (or re-armed) wake-up: per shard,
-    /// the watchdog's release, then the cache's next hit, then the
-    /// device. A shard that kicks folds its traces into the stall
-    /// clock, if any. An untouched shard has nothing to kick or arm
-    /// (see the module docs), so it is not visited. Allocation-free:
-    /// this runs once per event on the loop's hot path. A re-arm
-    /// supersedes the shard's previous wake-up, which then fires as a
-    /// stale no-op.
+    /// wake-up)` for each alarm the shard arms or re-arms, in the order
+    /// of the [`pump`](super::pump) module's timer rule. A shard that
+    /// kicks folds its traces into the stall clock, if any. An
+    /// untouched shard has nothing to kick or arm (see the module
+    /// docs), so it is not visited. Allocation-free: this runs once per
+    /// event on the loop's hot path.
     pub fn poke_all(&mut self, now: SimTime, mut armed: impl FnMut(usize, SimTime)) {
         debug_assert!(
             (0..self.pumps.len()).all(|s| self.is_touched(s) || !self.pumps[s].needs_poke()),
@@ -352,16 +356,8 @@ impl<P: Clone> DeviceFleet<P> {
                 bits &= bits - 1;
                 self.visits += 1;
                 let pump = &mut self.pumps[shard];
-                if let Some(at) = pump.take_redelivery_arm() {
-                    armed(shard, at);
-                }
-                if let Some(at) = pump.take_cache_arm() {
-                    armed(shard, at);
-                }
                 let kicks = pump.dirty;
-                if let Some(at) = pump.poke(now) {
-                    armed(shard, at);
-                }
+                pump.arm(now, |at| armed(shard, at));
                 if let (true, Some(clock)) = (kicks, &mut self.stall_clock) {
                     clock.observe(now, pump.device().traces());
                 }
@@ -372,21 +368,24 @@ impl<P: Clone> DeviceFleet<P> {
     /// Handles shard `shard`'s wake-up firing at `now`, appending every
     /// transfer the shard retired at that instant to the caller's
     /// reusable scratch buffer (nothing for switch completions and
-    /// stale, superseded wake-ups). A live wake-up folds the shard's
-    /// traces into the stall clock, if any: a drained pipe may have
-    /// started an armed switch. Returns whether the wake-up did
-    /// anything (see [`DevicePump::on_wakeup_into`]). The shard is
-    /// marked touched even when the device wake-up is stale: a cache
-    /// pop or a watchdog release on it may leave a wake-up to arm.
+    /// stale, superseded wake-ups). Returns whether the wake-up was
+    /// live (see [`DevicePump::on_wakeup_into`]). Only a live wake-up
+    /// marks the shard touched — a fully stale one changes nothing (the
+    /// [`pump`](super::pump) module's timer rule) — and folds the
+    /// shard's traces into the stall clock, if any: a drained pipe may
+    /// have started an armed switch.
     pub fn on_wakeup_into(
         &mut self,
         shard: usize,
         now: SimTime,
         out: &mut Vec<Delivery<P>>,
     ) -> bool {
-        let live = self.pump_mut(shard).on_wakeup_into(now, out);
-        if let (true, Some(clock)) = (live, &mut self.stall_clock) {
-            clock.observe(now, self.pumps[shard].device().traces());
+        let live = self.pumps[shard].on_wakeup_into(now, out);
+        if live {
+            self.touch(shard);
+            if let Some(clock) = &mut self.stall_clock {
+                clock.observe(now, self.pumps[shard].device().traces());
+            }
         }
         live
     }

@@ -80,10 +80,12 @@
 //! GET batches fan out through the shard map fixed at layout time;
 //! each shard's wake-ups interleave deterministically in the one event
 //! queue (insertion order breaks ties; after each event the fleet pokes
-//! the shards it touched, in shard order). A 1-shard fleet replays the seed's single-device schedule
-//! microsecond-exactly; `Scenario::shards(n)` scales the device layer
-//! out to `n` identically configured shards with per-shard result
-//! breakdowns ([`collector::ShardResult`]).
+//! the shards it touched, in shard order; each pump arms its wake-ups
+//! under the timer rule of the [`pump`] module docs). A 1-shard fleet
+//! replays the seed's single-device schedule microsecond-exactly;
+//! `Scenario::shards(n)` scales the device layer out to `n` identically
+//! configured shards with per-shard result breakdowns
+//! ([`collector::ShardResult`]).
 //!
 //! # Deterministic fault plane
 //!
@@ -269,7 +271,7 @@
 //!
 //! The plane is one optional box per pump, owned by the `tiers` module
 //! with every routine that acts on it (the submit partition, hit
-//! delivery, fill-on-consume, the wake-up arm, crash displacement):
+//! delivery, fill-on-consume, the next-hit instant, crash displacement):
 //! `DeviceFleet::install_cache` installs the same tiers on every shard,
 //! and only for a config with some capacity. The pump's hooks are each
 //! one presence test.
@@ -389,13 +391,14 @@
 //! `n` transfer slots on every shard, so intra-group requests overlap
 //! in time while a group is loaded, and a group switch decided mid-drain is
 //! *armed* — it begins the instant the last old-group transfer
-//! completes. The pump's wake-up protocol is therefore
+//! completes. The pump's device alarm therefore follows the
 //! "earliest of K completions": dispatching new work can move a
 //! shard's earliest completion *earlier*, so every poke re-kicks the
 //! device and re-arms when the instant changed; superseded wake-up
 //! events fire as recognized stale no-ops, and a live wake-up can
 //! retire several transfers at once (the event loop routes the whole
-//! batch). `streams(1)` — the default — collapses to the paper's
+//! batch). The cache hits and the watchdog's release arm through the
+//! same rule, stated once in the [`pump`] module docs. `streams(1)` — the default — collapses to the paper's
 //! serialized middleware exactly. Per-stream activity spans land in
 //! [`collector::ShardResult`] and roll up into the
 //! [`collector::StreamRollup`] overlap/utilization report

@@ -1,35 +1,35 @@
-//! The device pump: tracks the device's earliest pending completion.
+//! The device pump: one shard's device and the wake-ups it needs.
 //!
 //! The CSD model is passive — it must be `kick`ed whenever it might
 //! have work and completed exactly at the earliest instant it
 //! reported. With the multi-stream service pipeline that instant is the
 //! *earliest of K completions*, and it can move **earlier** whenever new
-//! work fills an idle slot — so the historical "one armed wake-up, poke
-//! is a no-op while armed" protocol is re-derived as *re-arm on every
-//! mutation*:
+//! work fills an idle slot.
 //!
-//! * [`DevicePump::poke`] kicks the device and, when the earliest
-//!   completion differs from the armed instant, arms a fresh wake-up at
-//!   the new time. The superseded wake-up event stays in the caller's
-//!   queue — events cannot be unscheduled — and is recognized as stale
-//!   when it fires.
-//! * [`DevicePump::on_wakeup_into`] fires a wake-up: a stale one (the
-//!   armed instant moved) is ignored and appends no deliveries; a live
-//!   one completes *everything* due at that instant and appends the
-//!   batch to the caller's reusable buffer. Callers must poke again
-//!   afterwards.
+//! # The timer rule
 //!
-//! A pump only re-kicks when *its* device mutated since the last poke
-//! (a submit, a cancel or a live wake-up — tracked by a dirty flag):
-//! nothing else can move its earliest completion. The fleet pokes only
-//! the shards an event touched, and a touched pump that stayed clean (a
-//! stale wake-up) skips the kick instead of re-running a scheduler
-//! decision.
+//! A pump has three alarms: the device's earliest completion, the
+//! earliest pending cache hit and the watchdog's release. Each follows
+//! one next-due instant under one rule, owned by the private `Alarm`:
 //!
-//! With one stream the earliest completion never changes while armed
-//! (the single slot is busy), so no wake-up is ever superseded and the
-//! protocol reduces exactly to the historical one-armed-flag behaviour —
-//! same events, same order.
+//! * **Arm on move.** When a due instant moves, its alarm arms the new
+//!   one and hands it out to be scheduled ([`DevicePump::poke`] for the
+//!   device; the fleet's poke arms release, then hit, then device). The
+//!   superseded event stays in the caller's queue — events cannot be
+//!   unscheduled — and fires stale.
+//! * **Retire at the armed instant.** [`DevicePump::on_wakeup_into`]
+//!   retires and disarms every alarm armed at `now`, in the order
+//!   hits → release → device, so the first calendar event at an
+//!   instant retires every alarm due then. Callers poke again after it.
+//! * **A fully stale wake-up touches nothing:** no plane state changes,
+//!   nothing is delivered, and the fleet does not mark the shard.
+//!
+//! A crash ([`DevicePump::fail`]) disarms all three at once. The device
+//! is re-kicked only when it mutated since the last poke (a submit, a
+//! cancel or a live device wake-up — tracked by a dirty flag): nothing
+//! else can move its earliest completion. With one stream that instant
+//! never changes while armed (the single slot is busy), so no wake-up
+//! is ever superseded — the historical one-armed-flag schedule exactly.
 //!
 //! The pump is the per-shard unit of the
 //! [`DeviceFleet`](super::fleet::DeviceFleet): a fleet is N pumps, each
@@ -48,7 +48,33 @@ use skipper_sim::SimTime;
 use super::fault::Watchdog;
 use super::tiers::CacheState;
 
-/// Wrapper pairing the device with its armed-wake-up instant.
+/// One wake-up's armed instant, under the timer rule of the module
+/// docs. It is the only place an armed instant meets `now`.
+#[derive(Default)]
+struct Alarm(Option<SimTime>);
+
+impl Alarm {
+    /// Arms `next`, returning it only when the armed instant moved.
+    fn follow(&mut self, next: Option<SimTime>) -> Option<SimTime> {
+        if self.0 == next {
+            return None;
+        }
+        self.0 = next;
+        next
+    }
+
+    /// True, and disarmed, only at the armed instant.
+    fn fire(&mut self, now: SimTime) -> bool {
+        self.0.take_if(|at| *at == now).is_some()
+    }
+
+    /// True when [`follow`](Self::follow)ing `next` would arm it.
+    fn moves(&self, next: Option<SimTime>) -> bool {
+        self.0 != next
+    }
+}
+
+/// Wrapper pairing the device with its three alarms.
 ///
 /// Generic over the device's payload `P`, like the [`CsdDevice`] it
 /// wraps. The runtime drives `P = ()`: the device only decides *when*
@@ -57,10 +83,12 @@ use super::tiers::CacheState;
 /// type (the benchmark's replay mirror) carrying the payload.
 pub struct DevicePump<P = Arc<Segment>> {
     pub(super) device: CsdDevice<P>,
-    /// The earliest pending completion a wake-up is armed for.
-    /// Invariant: `Some(t)` ⇔ the device reported `t` as its earliest
-    /// completion and no `on_wakeup_into(t)` has consumed it yet.
-    pub(super) armed_at: Option<SimTime>,
+    /// Armed at the device's earliest pending completion.
+    device_alarm: Alarm,
+    /// Armed at the earliest pending cache hit.
+    hit_alarm: Alarm,
+    /// Armed at the watchdog's release.
+    release_alarm: Alarm,
     /// Set on every device mutation (submit / cancel / live wake-up),
     /// cleared by `poke`. Only a mutation can move the device's earliest
     /// completion, so a clean pump skips the kick entirely.
@@ -76,7 +104,9 @@ impl<P: Clone> DevicePump<P> {
     pub fn new(device: CsdDevice<P>) -> Self {
         DevicePump {
             device,
-            armed_at: None,
+            device_alarm: Alarm::default(),
+            hit_alarm: Alarm::default(),
+            release_alarm: Alarm::default(),
             dirty: true,
             watchdog: None,
             cache: None,
@@ -100,67 +130,67 @@ impl<P: Clone> DevicePump<P> {
         self.device.submit(now, client, query, misses);
     }
 
-    /// Kicks the device (filling idle pipeline slots) and re-arms the
-    /// wake-up if the earliest pending completion changed. Returns the
-    /// instant to schedule, or `None` when the armed wake-up is still
-    /// accurate (or the device has nothing to do). A pump untouched
-    /// since its last poke is a no-op: nothing can have moved its
-    /// earliest completion.
+    /// Kicks the device (filling idle pipeline slots) and arms its
+    /// alarm at the earliest pending completion. Returns the instant to
+    /// schedule, or `None` when the armed wake-up is still accurate (or
+    /// the device has nothing to do). A pump untouched since its last
+    /// poke is a no-op: nothing can have moved its earliest completion.
     pub fn poke(&mut self, now: SimTime) -> Option<SimTime> {
         if !self.dirty {
             return None;
         }
         self.dirty = false;
-        match self.device.kick(now) {
-            Some(at) if self.armed_at == Some(at) => None,
-            Some(at) => {
-                // Either nothing was armed, or new work moved the
-                // earliest completion: arm (or re-arm) at the new
-                // instant. A superseded event becomes stale.
-                self.armed_at = Some(at);
-                Some(at)
+        let next = self.device.kick(now);
+        debug_assert!(
+            next.is_some() || !self.device_alarm.moves(None),
+            "armed wake-up with nothing in flight"
+        );
+        self.device_alarm.follow(next)
+    }
+
+    /// Arms every alarm whose due instant moved, passing each new
+    /// instant to `armed`: the watchdog's release, then the next cache
+    /// hit, then the device through [`poke`](Self::poke).
+    pub(super) fn arm(&mut self, now: SimTime, mut armed: impl FnMut(SimTime)) {
+        if let Some(watchdog) = self.watchdog.as_deref() {
+            if let Some(at) = self.release_alarm.follow(watchdog.release_at) {
+                armed(at);
             }
-            None => {
-                debug_assert!(
-                    self.armed_at.is_none(),
-                    "armed wake-up with nothing in flight"
-                );
-                self.armed_at = None;
-                None
+        }
+        if let Some(tiers) = self.cache.as_deref() {
+            if let Some(at) = self.hit_alarm.follow(tiers.next_ready()) {
+                armed(at);
             }
+        }
+        if let Some(at) = self.poke(now) {
+            armed(at);
         }
     }
 
-    /// Handles a wake-up firing at `now`, appending the finished
+    /// Handles a wake-up firing at `now`, retiring every alarm armed
+    /// at `now` (see the module docs) and appending the finished
     /// transfers to `out` — a caller-owned scratch buffer the event
     /// loop reuses across wake-ups, so the steady state allocates
-    /// nothing. Appends nothing for a switch completion or a stale,
-    /// superseded wake-up. Returns whether the wake-up did anything: a
-    /// cache hit, a watchdog release or a live device completion.
-    /// Callers must [`DevicePump::poke`] again afterwards.
+    /// nothing. Returns whether any alarm fired: a cache hit, a
+    /// watchdog release or a device completion (which may be a switch
+    /// that delivers nothing). Callers must [`DevicePump::poke`] again
+    /// afterwards.
     pub fn on_wakeup_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) -> bool {
-        // Cache completions fire first, ahead of same-instant device
-        // deliveries; then the watchdog's release, which fills the
-        // cache like every delivery.
-        let mut live = match self.cache.as_deref_mut() {
-            Some(tiers) => tiers.pop_ready(now, out, self.device.store()),
-            None => false,
-        };
-        if let Some(watchdog) = self.watchdog.as_deref_mut() {
+        // An alarm is armed only over its installed plane.
+        let hits = self.hit_alarm.fire(now);
+        if let Some(tiers) = self.cache.as_deref_mut().filter(|_| hits) {
+            tiers.pop_ready(now, out, self.device.store());
+        }
+        let release = self.release_alarm.fire(now);
+        if let Some(watchdog) = self.watchdog.as_deref_mut().filter(|_| release) {
+            // The released batch fills the cache like every delivery.
             let start = out.len();
-            if watchdog.release(now, out) {
-                live = true;
-                self.fill(now, &out[start..]);
-            }
+            watchdog.flush(out);
+            self.fill(now, &out[start..]);
         }
-        if self.armed_at != Some(now) {
-            // Stale: this wake-up was superseded by a re-arm at an
-            // earlier instant (whose firing already completed the
-            // device past this point), or nothing is armed at all.
-            // The device is untouched, so the pump stays clean.
-            return live;
+        if !self.device_alarm.fire(now) {
+            return hits || release;
         }
-        self.armed_at = None;
         self.dirty = true;
         let start = out.len();
         self.device.complete_into(now, out);
@@ -169,6 +199,14 @@ impl<P: Clone> DevicePump<P> {
         }
         self.fill(now, &out[start..]);
         true
+    }
+
+    /// Disarms all three alarms (a crash): every armed wake-up goes
+    /// stale.
+    pub(super) fn disarm(&mut self) {
+        self.device_alarm = Alarm::default();
+        self.hit_alarm = Alarm::default();
+        self.release_alarm = Alarm::default();
     }
 
     /// Fills the cache tiers, if any, from delivered misses.
@@ -205,12 +243,18 @@ impl<P: Clone> DevicePump<P> {
     }
 
     /// True when a poke would do something: kick a mutated device, or
-    /// hand out a watchdog release or cache completion not yet armed.
-    /// The fleet's touched set must cover every such pump.
+    /// arm a watchdog release or cache hit whose instant moved. The
+    /// fleet's touched set must cover every such pump.
     pub(super) fn needs_poke(&self) -> bool {
         self.dirty
-            || self.watchdog.as_ref().is_some_and(|w| w.arm_pending())
-            || self.cache.as_ref().is_some_and(|c| c.arm_pending())
+            || self
+                .watchdog
+                .as_ref()
+                .is_some_and(|w| self.release_alarm.moves(w.release_at))
+            || self
+                .cache
+                .as_ref()
+                .is_some_and(|c| self.hit_alarm.moves(c.next_ready()))
     }
 
     /// True when the device is idle with an empty queue and neither

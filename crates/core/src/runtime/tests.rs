@@ -410,6 +410,37 @@ fn pump_rearms_when_new_work_moves_the_earliest_completion() {
 }
 
 #[test]
+fn fleet_skips_the_shard_of_a_superseded_wakeup() {
+    // The re-arm cell above, driven through a 1-shard fleet: moving the
+    // earliest completion to t=1 leaves the first t=2 event behind, and
+    // the re-poke after t=1 arms t=2 again. Whichever t=2 event fires
+    // first retires the transfer; the other is stale. It must deliver
+    // nothing and leave the shard unmarked, so the next poke visits no
+    // pump.
+    let (a, b) = (ObjectId::new(0, 0, 0), ObjectId::new(0, 0, 1));
+    let placement = std::collections::HashMap::from([(a, 0), (b, 0)]);
+    let device = mini_pump_same_group(2).into_device();
+    let mut fleet = DeviceFleet::new(vec![device], placement);
+    let (mut armed, mut out) = (Vec::new(), Vec::new());
+    fleet.submit(t(0), 0, QueryId::new(0, 0), &[b]);
+    fleet.poke_all(t(0), |_, at| armed.push(at));
+    fleet.submit(t(0), 0, QueryId::new(0, 1), &[a]);
+    fleet.poke_all(t(0), |_, at| armed.push(at));
+    for now in [t(1), t(2)] {
+        assert!(fleet.on_wakeup_into(0, now, &mut out));
+        fleet.poke_all(now, |_, at| armed.push(at));
+    }
+    assert_eq!(armed, vec![t(2), t(1), t(2)], "t=2 is armed twice");
+    assert_eq!(out.iter().map(|d| d.object).collect::<Vec<_>>(), [a, b]);
+    let visits = fleet.pump_visits();
+    assert!(!fleet.on_wakeup_into(0, t(2), &mut out), "stale, not live");
+    fleet.poke_all(t(2), |_, at| panic!("a stale wake-up armed {at:?}"));
+    assert_eq!(out.len(), 2, "the stale wake-up delivered");
+    assert_eq!(fleet.pump_visits(), visits, "the stale shard was visited");
+    assert!(fleet.is_quiescent());
+}
+
+#[test]
 fn pump_multi_stream_wakeup_retires_the_whole_batch() {
     let mut pump = mini_pump_with_streams(2);
     // Objects on different groups: only group 0's transfer can start;
@@ -1901,12 +1932,10 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
     // Two transfers in flight, two requests queued, two pending hits.
     let q = QueryId::new(0, 1);
     pump.submit(t(2), 0, q, &[c0, c1, c2, d0, a1, a0]);
-    assert_eq!(pump.take_redelivery_arm(), Some(t(102)));
-    assert_eq!(
-        pump.take_cache_arm(),
-        Some(t(2) + SimDuration::from_millis(500))
-    );
-    assert_eq!(pump.poke(t(2)), Some(t(3)));
+    let mut armed = Vec::new();
+    pump.arm(t(2), |at| armed.push(at));
+    let hit = t(2) + SimDuration::from_millis(500);
+    assert_eq!(armed, vec![t(102), hit, t(3)], "release, hit, device");
     let (mut displaced, mut completed) = (Vec::new(), Vec::new());
     assert_eq!(pump.fail(t(2), &mut displaced, &mut completed), 4);
     assert!(displaced.iter().all(|r| (r.client, r.query) == (0, q)));
@@ -1923,9 +1952,7 @@ fn pump_crash_displaces_slots_then_queue_then_hits_in_ready_order() {
     assert_eq!(completed, vec![(1, q1, b0), (1, q1, b1)]);
     // Down: nothing to kick, nothing armed, nothing held back, and the
     // flushed batch's watchdog fires stale.
-    assert_eq!(pump.poke(t(2)), None);
-    assert_eq!(pump.take_redelivery_arm(), None);
-    assert_eq!(pump.take_cache_arm(), None);
+    pump.arm(t(2), |at| panic!("a crashed pump armed {at:?}"));
     assert!(pump.is_quiescent());
     assert!(wake(pump, t(102)).is_empty());
     assert_eq!(pump.cache_stats().invalidations, 1);

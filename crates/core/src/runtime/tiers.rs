@@ -4,13 +4,14 @@
 //! With a [`CacheConfig`] installed (`DeviceFleet::install_cache`)
 //! every pump fronts its device with the tiers: `submit` consults the
 //! cache first, schedules hits as *cache completions* at tier bandwidth
-//! (a pending min-heap, armed through `DevicePump::take_cache_arm`
-//! exactly like the device wake-up), and forwards only the misses to
-//! the device — a hit never touches the CSD queue, the scheduler, or a
-//! group switch. Miss deliveries fill the tiers at consumption time,
-//! and a crash invalidates the whole cache: pending hits are displaced
-//! like aborted transfers and re-routed by the fleet, so a dead shard
-//! can never serve a stale hit.
+//! (a pending min-heap whose earliest instant the pump's hit alarm
+//! follows, under the timer rule of the [`pump`](super::pump) module
+//! docs), and forwards only the misses to the device — a hit never
+//! touches the CSD queue, the scheduler, or a group switch. Miss
+//! deliveries fill the tiers at consumption time, and a crash
+//! invalidates the whole cache: pending hits are displaced like aborted
+//! transfers and re-routed by the fleet, so a dead shard can never
+//! serve a stale hit.
 //!
 //! The plane is one [`CacheState`] per pump, boxed behind an `Option`
 //! and installed only for a config with some capacity: an uncached pump
@@ -59,9 +60,6 @@ pub(super) struct CacheState {
     pending: BinaryHeap<Reverse<CachePending>>,
     /// Issue counter (heap tie-break).
     seq: u64,
-    /// The pending-hit instant a wake-up is armed for (re-armed when a
-    /// new hit becomes the earliest, like the device protocol).
-    armed: Option<SimTime>,
     /// Reusable submit-partition scratch (the miss batch).
     misses: Vec<ObjectId>,
     /// Cache-served deliveries, one [`LedgerEntry`] (a `(client, query,
@@ -116,9 +114,8 @@ impl CacheState {
         &self.misses
     }
 
-    /// Delivers every pending hit due at `now` into `out`, returning
-    /// whether the cache wake-up armed for this instant fired (false
-    /// while it is absent or superseded). Payloads clone out of the
+    /// Delivers every pending hit due at `now` into `out` (the pump
+    /// calls this when its hit alarm fires). Payloads clone out of the
     /// store — `()` in the runtime, whose engines borrow the bytes from
     /// the dataset — so the hit path allocates nothing once the heap
     /// and ledger are warm.
@@ -127,11 +124,7 @@ impl CacheState {
         now: SimTime,
         out: &mut Vec<Delivery<P>>,
         store: &ObjectStore<P>,
-    ) -> bool {
-        if self.armed != Some(now) {
-            return false;
-        }
-        self.armed = None;
+    ) {
         while self.pending.peek().is_some_and(|p| p.0.ready == now) {
             let Reverse(p) = self.pending.pop().expect("peeked entry");
             let payload = store.payload(p.slot).clone();
@@ -146,7 +139,6 @@ impl CacheState {
                 payload,
             });
         }
-        true
     }
 
     /// Fills the tiers from miss deliveries, at consumption time.
@@ -164,17 +156,10 @@ impl CacheState {
         }
     }
 
-    /// The earliest pending completion to schedule, handed out once per
-    /// distinct instant (re-armed when a new hit becomes the earliest;
-    /// the superseded event fires stale).
-    fn take_arm(&mut self) -> Option<SimTime> {
-        let next = self.pending.peek()?.0.ready;
-        if self.armed == Some(next) {
-            None
-        } else {
-            self.armed = Some(next);
-            Some(next)
-        }
+    /// The earliest pending hit's ready instant, which the pump's hit
+    /// alarm follows.
+    pub(super) fn next_ready(&self) -> Option<SimTime> {
+        self.pending.peek().map(|p| p.0.ready)
     }
 
     /// The shard crashed: every pending hit is displaced like an
@@ -183,7 +168,6 @@ impl CacheState {
     /// (nothing survives a power cycle, so no stale hit is ever
     /// served). Returns the number of hits displaced.
     pub(super) fn fail(&mut self, displaced: &mut Vec<PendingRequest>) -> usize {
-        self.armed = None;
         let hits = self.pending.len();
         while let Some(Reverse(p)) = self.pending.pop() {
             displaced.push(PendingRequest {
@@ -200,14 +184,6 @@ impl CacheState {
         hits
     }
 
-    /// True when the earliest pending hit awaits
-    /// [`take_arm`](Self::take_arm).
-    pub(super) fn arm_pending(&self) -> bool {
-        self.pending
-            .peek()
-            .is_some_and(|p| self.armed != Some(p.0.ready))
-    }
-
     /// True when no hit awaits delivery.
     pub(super) fn is_idle(&self) -> bool {
         self.pending.is_empty()
@@ -215,13 +191,6 @@ impl CacheState {
 }
 
 impl<P: Clone> DevicePump<P> {
-    /// The cache wake-up to schedule, if a new hit became the earliest
-    /// pending one (the fleet polls this whenever it pokes the shard,
-    /// alongside the device and watchdog wake-ups).
-    pub fn take_cache_arm(&mut self) -> Option<SimTime> {
-        self.cache.as_deref_mut()?.take_arm()
-    }
-
     /// Counter snapshot of the shard cache (zeros when uncached).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
@@ -259,7 +228,6 @@ impl<P: Clone> DeviceFleet<P> {
                     config,
                     pending: BinaryHeap::new(),
                     seq: 0,
-                    armed: None,
                     misses: Vec::new(),
                     served_log: Vec::new(),
                     ledger,
