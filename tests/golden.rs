@@ -9,7 +9,7 @@
 
 use skipper::core::runtime::{EngineFactory, Scenario, SkipperFactory, VanillaFactory, Workload};
 use skipper::csd::PlacementPolicy;
-use skipper::datagen::{tpch, Dataset, GenConfig};
+use skipper::datagen::{mrbench, nref, ssb, tpch, Dataset, GenConfig};
 use skipper::relational::row;
 use skipper::relational::value::Value;
 
@@ -163,6 +163,39 @@ fn golden_dataset_fingerprint() {
         * ds.segments[ds.catalog.index_of("orders").unwrap()][0].len() as i64;
     assert!(first_key >= 1 && first_key <= total_orders);
     // The exact value pins the RNG stream layout.
-    let snapshot: i64 = first_key;
-    assert_eq!(snapshot, seg0.rows()[0].get(key_col).as_int().unwrap());
+    assert_eq!(first_key, PIN_FIRST_KEY);
 }
+
+const PIN_FIRST_KEY: i64 = 101;
+
+/// Every value of every segment of `ds`, in table, segment and row order.
+fn all_values(ds: &Dataset) -> Vec<Value> {
+    ds.segments
+        .iter()
+        .flatten()
+        .flat_map(|seg| seg.rows().iter().flat_map(|row| row.values().to_vec()))
+        .collect()
+}
+
+/// `(value count, digest of every value)` of each generator at a small
+/// config: any change to a stream, a draw order or a column moves a pin.
+#[test]
+fn golden_dataset_streams() {
+    let cfg = GenConfig::new(7, 8).with_phys_divisor(100_000);
+    let pins: Vec<(&str, Dataset, (usize, u64))> = vec![
+        ("tpch", tpch::dataset(&cfg), PIN_TPCH),
+        ("ssb", ssb::dataset(&cfg), PIN_SSB),
+        ("mrbench", mrbench::dataset(&cfg), PIN_MRBENCH),
+        ("nref", nref::dataset(&cfg), PIN_NREF),
+    ];
+    for (name, ds, pin) in pins {
+        let values = all_values(&ds);
+        let got = (values.len(), skipper_testkit::digest(&values));
+        assert_eq!(got, pin, "{name} dataset streams moved");
+    }
+}
+
+const PIN_TPCH: (usize, u64) = (7_557, 0x4fb2_3cdc_d906_aacc);
+const PIN_SSB: (usize, u64) = (9_588, 0x6c32_834a_6a3a_6267);
+const PIN_MRBENCH: (usize, u64) = (1_112, 0x3008_6af6_02d0_a0e1);
+const PIN_NREF: (usize, u64) = (1_344, 0xd205_b6ce_10d2_392d);
