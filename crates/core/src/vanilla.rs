@@ -10,7 +10,8 @@
 //! Each object traverses the FUSE interposition layer (charged per
 //! Table 3); scans and hash builds are charged as segments arrive, and
 //! the final result is computed with the real left-deep binary hash join
-//! over the fetched data.
+//! over the fetched data. Each segment's filter runs once, on arrival:
+//! the join reuses the selection vector kept with the segment.
 
 use std::sync::Arc;
 
@@ -35,8 +36,9 @@ pub struct VanillaEngine {
     /// The strict fetch sequence (plan order × segment order).
     sequence: Vec<ObjectId>,
     next: usize,
-    /// Received segments per query relation.
-    received: Vec<Vec<Arc<Segment>>>,
+    /// Received segments per query relation, each with the selection
+    /// vector of the relation's filter over it.
+    received: Vec<Vec<(Arc<Segment>, Vec<u32>)>>,
     stats: EngineStats,
     finished: bool,
     result: Vec<(Row, Vec<Value>)>,
@@ -111,7 +113,6 @@ impl QueryEngine for VanillaEngine {
         );
         let rel = self.proxy.rel_of(object).expect("own delivery");
         self.stats.objects_received += 1;
-        self.received[rel].push(payload.clone());
 
         // FUSE traversal + scan, charged at logical scale.
         let scale = self.scales[rel];
@@ -123,7 +124,9 @@ impl QueryEngine for VanillaEngine {
 
         // Hash-build (build-side relations) or probe (the last plan
         // relation) over the filter survivors.
-        let kept = scan::count_matching(payload, self.spec.filters[rel].as_ref()) as u64;
+        let survivors = scan::select(payload, self.spec.filters[rel].as_ref());
+        let kept = survivors.len() as u64;
+        self.received[rel].push((Arc::clone(payload), survivors));
         let is_probe_side = *self.spec.plan_order.last().unwrap() == rel;
         if is_probe_side {
             self.stats.probe_ops += kept;
@@ -141,8 +144,16 @@ impl QueryEngine for VanillaEngine {
         } else {
             // All inputs resident: run the real blocking join for the
             // result and charge the emit cost.
-            let refs: Vec<&[Arc<Segment>]> = self.received.iter().map(Vec::as_slice).collect();
-            let (agg, work) = binary::execute_left_deep(&self.spec, &refs);
+            let selected: Vec<Vec<binary::Selected<'_>>> = self
+                .received
+                .iter()
+                .map(|segs| {
+                    segs.iter()
+                        .map(|(seg, survivors)| (&**seg, survivors.as_slice()))
+                        .collect()
+                })
+                .collect();
+            let (agg, work) = binary::join_selected(&self.spec, &selected);
             self.stats.emitted_rows += work.emitted as u64;
             processing += self.cost.scaled(
                 work.emitted as u64,

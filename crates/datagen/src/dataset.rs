@@ -6,8 +6,7 @@ use rand::rngs::StdRng;
 use skipper_relational::catalog::{Catalog, TableDef, GIB};
 use skipper_relational::query::QuerySpec;
 use skipper_relational::schema::Schema;
-use skipper_relational::segment::Segment;
-use skipper_relational::tuple::Row;
+use skipper_relational::segment::{Segment, SegmentBuilder};
 use skipper_sim::rng::stream_rng;
 
 /// PostgreSQL on-disk bloat over raw data (tuple headers, page slack,
@@ -133,15 +132,16 @@ impl DatasetBuilder {
 
     /// Generates and registers one table.
     ///
-    /// `gen` produces the row with the given *global physical row id*
-    /// (0-based, contiguous across segments) — generators derive
-    /// partition-ordered primary keys from it, matching how bulk-loaded
-    /// tables lay out key ranges per file segment.
+    /// `gen` writes the row with the given *global physical row id*
+    /// (0-based, contiguous across segments) straight into the segment's
+    /// columns, one push per column in schema order — generators derive
+    /// partition-ordered primary keys from the id, matching how
+    /// bulk-loaded tables lay out key ranges per file segment.
     pub fn add_table(
         &mut self,
         spec: &TableSpec,
         schema: Schema,
-        mut gen: impl FnMut(&mut StdRng, u64) -> Row,
+        mut gen: impl FnMut(&mut StdRng, u64, &mut SegmentBuilder),
     ) -> usize {
         let idx = self.catalog.register(TableDef {
             name: spec.name.to_string(),
@@ -157,11 +157,14 @@ impl DatasetBuilder {
                 &format!("{}/{}/{}", self.name, spec.name, seg_idx),
             );
             let base = seg_idx as u64 * spec.phys_rows_per_segment;
-            let rows: Vec<Row> = (0..spec.phys_rows_per_segment)
-                .map(|i| gen(&mut rng, base + i))
-                .collect();
-            debug_assert!(rows.iter().all(|r| r.conforms_to(&schema)));
-            table_segments.push(Arc::new(Segment::new_unchecked(schema.clone(), rows)));
+            let mut columns =
+                SegmentBuilder::new(schema.clone(), spec.phys_rows_per_segment as usize);
+            for i in 0..spec.phys_rows_per_segment {
+                gen(&mut rng, base + i, &mut columns);
+            }
+            let segment = columns.finish();
+            assert_eq!(segment.len() as u64, spec.phys_rows_per_segment);
+            table_segments.push(Arc::new(segment));
         }
         self.segments.push(table_segments);
         idx
@@ -207,15 +210,17 @@ mod tests {
         let build = |seed| {
             let mut b = DatasetBuilder::new("test", seed);
             let schema = Schema::of(&[("k", DataType::Int)]);
-            b.add_table(&tiny_spec(), schema, |_rng, rid| row![rid as i64 + 1]);
+            b.add_table(&tiny_spec(), schema, |_rng, rid, row| {
+                row.int(rid as i64 + 1);
+            });
             b.finish()
         };
         let d1 = build(7);
         let d2 = build(7);
         assert_eq!(d1.segments[0], d2.segments[0]);
         // Partitioned keys: segment 1 starts where segment 0 ended.
-        assert_eq!(d1.segments[0][0].rows()[0], row![1i64]);
-        assert_eq!(d1.segments[0][1].rows()[0], row![11i64]);
+        assert_eq!(d1.segments[0][0].row(0).to_row(), row![1i64]);
+        assert_eq!(d1.segments[0][1].row(0).to_row(), row![11i64]);
         assert_eq!(d1.total_phys_rows(), 30);
         assert_eq!(d1.total_objects(), 3);
     }
@@ -225,9 +230,9 @@ mod tests {
         let build = |seed| {
             let mut b = DatasetBuilder::new("test", seed);
             let schema = Schema::of(&[("v", DataType::Int)]);
-            b.add_table(&tiny_spec(), schema, |rng, _| {
+            b.add_table(&tiny_spec(), schema, |rng, _, row| {
                 use rand::Rng;
-                row![rng.gen_range(0..1_000_000i64)]
+                row.int(rng.gen_range(0..1_000_000i64));
             });
             b.finish()
         };

@@ -12,7 +12,6 @@
 use rand::Rng;
 use skipper_relational::expr::Expr;
 use skipper_relational::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol, QuerySpec};
-use skipper_relational::row;
 use skipper_relational::schema::{DataType, Schema};
 use skipper_relational::value::Value;
 
@@ -65,12 +64,10 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("pagerank", DataType::Int),
             ("avgduration", DataType::Int),
         ]),
-        |rng, rid| {
-            row![
-                rid as i64 + 1,
-                rng.gen_range(0..10_000i64),
-                rng.gen_range(1..300i64)
-            ]
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .int(rng.gen_range(0..10_000i64))
+                .int(rng.gen_range(1..300i64));
         },
     );
     b.add_table(
@@ -81,13 +78,11 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("visitdate", DataType::Date),
             ("adrevenue", DataType::Float),
         ]),
-        |rng, _| {
-            row![
-                rng.gen_range(0..100i64),
-                rng.gen_range(1..=n_pages),
-                Value::Date(rng.gen_range(0..2_400)),
-                rng.gen_range(0.01..1000.0f64)
-            ]
+        |rng, _, row| {
+            row.int(rng.gen_range(0..100i64))
+                .int(rng.gen_range(1..=n_pages))
+                .date(rng.gen_range(0..2_400))
+                .float(rng.gen_range(0.01..1000.0f64));
         },
     );
     b.finish()

@@ -19,7 +19,6 @@
 use rand::Rng;
 use skipper_relational::expr::Expr;
 use skipper_relational::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QuerySpec};
-use skipper_relational::row;
 use skipper_relational::schema::{DataType, Schema};
 use skipper_relational::value::Value;
 
@@ -89,12 +88,17 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
     b.add_table(
         &geo[0],
         Schema::of(&[("source_id", DataType::Int), ("curated", DataType::Bool)]),
-        |rng, rid| row![rid as i64 + 1, rng.gen_bool(0.5)],
+        |rng, rid, row| {
+            row.int(rid as i64 + 1).bool(rng.gen_bool(0.5));
+        },
     );
     b.add_table(
         &geo[1],
         Schema::of(&[("taxon_id", DataType::Int), ("kingdom", DataType::Str)]),
-        |rng, rid| row![rid as i64 + 1, KINGDOMS[rng.gen_range(0..KINGDOMS.len())]],
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .str(KINGDOMS[rng.gen_range(0..KINGDOMS.len())]);
+        },
     );
     b.add_table(
         &geo[2],
@@ -103,12 +107,10 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("taxon_id", DataType::Int),
             ("seq_length", DataType::Int),
         ]),
-        |rng, rid| {
-            row![
-                rid as i64 + 1,
-                rng.gen_range(1..=n_organisms),
-                rng.gen_range(50..3_000i64)
-            ]
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .int(rng.gen_range(1..=n_organisms))
+                .int(rng.gen_range(50..3_000i64));
         },
     );
     b.add_table(
@@ -118,12 +120,10 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("source_id", DataType::Int),
             ("keyword", DataType::Str),
         ]),
-        |rng, _| {
-            row![
-                rng.gen_range(1..=n_proteins),
-                rng.gen_range(1..=n_sources),
-                KEYWORDS[rng.gen_range(0..KEYWORDS.len())]
-            ]
+        |rng, _, row| {
+            row.int(rng.gen_range(1..=n_proteins))
+                .int(rng.gen_range(1..=n_sources))
+                .str(KEYWORDS[rng.gen_range(0..KEYWORDS.len())]);
         },
     );
     b.finish()

@@ -13,7 +13,6 @@
 use rand::Rng;
 use skipper_relational::expr::Expr;
 use skipper_relational::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QuerySpec};
-use skipper_relational::row;
 use skipper_relational::schema::{DataType, Schema};
 
 use crate::config::GenConfig;
@@ -59,9 +58,11 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("d_year", DataType::Int),
             ("d_weeknuminyear", DataType::Int),
         ]),
-        |_, rid| {
+        |_, rid, row| {
             let day = rid as i32;
-            row![day as i64, year_of(day) as i64, (day / 7 % 53) as i64 + 1]
+            row.int(day as i64)
+                .int(year_of(day) as i64)
+                .int((day / 7 % 53) as i64 + 1);
         },
     );
     b.add_table(
@@ -72,13 +73,11 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("lo_discount", DataType::Int),
             ("lo_extendedprice", DataType::Float),
         ]),
-        |rng, _| {
-            row![
-                rng.gen_range(0..n_dates.min(max_order_date())) as i64,
-                rng.gen_range(1..=50i64),
-                rng.gen_range(0..=10i64),
-                rng.gen_range(900.0..105_000.0f64)
-            ]
+        |rng, _, row| {
+            row.int(rng.gen_range(0..n_dates.min(max_order_date())) as i64)
+                .int(rng.gen_range(1..=50i64))
+                .int(rng.gen_range(0..=10i64))
+                .float(rng.gen_range(900.0..105_000.0f64));
         },
     );
     b.finish()

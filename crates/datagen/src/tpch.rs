@@ -9,10 +9,11 @@
 //! whole dataset is 75 objects, making the paper's 30 GB cache = 40 %
 //! and 10 GB = ~14 % sweeps line up.
 
+use std::fmt::Write;
+
 use rand::Rng;
 use skipper_relational::expr::Expr;
 use skipper_relational::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol, QuerySpec};
-use skipper_relational::row;
 use skipper_relational::schema::{DataType, Schema};
 use skipper_relational::value::Value;
 
@@ -161,7 +162,9 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
     b.add_table(
         region_s,
         Schema::of(&[("r_regionkey", DataType::Int), ("r_name", DataType::Str)]),
-        |_, rid| row![rid as i64, REGIONS[rid as usize]],
+        |_, rid, row| {
+            row.int(rid as i64).str(REGIONS[rid as usize]);
+        },
     );
 
     b.add_table(
@@ -171,9 +174,9 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("n_name", DataType::Str),
             ("n_regionkey", DataType::Int),
         ]),
-        |_, rid| {
+        |_, rid, row| {
             let (name, region) = NATIONS[rid as usize];
-            row![rid as i64, name, region]
+            row.int(rid as i64).str(name).int(region);
         },
     );
 
@@ -184,12 +187,10 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("s_nationkey", DataType::Int),
             ("s_acctbal", DataType::Float),
         ]),
-        |rng, rid| {
-            row![
-                rid as i64 + 1,
-                rng.gen_range(0..25i64),
-                rng.gen_range(-999.99..9999.99)
-            ]
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .int(rng.gen_range(0..25i64))
+                .float(rng.gen_range(-999.99..9999.99));
         },
     );
 
@@ -201,13 +202,11 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("c_mktsegment", DataType::Str),
             ("c_acctbal", DataType::Float),
         ]),
-        |rng, rid| {
-            row![
-                rid as i64 + 1,
-                rng.gen_range(0..25i64),
-                SEGMENTS[rng.gen_range(0..SEGMENTS.len())],
-                rng.gen_range(-999.99..9999.99)
-            ]
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .int(rng.gen_range(0..25i64))
+                .str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())])
+                .float(rng.gen_range(-999.99..9999.99));
         },
     );
 
@@ -221,14 +220,12 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("o_orderpriority", DataType::Str),
             ("o_totalprice", DataType::Float),
         ]),
-        |rng, rid| {
-            row![
-                rid as i64 + 1,
-                rng.gen_range(1..=n_customers),
-                Value::Date(rng.gen_range(0..order_date_span)),
-                PRIORITIES[rng.gen_range(0..PRIORITIES.len())],
-                rng.gen_range(850.0..500_000.0)
-            ]
+        |rng, rid, row| {
+            row.int(rid as i64 + 1)
+                .int(rng.gen_range(1..=n_customers))
+                .date(rng.gen_range(0..order_date_span))
+                .str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())])
+                .float(rng.gen_range(850.0..500_000.0));
         },
     );
 
@@ -252,7 +249,7 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
         // The return flag and tax draw from a per-row side stream so that
         // adding these columns did not perturb the original streams (the
         // recorded experiment numbers stay bit-identical).
-        |rng, rid| {
+        |rng, rid, row| {
             let ship = rng.gen_range(0..max_order_date());
             let commit = ship + rng.gen_range(-20..80);
             let receipt = ship + rng.gen_range(1..60);
@@ -267,24 +264,23 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             } else {
                 RETURN_FLAGS[ext.gen_range(0..RETURN_FLAGS.len())]
             };
-            row![
-                rng.gen_range(1..=n_orders),
-                rng.gen_range(1..=n_suppliers),
-                rng.gen_range(1..=n_parts.max(1)),
-                rng.gen_range(1.0..50.0f64).round(),
-                rng.gen_range(900.0..105_000.0),
-                (rng.gen_range(0..=10) as f64) / 100.0,
-                Value::Date(ship),
-                Value::Date(commit),
-                Value::Date(receipt),
-                SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())],
-                returnflag,
-                linestatus,
-                (ext.gen_range(0..=8) as f64) / 100.0
-            ]
+            row.int(rng.gen_range(1..=n_orders))
+                .int(rng.gen_range(1..=n_suppliers))
+                .int(rng.gen_range(1..=n_parts.max(1)))
+                .float(rng.gen_range(1.0..50.0f64).round())
+                .float(rng.gen_range(900.0..105_000.0))
+                .float((rng.gen_range(0..=10) as f64) / 100.0)
+                .date(ship)
+                .date(commit)
+                .date(receipt)
+                .str(SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())])
+                .str(returnflag)
+                .str(linestatus)
+                .float((ext.gen_range(0..=8) as f64) / 100.0);
         },
     );
 
+    let mut brand = String::new();
     b.add_table(
         part_s,
         Schema::of(&[
@@ -293,14 +289,15 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("p_size", DataType::Int),
             ("p_type", DataType::Str),
         ]),
-        |rng, rid| {
+        |rng, rid, row| {
             let mut ext = stream_rng(ext_seed, &format!("part-ext/{rid}"));
-            row![
-                rid as i64 + 1,
-                format!("Brand#{}{}", rng.gen_range(1..6), rng.gen_range(1..6)).as_str(),
-                rng.gen_range(1..51i64),
-                PART_TYPES[ext.gen_range(0..PART_TYPES.len())]
-            ]
+            brand.clear();
+            write!(brand, "Brand#{}{}", rng.gen_range(1..6), rng.gen_range(1..6))
+                .expect("writing to a String cannot fail");
+            row.int(rid as i64 + 1)
+                .str(&brand)
+                .int(rng.gen_range(1..51i64))
+                .str(PART_TYPES[ext.gen_range(0..PART_TYPES.len())]);
         },
     );
 
@@ -311,12 +308,10 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
             ("ps_suppkey", DataType::Int),
             ("ps_supplycost", DataType::Float),
         ]),
-        |rng, _| {
-            row![
-                rng.gen_range(1..=n_parts.max(1)),
-                rng.gen_range(1..=n_suppliers),
-                rng.gen_range(1.0..1000.0)
-            ]
+        |rng, _, row| {
+            row.int(rng.gen_range(1..=n_parts.max(1)))
+                .int(rng.gen_range(1..=n_suppliers))
+                .float(rng.gen_range(1.0..1000.0));
         },
     );
 
@@ -815,7 +810,7 @@ mod tests {
         let ok_col = ds.catalog.table(orders_idx).schema.col("o_orderkey");
         let mut expected = 1i64;
         for seg in ds.table_segments(orders_idx) {
-            for row in seg.rows() {
+            for row in seg.iter() {
                 assert_eq!(row.get(ok_col).as_int(), Some(expected));
                 expected += 1;
             }

@@ -5,11 +5,19 @@
 //! `BETWEEN`, arithmetic, and `CASE WHEN` (for TPC-H Q12's conditional
 //! counts). Expressions over *joined* rows live in
 //! [`crate::query::JoinExpr`].
+//!
+//! A predicate filters a segment per column ([`Expr::retain`]): each
+//! conjunct narrows a selection vector of row positions in one typed
+//! loop over its column, and a comparison or `IN` list on a string
+//! column is decided once per dictionary entry. Shapes without a typed
+//! loop fall back to [`Expr::matches`] per selected row; both paths give
+//! the same answer.
 
+use std::cmp::Ordering;
 use std::fmt;
 
-use crate::tuple::Row;
-use crate::value::Value;
+use crate::segment::{ColumnValues, RowRef, Segment};
+use crate::value::{Value, ValueRef};
 
 /// Comparison operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,9 +38,14 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Applies the comparison using the engine's total value order.
-    pub fn apply(self, l: &Value, r: &Value) -> bool {
-        use std::cmp::Ordering::*;
-        let ord = l.cmp(r);
+    pub fn apply(self, l: ValueRef<'_>, r: ValueRef<'_>) -> bool {
+        self.holds(l.cmp(&r))
+    }
+
+    /// Whether an ordering satisfies the comparison.
+    #[inline]
+    pub fn holds(self, ord: Ordering) -> bool {
+        use Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,
             CmpOp::Ne => ord != Equal,
@@ -40,6 +53,17 @@ impl CmpOp {
             CmpOp::Le => ord != Greater,
             CmpOp::Gt => ord == Greater,
             CmpOp::Ge => ord != Less,
+        }
+    }
+
+    /// The comparison with its operands swapped (`a < b` ⇔ `b > a`).
+    fn flipped(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            op => op,
         }
     }
 }
@@ -146,60 +170,42 @@ impl Expr {
     }
 
     /// Evaluates against a row, yielding a value.
-    pub fn eval(&self, row: &Row) -> Value {
+    pub fn eval<'a>(&'a self, row: RowRef<'a>) -> ValueRef<'a> {
         match self {
-            Expr::Col(idx) => row.get(*idx).clone(),
-            Expr::Lit(v) => v.clone(),
+            Expr::Col(idx) => row.get(*idx),
+            Expr::Lit(v) => v.as_ref(),
             Expr::Cmp(op, l, r) => {
                 let lv = l.eval(row);
                 let rv = r.eval(row);
                 if lv.is_null() || rv.is_null() {
-                    Value::Bool(false)
+                    ValueRef::Bool(false)
                 } else {
-                    Value::Bool(op.apply(&lv, &rv))
+                    ValueRef::Bool(op.apply(lv, rv))
                 }
             }
-            Expr::And(parts) => {
-                for p in parts {
-                    if !p.eval(row).is_truthy() {
-                        return Value::Bool(false);
-                    }
-                }
-                Value::Bool(true)
-            }
-            Expr::Or(parts) => {
-                for p in parts {
-                    if p.eval(row).is_truthy() {
-                        return Value::Bool(true);
-                    }
-                }
-                Value::Bool(false)
-            }
-            Expr::Not(e) => Value::Bool(!e.eval(row).is_truthy()),
+            Expr::And(parts) => ValueRef::Bool(parts.iter().all(|p| p.matches(row))),
+            Expr::Or(parts) => ValueRef::Bool(parts.iter().any(|p| p.matches(row))),
+            Expr::Not(e) => ValueRef::Bool(!e.matches(row)),
             Expr::InList(e, values) => {
                 let v = e.eval(row);
-                Value::Bool(values.iter().any(|c| c == &v))
+                ValueRef::Bool(values.iter().any(|c| c.as_ref() == v))
             }
             Expr::Between(e, lo, hi) => {
                 let v = e.eval(row);
-                if v.is_null() {
-                    Value::Bool(false)
-                } else {
-                    Value::Bool(&v >= lo && &v <= hi)
-                }
+                ValueRef::Bool(!v.is_null() && v >= lo.as_ref() && v <= hi.as_ref())
             }
             Expr::Arith(op, l, r) => {
                 let (Some(a), Some(b)) = (l.eval(row).as_f64(), r.eval(row).as_f64()) else {
-                    return Value::Null;
+                    return ValueRef::Null;
                 };
-                Value::Float(match op {
+                ValueRef::Float(match op {
                     ArithOp::Add => a + b,
                     ArithOp::Sub => a - b,
                     ArithOp::Mul => a * b,
                 })
             }
             Expr::Case(cond, then, otherwise) => {
-                if cond.eval(row).is_truthy() {
+                if cond.matches(row) {
                     then.eval(row)
                 } else {
                     otherwise.eval(row)
@@ -209,9 +215,142 @@ impl Expr {
     }
 
     /// Evaluates as a predicate (NULL ⇒ false).
-    pub fn matches(&self, row: &Row) -> bool {
+    pub fn matches(&self, row: RowRef<'_>) -> bool {
         self.eval(row).is_truthy()
     }
+
+    /// Keeps in `sel` — ascending positions of `segment` — exactly the
+    /// rows this predicate matches, in order.
+    pub fn retain(&self, segment: &Segment, sel: &mut Vec<u32>) {
+        let typed = match self {
+            Expr::And(parts) => {
+                for part in parts {
+                    if sel.is_empty() {
+                        break;
+                    }
+                    part.retain(segment, sel);
+                }
+                true
+            }
+            Expr::Cmp(op, l, r) => match (&**l, &**r) {
+                (Expr::Col(c), Expr::Lit(v)) => retain_cmp_lit(segment, *c, *op, v, sel),
+                (Expr::Lit(v), Expr::Col(c)) => retain_cmp_lit(segment, *c, op.flipped(), v, sel),
+                (Expr::Col(a), Expr::Col(b)) => retain_cmp_cols(segment, *a, *op, *b, sel),
+                _ => false,
+            },
+            // Either bound may fall back after the other ran typed: the
+            // rows the first removed fail the whole predicate anyway.
+            Expr::Between(e, lo, hi) => match &**e {
+                Expr::Col(c) => {
+                    retain_lit(segment, *c, lo, sel, |ord| ord != Ordering::Less)
+                        && retain_lit(segment, *c, hi, sel, |ord| ord != Ordering::Greater)
+                }
+                _ => false,
+            },
+            Expr::InList(e, values) => match &**e {
+                Expr::Col(c) => retain_dictionary(segment, *c, sel, |s| {
+                    values.iter().any(|v| v.as_ref() == s)
+                }),
+                _ => false,
+            },
+            _ => false,
+        };
+        if !typed {
+            self.retain_rows(segment, sel);
+        }
+    }
+
+    /// The row-at-a-time fallback of [`Expr::retain`].
+    fn retain_rows(&self, segment: &Segment, sel: &mut Vec<u32>) {
+        sel.retain(|&pos| self.matches(segment.row(pos as usize)));
+    }
+}
+
+/// `col op lit` in one typed pass; false (nothing done) when no typed
+/// loop applies.
+fn retain_cmp_lit(segment: &Segment, col: usize, op: CmpOp, lit: &Value, sel: &mut Vec<u32>) -> bool {
+    if lit.is_null() {
+        // NULL compares false with everything.
+        sel.clear();
+        return true;
+    }
+    retain_lit(segment, col, lit, sel, |ord| op.holds(ord))
+}
+
+/// Keeps the rows whose column `col` value `v` satisfies
+/// `keep(v.cmp(lit))`, in one typed loop when the column has no NULL and
+/// `lit` has the column's type (a string column decides per dictionary
+/// entry). Returns false, doing nothing, otherwise.
+fn retain_lit(
+    segment: &Segment,
+    col: usize,
+    lit: &Value,
+    sel: &mut Vec<u32>,
+    keep: impl Fn(Ordering) -> bool,
+) -> bool {
+    let column = segment.column(col);
+    if column.has_nulls() {
+        return false;
+    }
+    match (column.values(), lit) {
+        (ColumnValues::Int(v), Value::Int(x)) => sel.retain(|&p| keep(v[p as usize].cmp(x))),
+        (ColumnValues::Date(v), Value::Date(x)) => sel.retain(|&p| keep(v[p as usize].cmp(x))),
+        (ColumnValues::Float(v), Value::Float(x)) => {
+            sel.retain(|&p| keep(v[p as usize].total_cmp(x)))
+        }
+        (ColumnValues::Str(_), _) => {
+            return retain_dictionary(segment, col, sel, |s| keep(s.cmp(&lit.as_ref())));
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// `a op b` over two columns of one type in one typed pass; false when
+/// no typed loop applies.
+fn retain_cmp_cols(segment: &Segment, a: usize, op: CmpOp, b: usize, sel: &mut Vec<u32>) -> bool {
+    let (ca, cb) = (segment.column(a), segment.column(b));
+    if ca.has_nulls() || cb.has_nulls() {
+        return false;
+    }
+    match (ca.values(), cb.values()) {
+        (ColumnValues::Int(x), ColumnValues::Int(y)) => {
+            sel.retain(|&p| op.holds(x[p as usize].cmp(&y[p as usize])));
+        }
+        (ColumnValues::Date(x), ColumnValues::Date(y)) => {
+            sel.retain(|&p| op.holds(x[p as usize].cmp(&y[p as usize])));
+        }
+        (ColumnValues::Float(x), ColumnValues::Float(y)) => {
+            sel.retain(|&p| op.holds(x[p as usize].total_cmp(&y[p as usize])));
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// Keeps the rows whose string column `col` satisfies `keep`, deciding
+/// `keep` once per dictionary entry; false when `col` is not a string
+/// column without NULLs.
+fn retain_dictionary(
+    segment: &Segment,
+    col: usize,
+    sel: &mut Vec<u32>,
+    keep: impl Fn(ValueRef<'_>) -> bool,
+) -> bool {
+    let column = segment.column(col);
+    let ColumnValues::Str(codes) = column.values() else {
+        return false;
+    };
+    if column.has_nulls() {
+        return false;
+    }
+    let kept: Vec<bool> = segment
+        .dictionary()
+        .iter()
+        .map(|s| keep(ValueRef::Str(s)))
+        .collect();
+    sel.retain(|&p| kept[codes[p as usize] as usize]);
+    true
 }
 
 impl fmt::Display for Expr {
@@ -262,37 +401,69 @@ impl fmt::Display for Expr {
 mod tests {
     use super::*;
     use crate::row;
+    use crate::schema::{DataType, Schema};
+    use crate::tuple::Row;
+
+    /// A segment of `rows`, each column typed by the first row's value.
+    fn seg(rows: Vec<Row>) -> Segment {
+        let fields: Vec<(String, DataType)> = rows[0]
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let dtype = match v {
+                    Value::Bool(_) => DataType::Bool,
+                    Value::Float(_) => DataType::Float,
+                    Value::Str(_) => DataType::Str,
+                    Value::Date(_) => DataType::Date,
+                    Value::Int(_) | Value::Null => DataType::Int,
+                };
+                (format!("c{i}"), dtype)
+            })
+            .collect();
+        let fields: Vec<(&str, DataType)> = fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        Segment::new(Schema::of(&fields), rows).unwrap()
+    }
+
+    /// `e` on the only row of `rows`.
+    fn matches(e: &Expr, row: Row) -> bool {
+        e.matches(seg(vec![row]).row(0))
+    }
+
+    fn eval(e: &Expr, row: Row) -> Value {
+        e.eval(seg(vec![row]).row(0)).to_value()
+    }
 
     #[test]
     fn comparisons() {
-        let r = row![10i64, "MAIL"];
-        assert!(Expr::col(0).eq(Expr::lit(10i64)).matches(&r));
-        assert!(Expr::col(0).lt(Expr::lit(11i64)).matches(&r));
-        assert!(Expr::col(0).le(Expr::lit(10i64)).matches(&r));
-        assert!(Expr::col(0).gt(Expr::lit(9i64)).matches(&r));
-        assert!(Expr::col(0).ge(Expr::lit(10i64)).matches(&r));
-        assert!(!Expr::col(0).eq(Expr::lit(11i64)).matches(&r));
+        let r = || row![10i64, "MAIL"];
+        assert!(matches(&Expr::col(0).eq(Expr::lit(10i64)), r()));
+        assert!(matches(&Expr::col(0).lt(Expr::lit(11i64)), r()));
+        assert!(matches(&Expr::col(0).le(Expr::lit(10i64)), r()));
+        assert!(matches(&Expr::col(0).gt(Expr::lit(9i64)), r()));
+        assert!(matches(&Expr::col(0).ge(Expr::lit(10i64)), r()));
+        assert!(!matches(&Expr::col(0).eq(Expr::lit(11i64)), r()));
     }
 
     #[test]
     fn null_comparisons_are_false() {
-        let r = Row::new(vec![Value::Null]);
-        assert!(!Expr::col(0).eq(Expr::lit(0i64)).matches(&r));
-        assert!(!Expr::col(0).lt(Expr::lit(0i64)).matches(&r));
-        assert!(!Expr::col(0).between(0i64, 10i64).matches(&r));
+        let r = || Row::new(vec![Value::Null]);
+        assert!(!matches(&Expr::col(0).eq(Expr::lit(0i64)), r()));
+        assert!(!matches(&Expr::col(0).lt(Expr::lit(0i64)), r()));
+        assert!(!matches(&Expr::col(0).between(0i64, 10i64), r()));
     }
 
     #[test]
     fn boolean_connectives() {
-        let r = row![5i64];
+        let r = || row![5i64];
         let t = Expr::col(0).eq(Expr::lit(5i64));
         let f = Expr::col(0).eq(Expr::lit(6i64));
-        assert!(t.clone().and(t.clone()).matches(&r));
-        assert!(!t.clone().and(f.clone()).matches(&r));
-        assert!(Expr::Or(vec![f.clone(), t.clone()]).matches(&r));
-        assert!(!Expr::Or(vec![f.clone(), f.clone()]).matches(&r));
-        assert!(Expr::Not(Box::new(f)).matches(&r));
-        assert!(!Expr::Not(Box::new(t)).matches(&r));
+        assert!(matches(&t.clone().and(t.clone()), r()));
+        assert!(!matches(&t.clone().and(f.clone()), r()));
+        assert!(matches(&Expr::Or(vec![f.clone(), t.clone()]), r()));
+        assert!(!matches(&Expr::Or(vec![f.clone(), f.clone()]), r()));
+        assert!(matches(&Expr::Not(Box::new(f)), r()));
+        assert!(!matches(&Expr::Not(Box::new(t)), r()));
     }
 
     #[test]
@@ -309,34 +480,33 @@ mod tests {
 
     #[test]
     fn in_list_and_between() {
-        let r = row!["SHIP", 15i64];
-        assert!(Expr::col(0)
-            .in_list(vec![Value::str("MAIL"), Value::str("SHIP")])
-            .matches(&r));
-        assert!(!Expr::col(0).in_list(vec![Value::str("AIR")]).matches(&r));
-        assert!(Expr::col(1).between(10i64, 20i64).matches(&r));
-        assert!(Expr::col(1).between(15i64, 15i64).matches(&r));
-        assert!(!Expr::col(1).between(16i64, 20i64).matches(&r));
+        let r = || row!["SHIP", 15i64];
+        let modes = vec![Value::str("MAIL"), Value::str("SHIP")];
+        assert!(matches(&Expr::col(0).in_list(modes), r()));
+        assert!(!matches(&Expr::col(0).in_list(vec![Value::str("AIR")]), r()));
+        assert!(matches(&Expr::col(1).between(10i64, 20i64), r()));
+        assert!(matches(&Expr::col(1).between(15i64, 15i64), r()));
+        assert!(!matches(&Expr::col(1).between(16i64, 20i64), r()));
     }
 
     #[test]
     fn arithmetic() {
-        let r = row![3i64, 4.0f64];
+        let r = || row![3i64, 4.0f64];
         let e = Expr::Arith(ArithOp::Mul, Box::new(Expr::col(0)), Box::new(Expr::col(1)));
-        assert_eq!(e.eval(&r), Value::Float(12.0));
+        assert_eq!(eval(&e, r()), Value::Float(12.0));
         let e = Expr::Arith(
             ArithOp::Sub,
             Box::new(Expr::lit(1.0f64)),
             Box::new(Expr::col(1)),
         );
-        assert_eq!(e.eval(&r), Value::Float(-3.0));
+        assert_eq!(eval(&e, r()), Value::Float(-3.0));
         // Arithmetic over a string yields NULL.
         let bad = Expr::Arith(
             ArithOp::Add,
             Box::new(Expr::lit("x")),
             Box::new(Expr::col(0)),
         );
-        assert!(bad.eval(&r).is_null());
+        assert!(eval(&bad, r()).is_null());
     }
 
     #[test]
@@ -347,8 +517,8 @@ mod tests {
             Box::new(Expr::lit(1i64)),
             Box::new(Expr::lit(0i64)),
         );
-        assert_eq!(high.eval(&row!["1-URGENT"]), Value::Int(1));
-        assert_eq!(high.eval(&row!["5-LOW"]), Value::Int(0));
+        assert_eq!(eval(&high, row!["1-URGENT"]), Value::Int(1));
+        assert_eq!(eval(&high, row!["5-LOW"]), Value::Int(0));
     }
 
     #[test]
@@ -359,11 +529,55 @@ mod tests {
 
     #[test]
     fn date_range_predicate() {
-        let r = row![Value::Date(400)];
         let e = Expr::col(0)
             .ge(Expr::lit(Value::Date(365)))
             .and(Expr::col(0).lt(Expr::lit(Value::Date(730))));
-        assert!(e.matches(&r));
-        assert!(!e.matches(&row![Value::Date(900)]));
+        assert!(matches(&e, row![Value::Date(400)]));
+        assert!(!matches(&e, row![Value::Date(900)]));
+    }
+
+    #[test]
+    fn retain_agrees_with_matches_on_every_shape() {
+        let modes = ["MAIL", "SHIP", "AIR", "RAIL"];
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| {
+                row![
+                    i % 7,
+                    modes[(i % 4) as usize],
+                    Value::Date((i * 13 % 17) as i32),
+                    Value::Date((i * 5 % 17) as i32),
+                    (i % 9) as f64 / 4.0
+                ]
+            })
+            .collect();
+        let s = seg(rows);
+        let shapes = vec![
+            Expr::col(0).lt(Expr::lit(3i64)),
+            Expr::lit(3i64).lt(Expr::col(0)),
+            Expr::col(1).in_list(vec![Value::str("MAIL"), Value::str("SHIP")]),
+            Expr::col(1).eq(Expr::lit("AIR")),
+            Expr::col(1).ge(Expr::lit("MAIL")),
+            Expr::col(2).lt(Expr::col(3)),
+            Expr::col(4).between(0.5f64, 1.25f64),
+            Expr::col(0).between(Value::Date(2), 5i64),
+            Expr::col(0).eq(Expr::lit(Value::Null)),
+            Expr::col(4).ge(Expr::lit(1i64)),
+            Expr::col(1)
+                .in_list(vec![Value::str("RAIL")])
+                .and(Expr::col(2).ge(Expr::lit(Value::Date(4))))
+                .and(Expr::col(0).le(Expr::col(0))),
+            Expr::Or(vec![
+                Expr::col(0).eq(Expr::lit(1i64)),
+                Expr::col(1).eq(Expr::lit("SHIP")),
+            ]),
+        ];
+        for e in shapes {
+            let mut sel: Vec<u32> = (0..s.len() as u32).collect();
+            e.retain(&s, &mut sel);
+            let expected: Vec<u32> = (0..s.len() as u32)
+                .filter(|&p| e.matches(s.row(p as usize)))
+                .collect();
+            assert_eq!(sel, expected, "{e}");
+        }
     }
 }

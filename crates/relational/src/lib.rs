@@ -40,6 +40,6 @@ pub use error::RelationalError;
 pub use expr::Expr;
 pub use query::{AggFunc, AggSpec, JoinCond, QualifiedCol, QuerySpec};
 pub use schema::{DataType, Field, Schema};
-pub use segment::Segment;
+pub use segment::{RowRef, Segment};
 pub use tuple::Row;
-pub use value::Value;
+pub use value::{Value, ValueRef};

@@ -6,15 +6,21 @@
 //! This is the *blocking* execution model the paper contrasts with MJoin:
 //! every input must be fully available, in order, before results appear —
 //! precisely the assumption a shared CSD violates.
+//!
+//! Rows are read in place as [`RowRef`]s. A build side is one
+//! [`ChainTable`] over the relation's filter survivors, keyed by the hash
+//! of the join-key column values; the intermediate result is one flat
+//! `Vec<u32>` of survivor indexes, `width` per tuple, in binding order.
 
 use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 
-use crate::hash::FxHashMap;
-use crate::ops::scan::surviving;
+use crate::hash::FxHasher;
+use crate::ops::index::ChainTable;
+use crate::ops::scan;
 use crate::query::{Aggregator, QuerySpec};
-use crate::segment::Segment;
-use crate::tuple::Row;
-use crate::value::Value;
+use crate::segment::{RowRef, Segment};
+use crate::value::ValueRef;
 
 /// Work counters from a baseline execution, used for CPU cost accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,10 +39,15 @@ pub struct BinaryWork {
     pub peak_intermediate: usize,
 }
 
+/// A segment and the selection vector of its relation's filter over it
+/// ([`scan::select`]).
+pub type Selected<'a> = (&'a Segment, &'a [u32]);
+
 /// Executes `spec` with left-deep binary hash joins over fully
 /// materialized relations (`relations[i]` = all segments of table `i`,
-/// owned or shared: `Segment`, `Arc<Segment>`, `&Segment`), feeding the
-/// final rows into a fresh [`Aggregator`]. Rows are read in place.
+/// owned or shared: `Segment`, `Arc<Segment>`, `&Segment`), filtering
+/// each segment once and feeding the final rows into a fresh
+/// [`Aggregator`].
 ///
 /// # Panics
 /// Panics if `plan_order` would require a cross product (no join edge
@@ -46,29 +57,55 @@ pub fn execute_left_deep<S: Borrow<Segment>>(
     spec: &QuerySpec,
     relations: &[&[S]],
 ) -> (Aggregator, BinaryWork) {
+    let selections: Vec<Vec<Vec<u32>>> = relations
+        .iter()
+        .enumerate()
+        .map(|(rel, segs)| {
+            segs.iter()
+                .map(|seg| scan::select(seg.borrow(), spec.filters[rel].as_ref()))
+                .collect()
+        })
+        .collect();
+    let selected: Vec<Vec<Selected<'_>>> = relations
+        .iter()
+        .zip(&selections)
+        .map(|(segs, sels)| {
+            segs.iter()
+                .zip(sels)
+                .map(|(seg, sel)| (seg.borrow(), sel.as_slice()))
+                .collect()
+        })
+        .collect();
+    join_selected(spec, &selected)
+}
+
+/// [`execute_left_deep`] over segments already filtered:
+/// `relations[i]` lists table `i`'s segments, each with the selection
+/// vector of `spec.filters[i]` over it.
+pub fn join_selected(spec: &QuerySpec, relations: &[Vec<Selected<'_>>]) -> (Aggregator, BinaryWork) {
     assert_eq!(relations.len(), spec.num_relations());
     let mut work = BinaryWork::default();
 
-    // Scan + filter every relation up front (the baseline fetches whole
-    // relations in plan order; filters apply at scan time).
-    let mut filtered: Vec<Vec<&Row>> = Vec::with_capacity(relations.len());
-    for (rel, segs) in relations.iter().enumerate() {
-        let mut rows = Vec::new();
-        for seg in segs.iter() {
-            let seg: &Segment = seg.borrow();
-            work.scanned += seg.len();
-            rows.extend(surviving(seg, spec.filters[rel].as_ref()).map(|(_, row)| row));
-        }
-        work.kept += rows.len();
-        filtered.push(rows);
-    }
+    // Each relation's survivors, in segment then position order.
+    let rows: Vec<Vec<RowRef<'_>>> = relations
+        .iter()
+        .map(|segs| {
+            let mut rows = Vec::with_capacity(segs.iter().map(|(_, sel)| sel.len()).sum());
+            for &(seg, sel) in segs {
+                work.scanned += seg.len();
+                rows.extend(sel.iter().map(|&pos| seg.row(pos as usize)));
+            }
+            work.kept += rows.len();
+            rows
+        })
+        .collect();
 
-    // Intermediate result: tuples of row indices, one per bound relation,
-    // in binding order.
+    // Intermediate result: tuples of survivor indexes, one per bound
+    // relation in binding order, `bound.len()` per tuple.
     let first = spec.plan_order[0];
     let mut bound: Vec<usize> = vec![first];
-    let mut inter: Vec<Vec<u32>> = (0..filtered[first].len() as u32).map(|i| vec![i]).collect();
-    work.peak_intermediate = inter.len();
+    let mut inter: Vec<u32> = (0..rows[first].len() as u32).collect();
+    work.peak_intermediate = rows[first].len();
 
     for &rel in &spec.plan_order[1..] {
         // Join edges between `rel` and the bound prefix.
@@ -89,69 +126,75 @@ pub fn execute_left_deep<S: Borrow<Segment>>(
             bound
         );
 
-        // Build a hash table over `rel` keyed by its composite join key.
-        let mut table: FxHashMap<Row, Vec<u32>> = FxHashMap::default();
-        'rows: for (pos, row) in filtered[rel].iter().enumerate() {
-            let mut key = Vec::with_capacity(edges.len());
-            for &(own_col, _, _) in &edges {
-                let v = row.get(own_col);
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
-            }
-            work.built += 1;
-            table.entry(Row::new(key)).or_default().push(pos as u32);
-        }
+        // Build a table over `rel` keyed by its composite join key.
+        let build = &rows[rel];
+        let table = ChainTable::build(build.len(), |pos| {
+            let hash = key_hash(edges.iter().map(|&(own_col, _, _)| build[pos].get(own_col)));
+            work.built += hash.is_some() as usize;
+            hash
+        });
 
         // Probe with the intermediate result.
+        let width = bound.len();
         let mut next = Vec::new();
-        for tuple in &inter {
+        for tuple in inter.chunks_exact(width) {
             work.probes += 1;
-            let mut key: Vec<Value> = Vec::with_capacity(edges.len());
-            let mut null_key = false;
-            for &(_, slot, other_col) in &edges {
-                let src_rel = bound[slot];
-                let row = filtered[src_rel][tuple[slot] as usize];
-                let v = row.get(other_col);
-                if v.is_null() {
-                    null_key = true;
-                    break;
-                }
-                key.push(v.clone());
-            }
-            if null_key {
+            let probe_key = |i: usize| {
+                let (_, slot, other_col) = edges[i];
+                rows[bound[slot]][tuple[slot] as usize].get(other_col)
+            };
+            let Some(hash) = key_hash((0..edges.len()).map(probe_key)) else {
                 continue;
-            }
-            if let Some(matches) = table.get(&Row::new(key)) {
-                for &pos in matches {
-                    let mut t = tuple.clone();
-                    t.push(pos);
-                    next.push(t);
+            };
+            for pos in table.chain(hash) {
+                let row = build[pos];
+                if edges
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &(own_col, _, _))| row.get(own_col) == probe_key(i))
+                {
+                    next.extend_from_slice(tuple);
+                    next.push(pos as u32);
                 }
             }
         }
         bound.push(rel);
         inter = next;
-        work.peak_intermediate = work.peak_intermediate.max(inter.len());
+        work.peak_intermediate = work.peak_intermediate.max(inter.len() / bound.len());
     }
 
     // Emit joined rows in relation order into the aggregator.
+    let mut slot_of = vec![0; bound.len()];
+    for (slot, &rel) in bound.iter().enumerate() {
+        slot_of[rel] = slot;
+    }
     let mut agg = Aggregator::for_query(spec);
-    let mut ordered: Vec<&Row> = Vec::with_capacity(spec.num_relations());
-    for tuple in &inter {
+    let mut ordered: Vec<RowRef<'_>> = Vec::with_capacity(bound.len());
+    for tuple in inter.chunks_exact(bound.len()) {
         ordered.clear();
-        ordered.resize(spec.num_relations(), filtered[0][0]); // placeholder; every slot overwritten below
-        let mut slots_filled = 0usize;
-        for (slot, &rel) in bound.iter().enumerate() {
-            ordered[rel] = filtered[rel][tuple[slot] as usize];
-            slots_filled += 1;
-        }
-        debug_assert_eq!(slots_filled, spec.num_relations());
+        ordered.extend(
+            slot_of
+                .iter()
+                .enumerate()
+                .map(|(rel, &slot)| rows[rel][tuple[slot] as usize]),
+        );
         work.emitted += 1;
         agg.update(&ordered);
     }
     (agg, work)
+}
+
+/// The hash of a composite join key, or `None` when a part is NULL
+/// (NULL never equi-joins).
+fn key_hash<'a>(parts: impl Iterator<Item = ValueRef<'a>>) -> Option<u64> {
+    let mut h = FxHasher::default();
+    for part in parts {
+        if part.is_null() {
+            return None;
+        }
+        part.hash(&mut h);
+    }
+    Some(h.finish())
 }
 
 #[cfg(test)]
@@ -161,6 +204,8 @@ mod tests {
     use crate::query::{AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol};
     use crate::row;
     use crate::schema::{DataType, Schema};
+    use crate::tuple::Row;
+    use crate::value::Value;
 
     fn seg(cols: &[(&str, DataType)], rows: Vec<Row>) -> Segment {
         Segment::new(Schema::of(cols), rows).unwrap()

@@ -9,15 +9,18 @@
 //!
 //! # Layout
 //!
-//! * `kept` — positions (into `segment.rows()`) of the rows that passed
-//!   the filter, ascending. A row's index in `kept` is its *slot*.
+//! * `kept` — the selection vector: positions of the rows that passed
+//!   the filter ([`scan::select`]), ascending. A row's index in `kept`
+//!   is its *slot*.
 //! * per join column, one `ChainTable`: `heads[bucket]` is the first
 //!   slot of the bucket's chain and `links[slot]` holds the next slot of
-//!   the chain plus the low 32 bits of the slot's key hash. The bucket is
-//!   taken from the hash's *high* bits (the well-mixed end of Fx's
-//!   multiply); the stored low bits reject almost every non-matching
-//!   chain entry without touching its row. Keys are compared in place,
-//!   `segment.rows()[kept[slot]].get(col)`.
+//!   the chain plus the low 32 bits of the slot's key hash. Keys are
+//!   hashed straight out of the typed key column (a string column hashes
+//!   each dictionary entry once and looks codes up). The bucket is taken
+//!   from the hash's *high* bits (the well-mixed end of Fx's multiply);
+//!   the stored low bits reject almost every non-matching chain entry
+//!   without touching the column. A tag hit compares the key column's
+//!   value at `kept[slot]` with the probe key.
 //!
 //! # Emit order
 //!
@@ -40,10 +43,9 @@ use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::hash::FxHasher;
-use crate::ops::scan::{surviving, ScanStats};
-use crate::segment::Segment;
-use crate::tuple::Row;
-use crate::value::Value;
+use crate::ops::scan::{self, ScanStats};
+use crate::segment::{Column, ColumnValues, RowRef, Segment};
+use crate::value::ValueRef;
 
 /// End-of-chain marker in [`ChainTable`].
 const NIL: u32 = u32::MAX;
@@ -56,31 +58,32 @@ struct Link {
     tag: u32,
 }
 
-/// Bucket-head / next-link hash table over the slots of one column.
-struct ChainTable {
+/// Bucket-head / next-link hash table over numbered slots; the baseline
+/// join keys its build sides with it too.
+pub(crate) struct ChainTable {
     /// `heads[hash >> shift]` — first slot of the chain, or [`NIL`].
     heads: Vec<u32>,
-    /// `links[slot]`; NULL-keyed slots are in no chain.
+    /// `links[slot]`; a slot without a hash (a NULL key) is in no chain.
     links: Vec<Link>,
     shift: u32,
 }
 
 impl ChainTable {
-    fn build(segment: &Segment, kept: &[u32], col: usize) -> Self {
+    /// Chains slots `0..slots` by `hash_of(slot)`, skipping the slots it
+    /// gives no hash.
+    pub(crate) fn build(slots: usize, mut hash_of: impl FnMut(usize) -> Option<u64>) -> Self {
+        assert!(slots < NIL as usize, "{slots} slots exceed 32-bit slot ids");
         // At least two buckets per slot keeps most chains at one key;
         // at least two buckets keeps `shift` below 64.
-        let buckets = (kept.len() * 2).next_power_of_two().max(2);
+        let buckets = (slots * 2).next_power_of_two().max(2);
         let shift = 64 - buckets.trailing_zeros();
         let mut heads = vec![NIL; buckets];
-        let mut links = vec![Link { next: NIL, tag: 0 }; kept.len()];
-        let rows = segment.rows();
+        let mut links = vec![Link { next: NIL, tag: 0 }; slots];
         // Reverse pass + head insertion ⇒ chains ascend by slot.
-        for (slot, &pos) in kept.iter().enumerate().rev() {
-            let key = rows[pos as usize].get(col);
-            if key.is_null() {
-                continue; // NULL never equi-joins
-            }
-            let hash = hash_key(key);
+        for slot in (0..slots).rev() {
+            let Some(hash) = hash_of(slot) else {
+                continue;
+            };
             let head = &mut heads[(hash >> shift) as usize];
             links[slot] = Link {
                 next: *head,
@@ -94,13 +97,81 @@ impl ChainTable {
             shift,
         }
     }
+
+    /// The slots whose hash may equal `hash` (their stored low half
+    /// does), ascending; the caller compares the keys.
+    #[inline]
+    pub(crate) fn chain(&self, hash: u64) -> Chain<'_> {
+        Chain {
+            links: &self.links,
+            next: self.heads[(hash >> self.shift) as usize],
+            tag: hash as u32,
+        }
+    }
+}
+
+/// Iterator over the candidate slots of one hash.
+pub(crate) struct Chain<'a> {
+    links: &'a [Link],
+    next: u32,
+    tag: u32,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.next != NIL {
+            let slot = self.next as usize;
+            let link = self.links[slot];
+            self.next = link.next;
+            if link.tag == self.tag {
+                return Some(slot);
+            }
+        }
+        None
+    }
+}
+
+/// The chain table over `kept` keyed on column `col`, hashing straight
+/// out of the typed column (a string column hashes each dictionary entry
+/// once).
+fn column_table(segment: &Segment, kept: &[u32], col: usize) -> ChainTable {
+    fn table(column: Column<'_>, kept: &[u32], hash_at: impl Fn(usize) -> u64) -> ChainTable {
+        ChainTable::build(kept.len(), |slot| {
+            let pos = kept[slot] as usize;
+            // NULL never equi-joins.
+            (!column.is_null(pos)).then(|| hash_at(pos))
+        })
+    }
+    if kept.is_empty() {
+        // Nothing to chain; the segment may not even have the column (an
+        // empty relation under an empty schema).
+        return ChainTable::build(0, |_| None);
+    }
+    let column = segment.column(col);
+    match column.values() {
+        ColumnValues::Int(v) => table(column, kept, |p| hash_key(ValueRef::Int(v[p]))),
+        ColumnValues::Date(v) => table(column, kept, |p| hash_key(ValueRef::Date(v[p]))),
+        ColumnValues::Float(v) => table(column, kept, |p| hash_key(ValueRef::Float(v[p]))),
+        ColumnValues::Bool(v) => table(column, kept, |p| hash_key(ValueRef::Bool(v[p]))),
+        ColumnValues::Str(codes) => {
+            let hashes: Vec<u64> = segment
+                .dictionary()
+                .iter()
+                .map(|s| hash_key(ValueRef::Str(s)))
+                .collect();
+            table(column, kept, |p| hashes[codes[p] as usize])
+        }
+    }
 }
 
 /// Hash of a join key, as every [`SegmentIndex`] table uses it. Compute
 /// it once per logical probe and reuse it across candidate segments via
 /// [`SegmentIndex::probe_hashed`].
 #[inline]
-pub fn hash_key(key: &Value) -> u64 {
+pub fn hash_key(key: ValueRef<'_>) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
     h.finish()
@@ -122,22 +193,14 @@ impl SegmentIndex {
     /// Scans `segment` through `filter` and builds hash indexes on
     /// `join_cols`. The index shares the segment; no row is copied.
     pub fn build(segment: &Arc<Segment>, filter: Option<&Expr>, join_cols: &[usize]) -> Self {
-        let rows = segment.rows();
-        assert!(
-            rows.len() < NIL as usize,
-            "segment of {} rows exceeds 32-bit row positions",
-            rows.len()
-        );
-        let kept: Vec<u32> = surviving(segment, filter)
-            .map(|(pos, _)| pos as u32)
-            .collect();
+        let kept = scan::select(segment, filter);
         let tables = join_cols
             .iter()
-            .map(|&col| ChainTable::build(segment, &kept, col))
+            .map(|&col| column_table(segment, &kept, col))
             .collect();
         SegmentIndex {
             stats: ScanStats {
-                scanned: rows.len(),
+                scanned: segment.len(),
                 kept: kept.len(),
             },
             segment: Arc::clone(segment),
@@ -148,9 +211,10 @@ impl SegmentIndex {
     }
 
     /// Rows surviving the filter, in segment order.
-    pub fn rows(&self) -> impl Iterator<Item = &Row> + '_ {
-        let rows = self.segment.rows();
-        self.kept.iter().map(move |&pos| &rows[pos as usize])
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        self.kept
+            .iter()
+            .map(move |&pos| self.segment.row(pos as usize))
     }
 
     /// Positions, in the indexed segment, of the rows surviving the
@@ -194,7 +258,7 @@ impl SegmentIndex {
     ///
     /// # Panics
     /// Panics if `col` was not indexed.
-    pub fn probe<'a, 'k>(&'a self, col: usize, key: &'k Value) -> Matches<'a, 'k> {
+    pub fn probe<'a>(&'a self, col: usize, key: ValueRef<'a>) -> Matches<'a> {
         self.probe_hashed(self.slot_of(col), hash_key(key), key)
     }
 
@@ -202,22 +266,14 @@ impl SegmentIndex {
     /// table slot ([`SegmentIndex::slot_of`]) and the key already hashed
     /// ([`hash_key`]): the form for probing many segments with one key.
     #[inline]
-    pub fn probe_hashed<'a, 'k>(
-        &'a self,
-        slot: usize,
-        hash: u64,
-        key: &'k Value,
-    ) -> Matches<'a, 'k> {
-        let table = &self.tables[slot];
+    pub fn probe_hashed<'a>(&'a self, slot: usize, hash: u64, key: ValueRef<'a>) -> Matches<'a> {
         Matches {
-            rows: self.segment.rows(),
+            segment: &self.segment,
             kept: &self.kept,
-            links: &table.links,
             // A NULL probe key needs no special case: NULL-keyed slots
             // are in no chain, so it compares unequal to all it meets.
-            next: table.heads[(hash >> table.shift) as usize],
+            chain: self.tables[slot].chain(hash),
             col: self.cols[slot],
-            tag: hash as u32,
             key,
         }
     }
@@ -230,33 +286,24 @@ impl SegmentIndex {
 }
 
 /// Iterator over the rows matching one probe, ascending by row position.
-pub struct Matches<'a, 'k> {
-    rows: &'a [Row],
+pub struct Matches<'a> {
+    segment: &'a Segment,
     kept: &'a [u32],
-    links: &'a [Link],
-    next: u32,
+    chain: Chain<'a>,
     col: usize,
-    tag: u32,
-    key: &'k Value,
+    key: ValueRef<'a>,
 }
 
-impl<'a> Iterator for Matches<'a, '_> {
-    type Item = &'a Row;
+impl<'a> Iterator for Matches<'a> {
+    type Item = RowRef<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a Row> {
-        while self.next != NIL {
-            let slot = self.next as usize;
-            let link = self.links[slot];
-            self.next = link.next;
-            if link.tag == self.tag {
-                let row = &self.rows[self.kept[slot] as usize];
-                if row.get(self.col) == self.key {
-                    return Some(row);
-                }
-            }
-        }
-        None
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        let (segment, kept, col, key) = (self.segment, self.kept, self.col, self.key);
+        self.chain
+            .by_ref()
+            .map(|slot| segment.row(kept[slot] as usize))
+            .find(|row| row.get(col) == key)
     }
 }
 
@@ -265,6 +312,8 @@ mod tests {
     use super::*;
     use crate::row;
     use crate::schema::{DataType, Schema};
+    use crate::tuple::Row;
+    use crate::value::Value;
 
     fn seg() -> Arc<Segment> {
         let schema = Schema::of(&[("k", DataType::Int), ("g", DataType::Int)]);
@@ -282,29 +331,33 @@ mod tests {
         )
     }
 
+    fn owned<'a>(rows: impl Iterator<Item = RowRef<'a>>) -> Vec<Row> {
+        rows.map(RowRef::to_row).collect()
+    }
+
     #[test]
     fn probes_by_key() {
         let idx = SegmentIndex::build(&seg(), None, &[0]);
-        assert_eq!(idx.probe(0, &Value::Int(1)).count(), 2);
-        assert_eq!(idx.probe(0, &Value::Int(3)).count(), 1);
-        assert_eq!(idx.probe(0, &Value::Int(99)).count(), 0);
-        let row = idx.probe(0, &Value::Int(3)).next().unwrap();
-        assert_eq!(row, &row![3i64, 30i64]);
+        assert_eq!(idx.probe(0, ValueRef::Int(1)).count(), 2);
+        assert_eq!(idx.probe(0, ValueRef::Int(3)).count(), 1);
+        assert_eq!(idx.probe(0, ValueRef::Int(99)).count(), 0);
+        let row = idx.probe(0, ValueRef::Int(3)).next().unwrap();
+        assert_eq!(row.to_row(), row![3i64, 30i64]);
     }
 
     #[test]
     fn matches_ascend_by_row_position() {
         let idx = SegmentIndex::build(&seg(), None, &[0, 1]);
-        let hits: Vec<&Row> = idx.probe(0, &Value::Int(1)).collect();
-        assert_eq!(hits, [&row![1i64, 10i64], &row![1i64, 20i64]]);
-        let hits: Vec<&Row> = idx.probe(1, &Value::Int(10)).collect();
-        assert_eq!(hits, [&row![1i64, 10i64], &row![2i64, 10i64]]);
+        let hits = owned(idx.probe(0, ValueRef::Int(1)));
+        assert_eq!(hits, [row![1i64, 10i64], row![1i64, 20i64]]);
+        let hits = owned(idx.probe(1, ValueRef::Int(10)));
+        assert_eq!(hits, [row![1i64, 10i64], row![2i64, 10i64]]);
     }
 
     #[test]
     fn multiple_indexed_columns() {
         let idx = SegmentIndex::build(&seg(), None, &[0, 1]);
-        assert_eq!(idx.probe(1, &Value::Int(10)).count(), 2);
+        assert_eq!(idx.probe(1, ValueRef::Int(10)).count(), 2);
         assert_eq!(idx.entries(), 8);
     }
 
@@ -316,8 +369,8 @@ mod tests {
         assert_eq!(idx.positions(), [2, 3]);
         assert_eq!(idx.stats().scanned, 4);
         assert_eq!(idx.stats().kept, 2);
-        assert_eq!(idx.probe(0, &Value::Int(2)).count(), 0); // filtered out
-        assert_eq!(idx.probe(0, &Value::Int(1)).count(), 1);
+        assert_eq!(idx.probe(0, ValueRef::Int(2)).count(), 0); // filtered out
+        assert_eq!(idx.probe(0, ValueRef::Int(1)).count(), 1);
     }
 
     #[test]
@@ -325,7 +378,7 @@ mod tests {
         let pred = Expr::col(0).gt(Expr::lit(100i64));
         let idx = SegmentIndex::build(&seg(), Some(&pred), &[0]);
         assert!(idx.is_empty());
-        assert_eq!(idx.probe(0, &Value::Int(1)).count(), 0);
+        assert_eq!(idx.probe(0, ValueRef::Int(1)).count(), 0);
     }
 
     #[test]
@@ -335,7 +388,19 @@ mod tests {
             Arc::new(Segment::new(schema, vec![Row::new(vec![Value::Null]), row![1i64]]).unwrap());
         let idx = SegmentIndex::build(&seg, None, &[0]);
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.probe(0, &Value::Null).count(), 0);
+        assert_eq!(idx.probe(0, ValueRef::Null).count(), 0);
+        // The NULL slot holds the column's zero, which must not match.
+        assert_eq!(idx.probe(0, ValueRef::Int(0)).count(), 0);
+    }
+
+    #[test]
+    fn string_keys_probe_through_the_dictionary() {
+        let schema = Schema::of(&[("s", DataType::Str)]);
+        let seg = Arc::new(Segment::new(schema, vec![row!["a"], row!["b"], row!["a"]]).unwrap());
+        let idx = SegmentIndex::build(&seg, None, &[0]);
+        let a = Value::str("a");
+        let hits: Vec<usize> = idx.probe(0, a.as_ref()).map(RowRef::position).collect();
+        assert_eq!(hits, [0, 2]);
     }
 
     #[test]
@@ -344,7 +409,8 @@ mod tests {
         let idx = SegmentIndex::build(&seg, None, &[0]);
         assert_eq!(Arc::strong_count(&seg), 2);
         for (row, &pos) in idx.rows().zip(idx.positions()) {
-            assert!(std::ptr::eq(row, &seg.rows()[pos as usize]));
+            assert!(std::ptr::eq(row.segment(), &*seg));
+            assert_eq!(row.position(), pos as usize);
         }
         drop(idx);
         assert_eq!(Arc::strong_count(&seg), 1);
@@ -354,6 +420,6 @@ mod tests {
     #[should_panic(expected = "not indexed")]
     fn probing_unindexed_column_panics() {
         let idx = SegmentIndex::build(&seg(), None, &[0]);
-        let _ = idx.probe(1, &Value::Int(10));
+        let _ = idx.probe(1, ValueRef::Int(10));
     }
 }

@@ -4,7 +4,9 @@
 //! [`SegmentIndex`] per relation, a [`ProbePlan`], and a sink receiving
 //! every joined row. Iterates the driver segment's rows and recursively
 //! probes the remaining relations; cyclic join edges are enforced as
-//! residual equality checks.
+//! residual equality checks. A bound row is a [`RowRef`] — a segment and
+//! a position — and the sink reads its values straight from the columns;
+//! nothing is copied or materialised.
 //!
 //! Correctness note: a join distributes over the union of its inputs'
 //! partitions, so executing every segment combination exactly once and
@@ -15,14 +17,14 @@
 
 use crate::join_graph::{ProbePlan, ProbeStep};
 use crate::ops::index::{hash_key, SegmentIndex};
-use crate::tuple::Row;
+use crate::segment::RowRef;
 
 /// Most relations one join can bind: the width of the fixed scratch
 /// arrays below (and of the packed subplan keys built on top of them).
 pub const MAX_RELATIONS: usize = 8;
 
 /// Rows bound so far, by relation.
-type Bound<'a> = [Option<&'a Row>; MAX_RELATIONS];
+type Bound<'a> = [Option<RowRef<'a>>; MAX_RELATIONS];
 
 /// Work counters from executing one combination, used by the simulation
 /// to charge CPU cost to virtual time.
@@ -46,7 +48,7 @@ impl JoinWork {
 }
 
 /// Hands the `n` bound rows to `sink`, positionally.
-fn emit(bound: &Bound<'_>, n: usize, sink: &mut dyn FnMut(&[&Row])) {
+fn emit(bound: &Bound<'_>, n: usize, sink: &mut dyn FnMut(&[RowRef<'_>])) {
     let mut rows = [bound[0].expect("all bound"); MAX_RELATIONS];
     for (out, row) in rows[..n].iter_mut().zip(bound) {
         *out = row.expect("all bound");
@@ -56,7 +58,7 @@ fn emit(bound: &Bound<'_>, n: usize, sink: &mut dyn FnMut(&[&Row])) {
 
 /// Residual checks from cyclic join edges.
 #[inline]
-fn residuals_hold(step: &ProbeStep, candidate: &Row, bound: &Bound<'_>) -> bool {
+fn residuals_hold(step: &ProbeStep, candidate: RowRef<'_>, bound: &Bound<'_>) -> bool {
     step.extra_checks.iter().all(|(own_col, bound_col)| {
         let other = bound[bound_col.rel].expect("check source must be bound");
         candidate.get(*own_col) == other.get(bound_col.col)
@@ -70,7 +72,7 @@ fn residuals_hold(step: &ProbeStep, candidate: &Row, bound: &Bound<'_>) -> bool 
 pub fn execute_combination(
     plan: &ProbePlan,
     segments: &[&SegmentIndex],
-    sink: &mut dyn FnMut(&[&Row]),
+    sink: &mut dyn FnMut(&[RowRef<'_>]),
 ) -> JoinWork {
     assert!(segments.len() <= MAX_RELATIONS, "too many relations");
     let mut work = JoinWork::default();
@@ -95,7 +97,7 @@ fn descend<'a>(
     bound: &mut Bound<'a>,
     depth: usize,
     work: &mut JoinWork,
-    sink: &mut dyn FnMut(&[&Row]),
+    sink: &mut dyn FnMut(&[RowRef<'_>]),
 ) {
     if depth == plan.steps.len() {
         work.emitted += 1;
@@ -151,7 +153,7 @@ pub fn execute_rooted(
     plan: &ProbePlan,
     candidates: &[Vec<(u32, &SegmentIndex)>],
     already_executed: &dyn Fn(&[u32]) -> bool,
-    sink: &mut dyn FnMut(&[&Row]),
+    sink: &mut dyn FnMut(&[RowRef<'_>]),
 ) -> JoinWork {
     assert!(candidates.len() <= MAX_RELATIONS, "too many relations");
     // Any relation with no cached candidate ⇒ nothing runnable.
@@ -203,7 +205,7 @@ struct Rooted<'a, 'c> {
     /// `slots[depth]` — table slot of step `depth`'s probed column.
     slots: [usize; MAX_RELATIONS],
     already_executed: &'c dyn Fn(&[u32]) -> bool,
-    sink: &'c mut dyn FnMut(&[&Row]),
+    sink: &'c mut dyn FnMut(&[RowRef<'_>]),
     work: JoinWork,
 }
 
@@ -247,6 +249,7 @@ mod tests {
     use crate::row;
     use crate::schema::{DataType, Schema};
     use crate::segment::Segment;
+    use crate::tuple::Row;
     use std::sync::Arc;
 
     fn idx(cols: &[(&str, DataType)], rows: Vec<Row>, join_cols: &[usize]) -> SegmentIndex {
@@ -284,7 +287,7 @@ mod tests {
         let plan = ProbePlan::plan(&s).unwrap();
         let mut out = Vec::new();
         let work = execute_combination(&plan, &[&a, &b], &mut |rows| {
-            out.push((rows[0].clone(), rows[1].clone()));
+            out.push((rows[0].to_row(), rows[1].to_row()));
         });
         assert_eq!(out.len(), 2); // two a-rows with k=2 match one b-row
         assert_eq!(work.emitted, 2);

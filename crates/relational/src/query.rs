@@ -11,11 +11,13 @@
 //! so results can be compared row-for-row.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::expr::Expr;
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHasher};
+use crate::segment::RowRef;
 use crate::tuple::Row;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// A column of a specific relation participating in a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -109,11 +111,11 @@ impl JoinExpr {
     }
 
     /// Evaluates against a joined row: `rows[i]` is the row bound for
-    /// relation `i`.
-    pub fn eval(&self, rows: &[&Row]) -> Value {
+    /// relation `i`. Columns are read in place; nothing is allocated.
+    pub fn eval<'a>(&'a self, rows: &[RowRef<'a>]) -> ValueRef<'a> {
         match self {
-            JoinExpr::Col(qc) => rows[qc.rel].get(qc.col).clone(),
-            JoinExpr::Lit(v) => v.clone(),
+            JoinExpr::Col(qc) => rows[qc.rel].get(qc.col),
+            JoinExpr::Lit(v) => v.as_ref(),
             JoinExpr::Mul(a, b) => numeric(a.eval(rows), b.eval(rows), |x, y| x * y),
             JoinExpr::Sub(a, b) => numeric(a.eval(rows), b.eval(rows), |x, y| x - y),
             JoinExpr::Add(a, b) => numeric(a.eval(rows), b.eval(rows), |x, y| x + y),
@@ -124,20 +126,20 @@ impl JoinExpr {
                 otherwise,
             } => {
                 let v = rows[probe.rel].get(probe.col);
-                if list.iter().any(|c| c == v) {
-                    then.clone()
+                if list.iter().any(|c| c.as_ref() == v) {
+                    then.as_ref()
                 } else {
-                    otherwise.clone()
+                    otherwise.as_ref()
                 }
             }
         }
     }
 }
 
-fn numeric(a: Value, b: Value, f: impl Fn(f64, f64) -> f64) -> Value {
+fn numeric<'a>(a: ValueRef<'_>, b: ValueRef<'_>, f: impl Fn(f64, f64) -> f64) -> ValueRef<'a> {
     match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => Value::Float(f(x, y)),
-        _ => Value::Null,
+        (Some(x), Some(y)) => ValueRef::Float(f(x, y)),
+        _ => ValueRef::Null,
     }
 }
 
@@ -316,12 +318,25 @@ impl fmt::Display for QuerySpec {
 ///
 /// `update` is called once per joined output row; `finish` renders the
 /// final result sorted by group key for deterministic comparison.
+///
+/// Groups are found by a borrowed key: the group-by values are hashed
+/// and compared where they sit in the bound rows' columns, and a key
+/// [`Row`] is allocated only when a new group appears. `index` maps a
+/// key hash to the first group with that hash; groups sharing a hash
+/// chain through `same_hash`.
 pub struct Aggregator {
     group_by: Vec<QualifiedCol>,
     aggs: Vec<AggSpec>,
-    groups: FxHashMap<Row, Vec<AggState>>,
+    index: FxHashMap<u64, u32>,
+    keys: Vec<Row>,
+    same_hash: Vec<u32>,
+    /// `states[g * aggs.len()..][..aggs.len()]` — group `g`'s states.
+    states: Vec<AggState>,
     rows_seen: u64,
 }
+
+/// End of a `same_hash` chain.
+const NO_GROUP: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
 enum AggState {
@@ -343,7 +358,7 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, v: Value) {
+    fn update(&mut self, v: ValueRef<'_>) {
         match self {
             AggState::Count(n) => *n += 1,
             AggState::Sum(s) => {
@@ -352,13 +367,13 @@ impl AggState {
                 }
             }
             AggState::Min(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| &v < cur) {
-                    *m = Some(v);
+                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur.as_ref()) {
+                    *m = Some(v.to_value());
                 }
             }
             AggState::Max(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| &v > cur) {
-                    *m = Some(v);
+                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur.as_ref()) {
+                    *m = Some(v.to_value());
                 }
             }
             AggState::Avg { sum, n } => {
@@ -392,27 +407,51 @@ impl Aggregator {
         Aggregator {
             group_by: spec.group_by.clone(),
             aggs: spec.aggregates.clone(),
-            groups: FxHashMap::default(),
+            index: FxHashMap::default(),
+            keys: Vec::new(),
+            same_hash: Vec::new(),
+            states: Vec::new(),
             rows_seen: 0,
         }
     }
 
     /// Feeds one joined output row (`rows[i]` = bound row of relation `i`).
-    pub fn update(&mut self, rows: &[&Row]) {
+    pub fn update(&mut self, rows: &[RowRef<'_>]) {
         self.rows_seen += 1;
-        let key = Row::new(
-            self.group_by
-                .iter()
-                .map(|qc| rows[qc.rel].get(qc.col).clone())
-                .collect(),
-        );
-        let states = self
-            .groups
-            .entry(key)
-            .or_insert_with(|| self.aggs.iter().map(|a| AggState::new(a.func)).collect());
+        let group = self.group_of(rows);
+        let width = self.aggs.len();
+        let states = &mut self.states[group * width..][..width];
         for (state, agg) in states.iter_mut().zip(&self.aggs) {
             state.update(agg.expr.eval(rows));
         }
+    }
+
+    /// The group of `rows`' key, created on first sight.
+    fn group_of(&mut self, rows: &[RowRef<'_>]) -> usize {
+        let key = |qc: &QualifiedCol| rows[qc.rel].get(qc.col);
+        let mut h = FxHasher::default();
+        for qc in &self.group_by {
+            key(qc).hash(&mut h);
+        }
+        let hash = h.finish();
+        let first = *self.index.entry(hash).or_insert(NO_GROUP);
+        let mut group = first;
+        while group != NO_GROUP {
+            let stored = self.keys[group as usize].values();
+            if stored.iter().zip(&self.group_by).all(|(v, qc)| v.as_ref() == key(qc)) {
+                return group as usize;
+            }
+            group = self.same_hash[group as usize];
+        }
+        let group = self.keys.len();
+        let id = u32::try_from(group).expect("group count exceeds 32 bits");
+        self.keys
+            .push(Row::new(self.group_by.iter().map(|qc| key(qc).to_value()).collect()));
+        self.same_hash.push(first);
+        self.index.insert(hash, id);
+        self.states
+            .extend(self.aggs.iter().map(|a| AggState::new(a.func)));
+        group
     }
 
     /// Total joined rows fed in (the join cardinality).
@@ -422,10 +461,15 @@ impl Aggregator {
 
     /// Renders `(group key, aggregate values)` rows sorted by key.
     pub fn finish(&self) -> Vec<(Row, Vec<Value>)> {
+        let width = self.aggs.len();
         let mut out: Vec<(Row, Vec<Value>)> = self
-            .groups
+            .keys
             .iter()
-            .map(|(k, states)| (k.clone(), states.iter().map(AggState::finish).collect()))
+            .enumerate()
+            .map(|(g, k)| {
+                let states = &self.states[g * width..][..width];
+                (k.clone(), states.iter().map(AggState::finish).collect())
+            })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -457,6 +501,8 @@ pub fn results_approx_eq(a: &[(Row, Vec<Value>)], b: &[(Row, Vec<Value>)], tol: 
 mod tests {
     use super::*;
     use crate::row;
+    use crate::schema::{DataType, Schema};
+    use crate::segment::Segment;
 
     fn two_table_spec() -> QuerySpec {
         QuerySpec {
@@ -515,34 +561,38 @@ mod tests {
         spec.validate();
     }
 
+    /// A segment of `rows` typed `[Int, Str]` (relation a) or
+    /// `[Int, Float]` (relation b).
+    fn seg(second: DataType, rows: Vec<Row>) -> Segment {
+        Segment::new(Schema::of(&[("k", DataType::Int), ("v", second)]), rows).unwrap()
+    }
+
     #[test]
     fn join_expr_eval() {
-        let a = row![1i64, 2.0f64];
-        let b = row![1i64, 10.0f64];
-        let rows = [&a, &b];
-        assert_eq!(JoinExpr::col(1, 1).eval(&rows), Value::Float(10.0));
+        let a = seg(DataType::Float, vec![row![1i64, 2.0f64]]);
+        let b = seg(DataType::Float, vec![row![1i64, 10.0f64]]);
+        let rows = [a.row(0), b.row(0)];
+        assert_eq!(JoinExpr::col(1, 1).eval(&rows), ValueRef::Float(10.0));
         let revenue = JoinExpr::Mul(Box::new(JoinExpr::col(0, 1)), Box::new(JoinExpr::col(1, 1)));
-        assert_eq!(revenue.eval(&rows), Value::Float(20.0));
+        assert_eq!(revenue.eval(&rows), ValueRef::Float(20.0));
         let case = JoinExpr::CaseInList {
             probe: QualifiedCol::new(0, 0),
             list: vec![Value::Int(1), Value::Int(2)],
             then: Value::Int(100),
             otherwise: Value::Int(0),
         };
-        assert_eq!(case.eval(&rows), Value::Int(100));
+        assert_eq!(case.eval(&rows), ValueRef::Int(100));
     }
 
     #[test]
     fn aggregator_counts_and_sums_by_group() {
         let spec = two_table_spec();
         let mut agg = Aggregator::for_query(&spec);
-        let a1 = row![1i64, "x"];
-        let a2 = row![2i64, "y"];
-        let b1 = row![1i64, 5.0f64];
-        let b2 = row![2i64, 7.0f64];
-        agg.update(&[&a1, &b1]);
-        agg.update(&[&a1, &b1]);
-        agg.update(&[&a2, &b2]);
+        let a = seg(DataType::Str, vec![row![1i64, "x"], row![2i64, "y"]]);
+        let b = seg(DataType::Float, vec![row![1i64, 5.0f64], row![2i64, 7.0f64]]);
+        agg.update(&[a.row(0), b.row(0)]);
+        agg.update(&[a.row(0), b.row(0)]);
+        agg.update(&[a.row(1), b.row(1)]);
         assert_eq!(agg.rows_seen(), 3);
         let out = agg.finish();
         assert_eq!(out.len(), 2);
@@ -551,6 +601,26 @@ mod tests {
         assert_eq!(out[0].1, vec![Value::Int(2), Value::Float(10.0)]);
         assert_eq!(out[1].0, row!["y"]);
         assert_eq!(out[1].1, vec![Value::Int(1), Value::Float(7.0)]);
+    }
+
+    #[test]
+    fn aggregator_keeps_groups_apart_on_a_hash_collision() {
+        let spec = two_table_spec();
+        let mut agg = Aggregator::for_query(&spec);
+        let a = seg(DataType::Str, vec![row![1i64, "x"], row![2i64, "y"]]);
+        let b = seg(DataType::Float, vec![row![1i64, 5.0f64]]);
+        agg.update(&[a.row(0), b.row(0)]);
+        // Point the hash of "y" at the group of "x", as a collision would.
+        let mut h = FxHasher::default();
+        Value::str("y").hash(&mut h);
+        agg.index.insert(h.finish(), 0);
+        agg.update(&[a.row(1), b.row(0)]);
+        agg.update(&[a.row(1), b.row(0)]);
+        agg.update(&[a.row(0), b.row(0)]);
+        let out = agg.finish();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0], (row!["x"], vec![Value::Int(2), Value::Float(10.0)]));
+        assert_eq!(out[1], (row!["y"], vec![Value::Int(2), Value::Float(10.0)]));
     }
 
     #[test]
@@ -563,10 +633,13 @@ mod tests {
             AggSpec::new(AggFunc::Avg, JoinExpr::col(1, 1), "av"),
         ];
         let mut agg = Aggregator::for_query(&spec);
-        let a = row![1i64, "x"];
-        for v in [3.0f64, 9.0, 6.0] {
-            let b = row![1i64, v];
-            agg.update(&[&a, &b]);
+        let a = seg(DataType::Str, vec![row![1i64, "x"]]);
+        let b = seg(
+            DataType::Float,
+            [3.0f64, 9.0, 6.0].map(|v| row![1i64, v]).to_vec(),
+        );
+        for pos in 0..b.len() {
+            agg.update(&[a.row(0), b.row(pos)]);
         }
         let out = agg.finish();
         assert_eq!(out.len(), 1);

@@ -21,6 +21,15 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// Number of types.
+    pub(crate) const COUNT: usize = 5;
+
+    /// A dense index, `0..COUNT`.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether `value` inhabits this type (NULL inhabits every type).
     pub fn admits(self, value: &Value) -> bool {
         matches!(
@@ -58,15 +67,51 @@ impl Field {
 /// hash tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schema {
-    fields: Arc<[Field]>,
+    inner: Arc<Fields>,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Fields {
+    fields: Vec<Field>,
+    /// `places[col]` — column `col`'s type and how many earlier columns
+    /// share it: its place in a segment's vector of that type.
+    places: Vec<(DataType, u32)>,
+    /// Columns per type, indexed by [`DataType::index`].
+    counts: [u32; DataType::COUNT],
 }
 
 impl Schema {
     /// Builds a schema from `(name, type)` pairs.
     pub fn new(fields: Vec<Field>) -> Self {
+        let mut counts = [0; DataType::COUNT];
+        let places = fields
+            .iter()
+            .map(|f| {
+                let count = &mut counts[f.dtype.index()];
+                *count += 1;
+                (f.dtype, *count - 1)
+            })
+            .collect();
         Schema {
-            fields: fields.into(),
+            inner: Arc::new(Fields {
+                fields,
+                places,
+                counts,
+            }),
         }
+    }
+
+    /// Column `col`'s type and its place among the columns of that type.
+    #[inline]
+    pub(crate) fn place(&self, col: usize) -> (DataType, usize) {
+        let (dtype, slot) = self.inner.places[col];
+        (dtype, slot as usize)
+    }
+
+    /// How many columns have type `dtype`.
+    #[inline]
+    pub(crate) fn columns_of(&self, dtype: DataType) -> usize {
+        self.inner.counts[dtype.index()] as usize
     }
 
     /// Builds a schema from a compact literal description.
@@ -85,23 +130,24 @@ impl Schema {
     }
 
     /// Number of columns.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.inner.fields.len()
     }
 
     /// True for the empty schema.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.inner.fields.is_empty()
     }
 
     /// The fields in order.
     pub fn fields(&self) -> &[Field] {
-        &self.fields
+        &self.inner.fields
     }
 
     /// Index of the column named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
+        self.fields().iter().position(|f| f.name == name)
     }
 
     /// Index of the column named `name`, panicking with a helpful message
@@ -113,14 +159,14 @@ impl Schema {
 
     /// The field at `idx`.
     pub fn field(&self, idx: usize) -> &Field {
-        &self.fields[idx]
+        &self.fields()[idx]
     }
 }
 
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, fld) in self.fields.iter().enumerate() {
+        for (i, fld) in self.fields().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -2,47 +2,182 @@
 //!
 //! In the paper, each PostgreSQL relation is stored in Swift as a set of
 //! 1 GB file segments, one object per segment, fetched on demand over HTTP
-//! GET. A [`Segment`] is our equivalent: a batch of rows plus a binary
-//! codec so segments can round-trip through an opaque byte-oriented object
-//! store exactly like a Swift blob would.
+//! GET. A [`Segment`] is our equivalent: one table slice stored column by
+//! column, plus a binary codec so segments can round-trip through an
+//! opaque byte-oriented object store exactly like a Swift blob would.
+//!
+//! # Layout
+//!
+//! Each column is one typed vector — `i64`, `f64`, `i32` days, `bool`, or
+//! `u32` codes into the segment's string dictionary — plus a null bitmap
+//! that exists only when the column holds a NULL. Every string column of
+//! a segment codes into one shared dictionary of `Arc<str>` entries, each
+//! distinct string stored once, so handing a string out as a
+//! [`Value`](crate::value::Value) clones an `Arc`, never the bytes. A row
+//! is a position: [`RowRef`] pairs the segment with it and reads a
+//! column value as a borrowed [`ValueRef`]; [`Row`]s are materialised
+//! only for results, group keys and the row-major constructors.
+//!
+//! Filters run per column over a selection vector
+//! ([`Expr::retain`](crate::expr::Expr::retain)), hash indexes hash keys
+//! straight out of the key column, and a predicate on a string column is
+//! decided once per dictionary entry.
 //!
 //! Physical-vs-logical sizing: a segment carries a few thousand physical
 //! rows (keeping real join work fast) while the catalog assigns it a
 //! *logical* byte size (1 GB) used for virtual-time transfer-cost
 //! accounting. See `DESIGN.md` §4.
 
+use std::fmt;
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::RelationalError;
-use crate::schema::Schema;
+use crate::hash::FxHashMap;
+use crate::schema::{DataType, Schema};
 use crate::tuple::Row;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// Magic tag identifying the segment wire format (``SKP1``).
 const MAGIC: u32 = 0x534B_5031;
 
-/// A batch of rows belonging to one table segment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Segment {
-    schema: Schema,
-    rows: Vec<Row>,
+/// The typed values of one column, borrowed from its segment; a NULL
+/// slot holds the type's zero.
+#[derive(Clone, Copy, Debug)]
+pub enum ColumnValues<'a> {
+    /// Booleans.
+    Bool(&'a [bool]),
+    /// 64-bit integers.
+    Int(&'a [i64]),
+    /// 64-bit floats.
+    Float(&'a [f64]),
+    /// Codes into the segment's string dictionary.
+    Str(&'a [u32]),
+    /// Days since the TPC-H epoch.
+    Date(&'a [i32]),
 }
 
+/// One column of a segment: its typed values and its NULLs.
+#[derive(Clone, Copy, Debug)]
+pub struct Column<'a> {
+    values: ColumnValues<'a>,
+    /// The segment's null bitmap and this column's first bit in it, when
+    /// the column holds a NULL.
+    nulls: Option<(&'a [u64], usize)>,
+}
+
+impl<'a> Column<'a> {
+    /// The typed values.
+    #[inline]
+    pub fn values(&self) -> ColumnValues<'a> {
+        self.values
+    }
+
+    /// True when the column holds at least one NULL.
+    #[inline]
+    pub fn has_nulls(&self) -> bool {
+        self.nulls.is_some()
+    }
+
+    /// True when the value at `pos` is NULL.
+    #[inline]
+    pub fn is_null(&self, pos: usize) -> bool {
+        self.nulls.is_some_and(|(bits, first)| bit(bits, first + pos))
+    }
+}
+
+#[inline]
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// One table segment, stored column by column (see the module docs).
+///
+/// The columns of one type share one vector, in schema order: column
+/// `col` of type `Int` is `ints[s * len..(s + 1) * len]` with `s` its
+/// place among the schema's `Int` columns, so a segment costs one
+/// allocation per column type it uses rather than one per column. The
+/// integer columns sit in the segment itself and everything else in
+/// one [`Rest`] box, which an all-integer segment without NULLs (a
+/// synthetic payload) never allocates: such a segment is one vector
+/// behind a header no larger than a `Vec` of rows would need.
+#[derive(Clone)]
+pub struct Segment {
+    schema: Schema,
+    len: usize,
+    ints: Box<[i64]>,
+    rest: Option<Box<Rest>>,
+}
+
+/// The columns of a segment other than its integers, its NULLs and its
+/// dictionary.
+#[derive(Clone, Default)]
+struct Rest {
+    floats: Box<[f64]>,
+    dates: Box<[i32]>,
+    codes: Box<[u32]>,
+    bools: Box<[bool]>,
+    /// NULL bits, column `col`'s at `col * len + pos`; present only when
+    /// some column holds a NULL.
+    nulls: Option<Box<[u64]>>,
+    /// Bit `col` set ⇔ column `col` holds a NULL.
+    null_cols: u64,
+    dict: Box<[Arc<str>]>,
+}
+
+/// Most columns a segment holds (the width of `null_cols`).
+const MAX_COLUMNS: usize = 64;
+
 impl Segment {
-    /// Creates a segment, validating every row against the schema.
+    /// Creates a segment from rows, validating every row against the
+    /// schema.
     pub fn new(schema: Schema, rows: Vec<Row>) -> Result<Self, RelationalError> {
         if let Some(pos) = rows.iter().position(|r| !r.conforms_to(&schema)) {
             return Err(RelationalError::SchemaMismatch {
                 detail: format!("row {pos} does not conform to schema {schema}"),
             });
         }
-        Ok(Segment { schema, rows })
+        Ok(Segment::new_unchecked(schema, rows))
     }
 
-    /// Creates a segment without per-row validation (generator fast path;
-    /// the generators are themselves schema-driven).
+    /// Creates a segment from rows without the up-front conformance
+    /// scan: one pass per column moves its values into exact-capacity
+    /// typed vectors.
+    ///
+    /// # Panics
+    /// Panics if a value does not fit its column's type.
     pub fn new_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
-        Segment { schema, rows }
+        let mut parts = Parts::new(&schema, rows.len(), false);
+        let Parts {
+            ints,
+            floats,
+            dates,
+            codes,
+            bools,
+            nulls,
+            dict,
+        } = &mut parts;
+        for (col, field) in schema.fields().iter().enumerate() {
+            let fits = match field.dtype {
+                DataType::Int => fill(ints, nulls, col, &rows, Value::as_int),
+                DataType::Date => fill(dates, nulls, col, &rows, Value::as_date),
+                DataType::Float => fill(floats, nulls, col, &rows, |v| match v {
+                    Value::Float(f) => Some(*f),
+                    _ => None,
+                }),
+                DataType::Bool => fill(bools, nulls, col, &rows, |v| match v {
+                    Value::Bool(b) => Some(*b),
+                    _ => None,
+                }),
+                DataType::Str => fill(codes, nulls, col, &rows, |v| match v {
+                    Value::Str(s) => Some(dict.code_of_arc(s)),
+                    _ => None,
+                }),
+            };
+            assert!(fits, "a value does not fit column {col} of schema {schema}");
+        }
+        parts.finish(schema)
     }
 
     /// The segment's schema.
@@ -50,35 +185,112 @@ impl Segment {
         &self.schema
     }
 
-    /// The rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
-    }
-
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True when the segment holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
+    }
+
+    /// Column `col`.
+    #[inline]
+    pub fn column(&self, col: usize) -> Column<'_> {
+        let (dtype, slot) = self.schema.place(col);
+        let span = slot * self.len..(slot + 1) * self.len;
+        if dtype == DataType::Int && self.rest.is_none() {
+            return Column {
+                values: ColumnValues::Int(&self.ints[span]),
+                nulls: None,
+            };
+        }
+        let rest = self.rest();
+        let values = match dtype {
+            DataType::Int => ColumnValues::Int(&self.ints[span]),
+            DataType::Float => ColumnValues::Float(&rest.floats[span]),
+            DataType::Date => ColumnValues::Date(&rest.dates[span]),
+            DataType::Str => ColumnValues::Str(&rest.codes[span]),
+            DataType::Bool => ColumnValues::Bool(&rest.bools[span]),
+        };
+        let nulls = match &rest.nulls {
+            Some(bits) if rest.null_cols >> col & 1 == 1 => Some((&bits[..], col * self.len)),
+            _ => None,
+        };
+        Column { values, nulls }
+    }
+
+    /// The non-integer part; present whenever a non-integer column is.
+    #[inline]
+    fn rest(&self) -> &Rest {
+        self.rest
+            .as_deref()
+            .expect("a segment with a non-integer column or a NULL has its rest")
+    }
+
+    /// The string dictionary every string column codes into.
+    #[inline]
+    pub fn dictionary(&self) -> &[Arc<str>] {
+        self.rest.as_ref().map_or(&[], |rest| &rest.dict)
+    }
+
+    /// The value at row `pos`, column `col`.
+    #[inline]
+    pub fn value(&self, pos: usize, col: usize) -> ValueRef<'_> {
+        debug_assert!(pos < self.len, "row {pos} of {}", self.len);
+        let (dtype, slot) = self.schema.place(col);
+        let at = slot * self.len + pos;
+        let Some(rest) = self.rest.as_deref() else {
+            return ValueRef::Int(self.ints[at]);
+        };
+        if rest.null_cols >> col & 1 == 1 {
+            if let Some(bits) = &rest.nulls {
+                if bit(bits, col * self.len + pos) {
+                    return ValueRef::Null;
+                }
+            }
+        }
+        match dtype {
+            DataType::Int => ValueRef::Int(self.ints[at]),
+            DataType::Float => ValueRef::Float(rest.floats[at]),
+            DataType::Date => ValueRef::Date(rest.dates[at]),
+            DataType::Str => ValueRef::Str(&rest.dict[rest.codes[at] as usize]),
+            DataType::Bool => ValueRef::Bool(rest.bools[at]),
+        }
+    }
+
+    /// Row `pos`.
+    #[inline]
+    pub fn row(&self, pos: usize) -> RowRef<'_> {
+        debug_assert!(pos < self.len, "row {pos} of {}", self.len);
+        RowRef {
+            segment: self,
+            pos: pos as u32,
+        }
+    }
+
+    /// Every row, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        (0..self.len).map(move |pos| self.row(pos))
     }
 
     /// Serializes the segment to the binary wire format.
     ///
-    /// Layout: magic, row count, then per row per column a 1-byte type tag
-    /// followed by the payload. The schema itself is *not* encoded — the
-    /// catalog is the source of truth, mirroring how the paper's FUSE layer
-    /// maps filenode-named objects back to relations.
+    /// Layout: magic, column count, row count, then per row per column a
+    /// 1-byte type tag followed by the payload. The schema itself is
+    /// *not* encoded — the catalog is the source of truth, mirroring how
+    /// the paper's FUSE layer maps filenode-named objects back to
+    /// relations.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.rows.len() * self.schema.len() * 9);
+        let mut buf = BytesMut::with_capacity(16 + self.len * self.schema.len() * 9);
         buf.put_u32(MAGIC);
         buf.put_u32(self.schema.len() as u32);
-        buf.put_u64(self.rows.len() as u64);
-        for row in &self.rows {
-            for v in row.values() {
-                encode_value(&mut buf, v);
+        buf.put_u64(self.len as u64);
+        for pos in 0..self.len {
+            for col in 0..self.schema.len() {
+                encode_value(&mut buf, self.value(pos, col));
             }
         }
         buf.freeze()
@@ -105,44 +317,429 @@ impl Segment {
             });
         }
         let nrows = data.get_u64() as usize;
-        let mut rows = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let mut values = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                values.push(decode_value(&mut data)?);
+        // Every value takes at least its tag byte.
+        if nrows.saturating_mul(ncols) > data.remaining() {
+            return Err(err("truncated value"));
+        }
+        let mut builder = SegmentBuilder::new(schema.clone(), nrows);
+        for pos in 0..nrows {
+            for col in 0..ncols {
+                let value = decode_value(&mut data)?;
+                if !schema.field(col).dtype.admits(&value) {
+                    return Err(RelationalError::SchemaMismatch {
+                        detail: format!("row {pos} does not conform to schema {schema}"),
+                    });
+                }
+                builder.push(value.as_ref());
             }
-            rows.push(Row::new(values));
         }
         if data.has_remaining() {
             return Err(err("trailing bytes after last row"));
         }
-        Segment::new(schema.clone(), rows)
+        Ok(builder.finish())
     }
 }
 
-fn encode_value(buf: &mut BytesMut, v: &Value) {
+/// Segments are equal when they hold the same rows under the same
+/// schema, however their dictionaries happen to be ordered.
+impl PartialEq for Segment {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema
+            && self.len == other.len
+            && (0..self.schema.len())
+                .all(|col| (0..self.len).all(|pos| self.value(pos, col) == other.value(pos, col)))
+    }
+}
+
+impl fmt::Debug for Segment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Segment {} ", self.schema)?;
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One row of a segment: the segment and a position in it. `Copy`, two
+/// words; reads go straight to the columns.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    segment: &'a Segment,
+    pos: u32,
+}
+
+impl<'a> RowRef<'a> {
+    /// The value of column `col`.
+    #[inline]
+    pub fn get(self, col: usize) -> ValueRef<'a> {
+        self.segment.value(self.pos as usize, col)
+    }
+
+    /// The segment the row lives in.
+    #[inline]
+    pub fn segment(self) -> &'a Segment {
+        self.segment
+    }
+
+    /// The row's position in its segment.
+    #[inline]
+    pub fn position(self) -> usize {
+        self.pos as usize
+    }
+
+    /// The row as an owned [`Row`].
+    pub fn to_row(self) -> Row {
+        Row::new(
+            (0..self.segment.schema.len())
+                .map(|col| self.get(col).to_value())
+                .collect(),
+        )
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.to_row())
+    }
+}
+
+/// A segment's string dictionary while it is written: entries in code
+/// order plus the code of each distinct string.
+#[derive(Default)]
+struct Dictionary {
+    entries: Vec<Arc<str>>,
+    codes: FxHashMap<Arc<str>, u32>,
+}
+
+impl Dictionary {
+    /// The code of `s`, allocating an entry if it is new.
+    #[inline]
+    fn code_of(&mut self, s: &str) -> u32 {
+        match self.codes.get(s) {
+            Some(&code) => code,
+            None => self.insert(Arc::from(s)),
+        }
+    }
+
+    /// The code of `s`, which becomes the entry itself if it is new.
+    #[inline]
+    fn code_of_arc(&mut self, s: &Arc<str>) -> u32 {
+        match self.codes.get(&**s) {
+            Some(&code) => code,
+            None => self.insert(Arc::clone(s)),
+        }
+    }
+
+    fn insert(&mut self, s: Arc<str>) -> u32 {
+        let code = u32::try_from(self.entries.len()).expect("dictionary exceeds 32-bit codes");
+        self.codes.insert(Arc::clone(&s), code);
+        self.entries.push(s);
+        code
+    }
+}
+
+/// Appends column `col` of `rows` to `out`, reading each value with
+/// `get` and recording NULLs; false when a value has another type.
+#[inline]
+fn fill<T: Default>(
+    out: &mut Vec<T>,
+    nulls: &mut Nulls,
+    col: usize,
+    rows: &[Row],
+    mut get: impl FnMut(&Value) -> Option<T>,
+) -> bool {
+    let mut fits = true;
+    out.extend(rows.iter().enumerate().map(|(pos, row)| {
+        let value = row.get(col);
+        if value.is_null() {
+            nulls.set(col, pos);
+            return T::default();
+        }
+        get(value).unwrap_or_else(|| {
+            fits = false;
+            T::default()
+        })
+    }));
+    fits
+}
+
+/// The NULL bits of a segment of `len` rows and `ncols` columns under
+/// construction.
+#[derive(Default)]
+struct Nulls {
+    len: usize,
+    ncols: usize,
+    bits: Option<Vec<u64>>,
+    cols: u64,
+}
+
+impl Nulls {
+    /// Marks row `pos` of column `col` NULL.
+    #[cold]
+    fn set(&mut self, col: usize, pos: usize) {
+        let (len, ncols) = (self.len, self.ncols);
+        let bits = self
+            .bits
+            .get_or_insert_with(|| vec![0; (ncols * len).div_ceil(64)]);
+        let i = col * len + pos;
+        bits[i / 64] |= 1 << (i % 64);
+        self.cols |= 1 << col;
+    }
+}
+
+/// The vectors of a segment under construction.
+#[derive(Default)]
+struct Parts {
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    dates: Vec<i32>,
+    codes: Vec<u32>,
+    bools: Vec<bool>,
+    nulls: Nulls,
+    dict: Dictionary,
+}
+
+impl Parts {
+    /// Empty vectors with exact room for `len` rows of `schema` (or, when
+    /// `zeroed`, exactly that many zeros, to be overwritten in any order).
+    #[inline]
+    fn new(schema: &Schema, len: usize, zeroed: bool) -> Self {
+        assert!(
+            schema.len() <= MAX_COLUMNS,
+            "a segment holds at most {MAX_COLUMNS} columns, not {}",
+            schema.len()
+        );
+        assert!(
+            len < u32::MAX as usize,
+            "segment of {len} rows exceeds 32-bit row positions"
+        );
+        fn vec<T: Clone + Default>(n: usize, zeroed: bool) -> Vec<T> {
+            if zeroed {
+                vec![T::default(); n]
+            } else {
+                Vec::with_capacity(n)
+            }
+        }
+        let room = |dtype| schema.columns_of(dtype) * len;
+        Parts {
+            ints: vec(room(DataType::Int), zeroed),
+            floats: vec(room(DataType::Float), zeroed),
+            dates: vec(room(DataType::Date), zeroed),
+            codes: vec(room(DataType::Str), zeroed),
+            bools: vec(room(DataType::Bool), zeroed),
+            nulls: Nulls {
+                len,
+                ncols: schema.len(),
+                ..Nulls::default()
+            },
+            dict: Dictionary::default(),
+        }
+    }
+
+    #[inline]
+    fn finish(self, schema: Schema) -> Segment {
+        let len = self.nulls.len;
+        debug_assert_eq!(self.ints.len(), schema.columns_of(DataType::Int) * len);
+        let all_ints = schema.columns_of(DataType::Int) == schema.len();
+        // Exact capacity: no conversion below reallocates.
+        let rest = (!all_ints || self.nulls.bits.is_some()).then(|| {
+            Box::new(Rest {
+                floats: self.floats.into_boxed_slice(),
+                dates: self.dates.into_boxed_slice(),
+                codes: self.codes.into_boxed_slice(),
+                bools: self.bools.into_boxed_slice(),
+                nulls: self.nulls.bits.map(Vec::into_boxed_slice),
+                null_cols: self.nulls.cols,
+                dict: self.dict.entries.into_boxed_slice(),
+            })
+        });
+        Segment {
+            schema,
+            len,
+            ints: self.ints.into_boxed_slice(),
+            rest,
+        }
+    }
+}
+
+/// Writes a segment of a fixed number of rows, row by row: each push
+/// fills the next column of the current row, in schema order, and wraps
+/// to the next row after the last column. Strings are interned into the
+/// segment's dictionary as they arrive.
+pub struct SegmentBuilder {
+    schema: Schema,
+    parts: Parts,
+    rows: usize,
+    next_col: usize,
+    pos: usize,
+}
+
+impl SegmentBuilder {
+    /// A builder for a segment of exactly `rows` rows.
+    pub fn new(schema: Schema, rows: usize) -> Self {
+        // Row-major pushes land column-major: size every vector now.
+        let parts = Parts::new(&schema, rows, true);
+        SegmentBuilder {
+            schema,
+            parts,
+            rows,
+            next_col: 0,
+            pos: 0,
+        }
+    }
+
+    /// The type and vector index of the next push, then advances.
+    #[inline]
+    fn advance(&mut self) -> (DataType, usize) {
+        assert!(self.pos < self.rows, "segment holds only {} rows", self.rows);
+        let col = self.next_col;
+        let (dtype, slot) = self.schema.place(col);
+        let at = slot * self.rows + self.pos;
+        self.next_col += 1;
+        if self.next_col == self.schema.len() {
+            self.next_col = 0;
+            self.pos += 1;
+        }
+        (dtype, at)
+    }
+
+    #[cold]
+    fn mismatch(&self, what: &str) -> ! {
+        panic!(
+            "{what} does not fit the next column of schema {}",
+            self.schema
+        )
+    }
+
+    /// Pushes an integer.
+    #[inline]
+    pub fn int(&mut self, v: i64) -> &mut Self {
+        match self.advance() {
+            (DataType::Int, at) => self.parts.ints[at] = v,
+            _ => self.mismatch("an integer"),
+        }
+        self
+    }
+
+    /// Pushes a float.
+    #[inline]
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        match self.advance() {
+            (DataType::Float, at) => self.parts.floats[at] = v,
+            _ => self.mismatch("a float"),
+        }
+        self
+    }
+
+    /// Pushes a date (days since the TPC-H epoch).
+    #[inline]
+    pub fn date(&mut self, v: i32) -> &mut Self {
+        match self.advance() {
+            (DataType::Date, at) => self.parts.dates[at] = v,
+            _ => self.mismatch("a date"),
+        }
+        self
+    }
+
+    /// Pushes a boolean.
+    #[inline]
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        match self.advance() {
+            (DataType::Bool, at) => self.parts.bools[at] = v,
+            _ => self.mismatch("a boolean"),
+        }
+        self
+    }
+
+    /// Pushes a string, interning it into the dictionary.
+    #[inline]
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        let code = self.parts.dict.code_of(s);
+        self.code(code)
+    }
+
+    fn code(&mut self, code: u32) -> &mut Self {
+        match self.advance() {
+            (DataType::Str, at) => self.parts.codes[at] = code,
+            _ => self.mismatch("a string"),
+        }
+        self
+    }
+
+    /// Pushes a NULL.
+    pub fn null(&mut self) -> &mut Self {
+        let (col, pos) = (self.next_col, self.pos);
+        self.advance();
+        self.parts.nulls.set(col, pos);
+        self
+    }
+
+    /// Pushes any value; a string keeps its `Arc` as the dictionary
+    /// entry when it is new.
+    pub fn push(&mut self, value: ValueRef<'_>) -> &mut Self {
+        match value {
+            ValueRef::Null => self.null(),
+            ValueRef::Bool(b) => self.bool(b),
+            ValueRef::Int(i) => self.int(i),
+            ValueRef::Float(f) => self.float(f),
+            ValueRef::Date(d) => self.date(d),
+            ValueRef::Str(s) => {
+                let code = self.parts.dict.code_of_arc(s);
+                self.code(code)
+            }
+        }
+    }
+
+    /// Pushes every value of `row`.
+    pub fn push_row(&mut self, row: RowRef<'_>) -> &mut Self {
+        for col in 0..row.segment.schema.len() {
+            self.push(row.get(col));
+        }
+        self
+    }
+
+    /// The finished segment.
+    ///
+    /// # Panics
+    /// Panics unless every row was written in full.
+    pub fn finish(self) -> Segment {
+        let written = if self.schema.is_empty() {
+            self.rows
+        } else {
+            self.pos
+        };
+        assert!(
+            written == self.rows && self.next_col == 0,
+            "segment of {} rows ends after {} rows and {} columns",
+            self.rows,
+            self.pos,
+            self.next_col
+        );
+        self.parts.finish(self.schema)
+    }
+}
+
+fn encode_value(buf: &mut BytesMut, v: ValueRef<'_>) {
     match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
+        ValueRef::Null => buf.put_u8(0),
+        ValueRef::Bool(b) => {
             buf.put_u8(1);
-            buf.put_u8(*b as u8);
+            buf.put_u8(b as u8);
         }
-        Value::Int(i) => {
+        ValueRef::Int(i) => {
             buf.put_u8(2);
-            buf.put_i64(*i);
+            buf.put_i64(i);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             buf.put_u8(3);
-            buf.put_f64(*f);
+            buf.put_f64(f);
         }
-        Value::Str(s) => {
+        ValueRef::Str(s) => {
             buf.put_u8(4);
             buf.put_u32(s.len() as u32);
             buf.put_slice(s.as_bytes());
         }
-        Value::Date(d) => {
+        ValueRef::Date(d) => {
             buf.put_u8(5);
-            buf.put_i32(*d);
+            buf.put_i32(d);
         }
     }
 }
@@ -293,5 +890,41 @@ mod tests {
         let s = Schema::of(&[("k", DataType::Int)]);
         assert!(Segment::new(s.clone(), vec![row!["oops"]]).is_err());
         assert!(Segment::new(s, vec![row![1i64]]).is_ok());
+    }
+
+    #[test]
+    fn columns_are_typed_with_nulls_in_a_bitmap() {
+        let seg = sample_segment();
+        assert_eq!(seg.len(), 3);
+        assert!(matches!(seg.column(0).values(), ColumnValues::Int(v) if v == &[1, 2, 0]));
+        assert!(matches!(seg.column(1).values(), ColumnValues::Str(v) if v == &[0, 1, 0]));
+        assert_eq!(&*seg.dictionary()[1], "SHIP");
+        assert!(seg.column(3).has_nulls());
+        assert!(!seg.column(3).is_null(1) && seg.column(3).is_null(2));
+        assert_eq!(seg.value(1, 2), ValueRef::Float(-3.25));
+        assert!(seg.value(2, 1).is_null());
+        assert_eq!(seg.row(1).to_row().get(1), &Value::str("SHIP"));
+    }
+
+    #[test]
+    fn strings_share_one_dictionary_entry() {
+        let schema = Schema::of(&[("a", DataType::Str), ("b", DataType::Str)]);
+        let seg = Segment::new(schema, vec![row!["x", "y"], row!["y", "x"]]).unwrap();
+        assert_eq!(seg.dictionary().len(), 2);
+        assert!(!seg.column(0).has_nulls());
+        // A string value handed out clones the entry's `Arc`.
+        let (Value::Str(a), Value::Str(b)) =
+            (seg.value(0, 0).to_value(), seg.value(1, 1).to_value())
+        else {
+            panic!("strings expected");
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit column")]
+    fn unchecked_rows_of_the_wrong_type_panic() {
+        let s = Schema::of(&[("k", DataType::Int)]);
+        let _ = Segment::new_unchecked(s, vec![row!["oops"]]);
     }
 }

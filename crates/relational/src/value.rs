@@ -27,27 +27,54 @@ pub enum Value {
     Date(i32),
 }
 
+/// A borrowed [`Value`]: what a segment column, a literal or an
+/// expression hands out without allocating. A string borrows its
+/// dictionary entry, so [`ValueRef::to_value`] clones an `Arc`, never
+/// the bytes. It orders, compares and hashes exactly as the owned
+/// value does; [`Value`]'s impls delegate here.
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// A string, borrowed from its dictionary entry.
+    Str(&'a Arc<str>),
+    /// Days since the TPC-H epoch.
+    Date(i32),
+}
+
 impl Value {
     /// Convenience constructor for strings.
     pub fn str(s: &str) -> Value {
         Value::Str(Arc::from(s))
     }
 
+    /// The borrowed form of this value.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Date(d) => ValueRef::Date(*d),
+        }
+    }
+
     /// The integer payload, if this is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
+        self.as_ref().as_int()
     }
 
     /// The float payload, widening integers.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
+        self.as_ref().as_f64()
     }
 
     /// The string payload, if this is a [`Value::Str`].
@@ -60,10 +87,7 @@ impl Value {
 
     /// The date payload (days since epoch), if this is a [`Value::Date`].
     pub fn as_date(&self) -> Option<i32> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
+        self.as_ref().as_date()
     }
 
     /// True for SQL NULL.
@@ -76,45 +100,194 @@ impl Value {
     pub fn is_truthy(&self) -> bool {
         matches!(self, Value::Bool(true))
     }
+}
+
+impl<'a> ValueRef<'a> {
+    /// The owned value (a string clones its `Arc`).
+    #[inline]
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(Arc::clone(s)),
+            ValueRef::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// The integer payload, if this is an integer.
+    #[inline]
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The float payload, widening integers.
+    #[inline]
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Float(f) => Some(f),
+            ValueRef::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    #[inline]
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The date payload (days since epoch), if this is a date.
+    #[inline]
+    pub fn as_date(self) -> Option<i32> {
+        match self {
+            ValueRef::Date(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// True for SQL NULL.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// True when the value is a boolean `true`.
+    #[inline]
+    pub fn is_truthy(self) -> bool {
+        matches!(self, ValueRef::Bool(true))
+    }
 
     /// Discriminant rank used to order across types (NULL < Bool < numbers
     /// < Str). Numeric types compare cross-type by value.
-    fn type_rank(&self) -> u8 {
+    fn type_rank(self) -> u8 {
         match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) | Value::Date(_) => 2,
-            Value::Str(_) => 3,
+            ValueRef::Null => 0,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Int(_) | ValueRef::Float(_) | ValueRef::Date(_) => 2,
+            ValueRef::Str(_) => 3,
+        }
+    }
+}
+
+/// Orders an integer against a float exactly, under the float total
+/// order (`f64::total_cmp`): an integer sits where the real number it
+/// names sits, `-0.0` just below `0` and `+0.0` equal to it, and NaNs at
+/// the ends. Going through `as f64` instead would round large integers,
+/// making equality intransitive (`2^53 + 1` would equal `2^53` as a
+/// float, which equals the integer `2^53`).
+fn cmp_int_float(a: i64, b: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() {
+        return if b.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    match a.cmp(&(whole as i64)) {
+        Ordering::Equal if b > whole => Ordering::Less,
+        Ordering::Equal if b < whole => Ordering::Greater,
+        // `-0.0` orders below `+0.0` under the float order, so below 0.
+        Ordering::Equal if b == 0.0 && b.is_sign_negative() => Ordering::Greater,
+        ord => ord,
+    }
+}
+
+/// The integer a float equals under [`cmp_int_float`], if any.
+fn integral(f: f64) -> Option<i64> {
+    let i = f as i64; // saturates; NaN → 0
+    (cmp_int_float(i, f) == Ordering::Equal).then_some(i)
+}
+
+impl Ord for ValueRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        use ValueRef::*;
+        match (*self, *other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            // Cross-numeric comparisons are exact.
+            (Int(a), Float(b)) => cmp_int_float(a, b),
+            (Float(a), Int(b)) => cmp_int_float(b, a).reverse(),
+            (Int(a), Date(b)) => a.cmp(&(b as i64)),
+            (Date(a), Int(b)) => (a as i64).cmp(&b),
+            (Date(a), Float(b)) => cmp_int_float(a as i64, b),
+            (Float(a), Date(b)) => cmp_int_float(b as i64, a).reverse(),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+}
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for ValueRef<'_> {}
+
+impl Hash for ValueRef<'_> {
+    /// Values equal under [`Ord`] hash alike: dates and integral floats
+    /// hash as the integer they equal.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let int = |state: &mut H, i: i64| {
+            state.write_u8(2);
+            state.write_u64(i as u64);
+        };
+        match *self {
+            ValueRef::Null => state.write_u8(0),
+            ValueRef::Bool(b) => {
+                state.write_u8(1);
+                state.write_u8(b as u8);
+            }
+            ValueRef::Int(i) => int(state, i),
+            ValueRef::Date(d) => int(state, d as i64),
+            ValueRef::Float(f) => match integral(f) {
+                Some(i) => int(state, i),
+                None => {
+                    state.write_u8(3);
+                    state.write_u64(f.to_bits());
+                }
+            },
+            ValueRef::Str(s) => {
+                state.write_u8(4);
+                state.write(s.as_bytes());
+            }
         }
     }
 }
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        self.as_ref() == other.as_ref()
     }
 }
 impl Eq for Value {}
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            // Cross-numeric comparisons go through f64 with a total order.
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Int(a), Date(b)) => a.cmp(&(*b as i64)),
-            (Date(a), Int(b)) => (*a as i64).cmp(b),
-            (Date(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Date(b)) => a.total_cmp(&(*b as f64)),
-            _ => self.type_rank().cmp(&other.type_rank()),
-        }
+        self.as_ref().cmp(&other.as_ref())
     }
 }
 impl PartialOrd for Value {
@@ -125,32 +298,7 @@ impl PartialOrd for Value {
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
-                state.write_u8(1);
-                state.write_u8(*b as u8);
-            }
-            Value::Int(i) => {
-                state.write_u8(2);
-                state.write_u64(*i as u64);
-            }
-            // Floats hash by bit pattern; join keys are never floats in the
-            // benchmark workloads, so cross-type Int/Float hash equality is
-            // not required (and equi-joins always compare like types).
-            Value::Float(f) => {
-                state.write_u8(3);
-                state.write_u64(f.to_bits());
-            }
-            Value::Str(s) => {
-                state.write_u8(4);
-                state.write(s.as_bytes());
-            }
-            Value::Date(d) => {
-                state.write_u8(2); // hash-compatible with Int per Ord above
-                state.write_u64(*d as i64 as u64);
-            }
-        }
+        self.as_ref().hash(state)
     }
 }
 
@@ -222,6 +370,27 @@ mod tests {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert!(Value::Int(3) < Value::Float(3.5));
         assert_eq!(Value::Date(5), Value::Int(5));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact() {
+        let big = 1i64 << 53;
+        assert_ne!(Value::Int(big + 1), Value::Float(big as f64));
+        assert!(Value::Int(big + 1) > Value::Float(big as f64));
+        assert_eq!(Value::Int(big), Value::Float(big as f64));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(0) > Value::Float(-0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(9.3e18));
+        assert!(Value::Int(i64::MIN) == Value::Float(-9_223_372_036_854_775_808.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+    }
+
+    #[test]
+    fn integral_floats_hash_as_ints() {
+        let mut m: FxHashMap<Value, i32> = FxHashMap::default();
+        m.insert(Value::Int(3), 1);
+        assert_eq!(m.get(&Value::Float(3.0)), Some(&1));
+        assert_eq!(m.get(&Value::Float(3.5)), None);
     }
 
     #[test]

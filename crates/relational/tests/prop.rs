@@ -69,6 +69,157 @@ fn value_total_order_laws() {
     }
 }
 
+/// A one-row segment holding `values`, each column typed by its value
+/// (a NULL sits in an integer column).
+fn one_row(values: Vec<Value>) -> Segment {
+    let names: Vec<String> = (0..values.len()).map(|i| format!("c{i}")).collect();
+    let fields: Vec<(&str, DataType)> = values
+        .iter()
+        .zip(&names)
+        .map(|(v, n)| {
+            let dtype = match v {
+                Value::Bool(_) => DataType::Bool,
+                Value::Float(_) => DataType::Float,
+                Value::Str(_) => DataType::Str,
+                Value::Date(_) => DataType::Date,
+                Value::Int(_) | Value::Null => DataType::Int,
+            };
+            (n.as_str(), dtype)
+        })
+        .collect();
+    Segment::new(Schema::of(&fields), vec![Row::new(values)]).unwrap()
+}
+
+/// A number near one of the places where `as f64` rounds or a sign
+/// flips, as an integer, a float or a date.
+fn arb_numeric(rng: &mut StdRng) -> Value {
+    const TWO_53: i64 = 1 << 53;
+    let bases = [
+        0,
+        1,
+        -1,
+        TWO_53 - 1,
+        TWO_53,
+        TWO_53 + 1,
+        TWO_53 + 2,
+        -TWO_53 - 1,
+        i64::MAX,
+        i64::MIN,
+        i64::MAX - 512,
+    ];
+    let base = bases[rng.gen_range(0..bases.len())];
+    match rng.gen_range(0..7u32) {
+        0 | 1 => Value::Int(base),
+        2 => Value::Float(base as f64),
+        3 => Value::Float(base as f64 + 0.5),
+        4 => Value::Float(if rng.gen_bool(0.5) { -0.0 } else { 0.0 }),
+        5 => Value::Date(base.clamp(i32::MIN as i64, i32::MAX as i64) as i32),
+        _ => Value::Float(f64::NAN),
+    }
+}
+
+fn fx_hash(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = skipper_relational::hash::FxHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `a == b ⇒ hash(a) == hash(b)`, and equality and order stay
+/// transitive over integers, floats and dates mixed — including the
+/// integers that `as f64` would round onto their neighbours.
+#[test]
+fn mixed_numeric_equality_is_transitive_and_hash_consistent() {
+    use std::cmp::Ordering;
+    let mut rng = StdRng::seed_from_u64(0x0606);
+    for _ in 0..20_000 {
+        let (a, b, c) = (
+            arb_numeric(&mut rng),
+            arb_numeric(&mut rng),
+            arb_numeric(&mut rng),
+        );
+        if a == b {
+            assert_eq!(fx_hash(&a), fx_hash(&b), "{a:?} == {b:?}");
+        }
+        if a == b && b == c {
+            assert_eq!(a, c, "{a:?} == {b:?} == {c:?}");
+        }
+        if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
+            assert_ne!(a.cmp(&c), Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
+        }
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse(), "{a:?} vs {b:?}");
+    }
+}
+
+/// Column-at-a-time filtering ([`Expr::retain`]) keeps exactly the rows
+/// that row-at-a-time evaluation ([`Expr::matches`]) accepts, for every
+/// predicate shape, with and without NULLs, and for literals of the
+/// column's type or another.
+#[test]
+fn retain_agrees_with_row_at_a_time_evaluation() {
+    let mut rng = StdRng::seed_from_u64(0x0707);
+    let schema = Schema::of(&[
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("d", DataType::Date),
+        ("s", DataType::Str),
+        ("d2", DataType::Date),
+    ]);
+    let words = ["MAIL", "SHIP", "AIR", "RAIL", "TRUCK"];
+    for case in 0..300 {
+        let null_p = if case % 2 == 0 { 0.0 } else { 0.1 };
+        let rows: Vec<Row> = (0..rng.gen_range(0..60usize))
+            .map(|_| {
+                let values = [
+                    Value::Int(rng.gen_range(-5..5i64)),
+                    Value::Float(rng.gen_range(-3..3i64) as f64 / 2.0),
+                    Value::Date(rng.gen_range(0..10)),
+                    Value::str(words[rng.gen_range(0..words.len())]),
+                    Value::Date(rng.gen_range(0..10)),
+                ];
+                Row::new(
+                    values
+                        .into_iter()
+                        .map(|v| if rng.gen_bool(null_p) { Value::Null } else { v })
+                        .collect(),
+                )
+            })
+            .collect();
+        let seg = Segment::new(schema.clone(), rows).unwrap();
+        let lit = |rng: &mut StdRng, col: usize| match (col, rng.gen_range(0..5u32)) {
+            (_, 0) => Value::Int(rng.gen_range(-5..5i64)),
+            (_, 1) => Value::Null,
+            (0, _) => Value::Int(rng.gen_range(-5..5i64)),
+            (1, _) => Value::Float(rng.gen_range(-3..3i64) as f64 / 2.0),
+            (3, _) => Value::str(words[rng.gen_range(0..words.len())]),
+            _ => Value::Date(rng.gen_range(0..10)),
+        };
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let atom = |rng: &mut StdRng| {
+            let col = rng.gen_range(0..5usize);
+            let op = ops[rng.gen_range(0..ops.len())];
+            match rng.gen_range(0..5u32) {
+                0 => Expr::Cmp(op, Box::new(Expr::col(col)), Box::new(Expr::lit(lit(rng, col)))),
+                1 => Expr::Cmp(op, Box::new(Expr::lit(lit(rng, col))), Box::new(Expr::col(col))),
+                2 => Expr::Cmp(op, Box::new(Expr::col(2)), Box::new(Expr::col(col))),
+                3 => Expr::col(col).between(lit(rng, col), lit(rng, col)),
+                _ => Expr::col(col).in_list((0..rng.gen_range(0..3)).map(|_| lit(rng, col)).collect()),
+            }
+        };
+        let pred = match rng.gen_range(0..3u32) {
+            0 => atom(&mut rng),
+            1 => atom(&mut rng).and(atom(&mut rng)).and(atom(&mut rng)),
+            _ => Expr::Or(vec![atom(&mut rng), Expr::Not(Box::new(atom(&mut rng)))]),
+        };
+        let mut sel: Vec<u32> = (0..seg.len() as u32).collect();
+        pred.retain(&seg, &mut sel);
+        let expected: Vec<u32> = (0..seg.len() as u32)
+            .filter(|&p| pred.matches(seg.row(p as usize)))
+            .collect();
+        assert_eq!(sel, expected, "case {case}: {pred}");
+    }
+}
+
 /// Hash/Eq consistency: equal values hash identically (spot-checked
 /// through a real map).
 #[test]
@@ -111,9 +262,10 @@ fn cmp_ops_agree_with_ordering() {
     let mut rng = StdRng::seed_from_u64(0x0404);
     for _ in 0..2000 {
         let (a, b) = (arb_value(&mut rng), arb_value(&mut rng));
-        let row = Row::new(vec![a.clone(), b.clone()]);
-        let test =
-            |op: CmpOp| Expr::Cmp(op, Box::new(Expr::col(0)), Box::new(Expr::col(1))).matches(&row);
+        let seg = one_row(vec![a.clone(), b.clone()]);
+        let test = |op: CmpOp| {
+            Expr::Cmp(op, Box::new(Expr::col(0)), Box::new(Expr::col(1))).matches(seg.row(0))
+        };
         if a.is_null() || b.is_null() {
             for op in [
                 CmpOp::Eq,
@@ -141,12 +293,12 @@ fn cmp_ops_agree_with_ordering() {
 fn boolean_de_morgan() {
     for a in [false, true] {
         for b in [false, true] {
-            let row = Row::new(vec![Value::Bool(a), Value::Bool(b)]);
+            let seg = one_row(vec![Value::Bool(a), Value::Bool(b)]);
             let ca = || Expr::col(0);
             let cb = || Expr::col(1);
             let lhs = Expr::Not(Box::new(ca().and(cb())));
             let rhs = Expr::Or(vec![Expr::Not(Box::new(ca())), Expr::Not(Box::new(cb()))]);
-            assert_eq!(lhs.matches(&row), rhs.matches(&row));
+            assert_eq!(lhs.matches(seg.row(0)), rhs.matches(seg.row(0)));
         }
     }
 }
@@ -165,8 +317,8 @@ fn in_list_matches_linear_scan() {
         };
         let n = rng.gen_range(0..16usize);
         let list: Vec<i64> = (0..n).map(|_| rng.gen_range(-8..8i64)).collect();
-        let row = Row::new(vec![Value::Int(needle)]);
+        let seg = one_row(vec![Value::Int(needle)]);
         let expr = Expr::col(0).in_list(list.iter().map(|&v| Value::Int(v)).collect());
-        assert_eq!(expr.matches(&row), list.contains(&needle));
+        assert_eq!(expr.matches(seg.row(0)), list.contains(&needle));
     }
 }

@@ -13,7 +13,7 @@ use skipper_relational::ops::index::SegmentIndex;
 use skipper_relational::ops::nary;
 use skipper_relational::query::{Aggregator, QuerySpec};
 use skipper_relational::schema::Schema;
-use skipper_relational::segment::Segment;
+use skipper_relational::segment::{Segment, SegmentBuilder};
 use skipper_relational::tuple::Row;
 
 /// Executes `spec` over `relations[i]` = all segments of table `i`,
@@ -40,8 +40,12 @@ pub fn aggregate(spec: &QuerySpec, relations: &[&[Segment]]) -> Aggregator {
                 .first()
                 .map(|s| s.schema().clone())
                 .unwrap_or_else(|| Schema::new(vec![]));
-            let all_rows: Vec<Row> = segs.iter().flat_map(|s| s.rows().iter().cloned()).collect();
-            let merged = Arc::new(Segment::new_unchecked(schema, all_rows));
+            let rows = segs.iter().map(Segment::len).sum();
+            let mut merged = SegmentBuilder::new(schema, rows);
+            for row in segs.iter().flat_map(Segment::iter) {
+                merged.push_row(row);
+            }
+            let merged = Arc::new(merged.finish());
             SegmentIndex::build(&merged, spec.filters[rel].as_ref(), &spec.join_cols(rel))
         })
         .collect();

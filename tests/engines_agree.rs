@@ -21,7 +21,7 @@ use skipper::relational::query::{
     results_approx_eq, AggFunc, AggSpec, JoinCond, JoinExpr, QualifiedCol, QuerySpec,
 };
 use skipper::relational::schema::{DataType, Schema};
-use skipper::relational::{row, Segment};
+use skipper::relational::Segment;
 use skipper_testkit::ops::reference;
 
 const GIB: u64 = 1 << 30;
@@ -45,12 +45,17 @@ fn random_workload(
     b.add_table(
         &spec("dim_a", dim_segs, rows_per_seg),
         Schema::of(&[("k1", DataType::Int)]),
-        |rng, _| row![rng.gen_range(0..key_range)],
+        |rng, _, row| {
+            row.int(rng.gen_range(0..key_range));
+        },
     );
     b.add_table(
         &spec("dim_b", dim_segs, rows_per_seg),
         Schema::of(&[("k2", DataType::Int), ("g", DataType::Int)]),
-        |rng, _| row![rng.gen_range(0..key_range), rng.gen_range(0..4i64)],
+        |rng, _, row| {
+            row.int(rng.gen_range(0..key_range))
+                .int(rng.gen_range(0..4i64));
+        },
     );
     b.add_table(
         &spec("fact", fact_segs, rows_per_seg * 2),
@@ -59,12 +64,10 @@ fn random_workload(
             ("k2", DataType::Int),
             ("v", DataType::Int),
         ]),
-        |rng, _| {
-            row![
-                rng.gen_range(0..key_range),
-                rng.gen_range(0..key_range),
-                rng.gen_range(0..100i64)
-            ]
+        |rng, _, row| {
+            row.int(rng.gen_range(0..key_range))
+                .int(rng.gen_range(0..key_range))
+                .int(rng.gen_range(0..100i64));
         },
     );
     let ds = b.finish();

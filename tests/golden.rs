@@ -155,7 +155,7 @@ fn golden_dataset_fingerprint() {
     assert_eq!(seg0.len(), 60);
     // First lineitem row's orderkey is stream-determined.
     let key_col = ds.catalog.table(li).schema.col("l_orderkey");
-    let first_key = seg0.rows()[0].get(key_col).as_int().unwrap();
+    let first_key = seg0.value(0, key_col).as_int().unwrap();
     let total_orders = ds
         .catalog
         .table(ds.catalog.index_of("orders").unwrap())
@@ -173,7 +173,7 @@ fn all_values(ds: &Dataset) -> Vec<Value> {
     ds.segments
         .iter()
         .flatten()
-        .flat_map(|seg| seg.rows().iter().flat_map(|row| row.values().to_vec()))
+        .flat_map(|seg| seg.iter().flat_map(|row| row.to_row().values().to_vec()))
         .collect()
 }
 

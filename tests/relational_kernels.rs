@@ -14,7 +14,9 @@ use skipper::relational::join_graph::ProbePlan;
 use skipper::relational::ops::index::SegmentIndex;
 use skipper::relational::ops::{binary, nary};
 use skipper::relational::query::{AggFunc, AggSpec, JoinExpr};
-use skipper::relational::{DataType, Expr, JoinCond, QuerySpec, Row, Schema, Segment, Value};
+use skipper::relational::{
+    DataType, Expr, JoinCond, QuerySpec, Row, RowRef, Schema, Segment, Value,
+};
 use skipper_testkit::ops::reference;
 
 /// A value of `dtype` for key `k`, NULL with probability `null_p`.
@@ -72,7 +74,8 @@ fn random_filter(rng: &mut StdRng, dtypes: &[DataType], keys: i64) -> Option<Exp
 
 /// (a) + (d): a probe is a brute-force scan of the filter survivors in
 /// ascending position, NULL matches nothing, and every row the index
-/// hands out *is* the segment's row — same address, nothing copied.
+/// hands out *is* the segment's row — the shared segment at the row's
+/// own position, nothing copied.
 #[test]
 fn probe_equals_brute_force_scan_of_borrowed_rows() {
     let mut rng = StdRng::seed_from_u64(0x1D3C);
@@ -98,7 +101,7 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
             .filter(|&p| {
                 filter
                     .as_ref()
-                    .is_none_or(|f| f.matches(&seg.rows()[p as usize]))
+                    .is_none_or(|f| f.matches(seg.row(p as usize)))
             })
             .collect();
         assert_eq!(idx.positions(), survivors, "case {case}");
@@ -110,7 +113,7 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
         assert_eq!(idx.rows().count(), survivors.len());
         for (row, &pos) in idx.rows().zip(&survivors) {
             assert!(
-                std::ptr::eq(row, &seg.rows()[pos as usize]),
+                std::ptr::eq(row.segment(), &*seg) && row.position() == pos as usize,
                 "case {case}: row {pos} was copied"
             );
         }
@@ -122,16 +125,19 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
                 .collect();
             probes.push(Value::Null);
             for key in &probes {
-                let expected: Vec<&Row> = survivors
+                let expected: Vec<usize> = survivors
                     .iter()
-                    .map(|&p| &seg.rows()[p as usize])
-                    .filter(|row| !key.is_null() && row.get(col) == key)
+                    .map(|&p| seg.row(p as usize))
+                    .filter(|row| !key.is_null() && row.get(col) == key.as_ref())
+                    .map(RowRef::position)
                     .collect();
-                let got: Vec<&Row> = idx.probe(col, key).collect();
-                assert_eq!(got.len(), expected.len(), "case {case} col {col} key {key}");
-                for (g, e) in got.iter().zip(&expected) {
-                    assert!(std::ptr::eq(*g, *e), "case {case} col {col} key {key}");
-                }
+                let got: Vec<RowRef<'_>> = idx.probe(col, key.as_ref()).collect();
+                assert!(
+                    got.iter().all(|row| std::ptr::eq(row.segment(), &*seg)),
+                    "case {case} col {col} key {key}"
+                );
+                let got: Vec<usize> = got.into_iter().map(RowRef::position).collect();
+                assert_eq!(got, expected, "case {case} col {col} key {key}");
             }
         }
 
@@ -193,10 +199,9 @@ fn tagged_segment(rng: &mut StdRng, rel: usize, seg_id: u32, keys: i64) -> Arc<S
         .zip(REL_TYPES[rel])
         .collect();
     let rows = seg
-        .rows()
         .iter()
         .map(|r| {
-            let mut values = r.values().to_vec();
+            let mut values = r.to_row().values().to_vec();
             values.push(Value::Int(seg_id as i64));
             Row::new(values)
         })
@@ -204,14 +209,14 @@ fn tagged_segment(rng: &mut StdRng, rel: usize, seg_id: u32, keys: i64) -> Arc<S
     Arc::new(Segment::new(Schema::of(&fields), rows).unwrap())
 }
 
-fn combo_of(rows: &[&Row]) -> Vec<u32> {
+fn combo_of(rows: &[RowRef<'_>]) -> Vec<u32> {
     rows.iter()
         .map(|r| r.get(SEG_COL).as_int().unwrap() as u32)
         .collect()
 }
 
-fn owned(rows: &[&Row]) -> Vec<Row> {
-    rows.iter().map(|&r| r.clone()).collect()
+fn owned(rows: &[RowRef<'_>]) -> Vec<Row> {
+    rows.iter().map(|r| r.to_row()).collect()
 }
 
 /// (b): arrival-rooted execution over many cached segments, with a
@@ -298,7 +303,7 @@ fn rooted_execution_equals_union_of_combinations() {
             .map(|rel| {
                 let rows: Vec<Row> = candidates[rel]
                     .iter()
-                    .flat_map(|&(s, _)| segments[rel][s as usize].rows().iter().cloned())
+                    .flat_map(|&(s, _)| segments[rel][s as usize].iter().map(RowRef::to_row))
                     .collect();
                 let schema = segments[rel][0].schema().clone();
                 SegmentIndex::build(
