@@ -292,8 +292,13 @@ pub fn dataset(cfg: &GenConfig) -> Dataset {
         |rng, rid, row| {
             let mut ext = stream_rng(ext_seed, &format!("part-ext/{rid}"));
             brand.clear();
-            write!(brand, "Brand#{}{}", rng.gen_range(1..6), rng.gen_range(1..6))
-                .expect("writing to a String cannot fail");
+            write!(
+                brand,
+                "Brand#{}{}",
+                rng.gen_range(1..6),
+                rng.gen_range(1..6)
+            )
+            .expect("writing to a String cannot fail");
             row.int(rid as i64 + 1)
                 .str(&brand)
                 .int(rng.gen_range(1..51i64))

@@ -248,9 +248,9 @@ impl Expr {
                 _ => false,
             },
             Expr::InList(e, values) => match &**e {
-                Expr::Col(c) => retain_dictionary(segment, *c, sel, |s| {
-                    values.iter().any(|v| v.as_ref() == s)
-                }),
+                Expr::Col(c) => {
+                    retain_dictionary(segment, *c, sel, |s| values.iter().any(|v| v.as_ref() == s))
+                }
                 _ => false,
             },
             _ => false,
@@ -268,7 +268,13 @@ impl Expr {
 
 /// `col op lit` in one typed pass; false (nothing done) when no typed
 /// loop applies.
-fn retain_cmp_lit(segment: &Segment, col: usize, op: CmpOp, lit: &Value, sel: &mut Vec<u32>) -> bool {
+fn retain_cmp_lit(
+    segment: &Segment,
+    col: usize,
+    op: CmpOp,
+    lit: &Value,
+    sel: &mut Vec<u32>,
+) -> bool {
     if lit.is_null() {
         // NULL compares false with everything.
         sel.clear();
@@ -483,7 +489,10 @@ mod tests {
         let r = || row!["SHIP", 15i64];
         let modes = vec![Value::str("MAIL"), Value::str("SHIP")];
         assert!(matches(&Expr::col(0).in_list(modes), r()));
-        assert!(!matches(&Expr::col(0).in_list(vec![Value::str("AIR")]), r()));
+        assert!(!matches(
+            &Expr::col(0).in_list(vec![Value::str("AIR")]),
+            r()
+        ));
         assert!(matches(&Expr::col(1).between(10i64, 20i64), r()));
         assert!(matches(&Expr::col(1).between(15i64, 15i64), r()));
         assert!(!matches(&Expr::col(1).between(16i64, 20i64), r()));

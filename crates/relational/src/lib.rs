@@ -10,8 +10,11 @@
 //! Skipper's MJoin so that result correctness can be cross-checked.
 //!
 //! Design notes:
-//! * Rows are small boxed slices of [`Value`]; strings are `Arc<str>` so
-//!   cloning rows during joins is cheap.
+//! * A [`Segment`] stores its rows column by column: typed vectors, a
+//!   string dictionary and a null bitmap. Operators read columns in
+//!   place; a row is a [`RowRef`] (segment and position) whose values
+//!   are borrowed [`ValueRef`]s, and an owned [`Row`] of [`Value`]s is
+//!   built only for results and group keys.
 //! * Hashing uses an FxHash-style hasher ([`hash`]) — the guide-recommended
 //!   idiom for integer-keyed join tables.
 //! * A [`Segment`] is the unit of storage and transfer:

@@ -8,7 +8,7 @@
 //! precisely the assumption a shared CSD violates.
 //!
 //! Rows are read in place as [`RowRef`]s. A build side is one
-//! [`ChainTable`] over the relation's filter survivors, keyed by the hash
+//! chained hash table over the relation's filter survivors, keyed by the hash
 //! of the join-key column values; the intermediate result is one flat
 //! `Vec<u32>` of survivor indexes, `width` per tuple, in binding order.
 
@@ -82,7 +82,10 @@ pub fn execute_left_deep<S: Borrow<Segment>>(
 /// [`execute_left_deep`] over segments already filtered:
 /// `relations[i]` lists table `i`'s segments, each with the selection
 /// vector of `spec.filters[i]` over it.
-pub fn join_selected(spec: &QuerySpec, relations: &[Vec<Selected<'_>>]) -> (Aggregator, BinaryWork) {
+pub fn join_selected(
+    spec: &QuerySpec,
+    relations: &[Vec<Selected<'_>>],
+) -> (Aggregator, BinaryWork) {
     assert_eq!(relations.len(), spec.num_relations());
     let mut work = BinaryWork::default();
 

@@ -438,15 +438,20 @@ impl Aggregator {
         let mut group = first;
         while group != NO_GROUP {
             let stored = self.keys[group as usize].values();
-            if stored.iter().zip(&self.group_by).all(|(v, qc)| v.as_ref() == key(qc)) {
+            if stored
+                .iter()
+                .zip(&self.group_by)
+                .all(|(v, qc)| v.as_ref() == key(qc))
+            {
                 return group as usize;
             }
             group = self.same_hash[group as usize];
         }
         let group = self.keys.len();
         let id = u32::try_from(group).expect("group count exceeds 32 bits");
-        self.keys
-            .push(Row::new(self.group_by.iter().map(|qc| key(qc).to_value()).collect()));
+        self.keys.push(Row::new(
+            self.group_by.iter().map(|qc| key(qc).to_value()).collect(),
+        ));
         self.same_hash.push(first);
         self.index.insert(hash, id);
         self.states
@@ -589,7 +594,10 @@ mod tests {
         let spec = two_table_spec();
         let mut agg = Aggregator::for_query(&spec);
         let a = seg(DataType::Str, vec![row![1i64, "x"], row![2i64, "y"]]);
-        let b = seg(DataType::Float, vec![row![1i64, 5.0f64], row![2i64, 7.0f64]]);
+        let b = seg(
+            DataType::Float,
+            vec![row![1i64, 5.0f64], row![2i64, 7.0f64]],
+        );
         agg.update(&[a.row(0), b.row(0)]);
         agg.update(&[a.row(0), b.row(0)]);
         agg.update(&[a.row(1), b.row(1)]);

@@ -13,7 +13,7 @@
 //! that exists only when the column holds a NULL. Every string column of
 //! a segment codes into one shared dictionary of `Arc<str>` entries, each
 //! distinct string stored once, so handing a string out as a
-//! [`Value`](crate::value::Value) clones an `Arc`, never the bytes. A row
+//! [`Value`] clones an `Arc`, never the bytes. A row
 //! is a position: [`RowRef`] pairs the segment with it and reads a
 //! column value as a borrowed [`ValueRef`]; [`Row`]s are materialised
 //! only for results, group keys and the row-major constructors.
@@ -83,7 +83,8 @@ impl<'a> Column<'a> {
     /// True when the value at `pos` is NULL.
     #[inline]
     pub fn is_null(&self, pos: usize) -> bool {
-        self.nulls.is_some_and(|(bits, first)| bit(bits, first + pos))
+        self.nulls
+            .is_some_and(|(bits, first)| bit(bits, first + pos))
     }
 }
 
@@ -99,7 +100,7 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// place among the schema's `Int` columns, so a segment costs one
 /// allocation per column type it uses rather than one per column. The
 /// integer columns sit in the segment itself and everything else in
-/// one [`Rest`] box, which an all-integer segment without NULLs (a
+/// one `Rest` box, which an all-integer segment without NULLs (a
 /// synthetic payload) never allocates: such a segment is one vector
 /// behind a header no larger than a `Vec` of rows would need.
 #[derive(Clone)]
@@ -589,7 +590,11 @@ impl SegmentBuilder {
     /// The type and vector index of the next push, then advances.
     #[inline]
     fn advance(&mut self) -> (DataType, usize) {
-        assert!(self.pos < self.rows, "segment holds only {} rows", self.rows);
+        assert!(
+            self.pos < self.rows,
+            "segment holds only {} rows",
+            self.rows
+        );
         let col = self.next_col;
         let (dtype, slot) = self.schema.place(col);
         let at = slot * self.rows + self.pos;
@@ -896,8 +901,8 @@ mod tests {
     fn columns_are_typed_with_nulls_in_a_bitmap() {
         let seg = sample_segment();
         assert_eq!(seg.len(), 3);
-        assert!(matches!(seg.column(0).values(), ColumnValues::Int(v) if v == &[1, 2, 0]));
-        assert!(matches!(seg.column(1).values(), ColumnValues::Str(v) if v == &[0, 1, 0]));
+        assert!(matches!(seg.column(0).values(), ColumnValues::Int(v) if v == [1, 2, 0]));
+        assert!(matches!(seg.column(1).values(), ColumnValues::Str(v) if v == [0, 1, 0]));
         assert_eq!(&*seg.dictionary()[1], "SHIP");
         assert!(seg.column(3).has_nulls());
         assert!(!seg.column(3).is_null(1) && seg.column(3).is_null(2));

@@ -5,10 +5,14 @@ use std::fmt;
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// A row: a boxed slice of values positionally matching a [`Schema`].
+/// An owned row: a boxed slice of values positionally matching a
+/// [`Schema`].
 ///
-/// Rows are cheap to clone (strings are `Arc<str>`) and hashable so they
-/// can serve directly as group-by keys.
+/// Segments do not store rows (they store columns, see
+/// [`Segment`](crate::segment::Segment)); a `Row` is what leaves the
+/// engine — a result's group key — and what the row-major constructors
+/// take in. Rows are cheap to clone (strings are `Arc<str>`) and
+/// hashable.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Row {
     values: Box<[Value]>,

@@ -194,16 +194,32 @@ fn retain_agrees_with_row_at_a_time_evaluation() {
             (3, _) => Value::str(words[rng.gen_range(0..words.len())]),
             _ => Value::Date(rng.gen_range(0..10)),
         };
-        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
         let atom = |rng: &mut StdRng| {
             let col = rng.gen_range(0..5usize);
             let op = ops[rng.gen_range(0..ops.len())];
             match rng.gen_range(0..5u32) {
-                0 => Expr::Cmp(op, Box::new(Expr::col(col)), Box::new(Expr::lit(lit(rng, col)))),
-                1 => Expr::Cmp(op, Box::new(Expr::lit(lit(rng, col))), Box::new(Expr::col(col))),
+                0 => Expr::Cmp(
+                    op,
+                    Box::new(Expr::col(col)),
+                    Box::new(Expr::lit(lit(rng, col))),
+                ),
+                1 => Expr::Cmp(
+                    op,
+                    Box::new(Expr::lit(lit(rng, col))),
+                    Box::new(Expr::col(col)),
+                ),
                 2 => Expr::Cmp(op, Box::new(Expr::col(2)), Box::new(Expr::col(col))),
                 3 => Expr::col(col).between(lit(rng, col), lit(rng, col)),
-                _ => Expr::col(col).in_list((0..rng.gen_range(0..3)).map(|_| lit(rng, col)).collect()),
+                _ => Expr::col(col)
+                    .in_list((0..rng.gen_range(0..3)).map(|_| lit(rng, col)).collect()),
             }
         };
         let pred = match rng.gen_range(0..3u32) {
