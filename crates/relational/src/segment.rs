@@ -99,16 +99,84 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// `col` of type `Int` is `ints[s * len..(s + 1) * len]` with `s` its
 /// place among the schema's `Int` columns, so a segment costs one
 /// allocation per column type it uses rather than one per column. The
-/// integer columns sit in the segment itself and everything else in
-/// one `Rest` box, which an all-integer segment without NULLs (a
-/// synthetic payload) never allocates: such a segment is one vector
-/// behind a header no larger than a `Vec` of rows would need.
+/// integer columns sit in the segment itself (inline when they fit, see
+/// [`Ints`]) and everything else in one `Rest` box, which an
+/// all-integer segment without NULLs never allocates: a tiny one — a
+/// synthetic payload of a few rows — costs no allocation beyond its
+/// header.
 #[derive(Clone)]
 pub struct Segment {
     schema: Schema,
     len: usize,
-    ints: Box<[i64]>,
+    ints: Ints,
     rest: Option<Box<Rest>>,
+}
+
+/// Integer values held inline in a segment header.
+const INLINE_INTS: usize = 8;
+
+/// The integer columns of a segment: inline up to [`INLINE_INTS`]
+/// values, else one exact-capacity vector.
+#[derive(Clone)]
+enum Ints {
+    Inline { len: u8, values: [i64; INLINE_INTS] },
+    Heap(Vec<i64>),
+}
+
+impl Ints {
+    /// Room for `n` values, pushed in order.
+    fn with_capacity(n: usize) -> Self {
+        if n <= INLINE_INTS {
+            Ints::Inline {
+                len: 0,
+                values: [0; INLINE_INTS],
+            }
+        } else {
+            Ints::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    /// `n` zeros, to be overwritten in any order.
+    fn zeroed(n: usize) -> Self {
+        if n <= INLINE_INTS {
+            Ints::Inline {
+                len: n as u8,
+                values: [0; INLINE_INTS],
+            }
+        } else {
+            Ints::Heap(vec![0; n])
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[i64] {
+        match self {
+            Ints::Inline { len, values } => &values[..*len as usize],
+            Ints::Heap(values) => values,
+        }
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [i64] {
+        match self {
+            Ints::Inline { len, values } => &mut values[..*len as usize],
+            Ints::Heap(values) => values,
+        }
+    }
+}
+
+impl Extend<i64> for Ints {
+    fn extend<I: IntoIterator<Item = i64>>(&mut self, iter: I) {
+        match self {
+            Ints::Inline { len, values } => {
+                for v in iter {
+                    values[*len as usize] = v;
+                    *len += 1;
+                }
+            }
+            Ints::Heap(values) => values.extend(iter),
+        }
+    }
 }
 
 /// The columns of a segment other than its integers, its NULLs and its
@@ -149,36 +217,58 @@ impl Segment {
     /// # Panics
     /// Panics if a value does not fit its column's type.
     pub fn new_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
-        let mut parts = Parts::new(&schema, rows.len(), false);
-        let Parts {
-            ints,
-            floats,
-            dates,
-            codes,
-            bools,
-            nulls,
-            dict,
-        } = &mut parts;
+        let len = rows.len();
+        let mut nulls = Nulls::new(&schema, len);
+        let mut ints = Ints::with_capacity(schema.columns_of(DataType::Int) * len);
+        // An all-integer schema builds nothing else.
+        let mut others = (schema.columns_of(DataType::Int) < schema.len())
+            .then(|| Others::new(&schema, len, false));
         for (col, field) in schema.fields().iter().enumerate() {
-            let fits = match field.dtype {
-                DataType::Int => fill(ints, nulls, col, &rows, Value::as_int),
-                DataType::Date => fill(dates, nulls, col, &rows, Value::as_date),
-                DataType::Float => fill(floats, nulls, col, &rows, |v| match v {
-                    Value::Float(f) => Some(*f),
-                    _ => None,
-                }),
-                DataType::Bool => fill(bools, nulls, col, &rows, |v| match v {
-                    Value::Bool(b) => Some(*b),
-                    _ => None,
-                }),
-                DataType::Str => fill(codes, nulls, col, &rows, |v| match v {
-                    Value::Str(s) => Some(dict.code_of_arc(s)),
-                    _ => None,
-                }),
+            let fits = match (field.dtype, &mut others) {
+                (DataType::Int, _) => fill(&mut ints, &mut nulls, col, &rows, Value::as_int),
+                (dtype, Some(others)) => others.fill(dtype, &mut nulls, col, &rows),
+                (_, None) => unreachable!("a non-integer column has its vectors"),
             };
             assert!(fits, "a value does not fit column {col} of schema {schema}");
         }
-        parts.finish(schema)
+        drop(rows);
+        Segment::assemble(schema, len, ints, others, nulls)
+    }
+
+    /// The segment made of its finished parts.
+    fn assemble(
+        schema: Schema,
+        len: usize,
+        ints: Ints,
+        others: Option<Others>,
+        nulls: Nulls,
+    ) -> Segment {
+        debug_assert_eq!(
+            ints.as_slice().len(),
+            schema.columns_of(DataType::Int) * len
+        );
+        let rest = match (others, nulls.bits) {
+            (None, None) => None,
+            (others, bits) => {
+                let others = others.unwrap_or_default();
+                // Exact capacity: no conversion below reallocates.
+                Some(Box::new(Rest {
+                    floats: others.floats.into_boxed_slice(),
+                    dates: others.dates.into_boxed_slice(),
+                    codes: others.codes.into_boxed_slice(),
+                    bools: others.bools.into_boxed_slice(),
+                    nulls: bits.map(Vec::into_boxed_slice),
+                    null_cols: nulls.cols,
+                    dict: others.dict.entries.into_boxed_slice(),
+                }))
+            }
+        };
+        Segment {
+            schema,
+            len,
+            ints,
+            rest,
+        }
     }
 
     /// The segment's schema.
@@ -204,13 +294,13 @@ impl Segment {
         let span = slot * self.len..(slot + 1) * self.len;
         if dtype == DataType::Int && self.rest.is_none() {
             return Column {
-                values: ColumnValues::Int(&self.ints[span]),
+                values: ColumnValues::Int(&self.ints.as_slice()[span]),
                 nulls: None,
             };
         }
         let rest = self.rest();
         let values = match dtype {
-            DataType::Int => ColumnValues::Int(&self.ints[span]),
+            DataType::Int => ColumnValues::Int(&self.ints.as_slice()[span]),
             DataType::Float => ColumnValues::Float(&rest.floats[span]),
             DataType::Date => ColumnValues::Date(&rest.dates[span]),
             DataType::Str => ColumnValues::Str(&rest.codes[span]),
@@ -244,7 +334,7 @@ impl Segment {
         let (dtype, slot) = self.schema.place(col);
         let at = slot * self.len + pos;
         let Some(rest) = self.rest.as_deref() else {
-            return ValueRef::Int(self.ints[at]);
+            return ValueRef::Int(self.ints.as_slice()[at]);
         };
         if rest.null_cols >> col & 1 == 1 {
             if let Some(bits) = &rest.nulls {
@@ -254,7 +344,7 @@ impl Segment {
             }
         }
         match dtype {
-            DataType::Int => ValueRef::Int(self.ints[at]),
+            DataType::Int => ValueRef::Int(self.ints.as_slice()[at]),
             DataType::Float => ValueRef::Float(rest.floats[at]),
             DataType::Date => ValueRef::Date(rest.dates[at]),
             DataType::Str => ValueRef::Str(&rest.dict[rest.codes[at] as usize]),
@@ -441,7 +531,7 @@ impl Dictionary {
 /// `get` and recording NULLs; false when a value has another type.
 #[inline]
 fn fill<T: Default>(
-    out: &mut Vec<T>,
+    out: &mut impl Extend<T>,
     nulls: &mut Nulls,
     col: usize,
     rows: &[Row],
@@ -464,7 +554,6 @@ fn fill<T: Default>(
 
 /// The NULL bits of a segment of `len` rows and `ncols` columns under
 /// construction.
-#[derive(Default)]
 struct Nulls {
     len: usize,
     ncols: usize,
@@ -473,6 +562,25 @@ struct Nulls {
 }
 
 impl Nulls {
+    /// No NULL yet, in a segment of `len` rows of `schema`.
+    fn new(schema: &Schema, len: usize) -> Self {
+        assert!(
+            schema.len() <= MAX_COLUMNS,
+            "a segment holds at most {MAX_COLUMNS} columns, not {}",
+            schema.len()
+        );
+        assert!(
+            len < u32::MAX as usize,
+            "segment of {len} rows exceeds 32-bit row positions"
+        );
+        Nulls {
+            len,
+            ncols: schema.len(),
+            bits: None,
+            cols: 0,
+        }
+    }
+
     /// Marks row `pos` of column `col` NULL.
     #[cold]
     fn set(&mut self, col: usize, pos: usize) {
@@ -486,32 +594,20 @@ impl Nulls {
     }
 }
 
-/// The vectors of a segment under construction.
+/// The non-integer vectors of a segment under construction.
 #[derive(Default)]
-struct Parts {
-    ints: Vec<i64>,
+struct Others {
     floats: Vec<f64>,
     dates: Vec<i32>,
     codes: Vec<u32>,
     bools: Vec<bool>,
-    nulls: Nulls,
     dict: Dictionary,
 }
 
-impl Parts {
+impl Others {
     /// Empty vectors with exact room for `len` rows of `schema` (or, when
     /// `zeroed`, exactly that many zeros, to be overwritten in any order).
-    #[inline]
     fn new(schema: &Schema, len: usize, zeroed: bool) -> Self {
-        assert!(
-            schema.len() <= MAX_COLUMNS,
-            "a segment holds at most {MAX_COLUMNS} columns, not {}",
-            schema.len()
-        );
-        assert!(
-            len < u32::MAX as usize,
-            "segment of {len} rows exceeds 32-bit row positions"
-        );
         fn vec<T: Clone + Default>(n: usize, zeroed: bool) -> Vec<T> {
             if zeroed {
                 vec![T::default(); n]
@@ -520,43 +616,39 @@ impl Parts {
             }
         }
         let room = |dtype| schema.columns_of(dtype) * len;
-        Parts {
-            ints: vec(room(DataType::Int), zeroed),
+        Others {
             floats: vec(room(DataType::Float), zeroed),
             dates: vec(room(DataType::Date), zeroed),
             codes: vec(room(DataType::Str), zeroed),
             bools: vec(room(DataType::Bool), zeroed),
-            nulls: Nulls {
-                len,
-                ncols: schema.len(),
-                ..Nulls::default()
-            },
             dict: Dictionary::default(),
         }
     }
 
-    #[inline]
-    fn finish(self, schema: Schema) -> Segment {
-        let len = self.nulls.len;
-        debug_assert_eq!(self.ints.len(), schema.columns_of(DataType::Int) * len);
-        let all_ints = schema.columns_of(DataType::Int) == schema.len();
-        // Exact capacity: no conversion below reallocates.
-        let rest = (!all_ints || self.nulls.bits.is_some()).then(|| {
-            Box::new(Rest {
-                floats: self.floats.into_boxed_slice(),
-                dates: self.dates.into_boxed_slice(),
-                codes: self.codes.into_boxed_slice(),
-                bools: self.bools.into_boxed_slice(),
-                nulls: self.nulls.bits.map(Vec::into_boxed_slice),
-                null_cols: self.nulls.cols,
-                dict: self.dict.entries.into_boxed_slice(),
-            })
-        });
-        Segment {
-            schema,
-            len,
-            ints: self.ints.into_boxed_slice(),
-            rest,
+    /// Appends column `col` of `rows`, of type `dtype`; see [`fill`].
+    fn fill(&mut self, dtype: DataType, nulls: &mut Nulls, col: usize, rows: &[Row]) -> bool {
+        let Others {
+            floats,
+            dates,
+            codes,
+            bools,
+            dict,
+        } = self;
+        match dtype {
+            DataType::Date => fill(dates, nulls, col, rows, Value::as_date),
+            DataType::Float => fill(floats, nulls, col, rows, |v| match v {
+                Value::Float(f) => Some(*f),
+                _ => None,
+            }),
+            DataType::Bool => fill(bools, nulls, col, rows, |v| match v {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            }),
+            DataType::Str => fill(codes, nulls, col, rows, |v| match v {
+                Value::Str(s) => Some(dict.code_of_arc(s)),
+                _ => None,
+            }),
+            DataType::Int => unreachable!("integers are filled apart"),
         }
     }
 }
@@ -567,7 +659,9 @@ impl Parts {
 /// segment's dictionary as they arrive.
 pub struct SegmentBuilder {
     schema: Schema,
-    parts: Parts,
+    ints: Ints,
+    others: Others,
+    nulls: Nulls,
     rows: usize,
     next_col: usize,
     pos: usize,
@@ -577,10 +671,14 @@ impl SegmentBuilder {
     /// A builder for a segment of exactly `rows` rows.
     pub fn new(schema: Schema, rows: usize) -> Self {
         // Row-major pushes land column-major: size every vector now.
-        let parts = Parts::new(&schema, rows, true);
+        let nulls = Nulls::new(&schema, rows);
+        let ints = Ints::zeroed(schema.columns_of(DataType::Int) * rows);
+        let others = Others::new(&schema, rows, true);
         SegmentBuilder {
             schema,
-            parts,
+            ints,
+            others,
+            nulls,
             rows,
             next_col: 0,
             pos: 0,
@@ -618,7 +716,7 @@ impl SegmentBuilder {
     #[inline]
     pub fn int(&mut self, v: i64) -> &mut Self {
         match self.advance() {
-            (DataType::Int, at) => self.parts.ints[at] = v,
+            (DataType::Int, at) => self.ints.as_mut_slice()[at] = v,
             _ => self.mismatch("an integer"),
         }
         self
@@ -628,7 +726,7 @@ impl SegmentBuilder {
     #[inline]
     pub fn float(&mut self, v: f64) -> &mut Self {
         match self.advance() {
-            (DataType::Float, at) => self.parts.floats[at] = v,
+            (DataType::Float, at) => self.others.floats[at] = v,
             _ => self.mismatch("a float"),
         }
         self
@@ -638,7 +736,7 @@ impl SegmentBuilder {
     #[inline]
     pub fn date(&mut self, v: i32) -> &mut Self {
         match self.advance() {
-            (DataType::Date, at) => self.parts.dates[at] = v,
+            (DataType::Date, at) => self.others.dates[at] = v,
             _ => self.mismatch("a date"),
         }
         self
@@ -648,7 +746,7 @@ impl SegmentBuilder {
     #[inline]
     pub fn bool(&mut self, v: bool) -> &mut Self {
         match self.advance() {
-            (DataType::Bool, at) => self.parts.bools[at] = v,
+            (DataType::Bool, at) => self.others.bools[at] = v,
             _ => self.mismatch("a boolean"),
         }
         self
@@ -657,13 +755,13 @@ impl SegmentBuilder {
     /// Pushes a string, interning it into the dictionary.
     #[inline]
     pub fn str(&mut self, s: &str) -> &mut Self {
-        let code = self.parts.dict.code_of(s);
+        let code = self.others.dict.code_of(s);
         self.code(code)
     }
 
     fn code(&mut self, code: u32) -> &mut Self {
         match self.advance() {
-            (DataType::Str, at) => self.parts.codes[at] = code,
+            (DataType::Str, at) => self.others.codes[at] = code,
             _ => self.mismatch("a string"),
         }
         self
@@ -673,7 +771,7 @@ impl SegmentBuilder {
     pub fn null(&mut self) -> &mut Self {
         let (col, pos) = (self.next_col, self.pos);
         self.advance();
-        self.parts.nulls.set(col, pos);
+        self.nulls.set(col, pos);
         self
     }
 
@@ -687,7 +785,7 @@ impl SegmentBuilder {
             ValueRef::Float(f) => self.float(f),
             ValueRef::Date(d) => self.date(d),
             ValueRef::Str(s) => {
-                let code = self.parts.dict.code_of_arc(s);
+                let code = self.others.dict.code_of_arc(s);
                 self.code(code)
             }
         }
@@ -718,7 +816,9 @@ impl SegmentBuilder {
             self.pos,
             self.next_col
         );
-        self.parts.finish(self.schema)
+        let others =
+            (self.schema.columns_of(DataType::Int) < self.schema.len()).then_some(self.others);
+        Segment::assemble(self.schema, self.rows, self.ints, others, self.nulls)
     }
 }
 
@@ -924,6 +1024,27 @@ mod tests {
             panic!("strings expected");
         };
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn small_integer_columns_live_inline() {
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        let rows = |n: i64| (0..n).map(|i| row![i, 10 * i]).collect::<Vec<_>>();
+        let tiny = Segment::new_unchecked(schema.clone(), rows(4));
+        assert!(matches!(tiny.ints, Ints::Inline { len: 8, .. }));
+        assert!(tiny.rest.is_none());
+        let big = Segment::new_unchecked(schema.clone(), rows(5));
+        assert!(matches!(&big.ints, Ints::Heap(v) if v.len() == 10 && v.capacity() == 10));
+        for (seg, n) in [(&tiny, 4), (&big, 5)] {
+            assert!(matches!(seg.column(1).values(), ColumnValues::Int(v) if v.len() == n));
+            assert_eq!(seg.value(n - 1, 1), ValueRef::Int(10 * (n as i64 - 1)));
+        }
+        // The row-by-row builder lands in the same places.
+        let mut built = SegmentBuilder::new(schema, 4);
+        for i in 0..4 {
+            built.int(i).int(10 * i);
+        }
+        assert_eq!(built.finish(), tiny);
     }
 
     #[test]
