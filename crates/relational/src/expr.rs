@@ -6,12 +6,14 @@
 //! counts). Expressions over *joined* rows live in
 //! [`crate::query::JoinExpr`].
 //!
-//! A predicate filters a segment per column ([`Expr::retain`]): each
+//! A predicate filters a segment per column ([`scan::select`]): each
 //! conjunct narrows a selection vector of row positions in one typed
 //! loop over its column, and a comparison or `IN` list on a string
 //! column is decided once per dictionary entry. Shapes without a typed
 //! loop fall back to [`Expr::matches`] per selected row; both paths give
 //! the same answer.
+//!
+//! [`scan::select`]: crate::ops::scan::select
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -221,7 +223,7 @@ impl Expr {
 
     /// Keeps in `sel` — ascending positions of `segment` — exactly the
     /// rows this predicate matches, in order.
-    pub fn retain(&self, segment: &Segment, sel: &mut Vec<u32>) {
+    pub(crate) fn retain(&self, segment: &Segment, sel: &mut Vec<u32>) {
         let typed = match self {
             Expr::And(parts) => {
                 for part in parts {

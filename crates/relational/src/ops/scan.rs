@@ -20,7 +20,7 @@ pub struct ScanStats {
 
 /// The selection vector of `segment` under `filter`: ascending positions
 /// of the rows it keeps (every row when `filter` is `None`), evaluated
-/// column by column ([`Expr::retain`]).
+/// column by column.
 pub fn select(segment: &Segment, filter: Option<&Expr>) -> Vec<u32> {
     assert!(
         segment.len() < u32::MAX as usize,

@@ -8,18 +8,18 @@
 //!
 //! # Layout
 //!
-//! Each column is one typed vector — `i64`, `f64`, `i32` days, `bool`, or
-//! `u32` codes into the segment's string dictionary — plus a null bitmap
-//! that exists only when the column holds a NULL. Every string column of
-//! a segment codes into one shared dictionary of `Arc<str>` entries, each
-//! distinct string stored once, so handing a string out as a
-//! [`Value`] clones an `Arc`, never the bytes. A row
-//! is a position: [`RowRef`] pairs the segment with it and reads a
-//! column value as a borrowed [`ValueRef`]; [`Row`]s are materialised
-//! only for results, group keys and the row-major constructors.
+//! Each column is one typed run of values — `i64`, `f64`, `i32` days,
+//! `bool`, or `u32` codes into the segment's string dictionary — plus a
+//! null bitmap that exists only when the column holds a NULL. Every
+//! string column of a segment codes into one shared dictionary of
+//! `Arc<str>` entries, each distinct string stored once, so handing a
+//! string out as a [`Value`] clones an `Arc`, never the bytes. A row is
+//! a position: [`RowRef`] pairs the segment with it and reads a column
+//! value as a borrowed [`ValueRef`]; [`Row`]s are materialised only for
+//! results, group keys and the row-major constructors.
 //!
 //! Filters run per column over a selection vector
-//! ([`Expr::retain`](crate::expr::Expr::retain)), hash indexes hash keys
+//! ([`scan::select`](crate::ops::scan::select)), hash indexes hash keys
 //! straight out of the key column, and a predicate on a string column is
 //! decided once per dictionary entry.
 //!
@@ -45,7 +45,7 @@ const MAGIC: u32 = 0x534B_5031;
 /// The typed values of one column, borrowed from its segment; a NULL
 /// slot holds the type's zero.
 #[derive(Clone, Copy, Debug)]
-pub enum ColumnValues<'a> {
+pub(crate) enum ColumnValues<'a> {
     /// Booleans.
     Bool(&'a [bool]),
     /// 64-bit integers.
@@ -60,7 +60,7 @@ pub enum ColumnValues<'a> {
 
 /// One column of a segment: its typed values and its NULLs.
 #[derive(Clone, Copy, Debug)]
-pub struct Column<'a> {
+pub(crate) struct Column<'a> {
     values: ColumnValues<'a>,
     /// The segment's null bitmap and this column's first bit in it, when
     /// the column holds a NULL.
@@ -70,19 +70,19 @@ pub struct Column<'a> {
 impl<'a> Column<'a> {
     /// The typed values.
     #[inline]
-    pub fn values(&self) -> ColumnValues<'a> {
+    pub(crate) fn values(&self) -> ColumnValues<'a> {
         self.values
     }
 
     /// True when the column holds at least one NULL.
     #[inline]
-    pub fn has_nulls(&self) -> bool {
+    pub(crate) fn has_nulls(&self) -> bool {
         self.nulls.is_some()
     }
 
     /// True when the value at `pos` is NULL.
     #[inline]
-    pub fn is_null(&self, pos: usize) -> bool {
+    pub(crate) fn is_null(&self, pos: usize) -> bool {
         self.nulls
             .is_some_and(|(bits, first)| bit(bits, first + pos))
     }
@@ -99,8 +99,8 @@ fn bit(bits: &[u64], i: usize) -> bool {
 /// `col` of type `Int` is `ints[s * len..(s + 1) * len]` with `s` its
 /// place among the schema's `Int` columns, so a segment costs one
 /// allocation per column type it uses rather than one per column. The
-/// integer columns sit in the segment itself (inline when they fit, see
-/// [`Ints`]) and everything else in one `Rest` box, which an
+/// integer columns sit in the segment itself (inline when they hold at
+/// most eight values) and everything else in one `Rest` box, which an
 /// all-integer segment without NULLs never allocates: a tiny one — a
 /// synthetic payload of a few rows — costs no allocation beyond its
 /// header.
@@ -289,7 +289,7 @@ impl Segment {
 
     /// Column `col`.
     #[inline]
-    pub fn column(&self, col: usize) -> Column<'_> {
+    pub(crate) fn column(&self, col: usize) -> Column<'_> {
         let (dtype, slot) = self.schema.place(col);
         let span = slot * self.len..(slot + 1) * self.len;
         if dtype == DataType::Int && self.rest.is_none() {
@@ -323,7 +323,7 @@ impl Segment {
 
     /// The string dictionary every string column codes into.
     #[inline]
-    pub fn dictionary(&self) -> &[Arc<str>] {
+    pub(crate) fn dictionary(&self) -> &[Arc<str>] {
         self.rest.as_ref().map_or(&[], |rest| &rest.dict)
     }
 
@@ -408,6 +408,9 @@ impl Segment {
             });
         }
         let nrows = data.get_u64() as usize;
+        if nrows >= u32::MAX as usize {
+            return Err(err("segment exceeds 32-bit row positions"));
+        }
         // Every value takes at least its tag byte.
         if nrows.saturating_mul(ncols) > data.remaining() {
             return Err(err("truncated value"));

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use skipper_relational::expr::{CmpOp, Expr};
+use skipper_relational::ops::scan;
 use skipper_relational::schema::{DataType, Schema};
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
@@ -151,7 +152,7 @@ fn mixed_numeric_equality_is_transitive_and_hash_consistent() {
     }
 }
 
-/// Column-at-a-time filtering ([`Expr::retain`]) keeps exactly the rows
+/// Column-at-a-time filtering ([`scan::select`]) keeps exactly the rows
 /// that row-at-a-time evaluation ([`Expr::matches`]) accepts, for every
 /// predicate shape, with and without NULLs, and for literals of the
 /// column's type or another.
@@ -227,8 +228,7 @@ fn retain_agrees_with_row_at_a_time_evaluation() {
             1 => atom(&mut rng).and(atom(&mut rng)).and(atom(&mut rng)),
             _ => Expr::Or(vec![atom(&mut rng), Expr::Not(Box::new(atom(&mut rng)))]),
         };
-        let mut sel: Vec<u32> = (0..seg.len() as u32).collect();
-        pred.retain(&seg, &mut sel);
+        let sel = scan::select(&seg, Some(&pred));
         let expected: Vec<u32> = (0..seg.len() as u32)
             .filter(|&p| pred.matches(seg.row(p as usize)))
             .collect();
