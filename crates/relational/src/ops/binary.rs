@@ -7,9 +7,9 @@
 //! every input must be fully available, in order, before results appear —
 //! precisely the assumption a shared CSD violates.
 //!
-//! Rows are read in place as [`RowRef`]s. A build side is one
-//! chained hash table over the relation's filter survivors, keyed by the hash
-//! of the join-key column values; the intermediate result is one flat
+//! Rows are read in place as [`RowRef`]s. A build side is one chained
+//! hash table over the relation's filter survivors, keyed by the hash of
+//! the join-key column values; the intermediate result is one flat
 //! `Vec<u32>` of survivor indexes, `width` per tuple, in binding order.
 
 use std::borrow::Borrow;

@@ -135,15 +135,6 @@ impl<'a> ValueRef<'a> {
         }
     }
 
-    /// The string payload, if this is a string.
-    #[inline]
-    pub fn as_str(self) -> Option<&'a str> {
-        match self {
-            ValueRef::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The date payload (days since epoch), if this is a date.
     #[inline]
     pub fn as_date(self) -> Option<i32> {
