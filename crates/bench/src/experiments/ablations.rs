@@ -1,4 +1,4 @@
-//! Ablations of Skipper's design choices (DESIGN.md experiment index).
+//! Ablations of Skipper's design choices (the registry's `ablations` entry).
 //!
 //! Three A/B comparisons the paper motivates qualitatively, quantified
 //! here:

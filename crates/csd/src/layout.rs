@@ -63,10 +63,6 @@ pub enum PlacementPolicy {
     /// Shard chosen by a deterministic hash of the full object id:
     /// statistically balanced, placement-stable under object additions.
     HashObject,
-    /// All segments of one `(tenant, table)` pair stay on one shard
-    /// (range/table affinity): a tenant's scan touches few devices, at
-    /// the price of coarser balance.
-    TableAffinity,
     /// `k`-way replication: `base` places the *primary* shard and the
     /// remaining `k - 1` replicas land on the consecutively following
     /// shards — the [`replica_run`] of the primary. The primary is the
@@ -90,8 +86,6 @@ pub enum BasePlacement {
     RoundRobin,
     /// See [`PlacementPolicy::HashObject`].
     HashObject,
-    /// See [`PlacementPolicy::TableAffinity`].
-    TableAffinity,
 }
 
 /// The replica run of an object whose primary is `primary`: the `k`
@@ -120,10 +114,6 @@ impl BasePlacement {
                     ((obj.tenant as u64) << 48) | ((obj.table as u64) << 32) | obj.segment as u64;
                 (splitmix64(&mut key) % shards as u64) as usize
             }
-            BasePlacement::TableAffinity => {
-                let mut key = ((obj.tenant as u64) << 16) | obj.table as u64;
-                (splitmix64(&mut key) % shards as u64) as usize
-            }
         }
     }
 }
@@ -134,11 +124,9 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::RoundRobin => "round-robin",
             PlacementPolicy::HashObject => "hash-object",
-            PlacementPolicy::TableAffinity => "table-affinity",
             PlacementPolicy::Replicated { base, .. } => match base {
                 BasePlacement::RoundRobin => "replicated/round-robin",
                 BasePlacement::HashObject => "replicated/hash-object",
-                BasePlacement::TableAffinity => "replicated/table-affinity",
             },
         }
     }
@@ -157,13 +145,14 @@ impl PlacementPolicy {
     /// The ordinal is the deterministic tie-break: [`RoundRobin`]
     /// (and replicated round-robin primaries) place by `ordinal mod
     /// shards`, so two objects with identical ids in different storage
-    /// positions would land on different shards — while the hash-based
-    /// policies ignore the ordinal entirely and depend only on the
-    /// object id. Callers must therefore pass the storage-order
+    /// positions would land on different shards — while
+    /// [`HashObject`] ignores the ordinal entirely and depends only on
+    /// the object id. Callers must therefore pass the storage-order
     /// position, not an arbitrary counter, for round-robin placements
     /// to partition evenly.
     ///
     /// [`RoundRobin`]: PlacementPolicy::RoundRobin
+    /// [`HashObject`]: PlacementPolicy::HashObject
     ///
     /// # Panics
     /// Panics with a clear message when `shards` is zero (a
@@ -177,9 +166,6 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::RoundRobin => BasePlacement::RoundRobin.shard_of(obj, ordinal, shards),
             PlacementPolicy::HashObject => BasePlacement::HashObject.shard_of(obj, ordinal, shards),
-            PlacementPolicy::TableAffinity => {
-                BasePlacement::TableAffinity.shard_of(obj, ordinal, shards)
-            }
             PlacementPolicy::Replicated { k, base } => {
                 assert!(k >= 1, "a Replicated placement needs k >= 1");
                 base.shard_of(obj, ordinal, shards)
@@ -412,11 +398,7 @@ mod tests {
     #[test]
     fn placement_covers_all_objects_exactly_once() {
         let objs = tenant_objects(3, 4);
-        for policy in [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::HashObject,
-            PlacementPolicy::TableAffinity,
-        ] {
+        for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject] {
             for shards in 1..=5 {
                 let map = primaries(policy, &objs, shards);
                 assert_eq!(map.len(), 12, "{policy:?} lost objects");
@@ -431,11 +413,7 @@ mod tests {
     #[test]
     fn single_shard_placement_is_trivial() {
         let objs = tenant_objects(2, 4);
-        for policy in [
-            PlacementPolicy::RoundRobin,
-            PlacementPolicy::HashObject,
-            PlacementPolicy::TableAffinity,
-        ] {
+        for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject] {
             assert!(primaries(policy, &objs, 1).values().all(|&s| s == 0));
         }
     }
@@ -447,19 +425,6 @@ mod tests {
         for tenant_objs in &objs {
             for (i, obj) in tenant_objs.iter().enumerate() {
                 assert_eq!(map[obj], i % 2);
-            }
-        }
-    }
-
-    #[test]
-    fn table_affinity_keeps_tables_whole() {
-        let objs = tenant_objects(4, 4);
-        let map = primaries(PlacementPolicy::TableAffinity, &objs, 3);
-        for tenant_objs in &objs {
-            for pair in tenant_objs.windows(2) {
-                if pair[0].table == pair[1].table {
-                    assert_eq!(map[&pair[0]], map[&pair[1]], "table split across shards");
-                }
             }
         }
     }
@@ -487,11 +452,7 @@ mod tests {
     #[test]
     fn replicated_produces_k_distinct_consecutive_shards() {
         let objs = tenant_objects(3, 4);
-        for base in [
-            BasePlacement::RoundRobin,
-            BasePlacement::HashObject,
-            BasePlacement::TableAffinity,
-        ] {
+        for base in [BasePlacement::RoundRobin, BasePlacement::HashObject] {
             for k in 1..=3 {
                 let policy = PlacementPolicy::Replicated { k, base };
                 let map = policy.assign_replicas(&objs, 4);
@@ -564,7 +525,6 @@ mod tests {
     fn placement_labels() {
         assert_eq!(PlacementPolicy::RoundRobin.label(), "round-robin");
         assert_eq!(PlacementPolicy::HashObject.label(), "hash-object");
-        assert_eq!(PlacementPolicy::TableAffinity.label(), "table-affinity");
         assert_eq!(
             PlacementPolicy::Replicated {
                 k: 2,

@@ -1,6 +1,6 @@
 //! Miniature TPC-H: the paper's primary workload.
 //!
-//! Segment geometry follows `DESIGN.md` §4 so the paper's object counts
+//! Segment geometry ([`geometry`]) is sized so the paper's object counts
 //! fall out exactly: at SF-100, Q5 touches 95 (lineitem) + 22 (orders) +
 //! 7 (customer) + 3×1 (supplier/nation/region) = **127 objects** out of
 //! ~144 total, producing **95 × 22 × 7 = 14 630 subplans** — the numbers

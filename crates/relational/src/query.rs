@@ -143,18 +143,15 @@ fn numeric<'a>(a: ValueRef<'_>, b: ValueRef<'_>, f: impl Fn(f64, f64) -> f64) ->
     }
 }
 
-/// Aggregate functions supported by the workloads.
+/// The aggregate functions of the benchmark queries. NULL inputs are
+/// skipped by `SUM` and `AVG`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggFunc {
     /// `COUNT(*)` (the expression is evaluated but only counted).
     Count,
-    /// `SUM(expr)`.
+    /// `SUM(expr)`, as a float.
     Sum,
-    /// `MIN(expr)`.
-    Min,
-    /// `MAX(expr)`.
-    Max,
-    /// `AVG(expr)`.
+    /// `AVG(expr)`, as a float; NULL over no input.
     Avg,
 }
 
@@ -342,8 +339,6 @@ const NO_GROUP: u32 = u32::MAX;
 enum AggState {
     Count(u64),
     Sum(f64),
-    Min(Option<Value>),
-    Max(Option<Value>),
     Avg { sum: f64, n: u64 },
 }
 
@@ -352,8 +347,6 @@ impl AggState {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::Sum(0.0),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
             AggFunc::Avg => AggState::Avg { sum: 0.0, n: 0 },
         }
     }
@@ -364,16 +357,6 @@ impl AggState {
             AggState::Sum(s) => {
                 if let Some(x) = v.as_f64() {
                     *s += x;
-                }
-            }
-            AggState::Min(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur.as_ref()) {
-                    *m = Some(v.to_value());
-                }
-            }
-            AggState::Max(m) => {
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur.as_ref()) {
-                    *m = Some(v.to_value());
                 }
             }
             AggState::Avg { sum, n } => {
@@ -389,7 +372,6 @@ impl AggState {
         match self {
             AggState::Count(n) => Value::Int(*n as i64),
             AggState::Sum(s) => Value::Float(*s),
-            AggState::Min(m) | AggState::Max(m) => m.clone().unwrap_or(Value::Null),
             AggState::Avg { sum, n } => {
                 if *n == 0 {
                     Value::Null
@@ -632,29 +614,24 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_min_max_avg() {
+    fn aggregator_averages_skip_nulls() {
         let mut spec = two_table_spec();
         spec.group_by = vec![];
-        spec.aggregates = vec![
-            AggSpec::new(AggFunc::Min, JoinExpr::col(1, 1), "mn"),
-            AggSpec::new(AggFunc::Max, JoinExpr::col(1, 1), "mx"),
-            AggSpec::new(AggFunc::Avg, JoinExpr::col(1, 1), "av"),
-        ];
+        spec.aggregates = vec![AggSpec::new(AggFunc::Avg, JoinExpr::col(1, 1), "av")];
         let mut agg = Aggregator::for_query(&spec);
         let a = seg(DataType::Str, vec![row![1i64, "x"]]);
         let b = seg(
             DataType::Float,
             [3.0f64, 9.0, 6.0].map(|v| row![1i64, v]).to_vec(),
         );
+        let null = seg(DataType::Float, vec![row![1i64, Value::Null]]);
         for pos in 0..b.len() {
             agg.update(&[a.row(0), b.row(pos)]);
         }
+        agg.update(&[a.row(0), null.row(0)]);
         let out = agg.finish();
         assert_eq!(out.len(), 1);
-        assert_eq!(
-            out[0].1,
-            vec![Value::Float(3.0), Value::Float(9.0), Value::Float(6.0)]
-        );
+        assert_eq!(out[0].1, vec![Value::Float(6.0)]);
     }
 
     #[test]

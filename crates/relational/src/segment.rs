@@ -26,7 +26,7 @@
 //! Physical-vs-logical sizing: a segment carries a few thousand physical
 //! rows (keeping real join work fast) while the catalog assigns it a
 //! *logical* byte size (1 GB) used for virtual-time transfer-cost
-//! accounting. See `DESIGN.md` §4.
+//! accounting; see `skipper_datagen::dataset::segments_for`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -215,8 +215,14 @@ impl Segment {
     /// typed vectors.
     ///
     /// # Panics
-    /// Panics if a value does not fit its column's type.
+    /// Panics if a row's arity or a value does not fit the schema.
     pub fn new_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
+        if let Some(pos) = rows.iter().position(|r| r.len() != schema.len()) {
+            panic!(
+                "row {pos} of {} values does not fit schema {schema}",
+                rows[pos].len()
+            );
+        }
         let len = rows.len();
         let mut nulls = Nulls::new(&schema, len);
         let mut ints = Ints::with_capacity(schema.columns_of(DataType::Int) * len);
@@ -897,11 +903,6 @@ fn decode_value(data: &mut Bytes) -> Result<Value, RelationalError> {
     })
 }
 
-/// Expected type tag sequence check helper used by tests and fuzzing.
-pub fn codec_roundtrip(seg: &Segment) -> Result<Segment, RelationalError> {
-    Segment::decode(seg.schema(), seg.encode())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,14 +949,15 @@ mod tests {
     #[test]
     fn roundtrip_preserves_rows() {
         let seg = sample_segment();
-        let back = codec_roundtrip(&seg).unwrap();
+        let back = Segment::decode(seg.schema(), seg.encode()).unwrap();
         assert_eq!(seg, back);
     }
 
     #[test]
     fn empty_segment_roundtrips() {
         let seg = Segment::new(sample_schema(), vec![]).unwrap();
-        assert_eq!(codec_roundtrip(&seg).unwrap().len(), 0);
+        let back = Segment::decode(seg.schema(), seg.encode()).unwrap();
+        assert_eq!(back.len(), 0);
     }
 
     #[test]
@@ -1055,5 +1057,22 @@ mod tests {
     fn unchecked_rows_of_the_wrong_type_panic() {
         let s = Schema::of(&[("k", DataType::Int)]);
         let _ = Segment::new_unchecked(s, vec![row!["oops"]]);
+    }
+
+    #[test]
+    fn unchecked_rows_of_the_wrong_arity_panic() {
+        let schema = Schema::of(&[("k", DataType::Int), ("v", DataType::Int)]);
+        for odd in [row![1i64, 2i64, 3i64], row![1i64]] {
+            let schema = schema.clone();
+            let panic = std::panic::catch_unwind(|| {
+                Segment::new_unchecked(schema, vec![row![0i64, 0i64], odd])
+            })
+            .expect_err("a row of the wrong arity was accepted");
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                msg.contains("row 1 of") && msg.contains("does not fit"),
+                "{msg}"
+            );
+        }
     }
 }

@@ -79,11 +79,7 @@ const POLICIES: [CachePolicy; 3] = [
     CachePolicy::GroupAware,
 ];
 
-const PLACEMENTS: [PlacementPolicy; 3] = [
-    PlacementPolicy::RoundRobin,
-    PlacementPolicy::HashObject,
-    PlacementPolicy::TableAffinity,
-];
+const PLACEMENTS: [PlacementPolicy; 2] = [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject];
 
 /// The battery: policy × placement × cache-size grid. Every cached run
 /// delivers the uncached multiset, the hit/miss ledger partitions the

@@ -90,11 +90,7 @@ fn golden_one_shard_facade_matches_unsharded_run_exactly() {
     let implicit = fleet(skipper(8)).run();
     assert_eq!(implicit.makespan.as_micros(), 305_278_730);
     assert_eq!(implicit.shards.len(), 1);
-    for placement in [
-        PlacementPolicy::RoundRobin,
-        PlacementPolicy::HashObject,
-        PlacementPolicy::TableAffinity,
-    ] {
+    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject] {
         let explicit = fleet(skipper(8)).shards(1).placement(placement).run();
         assert_eq!(explicit.makespan, implicit.makespan, "{placement:?}");
         assert_eq!(

@@ -100,11 +100,7 @@ fn runtime_is_deterministic_across_runs() {
 fn sharded_runtime_is_deterministic_including_interleaving() {
     let ds = tpch_ds();
     let build = |placement| mixed_scenario(&ds).shards(3).placement(placement).run();
-    for placement in [
-        PlacementPolicy::RoundRobin,
-        PlacementPolicy::HashObject,
-        PlacementPolicy::TableAffinity,
-    ] {
+    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject] {
         let a = build(placement);
         let b = build(placement);
         assert_eq!(fingerprint(&a), fingerprint(&b), "{placement:?}");

@@ -16,11 +16,7 @@ use skipper::core::runtime::{BasePlacement, FaultPlan, PlacementPolicy};
 use skipper::csd::SchedPolicy;
 use skipper::sim::{SimDuration, SimTime};
 
-const PLACEMENTS: [PlacementPolicy; 3] = [
-    PlacementPolicy::RoundRobin,
-    PlacementPolicy::HashObject,
-    PlacementPolicy::TableAffinity,
-];
+const PLACEMENTS: [PlacementPolicy; 2] = [PlacementPolicy::RoundRobin, PlacementPolicy::HashObject];
 
 /// The sweep: every scheduler × placement × shard count delivers the
 /// 1-shard multiset, exactly.
@@ -64,11 +60,7 @@ fn faulted_runs_conserve_the_delivery_multiset() {
             .degraded(3, secs(30), secs(400), 0.5)
     };
     for sched in SchedPolicy::all() {
-        for base in [
-            BasePlacement::RoundRobin,
-            BasePlacement::HashObject,
-            BasePlacement::TableAffinity,
-        ] {
+        for base in [BasePlacement::RoundRobin, BasePlacement::HashObject] {
             let placement = PlacementPolicy::Replicated { k: 2, base };
             let label = format!("{sched:?}/{base:?}/chaos");
             let clean = fleet_scenario(&ds, sched)
