@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use skipper_relational::ops::index::SegmentIndex;
 
-use crate::subplan::{RelSeg, SubplanTracker};
+use crate::subplan::{RelSeg, SubplanTracker, MAX_RELATIONS};
 
 /// Cache-eviction policy selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,16 +59,24 @@ pub struct BufferCache {
     policy: EvictionPolicy,
     /// BTreeMap for deterministic iteration (stable victim tie-breaks).
     slots: BTreeMap<RelSeg, CacheSlot>,
+    /// `by_rel[r]` — relation `r`'s cached segments, ascending; kept up
+    /// to date by [`BufferCache::insert`] and [`BufferCache::remove`].
+    by_rel: Vec<Vec<u32>>,
+    /// Victim selection's executable counts, reused across arrivals.
+    counts: Vec<u64>,
 }
 
 impl BufferCache {
-    /// Creates a cache of `capacity_bytes` with the given policy.
-    pub fn new(capacity_bytes: u64, policy: EvictionPolicy) -> Self {
+    /// Creates a cache of `capacity_bytes` with the given policy, for a
+    /// query over `num_relations` relations.
+    pub fn new(num_relations: usize, capacity_bytes: u64, policy: EvictionPolicy) -> Self {
         BufferCache {
             capacity_bytes,
             used_bytes: 0,
             policy,
             slots: BTreeMap::new(),
+            by_rel: vec![Vec::new(); num_relations],
+            counts: Vec::new(),
         }
     }
 
@@ -112,94 +120,93 @@ impl BufferCache {
     }
 
     /// Cached segments grouped by relation (`out[r]` sorted ascending).
-    pub fn cached_by_rel(&self, num_relations: usize) -> Vec<Vec<u32>> {
-        let mut out = vec![Vec::new(); num_relations];
-        for &(rel, seg) in self.slots.keys() {
-            out[rel].push(seg);
-        }
-        out
+    pub fn cached_by_rel(&self) -> &[Vec<u32>] {
+        &self.by_rel
     }
 
     /// Selects eviction victims to make room for `incoming` of
-    /// `incoming_bytes`, consulting `tracker` per the configured policy.
-    /// Victims are chosen one at a time with scores recomputed after each
-    /// choice (objects are usually equal-sized, so this is typically a
-    /// single round). `pinned` objects are never evicted (the state
-    /// manager pins the target subplan's members during degraded
-    /// single-subplan cycles). Does not mutate the cache.
+    /// `incoming_bytes`, consulting `tracker` per the configured policy,
+    /// into `victims` (cleared first). Victims are chosen one at a time
+    /// with scores recomputed after each choice (objects are usually
+    /// equal-sized, so this is typically a single round). `pinned`
+    /// objects are never evicted (the state manager pins the target
+    /// subplan's members during degraded single-subplan cycles). Does not
+    /// change what is cached.
     ///
     /// # Panics
     /// Panics if the cache cannot fit the incoming object even after
     /// evicting every unpinned entry — the paper requires capacity ≥ R
     /// objects, which always leaves room for one pinned combination.
     pub fn select_victims(
-        &self,
+        &mut self,
         tracker: &SubplanTracker,
         incoming: RelSeg,
         incoming_bytes: u64,
         pinned: &[RelSeg],
-    ) -> Vec<RelSeg> {
-        let mut victims: Vec<RelSeg> = Vec::new();
+        victims: &mut Vec<RelSeg>,
+    ) {
+        victims.clear();
         let mut freed = 0u64;
         while self.used_bytes - freed + incoming_bytes > self.capacity_bytes {
-            // Remaining candidates (not already chosen, not pinned).
-            let remaining: Vec<RelSeg> = self
-                .slots
-                .keys()
-                .copied()
-                .filter(|o| !victims.contains(o) && !pinned.contains(o))
-                .collect();
+            // Remaining objects: not already chosen, not pinned.
+            let remains = |o: &RelSeg| !victims.contains(o) && !pinned.contains(o);
             // Progress guard: evicting a relation's *only* cached segment
             // stalls every subplan (the paper's B.1 failure in §4.2) and,
             // since reissue cycles are deterministic, can livelock the
             // query at tight caches. A relation's sole representative is
             // therefore protected — unless the incoming object belongs to
-            // the same relation and simply replaces it.
-            let mut per_rel = vec![0usize; tracker.num_relations()];
-            for &(rel, _) in &remaining {
+            // the same relation and simply replaces it, or every
+            // remaining object is one.
+            let mut per_rel = [0usize; MAX_RELATIONS];
+            for &(rel, _) in self.slots.keys().filter(|o| remains(o)) {
                 per_rel[rel] += 1;
             }
-            let mut candidates: Vec<RelSeg> = remaining
-                .iter()
-                .copied()
-                .filter(|&(rel, _)| rel == incoming.0 || per_rel[rel] > 1)
-                .collect();
-            if candidates.is_empty() {
-                candidates = remaining;
-            }
-            assert!(
-                !candidates.is_empty(),
-                "cache capacity {}B cannot hold object of {}B — the MJoin \
-                 cache must hold at least one object per relation",
-                self.capacity_bytes,
-                incoming_bytes
-            );
+            let unguarded = |&(rel, _): &RelSeg| rel == incoming.0 || per_rel[rel] > 1;
+            let any_unguarded = self.slots.keys().any(|o| remains(o) && unguarded(o));
+            let candidate = |o: &RelSeg| remains(o) && (!any_unguarded || unguarded(o));
             let victim = match self.policy {
-                EvictionPolicy::MaxPendingSubplans => candidates
-                    .iter()
+                EvictionPolicy::MaxPendingSubplans => self
+                    .slots
+                    .keys()
                     .copied()
-                    .min_by_key(|&o| (tracker.pending_count(o), o))
-                    .expect("non-empty candidates"),
+                    .filter(candidate)
+                    .min_by_key(|&o| (tracker.pending_count(o), o)),
                 EvictionPolicy::MaximalProgress => {
                     // Score against the cache minus already-chosen victims,
                     // plus the incoming object.
-                    let mut cached = self.cached_by_rel(tracker.num_relations());
-                    for &(rel, seg) in &victims {
-                        cached[rel].retain(|&s| s != seg);
-                    }
-                    let exec = tracker.executable_counts(&cached, Some(incoming), &candidates);
-                    candidates
+                    let shrunk: Vec<Vec<u32>>;
+                    let cached = if victims.is_empty() {
+                        &self.by_rel
+                    } else {
+                        let mut rest = self.by_rel.clone();
+                        for &(rel, seg) in victims.iter() {
+                            rest[rel].retain(|&s| s != seg);
+                        }
+                        shrunk = rest;
+                        &shrunk
+                    };
+                    tracker.executable_counts(cached, Some(incoming), &mut self.counts);
+                    let objects = cached
                         .iter()
-                        .zip(&exec)
-                        .min_by_key(|(&o, &e)| (e, tracker.pending_count(o), o))
-                        .map(|(&o, _)| o)
-                        .expect("non-empty candidates")
+                        .enumerate()
+                        .flat_map(|(rel, segs)| segs.iter().map(move |&seg| (rel, seg)));
+                    objects
+                        .zip(&self.counts)
+                        .filter(|(o, _)| candidate(o))
+                        .min_by_key(|&(o, &e)| (e, tracker.pending_count(o), o))
+                        .map(|(o, _)| o)
                 }
             };
+            let victim = victim.unwrap_or_else(|| {
+                panic!(
+                    "cache capacity {}B cannot hold object of {}B — the MJoin \
+                     cache must hold at least one object per relation",
+                    self.capacity_bytes, incoming_bytes
+                )
+            });
             freed += self.slots[&victim].bytes;
             victims.push(victim);
         }
-        victims
     }
 
     /// Inserts `obj`; the caller must have made room first.
@@ -214,6 +221,9 @@ impl BufferCache {
         self.used_bytes += slot.bytes;
         let prev = self.slots.insert(obj, slot);
         assert!(prev.is_none(), "object {obj:?} cached twice");
+        let segs = &mut self.by_rel[obj.0];
+        let at = segs.binary_search(&obj.1).unwrap_err();
+        segs.insert(at, obj.1);
     }
 
     /// Removes `obj`, returning its slot.
@@ -226,6 +236,11 @@ impl BufferCache {
             .remove(&obj)
             .unwrap_or_else(|| panic!("evicting uncached object {obj:?}"));
         self.used_bytes -= slot.bytes;
+        let segs = &mut self.by_rel[obj.0];
+        let at = segs
+            .binary_search(&obj.1)
+            .expect("a cached object is listed");
+        segs.remove(at);
         slot
     }
 }
@@ -237,6 +252,19 @@ mod tests {
     use skipper_relational::schema::{DataType, Schema};
     use skipper_relational::segment::Segment;
     use std::sync::Arc;
+
+    /// The victims `cache` selects to admit `incoming`.
+    fn victims(
+        cache: &mut BufferCache,
+        tracker: &SubplanTracker,
+        incoming: RelSeg,
+        bytes: u64,
+        pinned: &[RelSeg],
+    ) -> Vec<RelSeg> {
+        let mut out = Vec::new();
+        cache.select_victims(tracker, incoming, bytes, pinned, &mut out);
+        out
+    }
 
     fn slot(bytes: u64) -> CacheSlot {
         let seg =
@@ -254,7 +282,7 @@ mod tests {
         let mut tracker = SubplanTracker::new(&[2, 2, 2]);
         tracker.mark_executed(&[0, 0, 1]);
         tracker.mark_executed(&[1, 0, 1]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(3, 4, EvictionPolicy::MaximalProgress);
         for obj in [(0usize, 0u32), (1, 0), (0, 1), (2, 1)] {
             cache.insert(obj, slot(1));
         }
@@ -263,11 +291,10 @@ mod tests {
 
     #[test]
     fn paper_example_maximal_progress_evicts_c3() {
-        let (cache, tracker) = paper_state();
+        let (mut cache, tracker) = paper_state();
         // "this policy would pick C.3 as the eviction candidate since it
         // has the lowest number of executable plans".
-        let victims = cache.select_victims(&tracker, (2, 0), 1, &[]);
-        assert_eq!(victims, vec![(2, 1)]);
+        assert_eq!(victims(&mut cache, &tracker, (2, 0), 1, &[]), [(2, 1)]);
     }
 
     #[test]
@@ -278,8 +305,7 @@ mod tests {
         // case to show max-pending can evict B.1 and stall MJoin (no B
         // object would remain); the progress guard removes B.1 — the sole
         // cached B segment — from the candidate set, so C.3 is evicted.
-        let victims = cache.select_victims(&tracker, (2, 0), 1, &[]);
-        assert_eq!(victims, vec![(2, 1)]);
+        assert_eq!(victims(&mut cache, &tracker, (2, 0), 1, &[]), [(2, 1)]);
     }
 
     #[test]
@@ -288,12 +314,11 @@ mod tests {
         // arriving segment of relation 0 replaces relation 0's cached
         // segment, never a partner's sole representative.
         let tracker = SubplanTracker::new(&[3, 1, 1]);
-        let mut cache = BufferCache::new(3, EvictionPolicy::MaxPendingSubplans);
+        let mut cache = BufferCache::new(3, 3, EvictionPolicy::MaxPendingSubplans);
         cache.insert((0, 0), slot(1));
         cache.insert((1, 0), slot(1));
         cache.insert((2, 0), slot(1));
-        let victims = cache.select_victims(&tracker, (0, 1), 1, &[]);
-        assert_eq!(victims, vec![(0, 0)]);
+        assert_eq!(victims(&mut cache, &tracker, (0, 1), 1, &[]), [(0, 0)]);
     }
 
     #[test]
@@ -304,12 +329,12 @@ mod tests {
         let mut tracker = SubplanTracker::new(&[4, 1, 1]);
         tracker.mark_executed(&[0, 0, 0]);
         tracker.mark_executed(&[1, 0, 0]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(3, 4, EvictionPolicy::MaximalProgress);
         cache.insert((0, 0), slot(1));
         cache.insert((0, 1), slot(1));
         cache.insert((1, 0), slot(1));
         cache.insert((2, 0), slot(1));
-        let victims = cache.select_victims(&tracker, (0, 2), 1, &[]);
+        let victims = victims(&mut cache, &tracker, (0, 2), 1, &[]);
         assert_eq!(victims.len(), 1);
         assert_eq!(victims[0].0, 0, "must evict a fact segment, not a dim");
     }
@@ -317,12 +342,12 @@ mod tests {
     #[test]
     fn multi_victim_eviction_recomputes() {
         let tracker = SubplanTracker::new(&[3, 1]);
-        let mut cache = BufferCache::new(4, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(2, 4, EvictionPolicy::MaximalProgress);
         cache.insert((0, 0), slot(2));
         cache.insert((0, 1), slot(1));
         cache.insert((1, 0), slot(1));
         // Incoming needs 3 bytes: must evict two fact segments.
-        let victims = cache.select_victims(&tracker, (0, 2), 3, &[]);
+        let victims = victims(&mut cache, &tracker, (0, 2), 3, &[]);
         assert_eq!(victims.len(), 2);
         assert!(victims.iter().all(|v| v.0 == 0));
     }
@@ -351,31 +376,31 @@ mod tests {
             ),
         ];
         for (policy, unpinned, with_pin) in expected {
-            let mut cache = BufferCache::new(7, policy);
+            let mut cache = BufferCache::new(2, 7, policy);
             cache.insert((0, 0), slot(2));
             cache.insert((0, 1), slot(1));
             cache.insert((0, 2), slot(1));
             cache.insert((1, 0), slot(1));
             cache.insert((1, 1), slot(1));
             cache.insert((1, 2), slot(1));
-            let victims = cache.select_victims(&tracker, (0, 3), 3, &[]);
-            assert_eq!(victims, unpinned, "{policy:?}");
-            let victims = cache.select_victims(&tracker, (0, 3), 3, &[(0, 1)]);
-            assert_eq!(victims, with_pin, "{policy:?}, (0, 1) pinned");
+            let got = victims(&mut cache, &tracker, (0, 3), 3, &[]);
+            assert_eq!(got, unpinned, "{policy:?}");
+            let got = victims(&mut cache, &tracker, (0, 3), 3, &[(0, 1)]);
+            assert_eq!(got, with_pin, "{policy:?}, (0, 1) pinned");
         }
     }
 
     #[test]
     fn no_eviction_when_room() {
         let tracker = SubplanTracker::new(&[2, 1]);
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(2, 10, EvictionPolicy::MaximalProgress);
         cache.insert((0, 0), slot(1));
-        assert!(cache.select_victims(&tracker, (0, 1), 1, &[]).is_empty());
+        assert!(victims(&mut cache, &tracker, (0, 1), 1, &[]).is_empty());
     }
 
     #[test]
     fn accounting_roundtrip() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(1, 10, EvictionPolicy::MaximalProgress);
         cache.insert((0, 0), slot(4));
         assert_eq!(cache.used(), 4);
         assert!(cache.contains((0, 0)));
@@ -388,25 +413,29 @@ mod tests {
 
     #[test]
     fn cached_by_rel_sorted() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(2, 10, EvictionPolicy::MaximalProgress);
         cache.insert((1, 5), slot(1));
         cache.insert((0, 2), slot(1));
         cache.insert((1, 1), slot(1));
-        assert_eq!(cache.cached_by_rel(2), vec![vec![2], vec![1, 5]]);
+        cache.insert((1, 3), slot(1));
+        assert_eq!(cache.cached_by_rel(), [vec![2], vec![1, 3, 5]]);
+        cache.remove((1, 3));
+        cache.remove((0, 2));
+        assert_eq!(cache.cached_by_rel(), [vec![], vec![1, 5]]);
     }
 
     #[test]
     #[should_panic(expected = "cannot hold object")]
     fn oversized_object_panics() {
         let tracker = SubplanTracker::new(&[1, 1]);
-        let cache = BufferCache::new(2, EvictionPolicy::MaximalProgress);
-        cache.select_victims(&tracker, (0, 0), 5, &[]);
+        let mut cache = BufferCache::new(2, 2, EvictionPolicy::MaximalProgress);
+        victims(&mut cache, &tracker, (0, 0), 5, &[]);
     }
 
     #[test]
     #[should_panic(expected = "cached twice")]
     fn duplicate_insert_panics() {
-        let mut cache = BufferCache::new(10, EvictionPolicy::MaximalProgress);
+        let mut cache = BufferCache::new(1, 10, EvictionPolicy::MaximalProgress);
         cache.insert((0, 0), slot(1));
         cache.insert((0, 0), slot(1));
     }

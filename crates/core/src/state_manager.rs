@@ -32,7 +32,7 @@ use crate::cache::{BufferCache, CacheSlot, EvictionPolicy};
 use crate::config::CostModel;
 use crate::engine::{EngineStats, QueryEngine, Reaction};
 use crate::proxy::ClientProxy;
-use crate::subplan::{RelSeg, SubplanTracker};
+use crate::subplan::{RelSeg, SubplanKey, SubplanTracker, MAX_RELATIONS};
 
 /// Skipper's cache-state-aware MJoin execution of one query.
 pub struct SkipperEngine {
@@ -71,6 +71,10 @@ pub struct SkipperEngine {
     /// its cached members are pinned against eviction so the combination
     /// cannot be cannibalized before it runs.
     degraded_target: Option<Vec<u32>>,
+    /// Per-arrival scratch, reused: the subplans an arrival makes
+    /// runnable and the victims its admission evicts.
+    runnable: Vec<SubplanKey>,
+    victims: Vec<RelSeg>,
 }
 
 impl SkipperEngine {
@@ -129,7 +133,7 @@ impl SkipperEngine {
             .collect();
         SkipperEngine {
             proxy: ClientProxy::new(tenant, rel_tables.iter().map(|&t| t as u16).collect()),
-            cache: BufferCache::new(cache_bytes, policy),
+            cache: BufferCache::new(spec.num_relations(), cache_bytes, policy),
             tracker,
             agg,
             cost,
@@ -145,6 +149,8 @@ impl SkipperEngine {
             cycle_executed: 0,
             stalled_states: std::collections::HashSet::new(),
             degraded_target: None,
+            runnable: Vec::new(),
+            victims: Vec::new(),
             rooted_plans,
             spec,
         }
@@ -176,28 +182,36 @@ impl SkipperEngine {
     /// refetched objects never double-count.
     fn execute_runnable(&mut self, arrived: RelSeg, processing: &mut SimDuration) {
         let n = self.tracker.num_relations();
-        let cached = self.cache.cached_by_rel(n);
-        let runnable = self.tracker.runnable_with(&cached, arrived);
-        if runnable.is_empty() {
+        let cached = self.cache.cached_by_rel();
+        self.tracker
+            .runnable_with(cached, arrived, &mut self.runnable);
+        if self.runnable.is_empty() {
             return;
         }
-        let candidates: Vec<Vec<(u32, &SegmentIndex)>> = (0..n)
-            .map(|r| {
-                if r == arrived.0 {
-                    vec![(arrived.1, self.cache.index(arrived))]
-                } else {
-                    cached[r]
-                        .iter()
-                        .map(|&seg| (seg, self.cache.index((r, seg))))
-                        .collect()
-                }
-            })
-            .collect();
+        // Every relation's candidates in one list, relation by relation:
+        // the arriving segment alone for its own relation, every cached
+        // segment for the others.
+        let mut flat: Vec<(u32, &SegmentIndex)> = Vec::with_capacity(self.cache.len());
+        let mut ends = [0usize; MAX_RELATIONS];
+        for (r, segs) in cached.iter().enumerate() {
+            if r == arrived.0 {
+                flat.push((arrived.1, self.cache.index(arrived)));
+            } else {
+                flat.extend(segs.iter().map(|&seg| (seg, self.cache.index((r, seg)))));
+            }
+            ends[r] = flat.len();
+        }
+        let mut candidates: [&[(u32, &SegmentIndex)]; MAX_RELATIONS] = [&[]; MAX_RELATIONS];
+        let mut start = 0;
+        for (list, &end) in candidates.iter_mut().zip(&ends[..n]) {
+            *list = &flat[start..end];
+            start = end;
+        }
         let tracker = &self.tracker;
         let agg = &mut self.agg;
         let work = nary::execute_rooted(
             &self.rooted_plans[arrived.0],
-            &candidates,
+            &candidates[..n],
             &|combo| tracker.is_executed(combo),
             &mut |rows| agg.update(rows),
         );
@@ -212,9 +226,11 @@ impl SkipperEngine {
                     arrived_scale,
                     self.cost.emit_ns_per_row,
                 );
-        for combo in runnable {
-            let first = self.tracker.mark_executed(&combo);
-            debug_assert!(first, "subplan executed twice: {combo:?}");
+        for &key in &self.runnable {
+            let combo: [u32; MAX_RELATIONS] =
+                std::array::from_fn(|r| SubplanTracker::segment_of(key, r));
+            let first = self.tracker.mark_executed(&combo[..n]);
+            debug_assert!(first, "subplan executed twice: {:?}", &combo[..n]);
             self.stats.subplans_executed += 1;
             self.cycle_executed += 1;
             *processing += self.cost.subplan_overhead;
@@ -295,10 +311,9 @@ impl QueryEngine for SkipperEngine {
                             .collect()
                     })
                     .unwrap_or_default();
-                let victims = self
-                    .cache
-                    .select_victims(&self.tracker, obj, bytes, &pinned);
-                for v in victims {
+                self.cache
+                    .select_victims(&self.tracker, obj, bytes, &pinned, &mut self.victims);
+                for &v in &self.victims {
                     self.cache.remove(v);
                 }
                 self.cache.insert(obj, CacheSlot { index, bytes });
@@ -350,9 +365,7 @@ impl QueryEngine for SkipperEngine {
             } else {
                 use std::hash::{Hash, Hasher};
                 let mut h = std::collections::hash_map::DefaultHasher::new();
-                self.cache
-                    .cached_by_rel(self.tracker.num_relations())
-                    .hash(&mut h);
+                self.cache.cached_by_rel().hash(&mut h);
                 needed.hash(&mut h);
                 assert!(
                     self.stalled_states.insert(h.finish()),

@@ -205,13 +205,14 @@ impl SubplanTracker {
     /// (all alive, sorted ascending); `incoming` is the arriving object
     /// (counted as present but not scored).
     ///
-    /// Returned in the same object order as `candidates`.
+    /// Written to `out` (cleared first), one count per object of
+    /// `cached`, relation by relation, each in `cached[r]`'s order.
     pub fn executable_counts(
         &self,
         cached: &[Vec<u32>],
         incoming: Option<RelSeg>,
-        candidates: &[RelSeg],
-    ) -> Vec<u64> {
+        out: &mut Vec<u64>,
+    ) {
         let n = self.seg_counts.len();
         assert_eq!(cached.len(), n);
         debug_assert!(cached.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
@@ -235,7 +236,9 @@ impl SubplanTracker {
             *offset = total;
             total += segs.len();
         }
-        let mut executed_in_cache = vec![0u64; total];
+        out.clear();
+        out.resize(total, 0);
+        let executed_in_cache = out;
         'combos: for &key in &self.executed {
             // `hits[r]` — where the combo's coordinate sits in
             // `executed_in_cache`, or `None` for the uncounted newcomer.
@@ -253,34 +256,31 @@ impl SubplanTracker {
             }
         }
 
-        candidates
-            .iter()
-            .map(|&(rel, seg)| {
-                let at = cached[rel]
-                    .binary_search(&seg)
-                    .unwrap_or_else(|_| panic!("candidate ({rel}, {seg}) not cached"));
-                let others: u64 = sizes[..n]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(r, _)| r != rel)
-                    .map(|(_, &c)| c)
-                    .product();
-                others - executed_in_cache[offsets[rel] + at]
-            })
-            .collect()
+        // Executable = combinations in the effective cache − executed.
+        for rel in 0..n {
+            let others: u64 = sizes[..n]
+                .iter()
+                .enumerate()
+                .filter(|&(r, _)| r != rel)
+                .map(|(_, &c)| c)
+                .product();
+            let at = offsets[rel];
+            for count in &mut executed_in_cache[at..at + cached[rel].len()] {
+                *count = others - *count;
+            }
+        }
     }
 
     /// Enumerates the not-yet-executed combinations drawable from the
     /// cache that include `fixed` — the subplans that become runnable
     /// when `fixed` arrives (all other fully-cached combinations were
-    /// runnable earlier and have already executed).
-    pub fn runnable_with(&self, cached: &[Vec<u32>], fixed: RelSeg) -> Vec<Vec<u32>> {
+    /// runnable earlier and have already executed) — into `out`
+    /// (cleared first) as packed keys, in lexicographic order.
+    pub fn runnable_with(&self, cached: &[Vec<u32>], fixed: RelSeg, out: &mut Vec<SubplanKey>) {
         assert!(self.is_alive(fixed), "runnable_with on pruned object");
-        let n = self.seg_counts.len();
-        let mut combo = vec![0u32; n];
-        let mut out = Vec::new();
-        self.enumerate(cached, fixed, 0, &mut combo, &mut out);
-        out
+        out.clear();
+        let mut combo = [0u32; MAX_RELATIONS];
+        self.enumerate(cached, fixed, 0, &mut combo[..self.seg_counts.len()], out);
     }
 
     fn enumerate(
@@ -288,12 +288,13 @@ impl SubplanTracker {
         cached: &[Vec<u32>],
         fixed: RelSeg,
         rel: usize,
-        combo: &mut Vec<u32>,
-        out: &mut Vec<Vec<u32>>,
+        combo: &mut [u32],
+        out: &mut Vec<SubplanKey>,
     ) {
         if rel == combo.len() {
-            if !self.executed.contains(&Self::pack(combo)) {
-                out.push(combo.clone());
+            let key = Self::pack(combo);
+            if !self.executed.contains(&key) {
+                out.push(key);
             }
             return;
         }
@@ -434,8 +435,9 @@ mod tests {
         // Cache: A.1, A.2 (rel0: {0,1}), B.1 (rel1: {0}), C.3 (rel2: {1}),
         // incoming C.1 (rel2, 0).
         let cached = vec![vec![0, 1], vec![0], vec![1]];
-        let candidates = [(0usize, 0u32), (0, 1), (1, 0), (2, 1)];
-        let counts = t.executable_counts(&cached, Some((2, 0)), &candidates);
+        // Counts come out for A.1, A.2, B.1, C.3, in that order.
+        let mut counts = Vec::new();
+        t.executable_counts(&cached, Some((2, 0)), &mut counts);
         // "1 for each A.1 and A.2, and 2 for B.1 ... but 0 for C.3"
         assert_eq!(counts, vec![1, 1, 2, 0]);
     }
@@ -485,9 +487,10 @@ mod tests {
                         .count() as u64
                 })
                 .collect();
+            let mut counts = Vec::new();
+            t.executable_counts(&cached, incoming, &mut counts);
             assert_eq!(
-                t.executable_counts(&cached, incoming, &candidates),
-                expected,
+                counts, expected,
                 "case {case}: {seg_counts:?} cached {cached:?} incoming {incoming:?}"
             );
         }
@@ -500,10 +503,13 @@ mod tests {
         t.mark_executed(&[1, 0, 1]);
         let cached = vec![vec![0, 1], vec![0], vec![1]];
         // C.1 arrives: runnable = {<A.1,B.1,C.1>, <A.2,B.1,C.1>}.
-        let runnable = t.runnable_with(&cached, (2, 0));
-        assert_eq!(runnable, vec![vec![0, 0, 0], vec![1, 0, 0]]);
+        let mut runnable = Vec::new();
+        t.runnable_with(&cached, (2, 0), &mut runnable);
+        let packed = [[0, 0, 0], [1, 0, 0]].map(|c| SubplanTracker::pack(&c));
+        assert_eq!(runnable, packed);
         // C.3 "arrives" again: both its cached combos already executed.
-        assert!(t.runnable_with(&cached, (2, 1)).is_empty());
+        t.runnable_with(&cached, (2, 1), &mut runnable);
+        assert!(runnable.is_empty());
     }
 
     #[test]

@@ -104,13 +104,6 @@ impl ProbePlan {
         })
     }
 
-    /// The order in which relations become bound (driver first).
-    pub fn binding_order(&self) -> Vec<usize> {
-        let mut order = vec![self.driver];
-        order.extend(self.steps.iter().map(|s| s.rel));
-        order
-    }
-
     /// Builds a probe plan rooted at an arbitrary relation — the shape
     /// symmetric-hash MJoin needs: when a segment of relation `root`
     /// arrives, its tuples probe outward into the other relations'
@@ -146,6 +139,13 @@ mod tests {
         }
     }
 
+    /// The order in which relations become bound (driver first).
+    fn binding_order(plan: &ProbePlan) -> Vec<usize> {
+        let mut order = vec![plan.driver];
+        order.extend(plan.steps.iter().map(|s| s.rel));
+        order
+    }
+
     #[test]
     fn plans_simple_chain() {
         // t0 -- t1 -- t2, driver t0.
@@ -155,7 +155,7 @@ mod tests {
             0,
         );
         let plan = ProbePlan::plan(&spec).unwrap();
-        assert_eq!(plan.binding_order(), vec![0, 1, 2]);
+        assert_eq!(binding_order(&plan), vec![0, 1, 2]);
         assert_eq!(plan.steps[0].rel, 1);
         assert_eq!(plan.steps[0].key_col, 0);
         assert_eq!(plan.steps[0].bound_source, QualifiedCol::new(0, 0));
@@ -177,7 +177,7 @@ mod tests {
             0,
         );
         let plan = ProbePlan::plan(&spec).unwrap();
-        assert_eq!(plan.binding_order(), vec![0, 1, 2, 3]);
+        assert_eq!(binding_order(&plan), vec![0, 1, 2, 3]);
         // Each dim is keyed by its own PK column and sourced from the fact.
         for (i, step) in plan.steps.iter().enumerate() {
             assert_eq!(step.rel, i + 1);
@@ -222,7 +222,7 @@ mod tests {
             2,
         );
         let plan = ProbePlan::plan(&spec).unwrap();
-        assert_eq!(plan.binding_order(), vec![2, 1, 0]);
+        assert_eq!(binding_order(&plan), vec![2, 1, 0]);
     }
 
     #[test]
@@ -230,6 +230,6 @@ mod tests {
         let spec = spec_with(1, vec![], 0);
         let plan = ProbePlan::plan(&spec).unwrap();
         assert!(plan.steps.is_empty());
-        assert_eq!(plan.binding_order(), vec![0]);
+        assert_eq!(binding_order(&plan), vec![0]);
     }
 }

@@ -12,15 +12,26 @@
 //! * `kept` — the selection vector: positions of the rows that passed
 //!   the filter ([`scan::select`]), ascending. A row's index in `kept`
 //!   is its *slot*.
-//! * per join column, one `ChainTable`: `heads[bucket]` is the first
-//!   slot of the bucket's chain and `links[slot]` holds the next slot of
-//!   the chain plus the low 32 bits of the slot's key hash. Keys are
-//!   hashed straight out of the typed key column (a string column hashes
-//!   each dictionary entry once and looks codes up). The bucket is taken
-//!   from the hash's *high* bits (the well-mixed end of Fx's multiply);
-//!   the stored low bits reject almost every non-matching chain entry
-//!   without touching the column. A tag hit compares the key column's
-//!   value at `kept[slot]` with the probe key.
+//! * per join column, one `KeyIndex`: the column, its `ChainTable` and
+//!   its key range.
+//! * `ChainTable`: `heads[bucket]` is the first slot of the bucket's
+//!   chain and `links[slot]` holds the next slot of the chain plus the
+//!   low 32 bits of the slot's key hash. Keys are hashed straight out of
+//!   the typed key column (a string column hashes each dictionary entry
+//!   once and looks codes up). The bucket is taken from the hash's *high*
+//!   bits (the well-mixed end of Fx's multiply); the stored low bits
+//!   reject almost every non-matching chain entry without touching the
+//!   column. A tag hit compares the key column's value at `kept[slot]`
+//!   with the probe key.
+//! * `KeyRange`: the least and greatest non-NULL key of the kept rows,
+//!   in the column's own type (a string range holds two dictionary
+//!   codes), found in the same pass that chains the slots. These are
+//!   "small materialized aggregates" (Moerkotte, VLDB 1998): a probe key
+//!   outside the range equals no kept key under [`ValueRef`]'s total
+//!   order, so [`SegmentIndex::may_hold`] rejects the segment with two
+//!   compares and no bucket load. MJoin's range-partitioned keys
+//!   (`o_orderkey`, `c_custkey`) make most cached segments of a relation
+//!   miss that way.
 //!
 //! # Emit order
 //!
@@ -34,7 +45,8 @@
 //! # Eviction
 //!
 //! Dropping a [`SegmentIndex`] is the paper's "frees space by dropping
-//! its hashtable": it frees `kept`, two `Vec`s per join column and one
+//! its hashtable": it frees `kept`, the `KeyIndex` list (each key range
+//! lives in it, beside its table), two `Vec`s per join column and one
 //! `Arc` reference — independent of the number of distinct keys. The
 //! segment itself is freed when the last holder lets go.
 
@@ -134,37 +146,158 @@ impl Iterator for Chain<'_> {
     }
 }
 
-/// The chain table over `kept` keyed on column `col`, hashing straight
-/// out of the typed column (a string column hashes each dictionary entry
-/// once).
-fn column_table(segment: &Segment, kept: &[u32], col: usize) -> ChainTable {
-    fn table(column: Column<'_>, kept: &[u32], hash_at: impl Fn(usize) -> u64) -> ChainTable {
-        ChainTable::build(kept.len(), |slot| {
-            let pos = kept[slot] as usize;
-            // NULL never equi-joins.
-            (!column.is_null(pos)).then(|| hash_at(pos))
-        })
+/// The least and greatest non-NULL key of a column's kept rows, in the
+/// column's own type.
+#[derive(Clone, Copy, Debug)]
+enum KeyRange {
+    /// No kept row has a non-NULL key: nothing can match.
+    Empty,
+    Bool(bool, bool),
+    Int(i64, i64),
+    Float(f64, f64),
+    Date(i32, i32),
+    /// Dictionary codes of the least and greatest string.
+    Str(u32, u32),
+}
+
+impl KeyRange {
+    /// False when `key` lies outside the range under [`ValueRef`]'s total
+    /// order, so that it equals no kept key of the column.
+    #[inline]
+    fn admits(self, key: ValueRef<'_>, segment: &Segment) -> bool {
+        match (self, key) {
+            // Every join key of the paper's queries: two integer compares,
+            // inlined into the probe loop; the rest is out of line.
+            (KeyRange::Int(lo, hi), ValueRef::Int(k)) => lo <= k && k <= hi,
+            _ => self.admits_any(key, segment),
+        }
     }
+
+    #[cold]
+    #[inline(never)]
+    fn admits_any(self, key: ValueRef<'_>, segment: &Segment) -> bool {
+        fn within<'v>(lo: ValueRef<'v>, key: ValueRef<'v>, hi: ValueRef<'v>) -> bool {
+            lo <= key && key <= hi
+        }
+        match self {
+            KeyRange::Empty => false,
+            KeyRange::Bool(lo, hi) => within(ValueRef::Bool(lo), key, ValueRef::Bool(hi)),
+            KeyRange::Int(lo, hi) => within(ValueRef::Int(lo), key, ValueRef::Int(hi)),
+            KeyRange::Float(lo, hi) => within(ValueRef::Float(lo), key, ValueRef::Float(hi)),
+            KeyRange::Date(lo, hi) => within(ValueRef::Date(lo), key, ValueRef::Date(hi)),
+            KeyRange::Str(lo, hi) => {
+                let dict = segment.dictionary();
+                within(
+                    ValueRef::Str(&dict[lo as usize]),
+                    key,
+                    ValueRef::Str(&dict[hi as usize]),
+                )
+            }
+        }
+    }
+}
+
+/// The index of one join column: its hash table and its key range.
+struct KeyIndex {
+    col: usize,
+    table: ChainTable,
+    range: KeyRange,
+}
+
+/// Chains the kept rows of `column` by key hash and finds their least
+/// and greatest non-NULL key (`less` orders keys as [`ValueRef`] does),
+/// in one pass.
+fn chain_and_range<T: Copy>(
+    column: Column<'_>,
+    kept: &[u32],
+    key_at: impl Fn(usize) -> T,
+    hash: impl Fn(T) -> u64,
+    less: impl Fn(T, T) -> bool,
+    range: impl Fn(T, T) -> KeyRange,
+) -> (ChainTable, KeyRange) {
+    let mut bounds: Option<(T, T)> = None;
+    let table = ChainTable::build(kept.len(), |slot| {
+        let pos = kept[slot] as usize;
+        // NULL never equi-joins.
+        if column.is_null(pos) {
+            return None;
+        }
+        let key = key_at(pos);
+        bounds = Some(match bounds {
+            None => (key, key),
+            Some((lo, hi)) => (
+                if less(key, lo) { key } else { lo },
+                if less(hi, key) { key } else { hi },
+            ),
+        });
+        Some(hash(key))
+    });
+    (
+        table,
+        bounds.map_or(KeyRange::Empty, |(lo, hi)| range(lo, hi)),
+    )
+}
+
+/// The index over `kept` of column `col`, hashing straight out of the
+/// typed column (a string column hashes each dictionary entry once).
+fn key_index(segment: &Segment, kept: &[u32], col: usize) -> KeyIndex {
     if kept.is_empty() {
         // Nothing to chain; the segment may not even have the column (an
         // empty relation under an empty schema).
-        return ChainTable::build(0, |_| None);
+        return KeyIndex {
+            col,
+            table: ChainTable::build(0, |_| None),
+            range: KeyRange::Empty,
+        };
     }
     let column = segment.column(col);
-    match column.values() {
-        ColumnValues::Int(v) => table(column, kept, |p| hash_key(ValueRef::Int(v[p]))),
-        ColumnValues::Date(v) => table(column, kept, |p| hash_key(ValueRef::Date(v[p]))),
-        ColumnValues::Float(v) => table(column, kept, |p| hash_key(ValueRef::Float(v[p]))),
-        ColumnValues::Bool(v) => table(column, kept, |p| hash_key(ValueRef::Bool(v[p]))),
+    let (table, range) = match column.values() {
+        ColumnValues::Int(v) => chain_and_range(
+            column,
+            kept,
+            |p| v[p],
+            |k| hash_key(ValueRef::Int(k)),
+            |a, b| a < b,
+            KeyRange::Int,
+        ),
+        ColumnValues::Date(v) => chain_and_range(
+            column,
+            kept,
+            |p| v[p],
+            |k| hash_key(ValueRef::Date(k)),
+            |a, b| a < b,
+            KeyRange::Date,
+        ),
+        ColumnValues::Float(v) => chain_and_range(
+            column,
+            kept,
+            |p| v[p],
+            |k| hash_key(ValueRef::Float(k)),
+            |a: f64, b| a.total_cmp(&b).is_lt(),
+            KeyRange::Float,
+        ),
+        ColumnValues::Bool(v) => chain_and_range(
+            column,
+            kept,
+            |p| v[p],
+            |k| hash_key(ValueRef::Bool(k)),
+            |a, b| !a & b,
+            KeyRange::Bool,
+        ),
         ColumnValues::Str(codes) => {
-            let hashes: Vec<u64> = segment
-                .dictionary()
-                .iter()
-                .map(|s| hash_key(ValueRef::Str(s)))
-                .collect();
-            table(column, kept, |p| hashes[codes[p] as usize])
+            let dict = segment.dictionary();
+            let hashes: Vec<u64> = dict.iter().map(|s| hash_key(ValueRef::Str(s))).collect();
+            chain_and_range(
+                column,
+                kept,
+                |p| codes[p],
+                |code| hashes[code as usize],
+                |a, b| a != b && dict[a as usize] < dict[b as usize],
+                KeyRange::Str,
+            )
         }
-    }
+    };
+    KeyIndex { col, table, range }
 }
 
 /// Hash of a join key, as every [`SegmentIndex`] table uses it. Compute
@@ -183,9 +316,9 @@ pub struct SegmentIndex {
     segment: Arc<Segment>,
     /// Positions of rows surviving the filter, ascending.
     kept: Vec<u32>,
-    /// `tables[i]` indexes column `cols[i]`.
-    cols: Vec<usize>,
-    tables: Vec<ChainTable>,
+    /// One per join column, in `join_cols` order; a column's position
+    /// here is its table slot.
+    keys: Vec<KeyIndex>,
     stats: ScanStats,
 }
 
@@ -194,9 +327,9 @@ impl SegmentIndex {
     /// `join_cols`. The index shares the segment; no row is copied.
     pub fn build(segment: &Arc<Segment>, filter: Option<&Expr>, join_cols: &[usize]) -> Self {
         let kept = scan::select(segment, filter);
-        let tables = join_cols
+        let keys = join_cols
             .iter()
-            .map(|&col| column_table(segment, &kept, col))
+            .map(|&col| key_index(segment, &kept, col))
             .collect();
         SegmentIndex {
             stats: ScanStats {
@@ -205,8 +338,7 @@ impl SegmentIndex {
             },
             segment: Arc::clone(segment),
             kept,
-            cols: join_cols.to_vec(),
-            tables,
+            keys,
         }
     }
 
@@ -246,10 +378,22 @@ impl SegmentIndex {
     /// Panics if `col` was not indexed — probing an unindexed column is a
     /// planning bug, not a data condition.
     pub fn slot_of(&self, col: usize) -> usize {
-        self.cols
+        self.keys
             .iter()
-            .position(|&c| c == col)
-            .unwrap_or_else(|| panic!("column {col} not indexed (indexed: {:?})", self.cols))
+            .position(|k| k.col == col)
+            .unwrap_or_else(|| {
+                let indexed: Vec<usize> = self.keys.iter().map(|k| k.col).collect();
+                panic!("column {col} not indexed (indexed: {indexed:?})")
+            })
+    }
+
+    /// False when no kept row's key in table `slot` can equal `key`: the
+    /// key lies outside the column's least and greatest kept key, so a
+    /// probe would yield nothing. Two compares for an integer key; no
+    /// bucket is loaded.
+    #[inline]
+    pub fn may_hold(&self, slot: usize, key: ValueRef<'_>) -> bool {
+        self.keys[slot].range.admits(key, &self.segment)
     }
 
     /// Rows whose column `col` equals `key`, in ascending row position.
@@ -272,8 +416,8 @@ impl SegmentIndex {
             kept: &self.kept,
             // A NULL probe key needs no special case: NULL-keyed slots
             // are in no chain, so it compares unequal to all it meets.
-            chain: self.tables[slot].chain(hash),
-            col: self.cols[slot],
+            chain: self.keys[slot].table.chain(hash),
+            col: self.keys[slot].col,
             key,
         }
     }
@@ -281,7 +425,7 @@ impl SegmentIndex {
     /// Approximate number of hash-table entries across all indexes; used
     /// to charge hash-build CPU cost.
     pub fn entries(&self) -> usize {
-        self.cols.len() * self.kept.len()
+        self.keys.len() * self.kept.len()
     }
 }
 
@@ -414,6 +558,129 @@ mod tests {
         }
         drop(idx);
         assert_eq!(Arc::strong_count(&seg), 1);
+    }
+
+    /// Probe keys at and around `bound`: the same number in every
+    /// numeric type, its integer neighbours, the halves between them and
+    /// `-0.0` next to zero; a string, its prefix and its extension.
+    fn keys_around(bound: ValueRef<'_>) -> Vec<Value> {
+        let whole = match bound {
+            ValueRef::Int(i) => i,
+            ValueRef::Date(d) => d as i64,
+            ValueRef::Float(f) => f.floor() as i64,
+            ValueRef::Str(s) => {
+                let prefix = &s[..s.len() - 1];
+                return vec![
+                    Value::str(s),
+                    Value::str(prefix),
+                    Value::str(&format!("{s}~")),
+                ];
+            }
+            _ => unreachable!("no such key column"),
+        };
+        let mut keys = vec![Value::Float(-0.0)];
+        if let ValueRef::Float(f) = bound {
+            keys.push(Value::Float(f));
+        }
+        for k in whole - 1..=whole + 2 {
+            let half = k as f64 + 0.5;
+            keys.extend([Value::Int(k), Value::Date(k as i32)]);
+            keys.extend([Value::Float(k as f64), Value::Float(half)]);
+        }
+        keys
+    }
+
+    fn non_null_keys<'a>(rows: impl Iterator<Item = RowRef<'a>>, col: usize) -> Vec<ValueRef<'a>> {
+        rows.map(|row| row.get(col))
+            .filter(|v| !v.is_null())
+            .collect()
+    }
+
+    /// The key range is exact under `ValueRef`'s total order: every key
+    /// below the least or above the greatest kept non-NULL key is
+    /// rejected and its probe yields nothing, and every key at a bound
+    /// (or between them) is admitted — in every cross type, NULL
+    /// included, on segments whose filter or NULLs drop the extreme rows.
+    #[test]
+    fn key_range_is_exact_across_types() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let schema = Schema::of(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("d", DataType::Date),
+            ("s", DataType::Str),
+            ("g", DataType::Int),
+        ]);
+        let cols = [0, 1, 2, 3];
+        let mut rng = StdRng::seed_from_u64(0xB0B5);
+        let (mut trimmed, mut rejected, mut admitted) = (0, 0, 0);
+        for case in 0..300 {
+            let rows: Vec<Row> = (0..rng.gen_range(0..10))
+                .map(|_| {
+                    let k = rng.gen_range(-6..6i64);
+                    let values = [
+                        Value::Int(k),
+                        // Integral, non-integral and negative zero.
+                        match rng.gen_range(0..3) {
+                            0 => Value::Float(k as f64),
+                            1 => Value::Float(k as f64 + 0.5),
+                            _ => Value::Float(-0.0),
+                        },
+                        Value::Date(k as i32),
+                        Value::str(&format!("s{}", k + 6)),
+                    ];
+                    let mut row: Vec<Value> = values
+                        .into_iter()
+                        .map(|v| if rng.gen_bool(0.2) { Value::Null } else { v })
+                        .collect();
+                    row.push(Value::Int(rng.gen_range(0..4)));
+                    Row::new(row)
+                })
+                .collect();
+            let seg = Arc::new(Segment::new(schema.clone(), rows).unwrap());
+            let filter = rng
+                .gen_bool(0.5)
+                .then(|| Expr::col(4).ge(Expr::lit(rng.gen_range(0..4i64))));
+            let idx = SegmentIndex::build(&seg, filter.as_ref(), &cols);
+            for (slot, &col) in cols.iter().enumerate() {
+                let kept = non_null_keys(idx.rows(), col);
+                let all = non_null_keys(seg.iter(), col);
+                let (lo, hi) = (kept.iter().min(), kept.iter().max());
+                trimmed += ((lo, hi) != (all.iter().min(), all.iter().max())) as usize;
+                let mut keys = vec![Value::Null, Value::str("s"), Value::Int(0)];
+                for bound in all.iter().chain(lo).chain(hi) {
+                    keys.extend(keys_around(*bound));
+                }
+                for key in &keys {
+                    let key = key.as_ref();
+                    let inside = lo.is_some_and(|lo| *lo <= key) && hi.is_some_and(|hi| key <= *hi);
+                    let holds = idx.may_hold(slot, key);
+                    assert_eq!(
+                        holds, inside,
+                        "case {case} col {col} key {key:?} in {lo:?}..={hi:?}"
+                    );
+                    if holds {
+                        admitted += 1;
+                    } else {
+                        rejected += 1;
+                        assert_eq!(
+                            idx.probe(col, key).count(),
+                            0,
+                            "case {case} col {col} key {key:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Not vacuous: filters and NULLs trimmed ranges, and keys fell on
+        // both sides.
+        assert!(trimmed > 100, "only {trimmed} trimmed ranges");
+        assert!(
+            rejected > 1_000 && admitted > 1_000,
+            "{rejected} rejected, {admitted} admitted"
+        );
     }
 
     #[test]

@@ -34,6 +34,11 @@ pub struct JoinWork {
     pub driver_tuples: usize,
     /// Hash-table probe operations performed.
     pub probes: usize,
+    /// Per-segment hash-chain walks: one per probe in
+    /// [`execute_combination`]; in [`execute_rooted`], one per candidate
+    /// segment whose key range admits the probe key. Not charged to
+    /// virtual time.
+    pub lookups: usize,
     /// Joined rows emitted to the sink.
     pub emitted: usize,
 }
@@ -43,6 +48,7 @@ impl JoinWork {
     pub fn merge(&mut self, other: JoinWork) {
         self.driver_tuples += other.driver_tuples;
         self.probes += other.probes;
+        self.lookups += other.lookups;
         self.emitted += other.emitted;
     }
 }
@@ -111,6 +117,7 @@ fn descend<'a>(
         return;
     }
     work.probes += 1;
+    work.lookups += 1;
     for candidate in segments[step.rel].probe(step.key_col, key) {
         if !residuals_hold(step, candidate, bound) {
             continue;
@@ -128,11 +135,12 @@ fn descend<'a>(
 ///
 /// `plan` must be rooted at the arriving relation
 /// ([`ProbePlan::plan_rooted`]). `candidates[r]` lists `(segment id,
-/// index)` pairs eligible for relation `r`; all indexes of one relation
-/// must be built on the same join columns. Each emitted row's segment
-/// combination is checked against `already_executed` so that refetched
-/// objects (evicted and re-delivered in a later reissue cycle) never
-/// double-count results of subplans that ran in an earlier cycle.
+/// index)` pairs eligible for relation `r` (a `Vec` or a slice); all
+/// indexes of one relation must be built on the same join columns. Each
+/// emitted row's segment combination is checked against
+/// `already_executed` so that refetched objects (evicted and
+/// re-delivered in a later reissue cycle) never double-count results of
+/// subplans that ran in an earlier cycle.
 ///
 /// # Logical probes vs per-segment lookups
 ///
@@ -140,24 +148,38 @@ fn descend<'a>(
 /// one probe per bound prefix per step, as if each relation had a single
 /// hash table (a production MJoin keeps one logical table per relation
 /// with per-segment arenas, so its lookup cost does not scale with the
-/// number of cached segments). Probe *execution* here is one chain walk
-/// per cached candidate segment. On the benchmark's `tpch_mjoin`
-/// workload (seed 2016) one run's 2.9 M logical probes fan out into
-/// 13.0 M per-segment lookups, and 95 % of those lookups find no row.
-/// Q5 makes 11.4 M of them, 9.4 M (72 % of all) into cached `orders`
-/// segments (98 % of which miss); Q12 makes 1.6 M. The kernel therefore
-/// pays the per-probe costs — reading and hashing the key, resolving
-/// the probed column to its table slot — once per logical probe
-/// (`hash_key`, `slots`), and a per-segment lookup that misses is a
+/// number of cached segments). Probe *execution* walks one chain per
+/// cached candidate segment whose key range admits the probe key
+/// ([`SegmentIndex::may_hold`]); the others are skipped before any
+/// bucket head is loaded, and `JoinWork::lookups` counts the walks. A
+/// skipped segment holds no match, so emit order, float sums and
+/// `probes` are what walking every segment gives. On the benchmark's
+/// `tpch_mjoin` workload (seed 2016) one run's 2.93 M logical probes
+/// make 3.67 M per-segment lookups; walking every candidate made 13.0 M.
+/// `o_orderkey` is range-partitioned by segment, so Q5's 1.86 M probes
+/// into `orders` walk 0.93 M chains (9.3 M before): fewer than one per
+/// probe, since a key whose segment is not cached is rejected by every
+/// cached one. `lineitem` is not partitioned by `l_orderkey`, so a probe
+/// into it still walks every cached `lineitem` segment: Q12's 0.27 M
+/// probes make 1.40 M lookups and Q5's 0.21 M make 0.84 M. That 0.74 M
+/// excess is all that one table per relation could still save. The
+/// kernel pays the per-probe costs — reading and hashing the key,
+/// resolving the probed column to its table slot — once per logical
+/// probe (`hash_key`, `slots`), and a lookup that misses is a
 /// bucket-head load and at most a few 32-bit tag compares, never a
 /// column access.
-pub fn execute_rooted(
+pub fn execute_rooted<'a>(
     plan: &ProbePlan,
-    candidates: &[Vec<(u32, &SegmentIndex)>],
+    candidates: &[impl AsRef<[(u32, &'a SegmentIndex)]>],
     already_executed: &dyn Fn(&[u32]) -> bool,
     sink: &mut dyn FnMut(&[RowRef<'_>]),
 ) -> JoinWork {
     assert!(candidates.len() <= MAX_RELATIONS, "too many relations");
+    let mut lists: [&[(u32, &SegmentIndex)]; MAX_RELATIONS] = [&[]; MAX_RELATIONS];
+    for (list, c) in lists.iter_mut().zip(candidates) {
+        *list = c.as_ref();
+    }
+    let candidates = &lists[..candidates.len()];
     // Any relation with no cached candidate ⇒ nothing runnable.
     if candidates.iter().any(|c| c.is_empty()) {
         return JoinWork::default();
@@ -203,7 +225,7 @@ pub fn execute_rooted(
 /// The per-call constants of one [`execute_rooted`] run.
 struct Rooted<'a, 'c> {
     plan: &'c ProbePlan,
-    candidates: &'c [Vec<(u32, &'a SegmentIndex)>],
+    candidates: &'c [&'c [(u32, &'a SegmentIndex)]],
     /// `slots[depth]` — table slot of step `depth`'s probed column.
     slots: [usize; MAX_RELATIONS],
     already_executed: &'c dyn Fn(&[u32]) -> bool,
@@ -230,7 +252,12 @@ impl<'a> Rooted<'a, '_> {
         self.work.probes += 1; // one logical probe per step
         let hash = hash_key(key);
         let slot = self.slots[depth];
-        for &(seg, idx) in &self.candidates[step.rel] {
+        for &(seg, idx) in self.candidates[step.rel] {
+            // A segment whose key range excludes `key` holds no match.
+            if !idx.may_hold(slot, key) {
+                continue;
+            }
+            self.work.lookups += 1;
             for candidate in idx.probe_hashed(slot, hash, key) {
                 if !residuals_hold(step, candidate, bound) {
                     continue;
@@ -403,6 +430,9 @@ mod tests {
         assert_eq!(work.emitted, 3);
         // Union probe accounting: one probe per b-row, not per candidate.
         assert_eq!(work.probes, 3);
+        // a1 holds keys 1..=2 and a2 2..=3: b=2 walks both, b=3 only a2
+        // and b=9 neither.
+        assert_eq!(work.lookups, 3);
     }
 
     #[test]
@@ -441,15 +471,18 @@ mod tests {
         let mut w = JoinWork {
             driver_tuples: 1,
             probes: 2,
+            lookups: 4,
             emitted: 3,
         };
         w.merge(JoinWork {
             driver_tuples: 10,
             probes: 20,
+            lookups: 40,
             emitted: 30,
         });
         assert_eq!(w.driver_tuples, 11);
         assert_eq!(w.probes, 22);
+        assert_eq!(w.lookups, 44);
         assert_eq!(w.emitted, 33);
     }
 }

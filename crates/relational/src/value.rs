@@ -94,12 +94,6 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
-
-    /// True when the value is a boolean `true` (SQL three-valued logic
-    /// collapses NULL to false at filter boundaries).
-    pub fn is_truthy(&self) -> bool {
-        matches!(self, Value::Bool(true))
-    }
 }
 
 impl<'a> ValueRef<'a> {
@@ -340,9 +334,10 @@ mod tests {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::Date(100).as_date(), Some(100));
         assert!(Value::Null.is_null());
-        assert!(Value::Bool(true).is_truthy());
-        assert!(!Value::Bool(false).is_truthy());
-        assert!(!Value::Int(1).is_truthy());
+        assert!(ValueRef::Bool(true).is_truthy());
+        assert!(!ValueRef::Bool(false).is_truthy());
+        assert!(!ValueRef::Int(1).is_truthy());
+        assert!(!ValueRef::Null.is_truthy());
     }
 
     #[test]

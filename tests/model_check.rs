@@ -183,7 +183,17 @@ fn runnable_with_matches_brute_force() {
             cached[0].push(0);
             cached[0].sort_unstable();
         }
-        let got: HashSet<Vec<u32>> = tracker.runnable_with(&cached, fixed).into_iter().collect();
+        let mut keys = Vec::new();
+        tracker.runnable_with(&cached, fixed, &mut keys);
+        let got: HashSet<Vec<u32>> = keys
+            .iter()
+            .map(|&key| {
+                (0..seg_counts.len())
+                    .map(|r| SubplanTracker::segment_of(key, r))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(got.len(), keys.len(), "case {case}: a combo listed twice");
         let expect: HashSet<Vec<u32>> = model
             .pending()
             .into_iter()

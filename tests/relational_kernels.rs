@@ -32,11 +32,12 @@ fn value(rng: &mut StdRng, dtype: DataType, k: i64, null_p: f64) -> Value {
     }
 }
 
+/// `rows` random rows whose keys are drawn from `base..base + keys`.
 fn segment(
     rng: &mut StdRng,
     dtypes: &[DataType],
     rows: usize,
-    keys: i64,
+    (base, keys): (i64, i64),
     null_p: f64,
 ) -> Arc<Segment> {
     let fields: Vec<(String, DataType)> = dtypes
@@ -51,7 +52,7 @@ fn segment(
                 dtypes
                     .iter()
                     .map(|&t| {
-                        let k = rng.gen_range(0..keys);
+                        let k = rng.gen_range(base..base + keys);
                         value(rng, t, k, null_p)
                     })
                     .collect(),
@@ -85,7 +86,7 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
         let dtypes: Vec<DataType> = (0..ncols).map(|_| types[rng.gen_range(0..3)]).collect();
         let keys = rng.gen_range(1..12i64);
         let rows = rng.gen_range(0..80usize);
-        let seg = segment(&mut rng, &dtypes, rows, keys, 0.15);
+        let seg = segment(&mut rng, &dtypes, rows, (0, keys), 0.15);
         let filter = random_filter(&mut rng, &dtypes, keys);
         let mut join_cols: Vec<usize> = (0..ncols).collect();
         for i in 0..ncols {
@@ -191,9 +192,18 @@ fn triangle_spec(rng: &mut StdRng, cyclic: bool) -> QuerySpec {
     spec
 }
 
-fn tagged_segment(rng: &mut StdRng, rel: usize, seg_id: u32, keys: i64) -> Arc<Segment> {
+/// A segment of relation `rel`; a `partitioned` one draws its keys from
+/// a range of its own, disjoint from every other segment id's.
+fn tagged_segment(
+    rng: &mut StdRng,
+    rel: usize,
+    seg_id: u32,
+    keys: i64,
+    partitioned: bool,
+) -> Arc<Segment> {
     let rows = rng.gen_range(0..25);
-    let seg = segment(rng, &REL_TYPES[rel][..SEG_COL], rows, keys, 0.1);
+    let base = if partitioned { seg_id as i64 * keys } else { 0 };
+    let seg = segment(rng, &REL_TYPES[rel][..SEG_COL], rows, (base, keys), 0.1);
     let fields: Vec<(&str, DataType)> = ["k0", "k1", "v", "seg"]
         .into_iter()
         .zip(REL_TYPES[rel])
@@ -229,18 +239,26 @@ fn owned(rows: &[RowRef<'_>]) -> Vec<Row> {
 ///   segments it fans out into.
 /// * The union of [`nary::execute_combination`] over the non-executed
 ///   combinations: the same rows as a multiset, the same `emitted`.
+///
+/// In half the cases each segment id draws its keys from a range of its
+/// own, as `o_orderkey` is partitioned, so the key ranges reject
+/// segments: a logical probe walks at most every candidate segment of
+/// the probed relation, and in aggregate over those cases fewer than
+/// the narrowest relation's count.
 #[test]
 fn rooted_execution_equals_union_of_combinations() {
     let mut rng = StdRng::seed_from_u64(0xB007);
     let mut emitted_total = 0;
     let mut skipped_total = 0;
+    let (mut partitioned_lookups, mut partitioned_floor) = (0, 0);
     for case in 0..150 {
         let spec = triangle_spec(&mut rng, case % 2 == 0);
+        let partitioned = case % 4 >= 2;
         let keys = rng.gen_range(2..7i64);
         let segments: Vec<Vec<Arc<Segment>>> = (0..3)
             .map(|rel| {
                 (0..rng.gen_range(1..4u32))
-                    .map(|s| tagged_segment(&mut rng, rel, s, keys))
+                    .map(|s| tagged_segment(&mut rng, rel, s, keys, partitioned))
                     .collect()
             })
             .collect();
@@ -297,6 +315,21 @@ fn rooted_execution_equals_union_of_combinations() {
             },
         );
         assert_eq!(work.emitted, got.len(), "case {case}");
+        // Every lookup walks one candidate segment of the probed relation.
+        let probed = || {
+            (0..3)
+                .filter(|&rel| rel != root)
+                .map(|rel| candidates[rel].len())
+        };
+        let (widest, narrowest) = (probed().max().unwrap(), probed().min().unwrap());
+        assert!(
+            work.lookups <= work.probes * widest,
+            "case {case}: {work:?}"
+        );
+        if partitioned {
+            partitioned_lookups += work.lookups;
+            partitioned_floor += work.probes * narrowest;
+        }
 
         // Oracle 1: one logical table per relation.
         let merged: Vec<SegmentIndex> = (0..3)
@@ -351,6 +384,11 @@ fn rooted_execution_equals_union_of_combinations() {
     // The battery must not pass vacuously.
     assert!(emitted_total > 1_000, "only {emitted_total} rows emitted");
     assert!(skipped_total > 300, "only {skipped_total} rows suppressed");
+    // Walking every candidate costs at least `probes × narrowest`.
+    assert!(
+        partitioned_lookups < partitioned_floor,
+        "key ranges skipped nothing: {partitioned_lookups} lookups, floor {partitioned_floor}"
+    );
 }
 
 /// (c): the baseline join reads shared `Arc<Segment>`s in place and
@@ -386,4 +424,76 @@ fn left_deep_join_over_shared_segments_matches_reference() {
         assert!(!expected.is_empty(), "{} returned nothing", spec.name);
         assert_eq!(agg.finish(), expected, "{}", spec.name);
     }
+}
+
+/// Reduced-scale TPC-H: every Q5 `lineitem` segment, arriving, probes
+/// every `orders` segment cached. `o_orderkey` is range-partitioned by
+/// segment, so the key ranges leave at most one `orders` lookup per
+/// logical probe, and the rows come out exactly as a walk of every
+/// cached segment emits them.
+#[test]
+fn q5_lineitem_walks_at_most_one_orders_segment_per_probe() {
+    let ds = tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(100_000));
+    let q5 = tpch::q5(&ds);
+    let rel = |name: &str| q5.tables.iter().position(|t| t == name).unwrap();
+    let (o, l) = (rel("orders"), rel("lineitem"));
+    let edge = q5
+        .joins
+        .iter()
+        .find(|j| j.side_of(o).is_some() && j.side_of(l).is_some())
+        .unwrap();
+    let (o_key, l_key) = (edge.side_of(o).unwrap().col, edge.side_of(l).unwrap().col);
+    // Q5's `lineitem → orders` step on its own: orders is relation 0.
+    let spec = QuerySpec {
+        name: "q5-lineitem-orders".into(),
+        tables: vec!["orders".into(), "lineitem".into()],
+        filters: vec![q5.filters[o].clone(), q5.filters[l].clone()],
+        joins: vec![JoinCond::new(1, l_key, 0, o_key)],
+        driver: 1,
+        plan_order: vec![0, 1],
+        probe_order: None,
+        group_by: vec![],
+        aggregates: vec![],
+    };
+    spec.validate();
+    let plan = ProbePlan::plan_rooted(&spec, 1).unwrap();
+    let segments = |name: &str| ds.table_segments(ds.catalog.index_of(name).unwrap());
+    // Indexed as the engine indexes them, on every Q5 join column.
+    let orders: Vec<SegmentIndex> = segments("orders")
+        .iter()
+        .map(|s| SegmentIndex::build(s, q5.filters[o].as_ref(), &q5.join_cols(o)))
+        .collect();
+    assert!(orders.len() >= 2, "{} orders segments", orders.len());
+    let cached: Vec<(u32, &SegmentIndex)> = (0..).zip(&orders).collect();
+
+    let (mut probes, mut lookups, mut emitted) = (0, 0, 0);
+    for (s, seg) in (0..).zip(segments("lineitem")) {
+        let arriving = SegmentIndex::build(seg, q5.filters[l].as_ref(), &q5.join_cols(l));
+        let mut got: Vec<Vec<Row>> = Vec::new();
+        let candidates = [cached.clone(), vec![(s, &arriving)]];
+        let work = nary::execute_rooted(&plan, &candidates, &|_| false, &mut |rows| {
+            got.push(owned(rows))
+        });
+        assert!(work.lookups <= work.probes, "lineitem {s}: {work:?}");
+
+        // Every cached segment walked, in candidate order.
+        let mut walked: Vec<Vec<Row>> = Vec::new();
+        for row in arriving.rows() {
+            let key = row.get(l_key);
+            for idx in &orders {
+                for hit in idx.probe(o_key, key) {
+                    walked.push(vec![hit.to_row(), row.to_row()]);
+                }
+            }
+        }
+        assert_eq!(got, walked, "lineitem {s}: emit order");
+        probes += work.probes;
+        lookups += work.lookups;
+        emitted += work.emitted;
+    }
+    assert!(
+        emitted > 0 && probes > 0,
+        "{emitted} rows from {probes} probes"
+    );
+    assert!(lookups <= probes, "{lookups} lookups for {probes} probes");
 }
