@@ -19,7 +19,7 @@ use std::sync::Arc;
 use skipper_csd::ObjectId;
 use skipper_relational::join_graph::ProbePlan;
 use skipper_relational::ops::index::SegmentIndex;
-use skipper_relational::ops::nary;
+use skipper_relational::ops::nary::{self, RootedScratch};
 use skipper_relational::query::{Aggregator, QuerySpec};
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
@@ -49,8 +49,10 @@ pub struct SkipperEngine {
     scales: Vec<f64>,
     /// Logical bytes per segment, per relation.
     seg_bytes: Vec<u64>,
-    /// Segment payload filters/join columns.
-    join_cols: Vec<Vec<usize>>,
+    /// `index_cols[r]` — how many join columns relation `r` has (a table
+    /// each to charge), and those that some rooted plan probes: the only
+    /// ones indexed.
+    index_cols: Vec<(usize, Vec<usize>)>,
     /// `outstanding[seg_offsets[rel] + seg]` — a GET for the object is in
     /// flight; `outstanding_count` of them are set.
     outstanding: Vec<bool>,
@@ -75,6 +77,7 @@ pub struct SkipperEngine {
     /// runnable and the victims its admission evicts.
     runnable: Vec<SubplanKey>,
     victims: Vec<RelSeg>,
+    rooted_scratch: RootedScratch,
 }
 
 impl SkipperEngine {
@@ -117,8 +120,14 @@ impl SkipperEngine {
              relation ({} × {max_seg} B) for subplans to make progress",
             spec.tables.len()
         );
-        let join_cols = (0..spec.num_relations())
-            .map(|r| spec.join_cols(r))
+        let steps = || rooted_plans.iter().flat_map(|p| &p.steps);
+        let index_cols = (0..spec.num_relations())
+            .map(|r| {
+                let mut cols = spec.join_cols(r);
+                let joined = cols.len();
+                cols.retain(|&c| steps().any(|s| s.rel == r && s.key_col == c));
+                (joined, cols)
+            })
             .collect();
         let agg = Aggregator::for_query(&spec);
         let tracker = SubplanTracker::new(&seg_counts);
@@ -139,7 +148,7 @@ impl SkipperEngine {
             cost,
             scales,
             seg_bytes,
-            join_cols,
+            index_cols,
             outstanding: vec![false; total_segs],
             outstanding_count: 0,
             seg_offsets,
@@ -151,14 +160,10 @@ impl SkipperEngine {
             degraded_target: None,
             runnable: Vec::new(),
             victims: Vec::new(),
+            rooted_scratch: RootedScratch::default(),
             rooted_plans,
             spec,
         }
-    }
-
-    /// Pending-subplan count (exposed for tests/ablations).
-    pub fn pending_subplans(&self) -> u64 {
-        self.tracker.pending_total()
     }
 
     fn issue(&mut self, objects: Vec<RelSeg>) -> Vec<ObjectId> {
@@ -214,6 +219,7 @@ impl SkipperEngine {
             &candidates[..n],
             &|combo| tracker.is_executed(combo),
             &mut |rows| agg.update(rows),
+            &mut self.rooted_scratch,
         );
         let arrived_scale = self.scales[arrived.0];
         self.stats.probe_ops += work.probes as u64;
@@ -271,24 +277,18 @@ impl QueryEngine for SkipperEngine {
         // are dropped without caching.
         if !self.finished && self.tracker.pending_count(obj) > 0 {
             debug_assert!(!self.cache.contains(obj), "delivered object already cached");
-            // Scan + filter + symmetric-hash build (charged at logical
-            // scale).
-            let index = SegmentIndex::build(
-                payload,
-                self.spec.filters[rel].as_ref(),
-                &self.join_cols[rel],
-            );
+            // Scan + filter + symmetric-hash build, one table charged per
+            // join column though only probed ones are built (logical scale).
+            let (joined, ref cols) = self.index_cols[rel];
+            let index = SegmentIndex::build(payload, self.spec.filters[rel].as_ref(), cols);
             let scale = self.scales[rel];
-            self.stats.scanned_tuples += index.stats().scanned as u64;
-            self.stats.built_tuples += index.entries() as u64;
-            processing +=
-                self.cost.scaled(
-                    index.stats().scanned as u64,
-                    scale,
-                    self.cost.scan_ns_per_tuple,
-                ) + self
-                    .cost
-                    .scaled(index.entries() as u64, scale, self.cost.build_ns_per_tuple);
+            let scanned = index.stats().scanned as u64;
+            let entries = (joined * index.len()) as u64;
+            self.stats.scanned_tuples += scanned;
+            self.stats.built_tuples += entries;
+            let cost = &self.cost;
+            processing += cost.scaled(scanned, scale, cost.scan_ns_per_tuple)
+                + cost.scaled(entries, scale, cost.build_ns_per_tuple);
 
             if self.prune_empty && index.is_empty() {
                 // §5.2.4: no tuple of this object can contribute to the
@@ -404,7 +404,7 @@ impl QueryEngine for SkipperEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skipper_datagen::{tpch, GenConfig};
+    use skipper_datagen::{mrbench, nref, ssb, tpch, GenConfig};
     use skipper_relational::catalog::GIB;
     use skipper_relational::query::results_approx_eq;
     use skipper_testkit::ops::reference;
@@ -559,7 +559,7 @@ mod tests {
         let or = ds.catalog.index_of("orders").unwrap();
         let expected =
             ds.catalog.table(li).segment_count as u64 * ds.catalog.table(or).segment_count as u64;
-        assert_eq!(engine.pending_subplans(), expected);
+        assert_eq!(engine.tracker.pending_total(), expected);
         drive(&mut engine, &ds, semantic);
         assert_eq!(engine.stats().subplans_executed, expected);
     }
@@ -600,5 +600,86 @@ mod tests {
             !reaction.processing.is_zero(),
             "scan+build must consume virtual time"
         );
+    }
+
+    /// The five paper queries at reduced scale (Q5, Q12, SSB Q1, the
+    /// MR-bench join and NREF), each with its dataset.
+    fn paper_queries() -> Vec<(Dataset, QuerySpec)> {
+        let cfg = GenConfig::new(9, 4).with_phys_divisor(100_000);
+        let big = GenConfig::new(9, 50).with_phys_divisor(2_000_000);
+        let (tpch_ds, ssb_ds) = (tpch::dataset(&cfg), ssb::dataset(&cfg));
+        let (mr_ds, nref_ds) = (mrbench::dataset(&big), nref::dataset(&big));
+        vec![
+            (tpch::q5(&tpch_ds), tpch_ds.clone()),
+            (tpch::q12(&tpch_ds), tpch_ds),
+            (ssb::q1(&ssb_ds), ssb_ds),
+            (mrbench::join_task(&mr_ds), mr_ds),
+            (nref::protein_count(&nref_ds), nref_ds),
+        ]
+        .into_iter()
+        .map(|(spec, ds)| (ds, spec))
+        .collect()
+    }
+
+    /// Every relation indexes exactly the columns its rooted plans probe,
+    /// so `slot_of` finds every probed column; of the five paper queries
+    /// only Q5's `l_suppkey` is joined but never probed, so its table is
+    /// the only one not built. The build is still charged one table per
+    /// join column: a full run's counts are those of building every
+    /// join column.
+    #[test]
+    fn paper_queries_index_exactly_the_probed_columns() {
+        // (built_tuples, probe_ops, emitted_rows) of indexing every join
+        // column.
+        let expected = [
+            (709, 320, 1),
+            (64, 4, 4),
+            (385, 20, 5),
+            (126, 86, 6),
+            (408, 172, 3),
+        ];
+        let mut unindexed = Vec::new();
+        for ((ds, spec), counts) in paper_queries().into_iter().zip(expected) {
+            let total_bytes = ds.objects_for_query(&spec) as u64 * GIB;
+            let mut engine = SkipperEngine::new(
+                0,
+                &ds,
+                spec.clone(),
+                total_bytes,
+                EvictionPolicy::MaximalProgress,
+                CostModel::paper_calibrated(),
+                false,
+            );
+            let tables = ds.query_table_indexes(&spec);
+            for (r, &table) in tables.iter().enumerate() {
+                let steps = || engine.rooted_plans.iter().flat_map(|plan| &plan.steps);
+                let probed = |col: &usize| steps().any(|s| s.rel == r && s.key_col == *col);
+                let (indexed, skipped): (Vec<usize>, Vec<usize>) =
+                    spec.join_cols(r).into_iter().partition(probed);
+                let joined = indexed.len() + skipped.len();
+                let (name, table_name) = (&spec.name, &spec.tables[r]);
+                assert_eq!(
+                    engine.index_cols[r],
+                    (joined, indexed),
+                    "{name} {table_name}"
+                );
+                let schema = &ds.catalog.table(table).schema;
+                unindexed.extend(
+                    skipped
+                        .iter()
+                        .map(|&col| format!("{} {}", spec.name, schema.field(col).name)),
+                );
+            }
+            drive(&mut engine, &ds, semantic);
+            assert!(engine.is_finished(), "{}", spec.name);
+            let stats = engine.stats();
+            assert_eq!(
+                (stats.built_tuples, stats.probe_ops, stats.emitted_rows),
+                counts,
+                "{}",
+                spec.name
+            );
+        }
+        assert_eq!(unindexed, ["tpch-q5 l_suppkey"]);
     }
 }

@@ -21,9 +21,9 @@
 //! object).
 //!
 //! Combinations are packed into a `u128` key (up to 8 relations × 16-bit
-//! segment ids), and executed-set scans are the only super-constant
-//! operations — both bounded by the number of *actually executed*
-//! subplans, never the full cross product.
+//! segment ids). Pruning scans the executed set; the executable counts
+//! scan it or the cached cross product, whichever is smaller. Nothing
+//! enumerates the full cross product.
 
 use skipper_relational::hash::{FxHashMap, FxHashSet};
 
@@ -107,11 +107,6 @@ impl SubplanTracker {
     /// Total subplans over live segments (`Π alive_r`).
     pub fn total_live_subplans(&self) -> u64 {
         self.alive_counts.iter().product()
-    }
-
-    /// Executed subplans so far.
-    pub fn executed_count(&self) -> u64 {
-        self.executed.len() as u64
     }
 
     /// Pending (live, unexecuted) subplans.
@@ -228,8 +223,9 @@ impl SubplanTracker {
         }
 
         // Executed combos fully inside the effective cache, counted per
-        // cached coordinate (`offsets[r]` + position in `cached[r]`), in
-        // one pass over the executed set.
+        // cached coordinate (`offsets[r]` + position in `cached[r]`), by
+        // enumerating the cached cross product when it is smaller than
+        // the executed set, else in one pass over the executed set.
         let mut offsets = [0usize; MAX_RELATIONS];
         let mut total = 0;
         for (offset, segs) in offsets.iter_mut().zip(cached) {
@@ -239,20 +235,48 @@ impl SubplanTracker {
         out.clear();
         out.resize(total, 0);
         let executed_in_cache = out;
-        'combos: for &key in &self.executed {
-            // `hits[r]` — where the combo's coordinate sits in
-            // `executed_in_cache`, or `None` for the uncounted newcomer.
-            let mut hits = [None; MAX_RELATIONS];
-            for r in 0..n {
-                let s = Self::segment_of(key, r);
-                match cached[r].binary_search(&s) {
-                    Ok(at) => hits[r] = Some(offsets[r] + at),
-                    Err(_) if incoming == Some((r, s)) => {}
-                    Err(_) => continue 'combos,
+        let product = sizes[..n].iter().try_fold(1u64, |p, &s| p.checked_mul(s));
+        if let Some(product) = product.filter(|&p| p < self.executed.len() as u64) {
+            // Combination `combo` takes, from each relation `r`, choice
+            // `combo % sizes[r]` (then divides `combo` by it): a cached
+            // segment, or past them the uncached newcomer.
+            for combo in 0..product {
+                let (mut key, mut rest) = (0, combo);
+                let mut hits = [None; MAX_RELATIONS];
+                for (r, &size) in sizes[..n].iter().enumerate() {
+                    let at = (rest % size) as usize;
+                    rest /= size;
+                    let seg = match cached[r].get(at) {
+                        Some(&seg) => {
+                            hits[r] = Some(offsets[r] + at);
+                            seg
+                        }
+                        None => incoming.expect("only the newcomer lies past the cache").1,
+                    };
+                    key |= (seg as SubplanKey) << (16 * r);
+                }
+                if self.executed.contains(&key) {
+                    for at in hits[..n].iter().flatten() {
+                        executed_in_cache[*at] += 1;
+                    }
                 }
             }
-            for at in hits[..n].iter().flatten() {
-                executed_in_cache[*at] += 1;
+        } else {
+            'combos: for &key in &self.executed {
+                // `hits[r]` — where the combo's coordinate sits in
+                // `executed_in_cache`, or `None` for the uncounted newcomer.
+                let mut hits = [None; MAX_RELATIONS];
+                for r in 0..n {
+                    let s = Self::segment_of(key, r);
+                    match cached[r].binary_search(&s) {
+                        Ok(at) => hits[r] = Some(offsets[r] + at),
+                        Err(_) if incoming == Some((r, s)) => {}
+                        Err(_) => continue 'combos,
+                    }
+                }
+                for at in hits[..n].iter().flatten() {
+                    executed_in_cache[*at] += 1;
+                }
             }
         }
 
@@ -405,7 +429,7 @@ mod tests {
         let mut t = table2_tracker();
         assert!(t.mark_executed(&[0, 0, 0]));
         assert!(!t.mark_executed(&[0, 0, 0])); // duplicate
-        assert_eq!(t.executed_count(), 1);
+        assert_eq!(t.executed.len(), 1);
         assert_eq!(t.pending_total(), 7);
         assert_eq!(t.pending_count((0, 0)), 3); // 4 combos with A.0, 1 done
         assert_eq!(t.pending_count((0, 1)), 4);
@@ -445,12 +469,15 @@ mod tests {
     /// `executable_counts` against its definition: the non-executed
     /// combinations of the effective cache (cached ∪ incoming) that
     /// contain the candidate — including executed combinations that
-    /// contain the newcomer, and a newcomer that is already cached.
+    /// contain the newcomer, and a newcomer that is already cached. Both
+    /// ways of counting (enumerating the cached cross product, walking
+    /// the executed set) are taken on many cases.
     #[test]
     fn executable_counts_match_brute_force() {
         use skipper_sim::rng::splitmix64;
         let mut state = 0x5EED;
         let mut draw = |n: u64| splitmix64(&mut state) % n;
+        let (mut by_product, mut by_walk) = (0, 0);
         for case in 0..200 {
             let seg_counts: Vec<u32> = (0..1 + draw(3)).map(|_| 1 + draw(4) as u32).collect();
             let n = seg_counts.len();
@@ -493,7 +520,23 @@ mod tests {
                 counts, expected,
                 "case {case}: {seg_counts:?} cached {cached:?} incoming {incoming:?}"
             );
+
+            // The way `executable_counts` took: the cross product of the
+            // effective cache if smaller than the executed set.
+            let mut sizes: Vec<u64> = cached.iter().map(|c| c.len() as u64).collect();
+            if let Some((r, _)) = incoming.filter(|&(r, s)| !cached[r].contains(&s)) {
+                sizes[r] += 1;
+            }
+            if sizes.iter().product::<u64>() < t.executed.len() as u64 {
+                by_product += 1;
+            } else {
+                by_walk += 1;
+            }
         }
+        assert!(
+            by_product > 50 && by_walk > 50,
+            "{by_product} cases counted by product, {by_walk} by walk"
+        );
     }
 
     #[test]
@@ -546,7 +589,7 @@ mod tests {
         let removed = t.prune((2, 0));
         // Pending combos with C.0 were 4 − 2 executed = 2.
         assert_eq!(removed, 2);
-        assert_eq!(t.executed_count(), 0);
+        assert_eq!(t.executed.len(), 0);
         assert_eq!(t.total_live_subplans(), 4);
         assert_eq!(t.pending_count((0, 0)), 2);
         // B.0's executed-per-object count was rolled back too.

@@ -1,11 +1,12 @@
 //! Per-segment hash indexes.
 //!
 //! MJoin is a *symmetric* hash join: when a segment arrives, hash tables
-//! are built over it on every join column its relation participates in
-//! (§4.1 of the paper: "builds appropriate hash tables based on the join
-//! conditions"). A [`SegmentIndex`] borrows its tuples: it keeps the
-//! delivered `Arc<Segment>` alive and refers to rows by position, so
-//! neither rows nor keys are ever copied.
+//! are built over it on its join columns (§4.1 of the paper: "builds
+//! appropriate hash tables based on the join conditions"); the Skipper
+//! engine builds them only on the columns some rooted plan probes, and
+//! charges one per join column. A [`SegmentIndex`] borrows its tuples: it
+//! keeps the delivered `Arc<Segment>` alive and refers to rows by
+//! position, so neither rows nor keys are ever copied.
 //!
 //! # Layout
 //!
@@ -18,14 +19,15 @@
 //!   chain and `links[slot]` holds the next slot of the chain plus the
 //!   low 32 bits of the slot's key hash. Keys are hashed straight out of
 //!   the typed key column (a string column hashes each dictionary entry
-//!   once and looks codes up). The bucket is taken from the hash's *high*
-//!   bits (the well-mixed end of Fx's multiply); the stored low bits
-//!   reject almost every non-matching chain entry without touching the
-//!   column. A tag hit compares the key column's value at `kept[slot]`
-//!   with the probe key.
+//!   once and looks codes up), in the pass (`hash_column`) that also
+//!   hashes the rooted kernel's first-step keys. The bucket is taken from
+//!   the hash's *high* bits (the well-mixed end of Fx's multiply); the
+//!   stored low bits reject almost every non-matching chain entry without
+//!   touching the column. A tag hit compares the key column's value at
+//!   `kept[slot]` with the probe key.
 //! * `KeyRange`: the least and greatest non-NULL key of the kept rows,
 //!   in the column's own type (a string range holds two dictionary
-//!   codes), found in the same pass that chains the slots. These are
+//!   codes), found in the same pass that hashes the slots. These are
 //!   "small materialized aggregates" (Moerkotte, VLDB 1998): a probe key
 //!   outside the range equals no kept key under [`ValueRef`]'s total
 //!   order, so [`SegmentIndex::may_hold`] rejects the segment with two
@@ -84,30 +86,39 @@ impl ChainTable {
     /// Chains slots `0..slots` by `hash_of(slot)`, skipping the slots it
     /// gives no hash.
     pub(crate) fn build(slots: usize, mut hash_of: impl FnMut(usize) -> Option<u64>) -> Self {
+        let mut table = ChainTable::unchained(slots);
+        // Reverse pass + head insertion ⇒ chains ascend by slot.
+        for slot in (0..slots).rev() {
+            if let Some(hash) = hash_of(slot) {
+                table.push_front(slot, hash);
+            }
+        }
+        table
+    }
+
+    /// A table over `slots` slots with every chain empty.
+    fn unchained(slots: usize) -> Self {
         assert!(slots < NIL as usize, "{slots} slots exceed 32-bit slot ids");
         // At least two buckets per slot keeps most chains at one key;
         // at least two buckets keeps `shift` below 64.
         let buckets = (slots * 2).next_power_of_two().max(2);
-        let shift = 64 - buckets.trailing_zeros();
-        let mut heads = vec![NIL; buckets];
-        let mut links = vec![Link { next: NIL, tag: 0 }; slots];
-        // Reverse pass + head insertion ⇒ chains ascend by slot.
-        for slot in (0..slots).rev() {
-            let Some(hash) = hash_of(slot) else {
-                continue;
-            };
-            let head = &mut heads[(hash >> shift) as usize];
-            links[slot] = Link {
-                next: *head,
-                tag: hash as u32,
-            };
-            *head = slot as u32;
-        }
         ChainTable {
-            heads,
-            links,
-            shift,
+            heads: vec![NIL; buckets],
+            links: vec![Link { next: NIL, tag: 0 }; slots],
+            shift: 64 - buckets.trailing_zeros(),
         }
+    }
+
+    /// Puts `slot` at the head of its hash's chain: pushing slots in
+    /// descending order leaves every chain ascending.
+    #[inline]
+    fn push_front(&mut self, slot: usize, hash: u64) {
+        let head = &mut self.heads[(hash >> self.shift) as usize];
+        self.links[slot] = Link {
+            next: *head,
+            tag: hash as u32,
+        };
+        *head = slot as u32;
     }
 
     /// The slots whose hash may equal `hash` (their stored low half
@@ -204,23 +215,23 @@ struct KeyIndex {
     range: KeyRange,
 }
 
-/// Chains the kept rows of `column` by key hash and finds their least
-/// and greatest non-NULL key (`less` orders keys as [`ValueRef`] does),
-/// in one pass.
-fn chain_and_range<T: Copy>(
+/// [`hash_column`] over a typed column (`less` orders keys as
+/// [`ValueRef`] does).
+fn hash_typed<T: Copy>(
     column: Column<'_>,
     kept: &[u32],
     key_at: impl Fn(usize) -> T,
     hash: impl Fn(T) -> u64,
     less: impl Fn(T, T) -> bool,
     range: impl Fn(T, T) -> KeyRange,
-) -> (ChainTable, KeyRange) {
+    mut each: impl FnMut(usize, u64),
+) -> KeyRange {
     let mut bounds: Option<(T, T)> = None;
-    let table = ChainTable::build(kept.len(), |slot| {
-        let pos = kept[slot] as usize;
+    for (slot, &pos) in kept.iter().enumerate().rev() {
+        let pos = pos as usize;
         // NULL never equi-joins.
         if column.is_null(pos) {
-            return None;
+            continue;
         }
         let key = key_at(pos);
         bounds = Some(match bounds {
@@ -230,73 +241,87 @@ fn chain_and_range<T: Copy>(
                 if less(hi, key) { key } else { hi },
             ),
         });
-        Some(hash(key))
-    });
-    (
-        table,
-        bounds.map_or(KeyRange::Empty, |(lo, hi)| range(lo, hi)),
-    )
+        each(slot, hash(key));
+    }
+    bounds.map_or(KeyRange::Empty, |(lo, hi)| range(lo, hi))
 }
 
-/// The index over `kept` of column `col`, hashing straight out of the
-/// typed column (a string column hashes each dictionary entry once).
-fn key_index(segment: &Segment, kept: &[u32], col: usize) -> KeyIndex {
+/// Feeds `each` the [`hash_key`] of every kept row's non-NULL key in
+/// column `col`, as `(slot, hash)` in descending slot order, in one typed
+/// pass (a string column hashes each dictionary entry once), and returns
+/// the range of those keys.
+fn hash_column(
+    segment: &Segment,
+    kept: &[u32],
+    col: usize,
+    each: impl FnMut(usize, u64),
+) -> KeyRange {
     if kept.is_empty() {
-        // Nothing to chain; the segment may not even have the column (an
-        // empty relation under an empty schema).
-        return KeyIndex {
-            col,
-            table: ChainTable::build(0, |_| None),
-            range: KeyRange::Empty,
-        };
+        // The segment may not even have the column (an empty relation
+        // under an empty schema).
+        return KeyRange::Empty;
     }
     let column = segment.column(col);
-    let (table, range) = match column.values() {
-        ColumnValues::Int(v) => chain_and_range(
+    match column.values() {
+        ColumnValues::Int(v) => hash_typed(
             column,
             kept,
             |p| v[p],
             |k| hash_key(ValueRef::Int(k)),
             |a, b| a < b,
             KeyRange::Int,
+            each,
         ),
-        ColumnValues::Date(v) => chain_and_range(
+        ColumnValues::Date(v) => hash_typed(
             column,
             kept,
             |p| v[p],
             |k| hash_key(ValueRef::Date(k)),
             |a, b| a < b,
             KeyRange::Date,
+            each,
         ),
-        ColumnValues::Float(v) => chain_and_range(
+        ColumnValues::Float(v) => hash_typed(
             column,
             kept,
             |p| v[p],
             |k| hash_key(ValueRef::Float(k)),
             |a: f64, b| a.total_cmp(&b).is_lt(),
             KeyRange::Float,
+            each,
         ),
-        ColumnValues::Bool(v) => chain_and_range(
+        ColumnValues::Bool(v) => hash_typed(
             column,
             kept,
             |p| v[p],
             |k| hash_key(ValueRef::Bool(k)),
             |a, b| !a & b,
             KeyRange::Bool,
+            each,
         ),
         ColumnValues::Str(codes) => {
             let dict = segment.dictionary();
             let hashes: Vec<u64> = dict.iter().map(|s| hash_key(ValueRef::Str(s))).collect();
-            chain_and_range(
+            hash_typed(
                 column,
                 kept,
                 |p| codes[p],
                 |code| hashes[code as usize],
                 |a, b| a != b && dict[a as usize] < dict[b as usize],
                 KeyRange::Str,
+                each,
             )
         }
-    };
+    }
+}
+
+/// The index over `kept` of column `col`: its chain table and key range,
+/// from one [`hash_column`] pass.
+fn key_index(segment: &Segment, kept: &[u32], col: usize) -> KeyIndex {
+    let mut table = ChainTable::unchained(kept.len());
+    let range = hash_column(segment, kept, col, |slot, hash| {
+        table.push_front(slot, hash)
+    });
     KeyIndex { col, table, range }
 }
 
@@ -340,6 +365,17 @@ impl SegmentIndex {
             kept,
             keys,
         }
+    }
+
+    /// Surviving row `slot` (its place in [`SegmentIndex::positions`]).
+    #[inline]
+    pub(crate) fn row_at(&self, slot: usize) -> RowRef<'_> {
+        self.segment.row(self.kept[slot] as usize)
+    }
+
+    /// [`hash_column`] over the surviving rows' column `col`.
+    pub(crate) fn hash_keys(&self, col: usize, each: impl FnMut(usize, u64)) {
+        hash_column(&self.segment, &self.kept, col, each);
     }
 
     /// Rows surviving the filter, in segment order.
@@ -421,12 +457,6 @@ impl SegmentIndex {
             key,
         }
     }
-
-    /// Approximate number of hash-table entries across all indexes; used
-    /// to charge hash-build CPU cost.
-    pub fn entries(&self) -> usize {
-        self.keys.len() * self.kept.len()
-    }
 }
 
 /// Iterator over the rows matching one probe, ascending by row position.
@@ -502,7 +532,7 @@ mod tests {
     fn multiple_indexed_columns() {
         let idx = SegmentIndex::build(&seg(), None, &[0, 1]);
         assert_eq!(idx.probe(1, ValueRef::Int(10)).count(), 2);
-        assert_eq!(idx.entries(), 8);
+        assert_eq!(idx.probe(0, ValueRef::Int(1)).count(), 2);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::join_graph::{ProbePlan, ProbeStep};
 use crate::ops::index::{hash_key, SegmentIndex};
 use crate::segment::RowRef;
+use crate::value::ValueRef;
 
 /// Most relations one join can bind: the width of the fixed scratch
 /// arrays below (and of the packed subplan keys built on top of them).
@@ -39,18 +40,11 @@ pub struct JoinWork {
     /// segment whose key range admits the probe key. Not charged to
     /// virtual time.
     pub lookups: usize,
+    /// Driver keys [`execute_rooted`]'s key filter dropped (counted in
+    /// `probes`, no segment walked). Not charged to virtual time.
+    pub filtered: usize,
     /// Joined rows emitted to the sink.
     pub emitted: usize,
-}
-
-impl JoinWork {
-    /// Accumulates another work counter.
-    pub fn merge(&mut self, other: JoinWork) {
-        self.driver_tuples += other.driver_tuples;
-        self.probes += other.probes;
-        self.lookups += other.lookups;
-        self.emitted += other.emitted;
-    }
 }
 
 /// Hands the `n` bound rows to `sink`, positionally.
@@ -128,6 +122,18 @@ fn descend<'a>(
     bound[step.rel] = None;
 }
 
+/// Bits of the first step's key filter per cached key.
+const FILTER_BITS_PER_KEY: usize = 8;
+
+/// Buffers that [`execute_rooted`] reuses across calls, so that an
+/// arrival allocates nothing once they have grown: the first step's
+/// driver keys and its key filter's words.
+#[derive(Default)]
+pub struct RootedScratch {
+    keys: Vec<(u32, u64)>,
+    filter: Vec<u64>,
+}
+
 /// Executes the *arrival-rooted* join of symmetric-hash MJoin: the rows
 /// of the newly arrived segment (`candidates[plan.driver]`, a single
 /// entry) probe outward into the union of cached candidate segments of
@@ -140,7 +146,19 @@ fn descend<'a>(
 /// emitted row's segment combination is checked against
 /// `already_executed` so that refetched objects (evicted and
 /// re-delivered in a later reissue cycle) never double-count results of
-/// subplans that ran in an earlier cycle.
+/// subplans that ran in an earlier cycle. `scratch` holds buffers reused
+/// across calls.
+///
+/// # The first probe step
+///
+/// One typed pass hashes the arriving segment's key column. When the
+/// arriving segment keeps at least half as many rows as the step's
+/// cached candidates, a key filter is built first from every candidate's
+/// kept keys, `FILTER_BITS_PER_KEY` bits per key: it hashes at most
+/// twice as many keys as it can drop. A driver key whose bit is
+/// clear equals no cached key (values equal under [`ValueRef`]'s order
+/// hash alike in every type pairing) and is dropped before any candidate
+/// is visited; the rest go through the deeper steps' candidate loop.
 ///
 /// # Logical probes vs per-segment lookups
 ///
@@ -148,21 +166,20 @@ fn descend<'a>(
 /// one probe per bound prefix per step, as if each relation had a single
 /// hash table (a production MJoin keeps one logical table per relation
 /// with per-segment arenas, so its lookup cost does not scale with the
-/// number of cached segments). Probe *execution* walks one chain per
-/// cached candidate segment whose key range admits the probe key
-/// ([`SegmentIndex::may_hold`]); the others are skipped before any
-/// bucket head is loaded, and `JoinWork::lookups` counts the walks. A
-/// skipped segment holds no match, so emit order, float sums and
-/// `probes` are what walking every segment gives. On the benchmark's
-/// `tpch_mjoin` workload (seed 2016) one run's 2.93 M logical probes
-/// make 3.67 M per-segment lookups; walking every candidate made 13.0 M.
-/// `o_orderkey` is range-partitioned by segment, so Q5's 1.86 M probes
-/// into `orders` walk 0.93 M chains (9.3 M before): fewer than one per
-/// probe, since a key whose segment is not cached is rejected by every
-/// cached one. `lineitem` is not partitioned by `l_orderkey`, so a probe
-/// into it still walks every cached `lineitem` segment: Q12's 0.27 M
-/// probes make 1.40 M lookups and Q5's 0.21 M make 0.84 M. That 0.74 M
-/// excess is all that one table per relation could still save. The
+/// number of cached segments); a key the filter drops counts as probed.
+/// Probe *execution* walks one chain per cached candidate segment whose
+/// key range admits the probe key ([`SegmentIndex::may_hold`]); the
+/// others are skipped before any bucket head is loaded, and
+/// `JoinWork::lookups` counts the walks. A dropped key or a skipped
+/// segment holds no match, so emit order (driver row, then candidate,
+/// then chain slot), float sums and `probes` are what walking every
+/// segment gives. On the benchmark's `tpch_mjoin` workload (seed 2016)
+/// one run's 2.93 M logical probes make 2.01 M per-segment lookups; the
+/// key ranges alone made 3.67 M, and walking every candidate 13.0 M.
+/// The filter drops 1.68 M driver keys per run, four in five of Q5's
+/// `lineitem` rows probing `orders`; at eight bits per key about 12 % of
+/// the keys without a match pass it. A probe into `lineitem`, which is
+/// not partitioned by `l_orderkey`, still walks every cached segment. The
 /// kernel pays the per-probe costs — reading and hashing the key,
 /// resolving the probed column to its table slot — once per logical
 /// probe (`hash_key`, `slots`), and a lookup that misses is a
@@ -173,6 +190,7 @@ pub fn execute_rooted<'a>(
     candidates: &[impl AsRef<[(u32, &'a SegmentIndex)]>],
     already_executed: &dyn Fn(&[u32]) -> bool,
     sink: &mut dyn FnMut(&[RowRef<'_>]),
+    scratch: &mut RootedScratch,
 ) -> JoinWork {
     assert!(candidates.len() <= MAX_RELATIONS, "too many relations");
     let mut lists: [&[(u32, &SegmentIndex)]; MAX_RELATIONS] = [&[]; MAX_RELATIONS];
@@ -214,10 +232,62 @@ pub fn execute_rooted<'a>(
     let mut combo = [0u32; MAX_RELATIONS];
     let (root_seg, root_idx) = candidates[plan.driver][0];
     combo[plan.driver] = root_seg;
-    for row in root_idx.rows() {
-        run.work.driver_tuples += 1;
+    run.work.driver_tuples = root_idx.len();
+    let Some(first) = plan.steps.first() else {
+        // A single relation: every row is a result.
+        for row in root_idx.rows() {
+            bound[plan.driver] = Some(row);
+            run.descend(&mut bound, &mut combo, 0);
+        }
+        return run.work;
+    };
+    debug_assert_eq!(first.bound_source.rel, plan.driver);
+    let targets = candidates[first.rel];
+    let held: usize = targets.iter().map(|(_, idx)| idx.len()).sum();
+    let RootedScratch { keys, filter } = scratch;
+    // The filter: bit `hash >> shift` set for every cached key.
+    let shift = (2 * root_idx.len() >= held).then(|| {
+        let bits = (held * FILTER_BITS_PER_KEY).next_power_of_two().max(64);
+        let shift = 64 - bits.trailing_zeros();
+        filter.clear();
+        filter.resize(bits / 64, 0);
+        for (_, idx) in targets {
+            idx.hash_keys(first.key_col, |_, hash| {
+                let bit = (hash >> shift) as usize;
+                filter[bit / 64] |= 1 << (bit % 64);
+            });
+        }
+        shift
+    });
+    let admits = |hash: u64| {
+        shift.is_none_or(|shift| {
+            let bit = (hash >> shift) as usize;
+            filter[bit / 64] >> (bit % 64) & 1 == 1
+        })
+    };
+    // `(slot, hash)` of each driver key by slot (a NULL key's slot stays
+    // `u32::MAX`), then the keys that pass packed in place, in row order,
+    // without a branch per key.
+    keys.clear();
+    keys.resize(root_idx.len(), (u32::MAX, 0));
+    root_idx.hash_keys(first.bound_source.col, |slot, hash| {
+        keys[slot] = (slot as u32, hash);
+    });
+    let (mut probes, mut passed) = (0, 0);
+    for at in 0..keys.len() {
+        let (slot, hash) = keys[at];
+        let probed = slot != u32::MAX;
+        probes += probed as usize;
+        keys[passed] = (slot, hash);
+        passed += (probed & admits(hash)) as usize;
+    }
+    run.work.probes = probes;
+    run.work.filtered = probes - passed;
+    for &(slot, hash) in &keys[..passed] {
+        let row = root_idx.row_at(slot as usize);
         bound[plan.driver] = Some(row);
-        run.descend(&mut bound, &mut combo, 0);
+        let key = row.get(first.bound_source.col);
+        run.probe(&mut bound, &mut combo, 0, key, hash);
     }
     run.work
 }
@@ -250,7 +320,20 @@ impl<'a> Rooted<'a, '_> {
             return;
         }
         self.work.probes += 1; // one logical probe per step
-        let hash = hash_key(key);
+        self.probe(bound, combo, depth, key, hash_key(key));
+    }
+
+    /// Step `depth`'s probe of `key` (hashed to `hash`) into every
+    /// cached candidate segment, descending into each match.
+    fn probe(
+        &mut self,
+        bound: &mut Bound<'a>,
+        combo: &mut [u32; MAX_RELATIONS],
+        depth: usize,
+        key: ValueRef<'a>,
+        hash: u64,
+    ) {
+        let step = &self.plan.steps[depth];
         let slot = self.slots[depth];
         for &(seg, idx) in self.candidates[step.rel] {
             // A segment whose key range excludes `key` holds no match.
@@ -423,7 +506,13 @@ mod tests {
         let candidates: Vec<Vec<(u32, &SegmentIndex)>> =
             vec![vec![(0, &a1), (1, &a2)], vec![(7, &b)]];
         let mut rows = 0;
-        let work = execute_rooted(&rooted, &candidates, &|_| false, &mut |_| rows += 1);
+        let work = execute_rooted(
+            &rooted,
+            &candidates,
+            &|_| false,
+            &mut |_| rows += 1,
+            &mut RootedScratch::default(),
+        );
         // b=2 matches a1 and a2 (one row each); b=3 matches a2; b=9 none.
         assert_eq!(rows, 3);
         assert_eq!(work.driver_tuples, 3);
@@ -447,9 +536,13 @@ mod tests {
         // Pretend combination {a seg 0, b seg 5} already ran in an
         // earlier reissue cycle.
         let mut rows = 0;
-        let work = execute_rooted(&rooted, &candidates, &|combo| combo[0] == 0, &mut |_| {
-            rows += 1
-        });
+        let work = execute_rooted(
+            &rooted,
+            &candidates,
+            &|combo| combo[0] == 0,
+            &mut |_| rows += 1,
+            &mut RootedScratch::default(),
+        );
         assert_eq!(rows, 1, "only the a2 combination may emit");
         assert_eq!(work.emitted, 1);
     }
@@ -460,29 +553,13 @@ mod tests {
         let s = spec(2, vec![JoinCond::new(0, 0, 1, 0)], 0);
         let rooted = crate::join_graph::ProbePlan::plan_rooted(&s, 1).unwrap();
         let candidates: Vec<Vec<(u32, &SegmentIndex)>> = vec![vec![], vec![(0, &b)]];
-        let work = execute_rooted(&rooted, &candidates, &|_| false, &mut |_| {
-            panic!("no rows expected")
-        });
+        let work = execute_rooted(
+            &rooted,
+            &candidates,
+            &|_| false,
+            &mut |_| panic!("no rows expected"),
+            &mut RootedScratch::default(),
+        );
         assert_eq!(work, JoinWork::default());
-    }
-
-    #[test]
-    fn join_work_merge_accumulates() {
-        let mut w = JoinWork {
-            driver_tuples: 1,
-            probes: 2,
-            lookups: 4,
-            emitted: 3,
-        };
-        w.merge(JoinWork {
-            driver_tuples: 10,
-            probes: 20,
-            lookups: 40,
-            emitted: 30,
-        });
-        assert_eq!(w.driver_tuples, 11);
-        assert_eq!(w.probes, 22);
-        assert_eq!(w.lookups, 44);
-        assert_eq!(w.emitted, 33);
     }
 }

@@ -235,6 +235,7 @@ impl Eq for ValueRef<'_> {}
 impl Hash for ValueRef<'_> {
     /// Values equal under [`Ord`] hash alike: dates and integral floats
     /// hash as the integer they equal.
+    #[inline(always)]
     fn hash<H: Hasher>(&self, state: &mut H) {
         let int = |state: &mut H, i: i64| {
             state.write_u8(2);

@@ -28,6 +28,8 @@ fn value(rng: &mut StdRng, dtype: DataType, k: i64, null_p: f64) -> Value {
     match dtype {
         DataType::Str => Value::str(&format!("s{k}")),
         DataType::Date => Value::Date(k as i32),
+        // Integral, so that it equals the same key of the other types.
+        DataType::Float => Value::Float(k as f64),
         _ => Value::Int(k),
     }
 }
@@ -110,7 +112,6 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
         assert_eq!(idx.is_empty(), survivors.is_empty());
         assert_eq!(idx.stats().scanned, seg.len());
         assert_eq!(idx.stats().kept, survivors.len());
-        assert_eq!(idx.entries(), join_cols.len() * survivors.len());
         assert_eq!(idx.rows().count(), survivors.len());
         for (row, &pos) in idx.rows().zip(&survivors) {
             assert!(
@@ -153,14 +154,23 @@ fn probe_equals_brute_force_scan_of_borrowed_rows() {
 
 /// Three relations `a(x, y, v, seg)`, `b(x, z, v, seg)`, `c(z, y, v,
 /// seg)` joined `a.x = b.x`, `b.z = c.z` and, when `cyclic`, `a.y = c.y`
-/// (a residual check). `z` is a string key. The last column holds the
-/// row's segment id so an emitted row names its own combination.
-const REL_TYPES: [[DataType; 4]; 3] = [
-    [DataType::Int, DataType::Int, DataType::Int, DataType::Int],
-    [DataType::Int, DataType::Str, DataType::Int, DataType::Int],
-    [DataType::Str, DataType::Int, DataType::Int, DataType::Int],
-];
+/// (a residual check). `z` is a string key; `x` and `y` are `Int`,
+/// `Date` or integral `Float` on each side, drawn per case, so equal
+/// keys of different types join. The last column holds the row's
+/// segment id so an emitted row names its own combination.
+type RelTypes = [[DataType; 4]; 3];
 const SEG_COL: usize = 3;
+
+fn rel_types(rng: &mut StdRng) -> RelTypes {
+    const NUMERIC: [DataType; 3] = [DataType::Int, DataType::Date, DataType::Float];
+    let mut numeric = || NUMERIC[rng.gen_range(0..3)];
+    let (int, str) = (DataType::Int, DataType::Str);
+    [
+        [numeric(), numeric(), int, int],
+        [numeric(), str, int, int],
+        [str, numeric(), int, int],
+    ]
+}
 
 fn triangle_spec(rng: &mut StdRng, cyclic: bool) -> QuerySpec {
     let mut joins = vec![JoinCond::new(0, 0, 1, 0), JoinCond::new(1, 1, 2, 0)];
@@ -196,18 +206,15 @@ fn triangle_spec(rng: &mut StdRng, cyclic: bool) -> QuerySpec {
 /// a range of its own, disjoint from every other segment id's.
 fn tagged_segment(
     rng: &mut StdRng,
-    rel: usize,
+    types: &[DataType; 4],
     seg_id: u32,
     keys: i64,
     partitioned: bool,
 ) -> Arc<Segment> {
     let rows = rng.gen_range(0..25);
     let base = if partitioned { seg_id as i64 * keys } else { 0 };
-    let seg = segment(rng, &REL_TYPES[rel][..SEG_COL], rows, (base, keys), 0.1);
-    let fields: Vec<(&str, DataType)> = ["k0", "k1", "v", "seg"]
-        .into_iter()
-        .zip(REL_TYPES[rel])
-        .collect();
+    let seg = segment(rng, &types[..SEG_COL], rows, (base, keys), 0.1);
+    let fields: Vec<(&str, DataType)> = ["k0", "k1", "v", "seg"].into_iter().zip(*types).collect();
     let rows = seg
         .iter()
         .map(|r| {
@@ -229,9 +236,71 @@ fn owned(rows: &[RowRef<'_>]) -> Vec<Row> {
     rows.iter().map(|r| r.to_row()).collect()
 }
 
+/// The rooted join walked without a key filter: every driver row in
+/// order, each step probing every candidate segment in order through
+/// [`SegmentIndex::probe`], residual checks applied and executed
+/// combinations dropped at emit. Counts logical probes as the kernel
+/// does: one per bound prefix per step with a non-NULL key.
+struct Walk<'a, 'c> {
+    plan: &'c ProbePlan,
+    candidates: &'c [Vec<(u32, &'a SegmentIndex)>],
+    executed: &'c dyn Fn(&[u32]) -> bool,
+    probes: usize,
+    rows: Vec<Vec<Row>>,
+}
+
+impl<'a> Walk<'a, '_> {
+    fn run(mut self) -> (usize, Vec<Vec<Row>>) {
+        let n = self.candidates.len();
+        let (seg, root) = self.candidates[self.plan.driver][0];
+        let mut combo = vec![0; n];
+        combo[self.plan.driver] = seg;
+        for row in root.rows() {
+            let mut bound = vec![None; n];
+            bound[self.plan.driver] = Some(row);
+            self.step(0, &mut bound, &mut combo);
+        }
+        (self.probes, self.rows)
+    }
+
+    fn step(&mut self, depth: usize, bound: &mut [Option<RowRef<'a>>], combo: &mut [u32]) {
+        let Some(step) = self.plan.steps.get(depth) else {
+            if !(self.executed)(combo) {
+                self.rows
+                    .push(bound.iter().map(|r| r.unwrap().to_row()).collect());
+            }
+            return;
+        };
+        let key = bound[step.bound_source.rel]
+            .unwrap()
+            .get(step.bound_source.col);
+        if key.is_null() {
+            return;
+        }
+        self.probes += 1;
+        for &(seg, idx) in &self.candidates[step.rel] {
+            for row in idx.probe(step.key_col, key) {
+                let residuals = step
+                    .extra_checks
+                    .iter()
+                    .all(|(own, other)| row.get(*own) == bound[other.rel].unwrap().get(other.col));
+                if residuals {
+                    bound[step.rel] = Some(row);
+                    combo[step.rel] = seg;
+                    self.step(depth + 1, bound, combo);
+                }
+            }
+        }
+        bound[step.rel] = None;
+    }
+}
+
 /// (b): arrival-rooted execution over many cached segments, with a
-/// random set of combinations already executed, against two oracles.
+/// random set of combinations already executed, against three oracles.
 ///
+/// * The same join walked without a key filter ([`Walk`]): the same
+///   `probes`, `emitted` and emit sequence, whether or not the kernel
+///   built its first step's filter this call.
 /// * One logical table per relation (the candidates concatenated, as
 ///   the probe accounting pretends): the same emit *sequence* once the
 ///   executed combinations are dropped, the same `driver_tuples` and the
@@ -239,6 +308,10 @@ fn owned(rows: &[RowRef<'_>]) -> Vec<Row> {
 ///   segments it fans out into.
 /// * The union of [`nary::execute_combination`] over the non-executed
 ///   combinations: the same rows as a multiset, the same `emitted`.
+///
+/// Join keys mix `Int`, `Date` and integral `Float` across the two sides
+/// of an edge, and hold NULLs, so cross-type equality runs through the
+/// key filter. One scratch serves every case, as an engine's does.
 ///
 /// In half the cases each segment id draws its keys from a range of its
 /// own, as `o_orderkey` is partitioned, so the key ranges reject
@@ -248,17 +321,20 @@ fn owned(rows: &[RowRef<'_>]) -> Vec<Row> {
 #[test]
 fn rooted_execution_equals_union_of_combinations() {
     let mut rng = StdRng::seed_from_u64(0xB007);
+    let mut scratch = nary::RootedScratch::default();
     let mut emitted_total = 0;
     let mut skipped_total = 0;
     let (mut partitioned_lookups, mut partitioned_floor) = (0, 0);
+    let (mut filtered_cases, mut unfiltered_cases, mut filtered_keys) = (0, 0, 0);
     for case in 0..150 {
         let spec = triangle_spec(&mut rng, case % 2 == 0);
+        let types = rel_types(&mut rng);
         let partitioned = case % 4 >= 2;
         let keys = rng.gen_range(2..7i64);
         let segments: Vec<Vec<Arc<Segment>>> = (0..3)
             .map(|rel| {
                 (0..rng.gen_range(1..4u32))
-                    .map(|s| tagged_segment(&mut rng, rel, s, keys, partitioned))
+                    .map(|s| tagged_segment(&mut rng, &types[rel], s, keys, partitioned))
                     .collect()
             })
             .collect();
@@ -303,16 +379,18 @@ fn rooted_execution_equals_union_of_combinations() {
             .filter(|_| rng.gen_bool(0.3))
             .cloned()
             .collect();
+        let already_executed = |combo: &[u32]| executed.iter().any(|e| e == combo);
 
         let mut got: Vec<Vec<Row>> = Vec::new();
         let work = nary::execute_rooted(
             &plan,
             &candidates,
-            &|combo| executed.iter().any(|e| e == combo),
+            &already_executed,
             &mut |rows| {
                 assert!(!executed.contains(&combo_of(rows)), "case {case}");
                 got.push(owned(rows));
             },
+            &mut scratch,
         );
         assert_eq!(work.emitted, got.len(), "case {case}");
         // Every lookup walks one candidate segment of the probed relation.
@@ -331,7 +409,33 @@ fn rooted_execution_equals_union_of_combinations() {
             partitioned_floor += work.probes * narrowest;
         }
 
-        // Oracle 1: one logical table per relation.
+        // Oracle 1: the walk without a key filter. The kernel builds one
+        // when the arriving segment keeps at least half as many rows as
+        // the first step's candidates.
+        let held: usize = candidates[plan.steps[0].rel]
+            .iter()
+            .map(|(_, idx)| idx.len())
+            .sum();
+        if 2 * indexes[root][arriving as usize].len() >= held {
+            filtered_cases += 1;
+        } else {
+            unfiltered_cases += 1;
+            assert_eq!(work.filtered, 0, "case {case}: no filter to drop keys");
+        }
+        filtered_keys += work.filtered;
+        let walk = Walk {
+            plan: &plan,
+            candidates: &candidates,
+            executed: &already_executed,
+            probes: 0,
+            rows: Vec::new(),
+        };
+        let (walk_probes, walk_rows) = walk.run();
+        assert_eq!(work.probes, walk_probes, "case {case}: probes");
+        assert_eq!(work.emitted, walk_rows.len(), "case {case}: emitted");
+        assert_eq!(got, walk_rows, "case {case}: unfiltered emit order");
+
+        // Oracle 2: one logical table per relation.
         let merged: Vec<SegmentIndex> = (0..3)
             .map(|rel| {
                 let rows: Vec<Row> = candidates[rel]
@@ -362,7 +466,7 @@ fn rooted_execution_equals_union_of_combinations() {
             assert_eq!(work.probes, logical.probes, "case {case}: logical probes");
         }
 
-        // Oracle 2: the union of per-combination executions.
+        // Oracle 3: the union of per-combination executions.
         let mut union: Vec<Vec<Row>> = Vec::new();
         let mut union_emitted = 0;
         for combo in combos.iter().filter(|c| !executed.contains(c)) {
@@ -388,6 +492,16 @@ fn rooted_execution_equals_union_of_combinations() {
     assert!(
         partitioned_lookups < partitioned_floor,
         "key ranges skipped nothing: {partitioned_lookups} lookups, floor {partitioned_floor}"
+    );
+    // Both sides of the filter's build rule, and a filter that drops
+    // keys.
+    assert!(
+        filtered_cases > 30 && unfiltered_cases > 30,
+        "{filtered_cases} cases built a filter, {unfiltered_cases} did not"
+    );
+    assert!(
+        filtered_keys > 100,
+        "the filter dropped {filtered_keys} keys"
     );
 }
 
@@ -471,9 +585,13 @@ fn q5_lineitem_walks_at_most_one_orders_segment_per_probe() {
         let arriving = SegmentIndex::build(seg, q5.filters[l].as_ref(), &q5.join_cols(l));
         let mut got: Vec<Vec<Row>> = Vec::new();
         let candidates = [cached.clone(), vec![(s, &arriving)]];
-        let work = nary::execute_rooted(&plan, &candidates, &|_| false, &mut |rows| {
-            got.push(owned(rows))
-        });
+        let work = nary::execute_rooted(
+            &plan,
+            &candidates,
+            &|_| false,
+            &mut |rows| got.push(owned(rows)),
+            &mut nary::RootedScratch::default(),
+        );
         assert!(work.lookups <= work.probes, "lineitem {s}: {work:?}");
 
         // Every cached segment walked, in candidate order.
