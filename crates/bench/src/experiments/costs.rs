@@ -73,7 +73,8 @@ pub fn fig3_rows() -> Vec<(&'static str, f64, f64, f64, f64)> {
         for &price in &CSD_PRICE_POINTS {
             let trad = tiering.traditional_cost(&p, REFERENCE_DB_GB) / 1_000.0;
             let csd = tiering.csd_cost(&p, price, REFERENCE_DB_GB) / 1_000.0;
-            rows.push((tiering.label(), price, trad, csd, trad / csd));
+            let savings = tiering.savings_factor(&p, price, REFERENCE_DB_GB);
+            rows.push((tiering.label(), price, trad, csd, savings));
         }
     }
     rows

@@ -44,7 +44,7 @@ impl EvictionPolicy {
 }
 
 /// A cached object: its hash indexes plus accounting size.
-pub struct CacheSlot {
+pub(crate) struct CacheSlot {
     /// Filter survivors + hash indexes, borrowed from the shared segment.
     pub index: SegmentIndex,
     /// Logical bytes charged against cache capacity.
@@ -53,7 +53,7 @@ pub struct CacheSlot {
 
 /// The MJoin buffer cache: capacity-bounded map from objects to their
 /// per-segment hash indexes.
-pub struct BufferCache {
+pub(crate) struct BufferCache {
     capacity_bytes: u64,
     used_bytes: u64,
     policy: EvictionPolicy,
@@ -69,7 +69,7 @@ pub struct BufferCache {
 impl BufferCache {
     /// Creates a cache of `capacity_bytes` with the given policy, for a
     /// query over `num_relations` relations.
-    pub fn new(num_relations: usize, capacity_bytes: u64, policy: EvictionPolicy) -> Self {
+    pub(crate) fn new(num_relations: usize, capacity_bytes: u64, policy: EvictionPolicy) -> Self {
         BufferCache {
             capacity_bytes,
             used_bytes: 0,
@@ -81,27 +81,29 @@ impl BufferCache {
     }
 
     /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity_bytes
     }
 
     /// Bytes currently used.
-    pub fn used(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used(&self) -> u64 {
         self.used_bytes
     }
 
     /// Number of cached objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
     /// Whether `obj` is cached.
-    pub fn contains(&self, obj: RelSeg) -> bool {
+    pub(crate) fn contains(&self, obj: RelSeg) -> bool {
         self.slots.contains_key(&obj)
     }
 
@@ -111,7 +113,7 @@ impl BufferCache {
     /// Panics if absent — subplan execution only references cached
     /// objects.
     #[allow(clippy::should_implement_trait)] // returns a SegmentIndex, not Output
-    pub fn index(&self, obj: RelSeg) -> &SegmentIndex {
+    pub(crate) fn index(&self, obj: RelSeg) -> &SegmentIndex {
         &self
             .slots
             .get(&obj)
@@ -120,7 +122,7 @@ impl BufferCache {
     }
 
     /// Cached segments grouped by relation (`out[r]` sorted ascending).
-    pub fn cached_by_rel(&self) -> &[Vec<u32>] {
+    pub(crate) fn cached_by_rel(&self) -> &[Vec<u32>] {
         &self.by_rel
     }
 
@@ -137,7 +139,7 @@ impl BufferCache {
     /// Panics if the cache cannot fit the incoming object even after
     /// evicting every unpinned entry — the paper requires capacity ≥ R
     /// objects, which always leaves room for one pinned combination.
-    pub fn select_victims(
+    pub(crate) fn select_victims(
         &mut self,
         tracker: &SubplanTracker,
         incoming: RelSeg,
@@ -213,7 +215,7 @@ impl BufferCache {
     ///
     /// # Panics
     /// Panics on duplicate insertion or capacity overflow.
-    pub fn insert(&mut self, obj: RelSeg, slot: CacheSlot) {
+    pub(crate) fn insert(&mut self, obj: RelSeg, slot: CacheSlot) {
         assert!(
             self.used_bytes + slot.bytes <= self.capacity_bytes,
             "cache overflow inserting {obj:?}"
@@ -230,7 +232,7 @@ impl BufferCache {
     ///
     /// # Panics
     /// Panics if absent.
-    pub fn remove(&mut self, obj: RelSeg) -> CacheSlot {
+    pub(crate) fn remove(&mut self, obj: RelSeg) -> CacheSlot {
         let slot = self
             .slots
             .remove(&obj)

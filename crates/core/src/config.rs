@@ -69,12 +69,12 @@ impl CostModel {
 
     /// Virtual time for `count` physical operations at `ns_per_op`,
     /// scaled by the table's logical-to-physical row ratio.
-    pub fn scaled(&self, count: u64, scale: f64, ns_per_op: f64) -> SimDuration {
+    pub(crate) fn scaled(&self, count: u64, scale: f64, ns_per_op: f64) -> SimDuration {
         SimDuration::from_secs_f64(count as f64 * scale * ns_per_op * 1e-9)
     }
 
     /// The FUSE charge for one object access (zero when disabled).
-    pub fn fuse_charge(&self) -> SimDuration {
+    pub(crate) fn fuse_charge(&self) -> SimDuration {
         if self.fuse_enabled {
             self.fuse_overhead_per_object
         } else {

@@ -12,12 +12,12 @@
 //! * [`cache`] — the MJoin buffer cache with the two eviction policies of
 //!   §4.2: *maximal pending subplans* and the paper's final
 //!   *maximal progress* policy.
-//! * [`state_manager`] — Algorithm 1: issue-everything-upfront,
+//! * `state_manager` — Algorithm 1: issue-everything-upfront,
 //!   out-of-order arrival handling, admission/eviction, runnable-subplan
 //!   execution, and reissue cycles.
-//! * [`vanilla`] — the pull-based baseline: plan-ordered, one GET at a
+//! * `vanilla` — the pull-based baseline: plan-ordered, one GET at a
 //!   time, blocking binary hash joins (vanilla PostgreSQL's behaviour).
-//! * [`proxy`] — the client proxy that tags GETs with query identifiers,
+//! * `proxy` — the client proxy that tags GETs with query identifiers,
 //!   making the CSD scheduler query-aware (§4.3).
 //! * [`config`] — the calibrated cost model mapping real tuple work to
 //!   virtual time (Table 3 anchors).
@@ -83,19 +83,17 @@ pub mod analysis;
 pub mod cache;
 pub mod config;
 pub mod engine;
-pub mod proxy;
+pub(crate) mod proxy;
 pub mod runtime;
-pub mod state_manager;
+pub(crate) mod state_manager;
 pub mod subplan;
-pub mod vanilla;
+pub(crate) mod vanilla;
 
 pub use analysis::{CacheAdvisor, ReissueModel};
-pub use cache::{BufferCache, EvictionPolicy};
+pub use cache::EvictionPolicy;
 pub use config::CostModel;
 pub use runtime::{
     ArrivalProcess, EngineFactory, LatencyScope, LatencySummary, Quantiles, QueryRecord,
     RecordMode, RunResult, Scenario, SkipperFactory, SloReport, VanillaFactory, Workload,
 };
-pub use state_manager::SkipperEngine;
 pub use subplan::SubplanTracker;
-pub use vanilla::VanillaEngine;

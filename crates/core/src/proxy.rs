@@ -10,7 +10,8 @@
 //!
 //! Here the proxy is the component that translates the engine's
 //! relation-local `(rel, seg)` requests into globally addressed, tagged
-//! [`ObjectId`]s and keeps the GET accounting that Figures 11b/11c plot.
+//! [`ObjectId`]s. The engines count their own GETs in
+//! [`EngineStats`](crate::engine::EngineStats).
 
 use skipper_csd::ObjectId;
 
@@ -18,63 +19,37 @@ use crate::subplan::RelSeg;
 
 /// Translates engine-local segment requests into tagged CSD GETs.
 #[derive(Clone, Debug)]
-pub struct ClientProxy {
+pub(crate) struct ClientProxy {
     tenant: u16,
     /// Catalog table index per query relation.
     rel_tables: Vec<u16>,
-    gets_issued: u64,
-    first_issue_done: bool,
-    reissued: u64,
 }
 
 impl ClientProxy {
     /// Creates a proxy for `tenant` whose query relations map to the
     /// given catalog table indexes.
-    pub fn new(tenant: u16, rel_tables: Vec<u16>) -> Self {
-        ClientProxy {
-            tenant,
-            rel_tables,
-            gets_issued: 0,
-            first_issue_done: false,
-            reissued: 0,
-        }
+    pub(crate) fn new(tenant: u16, rel_tables: Vec<u16>) -> Self {
+        ClientProxy { tenant, rel_tables }
     }
 
     /// The object id for a query-relation segment.
-    pub fn object_id(&self, obj: RelSeg) -> ObjectId {
+    pub(crate) fn object_id(&self, obj: RelSeg) -> ObjectId {
         ObjectId::new(self.tenant, self.rel_tables[obj.0], obj.1)
     }
 
     /// The query relation for a delivered object, if the object belongs
     /// to this query (deliveries for older queries of the same tenant
     /// return `None`).
-    pub fn rel_of(&self, object: ObjectId) -> Option<usize> {
+    pub(crate) fn rel_of(&self, object: ObjectId) -> Option<usize> {
         if object.tenant != self.tenant {
             return None;
         }
         self.rel_tables.iter().position(|&t| t == object.table)
     }
 
-    /// Batches a GET request list, counting issues and (after the first
-    /// batch) reissues.
-    pub fn issue(&mut self, objects: &[RelSeg]) -> Vec<ObjectId> {
-        let ids: Vec<ObjectId> = objects.iter().map(|&o| self.object_id(o)).collect();
-        self.gets_issued += ids.len() as u64;
-        if self.first_issue_done {
-            self.reissued += ids.len() as u64;
-        }
-        self.first_issue_done = true;
-        ids
-    }
-
-    /// Total GETs issued.
-    pub fn gets_issued(&self) -> u64 {
-        self.gets_issued
-    }
-
-    /// GETs issued in reissue cycles (beyond the initial batch).
-    pub fn reissued(&self) -> u64 {
-        self.reissued
+    /// The object ids of a GET request list, in order.
+    pub(crate) fn issue(&self, objects: &[RelSeg]) -> Vec<ObjectId> {
+        objects.iter().map(|&o| self.object_id(o)).collect()
     }
 }
 
@@ -90,17 +65,5 @@ mod tests {
         assert_eq!(p.rel_of(ObjectId::new(3, 5, 9)), Some(1));
         assert_eq!(p.rel_of(ObjectId::new(3, 9, 0)), None);
         assert_eq!(p.rel_of(ObjectId::new(2, 4, 0)), None, "wrong tenant");
-    }
-
-    #[test]
-    fn counts_issues_and_reissues() {
-        let mut p = ClientProxy::new(0, vec![0]);
-        let batch1 = p.issue(&[(0, 0), (0, 1), (0, 2)]);
-        assert_eq!(batch1.len(), 3);
-        assert_eq!(p.gets_issued(), 3);
-        assert_eq!(p.reissued(), 0);
-        p.issue(&[(0, 1)]);
-        assert_eq!(p.gets_issued(), 4);
-        assert_eq!(p.reissued(), 1);
     }
 }

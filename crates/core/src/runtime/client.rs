@@ -26,7 +26,7 @@ use super::engines::EngineFactory;
 /// A query waiting in a client's plan: its spec plus the instant the
 /// arrival process releases it (`None` = closed-loop, released by the
 /// predecessor's completion).
-pub struct PlannedQuery {
+pub(crate) struct PlannedQuery {
     /// The query to run.
     pub spec: QuerySpec,
     /// Absolute release instant for open arrivals.
@@ -37,7 +37,7 @@ pub struct PlannedQuery {
 }
 
 /// The query a client is running.
-pub struct RunningQuery {
+pub(crate) struct RunningQuery {
     /// The engine executing the query.
     pub engine: Box<dyn QueryEngine>,
     /// Measurement draft, stalls included.
@@ -50,7 +50,7 @@ pub struct RunningQuery {
 }
 
 /// One tenant's runtime state.
-pub struct ClientState {
+pub(crate) struct ClientState {
     /// The tenant's dataset.
     pub dataset: Arc<Dataset>,
     /// Engine builder for this tenant.
@@ -79,7 +79,7 @@ pub struct ClientState {
 
 impl ClientState {
     /// Fresh state over `plan`.
-    pub fn new(
+    pub(crate) fn new(
         dataset: Arc<Dataset>,
         factory: Arc<dyn EngineFactory>,
         plan: Vec<PlannedQuery>,
@@ -100,23 +100,23 @@ impl ClientState {
 
     /// Whether finished records are kept (the default) or dropped as
     /// they finish.
-    pub fn keep_records(&mut self, keep: bool) {
+    pub(crate) fn keep_records(&mut self, keep: bool) {
         self.keeps_records = keep;
     }
 
     /// Whether query `qseq` is running.
-    pub fn runs(&self, qseq: u32) -> bool {
+    pub(crate) fn runs(&self, qseq: u32) -> bool {
         qseq == self.qseq && self.running.is_some()
     }
 
     /// Whether query `qseq` runs and its engine still wants deliveries.
-    pub fn accepts(&self, qseq: u32) -> bool {
+    pub(crate) fn accepts(&self, qseq: u32) -> bool {
         matches!(&self.running, Some(run) if qseq == self.qseq && !run.engine.is_finished())
     }
 
     /// True when the next planned query may start at `now`: no query
     /// runs and the query's release instant (if any) has passed.
-    pub fn can_start(&self, now: SimTime) -> bool {
+    pub(crate) fn can_start(&self, now: SimTime) -> bool {
         self.running.is_none()
             && self
                 .plan
@@ -131,7 +131,7 @@ impl ClientState {
     /// # Panics
     /// Panics if a query is already running — callers gate on
     /// [`ClientState::can_start`].
-    pub fn start_next(
+    pub(crate) fn start_next(
         &mut self,
         tenant: u16,
         cost: CostModel,
@@ -168,7 +168,7 @@ impl ClientState {
     /// draft, stalls included — and advances `qseq`. A protection-plane
     /// cancel drops it; [`ClientState::finish`] records it. Charged
     /// processing in flight stays, and its `ClientReady` discards it.
-    pub fn cancel(&mut self) -> RunningQuery {
+    pub(crate) fn cancel(&mut self) -> RunningQuery {
         let mut run = self.running.take().expect("no running query");
         self.qseq += 1;
         self.spare_inbox = std::mem::take(&mut run.inbox);
@@ -179,7 +179,7 @@ impl ClientState {
     /// Finishes the running query at `now` and returns its response
     /// time. The record — result rows included — is built only when the
     /// client keeps records.
-    pub fn finish(&mut self, client_idx: usize, now: SimTime) -> SimDuration {
+    pub(crate) fn finish(&mut self, client_idx: usize, now: SimTime) -> SimDuration {
         let seq = self.qseq;
         let RunningQuery { engine, draft, .. } = self.cancel();
         let response = now.since(draft.release.unwrap_or(draft.start));
@@ -204,7 +204,8 @@ impl ClientState {
 
     /// Closes the running query's blocked interval (a delivery
     /// arrived), splitting it against the fleet's stall `clock`.
-    pub fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
+    #[cfg(test)]
+    pub(crate) fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
         if let Some(run) = &mut self.running {
             run.draft.unblock(now, clock);
         }
@@ -215,7 +216,11 @@ impl ClientState {
     /// tiers reject a cross-tenant GET at submit), and returns the
     /// processing it charged. `None` while the CPU is busy or nothing
     /// is buffered.
-    pub fn process(&mut self, now: SimTime, clock: Option<&StallClock>) -> Option<SimDuration> {
+    pub(crate) fn process(
+        &mut self,
+        now: SimTime,
+        clock: Option<&StallClock>,
+    ) -> Option<SimDuration> {
         if self.processing.is_some() {
             return None;
         }
@@ -231,14 +236,14 @@ impl ClientState {
     }
 
     /// Takes the finished records out (end-of-run assembly).
-    pub fn take_records(&mut self) -> Vec<QueryRecord> {
+    pub(crate) fn take_records(&mut self) -> Vec<QueryRecord> {
         std::mem::take(&mut self.records)
     }
 
     /// Marks the running query blocked-or-working after processing
     /// completed: blocked from `now` if the inbox is dry, otherwise
     /// ready for the next delivery.
-    pub fn note_waiting(&mut self, now: SimTime, clock: Option<&StallClock>) {
+    pub(crate) fn note_waiting(&mut self, now: SimTime, clock: Option<&StallClock>) {
         if let Some(run) = self.running.as_mut().filter(|run| run.inbox.is_empty()) {
             run.draft.block(now, clock);
         }

@@ -79,7 +79,8 @@ impl QueryRecord {
 
     /// Time spent queued behind the tenant's earlier queries: release
     /// → first GET batch. Zero for closed-loop queries.
-    pub fn queue_wait(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn queue_wait(&self) -> SimDuration {
         match self.release {
             Some(release) => self.start.saturating_since(release),
             None => SimDuration::ZERO,
@@ -89,7 +90,7 @@ impl QueryRecord {
 
 /// In-flight measurement state for one query.
 #[derive(Default)]
-pub struct RecordDraft {
+pub(crate) struct RecordDraft {
     /// Query name.
     pub query_name: Arc<str>,
     /// Release instant, for open-arrival queries.
@@ -112,7 +113,7 @@ impl RecordDraft {
     /// is the arrival instant for open-arrival queries (`None` for
     /// closed-loop), which the finished record keeps so queue-wait
     /// survives into [`QueryRecord::response_time`].
-    pub fn begin(
+    pub(crate) fn begin(
         query_name: Arc<str>,
         release: Option<SimTime>,
         now: SimTime,
@@ -130,13 +131,13 @@ impl RecordDraft {
 
     /// Opens a blocked interval at `now`, reading the stall clock (no
     /// interval without one: nothing is attributed then).
-    pub fn block(&mut self, now: SimTime, clock: Option<&StallClock>) {
+    pub(crate) fn block(&mut self, now: SimTime, clock: Option<&StallClock>) {
         self.blocked = clock.map(|clock| (now, clock.read(now)));
     }
 
     /// Closes the current blocked interval (a delivery arrived), adding
     /// its split to the stalls. A no-op while not blocked.
-    pub fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
+    pub(crate) fn unblock(&mut self, now: SimTime, clock: Option<&StallClock>) {
         if let (Some((from, opened)), Some(clock)) = (self.blocked.take(), clock) {
             self.stalls
                 .merge(clock.read(now).since(opened, now.since(from)));
@@ -191,7 +192,7 @@ pub struct AvailabilitySummary {
 
 impl AvailabilitySummary {
     /// Rolls per-shard fault counters up into the fleet summary.
-    pub fn from_shards(
+    pub(crate) fn from_shards(
         stats: &[ShardFaultStats],
         fault_events: u64,
         parked_requests: u64,
@@ -253,7 +254,7 @@ impl ShardResult {
     }
 
     /// This shard's transfer overlap/utilization rollup.
-    pub fn stream_rollup(&self) -> StreamRollup {
+    pub(crate) fn stream_rollup(&self) -> StreamRollup {
         let mut rollup = StreamRollup {
             streams: 1 + self.extra_stream_spans.len(),
             peak_streams: self.metrics.peak_concurrent_streams.max(1),
@@ -343,7 +344,7 @@ impl StreamRollup {
     }
 
     /// Merges another shard's rollup into this one.
-    pub fn absorb(&mut self, other: &StreamRollup) {
+    pub(crate) fn absorb(&mut self, other: &StreamRollup) {
         self.streams = self.streams.max(other.streams);
         self.peak_streams = self.peak_streams.max(other.peak_streams);
         self.transfer_stream_secs += other.transfer_stream_secs;
@@ -409,7 +410,8 @@ pub struct SloReport {
 impl SloReport {
     /// Fraction of measured queries within target (1.0 when none were
     /// measured — an empty scope violates nothing).
-    pub fn attainment(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn attainment(&self) -> f64 {
         if self.total == 0 {
             1.0
         } else {
@@ -453,17 +455,6 @@ pub struct LatencySummary {
     pub fleet: LatencyScope,
     /// One scope per tenant, in client order.
     pub tenants: Vec<LatencyScope>,
-}
-
-impl LatencySummary {
-    /// An empty summary (zero tenants, nothing observed).
-    pub fn empty() -> LatencySummary {
-        LatencySummary {
-            epsilon: QuantileSketch::DEFAULT_EPSILON,
-            fleet: ScopeAcc::new(None).finish(),
-            tenants: Vec::new(),
-        }
-    }
 }
 
 /// One scope's streaming state inside [`LatencyAccumulator`].
@@ -523,7 +514,7 @@ impl ScopeAcc {
 /// scope), independent of how many queries the run retires — this is
 /// what keeps tail latency observable on million-request counter-mode
 /// drives.
-pub struct LatencyAccumulator {
+pub(crate) struct LatencyAccumulator {
     fleet: ScopeAcc,
     tenants: Vec<ScopeAcc>,
 }
@@ -531,7 +522,7 @@ pub struct LatencyAccumulator {
 impl LatencyAccumulator {
     /// One scope per tenant plus the fleet scope, every one measured
     /// against the scenario's SLO target `slo`.
-    pub fn new(tenants: usize, slo: Option<SimDuration>) -> LatencyAccumulator {
+    pub(crate) fn new(tenants: usize, slo: Option<SimDuration>) -> LatencyAccumulator {
         LatencyAccumulator {
             fleet: ScopeAcc::new(slo),
             tenants: (0..tenants).map(|_| ScopeAcc::new(slo)).collect(),
@@ -540,13 +531,13 @@ impl LatencyAccumulator {
 
     /// Records one finished query's response time (release →
     /// completion) for `tenant`.
-    pub fn observe(&mut self, tenant: usize, response: SimDuration) {
+    pub(crate) fn observe(&mut self, tenant: usize, response: SimDuration) {
         self.tenants[tenant].observe(response);
         self.fleet.observe(response);
     }
 
     /// Closes the accumulator into the run's summary.
-    pub fn finish(&self) -> LatencySummary {
+    pub(crate) fn finish(&self) -> LatencySummary {
         LatencySummary {
             epsilon: QuantileSketch::DEFAULT_EPSILON,
             fleet: self.fleet.finish(),
@@ -891,6 +882,5 @@ mod tests {
         assert!(summary.fleet.response.is_none());
         assert!(summary.fleet.slo.is_none());
         assert_eq!(summary.fleet.mean_secs, 0.0);
-        assert_eq!(LatencySummary::empty().tenants.len(), 0);
     }
 }

@@ -66,7 +66,7 @@ pub(super) enum Event {
 }
 
 /// The assembled multi-tenant runtime; consumed by [`Runtime::run`].
-pub struct Runtime {
+pub(crate) struct Runtime {
     pub(super) fleet: DeviceFleet<()>,
     pub(super) clients: Vec<ClientState>,
     pub(super) events: CalendarQueue<Event>,
@@ -89,7 +89,7 @@ pub struct Runtime {
 impl Runtime {
     /// Wires the parts together; every query's response time is
     /// measured against the one SLO target `slo`, if any.
-    pub fn new(
+    pub(crate) fn new(
         fleet: DeviceFleet<()>,
         clients: Vec<ClientState>,
         cost: CostModel,
@@ -111,7 +111,7 @@ impl Runtime {
     /// Selects whether per-query records are retained (builder style).
     /// Kept records split their stalls online, so keeping them installs
     /// the fleet's stall clock; dropping them removes it.
-    pub fn with_record_mode(mut self, mode: RecordMode) -> Self {
+    pub(crate) fn with_record_mode(mut self, mode: RecordMode) -> Self {
         let keep = mode == RecordMode::Full;
         for client in &mut self.clients {
             client.keep_records(keep);
@@ -132,7 +132,7 @@ impl Runtime {
     /// # Panics
     /// Panics if any client fails to drain its plan (a simulation
     /// deadlock — always a harness bug).
-    pub fn run(mut self) -> RunResult {
+    pub(crate) fn run(mut self) -> RunResult {
         let offered: Vec<u64> = self.clients.iter().map(|c| c.plan.len() as u64).collect();
         self.drive();
         self.finish(offered)

@@ -375,7 +375,12 @@ impl<P: Clone> DeviceFleet<P> {
     /// completed but whose wake-up notification was dropped are flushed
     /// into `completed` — the driver routes them like any retired batch
     /// (the data already arrived).
-    pub fn fail_shard(&mut self, shard: usize, now: SimTime, completed: &mut Vec<Delivery<P>>) {
+    pub(crate) fn fail_shard(
+        &mut self,
+        shard: usize,
+        now: SimTime,
+        completed: &mut Vec<Delivery<P>>,
+    ) {
         let faults = self.faults_mut();
         let since = faults.down_since[shard].replace(now);
         assert!(since.is_none(), "shard {shard} crashed while already down");
@@ -403,7 +408,7 @@ impl<P: Clone> DeviceFleet<P> {
     /// Recovers shard `shard` (a `ShardDown` end): accrues its
     /// downtime, reopens it for routing, and re-submits every parked
     /// request that now has a live replica, in arrival order.
-    pub fn recover_shard(&mut self, shard: usize, now: SimTime) {
+    pub(crate) fn recover_shard(&mut self, shard: usize, now: SimTime) {
         let faults = self.faults_mut();
         let Some(since) = faults.down_since[shard].take() else {
             panic!("shard {shard} recovered while up");
@@ -420,7 +425,8 @@ impl<P: Clone> DeviceFleet<P> {
     }
 
     /// Requests that ever parked for lack of a live replica.
-    pub fn parked_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn parked_total(&self) -> u64 {
         self.faults.as_ref().map_or(0, |f| f.parked_total)
     }
 
@@ -536,7 +542,7 @@ impl<P: Clone> DevicePump<P> {
     /// every armed wake-up goes stale (see the [`pump`](super::pump)
     /// module docs), and the empty pump stays clean — nothing kicks it —
     /// until [`DevicePump::recover`].
-    pub fn fail(
+    pub(crate) fn fail(
         &mut self,
         now: SimTime,
         displaced: &mut Vec<PendingRequest>,
@@ -556,7 +562,7 @@ impl<P: Clone> DevicePump<P> {
 
     /// Recovers a crashed shard: the pump is kicked again (cold — see
     /// [`DevicePump::fail`] on the lost group).
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.dirty = true;
     }
 }

@@ -180,7 +180,7 @@ impl<P: Clone> DeviceFleet<P> {
     ///
     /// # Panics
     /// Panics for objects never placed on the fleet.
-    pub fn shard_for(&self, object: ObjectId) -> usize {
+    pub(crate) fn shard_for(&self, object: ObjectId) -> usize {
         self.shard_of
             .get(object)
             .unwrap_or_else(|| panic!("object {object} was never placed on any shard"))
@@ -397,14 +397,14 @@ impl<P: Clone> DeviceFleet<P> {
 
     /// Consumes the fleet into its pumps, in shard order (end-of-run
     /// result assembly).
-    pub fn into_pumps(self) -> Vec<DevicePump<P>> {
+    pub(crate) fn into_pumps(self) -> Vec<DevicePump<P>> {
         self.pumps
     }
 
     /// True when every shard is idle with an empty queue, nothing is
     /// parked at the fleet, no watchdog batch is pending, and no
     /// unroutable request awaits a retry.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.pumps.iter().all(|p| p.is_quiescent())
             && self.faults.as_ref().is_none_or(|f| f.is_idle())
             && self.unroutable.is_empty()

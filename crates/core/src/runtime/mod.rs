@@ -3,22 +3,22 @@
 //! This module is the execution stack of the reproduction, split into
 //! three explicit layers (replacing the seed's monolithic `driver.rs`):
 //!
-//! 1. **Workload layer** ([`workload`]) — [`Workload`] describes one
+//! 1. **Workload layer** (`workload`) — [`Workload`] describes one
 //!    tenant: dataset, query mix, engine choice, and arrival process
 //!    (closed-loop, staggered starts, and the open-arrival vocabulary:
 //!    fixed-seed Poisson and bursty on/off).
-//! 2. **Engine layer** ([`engines`]) — the per-tenant
+//! 2. **Engine layer** (`engines`) — the per-tenant
 //!    [`EngineFactory`]: one scenario can mix Skipper and Vanilla
 //!    tenants with per-tenant cache/eviction configuration.
-//! 3. **Driver layer** ([`client`], [`pump`], [`fleet`], [`driver`],
-//!    [`collector`]) — the client state machine, the device pump, the
+//! 3. **Driver layer** (`client`, [`pump`], `fleet`, `driver`,
+//!    `collector`) — the client state machine, the device pump, the
 //!    sharded device fleet, the discrete-event loop, and the
 //!    record/metrics collector behind every figure in §5 of the paper.
 //!    Three optional planes hook into it, each owned by one module:
-//!    injected failures ([`fault`]), shard-cache tiers (`tiers`) and
-//!    overload protection ([`protect`]).
+//!    injected failures (`fault`), shard-cache tiers (`tiers`) and
+//!    overload protection (`protect`).
 //!
-//! [`Scenario`] ([`scenario`]) is the one-stop facade over all three
+//! [`Scenario`] (`scenario`) is the one-stop facade over all three
 //! layers. [`oracle`] states the invariants every run must keep once,
 //! for the tests, bench gates and examples to call.
 //!
@@ -89,7 +89,7 @@
 //!
 //! # Deterministic fault plane
 //!
-//! [`FaultPlan`] ([`fault`]) injects seeded device failures the same
+//! [`FaultPlan`] (`fault`) injects seeded device failures the same
 //! way [`ArrivalProcess`] injects traffic: at assembly time its crash
 //! streams are drawn from labeled SplitMix64 streams and every interval
 //! is checked and flattened into timed start and end flips, and the
@@ -152,7 +152,7 @@
 //! Cold storage serves *seconds*-scale accesses, so saturation and
 //! outages are tail-latency catastrophes by default: queues grow
 //! without bound under a sustained burst, and a k = 1 outage parks
-//! requests indefinitely. [`protect`] is the plane: four deterministic
+//! requests indefinitely. `protect` is the plane: four deterministic
 //! defenses, each set per tenant on its [`Workload`] (admission is
 //! fleet-wide, `Scenario::admission`). `Scenario::run` installs one
 //! optional `Protection` on the runtime — and a `Breaker` on the fleet
@@ -367,9 +367,9 @@
 //! An open-arrival query's clock starts at its *release*, not when a
 //! client slot frees up: [`QueryRecord::response_time`] = release →
 //! completion (queue-wait included; [`QueryRecord::duration`] remains
-//! start → completion) and [`QueryRecord::queue_wait`] is the
-//! difference. Per-query response times stream, in completion order,
-//! into Greenwald–Khanna quantile sketches
+//! start → completion), and the difference is the queue wait.
+//! Per-query response times stream, in completion order, into
+//! Greenwald–Khanna quantile sketches
 //! ([`skipper_sim::stats::QuantileSketch`], default rank
 //! error ε = 5·10⁻⁴) held per tenant and fleet-wide, surfacing in
 //! [`RunResult::latency`] as a [`LatencySummary`]: p50/p95/p99/p999
@@ -450,18 +450,18 @@
 //! }
 //! ```
 
-pub mod client;
-pub mod collector;
-pub mod driver;
-pub mod engines;
-pub mod fault;
-pub mod fleet;
+pub(crate) mod client;
+pub(crate) mod collector;
+pub(crate) mod driver;
+pub(crate) mod engines;
+pub(crate) mod fault;
+pub(crate) mod fleet;
 pub mod oracle;
-pub mod protect;
+pub(crate) mod protect;
 pub mod pump;
-pub mod scenario;
+pub(crate) mod scenario;
 mod tiers;
-pub mod workload;
+pub(crate) mod workload;
 
 pub use collector::{
     AvailabilitySummary, LatencyScope, LatencySummary, Quantiles, QueryRecord, RecordMode,

@@ -24,7 +24,7 @@
 //! * **A fully stale wake-up touches nothing:** no plane state changes,
 //!   nothing is delivered, and the fleet does not mark the shard.
 //!
-//! A crash ([`DevicePump::fail`]) disarms all three at once. The device
+//! A crash (`DevicePump::fail`) disarms all three at once. The device
 //! is re-kicked only when it mutated since the last poke (a submit, a
 //! cancel or a live device wake-up — tracked by a dirty flag): nothing
 //! else can move its earliest completion. With one stream that instant
@@ -36,7 +36,7 @@
 //! running this protocol independently against its own device. Two
 //! planes can ride on a pump, each in one optional box that its owner
 //! module installs and drives: the dropped-wake-up watchdog
-//! ([`fault`](super::fault)) and the shard-cache tiers (`tiers`).
+//! (`fault`) and the shard-cache tiers (`tiers`).
 //! Without them every hook below is one null test.
 
 use std::sync::Arc;
@@ -222,7 +222,7 @@ impl<P: Clone> DevicePump<P> {
     /// at routing — and pending cache hits likewise deliver-and-drop,
     /// so the wake-up protocol is untouched. Returns the number of
     /// requests removed.
-    pub fn cancel_query(&mut self, query: QueryId) -> usize {
+    pub(crate) fn cancel_query(&mut self, query: QueryId) -> usize {
         let n = self.device.cancel_query(query);
         if n > 0 {
             self.dirty = true;
@@ -234,7 +234,7 @@ impl<P: Clone> DevicePump<P> {
     /// request (a hedge loser whose winning replica delivered first).
     /// Returns whether a copy was found and removed; an in-flight or
     /// already-served copy delivers stale instead.
-    pub fn cancel_object(&mut self, query: QueryId, object: ObjectId) -> bool {
+    pub(crate) fn cancel_object(&mut self, query: QueryId, object: ObjectId) -> bool {
         let removed = self.device.cancel_object(query, object);
         if removed {
             self.dirty = true;
@@ -259,7 +259,7 @@ impl<P: Clone> DevicePump<P> {
 
     /// True when the device is idle with an empty queue and neither
     /// plane holds anything back (no watchdog batch, no pending hit).
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.device.is_quiescent()
             && self.watchdog.as_ref().is_none_or(|w| w.is_idle())
             && self.cache.as_ref().is_none_or(|c| c.is_idle())
@@ -272,7 +272,7 @@ impl<P: Clone> DevicePump<P> {
 
     /// Unwraps the device (end-of-run result assembly: the runtime takes
     /// spans and ledgers by move instead of cloning).
-    pub fn into_device(self) -> CsdDevice<P> {
+    pub(crate) fn into_device(self) -> CsdDevice<P> {
         self.device
     }
 }

@@ -192,7 +192,7 @@ impl CacheState {
 
 impl<P: Clone> DevicePump<P> {
     /// Counter snapshot of the shard cache (zeros when uncached).
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache
             .as_ref()
             .map(|s| s.cache.stats())
@@ -200,13 +200,13 @@ impl<P: Clone> DevicePump<P> {
     }
 
     /// The installed cache configuration, if any (economics reporting).
-    pub fn cache_config(&self) -> Option<CacheConfig> {
+    pub(crate) fn cache_config(&self) -> Option<CacheConfig> {
         self.cache.as_ref().map(|s| s.config)
     }
 
     /// Takes the cache-served delivery ledger (end-of-run assembly;
     /// empty when uncached or under `LedgerMode::Counters`).
-    pub fn take_cache_served_log(&mut self) -> Vec<LedgerEntry> {
+    pub(crate) fn take_cache_served_log(&mut self) -> Vec<LedgerEntry> {
         self.cache
             .as_deref_mut()
             .map(|s| std::mem::take(&mut s.served_log))

@@ -79,7 +79,7 @@ impl ArrivalProcess {
     /// `tenant` salts the stochastic streams so identical workloads on
     /// different tenants do not share arrival times; `start` offsets
     /// the whole schedule (staggered fleets).
-    pub fn release_times(
+    pub(crate) fn release_times(
         &self,
         queries: usize,
         tenant: usize,

@@ -28,10 +28,10 @@
 use skipper_relational::hash::{FxHashMap, FxHashSet};
 
 /// An object within a query: `(relation index, segment index)`.
-pub type RelSeg = (usize, u32);
+pub(crate) type RelSeg = (usize, u32);
 
 /// Packed subplan key: segment choice per relation, 16 bits each.
-pub type SubplanKey = u128;
+pub(crate) type SubplanKey = u128;
 
 /// Maximum relations per query (u128 packing limit; the paper's widest
 /// query, TPC-H Q5, has 6) — the join kernel's scratch width.
@@ -75,7 +75,7 @@ impl SubplanTracker {
     }
 
     /// Packs a combination (one segment per relation) into a key.
-    pub fn pack(combo: &[u32]) -> SubplanKey {
+    pub(crate) fn pack(combo: &[u32]) -> SubplanKey {
         let mut key: SubplanKey = 0;
         for (r, &seg) in combo.iter().enumerate() {
             key |= (seg as SubplanKey) << (16 * r);
@@ -90,7 +90,7 @@ impl SubplanTracker {
     }
 
     /// Number of relations.
-    pub fn num_relations(&self) -> usize {
+    pub(crate) fn num_relations(&self) -> usize {
         self.seg_counts.len()
     }
 
@@ -100,12 +100,12 @@ impl SubplanTracker {
     }
 
     /// Whether `(rel, seg)` is still alive (not pruned).
-    pub fn is_alive(&self, obj: RelSeg) -> bool {
+    pub(crate) fn is_alive(&self, obj: RelSeg) -> bool {
         self.alive[obj.0][obj.1 as usize]
     }
 
     /// Total subplans over live segments (`Π alive_r`).
-    pub fn total_live_subplans(&self) -> u64 {
+    pub(crate) fn total_live_subplans(&self) -> u64 {
         self.alive_counts.iter().product()
     }
 
@@ -115,7 +115,7 @@ impl SubplanTracker {
     }
 
     /// True when every live subplan has executed — query complete.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.pending_total() == 0
     }
 
@@ -136,7 +136,7 @@ impl SubplanTracker {
     }
 
     /// Whether a combination has already executed.
-    pub fn is_executed(&self, combo: &[u32]) -> bool {
+    pub(crate) fn is_executed(&self, combo: &[u32]) -> bool {
         self.executed.contains(&Self::pack(combo))
     }
 
@@ -202,7 +202,7 @@ impl SubplanTracker {
     ///
     /// Written to `out` (cleared first), one count per object of
     /// `cached`, relation by relation, each in `cached[r]`'s order.
-    pub fn executable_counts(
+    pub(crate) fn executable_counts(
         &self,
         cached: &[Vec<u32>],
         incoming: Option<RelSeg>,

@@ -28,7 +28,7 @@ use crate::engine::{EngineStats, QueryEngine, Reaction};
 use crate::proxy::ClientProxy;
 
 /// Pull-based, plan-ordered baseline engine.
-pub struct VanillaEngine {
+pub(crate) struct VanillaEngine {
     spec: QuerySpec,
     proxy: ClientProxy,
     cost: CostModel,
@@ -47,7 +47,7 @@ pub struct VanillaEngine {
 impl VanillaEngine {
     /// Builds the baseline engine for `tenant` running `spec` over
     /// `dataset`.
-    pub fn new(tenant: u16, dataset: &Dataset, spec: QuerySpec, cost: CostModel) -> Self {
+    pub(crate) fn new(tenant: u16, dataset: &Dataset, spec: QuerySpec, cost: CostModel) -> Self {
         spec.validate();
         let rel_tables = dataset.query_table_indexes(&spec);
         let mut scales = Vec::new();
@@ -84,11 +84,6 @@ impl VanillaEngine {
             finished: false,
             result: Vec::new(),
         }
-    }
-
-    /// Objects this query will fetch in total.
-    pub fn total_objects(&self) -> usize {
-        self.sequence.len()
     }
 }
 

@@ -23,7 +23,7 @@ use crate::tiers::{DevicePricing, CSD_PRICE_POINTS};
 
 /// Bytes per gigabyte, matching the crate's binary-ish convention
 /// (100 TB = 102,400 GB in [`crate::model::REFERENCE_DB_GB`]).
-pub const BYTES_PER_GB: f64 = (1u64 << 30) as f64;
+pub(crate) const BYTES_PER_GB: f64 = (1u64 << 30) as f64;
 
 /// $/GB and $/kWh inputs pricing one simulated fleet run.
 #[derive(Clone, Copy, Debug, PartialEq)]

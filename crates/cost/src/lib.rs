@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fleet;
+pub(crate) mod fleet;
 pub mod model;
 pub mod tiers;
 

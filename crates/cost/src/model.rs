@@ -50,7 +50,7 @@ impl StorageConfig {
     }
 
     /// The tier fractions of this configuration.
-    pub fn fractions(self) -> TierFractions {
+    pub(crate) fn fractions(self) -> TierFractions {
         match self {
             StorageConfig::AllSsd => TierFractions::all_on(AllOn::Ssd),
             StorageConfig::AllScsi => TierFractions::all_on(AllOn::Hdd15k),

@@ -63,7 +63,7 @@ impl TierFractions {
     };
 
     /// A single-device strategy holding everything on one class.
-    pub fn all_on(device: AllOn) -> TierFractions {
+    pub(crate) fn all_on(device: AllOn) -> TierFractions {
         let mut f = TierFractions {
             ssd: 0.0,
             hdd_15k: 0.0,
@@ -85,14 +85,15 @@ impl TierFractions {
     }
 
     /// Sum of fractions (should be 1 for complete strategies).
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.ssd + self.hdd_15k + self.hdd_7k2 + self.tape
     }
 }
 
 /// Selector for single-device strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AllOn {
+pub(crate) enum AllOn {
     /// Everything on SSD.
     Ssd,
     /// Everything on 15k-RPM HDD.

@@ -48,10 +48,10 @@ use crate::object::GroupId;
 use crate::store::{transfer_time, ObjectStore};
 
 /// Default DRAM tier read bandwidth (one service pipe): 4 GiB/s.
-pub const DRAM_BANDWIDTH_BYTES_PER_SEC: f64 = 4.0 * (1u64 << 30) as f64;
+pub(crate) const DRAM_BANDWIDTH_BYTES_PER_SEC: f64 = 4.0 * (1u64 << 30) as f64;
 
 /// Default SSD tier read bandwidth (one service pipe): 500 MB/s.
-pub const SSD_BANDWIDTH_BYTES_PER_SEC: f64 = 500e6;
+pub(crate) const SSD_BANDWIDTH_BYTES_PER_SEC: f64 = 500e6;
 
 /// Eviction/recency policy shared by both tiers of a shard cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -98,12 +98,12 @@ impl TierConfig {
     }
 
     /// A disabled (zero-capacity) tier.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TierConfig::new(0, 0.0)
     }
 
     /// True when the tier can hold at least one byte.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity_bytes > 0
     }
 }
@@ -380,6 +380,7 @@ impl Tier {
         self.capacity > 0
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.nodes.len() - self.free.len()
     }
@@ -667,8 +668,9 @@ impl ShardCache {
         self.stats
     }
 
-    /// Resident objects per tier `(dram, ssd)` — test/report helper.
-    pub fn resident(&self) -> (usize, usize) {
+    /// Resident objects per tier `(dram, ssd)`.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> (usize, usize) {
         (self.dram.len(), self.ssd.len())
     }
 }

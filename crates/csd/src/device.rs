@@ -630,7 +630,8 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     }
 
     /// The currently loaded group.
-    pub fn active_group(&self) -> Option<GroupId> {
+    #[cfg(test)]
+    pub(crate) fn active_group(&self) -> Option<GroupId> {
         self.active_group
     }
 
@@ -648,7 +649,8 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
     /// (a `(client, query, object)` triple) each. The multiset of entries
     /// is the device's work-conservation ledger — sharded fleets must
     /// deliver exactly the same multiset as a single device would.
-    pub fn served_log(&self) -> &[LedgerEntry] {
+    #[cfg(test)]
+    pub(crate) fn served_log(&self) -> &[LedgerEntry] {
         &self.served_log
     }
 
@@ -659,7 +661,8 @@ impl<P: Clone, Q: RequestIndex> CsdDevice<P, Q> {
 
     /// The control-stream activity trace: slot 0's transfers plus every
     /// switch span. The full per-slot picture is [`CsdDevice::traces`].
-    pub fn trace(&self) -> &ActivityTrace {
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> &ActivityTrace {
         &self.traces[0]
     }
 

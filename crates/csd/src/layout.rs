@@ -247,7 +247,8 @@ impl Layout {
     }
 
     /// Builds a layout from explicit `(object, group)` pairs.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (ObjectId, GroupId)>) -> Layout {
+    #[cfg(test)]
+    pub(crate) fn from_pairs(pairs: impl IntoIterator<Item = (ObjectId, GroupId)>) -> Layout {
         let mut layout = Layout::default();
         for (obj, group) in pairs {
             layout.place(obj, group);
@@ -256,7 +257,7 @@ impl Layout {
     }
 
     /// Assigns `obj` to `group` (last assignment wins).
-    pub fn place(&mut self, obj: ObjectId, group: GroupId) {
+    pub(crate) fn place(&mut self, obj: ObjectId, group: GroupId) {
         self.num_groups = self.num_groups.max(group + 1);
         self.map.insert(obj, group);
     }
@@ -294,7 +295,8 @@ impl Layout {
     }
 
     /// Iterates all `(object, group)` placements (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, GroupId)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, GroupId)> + '_ {
         self.map.iter().map(|(&o, &g)| (o, g))
     }
 }

@@ -43,7 +43,7 @@ pub struct DeviceMetrics {
 impl DeviceMetrics {
     /// Adds another device's counters into this one (the fleet roll-up:
     /// per-shard metrics sum into one device-layer aggregate).
-    pub fn absorb(&mut self, other: &DeviceMetrics) {
+    pub(crate) fn absorb(&mut self, other: &DeviceMetrics) {
         self.group_switches += other.group_switches;
         self.initial_loads += other.initial_loads;
         self.requests_submitted += other.requests_submitted;

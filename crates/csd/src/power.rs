@@ -94,32 +94,11 @@ impl PowerModel {
             all_spinning_wh: all_j / 3_600.0,
         }
     }
-
-    /// The steady-state power ratio (MAID / all-spinning) with no I/O —
-    /// the back-of-envelope number vendors quote.
-    pub fn idle_power_ratio(&self) -> f64 {
-        let group = self.disks_per_group as f64;
-        let standby = (self.total_disks - self.disks_per_group) as f64;
-        (group * self.active_idle_watts + standby * self.standby_watts)
-            / (self.total_disks as f64 * self.active_idle_watts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pelican_idle_ratio_matches_motivation() {
-        // 8 % spinning at 5 W + 92 % standby at 0.6 W ≈ 19 % of all-on
-        // power — the ~80 % saving the paper's §7 cites for cold storage.
-        let m = PowerModel::default();
-        let ratio = m.idle_power_ratio();
-        assert!(
-            (0.15..0.25).contains(&ratio),
-            "idle ratio {ratio:.3} out of the expected band"
-        );
-    }
 
     #[test]
     fn quiet_run_saves_close_to_the_idle_ratio() {

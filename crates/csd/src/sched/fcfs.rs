@@ -21,7 +21,7 @@ pub struct FcfsObject;
 
 impl FcfsObject {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FcfsObject
     }
 }
@@ -56,7 +56,7 @@ pub struct FcfsQuery;
 
 impl FcfsQuery {
     /// Creates the policy.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FcfsQuery
     }
 }

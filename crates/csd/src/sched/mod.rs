@@ -6,7 +6,7 @@
 //!
 //! 1. **Which group to switch to?** — policy-specific: [`FcfsObject`],
 //!    [`FcfsSlack`], [`FcfsQuery`], and [`RankBased`], whose `K = 0`
-//!    case ([`RankBased::max_queries`]) is Max-Queries.
+//!    case (`RankBased::max_queries`) is Max-Queries.
 //! 2. **When to switch?** — no preemption: the group-centric policies
 //!    serve every pending request on the loaded group before switching
 //!    (shown optimal for tertiary storage by Prabhakar et al.); the FCFS
@@ -47,7 +47,7 @@
 //! intra-group order to a concrete request without rescanning.
 
 mod fcfs;
-pub mod queue;
+pub(crate) mod queue;
 mod rank;
 mod slack;
 
@@ -135,7 +135,7 @@ impl InFlight {
 
     /// True while old-group transfers are still draining out of the
     /// pipeline.
-    pub fn draining(self) -> bool {
+    pub(crate) fn draining(self) -> bool {
         self.transfers > 0
     }
 }
@@ -327,7 +327,13 @@ pub(crate) mod testutil {
     use crate::device::IntraGroupOrder;
 
     /// Builds a pending request with compact syntax for scheduler tests.
-    pub fn req(group: GroupId, tenant: u16, qseq: u32, seg: u32, seq: u64) -> PendingRequest {
+    pub(crate) fn req(
+        group: GroupId,
+        tenant: u16,
+        qseq: u32,
+        seg: u32,
+        seq: u64,
+    ) -> PendingRequest {
         PendingRequest {
             object: ObjectId::new(tenant, 0, seg),
             query: QueryId::new(tenant, qseq),
@@ -340,20 +346,23 @@ pub(crate) mod testutil {
     }
 
     /// An indexed queue over `pending`, arrival-ordered intra-group.
-    pub fn queue_of(pending: &[PendingRequest]) -> queue::RequestQueue {
+    pub(crate) fn queue_of(pending: &[PendingRequest]) -> queue::RequestQueue {
         queue_with(IntraGroupOrder::ArrivalOrder, pending)
     }
 
     /// An indexed queue over `pending`, preloaded in seq order, with
     /// the given intra order.
-    pub fn queue_with(intra: IntraGroupOrder, pending: &[PendingRequest]) -> queue::RequestQueue {
+    pub(crate) fn queue_with(
+        intra: IntraGroupOrder,
+        pending: &[PendingRequest],
+    ) -> queue::RequestQueue {
         queue::RequestQueue::from_requests(intra, pending.iter().copied())
     }
 
     /// A queue whose current contents are all resident on `group` —
     /// the "everything in scope" setup the old slice-based tests
     /// modelled with a saturated seq set.
-    pub fn armed_queue(pending: &[PendingRequest], group: GroupId) -> queue::RequestQueue {
+    pub(crate) fn armed_queue(pending: &[PendingRequest], group: GroupId) -> queue::RequestQueue {
         let mut q = queue_of(pending);
         q.arm_residency(group);
         q
@@ -361,10 +370,10 @@ pub(crate) mod testutil {
 
     /// One group's aggregates as the differential tests compare them:
     /// group, distinct queries (ascending), request count, oldest seq.
-    pub type Aggregate = (GroupId, Vec<QueryId>, usize, Option<u64>);
+    pub(crate) type Aggregate = (GroupId, Vec<QueryId>, usize, Option<u64>);
 
     /// Every group's [`Aggregate`], in ascending group id.
-    pub fn aggregates(view: &dyn QueueView) -> Vec<Aggregate> {
+    pub(crate) fn aggregates(view: &dyn QueueView) -> Vec<Aggregate> {
         let mut out = Vec::new();
         view.for_each_group(&mut |g, lens| {
             out.push((
@@ -378,20 +387,20 @@ pub(crate) mod testutil {
     }
 
     /// The `k` oldest pending requests, oldest first.
-    pub fn window(view: &dyn QueueView, k: usize) -> Vec<PendingRequest> {
+    pub(crate) fn window(view: &dyn QueueView, k: usize) -> Vec<PendingRequest> {
         let mut out = Vec::new();
         view.for_each_window(k, &mut |r| out.push(*r));
         out
     }
 
     /// Query `q`'s oldest pending request.
-    pub fn oldest_of_query(view: &dyn QueueView, q: QueryId) -> Option<PendingRequest> {
+    pub(crate) fn oldest_of_query(view: &dyn QueueView, q: QueryId) -> Option<PendingRequest> {
         window(view, usize::MAX).into_iter().find(|r| r.query == q)
     }
 
     /// Every query with pending data and whether it has data on `on`,
     /// in visit order, which must be ascending query id.
-    pub fn presence(view: &dyn QueueView, on: GroupId) -> Vec<(QueryId, bool)> {
+    pub(crate) fn presence(view: &dyn QueueView, on: GroupId) -> Vec<(QueryId, bool)> {
         let mut out = Vec::new();
         view.for_each_query_presence(on, &mut |q, p| out.push((q, p)));
         assert!(

@@ -73,7 +73,7 @@ impl RankBased {
 
     /// Creates Max-Queries: the rank with `K = 0`, most pending queries
     /// first. It keeps no waiting times.
-    pub fn max_queries() -> Self {
+    pub(crate) fn max_queries() -> Self {
         RankBased {
             k: 0,
             ..Self::new()

@@ -24,7 +24,7 @@ pub struct FcfsSlack {
 
 impl FcfsSlack {
     /// Creates the policy with the given reordering window (≥ 1).
-    pub fn new(slack: usize) -> Self {
+    pub(crate) fn new(slack: usize) -> Self {
         assert!(slack >= 1, "slack window must hold at least one request");
         FcfsSlack { slack }
     }

@@ -105,23 +105,26 @@ impl<P> ObjectStore<P> {
     }
 
     /// Metadata of `id`, if stored.
-    pub fn meta(&self, id: ObjectId) -> Option<&ObjectMeta> {
+    #[cfg(test)]
+    pub(crate) fn meta(&self, id: ObjectId) -> Option<&ObjectMeta> {
         self.resolve(id).map(|(_, m)| m)
     }
 
     /// Payload of `id`, if stored (a GET without the latency model —
     /// timing is the device's job).
-    pub fn get(&self, id: ObjectId) -> Option<&P> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, id: ObjectId) -> Option<&P> {
         self.resolve(id).map(|(slot, _)| self.payload(slot))
     }
 
     /// Number of stored objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True when the store is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -131,7 +134,7 @@ impl<P> ObjectStore<P> {
     }
 
     /// Iterates all stored metadata (in slot order).
-    pub fn iter_meta(&self) -> impl Iterator<Item = &ObjectMeta> {
+    pub(crate) fn iter_meta(&self) -> impl Iterator<Item = &ObjectMeta> {
         self.entries.iter().map(|(m, _)| m)
     }
 }
@@ -140,7 +143,7 @@ impl<P> ObjectStore<P> {
 ///
 /// Zero or non-finite bandwidth means "free" (used by the ideal/local
 /// configurations in Table 3's component breakdown).
-pub fn transfer_time(logical_bytes: u64, bandwidth_bytes_per_sec: f64) -> SimDuration {
+pub(crate) fn transfer_time(logical_bytes: u64, bandwidth_bytes_per_sec: f64) -> SimDuration {
     if !(bandwidth_bytes_per_sec.is_finite() && bandwidth_bytes_per_sec > 0.0) {
         return SimDuration::ZERO;
     }

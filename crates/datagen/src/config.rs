@@ -10,7 +10,7 @@ pub struct GenConfig {
     pub sf: u32,
     /// Physical miniaturization: each segment carries
     /// `logical_rows / phys_divisor` real rows (at least
-    /// [`GenConfig::MIN_ROWS_PER_SEGMENT`]). Tiny dimension tables
+    /// `GenConfig::MIN_ROWS_PER_SEGMENT`). Tiny dimension tables
     /// (nation, region) are generated in full.
     pub phys_divisor: u64,
 }
@@ -18,7 +18,7 @@ pub struct GenConfig {
 impl GenConfig {
     /// Lower bound on physical rows per segment so joins stay non-trivial
     /// even under aggressive miniaturization.
-    pub const MIN_ROWS_PER_SEGMENT: u64 = 40;
+    pub(crate) const MIN_ROWS_PER_SEGMENT: u64 = 40;
 
     /// A new config with the paper's default miniaturization.
     pub fn new(seed: u64, sf: u32) -> Self {
@@ -39,7 +39,7 @@ impl GenConfig {
 
     /// Physical rows per segment for a table with `logical_rows` per
     /// segment.
-    pub fn phys_rows(&self, logical_rows: u64) -> u64 {
+    pub(crate) fn phys_rows(&self, logical_rows: u64) -> u64 {
         (logical_rows / self.phys_divisor)
             .max(Self::MIN_ROWS_PER_SEGMENT)
             .min(logical_rows.max(1))

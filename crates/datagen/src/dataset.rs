@@ -12,11 +12,11 @@ use skipper_sim::rng::stream_rng;
 /// PostgreSQL on-disk bloat over raw data (tuple headers, page slack,
 /// fill factor). Applied to logical sizes so segment counts match the
 /// paper's measured object counts (127 Q5 objects at SF-100 etc.).
-pub const STORAGE_OVERHEAD: f64 = 1.3;
+pub(crate) const STORAGE_OVERHEAD: f64 = 1.3;
 
 /// Computes a table's segment count from its raw GB-per-scale-factor
 /// footprint: `ceil(gb_per_sf × sf × STORAGE_OVERHEAD)`, at least 1.
-pub fn segments_for(gb_per_sf: f64, sf: u32) -> u32 {
+pub(crate) fn segments_for(gb_per_sf: f64, sf: u32) -> u32 {
     (gb_per_sf * sf as f64 * STORAGE_OVERHEAD).ceil().max(1.0) as u32
 }
 
@@ -36,7 +36,7 @@ pub struct TableSpec {
 
 impl TableSpec {
     /// Total physical rows of the table.
-    pub fn phys_rows(&self) -> u64 {
+    pub(crate) fn phys_rows(&self) -> u64 {
         self.segments as u64 * self.phys_rows_per_segment
     }
 }

@@ -16,7 +16,7 @@ fn is_leap(year: i32) -> bool {
 /// # Panics
 /// Panics on out-of-range month/day or years before 1992 — workload
 /// definitions are static, so bad dates are programming errors.
-pub fn date(year: i32, month: u32, day: u32) -> i32 {
+pub(crate) fn date(year: i32, month: u32, day: u32) -> i32 {
     assert!(year >= 1992, "TPC-H calendar starts at 1992");
     assert!((1..=12).contains(&month), "month out of range");
     let month = month as usize;
@@ -36,19 +36,19 @@ pub fn date(year: i32, month: u32, day: u32) -> i32 {
 }
 
 /// First day of `year` (days since the epoch).
-pub fn year_start(year: i32) -> i32 {
+pub(crate) fn year_start(year: i32) -> i32 {
     date(year, 1, 1)
 }
 
 /// The last representable order date in TPC-H (1998-08-02), exclusive
 /// bound for uniform date generation.
-pub fn max_order_date() -> i32 {
+pub(crate) fn max_order_date() -> i32 {
     date(1998, 8, 2)
 }
 
 /// The calendar year containing epoch-day `d` (linear scan; only used in
 /// tests and result formatting).
-pub fn year_of(d: i32) -> i32 {
+pub(crate) fn year_of(d: i32) -> i32 {
     let mut year = 1992;
     let mut remaining = d;
     loop {

@@ -9,7 +9,7 @@
 //! ## Logical vs physical sizing
 //!
 //! Every table is striped into 1 GB-class *logical* segments whose counts
-//! follow the paper's geometry ([`dataset::segments_for`], e.g. TPC-H SF-100
+//! follow the paper's geometry (`dataset::segments_for`, e.g. TPC-H SF-100
 //! yields 127 objects for Q5 and 95×22×7 = 14 630 subplans, the exact
 //! numbers in §5.2.4). Each segment physically carries only a few
 //! thousand rows ([`GenConfig::phys_divisor`] scales logical row counts
@@ -21,9 +21,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+pub(crate) mod config;
 pub mod dataset;
-pub mod dates;
+pub(crate) mod dates;
 pub mod mrbench;
 pub mod nref;
 pub mod ssb;

@@ -27,7 +27,7 @@ const USERVISITS_ROWS_AT_DEFAULT: u64 = 155_000_000;
 const RANKINGS_ROWS_AT_DEFAULT: u64 = 18_000_000;
 
 /// Table geometry (scaled by `sf/50` relative to the 20 GB paper setup).
-pub fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
+pub(crate) fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
     let scale = cfg.sf as f64 / 50.0;
     let mk = |name: &'static str, gb: f64, rows: u64| {
         let segments = segments_for(gb * scale, 1);

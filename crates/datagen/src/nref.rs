@@ -26,9 +26,9 @@ use crate::config::GenConfig;
 use crate::dataset::{segments_for, Dataset, DatasetBuilder, TableSpec};
 
 /// Taxonomy kingdoms.
-pub const KINGDOMS: [&str; 4] = ["Bacteria", "Archaea", "Eukaryota", "Viruses"];
+pub(crate) const KINGDOMS: [&str; 4] = ["Bacteria", "Archaea", "Eukaryota", "Viruses"];
 /// Annotation keywords.
-pub const KEYWORDS: [&str; 6] = [
+pub(crate) const KEYWORDS: [&str; 6] = [
     "kinase",
     "transferase",
     "hydrolase",
@@ -45,7 +45,7 @@ const PROTEIN_ROWS: u64 = 36_000_000;
 const ANNOTATION_ROWS: u64 = 55_000_000;
 
 /// Table geometry (scaled by `sf/50` from the 13 GB paper instance).
-pub fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
+pub(crate) fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
     let scale = cfg.sf as f64 / 50.0;
     let mk = |name: &'static str, gb: f64, rows: u64| {
         let segments = segments_for(gb * scale, 1);

@@ -20,12 +20,12 @@ use crate::dataset::{segments_for, Dataset, DatasetBuilder, TableSpec};
 use crate::dates::{max_order_date, year_of};
 
 /// Raw GB per scale-factor unit of the `lineorder` fact table.
-pub const LINEORDER_GB_PER_SF: f64 = 0.57;
+pub(crate) const LINEORDER_GB_PER_SF: f64 = 0.57;
 /// Logical lineorder rows per scale-factor unit.
-pub const LINEORDER_ROWS_PER_SF: u64 = 6_000_000;
+pub(crate) const LINEORDER_ROWS_PER_SF: u64 = 6_000_000;
 
 /// Table geometry: `date` (1 segment) + `lineorder`.
-pub fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
+pub(crate) fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
     let segments = segments_for(LINEORDER_GB_PER_SF, cfg.sf);
     let logical_rows_per_segment =
         (LINEORDER_ROWS_PER_SF * cfg.sf as u64).div_ceil(segments as u64);
@@ -127,53 +127,6 @@ pub fn q1(dataset: &Dataset) -> QuerySpec {
     }
 }
 
-/// SSB Q1.2: one month (modelled as four weeks of 1994), tighter
-/// discount/quantity bands.
-///
-/// ```sql
-/// SELECT SUM(lo_extendedprice * lo_discount) AS revenue
-/// FROM lineorder, date
-/// WHERE lo_orderdate = d_datekey AND d_year = 1994
-///   AND d_weeknuminyear BETWEEN 1 AND 4
-///   AND lo_discount BETWEEN 4 AND 6 AND lo_quantity BETWEEN 26 AND 35
-/// ```
-pub fn q1_2(dataset: &Dataset) -> QuerySpec {
-    let date = schema(dataset, "date");
-    let lineorder = schema(dataset, "lineorder");
-    let mut spec = q1(dataset);
-    spec.name = "ssb-q1.2".into();
-    spec.filters[0] = Some(
-        Expr::col(date.col("d_year"))
-            .eq(Expr::lit(1994i64))
-            .and(Expr::col(date.col("d_weeknuminyear")).between(1i64, 4i64)),
-    );
-    spec.filters[1] = Some(
-        Expr::col(lineorder.col("lo_discount"))
-            .between(4i64, 6i64)
-            .and(Expr::col(lineorder.col("lo_quantity")).between(26i64, 35i64)),
-    );
-    spec
-}
-
-/// SSB Q1.3: one week of 1994, the tightest bands of the Q1 flight.
-pub fn q1_3(dataset: &Dataset) -> QuerySpec {
-    let date = schema(dataset, "date");
-    let lineorder = schema(dataset, "lineorder");
-    let mut spec = q1(dataset);
-    spec.name = "ssb-q1.3".into();
-    spec.filters[0] = Some(
-        Expr::col(date.col("d_year"))
-            .eq(Expr::lit(1994i64))
-            .and(Expr::col(date.col("d_weeknuminyear")).eq(Expr::lit(6i64))),
-    );
-    spec.filters[1] = Some(
-        Expr::col(lineorder.col("lo_discount"))
-            .between(5i64, 7i64)
-            .and(Expr::col(lineorder.col("lo_quantity")).between(26i64, 35i64)),
-    );
-    spec
-}
-
 fn schema(dataset: &Dataset, table: &str) -> Schema {
     let idx = dataset.catalog.index_of(table).expect("SSB table present");
     dataset.catalog.table(idx).schema.clone()
@@ -224,32 +177,6 @@ mod tests {
             &bin.finish(),
             1e-9
         ));
-    }
-
-    #[test]
-    fn q1_flight_narrows_monotonically() {
-        // Q1.1 ⊇ Q1.2-ish ⊇ Q1.3 in selectivity: revenue shrinks down the
-        // flight (filters tighten), and all flights agree across engines.
-        let ds = dataset(&GenConfig::new(11, 4).with_phys_divisor(5_000));
-        let revenue = |spec: &skipper_relational::QuerySpec| {
-            spec.validate();
-            let tables = ds.materialize_query_tables(spec);
-            let slices: Vec<&[skipper_relational::Segment]> =
-                tables.iter().map(|t| t.as_slice()).collect();
-            let out = reference::execute(spec, &slices);
-            let (bin, _) = binary::execute_left_deep(spec, &slices);
-            assert!(skipper_relational::query::results_approx_eq(
-                &out,
-                &bin.finish(),
-                1e-9
-            ));
-            out.first().and_then(|(_, v)| v[0].as_f64()).unwrap_or(0.0)
-        };
-        let r11 = revenue(&q1(&ds));
-        let r12 = revenue(&q1_2(&ds));
-        let r13 = revenue(&q1_3(&ds));
-        assert!(r11 > r12, "Q1.1 {r11} !> Q1.2 {r12}");
-        assert!(r12 > r13, "Q1.2 {r12} !> Q1.3 {r13}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Miniature TPC-H: the paper's primary workload.
 //!
-//! Segment geometry ([`geometry`]) is sized so the paper's object counts
+//! Segment geometry (`geometry`) is sized so the paper's object counts
 //! fall out exactly: at SF-100, Q5 touches 95 (lineitem) + 22 (orders) +
 //! 7 (customer) + 3×1 (supplier/nation/region) = **127 objects** out of
 //! ~144 total, producing **95 × 22 × 7 = 14 630 subplans** — the numbers
@@ -25,7 +25,7 @@ use crate::dates::{max_order_date, year_start};
 
 /// The 25 TPC-H nations and their region assignment (region key 0-4:
 /// AFRICA, AMERICA, ASIA, EUROPE, MIDDLE EAST).
-pub const NATIONS: [(&str, i64); 25] = [
+pub(crate) const NATIONS: [(&str, i64); 25] = [
     ("ALGERIA", 0),
     ("ARGENTINA", 1),
     ("BRAZIL", 1),
@@ -54,16 +54,17 @@ pub const NATIONS: [(&str, i64); 25] = [
 ];
 
 /// The five regions.
-pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+pub(crate) const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 
 /// Ship modes (Q12 selects MAIL and SHIP).
-pub const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+pub(crate) const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 
 /// Order priorities (Q12 counts 1-URGENT/2-HIGH as "high").
-pub const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
+pub(crate) const PRIORITIES: [&str; 5] =
+    ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
 
 /// Market segments (Q3 selects BUILDING).
-pub const SEGMENTS: [&str; 5] = [
+pub(crate) const SEGMENTS: [&str; 5] = [
     "AUTOMOBILE",
     "BUILDING",
     "FURNITURE",
@@ -72,7 +73,7 @@ pub const SEGMENTS: [&str; 5] = [
 ];
 
 /// Part types (Q14 counts the PROMO ones).
-pub const PART_TYPES: [&str; 10] = [
+pub(crate) const PART_TYPES: [&str; 10] = [
     "PROMO BURNISHED COPPER",
     "PROMO PLATED BRASS",
     "ECONOMY ANODIZED STEEL",
@@ -86,27 +87,27 @@ pub const PART_TYPES: [&str; 10] = [
 ];
 
 /// Return flags (Q10 selects returned items, 'R').
-pub const RETURN_FLAGS: [&str; 3] = ["A", "N", "R"];
+pub(crate) const RETURN_FLAGS: [&str; 3] = ["A", "N", "R"];
 
 /// Raw GB per scale-factor unit for each table (before the 1.3× storage
 /// overhead), tuned to reproduce the paper's object counts.
 mod gb_per_sf {
-    pub const LINEITEM: f64 = 0.73;
-    pub const ORDERS: f64 = 0.165;
-    pub const CUSTOMER: f64 = 0.052;
-    pub const PARTSUPP: f64 = 0.095;
-    pub const PART: f64 = 0.030;
-    pub const SUPPLIER: f64 = 0.0033;
+    pub(crate) const LINEITEM: f64 = 0.73;
+    pub(crate) const ORDERS: f64 = 0.165;
+    pub(crate) const CUSTOMER: f64 = 0.052;
+    pub(crate) const PARTSUPP: f64 = 0.095;
+    pub(crate) const PART: f64 = 0.030;
+    pub(crate) const SUPPLIER: f64 = 0.0033;
 }
 
 /// Logical (full-scale) row counts per scale-factor unit.
 mod rows_per_sf {
-    pub const LINEITEM: u64 = 6_000_000;
-    pub const ORDERS: u64 = 1_500_000;
-    pub const CUSTOMER: u64 = 150_000;
-    pub const PARTSUPP: u64 = 800_000;
-    pub const PART: u64 = 200_000;
-    pub const SUPPLIER: u64 = 10_000;
+    pub(crate) const LINEITEM: u64 = 6_000_000;
+    pub(crate) const ORDERS: u64 = 1_500_000;
+    pub(crate) const CUSTOMER: u64 = 150_000;
+    pub(crate) const PARTSUPP: u64 = 800_000;
+    pub(crate) const PART: u64 = 200_000;
+    pub(crate) const SUPPLIER: u64 = 10_000;
 }
 
 fn spec(name: &'static str, gb: f64, rows_sf: u64, cfg: &GenConfig) -> TableSpec {
@@ -122,7 +123,7 @@ fn spec(name: &'static str, gb: f64, rows_sf: u64, cfg: &GenConfig) -> TableSpec
 
 /// The full SF-dependent table geometry, in catalog registration order:
 /// region, nation, supplier, customer, orders, lineitem, part, partsupp.
-pub fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
+pub(crate) fn geometry(cfg: &GenConfig) -> Vec<TableSpec> {
     vec![
         TableSpec {
             name: "region",

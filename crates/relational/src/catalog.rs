@@ -34,7 +34,7 @@ pub struct TableDef {
 
 impl TableDef {
     /// Total logical size of the table.
-    pub fn logical_bytes(&self) -> u64 {
+    pub(crate) fn logical_bytes(&self) -> u64 {
         self.segment_count as u64 * self.logical_bytes_per_segment
     }
 }
@@ -83,11 +83,6 @@ impl Catalog {
     /// The table at `idx`.
     pub fn table(&self, idx: usize) -> &TableDef {
         &self.tables[idx]
-    }
-
-    /// All tables in registration order.
-    pub fn tables(&self) -> &[TableDef] {
-        &self.tables
     }
 
     /// Index of the table named `name`.

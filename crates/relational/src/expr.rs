@@ -39,13 +39,13 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Applies the comparison using the engine's total value order.
-    pub fn apply(self, l: ValueRef<'_>, r: ValueRef<'_>) -> bool {
+    pub(crate) fn apply(self, l: ValueRef<'_>, r: ValueRef<'_>) -> bool {
         self.holds(l.cmp(&r))
     }
 
     /// Whether an ordering satisfies the comparison.
     #[inline]
-    pub fn holds(self, ord: Ordering) -> bool {
+    pub(crate) fn holds(self, ord: Ordering) -> bool {
         use Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,
@@ -151,7 +151,7 @@ impl Expr {
     }
 
     /// Evaluates against a row, yielding a value.
-    pub fn eval<'a>(&'a self, row: RowRef<'a>) -> ValueRef<'a> {
+    pub(crate) fn eval<'a>(&'a self, row: RowRef<'a>) -> ValueRef<'a> {
         match self {
             Expr::Col(idx) => row.get(*idx),
             Expr::Lit(v) => v.as_ref(),

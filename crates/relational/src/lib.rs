@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod error;
+pub(crate) mod error;
 pub mod expr;
 pub mod hash;
 pub mod join_graph;

@@ -30,7 +30,7 @@
 //!   codes), found in the same pass that hashes the slots. These are
 //!   "small materialized aggregates" (Moerkotte, VLDB 1998): a probe key
 //!   outside the range equals no kept key under [`ValueRef`]'s total
-//!   order, so [`SegmentIndex::may_hold`] rejects the segment with two
+//!   order, so `SegmentIndex::may_hold` rejects the segment with two
 //!   compares and no bucket load. MJoin's range-partitioned keys
 //!   (`o_orderkey`, `c_custkey`) make most cached segments of a relation
 //!   miss that way.
@@ -329,7 +329,7 @@ fn key_index(segment: &Segment, kept: &[u32], col: usize) -> KeyIndex {
 /// it once per logical probe and reuse it across candidate segments via
 /// [`SegmentIndex::probe_hashed`].
 #[inline]
-pub fn hash_key(key: ValueRef<'_>) -> u64 {
+pub(crate) fn hash_key(key: ValueRef<'_>) -> u64 {
     let mut h = FxHasher::default();
     key.hash(&mut h);
     h.finish()
@@ -413,7 +413,7 @@ impl SegmentIndex {
     /// # Panics
     /// Panics if `col` was not indexed — probing an unindexed column is a
     /// planning bug, not a data condition.
-    pub fn slot_of(&self, col: usize) -> usize {
+    pub(crate) fn slot_of(&self, col: usize) -> usize {
         self.keys
             .iter()
             .position(|k| k.col == col)
@@ -428,7 +428,7 @@ impl SegmentIndex {
     /// probe would yield nothing. Two compares for an integer key; no
     /// bucket is loaded.
     #[inline]
-    pub fn may_hold(&self, slot: usize, key: ValueRef<'_>) -> bool {
+    pub(crate) fn may_hold(&self, slot: usize, key: ValueRef<'_>) -> bool {
         self.keys[slot].range.admits(key, &self.segment)
     }
 
@@ -446,7 +446,12 @@ impl SegmentIndex {
     /// table slot ([`SegmentIndex::slot_of`]) and the key already hashed
     /// ([`hash_key`]): the form for probing many segments with one key.
     #[inline]
-    pub fn probe_hashed<'a>(&'a self, slot: usize, hash: u64, key: ValueRef<'a>) -> Matches<'a> {
+    pub(crate) fn probe_hashed<'a>(
+        &'a self,
+        slot: usize,
+        hash: u64,
+        key: ValueRef<'a>,
+    ) -> Matches<'a> {
         Matches {
             segment: &self.segment,
             kept: &self.kept,

@@ -168,7 +168,7 @@ pub struct RootedScratch {
 /// with per-segment arenas, so its lookup cost does not scale with the
 /// number of cached segments); a key the filter drops counts as probed.
 /// Probe *execution* walks one chain per cached candidate segment whose
-/// key range admits the probe key ([`SegmentIndex::may_hold`]); the
+/// key range admits the probe key (`SegmentIndex::may_hold`); the
 /// others are skipped before any bucket head is loaded, and
 /// `JoinWork::lookups` counts the walks. A dropped key or a skipped
 /// segment holds no match, so emit order (driver row, then candidate,

@@ -66,7 +66,7 @@ impl JoinCond {
 
     /// The side of this condition *not* touching relation `rel`, if the
     /// other side does touch it.
-    pub fn other_side(&self, rel: usize) -> Option<QualifiedCol> {
+    pub(crate) fn other_side(&self, rel: usize) -> Option<QualifiedCol> {
         if self.left.rel == rel {
             Some(self.right)
         } else if self.right.rel == rel {
@@ -112,7 +112,7 @@ impl JoinExpr {
 
     /// Evaluates against a joined row: `rows[i]` is the row bound for
     /// relation `i`. Columns are read in place; nothing is allocated.
-    pub fn eval<'a>(&'a self, rows: &[RowRef<'a>]) -> ValueRef<'a> {
+    pub(crate) fn eval<'a>(&'a self, rows: &[RowRef<'a>]) -> ValueRef<'a> {
         match self {
             JoinExpr::Col(qc) => rows[qc.rel].get(qc.col),
             JoinExpr::Lit(v) => v.as_ref(),

@@ -31,7 +31,7 @@ impl DataType {
     }
 
     /// Whether `value` inhabits this type (NULL inhabits every type).
-    pub fn admits(self, value: &Value) -> bool {
+    pub(crate) fn admits(self, value: &Value) -> bool {
         matches!(
             (self, value),
             (_, Value::Null)
@@ -55,7 +55,7 @@ pub struct Field {
 
 impl Field {
     /// Creates a field.
-    pub fn new(name: &str, dtype: DataType) -> Self {
+    pub(crate) fn new(name: &str, dtype: DataType) -> Self {
         Field {
             name: name.to_string(),
             dtype,
@@ -119,7 +119,7 @@ impl Schema {
     /// ```
     /// use skipper_relational::schema::{DataType, Schema};
     /// let s = Schema::of(&[("l_orderkey", DataType::Int), ("l_shipmode", DataType::Str)]);
-    /// assert_eq!(s.len(), 2);
+    /// assert_eq!(s.col("l_shipmode"), 1);
     /// ```
     pub fn of(cols: &[(&str, DataType)]) -> Self {
         Schema::new(
@@ -131,22 +131,22 @@ impl Schema {
 
     /// Number of columns.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.fields.len()
     }
 
     /// True for the empty schema.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inner.fields.is_empty()
     }
 
     /// The fields in order.
-    pub fn fields(&self) -> &[Field] {
+    pub(crate) fn fields(&self) -> &[Field] {
         &self.inner.fields
     }
 
     /// Index of the column named `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.fields().iter().position(|f| f.name == name)
     }
 

@@ -777,7 +777,7 @@ impl SegmentBuilder {
     }
 
     /// Pushes a NULL.
-    pub fn null(&mut self) -> &mut Self {
+    pub(crate) fn null(&mut self) -> &mut Self {
         let (col, pos) = (self.next_col, self.pos);
         self.advance();
         self.nulls.set(col, pos);
@@ -786,7 +786,7 @@ impl SegmentBuilder {
 
     /// Pushes any value; a string keeps its `Arc` as the dictionary
     /// entry when it is new.
-    pub fn push(&mut self, value: ValueRef<'_>) -> &mut Self {
+    pub(crate) fn push(&mut self, value: ValueRef<'_>) -> &mut Self {
         match value {
             ValueRef::Null => self.null(),
             ValueRef::Bool(b) => self.bool(b),

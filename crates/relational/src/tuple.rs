@@ -40,18 +40,12 @@ impl Row {
 
     /// Number of columns.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// True for the empty row.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Checks the row against a schema (arity and per-column types).
-    pub fn conforms_to(&self, schema: &Schema) -> bool {
+    pub(crate) fn conforms_to(&self, schema: &Schema) -> bool {
         self.values.len() == schema.len()
             && self
                 .values

@@ -29,7 +29,7 @@ pub enum Value {
 
 /// A borrowed [`Value`]: what a segment column, a literal or an
 /// expression hands out without allocating. A string borrows its
-/// dictionary entry, so [`ValueRef::to_value`] clones an `Arc`, never
+/// dictionary entry, so `ValueRef::to_value` clones an `Arc`, never
 /// the bytes. It orders, compares and hashes exactly as the owned
 /// value does; [`Value`]'s impls delegate here.
 #[derive(Clone, Copy, Debug)]
@@ -86,7 +86,7 @@ impl Value {
     }
 
     /// The date payload (days since epoch), if this is a [`Value::Date`].
-    pub fn as_date(&self) -> Option<i32> {
+    pub(crate) fn as_date(&self) -> Option<i32> {
         self.as_ref().as_date()
     }
 
@@ -99,7 +99,7 @@ impl Value {
 impl<'a> ValueRef<'a> {
     /// The owned value (a string clones its `Arc`).
     #[inline]
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             ValueRef::Null => Value::Null,
             ValueRef::Bool(b) => Value::Bool(b),
@@ -121,7 +121,7 @@ impl<'a> ValueRef<'a> {
 
     /// The float payload, widening integers.
     #[inline]
-    pub fn as_f64(self) -> Option<f64> {
+    pub(crate) fn as_f64(self) -> Option<f64> {
         match self {
             ValueRef::Float(f) => Some(f),
             ValueRef::Int(i) => Some(i as f64),
@@ -131,7 +131,7 @@ impl<'a> ValueRef<'a> {
 
     /// The date payload (days since epoch), if this is a date.
     #[inline]
-    pub fn as_date(self) -> Option<i32> {
+    pub(crate) fn as_date(self) -> Option<i32> {
         match self {
             ValueRef::Date(d) => Some(d),
             _ => None,
@@ -146,7 +146,7 @@ impl<'a> ValueRef<'a> {
 
     /// True when the value is a boolean `true`.
     #[inline]
-    pub fn is_truthy(self) -> bool {
+    pub(crate) fn is_truthy(self) -> bool {
         matches!(self, ValueRef::Bool(true))
     }
 

@@ -150,17 +150,20 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.run.len() + self.heap.len()
     }
 
     /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The current simulation time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn now(&self) -> SimTime {
         self.last_popped
     }
 }

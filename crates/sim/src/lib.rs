@@ -8,7 +8,7 @@
 //! time base that replaces those injected `sleep()`s:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
-//! * [`event`] — the deterministic future-event list with stable
+//! * `event` — the deterministic future-event list with stable
 //!   tie-breaking, so every experiment is exactly reproducible:
 //!   [`CalendarQueue`], a binary heap plus one sorted run of the events
 //!   scheduled before the first pop.
@@ -33,10 +33,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
+pub(crate) mod event;
 pub mod rng;
 pub mod stats;
-pub mod time;
+pub(crate) mod time;
 pub mod timeline;
 pub mod trace;
 
@@ -44,6 +44,5 @@ pub use event::CalendarQueue;
 pub use stats::QuantileSketch;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    attribute_spans, Activity, ActivityTrace, Attribution, MergedTimeline, StallClock,
-    StallReading, TraceMode,
+    Activity, ActivityTrace, Attribution, MergedTimeline, StallClock, StallReading, TraceMode,
 };

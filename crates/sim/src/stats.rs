@@ -80,7 +80,7 @@ impl QuantileSketch {
     pub const DEFAULT_EPSILON: f64 = 5e-4;
 
     /// An empty sketch with the given rank-error bound `0 < ε < 0.5`.
-    pub fn new(epsilon: f64) -> Self {
+    pub(crate) fn new(epsilon: f64) -> Self {
         assert!(
             epsilon > 0.0 && epsilon < 0.5,
             "QuantileSketch needs 0 < epsilon < 0.5 (got {epsilon})"
@@ -99,11 +99,6 @@ impl QuantileSketch {
         Self::new(Self::DEFAULT_EPSILON)
     }
 
-    /// The configured rank-error bound ε.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// Observations pushed so far.
     pub fn count(&self) -> u64 {
         self.n
@@ -111,7 +106,8 @@ impl QuantileSketch {
 
     /// Stored summary entries (the memory gauge the bounded-memory
     /// tests assert on).
-    pub fn entries(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> usize {
         self.entries.len()
     }
 
@@ -184,14 +180,6 @@ impl QuantileSketch {
         }
         self.entries.last().map(|e| e.v)
     }
-}
-
-/// Convenience: mean of a slice of durations, as seconds.
-pub fn mean_secs(durations: &[SimDuration]) -> f64 {
-    if durations.is_empty() {
-        return 0.0;
-    }
-    durations.iter().map(|d| d.as_secs_f64()).sum::<f64>() / durations.len() as f64
 }
 
 #[cfg(test)]
@@ -306,12 +294,5 @@ mod tests {
         sk.push(2.0);
         assert_eq!(sk.count(), 1);
         assert_eq!(sk.quantile(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn mean_secs_works() {
-        let ds = [SimDuration::from_secs(1), SimDuration::from_secs(3)];
-        assert!((mean_secs(&ds) - 2.0).abs() < 1e-12);
-        assert_eq!(mean_secs(&[]), 0.0);
     }
 }

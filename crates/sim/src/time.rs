@@ -26,8 +26,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of the simulation clock.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `micros` microseconds after simulation start.
     #[inline]
@@ -76,13 +74,13 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
     #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 }
@@ -140,7 +138,7 @@ impl SimDuration {
 
     /// Saturating subtraction.
     #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 }

@@ -239,7 +239,7 @@ impl ActivityTrace {
 /// count as idle. The slice-level form of [`ActivityTrace::attribute`],
 /// usable on borrowed span lists (e.g. a `ShardResult`) without
 /// rebuilding a trace.
-pub fn attribute_spans(spans: &[Span], from: SimTime, to: SimTime) -> Attribution {
+pub(crate) fn attribute_spans(spans: &[Span], from: SimTime, to: SimTime) -> Attribution {
     let mut out = Attribution::default();
     if to <= from {
         return out;
