@@ -17,6 +17,9 @@
 //!   execution, and reissue cycles.
 //! * `vanilla` — the pull-based baseline: plan-ordered, one GET at a
 //!   time, blocking binary hash joins (vanilla PostgreSQL's behaviour).
+//! * `memo` — the run-scoped memo through which both engines evaluate
+//!   each filter over a segment, and each Vanilla query's join, once per
+//!   run.
 //! * `proxy` — the client proxy that tags GETs with query identifiers,
 //!   making the CSD scheduler query-aware (§4.3).
 //! * [`config`] — the calibrated cost model mapping real tuple work to
@@ -83,6 +86,7 @@ pub mod analysis;
 pub mod cache;
 pub mod config;
 pub mod engine;
+pub(crate) mod memo;
 pub(crate) mod proxy;
 pub mod runtime;
 pub(crate) mod state_manager;

@@ -44,6 +44,7 @@ use skipper_csd::{Delivery, ObjectId, PowerModel, QueryId};
 use skipper_sim::{CalendarQueue, SimDuration, SimTime, StallClock};
 
 use crate::config::CostModel;
+use crate::memo;
 
 use super::client::ClientState;
 use super::collector::{LatencyAccumulator, RecordMode, RunResult, ShardResult};
@@ -133,6 +134,9 @@ impl Runtime {
     /// Panics if any client fails to drain its plan (a simulation
     /// deadlock — always a harness bug).
     pub(crate) fn run(mut self) -> RunResult {
+        // Filter selections and Vanilla joins are shared across the
+        // run's tenants, and freed with the run.
+        let _memo = memo::Scope::open();
         let offered: Vec<u64> = self.clients.iter().map(|c| c.plan.len() as u64).collect();
         self.drive();
         self.finish(offered)

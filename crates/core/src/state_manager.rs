@@ -13,6 +13,12 @@
 //! The §5.2.4 subplan-pruning optimization is implemented at admission:
 //! an object with zero filter-surviving tuples is pruned instead of
 //! cached, eliminating every subplan containing it.
+//!
+//! Every admitted arrival is charged the scan, filter and hash build of
+//! its segment. On the host, the filter's selection vector comes from
+//! the run-scoped memo (the `memo` module), evaluated once per run for
+//! each (segment, filter) and shared by every tenant and reissue; the
+//! chain tables are built per arrival over it.
 
 use std::sync::Arc;
 
@@ -31,6 +37,7 @@ use skipper_datagen::Dataset;
 use crate::cache::{BufferCache, CacheSlot, EvictionPolicy};
 use crate::config::CostModel;
 use crate::engine::{EngineStats, QueryEngine, Reaction};
+use crate::memo;
 use crate::proxy::ClientProxy;
 use crate::subplan::{RelSeg, SubplanKey, SubplanTracker, MAX_RELATIONS};
 
@@ -284,7 +291,8 @@ impl QueryEngine for SkipperEngine {
             // Scan + filter + symmetric-hash build, one table charged per
             // join column though only probed ones are built (logical scale).
             let (joined, ref cols) = self.index_cols[rel];
-            let index = SegmentIndex::build(payload, self.spec.filters[rel].as_ref(), cols);
+            let kept = memo::selection(payload, self.spec.filters[rel].as_ref());
+            let index = SegmentIndex::over(payload, kept, cols);
             let scale = self.scales[rel];
             let scanned = index.stats().scanned as u64;
             let entries = (joined * index.len()) as u64;
@@ -406,7 +414,7 @@ impl QueryEngine for SkipperEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use skipper_datagen::{mrbench, nref, ssb, tpch, GenConfig};
     use skipper_relational::catalog::GIB;
@@ -630,7 +638,7 @@ mod tests {
 
     /// The five paper queries at reduced scale (Q5, Q12, SSB Q1, the
     /// MR-bench join and NREF), each with its dataset.
-    fn paper_queries() -> Vec<(Dataset, QuerySpec)> {
+    pub(crate) fn paper_queries() -> Vec<(Dataset, QuerySpec)> {
         let cfg = GenConfig::new(9, 4).with_phys_divisor(100_000);
         let big = GenConfig::new(9, 50).with_phys_divisor(2_000_000);
         let (tpch_ds, ssb_ds) = (tpch::dataset(&cfg), ssb::dataset(&cfg));

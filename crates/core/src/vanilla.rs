@@ -10,14 +10,18 @@
 //! Each object traverses the FUSE interposition layer (charged per
 //! Table 3); scans and hash builds are charged as segments arrive, and
 //! the final result is computed with the real left-deep binary hash join
-//! over the fetched data. Each segment's filter runs once, on arrival:
-//! the join reuses the selection vector kept with the segment.
+//! over the fetched data. The host evaluates each (segment, filter) and
+//! each query's join once per run (the run-scoped memo of the `memo`
+//! module): an arrival takes the selection vector that an earlier
+//! arrival at any tenant evaluated, and a tenant whose query another
+//! tenant already joined over the same dataset takes its aggregate rows
+//! and emitted count. Every tenant still charges the full work.
 
 use std::sync::Arc;
 
 use skipper_csd::ObjectId;
 use skipper_datagen::Dataset;
-use skipper_relational::ops::{binary, scan};
+use skipper_relational::ops::binary;
 use skipper_relational::query::QuerySpec;
 use skipper_relational::segment::Segment;
 use skipper_relational::tuple::Row;
@@ -25,11 +29,15 @@ use skipper_relational::value::Value;
 
 use crate::config::CostModel;
 use crate::engine::{EngineStats, QueryEngine, Reaction};
+use crate::memo::{self, Filtered, JoinOutput};
 use crate::proxy::ClientProxy;
 
 /// Pull-based, plan-ordered baseline engine.
 pub(crate) struct VanillaEngine {
     spec: QuerySpec,
+    /// Address of the tenant's dataset, which every delivery comes
+    /// from: with `spec`, the key of the run's join memo.
+    dataset: usize,
     proxy: ClientProxy,
     cost: CostModel,
     scales: Vec<f64>,
@@ -38,10 +46,11 @@ pub(crate) struct VanillaEngine {
     next: usize,
     /// Received segments per query relation, each with the selection
     /// vector of the relation's filter over it.
-    received: Vec<Vec<(Arc<Segment>, Vec<u32>)>>,
+    received: Vec<Vec<Filtered>>,
     stats: EngineStats,
     finished: bool,
-    result: Vec<(Row, Vec<Value>)>,
+    /// The join's output, once finished.
+    output: Option<Arc<JoinOutput>>,
 }
 
 impl VanillaEngine {
@@ -74,6 +83,7 @@ impl VanillaEngine {
         let received = vec![Vec::new(); spec.num_relations()];
         VanillaEngine {
             spec,
+            dataset: memo::address(dataset),
             proxy,
             cost,
             scales,
@@ -82,7 +92,7 @@ impl VanillaEngine {
             received,
             stats: EngineStats::default(),
             finished: false,
-            result: Vec::new(),
+            output: None,
         }
     }
 }
@@ -119,7 +129,7 @@ impl QueryEngine for VanillaEngine {
 
         // Hash-build (build-side relations) or probe (the last plan
         // relation) over the filter survivors.
-        let survivors = scan::select(payload, self.spec.filters[rel].as_ref());
+        let survivors = memo::selection(payload, self.spec.filters[rel].as_ref());
         let kept = survivors.len() as u64;
         self.received[rel].push((Arc::clone(payload), survivors));
         let is_probe_side = *self.spec.plan_order.last().unwrap() == rel;
@@ -139,23 +149,29 @@ impl QueryEngine for VanillaEngine {
         } else {
             // All inputs resident: run the real blocking join for the
             // result and charge the emit cost.
-            let selected: Vec<Vec<binary::Selected<'_>>> = self
-                .received
-                .iter()
-                .map(|segs| {
-                    segs.iter()
-                        .map(|(seg, survivors)| (&**seg, survivors.as_slice()))
-                        .collect()
-                })
-                .collect();
-            let (agg, work) = binary::join_selected(&self.spec, &selected);
-            self.stats.emitted_rows += work.emitted as u64;
+            let output = memo::join(self.dataset, &self.spec, || {
+                let selected: Vec<Vec<binary::Selected<'_>>> = self
+                    .received
+                    .iter()
+                    .map(|segs| {
+                        segs.iter()
+                            .map(|(seg, survivors)| (&**seg, &**survivors))
+                            .collect()
+                    })
+                    .collect();
+                let (agg, work) = binary::join_selected(&self.spec, &selected);
+                JoinOutput {
+                    rows: agg.finish(),
+                    emitted: work.emitted,
+                }
+            });
+            self.stats.emitted_rows += output.emitted as u64;
             processing += self.cost.scaled(
-                work.emitted as u64,
+                output.emitted as u64,
                 self.scales[self.spec.driver],
                 self.cost.emit_ns_per_row,
             ) + self.cost.agg_finish;
-            self.result = agg.finish();
+            self.output = Some(output);
             self.finished = true;
         }
 
@@ -171,7 +187,10 @@ impl QueryEngine for VanillaEngine {
     }
 
     fn result(&self) -> Vec<(Row, Vec<Value>)> {
-        self.result.clone()
+        self.output
+            .as_ref()
+            .map(|output| output.rows.clone())
+            .unwrap_or_default()
     }
 
     fn stats(&self) -> EngineStats {

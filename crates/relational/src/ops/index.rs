@@ -11,8 +11,10 @@
 //! # Layout
 //!
 //! * `kept` — the selection vector: positions of the rows that passed
-//!   the filter ([`scan::select`]), ascending. A row's index in `kept`
-//!   is its *slot*.
+//!   the filter ([`scan::select`]), ascending, shared as an `Arc<[u32]>`
+//!   so that the indexes of one segment built under one filter can hold
+//!   one copy ([`SegmentIndex::over`]). A row's index in `kept` is its
+//!   *slot*.
 //! * per join column, one `KeyIndex`: the column, its `ChainTable` and
 //!   its key range.
 //! * `ChainTable`: `heads[bucket]` is the first slot of the bucket's
@@ -47,10 +49,10 @@
 //! # Eviction
 //!
 //! Dropping a [`SegmentIndex`] is the paper's "frees space by dropping
-//! its hashtable": it frees `kept`, the `KeyIndex` list (each key range
-//! lives in it, beside its table), two `Vec`s per join column and one
-//! `Arc` reference — independent of the number of distinct keys. The
-//! segment itself is freed when the last holder lets go.
+//! its hashtable": it frees the `KeyIndex` list (each key range lives in
+//! it, beside its table), two `Vec`s per join column and two `Arc`
+//! references — independent of the number of distinct keys. The segment
+//! and its selection vector are freed when their last holder lets go.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -340,7 +342,7 @@ pub(crate) fn hash_key(key: ValueRef<'_>) -> u64 {
 pub struct SegmentIndex {
     segment: Arc<Segment>,
     /// Positions of rows surviving the filter, ascending.
-    kept: Vec<u32>,
+    kept: Arc<[u32]>,
     /// One per join column, in `join_cols` order; a column's position
     /// here is its table slot.
     keys: Vec<KeyIndex>,
@@ -351,7 +353,22 @@ impl SegmentIndex {
     /// Scans `segment` through `filter` and builds hash indexes on
     /// `join_cols`. The index shares the segment; no row is copied.
     pub fn build(segment: &Arc<Segment>, filter: Option<&Expr>, join_cols: &[usize]) -> Self {
-        let kept = scan::select(segment, filter);
+        Self::over(segment, scan::select(segment, filter).into(), join_cols)
+    }
+
+    /// Builds hash indexes on `join_cols` over the rows of `segment` at
+    /// `kept`, a selection vector (ascending positions, as
+    /// [`scan::select`] returns them) that the index shares.
+    ///
+    /// # Panics
+    /// Panics if a position of `kept` lies outside the segment.
+    pub fn over(segment: &Arc<Segment>, kept: Arc<[u32]>, join_cols: &[usize]) -> Self {
+        assert!(
+            kept.last()
+                .is_none_or(|&pos| (pos as usize) < segment.len()),
+            "selection vector points past the segment's {} rows",
+            segment.len()
+        );
         let keys = join_cols
             .iter()
             .map(|&col| key_index(segment, &kept, col))
@@ -593,6 +610,34 @@ mod tests {
         }
         drop(idx);
         assert_eq!(Arc::strong_count(&seg), 1);
+    }
+
+    #[test]
+    fn indexes_over_one_selection_share_it() {
+        let seg = seg();
+        let kept: Arc<[u32]> = Arc::from([1, 3]);
+        let (a, b) = (
+            SegmentIndex::over(&seg, Arc::clone(&kept), &[0]),
+            SegmentIndex::over(&seg, Arc::clone(&kept), &[1]),
+        );
+        assert_eq!(Arc::strong_count(&kept), 3);
+        assert_eq!(a.positions(), [1, 3]);
+        assert_eq!(
+            a.stats(),
+            ScanStats {
+                scanned: 4,
+                kept: 2
+            }
+        );
+        assert_eq!(owned(b.probe(1, ValueRef::Int(30))), [row![3i64, 30i64]]);
+        drop((a, b));
+        assert_eq!(Arc::strong_count(&kept), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "points past the segment")]
+    fn selection_past_the_segment_panics() {
+        let _ = SegmentIndex::over(&seg(), Arc::from([0, 4]), &[0]);
     }
 
     /// Probe keys at and around `bound`: the same number in every

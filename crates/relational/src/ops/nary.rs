@@ -123,7 +123,7 @@ fn descend<'a>(
 }
 
 /// Bits of the first step's key filter per cached key.
-const FILTER_BITS_PER_KEY: usize = 8;
+const FILTER_BITS_PER_KEY: usize = 32;
 
 /// Buffers that [`execute_rooted`] reuses across calls, so that an
 /// arrival allocates nothing once they have grown: the first step's
@@ -154,11 +154,21 @@ pub struct RootedScratch {
 /// One typed pass hashes the arriving segment's key column. When the
 /// arriving segment keeps at least half as many rows as the step's
 /// cached candidates, a key filter is built first from every candidate's
-/// kept keys, `FILTER_BITS_PER_KEY` bits per key: it hashes at most
+/// kept keys, `FILTER_BITS_PER_KEY` (32) bits per key: it hashes at most
 /// twice as many keys as it can drop. A driver key whose bit is
 /// clear equals no cached key (values equal under [`ValueRef`]'s order
 /// hash alike in every type pairing) and is dropped before any candidate
 /// is visited; the rest go through the deeper steps' candidate loop.
+///
+/// The filter's bit is the hash's high end, and `hash_key` is Fx's
+/// multiply, which spreads a dense integer key range unevenly over a
+/// few high bits; so its size matters more than a random hash's would.
+/// On the benchmark's `tpch_mjoin` workload (seed 2016) the calls that
+/// build a filter test 2.10 M driver keys per run, of which 151 926
+/// match a cached key. At 8 bits per key 422 220 pass, at 16 263 022,
+/// at 32 167 868 and at 64 158 352: past 32 bits the filter no longer
+/// pays for its size, and below it each false positive costs a walk of
+/// the deeper steps.
 ///
 /// # Logical probes vs per-segment lookups
 ///
@@ -174,12 +184,12 @@ pub struct RootedScratch {
 /// segment holds no match, so emit order (driver row, then candidate,
 /// then chain slot), float sums and `probes` are what walking every
 /// segment gives. On the benchmark's `tpch_mjoin` workload (seed 2016)
-/// one run's 2.93 M logical probes make 2.01 M per-segment lookups; the
-/// key ranges alone made 3.67 M, and walking every candidate 13.0 M.
-/// The filter drops 1.68 M driver keys per run, four in five of Q5's
-/// `lineitem` rows probing `orders`; at eight bits per key about 12 % of
-/// the keys without a match pass it. A probe into `lineitem`, which is
-/// not partitioned by `l_orderkey`, still walks every cached segment. The
+/// one run's 2.93 M logical probes make 1.64 M per-segment lookups
+/// (2.01 M with an 8-bit filter); the key ranges alone made 3.67 M, and
+/// walking every candidate 13.0 M. The filter drops 1.93 M of the
+/// 2.10 M driver keys it tests per run; under 1 % of the keys without a
+/// match pass it. A probe into `lineitem`, which is not partitioned by
+/// `l_orderkey`, still walks every cached segment. The
 /// kernel pays the per-probe costs — reading and hashing the key,
 /// resolving the probed column to its table slot — once per logical
 /// probe (`hash_key`, `slots`), and a lookup that misses is a

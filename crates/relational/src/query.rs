@@ -180,7 +180,7 @@ impl AggSpec {
 /// A complete join query: tables, per-table filters, equi-join conditions,
 /// the designated driver (fact) relation, the baseline's pull order, and
 /// the aggregation on top.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuerySpec {
     /// Query name (e.g. `"tpch-q12"`).
     pub name: String,

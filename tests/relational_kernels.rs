@@ -544,74 +544,104 @@ fn left_deep_join_over_shared_segments_matches_reference() {
 /// every `orders` segment cached. `o_orderkey` is range-partitioned by
 /// segment, so the key ranges leave at most one `orders` lookup per
 /// logical probe, and the rows come out exactly as a walk of every
-/// cached segment emits them.
+/// cached segment emits them. The first step's key filter drops at
+/// least 95 % of the driver keys that match no cached key, and no key
+/// that matches one; a dropped key still counts as a probe.
+///
+/// Two geometries: 2 400 `lineitem` rows, and 96 000 over 24 000 dense
+/// `o_orderkey`s. On the second the keys' hashes crowd the filter's
+/// bits: at 8 or 16 bits per cached key it passes over a tenth of the
+/// keys without a match.
 #[test]
 fn q5_lineitem_walks_at_most_one_orders_segment_per_probe() {
-    let ds = tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(100_000));
-    let q5 = tpch::q5(&ds);
-    let rel = |name: &str| q5.tables.iter().position(|t| t == name).unwrap();
-    let (o, l) = (rel("orders"), rel("lineitem"));
-    let edge = q5
-        .joins
-        .iter()
-        .find(|j| j.side_of(o).is_some() && j.side_of(l).is_some())
-        .unwrap();
-    let (o_key, l_key) = (edge.side_of(o).unwrap().col, edge.side_of(l).unwrap().col);
-    // Q5's `lineitem → orders` step on its own: orders is relation 0.
-    let spec = QuerySpec {
-        name: "q5-lineitem-orders".into(),
-        tables: vec!["orders".into(), "lineitem".into()],
-        filters: vec![q5.filters[o].clone(), q5.filters[l].clone()],
-        joins: vec![JoinCond::new(1, l_key, 0, o_key)],
-        driver: 1,
-        plan_order: vec![0, 1],
-        probe_order: None,
-        group_by: vec![],
-        aggregates: vec![],
-    };
-    spec.validate();
-    let plan = ProbePlan::plan_rooted(&spec, 1).unwrap();
-    let segments = |name: &str| ds.table_segments(ds.catalog.index_of(name).unwrap());
-    // Indexed as the engine indexes them, on every Q5 join column.
-    let orders: Vec<SegmentIndex> = segments("orders")
-        .iter()
-        .map(|s| SegmentIndex::build(s, q5.filters[o].as_ref(), &q5.join_cols(o)))
-        .collect();
-    assert!(orders.len() >= 2, "{} orders segments", orders.len());
-    let cached: Vec<(u32, &SegmentIndex)> = (0..).zip(&orders).collect();
+    for divisor in [100_000, 500] {
+        let ds = tpch::dataset(&GenConfig::new(7, 8).with_phys_divisor(divisor));
+        let q5 = tpch::q5(&ds);
+        let rel = |name: &str| q5.tables.iter().position(|t| t == name).unwrap();
+        let (o, l) = (rel("orders"), rel("lineitem"));
+        let edge = q5
+            .joins
+            .iter()
+            .find(|j| j.side_of(o).is_some() && j.side_of(l).is_some())
+            .unwrap();
+        let (o_key, l_key) = (edge.side_of(o).unwrap().col, edge.side_of(l).unwrap().col);
+        // Q5's `lineitem → orders` step on its own: orders is relation 0.
+        let spec = QuerySpec {
+            name: "q5-lineitem-orders".into(),
+            tables: vec!["orders".into(), "lineitem".into()],
+            filters: vec![q5.filters[o].clone(), q5.filters[l].clone()],
+            joins: vec![JoinCond::new(1, l_key, 0, o_key)],
+            driver: 1,
+            plan_order: vec![0, 1],
+            probe_order: None,
+            group_by: vec![],
+            aggregates: vec![],
+        };
+        spec.validate();
+        let plan = ProbePlan::plan_rooted(&spec, 1).unwrap();
+        let segments = |name: &str| ds.table_segments(ds.catalog.index_of(name).unwrap());
+        // Indexed as the engine indexes them, on every Q5 join column.
+        let orders: Vec<SegmentIndex> = segments("orders")
+            .iter()
+            .map(|s| SegmentIndex::build(s, q5.filters[o].as_ref(), &q5.join_cols(o)))
+            .collect();
+        assert!(orders.len() >= 2, "{} orders segments", orders.len());
+        let cached: Vec<(u32, &SegmentIndex)> = (0..).zip(&orders).collect();
+        let held: usize = orders.iter().map(SegmentIndex::len).sum();
 
-    let (mut probes, mut lookups, mut emitted) = (0, 0, 0);
-    for (s, seg) in (0..).zip(segments("lineitem")) {
-        let arriving = SegmentIndex::build(seg, q5.filters[l].as_ref(), &q5.join_cols(l));
-        let mut got: Vec<Vec<Row>> = Vec::new();
-        let candidates = [cached.clone(), vec![(s, &arriving)]];
-        let work = nary::execute_rooted(
-            &plan,
-            &candidates,
-            &|_| false,
-            &mut |rows| got.push(owned(rows)),
-            &mut nary::RootedScratch::default(),
-        );
-        assert!(work.lookups <= work.probes, "lineitem {s}: {work:?}");
+        let (mut probes, mut lookups, mut emitted) = (0, 0, 0);
+        let (mut unmatched, mut filtered) = (0, 0);
+        for (s, seg) in (0..).zip(segments("lineitem")) {
+            let arriving = SegmentIndex::build(seg, q5.filters[l].as_ref(), &q5.join_cols(l));
+            let mut got: Vec<Vec<Row>> = Vec::new();
+            let candidates = [cached.clone(), vec![(s, &arriving)]];
+            let work = nary::execute_rooted(
+                &plan,
+                &candidates,
+                &|_| false,
+                &mut |rows| got.push(owned(rows)),
+                &mut nary::RootedScratch::default(),
+            );
+            assert!(work.lookups <= work.probes, "lineitem {s}: {work:?}");
 
-        // Every cached segment walked, in candidate order.
-        let mut walked: Vec<Vec<Row>> = Vec::new();
-        for row in arriving.rows() {
-            let key = row.get(l_key);
-            for idx in &orders {
-                for hit in idx.probe(o_key, key) {
-                    walked.push(vec![hit.to_row(), row.to_row()]);
+            // Every cached segment walked, in candidate order.
+            let mut walked: Vec<Vec<Row>> = Vec::new();
+            let (mut keys, mut missed) = (0, 0);
+            for row in arriving.rows() {
+                let key = row.get(l_key);
+                keys += !key.is_null() as usize;
+                let before = walked.len();
+                for idx in &orders {
+                    for hit in idx.probe(o_key, key) {
+                        walked.push(vec![hit.to_row(), row.to_row()]);
+                    }
                 }
+                missed += (!key.is_null() && walked.len() == before) as usize;
             }
+            assert_eq!(got, walked, "lineitem {s}: emit order");
+            assert_eq!(work.probes, keys, "lineitem {s}: probes");
+            assert!(work.filtered <= missed, "lineitem {s}: {work:?}");
+            // The kernel builds its filter when the arriving segment keeps
+            // at least half as many rows as the cached candidates.
+            if 2 * arriving.len() >= held {
+                unmatched += missed;
+                filtered += work.filtered;
+            } else {
+                assert_eq!(work.filtered, 0, "lineitem {s}: no filter");
+            }
+            probes += work.probes;
+            lookups += work.lookups;
+            emitted += work.emitted;
         }
-        assert_eq!(got, walked, "lineitem {s}: emit order");
-        probes += work.probes;
-        lookups += work.lookups;
-        emitted += work.emitted;
+        assert!(
+            emitted > 0 && probes > 0,
+            "{emitted} rows from {probes} probes"
+        );
+        assert!(lookups <= probes, "{lookups} lookups for {probes} probes");
+        assert!(unmatched > 300, "{unmatched} keys met a filter");
+        assert!(
+            filtered * 100 >= unmatched * 95,
+            "1/{divisor}: the filter dropped {filtered} of {unmatched} keys without a match"
+        );
     }
-    assert!(
-        emitted > 0 && probes > 0,
-        "{emitted} rows from {probes} probes"
-    );
-    assert!(lookups <= probes, "{lookups} lookups for {probes} probes");
 }
